@@ -79,13 +79,34 @@ the untagged scheduler, because the tenant weight only multiplies in when it
 differs from 1.0 and the virtual link only enters the constraint graph when a
 finite cap exists.
 
-A transfer crosses at most six links, so the filling runs in ``O(F log F)``
-per reallocation using a lazy min-heap over link fill levels.  Rates are
-recomputed only when the active set changes (a submission, activation or
-completion batch), and between recomputations every transfer progresses
-linearly, which is what lets the scheduler ride the discrete-event kernel of
-:mod:`repro.sim.engine`: the next completion is a single scheduled callback
-that is cancelled and re-scheduled whenever the allocation changes.
+Change-driven reallocation
+--------------------------
+The filling is the pure function :func:`allocate` (capacities, link members,
+flow links and weights in, rates out: no clock, no topology lookups), fed from
+state the scheduler *keeps* instead of rebuilding per event:
+
+* a **persistent constraint graph** of the active set: the active flows and
+  every link's members in submission order (activations arrive out of that
+  order, hence bisect-inserted), each flow's resolved link tuple, and each
+  member link's finite capacity (re-resolved by the capacity setters);
+* an **allocation epoch**: adding or dropping an active flow, a capacity or cap
+  setter and a moved :attr:`NetworkTopology.version` mark the allocation stale,
+  and only a stale allocation is refilled -- a submission that merely enters
+  its latency window, or a timer that finishes nothing, fills nothing;
+* **same-instant folding**: of several latency windows ending at one simulated
+  instant only the last activation fills; rates are a function of the active
+  set and no bytes move in zero time, so the schedule cannot tell.
+
+Every event still runs ``_advance`` (transfers progress linearly at their
+current rates) and ``_reschedule`` (the one completion timer is cancelled and
+re-armed): ``remaining`` and the timer's absolute time carry a float history
+that skipping either would change in the last digits.  Inside ``allocate`` a
+heap entry is a *lower bound* on its link's ``(level, key)``: a level all but
+never falls while other links freeze the link's flows, so an entry is
+re-evaluated when popped and a fresh one pushed only on a (rounding) decrease,
+which keeps the popped minimum exactly the smallest current level.
+``summary()`` counts ``reallocations``/``flows_filled``; the rebuild-per-event
+scheduler survives in ``tests/reference`` as the bit-identity oracle.
 
 Determinism guarantees
 ----------------------
@@ -138,10 +159,11 @@ how deep the storm backlog ran.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from bisect import insort
 from collections import deque
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -178,9 +200,18 @@ _STAGE_NAMES = {
 #: The latency classes of the two-stage model, nearest first.
 LATENCY_CLASSES = ("intra_rack", "intra_site", "inter_site")
 
+#: One tenant's accounting row before it has moved anything.
+_NO_TENANT_STATS = {
+    "submitted": 0.0, "completed": 0.0, "failed": 0.0, "bytes_submitted": 0.0,
+    "bytes_completed": 0.0, "bytes_failed": 0.0, "last_completion_time": 0.0,
+}
+
 #: Sentinel for "leave this capacity unchanged" (``None`` means unconstrained,
 #: so it cannot double as the no-op default -- see set_node_bandwidth).
 _KEEP = object()
+
+#: A link of the constraint graph: ``(stage tag, node / rack / site / tenant id)``.
+LinkKey = Tuple[int, int]
 
 
 def _validate_capacity(value: Optional[float], what: str, allow_zero: bool) -> None:
@@ -205,7 +236,8 @@ class NetworkTopology:
     an override of exactly ``0`` models a partitioned trunk.  When the
     topology is attached to a live :class:`TransferScheduler`, change trunk
     capacities through :meth:`TransferScheduler.set_trunk_bandwidth` so
-    in-flight transfers are re-shared (or deterministically failed).
+    in-flight transfers are re-shared at once and those crossing a dead trunk
+    fail (a direct change is only re-shared, at the scheduler's next event).
 
     An endpoint outside the grid (``site``/``rack`` of ``-1``, or a ``None``
     node id such as a meta restore's unmodelled source) counts as "the
@@ -223,12 +255,8 @@ class NetworkTopology:
         intra_site_latency: float = 0.0,
         inter_site_latency: float = 0.0,
     ) -> None:
-        for value, what in (
-            (rack_uplink, "rack trunk uplink"),
-            (rack_downlink, "rack trunk downlink"),
-            (site_uplink, "site trunk uplink"),
-            (site_downlink, "site trunk downlink"),
-        ):
+        for value, what in ((rack_uplink, "rack trunk uplink"), (rack_downlink, "rack trunk downlink"),
+                            (site_uplink, "site trunk uplink"), (site_downlink, "site trunk downlink")):
             _validate_capacity(value, what, allow_zero=False)
         latencies = (intra_rack_latency, intra_site_latency, inter_site_latency)
         if any(latency < 0 for latency in latencies):
@@ -246,6 +274,11 @@ class NetworkTopology:
         self._rack_of: Dict[int, int] = {}
         #: Per-domain capacity overrides keyed by trunk link key.
         self._overrides: Dict[Tuple[int, int], Optional[float]] = {}
+        #: ``trunk_links`` results per (src rack, src site, dst rack, dst site).
+        self._trunk_memo: Dict[tuple, Tuple[Tuple[int, int], ...]] = {}
+        #: Bumped by every mutation; an attached scheduler re-shares its
+        #: active flows at its next event when this has moved.
+        self.version = 0
 
     # -------------------------------------------------------------- building --
     @classmethod
@@ -259,6 +292,8 @@ class NetworkTopology:
         """Re-sync the node->domain maps (after churn or a domain re-layout)."""
         self._site_of.clear()
         self._rack_of.clear()
+        self._trunk_memo.clear()
+        self.version += 1
         for node in nodes:
             node_id = int(node.node_id)
             if node.site >= 0:
@@ -269,21 +304,18 @@ class NetworkTopology:
     # ------------------------------------------------------------ capacities --
     def set_rack_trunk(self, rack: int, uplink=_KEEP, downlink=_KEEP) -> None:
         """Override one rack's aggregation trunk (``0`` = partitioned)."""
-        if uplink is not _KEEP:
-            _validate_capacity(uplink, "rack trunk uplink", allow_zero=True)
-            self._overrides[(_RACK_UP, int(rack))] = uplink
-        if downlink is not _KEEP:
-            _validate_capacity(downlink, "rack trunk downlink", allow_zero=True)
-            self._overrides[(_RACK_DOWN, int(rack))] = downlink
+        self._override("rack", ((_RACK_UP, int(rack)), uplink), ((_RACK_DOWN, int(rack)), downlink))
 
     def set_site_trunk(self, site: int, uplink=_KEEP, downlink=_KEEP) -> None:
         """Override one site's transit trunk (``0`` = partitioned)."""
-        if uplink is not _KEEP:
-            _validate_capacity(uplink, "site trunk uplink", allow_zero=True)
-            self._overrides[(_SITE_UP, int(site))] = uplink
-        if downlink is not _KEEP:
-            _validate_capacity(downlink, "site trunk downlink", allow_zero=True)
-            self._overrides[(_SITE_DOWN, int(site))] = downlink
+        self._override("site", ((_SITE_UP, int(site)), uplink), ((_SITE_DOWN, int(site)), downlink))
+
+    def _override(self, what: str, up, down) -> None:
+        for (key, value), side in ((up, "uplink"), (down, "downlink")):
+            if value is not _KEEP:
+                _validate_capacity(value, f"{what} trunk {side}", allow_zero=True)
+                self._overrides[key] = value
+        self.version += 1
 
     def capacity_of(self, key: Tuple[int, int]) -> Optional[float]:
         """The capacity of one trunk link key (``None`` = unconstrained)."""
@@ -307,14 +339,8 @@ class NetworkTopology:
         if (site is None) == (rack is None):
             raise ValueError("specify exactly one of site= or rack=")
         if rack is not None:
-            return (
-                self.capacity_of((_RACK_UP, int(rack))),
-                self.capacity_of((_RACK_DOWN, int(rack))),
-            )
-        return (
-            self.capacity_of((_SITE_UP, int(site))),
-            self.capacity_of((_SITE_DOWN, int(site))),
-        )
+            return self.capacity_of((_RACK_UP, int(rack))), self.capacity_of((_RACK_DOWN, int(rack)))
+        return self.capacity_of((_SITE_UP, int(site))), self.capacity_of((_SITE_DOWN, int(site)))
 
     # ----------------------------------------------------------------- paths --
     def site_of(self, node_id: Optional[int]) -> Optional[int]:
@@ -325,31 +351,31 @@ class NetworkTopology:
         """The (globally unique) rack of a node (``None`` = outside the grid)."""
         return None if node_id is None else self._rack_of.get(int(node_id))
 
-    def trunk_links(
-        self, src: Optional[int], dst: Optional[int]
-    ) -> Tuple[Tuple[int, int], ...]:
+    def trunk_links(self, src: Optional[int], dst: Optional[int]) -> Tuple[LinkKey, ...]:
         """The shared trunk link keys a ``src -> dst`` transfer crosses.
 
         Ordered source-side out (rack aggregation, site transit) then
         destination-side in, which is also the physical traversal order.
         """
-        src_rack = self.rack_of(src)
-        dst_rack = self.rack_of(dst)
-        if src_rack is not None and src_rack == dst_rack:
-            return ()
-        src_site = self.site_of(src)
-        dst_site = self.site_of(dst)
-        cross_site = src_site is None or dst_site is None or src_site != dst_site
+        src_rack, dst_rack = self.rack_of(src), self.rack_of(dst)
+        src_site, dst_site = self.site_of(src), self.site_of(dst)
+        pair = (src_rack, src_site, dst_rack, dst_site)
+        memo = self._trunk_memo.get(pair)
+        if memo is not None:
+            return memo
         keys: List[Tuple[int, int]] = []
-        if src_rack is not None:
-            keys.append((_RACK_UP, src_rack))
-        if cross_site and src_site is not None:
-            keys.append((_SITE_UP, src_site))
-        if cross_site and dst_site is not None:
-            keys.append((_SITE_DOWN, dst_site))
-        if dst_rack is not None:
-            keys.append((_RACK_DOWN, dst_rack))
-        return tuple(keys)
+        if src_rack is None or src_rack != dst_rack:
+            cross_site = src_site is None or dst_site is None or src_site != dst_site
+            if src_rack is not None:
+                keys.append((_RACK_UP, src_rack))
+            if cross_site and src_site is not None:
+                keys.append((_SITE_UP, src_site))
+            if cross_site and dst_site is not None:
+                keys.append((_SITE_DOWN, dst_site))
+            if dst_rack is not None:
+                keys.append((_RACK_DOWN, dst_rack))
+        memo = self._trunk_memo[pair] = tuple(keys)
+        return memo
 
     def source_links(self, src: Optional[int]) -> Tuple[Tuple[int, int], ...]:
         """The source-side trunk keys of flows leaving ``src``'s rack."""
@@ -362,9 +388,7 @@ class NetworkTopology:
             keys.append((_SITE_UP, site))
         return tuple(keys)
 
-    def latency_class(
-        self, src: Optional[int], dst: Optional[int]
-    ) -> Optional[str]:
+    def latency_class(self, src: Optional[int], dst: Optional[int]) -> Optional[str]:
         """``intra_rack``/``intra_site``/``inter_site`` (None = unmodelled)."""
         src_rack = self.rack_of(src)
         dst_rack = self.rack_of(dst)
@@ -390,11 +414,8 @@ class NetworkTopology:
     @property
     def constrained(self) -> bool:
         """Whether any trunk stage actually has a finite capacity."""
-        defaults = (self.rack_uplink, self.rack_downlink,
-                    self.site_uplink, self.site_downlink)
-        return any(c is not None for c in defaults) or any(
-            c is not None for c in self._overrides.values()
-        )
+        defaults = (self.rack_uplink, self.rack_downlink, self.site_uplink, self.site_downlink)
+        return any(c is not None for c in (*defaults, *self._overrides.values()))
 
 
 def oversubscribed_topology(
@@ -440,6 +461,67 @@ def oversubscribed_topology(
         capacity = sum(rack_cap[rack] for rack in sorted(site_racks[site])) / site_ratio
         topology.set_site_trunk(site, uplink=capacity, downlink=capacity)
     return topology
+
+
+def allocate(
+    link_capacity: Dict[LinkKey, float],
+    link_members: Dict[LinkKey, List[int]],
+    flow_links: Dict[int, Tuple[LinkKey, ...]],
+    flow_weight: Dict[int, float],
+) -> Dict[int, float]:
+    """Weighted progressive filling, as a pure function (see the module docs).
+
+    ``link_capacity`` holds the finite links, each with at least one member;
+    ``link_members[key]`` lists the flows on a link and ``flow_links[flow]``
+    the links of a flow -- either may name further links, which are
+    unconstrained and ignored.  Returns ``{flow: rate}`` (``inf`` for a flow
+    crossing no finite link) and mutates nothing.  Weight sums and freezes
+    follow the member lists' order, which alone decides the float rounding.
+    """
+    residual = dict(link_capacity)
+    unfrozen: Dict[LinkKey, float] = {}
+    level: Dict[LinkKey, float] = {}
+    heap: List[Tuple[float, LinkKey]] = []
+    for key, capacity in link_capacity.items():
+        row = link_members[key]
+        weight = flow_weight[row[0]] if len(row) == 1 else float(sum([flow_weight[f] for f in row]))
+        unfrozen[key] = weight
+        mark = level[key] = capacity / weight
+        heap.append((mark, key))
+    heapify(heap)
+    rates: Dict[int, float] = {}
+    while heap:
+        mark, key = heappop(heap)
+        if unfrozen[key] <= _WEIGHT_TOLERANCE:
+            continue
+        current = level[key]
+        if mark != current:
+            if mark < current:  # a stale lower bound: queue the link at its real level
+                heappush(heap, (current, key))
+            continue
+        # The bottleneck: freeze every still-unfrozen flow on it.
+        for flow in link_members[key]:
+            if flow in rates:
+                continue
+            weight = flow_weight[flow]
+            rate = rates[flow] = mark * weight
+            for other in flow_links[flow]:
+                left = unfrozen.get(other)
+                if left is None or other == key:
+                    continue
+                capacity = residual[other] = residual[other] - rate
+                left = unfrozen[other] = left - weight
+                if left > _WEIGHT_TOLERANCE:
+                    fresh = (capacity if capacity >= 0.0 else 0.0) / left
+                    if fresh < level[other]:
+                        heappush(heap, (fresh, other))
+                    level[other] = fresh
+        unfrozen[key] = 0.0
+    for flow, links in flow_links.items():
+        if flow not in rates:
+            starved = any(key in link_capacity for key in links)
+            rates[flow] = 0.0 if starved else math.inf
+    return rates
 
 
 @dataclass(frozen=True)
@@ -553,8 +635,22 @@ class TransferScheduler:
         self._uplink: Dict[int, Optional[float]] = {}
         self._downlink: Dict[int, Optional[float]] = {}
         self._active: Dict[int, Transfer] = {}
+        #: The persistent constraint graph of the active set (_add_active /
+        #: _drop_active): active seqs and per-link member seqs in submission
+        #: order, the member links' finite capacities, per-flow links and weight.
+        self._order: List[int] = []
+        self._members: Dict[LinkKey, List[int]] = {}
+        self._capacity: Dict[LinkKey, float] = {}
+        self._links: Dict[int, Tuple[LinkKey, ...]] = {}
+        self._weights: Dict[int, float] = {}
+        #: Allocation epoch: set when the active set or a capacity changed
+        #: since the last fill (the topology's own changes via its version).
+        self._stale = False
+        self._topology_version = 0 if topology is None else topology.version
         #: Transfers inside their latency window (submitted, not yet active).
         self._pending: Dict[int, Transfer] = {}
+        #: The last-queued activation per due time (same-instant folding).
+        self._last_due: Dict[float, int] = {}
         self._seq = itertools.count()
         self._last_update = sim.now
         self._timer = None
@@ -580,14 +676,12 @@ class TransferScheduler:
         self.last_completion_time = 0.0
         self.failed_count = 0
         self.bytes_failed = 0.0
+        #: Fills performed / active flows summed over them (cost counters).
+        self.reallocations = 0
+        self.flows_filled = 0
 
     # ------------------------------------------------------------- capacities --
-    def set_node_bandwidth(
-        self,
-        node_id: int,
-        uplink=_KEEP,
-        downlink=_KEEP,
-    ) -> None:
+    def set_node_bandwidth(self, node_id: int, uplink=_KEEP, downlink=_KEEP) -> None:
         """Override one node's access link capacities.
 
         ``None`` means unconstrained; ``0`` means the link is *dead*; an
@@ -609,24 +703,11 @@ class TransferScheduler:
             self._downlink[node_id] = downlink
         dead_up = self.uplink_of(node_id) == 0
         dead_down = self.downlink_of(node_id) == 0
-        doomed = [
-            self._active[seq]
-            for seq in sorted(self._active)
-            if (dead_up and self._active[seq].src == node_id)
-            or (dead_down and self._active[seq].dst == node_id)
-        ]
-        for transfer in doomed:
-            self._drop_active(transfer)
-            self.sim.schedule(0.0, lambda t=transfer: self._fail_transfer(t, "endpoint failed"))
-        self._reallocate()
-        self._reschedule()
+        self._capacity_changed(
+            lambda t: (dead_up and t.src == node_id) or (dead_down and t.dst == node_id), "endpoint failed")
 
     def set_trunk_bandwidth(
-        self,
-        site: Optional[int] = None,
-        rack: Optional[int] = None,
-        uplink=_KEEP,
-        downlink=_KEEP,
+        self, site: Optional[int] = None, rack: Optional[int] = None, uplink=_KEEP, downlink=_KEEP
     ) -> None:
         """Change one trunk's capacity mid-flight (``0`` = partitioned).
 
@@ -644,21 +725,9 @@ class TransferScheduler:
             self.topology.set_rack_trunk(int(rack), uplink=uplink, downlink=downlink)
         else:
             self.topology.set_site_trunk(int(site), uplink=uplink, downlink=downlink)
-        doomed = [
-            self._active[seq]
-            for seq in sorted(self._active)
-            if any(
-                self.topology.capacity_of(key) == 0
-                for key in self._active[seq].trunk_links
-            )
-        ]
-        for transfer in doomed:
-            self._drop_active(transfer)
-            self.sim.schedule(
-                0.0, lambda t=transfer: self._fail_transfer(t, "partitioned trunk")
-            )
-        self._reallocate()
-        self._reschedule()
+        capacity_of = self.topology.capacity_of
+        self._capacity_changed(
+            lambda t: any(capacity_of(key) == 0 for key in t.trunk_links), "partitioned trunk")
 
     def set_tenant_weight(self, tenant: int, weight: float) -> None:
         """Assign one tenant's fair-share class weight (1.0 = foreground).
@@ -691,19 +760,7 @@ class TransferScheduler:
             self._tenant_cap.pop(tenant, None)
         else:
             self._tenant_cap[tenant] = float(cap)
-        if cap == 0:
-            doomed = [
-                self._active[seq]
-                for seq in sorted(self._active)
-                if self._active[seq].tenant == tenant
-            ]
-            for transfer in doomed:
-                self._drop_active(transfer)
-                self.sim.schedule(
-                    0.0, lambda t=transfer: self._fail_transfer(t, "tenant blackholed")
-                )
-        self._reallocate()
-        self._reschedule()
+        self._capacity_changed(lambda t: cap == 0 and t.tenant == tenant, "tenant blackholed")
 
     def tenant_weight_of(self, tenant: int) -> float:
         """The fair-share class weight of one tenant (1.0 = default)."""
@@ -746,10 +803,7 @@ class TransferScheduler:
             [TransferSpec(size, src, dst, on_complete, on_failed, timeout, weight, tenant)]
         )[0]
 
-    def submit_many(
-        self,
-        specs: Sequence["TransferSpec | Tuple"],
-    ) -> List[Transfer]:
+    def submit_many(self, specs: Sequence["TransferSpec | Tuple"]) -> List[Transfer]:
         """Submit a batch of :class:`TransferSpec` (or legacy positional tuples).
 
         One rate reallocation for the whole batch -- the way the repair
@@ -800,12 +854,7 @@ class TransferScheduler:
             )
             self.submitted_count += 1
             self.bytes_submitted += transfer.size
-            if transfer.src is not None:
-                self.bytes_out[transfer.src] = self.bytes_out.get(transfer.src, 0.0) + transfer.size
-            if transfer.dst is not None:
-                self.bytes_in[transfer.dst] = self.bytes_in.get(transfer.dst, 0.0) + transfer.size
-            for key in transfer.trunk_links:
-                self.trunk_bytes[key] = self.trunk_bytes.get(key, 0.0) + transfer.size
+            self._charge(transfer, transfer.size)
             if tenant is not None:
                 stats = self._tenant_stat(tenant)
                 stats["submitted"] += 1.0
@@ -813,20 +862,15 @@ class TransferScheduler:
             reason = self._dead_reason(transfer)
             if reason is not None:
                 # Deterministic failure instead of an eternally starved flow.
-                self.sim.schedule(
-                    0.0, lambda t=transfer, r=reason: self._fail_transfer(t, r)
-                )
+                self.sim.schedule(0.0, lambda t=transfer, r=reason: self._fail_transfer(t, r))
             elif transfer.deadline is not None and transfer.deadline <= now + transfer.latency:
                 # The deadline expires inside the latency window.
                 self.sim.schedule(
-                    transfer.deadline - now,
-                    lambda t=transfer: self._fail_transfer(t, "timeout"),
-                )
+                    transfer.deadline - now, lambda t=transfer: self._fail_transfer(t, "timeout"))
             elif transfer.latency > 0.0:
                 self._pending[transfer.seq] = transfer
-                self.sim.schedule(
-                    transfer.latency, lambda s=transfer.seq: self._activate(s)
-                )
+                self._last_due[now + transfer.latency] = transfer.seq
+                self.sim.schedule(transfer.latency, lambda s=transfer.seq: self._activate(s))
             else:
                 self._add_active(transfer)
             transfers.append(transfer)
@@ -847,7 +891,7 @@ class TransferScheduler:
 
     def active_transfers(self) -> List[Transfer]:
         """The in-flight transfers in submission order."""
-        return [self._active[seq] for seq in sorted(self._active)]
+        return [self._active[seq] for seq in self._order]
 
     def summary(self) -> Dict[str, float]:
         """Aggregate accounting (read by the repair experiment/benchmarks)."""
@@ -860,6 +904,8 @@ class TransferScheduler:
             "bytes_failed": self.bytes_failed,
             "active": float(len(self._active) + len(self._pending)),
             "last_completion_time": self.last_completion_time,
+            "reallocations": float(self.reallocations),
+            "flows_filled": float(self.flows_filled),
         }
 
     # ------------------------------------------------------------- congestion --
@@ -946,16 +992,7 @@ class TransferScheduler:
         )
         out: Dict[int, Dict[str, float]] = {}
         for tenant in sorted(tenants):
-            stats = self._tenant_stats.get(tenant)
-            row = dict(stats) if stats is not None else {
-                "submitted": 0.0,
-                "completed": 0.0,
-                "failed": 0.0,
-                "bytes_submitted": 0.0,
-                "bytes_completed": 0.0,
-                "bytes_failed": 0.0,
-                "last_completion_time": 0.0,
-            }
+            row = dict(self._tenant_stats.get(tenant) or _NO_TENANT_STATS)
             count, backlog = in_flight.get(tenant, (0, 0.0))
             cap = self._tenant_cap.get(tenant)
             row["active"] = float(count)
@@ -969,16 +1006,7 @@ class TransferScheduler:
     def _tenant_stat(self, tenant: int) -> Dict[str, float]:
         stats = self._tenant_stats.get(tenant)
         if stats is None:
-            stats = {
-                "submitted": 0.0,
-                "completed": 0.0,
-                "failed": 0.0,
-                "bytes_submitted": 0.0,
-                "bytes_completed": 0.0,
-                "bytes_failed": 0.0,
-                "last_completion_time": 0.0,
-            }
-            self._tenant_stats[tenant] = stats
+            stats = self._tenant_stats[tenant] = dict(_NO_TENANT_STATS)
         return stats
 
     def _key_capacity(self, key: Tuple[int, int]) -> Optional[float]:
@@ -993,33 +1021,74 @@ class TransferScheduler:
             return None
         return self.topology.capacity_of(key)
 
-    def _load_keys(self, transfer: Transfer) -> List[Tuple[int, int]]:
-        keys: List[Tuple[int, int]] = []
+    def _add_active(self, transfer: Transfer) -> None:
+        seq, weight = transfer.seq, transfer.weight
+        keys: List[LinkKey] = []
         if transfer.src is not None:
             keys.append((_UP, transfer.src))
         if transfer.dst is not None:
             keys.append((_DOWN, transfer.dst))
         keys.extend(transfer.trunk_links)
         if transfer.tenant is not None:
-            # Unconditional (cap or not) so add/drop stay symmetric across
-            # mid-flight set_tenant_cap changes; an uncapped tenant link has
-            # capacity None and never constrains anything.
+            # Capped or not: an uncapped tenant link has capacity None and
+            # constrains nothing until set_tenant_cap gives it one mid-flight.
             keys.append((_TENANT, transfer.tenant))
-        return keys
-
-    def _add_active(self, transfer: Transfer) -> None:
-        self._active[transfer.seq] = transfer
-        for key in self._load_keys(transfer):
-            self._link_load[key] = self._link_load.get(key, 0.0) + transfer.weight
+        self._active[seq] = transfer
+        # Activations arrive out of submission order (latency classes), so
+        # every seq-ordered list is kept sorted by insertion.
+        insort(self._order, seq)
+        self._weights[seq] = weight
+        self._links[seq] = tuple(keys)
+        load, members = self._link_load, self._members
+        for key in keys:
+            load[key] = load.get(key, 0.0) + weight
+            row = members.get(key)
+            if row is not None:
+                insort(row, seq)
+                continue
+            members[key] = [seq]
+            capacity = self._key_capacity(key)
+            if capacity is not None:
+                self._capacity[key] = float(capacity)
+        self._stale = True
 
     def _drop_active(self, transfer: Transfer) -> None:
-        del self._active[transfer.seq]
-        for key in self._load_keys(transfer):
-            remaining = self._link_load.get(key, 0.0) - transfer.weight
+        seq, weight = transfer.seq, transfer.weight
+        del self._active[seq]
+        self._order.remove(seq)
+        del self._weights[seq]
+        load, members = self._link_load, self._members
+        for key in self._links.pop(seq):
+            remaining = load.get(key, 0.0) - weight
             if remaining <= _WEIGHT_TOLERANCE:
-                self._link_load.pop(key, None)
+                load.pop(key, None)
             else:
-                self._link_load[key] = remaining
+                load[key] = remaining
+            row = members[key]
+            if len(row) == 1:
+                del members[key]
+                self._capacity.pop(key, None)
+            else:
+                row.remove(seq)
+        self._stale = True
+
+    def _capacity_changed(self, doomed: Callable[[Transfer], bool], reason: str) -> None:
+        """Finish a capacity setter: fail the flows it killed, re-share the rest."""
+        active = self._active
+        for transfer in [active[seq] for seq in self._order if doomed(active[seq])]:
+            self._drop_active(transfer)
+            self.sim.schedule(0.0, lambda t=transfer: self._fail_transfer(t, reason))
+        self._resolve_capacities()
+        self._reallocate()
+        self._reschedule()
+
+    def _resolve_capacities(self) -> None:
+        """Re-read every member link's capacity (a setter ran); mark stale."""
+        if self.topology is not None:
+            self._topology_version = self.topology.version
+        resolved = ((key, self._key_capacity(key)) for key in self._members)
+        self._capacity = {key: float(value) for key, value in resolved if value is not None}
+        self._stale = True
 
     def _dead_reason(self, transfer: Transfer) -> Optional[str]:
         """Why the transfer cannot run (a dead stage on its path), if at all."""
@@ -1036,9 +1105,7 @@ class TransferScheduler:
 
     def _activate(self, seq: int) -> None:
         """End one transfer's latency window and admit it to the active set."""
-        transfer = self._pending.pop(seq, None)
-        if transfer is None or transfer.ended:
-            return
+        transfer = self._pending.pop(seq)
         self._advance()
         reason = self._dead_reason(transfer)
         if reason is not None:
@@ -1046,6 +1113,13 @@ class TransferScheduler:
             self._fail_transfer(transfer, reason)
         else:
             self._add_active(transfer)
+        if self._last_due[self.sim.now] != seq:
+            # A later activation is queued for this instant (same-time events
+            # fire in scheduling order) and fills for both: no bytes move in zero
+            # time.  Disarmed, no completion runs on rates about to change.
+            self._disarm()
+            return
+        del self._last_due[self.sim.now]
         self._reallocate()
         self._reschedule()
 
@@ -1057,7 +1131,6 @@ class TransferScheduler:
         """
         if transfer.ended:
             return
-        self._pending.pop(transfer.seq, None)
         transfer.rate = 0.0
         transfer.failed_at = self.sim.now
         transfer.failure_reason = reason
@@ -1067,14 +1140,18 @@ class TransferScheduler:
             stats = self._tenant_stat(transfer.tenant)
             stats["failed"] += 1.0
             stats["bytes_failed"] += transfer.remaining
-        if transfer.src is not None:
-            self.bytes_out[transfer.src] -= transfer.remaining
-        if transfer.dst is not None:
-            self.bytes_in[transfer.dst] -= transfer.remaining
-        for key in transfer.trunk_links:
-            self.trunk_bytes[key] -= transfer.remaining
+        self._charge(transfer, -transfer.remaining)
         if transfer.on_failed is not None:
             transfer.on_failed(transfer)
+
+    def _charge(self, transfer: Transfer, amount: float) -> None:
+        """Add ``amount`` (a refund if negative) to the path's byte counters."""
+        if transfer.src is not None:
+            self.bytes_out[transfer.src] = self.bytes_out.get(transfer.src, 0.0) + amount
+        if transfer.dst is not None:
+            self.bytes_in[transfer.dst] = self.bytes_in.get(transfer.dst, 0.0) + amount
+        for key in transfer.trunk_links:
+            self.trunk_bytes[key] = self.trunk_bytes.get(key, 0.0) + amount
 
     def _advance(self) -> None:
         """Progress every active transfer linearly to the current time."""
@@ -1082,125 +1159,53 @@ class TransferScheduler:
         dt = now - self._last_update
         if dt > 0.0:
             for transfer in self._active.values():
-                if transfer.rate > 0.0 and not math.isinf(transfer.rate):
-                    transfer.remaining = max(0.0, transfer.remaining - transfer.rate * dt)
-                elif math.isinf(transfer.rate):
+                rate = transfer.rate
+                if rate == math.inf:
                     transfer.remaining = 0.0
+                elif rate > 0.0:
+                    transfer.remaining = max(0.0, transfer.remaining - rate * dt)
         self._last_update = now
 
     def _reallocate(self) -> None:
-        """Weighted progressive filling over the active set's constrained links."""
-        if not self._active:
+        """Re-share the active set's rates -- only if their inputs changed."""
+        topology = self.topology
+        if topology is not None and topology.version != self._topology_version:
+            self._resolve_capacities()  # the topology was changed directly
+        if not self._stale:
             return
-        # Build the link constraint graph in submission order.
-        link_cap: Dict[Tuple[int, int], float] = {}
-        link_members: Dict[Tuple[int, int], List[Transfer]] = {}
-        flow_links: Dict[int, List[Tuple[int, int]]] = {}
-        ordered = [self._active[seq] for seq in sorted(self._active)]
-        for transfer in ordered:
-            keys: List[Tuple[int, int]] = []
-            if transfer.src is not None:
-                capacity = self.uplink_of(transfer.src)
-                if capacity is not None:
-                    key = (_UP, transfer.src)
-                    if key not in link_cap:
-                        link_cap[key] = float(capacity)
-                        link_members[key] = []
-                    link_members[key].append(transfer)
-                    keys.append(key)
-            if transfer.dst is not None:
-                capacity = self.downlink_of(transfer.dst)
-                if capacity is not None:
-                    key = (_DOWN, transfer.dst)
-                    if key not in link_cap:
-                        link_cap[key] = float(capacity)
-                        link_members[key] = []
-                    link_members[key].append(transfer)
-                    keys.append(key)
-            for key in transfer.trunk_links:
-                capacity = self.topology.capacity_of(key)
-                if capacity is not None:
-                    if key not in link_cap:
-                        link_cap[key] = float(capacity)
-                        link_members[key] = []
-                    link_members[key].append(transfer)
-                    keys.append(key)
-            if transfer.tenant is not None:
-                capacity = self._tenant_cap.get(transfer.tenant)
-                if capacity is not None:
-                    key = (_TENANT, transfer.tenant)
-                    if key not in link_cap:
-                        link_cap[key] = float(capacity)
-                        link_members[key] = []
-                    link_members[key].append(transfer)
-                    keys.append(key)
-            flow_links[transfer.seq] = keys
-            transfer.rate = math.inf if not keys else 0.0
-        # Lazy min-heap over (fill level, link key, version): stale entries
-        # are skipped by comparing versions, so each link update is O(log L).
-        version: Dict[Tuple[int, int], int] = {key: 0 for key in link_cap}
-        unfrozen: Dict[Tuple[int, int], float] = {
-            key: float(sum(member.weight for member in members))
-            for key, members in link_members.items()
-        }
-        heap: List[Tuple[float, Tuple[int, int], int]] = [
-            (link_cap[key] / unfrozen[key], key, 0) for key in sorted(link_cap)
-        ]
-        heapq.heapify(heap)
-        frozen: Dict[int, float] = {}
-        while heap:
-            level, key, stamp = heapq.heappop(heap)
-            if version[key] != stamp or unfrozen[key] <= _WEIGHT_TOLERANCE:
-                continue
-            # Freeze every still-unfrozen flow on the bottleneck link.
-            for transfer in link_members[key]:
-                if transfer.seq in frozen:
-                    continue
-                rate = level * transfer.weight
-                frozen[transfer.seq] = rate
-                transfer.rate = rate
-                for other in flow_links[transfer.seq]:
-                    if other == key:
-                        continue
-                    link_cap[other] -= rate
-                    unfrozen[other] -= transfer.weight
-                    version[other] += 1
-                    if unfrozen[other] > _WEIGHT_TOLERANCE:
-                        heapq.heappush(
-                            heap,
-                            (
-                                max(link_cap[other], 0.0) / unfrozen[other],
-                                other,
-                                version[other],
-                            ),
-                        )
-            unfrozen[key] = 0.0
-            version[key] += 1
+        self._stale = False
+        active = self._active
+        if not active:
+            return
+        rates = allocate(self._capacity, self._members, self._links, self._weights)
+        for seq, transfer in active.items():
+            transfer.rate = rates[seq]
+        self.reallocations += 1
+        self.flows_filled += len(active)
 
-    def _reschedule(self) -> None:
-        """(Re)arm the completion timer for the earliest-finishing transfer."""
+    def _disarm(self) -> None:
         if self._timer is not None:
             self.sim.cancel(self._timer)
             self._timer = None
-        if not self._active:
-            return
+
+    def _reschedule(self) -> None:
+        """(Re)arm the completion timer for the earliest-finishing transfer."""
+        self._disarm()
         now = self.sim.now
         next_dt = math.inf
         for transfer in self._active.values():
+            left = math.inf  # rate-starved unless one of the below
             if transfer.remaining <= REMAINING_TOLERANCE:
-                next_dt = 0.0
-                break
-            if transfer.rate > 0.0:
-                if math.isinf(transfer.rate):
-                    next_dt = 0.0
-                    break
-                next_dt = min(next_dt, transfer.remaining / transfer.rate)
-        for transfer in self._active.values():
+                left = 0.0
+            elif transfer.rate > 0.0:
+                left = transfer.remaining / transfer.rate  # 0.0 at an infinite rate
             if transfer.deadline is not None:
-                next_dt = min(next_dt, transfer.deadline - now)
+                left = min(left, transfer.deadline - now)
+            if left < next_dt:
+                next_dt = left
         if math.isinf(next_dt):
-            # Every remaining flow is rate-starved (a zero-capacity link);
-            # nothing to schedule -- a future submit/completion may free it.
+            # Nothing active, or every remaining flow is rate-starved (a
+            # zero-capacity link); a future submit/completion may free it.
             return
         self._timer = self.sim.schedule(max(0.0, next_dt), self._on_timer)
 
@@ -1208,12 +1213,15 @@ class TransferScheduler:
         self._timer = None
         self._advance()
         now = self.sim.now
-        finished = [
-            self._active[seq]
-            for seq in sorted(self._active)
-            if self._active[seq].remaining <= REMAINING_TOLERANCE
-            or math.isinf(self._active[seq].rate)
-        ]
+        # A transfer that both finishes and expires this instant counts as
+        # finished; the rest past their deadline time out.
+        finished, expired = [], []
+        for seq in self._order:
+            transfer = self._active[seq]
+            if transfer.remaining <= REMAINING_TOLERANCE or transfer.rate == math.inf:
+                finished.append(transfer)
+            elif transfer.deadline is not None and transfer.deadline <= now + 1e-12:
+                expired.append(transfer)
         for transfer in finished:
             self._drop_active(transfer)
             transfer.remaining = 0.0
@@ -1227,14 +1235,6 @@ class TransferScheduler:
                 stats["completed"] += 1.0
                 stats["bytes_completed"] += transfer.size
                 stats["last_completion_time"] = now
-        # A transfer that both finishes and expires this instant counts as
-        # finished (checked above); the rest past their deadline time out.
-        expired = [
-            self._active[seq]
-            for seq in sorted(self._active)
-            if self._active[seq].deadline is not None
-            and self._active[seq].deadline <= now + 1e-12
-        ]
         for transfer in expired:
             self._drop_active(transfer)
         self._reallocate()
