@@ -660,9 +660,9 @@ class RepairExecutor:
 
         ``key`` lets the ledger path reuse the stored digest instead of
         re-hashing the name; the lookup itself (and its accounting) is the
-        same scalar call on both paths.
+        same counted boundary bisect on both paths.
         """
-        target = self.dht.lookup(key if key is not None else naming.key_for_name(block_name))
+        target = self.dht.locate_key(key if key is not None else naming.key_int_for_name(block_name))
         if target.node_id != exclude and target.store_block(block_name, size):
             return target
         if not self.relocate_when_full:
@@ -684,7 +684,7 @@ class RepairExecutor:
         key: Optional[int] = None,
         digest: Optional[bytes] = None,
     ) -> None:
-        target = self.dht.lookup(key if key is not None else naming.key_for_name(name))
+        target = self.dht.locate_key(key if key is not None else naming.key_int_for_name(name))
         if target.has_block(name):
             # The responsible node already has a replica; nothing to do.
             return
@@ -862,7 +862,7 @@ class RepairExecutor:
         multi-tenant ledger migrates every tenant's copies through one
         executor); ``None`` uses the executor's own store tenant.
         """
-        target = self.dht.lookup(key if key is not None else naming.key_for_name(name))
+        target = self.dht.locate_key(key if key is not None else naming.key_int_for_name(name))
         if not target.has_block(name) and target.store_block(name, size):
             impact.cat_copies_restored += 1
             impact.bytes_migrated += size
@@ -901,7 +901,7 @@ class RepairExecutor:
         nearby node accepts is the copy dropped with the departure.
         """
         key = ledger.row_key(row)
-        target = self.dht.lookup(key)
+        target = self.dht.locate_key(key)
         placed: Optional[OverlayNode] = None
         if target.node_id != leaving.node_id and target.store_block(name, size):
             placed = target

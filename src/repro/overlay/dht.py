@@ -122,12 +122,19 @@ class DHTView:
         if vectorized:
             # Raw int key (same value as ``key_for``) skips the NodeId
             # wrapper on the hot path -- one sha1 + from_bytes per lookup.
-            state = self.state
-            key = int.from_bytes(hashlib.sha1(name.encode("utf-8")).digest(), "big")
-            node = state.nodes[state.lookup_index(key)]
-            self.lookup_count += 1
-            return node
+            return self.locate_key(
+                int.from_bytes(hashlib.sha1(name.encode("utf-8")).digest(), "big"))
         return self.lookup(key_for(name))
+
+    def locate_key(self, key: int) -> OverlayNode:
+        """:meth:`lookup` through the boundary bisect: same node, one lookup counted.
+
+        Like :meth:`lookup` it raises before counting on an empty view.
+        """
+        state = self.state
+        node = state.nodes[state.lookup_index(key)]
+        self.lookup_count += 1
+        return node
 
     def resolve_digests(self, digests, count: bool = True) -> np.ndarray:
         """Resolve raw 20-byte key digests to node indices (batch kernel).

@@ -43,9 +43,20 @@ class OverlayRouting(Protocol):
     hooks receive the same join/leave/fail events
     :class:`~repro.overlay.node_state.NodeArrayState` already consumes and
     must apply incremental patches, never full rebuilds.
+
+    ``membership_epoch`` is a monotone counter that moves with every
+    membership change.  A route is a pure function of (engine state, key,
+    start), so results a caller keeps are exact while the epoch it read
+    them under is unchanged; ``node_id in engine`` says whether the engine
+    can route from that node.
     """
 
     name: str
+    membership_epoch: int
+
+    def __contains__(self, node_id: IdLike) -> bool:
+        """Whether ``node_id`` is a live node the engine can route from."""
+        ...  # pragma: no cover - protocol
 
     def route(self, key: IdLike, start: IdLike) -> RouteResult:
         """Route one key hop by hop from ``start``."""
@@ -131,6 +142,8 @@ class ArrayRouterBase:
         self._slot_ids: List[int] = [0] * self._capacity
         self._slot_of: Dict[int, int] = {}
         self._free: List[int] = []
+        #: Bumped by every join and departure (see :class:`OverlayRouting`).
+        self.membership_epoch = 0
         for slot, node in enumerate(live):
             value = int(node.node_id)
             self._slot_ids[slot] = value
@@ -155,6 +168,9 @@ class ArrayRouterBase:
         """The node id (int) occupying ``slot``."""
         return self._slot_ids[slot]
 
+    def __contains__(self, node_id: IdLike) -> bool:
+        return int(node_id) in self._slot_of
+
     # -- slot management ------------------------------------------------------
     def _grow_capacity(self, new_capacity: int) -> None:
         pad = new_capacity - self._capacity
@@ -167,6 +183,7 @@ class ArrayRouterBase:
         self._capacity = new_capacity
 
     def _alloc_slot(self, value: int) -> int:
+        self.membership_epoch += 1
         if self._free:
             slot = self._free.pop()
         else:
@@ -182,6 +199,7 @@ class ArrayRouterBase:
         return slot
 
     def _release_slot(self, slot: int) -> None:
+        self.membership_epoch += 1
         self._slot_of.pop(self._slot_ids[slot], None)
         self._alive[slot] = False
         self._free.append(slot)

@@ -26,14 +26,18 @@ used bytes) via the ``OverlayNode.used`` property listeners, which makes the
 utilization sampling of the insertion experiments independent of the
 population size.
 
-Membership changes on *clean* boundaries are patched in place -- a removal
-merges the two arcs adjacent to the removed node, an insertion splits the
-arc the newcomer lands on -- so the per-event cost of a churn workload is
-O(affected region) Python work plus C-level array splices instead of the
-O(N) rebuild the dirty-flag path pays.  Changes made while the boundaries
-are already dirty (bulk population builds, ``rebuild``) still coalesce into
-one full rebuild at the next lookup.  ``tests/test_overlay_node_state.py``
-asserts patch == rebuild on adversarial rings, change by change.
+Boundary slot ``j`` is owned by node ``(j - wrap_first) mod n`` (the slots
+follow the id order, shifted by one when the wrap-around boundary sorts
+first), so owners are arithmetic and nothing but the boundaries themselves
+is stored.  Membership changes on *clean* boundaries are patched in place --
+a removal merges the two arcs adjacent to the removed node, an insertion
+splits the arc the newcomer lands on -- which costs O(1) Python work, two
+list splices and one ``np.delete``/``np.insert`` of the ``S20`` boundary
+column; that column splice is the only O(N) step and it is a C memcpy
+(200 kB at 10 000 nodes).  Changes made while the boundaries are already
+dirty (bulk population builds, ``rebuild``) still coalesce into one full
+rebuild at the next lookup.  ``tests/test_overlay_node_state.py`` asserts
+patch == rebuild on adversarial rings, change by change.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.overlay.ids import ID_SPACE, NodeId
+from repro.overlay.ids import ID_SPACE
 from repro.overlay.node import OverlayNode
 
 _ID_BYTES = 20
@@ -81,9 +85,7 @@ class NodeArrayState:
         self._bounds_dirty = True
         self._wrap_first = False
         self._bounds_int: List[int] = []
-        self._owners_list: List[int] = []
         self._bounds_bytes: np.ndarray = np.empty(0, dtype=f"S{_ID_BYTES}")
-        self._owners_arr: np.ndarray = np.empty(0, dtype=np.int64)
         self.rebuild(nodes)
 
     # -- membership -----------------------------------------------------------
@@ -106,9 +108,10 @@ class NodeArrayState:
         When the lookup boundaries are clean, they are *patched* in place --
         only the arc the newcomer splits (plus the wrap-around boundary for an
         end insertion) changes, mirroring the removal patch -- so join-heavy
-        churn never pays an O(N) rebuild per join.  When the boundaries are
-        already dirty (bulk membership change in progress, e.g. a population
-        build), the join simply coalesces into the pending full rebuild.
+        churn never pays an O(N) Python rebuild per join.  When the boundaries
+        are already dirty (bulk membership change in progress, e.g. a
+        population build), the join simply coalesces into the pending full
+        rebuild.
         """
         value = int(node.node_id)
         index = bisect.bisect_left(self.ids_int, value)
@@ -128,9 +131,9 @@ class NodeArrayState:
 
         When the lookup boundaries are clean, they are *patched* in place --
         only the two arcs adjacent to the removed node change, so the update
-        is O(affected region) Python work plus C-level array splices -- which
-        is what keeps single-node-failure churn at 10 000+ nodes from paying
-        an O(N) rebuild per failure.  When the boundaries are already dirty
+        is O(1) Python work plus C-level array splices -- which is what keeps
+        single-node-failure churn at 10 000+ nodes from paying an O(N)
+        rebuild per failure.  When the boundaries are already dirty
         (bulk membership change in progress), the removal simply coalesces
         into the pending full rebuild.
         """
@@ -181,19 +184,19 @@ class NodeArrayState:
     def _rebuild_bounds(self) -> None:
         """Precompute the responsibility boundaries between adjacent nodes.
 
-        ``bounds[j]`` is the (inclusive) largest key owned by ``owners[j]``;
-        a key strictly greater than every boundary belongs to ``owners[-1]``.
-        The wrap-around arc between the numerically largest node ``L`` and the
-        smallest node ``F`` needs care: its switching point can itself wrap
-        past zero, in which case it becomes the *first* boundary.
+        ``bounds[j]`` is the (inclusive) largest key owned by node
+        ``(j - wrap_first) mod n``; a key strictly greater than every boundary
+        falls in slot ``n``, which the same formula wraps round to the node
+        owning the top of the ring.  The wrap-around arc between the
+        numerically largest node ``L`` and the smallest node ``F`` needs care:
+        its switching point can itself wrap past zero, in which case it
+        becomes the *first* boundary.
         """
         ids = self.ids_int
         n = len(ids)
         if n <= 1:
             self._bounds_int = []
-            self._owners_list = [0]
             self._bounds_bytes = np.empty(0, dtype=f"S{_ID_BYTES}")
-            self._owners_arr = np.zeros(1, dtype=np.int64)
             self._wrap_first = False
             self._bounds_dirty = False
             return
@@ -202,33 +205,11 @@ class NodeArrayState:
         # which is F, so L keeps strictly less than half).
         gap = ID_SPACE - ids[-1] + ids[0]
         wrap_raw = ids[-1] + (gap - 1) // 2
-        if wrap_raw < ID_SPACE:
-            bounds = inner + [wrap_raw]
-            owners = list(range(n)) + [0]
-            self._wrap_first = False
-        else:
-            bounds = [wrap_raw - ID_SPACE] + inner
-            owners = [n - 1] + list(range(n - 1)) + [n - 1]
-            self._wrap_first = True
+        self._wrap_first = wrap_raw >= ID_SPACE
+        bounds = [wrap_raw - ID_SPACE] + inner if self._wrap_first else inner + [wrap_raw]
         self._bounds_int = bounds
-        self._owners_list = owners
         self._bounds_bytes = np.array([_id_bytes(v) for v in bounds], dtype=f"S{_ID_BYTES}")
-        self._owners_arr = np.asarray(owners, dtype=np.int64)
         self._bounds_dirty = False
-
-    def _canonical_owners(self, n: int, wrap_first: bool) -> None:
-        """Reset the owner arrays to the canonical per-layout pattern (C-speed)."""
-        if wrap_first:
-            self._owners_list = [n - 1] + list(range(n - 1)) + [n - 1]
-            self._owners_arr = np.concatenate(
-                ([n - 1], np.arange(n - 1, dtype=np.int64), [n - 1])
-            ).astype(np.int64, copy=False)
-        else:
-            self._owners_list = list(range(n)) + [0]
-            self._owners_arr = np.concatenate(
-                (np.arange(n, dtype=np.int64), [0])
-            ).astype(np.int64, copy=False)
-        self._wrap_first = wrap_first
 
     def _patch_bounds_after_removal(self, index: int) -> None:
         """Patch clean lookup boundaries after deleting the node at ``index``.
@@ -238,10 +219,9 @@ class NodeArrayState:
         removed node change: an interior removal merges them around a single
         recomputed midpoint; removing the smallest or largest id additionally
         recomputes the wrap-around boundary, which may flip the layout between
-        the "wrap boundary last" and "wrap boundary first" forms.  Owner
-        arrays are regenerated from the canonical per-layout pattern, so no
-        per-element Python renumbering is ever required.  Equality with a full
-        rebuild is asserted, ring by ring, in ``tests/test_overlay_node_state``.
+        the "wrap boundary last" and "wrap boundary first" forms.  Equality
+        with a full rebuild is asserted, ring by ring, in
+        ``tests/test_overlay_node_state``.
         """
         ids = self.ids_int
         n = len(ids)
@@ -260,7 +240,6 @@ class NodeArrayState:
             arr = np.delete(arr, slot + 1)
             arr[slot] = _id_bytes(mid)
             self._bounds_bytes = arr
-            self._canonical_owners(n, wrap_first)
             return
         # End removal (smallest id when index == 0, largest when index == n):
         # the inner boundary that touched the removed node disappears and the
@@ -293,7 +272,7 @@ class NodeArrayState:
                 bounds[-1] = wrap_raw
                 arr[-1] = _id_bytes(wrap_raw)
         self._bounds_bytes = arr
-        self._canonical_owners(n, new_wrap_first)
+        self._wrap_first = new_wrap_first
 
     def _patch_bounds_after_insertion(self, index: int) -> None:
         """Patch clean lookup boundaries after inserting the node at ``index``.
@@ -302,8 +281,7 @@ class NodeArrayState:
         insertion splits one arc around two recomputed midpoints; inserting a
         new smallest or largest id additionally recomputes the wrap-around
         boundary, which may flip the layout between the "wrap boundary last"
-        and "wrap boundary first" forms.  Owner arrays are regenerated from
-        the canonical per-layout pattern.  Equality with a full rebuild is
+        and "wrap boundary first" forms.  Equality with a full rebuild is
         asserted, ring by ring, in ``tests/test_overlay_node_state``.
         """
         ids = self.ids_int
@@ -324,7 +302,6 @@ class NodeArrayState:
             arr[slot] = _id_bytes(mid1)
             arr = np.insert(arr, slot + 1, _id_bytes(mid2))
             self._bounds_bytes = arr
-            self._canonical_owners(n, wrap_first)
             return
         # End insertion (new smallest id when index == 0, new largest when
         # index == n-1): the wrap-around boundary is recomputed from the new
@@ -356,7 +333,7 @@ class NodeArrayState:
             bounds.append(wrap_raw)
             arr = np.append(arr, np.array([_id_bytes(wrap_raw)], dtype=arr.dtype))
         self._bounds_bytes = arr
-        self._canonical_owners(n, new_wrap_first)
+        self._wrap_first = new_wrap_first
 
     # -- lookups ---------------------------------------------------------------
     def lookup_index(self, key: int) -> int:
@@ -365,7 +342,8 @@ class NodeArrayState:
             raise LookupError("no live nodes in the placement index")
         if self._bounds_dirty:
             self._rebuild_bounds()
-        return self._owners_list[bisect.bisect_left(self._bounds_int, key % ID_SPACE)]
+        slot = bisect.bisect_left(self._bounds_int, key % ID_SPACE)
+        return (slot - self._wrap_first) % len(self.ids_int)
 
     def lookup_digests(self, digests) -> np.ndarray:
         """Vectorised lookup: raw 20-byte digests -> node indices.
@@ -380,7 +358,7 @@ class NodeArrayState:
             self._rebuild_bounds()
         keys = digest_array(digests) if isinstance(digests, (bytes, bytearray)) else digests
         slots = np.searchsorted(self._bounds_bytes, keys, side="left")
-        return self._owners_arr[slots]
+        return (slots - self._wrap_first) % len(self.ids_int)
 
     def lookup_node(self, key: int) -> OverlayNode:
         """The node numerically closest to ``key``."""
@@ -477,10 +455,8 @@ class NodeArrayState:
         if self._bounds_dirty:
             self._rebuild_bounds()
         pointer_bytes = 8
-        column_bytes = int(self._bounds_bytes.nbytes + self._owners_arr.nbytes)
-        python_bytes = pointer_bytes * (
-            len(self.ids_int) + len(self._bounds_int) + len(self._owners_list)
-        )
+        column_bytes = int(self._bounds_bytes.nbytes)
+        python_bytes = pointer_bytes * (len(self.ids_int) + len(self._bounds_int))
         total = column_bytes + python_bytes
         return {
             "live_nodes": len(self.ids_int),

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.overlay.ids import key_for
+from repro.core.naming import name_digests
+from repro.overlay.ids import node_id_from_int
 from repro.workloads.filetrace import MB
 
 
@@ -198,6 +199,19 @@ class ServeEngine:
     transfer completions).  The engine is open-loop: requests are scheduled
     at their trace arrival times regardless of backlog, so queueing delay
     shows up honestly in the latency percentiles.
+
+    A request whose gateway is down at its arrival (failed, left, or unknown
+    to the attached router) is not issued and counts in ``failed_reads``/
+    ``failed_writes`` -- what the fabric does to a downed node's transfers.
+
+    Routed hop counts come from a look-ahead batch: the trace fixes every
+    upcoming key and gateway, so the first request needing a count sends a
+    window of them through one ``route_many`` and later ones read their entry.
+    Entries are exact while the router's ``membership_epoch`` is unchanged (a
+    route is a pure function of router state, key and start); a change
+    discards the unread rest.  The window doubles when used up and restarts
+    at 1 after a discard: ~log2 R router calls for R churn-free requests, one
+    per request when churn falls between every two.
     """
 
     def __init__(
@@ -236,7 +250,11 @@ class ServeEngine:
         #: never touch the fabric, so they bypass the charge by construction.
         self.router = router
         self.hop_latency_s = float(hop_latency_s)
+        self._routed = router is not None and self.hop_latency_s > 0.0
         self.routed_hops = 0
+        #: Look-ahead hops of requests ``_hops_from ..``, exact under ``_hops_epoch``.
+        self._hops = np.empty(0, dtype=np.int64)
+        self._hops_from, self._hops_epoch = 0, None
         self.read_latencies: List[float] = []
         self.write_latencies: List[float] = []
         #: chunks served from cache, one entry per completed read, issue order.
@@ -255,11 +273,46 @@ class ServeEngine:
             self.sim.schedule(float(self.trace.arrivals[index]),
                               lambda i=index: self._issue(i))
 
+    def _gateway(self, index: int) -> int:
+        return self.gateways[int(self.trace.client_index[index]) % len(self.gateways)]
+
+    def _filename(self, index: int) -> str:
+        if self.trace.is_read[index]:
+            return self.catalog[int(self.trace.file_index[index])]
+        return f"{self.write_prefix}-{index:08d}"
+
+    def _can_issue(self, gateway: int) -> bool:
+        network = self.storage.dht.network
+        node_id = node_id_from_int(gateway)
+        if node_id not in network or not network.node(node_id).alive:
+            return False
+        return not self._routed or gateway in self.router
+
+    def _hops_for(self, index: int) -> int:
+        """Routed hops of request ``index``, through the look-ahead window."""
+        router = self.router
+        unchanged = router.membership_epoch == self._hops_epoch
+        if not unchanged or index >= self._hops_from + len(self._hops):
+            window = min(2 * len(self._hops) if unchanged else 1, self.trace.count - index)
+            starts = [self._gateway(i) for i in range(index, index + window)]
+            # Gateways the router cannot route from issue nothing: never read.
+            ahead = [k for k, start in enumerate(starts) if start in router]
+            self._hops = np.zeros(window, dtype=np.int64)
+            self._hops[ahead] = router.route_many(
+                name_digests([self._filename(index + k) for k in ahead]),
+                [starts[k] for k in ahead]).hops
+            self._hops_from, self._hops_epoch = index, router.membership_epoch
+        return int(self._hops[index - self._hops_from])
+
     def _issue(self, index: int) -> None:
         trace = self.trace
         read = bool(trace.is_read[index])
-        gateway = self.gateways[int(trace.client_index[index]) % len(self.gateways)]
+        gateway = self._gateway(index)
         state = _RequestState(arrival=float(trace.arrivals[index]), read=read)
+        if not self._can_issue(gateway):
+            state.ok = False
+            self._finish(state, state.arrival)
+            return
 
         def observe(transfer) -> None:
             state.done += 1
@@ -270,15 +323,13 @@ class ServeEngine:
         before = self.transfers.submitted_count if self.transfers is not None else 0
         name = None
         if read:
-            name = self.catalog[int(trace.file_index[index])]
-            filename = name
+            name = self._filename(index)
             result = self.storage.retrieve_file(name, client=gateway,
                                                 observer=observe)
             state.ok = result.complete
             state.cached = result.chunks_cached
         else:
-            filename = f"{self.write_prefix}-{index:08d}"
-            result = self.storage.store_file(filename,
+            result = self.storage.store_file(self._filename(index),
                                              int(trace.write_sizes[index]),
                                              client=gateway, observer=observe)
             state.ok = result.success
@@ -287,8 +338,8 @@ class ServeEngine:
         # not inflate this request's completion target.
         submitted = (self.transfers.submitted_count - before
                      if self.transfers is not None else 0)
-        if submitted and self.hop_latency_s > 0.0 and self.router is not None:
-            hops = self.router.route(key_for(filename), gateway).hops
+        if submitted and self._routed:
+            hops = self._hops_for(index)
             self.routed_hops += hops
             state.hop_delay = hops * self.hop_latency_s
         if submitted == 0:

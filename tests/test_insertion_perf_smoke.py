@@ -4,8 +4,9 @@ The real throughput numbers live in ``benchmarks/test_bench_insertion_throughput
 and ``benchmarks/test_bench_churn_failures`` (run with ``-m bench``, written to
 ``BENCH_insertion.json`` / ``BENCH_churn.json``); these assertions only catch
 order-of-magnitude regressions -- e.g. an accidental return to the O(N^2)
-population build, to per-key scalar lookups in the batched kernels, or to
-per-sample placement walks in the failure sweep -- without making tier-1
+population build, to per-key scalar lookups in the batched kernels, to an
+O(N) step per boundary patch, or to per-sample placement walks in the
+failure sweep -- without making tier-1
 timing-sensitive.  Budgets are ~10x the observed wall time on the development
 machine, so only a >5x throughput regression (the guarded threshold) can trip
 them.
@@ -22,7 +23,10 @@ from repro.experiments.availability import AvailabilityConfig, AvailabilityExper
 from repro.experiments.churn import ChurnConfig, ChurnExperiment
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
 from repro.overlay.dht import DHTView
+from repro.overlay.ids import random_node_id
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import OverlayNode
+from repro.overlay.node_state import NodeArrayState
 
 
 def test_vectorized_insertion_within_budget():
@@ -51,6 +55,25 @@ def test_batched_lookup_kernel_within_budget():
         view.resolve_digests(digests)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"50x200-key batched lookups took {elapsed:.3f}s"
+
+
+def test_boundary_patches_within_budget():
+    # 1 000 removals + 1 000 re-insertions on a clean 10 000-node ring: ~25 ms
+    # on the development machine (two list splices and one S20 column memcpy
+    # per change).  Any O(N) Python step per patch costs well over 10x that.
+    rng = np.random.default_rng(5)
+    nodes = [OverlayNode(node_id=random_node_id(rng), capacity=1) for _ in range(10_000)]
+    state = NodeArrayState(nodes)
+    state.lookup_index(0)  # clean bounds, so every change below is a patch
+    picks = [nodes[int(i)] for i in rng.permutation(len(nodes))[:1000]]
+    start = time.perf_counter()
+    for node in picks:
+        state.remove(int(node.node_id))
+    for node in picks:
+        state.add(node)
+    elapsed = time.perf_counter() - start
+    assert not state._bounds_dirty and len(state) == 10_000
+    assert elapsed < 0.25, f"2000 boundary patches took {elapsed:.3f}s at 10 000 nodes"
 
 
 def test_churn_failure_sweep_within_budget():

@@ -42,6 +42,20 @@ def test_lookup_counts_lookups(view):
     assert view.lookup_count == before + 2
 
 
+def test_locate_key_and_locate_name_agree_with_the_lookup_oracle(network, view):
+    """The boundary-bisect lookups return lookup()'s node and count like it."""
+    rng = np.random.default_rng(12)
+    victims = list(network.live_ids())[:5]
+    for step in range(60):
+        if step % 12 == 0:  # churn between probes: patched bounds, same answers
+            view.remove(victims.pop())
+        key = random_node_id(rng)
+        before = view.lookup_count
+        assert view.locate_key(int(key)) is view.lookup(key)
+        assert view.locate_name(f"object-{step}") is view.lookup(key_for(f"object-{step}"))
+        assert view.lookup_count == before + 4
+
+
 def test_remove_changes_lookup_result(network, view):
     key = key_for("victim-object")
     owner = view.lookup(key)
@@ -108,6 +122,9 @@ def test_empty_view_raises(network):
     view.refresh()
     with pytest.raises(LookupError):
         view.lookup(key_for("anything"))
+    with pytest.raises(LookupError):
+        view.locate_key(int(key_for("anything")))
+    assert view.lookup_count == 0
 
 
 def test_capacity_and_utilization(network, view):

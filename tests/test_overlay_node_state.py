@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import ID_SPACE, NodeId, key_for, random_node_id
@@ -158,14 +159,22 @@ def test_dht_view_aggregates_are_o1_and_match_scan():
 
 
 def _bounds_snapshot(state: NodeArrayState):
+    """The boundary structure plus the (arithmetic) owner of every slot.
+
+    Each boundary is the largest key of its slot and ``ID_SPACE - 1`` falls
+    in the slot past the last boundary, so the probes read one owner per slot
+    through both lookup kernels.
+    """
     if state._bounds_dirty:
         state._rebuild_bounds()
+    probes = state._bounds_int + [ID_SPACE - 1]
+    digests = b"".join(key.to_bytes(20, "big") for key in probes)
     return (
         list(state._bounds_int),
-        list(state._owners_list),
-        state._bounds_bytes.tolist(),
-        state._owners_arr.tolist(),
+        state._bounds_bytes.tobytes(),
         state._wrap_first,
+        [state.lookup_index(key) for key in probes],
+        state.lookup_digests(digests).tolist(),
     )
 
 
@@ -298,6 +307,47 @@ def test_insertion_patch_grows_from_tiny_rings():
     assert state.add(OverlayNode(node_id=NodeId(2 ** 50), capacity=1))
     grown = [10, 2 ** 50, 2 ** 100]
     assert _bounds_snapshot(state) == _bounds_snapshot(_state_for(grown))
+
+
+#: Ids that put every patch case within a few steps of each other: both ends
+#: of the ring (wrap-first <-> wrap-last flips), the antipode (gaps wider than
+#: half the ring once the ring is small), even and odd gaps (exact midpoints).
+_PATCH_POOL = [0, 1, 2, 10, 14, 15, 2 ** 80, 2 ** 120, 2 ** 159 - 1, 2 ** 159,
+               2 ** 159 + 5, ID_SPACE - 2 ** 90, ID_SPACE - 3, ID_SPACE - 2, ID_SPACE - 1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    extra=st.lists(st.integers(0, ID_SPACE - 1), max_size=4),
+    start=st.integers(0, 2 ** 16),
+    steps=st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 16)), min_size=1, max_size=40),
+)
+def test_patch_sequences_equal_the_brute_force_oracle(extra, start, steps):
+    """Any add/remove sequence (down to one node and back up) keeps both lookup
+    kernels on the closest-node oracle and the patched bounds on a rebuild."""
+    pool = sorted(set(_PATCH_POOL + extra))
+    current = [pool[start % len(pool)]]
+    state = _state_for(current)
+    state.lookup_index(0)  # clean bounds: every change below is a patch
+    for is_add, pick in steps:
+        if is_add:
+            value = pool[pick % len(pool)]
+            if value in current:
+                continue
+            assert state.add(OverlayNode(node_id=NodeId(value), capacity=1))
+            current = sorted(current + [value])
+        elif len(current) > 1:
+            value = current[pick % len(current)]
+            assert state.remove(value)
+            current.remove(value)
+        assert not state._bounds_dirty
+        assert state.ids_int == current
+        keys = _interesting_keys(current)
+        digests = b"".join(key.to_bytes(20, "big") for key in keys)
+        expected = [_oracle(current, key) for key in keys]
+        assert [state.ids_int[state.lookup_index(key)] for key in keys] == expected
+        assert [state.ids_int[i] for i in state.lookup_digests(digests)] == expected
+        assert _bounds_snapshot(state) == _bounds_snapshot(_state_for(current))
 
 
 def test_bulk_membership_changes_coalesce_to_full_rebuild():

@@ -11,7 +11,10 @@ The two pins the serving subsystem rests on:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 
 from repro.api import ClusterSession
 from repro.core.cache import CacheManager
@@ -19,6 +22,8 @@ from repro.core.policies import StoragePolicy
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.serving import ServingConfig, ServingExperiment
+from repro.overlay.ids import key_for, node_id_from_int, random_node_id
+from repro.overlay.node import OverlayNode
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig
 from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
@@ -45,8 +50,14 @@ def _tiny_config(**overrides) -> ServingConfig:
     return ServingConfig(**base)
 
 
-def _serve_cell(seed: int = 21, cache_on: bool = False, zipf: float = 1.1):
-    """One tiny serving cell, wired exactly like the experiment's cells."""
+def _serve_cell(seed: int = 21, cache_on: bool = False, zipf: float = 1.1,
+                routing=None, prepare=None):
+    """One tiny serving cell, wired exactly like the experiment's cells.
+
+    ``routing`` names an array engine to charge 5 ms per routed hop through;
+    ``prepare(session, engine)`` runs before the trace is scheduled (churn
+    timers, instrumentation).
+    """
     config = _tiny_config(seed=seed)
     streams = RandomStreams(config.seed)
     session = ClusterSession(
@@ -94,7 +105,11 @@ def _serve_cell(seed: int = 21, cache_on: bool = False, zipf: float = 1.1):
         rng=streams.fresh("requests"),
     )
     engine = ServeEngine(session.sim, client, session.transfers, trace, catalog,
-                         session.gateways(config.client_count), cache=cache)
+                         session.gateways(config.client_count), cache=cache,
+                         router=session.routing(routing) if routing else None,
+                         hop_latency_s=0.005 if routing else 0.0)
+    if prepare is not None:
+        prepare(session, engine)
     engine.schedule()
     session.run()
     return session, client, engine, trace
@@ -264,6 +279,133 @@ def test_cache_hits_bypass_hop_charging():
     row_cached = ServingExperiment(cached).run().rows[0]
     assert row_cached["cache_hit_pct"] > 0.0
     assert row_cached["routed_hops"] < row_direct["routed_hops"]
+
+
+def _churn_non_gateways(session, engine, events: int = 24) -> None:
+    """Timers that fail, remove and join non-gateway nodes all through the trace."""
+    network, dht = session.network, session.dht
+    rng = np.random.default_rng(77)
+    spare = [node for node in network.live_nodes()
+             if int(node.node_id) not in engine.gateways]
+    victims = [spare[int(i)] for i in rng.permutation(len(spare))[:events]]
+    times = np.sort(rng.uniform(0.0, engine.trace.duration_s, size=events))
+
+    def fail(node):
+        network.fail(node.node_id)
+        dht.remove(node.node_id)
+
+    def leave(node):
+        dht.remove(node.node_id)
+        network.leave(node.node_id)
+
+    def join(node):
+        newcomer = OverlayNode(node_id=random_node_id(rng), capacity=node.capacity,
+                               coordinates=node.coordinates)
+        network.join(newcomer)
+        dht.add(newcomer)
+
+    for step, (when, node) in enumerate(zip(times, victims)):
+        action = (fail, leave, join)[step % 3]
+        session.sim.schedule(float(when), lambda action=action, node=node: action(node))
+
+
+@pytest.mark.parametrize("engine_name", ["pastry", "chord"])
+def test_lookahead_hops_equal_per_request_routes_under_churn(engine_name):
+    """The batched window charges exactly what one route() per request would."""
+    def run(per_request: bool):
+        hops = []
+
+        def prepare(session, engine):
+            _churn_non_gateways(session, engine)
+            batched = engine._hops_for
+
+            def scalar(index):
+                key = key_for(engine._filename(index))
+                return engine.router.route(key, engine._gateway(index)).hops
+
+            def recording(index):
+                hops.append((index, scalar(index) if per_request else batched(index)))
+                return hops[-1][1]
+
+            engine._hops_for = recording
+
+        _, _, engine, _ = _serve_cell(routing=engine_name, prepare=prepare)
+        return engine, hops
+
+    batched, batched_hops = run(per_request=False)
+    replay, replay_hops = run(per_request=True)
+    assert len(batched_hops) > 50 and batched_hops == replay_hops
+    assert batched.routed_hops == replay.routed_hops == sum(h for _, h in replay_hops)
+    assert batched.read_latencies == replay.read_latencies
+    assert batched.write_latencies == replay.write_latencies
+    assert batched.hit_sequence == replay.hit_sequence
+    assert (batched.failed_reads, batched.failed_writes) == (
+        replay.failed_reads, replay.failed_writes)
+
+
+def _count_route_many(engine) -> list:
+    """Record the batch size of every ``route_many`` call (timing-free guard)."""
+    sizes = []
+    route_many = engine.router.route_many
+
+    def counting(keys, starts, collect_paths=False):
+        sizes.append(len(keys))
+        return route_many(keys, starts, collect_paths=collect_paths)
+
+    engine.router.route_many = counting
+    return sizes
+
+
+def test_lookahead_window_doubles_without_churn():
+    """A churn-free trace of R requests makes at most ceil(log2 R) + 1 router calls."""
+    box = {}
+    _, _, engine, trace = _serve_cell(
+        routing="pastry",
+        prepare=lambda session, engine: box.update(sizes=_count_route_many(engine)))
+    sizes = box["sizes"]
+    assert engine.routed_hops > 0
+    assert len(sizes) <= math.ceil(math.log2(trace.count)) + 1
+    assert sizes[:-1] == [2 ** i for i in range(len(sizes) - 1)]  # the last is cut at the trace end
+
+
+def test_lookahead_window_restarts_after_a_membership_change():
+    box = {}
+
+    def prepare(session, engine):
+        box["sizes"] = _count_route_many(engine)
+        victim = next(node for node in session.network.live_nodes()
+                      if int(node.node_id) not in engine.gateways)
+
+        def fail():
+            box["calls_before"] = len(box["sizes"])
+            session.network.fail(victim.node_id)
+            session.dht.remove(victim.node_id)
+
+        session.sim.schedule(engine.trace.duration_s / 2, fail)
+
+    _serve_cell(routing="pastry", prepare=prepare)
+    sizes, cut = box["sizes"], box["calls_before"]
+    assert cut >= 3 and sizes[:cut] == [2 ** i for i in range(cut)]
+    assert sizes[cut:cut + 3] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("routing", [None, "pastry"], ids=["unrouted", "routed"])
+def test_requests_of_a_failed_gateway_fail_instead_of_crashing_the_run(routing):
+    """A gateway that failed since schedule() issues nothing; the run goes on."""
+    _, _, baseline, trace = _serve_cell(routing=routing)
+    assert baseline.failed_reads + baseline.failed_writes == 0
+
+    def prepare(session, engine):
+        dead = node_id_from_int(engine.gateways[0])
+        session.sim.schedule(0.5, lambda: session.network.fail(dead))
+
+    _, _, engine, _ = _serve_cell(routing=routing, prepare=prepare)
+    lost = (trace.client_index % len(engine.gateways) == 0) & (trace.arrivals > 0.5)
+    assert lost.sum() > 0
+    assert engine.failed_reads == int((lost & trace.is_read).sum())
+    assert engine.failed_writes == int((lost & ~trace.is_read).sum())
+    completed = len(engine.read_latencies) + len(engine.write_latencies)
+    assert completed + int(lost.sum()) == trace.count
 
 
 def test_engine_requires_gateways():
