@@ -16,9 +16,9 @@ wiring once and :class:`ArchiveClient` is the per-tenant handle on top::
     session.run()
     result = archive.retrieve("scan-0001")
 
-The old keyword surface (``StorageSystem(..., vectorized=, ledger=,
-tenant=)``, ``attach_transfers(scheduler, client=, observer=)``) remains the
-supported low-level API -- the facade builds on it and
+The keyword surface underneath (``StorageSystem(..., ledger=, tenant=)``,
+``attach_transfers(scheduler, client=, observer=)``) remains the supported
+low-level API -- the facade builds on it and
 ``tests/test_api.py`` pins that both wirings are placement- and
 RNG-identical (same ``RandomStreams`` labels, same construction order).
 """
@@ -71,12 +71,8 @@ class ClusterSession:
         oversubscription: Optional[float] = None,
         latency: Optional[Dict[str, float]] = None,
         leaf_set_half_size: int = 8,
-        vectorized: bool = True,
-        fast_build: Optional[bool] = None,
         sim: Optional[Simulator] = None,
     ) -> None:
-        self.vectorized = vectorized
-        self.fast_build = vectorized if fast_build is None else fast_build
         self.streams = streams or RandomStreams(seed)
         if network is None:
             if node_count is None:
@@ -92,16 +88,15 @@ class ClusterSession:
                 rng=rng if rng is not None else self.streams.fresh("overlay"),
                 capacities=list(capacities) if capacities is not None else None,
                 leaf_set_half_size=leaf_set_half_size,
-                routing_state=not self.fast_build,
+                routing_state=False,
             )
             if sites is not None:
                 assign_domains(network.nodes(), sites=sites,
                                racks_per_site=racks_per_site)
         self.network = network
         self.dht = DHTView(network)
-        #: One shared multi-tenant ledger for every client of this session
-        #: (``None`` on the scalar path, which has no columnar bookkeeping).
-        self.ledger: Optional[BlockLedger] = BlockLedger(network) if vectorized else None
+        #: One shared multi-tenant ledger for every client of this session.
+        self.ledger = BlockLedger(network)
         self.sim = sim or Simulator()
         self.transfers: Optional[TransferScheduler] = None
         if bandwidth_mb_s is not None:
@@ -150,7 +145,6 @@ class ClusterSession:
             policy=policy,
             payload_mode=payload_mode,
             track_neighbor_ledgers=track_neighbor_ledgers,
-            vectorized=self.vectorized,
             ledger=self.ledger,
             tenant=tenant,
         )
@@ -196,7 +190,7 @@ class ClusterSession:
         (so joins/leaves/failures keep its tables patched); later calls
         return the cached instance.  The *first* engine built also becomes
         ``network.router``, the dispatch target of ``network.route`` /
-        ``route_many`` on fast-build sessions.
+        ``route_many`` (sessions build no per-node Pastry state).
         """
         cached = self._routers.get(engine)
         if cached is not None:

@@ -14,13 +14,12 @@ default here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.common import BaselineStoreResult
 from repro.core import naming
-from repro.core.block_ledger import BlockLedger
+from repro.core.block_ledger import BlockLedger, resolve_ledger
 from repro.overlay.dht import DHTView
-from repro.overlay.ids import key_for
 from repro.overlay.node import OverlayNode
 
 #: The block size used in the paper's simulations (4 MB).
@@ -30,19 +29,19 @@ DEFAULT_BLOCK_SIZE = 4 * (1 << 20)
 class CfsStore:
     """A CFS-style fixed-block store over a DHT view.
 
-    With ``vectorized=True`` (the default) the attempt-0 placements of *all*
-    blocks of a file are resolved in one pass -- the block names are hashed in
-    a batch and pushed through the ``searchsorted`` kernel of the array-backed
-    placement engine -- and only blocks whose target turns out to be full fall
-    back to per-attempt salted re-hashing, exactly mirroring the scalar retry
-    order.  Per-file bookkeeping lives in the shared columnar
+    The attempt-0 placements of *all* blocks of a file are resolved in one
+    pass -- the block names are hashed in a batch and pushed through the
+    ``searchsorted`` kernel of the array-backed placement engine -- and only
+    blocks whose target turns out to be full fall back to per-attempt salted
+    re-hashing, in the one-lookup-per-attempt retry order.  Per-file
+    bookkeeping lives in the columnar
     :class:`~repro.core.block_ledger.BlockLedger` (one bulk column write per
-    stored file instead of one tuple per block; replica and salted rows are
-    first-class row kinds), which both trims the store loop's allocation bill
-    and makes :meth:`is_file_available` an O(1) counter read that stays exact
+    stored file; replica and salted rows are first-class row kinds), which
+    makes :meth:`is_file_available` an O(1) counter read that stays exact
     under out-of-band churn.  Results, placements and lookup counts are
-    identical to the preserved seed path (``vectorized=False``); the
-    equivalence is asserted by ``tests/test_placement_equivalence.py``.
+    identical to the seed one-``DHTView.lookup``-per-attempt store kept as
+    ``tests/reference/seed_placement.py``; the equivalence is asserted by
+    ``tests/test_placement_equivalence.py``.
     """
 
     def __init__(
@@ -52,7 +51,6 @@ class CfsStore:
         replication: int = 1,
         retries_per_block: int = 3,
         rollback_on_failure: bool = True,
-        vectorized: bool = True,
         ledger: Optional[BlockLedger] = None,
         tenant: Optional[str] = None,
     ) -> None:
@@ -67,22 +65,15 @@ class CfsStore:
         self.replication = replication
         self.retries_per_block = retries_per_block
         self.rollback_on_failure = rollback_on_failure
-        self.vectorized = vectorized
-        #: Columnar bookkeeping (vectorized path only; the seed path keeps the
-        #: per-block tuple lists).  Pass ``ledger`` to share one instance with
+        #: Columnar bookkeeping.  Pass ``ledger`` to share one instance with
         #: other stores on the same overlay, and ``tenant`` to scope this
         #: store's files to their own namespace on a multi-tenant ledger.
-        from repro.core.storage import _resolve_ledger
-
-        self.ledger = _resolve_ledger(dht, vectorized, ledger, tenant)
+        self.ledger = resolve_ledger(dht.network, ledger, tenant)
         #: A private ledger's namespace is exactly ``self.files``; only a
         #: shared ledger needs the pre-flight name check on the hot path.
-        self._ledger_shared = ledger is not None and self.ledger is not None
-        #: Scalar path: filename -> [(block name, primary, size, replicas)].
-        #: Ledger path: filename -> ledger file index.
-        self.files: Dict[
-            str, Union[int, List[tuple[str, OverlayNode, int, List[OverlayNode]]]]
-        ] = {}
+        self._ledger_shared = ledger is not None
+        #: filename -> ledger file index.
+        self.files: Dict[str, int] = {}
         self.total_lookups = 0
 
     def block_count_for(self, size: int) -> int:
@@ -96,7 +87,16 @@ class CfsStore:
         return base if attempt == 0 else f"{base}#salt{attempt}"
 
     def store_file(self, filename: str, size: int) -> BaselineStoreResult:
-        """Insert one file; one p2p lookup per block placement attempt."""
+        """Insert one file; one p2p lookup per block placement attempt.
+
+        Every attempt-0 target is batch-resolved, then applied.  Those
+        resolutions are speculative (a file that fails at block ``i`` never
+        needs blocks beyond ``i`` looked up), so lookups are charged to the
+        view only as placement attempts are actually consumed -- one lookup
+        per attempt, even on failed stores.  The loop carries no per-block
+        tuples: placed holders accumulate in one list and the whole file is
+        registered into the columnar ledger with a single bulk column write.
+        """
         # A shared ledger is a shared file namespace: a name another store on
         # the same ledger already registered must be rejected up front, before
         # any block is placed (for a private ledger the check is redundant and
@@ -113,59 +113,12 @@ class CfsStore:
                 lookups=0,
                 failure_reason="file already stored",
             )
-        if self.vectorized:
-            return self._store_file_batched(filename, size)
-        return self._store_file_scalar(filename, size)
-
-    def _store_file_scalar(self, filename: str, size: int) -> BaselineStoreResult:
-        """The preserved seed path: one scalar DHT lookup per placement attempt."""
-        block_count = self.block_count_for(size)
-        lookups = 0
-        placements: List[tuple[str, OverlayNode, int, List[OverlayNode]]] = []
-        remaining = size
-        for index in range(block_count):
-            block_bytes = min(self.block_size, remaining)
-            remaining -= block_bytes
-            placed = False
-            for attempt in range(self.retries_per_block + 1):
-                name = self._block_name(filename, index, attempt)
-                target = self.dht.lookup(key_for(name))
-                lookups += 1
-                if target.store_block(name, block_bytes):
-                    replicas = self._replicate(name, block_bytes, target)
-                    placements.append((name, target, block_bytes, replicas))
-                    placed = True
-                    break
-            if not placed:
-                return self._fail(filename, size, placements, lookups, index)
-        self.files[filename] = placements
-        self.total_lookups += lookups
-        return BaselineStoreResult(
-            filename=filename,
-            requested_size=size,
-            success=True,
-            stored_bytes=size,
-            chunk_count=block_count,
-            lookups=lookups,
-        )
-
-    def _store_file_batched(self, filename: str, size: int) -> BaselineStoreResult:
-        """Ledger path: batch-resolve every attempt-0 target, then apply.
-
-        The attempt-0 resolutions are speculative (a file that fails at block
-        ``i`` would never have looked up blocks beyond ``i`` in the scalar
-        path), so lookups are charged to the view only as placement attempts
-        are actually consumed -- keeping ``lookup_count`` parity with the
-        scalar pipeline even on failed stores.  The loop carries no per-block
-        tuples: placed holders accumulate in one list and the whole file is
-        registered into the columnar ledger with a single bulk column write.
-        """
         block_count = self.block_count_for(size)
         state = self.dht.state
         names = [self._block_name(filename, index, 0) for index in range(block_count)]
         if block_count:
-            # Raises LookupError on an empty view, like the scalar path's
-            # first dht.lookup; a zero-block file never looks anything up.
+            # Raises LookupError on an empty view, like a first dht.lookup;
+            # a zero-block file never looks anything up.
             targets = self.dht.resolve_digests(naming.name_digests(names), count=False).tolist()
         else:
             targets = []
@@ -189,7 +142,7 @@ class CfsStore:
                     for replica in self._replicate(name, block_bytes, target):
                         replicas.append((index, replica))
                 continue
-            # Salted retries: resolved lazily, in the scalar attempt order.
+            # Salted retries: resolved lazily, one lookup per attempt.
             # (No per-call lookup_count bump here: this path charges the
             # view's counter in bulk, for parity with failed-store accounting.)
             placed = False
@@ -209,7 +162,7 @@ class CfsStore:
             if not placed:
                 lookups = index + 1 + extra_lookups
                 self.dht.lookup_count += lookups
-                return self._fail_batched(filename, size, names, holders, replicas, lookups, index)
+                return self._fail(filename, size, names, holders, replicas, lookups, index)
         lookups = block_count + extra_lookups
         self.dht.lookup_count += lookups
         self.total_lookups += lookups
@@ -225,7 +178,7 @@ class CfsStore:
             lookups=lookups,
         )
 
-    def _fail_batched(
+    def _fail(
         self,
         filename: str,
         size: int,
@@ -235,12 +188,11 @@ class CfsStore:
         lookups: int,
         index: int,
     ) -> BaselineStoreResult:
-        """Failure accounting for the ledger path (nothing registered yet).
+        """Failure accounting (nothing registered yet).
 
         Every placed block so far is a full ``block_size`` block (only the
         last block of a file is short, and a failure always happens at or
-        before it), which keeps the no-rollback accounting identical to the
-        scalar path's per-placement sum.
+        before it), so the no-rollback byte count is a product, not a sum.
         """
         self.total_lookups += lookups
         if self.rollback_on_failure:
@@ -261,30 +213,6 @@ class CfsStore:
             failure_reason=f"block {index} could not be placed",
         )
 
-    def _fail(
-        self,
-        filename: str,
-        size: int,
-        placements: List[tuple[str, OverlayNode, int, List[OverlayNode]]],
-        lookups: int,
-        index: int,
-    ) -> BaselineStoreResult:
-        self.total_lookups += lookups
-        if self.rollback_on_failure:
-            self._release(placements)
-            stored_bytes = 0
-        else:
-            stored_bytes = sum(entry[2] for entry in placements)
-        return BaselineStoreResult(
-            filename=filename,
-            requested_size=size,
-            success=False,
-            stored_bytes=stored_bytes,
-            chunk_count=len(placements),
-            lookups=lookups,
-            failure_reason=f"block {index} could not be placed",
-        )
-
     def _replicate(self, name: str, size: int, primary: OverlayNode) -> List[OverlayNode]:
         replicas: List[OverlayNode] = []
         if self.replication <= 1:
@@ -298,62 +226,41 @@ class CfsStore:
                 replicas.append(successor)
         return replicas
 
-    def _release(self, placements: List[tuple[str, OverlayNode, int, List[OverlayNode]]]) -> None:
-        for name, primary, _, replicas in placements:
-            primary.remove_block(name)
-            for replica in replicas:
-                replica.remove_block(name)
-
     def chunk_sizes(self, filename: str) -> List[int]:
         """Sizes of the blocks a stored file was split into (Table 1)."""
         entry = self.files.get(filename)
         if entry is None:
             return []
-        if self.ledger is not None:
-            return self.ledger.baseline_block_sizes(entry)
-        return [placement[2] for placement in entry]
+        return self.ledger.baseline_block_sizes(entry)
 
     def block_entries(self, filename: str) -> List[tuple[str, OverlayNode, int, List[OverlayNode]]]:
         """Per-block ``(stored name, primary, size, replicas)`` bookkeeping.
 
-        Materialised from the columnar ledger on the vectorized path and read
-        straight off the tuple lists on the seed path -- the representation-
-        independent accessor the equivalence oracles compare through.
+        Materialised from the columnar ledger -- the accessor the equivalence
+        oracles compare through.
         """
         entry = self.files.get(filename)
         if entry is None:
             return []
-        if self.ledger is not None:
-            return self.ledger.baseline_entries(entry)
-        return [(name, primary, size, list(replicas)) for name, primary, size, replicas in entry]
+        return self.ledger.baseline_entries(entry)
 
     def is_file_available(self, filename: str) -> bool:
         """Whether every block of the file has at least one live copy.
 
-        O(1) from the shared ledger's group counters on the vectorized path;
-        the seed path walks every placement.
+        O(1) from the ledger's group counters.
         """
         entry = self.files.get(filename)
         if entry is None:
             return False
-        if self.ledger is not None:
-            return self.ledger.file_available(entry)
-        for name, primary, _, replicas in entry:
-            holders = [primary, *replicas]
-            if not any(holder.alive and holder.has_block(name) for holder in holders):
-                return False
-        return True
+        return self.ledger.file_available(entry)
 
     def delete_file(self, filename: str) -> bool:
         """Remove the file's blocks and replicas."""
         entry = self.files.pop(filename, None)
         if entry is None:
             return False
-        if self.ledger is not None:
-            ledger = self.ledger
-            for row in ledger.file_rows(entry):
-                ledger.row_owner(row).remove_block(ledger.row_name(row))
-            ledger.remove_file(filename)
-            return True
-        self._release(entry)
+        ledger = self.ledger
+        for row in ledger.file_rows(entry):
+            ledger.row_owner(row).remove_block(ledger.row_name(row))
+        ledger.remove_file(filename)
         return True

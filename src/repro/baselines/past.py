@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.baselines.common import BaselineStoreResult
-from repro.core.block_ledger import BlockLedger
+from repro.core.block_ledger import BlockLedger, resolve_ledger
 from repro.overlay.dht import DHTView
 from repro.overlay.node import OverlayNode
 
@@ -23,15 +23,14 @@ from repro.overlay.node import OverlayNode
 class PastStore:
     """A PAST-style whole-file store over a DHT view.
 
-    With ``vectorized=True`` (default) the per-attempt lookup runs on the
-    array-backed placement engine (raw SHA-1 -> boundary ``bisect``), skipping
-    the ``NodeId`` wrapping and ring-distance arithmetic of the preserved seed
-    path (``vectorized=False``).  Both resolve every name to the same node and
-    charge the same lookup counts.
+    The per-attempt lookup runs on the array-backed placement engine (raw
+    SHA-1 -> boundary ``bisect``); it resolves every name to the same node,
+    and charges the same lookup count, as the seed ``DHTView.lookup`` walk
+    (``tests/reference/seed_placement.py`` is that reference).
 
-    On the vectorized path every stored file is also registered in the shared
-    columnar :class:`~repro.core.block_ledger.BlockLedger` (one replica group
-    per file; salted/replica copies are first-class row kinds), which makes
+    Every stored file is registered in the columnar
+    :class:`~repro.core.block_ledger.BlockLedger` (one replica group per
+    file; salted/replica copies are first-class row kinds), which makes
     :meth:`is_file_available` an O(1) counter read that stays exact under
     out-of-band ``fail()``/``recover()``/``leave()`` churn.  Pass ``ledger``
     to share one ledger instance with other stores on the same overlay.
@@ -42,7 +41,6 @@ class PastStore:
         dht: DHTView,
         replication: int = 1,
         retries: int = 3,
-        vectorized: bool = True,
         ledger: Optional[BlockLedger] = None,
         tenant: Optional[str] = None,
     ) -> None:
@@ -53,28 +51,21 @@ class PastStore:
         self.dht = dht
         self.replication = replication
         self.retries = retries
-        self.vectorized = vectorized
-        #: Columnar bookkeeping (vectorized path only; the seed path keeps the
-        #: holder-list walks).  Pass ``ledger`` to share one instance with
+        #: Columnar bookkeeping.  Pass ``ledger`` to share one instance with
         #: other stores on the same overlay, and ``tenant`` to scope this
         #: store's files to their own namespace on a multi-tenant ledger.
-        from repro.core.storage import _resolve_ledger
-
-        self.ledger = _resolve_ledger(dht, vectorized, ledger, tenant)
+        self.ledger = resolve_ledger(dht.network, ledger, tenant)
         #: Only a ledger shared with other stores can carry a colliding name
         #: this store's own ``files`` dict does not know about; a private
         #: ledger's namespace is exactly ``self.files``, so the per-store
         #: ledger lookup is skipped on the hot path.
-        self._ledger_shared = ledger is not None and self.ledger is not None
+        self._ledger_shared = ledger is not None
         #: filename -> (name actually stored under, holder nodes).
         self.files: dict[str, tuple[str, List[OverlayNode]]] = {}
         self.total_lookups = 0
 
     def _salted_name(self, filename: str, attempt: int) -> str:
         return filename if attempt == 0 else f"{filename}#salt{attempt}"
-
-    def _locate(self, name: str) -> OverlayNode:
-        return self.dht.locate_name(name, self.vectorized)
 
     def store_file(self, filename: str, size: int) -> BaselineStoreResult:
         """Insert one file; a single p2p lookup per attempt, as in PAST."""
@@ -97,18 +88,17 @@ class PastStore:
         lookups = 0
         for attempt in range(self.retries + 1):
             name = self._salted_name(filename, attempt)
-            target = self._locate(name)
+            target = self.dht.locate_name(name)
             lookups += 1
             holders = self._try_place(name, size, target)
             if holders is not None:
                 self.files[filename] = (name, holders)
-                if self.ledger is not None:
-                    # Buffered: the single-row column writes land in one bulk
-                    # pass at the next flush point (a liveness event or a
-                    # ledger read), keeping the ledger out of the store loop.
-                    self.ledger.queue_whole_file(
-                        filename, size, name, holders, salted=attempt > 0
-                    )
+                # Buffered: the single-row column writes land in one bulk
+                # pass at the next flush point (a liveness event or a
+                # ledger read), keeping the ledger out of the store loop.
+                self.ledger.queue_whole_file(
+                    filename, size, name, holders, salted=attempt > 0
+                )
                 self.total_lookups += lookups
                 return BaselineStoreResult(
                     filename=filename,
@@ -151,18 +141,11 @@ class PastStore:
     def is_file_available(self, filename: str) -> bool:
         """Whether at least one replica of the whole file survives.
 
-        O(1) from the shared ledger's group counters on the vectorized path;
-        the seed path walks the holder list.
+        O(1) from the ledger's group counters.
         """
-        entry = self.files.get(filename)
-        if not entry:
+        if filename not in self.files:
             return False
-        if self.ledger is not None:
-            file_idx = self.ledger.file_index(filename)
-            if file_idx is not None:
-                return self.ledger.file_available(file_idx)
-        stored_name, holders = entry
-        return any(holder.alive and holder.has_block(stored_name) for holder in holders)
+        return self.ledger.file_available(self.ledger.file_index(filename))
 
     def delete_file(self, filename: str) -> bool:
         """Remove the file and its replicas."""
@@ -172,6 +155,5 @@ class PastStore:
         stored_name, holders = entry
         for holder in holders:
             holder.remove_block(stored_name)
-        if self.ledger is not None:
-            self.ledger.remove_file(filename)
+        self.ledger.remove_file(filename)
         return True

@@ -99,7 +99,6 @@ def _run_fig10(args: argparse.Namespace) -> int:
         file_count=max(1, int(round(args.files * args.scale))),
         fail_fraction=args.fail_pct / 100.0,
         seed=args.seed,
-        vectorized=not args.scalar,
     )
     experiment = AvailabilityExperiment(config)
     start = time.perf_counter()
@@ -108,8 +107,7 @@ def _run_fig10(args: argparse.Namespace) -> int:
     print(
         f"Figure 10 — unavailable files (%) vs failed nodes "
         f"({config.node_count} nodes, {config.file_count} files, "
-        f"{config.fail_fraction:.0%} failed, "
-        f"{'seed scalar path' if args.scalar else 'columnar ledger'})"
+        f"{config.fail_fraction:.0%} failed, columnar ledger)"
     )
     print(format_series_table(list(series.values()), x_label="failed_nodes"))
     print(f"wall time: {elapsed:.1f}s")
@@ -128,14 +126,13 @@ def _run_table3(args: argparse.Namespace) -> int:
         file_count=max(1, int(round(args.files * args.scale))),
         fail_fractions=fractions,
         seed=args.seed,
-        vectorized=not args.scalar,
     )
     start = time.perf_counter()
     table = ChurnExperiment(config).run()
     elapsed = time.perf_counter() - start
     print(table.format())
     print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, {config.file_count} files, "
-          f"{'seed scalar path' if args.scalar else 'columnar ledger'})")
+          "columnar ledger)")
     return 0
 
 
@@ -155,7 +152,6 @@ def _run_soak(args: argparse.Namespace) -> int:
         leave_mode=args.leave_mode,
         bandwidth_gb_per_hour=args.bandwidth_gb_hour,
         seed=args.seed,
-        vectorized=not args.scalar,
     )
     start = time.perf_counter()
     result = SoakExperiment(config).run()
@@ -165,8 +161,7 @@ def _run_soak(args: argparse.Namespace) -> int:
     summary = result.summary()
     print("soak summary: " + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
     print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, {config.file_count} files, "
-          f"{config.horizon_hours / 24:.1f} simulated days, "
-          f"{'seed scalar path' if args.scalar else 'columnar ledger + compaction'})")
+          f"{config.horizon_hours / 24:.1f} simulated days, columnar ledger + compaction)")
     return 0
 
 
@@ -186,7 +181,6 @@ def _run_repair(args: argparse.Namespace) -> int:
         bandwidth_sweep_mb_s=sweep,
         failure_spacing_s=args.spacing,
         seed=args.seed,
-        vectorized=not args.scalar,
     )
     start = time.perf_counter()
     result = RepairExperiment(config).run()
@@ -197,8 +191,7 @@ def _run_repair(args: argparse.Namespace) -> int:
     print()
     print(result.ablation_table().format(float_format="{:,.2f}"))
     print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, {config.file_count} files, "
-          f"{'seed scalar path' if args.scalar else 'columnar ledger'}, "
-          f"fair-share transfer scheduler)")
+          "columnar ledger, fair-share transfer scheduler)")
     return 0
 
 
@@ -435,6 +428,20 @@ def _arg(*flags: str, **options) -> Arg:
     return Arg(flags=flags, options=options)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 _DEFAULT_SCALE_HELP = "multiply nodes and files by this factor (e.g. 0.1)"
 _SMOKE_HELP = "run the fixed tier-1 smoke configuration (seconds)"
 
@@ -477,21 +484,17 @@ COMMANDS: Tuple[Command, ...] = (
         args=(_arg("--nodes", type=int, default=PAPER_FIG10.node_count),
               _arg("--files", type=int, default=PAPER_FIG10.file_count),
               _arg("--fail-pct", type=float, default=10.0,
-                   help="percent of the population failed one by one"),
-              _arg("--scalar", action="store_true",
-                   help="run the preserved seed scalar path instead of the ledger")),
+                   help="percent of the population failed one by one")),
         scale=_DEFAULT_SCALE_HELP,
         seed=PAPER_FIG10.seed,
     ),
     Command(
-        "table3", "Table 3 at paper scale (10 000 nodes, 10 % and 20 % failed)",
+        "table3", "Table 3 at paper scale (10 000 nodes, 10 %% and 20 %% failed)",
         _run_table3,
         args=(_arg("--nodes", type=int, default=PAPER_TABLE3.node_count),
               _arg("--files", type=int, default=PAPER_TABLE3.file_count),
               _arg("--fractions", type=str, default="10,20",
-                   help="comma-separated failure percentages"),
-              _arg("--scalar", action="store_true",
-                   help="run the preserved seed scalar path instead of the ledger")),
+                   help="comma-separated failure percentages")),
         scale=_DEFAULT_SCALE_HELP,
         seed=PAPER_TABLE3.seed,
     ),
@@ -515,9 +518,7 @@ COMMANDS: Tuple[Command, ...] = (
                         "migrate their blocks out over their uplink"),
               _arg("--bandwidth-gb-hour", type=float, default=None,
                    help="per-node link capacity in GB per simulated hour "
-                        "(default: unconstrained, instantaneous repair)"),
-              _arg("--scalar", action="store_true",
-                   help="run the preserved seed scalar path instead of the ledger")),
+                        "(default: unconstrained, instantaneous repair)")),
         scale="multiply nodes, files and churn rates by this factor (e.g. 0.1)",
         seed=PAPER_SOAK.seed,
     ),
@@ -535,9 +536,7 @@ COMMANDS: Tuple[Command, ...] = (
               _arg("--bandwidth-sweep", type=str, default="4,8,16",
                    help="comma-separated bandwidths for the bandwidth panel"),
               _arg("--spacing", type=float, default=PAPER_REPAIR.failure_spacing_s,
-                   help="simulated seconds between consecutive failures"),
-              _arg("--scalar", action="store_true",
-                   help="run the preserved seed scalar path instead of the ledger")),
+                   help="simulated seconds between consecutive failures")),
         scale=_DEFAULT_SCALE_HELP,
         seed=PAPER_REPAIR.seed,
     ),
@@ -610,8 +609,8 @@ COMMANDS: Tuple[Command, ...] = (
     ),
     Command(
         "coding", "Table 2", _run_coding,
-        args=(_arg("--chunk-mb", type=float, default=1.0),
-              _arg("--blocks", type=int, default=512)),
+        args=(_arg("--chunk-mb", type=_positive_float, default=1.0),
+              _arg("--blocks", type=_positive_int, default=512)),
     ),
     Command(
         "churn", "Table 3", _run_churn,

@@ -80,10 +80,12 @@ registration would have produced.  Aggregate counters are bumped eagerly at
 queue time.  Any new code path that reads the raw row columns must call
 ``_flush_pending()`` (or go through one of the accessors above) first.
 
-The ledger exists only on the ``vectorized=True`` path; the preserved seed
-paths keep the per-node dict walks, and ``tests/test_churn_equivalence.py`` /
-``tests/test_placement_equivalence.py`` assert the two produce identical
-Figure 7-10 curves, Table 3 rows and store results.
+Every store owns or shares a ledger (:func:`resolve_ledger`); the per-node
+``stored_blocks`` dicts and ``StoredChunk.placements`` it mirrors still exist,
+and ``tests/reference/dict_walk.py`` re-derives every answer from them --
+``tests/test_churn_equivalence.py`` / ``tests/test_placement_equivalence.py``
+audit the ledger against that walk and against the frozen seed outputs in
+``tests/golden/``.
 """
 
 from __future__ import annotations
@@ -1436,3 +1438,19 @@ class TenantLedgerView:
     # -- passthrough -----------------------------------------------------------
     def __getattr__(self, name: str):
         return getattr(self.base, name)
+
+
+def resolve_ledger(network: "OverlayNetwork", ledger, tenant: Optional[str]):
+    """Resolve a store's ledger handle: private, shared, or tenant-scoped.
+
+    ``ledger=None`` creates a private untagged :class:`BlockLedger`; a
+    ``tenant`` name wraps the (possibly shared) ledger in a
+    :class:`TenantLedgerView` so files and rows are tagged and name-scoped
+    per tenant.  A raw shared ledger without a tenant keeps the single shared
+    namespace (duplicate names across stores are rejected).
+    """
+    if ledger is None:
+        ledger = BlockLedger(network)
+    if tenant is None:
+        return ledger
+    return ledger.tenant(tenant) if isinstance(ledger, BlockLedger) else ledger

@@ -88,8 +88,8 @@ class CapacityProbe:
         """Array-engine variant of :meth:`probe_chunk`: identical result, batched.
 
         All block names of the chunk are hashed at once and resolved through
-        the ``searchsorted`` kernel; lookup accounting matches the scalar path
-        exactly (one lookup per probed block).
+        the ``searchsorted`` kernel; lookup accounting matches
+        :meth:`probe_chunk` exactly (one lookup per probed block).
         """
         if encoded_blocks < 1:
             raise ValueError("encoded_blocks must be >= 1")

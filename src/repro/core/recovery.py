@@ -19,10 +19,11 @@ here:
 The recovery subsystem is split into two collaborating halves:
 
 * :class:`RepairPlanner` *selects* the repair work: which block copies died
-  with the node (one read of the columnar ledger's per-owner row index on the
-  vectorized path, the seed per-node dict walk otherwise), which of them can
-  be regenerated vs. are lost, which must be copied out ahead of a graceful
-  departure, and which surviving nodes the regeneration reads come from;
+  with the node (one read of the columnar ledger's per-owner row index;
+  copies a node's dict holds outside the ledger are classified by name),
+  which of them can be regenerated vs. are lost, which must be copied out
+  ahead of a graceful departure, and which surviving nodes the regeneration
+  reads come from;
 * :class:`RepairExecutor` *applies* each selected step: it places the
   replacement copy (DHT lookup plus the rateless relocation walk), re-points
   the placement bookkeeping, mirrors the ledger, and -- when a
@@ -34,9 +35,9 @@ Planning and execution stay interleaved (the planner classifies one lost copy
 at a time and the executor applies it before the next classification) because
 placement decisions consume capacity that later decisions must observe --
 exactly the seed ordering.  With no scheduler attached (``transfers=None``,
-the default) the executor applies every step instantaneously and the whole
-pipeline is bit-identical to the seed implementation; the oracle is
-``tests/test_churn_equivalence.py``.
+the default) the executor applies every step instantaneously and the
+impacts, totals and placements equal the frozen seed outputs in
+``tests/golden/``; the oracle is ``tests/test_churn_equivalence.py``.
 
 Graceful departures (:meth:`RecoveryManager.handle_leave`) are first-class:
 the departing node's blocks are *copied out* to the nodes now responsible for
@@ -109,7 +110,7 @@ class FailureImpact:
 
 
 class RepairPlanner:
-    """Selects repair/migration work from the ledger rows (or the seed walk).
+    """Selects repair/migration work from the ledger rows.
 
     The planner owns the *decisions* -- which copies are examined in which
     order, regenerate vs. lost vs. copy-out, and which surviving nodes a
@@ -187,7 +188,7 @@ class RepairPlanner:
         return (kind, chunk, position, name, size, key, digest)
 
     def classify_block(self, block_name: str, size: int, failed_node: NodeId):
-        """Seed-path counterpart of :meth:`classify_row` for one lost copy."""
+        """By-name counterpart of :meth:`classify_row` for a copy with no ledger row."""
         parsed = naming.parse_block_name(block_name)
         if parsed is None:
             # Not an encoded block: CAT object or replica.
@@ -224,28 +225,16 @@ class RepairPlanner:
         rank = self.transfers is not None and self.transfers.topology is not None
         sources: List[OverlayNode] = []
         ledger = self.storage.ledger
-        if ledger is not None and chunk.ledger_index is not None:
-            for position, placement_idx in enumerate(
-                ledger.chunk_placement_indexes(chunk.ledger_index)
-            ):
-                if position == skip_position:
-                    continue
-                owner = ledger.live_copy_owner(placement_idx)
-                if owner is not None:
-                    sources.append(owner)
-                    if not rank and len(sources) >= required:
-                        break
-            return self._rank_sources(sources, required)
-        network = self.dht.network
-        for position, placement in enumerate(chunk.placements):
+        for position, placement_idx in enumerate(
+            ledger.chunk_placement_indexes(chunk.ledger_index)
+        ):
             if position == skip_position:
                 continue
-            for node_id in (placement.node_id, *placement.replica_nodes):
-                if node_id in network and network.node(node_id).has_block(placement.block_name):
-                    sources.append(network.node(node_id))
+            owner = ledger.live_copy_owner(placement_idx)
+            if owner is not None:
+                sources.append(owner)
+                if not rank and len(sources) >= required:
                     break
-            if not rank and len(sources) >= required:
-                break
         return self._rank_sources(sources, required)
 
     @staticmethod
@@ -266,12 +255,11 @@ class RepairPlanner:
 class RepairExecutor:
     """Applies repair/migration steps: placement, bookkeeping, bandwidth.
 
-    With ``transfers=None`` every step applies instantaneously and the
-    behaviour is the preserved seed pipeline.  With a scheduler attached, the
-    logical state change still applies immediately (placements are exact at
-    all times) while the bytes the step moves are charged to the fair-share
-    bandwidth model; the repair is *complete* -- for time-to-repair purposes
-    -- when its last transfer drains.
+    With ``transfers=None`` every step applies instantaneously.  With a
+    scheduler attached, the logical state change still applies immediately
+    (placements are exact at all times) while the bytes the step moves are
+    charged to the fair-share bandwidth model; the repair is *complete* --
+    for time-to-repair purposes -- when its last transfer drains.
     """
 
     def __init__(
@@ -443,13 +431,12 @@ class RepairExecutor:
         digest: Optional[bytes] = None,
         planner: Optional[RepairPlanner] = None,
     ) -> None:
-        """Re-create one lost block and re-point its placement (both paths).
+        """Re-create one lost block and re-point its placement.
 
         Regenerating the block requires reading the surviving blocks of the
         chunk (cost charged by the Table 3 experiment as "data regenerated",
         and by the transfer scheduler as ``required`` reads of ``size`` bytes
-        each).  When the chunk is ledger-registered the placement re-point is
-        mirrored into the columnar bookkeeping.
+        each).  The placement re-point is mirrored into the ledger.
         """
         sources: List[OverlayNode] = []
         if self.transfers is not None and planner is not None:
@@ -475,17 +462,14 @@ class RepairExecutor:
                 ("regen", chunk, placement_index),
             )
         ledger = self.storage.ledger
-        if ledger is not None and chunk.ledger_index is not None:
-            if digest is None:
-                digest = naming.key_digest(block_name)
-            ledger.replace_primary(
-                ledger.placement_for(chunk.ledger_index, placement_index),
-                int(old_placement.node_id),
-                new_holder,
-                block_name,
-                size,
-                digest,
-            )
+        ledger.replace_primary(
+            ledger.placement_for(chunk.ledger_index, placement_index),
+            int(old_placement.node_id),
+            new_holder,
+            block_name,
+            size,
+            digest if digest is not None else naming.key_digest(block_name),
+        )
         if self.storage.payload_mode and chunk.encoded is not None:
             index = placement_index
             if index < len(chunk.encoded.blocks):
@@ -592,17 +576,14 @@ class RepairExecutor:
                         ("regen", chunk, placement_index),
                     )
         ledger = self.storage.ledger
-        if ledger is not None and chunk.ledger_index is not None:
-            if digest is None:
-                digest = naming.key_digest(block_name)
-            ledger.replace_replica(
-                ledger.placement_for(chunk.ledger_index, placement_index),
-                int(failed_node),
-                new_holder,
-                block_name,
-                size,
-                digest,
-            )
+        ledger.replace_replica(
+            ledger.placement_for(chunk.ledger_index, placement_index),
+            int(failed_node),
+            new_holder,
+            block_name,
+            size,
+            digest if digest is not None else naming.key_digest(block_name),
+        )
         if self.storage.payload_mode:
             payloads = self.storage._block_payloads
             for holder in (int(old_placement.node_id), *(int(nid) for nid in survivors)):
@@ -658,9 +639,9 @@ class RepairExecutor:
     ) -> Optional[OverlayNode]:
         """Find a live node to hold a regenerated or migrated block.
 
-        ``key`` lets the ledger path reuse the stored digest instead of
+        ``key`` lets a ledger row reuse its stored digest instead of
         re-hashing the name; the lookup itself (and its accounting) is the
-        same counted boundary bisect on both paths.
+        same counted boundary bisect either way.
         """
         target = self.dht.locate_key(key if key is not None else naming.key_int_for_name(block_name))
         if target.node_id != exclude and target.store_block(block_name, size):
@@ -696,7 +677,7 @@ class RepairExecutor:
             # replica is found does the charge fall back to the receiver's
             # downlink alone.
             self._stage(size, self._meta_source(name, target), int(target.node_id))
-            if digest is not None and self.storage.ledger is not None:
+            if digest is not None:  # None: an out-of-ledger copy, classified by name
                 self.storage.ledger.restore_meta_copy(target, name, size, digest)
 
     def _meta_source(self, name: str, target: OverlayNode) -> Optional[int]:
@@ -756,17 +737,14 @@ class RepairExecutor:
             ("copy", chunk, placement_index), tenant,
         )
         ledger = self.storage.ledger
-        if ledger is not None and chunk.ledger_index is not None:
-            if digest is None:
-                digest = naming.key_digest(block_name)
-            ledger.replace_primary(
-                ledger.placement_for(chunk.ledger_index, placement_index),
-                int(old_placement.node_id),
-                new_holder,
-                block_name,
-                size,
-                digest,
-            )
+        ledger.replace_primary(
+            ledger.placement_for(chunk.ledger_index, placement_index),
+            int(old_placement.node_id),
+            new_holder,
+            block_name,
+            size,
+            digest if digest is not None else naming.key_digest(block_name),
+        )
         if self.storage.payload_mode:
             payload_key = (int(leaving.node_id), block_name)
             payload = self.storage._block_payloads.pop(payload_key, None)
@@ -824,17 +802,14 @@ class RepairExecutor:
             ("copy", chunk, placement_index), tenant,
         )
         ledger = self.storage.ledger
-        if ledger is not None and chunk.ledger_index is not None:
-            if digest is None:
-                digest = naming.key_digest(block_name)
-            ledger.replace_replica(
-                ledger.placement_for(chunk.ledger_index, placement_index),
-                int(leaving.node_id),
-                new_holder,
-                block_name,
-                size,
-                digest,
-            )
+        ledger.replace_replica(
+            ledger.placement_for(chunk.ledger_index, placement_index),
+            int(leaving.node_id),
+            new_holder,
+            block_name,
+            size,
+            digest if digest is not None else naming.key_digest(block_name),
+        )
         if self.storage.payload_mode:
             payload = self.storage._block_payloads.pop(
                 (int(leaving.node_id), block_name), None
@@ -868,7 +843,7 @@ class RepairExecutor:
             impact.bytes_migrated += size
             self._stage(size, int(leaving.node_id), int(target.node_id), tenant=tenant)
             ledger = self.storage.ledger
-            if digest is not None and ledger is not None:
+            if digest is not None:  # None: an out-of-ledger copy, migrated by name
                 if tenant is None:
                     ledger.restore_meta_copy(target, name, size, digest)
                 else:
@@ -935,7 +910,7 @@ class RecoveryManager:
         self.storage = storage
         self.dht = storage.dht
         #: Fair-share bandwidth model; ``None`` (the default) keeps every
-        #: repair instantaneous -- the preserved seed behaviour.
+        #: repair instantaneous.
         self.transfers = transfers
         self.planner = RepairPlanner(storage)
         self.planner.transfers = transfers
@@ -979,41 +954,12 @@ class RecoveryManager:
         (or elsewhere if that node is full); chunks that are no longer
         decodable are counted as lost data.
 
-        When the storage system runs on the columnar block ledger (the
-        ``vectorized=True`` default), the lost blocks come from one mask over
-        the ledger's owner column and every decodability check is an O(1)
-        counter read; the seed path walks the per-node dict and the chunk
-        placements.  Both produce identical impacts, placements and Table 3
-        rows (``tests/test_churn_equivalence.py``).
+        The lost blocks come from one read of the ledger's per-owner row
+        index and every decodability check is an O(1) counter read; impacts,
+        placements and Table 3 rows equal the frozen seed dict-walk outputs
+        (``tests/test_churn_equivalence.py``).
         """
         ledger = self.storage.ledger
-        if ledger is not None:
-            return self._handle_failure_ledger(node_id, ledger)
-        return self._handle_failure_scalar(node_id)
-
-    def _handle_failure_scalar(self, node_id: NodeId) -> FailureImpact:
-        """The preserved seed failure path: per-node dict walk end to end."""
-        node = self.dht.network.node(node_id)
-        lost_blocks = dict(node.stored_blocks)
-        impact = FailureImpact(failed_node=node_id)
-        impact.blocks_lost = len(lost_blocks)
-        impact.bytes_on_failed_node = sum(lost_blocks.values())
-        self.executor.begin(impact)
-
-        if node.alive:
-            self.dht.network.fail(node_id)
-        self.dht.remove(node_id)
-
-        damaged_files: set[str] = set()
-        for block_name, size in lost_blocks.items():
-            self._recover_block(block_name, size, node_id, impact, damaged_files)
-        impact.files_damaged = len(damaged_files)
-        self.executor.finish(impact)
-        self.impacts.append(impact)
-        return impact
-
-    def _handle_failure_ledger(self, node_id: NodeId, ledger: BlockLedger) -> FailureImpact:
-        """Ledger-driven failure: columnar block selection, O(1) decodability."""
         node = self.dht.network.node(node_id)
         lost_blocks = dict(node.stored_blocks)
         impact = FailureImpact(failed_node=node_id)
@@ -1039,8 +985,8 @@ class RecoveryManager:
                 damaged_files,
             )
         # Blocks present in the node's dict but not in the ledger (out-of-band
-        # stores, copies a repair re-pointed away from) fall back to the seed
-        # per-block logic so both paths examine exactly the same names.
+        # stores, copies a repair re-pointed away from) are classified by
+        # name, so every copy the node held is examined.
         missing = lost_blocks.keys() - ledger_names
         if missing:
             for name, size in lost_blocks.items():
@@ -1088,7 +1034,7 @@ class RecoveryManager:
         impact: FailureImpact,
         damaged_files: set,
     ) -> None:
-        """Classify and apply one lost copy through the seed scalar path."""
+        """Classify and apply one lost copy that has no ledger row, by name."""
         self._apply_step(
             self.planner.classify_block(block_name, size, failed_node),
             failed_node,
@@ -1119,22 +1065,18 @@ class RecoveryManager:
 
         self.dht.remove(node_id)  # lookups now exclude the departing node
         ledger = self.storage.ledger
-        if ledger is not None:
-            rows = ledger.recovery_rows(node)
-            ledger.ensure_digests(rows)
-            ledger_names = set()
-            for row in rows:
-                name = ledger.row_name(row)
-                ledger_names.add(name)
-                self._apply_migration_row(row, name, node, impact, ledger)
-            missing = held.keys() - ledger_names
-            if missing:
-                for name, size in held.items():
-                    if name in missing:
-                        self._migrate_block_scalar(name, size, node, impact)
-        else:
+        rows = ledger.recovery_rows(node)
+        ledger.ensure_digests(rows)
+        ledger_names = set()
+        for row in rows:
+            name = ledger.row_name(row)
+            ledger_names.add(name)
+            self._apply_migration_row(row, name, node, impact, ledger)
+        missing = held.keys() - ledger_names
+        if missing:
             for name, size in held.items():
-                self._migrate_block_scalar(name, size, node, impact)
+                if name in missing:
+                    self._migrate_block_scalar(name, size, node, impact)
         self.executor.finish(impact)
         self.dht.network.leave(node_id)  # releases whatever was not migrated
         self.impacts.append(impact)
@@ -1186,7 +1128,7 @@ class RecoveryManager:
     def _migrate_block_scalar(
         self, block_name: str, size: int, node: OverlayNode, impact: FailureImpact
     ) -> None:
-        """Seed-path migration of one copy (mirrors the scalar failure walk)."""
+        """By-name migration of one copy that has no ledger row."""
         parsed = naming.parse_block_name(block_name)
         if parsed is None:
             self.executor.migrate_meta(block_name, size, node, impact)

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import naming
-from repro.core.block_ledger import BlockLedger, TenantLedgerView
+from repro.core.block_ledger import BlockLedger, TenantLedgerView, resolve_ledger
 from repro.core.capacity import CapacityProbe, ProbeResult
 from repro.core.cat import CatEntry, ChunkAllocationTable
 from repro.core.chunker import Chunker
@@ -74,7 +74,8 @@ class StoredChunk:
     placements: List[BlockPlacement] = field(default_factory=list)
     #: Present only in payload mode: the encoder output (needed to decode).
     encoded: Optional[EncodedChunk] = None
-    #: Index of this chunk in the columnar block ledger (vectorized path only).
+    #: Index of this chunk in the columnar block ledger (``None`` until the
+    #: file's store succeeds; zero-sized chunks are never registered).
     ledger_index: Optional[int] = None
 
     @property
@@ -92,7 +93,7 @@ class StoredFile:
     cat: ChunkAllocationTable
     chunks: List[StoredChunk]
     cat_placements: List[BlockPlacement] = field(default_factory=list)
-    #: Index of this file in the columnar block ledger (vectorized path only).
+    #: Index of this file in the columnar block ledger.
     ledger_index: Optional[int] = None
 
     def data_chunks(self) -> List[StoredChunk]:
@@ -140,25 +141,6 @@ class RetrieveResult:
         return self.complete and self.chunks_degraded > 0
 
 
-def _resolve_ledger(dht: DHTView, vectorized: bool, ledger, tenant: Optional[str]):
-    """Resolve a store's ledger handle: private, shared, or tenant-scoped.
-
-    ``None``/``tenant=None`` on the vectorized path keeps today's behaviour
-    (a private untagged :class:`BlockLedger`); a ``tenant`` name wraps the
-    (possibly shared) ledger in a :class:`~repro.core.block_ledger.
-    TenantLedgerView` so files and rows are tagged and name-scoped per
-    tenant.  A raw shared ledger without a tenant keeps the single shared
-    namespace (duplicate names across stores are rejected).
-    """
-    if not vectorized:
-        return None
-    if ledger is None:
-        ledger = BlockLedger(dht.network)
-    if tenant is None:
-        return ledger
-    return ledger.tenant(tenant) if isinstance(ledger, BlockLedger) else ledger
-
-
 class StorageSystem:
     """The striped, erasure-coded contributory storage system."""
 
@@ -169,7 +151,6 @@ class StorageSystem:
         policy: Optional[StoragePolicy] = None,
         payload_mode: bool = False,
         track_neighbor_ledgers: bool = False,
-        vectorized: bool = True,
         ledger: Optional[BlockLedger] = None,
         tenant: Optional[str] = None,
     ) -> None:
@@ -178,24 +159,17 @@ class StorageSystem:
         self.policy = policy or StoragePolicy()
         self.payload_mode = payload_mode
         self.track_neighbor_ledgers = track_neighbor_ledgers
-        #: When True (the default) capacity probes and name lookups run on the
-        #: array-backed placement engine (batched SHA-1 + ``searchsorted``
-        #: kernels); when False, the preserved seed scalar path is used.  Both
-        #: produce byte-identical placements, results and lookup counts -- the
-        #: equivalence is asserted by ``tests/test_placement_equivalence.py``.
-        self.vectorized = vectorized
-        #: Columnar system-wide block bookkeeping (vectorized path only): one
-        #: ledger row per stored copy, incrementally-maintained chunk
-        #: decodability and O(1) usage/availability aggregates.  The seed path
-        #: keeps the per-node dict walks; ``tests/test_churn_equivalence.py``
-        #: asserts both produce identical availability curves and churn rows.
-        #: Pass ``ledger`` to share one multi-tenant ledger with other stores
-        #: on the same overlay and ``tenant`` to scope this store's file
-        #: namespace and aggregates (a private untagged ledger otherwise).
-        self.ledger = _resolve_ledger(dht, vectorized, ledger, tenant)
+        #: Columnar system-wide block bookkeeping: one ledger row per stored
+        #: copy, incrementally-maintained chunk decodability and O(1)
+        #: usage/availability aggregates (``tests/reference/dict_walk.py``
+        #: re-derives each of them from the per-node dicts).  Pass ``ledger``
+        #: to share one multi-tenant ledger with other stores on the same
+        #: overlay and ``tenant`` to scope this store's file namespace and
+        #: aggregates (a private untagged ledger otherwise).
+        self.ledger = resolve_ledger(dht.network, ledger, tenant)
         #: A private ledger's namespace is exactly ``self.files``; only a
         #: shared ledger needs the pre-flight name check before placing.
-        self._ledger_shared = ledger is not None and self.ledger is not None
+        self._ledger_shared = ledger is not None
         #: Optional transfer fabric for charging data movement (see
         #: :meth:`attach_transfers`).  ``None`` (the default) keeps stores and
         #: retrieves instantaneous, exactly as before.
@@ -212,7 +186,6 @@ class StorageSystem:
         #: chunk reads -- the serve path's load-balance histogram source.
         self.read_load: Dict[int, float] = {}
         self.probe = CapacityProbe(dht, self.policy.capacity_report_fraction)
-        self._probe_chunk = self.probe.probe_chunk_fast if vectorized else self.probe.probe_chunk
         self.chunker = Chunker(self.probe, self.codec, self.policy)
         self.files: Dict[str, StoredFile] = {}
         #: Payload-mode block contents: (node id value, block name) -> bytes.
@@ -355,7 +328,7 @@ class StorageSystem:
         failure_reason: Optional[str] = None
 
         while remaining > 0:
-            probe = self._probe_chunk(filename, chunk_no, encoded_blocks)
+            probe = self.probe.probe_chunk_fast(filename, chunk_no, encoded_blocks)
             chunk_size = self.chunker.size_chunk(probe, remaining)
             chunk = StoredChunk(chunk_no=chunk_no, start=offset, size=chunk_size)
             if chunk_size > 0:
@@ -394,8 +367,7 @@ class StorageSystem:
                     cat_placements=cat_placements,
                 )
                 self.files[filename] = stored
-                if self.ledger is not None:
-                    self.ledger.register_file(stored, self.codec.spec().required_blocks())
+                self.ledger.register_file(stored, self.codec.spec().required_blocks())
                 return StoreResult(
                     filename=filename,
                     requested_size=size,
@@ -453,7 +425,7 @@ class StorageSystem:
             name = probe.block_names[index] if index < len(probe.block_names) else naming.block_name(
                 filename, chunk.chunk_no, index + 1
             )
-            node = probe.nodes[index] if index < len(probe.nodes) else self._locate(name)
+            node = probe.nodes[index] if index < len(probe.nodes) else self.dht.locate_name(name)
             if not node.store_block(name, block_size):
                 for placement in placements:
                     self._release_placement(placement)
@@ -476,10 +448,6 @@ class StorageSystem:
                 self._record_in_ledgers(name, block_size, filename, node)
         chunk.placements = placements
         return True
-
-    def _locate(self, name: str) -> OverlayNode:
-        """The node responsible for ``name``, via the configured lookup path."""
-        return self.dht.locate_name(name, self.vectorized)
 
     def _replicate_block(self, name: str, size: int, primary: OverlayNode) -> Tuple[NodeId, ...]:
         """Best-effort placement of ``block_replication - 1`` neighbour replicas."""
@@ -534,7 +502,7 @@ class StorageSystem:
         primary: Optional[OverlayNode] = None
         for attempt in range(self.policy.cat_store_retries + 1):
             name = base_name if attempt == 0 else f"{base_name}~salt{attempt}"
-            node = self._locate(name)
+            node = self.dht.locate_name(name)
             if primary is None:
                 primary = node
             self.total_lookups += 1
@@ -557,8 +525,7 @@ class StorageSystem:
             self._release_chunk(chunk)
         for placement in stored.cat_placements:
             self._release_placement(placement)
-        if self.ledger is not None:
-            self.ledger.remove_file(filename)
+        self.ledger.remove_file(filename)
         return True
 
     def _release_chunk(self, chunk: StoredChunk) -> None:
@@ -598,47 +565,29 @@ class StorageSystem:
                     return payload, False
         return None, False
 
-    def _live_copies(self, placement: BlockPlacement) -> int:
-        """Number of live nodes still holding the block."""
-        count = 0
-        for node_id in (placement.node_id, *placement.replica_nodes):
-            if node_id in self.dht.network and self.dht.network.node(node_id).has_block(placement.block_name):
-                count += 1
-        return count
-
     def chunk_is_recoverable(self, chunk: StoredChunk) -> bool:
         """Whether enough encoded blocks of ``chunk`` survive to decode it.
 
-        On the vectorized path this is one O(1) counter comparison against
-        the ledger's incrementally-maintained per-chunk live-block counts;
-        the seed path walks the placements and per-node dicts.
+        One O(1) counter comparison against the ledger's incrementally
+        maintained per-chunk live-block counts.
         """
         if chunk.is_empty:
             return True
-        if self.ledger is not None and chunk.ledger_index is not None:
-            return self.ledger.chunk_recoverable(chunk.ledger_index)
-        surviving = sum(1 for placement in chunk.placements if self._live_copies(placement) > 0)
-        required = self.codec.spec().required_blocks()
-        return surviving >= required
+        return self.ledger.chunk_recoverable(chunk.ledger_index)
 
     def is_file_available(self, filename: str) -> bool:
-        """Whether every chunk of the file can still be recovered (O(1) vectorized)."""
+        """Whether every chunk of the file can still be recovered (O(1))."""
         stored = self.files.get(filename)
         if stored is None:
             return False
-        if self.ledger is not None and stored.ledger_index is not None:
-            return self.ledger.file_available(stored.ledger_index)
-        return all(self.chunk_is_recoverable(chunk) for chunk in stored.chunks)
+        return self.ledger.file_available(stored.ledger_index)
 
     def unavailable_file_count(self) -> int:
         """Stored files that currently have at least one undecodable chunk.
 
-        O(1) on the vectorized path (the Figure 10 sweep samples this once
-        per failure batch); falls back to the full walk on the seed path.
+        O(1): the Figure 10 sweep samples this once per failure batch.
         """
-        if self.ledger is not None:
-            return self.ledger.unavailable_count
-        return sum(1 for name in self.files if not self.is_file_available(name))
+        return self.ledger.unavailable_count
 
     def retrieve_file(self, filename: str, *,
                       client=_UNSET, observer=_UNSET) -> RetrieveResult:
@@ -700,14 +649,8 @@ class StorageSystem:
         return result
 
     def _chunk_live_placements(self, chunk: StoredChunk) -> int:
-        """Distinct placements of ``chunk`` with a surviving copy.
-
-        O(1) from the ledger's per-chunk live counter on the vectorized path;
-        the seed path walks the placements and per-node dicts.
-        """
-        if self.ledger is not None and chunk.ledger_index is not None:
-            return self.ledger.chunk_live_blocks(chunk.ledger_index)
-        return sum(1 for placement in chunk.placements if self._live_copies(placement) > 0)
+        """Distinct placements of ``chunk`` with a surviving copy (O(1))."""
+        return self.ledger.chunk_live_blocks(chunk.ledger_index)
 
     def _read_source(self, chunk: StoredChunk) -> Tuple[int, bool]:
         """The live holder a cached-serve-path chunk read drains from.
@@ -887,44 +830,22 @@ class StorageSystem:
         return self.dht.utilization()
 
     def stored_bytes(self) -> int:
-        """Total bytes of user data currently stored (excluding coding overhead).
-
-        O(1) from the ledger aggregate on the vectorized path; the seed path
-        sums the per-file sizes.
-        """
-        if self.ledger is not None:
-            return self.ledger.stored_data_bytes
-        return sum(stored.size for stored in self.files.values())
+        """Total bytes of user data currently stored (excluding coding overhead)."""
+        return self.ledger.stored_data_bytes
 
     def usage_summary(self) -> Dict[str, float]:
-        """System-wide usage aggregates.
+        """System-wide usage aggregates, each an O(1) ledger counter.
 
-        On the vectorized path every value is an O(1) ledger counter; the
-        seed fallback recomputes them by summing the per-file bookkeeping and
-        the per-node ``stored_blocks`` dicts (the walk the ledger replaced).
         ``live_block_bytes`` counts the copies the placement bookkeeping still
         references on live nodes (blocks, replicas and CAT copies including
-        coding overhead); ``tests/test_placement_equivalence.py`` asserts
-        parity between the two paths.
+        coding overhead); ``tests/test_placement_equivalence.py`` audits the
+        counters against a walk of the per-node ``stored_blocks`` dicts.
         """
-        if self.ledger is not None:
-            return {
-                "file_count": float(self.ledger.active_files),
-                "stored_file_bytes": float(self.ledger.stored_data_bytes),
-                "live_block_bytes": float(self.ledger.live_bytes),
-                "live_block_count": float(self.ledger.live_rows),
-                "utilization": self.dht.utilization(),
-            }
-        live_bytes = 0
-        live_count = 0
-        for node in self.dht.network.live_nodes():
-            live_bytes += sum(node.stored_blocks.values())
-            live_count += len(node.stored_blocks)
         return {
-            "file_count": float(len(self.files)),
-            "stored_file_bytes": float(sum(stored.size for stored in self.files.values())),
-            "live_block_bytes": float(live_bytes),
-            "live_block_count": float(live_count),
+            "file_count": float(self.ledger.active_files),
+            "stored_file_bytes": float(self.ledger.stored_data_bytes),
+            "live_block_bytes": float(self.ledger.live_bytes),
+            "live_block_count": float(self.ledger.live_rows),
             "utilization": self.dht.utilization(),
         }
 

@@ -8,12 +8,12 @@ available only if *every* chunk can still be retrieved.
 
 Running at the paper's scale
 ----------------------------
-With ``vectorized=True`` (the default) the whole experiment runs on the
-array-backed placement engine plus the columnar block ledger: populations are
-built without the O(N^2) per-node Pastry state, every store goes through the
-batched lookup kernels, each failure is one mask over the ledger's owner
-column, and an availability sample is a single O(1) counter read instead of a
-walk over every placement of every file.  That is what makes the paper's
+The whole experiment runs on the array-backed placement engine plus the
+columnar block ledger: populations are built without the O(N^2) per-node
+Pastry state, every store goes through the batched lookup kernels, each
+failure is one mask over the ledger's owner column, and an availability
+sample is a single O(1) counter read instead of a walk over every placement
+of every file.  That is what makes the paper's
 10 000-node / 1 000-failure configuration (:data:`PAPER_FIG10`) practical on
 one core::
 
@@ -21,10 +21,11 @@ one core::
     python -m repro.cli fig10 --scale 0.1     # 1 000 nodes, quick look
     python -m repro.cli availability          # legacy scaled-down defaults
 
-``vectorized=False`` preserves the seed scalar path end to end (per-node dict
-walks per sample); ``tests/test_churn_equivalence.py`` asserts both paths
-produce identical curves, and ``benchmarks/test_bench_churn_failures.py``
-records the throughput of each in ``BENCH_churn.json``.
+The seed pipeline's curves (per-node dict walks per sample) are frozen in
+``tests/golden/fig10_curves.json``; ``tests/test_churn_equivalence.py``
+asserts this experiment reproduces them exactly, and
+``benchmarks/test_bench_churn_failures.py`` records its throughput in
+``BENCH_churn.json``.
 """
 
 from __future__ import annotations
@@ -83,17 +84,6 @@ class AvailabilityConfig:
     #: Blocks per chunk used by the coded configurations.
     blocks_per_chunk: int = 2
     seed: int = 2
-    #: Run stores, failure processing and availability sampling on the
-    #: array-backed engine + columnar block ledger; ``False`` preserves the
-    #: seed scalar path end to end.  Identical curves either way.
-    vectorized: bool = True
-    #: Override the population-build mode independently of the pipeline mode
-    #: (None = follow ``vectorized``); identical RNG draws in both modes.
-    fast_build: Optional[bool] = None
-
-    def resolved_fast_build(self) -> bool:
-        """Whether the population should skip the O(N^2) Pastry state build."""
-        return self.vectorized if self.fast_build is None else self.fast_build
 
 
 #: The paper's Figure 10 configuration: 10 000 nodes, fail 10 % one by one.
@@ -151,7 +141,6 @@ class AvailabilityExperiment:
             std_size=config.std_file_size,
             min_size=config.min_file_size,
         )
-        fast_build = config.resolved_fast_build()
 
         results: Dict[str, Series] = {}
         self.timings = {}
@@ -161,12 +150,10 @@ class AvailabilityExperiment:
                 config.node_count,
                 rng=streams.fresh("overlay"),
                 capacities=list(capacities),
-                routing_state=not fast_build,
+                routing_state=False,
             )
             dht = DHTView(network)
-            storage = StorageSystem(
-                dht, codec=codec, policy=StoragePolicy(), vectorized=config.vectorized
-            )
+            storage = StorageSystem(dht, codec=codec, policy=StoragePolicy())
             trace = generate_file_trace(trace_config, rng=streams.fresh("trace"))
             stored_files: List[str] = []
             for record in trace:
@@ -187,20 +174,15 @@ class AvailabilityExperiment:
             for event in schedule:
                 node = network.node(event.node_id)
                 if node.alive:
-                    # The ledger (when present) is notified through the node's
-                    # state listeners; with a fast-built population there is no
-                    # per-node routing state to repair, so a failure is O(k).
+                    # The ledger is notified through the node's state
+                    # listeners; there is no per-node routing state to repair,
+                    # so a failure is O(k).
                     network.fail(event.node_id)
                 # Note: the DHT view is deliberately NOT updated -- the paper's
                 # experiment measures raw availability without any repair.
                 failed_so_far += 1
                 if failed_so_far % sample_every == 0 or failed_so_far == len(schedule):
-                    if ledger is not None:
-                        unavailable = ledger.unavailable_count
-                    else:
-                        unavailable = sum(
-                            1 for name in stored_files if not storage.is_file_available(name)
-                        )
+                    unavailable = ledger.unavailable_count
                     series.append(failed_so_far, 100.0 * unavailable / total if total else 0.0)
             results[label] = series
             self.timings[label] = {

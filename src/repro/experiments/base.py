@@ -1,8 +1,7 @@
 """Common experiment configuration base and the experiment registry.
 
 Every experiment module so far grew its own frozen config dataclass with the
-same four knobs (population size, seed, vectorized engine, fast build) under
-slightly different spellings.  :class:`ExperimentConfig` is the shared base;
+same knobs (population size, seed) under slightly different spellings.  :class:`ExperimentConfig` is the shared base;
 :class:`ExperimentSpec` + :func:`register_experiment` give the CLI and the
 benchmarks one table to look experiments up in, instead of another
 hand-maintained if/elif ladder per consumer.
@@ -24,15 +23,6 @@ class ExperimentConfig:
 
     node_count: int = 200
     seed: int = 1
-    #: Run on the array engine + columnar block ledger.
-    vectorized: bool = True
-    #: ``None`` follows ``vectorized``; set explicitly to force the O(N^2)
-    #: Pastry routing-state build on or off.
-    fast_build: "bool | None" = None
-
-    def resolved_fast_build(self) -> bool:
-        """Whether the population should skip the O(N^2) Pastry state build."""
-        return self.vectorized if self.fast_build is None else self.fast_build
 
 
 @dataclass(frozen=True)

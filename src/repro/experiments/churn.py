@@ -9,9 +9,8 @@ regenerated, and the mean/standard deviation of data regenerated per failure.
 
 Running at the paper's scale
 ----------------------------
-With ``vectorized=True`` (the default) distribution runs on the array-backed
-placement engine and every failure is processed through the columnar block
-ledger: the failed node's blocks come from one mask over the owner column,
+Distribution runs on the array-backed placement engine and every failure is
+processed through the columnar block ledger: the failed node's blocks come from one mask over the owner column,
 each decodability check is an O(1) counter read, and removing the node from
 the DHT view patches the lookup boundaries incrementally instead of paying an
 O(N) rebuild.  That makes the paper's 10 000-node configuration
@@ -21,10 +20,11 @@ O(N) rebuild.  That makes the paper's 10 000-node configuration
     python -m repro.cli table3 --scale 0.1    # 1 000 nodes, quick look
     python -m repro.cli churn                 # legacy scaled-down defaults
 
-``vectorized=False`` preserves the seed scalar path (per-node dict walks and
-placement scans); ``tests/test_churn_equivalence.py`` asserts both paths
-produce identical Table 3 rows, and ``benchmarks/test_bench_churn_failures.py``
-records both throughputs in ``BENCH_churn.json``.
+The seed pipeline's rows (per-node dict walks and placement scans) are frozen
+in ``tests/golden/table3_rows.json``; ``tests/test_churn_equivalence.py``
+asserts this experiment reproduces them exactly, and
+``benchmarks/test_bench_churn_failures.py`` records its throughput in
+``BENCH_churn.json``.
 """
 
 from __future__ import annotations
@@ -68,16 +68,6 @@ class ChurnConfig:
     #: Bytes per simulated second a recovering neighbour can regenerate.
     recovery_rate: float = 50 * MB
     seed: int = 4
-    #: Run distribution and failure handling on the array engine + columnar
-    #: block ledger; ``False`` preserves the seed scalar path end to end.
-    vectorized: bool = True
-    #: Override the population-build mode independently of the pipeline mode
-    #: (None = follow ``vectorized``); identical RNG draws in both modes.
-    fast_build: Optional[bool] = None
-
-    def resolved_fast_build(self) -> bool:
-        """Whether the population should skip the O(N^2) Pastry state build."""
-        return self.vectorized if self.fast_build is None else self.fast_build
 
 
 #: The paper's Table 3 configuration: 10 000 nodes, fail 10 % then 20 %.  As
@@ -131,14 +121,13 @@ class ChurnExperiment:
             config.node_count,
             rng=streams.fresh("overlay"),
             capacities=list(capacities),
-            routing_state=not config.resolved_fast_build(),
+            routing_state=False,
         )
         dht = DHTView(network)
         storage = StorageSystem(
             dht,
             codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=config.blocks_per_chunk),
             policy=StoragePolicy(),
-            vectorized=config.vectorized,
         )
         trace = generate_file_trace(
             FileTraceConfig(

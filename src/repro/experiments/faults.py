@@ -138,15 +138,6 @@ class FaultsConfig:
     foreground_period_s: float = 2.0
     scenarios: tuple = SCENARIOS
     seed: int = 7
-    #: Run on the array engine + columnar block ledger (domain masks need it).
-    vectorized: bool = True
-    #: Override the population-build mode independently of the pipeline mode
-    #: (None = follow ``vectorized``); identical RNG draws in both modes.
-    fast_build: Optional[bool] = None
-
-    def resolved_fast_build(self) -> bool:
-        """Whether the population should skip the O(N^2) Pastry state build."""
-        return self.vectorized if self.fast_build is None else self.fast_build
 
 
 #: The paper-scale configuration: 10 000 nodes, ~2.4 TB, 16 racks in 4 sites.
@@ -267,7 +258,7 @@ class FaultsExperiment:
             config.node_count,
             rng=streams.fresh("overlay"),
             capacities=list(capacities),
-            routing_state=not config.resolved_fast_build(),
+            routing_state=False,
         )
         # RNG-free, so the population is byte-identical to an undomained build.
         assign_domains(network.nodes(), sites=config.sites,
@@ -277,7 +268,6 @@ class FaultsExperiment:
             codec=ChunkCodec(XorParityCode(group_size=2),
                              blocks_per_chunk=config.blocks_per_chunk),
             policy=StoragePolicy(block_replication=config.block_replication),
-            vectorized=config.vectorized,
         )
         trace = generate_file_trace(
             FileTraceConfig(

@@ -35,9 +35,6 @@ Run it::
     python -m repro.cli repair                 # paper scale, ~2 min on a core
     python -m repro.cli repair --scale 0.1     # quick look
     python -m repro.cli repair --bandwidth 4   # slower links
-
-``vectorized=False`` drives the same panels through the preserved seed scalar
-path (identical placements and byte totals; only wall time differs).
 """
 
 from __future__ import annotations
@@ -90,16 +87,6 @@ class RepairConfig:
     #: Fraction of the population departing gracefully in the ablation panel.
     leave_fraction: float = 0.05
     seed: int = 7
-    #: Run distribution and repair on the array engine + columnar block
-    #: ledger; ``False`` preserves the seed scalar path end to end.
-    vectorized: bool = True
-    #: Override the population-build mode independently of the pipeline mode
-    #: (None = follow ``vectorized``); identical RNG draws in both modes.
-    fast_build: Optional[bool] = None
-
-    def resolved_fast_build(self) -> bool:
-        """Whether the population should skip the O(N^2) Pastry state build."""
-        return self.vectorized if self.fast_build is None else self.fast_build
 
 
 #: The paper-scale configuration: 10 000 nodes, ~2.4 TB distributed.
@@ -169,13 +156,12 @@ class RepairExperiment:
             config.node_count,
             rng=streams.fresh("overlay"),
             capacities=list(capacities),
-            routing_state=not config.resolved_fast_build(),
+            routing_state=False,
         )
         storage = StorageSystem(
             DHTView(network),
             codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=config.blocks_per_chunk),
             policy=StoragePolicy(),
-            vectorized=config.vectorized,
         )
         trace = generate_file_trace(
             FileTraceConfig(

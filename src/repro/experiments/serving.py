@@ -207,8 +207,6 @@ class ServingExperiment:
                 "intra_site_latency": config.intra_site_latency,
                 "inter_site_latency": config.inter_site_latency,
             },
-            vectorized=config.vectorized,
-            fast_build=config.fast_build,
         )
 
     def _run_cell(self, zipf_s: float, cache_on: bool) -> Dict[str, float]:

@@ -33,10 +33,9 @@ a population under *sustained* churn for simulated weeks, where
   follow-up called out.
 
 Availability, utilization, live population and ledger memory are sampled on a
-fixed wall-clock grid.  ``vectorized=False`` preserves the seed scalar path
-end to end (per-node dict walks, no ledger, no compaction);
-``tests/test_soak.py`` asserts both paths -- and compaction on vs off --
-produce identical sampled series.
+fixed wall-clock grid.  ``tests/test_soak.py`` asserts the sampled series
+equal the seed dict-walk pipeline's (frozen in
+``tests/golden/soak_series.json``) and that compaction on vs off is invisible.
 
 Run the paper-scale preset (10 000 nodes, one simulated week)::
 
@@ -96,7 +95,7 @@ class SoakConfig:
     leave_rate_per_hour: float = 2.0
     #: Availability/usage/memory sampling grid.
     sample_every_hours: float = 6.0
-    #: Ledger compaction period (vectorized path only).
+    #: Ledger compaction period.
     compact_every_hours: float = 24.0
     #: Whether a returning node comes back with a wiped disk (the conservative
     #: default: long outages lose the disk) or with its blocks intact.
@@ -115,16 +114,6 @@ class SoakConfig:
     #: the preserved instantaneous-repair behaviour).
     bandwidth_gb_per_hour: Optional[float] = None
     seed: int = 8
-    #: Run distribution, repair and sampling on the array engine + columnar
-    #: block ledger; ``False`` preserves the seed scalar path end to end.
-    vectorized: bool = True
-    #: Override the population-build mode independently of the pipeline mode
-    #: (None = follow ``vectorized``); identical RNG draws in both modes.
-    fast_build: Optional[bool] = None
-
-    def resolved_fast_build(self) -> bool:
-        """Whether the population should skip the O(N^2) Pastry state build."""
-        return self.vectorized if self.fast_build is None else self.fast_build
 
 
 #: The paper-scale soak: 10 000 nodes under one simulated week of session
@@ -147,7 +136,7 @@ class SoakResult:
     live_nodes: List[int] = field(default_factory=list)
     unavailable_pct: List[float] = field(default_factory=list)
     utilization_pct: List[float] = field(default_factory=list)
-    #: Ledger sizing per sample (vectorized path only; empty on the seed path).
+    #: Ledger sizing per sample.
     ledger_rows: List[int] = field(default_factory=list)
     ledger_live_rows: List[int] = field(default_factory=list)
     ledger_allocated_rows: List[int] = field(default_factory=list)
@@ -186,23 +175,21 @@ class SoakResult:
 
     def series_table(self) -> TableResult:
         """The sampled soak series as one aligned table (CLI output)."""
-        columns = ["t_hours", "live_nodes", "unavailable_pct", "utilization_pct"]
-        with_ledger = bool(self.ledger_rows)
-        if with_ledger:
-            columns += ["ledger_rows", "live_rows", "column_mb"]
-        table = TableResult(title="Join/leave churn soak", columns=columns)
+        table = TableResult(
+            title="Join/leave churn soak",
+            columns=["t_hours", "live_nodes", "unavailable_pct", "utilization_pct",
+                     "ledger_rows", "live_rows", "column_mb"],
+        )
         for index, t in enumerate(self.time_hours):
-            row = {
-                "t_hours": t,
-                "live_nodes": self.live_nodes[index],
-                "unavailable_pct": self.unavailable_pct[index],
-                "utilization_pct": self.utilization_pct[index],
-            }
-            if with_ledger:
-                row["ledger_rows"] = self.ledger_rows[index]
-                row["live_rows"] = self.ledger_live_rows[index]
-                row["column_mb"] = self.ledger_column_bytes[index] / MB
-            table.add_row(**row)
+            table.add_row(
+                t_hours=t,
+                live_nodes=self.live_nodes[index],
+                unavailable_pct=self.unavailable_pct[index],
+                utilization_pct=self.utilization_pct[index],
+                ledger_rows=self.ledger_rows[index],
+                live_rows=self.ledger_live_rows[index],
+                column_mb=self.ledger_column_bytes[index] / MB,
+            )
         return table
 
 
@@ -230,13 +217,12 @@ class SoakExperiment:
             config.node_count,
             rng=streams.fresh("overlay"),
             capacities=list(capacities),
-            routing_state=not config.resolved_fast_build(),
+            routing_state=False,
         )
         storage = StorageSystem(
             DHTView(network),
             codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=config.blocks_per_chunk),
             policy=StoragePolicy(block_replication=config.block_replication),
-            vectorized=config.vectorized,
         )
         trace = generate_file_trace(
             FileTraceConfig(
@@ -295,8 +281,7 @@ class SoakExperiment:
             if node_id not in network:
                 return
             counters["returns"] += 1
-            node = network.node(node_id)
-            node.recover(wipe=config.wipe_on_return)
+            node = network.recover(node_id, wipe=config.wipe_on_return)
             dht.add(node)  # incremental boundary *insertion* patch
             schedule_failure(node_id)
 
@@ -362,12 +347,11 @@ class SoakExperiment:
             result.live_nodes.append(len(dht.state))
             result.unavailable_pct.append(100.0 * storage.unavailable_file_count() / total_files)
             result.utilization_pct.append(100.0 * dht.utilization())
-            if ledger is not None:
-                footprint = ledger.memory_footprint()
-                result.ledger_rows.append(footprint["row_count"])
-                result.ledger_live_rows.append(footprint["live_rows"])
-                result.ledger_allocated_rows.append(footprint["allocated_rows"])
-                result.ledger_column_bytes.append(footprint["column_bytes"])
+            footprint = ledger.memory_footprint()
+            result.ledger_rows.append(footprint["row_count"])
+            result.ledger_live_rows.append(footprint["live_rows"])
+            result.ledger_allocated_rows.append(footprint["allocated_rows"])
+            result.ledger_column_bytes.append(footprint["column_bytes"])
 
         def sample_and_reschedule() -> None:
             sample()
@@ -376,7 +360,7 @@ class SoakExperiment:
 
         sample_and_reschedule()
 
-        if ledger is not None and config.compaction and config.compact_every_hours > 0:
+        if config.compaction and config.compact_every_hours > 0:
             def compact_and_reschedule() -> None:
                 stats = ledger.compact()
                 entry: Dict[str, float] = {"t_hours": sim.now}

@@ -11,15 +11,15 @@ The harness reproduces that loop at a configurable scale.  Every scheme runs
 against its own copy of an identical node population (same ids, same
 capacities) so the comparison isolates the placement policy.
 
-With ``InsertionConfig.vectorized=True`` (the default) the whole pipeline runs
-on the array-backed placement engine: populations are built without the
-O(N^2) per-node Pastry state, every store resolves its block names through
-batched ``searchsorted`` kernels, and the periodic utilization samples read
-the view's incremental aggregates in O(1) instead of scanning all nodes.
-``vectorized=False`` preserves the seed scalar path end to end; both produce
-identical curves for identical seeds (``tests/test_placement_equivalence.py``),
-and ``benchmarks/test_bench_insertion_throughput.py`` records the files/s and
-lookups/s of both in ``BENCH_insertion.json``.
+The whole pipeline runs on the array-backed placement engine: populations are
+built without the O(N^2) per-node Pastry state, every store resolves its block
+names through batched ``searchsorted`` kernels, and the periodic utilization
+samples read the view's incremental aggregates in O(1) instead of scanning all
+nodes.  The curves equal the seed per-lookup pipeline's, frozen in
+``tests/golden/insertion_curves.json``
+(``tests/test_placement_equivalence.py``), and
+``benchmarks/test_bench_insertion_throughput.py`` records files/s and
+lookups/s in ``BENCH_insertion.json``.
 """
 
 from __future__ import annotations
@@ -75,22 +75,6 @@ class InsertionConfig:
     sample_points: int = 20
     seed: int = 1
     repetitions: int = 1
-    #: Run the stores on the array-backed placement engine (batched lookups,
-    #: fast O(N) population build).  ``False`` preserves the seed scalar path
-    #: end to end -- including the O(N^2) per-node Pastry state construction --
-    #: and is the baseline the insertion benchmarks and the equivalence oracle
-    #: compare against.  Both settings produce identical curves for identical
-    #: seeds.
-    vectorized: bool = True
-    #: Override the population-build mode independently of the pipeline mode
-    #: (None = follow ``vectorized``).  The benchmarks use ``fast_build=True``
-    #: with ``vectorized=False`` to time the scalar *pipeline* at population
-    #: sizes where the seed's O(N^2) build would never finish.
-    fast_build: Optional[bool] = None
-
-    def resolved_fast_build(self) -> bool:
-        """Whether the population should skip the O(N^2) Pastry state build."""
-        return self.vectorized if self.fast_build is None else self.fast_build
 
     def resolved_file_count(self) -> int:
         """File count implied by the expected utilisation when not set explicitly."""
@@ -159,15 +143,14 @@ class InsertionExperiment:
         views: Dict[str, DHTView] = {}
         for scheme in self.SCHEMES:
             # Identical node ids and capacities per scheme: rebuild from the
-            # same derived stream so the populations match exactly.  The
-            # vectorized engine skips per-node Pastry routing state (the DHT
-            # view never routes hop by hop); the RNG draws are identical, so
-            # the populations -- and therefore the curves -- are unchanged.
+            # same derived stream so the populations match exactly.  No
+            # per-node Pastry routing state is built (the DHT view never
+            # routes hop by hop).
             network = OverlayNetwork.build(
                 config.node_count,
                 rng=streams.fresh("overlay", replication_index),
                 capacities=list(capacities),
-                routing_state=not config.resolved_fast_build(),
+                routing_state=False,
             )
             views[scheme] = DHTView(network)
         return views
@@ -195,14 +178,12 @@ class InsertionExperiment:
             views["PAST"],
             replication=config.replication,
             retries=config.past_retries,
-            vectorized=config.vectorized,
         )
         cfs = CfsStore(
             views["CFS"],
             block_size=config.cfs_block_size,
             replication=config.replication,
             retries_per_block=config.cfs_retries_per_block,
-            vectorized=config.vectorized,
         )
         ours = StorageSystem(
             views["Our System"],
@@ -211,7 +192,6 @@ class InsertionExperiment:
                 max_consecutive_zero_chunks=config.zero_chunk_limit,
                 block_replication=config.replication,
             ),
-            vectorized=config.vectorized,
         )
 
         stats = {scheme: InsertionStats() for scheme in self.SCHEMES}

@@ -116,14 +116,6 @@ class TenantsConfig:
     storm_tenant_cap_mb_s: Optional[float] = 512.0
     scenarios: tuple = SCENARIOS
     seed: int = 11
-    #: Run on the array engine + columnar block ledger (domain masks and
-    #: per-tenant aggregates need it).
-    vectorized: bool = True
-    fast_build: Optional[bool] = None
-
-    def resolved_fast_build(self) -> bool:
-        """Whether the population should skip the O(N^2) Pastry state build."""
-        return self.vectorized if self.fast_build is None else self.fast_build
 
 
 #: The paper-scale flagship: 10 000 nodes behind a 4:1 core.
@@ -261,8 +253,6 @@ class TenantsExperiment:
             racks_per_site=config.racks_per_site,
             bandwidth_mb_s=config.bandwidth_mb_s,
             oversubscription=config.oversubscription,
-            vectorized=config.vectorized,
-            fast_build=config.fast_build,
         )
         clients = {
             name: session.client(

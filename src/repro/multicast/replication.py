@@ -109,15 +109,14 @@ class MulticastReplicator:
             targets = self._replica_targets(
                 placement.node_id, placement.block_name, placement.size, replicas
             )
-            if ledger is not None and chunk.ledger_index is not None:
-                for target in targets:
-                    ledger.add_replica_copy(
-                        chunk.ledger_index,
-                        position,
-                        network.node(target),
-                        placement.block_name,
-                        placement.size,
-                    )
+            for target in targets:
+                ledger.add_replica_copy(
+                    chunk.ledger_index,
+                    position,
+                    network.node(target),
+                    placement.block_name,
+                    placement.size,
+                )
             report.holders[placement.block_name] = targets
             report.replicas_created += len(targets)
             report.replicas_skipped_no_space += replicas - len(targets)

@@ -8,9 +8,9 @@ closest to the key.  :class:`DHTView` provides that mapping through an
 array-backed :class:`~repro.overlay.node_state.NodeArrayState`:
 
 * :meth:`lookup` keeps the seed implementation (bisect over the sorted ids
-  plus exact ring-distance comparison) -- it is the reference path the
-  vectorized kernels are benchmarked against, and its per-call cost is the
-  honest scalar baseline recorded in ``BENCH_insertion.json``;
+  plus exact ring-distance comparison) -- it is the reference the batched
+  kernels are checked against key-for-key, and the entry point the seed
+  placement references under ``tests/reference/`` are built on;
 * :meth:`lookup_many` / :meth:`resolve_digests` are the batched kernels: all
   keys are resolved with a single ``np.searchsorted`` over precomputed
   responsibility boundaries (no per-key distance math);
@@ -31,7 +31,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from repro.overlay.ids import ID_SPACE, NodeId, distance, key_for
+from repro.overlay.ids import ID_SPACE, NodeId, distance
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
@@ -76,9 +76,8 @@ class DHTView:
     def lookup(self, key: NodeId) -> OverlayNode:
         """The live node numerically closest to ``key`` (the DHT root for the key).
 
-        This is the seed scalar path, preserved verbatim so that
-        ``vectorized=False`` pipelines measure the original per-lookup cost;
-        the batched kernels below produce identical results.
+        This is the seed per-key path, preserved verbatim as the oracle of
+        the batched kernels below, which produce identical results.
         """
         sorted_ids = self.state.ids_int
         if not sorted_ids:
@@ -110,21 +109,17 @@ class DHTView:
         nodes = self.state.nodes
         return [nodes[index] for index in indices]
 
-    def locate_name(self, name: str, vectorized: bool = True) -> OverlayNode:
+    def locate_name(self, name: str) -> OverlayNode:
         """Resolve an object name to its responsible node, counting one lookup.
 
-        The single place that owns the "scalar seed path vs boundary kernel"
-        switch for by-name lookups: ``vectorized=True`` resolves through the
-        array engine (counting the lookup only once it succeeded, matching
-        :meth:`lookup`'s raise-before-count behaviour on an empty view);
-        ``vectorized=False`` is exactly the seed :meth:`lookup` call.
+        Resolves through the array engine, counting the lookup only once it
+        succeeded (matching :meth:`lookup`'s raise-before-count behaviour on
+        an empty view); the node is the one ``lookup(key_for(name))`` returns.
         """
-        if vectorized:
-            # Raw int key (same value as ``key_for``) skips the NodeId
-            # wrapper on the hot path -- one sha1 + from_bytes per lookup.
-            return self.locate_key(
-                int.from_bytes(hashlib.sha1(name.encode("utf-8")).digest(), "big"))
-        return self.lookup(key_for(name))
+        # Raw int key (same value as ``key_for``) skips the NodeId wrapper on
+        # the hot path -- one sha1 + from_bytes per lookup.
+        return self.locate_key(
+            int.from_bytes(hashlib.sha1(name.encode("utf-8")).digest(), "big"))
 
     def locate_key(self, key: int) -> OverlayNode:
         """:meth:`lookup` through the boundary bisect: same node, one lookup counted.
@@ -141,7 +136,7 @@ class DHTView:
 
         ``count=False`` skips the :attr:`lookup_count` accounting -- used by
         pipelines that resolve speculatively and charge lookups themselves to
-        keep parity with the scalar retry accounting.
+        keep one-lookup-per-attempt retry accounting.
         """
         indices = self.state.lookup_digests(digests)
         if count:

@@ -165,6 +165,24 @@ class OverlayNetwork:
             listener.on_fail(node_id)
         return node
 
+    def recover(self, node_id: NodeId, wipe: bool = False) -> OverlayNode:
+        """Bring a failed node back: the counterpart of :meth:`fail`.
+
+        ``node.recover(wipe)`` plus the announcement :meth:`fail` revoked:
+        every routing listener learns the node again (``on_join``), so an
+        attached array router can route from it.  With no listener attached
+        this is exactly ``node.recover(wipe)``.  Re-adding the node to a
+        :class:`~repro.overlay.dht.DHTView` stays the caller's step, as
+        removing it was.
+        """
+        node = self.node(node_id)
+        was_down = not node.alive
+        node.recover(wipe=wipe)
+        if was_down:
+            for listener in self._routing_listeners:
+                listener.on_join(node)
+        return node
+
     def _repair_after_departure(self, node_id: NodeId) -> None:
         for other in self.live_nodes():
             repaired = other.leaf_set.remove(node_id)

@@ -306,7 +306,7 @@ class FaultInjector:
                 events.append(event)
 
             def up(node=node) -> None:
-                node.recover(wipe=wipe)
+                self.network.recover(node.node_id, wipe=wipe)
                 if self.dht is not None:
                     self.dht.add(node)
 

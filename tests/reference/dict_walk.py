@@ -1,0 +1,118 @@
+"""The seed dict walk, kept as a test-only auditor of the block ledger.
+
+Before the columnar :class:`~repro.core.block_ledger.BlockLedger` existed,
+every availability and usage answer was recomputed by walking state that still
+exists on the single production path: each node's ``stored_blocks`` dict and
+each :class:`~repro.core.storage.StoredChunk`'s ``placements``.  The functions
+below are those walks (formerly the ``ledger is None`` arms of
+``StorageSystem``, ``PastStore`` and ``CfsStore``); :func:`audit` asserts the
+ledger's O(1) answers against them and is what the equivalence tests call
+after every store / fail / recover / leave / compact step.
+
+Nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Tuple
+
+
+def live_copies(network, placement) -> int:
+    """Live nodes still holding the placement's block (primary + replicas)."""
+    return sum(
+        1
+        for node_id in (placement.node_id, *placement.replica_nodes)
+        if node_id in network and network.node(node_id).has_block(placement.block_name)
+    )
+
+
+def live_placements(storage, chunk) -> int:
+    """Distinct placements of ``chunk`` with at least one surviving copy."""
+    network = storage.dht.network
+    return sum(1 for placement in chunk.placements if live_copies(network, placement) > 0)
+
+
+def chunk_decodable(storage, chunk) -> bool:
+    """Whether enough encoded blocks of ``chunk`` survive to decode it."""
+    if chunk.is_empty:
+        return True
+    return live_placements(storage, chunk) >= storage.codec.spec().required_blocks()
+
+
+def file_available(storage, name: str) -> bool:
+    """Whether every chunk of the stored file can still be decoded."""
+    stored = storage.files.get(name)
+    if stored is None:
+        return False
+    return all(chunk_decodable(storage, chunk) for chunk in stored.chunks)
+
+
+def unavailable_count(storage) -> int:
+    """Stored files with at least one undecodable chunk."""
+    return sum(1 for name in storage.files if not file_available(storage, name))
+
+
+def stored_bytes(storage) -> int:
+    """User bytes currently stored (sum of the per-file sizes)."""
+    return sum(stored.size for stored in storage.files.values())
+
+
+def live_bytes_and_count(network) -> Tuple[int, int]:
+    """``(bytes, copies)`` summed over the live nodes' ``stored_blocks``."""
+    nodes = network.live_nodes()
+    return (
+        sum(sum(node.stored_blocks.values()) for node in nodes),
+        sum(len(node.stored_blocks) for node in nodes),
+    )
+
+
+def usage_summary(storage) -> Dict[str, float]:
+    """``StorageSystem.usage_summary()`` recomputed from files and node dicts."""
+    live_bytes, live_count = live_bytes_and_count(storage.dht.network)
+    return {
+        "file_count": float(len(storage.files)),
+        "stored_file_bytes": float(stored_bytes(storage)),
+        "live_block_bytes": float(live_bytes),
+        "live_block_count": float(live_count),
+        "utilization": storage.dht.utilization(),
+    }
+
+
+def past_file_available(store, name: str) -> bool:
+    """PAST: at least one holder of the whole file is up and still has it."""
+    entry = store.files.get(name)
+    if not entry:
+        return False
+    stored_name, holders = entry
+    return any(holder.alive and holder.has_block(stored_name) for holder in holders)
+
+
+def cfs_file_available(store, name: str) -> bool:
+    """CFS: every fixed block has a live copy (primary or successor replica)."""
+    if name not in store.files:
+        return False
+    return all(
+        any(holder.alive and holder.has_block(block) for holder in (primary, *replicas))
+        for block, primary, _, replicas in store.block_entries(name)
+    )
+
+
+def audit(storage) -> None:
+    """Assert every ledger-backed answer of ``storage`` equals the dict walk.
+
+    The node-dict byte/copy totals equal the ledger's as long as every copy
+    on a live node is one the bookkeeping still references (a node that
+    returns *unwiped* after its blocks were regenerated elsewhere would break
+    that; no caller audits in that state).
+    """
+    for name, stored in storage.files.items():
+        for chunk in stored.chunks:
+            assert storage.chunk_is_recoverable(chunk) == chunk_decodable(storage, chunk), (
+                name, chunk.chunk_no)
+            if not chunk.is_empty:
+                assert storage._chunk_live_placements(chunk) == live_placements(
+                    storage, chunk), (name, chunk.chunk_no)
+        assert storage.is_file_available(name) == file_available(storage, name), name
+    assert storage.unavailable_file_count() == unavailable_count(storage)
+    assert storage.stored_bytes() == stored_bytes(storage)
+    assert storage.usage_summary() == usage_summary(storage)

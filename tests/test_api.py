@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ArchiveClient, ClusterSession
+from repro.baselines.cfs import CfsStore
+from repro.baselines.past import PastStore
 from repro.core.block_ledger import BlockLedger
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
@@ -39,7 +41,6 @@ def _manual_deployment(seed: int):
         dht,
         codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
         policy=StoragePolicy(block_replication=2),
-        vectorized=True,
         ledger=ledger,
         tenant="archive",
     )
@@ -178,3 +179,19 @@ def test_tenant_aggregates_come_from_the_shared_ledger():
 def test_session_requires_nodes_or_network():
     with pytest.raises(ValueError):
         ClusterSession()
+
+
+def test_vectorized_keyword_is_gone_not_ignored():
+    """One placement path: the seed-path selector is a ``TypeError`` everywhere."""
+    network, _, _ = _manual_deployment(37)
+    dht = DHTView(network)
+    for build in (
+        lambda: StorageSystem(dht, vectorized=False),
+        lambda: PastStore(dht, vectorized=False),
+        lambda: CfsStore(dht, vectorized=False),
+        lambda: ClusterSession(8, vectorized=False),
+        lambda: ClusterSession(8, fast_build=True),
+        lambda: dht.locate_name("x", False),
+    ):
+        with pytest.raises(TypeError):
+            build()

@@ -1,19 +1,20 @@
 """Equivalence oracle: the columnar block ledger vs the seed churn path.
 
-The ledger must be a pure optimization.  For identical seeds the vectorized
-dynamics pipelines (failure selection, decodability accounting, regeneration,
-availability sampling) have to produce *identical* Figure 10 curves, Table 3
-rows and per-failure impacts as the preserved scalar implementations -- and
-the ledger's liveness accounting must track out-of-band node failures,
-recoveries and deletions exactly like the seed's placement walks.
+The ledger must be a pure optimization.  For identical seeds the dynamics
+pipelines (failure selection, decodability accounting, regeneration,
+availability sampling) have to produce the *identical* Figure 10 curves,
+Table 3 rows and per-failure impacts the seed dict-walk implementation
+produced (frozen in ``tests/golden/``) -- and the ledger's liveness accounting
+must track out-of-band node failures, recoveries and deletions exactly like
+the seed's placement walks (``tests/reference/dict_walk.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from reference import dict_walk
+from reference.golden import jsonable, load_golden
 
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
@@ -34,7 +35,7 @@ CHURN_CASES = [(40, 100), (80, 180)]
 @pytest.mark.parametrize("node_count,file_count", AVAILABILITY_CASES)
 def test_figure10_curves_identical_across_engines(node_count, file_count):
     """Seed walk and ledger counter produce the same availability curves."""
-    base = AvailabilityConfig(
+    config = AvailabilityConfig(
         node_count=node_count,
         file_count=file_count,
         capacity_mean=400 * MB,
@@ -44,20 +45,19 @@ def test_figure10_curves_identical_across_engines(node_count, file_count):
         min_file_size=4 * MB,
         sample_points=10,
         seed=11,
-        vectorized=False,
     )
-    scalar = AvailabilityExperiment(base).run()
-    vector = AvailabilityExperiment(replace(base, vectorized=True)).run()
+    scalar = load_golden("fig10_curves.json")[f"{node_count}x{file_count}"]
+    vector = AvailabilityExperiment(config).run()
     assert scalar.keys() == vector.keys()
     for label in scalar:
-        assert scalar[label].x == vector[label].x, label
-        assert scalar[label].y == vector[label].y, label
+        assert scalar[label]["x"] == vector[label].x, label
+        assert scalar[label]["y"] == vector[label].y, label
 
 
 @pytest.mark.parametrize("node_count,file_count", CHURN_CASES)
 def test_table3_rows_identical_across_engines(node_count, file_count):
     """Seed and ledger recovery produce byte-identical Table 3 rows."""
-    base = ChurnConfig(
+    config = ChurnConfig(
         node_count=node_count,
         file_count=file_count,
         capacity_mean=400 * MB,
@@ -66,33 +66,26 @@ def test_table3_rows_identical_across_engines(node_count, file_count):
         std_file_size=8 * MB,
         min_file_size=4 * MB,
         seed=13,
-        vectorized=False,
     )
-    scalar = ChurnExperiment(base).run()
-    vector = ChurnExperiment(replace(base, vectorized=True)).run()
-    assert scalar.columns == vector.columns
-    assert scalar.rows == vector.rows
+    scalar = load_golden("table3_rows.json")[f"{node_count}x{file_count}"]
+    vector = ChurnExperiment(config).run()
+    assert scalar["columns"] == vector.columns
+    assert scalar["rows"] == vector.rows
 
 
-def _twin_storages(node_count: int, seed: int):
-    """Two storages over identical populations, scalar and vectorized."""
-    storages = []
-    for vectorized in (False, True):
-        rng = np.random.default_rng(seed)
-        capacities = [int(c) for c in rng.normal(80 * MB, 20 * MB, size=node_count)]
-        capacities = [max(c, 16 * MB) for c in capacities]
-        network = OverlayNetwork.build(
-            node_count, np.random.default_rng(seed + 1), capacities=capacities,
-            routing_state=False,
-        )
-        storage = StorageSystem(
-            DHTView(network),
-            codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
-            policy=StoragePolicy(),
-            vectorized=vectorized,
-        )
-        storages.append(storage)
-    return storages
+def _storage(node_count: int, seed: int) -> StorageSystem:
+    rng = np.random.default_rng(seed)
+    capacities = [int(c) for c in rng.normal(80 * MB, 20 * MB, size=node_count)]
+    capacities = [max(c, 16 * MB) for c in capacities]
+    network = OverlayNetwork.build(
+        node_count, np.random.default_rng(seed + 1), capacities=capacities,
+        routing_state=False,
+    )
+    return StorageSystem(
+        DHTView(network),
+        codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
+        policy=StoragePolicy(),
+    )
 
 
 def _impact_tuple(impact):
@@ -124,77 +117,59 @@ def _placements_snapshot(storage: StorageSystem):
 
 def test_recovery_impacts_and_placements_identical_across_engines():
     """Every FailureImpact field and post-repair placement matches the seed."""
-    scalar, vector = _twin_storages(node_count=60, seed=21)
+    scalar = load_golden("recovery_impacts.json")
+    vector = _storage(node_count=60, seed=21)
     trace = generate_file_trace(
         FileTraceConfig(file_count=120, mean_size=12 * MB, std_size=4 * MB, min_size=1 * MB),
         rng=np.random.default_rng(23),
     )
-    for record in trace:
-        r1 = scalar.store_file(record.name, record.size)
-        r2 = vector.store_file(record.name, record.size)
-        assert r1 == r2
+    results = [vector.store_file(record.name, record.size) for record in trace]
+    assert scalar["store_success"] == [result.success for result in results]
+    dict_walk.audit(vector)
 
-    managers = [RecoveryManager(scalar), RecoveryManager(vector)]
-    victims = list(scalar.dht.network.live_ids())
+    manager = RecoveryManager(vector)
+    victims = list(vector.dht.network.live_ids())
     np.random.default_rng(29).shuffle(victims)
-    for victim in victims[:30]:
-        impacts = [manager.handle_failure(victim) for manager in managers]
-        assert _impact_tuple(impacts[0]) == _impact_tuple(impacts[1]), victim
-    assert _placements_snapshot(scalar) == _placements_snapshot(vector)
-    assert managers[0].totals() == managers[1].totals()
-    for name in scalar.files:
-        assert scalar.is_file_available(name) == vector.is_file_available(name), name
-    assert scalar.unavailable_file_count() == vector.unavailable_file_count()
-    usage_scalar = [(int(n.node_id), n.used) for n in scalar.dht.network.live_nodes()]
-    usage_vector = [(int(n.node_id), n.used) for n in vector.dht.network.live_nodes()]
-    assert usage_scalar == usage_vector
+    for victim, expected in zip(victims[:30], scalar["impacts"]):
+        impact = manager.handle_failure(victim)
+        assert list(_impact_tuple(impact)) == expected, victim
+        dict_walk.audit(vector)
+    assert scalar["placements"] == jsonable(_placements_snapshot(vector))
+    assert scalar["totals"] == manager.totals()
+    usage_vector = [[int(n.node_id), n.used] for n in vector.dht.network.live_nodes()]
+    assert scalar["usage"] == usage_vector
 
 
 def test_ledger_tracks_out_of_band_failures_and_recoveries():
     """Direct node fail/recover/delete flows keep ledger == seed semantics."""
-    scalar, vector = _twin_storages(node_count=24, seed=31)
+    vector = _storage(node_count=24, seed=31)
     for index in range(12):
-        name = f"oob-{index}"
-        assert scalar.store_file(name, 6 * MB).success == vector.store_file(name, 6 * MB).success
+        vector.store_file(f"oob-{index}", 6 * MB)
+        dict_walk.audit(vector)
 
-    def holders(storage, name):
-        return [
-            p.node_id
-            for chunk in storage.files[name].data_chunks()
-            for p in chunk.placements
-        ]
-
-    assert holders(scalar, "oob-3") == holders(vector, "oob-3")
-    victims = holders(vector, "oob-3")
-    for storage in (scalar, vector):
-        for victim in victims:
-            storage.dht.network.node(victim).fail()
-    for name in scalar.files:
-        assert scalar.is_file_available(name) == vector.is_file_available(name), name
+    victims = [
+        p.node_id
+        for chunk in vector.files["oob-3"].data_chunks()
+        for p in chunk.placements
+    ]
+    for victim in victims:
+        vector.dht.network.node(victim).fail()
+        dict_walk.audit(vector)
     assert not vector.is_file_available("oob-3")
-    assert scalar.unavailable_file_count() == vector.unavailable_file_count()
 
     # A node coming back without wiping its disk restores its copies...
-    for storage in (scalar, vector):
-        for victim in victims:
-            storage.dht.network.node(victim).recover(wipe=False)
+    for victim in victims:
+        vector.dht.network.node(victim).recover(wipe=False)
+        dict_walk.audit(vector)
     assert vector.is_file_available("oob-3")
-    for name in scalar.files:
-        assert scalar.is_file_available(name) == vector.is_file_available(name), name
 
     # ...whereas recovering with a wiped disk loses them for good.
-    for storage in (scalar, vector):
-        for victim in victims:
-            storage.dht.network.node(victim).recover(wipe=True)
+    for victim in victims:
+        vector.dht.network.node(victim).recover(wipe=True)
+        dict_walk.audit(vector)
     assert not vector.is_file_available("oob-3")
-    for name in scalar.files:
-        assert scalar.is_file_available(name) == vector.is_file_available(name), name
-    assert scalar.unavailable_file_count() == vector.unavailable_file_count()
 
     # Deleting files keeps the aggregate accounting in lockstep.
-    for storage in (scalar, vector):
-        assert storage.delete_file("oob-3")
-        assert storage.delete_file("oob-5")
-    assert scalar.stored_bytes() == vector.stored_bytes()
-    assert scalar.unavailable_file_count() == vector.unavailable_file_count()
-    assert scalar.usage_summary() == vector.usage_summary()
+    assert vector.delete_file("oob-3")
+    assert vector.delete_file("oob-5")
+    dict_walk.audit(vector)

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_list_option_exits_cleanly(capsys):
@@ -16,6 +23,15 @@ def test_list_option_exits_cleanly(capsys):
 def test_no_arguments_prints_help_list(capsys):
     assert main([]) == 0
     assert "Available experiments" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[]] + [[command.name] for command in COMMANDS])
+def test_help_renders_for_every_command(argv, capsys):
+    """argparse %-formats help strings: a bare ``%`` in any of them crashes here."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--help"])
+    assert excinfo.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_parser_knows_all_experiments():
@@ -50,6 +66,16 @@ def test_coding_command_runs(capsys):
     assert "Null" in out and "Online" in out
 
 
+@pytest.mark.parametrize("argv", [["--blocks", "0"], ["--blocks", "-3"],
+                                  ["--chunk-mb", "0"], ["--chunk-mb", "-1.5"]])
+def test_coding_rejects_non_positive_sizes_with_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["coding"] + argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be a positive" in err
+
+
 def test_multicast_command_runs(capsys):
     assert main(["multicast", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -81,14 +107,12 @@ def test_soak_command_runs_small(capsys):
     assert "churn soak" in out and "soak summary" in out and "ledger_rows" in out
 
 
-def test_soak_scalar_flag_skips_ledger_columns(capsys):
-    assert main([
-        "soak", "--scale", "0.01", "--days", "0.5", "--scalar", "--seed", "6",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "seed scalar path" in out
-    # No ledger on the scalar path: no compaction passes, no row accounting.
-    assert "compactions=0.00" in out and "peak_ledger_rows=0.00" in out
+def test_soak_scalar_flag_is_rejected(capsys):
+    """The seed path is gone from the CLI: ``--scalar`` is a usage error."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["soak", "--scale", "0.01", "--days", "0.5", "--scalar", "--seed", "6"])
+    assert excinfo.value.code == 2
+    assert "--scalar" in capsys.readouterr().err
 
 
 def test_faults_smoke_runs_every_scenario(capsys):
@@ -180,3 +204,24 @@ def test_insertion_command_runs_small(capsys):
     assert main(["insertion", "--nodes", "25", "--files", "300", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "Figure 7" in out and "Table 1" in out
+
+
+def _cli_stdout(argv, hashseed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env["PYTHONPATH"] = _SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run([sys.executable, "-m", "repro.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return "\n".join(line for line in done.stdout.splitlines()
+                     if not line.startswith("wall time:"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--smoke"],
+    ["soak", "--scale", "0.01", "--days", "0.5", "--seed", "6"],
+    ["fig10", "--scale", "0.02"],
+])
+def test_output_is_identical_across_hash_seeds(argv):
+    """Results must not depend on set/dict iteration order of hashed strings."""
+    first = _cli_stdout(argv, "1")
+    assert first.strip()
+    assert first == _cli_stdout(argv, "2")

@@ -32,7 +32,7 @@ TARGET_REPLICATION = 2
 
 def _deployment(seed=7, node_count=48, file_count=60, sites=3, racks_per_site=2,
                 assign_before=True):
-    """A vectorized deployment with failure domains and 2-way replication."""
+    """A deployment with failure domains and 2-way replication."""
     rng = np.random.default_rng(seed)
     capacities = [max(int(c), 32 * MB) for c in rng.normal(150 * MB, 30 * MB, size=node_count)]
     network = OverlayNetwork.build(
@@ -47,7 +47,6 @@ def _deployment(seed=7, node_count=48, file_count=60, sites=3, racks_per_site=2,
         DHTView(network),
         codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
         policy=StoragePolicy(block_replication=TARGET_REPLICATION),
-        vectorized=True,
     )
     trace = generate_file_trace(
         FileTraceConfig(file_count=file_count, mean_size=10 * MB, std_size=3 * MB, min_size=1 * MB),

@@ -32,7 +32,7 @@ from repro.overlay.node_state import NodeArrayState
 def test_vectorized_insertion_within_budget():
     # ~0.6 s on the development machine (400 files across three schemes,
     # including three 500-node fast population builds).
-    config = InsertionConfig(node_count=500, file_count=400, seed=3, vectorized=True)
+    config = InsertionConfig(node_count=500, file_count=400, seed=3)
     start = time.perf_counter()
     outcome = InsertionExperiment(config).run_once(0)
     elapsed = time.perf_counter() - start

@@ -6,13 +6,18 @@ indexes.  These tests drive the remap through the awkward windows: mid
 failure sweep (dead-but-unreleased rows that may still revive), across
 ``recover(wipe=False)``, interleaved with the repair pipeline, and over the
 baseline replica groups -- always comparing against an uncompacted twin and
-the scalar seed path.
+the seed path: its dict walk (``tests/reference/dict_walk.py``), its placement
+algorithms (``tests/reference/seed_placement.py``) and its frozen repair
+impacts (``tests/golden/compaction_repair.json``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference import dict_walk
+from reference.golden import load_golden
+from reference.seed_placement import SeedCfsStore, SeedLookupView, seed_past_store
 
 from repro.baselines.cfs import CfsStore
 from repro.baselines.past import PastStore
@@ -27,7 +32,7 @@ from repro.overlay.network import OverlayNetwork
 from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
 
 
-def _fresh_storage(node_count: int, seed: int, vectorized: bool = True) -> StorageSystem:
+def _fresh_storage(node_count: int, seed: int) -> StorageSystem:
     rng = np.random.default_rng(seed)
     capacities = [max(int(c), 16 * MB) for c in rng.normal(90 * MB, 20 * MB, size=node_count)]
     network = OverlayNetwork.build(
@@ -37,7 +42,6 @@ def _fresh_storage(node_count: int, seed: int, vectorized: bool = True) -> Stora
         DHTView(network),
         codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
         policy=StoragePolicy(),
-        vectorized=vectorized,
     )
 
 
@@ -53,12 +57,8 @@ def _availability_map(storage: StorageSystem, names: list) -> dict:
     return {name: storage.is_file_available(name) for name in names}
 
 
-def _dict_scan(storage: StorageSystem) -> tuple:
-    nodes = storage.dht.network.live_nodes()
-    return (
-        sum(sum(node.stored_blocks.values()) for node in nodes),
-        sum(len(node.stored_blocks) for node in nodes),
-    )
+def _dict_scan(store) -> tuple:
+    return dict_walk.live_bytes_and_count(store.dht.network)
 
 
 def test_compaction_mid_failure_sweep_preserves_all_accounting():
@@ -80,6 +80,7 @@ def test_compaction_mid_failure_sweep_preserves_all_accounting():
     kept = [name for index, name in enumerate(names) if index % 11]
 
     stats = compacted.ledger.compact()
+    dict_walk.audit(compacted)
     assert stats["rows_released"] > 0
     assert stats["rows_after"] == stats["rows_before"] - stats["rows_released"]
     # Dead-but-unreleased rows (the in-flight sweep) must survive the GC.
@@ -91,6 +92,7 @@ def test_compaction_mid_failure_sweep_preserves_all_accounting():
             storage.dht.network.node(victim).fail()
     assert _availability_map(compacted, kept) == _availability_map(control, kept)
     assert compacted.unavailable_file_count() == control.unavailable_file_count()
+    dict_walk.audit(compacted)
 
     for storage in (compacted, control):
         for victim in victims:
@@ -99,6 +101,7 @@ def test_compaction_mid_failure_sweep_preserves_all_accounting():
     assert compacted.unavailable_file_count() == 0
     assert compacted.usage_summary() == control.usage_summary()
     assert (compacted.ledger.live_bytes, compacted.ledger.live_rows) == _dict_scan(compacted)
+    dict_walk.audit(compacted)
 
 
 def test_recover_without_wipe_after_compaction_revives_exact_rows():
@@ -131,42 +134,45 @@ def test_recover_without_wipe_after_compaction_revives_exact_rows():
 
 def test_repair_pipeline_keeps_working_across_compactions():
     """handle_failure against compacted row ids matches the scalar seed twin."""
-    vector = _fresh_storage(60, seed=121, vectorized=True)
-    scalar = _fresh_storage(60, seed=121, vectorized=False)
+    scalar = load_golden("compaction_repair.json")
+    vector = _fresh_storage(60, seed=121)
     names = _store_trace(vector, 140, seed=123)
-    assert names == _store_trace(scalar, 140, seed=123)
-    managers = {"vector": RecoveryManager(vector), "scalar": RecoveryManager(scalar)}
+    assert names == scalar["stored"]
+    manager = RecoveryManager(vector)
 
     victims = list(vector.dht.network.live_ids())
     np.random.default_rng(129).shuffle(victims)
     for round_no, victim in enumerate(victims[:18]):
-        impact_v = managers["vector"].handle_failure(victim)
-        impact_s = managers["scalar"].handle_failure(victim)
-        assert (impact_v.bytes_regenerated, impact_v.data_bytes_lost, impact_v.blocks_lost) == (
-            impact_s.bytes_regenerated, impact_s.data_bytes_lost, impact_s.blocks_lost
+        impact_v = manager.handle_failure(victim)
+        assert [impact_v.bytes_regenerated, impact_v.data_bytes_lost, impact_v.blocks_lost] == (
+            scalar["impacts"][round_no]
         ), victim
         if round_no % 5 == 4:
             vector.ledger.compact()  # repair re-points leave released rows behind
-    assert managers["vector"].totals() == managers["scalar"].totals()
-    for name in names:
-        assert vector.is_file_available(name) == scalar.is_file_available(name), name
-    usage_v = [(int(n.node_id), n.used) for n in vector.dht.network.live_nodes()]
-    usage_s = [(int(n.node_id), n.used) for n in scalar.dht.network.live_nodes()]
-    assert usage_v == usage_s
+        dict_walk.audit(vector)
+    assert manager.totals() == scalar["totals"]
+    usage_v = [[int(n.node_id), n.used] for n in vector.dht.network.live_nodes()]
+    assert usage_v == scalar["usage"]
 
 
-def _baseline_pair(node_count: int, seed: int, make):
-    """One scalar and one vectorized instance of a baseline over twin pools."""
+def _baseline_pair(node_count: int, seed: int, make_seed, make):
+    """The seed reference and the production instance of a baseline over twin pools."""
     stores = []
-    for vectorized in (False, True):
+    for factory in (make_seed, make):
         rng = np.random.default_rng(seed)
         capacities = [max(int(c), 16 * MB) for c in rng.normal(80 * MB, 20 * MB, size=node_count)]
         network = OverlayNetwork.build(
             node_count, np.random.default_rng(seed + 1), capacities=capacities,
             routing_state=False,
         )
-        stores.append(make(DHTView(network), vectorized))
+        stores.append(factory(network))
     return stores
+
+
+def _available(scheme: str, store, name: str) -> bool:
+    """The seed holder-list / per-block walk over either representation."""
+    walk = dict_walk.past_file_available if scheme == "past" else dict_walk.cfs_file_available
+    return walk(store, name)
 
 
 @pytest.mark.parametrize("scheme", ["past", "cfs"])
@@ -174,13 +180,17 @@ def test_baseline_replica_row_release_parity(scheme):
     """Deleting replicated baseline files releases exactly the dict-path copies."""
     if scheme == "past":
         scalar, vector = _baseline_pair(
-            30, 201, lambda dht, v: PastStore(dht, replication=3, retries=2, vectorized=v)
+            30, 201,
+            lambda net: seed_past_store(net, replication=3, retries=2),
+            lambda net: PastStore(DHTView(net), replication=3, retries=2),
         )
     else:
         scalar, vector = _baseline_pair(
             30, 207,
-            lambda dht, v: CfsStore(dht, block_size=2 * MB, replication=2,
-                                    retries_per_block=2, vectorized=v),
+            lambda net: SeedCfsStore(SeedLookupView(net), block_size=2 * MB, replication=2,
+                                     retries_per_block=2),
+            lambda net: CfsStore(DHTView(net), block_size=2 * MB, replication=2,
+                                 retries_per_block=2),
         )
     names = [f"file-{index}" for index in range(24)]
     for name in names:
@@ -189,7 +199,6 @@ def test_baseline_replica_row_release_parity(scheme):
         assert r1 == r2, name
 
     ledger = vector.ledger
-    assert ledger is not None
     # Reading the raw columns bypasses every flush point, so materialise the
     # buffered PAST registrations first (a no-op for CFS).
     ledger.flush_registrations()
@@ -207,9 +216,9 @@ def test_baseline_replica_row_release_parity(scheme):
 
     for name in names[::3]:
         assert scalar.delete_file(name) and vector.delete_file(name)
-        assert scalar.is_file_available(name) == vector.is_file_available(name) is False
+        assert _available(scheme, scalar, name) == vector.is_file_available(name) is False
     assert node_dicts(scalar) == node_dicts(vector)
-    scan_bytes, scan_count = _dict_scan_store(vector)
+    scan_bytes, scan_count = _dict_scan(vector)
     assert ledger.live_bytes == scan_bytes
     assert ledger.live_rows == scan_count
 
@@ -217,7 +226,8 @@ def test_baseline_replica_row_release_parity(scheme):
     assert stats["rows_released"] > 0
     survivors = [name for index, name in enumerate(names) if index % 3]
     for name in survivors:
-        assert scalar.is_file_available(name) == vector.is_file_available(name) is True
+        assert _available(scheme, scalar, name) == vector.is_file_available(name) is True
+        assert _available(scheme, vector, name)
     # Post-compaction, failing a holder still flips availability in lockstep.
     sample = survivors[0]
     if scheme == "past":
@@ -232,15 +242,8 @@ def test_baseline_replica_row_release_parity(scheme):
         node.fail()
     for node in scalar_holders:
         node.fail()
-    assert vector.is_file_available(sample) == scalar.is_file_available(sample) is False
-
-
-def _dict_scan_store(store) -> tuple:
-    nodes = store.dht.network.live_nodes()
-    return (
-        sum(sum(node.stored_blocks.values()) for node in nodes),
-        sum(len(node.stored_blocks) for node in nodes),
-    )
+    assert vector.is_file_available(sample) == _available(scheme, scalar, sample) is False
+    assert not _available(scheme, vector, sample)
 
 
 @pytest.mark.parametrize("scheme", ["past", "cfs"])
@@ -254,11 +257,15 @@ def test_compaction_preserves_baseline_bookkeeping_after_wipe(scheme):
     """
     if scheme == "past":
         scalar, vector = _baseline_pair(
-            30, 221, lambda dht, v: PastStore(dht, replication=2, vectorized=v)
+            30, 221,
+            lambda net: seed_past_store(net, replication=2),
+            lambda net: PastStore(DHTView(net), replication=2),
         )
     else:
         scalar, vector = _baseline_pair(
-            30, 227, lambda dht, v: CfsStore(dht, block_size=2 * MB, vectorized=v)
+            30, 227,
+            lambda net: SeedCfsStore(SeedLookupView(net), block_size=2 * MB),
+            lambda net: CfsStore(DHTView(net), block_size=2 * MB),
         )
     assert scalar.store_file("wiped", 7 * MB).success
     assert vector.store_file("wiped", 7 * MB).success
@@ -287,7 +294,8 @@ def test_compaction_preserves_baseline_bookkeeping_after_wipe(scheme):
     if scheme == "cfs":
         assert scalar.chunk_sizes("wiped") == vector.chunk_sizes("wiped")
         assert len(vector.chunk_sizes("wiped")) == 4  # nothing forgotten
-    assert scalar.is_file_available("wiped") == vector.is_file_available("wiped")
+    assert _available(scheme, scalar, "wiped") == vector.is_file_available("wiped")
+    assert _available(scheme, vector, "wiped") == vector.is_file_available("wiped")
     # Deleting the file finally lets the GC collect the preserved rows.
     assert vector.delete_file("wiped")
     assert vector.ledger.compact()["rows_after"] < stats["rows_after"] + 1

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference import dict_walk
+from reference.seed_placement import seed_past_store
 
 from repro.baselines.cfs import CfsStore
 from repro.baselines.past import PastStore
@@ -121,13 +123,7 @@ def test_regenerated_copies_inherit_their_tenant():
     for node in list(dht.state.nodes[:6]):
         recovery.handle_failure(node.node_id)
     walked = sum(
-        0 if all(
-            chunk.is_empty
-            or sum(1 for p in chunk.placements if ours._live_copies(p) > 0)
-            >= ours.codec.spec().required_blocks()
-            for chunk in ours.files[f"o{index}"].chunks
-        ) else 1
-        for index in range(6)
+        0 if dict_walk.file_available(ours, f"o{index}") else 1 for index in range(6)
     )
     assert ours.ledger.unavailable_count == walked
 
@@ -256,13 +252,7 @@ def test_marginal_chunk_migration_keeps_tenant_unavailable_exact():
         recovery.handle_leave(holders[0].node_id)
 
     def walked_available(name: str) -> bool:
-        stored = ours.files[name]
-        required = ours.codec.spec().required_blocks()
-        return all(
-            chunk.is_empty
-            or sum(1 for p in chunk.placements if ours._live_copies(p) > 0) >= required
-            for chunk in stored.chunks
-        )
+        return dict_walk.file_available(ours, name)
 
     walked_bad = sum(0 if walked_available(f"o{index}") else 1 for index in range(6))
     assert ours.ledger.unavailable_count == walked_bad
@@ -285,13 +275,7 @@ def test_repair_pipeline_only_regenerates_its_own_tenant():
     shared.flush_registrations()
 
     def walked_available(name: str) -> bool:
-        stored = ours.files[name]
-        required = ours.codec.spec().required_blocks()
-        return all(
-            chunk.is_empty
-            or sum(1 for p in chunk.placements if ours._live_copies(p) > 0) >= required
-            for chunk in stored.chunks
-        )
+        return dict_walk.file_available(ours, name)
 
     # The O(1) per-tenant counters agree with the placement walk after the
     # mixed-tenant repair pass (losses, if any, are counted identically).
@@ -477,11 +461,10 @@ def test_buffered_registrations_survive_compaction_and_deletes():
 
 def test_buffered_past_matches_scalar_twin_after_heavy_churn():
     """End-to-end parity: buffered ledger vs the seed holder-list walks."""
-    stores = []
-    for vectorized in (False, True):
-        network, dht = _pool(30, 91)
-        stores.append((PastStore(dht, replication=2, vectorized=vectorized), dht))
-    scalar, vector = stores
+    seed_network, _ = _pool(30, 91)
+    seed_store = seed_past_store(seed_network, replication=2)
+    _, dht = _pool(30, 91)
+    scalar, vector = (seed_store, seed_store.dht), (PastStore(dht, replication=2), dht)
     for index in range(20):
         r1 = scalar[0].store_file(f"f{index}", 4 * MB)
         r2 = vector[0].store_file(f"f{index}", 4 * MB)
@@ -502,9 +485,9 @@ def test_buffered_past_matches_scalar_twin_after_heavy_churn():
                 node.recover(wipe=True)
         for index in range(20):
             name = f"f{index}"
-            assert scalar[0].is_file_available(name) == vector[0].is_file_available(name), (
-                name, action,
-            )
+            expected = dict_walk.past_file_available(scalar[0], name)
+            assert expected == vector[0].is_file_available(name), (name, action)
+            assert expected == dict_walk.past_file_available(vector[0], name)
 
 
 def test_queue_rejects_duplicates_and_handles_degenerate_stores():

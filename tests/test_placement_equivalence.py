@@ -1,18 +1,26 @@
-"""Equivalence oracle: the vectorized placement engine vs the scalar seed path.
+"""Equivalence oracle: the array-backed placement engine vs the seed algorithms.
 
 The array-backed engine must be a pure optimization: for identical seeds the
 batched pipelines (PAST, CFS, Our System) have to produce *identical*
-StoreResults, placements, node usage and experiment curves as the preserved
-scalar implementations -- including on runs pushed past capacity so that the
-retry / zero-chunk / rollback paths are exercised.
+StoreResults, placements, node usage and experiment curves as the seed
+one-lookup-per-probe implementations (``tests/reference/seed_placement.py``;
+whole-experiment curves are frozen in ``tests/golden/``) -- including on runs
+pushed past capacity so that the retry / zero-chunk / rollback paths are
+exercised.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from reference import dict_walk
+from reference.golden import jsonable, load_golden
+from reference.seed_placement import (
+    SeedCfsStore,
+    SeedLookupView,
+    seed_past_store,
+    seed_storage_system,
+)
 
 from repro.baselines.cfs import CfsStore
 from repro.baselines.past import PastStore
@@ -30,15 +38,18 @@ from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
 POPULATIONS = [(24, 60), (60, 140), (120, 260)]
 
 
-def _fresh_view(node_count: int, seed: int) -> DHTView:
+def _fresh_network(node_count: int, seed: int) -> OverlayNetwork:
     capacities = [int(c) for c in
                   np.random.default_rng(seed).normal(60 * MB, 20 * MB, size=node_count)]
     capacities = [max(c, 8 * MB) for c in capacities]
-    network = OverlayNetwork.build(
+    return OverlayNetwork.build(
         node_count, np.random.default_rng(seed + 1), capacities=capacities,
         routing_state=False,
     )
-    return DHTView(network)
+
+
+def _fresh_view(node_count: int, seed: int) -> DHTView:
+    return DHTView(_fresh_network(node_count, seed))
 
 
 def _trace(file_count: int, seed: int):
@@ -56,8 +67,8 @@ def _past_snapshot(store: PastStore):
 
 
 def _cfs_snapshot(store: CfsStore):
-    # block_entries materialises identical structures from the seed tuple
-    # lists and from the shared columnar ledger, so the snapshot compares the
+    # block_entries materialises identical structures from the reference's
+    # tuple lists and from the columnar ledger, so the snapshot compares the
     # two representations block for block.
     return {
         name: [
@@ -102,24 +113,30 @@ def test_store_pipelines_are_draw_for_draw_equivalent(node_count: int, file_coun
     seed = 1000 + node_count
     trace = _trace(file_count, seed)
 
+    codec_policy = dict(
+        codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
+        policy=StoragePolicy(max_consecutive_zero_chunks=3),
+    )
     results = {}
-    for vectorized in (False, True):
-        views = {scheme: _fresh_view(node_count, seed) for scheme in ("past", "cfs", "ours")}
-        past = PastStore(views["past"], replication=2, retries=2, vectorized=vectorized)
-        cfs = CfsStore(views["cfs"], block_size=2 * MB, replication=1,
-                       retries_per_block=2, vectorized=vectorized)
-        ours = StorageSystem(
-            views["ours"],
-            codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
-            policy=StoragePolicy(max_consecutive_zero_chunks=3),
-            vectorized=vectorized,
-        )
+    for side in ("seed", "engine"):
+        networks = {scheme: _fresh_network(node_count, seed) for scheme in ("past", "cfs", "ours")}
+        if side == "seed":
+            past = seed_past_store(networks["past"], replication=2, retries=2)
+            cfs = SeedCfsStore(SeedLookupView(networks["cfs"]), block_size=2 * MB,
+                               replication=1, retries_per_block=2)
+            ours = seed_storage_system(networks["ours"], **codec_policy)
+        else:
+            past = PastStore(DHTView(networks["past"]), replication=2, retries=2)
+            cfs = CfsStore(DHTView(networks["cfs"]), block_size=2 * MB, replication=1,
+                           retries_per_block=2)
+            ours = StorageSystem(DHTView(networks["ours"]), **codec_policy)
+        views = {"past": past.dht, "cfs": cfs.dht, "ours": ours.dht}
         store_results = []
         for record in trace:
             store_results.append(past.store_file(record.name, record.size))
             store_results.append(cfs.store_file(record.name, record.size))
             store_results.append(ours.store_file(record.name, record.size))
-        results[vectorized] = {
+        results[side] = {
             "store_results": store_results,
             "past": _past_snapshot(past),
             "cfs": _cfs_snapshot(cfs),
@@ -129,8 +146,9 @@ def test_store_pipelines_are_draw_for_draw_equivalent(node_count: int, file_coun
             "total_lookups": (past.total_lookups, cfs.total_lookups, ours.total_lookups),
             "utilization": {s: views[s].utilization() for s in views},
         }
+        dict_walk.audit(ours)
 
-    scalar, vectorized = results[False], results[True]
+    scalar, vectorized = results["seed"], results["engine"]
     assert scalar["store_results"] == vectorized["store_results"]
     assert scalar["past"] == vectorized["past"]
     assert scalar["cfs"] == vectorized["cfs"]
@@ -144,35 +162,33 @@ def test_store_pipelines_are_draw_for_draw_equivalent(node_count: int, file_coun
 def test_ledger_usage_aggregates_match_dict_scan():
     """O(1) ledger usage accounting equals summing the per-node dicts (PR 2 follow-up).
 
-    The vectorized ``StorageSystem`` reads stored bytes, live block bytes and
-    counts straight from the columnar ledger; the seed path recomputes them by
-    scanning ``stored_blocks``.  Through stores, failures and deletions the
-    two must agree -- and the ledger numbers must match an independent scan of
-    the node dicts.
+    ``StorageSystem`` reads stored bytes, live block bytes and counts straight
+    from the columnar ledger; the seed recomputed them by scanning
+    ``stored_blocks`` (``tests/reference/dict_walk.py``).  Through stores,
+    failures and deletions the two must agree.
     """
     seed = 4242
     trace = _trace(140, seed)
-    twins = {}
-    for vectorized in (False, True):
-        view = _fresh_view(40, seed)
-        ours = StorageSystem(
-            view,
-            codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
-            policy=StoragePolicy(max_consecutive_zero_chunks=3),
-            vectorized=vectorized,
-        )
-        stored = [r.name for r in trace if ours.store_file(r.name, r.size).success]
-        for name in stored[::4]:
-            assert ours.delete_file(name)
-        twins[vectorized] = (view, ours, stored)
+    v_view = _fresh_view(40, seed)
+    v_ours = StorageSystem(
+        v_view,
+        codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
+        policy=StoragePolicy(max_consecutive_zero_chunks=3),
+    )
+    stored = []
+    for record in trace:
+        if v_ours.store_file(record.name, record.size).success:
+            stored.append(record.name)
+        assert v_ours.usage_summary() == dict_walk.usage_summary(v_ours)
+    for name in stored[::4]:
+        assert v_ours.delete_file(name)
+        dict_walk.audit(v_ours)
 
-    (s_view, s_ours, _), (v_view, v_ours, stored) = twins[False], twins[True]
-    assert s_ours.usage_summary() == v_ours.usage_summary()
-    assert s_ours.stored_bytes() == v_ours.stored_bytes()
+    assert v_ours.usage_summary() == dict_walk.usage_summary(v_ours)
+    assert v_ours.stored_bytes() == dict_walk.stored_bytes(v_ours)
     ledger = v_ours.ledger
     # Independent dict scan: every live tracked copy is in a node dict.
-    scan_bytes = sum(sum(n.stored_blocks.values()) for n in v_view.live_node_objects())
-    scan_count = sum(len(n.stored_blocks) for n in v_view.live_node_objects())
+    scan_bytes, scan_count = dict_walk.live_bytes_and_count(v_view.network)
     assert ledger.live_bytes == scan_bytes
     assert ledger.live_rows == scan_count
     assert ledger.stored_data_bytes == sum(f.size for f in v_ours.files.values())
@@ -184,18 +200,24 @@ def test_ledger_usage_aggregates_match_dict_scan():
     victim.fail()
     assert ledger.live_bytes == before_bytes - victim_bytes
     assert ledger.live_rows == before_rows - victim_blocks
+    dict_walk.audit(v_ours)
     victim.recover(wipe=False)
     assert ledger.live_bytes == before_bytes
     assert ledger.live_rows == before_rows
+    dict_walk.audit(v_ours)
 
 
 def test_empty_view_and_zero_size_edge_paths_match_scalar():
     """Error-path parity: empty views raise without counting; 0-byte files store."""
-    for vectorized in (False, True):
-        view = _fresh_view(8, seed=77)
-        cfs = CfsStore(view, block_size=2 * MB, vectorized=vectorized)
+    for seed_reference in (True, False):
+        if seed_reference:
+            view = SeedLookupView(_fresh_network(8, seed=77))
+            cfs = SeedCfsStore(view, block_size=2 * MB)
+        else:
+            view = _fresh_view(8, seed=77)
+            cfs = CfsStore(view, block_size=2 * MB)
         assert cfs.store_file("empty", 0).success  # no lookups, no placements
-        past = PastStore(view, vectorized=vectorized)
+        past = PastStore(view)
         for node_id in list(view.state.ids_int):
             view.remove(node_id)
         with pytest.raises(LookupError):
@@ -209,7 +231,7 @@ def test_empty_view_and_zero_size_edge_paths_match_scalar():
 @pytest.mark.parametrize("node_count,file_count", [(40, 120), (80, 240)])
 def test_insertion_experiment_curves_identical_across_engines(node_count, file_count):
     """Same seeds -> same failure-fraction, utilization and chunk-stat curves."""
-    base = InsertionConfig(
+    config = InsertionConfig(
         node_count=node_count,
         file_count=file_count,
         capacity_mean=400 * MB,
@@ -220,20 +242,19 @@ def test_insertion_experiment_curves_identical_across_engines(node_count, file_c
         cfs_block_size=2 * MB,
         sample_points=8,
         seed=5,
-        vectorized=False,
     )
-    scalar = InsertionExperiment(base).run_once(0)
-    vector = InsertionExperiment(replace(base, vectorized=True)).run_once(0)
+    scalar = load_golden("insertion_curves.json")[f"{node_count}x{file_count}"]
+    vector = InsertionExperiment(config).run_once(0)
 
     for scheme in ("PAST", "CFS", "Our System"):
-        s_curve, v_curve = scalar.curves[scheme], vector.curves[scheme]
-        assert s_curve.failed_stores_pct.y == v_curve.failed_stores_pct.y
-        assert s_curve.failed_data_pct.y == v_curve.failed_data_pct.y
-        assert s_curve.utilization_pct.y == v_curve.utilization_pct.y
-        assert s_curve.chunk_stats == v_curve.chunk_stats
-        assert s_curve.stats.attempts == v_curve.stats.attempts
-        assert s_curve.stats.failures == v_curve.stats.failures
-        assert s_curve.stats.failed_bytes == v_curve.stats.failed_bytes
-        assert s_curve.stats.lookups == v_curve.stats.lookups
-        assert s_curve.stats.chunk_counts == v_curve.stats.chunk_counts
-        assert s_curve.stats.chunk_sizes == v_curve.stats.chunk_sizes
+        s_curve, v_curve = scalar[scheme], vector.curves[scheme]
+        assert s_curve["failed_stores_pct"] == v_curve.failed_stores_pct.y
+        assert s_curve["failed_data_pct"] == v_curve.failed_data_pct.y
+        assert s_curve["utilization_pct"] == v_curve.utilization_pct.y
+        assert s_curve["chunk_stats"] == jsonable(v_curve.chunk_stats)
+        assert s_curve["attempts"] == v_curve.stats.attempts
+        assert s_curve["failures"] == v_curve.stats.failures
+        assert s_curve["failed_bytes"] == v_curve.stats.failed_bytes
+        assert s_curve["lookups"] == v_curve.stats.lookups
+        assert s_curve["chunk_counts"] == v_curve.stats.chunk_counts
+        assert s_curve["chunk_sizes"] == v_curve.stats.chunk_sizes

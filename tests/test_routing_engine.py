@@ -158,6 +158,51 @@ def test_chord_routes_resolve_to_ring_successors():
         assert root == _ring_successor(sorted_ids, int(key))
 
 
+# ------------------------------------------------------ fail -> recover churn --
+@pytest.mark.parametrize("engine", ["pastry", "chord"])
+def test_recovered_node_is_reannounced_to_the_attached_router(engine):
+    """``network.recover`` is ``fail``'s counterpart: the router learns the node
+    again and routes hop-for-hop like a router built fresh on the membership."""
+    rng = np.random.default_rng(131)
+    network = OverlayNetwork.build(120, rng, routing_state=False)
+    router = network.attach_router(engine)
+    victims = [network.live_ids()[int(i)] for i in rng.permutation(120)[:12]]
+    for victim in victims:
+        network.fail(victim)
+        assert victim not in router
+        with pytest.raises(OverlayError):
+            network.route(random_node_id(rng), start=victim)
+    for victim in victims:
+        node = network.recover(victim)
+        assert node.alive and victim in router
+    # Recovering a node that is already up announces nothing twice.
+    network.recover(victims[0])
+    assert router.live_count == 120
+
+    fresh = make_router(engine, network)
+    keys = [random_node_id(rng) for _ in range(150)]
+    starts = (victims * 13)[:150]  # every route starts at a restarted node
+    patched = router.route_many(keys, starts, collect_paths=True)
+    rebuilt = fresh.route_many(keys, starts, collect_paths=True)
+    assert patched.hops.tolist() == rebuilt.hops.tolist()
+    assert patched.root_ids() == rebuilt.root_ids()
+    assert patched.paths == rebuilt.paths
+    assert network.route(keys[0], start=victims[0]).hops == int(patched.hops[0])
+
+
+def test_recover_without_a_router_is_plain_node_recover():
+    network = OverlayNetwork.build(20, np.random.default_rng(5), capacities=[100] * 20,
+                                   routing_state=False)
+    victim = network.live_nodes()[3]
+    victim.store_block("kept", 10)
+    network.fail(victim.node_id)
+    assert network.recover(victim.node_id) is victim
+    assert victim.alive and victim.has_block("kept")
+    network.fail(victim.node_id)
+    network.recover(victim.node_id, wipe=True)
+    assert victim.alive and not victim.stored_blocks
+
+
 # --------------------------------------------------------- engines & dispatch --
 def test_unknown_engine_is_rejected():
     rng = np.random.default_rng(1)

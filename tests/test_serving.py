@@ -408,6 +408,29 @@ def test_requests_of_a_failed_gateway_fail_instead_of_crashing_the_run(routing):
     assert completed + int(lost.sum()) == trace.count
 
 
+@pytest.mark.parametrize("routing", ["pastry", "chord"])
+def test_restarted_gateway_issues_its_requests_again(routing):
+    """A rolling restart re-announces the gateway to the router, so only the
+    requests that arrive while it is down fail -- not every one after it."""
+    down_at, up_at = 0.5, 2.0
+
+    def prepare(session, engine):
+        gateway = node_id_from_int(engine.gateways[0])
+        injector = session.fault_injector(dht=session.dht)
+        session.sim.schedule(down_at, lambda: injector.rolling_restart(
+            [gateway], interval=0.0, downtime=up_at - down_at))
+
+    session, _, engine, trace = _serve_cell(routing=routing, prepare=prepare)
+    assert engine.gateways[0] in session.routing(routing)
+    ours = trace.client_index % len(engine.gateways) == 0
+    lost = ours & (trace.arrivals > down_at) & (trace.arrivals < up_at)
+    assert (ours & (trace.arrivals > up_at)).sum() > 0
+    assert engine.failed_reads == int((lost & trace.is_read).sum())
+    assert engine.failed_writes == int((lost & ~trace.is_read).sum())
+    completed = len(engine.read_latencies) + len(engine.write_latencies)
+    assert completed + int(lost.sum()) == trace.count
+
+
 def test_engine_requires_gateways():
     config = _tiny_config()
     streams = RandomStreams(config.seed)

@@ -4,13 +4,17 @@ The soak engine composes every dynamic path of the system -- session
 failures, regeneration, wiped returns, Poisson joins (the incremental
 boundary insertion patch), graceful departures (row release) and periodic
 ledger compaction.  The oracles assert that none of the optimizations is
-observable: the scalar seed path, the ledger path and the ledger path with
+observable: the seed dict-walk soak (its sampled series frozen in
+``tests/golden/soak_series.json``), the ledger path and the ledger path with
 compaction disabled must all sample identical series.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+
+from reference import dict_walk
+from reference.golden import load_golden
 
 from repro.experiments.soak import PAPER_SOAK, SoakConfig, SoakExperiment
 from repro.workloads.filetrace import MB
@@ -37,17 +41,22 @@ SMALL = SoakConfig(
 _SERIES = ("time_hours", "live_nodes", "unavailable_pct", "utilization_pct")
 
 
-def test_soak_scalar_and_ledger_paths_sample_identical_series():
-    scalar = SoakExperiment(replace(SMALL, vectorized=False)).run()
-    vector = SoakExperiment(SMALL).run()
+def _assert_matches_seed_soak(vector, scalar: dict) -> None:
     for name in _SERIES:
-        assert getattr(scalar, name) == getattr(vector, name), name
-    assert scalar.counters == vector.counters
-    assert scalar.recovery_totals == vector.recovery_totals
-    assert scalar.files_stored == vector.files_stored
-    # The scalar path has no ledger, hence no compaction and no row series.
-    assert scalar.compactions == [] and scalar.ledger_rows == []
+        assert scalar[name] == getattr(vector, name), name
+    assert scalar["counters"] == vector.counters
+    assert scalar["recovery_totals"] == vector.recovery_totals
+    assert scalar["files_stored"] == vector.files_stored
+
+
+def test_soak_scalar_and_ledger_paths_sample_identical_series():
+    experiment = SoakExperiment(SMALL)
+    vector = experiment.run()
+    _assert_matches_seed_soak(vector, load_golden("soak_series.json")["regenerate"])
     assert vector.compactions and vector.ledger_rows
+    # After two days of failures, wiped returns, joins, leaves and compactions
+    # the ledger still answers what a walk of the surviving dicts answers.
+    dict_walk.audit(experiment.storage)
 
 
 def test_soak_compaction_is_invisible_and_bounds_rows():
@@ -84,7 +93,7 @@ def test_soak_exercises_every_churn_path_and_stays_healthy():
 def test_paper_soak_preset_matches_issue_contract():
     assert PAPER_SOAK.node_count == 10_000
     assert PAPER_SOAK.horizon_hours == 7 * 24.0
-    assert PAPER_SOAK.vectorized and PAPER_SOAK.compaction
+    assert PAPER_SOAK.compaction
 
 
 #: Leave-only churn: sessions effectively never fail inside the horizon and
@@ -137,14 +146,11 @@ def test_migration_conserves_bytes_against_regeneration():
 
 def test_migration_soak_scalar_and_ledger_paths_sample_identical_series():
     """The scalar seed walk and the ledger rows migrate the same copies."""
-    config = replace(SMALL, leave_mode="migrate")
-    scalar = SoakExperiment(replace(config, vectorized=False)).run()
-    vector = SoakExperiment(config).run()
-    for name in _SERIES:
-        assert getattr(scalar, name) == getattr(vector, name), name
-    assert scalar.counters == vector.counters
-    assert scalar.recovery_totals == vector.recovery_totals
+    experiment = SoakExperiment(replace(SMALL, leave_mode="migrate"))
+    vector = experiment.run()
+    _assert_matches_seed_soak(vector, load_golden("soak_series.json")["migrate"])
     assert vector.recovery_totals["total_migrated_bytes"] > 0.0
+    dict_walk.audit(experiment.storage)
 
 
 #: One simulated week of full churn (failures, wiped returns, joins, leaves)
