@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.erasure._legacy import LegacyOnlineCode, LegacyReedSolomonCode
+from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.online_code import OnlineCode, OnlineCodeParameters
 from repro.erasure.null_code import NullCode
 from repro.erasure.reed_solomon import ReedSolomonCode
@@ -31,6 +32,11 @@ CHUNK_SIZES = (64 * KB, 256 * KB, 1 * MB, 4 * MB)
 
 #: The acceptance configuration: online code at >= 256 blocks.
 ONLINE_BLOCK_COUNTS = (256, 512)
+#: What payload mode actually runs (perfbench ``payload_roundtrip``): 128 KiB
+#: rows, the wide-row regime of the GF(2) kernel; every cell above has rows of
+#: 128 B - 16 KiB.
+PAYLOAD_CHUNK_SIZE = 8 * MB
+PAYLOAD_BLOCKS = 64
 RS_DATA_BLOCKS = 64
 RS_PARITY_BLOCKS = 4
 SEED = 3
@@ -102,6 +108,39 @@ def test_bench_online_throughput(size: int, coding_bench_results: dict):
             encode_speedup=new["encode_MBps"] / old["encode_MBps"],
             decode_speedup=new["decode_MBps"] / old["decode_MBps"],
         )
+
+
+def test_bench_online_payload_mode_cell(coding_bench_results: dict):
+    """The wide-row cell: 8 MiB chunks in 64 blocks through ``ChunkCodec``."""
+    data = _payload(PAYLOAD_CHUNK_SIZE)
+    codec = ChunkCodec(OnlineCode(), blocks_per_chunk=PAYLOAD_BLOCKS)
+    encoded = codec.encode(data)
+    available = {b.index: b.data for b in encoded.blocks}
+    assert codec.decode(encoded, available) == data
+    new = _measure_pair(
+        lambda: codec.encode(data), lambda: codec.decode(encoded, available), len(data)
+    )
+
+    legacy = LegacyOnlineCode(codec.code.parameters)
+    legacy_encoded = legacy.encode(data, PAYLOAD_BLOCKS)
+    legacy_available = {b.index: b.data for b in legacy_encoded.blocks}
+    assert legacy.decode(legacy_encoded, legacy_available) == data
+    old = _measure_pair(
+        lambda: legacy.encode(data, PAYLOAD_BLOCKS),
+        lambda: legacy.decode(legacy_encoded, legacy_available),
+        len(data),
+    )
+    _record(
+        coding_bench_results,
+        code="online",
+        chunk_bytes=len(data),
+        n_blocks=PAYLOAD_BLOCKS,
+        **new,
+        legacy_encode_MBps=old["encode_MBps"],
+        legacy_decode_MBps=old["decode_MBps"],
+        encode_speedup=new["encode_MBps"] / old["encode_MBps"],
+        decode_speedup=new["decode_MBps"] / old["decode_MBps"],
+    )
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)

@@ -64,6 +64,7 @@ from repro.core.block_ledger import BlockLedger, TenantLedgerView
 from repro.core.cat import ChunkAllocationTable
 from repro.core.storage import BlockPlacement, StorageSystem, StoredChunk, StoredFile
 from repro.core.transfer import TransferPacer, TransferScheduler, TransferSpec
+from repro.erasure.base import DecodingError
 from repro.overlay.ids import NodeId
 from repro.overlay.node import OverlayNode
 
@@ -505,12 +506,9 @@ class RepairExecutor:
         encoded = chunk.encoded
         try:
             data = code.decode(encoded, {b.index: b.data for b in encoded.blocks})
-            new_blocks = code.generate_additional_blocks(encoded, data, 1)
-        except Exception:  # noqa: BLE001 - fall back to copying the lost payload
+        except DecodingError:  # peeling stalled: fall back to copying the lost payload
             return None
-        if not new_blocks:
-            return None
-        block = new_blocks[0]
+        (block,) = code.generate_additional_blocks(encoded, data, 1)
         encoded.metadata["output_blocks"] = block.index + 1
         return block
 

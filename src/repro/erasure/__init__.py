@@ -16,14 +16,20 @@ Architecture — the vectorized coding kernel
 All four codes sit on top of :mod:`repro.erasure.gf2`, a bit-packed GF(2)
 kernel that turns the coding hot paths into batched NumPy operations:
 
-* ``pack_matrix`` / ``xor_reduce_segments`` — payload blocks are stacked into
-  ``uint64``-word matrices and encode is a single segmented XOR-reduce over a
-  CSR description of each output block's neighbours (online code, XOR
-  parities, aux-block construction);
-* ``peel`` — a vectorized belief-propagation scheduler driven by
-  per-equation degree counters (the online-code decoder and the encoder's
-  decodability guarantee), processing whole frontiers of degree-1 equations
-  per round instead of re-scanning every equation;
+* ``xor_reduce_segments`` / ``xor_accumulate_segments`` — payload blocks are
+  stacked into ``uint64``-word matrices and a CSR description names each
+  output block's neighbours (check blocks, aux-block construction, the
+  decoder's peeling rounds and residual combinations).  The row width picks
+  the kernel: rows under 4 KiB (``gf2.STREAM_MIN_WORDS``; 64 KiB - 4 MiB
+  chunks in 256-512 blocks) are batched through a length-grouped 3-D gather
+  and one strided ``bitwise_xor.reduce`` per group; wider rows (payload mode:
+  8 MiB chunks in 64 blocks, 128 KiB rows) stream, each term one
+  ``bitwise_xor(a, b, out=row)`` into the row it belongs to, with no
+  temporaries.  The measured crossover table sits next to the constant;
+* ``peel`` — a vectorized, symbolic belief-propagation scheduler driven by
+  per-equation degree counters (the decode-program compiler and the
+  encoder's decodability guarantee), processing whole frontiers of degree-1
+  equations per round instead of re-scanning every equation;
 * ``bits_from_csr`` / ``eliminate`` — bit-packed Gauss-Jordan elimination for
   the small-system exact fallback and rank tests;
 * ``hash_counters`` — counter-based splitmix64 streams so rateless graph
@@ -35,7 +41,14 @@ kernel that turns the coding hot paths into batched NumPy operations:
 Code structures (aux assignments, degree CDFs, check-neighbour prefixes,
 Reed-Solomon generator matrices) are memoised in ``lru_cache`` layers keyed
 by the chunk seed and code parameters, so decode and the repair path reuse
-exactly the graph the encoder built.  The storage/recovery layers
+exactly the graph the encoder built.  Payload bytes cross the online code's
+boundary once each way: ``decode`` copies every available block straight into
+its equation row, replays the compiled schedule in place (a consumed
+equation's row *is* the composite it recovered) and joins the rows of the
+originals into the result; ``encode`` and ``generate_additional_blocks`` pack
+only the composites their check blocks reference.  Every ``decode`` rejects a
+block that is not ``chunk.block_size`` long with :class:`DecodingError`.  The
+storage/recovery layers
 (:mod:`repro.core.storage`, :mod:`repro.core.recovery`) and the coding
 benchmarks (``benchmarks/test_bench_coding_throughput.py``) all ride on this
 kernel.

@@ -10,7 +10,7 @@ import numpy as np
 
 
 class DecodingError(RuntimeError):
-    """Raised when the available encoded blocks are insufficient to decode."""
+    """Raised when the available encoded blocks are insufficient or malformed."""
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,18 @@ def split_into_matrix(data: bytes, n_blocks: int) -> np.ndarray:
     removed at reassembly using the recorded original size.  The 2-D layout is
     what the vectorized kernel (:mod:`repro.erasure.gf2`) operates on: whole
     encode passes become one segmented XOR-reduce over this matrix instead of
-    per-block Python loops.
+    per-block Python loops.  The matrix is for reading: when ``data`` divides
+    evenly it is a read-only view of ``data`` itself, not a copy.
     """
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
     buffer = np.frombuffer(data, dtype=np.uint8)
     block_size = -(-len(buffer) // n_blocks) if len(buffer) else 1
-    padded = np.zeros(block_size * n_blocks, dtype=np.uint8)
-    padded[: len(buffer)] = buffer
-    return padded.reshape(n_blocks, block_size)
+    if len(buffer) != block_size * n_blocks:
+        padded = np.zeros(block_size * n_blocks, dtype=np.uint8)
+        padded[: len(buffer)] = buffer
+        buffer = padded
+    return buffer.reshape(n_blocks, block_size)
 
 
 def split_into_blocks(data: bytes, n_blocks: int) -> List[np.ndarray]:
@@ -118,6 +121,22 @@ def join_blocks(blocks: Sequence[np.ndarray], original_size: int) -> bytes:
     return joined[:original_size].tobytes()
 
 
+def require_block_lengths(chunk: EncodedChunk, available: Dict[int, bytes]) -> None:
+    """Raise :class:`DecodingError` unless every available block is ``chunk.block_size`` long.
+
+    Every code's ``decode`` starts here: a truncated or over-long block would
+    otherwise decode to garbage or trip a bare NumPy shape error somewhere
+    inside the code.
+    """
+    size = chunk.block_size
+    if not set(map(len, available.values())) <= {size}:
+        index = min(i for i, block in available.items() if len(block) != size)
+        raise DecodingError(
+            f"encoded block {index} is {len(available[index])} bytes long, "
+            f"chunk.block_size is {size}"
+        )
+
+
 class ErasureCode(abc.ABC):
     """Interface implemented by every erasure code in the reproduction."""
 
@@ -133,7 +152,8 @@ class ErasureCode(abc.ABC):
         """Reassemble the chunk from the ``available`` encoded blocks.
 
         ``available`` maps encoded-block index to payload.  Raises
-        :class:`DecodingError` when the available subset is insufficient.
+        :class:`DecodingError` when the available subset is insufficient or a
+        block is not ``chunk.block_size`` bytes long.
         """
 
     @abc.abstractmethod

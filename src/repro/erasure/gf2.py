@@ -14,6 +14,10 @@ this module provides them as batched NumPy operations so the coding layer
   ``offsets``), and whole stages — aux-block construction, check-block
   generation, peeling rounds, elimination steps — are single vectorized
   sweeps instead of per-equation passes;
+* payload XORs (:func:`xor_reduce_segments`, :func:`xor_accumulate_segments`)
+  run in one of two regimes picked from the row width: narrow rows are
+  batched through a length-grouped gather, wide rows stream term by term
+  into the row they belong to with no temporaries (``STREAM_MIN_WORDS``);
 * graph randomness comes from a counter-based splitmix64 hash, so any check
   block of an unbounded rateless stream can be derived independently *and*
   whole index ranges can be derived in one vectorized call.
@@ -97,24 +101,6 @@ def words_for_bytes(n_bytes: int) -> int:
     return (int(n_bytes) + 7) // 8
 
 
-def pack_rows(rows: Sequence[bytes], block_size: int) -> np.ndarray:
-    """Pack byte payloads into a zero-padded ``(len(rows), words)`` uint64 matrix."""
-    words = words_for_bytes(block_size)
-    if rows and all(len(payload) == block_size for payload in rows):
-        # Common case: equal-size rows join into one contiguous buffer.
-        joined = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), block_size)
-        if block_size == words * 8:
-            return np.ascontiguousarray(joined).view(np.uint64)
-        packed = np.zeros((len(rows), words * 8), dtype=np.uint8)
-        packed[:, :block_size] = joined
-        return packed.view(np.uint64)
-    packed = np.zeros((len(rows), words * 8), dtype=np.uint8)
-    for row, payload in enumerate(rows):
-        buf = np.frombuffer(payload, dtype=np.uint8)
-        packed[row, : buf.size] = buf
-    return packed.view(np.uint64)
-
-
 def pack_matrix(matrix: np.ndarray) -> np.ndarray:
     """Pack a ``(rows, block_size)`` uint8 matrix into uint64 words (zero padded)."""
     rows, n_bytes = matrix.shape
@@ -132,6 +118,38 @@ def unpack_matrix(words: np.ndarray, block_size: int) -> np.ndarray:
 
 
 # -- batched XOR-reduce ---------------------------------------------------------
+#: Rows at least this many uint64 words (4 KiB) wide are XORed one source row
+#: at a time straight into their output row; narrower rows go through the
+#: length-grouped 3-D gather.  See :func:`xor_reduce_segments`.
+#:
+#: Measured with both kernels forced on the same chunk (online code, epsilon
+#: 0.01, q 3; warm, best of 7; ms for one encode / one decode of all blocks):
+#:
+#: ========= ============== =============== ===============
+#: row bytes chunk / blocks grouped enc/dec streaming enc/dec
+#: ========= ============== =============== ===============
+#:       128  64 KiB / 512    1.04 /  2.27    2.46 /  2.91
+#:       256  64 KiB / 256    0.66 /  1.33    1.21 /  4.41
+#:      1024 256 KiB / 256    0.99 /  2.06    1.61 /  5.06
+#:      2048 512 KiB / 256    1.90 /  2.28    1.67 /  2.04
+#:      2048   1 MiB / 512    2.00 /  8.70    2.45 / 14.26
+#:      3072 768 KiB / 256    2.19 /  3.22    1.55 /  4.58
+#:      4096   1 MiB / 256    3.34 /  3.01    2.20 /  2.37
+#:      4096   2 MiB / 512    3.72 /  5.92    3.51 /  3.63
+#:      6144 1.5 MiB / 256    3.03 /  6.53    2.31 /  5.17
+#:      8192   2 MiB / 256    3.76 / 12.81    2.36 /  6.19
+#:     16384   4 MiB / 256    9.50 / 32.98    4.91 / 13.04
+#:     65536   4 MiB /  64    7.92 / 12.92    3.29 /  4.48
+#:    131072   8 MiB /  64   14.15 / 22.77    5.98 /  9.10
+#: ========= ============== =============== ===============
+#:
+#: Below 2 KiB the per-term ufunc dispatch of the streaming kernel dominates;
+#: at 2-3 KiB the winner depends on the graph (many short peeling rounds
+#: favour streaming, few long ones the gather); from 4 KiB up streaming wins
+#: every cell, by 2-2.5x from 16 KiB up.
+STREAM_MIN_WORDS = 512
+
+
 def xor_reduce_segments(
     rows: np.ndarray, flat: np.ndarray, offsets: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -139,31 +157,92 @@ def xor_reduce_segments(
 
     This is the encode primitive: ``rows`` holds composite payloads packed as
     uint64 words and each CSR segment names the neighbours of one output
-    block.  Segments are processed grouped by length so each group is one
-    strided ``bitwise_xor.reduce`` over a 3-D gather (``ufunc.reduceat`` is an
-    order of magnitude slower on 2-D operands).  Empty segments reduce to
-    zero.
+    block.  Empty segments reduce to zero; an index repeated inside a segment
+    cancels.  ``out`` may share a parent buffer with ``rows`` as long as the
+    two do not overlap.
+
+    Two kernels, chosen from the row width alone:
+
+    * **wide rows** (``rows.shape[1] >= STREAM_MIN_WORDS``) *stream*: every
+      term is one ``bitwise_xor(a, b, out=o)`` into the segment's own output
+      row.  No temporary is allocated, each source row is read once per use,
+      and the output row stays in cache while its terms arrive.  The cost is
+      one ufunc dispatch (~1 us) per term, which a row of a few KB amortises.
+    * **narrow rows** are processed *grouped by segment length*: each group is
+      one strided ``bitwise_xor.reduce`` over a ``(group, length, width)``
+      gather (``ufunc.reduceat`` is an order of magnitude slower on 2-D
+      operands).  A handful of NumPy calls cover thousands of terms, but the
+      gather materialises every term, so its traffic grows with the row.
     """
     segments = int(offsets.size) - 1
     width = rows.shape[1] if rows.ndim == 2 else 0
     if out is None:
-        out = np.zeros((segments, width), dtype=np.uint64)
+        out = np.empty((segments, width), dtype=np.uint64)
+    if width >= STREAM_MIN_WORDS:
+        _xor_reduce_streaming(rows, flat, offsets, out)
     else:
-        out[:] = 0
-    if flat.size == 0 or width == 0 or segments == 0:
-        return out
+        _xor_reduce_grouped(rows, flat, offsets, out)
+    return out
+
+
+def xor_accumulate_segments(
+    rows: np.ndarray, flat: np.ndarray, offsets: np.ndarray, targets: np.ndarray
+) -> None:
+    """In-place variant: ``rows[targets[s]] ^= XOR(rows[i] for i in segment s)``.
+
+    The decode primitive: one peeling round XORs the rows of the newly solved
+    unknowns into the equations that contain them.  ``targets`` are distinct
+    and never appear in ``flat``.  Same wide/narrow rule as
+    :func:`xor_reduce_segments`: wide rows take each term directly into the
+    target row, narrow rows pay one gather + reduce + scatter per round.
+    """
+    if rows.shape[1] < STREAM_MIN_WORDS:
+        rows[targets] ^= xor_reduce_segments(rows, flat, offsets)
+        return
+    xor = np.bitwise_xor
+    sources = flat.tolist()
+    bounds = offsets.tolist()
+    for segment, target in enumerate(targets.tolist()):
+        accumulator = rows[target]
+        for index in sources[bounds[segment] : bounds[segment + 1]]:
+            xor(accumulator, rows[index], out=accumulator)
+
+
+def _xor_reduce_streaming(
+    rows: np.ndarray, flat: np.ndarray, offsets: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Wide-row kernel of :func:`xor_reduce_segments` (every ``out`` row is written)."""
+    xor = np.bitwise_xor
+    sources = flat.tolist()
+    bounds = offsets.tolist()
+    for segment in range(len(bounds) - 1):
+        start, stop = bounds[segment], bounds[segment + 1]
+        accumulator = out[segment]
+        if stop - start < 2:
+            accumulator[:] = rows[sources[start]] if stop > start else 0
+            continue
+        xor(rows[sources[start]], rows[sources[start + 1]], out=accumulator)
+        for index in sources[start + 2 : stop]:
+            xor(accumulator, rows[index], out=accumulator)
+    return out
+
+
+def _xor_reduce_grouped(
+    rows: np.ndarray, flat: np.ndarray, offsets: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Narrow-row kernel of :func:`xor_reduce_segments` (every ``out`` row is written)."""
     flat = np.asarray(flat, dtype=np.intp)
     starts = np.asarray(offsets[:-1], dtype=np.intp)
     lengths = np.asarray(offsets[1:], dtype=np.intp) - starts
     for length in np.unique(lengths):
-        if length == 0:
-            continue
         group = np.flatnonzero(lengths == length)
-        if length == 1:
+        if length == 0:
+            out[group] = 0
+        elif length == 1:
             out[group] = rows[flat[starts[group]]]
-            continue
-        gather = flat[starts[group][:, None] + np.arange(length, dtype=np.intp)[None, :]]
-        out[group] = np.bitwise_xor.reduce(rows[gather], axis=1)
+        else:
+            gather = flat[starts[group][:, None] + np.arange(length, dtype=np.intp)[None, :]]
+            out[group] = np.bitwise_xor.reduce(rows[gather], axis=1)
     return out
 
 
@@ -247,19 +326,17 @@ def solved_unit_rows(bits: np.ndarray, pivots: Dict[int, int]) -> Dict[int, int]
 class PeelResult:
     """Outcome of a peeling run: recovered unknowns plus the residual state."""
 
-    __slots__ = ("known", "solution", "counts", "rounds", "events", "trace")
+    __slots__ = ("known", "counts", "rounds", "events", "trace")
 
     def __init__(
         self,
         known: np.ndarray,
-        solution: Optional[np.ndarray],
         counts: np.ndarray,
         rounds: int,
         events: int,
         trace: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]] = None,
     ):
         self.known = known
-        self.solution = solution
         #: Remaining unknown-degree of each equation (0 = fully consumed).
         self.counts = counts
         #: Number of batched propagation rounds executed.
@@ -275,19 +352,14 @@ def peel(
     flat: np.ndarray,
     offsets: np.ndarray,
     n_unknowns: int,
-    values: Optional[np.ndarray] = None,
     record: bool = False,
 ) -> PeelResult:
     """Belief-propagation peeling over a sparse GF(2) system, in batched rounds.
 
     ``flat``/``offsets`` describe the unknowns of each equation in CSR form.
-    ``values`` (optional) holds each equation's packed payload words; when
-    given it is reduced *in place* — on return each equation's value has the
-    payloads of every recovered neighbour XORed out, which is exactly the
-    residual system :func:`solve_residual` needs.  Recovered unknown payloads
-    are returned in ``solution``.  Without ``values`` the run is *symbolic* —
-    it only answers which unknowns peeling would recover (the encoder's
-    decodability check).
+    The run is *symbolic*: it answers which unknowns peeling recovers (the
+    encoder's decodability check) and, with ``record``, in which order from
+    which equations — the schedule a decoder replays over payloads.
 
     Instead of re-scanning every equation per pass (the seed behaviour), the
     scheduler keeps per-equation unknown-degree counters and index sums; each
@@ -298,9 +370,7 @@ def peel(
     flat = np.asarray(flat, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     n_equations = offsets.size - 1
-    width = values.shape[1] if values is not None else 0
     known = np.zeros(n_unknowns, dtype=bool)
-    solution = np.zeros((n_unknowns, width), dtype=np.uint64) if values is not None else None
 
     counts = (offsets[1:] - offsets[:-1]).copy()
     sums = np.zeros(n_equations, dtype=np.int64)
@@ -335,8 +405,6 @@ def peel(
         before = known.copy()
         known[targets] = True
         newly_known = np.flatnonzero(known & ~before)
-        if values is not None and solution is not None:
-            solution[newly_known] = values[source_eq[newly_known]]
         rounds += 1
         # Fan newly-known unknowns out to every equation that contains them.
         seg_starts = inc_offsets[newly_known]
@@ -356,24 +424,10 @@ def peel(
             trace.append((newly_known, source_eq[newly_known].copy(), ev_eqs, ev_vars))
         np.subtract.at(counts, ev_eqs, 1)
         np.subtract.at(sums, ev_eqs, ev_vars)
-        if values is not None and solution is not None and width:
-            # values[eq] ^= XOR of the newly-known payloads it contains.
-            ev_order = np.argsort(ev_eqs)
-            eqs_sorted = ev_eqs[ev_order]
-            vars_sorted = ev_vars[ev_order]
-            boundary = np.empty(eqs_sorted.size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(eqs_sorted[1:], eqs_sorted[:-1], out=boundary[1:])
-            eq_starts = np.flatnonzero(boundary)
-            unique_eqs = eqs_sorted[eq_starts]
-            eq_offsets = np.append(eq_starts, eqs_sorted.size)
-            values[unique_eqs] ^= xor_reduce_segments(solution, vars_sorted, eq_offsets)
         touched_mask = np.zeros(n_equations, dtype=bool)
         touched_mask[ev_eqs] = True
         ready = np.flatnonzero(touched_mask & (counts == 1))
-    return PeelResult(
-        known=known, solution=solution, counts=counts, rounds=rounds, events=events, trace=trace
-    )
+    return PeelResult(known=known, counts=counts, rounds=rounds, events=events, trace=trace)
 
 
 def compile_residual(
@@ -479,25 +533,6 @@ def compile_residual(
     comb_offsets = np.zeros(combinations.shape[0] + 1, dtype=np.int64)
     np.cumsum(seg_counts, out=comb_offsets[1:])
     return solved_vars, rows[sel_eqs], comb_offsets
-
-
-def solve_residual(
-    flat: np.ndarray,
-    offsets: np.ndarray,
-    n_unknowns: int,
-    result: PeelResult,
-    values: Optional[np.ndarray] = None,
-) -> PeelResult:
-    """Complete a stalled peel exactly; see :func:`compile_residual`.
-
-    When ``values`` is given (the peel-reduced equation payloads), solved
-    payloads are computed with one batched segmented XOR over the recorded
-    equation combinations and merged into ``result.solution``.
-    """
-    solved_vars, comb_flat, comb_offsets = compile_residual(flat, offsets, n_unknowns, result)
-    if solved_vars.size and values is not None and result.solution is not None:
-        result.solution[solved_vars] = xor_reduce_segments(values, comb_flat, comb_offsets)
-    return result
 
 
 # -- CSR helpers ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.erasure.base import (
     EncodedChunk,
     ErasureCode,
     join_blocks,
+    require_block_lengths,
     split_into_blocks,
 )
 
@@ -37,6 +38,7 @@ class NullCode(ErasureCode):
         )
 
     def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+        require_block_lengths(chunk, available)
         missing = [index for index in range(chunk.n_blocks) if index not in available]
         if missing:
             raise DecodingError(f"null code cannot tolerate losses; missing blocks {missing}")

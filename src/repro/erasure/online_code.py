@@ -24,10 +24,12 @@ Implementation notes (the vectorized kernel):
   carry no ``stream_version`` metadata and are still decoded bit-for-bit via
   the preserved derivation in :mod:`repro.erasure._legacy`.
 * Payload math runs on the bit-packed GF(2) kernel
-  (:mod:`repro.erasure.gf2`): encode is a segmented XOR-reduce over a stacked
-  composite matrix, decode is the vectorized peeling scheduler driven by
-  per-equation degree counters, and the small-system fallback is bit-packed
-  Gauss-Jordan elimination.
+  (:mod:`repro.erasure.gf2`): encode is a segmented XOR-reduce over the
+  composites its check blocks reference; decode compiles the vectorized
+  peeling scheduler and the bit-packed residual elimination into a
+  :class:`DecodeProgram` once per available-index set and replays it in
+  place over one equation matrix.  Wide rows stream through those kernels
+  without temporaries, narrow rows are batched (``gf2.STREAM_MIN_WORDS``).
 * Code structures are cached per ``(epsilon, q, n_blocks, chunk_seed,
   version)`` in an LRU layer, so decode and
   :meth:`OnlineCode.generate_additional_blocks` reuse the graph the encoder
@@ -51,6 +53,7 @@ from repro.erasure.base import (
     EncodedBlock,
     EncodedChunk,
     ErasureCode,
+    require_block_lengths,
     split_into_matrix,
 )
 from repro.sim.rng import derive_seed
@@ -143,17 +146,22 @@ class DecodeProgram:
     Decoding is GF(2)-linear and its control flow (which equation recovers
     which composite, in which order; which equations combine to solve the
     peeling residual) depends only on the graph — not on payload bytes.  The
-    program stores that control flow as flat arrays:
+    program stores that control flow as flat arrays over the rows of one
+    ``(n_rows, words)`` matrix: the available check payloads in sorted-index
+    order, the zero-valued auxiliary constraints, then one spare row per
+    residual-solved composite.
 
-    * ``schedule`` — one entry per peeling round: ``(targets, source_eqs,
-      vars_sorted, unique_eqs, seg_offsets)``.  Replay assigns
-      ``solution[targets] = values[source_eqs]`` and then XORs the
-      newly-known payloads into the affected equations with one segmented
-      reduce.  Events that can no longer influence the outcome (updates to
-      equations already consumed) are filtered out at compile time.
-    * ``residual_vars``/``residual_flat``/``residual_offsets`` — the
-      inactivation step: each residual-solved composite is one XOR over the
-      peel-reduced equation values.
+    * A peeled composite is not copied anywhere: once the equation that
+      recovers it has been reduced to that single unknown, the equation's row
+      *is* the composite's payload, and nothing writes to it again (updates
+      to consumed equations are filtered out at compile time).  ``var_rows``
+      records that row for every composite (-1 where undetermined).
+    * ``schedule`` — one ``(source_rows, seg_offsets, target_rows)`` entry per
+      peeling round with live updates: the rows of the newly solved
+      composites are XORed into the equations containing them, in place.
+    * ``residual_flat``/``residual_offsets`` — the inactivation step: each
+      residual-solved composite is one XOR over peel-reduced equation rows,
+      written to the spare rows from ``n_equations`` on.
 
     ``missing`` is non-zero (and the schedule unusable for full decode) when
     the available set cannot determine every original block.  ``rounds`` /
@@ -163,8 +171,9 @@ class DecodeProgram:
     __slots__ = (
         "missing",
         "n_equations",
+        "n_rows",
+        "var_rows",
         "schedule",
-        "residual_vars",
         "residual_flat",
         "residual_offsets",
         "events",
@@ -175,8 +184,8 @@ class DecodeProgram:
         self,
         missing: int,
         n_equations: int,
-        schedule: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-        residual_vars: np.ndarray,
+        var_rows: np.ndarray,
+        schedule: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         residual_flat: np.ndarray,
         residual_offsets: np.ndarray,
         events: int,
@@ -184,33 +193,27 @@ class DecodeProgram:
     ):
         self.missing = missing
         self.n_equations = n_equations
+        self.n_rows = n_equations + int(residual_offsets.size) - 1
+        self.var_rows = var_rows
         self.schedule = schedule
-        self.residual_vars = residual_vars
         self.residual_flat = residual_flat
         self.residual_offsets = residual_offsets
         self.events = events
         self.rounds = rounds
 
-    def run(self, check_values: np.ndarray, composite_count: int) -> np.ndarray:
-        """Replay the schedule over packed check payloads; returns solutions.
+    def run(self, values: np.ndarray) -> None:
+        """Replay the schedule in place over the ``(n_rows, words)`` matrix.
 
-        ``check_values`` is the ``(n_checks, words)`` packed payload matrix in
-        sorted-available order; rows for the zero-valued auxiliary constraints
-        are appended internally.
+        On entry rows ``[0, n_equations)`` hold the equation payloads (checks,
+        then zeros for the auxiliary constraints); on return row
+        ``var_rows[c]`` holds the payload of composite ``c``.
         """
-        words = check_values.shape[1]
-        values = np.zeros((self.n_equations, words), dtype=np.uint64)
-        values[: check_values.shape[0]] = check_values
-        solution = np.zeros((composite_count, words), dtype=np.uint64)
-        for targets, source_eqs, vars_sorted, unique_eqs, seg_offsets in self.schedule:
-            solution[targets] = values[source_eqs]
-            if vars_sorted.size:
-                values[unique_eqs] ^= gf2.xor_reduce_segments(solution, vars_sorted, seg_offsets)
-        if self.residual_vars.size:
-            solution[self.residual_vars] = gf2.xor_reduce_segments(
-                values, self.residual_flat, self.residual_offsets
+        for source_rows, seg_offsets, target_rows in self.schedule:
+            gf2.xor_accumulate_segments(values, source_rows, seg_offsets, target_rows)
+        if self.n_rows > self.n_equations:
+            gf2.xor_reduce_segments(
+                values, self.residual_flat, self.residual_offsets, out=values[self.n_equations :]
             )
-        return solution
 
 
 class CodeGraph:
@@ -388,9 +391,10 @@ class CodeGraph:
         payloads.  The peeling scheduler and the residual eliminator are run
         once *symbolically* — with bit rows tracking which check equations
         combine into each composite — and the result is flattened into a CSR
-        "program".  Replaying the program is a single batched XOR-reduce, so
-        repeated decodes of the same shape (benchmarks, repair storms,
-        retrieve-all paths) skip graph peeling entirely.  When the available
+        "program".  Replaying the program is one in-place XOR pass per
+        peeling round plus one for the residual, so repeated decodes of the
+        same shape (benchmarks, repair storms, retrieve-all paths) skip graph
+        peeling entirely.  When the available
         set cannot determine every original block, the returned (negatively
         cached) program has ``missing > 0`` and must not be replayed.
         """
@@ -413,42 +417,47 @@ class CodeGraph:
         missing = int(self.n_blocks - result.known[: self.n_blocks].sum())
 
         # An equation's value stops mattering once it has been consumed as a
-        # peeling source (unless the residual solver reads it): drop the
-        # events that only update dead equations.
+        # peeling source, and never matters when no composite is recovered
+        # from it (a redundant check, or an auxiliary constraint whose ~3n/aux
+        # members were all peeled elsewhere) unless the residual solver reads
+        # it: the replay skips every update to such a row.  That a consumed
+        # equation is never written again is also what lets its row stand for
+        # the composite it recovered.  ``events`` stays the peel's own count
+        # (updates to equations not yet consumed, read later or not).
         trace = result.trace or []
         use_round = np.full(n_equations, len(trace) + 1, dtype=np.int64)
-        for round_index, (_, source_eqs, _, _) in enumerate(trace):
+        is_read = np.zeros(n_equations, dtype=bool)
+        is_read[residual_flat] = True
+        var_rows = np.full(self.composite_count, -1, dtype=np.int64)
+        for round_index, (targets, source_eqs, _, _) in enumerate(trace):
             use_round[source_eqs] = round_index
-        keep_always = result.counts > 0  # residual rows
+            is_read[source_eqs] = True
+            var_rows[targets] = source_eqs
+        var_rows[residual_vars] = n_equations + np.arange(residual_vars.size, dtype=np.int64)
         schedule = []
-        events = 0
-        for round_index, (targets, source_eqs, ev_eqs, ev_vars) in enumerate(trace):
-            if ev_eqs.size:
-                keep = keep_always[ev_eqs] | (use_round[ev_eqs] > round_index)
-                ev_eqs = ev_eqs[keep]
-                ev_vars = ev_vars[keep]
-            if ev_eqs.size:
-                order = np.argsort(ev_eqs)
-                eqs_sorted = ev_eqs[order]
-                vars_sorted = ev_vars[order]
-                boundary = np.empty(eqs_sorted.size, dtype=bool)
-                boundary[0] = True
-                np.not_equal(eqs_sorted[1:], eqs_sorted[:-1], out=boundary[1:])
-                starts = np.flatnonzero(boundary)
-                unique_eqs = eqs_sorted[starts]
-                seg_offsets = np.append(starts, eqs_sorted.size)
-                events += int(vars_sorted.size)
-            else:
-                vars_sorted = unique_eqs = np.empty(0, dtype=np.int64)
-                seg_offsets = np.zeros(1, dtype=np.int64)
-            schedule.append((targets, source_eqs, vars_sorted, unique_eqs, seg_offsets))
-        events += int(residual_flat.size)
+        events = int(residual_flat.size)
+        for round_index, (_, _, ev_eqs, ev_vars) in enumerate(trace):
+            pending = use_round[ev_eqs] > round_index
+            events += int(np.count_nonzero(pending))
+            keep = pending & is_read[ev_eqs]
+            ev_eqs = ev_eqs[keep]
+            if ev_eqs.size == 0:
+                continue
+            order = np.argsort(ev_eqs)
+            eqs_sorted = ev_eqs[order]
+            boundary = np.empty(eqs_sorted.size, dtype=bool)
+            boundary[0] = True
+            np.not_equal(eqs_sorted[1:], eqs_sorted[:-1], out=boundary[1:])
+            starts = np.flatnonzero(boundary)
+            schedule.append(
+                (var_rows[ev_vars[keep][order]], np.append(starts, eqs_sorted.size), eqs_sorted[starts])
+            )
 
         program = DecodeProgram(
             missing=missing,
             n_equations=n_equations,
+            var_rows=var_rows,
             schedule=schedule,
-            residual_vars=residual_vars,
             residual_flat=residual_flat,
             residual_offsets=residual_offsets,
             events=events,
@@ -527,18 +536,51 @@ class OnlineCode(ErasureCode):
 
     # -- composite construction -------------------------------------------------
     @staticmethod
-    def _composite_words(graph: CodeGraph, matrix: np.ndarray) -> np.ndarray:
-        """Stack originals + aux blocks as packed uint64 words, vectorized."""
-        words = gf2.words_for_bytes(matrix.shape[1])
-        composites = np.zeros((graph.composite_count, words), dtype=np.uint64)
-        composites[: graph.n_blocks] = gf2.pack_matrix(matrix)
-        gf2.xor_reduce_segments(
-            composites[: graph.n_blocks],
-            graph.aux_flat,
-            graph.aux_offsets,
-            out=composites[graph.n_blocks :],
+    def _composite_words(
+        graph: CodeGraph, matrix: np.ndarray, flat: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Packed payloads of the composites that ``flat`` references.
+
+        ``matrix`` is the chunk split into its original blocks.  Returns
+        ``(words, flat re-indexed into the rows of words)``.  Only what the
+        check blocks need is built: the referenced originals, the referenced
+        auxiliary blocks, and the members those are XORed from.  A full encode
+        references (nearly) everything; minting one repair block references a
+        handful of originals and rarely an auxiliary block.  The chunk payload
+        is copied once, straight into the packed rows.
+        """
+        n_blocks = graph.n_blocks
+        used = np.zeros(graph.composite_count, dtype=bool)
+        used[flat] = True
+        aux_used = np.flatnonzero(used[n_blocks:])
+        members, member_offsets = gf2.csr_take(graph.aux_flat, graph.aux_offsets, aux_used)
+        used[members] = True
+        originals = np.flatnonzero(used[:n_blocks])
+        # Originals sort before auxiliaries, so a running count is the row map.
+        position = np.cumsum(used) - 1
+
+        block_size = matrix.shape[1]
+        words = np.empty(
+            (originals.size + aux_used.size, gf2.words_for_bytes(block_size)), dtype=np.uint64
         )
-        return composites
+        as_bytes = words.view(np.uint8)
+        as_bytes[: originals.size, block_size:] = 0
+        as_bytes[: originals.size, :block_size] = (
+            matrix if originals.size == n_blocks else matrix[originals]
+        )
+        gf2.xor_reduce_segments(
+            words[: originals.size], position[members], member_offsets, out=words[originals.size :]
+        )
+        return words, position[flat]
+
+    @staticmethod
+    def _check_blocks(words: np.ndarray, block_size: int, first_index: int) -> List[EncodedBlock]:
+        """Wrap packed check payloads as encoded blocks ``first_index, first_index + 1, ...``."""
+        payload_bytes = gf2.unpack_matrix(words, block_size)
+        return [
+            EncodedBlock(index=first_index + row, data=payload_bytes[row].tobytes())
+            for row in range(words.shape[0])
+        ]
 
     # -- decodability (symbolic) ------------------------------------------------
     def _decodable_from_all(self, graph: CodeGraph, check_count: int) -> bool:
@@ -560,7 +602,7 @@ class OnlineCode(ErasureCode):
         if not bool(result.known[: graph.n_blocks].all()) and (
             graph.composite_count <= self.GAUSSIAN_FALLBACK_LIMIT
         ):
-            gf2.solve_residual(flat, offsets, graph.composite_count, result)
+            gf2.compile_residual(flat, offsets, graph.composite_count, result)
         decodable = bool(result.known[: graph.n_blocks].all())
         graph.decodable_cache[check_count] = decodable
         return decodable
@@ -577,43 +619,28 @@ class OnlineCode(ErasureCode):
         block_size = matrix.shape[1]
         chunk_seed = derive_seed(self.seed, "chunk", len(data), n_blocks)
         graph = self._graph(n_blocks, chunk_seed)
-        composites = self._composite_words(graph, matrix)
 
         if output_blocks is None:
             output_blocks = self.default_output_blocks(n_blocks)
         if output_blocks < 1:
             raise ValueError("output_blocks must be >= 1")
 
-        flat, offsets = graph.check_csr(output_blocks)
-        check_words = gf2.xor_reduce_segments(composites, flat, offsets)
-
         # Rateless small-system guarantee: for chunks split into few blocks the
         # nominal (1 + epsilon) overhead gives no probabilistic guarantee, so
-        # keep appending check blocks (continuing the same stream, in batches)
-        # until the full set of encoded blocks determines every original block.
+        # keep extending the check stream (in batches) until the full set of
+        # encoded blocks determines every original block.  Decodability is a
+        # property of the graph, so the count is settled before any payload
+        # byte is touched.
         if graph.composite_count <= self.SMALL_SYSTEM_GUARANTEE:
             cap = output_blocks + 8 * graph.composite_count + 16
-            total = output_blocks
-            extra_words: List[np.ndarray] = []
-            while total < cap and not self._decodable_from_all(graph, total):
-                batch = min(max(8, graph.composite_count // 8), cap - total)
-                graph.ensure_checks(total + batch)
-                new_flat, new_offsets = gf2.csr_take(
-                    graph._check_flat,
-                    graph._check_offsets,
-                    np.arange(total, total + batch, dtype=np.int64),
-                )
-                extra_words.append(gf2.xor_reduce_segments(composites, new_flat, new_offsets))
-                total += batch
-            if extra_words:
-                check_words = np.concatenate([check_words] + extra_words, axis=0)
-            output_blocks = total
+            while output_blocks < cap and not self._decodable_from_all(graph, output_blocks):
+                output_blocks += min(max(8, graph.composite_count // 8), cap - output_blocks)
 
-        payload_bytes = gf2.unpack_matrix(check_words, block_size)
-        encoded = [
-            EncodedBlock(index=index, data=payload_bytes[index].tobytes())
-            for index in range(output_blocks)
-        ]
+        flat, offsets = graph.check_csr(output_blocks)
+        composites, flat = self._composite_words(graph, matrix, flat)
+        encoded = self._check_blocks(
+            gf2.xor_reduce_segments(composites, flat, offsets), block_size, 0
+        )
         return EncodedChunk(
             code_name=self.name,
             original_size=len(data),
@@ -635,26 +662,24 @@ class OnlineCode(ErasureCode):
         This is the rateless property the recovery pipeline relies on: new
         encoded blocks can be created for a chunk without touching the blocks
         that already exist (their indices simply continue the stream).  The
-        cached code graph means only the *new* stream indices are derived —
-        the encoder's graph and the composite matrix are not rebuilt from
-        scratch beyond one pass over the chunk payload.
+        cached code graph means only the *new* stream indices are derived, and
+        only the composites those checks reference are read from the chunk.
         """
         if count < 1:
             return []
         graph = self._graph_for_chunk(chunk, self.parameters)
-        matrix = split_into_matrix(data, chunk.n_blocks)
-        composites = self._composite_words(graph, matrix)
         start = int(chunk.metadata["output_blocks"])
         flat, offsets = graph.checks_for(np.arange(start, start + count, dtype=np.int64))
-        words = gf2.xor_reduce_segments(composites, flat, offsets)
-        payload_bytes = gf2.unpack_matrix(words, chunk.block_size)
-        return [
-            EncodedBlock(index=start + offset, data=payload_bytes[offset].tobytes())
-            for offset in range(count)
-        ]
+        composites, flat = self._composite_words(
+            graph, split_into_matrix(data, chunk.n_blocks), flat
+        )
+        return self._check_blocks(
+            gf2.xor_reduce_segments(composites, flat, offsets), chunk.block_size, start
+        )
 
     # -- decode -------------------------------------------------------------------
     def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+        require_block_lengths(chunk, available)
         graph = self._graph_for_chunk(chunk, self.parameters)
         n_blocks = chunk.n_blocks
         total_outputs = int(chunk.metadata["output_blocks"])
@@ -666,7 +691,7 @@ class OnlineCode(ErasureCode):
                 raise DecodingError(f"unknown encoded block index {index}")
 
         # Decoding is GF(2)-linear: the cached program maps check payloads to
-        # originals in one batched XOR-reduce (peeling + residual elimination
+        # originals with in-place XORs only (peeling + residual elimination
         # ran once, symbolically, when the program was compiled).
         program = graph.decode_program(tuple(indices), self.GAUSSIAN_FALLBACK_LIMIT)
         self.last_decode_stats = {"rounds": program.rounds, "events": program.events}
@@ -678,10 +703,23 @@ class OnlineCode(ErasureCode):
                 f"(epsilon={epsilon})"
             )
 
-        values = gf2.pack_rows([available[i] for i in indices], block_size)
-        solution = program.run(values, graph.composite_count)
-        originals = gf2.unpack_matrix(solution[:n_blocks], block_size)
-        return originals.reshape(-1)[: chunk.original_size].tobytes()
+        # Each block is copied once, straight into its equation row; the rows
+        # of the solved originals are joined once on the way out.
+        words = gf2.words_for_bytes(block_size)
+        stride = words * 8
+        values = np.empty((program.n_rows, words), dtype=np.uint64)
+        if stride != block_size:
+            values[: len(indices), -1] = 0  # word padding shares the last word
+        values[len(indices) : program.n_equations] = 0  # auxiliary constraints
+        raw = values.data.cast("B")
+        for row, index in enumerate(indices):
+            raw[row * stride : row * stride + block_size] = available[index]
+        program.run(values)
+        size = chunk.original_size
+        return b"".join(
+            raw[row * stride : row * stride + max(0, min(block_size, size - position * block_size))]
+            for position, row in enumerate(program.var_rows[:n_blocks].tolist())
+        )
 
     # -- metadata -------------------------------------------------------------------
     def spec(self, n_blocks: int) -> CodeSpec:

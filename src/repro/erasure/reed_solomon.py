@@ -34,6 +34,7 @@ from repro.erasure.base import (
     EncodedChunk,
     ErasureCode,
     join_blocks,
+    require_block_lengths,
     split_into_matrix,
 )
 
@@ -216,6 +217,7 @@ class ReedSolomonCode(ErasureCode):
 
     # -- decode -----------------------------------------------------------------
     def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+        require_block_lengths(chunk, available)
         k = chunk.n_blocks
         if len(available) < k:
             raise DecodingError(

@@ -24,6 +24,7 @@ from repro.erasure.base import (
     EncodedChunk,
     ErasureCode,
     join_blocks,
+    require_block_lengths,
     split_into_matrix,
 )
 
@@ -74,6 +75,7 @@ class XorParityCode(ErasureCode):
 
     # -- decode ---------------------------------------------------------------
     def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+        require_block_lengths(chunk, available)
         group_size = int(chunk.metadata.get("group_size", self.group_size))
         originals: List[np.ndarray] = []
         encoded_index = 0

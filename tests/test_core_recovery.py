@@ -249,3 +249,70 @@ def test_rateless_repair_refreshes_replica_payloads(dht):
     out = storage.retrieve_file("file-s")
     if out.complete:
         assert out.data == data
+
+
+def _online_payload_storage(dht, seed: int) -> StorageSystem:
+    from repro.erasure.online_code import OnlineCode, OnlineCodeParameters
+
+    return StorageSystem(
+        dht,
+        codec=ChunkCodec(
+            OnlineCode(OnlineCodeParameters(epsilon=0.2, q=3, quality=1.25), seed=seed),
+            blocks_per_chunk=4,
+        ),
+        payload_mode=True,
+    )
+
+
+def test_regeneration_kernel_failure_is_not_swallowed(dht, monkeypatch):
+    """A bug in the mint path must surface: re-placing the old payload would
+    leave a perfectly valid block behind and hide it from every check."""
+    from repro.erasure.online_code import OnlineCode
+
+    storage = _online_payload_storage(dht, seed=21)
+    data = np.random.default_rng(7).integers(0, 256, size=1 * MB, dtype=np.uint8).tobytes()
+    storage.store_bytes("file-k", data)
+
+    def broken(self, chunk, data, count):
+        raise ValueError("kernel bug")
+
+    monkeypatch.setattr(OnlineCode, "generate_additional_blocks", broken)
+    with pytest.raises(ValueError, match="kernel bug"):
+        RecoveryManager(storage).handle_failure(first_block_holder(storage, "file-k"))
+
+
+def test_stalled_decode_falls_back_to_replacing_the_lost_payload(dht, monkeypatch):
+    """``DecodingError`` is the one legitimate regeneration outcome besides a
+    fresh block: the lost payload itself is re-placed, indices unchanged."""
+    from repro.erasure.base import DecodingError
+    from repro.erasure.online_code import OnlineCode
+
+    storage = _online_payload_storage(dht, seed=22)
+    data = np.random.default_rng(8).integers(0, 256, size=1 * MB, dtype=np.uint8).tobytes()
+    storage.store_bytes("file-d", data)
+    stored = storage.files["file-d"]
+    before = [
+        [(block.index, block.data) for block in chunk.encoded.blocks]
+        for chunk in stored.data_chunks()
+    ]
+
+    def stalled(self, chunk, available):
+        raise DecodingError("online code peeling stalled")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(OnlineCode, "decode", stalled)
+        impact = RecoveryManager(storage).handle_failure(first_block_holder(storage, "file-d"))
+    assert impact.data_bytes_lost == 0 and impact.bytes_regenerated > 0
+
+    after = [
+        [(block.index, block.data) for block in chunk.encoded.blocks]
+        for chunk in stored.data_chunks()
+    ]
+    assert after == before
+    for chunk in stored.data_chunks():
+        for index, placement in enumerate(chunk.placements):
+            assert dht.network.node(placement.node_id).alive
+            key = (int(placement.node_id), placement.block_name)
+            assert storage._block_payloads[key] == chunk.encoded.blocks[index].data
+    out = storage.retrieve_file("file-d")
+    assert out.complete and out.data == data

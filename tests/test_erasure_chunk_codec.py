@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.erasure.base import DecodingError
 from repro.erasure.chunk_codec import ChunkCodec, get_code, registry
 from repro.erasure.null_code import NullCode
 from repro.erasure.online_code import OnlineCode
@@ -99,3 +100,33 @@ def test_measure_cold_clears_cached_structures():
     assert cold.encoded_size == warm.encoded_size
     clear_coding_caches()
     assert code_graph.cache_info().currsize == 0
+
+
+# -- malformed blocks: a typed error at the edge, never garbage ---------------------
+WRONG_LENGTHS = {
+    "short": lambda block: block[:-5],
+    "long": lambda block: block + bytes(50),
+    "empty": lambda block: b"",
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(WRONG_LENGTHS))
+@pytest.mark.parametrize("name", ["online", "xor", "reed-solomon", "null"])
+@pytest.mark.parametrize("drop_first", [False, True])
+def test_wrong_length_block_raises_decoding_error(name, mutation, drop_first):
+    """A block that is not ``chunk.block_size`` long must not be zero-padded
+    into a wrong answer or trip a bare NumPy shape error."""
+    code = get_code(name)
+    data = payload(16 * 1024, seed=3)
+    encoded = code.encode(data, 16)
+    available = {block.index: block.data for block in encoded.blocks}
+    if drop_first and name != "null":  # the erasure-decoding paths, too
+        del available[0]
+    victim = sorted(available)[3]
+    available[victim] = WRONG_LENGTHS[mutation](available[victim])
+    with pytest.raises(DecodingError) as error:
+        code.decode(encoded, available)
+    message = str(error.value)
+    assert f"block {victim} " in message
+    assert f"{len(available[victim])} bytes" in message
+    assert f"block_size is {encoded.block_size}" in message

@@ -83,6 +83,32 @@ def test_online_v2_decode_fingerprint_is_stable():
     assert code.last_decode_stats["rounds"] == 5
 
 
+def test_online_wide_row_bytes_are_golden():
+    """64 blocks x 16 KB: rows wide enough for the streaming XOR kernel.
+
+    Digests recorded from the grouped-gather kernel before the streaming one
+    existed, so this pins the two to the same bytes (the goldens above all
+    have narrow rows).
+    """
+    data = payload(64 * 16384, 43)
+    code = OnlineCode(OnlineCodeParameters(epsilon=0.01, q=3), seed=7)
+    encoded = code.encode(data, 64)
+    assert (len(encoded.blocks), encoded.block_size) == (83, 16384)
+    assert fingerprint(encoded) == "925ed170e0827212"
+
+    available = {block.index: block.data for block in encoded.blocks}
+    for lost in (0, 5, 17, 33, 64, 80):
+        del available[lost]
+    decoded = code.decode(encoded, available)
+    assert hashlib.sha256(decoded).hexdigest()[:16] == "ad3f106e038890b6"
+    assert decoded == data
+    assert code.last_decode_stats == {"rounds": 14, "events": 968}
+
+    extra = code.generate_additional_blocks(encoded, data, 3)
+    assert [block.index for block in extra] == [83, 84, 85]
+    assert fingerprint(replace(encoded, blocks=extra)) == "db7574c990225787"
+
+
 def test_other_codes_encoded_bytes_are_golden():
     assert fingerprint(ReedSolomonCode(parity_blocks=3).encode(GOLDEN_DATA, 8)) == (
         GOLDEN_FINGERPRINTS["reed-solomon"]
