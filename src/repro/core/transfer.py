@@ -97,6 +97,31 @@ state the scheduler *keeps* instead of rebuilding per event:
   instant only the last activation fills; rates are a function of the active
   set and no bytes move in zero time, so the schedule cannot tell.
 
+A fill, in turn, covers only what can change.  **Slack links**: a finite trunk
+or tenant-cap link ``l`` is left out of the filling while ``capacity_l >
+(1 + delta) x W_l x max_f(c_f / w_f)`` over its members ``f`` -- ``W_l`` their
+weight sum, ``c_f`` the tightest finite *access* capacity of ``f`` (``inf``
+without one: nothing such a flow crosses is ever slack; access links are never
+elided, they define the bound).  This is exact, not approximate:
+
+1. a flow freezes at the popped minimum level, which is at most the level of
+   its own access link, itself at most ``c_f / w_f`` while ``f`` is unfrozen;
+2. so ``l``'s level ``residual / unfrozen`` never drops below ``capacity_l /
+   W_l`` -- above every member's bound -- as its members freeze;
+3. so ``l`` is never the popped minimum while it has an unfrozen member, and
+   ``allocate`` without it pops, freezes and subtracts exactly the same.
+
+The status depends on the link's own members and capacity only: it is cached
+and re-derived when the link gains or loses a member (every one of them by a
+capacity setter or a moved topology version).  **Bottleneck components**: rates
+are a function of a flow's connected component over the *binding* (finite,
+non-slack) links, so a stale allocation refills the components of (i) the
+members of every link that changed membership and was binding before *or* is
+binding after the change -- a trunk a departure turned slack still set its
+remaining members' rates -- and (ii) every freshly activated flow, which may
+cross no binding link at all.  A full fill is the same routine with every flow
+marked; a saturated trunk merges its members into one component by itself.
+
 Every event still runs ``_advance`` (transfers progress linearly at their
 current rates) and ``_reschedule`` (the one completion timer is cancelled and
 re-armed): ``remaining`` and the timer's absolute time carry a float history
@@ -105,8 +130,10 @@ heap entry is a *lower bound* on its link's ``(level, key)``: a level all but
 never falls while other links freeze the link's flows, so an entry is
 re-evaluated when popped and a fresh one pushed only on a (rounding) decrease,
 which keeps the popped minimum exactly the smallest current level.
-``summary()`` counts ``reallocations``/``flows_filled``; the rebuild-per-event
-scheduler survives in ``tests/reference`` as the bit-identity oracle.
+``summary()`` counts ``reallocations`` (fills performed) and ``flows_filled``
+(flows whose rate a fill recomputed: the components' sizes, not the active
+set's); the rebuild-per-event scheduler survives in ``tests/reference`` as the
+bit-identity oracle.
 
 Determinism guarantees
 ----------------------
@@ -175,6 +202,16 @@ REMAINING_TOLERANCE = 1e-3
 #: Residual fair-share weight below which a link counts as fully frozen.
 _WEIGHT_TOLERANCE = 1e-9
 
+#: A shared link is *slack* when its capacity exceeds ``_SLACK_MARGIN`` x its
+#: members' weight sum x their largest access bound (module docs).  The sum is
+#: the incrementally kept ``_link_load``, not the member-order sum ``allocate``
+#: takes, and levels inside a fill drift by rounding: both err by about one
+#: ulp per member added, dropped or frozen (~1e-16 relative each, ~1e-11 over
+#: a 100 k-flow run on a trunk that never empties), so 1e-6 leaves five
+#: orders of margin and costs nothing -- a trunk that close to binding is
+#: simply filled.
+_SLACK_MARGIN = 1.0 + 1e-6
+
 #: Link-key stage tags.  Access links (uplink of the source, downlink of the
 #: destination) keep the seed values so link-key tie-breaks are unchanged;
 #: trunk stages sort after them, and the virtual per-tenant cap links sort
@@ -217,7 +254,7 @@ LinkKey = Tuple[int, int]
 def _validate_capacity(value: Optional[float], what: str, allow_zero: bool) -> None:
     if value is None:
         return
-    if value < 0 or (value == 0 and not allow_zero):
+    if not value >= 0 or (value == 0 and not allow_zero):  # NaN is not >= 0
         bound = ">= 0" if allow_zero else "positive"
         raise ValueError(f"{what} capacity must be {bound} (or None): {value!r}")
 
@@ -526,13 +563,7 @@ def allocate(
 
 @dataclass(frozen=True)
 class TransferSpec:
-    """One submission of the batch API (:meth:`TransferScheduler.submit_many`).
-
-    The positional-tuple form ``(size, src, dst, on_complete[, on_failed[,
-    timeout[, weight[, tenant]]]])`` is still accepted everywhere a spec is --
-    the fields below are exactly that tuple's positions -- but the dataclass
-    is the canonical shape now that the spec carries eight fields.
-    """
+    """One submission of the batch API (:meth:`TransferScheduler.submit_many`)."""
 
     size: float
     src: Optional[int] = None
@@ -544,13 +575,6 @@ class TransferSpec:
     weight: float = 1.0
     #: Tenant id the movement is charged to (``None`` = untagged).
     tenant: Optional[int] = None
-
-    @classmethod
-    def coerce(cls, spec: "TransferSpec | Tuple") -> "TransferSpec":
-        """Accept a spec as-is, or adapt the legacy positional tuple."""
-        if isinstance(spec, cls):
-            return spec
-        return cls(*spec)
 
 
 @dataclass
@@ -643,6 +667,13 @@ class TransferScheduler:
         self._capacity: Dict[LinkKey, float] = {}
         self._links: Dict[int, Tuple[LinkKey, ...]] = {}
         self._weights: Dict[int, float] = {}
+        #: Per flow, tightest finite access capacity / weight (inf if none):
+        #: the level the flow freezes at or below.  The shared links this
+        #: proves slack (status cached until their membership changes).
+        self._bound: Dict[int, float] = {}
+        self._slack: set = set()
+        #: Flows whose rate may have changed since the last fill (its seeds).
+        self._dirty: set = set()
         #: Allocation epoch: set when the active set or a capacity changed
         #: since the last fill (the topology's own changes via its version).
         self._stale = False
@@ -676,7 +707,7 @@ class TransferScheduler:
         self.last_completion_time = 0.0
         self.failed_count = 0
         self.bytes_failed = 0.0
-        #: Fills performed / active flows summed over them (cost counters).
+        #: Fills performed / flows whose rate they recomputed (cost counters).
         self.reallocations = 0
         self.flows_filled = 0
 
@@ -738,8 +769,8 @@ class TransferScheduler:
         1.0 (the default) is arithmetically absent, which is what keeps the
         all-tenants-weight-1 schedule bit-identical to the untagged one.
         """
-        if weight <= 0:
-            raise ValueError(f"tenant weight must be positive: {weight!r}")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"tenant weight must be finite and positive: {weight!r}")
         self._tenant_weight[int(tenant)] = float(weight)
 
     def set_tenant_cap(self, tenant: int, cap: Optional[float]) -> None:
@@ -803,26 +834,26 @@ class TransferScheduler:
             [TransferSpec(size, src, dst, on_complete, on_failed, timeout, weight, tenant)]
         )[0]
 
-    def submit_many(self, specs: Sequence["TransferSpec | Tuple"]) -> List[Transfer]:
-        """Submit a batch of :class:`TransferSpec` (or legacy positional tuples).
+    def submit_many(self, specs: Sequence[TransferSpec]) -> List[Transfer]:
+        """Submit a batch of :class:`TransferSpec`.
 
         One rate reallocation for the whole batch -- the way the repair
         executor charges all transfers of one failure at once.
         """
         if not specs:
             return []
+        for spec in specs:  # before any counter moves: NaN fails every comparison
+            if not 0 <= spec.size < math.inf:
+                raise ValueError(f"transfer size must be finite and >= 0: {spec.size!r}")
+            if spec.timeout is not None and not 0 < spec.timeout < math.inf:
+                raise ValueError(f"transfer timeout must be finite and positive: {spec.timeout!r}")
+            if not 0 < spec.weight < math.inf:
+                raise ValueError(f"transfer weight must be finite and positive: {spec.weight!r}")
         self._advance()
         transfers: List[Transfer] = []
         now = self.sim.now
-        for raw in specs:
-            spec = TransferSpec.coerce(raw)
+        for spec in specs:
             size, weight, timeout = spec.size, spec.weight, spec.timeout
-            if size < 0:
-                raise ValueError(f"negative transfer size: {size!r}")
-            if timeout is not None and timeout <= 0:
-                raise ValueError(f"transfer timeout must be positive: {timeout!r}")
-            if weight <= 0:
-                raise ValueError(f"transfer weight must be positive: {weight!r}")
             src = None if spec.src is None else int(spec.src)
             dst = None if spec.dst is None else int(spec.dst)
             tenant = None if spec.tenant is None else int(spec.tenant)
@@ -1050,15 +1081,19 @@ class TransferScheduler:
             capacity = self._key_capacity(key)
             if capacity is not None:
                 self._capacity[key] = float(capacity)
-        self._stale = True
+        self._bound[seq] = self._access_bound(keys, weight)
+        self._dirty.add(seq)
+        self._touch(keys)
 
     def _drop_active(self, transfer: Transfer) -> None:
         seq, weight = transfer.seq, transfer.weight
         del self._active[seq]
         self._order.remove(seq)
-        del self._weights[seq]
+        del self._weights[seq], self._bound[seq]
+        self._dirty.discard(seq)
         load, members = self._link_load, self._members
-        for key in self._links.pop(seq):
+        keys = self._links.pop(seq)
+        for key in keys:
             remaining = load.get(key, 0.0) - weight
             if remaining <= _WEIGHT_TOLERANCE:
                 load.pop(key, None)
@@ -1070,6 +1105,32 @@ class TransferScheduler:
                 self._capacity.pop(key, None)
             else:
                 row.remove(seq)
+        self._touch(keys)
+
+    def _access_bound(self, keys: Iterable[LinkKey], weight: float) -> float:
+        capacity = self._capacity
+        return min([capacity.get(key, math.inf) for key in keys if key[0] <= _DOWN],
+                   default=math.inf) / weight
+
+    def _touch(self, keys: Iterable[LinkKey]) -> None:
+        """Re-derive the slack status of links whose membership changed and
+        mark the members of those binding before or after it for the refill."""
+        capacity, members, slack, bound = self._capacity, self._members, self._slack, self._bound
+        load = self._link_load
+        for key in keys:
+            limit = capacity.get(key)
+            if limit is None:  # unconstrained or emptied: not an edge
+                slack.discard(key)
+                continue
+            row = members[key]
+            if key[0] > _DOWN and limit > (
+                    _SLACK_MARGIN * load.get(key, 0.0) * max([bound[f] for f in row])):
+                if key in slack:
+                    continue
+                slack.add(key)
+            else:
+                slack.discard(key)
+            self._dirty.update(row)
         self._stale = True
 
     def _capacity_changed(self, doomed: Callable[[Transfer], bool], reason: str) -> None:
@@ -1088,7 +1149,12 @@ class TransferScheduler:
             self._topology_version = self.topology.version
         resolved = ((key, self._key_capacity(key)) for key in self._members)
         self._capacity = {key: float(value) for key, value in resolved if value is not None}
-        self._stale = True
+        for seq, keys in self._links.items():
+            self._bound[seq] = self._access_bound(keys, self._weights[seq])
+        # Every bound and status is re-derived and every flow refilled.
+        self._slack.clear()
+        self._touch(self._members)
+        self._dirty.update(self._active)
 
     def _dead_reason(self, transfer: Transfer) -> Optional[str]:
         """Why the transfer cannot run (a dead stage on its path), if at all."""
@@ -1177,11 +1243,25 @@ class TransferScheduler:
         active = self._active
         if not active:
             return
-        rates = allocate(self._capacity, self._members, self._links, self._weights)
-        for seq, transfer in active.items():
-            transfer.rate = rates[seq]
+        # The components, over binding links, of every flow marked dirty.
+        capacity, members, slack, links = self._capacity, self._members, self._slack, self._links
+        stack = list(self._dirty)
+        self._dirty.clear()
+        flow_links: Dict[int, Tuple[LinkKey, ...]] = {}
+        link_capacity: Dict[LinkKey, float] = {}
+        while stack:
+            seq = stack.pop()
+            if seq in flow_links:
+                continue
+            flow_links[seq] = links[seq]
+            for key in links[seq]:
+                if key in capacity and key not in slack and key not in link_capacity:
+                    link_capacity[key] = capacity[key]
+                    stack.extend(members[key])
+        for seq, rate in allocate(link_capacity, members, flow_links, self._weights).items():
+            active[seq].rate = rate
         self.reallocations += 1
-        self.flows_filled += len(active)
+        self.flows_filled += len(flow_links)
 
     def _disarm(self) -> None:
         if self._timer is not None:
@@ -1272,8 +1352,8 @@ class TransferPacer:
     ) -> None:
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1 (or None)")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        if not 0 < weight < math.inf:
+            raise ValueError("weight must be finite and positive")
         self.scheduler = scheduler
         self.max_in_flight = max_in_flight
         self.weight = float(weight)
@@ -1308,7 +1388,7 @@ class TransferPacer:
             [TransferSpec(size, src, dst, on_complete, on_failed, timeout, tenant=tenant)]
         )
 
-    def submit_many(self, specs: Sequence["TransferSpec | Tuple"]) -> None:
+    def submit_many(self, specs: Sequence[TransferSpec]) -> None:
         """Admit up to the window, backlog the rest (FIFO, in spec order).
 
         Unlike :meth:`TransferScheduler.submit_many` no :class:`Transfer`
@@ -1331,9 +1411,7 @@ class TransferPacer:
         }
 
     # ------------------------------------------------------------- internals --
-    def _wrap(self, spec: "TransferSpec | Tuple") -> TransferSpec:
-        spec = TransferSpec.coerce(spec)
-
+    def _wrap(self, spec: TransferSpec) -> TransferSpec:
         def settled(callback, transfer):
             self.in_flight -= 1
             if callback is not None:

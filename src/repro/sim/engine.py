@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -145,12 +146,13 @@ class Process(Event):
             self._resume(None, event.value)
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class _QueueEntry:
-    time: float
-    order: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """The handle ``schedule`` returns; the heap orders ``(time, order, entry)``
+    tuples, which compare in C and (``order`` being unique) never reach it."""
+
+    callback: Callable[[], None]
+    cancelled: bool = False
 
 
 class Simulator:
@@ -158,7 +160,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: list[_QueueEntry] = []
+        self._queue: list[tuple[float, int, _QueueEntry]] = []
         self._counter = itertools.count()
         self._event_count = 0
 
@@ -175,10 +177,10 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[[], None]) -> _QueueEntry:
         """Run ``callback`` after ``delay`` simulated time units."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
-        entry = _QueueEntry(self._now + float(delay), next(self._counter), callback)
-        heapq.heappush(self._queue, entry)
+        if not 0 <= delay < math.inf:  # also False for NaN
+            raise SimulationError(f"delay must be finite and >= 0 (delay={delay!r})")
+        entry = _QueueEntry(callback)
+        heapq.heappush(self._queue, (self._now + float(delay), next(self._counter), entry))
         return entry
 
     def cancel(self, entry: _QueueEntry) -> None:
@@ -248,12 +250,12 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next scheduled callback.  Returns False if queue empty."""
         while self._queue:
-            entry = heapq.heappop(self._queue)
+            time, _, entry = heapq.heappop(self._queue)
             if entry.cancelled:
                 continue
-            if entry.time < self._now:
+            if time < self._now:
                 raise SimulationError("event queue corrupted: time went backwards")
-            self._now = entry.time
+            self._now = time
             self._event_count += 1
             entry.callback()
             return True
@@ -295,6 +297,6 @@ class Simulator:
         return process.value
 
     def _peek_time(self) -> Optional[float]:
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None

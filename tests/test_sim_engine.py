@@ -33,6 +33,31 @@ def test_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_delay_rejected(delay):
+    # NaN fails ``delay < 0``, would fire first and set ``sim.now`` to NaN.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(delay, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.timeout(delay)
+    assert sim.run() == 0.0 and sim.events_processed == 0
+
+
+def test_same_time_order_survives_a_cancelled_entry_between():
+    """Heap entries are ``(time, order, entry)`` tuples: ties fall to the
+    scheduling order, never to the entry, and lazy cancellation still skips."""
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append("first"))
+    doomed = sim.schedule(1.0, lambda: seen.append("cancelled"))
+    sim.schedule(1.0, lambda: seen.append("second"))
+    sim.cancel(doomed)
+    assert sim.run(until=1.0) == 1.0
+    assert seen == ["first", "second"]
+    assert sim.events_processed == 2
+
+
 def test_cancel_prevents_execution():
     sim = Simulator()
     seen = []

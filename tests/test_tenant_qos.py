@@ -52,7 +52,7 @@ def _drive_workload(node_count, tagged):
                 specs.append(TransferSpec(size, src, dst, done, fail, timeout,
                                           weight=1.0, tenant=src % 3))
             else:
-                specs.append((size, src, dst, done, fail, timeout))
+                specs.append(TransferSpec(size, src, dst, done, fail, timeout))
         sched.submit_many(specs)
         if wave % 2 == 0:
             victim = rng.randrange(node_count)
@@ -182,20 +182,3 @@ def test_pacer_preserves_tenant_tags_across_the_window():
     summary = sched.tenant_summary()[3]
     assert summary["completed"] == 4.0
     assert summary["bytes_completed"] == pytest.approx(40.0)
-
-
-def test_transfer_spec_tuple_back_compat_is_bit_identical():
-    """submit_many accepts tuples and TransferSpec objects interchangeably."""
-    results = []
-    for as_spec in (False, True):
-        sim = Simulator()
-        sched = TransferScheduler(sim, uplink=7.0, downlink=9.0)
-        specs = [(37.0 + i * 3.1, i % 5, (i * 2 + 1) % 5, None, None, None, 1.0 + i % 2)
-                 for i in range(20)]
-        if as_spec:
-            sched.submit_many([TransferSpec(*spec) for spec in specs])
-        else:
-            sched.submit_many(specs)
-        sim.run()
-        results.append((sched.summary(), sched.bytes_out))
-    assert results[0] == results[1]

@@ -17,6 +17,7 @@ from repro.core.transfer import (
     NetworkTopology,
     TransferPacer,
     TransferScheduler,
+    TransferSpec,
     oversubscribed_topology,
 )
 from repro.sim.engine import Simulator
@@ -234,7 +235,7 @@ def test_pacer_bounds_in_flight_and_preserves_fifo_order():
     pacer = TransferPacer(sched, max_in_flight=2)
     done = []
     pacer.submit_many(
-        [(100.0, 0, None, lambda t, i=i: done.append(i)) for i in range(6)]
+        [TransferSpec(100.0, 0, None, lambda t, i=i: done.append(i)) for i in range(6)]
     )
     assert pacer.in_flight == 2
     assert pacer.queue_depth == 4
@@ -255,8 +256,8 @@ def test_pacer_failure_frees_window_slot():
     events = []
     pacer.submit_many(
         [
-            (100.0, 1, None, None, lambda t: events.append("failed")),
-            (100.0, 0, None, lambda t: events.append("done")),
+            TransferSpec(100.0, 1, None, None, lambda t: events.append("failed")),
+            TransferSpec(100.0, 0, None, lambda t: events.append("done")),
         ]
     )
     sim.run()
@@ -268,7 +269,7 @@ def test_pacer_passthrough_matches_direct_submission():
     def run(paced):
         sim = Simulator()
         sched = TransferScheduler(sim, uplink=10.0, downlink=10.0)
-        specs = [(50.0 + i, i % 3, (i + 1) % 3, None) for i in range(9)]
+        specs = [TransferSpec(50.0 + i, i % 3, (i + 1) % 3) for i in range(9)]
         if paced:
             TransferPacer(sched, max_in_flight=None).submit_many(specs)
         else:
@@ -319,7 +320,7 @@ def _drive_workload(node_count, topology):
             size = rng.uniform(5.0, 200.0)
             timeout = rng.choice([None, rng.uniform(1.0, 30.0)])
             specs.append(
-                (
+                TransferSpec(
                     size,
                     src,
                     dst,
@@ -364,9 +365,9 @@ def test_infinite_core_oracle_under_weighted_pass_through():
     plain = TransferScheduler(sim_a, uplink=7.0, downlink=9.0)
     sim_b = Simulator()
     weighted = TransferScheduler(sim_b, uplink=7.0, downlink=9.0)
-    specs = [(37.0 + i * 3.1, i % 5, (i * 2 + 1) % 5, None) for i in range(20)]
-    plain.submit_many(specs)
-    weighted.submit_many([spec + (None, None, 1.0) for spec in specs])
+    specs = [(37.0 + i * 3.1, i % 5, (i * 2 + 1) % 5) for i in range(20)]
+    plain.submit_many([TransferSpec(*spec) for spec in specs])
+    weighted.submit_many([TransferSpec(*spec, weight=1.0) for spec in specs])
     assert [t.rate for t in plain.active_transfers()] == [
         t.rate for t in weighted.active_transfers()
     ]
@@ -414,7 +415,7 @@ def test_bytes_delivered_plus_refunded_equals_submitted(seed):
         specs = []
         for _ in range(4):
             specs.append(
-                (
+                TransferSpec(
                     rng.uniform(1.0, 120.0),
                     rng.randrange(node_count),
                     rng.randrange(node_count),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.transfer import TransferScheduler
+from repro.core.transfer import TransferPacer, TransferScheduler, TransferSpec
 from repro.sim.engine import Simulator
 
 
@@ -89,7 +89,7 @@ def test_staggered_submissions_account_for_progress():
 
 def test_per_node_byte_accounting_and_summary():
     sim, sched = _scheduler(uplink=100.0, downlink=100.0)
-    sched.submit_many([(100.0, 1, 2, None), (50.0, 1, 3, None)])
+    sched.submit_many([TransferSpec(100.0, 1, 2), TransferSpec(50.0, 1, 3)])
     sim.run()
     assert sched.bytes_out[1] == pytest.approx(150.0)
     assert sched.bytes_in[2] == pytest.approx(100.0)
@@ -127,6 +127,32 @@ def test_rejects_bad_parameters():
     sched = TransferScheduler(sim, uplink=10.0)
     with pytest.raises(ValueError):
         sched.submit(-5.0, src=1, dst=2)
+
+
+@pytest.mark.parametrize("field", ["size", "weight", "timeout"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_inputs_are_rejected_before_any_counter_moves(field, value):
+    """NaN is False under every ``<`` / ``<=`` guard; once accepted it turns
+    ``bytes_submitted`` / ``bytes_out`` into NaN and the conservation law
+    (delivered + refunded == submitted) can no longer fail."""
+    sim, sched = _scheduler(uplink=10.0, downlink=10.0)
+    good = TransferSpec(40.0, 1, 2)
+    with pytest.raises(ValueError):
+        sched.submit(**{"size": 40.0, "src": 1, "dst": 2, field: value})
+    with pytest.raises(ValueError):  # the whole batch is refused, not a prefix of it
+        sched.submit_many([good, TransferSpec(**{"size": 40.0, "src": 1, "dst": 2, field: value})])
+    with pytest.raises(ValueError):  # the class weight multiplies into every flow's
+        sched.set_tenant_weight(0, value)
+    with pytest.raises(ValueError):
+        TransferPacer(sched, weight=value)
+    with pytest.raises(ValueError):
+        sched.set_node_bandwidth(1, uplink=float("nan"))
+    assert sched.idle and sched.summary()["submitted"] == 0.0
+    assert (sched.bytes_submitted, sched.bytes_out, sched.bytes_in) == (0.0, {}, {})
+    sched.submit_many([good])
+    sim.run()
+    summary = sched.summary()
+    assert summary["bytes_completed"] == summary["bytes_submitted"] == sched.bytes_out[1] == 40.0
 
 
 def test_completion_callback_runs_at_completion_time_not_submit_time():

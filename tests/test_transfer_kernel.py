@@ -9,8 +9,9 @@ Three layers of checks, none of which reads a wall clock:
   graph + allocation epoch + same-instant activation folding) against the
   rebuild-on-every-event reference in ``tests/reference`` -- schedules,
   callback order and every byte counter must agree with ``==``;
-* pinned ``reallocations`` counts, so "the scheduler recomputes rates only
-  when their inputs changed" is a tier-1 regression gate.
+* pinned ``reallocations`` / ``flows_filled`` counts, so "the scheduler
+  recomputes rates only when their inputs changed, and only of the flows whose
+  bottleneck component changed" is a tier-1 regression gate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from hypothesis import strategies as st
 from reference.transfer_reference import ReferenceTransferScheduler
 
 from repro.core.transfer import (
+    _DOWN,
     _KEEP,
+    _SLACK_MARGIN,
     NetworkTopology,
     TransferScheduler,
     TransferSpec,
@@ -162,6 +165,58 @@ def test_allocate_does_not_mutate_its_inputs():
     assert repr(graph) == snapshot
 
 
+_SHARED = [(stage, ident) for stage in range(2, 7) for ident in range(2)]
+
+
+@st.composite
+def _graphs_with_shared_links_around_the_slack_threshold(draw):
+    """Flows with (or without) access links, plus shared links whose capacity
+    is a drawn factor of ``weight sum x largest access bound`` -- the slack
+    threshold -- so they land below it, on it, one ulp above it and far above."""
+    flow_links, flow_weight = {}, {}
+    for flow in range(draw(st.integers(1, 10))):
+        ends = [draw(st.one_of(st.none(), st.integers(0, 3))) for _ in (0, 1)]
+        access = [(stage, ident) for stage, ident in enumerate(ends) if ident is not None]
+        shared = draw(st.lists(st.sampled_from(_SHARED), unique=True, max_size=3))
+        flow_links[flow] = tuple(access + shared)
+        flow_weight[flow] = draw(st.floats(0.2, 4.0))
+    link_members = _members(flow_links)
+    link_capacity = {}
+    for key in sorted(link_members):  # access links first: they define the bounds
+        if key[0] <= _DOWN:
+            if draw(st.booleans()):
+                link_capacity[key] = draw(st.floats(1.0, 30.0))
+            continue
+        threshold = _slack_threshold(key, link_capacity, link_members, flow_links, flow_weight)
+        factor = draw(st.one_of(
+            st.floats(0.05, 3.0), st.sampled_from([1.0, math.nextafter(1.0, 2.0), 50.0])))
+        link_capacity[key] = (
+            threshold * factor if threshold < math.inf else draw(st.floats(100.0, 5000.0)))
+    return link_capacity, link_members, flow_links, flow_weight
+
+
+def _slack_threshold(key, link_capacity, link_members, flow_links, flow_weight):
+    """The capacity above which ``key`` can never be a bottleneck."""
+    def bound(flow):  # the flow freezes at or below this level
+        access = [link_capacity.get(k, math.inf) for k in flow_links[flow] if k[0] <= _DOWN]
+        return min(access, default=math.inf) / flow_weight[flow]
+
+    row = link_members[key]
+    return _SLACK_MARGIN * sum(flow_weight[f] for f in row) * max(bound(f) for f in row)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_graphs_with_shared_links_around_the_slack_threshold())
+def test_allocate_is_unchanged_by_removing_the_slack_links(graph):
+    link_capacity, link_members, flow_links, flow_weight = graph
+    binding = {
+        key: capacity for key, capacity in link_capacity.items()
+        if key[0] <= _DOWN or not capacity > _slack_threshold(key, *graph)
+    }
+    # Exact equality, every flow: a slack link is never the popped minimum.
+    assert allocate(binding, link_members, flow_links, flow_weight) == allocate(*graph)
+
+
 # ----------------------------------------------------- driver vs. reference --
 
 NODE_COUNT = 12
@@ -183,6 +238,9 @@ _gap = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 4.0])
 _node = st.integers(0, NODE_COUNT - 1)
 _tenant = st.sampled_from([None, 0, 1, 2])
 _capacity = st.sampled_from([_KEEP, 0.0, None, 3.0, 8.0, 20.0])
+# Shared links also get generous capacities (node links are 3-20): raised and
+# lowered mid-storm they flip between slack and binding with flows in flight.
+_shared_capacity = st.sampled_from([_KEEP, 0.0, None, 3.0, 8.0, 20.0, 100.0, 600.0, 5000.0])
 _spec = st.tuples(
     st.sampled_from([0.0, 1.0, 6.0, 40.0, 90.5]),   # size
     _node, _node,
@@ -194,11 +252,13 @@ _spec = st.tuples(
 _op = st.one_of(
     st.tuples(st.just("submit"), _gap, st.lists(_spec, min_size=1, max_size=4)),
     st.tuples(st.just("node"), _gap, _node, _capacity, _capacity),
-    st.tuples(st.just("trunk"), _gap, st.booleans(), st.integers(0, 3), _capacity, _capacity),
-    st.tuples(st.just("cap"), _gap, st.integers(0, 2), st.sampled_from([None, 0.0, 2.0, 15.0])),
+    st.tuples(st.just("trunk"), _gap, st.booleans(), st.integers(0, 3),
+              _shared_capacity, _shared_capacity),
+    st.tuples(st.just("cap"), _gap, st.integers(0, 2),
+              st.sampled_from([None, 0.0, 2.0, 15.0, 100.0, 5000.0])),
     st.tuples(st.just("weight"), _gap, st.integers(0, 2), st.sampled_from([1.0, 0.1, 3.0])),
     # Mutating the topology object behind the scheduler's back.
-    st.tuples(st.just("direct"), _gap, st.integers(0, 1), st.sampled_from([None, 4.0, 60.0])),
+    st.tuples(st.just("direct"), _gap, st.integers(0, 1), st.sampled_from([None, 4.0, 60.0, 900.0])),
 )
 _latencies = st.tuples(*[st.sampled_from([0.0, 0.5, 1.0])] * 3)
 
@@ -284,6 +344,9 @@ def _random_ops(seed, steps=120):
     def capacity():
         return rng.choice([_KEEP, 0.0, None, rng.uniform(1.0, 30.0)])
 
+    def shared():  # tight or generous: trunks and caps flip between binding and slack
+        return rng.choice([rng.uniform(1.0, 30.0), rng.uniform(100.0, 5000.0)])
+
     ops = []
     for _ in range(steps):
         gap = rng.choice([0.0, 0.0, rng.uniform(0.0, 2.0)])
@@ -297,17 +360,18 @@ def _random_ops(seed, steps=120):
         if roll < 0.15:
             ops.append(("node", 0.0, node(), capacity(), capacity()))
         elif roll < 0.25:
-            ops.append(("trunk", 0.0, rng.random() < 0.5, rng.randrange(4), capacity(), capacity()))
+            ops.append(("trunk", 0.0, rng.random() < 0.5, rng.randrange(4),
+                        rng.choice([_KEEP, 0.0, None, shared()]), rng.choice([_KEEP, 0.0, None, shared()])))
         elif roll < 0.35:
-            ops.append(("cap", 0.0, rng.randrange(3), rng.choice([None, 0.0, rng.uniform(1.0, 20.0)])))
+            ops.append(("cap", 0.0, rng.randrange(3), rng.choice([None, 0.0, shared()])))
         elif roll < 0.45:
             ops.append(("weight", 0.0, rng.randrange(3), rng.uniform(0.1, 4.0)))
         elif roll < 0.5:
-            ops.append(("direct", 0.0, rng.randrange(2), rng.uniform(2.0, 60.0)))
+            ops.append(("direct", 0.0, rng.randrange(2), shared()))
     return ops
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(16))
 def test_scheduler_matches_the_reference_through_a_long_random_storm(seed):
     ops, latencies = _random_ops(seed), (0.0, 0.35, 0.8)
     new = _drive(TransferScheduler, ops, latencies)
@@ -380,3 +444,148 @@ def test_a_timer_that_finishes_nothing_fills_nothing():
     assert [t.finished_at for t in flows] == [pytest.approx(15.0), pytest.approx(10.0)]
     # One more fill when the short flow left; none when the last one did.
     assert sched.summary()["reallocations"] == fills + 1
+
+
+# --------------------------------- slack links and bottleneck components --
+
+def _both(scenario):
+    """One readable scenario on the scheduler and on the reference: equal, or fail."""
+    result = scenario(TransferScheduler)
+    assert result == scenario(ReferenceTransferScheduler)
+    return result
+
+
+def _idle_and_clean(sched):
+    """Nothing cached per flow or per link outlives the active set."""
+    return sched.idle and not (sched._bound or sched._slack or sched._dirty or sched._capacity)
+
+
+def test_a_fresh_flow_crossing_no_binding_link_is_still_filled():
+    """No link it crosses was touched, so nothing but the flow itself seeds it."""
+
+    def scenario(scheduler_cls):
+        sim = Simulator()
+        sched = scheduler_cls(sim, uplink=8.0, downlink=12.0,
+                              topology=NetworkTopology.from_nodes(_grid()))
+        for node in (1, 5):  # same rack: no trunk, and no access limit either
+            sched.set_node_bandwidth(node, uplink=None, downlink=None)
+        busy = sched.submit(80.0, src=0, dst=2)
+        sim.run(until=1.0)
+        free = sched.submit(50.0, src=1, dst=5)
+        rates = (busy.rate, free.rate)
+        sim.run()
+        return rates, busy.finished_at, free.finished_at, _idle_and_clean(sched)
+
+    assert _both(scenario) == ((8.0, math.inf), 10.0, 1.0, True)
+
+
+def test_a_trunk_that_turns_slack_because_a_member_left_refills_the_rest():
+    """It was binding *before* the change: the survivors' rates were set by it."""
+
+    def scenario(scheduler_cls):
+        sim = Simulator()
+        topology = NetworkTopology.from_nodes(_grid(), site_uplink=20.0)
+        sched = scheduler_cls(sim, uplink=8.0, downlink=12.0, topology=topology)
+        # Site 0 -> site 1 on disjoint endpoints: only the 20 B/s trunk joins them.
+        flows = [sched.submit(size, src=src, dst=src + 2)
+                 for size, src in ((20.0, 0), (200.0, 1), (200.0, 4))]
+        shared = [t.rate for t in flows]
+        sim.run(until=3.5)  # the short flow left at t=3: 16 B/s of demand, 20 of trunk
+        alone = [t.rate for t in flows]
+        sim.run()
+        return shared, alone, [t.finished_at for t in flows], _idle_and_clean(sched)
+
+    shared, alone, _, clean = _both(scenario)
+    assert shared == [20.0 / 3.0] * 3
+    assert alone == [0.0, 8.0, 8.0] and clean
+
+
+def test_a_link_emptied_and_refilled_is_judged_afresh():
+    """Slack under its last member says nothing about its next first one."""
+
+    def scenario(scheduler_cls):
+        sim = Simulator()
+        topology = NetworkTopology.from_nodes(_grid(), site_uplink=20.0)
+        sched = scheduler_cls(sim, uplink=8.0, downlink=12.0, topology=topology)
+        sched.set_node_bandwidth(1, uplink=40.0)
+        sched.set_node_bandwidth(3, downlink=40.0)
+        thin = sched.submit(16.0, src=0, dst=2)  # 8 B/s under the 20 B/s trunk: slack
+        sim.run()
+        clean = _idle_and_clean(sched)  # the trunk left the graph with its last member
+        fat = sched.submit(100.0, src=1, dst=3)  # 40 B/s endpoints: the same trunk binds
+        rates = (thin.rate, fat.rate)
+        sim.run()
+        return rates, clean, thin.finished_at, fat.finished_at
+
+    assert _both(scenario) == ((0.0, 20.0), True, 2.0, 7.0)
+
+
+def test_flows_without_a_finite_access_link_keep_their_trunk_binding():
+    """``src=None`` and ``bandwidth=None`` endpoints bound nothing (``c_f = inf``):
+    a generous trunk -- or tenant cap -- over them is their only limit, hence
+    never slack."""
+
+    def scenario(scheduler_cls):
+        sim = Simulator()
+        topology = NetworkTopology.from_nodes(_grid(), site_downlink=100.0)
+        sched = scheduler_cls(sim, uplink=8.0, downlink=12.0, topology=topology)
+        sched.set_node_bandwidth(1, uplink=None)
+        for node in (3, 7):
+            sched.set_node_bandwidth(node, downlink=None)
+        sched.set_tenant_cap(0, 50.0)
+        flows = [
+            sched.submit(400.0, src=0, dst=2, tenant=0),  # 8 B/s each
+            sched.submit(400.0, src=4, dst=6),
+            sched.submit(420.0, src=None, dst=3),  # the network at large -> site 1
+            sched.submit(420.0, src=1, dst=7),     # unconstrained at both ends
+            sched.submit(420.0, tenant=0),         # no endpoint at all: the cap alone
+        ]
+        rates = [t.rate for t in flows]
+        sim.run()
+        return rates, [t.finished_at for t in flows], _idle_and_clean(sched)
+
+    rates, _, clean = _both(scenario)
+    # (100 - 16) / 2 on the trunk, 50 - 8 under the cap.
+    assert rates == [8.0, 8.0, 42.0, 42.0, 42.0] and clean
+
+
+def test_a_fill_covers_the_bottleneck_component_not_the_active_set():
+    """Serve-shaped: gateways in site 0 each pulling from sources in site 1, one
+    generous site trunk over all of them.  ``flows_filled`` grows by the size of
+    the component a change lands in -- the flows sharing that gateway's downlink
+    -- until the trunk is squeezed to a binding value and merges them all."""
+    nodes = [_Node(g, site=0, rack=0) for g in range(3)]
+    nodes += [_Node(s, site=1, rack=1) for s in range(10, 20)]
+    sim = Simulator()
+    topology = NetworkTopology.from_nodes(nodes, site_uplink=1000.0, site_downlink=1000.0)
+    sched = TransferScheduler(sim, uplink=8.0, downlink=12.0, topology=topology)
+    sources = iter(range(10, 20))
+
+    def pull(gateway, size=1000.0):
+        before = sched.summary()
+        transfer = sched.submit(size, src=next(sources), dst=gateway)
+        after = sched.summary()
+        assert after["reallocations"] == before["reallocations"] + 1
+        return transfer, after["flows_filled"] - before["flows_filled"]
+
+    # Warm-up: a first, then a second source per gateway.
+    assert [pull(g)[1] for g in range(3)] == [1, 1, 1]
+    assert [pull(g)[1] for g in range(3)] == [2, 2, 2]  # the pair on that downlink
+    assert sched.active_count == 6 and {t.rate for t in sched.active_transfers()} == {6.0}
+    # A third, short pull on gateway 0: its component of three, then the two left.
+    short, filled = pull(0, size=4.0)
+    assert filled == 3 and short.rate == 4.0
+    before = sched.summary()
+    sim.run(until=1.0)
+    assert short.done and sched.summary()["flows_filled"] == before["flows_filled"] + 2
+    assert sched.summary()["reallocations"] == before["reallocations"] + 1
+    # Squeeze the trunk under the 36 B/s of demand: it binds, one component.
+    before = sched.summary()["flows_filled"]
+    sched.set_trunk_bandwidth(site=0, downlink=30.0)
+    assert sched.summary()["flows_filled"] == before + 6  # a setter refills everything
+    assert {t.rate for t in sched.active_transfers()} == {5.0}
+    assert pull(1)[1] == 7  # every flow on the trunk, not just gateway 1's three
+    # Generous again: the components split back.
+    sched.set_trunk_bandwidth(site=0, downlink=1000.0)
+    assert pull(2)[1] == 3
+    assert sorted(t.rate for t in sched.active_transfers()) == [4.0] * 6 + [6.0] * 2
