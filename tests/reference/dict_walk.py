@@ -103,8 +103,10 @@ def audit(storage) -> None:
     The node-dict byte/copy totals equal the ledger's as long as every copy
     on a live node is one the bookkeeping still references (a node that
     returns *unwiped* after its blocks were regenerated elsewhere would break
-    that; no caller audits in that state).
+    that; no caller audits in that state).  The ledger's own laws (aggregates
+    and row indexes against the raw columns) are checked first.
     """
+    storage.ledger.check_invariants()
     for name, stored in storage.files.items():
         for chunk in stored.chunks:
             assert storage.chunk_is_recoverable(chunk) == chunk_decodable(storage, chunk), (

@@ -6,19 +6,23 @@ and ``benchmarks/test_bench_churn_failures`` (run with ``-m bench``, written to
 order-of-magnitude regressions -- e.g. an accidental return to the O(N^2)
 population build, to per-key scalar lookups in the batched kernels, to an
 O(N) step per boundary patch, or to per-sample placement walks in the
-failure sweep -- without making tier-1
-timing-sensitive.  Budgets are ~10x the observed wall time on the development
+failure sweep, or to per-key Python containers in the ledger's row indexes --
+without making tier-1 timing-sensitive.  Budgets are ~10x the observed wall time on the development
 machine, so only a >5x throughput regression (the guarded threshold) can trip
 them.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
 
+from repro.baselines.cfs import CfsStore
 from repro.core import naming
+from repro.core.block_ledger import BlockLedger
+from repro.core.storage import BlockPlacement, StoredChunk, StoredFile
 from repro.experiments.availability import AvailabilityConfig, AvailabilityExperiment
 from repro.experiments.churn import ChurnConfig, ChurnExperiment
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
@@ -27,6 +31,8 @@ from repro.overlay.ids import random_node_id
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
+
+MB = 1 << 20
 
 
 def test_vectorized_insertion_within_budget():
@@ -112,3 +118,73 @@ def test_fast_population_build_within_budget():
     elapsed = time.perf_counter() - start
     assert len(view) == 4000
     assert elapsed < 8.0, f"fast 4000-node build took {elapsed:.2f}s"
+
+
+def _synthetic_ledger(node_count: int, file_count: int):
+    """A ledger shaped like the churn soak's: 5 rows and 3 placements per file."""
+    network = OverlayNetwork.build(
+        node_count, np.random.default_rng(9), capacities=[10 ** 12] * node_count,
+        routing_state=False,
+    )
+    ledger = BlockLedger(network)
+    ids = [node.node_id for node in network.nodes()]
+    picks = np.random.default_rng(10).integers(0, node_count, size=(file_count, 5)).tolist()
+    for index, (a, b, c, d, e) in enumerate(picks):
+        name = f"f{index}"
+        chunk = StoredChunk(0, 0, 3 * MB, placements=[
+            BlockPlacement(f"{name}/0/{pos}", ids[slot], MB) for pos, slot in enumerate((a, b, c))
+        ])
+        ledger.register_file(StoredFile(name, 3 * MB, None, [chunk], cat_placements=[
+            BlockPlacement(f"{name}/cat", ids[d], 1024, replica_nodes=(ids[e],)),
+        ]), required_blocks=2)
+    return network, ledger
+
+
+def test_compaction_is_column_gathers_and_allocates_no_per_key_containers():
+    # 75 000 rows / 45 000 placements with ~3 % released: ~12 ms on the
+    # development machine.  The list-of-lists indexes this replaced took
+    # ~200 ms here, most of it two generation-2 collections provoked by
+    # allocating ~70 000 fresh lists; neither the compaction nor the first
+    # lookup after it (which re-sorts an index) may bring those back.
+    network, ledger = _synthetic_ledger(2000, 15_000)
+    assert ledger.row_count >= 75_000 and ledger.placement_count >= 40_000
+    nodes = network.nodes()
+    for node in nodes[:60]:
+        node.fail()
+        node.recover(wipe=True)
+    released = ledger.memory_footprint()["released_rows"]
+    assert 0.02 * ledger.row_count < released < 0.05 * ledger.row_count
+    def collections() -> int:
+        return sum(generation["collections"] for generation in gc.get_stats())
+
+    gc.collect()
+    tracked, collected = len(gc.get_objects()), collections()
+    start = time.perf_counter()
+    stats = ledger.compact()
+    elapsed = time.perf_counter() - start
+    rows = ledger.recovery_rows(nodes[100])
+    grown, collected = len(gc.get_objects()) - tracked, collections() - collected
+    assert stats["rows_released"] == released and rows
+    assert grown < 1000, f"compact() + one lookup left {grown} new tracked objects"
+    # Net growth alone misses containers that replace freed ones (the old
+    # rebuild: 88 collections here, every 700 allocations; now none).
+    assert collected < 3, f"compact() + one lookup triggered {collected} collections"
+    assert elapsed < 0.060, f"compact() took {elapsed * 1e3:.1f} ms at 75 000 rows"
+    ledger.check_invariants()
+
+
+def test_ingest_builds_no_row_index():
+    # A store loop never asks for "rows of this node / file / placement", so
+    # it must not pay for the answer: nothing is written per appended row.
+    count = 10_000
+    network = OverlayNetwork.build(
+        count, np.random.default_rng(11), capacities=[10 ** 9] * count, routing_state=False
+    )
+    cfs = CfsStore(DHTView(network), block_size=4 * MB, retries_per_block=3)
+    for index in range(40):
+        assert cfs.store_file(f"file{index}", 243 * MB).success
+    ledger = cfs.ledger
+    assert ledger.row_count >= 40 * 61
+    for index in (ledger._by_owner, ledger._by_file, ledger._by_placement):
+        assert index.built == index.seen == 0 and not index.flat and not index.overflow
+    assert ledger.memory_footprint()["index_bytes"] == 0

@@ -346,7 +346,7 @@ def test_migrate_group_row_preserves_tenant_columns():
         tenant = store.ledger.tenant_id
         live_before = (store.ledger.live_rows, store.ledger.live_bytes)
         idx = store.ledger.file_index(name)
-        row = next(r for r in shared._file_rows[idx] if not shared._released[r])
+        row = next(r for r in shared.file_rows(idx) if not shared._released[r])
         new_node = next(node for node in dht.state.nodes
                         if node.alive and shared.names[row] not in node.stored_blocks)
         assert new_node.store_block(shared.names[row], int(shared._size[row]))
