@@ -1,13 +1,13 @@
-"""Coding-kernel throughput sweep: codes x chunk sizes, new vs seed baselines.
+"""Coding-kernel throughput sweep: codes x chunk sizes.
 
 The vectorized GF(2)/GF(256) kernel (PR 1) is the repo's hottest layer: every
 experiment, benchmark and repair path pays for encode/decode.  This module
-sweeps the four codes over 64 KiB - 4 MiB chunks, measures MB/s for encode and
-for decode (with erasures for Reed-Solomon, so the matrix-inversion path is
-exercised), and measures the *preserved seed implementations*
-(:mod:`repro.erasure._legacy`) on the same machine so the recorded speedups
-are honest.  A session hook (``benchmarks/conftest.py``) writes everything to
-``BENCH_coding.json`` — the perf trajectory tracked across PRs.
+sweeps the four codes over 64 KiB - 4 MiB chunks and measures MB/s for encode
+and for decode (with erasures for Reed-Solomon, so the matrix-inversion path
+is exercised).  A session hook (``benchmarks/conftest.py``) writes everything
+to ``BENCH_coding.json`` — the perf trajectory tracked across PRs.  (Up to
+f1ed3ed the sweep also timed the seed implementations on the same machine;
+the last measured ratios are quoted in README.md.)
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, Dict
 import numpy as np
 import pytest
 
-from repro.erasure._legacy import LegacyOnlineCode, LegacyReedSolomonCode
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.online_code import OnlineCode, OnlineCodeParameters
 from repro.erasure.null_code import NullCode
@@ -75,7 +74,7 @@ def _record(results: dict, **row) -> None:
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_bench_online_throughput(size: int, coding_bench_results: dict):
-    """Online code, new kernel vs preserved seed implementation."""
+    """Online code at the acceptance block counts."""
     data = _payload(size)
     params = OnlineCodeParameters(epsilon=0.01, q=3)
     for blocks in ONLINE_BLOCK_COUNTS:
@@ -83,31 +82,10 @@ def test_bench_online_throughput(size: int, coding_bench_results: dict):
         encoded = code.encode(data, blocks)
         available = {b.index: b.data for b in encoded.blocks}
         assert code.decode(encoded, available) == data
-        new = _measure_pair(
+        row = _measure_pair(
             lambda: code.encode(data, blocks), lambda: code.decode(encoded, available), size
         )
-
-        legacy = LegacyOnlineCode(params, seed=SEED)
-        legacy_encoded = legacy.encode(data, blocks)
-        legacy_available = {b.index: b.data for b in legacy_encoded.blocks}
-        assert legacy.decode(legacy_encoded, legacy_available) == data
-        old = _measure_pair(
-            lambda: legacy.encode(data, blocks),
-            lambda: legacy.decode(legacy_encoded, legacy_available),
-            size,
-        )
-
-        _record(
-            coding_bench_results,
-            code="online",
-            chunk_bytes=size,
-            n_blocks=blocks,
-            **new,
-            legacy_encode_MBps=old["encode_MBps"],
-            legacy_decode_MBps=old["decode_MBps"],
-            encode_speedup=new["encode_MBps"] / old["encode_MBps"],
-            decode_speedup=new["decode_MBps"] / old["decode_MBps"],
-        )
+        _record(coding_bench_results, code="online", chunk_bytes=size, n_blocks=blocks, **row)
 
 
 def test_bench_online_payload_mode_cell(coding_bench_results: dict):
@@ -117,35 +95,17 @@ def test_bench_online_payload_mode_cell(coding_bench_results: dict):
     encoded = codec.encode(data)
     available = {b.index: b.data for b in encoded.blocks}
     assert codec.decode(encoded, available) == data
-    new = _measure_pair(
+    row = _measure_pair(
         lambda: codec.encode(data), lambda: codec.decode(encoded, available), len(data)
     )
-
-    legacy = LegacyOnlineCode(codec.code.parameters)
-    legacy_encoded = legacy.encode(data, PAYLOAD_BLOCKS)
-    legacy_available = {b.index: b.data for b in legacy_encoded.blocks}
-    assert legacy.decode(legacy_encoded, legacy_available) == data
-    old = _measure_pair(
-        lambda: legacy.encode(data, PAYLOAD_BLOCKS),
-        lambda: legacy.decode(legacy_encoded, legacy_available),
-        len(data),
-    )
     _record(
-        coding_bench_results,
-        code="online",
-        chunk_bytes=len(data),
-        n_blocks=PAYLOAD_BLOCKS,
-        **new,
-        legacy_encode_MBps=old["encode_MBps"],
-        legacy_decode_MBps=old["decode_MBps"],
-        encode_speedup=new["encode_MBps"] / old["encode_MBps"],
-        decode_speedup=new["decode_MBps"] / old["decode_MBps"],
+        coding_bench_results, code="online", chunk_bytes=len(data), n_blocks=PAYLOAD_BLOCKS, **row
     )
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_bench_reed_solomon_throughput(size: int, coding_bench_results: dict):
-    """Reed-Solomon with erasures (matrix decode path), new vs seed."""
+    """Reed-Solomon with erasures (matrix decode path)."""
     data = _payload(size)
     code = ReedSolomonCode(parity_blocks=RS_PARITY_BLOCKS)
     encoded = code.encode(data, RS_DATA_BLOCKS)
@@ -153,22 +113,9 @@ def test_bench_reed_solomon_throughput(size: int, coding_bench_results: dict):
     for lost in range(RS_PARITY_BLOCKS):  # drop systematic blocks -> erasure decode
         del available[lost]
     assert code.decode(encoded, available) == data
-    new = _measure_pair(
+    row = _measure_pair(
         lambda: code.encode(data, RS_DATA_BLOCKS), lambda: code.decode(encoded, available), size
     )
-
-    legacy = LegacyReedSolomonCode(parity_blocks=RS_PARITY_BLOCKS)
-    legacy_encoded = legacy.encode(data, RS_DATA_BLOCKS)
-    legacy_available = {b.index: b.data for b in legacy_encoded.blocks}
-    for lost in range(RS_PARITY_BLOCKS):
-        del legacy_available[lost]
-    assert legacy.decode(legacy_encoded, legacy_available) == data
-    old = _measure_pair(
-        lambda: legacy.encode(data, RS_DATA_BLOCKS),
-        lambda: legacy.decode(legacy_encoded, legacy_available),
-        size,
-    )
-
     _record(
         coding_bench_results,
         code="reed-solomon",
@@ -176,17 +123,13 @@ def test_bench_reed_solomon_throughput(size: int, coding_bench_results: dict):
         n_blocks=RS_DATA_BLOCKS,
         parity_blocks=RS_PARITY_BLOCKS,
         erasures=RS_PARITY_BLOCKS,
-        **new,
-        legacy_encode_MBps=old["encode_MBps"],
-        legacy_decode_MBps=old["decode_MBps"],
-        encode_speedup=new["encode_MBps"] / old["encode_MBps"],
-        decode_speedup=new["decode_MBps"] / old["decode_MBps"],
+        **row,
     )
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_bench_null_xor_throughput(size: int, coding_bench_results: dict):
-    """The cheap codes, for the cross-PR trajectory (no legacy comparison)."""
+    """The cheap codes, for the cross-PR trajectory."""
     data = _payload(size)
     for label, code, blocks in (
         ("null", NullCode(), 256),
@@ -204,22 +147,22 @@ def test_bench_null_xor_throughput(size: int, coding_bench_results: dict):
 
 
 def test_bench_coding_speedup_summary(coding_bench_results: dict):
-    """Aggregate the acceptance numbers; runs last (alphabetical luck aside)."""
+    """Fill the write-guard field with the headline cells; runs last.
+
+    Only this test sets ``speedups`` -- the field the conftest session hook
+    requires -- so a filtered run never overwrites BENCH_coding.json with a
+    partial record.  (The field name is the record schema's; the entries are MB/s.)
+    """
     rows = coding_bench_results["results"]
-    online = [r for r in rows if r["code"] == "online" and r["n_blocks"] >= 256]
-    rs = [r for r in rows if r["code"] == "reed-solomon"]
-    assert online and rs, "sweep tests must run before the summary"
-    best_online = max(online, key=lambda r: min(r["encode_speedup"], r["decode_speedup"]))
-    best_rs = max(rs, key=lambda r: r["decode_speedup"])
+    online = [r for r in rows if r["code"] == "online"
+              and (r["n_blocks"], r["chunk_bytes"]) == (512, 64 * KB)]
+    payload = [r for r in rows if r["code"] == "online" and r["n_blocks"] == PAYLOAD_BLOCKS]
+    rs = [r for r in rows if r["code"] == "reed-solomon" and r["chunk_bytes"] == 64 * KB]
+    assert online and payload and rs, "sweep tests must run before the summary"
     coding_bench_results["speedups"] = {
-        "online_encode_speedup": best_online["encode_speedup"],
-        "online_decode_speedup": best_online["decode_speedup"],
-        "online_blocks": best_online["n_blocks"],
-        "online_chunk_bytes": best_online["chunk_bytes"],
-        "reed_solomon_decode_speedup": best_rs["decode_speedup"],
-        "reed_solomon_chunk_bytes": best_rs["chunk_bytes"],
+        "online_512x64k_encode_mb_per_s": online[0]["encode_MBps"],
+        "online_512x64k_decode_mb_per_s": online[0]["decode_MBps"],
+        "online_payload_encode_mb_per_s": payload[0]["encode_MBps"],
+        "online_payload_decode_mb_per_s": payload[0]["decode_MBps"],
+        "reed_solomon_64k_decode_mb_per_s": rs[0]["decode_MBps"],
     }
-    # Acceptance: >= 5x online encode+decode at 256+ blocks, >= 3x RS decode.
-    assert best_online["encode_speedup"] >= 5.0
-    assert best_online["decode_speedup"] >= 5.0
-    assert best_rs["decode_speedup"] >= 3.0

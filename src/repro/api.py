@@ -88,7 +88,6 @@ class ClusterSession:
                 rng=rng if rng is not None else self.streams.fresh("overlay"),
                 capacities=list(capacities) if capacities is not None else None,
                 leaf_set_half_size=leaf_set_half_size,
-                routing_state=False,
             )
             if sites is not None:
                 assign_domains(network.nodes(), sites=sites,
@@ -190,7 +189,7 @@ class ClusterSession:
         (so joins/leaves/failures keep its tables patched); later calls
         return the cached instance.  The *first* engine built also becomes
         ``network.router``, the dispatch target of ``network.route`` /
-        ``route_many`` (sessions build no per-node Pastry state).
+        ``route_many``.
         """
         cached = self._routers.get(engine)
         if cached is not None:

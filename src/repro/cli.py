@@ -367,8 +367,6 @@ def _run_routing(args: argparse.Namespace) -> int:
     print(result.panel_table().format(float_format="{:,.2f}"))
     print()
     print(result.churn_table().format(float_format="{:,.2f}"))
-    print()
-    print(result.speedup_table().format(float_format="{:,.3f}"))
     summary = result.summary()
     print("routing summary: "
           + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
@@ -631,7 +629,7 @@ COMMANDS: Tuple[Command, ...] = (
     Command(
         "routing",
         "routing fabric: batched Pastry/Chord lookups, hops vs N, churn "
-        "head-to-head, seed-router speedups (paper scale: 10 000 nodes)",
+        "head-to-head (paper scale: 10 000 nodes)",
         _run_routing,
         args=(_arg("--engines", type=str, default=None,
                    help="comma-separated engines (default pastry,chord)"),

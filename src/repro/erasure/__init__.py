@@ -34,9 +34,9 @@ kernel that turns the coding hot paths into batched NumPy operations:
   the small-system exact fallback and rank tests;
 * ``hash_counters`` — counter-based splitmix64 streams so rateless graph
   structure is derived in vectorized batches *and* any single stream index
-  can be regenerated independently (online-code stream version 2; version-1
-  chunks from the per-index RNG era still decode via
-  :mod:`repro.erasure._legacy`).
+  can be regenerated independently.  That derivation is the online code's
+  wire format: chunks are tagged with ``STREAM_VERSION`` and a decoder
+  refuses any other tag.
 
 Code structures (aux assignments, degree CDFs, check-neighbour prefixes,
 Reed-Solomon generator matrices) are memoised in ``lru_cache`` layers keyed

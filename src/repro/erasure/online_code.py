@@ -17,12 +17,12 @@ Implementation notes (the vectorized kernel):
 
 * All graph structure — auxiliary assignments, check-block degrees and
   neighbour sets — is derived in *batched* vectorized passes from
-  counter-based splitmix64 hashes (stream version 2), so any index range of
-  the unbounded check stream can be generated in one call and any single
-  index independently (the rateless property).  Chunks encoded by the seed
-  implementation (per-index ``np.random.default_rng`` streams, version 1)
-  carry no ``stream_version`` metadata and are still decoded bit-for-bit via
-  the preserved derivation in :mod:`repro.erasure._legacy`.
+  counter-based splitmix64 hashes, so any index range of the unbounded check
+  stream can be generated in one call and any single index independently
+  (the rateless property).  This derivation is the wire format: every chunk
+  is tagged with :data:`STREAM_VERSION`, and a chunk carrying any other tag
+  (or none, like the seed's per-index ``np.random.default_rng`` format) is
+  refused with :class:`DecodingError` rather than decoded on the wrong graph.
 * Payload math runs on the bit-packed GF(2) kernel
   (:mod:`repro.erasure.gf2`): encode is a segmented XOR-reduce over the
   composites its check blocks reference; decode compiles the vectorized
@@ -30,10 +30,9 @@ Implementation notes (the vectorized kernel):
   :class:`DecodeProgram` once per available-index set and replays it in
   place over one equation matrix.  Wide rows stream through those kernels
   without temporaries, narrow rows are batched (``gf2.STREAM_MIN_WORDS``).
-* Code structures are cached per ``(epsilon, q, n_blocks, chunk_seed,
-  version)`` in an LRU layer, so decode and
-  :meth:`OnlineCode.generate_additional_blocks` reuse the graph the encoder
-  just built instead of recomputing it.
+* Code structures are cached per ``(epsilon, q, n_blocks, chunk_seed)`` in
+  an LRU layer, so decode and :meth:`OnlineCode.generate_additional_blocks`
+  reuse the graph the encoder just built instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.erasure import gf2
-from repro.erasure._legacy import legacy_aux_assignment, legacy_check_neighbors
 from repro.erasure.base import (
     CodeSpec,
     DecodingError,
@@ -58,10 +56,10 @@ from repro.erasure.base import (
 )
 from repro.sim.rng import derive_seed
 
-#: Stream-derivation version written into chunk metadata.  Version 1 (the
-#: seed implementation) derived each check block from its own freshly
-#: constructed generator; version 2 derives whole index ranges from
-#: counter-based hashes in one vectorized pass.  Decoders accept both.
+#: Wire-format tag of the stream derivation, written into chunk metadata and
+#: checked on the way back in.  (Version 1, the seed implementation, derived
+#: each check block from its own freshly constructed generator; version 2
+#: derives whole index ranges from counter-based hashes in one pass.)
 STREAM_VERSION = 2
 
 
@@ -231,7 +229,6 @@ class CodeGraph:
         "q",
         "n_blocks",
         "chunk_seed",
-        "version",
         "aux_count",
         "composite_count",
         "rho_cdf",
@@ -245,13 +242,12 @@ class CodeGraph:
         "_programs",
     )
 
-    def __init__(self, epsilon: float, q: int, n_blocks: int, chunk_seed: int, version: int):
+    def __init__(self, epsilon: float, q: int, n_blocks: int, chunk_seed: int):
         params = OnlineCodeParameters(epsilon=epsilon, q=q)
         self.epsilon = epsilon
         self.q = q
         self.n_blocks = int(n_blocks)
         self.chunk_seed = int(chunk_seed)
-        self.version = int(version)
         self.aux_count = params.auxiliary_count(n_blocks)
         self.composite_count = self.n_blocks + self.aux_count
         self.rho_cdf = params.rho_cdf()
@@ -271,13 +267,6 @@ class CodeGraph:
         """CSR of aux block -> original members."""
         n, aux_count = self.n_blocks, self.aux_count
         take = min(self.q, aux_count)
-        if self.version == 1:
-            membership = legacy_aux_assignment(n, aux_count, self.q, self.chunk_seed)
-            counts = np.array([len(m) for m in membership], dtype=np.int64)
-            flat = np.array([i for m in membership for i in m], dtype=np.int64)
-            offsets = np.zeros(aux_count + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            return flat, offsets
         outer_seed = derive_seed(self.chunk_seed, "outer-v2")
         keys = gf2.hash_counters(
             outer_seed, np.arange(n * aux_count, dtype=np.uint64)
@@ -319,16 +308,6 @@ class CodeGraph:
     # -- check blocks (inner code) ----------------------------------------------
     def _derive_checks(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
         """Derive neighbour CSR for check indices [start, stop) in one pass."""
-        if self.version == 1:
-            flats: List[List[int]] = [
-                legacy_check_neighbors(self.composite_count, index, self.chunk_seed, self.rho_cdf)
-                for index in range(start, stop)
-            ]
-            counts = np.array([len(f) for f in flats], dtype=np.int64)
-            flat = np.array([v for f in flats for v in f], dtype=np.int64)
-            offsets = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            return flat, offsets
         indices = np.arange(start, stop, dtype=np.uint64)
         keys = gf2.hash_counters(self._inner_seed, indices)
         uniforms = gf2.to_unit_interval(keys)
@@ -470,9 +449,9 @@ class CodeGraph:
 
 
 @lru_cache(maxsize=64)
-def code_graph(epsilon: float, q: int, n_blocks: int, chunk_seed: int, version: int) -> CodeGraph:
+def code_graph(epsilon: float, q: int, n_blocks: int, chunk_seed: int) -> CodeGraph:
     """The LRU-cached code-structure layer shared by encode/decode/repair."""
-    return CodeGraph(epsilon, q, n_blocks, chunk_seed, version)
+    return CodeGraph(epsilon, q, n_blocks, chunk_seed)
 
 
 def clear_code_graph_cache() -> None:
@@ -498,40 +477,33 @@ class OnlineCode(ErasureCode):
     #: apply and no such check is performed.
     SMALL_SYSTEM_GUARANTEE = 640
 
-    def __init__(
-        self,
-        parameters: Optional[OnlineCodeParameters] = None,
-        seed: int = 0,
-        stream_version: int = STREAM_VERSION,
-    ) -> None:
+    def __init__(self, parameters: Optional[OnlineCodeParameters] = None, seed: int = 0) -> None:
         self.parameters = parameters or OnlineCodeParameters()
         self.seed = int(seed)
-        if stream_version not in (1, STREAM_VERSION):
-            raise ValueError(f"unsupported stream version {stream_version}")
-        self.stream_version = int(stream_version)
         #: Peeling statistics of the most recent decode (rounds, events);
         #: exposed for the determinism fingerprints and perf diagnostics.
         self.last_decode_stats: Dict[str, int] = {}
 
     # -- graph access -----------------------------------------------------------
-    def _graph(self, n_blocks: int, chunk_seed: int, version: Optional[int] = None) -> CodeGraph:
-        return code_graph(
-            self.parameters.epsilon,
-            self.parameters.q,
-            n_blocks,
-            chunk_seed,
-            self.stream_version if version is None else version,
-        )
-
     @staticmethod
     def _graph_for_chunk(chunk: EncodedChunk, fallback: OnlineCodeParameters) -> CodeGraph:
-        """Graph for an encoded chunk, honouring its recorded stream metadata."""
+        """Graph for an encoded chunk, honouring its recorded stream metadata.
+
+        The chunk must carry this module's wire-format tag: any other stream
+        derivation yields a different graph, which would decode to wrong
+        bytes without noticing.
+        """
+        tag = chunk.metadata.get("stream_version")
+        if tag != STREAM_VERSION:
+            raise DecodingError(
+                f"chunk carries stream version tag {tag!r}; this decoder reads "
+                f"version {STREAM_VERSION} only"
+            )
         return code_graph(
             float(chunk.metadata.get("epsilon", fallback.epsilon)),
             int(chunk.metadata.get("q", fallback.q)),
             chunk.n_blocks,
             int(chunk.metadata["chunk_seed"]),
-            int(chunk.metadata.get("stream_version", 1)),
         )
 
     # -- composite construction -------------------------------------------------
@@ -618,7 +590,7 @@ class OnlineCode(ErasureCode):
         matrix = split_into_matrix(data, n_blocks)
         block_size = matrix.shape[1]
         chunk_seed = derive_seed(self.seed, "chunk", len(data), n_blocks)
-        graph = self._graph(n_blocks, chunk_seed)
+        graph = code_graph(self.parameters.epsilon, self.parameters.q, n_blocks, chunk_seed)
 
         if output_blocks is None:
             output_blocks = self.default_output_blocks(n_blocks)
@@ -652,7 +624,7 @@ class OnlineCode(ErasureCode):
                 "output_blocks": output_blocks,
                 "epsilon": self.parameters.epsilon,
                 "q": self.parameters.q,
-                "stream_version": self.stream_version,
+                "stream_version": STREAM_VERSION,
             },
         )
 

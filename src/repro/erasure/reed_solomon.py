@@ -126,35 +126,6 @@ def gf_matrix_inverse(matrix: np.ndarray) -> np.ndarray:
     return work[:, size:].copy()
 
 
-def _legacy_gf_matrix_inverse(matrix: np.ndarray) -> np.ndarray:
-    """The seed scalar-loop inversion (kept for the legacy benchmark baseline)."""
-    size = matrix.shape[0]
-    work = matrix.astype(np.int32).copy()
-    inverse = np.eye(size, dtype=np.int32)
-    for column in range(size):
-        pivot_row = None
-        for row in range(column, size):
-            if work[row, column] != 0:
-                pivot_row = row
-                break
-        if pivot_row is None:
-            raise DecodingError("singular decoding matrix (blocks not independent)")
-        if pivot_row != column:
-            work[[column, pivot_row]] = work[[pivot_row, column]]
-            inverse[[column, pivot_row]] = inverse[[pivot_row, column]]
-        pivot_inv = gf_inv(int(work[column, column]))
-        for j in range(size):
-            work[column, j] = gf_mul(int(work[column, j]), pivot_inv)
-            inverse[column, j] = gf_mul(int(inverse[column, j]), pivot_inv)
-        for row in range(size):
-            if row != column and work[row, column] != 0:
-                factor = int(work[row, column])
-                for j in range(size):
-                    work[row, j] ^= gf_mul(factor, int(work[column, j]))
-                    inverse[row, j] ^= gf_mul(factor, int(inverse[column, j]))
-    return inverse.astype(np.uint8)
-
-
 @lru_cache(maxsize=128)
 def _cauchy_parity_rows(k: int, parity_blocks: int) -> np.ndarray:
     """Parity rows of the generator matrix (Cauchy construction), cached."""

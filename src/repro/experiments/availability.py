@@ -150,7 +150,6 @@ class AvailabilityExperiment:
                 config.node_count,
                 rng=streams.fresh("overlay"),
                 capacities=list(capacities),
-                routing_state=False,
             )
             dht = DHTView(network)
             storage = StorageSystem(dht, codec=codec, policy=StoragePolicy())

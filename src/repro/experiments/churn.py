@@ -121,7 +121,6 @@ class ChurnExperiment:
             config.node_count,
             rng=streams.fresh("overlay"),
             capacities=list(capacities),
-            routing_state=False,
         )
         dht = DHTView(network)
         storage = StorageSystem(

@@ -48,8 +48,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
@@ -62,6 +60,7 @@ from repro.overlay.network import OverlayNetwork
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, assign_domains
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import summarize
 from repro.workloads.capacity import CapacityConfig, generate_capacities
 from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
 
@@ -258,7 +257,6 @@ class FaultsExperiment:
             config.node_count,
             rng=streams.fresh("overlay"),
             capacities=list(capacities),
-            routing_state=False,
         )
         # RNG-free, so the population is byte-identical to an undomained build.
         assign_domains(network.nodes(), sites=config.sites,
@@ -407,7 +405,7 @@ class FaultsExperiment:
 
         probe = self._probe_reads(storage)
         events = injector.events
-        ttrs = np.asarray(recovery.repair_times(), dtype=float)
+        ttrs = summarize(recovery.repair_times())
         summary = transfers.summary()
         unavailable = storage.unavailable_file_count()
         total_files = max(1, len(storage.files))
@@ -425,8 +423,8 @@ class FaultsExperiment:
             "chunks_lost": float(sum(e.chunks_lost for e in events)),
             "availability_pct": 100.0 * (1.0 - unavailable / total_files),
             "traffic_gb": summary["bytes_submitted"] / GB,
-            "mean_ttr_s": float(ttrs.mean()) if ttrs.size else 0.0,
-            "max_ttr_s": float(ttrs.max()) if ttrs.size else 0.0,
+            "mean_ttr_s": ttrs["avg"],
+            "max_ttr_s": ttrs["max"],
             "makespan_s": summary["last_completion_time"],
             "transfers_failed": summary["failed"],
             # Rows left alive but below the replication target after repair
@@ -441,9 +439,7 @@ class FaultsExperiment:
                 float(recovery.pacer.peak_queue_depth) if recovery.pacer else 0.0
             ),
             "foreground_reads_done": float(len(durations)),
-            "foreground_p95_s": (
-                float(np.percentile(np.asarray(durations), 95)) if durations else 0.0
-            ),
+            "foreground_p95_s": summarize(durations)["p95"],
             "distribute_s": distribute_s,
             "inject_s": inject_s,
             **probe,

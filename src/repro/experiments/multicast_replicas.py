@@ -74,7 +74,7 @@ class MulticastExperiment:
         if self._routed_tree is None:
             streams = RandomStreams(config.seed)
             network = OverlayNetwork.build(
-                config.node_count, streams.fresh("overlay"), routing_state=False)
+                config.node_count, streams.fresh("overlay"))
             router = network.attach_router(config.routing_engine)
             live = network.live_ids()
             pick = streams.fresh("participants")

@@ -43,8 +43,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
@@ -57,6 +55,7 @@ from repro.overlay.network import OverlayNetwork
 from repro.sim.churn import FailureSchedule
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import summarize
 from repro.workloads.capacity import CapacityConfig, generate_capacities
 from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
 
@@ -156,7 +155,6 @@ class RepairExperiment:
             config.node_count,
             rng=streams.fresh("overlay"),
             capacities=list(capacities),
-            routing_state=False,
         )
         storage = StorageSystem(
             DHTView(network),
@@ -220,7 +218,7 @@ class RepairExperiment:
         churn_s = time.perf_counter() - churn_start
 
         totals = recovery.totals()
-        ttrs = np.asarray(recovery.repair_times(), dtype=float)
+        ttrs = summarize(recovery.repair_times())
         summary = transfers.summary()
         return {
             "fail_pct": 100.0 * fraction,
@@ -232,8 +230,8 @@ class RepairExperiment:
                          + totals["total_migrated_bytes"]) / GB,
             "lost_gb": totals["total_data_lost_bytes"] / GB,
             "traffic_gb": summary["bytes_submitted"] / GB,
-            "mean_ttr_s": float(ttrs.mean()) if ttrs.size else 0.0,
-            "p95_ttr_s": float(np.percentile(ttrs, 95)) if ttrs.size else 0.0,
+            "mean_ttr_s": ttrs["avg"],
+            "p95_ttr_s": ttrs["p95"],
             "makespan_s": summary["last_completion_time"],
             "transfers": summary["submitted"],
             "distribute_s": distribute_s,

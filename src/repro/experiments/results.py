@@ -405,8 +405,7 @@ def benchmark_summary(root: Path) -> str:
         root, "BENCH_serving.json", serving_benchmark_table, "serve path"
     )
     sections += _benchmark_section(
-        root, "BENCH_routing.json", routing_benchmark_table,
-        "routing fabric vs scalar seed router"
+        root, "BENCH_routing.json", routing_benchmark_table, "routing fabric"
     )
     return "\n\n".join(sections)
 

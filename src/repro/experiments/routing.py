@@ -1,11 +1,9 @@
-"""Routing-fabric panels: hops vs N, Chord vs Pastry under churn, seed speedups.
+"""Routing-fabric panels: hops vs N, Chord vs Pastry under churn.
 
-The seed's hop-by-hop router exists at two scales that never met before this
-experiment: the scalar per-node Pastry state (exact, O(N^2) to build, used by
-the small routing tests) and the DHT oracle view (fast, but no hop counts at
-all).  The array engines (:mod:`repro.overlay.engine_pastry`,
-:mod:`repro.overlay.engine_chord`) close that gap, and this experiment is
-their showcase:
+The DHT oracle view resolves keys fast but knows no hop counts; the array
+engines (:mod:`repro.overlay.engine_pastry`,
+:mod:`repro.overlay.engine_chord`) route hop by hop at the paper's scale,
+and this experiment is their showcase:
 
 * **hops vs N** -- batched ``route_many`` lookups over fresh overlays at
   increasing population sizes, per engine: mean/median/p95 hop counts
@@ -14,13 +12,11 @@ their showcase:
 * **churn head-to-head** -- the same overlay churned by interleaved
   joins/leaves/failures with both engines attached; each engine's tables
   are patched incrementally, and the panel reports hop distributions
-  before and after (the SNIPPETS lookup-harness ``summarize()`` shape);
-* **seed vs array** -- at a common small N the scalar seed router and the
-  Pastry engine are built over the *same* population and route the *same*
-  lookups; the panel records build-time and routes/s speedups, and counts
-  hop mismatches (the load-bearing number: it must be zero, and the oracle
-  suite in ``tests/test_routing_engine.py`` pins the same identity
-  path-by-path).
+  before and after (the SNIPPETS lookup-harness ``summarize()`` shape).
+
+The Pastry engine's hop-for-hop identity with the seed's per-node router is
+pinned path by path in ``tests/test_routing_engine.py``; the last measured
+seed-vs-array build and route ratios are on record in ``BENCH_routing.json``.
 
 Run it::
 
@@ -34,8 +30,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.experiments.base import (
     ExperimentConfig,
     ExperimentSpec,
@@ -46,6 +40,7 @@ from repro.overlay.ids import random_node_id
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import summarize
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,6 @@ class RoutingConfig(ExperimentConfig):
     churn_nodes: int = 2_000
     churn_events: int = 200
     churn_lookups: int = 2_000
-    #: Seed-vs-array cell (the scalar build is O(N^2) -- keep it small).
-    baseline_nodes: int = 400
-    baseline_lookups: int = 400
     leaf_set_half_size: int = 8
 
 
@@ -81,35 +73,16 @@ SMOKE_ROUTING = RoutingConfig(
     churn_nodes=250,
     churn_events=60,
     churn_lookups=300,
-    baseline_nodes=150,
-    baseline_lookups=200,
 )
-
-
-def hop_summary(hops: np.ndarray) -> Dict[str, float]:
-    """The SNIPPETS lookup-harness ``summarize()`` shape over a hop column."""
-    values = np.asarray(hops, dtype=float)
-    if values.size == 0:
-        return {"n": 0.0, "avg": 0.0, "median": 0.0, "p95": 0.0,
-                "min": 0.0, "max": 0.0}
-    return {
-        "n": float(values.size),
-        "avg": float(values.mean()),
-        "median": float(np.median(values)),
-        "p95": float(np.percentile(values, 95)),
-        "min": float(values.min()),
-        "max": float(values.max()),
-    }
 
 
 @dataclass
 class RoutingResult:
-    """The three panels plus the headline speedup numbers."""
+    """The two panels plus the headline flagship numbers."""
 
     config: RoutingConfig
     panel_rows: List[Dict[str, float]] = field(default_factory=list)
     churn_rows: List[Dict[str, float]] = field(default_factory=list)
-    speedup_rows: List[Dict[str, float]] = field(default_factory=list)
     summary_values: Dict[str, float] = field(default_factory=dict)
 
     def panel_table(self) -> TableResult:
@@ -135,24 +108,13 @@ class RoutingResult:
             table.add_row(**{column: row[column] for column in table.columns})
         return table
 
-    def speedup_table(self) -> TableResult:
-        """Seed scalar router vs the array engine over the same population."""
-        table = TableResult(
-            title="Seed scalar router vs array engine (identical lookups)",
-            columns=["pipeline", "nodes", "lookups", "build_s", "route_s",
-                     "routes_per_s", "avg_hops", "hop_mismatches"],
-        )
-        for row in self.speedup_rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
-
     def summary(self) -> Dict[str, float]:
         """The headline numbers the benchmark records and asserts on."""
         return dict(self.summary_values)
 
 
 class RoutingExperiment:
-    """Runs the three routing panels."""
+    """Runs the routing panels."""
 
     def __init__(self, config: Optional[RoutingConfig] = None) -> None:
         self.config = config or RoutingConfig()
@@ -168,8 +130,7 @@ class RoutingExperiment:
 
     def _build_network(self, nodes: int, rng) -> OverlayNetwork:
         return OverlayNetwork.build(
-            nodes, rng, leaf_set_half_size=self.config.leaf_set_half_size,
-            routing_state=False)
+            nodes, rng, leaf_set_half_size=self.config.leaf_set_half_size)
 
     # ---------------------------------------------------------------- panels --
     def run_panel(self) -> List[Dict[str, float]]:
@@ -188,7 +149,7 @@ class RoutingExperiment:
                 start_time = time.perf_counter()
                 result = router.route_many(keys, starts)
                 route_s = time.perf_counter() - start_time
-                stats = hop_summary(result.hops)
+                stats = summarize(result.hops)
                 footprint = router.memory_footprint()
                 rows.append({
                     "engine": engine,
@@ -220,7 +181,7 @@ class RoutingExperiment:
             keys, starts = self._lookup_workload(
                 network, config.churn_lookups, streams.fresh("churn-lookups", phase))
             for engine, router in routers.items():
-                stats = hop_summary(router.route_many(keys, starts).hops)
+                stats = summarize(router.route_many(keys, starts).hops)
                 rows.append({
                     "engine": engine,
                     "phase": phase,
@@ -243,8 +204,6 @@ class RoutingExperiment:
                     coordinates=(float(rng.uniform(0.0, 1000.0)),
                                  float(rng.uniform(0.0, 1000.0))),
                 )
-                node.leaf_set = type(node.leaf_set)(
-                    node.node_id, config.leaf_set_half_size)
                 network.join(node)
             elif kind == 1:
                 network.leave(live[int(rng.integers(len(live)))])
@@ -253,70 +212,11 @@ class RoutingExperiment:
         measure("churned")
         return rows
 
-    def run_speedup(self) -> List[Dict[str, float]]:
-        """Seed scalar router vs the Pastry engine over one population."""
-        config = self.config
-        nodes = config.baseline_nodes
-
-        # Identical populations: same stream label, two independent draws.
-        build_start = time.perf_counter()
-        seed_network = OverlayNetwork.build(
-            nodes, RandomStreams(config.seed).fresh("baseline"),
-            leaf_set_half_size=config.leaf_set_half_size, routing_state=True)
-        seed_build_s = time.perf_counter() - build_start
-        fast_network = OverlayNetwork.build(
-            nodes, RandomStreams(config.seed).fresh("baseline"),
-            leaf_set_half_size=config.leaf_set_half_size, routing_state=False)
-        build_start = time.perf_counter()
-        router = fast_network.attach_router("pastry")
-        array_build_s = time.perf_counter() - build_start
-
-        keys, starts = self._lookup_workload(
-            seed_network, config.baseline_lookups,
-            RandomStreams(config.seed).fresh("baseline-lookups"))
-
-        route_start = time.perf_counter()
-        seed_results = [seed_network.route(key, start)
-                        for key, start in zip(keys, starts)]
-        seed_route_s = time.perf_counter() - route_start
-        seed_hops = np.array([result.hops for result in seed_results])
-
-        route_start = time.perf_counter()
-        batch = router.route_many(keys, starts)
-        array_route_s = time.perf_counter() - route_start
-        mismatches = int((seed_hops != batch.hops).sum())
-
-        count = float(len(keys))
-        rows = [
-            {
-                "pipeline": "seed scalar",
-                "nodes": float(nodes),
-                "lookups": count,
-                "build_s": seed_build_s,
-                "route_s": seed_route_s,
-                "routes_per_s": count / seed_route_s if seed_route_s > 0 else 0.0,
-                "avg_hops": float(seed_hops.mean()),
-                "hop_mismatches": 0.0,
-            },
-            {
-                "pipeline": "array engine",
-                "nodes": float(nodes),
-                "lookups": count,
-                "build_s": array_build_s,
-                "route_s": array_route_s,
-                "routes_per_s": count / array_route_s if array_route_s > 0 else 0.0,
-                "avg_hops": float(batch.hops.mean()),
-                "hop_mismatches": float(mismatches),
-            },
-        ]
-        return rows
-
     def run(self) -> RoutingResult:
         """Run every panel and assemble the headline summary."""
         result = RoutingResult(config=self.config)
         result.panel_rows = self.run_panel()
         result.churn_rows = self.run_churn()
-        result.speedup_rows = self.run_speedup()
 
         summary: Dict[str, float] = {}
         flagship = max(self.config.population_sweep)
@@ -327,12 +227,6 @@ class RoutingExperiment:
                 summary[f"{prefix}_routes_per_s"] = row["routes_per_s"]
                 summary[f"{prefix}_build_seconds"] = row["build_s"]
                 summary[f"{prefix}_bytes_per_node"] = row["bytes_per_node"]
-        seed_row, array_row = result.speedup_rows
-        if array_row["build_s"] > 0:
-            summary["build_speedup_x"] = seed_row["build_s"] / array_row["build_s"]
-        if array_row["route_s"] > 0:
-            summary["route_speedup_x"] = seed_row["route_s"] / array_row["route_s"]
-        summary["hop_identity_mismatches"] = array_row["hop_mismatches"]
         result.summary_values = summary
         return result
 
@@ -345,7 +239,7 @@ def run_routing(config: RoutingConfig) -> RoutingResult:
 register_experiment(
     ExperimentSpec(
         name="routing",
-        help="routing fabric: hops vs N, Chord vs Pastry churn, seed speedups",
+        help="routing fabric: hops vs N, Chord vs Pastry under churn",
         config_type=RoutingConfig,
         presets={"paper": PAPER_ROUTING, "smoke": SMOKE_ROUTING},
         runner=run_routing,

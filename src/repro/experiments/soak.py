@@ -11,8 +11,7 @@ a population under *sustained* churn for simulated weeks, where
   with a wiped disk) and re-enters the DHT through the incremental boundary
   *insertion* patch;
 * fresh nodes join as a Poisson process (drawing a new id and capacity) --
-  with a routing-state-free population a join is O(1) overlay work plus one
-  boundary patch, never an O(N) rebuild;
+  a join is O(1) overlay work plus one boundary patch, never an O(N) rebuild;
 * nodes depart gracefully as a second Poisson process: with the default
   ``leave_mode="regenerate"`` their blocks are regenerated elsewhere from
   surviving redundancy and their ledger rows are released;
@@ -217,7 +216,6 @@ class SoakExperiment:
             config.node_count,
             rng=streams.fresh("overlay"),
             capacities=list(capacities),
-            routing_state=False,
         )
         storage = StorageSystem(
             DHTView(network),
@@ -305,8 +303,7 @@ class SoakExperiment:
                              float(join_rng.uniform(0.0, 1000.0))),
                 capacity=capacity,
             )
-            node.leaf_set = type(node.leaf_set)(node_id, network.leaf_set_half_size)
-            network.join(node)  # O(1) on a routing-state-free population
+            network.join(node)
             dht.add(node)
             schedule_failure(node_id)
             schedule_join()

@@ -11,11 +11,10 @@ The harness reproduces that loop at a configurable scale.  Every scheme runs
 against its own copy of an identical node population (same ids, same
 capacities) so the comparison isolates the placement policy.
 
-The whole pipeline runs on the array-backed placement engine: populations are
-built without the O(N^2) per-node Pastry state, every store resolves its block
-names through batched ``searchsorted`` kernels, and the periodic utilization
-samples read the view's incremental aggregates in O(1) instead of scanning all
-nodes.  The curves equal the seed per-lookup pipeline's, frozen in
+The whole pipeline runs on the array-backed placement engine: every store
+resolves its block names through batched ``searchsorted`` kernels, and the
+periodic utilization samples read the view's incremental aggregates in O(1)
+instead of scanning all nodes.  The curves equal the seed per-lookup pipeline's, frozen in
 ``tests/golden/insertion_curves.json``
 (``tests/test_placement_equivalence.py``), and
 ``benchmarks/test_bench_insertion_throughput.py`` records files/s and
@@ -143,14 +142,11 @@ class InsertionExperiment:
         views: Dict[str, DHTView] = {}
         for scheme in self.SCHEMES:
             # Identical node ids and capacities per scheme: rebuild from the
-            # same derived stream so the populations match exactly.  No
-            # per-node Pastry routing state is built (the DHT view never
-            # routes hop by hop).
+            # same derived stream so the populations match exactly.
             network = OverlayNetwork.build(
                 config.node_count,
                 rng=streams.fresh("overlay", replication_index),
                 capacities=list(capacities),
-                routing_state=False,
             )
             views[scheme] = DHTView(network)
         return views

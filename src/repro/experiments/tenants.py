@@ -39,8 +39,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.api import ClusterSession
 from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
@@ -50,6 +48,7 @@ from repro.erasure.xor_code import XorParityCode
 from repro.experiments.results import TableResult
 from repro.overlay.network import OverlayNetwork
 from repro.sim.rng import RandomStreams
+from repro.sim.stats import summarize
 from repro.workloads.capacity import CapacityConfig
 from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
 from repro.workloads.tenants import (
@@ -435,8 +434,7 @@ class TenantsExperiment:
             "scenario": scenario,
             "ingest_mb_s": ingest_mb_s,
             "ingest_slowdown_x": 0.0,  # filled by run() from the baseline row
-            "probe_p95_s": (float(np.percentile(np.asarray(durations), 95))
-                            if durations else 0.0),
+            "probe_p95_s": summarize(durations)["p95"],
             "probe_reads_done": float(len(durations)),
             "repair_gb": archive_row.get("bytes_completed", 0.0) / GB,
             "repair_makespan_s": archive_row.get("last_completion_time", 0.0),
@@ -455,7 +453,7 @@ class TenantsExperiment:
             aggregates = clients[name].aggregates()
             census = self._census(store)
             row = per_tenant.get(store.store_tenant, {})
-            ttrs = np.asarray(managers[name].repair_times(), dtype=float)
+            ttrs = summarize(managers[name].repair_times())
             active = max(1, aggregates["active_files"])
             self.tenant_rows.append({
                 "scenario": scenario,
@@ -465,8 +463,8 @@ class TenantsExperiment:
                 "moved_gb": row.get("bytes_completed", 0.0) / GB,
                 "backlog_gb": row.get("backlog_bytes", 0.0) / GB,
                 "transfers_failed": row.get("failed", 0.0),
-                "mean_ttr_s": float(ttrs.mean()) if ttrs.size else 0.0,
-                "max_ttr_s": float(ttrs.max()) if ttrs.size else 0.0,
+                "mean_ttr_s": ttrs["avg"],
+                "max_ttr_s": ttrs["max"],
                 **census,
             })
 

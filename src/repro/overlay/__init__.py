@@ -6,11 +6,11 @@ relies on:
 
 * a circular 160-bit identifier space shared by node ids and object keys
   (:mod:`repro.overlay.ids`);
-* per-node state -- leaf set and prefix routing table with proximity-aware
-  entries (:mod:`repro.overlay.node`, :mod:`repro.overlay.routing`);
+* per-node identity, liveness and storage bookkeeping
+  (:mod:`repro.overlay.node`);
 * a simulated directly-connected network of overlay nodes supporting join,
-  leave, failure, message routing with hop counts, and leaf-set repair
-  (:mod:`repro.overlay.network`);
+  leave, failure, and message routing with hop counts through the attached
+  routing engine (:mod:`repro.overlay.network`);
 * a fast *oracle* DHT view (sorted-id bisect) that resolves keys to live nodes
   with the same result the converged overlay would produce; the large-scale
   insertion experiments use this view, exactly like the paper's FreePastry
@@ -18,10 +18,13 @@ relies on:
   (:mod:`repro.overlay.dht`);
 * array-backed routing engines behind the pluggable
   :class:`~repro.overlay.engine.OverlayRouting` protocol -- a vectorized
-  Pastry engine that is hop-for-hop identical to the seed router
-  (:mod:`repro.overlay.engine_pastry`) and a Chord ring for head-to-head
-  comparisons (:mod:`repro.overlay.engine_chord`), both driving batched
-  ``route_many`` lookups at 10k-100k nodes (:mod:`repro.overlay.engine`).
+  Pastry engine holding every node's proximity-aware prefix routing table in
+  one dense array and reading leaf sets out of the sorted live-id order
+  (:mod:`repro.overlay.engine_pastry`; pinned path for path against the
+  per-node reference router kept under ``tests/reference/seed_pastry.py``)
+  and a Chord ring for head-to-head comparisons
+  (:mod:`repro.overlay.engine_chord`), both driving batched ``route_many``
+  lookups at 10k-100k nodes (:mod:`repro.overlay.engine`).
 """
 
 from repro.overlay.ids import (
@@ -34,9 +37,8 @@ from repro.overlay.ids import (
     random_node_id,
     ring_between,
 )
-from repro.overlay.node import LeafSet, OverlayNode
+from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
-from repro.overlay.routing import RoutingTable
 from repro.overlay.network import OverlayNetwork, RouteResult
 from repro.overlay.dht import DHTView
 from repro.overlay.engine import (
@@ -57,10 +59,8 @@ __all__ = [
     "node_id_from_int",
     "random_node_id",
     "ring_between",
-    "LeafSet",
     "NodeArrayState",
     "OverlayNode",
-    "RoutingTable",
     "OverlayNetwork",
     "RouteResult",
     "DHTView",

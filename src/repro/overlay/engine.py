@@ -1,12 +1,12 @@
 """Pluggable array-backed overlay routing: protocol, registry, shared base.
 
-The seed keeps per-node Python objects (:class:`~repro.overlay.node.LeafSet`,
-:class:`~repro.overlay.routing.RoutingTable`) and builds them with O(N^2)
-pairwise ``consider()`` calls — fine at a few hundred nodes, infeasible at
-10k+.  The array engines in :mod:`repro.overlay.engine_pastry` and
-:mod:`repro.overlay.engine_chord` replace that state with dense numpy
-columns over the same 160-bit id space and resolve whole request batches
-per hop (:meth:`OverlayRouting.route_many`).
+The array engines in :mod:`repro.overlay.engine_pastry` and
+:mod:`repro.overlay.engine_chord` are the overlay's only routers: routing
+state is dense numpy columns over the 160-bit id space, and whole request
+batches are resolved per hop (:meth:`OverlayRouting.route_many`).  (The seed
+kept a leaf set and a routing table per node as Python objects, built with
+O(N^2) pairwise ``consider()`` calls — infeasible at 10k+ nodes.  That router
+survives as the path-identity oracle in ``tests/reference/seed_pastry.py``.)
 
 This module holds what both engines share:
 
@@ -97,14 +97,9 @@ class BatchRouteResult:
     root_slots: np.ndarray
     engine: Optional["ArrayRouterBase"] = field(default=None)
     paths: Optional[List[List[int]]] = field(default=None)
-    #: Explicit per-request root ids (set by the scalar dispatch fallback,
-    #: which has no slot table to resolve ``root_slots`` against).
-    roots: Optional[List[int]] = field(default=None)
 
     def root_ids(self) -> List[int]:
         """The responsible node id (as int) per request."""
-        if self.roots is not None:
-            return list(self.roots)
         assert self.engine is not None
         return [self.engine.slot_id(int(slot)) for slot in self.root_slots]
 

@@ -1,5 +1,9 @@
 """Array-backed Pastry prefix routing, hop-for-hop identical to the seed.
 
+"The seed" below is the per-node router this engine replaced (one ``LeafSet``
+and ``RoutingTable`` object per node, one hop at a time); it is kept as the
+oracle in ``tests/reference/seed_pastry.py``.
+
 One dense ``(capacity, rows, 16)`` int32 table holds every node's routing
 table (``table[slot, row, col]`` = slot of the entry, ``-1`` empty); digits
 are uint8 nibble views over the S20 digests.  Construction replaces the
@@ -17,10 +21,11 @@ Exactness (the oracle in ``tests/test_routing_engine.py`` pins all of it):
   consider every other, so entry ``(row, col)`` of owner ``o`` is simply
   the argmin over matching candidates by ``(proximity, id)`` — which is
   what the batch build computes.
-* **Removal never refills.**  The seed's ``_repair_after_departure`` only
-  deletes the departed id; for each owner there is exactly one slot that
-  can reference a given node (``row`` = shared prefix, ``col`` = the
-  node's digit there), so removal is one gather/compare/scatter.
+* **Removal never refills.**  The seed's departure repair only deletes
+  the departed id from routing tables; for each owner there is exactly
+  one slot that can reference a given node (``row`` = shared prefix,
+  ``col`` = the node's digit there), so removal is one
+  gather/compare/scatter.
 * **Joins are candidate-replacement.**  The newcomer's own table is an
   argmin over the live population (one ``np.lexsort``); every existing
   owner compares the newcomer against the single slot it belongs to.
@@ -29,11 +34,10 @@ Exactness (the oracle in ``tests/test_routing_engine.py`` pins all of it):
   test), so the engine reads them straight out of the sorted live order —
   nothing to store, nothing to repair.
 
-Routing applies the same three rules as
-:meth:`~repro.overlay.network.OverlayNetwork._next_hop` per hop over the
-whole active batch; only Pastry's "rare case" third rule (statistically a
-fraction of a percent of hops) drops to a per-request scalar fallback so
-its candidate-pool semantics stay exact.
+Routing applies the seed's three rules (leaf-set coverage, prefix-table
+entry, rare case) per hop over the whole active batch; only the "rare
+case" third rule (statistically a fraction of a percent of hops) drops to
+a per-request scalar fallback so its candidate-pool semantics stay exact.
 """
 
 from __future__ import annotations

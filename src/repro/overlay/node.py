@@ -1,11 +1,14 @@
-"""Per-node overlay state: leaf set, routing table, and local storage bookkeeping.
+"""Per-node overlay state: identity, liveness and local storage bookkeeping.
 
 The storage design relies on three properties of a Pastry node (Section 4.4 of
 the paper):
 
 * the *leaf set* -- the L/2 numerically closest nodes on each side -- which the
   system uses both for replica placement and for detecting the failure of an
-  immediate neighbour;
+  immediate neighbour.  Leaf sets are positional (the nearest live ids per
+  ring side), so nothing is stored per node: the routing engine and
+  :class:`~repro.overlay.node_state.NodeArrayState` read them out of the
+  sorted live-id order;
 * when a node fails, the portion of the identifier space mapped to it is split
   between its two immediate neighbours, which therefore become responsible for
   re-creating the blocks that were stored on it;
@@ -16,93 +19,9 @@ the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Set, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
-from repro.overlay.ids import NodeId, clockwise_distance, distance
-from repro.overlay.routing import RoutingTable
-
-
-class LeafSet:
-    """The numerically closest live neighbours of a node, split by ring side."""
-
-    def __init__(self, owner: NodeId, half_size: int = 8) -> None:
-        if half_size < 1:
-            raise ValueError("leaf set half size must be >= 1")
-        self.owner = owner
-        self.half_size = half_size
-        self._smaller: List[NodeId] = []   # counter-clockwise neighbours, nearest first
-        self._larger: List[NodeId] = []    # clockwise neighbours, nearest first
-
-    # -- membership ---------------------------------------------------------
-    def members(self) -> List[NodeId]:
-        """All leaf-set members (both sides), nearest first per side."""
-        return list(self._smaller) + list(self._larger)
-
-    def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._smaller or node_id in self._larger
-
-    def __len__(self) -> int:
-        return len(self._smaller) + len(self._larger)
-
-    def consider(self, node_id: NodeId) -> bool:
-        """Offer a node; keep it if it is among the closest on its side."""
-        if node_id == self.owner:
-            return False
-        side, changed = self._side_of(node_id), False
-        if node_id not in side:
-            side.append(node_id)
-            changed = True
-        self._trim()
-        return changed and node_id in self
-
-    def remove(self, node_id: NodeId) -> bool:
-        """Drop a (failed) node.  Returns True if it was a member."""
-        for side in (self._smaller, self._larger):
-            if node_id in side:
-                side.remove(node_id)
-                return True
-        return False
-
-    def _side_of(self, node_id: NodeId) -> List[NodeId]:
-        # A node is on the "larger" (clockwise) side if it is nearer going
-        # clockwise from the owner than counter-clockwise.
-        clockwise = clockwise_distance(self.owner, node_id)
-        counter = clockwise_distance(node_id, self.owner)
-        return self._larger if clockwise <= counter else self._smaller
-
-    def _trim(self) -> None:
-        self._larger.sort(key=lambda nid: clockwise_distance(self.owner, nid))
-        self._smaller.sort(key=lambda nid: clockwise_distance(nid, self.owner))
-        del self._larger[self.half_size:]
-        del self._smaller[self.half_size:]
-
-    # -- queries used by the storage system ----------------------------------
-    def immediate_neighbors(self) -> List[NodeId]:
-        """The single nearest neighbour on each side (up to two nodes)."""
-        result: List[NodeId] = []
-        if self._smaller:
-            result.append(self._smaller[0])
-        if self._larger:
-            result.append(self._larger[0])
-        return result
-
-    def nearest(self, count: int) -> List[NodeId]:
-        """The ``count`` members numerically closest to the owner."""
-        members = sorted(self.members(), key=lambda nid: distance(nid, self.owner))
-        return members[:count]
-
-    def covers(self, key: NodeId) -> bool:
-        """Whether ``key`` falls within the span of the leaf set."""
-        if not self._smaller or not self._larger:
-            return False
-        low = self._smaller[-1]
-        high = self._larger[-1]
-        return clockwise_distance(low, key) <= clockwise_distance(low, high)
-
-    def closest_to(self, key: NodeId) -> NodeId:
-        """The member (or the owner) numerically closest to ``key``."""
-        candidates = self.members() + [self.owner]
-        return min(candidates, key=lambda nid: (distance(nid, key), int(nid)))
+from repro.overlay.ids import NodeId
 
 
 @dataclass
@@ -118,10 +37,10 @@ class NeighborBlockRecord:
 class OverlayNode:
     """A participant in the overlay.
 
-    Besides the Pastry state (leaf set, routing table, coordinates for the
-    proximity metric) the node carries the storage-related attributes used by
-    the contributory storage system: contributed capacity, used space, the set
-    of blocks it stores, and the ledger of blocks stored on its neighbours.
+    Besides its id and the coordinates of the proximity metric, the node
+    carries the storage-related attributes used by the contributory storage
+    system: contributed capacity, used space, the set of blocks it stores, and
+    the ledger of blocks stored on its neighbours.
     """
 
     node_id: NodeId
@@ -146,8 +65,6 @@ class OverlayNode:
     #: whole-rack outage is a single equality test on one column.
     site: int = -1
     rack: int = -1
-    leaf_set: LeafSet = field(init=False)
-    routing_table: RoutingTable = field(init=False)
     #: Names and sizes of blocks stored locally: {block_name: size}.
     stored_blocks: Dict[str, int] = field(default_factory=dict)
     #: Ledger of blocks stored on leaf-set neighbours (Section 4.4).
@@ -167,10 +84,6 @@ class OverlayNode:
     #: Backing storage for the ``used`` property; the class-level default lets
     #: the setter read the previous value without a ``getattr`` fallback.
     _used_value: ClassVar[int] = 0
-
-    def __post_init__(self) -> None:
-        self.leaf_set = LeafSet(self.node_id)
-        self.routing_table = RoutingTable(self.node_id)
 
     # -- capacity -----------------------------------------------------------
     @property

@@ -11,6 +11,8 @@ package provides the equivalent substrate for the reproduction:
   every experiment is reproducible from a single seed.
 * :mod:`repro.sim.churn` -- node failure / arrival processes used by the fault
   tolerance experiments (Section 6.2 of the paper).
+* :mod:`repro.sim.stats` -- the one ``summarize()`` every report row's
+  percentiles are cut from.
 """
 
 from repro.sim.engine import Event, Process, Simulator, Timeout

@@ -102,65 +102,38 @@ class ChurnModel:
     by the extension benchmarks and by property tests that check the recovery
     pipeline under sustained churn.
 
-    Stream versions
-    ---------------
-    ``stream_version=3`` (the default) samples sessions in geometrically
-    *doubling* batches: the first block is sized by a concentration bound on
-    the expected pair count (``E + 4*sqrt(E)`` pairs), so a single draw
-    covers the horizon with overwhelming probability, and each follow-up
-    block -- only ever needed on heavy-tailed outliers -- doubles the
-    previous size, bounding the number of RNG calls at ``O(log)`` regardless
-    of the tail.  ``stream_version=2`` is the first batched sampler (blocks
-    re-sized to ~1.5x the expected remaining count per iteration).  In every
-    version the *returned* session lengths are identical to the seed scalar
-    stream value-for-value (NumPy's exponential consumes the bit stream the
-    same way batched or one at a time, and the batch is trimmed at the first
-    pair crossing the horizon); the batched versions merely over-draw past
-    the horizon, so the generator state after a call differs from version 1.
-    ``stream_version=1`` preserves the seed one-pair-at-a-time loop
-    bit-for-bit for experiments pinned to old seeds.
+    Sessions are sampled in geometrically *doubling* batches: the first block
+    is sized by a concentration bound on the expected pair count
+    (``E + 4*sqrt(E)`` pairs), so a single draw covers the horizon with
+    overwhelming probability, and each follow-up block -- only ever needed on
+    heavy-tailed outliers -- doubles the previous size, bounding the number of
+    RNG calls at ``O(log)`` regardless of the tail.  The *returned* session
+    lengths equal the seed's one-pair-at-a-time loop value-for-value (NumPy's
+    exponential consumes the bit stream the same way batched or one at a
+    time, and the batch is trimmed at the first pair crossing the horizon;
+    ``tests/reference/seed_churn.py`` keeps that loop as the oracle).  The
+    batches over-draw past the horizon, so the generator state after a call
+    is not the scalar loop's.
     """
 
-    def __init__(
-        self,
-        mean_uptime: float,
-        mean_downtime: float,
-        rng: np.random.Generator,
-        stream_version: int = 3,
-    ) -> None:
+    def __init__(self, mean_uptime: float, mean_downtime: float, rng: np.random.Generator) -> None:
         if mean_uptime <= 0 or mean_downtime <= 0:
             raise ValueError("mean up/down times must be positive")
-        if stream_version not in (1, 2, 3):
-            raise ValueError(f"unsupported churn stream version {stream_version}")
         self.mean_uptime = float(mean_uptime)
         self.mean_downtime = float(mean_downtime)
-        self.stream_version = int(stream_version)
         self._rng = rng
 
     def sample_sessions(self, node_id: int, horizon: float) -> SessionSample:
         """Sample alternating up/down session lengths covering ``horizon``."""
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.stream_version == 1:
-            return self._sample_sessions_v1(node_id, horizon)
-        mean_pair = self.mean_uptime + self.mean_downtime
+        # First block: expectation plus a 4-sigma concentration margin -- one
+        # draw covers the horizon w.h.p.
+        expected = horizon / (self.mean_uptime + self.mean_downtime)
+        batch = max(4, int(expected + 4.0 * expected ** 0.5) + 4)
         batches: list[np.ndarray] = []
         elapsed = 0.0
-        batch = 0
         while True:
-            if self.stream_version == 2:
-                # v2: re-estimate ~1.5x the expected remaining pairs per block.
-                expected = (horizon - elapsed) / mean_pair
-                batch = max(4, int(expected * 1.5) + 4)
-            elif not batches:
-                # v3 first block: expectation plus a 4-sigma concentration
-                # margin -- one draw covers the horizon w.h.p.
-                expected = horizon / mean_pair
-                batch = max(4, int(expected + 4.0 * expected ** 0.5) + 4)
-            else:
-                # v3 follow-ups (heavy-tail outliers only): geometric doubling
-                # bounds the RNG call count at O(log) regardless of the tail.
-                batch *= 2
             pairs = self._rng.standard_exponential(size=(batch, 2))
             pairs[:, 0] *= self.mean_uptime
             pairs[:, 1] *= self.mean_downtime
@@ -172,28 +145,14 @@ class ChurnModel:
                 break
             batches.append(pairs)
             elapsed = float(totals[-1])
+            # Follow-ups (heavy-tail outliers only): geometric doubling bounds
+            # the RNG call count at O(log) regardless of the tail.
+            batch *= 2
         sessions = np.concatenate(batches) if len(batches) > 1 else batches[0]
         return SessionSample(
             node_id=node_id,
             up_times=np.ascontiguousarray(sessions[:, 0]),
             down_times=np.ascontiguousarray(sessions[:, 1]),
-        )
-
-    def _sample_sessions_v1(self, node_id: int, horizon: float) -> SessionSample:
-        """The seed scalar sampler (stream version 1), preserved verbatim."""
-        ups: list[float] = []
-        downs: list[float] = []
-        elapsed = 0.0
-        while elapsed < horizon:
-            up = float(self._rng.exponential(self.mean_uptime))
-            down = float(self._rng.exponential(self.mean_downtime))
-            ups.append(up)
-            downs.append(down)
-            elapsed += up + down
-        return SessionSample(
-            node_id=node_id,
-            up_times=np.asarray(ups, dtype=float),
-            down_times=np.asarray(downs, dtype=float),
         )
 
     def availability(self) -> float:
@@ -206,7 +165,7 @@ class ChurnModel:
         Vectorised: one batched exponential draw for the whole population.
         NumPy's ``Generator.exponential`` consumes the bit stream identically
         whether drawn one-by-one or as an array, so this matches the seed
-        scalar loop draw-for-draw on both stream versions.
+        scalar loop draw-for-draw.
         """
         ids = list(node_ids)
         if not ids:

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.naming import name_digests
 from repro.overlay.ids import node_id_from_int
+from repro.sim.stats import summarize
 from repro.workloads.filetrace import MB
 
 
@@ -163,15 +164,15 @@ def load_summary(read_load: Dict[int, float], buckets: int = 10) -> Dict[str, fl
             "load_histogram": [0] * buckets,
         }
     values = np.asarray(sorted(read_load.values()), dtype=float) / MB
-    mean = float(values.mean())
-    top = float(values.max())
+    stats = summarize(values)
+    mean, top = stats["avg"], stats["max"]
     edges = np.linspace(0.0, top if top > 0 else 1.0, buckets + 1)
     histogram, _ = np.histogram(values, bins=edges)
     return {
-        "load_nodes": float(values.shape[0]),
+        "load_nodes": stats["n"],
         "load_mean_mb": mean,
         "load_max_mb": top,
-        "load_p99_mb": float(np.percentile(values, 99)),
+        "load_p99_mb": stats["p99"],
         "load_imbalance_x": top / mean if mean > 0 else 0.0,
         "load_histogram": [int(count) for count in histogram],
     }
@@ -383,24 +384,20 @@ class ServeEngine:
     # --------------------------------------------------------------- reporting --
     def summarize(self) -> Dict[str, float]:
         """The scenario row: throughput, latency percentiles, failure counts."""
-        reads = np.asarray(self.read_latencies, dtype=float)
-        writes = np.asarray(self.write_latencies, dtype=float)
-        completed = reads.shape[0] + writes.shape[0]
+        reads = summarize(self.read_latencies)
+        writes = summarize(self.write_latencies)
+        completed = reads["n"] + writes["n"]
         makespan = max(self.last_completion_s, self.trace.duration_s)
-
-        def pct(values: np.ndarray, q: float) -> float:
-            return float(np.percentile(values, q)) if values.shape[0] else 0.0
-
         return {
             "requests": float(self.trace.count),
             "completed": float(completed),
             "offered_req_s": self.trace.count / self.trace.duration_s,
             "sustained_req_s": completed / makespan if makespan > 0 else 0.0,
-            "read_p50_s": pct(reads, 50),
-            "read_p95_s": pct(reads, 95),
-            "read_p99_s": pct(reads, 99),
-            "read_mean_s": float(reads.mean()) if reads.shape[0] else 0.0,
-            "write_p95_s": pct(writes, 95),
+            "read_p50_s": reads["median"],
+            "read_p95_s": reads["p95"],
+            "read_p99_s": reads["p99"],
+            "read_mean_s": reads["avg"],
+            "write_p95_s": writes["p95"],
             "failed_reads": float(self.failed_reads),
             "failed_writes": float(self.failed_writes),
             "promotions": float(len(self.promotions)),

@@ -32,7 +32,6 @@ def _manual_deployment(seed: int):
         64,
         rng=streams.fresh("overlay"),
         capacities=list(capacities),
-        routing_state=False,
     )
     assign_domains(network.nodes(), sites=2, racks_per_site=2)
     dht = DHTView(network)

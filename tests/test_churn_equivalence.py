@@ -79,7 +79,6 @@ def _storage(node_count: int, seed: int) -> StorageSystem:
     capacities = [max(c, 16 * MB) for c in capacities]
     network = OverlayNetwork.build(
         node_count, np.random.default_rng(seed + 1), capacities=capacities,
-        routing_state=False,
     )
     return StorageSystem(
         DHTView(network),

@@ -6,11 +6,11 @@ pin the behaviour down hard:
 * **Golden fingerprints** — SHA-256 of the concatenated encoded payloads for
   fixed seeds, per code.  If the stream derivation (graph hashing, degree
   sampling, Cauchy construction, ...) ever changes, these fail and the
-  ``stream_version`` chunk metadata must be bumped instead.
-* **Legacy format compatibility** — chunks produced by the preserved seed
-  implementation (stream version 1, per-index RNG graphs) must decode
-  bit-for-bit on the new kernel, and the new kernel's version-1 encoder must
-  reproduce the seed encoder byte-for-byte.
+  ``stream_version`` chunk metadata must be bumped instead.  They are the
+  frozen oracle of the wire format: there is one stream derivation in
+  ``src/`` and nothing else to compare it with.
+* **Wire-format tag** — a chunk whose ``stream_version`` tag is missing or
+  not ``STREAM_VERSION`` is refused, never decoded on the wrong graph.
 * **Round-trip properties** — ``decode(encode(x))`` over random sizes, block
   counts and random surviving-block subsets for all four codes.
 """
@@ -34,7 +34,6 @@ from repro.erasure.online_code import (
 )
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.erasure.xor_code import XorParityCode
-from repro.erasure._legacy import LegacyOnlineCode
 
 GOLDEN_PARAMS = OnlineCodeParameters(epsilon=0.2, q=3, quality=1.25)
 
@@ -53,10 +52,9 @@ def fingerprint(chunk) -> str:
 GOLDEN_DATA = payload(20_000, 42)
 
 #: Golden values computed at the introduction of stream version 2.  A change
-#: here is a wire-format change: bump STREAM_VERSION and add a legacy test.
+#: here is a wire-format change: bump STREAM_VERSION.
 GOLDEN_FINGERPRINTS = {
     "online-v2": "6107e4401f223ec7",
-    "online-v1": "c3c2569e88701b24",
     "reed-solomon": "109be2ae0d850335",
     "xor": "9a2f3ff4733da00d",
     "null": "a91f7734d72165f1",
@@ -126,43 +124,34 @@ def test_encoding_survives_cache_clears():
     assert before == after == GOLDEN_FINGERPRINTS["online-v2"]
 
 
-# -- legacy (stream version 1) compatibility -------------------------------------
-def test_legacy_chunks_decode_on_new_kernel():
-    legacy = LegacyOnlineCode(GOLDEN_PARAMS, seed=7)
-    encoded = legacy.encode(GOLDEN_DATA, 32)
-    assert "stream_version" not in encoded.metadata  # the v1 wire format
-    assert fingerprint(encoded) == GOLDEN_FINGERPRINTS["online-v1"]
-    new_code = OnlineCode(GOLDEN_PARAMS, seed=7)
-    available = {block.index: block.data for block in encoded.blocks}
-    assert new_code.decode(encoded, available) == GOLDEN_DATA
+# -- the wire-format tag ----------------------------------------------------------
+def test_unknown_stream_version_tag_is_refused():
+    """A chunk tagged with another derivation must not decode as this one."""
+    code = OnlineCode(GOLDEN_PARAMS, seed=1)
+    data = b"xyz" * 100
+    chunk = code.encode(data, 4)
+    available = {b.index: b.data for b in chunk.blocks}
+    assert code.decode(chunk, available) == data
+    foreign = replace(chunk, metadata={**chunk.metadata, "stream_version": 7})
+    with pytest.raises(DecodingError, match=r"version tag 7; .* version 2 only"):
+        code.decode(foreign, available)
+    with pytest.raises(DecodingError, match=r"version tag 7; .* version 2 only"):
+        code.generate_additional_blocks(foreign, data, 2)
 
 
-def test_new_kernel_reproduces_v1_stream_bit_for_bit():
-    legacy = LegacyOnlineCode(GOLDEN_PARAMS, seed=7).encode(GOLDEN_DATA, 32)
-    v1 = OnlineCode(GOLDEN_PARAMS, seed=7, stream_version=1).encode(GOLDEN_DATA, 32)
-    assert [b.data for b in v1.blocks] == [b.data for b in legacy.blocks]
-    assert int(v1.metadata["chunk_seed"]) == int(legacy.metadata["chunk_seed"])
-
-
-def test_legacy_chunk_decodes_with_losses_on_new_kernel():
-    legacy = LegacyOnlineCode(GOLDEN_PARAMS, seed=3)
-    data = payload(8_192, 5)
-    encoded = legacy.encode(data, 16)
-    available = {block.index: block.data for block in encoded.blocks}
-    rng = np.random.default_rng(1)
-    for index in rng.choice(sorted(available), size=5, replace=False):
-        del available[int(index)]
-    assert OnlineCode(GOLDEN_PARAMS, seed=3).decode(encoded, available) == data
-
-
-def test_stream_version_recorded_and_validated():
-    with pytest.raises(ValueError):
-        OnlineCode(GOLDEN_PARAMS, stream_version=99)
-    chunk = OnlineCode(GOLDEN_PARAMS, seed=1, stream_version=1).encode(b"xyz" * 100, 4)
-    assert chunk.metadata["stream_version"] == 1
-    assert OnlineCode(GOLDEN_PARAMS, seed=1).decode(
-        chunk, {b.index: b.data for b in chunk.blocks}
-    ) == b"xyz" * 100
+def test_missing_stream_version_tag_is_refused_not_misdecoded():
+    """An untagged chunk used to decode on the seed's graph: wrong bytes, no error."""
+    code = OnlineCode(GOLDEN_PARAMS, seed=3)
+    data = payload(16_384, 5)
+    chunk = code.encode(data, 16)
+    available = {b.index: b.data for b in chunk.blocks}
+    untagged = replace(
+        chunk, metadata={k: v for k, v in chunk.metadata.items() if k != "stream_version"}
+    )
+    with pytest.raises(DecodingError, match=r"version tag None; .* version 2 only"):
+        code.decode(untagged, available)
+    with pytest.raises(DecodingError, match="version tag None"):
+        code.generate_additional_blocks(untagged, data, 1)
 
 
 # -- round-trip properties with random subsets -----------------------------------

@@ -39,7 +39,6 @@ def _deployment(seed=7, node_count=48, file_count=60, sites=3, racks_per_site=2,
         node_count,
         np.random.default_rng(seed + 1),
         capacities=capacities,
-        routing_state=False,
     )
     if assign_before:
         assign_domains(network.nodes(), sites=sites, racks_per_site=racks_per_site)
@@ -73,8 +72,8 @@ def _placements_snapshot(storage: StorageSystem):
 # ------------------------------------------------------------------ domains --
 def test_assign_domains_is_deterministic_and_rng_free():
     rng_before = np.random.default_rng(3)
-    network = OverlayNetwork.build(24, np.random.default_rng(3), routing_state=False)
-    reference = OverlayNetwork.build(24, np.random.default_rng(3), routing_state=False)
+    network = OverlayNetwork.build(24, np.random.default_rng(3))
+    reference = OverlayNetwork.build(24, np.random.default_rng(3))
     assign_domains(network.nodes(), sites=2, racks_per_site=3)
     # Identical population: domain assignment never consumes the build RNG.
     assert [int(n.node_id) for n in network.nodes()] == [
@@ -91,7 +90,7 @@ def test_assign_domains_is_deterministic_and_rng_free():
 
 
 def test_node_array_state_exposes_domain_columns():
-    network = OverlayNetwork.build(30, np.random.default_rng(5), routing_state=False)
+    network = OverlayNetwork.build(30, np.random.default_rng(5))
     assign_domains(network.nodes(), sites=2, racks_per_site=2)
     state = NodeArrayState(network.nodes())
     assert state.site_array().dtype == np.int16
@@ -264,7 +263,7 @@ def test_degrade_nodes_cuts_bandwidth_via_scheduler():
 # -------------------------------------------------- assign_domains edge cases --
 def test_assign_domains_uneven_population_stays_balanced():
     """Node counts not divisible by the rack count stripe within one node."""
-    network = OverlayNetwork.build(10, np.random.default_rng(2), routing_state=False)
+    network = OverlayNetwork.build(10, np.random.default_rng(2))
     assign_domains(network.nodes(), sites=3, racks_per_site=1)
     sizes = {}
     for node in network.nodes():
@@ -276,7 +275,7 @@ def test_assign_domains_uneven_population_stays_balanced():
 
 
 def test_assign_domains_single_site_topology():
-    network = OverlayNetwork.build(9, np.random.default_rng(4), routing_state=False)
+    network = OverlayNetwork.build(9, np.random.default_rng(4))
     assign_domains(network.nodes(), sites=1, racks_per_site=4)
     assert all(node.site == 0 for node in network.nodes())
     assert sorted({node.rack for node in network.nodes()}) == [0, 1, 2, 3]

@@ -50,8 +50,7 @@ def test_batched_lookup_kernel_within_budget():
     # 2000-node index, 50 batches x 200 keys: ~60 ms on the development
     # machine.  A fallback to per-key scalar lookups costs >10x.
     network = OverlayNetwork.build(
-        2000, np.random.default_rng(5), capacities=[10 ** 9] * 2000, routing_state=False
-    )
+        2000, np.random.default_rng(5), capacities=[10 ** 9] * 2000)
     view = DHTView(network)
     names = [f"smoke-file/block{i}" for i in range(200)]
     digests = naming.name_digests(names)
@@ -112,8 +111,7 @@ def test_fast_population_build_within_budget():
     # machine; the seed O(N^2) build takes minutes at this size.
     start = time.perf_counter()
     network = OverlayNetwork.build(
-        4000, np.random.default_rng(6), capacities=[10 ** 9] * 4000, routing_state=False
-    )
+        4000, np.random.default_rng(6), capacities=[10 ** 9] * 4000)
     view = DHTView(network)
     elapsed = time.perf_counter() - start
     assert len(view) == 4000
@@ -124,7 +122,6 @@ def _synthetic_ledger(node_count: int, file_count: int):
     """A ledger shaped like the churn soak's: 5 rows and 3 placements per file."""
     network = OverlayNetwork.build(
         node_count, np.random.default_rng(9), capacities=[10 ** 12] * node_count,
-        routing_state=False,
     )
     ledger = BlockLedger(network)
     ids = [node.node_id for node in network.nodes()]
@@ -178,8 +175,7 @@ def test_ingest_builds_no_row_index():
     # it must not pay for the answer: nothing is written per appended row.
     count = 10_000
     network = OverlayNetwork.build(
-        count, np.random.default_rng(11), capacities=[10 ** 9] * count, routing_state=False
-    )
+        count, np.random.default_rng(11), capacities=[10 ** 9] * count)
     cfs = CfsStore(DHTView(network), block_size=4 * MB, retries_per_block=3)
     for index in range(40):
         assert cfs.store_file(f"file{index}", 243 * MB).success

@@ -36,8 +36,7 @@ def _fresh_storage(node_count: int, seed: int) -> StorageSystem:
     rng = np.random.default_rng(seed)
     capacities = [max(int(c), 16 * MB) for c in rng.normal(90 * MB, 20 * MB, size=node_count)]
     network = OverlayNetwork.build(
-        node_count, np.random.default_rng(seed + 1), capacities=capacities, routing_state=False
-    )
+        node_count, np.random.default_rng(seed + 1), capacities=capacities)
     return StorageSystem(
         DHTView(network),
         codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
@@ -163,7 +162,6 @@ def _baseline_pair(node_count: int, seed: int, make_seed, make):
         capacities = [max(int(c), 16 * MB) for c in rng.normal(80 * MB, 20 * MB, size=node_count)]
         network = OverlayNetwork.build(
             node_count, np.random.default_rng(seed + 1), capacities=capacities,
-            routing_state=False,
         )
         stores.append(factory(network))
     return stores
@@ -309,8 +307,7 @@ def test_shared_ledger_rejects_duplicate_names_before_placing():
     rng = np.random.default_rng(501)
     capacities = [max(int(c), 16 * MB) for c in rng.normal(80 * MB, 20 * MB, size=24)]
     network = OverlayNetwork.build(
-        24, np.random.default_rng(502), capacities=capacities, routing_state=False
-    )
+        24, np.random.default_rng(502), capacities=capacities)
     dht = _DHTView(network)
     shared = BlockLedger(network)
     past = PastStore(dht, ledger=shared)

@@ -32,7 +32,6 @@ MB = 1 << 20
 def _storage(node_count: int = 24, seed: int = 7, block_replication: int = 1) -> StorageSystem:
     network = OverlayNetwork.build(
         node_count, np.random.default_rng(seed), capacities=[64 * MB] * node_count,
-        routing_state=False,
     )
     return StorageSystem(
         DHTView(network),

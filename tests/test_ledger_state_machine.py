@@ -44,8 +44,7 @@ class LedgerMachine(RuleBasedStateMachine):
             block_ledger._OVERFLOW_LIMIT = 3
         copies = 2 if replicas else 1
         self.network = OverlayNetwork.build(
-            NODES, np.random.default_rng(seed), capacities=[96 * MB] * NODES, routing_state=False
-        )
+            NODES, np.random.default_rng(seed), capacities=[96 * MB] * NODES)
         self.dht = DHTView(self.network)
         self.ledger = BlockLedger(self.network)
         self.ours = StorageSystem(

@@ -31,8 +31,7 @@ def _pool(node_count: int, seed: int, capacity=120 * MB):
     rng = np.random.default_rng(seed)
     capacities = [max(int(c), 32 * MB) for c in rng.normal(capacity, capacity / 4, size=node_count)]
     network = OverlayNetwork.build(
-        node_count, np.random.default_rng(seed + 1), capacities=capacities, routing_state=False
-    )
+        node_count, np.random.default_rng(seed + 1), capacities=capacities)
     return network, DHTView(network)
 
 

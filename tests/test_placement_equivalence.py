@@ -44,7 +44,6 @@ def _fresh_network(node_count: int, seed: int) -> OverlayNetwork:
     capacities = [max(c, 8 * MB) for c in capacities]
     return OverlayNetwork.build(
         node_count, np.random.default_rng(seed + 1), capacities=capacities,
-        routing_state=False,
     )
 
 

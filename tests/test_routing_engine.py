@@ -1,9 +1,10 @@
 """The array routing engines' oracles.
 
 The load-bearing pin: the vectorized Pastry engine routes every lookup
-hop-for-hop identically to the seed's scalar per-node router -- same hop
-counts, same roots, same full paths -- at multiple population sizes and
-after interleaved join/leave/fail churn.  Chord rides the same harness
+hop-for-hop identically to the seed's scalar per-node router (kept under
+``tests/reference/seed_pastry.py`` and fed the same membership events) --
+same hop counts, same roots, same full paths -- at multiple population sizes
+and after interleaved join/leave/fail churn.  Chord rides the same harness
 and is pinned against brute-force ring invariants (successor lists and
 finger tables recomputed from the sorted id ring).
 """
@@ -21,6 +22,8 @@ from repro.overlay.ids import ID_SPACE, NodeId, random_node_id
 from repro.overlay.network import OverlayError, OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.multicast.tree import build_routed_tree
+
+from reference.seed_pastry import SeedPastryRouter
 
 
 def _lookups(network: OverlayNetwork, count: int, rng):
@@ -54,11 +57,12 @@ def test_pastry_engine_is_path_identical_to_seed_router(nodes):
     """Hop counts, roots AND full paths match the scalar seed router."""
     rng = np.random.default_rng(91)
     network = OverlayNetwork.build(nodes, rng)
-    router = network.attach_router("pastry", dispatch=False)
+    router = network.attach_router("pastry")
+    reference = network.attach_router(SeedPastryRouter(network), dispatch=False)
     keys, starts = _lookups(network, 120, rng)
     batch = router.route_many(keys, starts, collect_paths=True)
     for index, (key, start) in enumerate(zip(keys, starts)):
-        seed = network.route(key, start)
+        seed = reference.route(key, start)
         assert seed.hops == int(batch.hops[index])
         assert int(seed.root) == batch.root_ids()[index]
         assert [int(node_id) for node_id in seed.path] == batch.paths[index]
@@ -69,12 +73,13 @@ def test_pastry_identity_survives_interleaved_churn(nodes):
     """The incremental on_join/on_leave/on_fail patches stay exact."""
     rng = np.random.default_rng(47)
     network = OverlayNetwork.build(nodes, rng)
-    router = network.attach_router("pastry", dispatch=False)
+    router = network.attach_router("pastry")
+    reference = network.attach_router(SeedPastryRouter(network), dispatch=False)
     _churn(network, 30, rng)
     keys, starts = _lookups(network, 150, rng)
     batch = router.route_many(keys, starts, collect_paths=True)
     for index, (key, start) in enumerate(zip(keys, starts)):
-        seed = network.route(key, start)
+        seed = reference.route(key, start)
         assert seed.hops == int(batch.hops[index])
         assert int(seed.root) == batch.root_ids()[index]
         assert [int(node_id) for node_id in seed.path] == batch.paths[index]
@@ -82,7 +87,7 @@ def test_pastry_identity_survives_interleaved_churn(nodes):
 
 def test_route_many_matches_scalar_engine_route():
     rng = np.random.default_rng(3)
-    network = OverlayNetwork.build(120, rng, routing_state=False)
+    network = OverlayNetwork.build(120, rng)
     router = network.attach_router("pastry")
     keys, starts = _lookups(network, 60, rng)
     batch = router.route_many(keys, starts, collect_paths=True)
@@ -95,7 +100,7 @@ def test_route_many_matches_scalar_engine_route():
 
 def test_pastry_columns_keep_their_dtypes():
     rng = np.random.default_rng(8)
-    network = OverlayNetwork.build(64, rng, routing_state=False)
+    network = OverlayNetwork.build(64, rng)
     router = network.attach_router("pastry")
     assert isinstance(router, PastryArrayRouter)
     assert router._table.dtype == np.int32
@@ -133,7 +138,7 @@ def _assert_chord_invariants(network: OverlayNetwork,
 
 def test_chord_successor_and_finger_invariants():
     rng = np.random.default_rng(19)
-    network = OverlayNetwork.build(80, rng, routing_state=False)
+    network = OverlayNetwork.build(80, rng)
     router = network.attach_router("chord")
     assert isinstance(router, ChordArrayRouter)
     _assert_chord_invariants(network, router)
@@ -141,7 +146,7 @@ def test_chord_successor_and_finger_invariants():
 
 def test_chord_invariants_survive_interleaved_churn():
     rng = np.random.default_rng(23)
-    network = OverlayNetwork.build(80, rng, routing_state=False)
+    network = OverlayNetwork.build(80, rng)
     router = network.attach_router("chord")
     _churn(network, 40, rng)
     _assert_chord_invariants(network, router)
@@ -149,7 +154,7 @@ def test_chord_invariants_survive_interleaved_churn():
 
 def test_chord_routes_resolve_to_ring_successors():
     rng = np.random.default_rng(29)
-    network = OverlayNetwork.build(150, rng, routing_state=False)
+    network = OverlayNetwork.build(150, rng)
     router = network.attach_router("chord")
     sorted_ids = sorted(int(node_id) for node_id in network.live_ids())
     keys, starts = _lookups(network, 80, rng)
@@ -164,7 +169,7 @@ def test_recovered_node_is_reannounced_to_the_attached_router(engine):
     """``network.recover`` is ``fail``'s counterpart: the router learns the node
     again and routes hop-for-hop like a router built fresh on the membership."""
     rng = np.random.default_rng(131)
-    network = OverlayNetwork.build(120, rng, routing_state=False)
+    network = OverlayNetwork.build(120, rng)
     router = network.attach_router(engine)
     victims = [network.live_ids()[int(i)] for i in rng.permutation(120)[:12]]
     for victim in victims:
@@ -191,8 +196,7 @@ def test_recovered_node_is_reannounced_to_the_attached_router(engine):
 
 
 def test_recover_without_a_router_is_plain_node_recover():
-    network = OverlayNetwork.build(20, np.random.default_rng(5), capacities=[100] * 20,
-                                   routing_state=False)
+    network = OverlayNetwork.build(20, np.random.default_rng(5), capacities=[100] * 20)
     victim = network.live_nodes()[3]
     victim.store_block("kept", 10)
     network.fail(victim.node_id)
@@ -206,14 +210,14 @@ def test_recover_without_a_router_is_plain_node_recover():
 # --------------------------------------------------------- engines & dispatch --
 def test_unknown_engine_is_rejected():
     rng = np.random.default_rng(1)
-    network = OverlayNetwork.build(8, rng, routing_state=False)
+    network = OverlayNetwork.build(8, rng)
     with pytest.raises(OverlayError, match="unknown routing engine"):
         make_router("gossip", network)
 
 
 def test_network_dispatches_route_many_to_attached_engine():
     rng = np.random.default_rng(5)
-    network = OverlayNetwork.build(100, rng, routing_state=False)
+    network = OverlayNetwork.build(100, rng)
     router = network.attach_router("pastry")
     assert network.router is router
     keys, starts = _lookups(network, 20, rng)
@@ -223,9 +227,33 @@ def test_network_dispatches_route_many_to_attached_engine():
     assert network.total_routes == 20
 
 
+def test_routerless_route_attaches_the_pastry_engine():
+    """No router attached: ``route`` builds the default engine and counts its hops.
+
+    (It used to fall into a scalar loop over empty leaf sets and book exactly
+    one hop per key into ``mean_route_hops``.)
+    """
+    rng = np.random.default_rng(17)
+    plain = OverlayNetwork.build(300, np.random.default_rng(7))
+    routed = OverlayNetwork.build(300, np.random.default_rng(7))
+    router = routed.attach_router("pastry")
+    assert plain.router is None
+    keys, starts = _lookups(plain, 80, rng)
+    for key, start in zip(keys, starts):
+        lazy = plain.route(key, start)
+        eager = router.route(key, start)
+        assert (lazy.hops, lazy.root, lazy.path) == (eager.hops, eager.root, eager.path)
+        assert routed.route(key, start).hops == eager.hops
+    assert isinstance(plain.router, PastryArrayRouter)
+    assert plain.router in plain._routing_listeners
+    assert plain.mean_route_hops == routed.mean_route_hops > 1.5
+    # The default start (first live node) and the batched entry point agree.
+    assert plain.route(keys[0]).hops == int(plain.route_many(keys[:1]).hops[0])
+
+
 def test_second_engine_does_not_steal_dispatch():
     rng = np.random.default_rng(6)
-    network = OverlayNetwork.build(60, rng, routing_state=False)
+    network = OverlayNetwork.build(60, rng)
     pastry = network.attach_router("pastry")
     chord = network.attach_router("chord", dispatch=False)
     assert network.router is pastry
@@ -236,7 +264,7 @@ def test_second_engine_does_not_steal_dispatch():
 
 def test_dht_view_routing_passthrough():
     rng = np.random.default_rng(11)
-    network = OverlayNetwork.build(90, rng, routing_state=False)
+    network = OverlayNetwork.build(90, rng)
     view = DHTView(network)
     router = view.attach_router("pastry")
     assert view.attach_router() is router
@@ -251,7 +279,7 @@ def test_dht_view_routing_passthrough():
 # ------------------------------------------------------------ the routed tree --
 def test_routed_tree_spans_all_targets():
     rng = np.random.default_rng(31)
-    network = OverlayNetwork.build(200, rng, routing_state=False)
+    network = OverlayNetwork.build(200, rng)
     router = network.attach_router("pastry")
     live = network.live_ids()
     picks = rng.choice(len(live), size=17, replace=False)
@@ -271,7 +299,7 @@ def test_routed_tree_spans_all_targets():
 
 def test_routed_tree_with_no_targets_is_just_the_source():
     rng = np.random.default_rng(37)
-    network = OverlayNetwork.build(30, rng, routing_state=False)
+    network = OverlayNetwork.build(30, rng)
     router = network.attach_router("pastry")
     source = network.live_ids()[0]
     tree = build_routed_tree(router, source, [source])
@@ -281,7 +309,7 @@ def test_routed_tree_with_no_targets_is_just_the_source():
 # --------------------------------------------------------------- misc surface --
 def test_keys_accept_ints_and_node_ids():
     rng = np.random.default_rng(41)
-    network = OverlayNetwork.build(50, rng, routing_state=False)
+    network = OverlayNetwork.build(50, rng)
     router = network.attach_router("pastry")
     key = random_node_id(rng)
     start = network.live_ids()[0]
@@ -295,11 +323,12 @@ def test_trailing_nul_keys_route_correctly():
     """Keys whose digest ends in 0x00 bytes (numpy S20 scalars strip them)."""
     rng = np.random.default_rng(43)
     network = OverlayNetwork.build(80, rng)
-    router = network.attach_router("pastry", dispatch=False)
+    router = network.attach_router("pastry")
+    reference = network.attach_router(SeedPastryRouter(network), dispatch=False)
     start = network.live_ids()[0]
     for shift in (8, 16, 24):
         key = NodeId(((int(random_node_id(rng)) >> shift) << shift) % ID_SPACE)
-        seed = network.route(key, start)
+        seed = reference.route(key, start)
         engine = router.route(key, start)
         assert seed.hops == engine.hops
         assert int(seed.root) == int(engine.root)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.churn import ChurnModel, FailureSchedule
+
+from reference.seed_churn import scalar_sessions
 
 
 def test_failure_schedule_size_matches_fraction():
@@ -81,76 +84,64 @@ def test_churn_model_rejects_nonpositive_parameters():
     model = ChurnModel(1.0, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         model.sample_sessions(1, horizon=0.0)
-    with pytest.raises(ValueError):
-        ChurnModel(1.0, 1.0, np.random.default_rng(0), stream_version=4)
 
 
-def _scalar_reference_sessions(mean_up, mean_down, rng, horizon):
-    """The seed one-pair-at-a-time sampler, inlined as the oracle."""
-    ups, downs, elapsed = [], [], 0.0
-    while elapsed < horizon:
-        up = float(rng.exponential(mean_up))
-        down = float(rng.exponential(mean_down))
-        ups.append(up)
-        downs.append(down)
-        elapsed += up + down
-    return np.asarray(ups), np.asarray(downs)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    mean_up=st.floats(min_value=0.01, max_value=100.0),
+    mean_down=st.floats(min_value=0.01, max_value=100.0),
+    expected_pairs=st.floats(min_value=1e-3, max_value=3000.0),
+)
+@example(seed=21, mean_up=5.0, mean_down=2.0, expected_pairs=1000.0 / 7.0)
+@example(seed=5, mean_up=5.0, mean_down=2.0, expected_pairs=0.01 / 7.0)
+@example(seed=77, mean_up=0.01, mean_down=0.01, expected_pairs=2500.0)  # the heavy-tail regime
+@settings(max_examples=60, deadline=None)
+def test_sample_sessions_equal_the_reference_scalar_sampler(seed, mean_up, mean_down, expected_pairs):
+    """Batched draws, same kept values: the seed's scalar loop is the oracle."""
+    horizon = expected_pairs * (mean_up + mean_down)
+    expected_ups, expected_downs = scalar_sessions(
+        mean_up, mean_down, np.random.default_rng(seed), horizon
+    )
+    sample = ChurnModel(mean_up, mean_down, np.random.default_rng(seed)).sample_sessions(
+        node_id=4, horizon=horizon
+    )
+    assert np.array_equal(sample.up_times, expected_ups)
+    assert np.array_equal(sample.down_times, expected_downs)
 
 
-def test_stream_version_1_matches_seed_draws_exactly():
-    model = ChurnModel(5.0, 2.0, np.random.default_rng(21), stream_version=1)
-    expected = _scalar_reference_sessions(5.0, 2.0, np.random.default_rng(21), 80.0)
-    sample = model.sample_sessions(node_id=1, horizon=80.0)
-    assert np.array_equal(sample.up_times, expected[0])
-    assert np.array_equal(sample.down_times, expected[1])
+class _ShortSessions:
+    """A generator whose exponentials come out ``shrink`` times too short."""
 
+    def __init__(self, seed: int, shrink: float) -> None:
+        self._rng = np.random.default_rng(seed)
+        self._shrink = shrink
 
-def test_stream_version_2_draws_same_values_with_batched_sampling():
-    # Version 2 consumes the generator in blocks, but each session length it
-    # *keeps* must equal the scalar stream value-for-value (the batch draws
-    # are the same stream, just over-drawn past the horizon).
-    for seed, horizon in ((3, 40.0), (9, 250.0), (12, 7.5)):
-        model = ChurnModel(5.0, 2.0, np.random.default_rng(seed), stream_version=2)
-        assert model.stream_version == 2
-        expected_ups, expected_downs = _scalar_reference_sessions(
-            5.0, 2.0, np.random.default_rng(seed), horizon
-        )
-        sample = model.sample_sessions(node_id=4, horizon=horizon)
-        assert np.array_equal(sample.up_times, expected_ups)
-        assert np.array_equal(sample.down_times, expected_downs)
+    def standard_exponential(self, size):
+        return self._rng.standard_exponential(size=size) * self._shrink
 
-
-def test_stream_version_3_is_the_default_and_stream_identical():
-    """v3 (doubling batches) keeps value-for-value identity with v1 and v2."""
-    for seed, horizon in ((3, 40.0), (9, 250.0), (12, 7.5), (21, 1000.0), (5, 0.01)):
-        model = ChurnModel(5.0, 2.0, np.random.default_rng(seed))
-        assert model.stream_version == 3
-        expected_ups, expected_downs = _scalar_reference_sessions(
-            5.0, 2.0, np.random.default_rng(seed), horizon
-        )
-        sample = model.sample_sessions(node_id=4, horizon=horizon)
-        assert np.array_equal(sample.up_times, expected_ups)
-        assert np.array_equal(sample.down_times, expected_downs)
-        v2 = ChurnModel(
-            5.0, 2.0, np.random.default_rng(seed), stream_version=2
-        ).sample_sessions(node_id=4, horizon=horizon)
-        assert np.array_equal(sample.up_times, v2.up_times)
-        assert np.array_equal(sample.down_times, v2.down_times)
+    def exponential(self, scale):
+        return self._rng.standard_exponential() * self._shrink * scale
 
 
 def test_stream_version_3_survives_heavy_tail_shortfalls():
     """When the first concentration-sized block falls short, doubling covers it.
 
-    A tiny mean against a huge horizon forces many pairs; whatever the block
+    ("Stream version 3" is the historical name of the doubling-batch sampler,
+    the only one ``ChurnModel`` has.)  A tiny mean against a huge horizon
+    forces many pairs; sessions 40x shorter than their mean force the first
+    block and several doubled follow-ups to fall short.  Whatever the block
     layout, the kept values must still equal the scalar stream.
     """
-    model = ChurnModel(0.01, 0.01, np.random.default_rng(77))
-    expected_ups, expected_downs = _scalar_reference_sessions(
-        0.01, 0.01, np.random.default_rng(77), 50.0
-    )
-    sample = model.sample_sessions(node_id=1, horizon=50.0)
-    assert np.array_equal(sample.up_times, expected_ups)
-    assert np.array_equal(sample.down_times, expected_downs)
+    for mean, horizon, rng, oracle_rng, beyond_first_block in (
+        (0.01, 50.0, np.random.default_rng(77), np.random.default_rng(77), 0),
+        # First block: 66 + 4*sqrt(66) + 4 = 103 pairs; ~2 700 are needed.
+        (3.0, 400.0, _ShortSessions(8, 1 / 40), _ShortSessions(8, 1 / 40), 8 * 103),
+    ):
+        expected_ups, expected_downs = scalar_sessions(mean, mean, oracle_rng, horizon)
+        sample = ChurnModel(mean, mean, rng).sample_sessions(node_id=1, horizon=horizon)
+        assert np.array_equal(sample.up_times, expected_ups)
+        assert np.array_equal(sample.down_times, expected_downs)
+        assert len(sample.up_times) > beyond_first_block
 
 
 def test_failure_times_match_seed_scalar_loop():
