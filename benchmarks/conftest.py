@@ -15,68 +15,19 @@ from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
+_BENCH_DIR = Path(__file__).resolve().parent
+_ROOT = _BENCH_DIR.parent
+_SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.experiments.results import BENCHMARK_TABLES  # noqa: E402
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment  # noqa: E402
 
-#: Where the coding-throughput benchmark writes its per-PR trajectory record.
-BENCH_CODING_PATH = Path(__file__).resolve().parent.parent / "BENCH_coding.json"
-
-#: Rows accumulated by ``test_bench_coding_throughput.py`` during the session.
-_CODING_RESULTS: dict = {"results": [], "speedups": {}}
-
-#: Where the insertion-throughput benchmark writes its trajectory record.
-BENCH_INSERTION_PATH = Path(__file__).resolve().parent.parent / "BENCH_insertion.json"
-
-#: Rows accumulated by ``test_bench_insertion_throughput.py`` during the session.
-_INSERTION_RESULTS: dict = {"results": [], "speedups": {}}
-
-#: Where the churn-engine benchmark writes its trajectory record.
-BENCH_CHURN_PATH = Path(__file__).resolve().parent.parent / "BENCH_churn.json"
-
-#: Rows accumulated by ``test_bench_churn_failures.py`` during the session.
-_CHURN_RESULTS: dict = {"results": [], "speedups": {}}
-
-#: Where the join/leave churn-soak benchmark writes its trajectory record.
-BENCH_SOAK_PATH = Path(__file__).resolve().parent.parent / "BENCH_soak.json"
-
-#: Rows accumulated by ``test_bench_soak.py`` during the session.
-_SOAK_RESULTS: dict = {"results": [], "speedups": {}}
-
-#: Where the bandwidth-aware repair benchmark writes its trajectory record.
-BENCH_REPAIR_PATH = Path(__file__).resolve().parent.parent / "BENCH_repair.json"
-
-#: Rows accumulated by ``test_bench_repair.py`` during the session.
-_REPAIR_RESULTS: dict = {"results": [], "speedups": {}}
-
-#: Where the fault-injection benchmark writes its trajectory record.
-BENCH_FAULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
-
-#: Rows accumulated by ``test_bench_faults.py`` during the session.
-_FAULTS_RESULTS: dict = {"results": [], "speedups": {}}
-
-#: Where the tenant QoS-isolation benchmark writes its trajectory record.
-BENCH_TENANTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_tenants.json"
-
-#: Rows accumulated by ``test_bench_tenants.py`` during the session.
-_TENANTS_RESULTS: dict = {"results": [], "speedups": {}}
-
-#: Where the serve-path benchmark writes its trajectory record.
-BENCH_SERVING_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
-
-#: Rows accumulated by ``test_bench_serving.py`` during the session.
-_SERVING_RESULTS: dict = {"results": [], "speedups": {}}
-
-#: Where the routing-fabric benchmark writes its trajectory record.
-BENCH_ROUTING_PATH = Path(__file__).resolve().parent.parent / "BENCH_routing.json"
-
-#: Rows accumulated by ``test_bench_routing.py`` during the session.
-_ROUTING_RESULTS: dict = {"results": [], "speedups": {}}
-
-
-_BENCH_DIR = Path(__file__).resolve().parent
+#: Session accumulators, one per ``BENCH_<name>.json`` trajectory record at the
+#: repository root; the ``test_bench_*.py`` modules fill them through the
+#: ``<name>_bench_results`` fixtures and ``pytest_sessionfinish`` writes them.
+_RECORDS = {name: {"results": [], "speedups": {}} for name in BENCHMARK_TABLES}
 
 
 def pytest_collection_modifyitems(config, items):
@@ -90,58 +41,17 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.bench)
 
 
-@pytest.fixture(scope="session")
-def coding_bench_results() -> dict:
-    """Session accumulator for coding-throughput rows (written at exit)."""
-    return _CODING_RESULTS
+def _accumulator(name: str):
+    @pytest.fixture(scope="session", name=f"{name}_bench_results")
+    def accumulator() -> dict:
+        """Session accumulator for one BENCH_<name>.json record (written at exit)."""
+        return _RECORDS[name]
+
+    return accumulator
 
 
-@pytest.fixture(scope="session")
-def insertion_bench_results() -> dict:
-    """Session accumulator for insertion-throughput rows (written at exit)."""
-    return _INSERTION_RESULTS
-
-
-@pytest.fixture(scope="session")
-def churn_bench_results() -> dict:
-    """Session accumulator for churn-engine rows (written at exit)."""
-    return _CHURN_RESULTS
-
-
-@pytest.fixture(scope="session")
-def soak_bench_results() -> dict:
-    """Session accumulator for churn-soak rows (written at exit)."""
-    return _SOAK_RESULTS
-
-
-@pytest.fixture(scope="session")
-def repair_bench_results() -> dict:
-    """Session accumulator for bandwidth-aware repair rows (written at exit)."""
-    return _REPAIR_RESULTS
-
-
-@pytest.fixture(scope="session")
-def faults_bench_results() -> dict:
-    """Session accumulator for fault-injection rows (written at exit)."""
-    return _FAULTS_RESULTS
-
-
-@pytest.fixture(scope="session")
-def tenants_bench_results() -> dict:
-    """Session accumulator for tenant QoS-isolation rows (written at exit)."""
-    return _TENANTS_RESULTS
-
-
-@pytest.fixture(scope="session")
-def serving_bench_results() -> dict:
-    """Session accumulator for serve-path rows (written at exit)."""
-    return _SERVING_RESULTS
-
-
-@pytest.fixture(scope="session")
-def routing_bench_results() -> dict:
-    """Session accumulator for routing-fabric rows (written at exit)."""
-    return _ROUTING_RESULTS
+for _name in _RECORDS:
+    globals()[f"{_name}_bench_results"] = _accumulator(_name)
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -155,24 +65,9 @@ def pytest_sessionfinish(session, exitstatus):
     """
     if exitstatus != 0:
         return
-    if _CODING_RESULTS["results"] and _CODING_RESULTS["speedups"]:
-        BENCH_CODING_PATH.write_text(json.dumps(_CODING_RESULTS, indent=2) + "\n")
-    if _INSERTION_RESULTS["results"] and _INSERTION_RESULTS["speedups"]:
-        BENCH_INSERTION_PATH.write_text(json.dumps(_INSERTION_RESULTS, indent=2) + "\n")
-    if _CHURN_RESULTS["results"] and _CHURN_RESULTS["speedups"]:
-        BENCH_CHURN_PATH.write_text(json.dumps(_CHURN_RESULTS, indent=2) + "\n")
-    if _SOAK_RESULTS["results"] and _SOAK_RESULTS["speedups"]:
-        BENCH_SOAK_PATH.write_text(json.dumps(_SOAK_RESULTS, indent=2) + "\n")
-    if _REPAIR_RESULTS["results"] and _REPAIR_RESULTS["speedups"]:
-        BENCH_REPAIR_PATH.write_text(json.dumps(_REPAIR_RESULTS, indent=2) + "\n")
-    if _FAULTS_RESULTS["results"] and _FAULTS_RESULTS["speedups"]:
-        BENCH_FAULTS_PATH.write_text(json.dumps(_FAULTS_RESULTS, indent=2) + "\n")
-    if _TENANTS_RESULTS["results"] and _TENANTS_RESULTS["speedups"]:
-        BENCH_TENANTS_PATH.write_text(json.dumps(_TENANTS_RESULTS, indent=2) + "\n")
-    if _SERVING_RESULTS["results"] and _SERVING_RESULTS["speedups"]:
-        BENCH_SERVING_PATH.write_text(json.dumps(_SERVING_RESULTS, indent=2) + "\n")
-    if _ROUTING_RESULTS["results"] and _ROUTING_RESULTS["speedups"]:
-        BENCH_ROUTING_PATH.write_text(json.dumps(_ROUTING_RESULTS, indent=2) + "\n")
+    for name, record in _RECORDS.items():
+        if record["results"] and record["speedups"]:
+            (_ROOT / f"BENCH_{name}.json").write_text(json.dumps(record, indent=2) + "\n")
 
 
 #: Scale used by the insertion benchmarks (nodes / derived file count).  The

@@ -1,12 +1,17 @@
 """The client facade: one place that owns overlay + ledger + fabric wiring.
 
-Eight PRs of subsystem growth left every experiment and example repeating the
-same deployment block -- generate capacities, build the overlay, assign
-failure domains, make a ``DHTView``, share a ``BlockLedger``, construct one
-``StorageSystem`` per tenant, build a ``Simulator`` + ``TransferScheduler``
-over an oversubscribed topology, and finally thread ``attach_transfers``
-keyword sprawl through every call site.  :class:`ClusterSession` owns that
-wiring once and :class:`ArchiveClient` is the per-tenant handle on top::
+A deployment is one block of wiring -- generate capacities, build the overlay,
+assign failure domains, make a ``DHTView``, share a ``BlockLedger``, construct
+one ``StorageSystem`` per tenant, build a ``Simulator`` + ``TransferScheduler``
+over an oversubscribed topology, and thread ``attach_transfers`` through every
+call site.  :class:`ClusterSession` owns that wiring once and
+:class:`ArchiveClient` is the per-tenant handle on top; every experiment that
+stores into one cluster builds it here (through
+:func:`repro.experiments.base.deploy`).  Three experiment modules still build
+their own population because they are not one cluster with clients:
+``storage_insertion`` (three populations under per-replication stream labels
+feeding the PAST and CFS baseline stores), ``routing`` and
+``multicast_replicas`` (bare overlays, no storage)::
 
     session = ClusterSession(10_000, seed=7, sites=4, racks_per_site=4,
                              bandwidth_mb_s=8.0, oversubscription=4.0)
@@ -45,6 +50,13 @@ from repro.workloads.capacity import CapacityConfig, generate_capacities
 from repro.workloads.filetrace import MB
 
 
+def _reject(arguments: Dict[str, object], reason: str) -> None:
+    """Raise for an argument that was passed but would be silently dropped."""
+    for name, value in arguments.items():
+        if value is not None:
+            raise ValueError(f"{name}= {reason}")
+
+
 class ClusterSession:
     """One deployed archive cluster: overlay, ledger, clock, transfer fabric.
 
@@ -74,6 +86,13 @@ class ClusterSession:
         sim: Optional[Simulator] = None,
     ) -> None:
         self.streams = streams or RandomStreams(seed)
+        if bandwidth_mb_s is None:
+            _reject({"oversubscription": oversubscription, "latency": latency},
+                    "needs bandwidth_mb_s= (no transfer fabric is built without it)")
+        if network is not None:
+            _reject({"capacities": capacities, "capacity_config": capacity_config,
+                     "sites": sites},
+                    "does not apply to an adopted network= (nothing is built)")
         if network is None:
             if node_count is None:
                 raise ValueError("either node_count or an existing network is required")
@@ -126,7 +145,6 @@ class ClusterSession:
         codec=None,
         policy=None,
         payload_mode: bool = False,
-        track_neighbor_ledgers: bool = False,
     ) -> "ArchiveClient":
         """A per-tenant storage client on this session's shared deployment.
 
@@ -143,7 +161,6 @@ class ClusterSession:
             codec=codec,
             policy=policy,
             payload_mode=payload_mode,
-            track_neighbor_ledgers=track_neighbor_ledgers,
             ledger=self.ledger,
             tenant=tenant,
         )

@@ -30,12 +30,12 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.availability import PAPER_FIG10, AvailabilityConfig, AvailabilityExperiment
-from repro.experiments.base import get_experiment
 from repro.experiments.churn import PAPER_TABLE3, ChurnConfig, ChurnExperiment
 from repro.experiments.coding_perf import CodingPerfConfig, run_coding_performance
 from repro.experiments.condor_case_study import CondorCaseStudyConfig, run_condor_case_study
@@ -49,12 +49,24 @@ from repro.experiments.faults import (
 from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
 from repro.experiments.regeneration import PAPER_REPAIR, RepairExperiment
 from repro.experiments.results import benchmark_summary, format_series_table
-from repro.experiments.routing import PAPER_ROUTING
-from repro.experiments.serving import PAPER_SERVING
+from repro.experiments.routing import PAPER_ROUTING, SMOKE_ROUTING, RoutingExperiment
+from repro.experiments.serving import PAPER_SERVING, SMOKE_SERVING, ServingExperiment
 from repro.experiments.soak import PAPER_SOAK, SoakExperiment
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
 from repro.experiments.tenants import PAPER_TENANTS, SMOKE_TENANTS, TenantsExperiment
 from repro.workloads.filetrace import GB, MB
+
+
+def _scaled(value: float, scale: float, floor: int) -> int:
+    """``value x scale`` rounded to an integer, never below ``floor``."""
+    return max(floor, int(round(value * scale)))
+
+
+def _timed_run(experiment) -> Tuple[object, str]:
+    """``experiment.run()`` plus the ``wall time: ...s`` line of its host seconds."""
+    start = time.perf_counter()
+    result = experiment.run()
+    return result, f"wall time: {time.perf_counter() - start:.1f}s"
 
 
 def _run_insertion(args: argparse.Namespace) -> int:
@@ -90,61 +102,47 @@ def _run_availability(args: argparse.Namespace) -> int:
 
 def _run_fig10(args: argparse.Namespace) -> int:
     """Figure 10 at the paper's scale (10 000 nodes, 1 000 failures) by default."""
-    import time
-    from dataclasses import replace
-
     config = replace(
         PAPER_FIG10,
-        node_count=max(2, int(round(args.nodes * args.scale))),
-        file_count=max(1, int(round(args.files * args.scale))),
+        node_count=_scaled(args.nodes, args.scale, 2),
+        file_count=_scaled(args.files, args.scale, 1),
         fail_fraction=args.fail_pct / 100.0,
         seed=args.seed,
     )
-    experiment = AvailabilityExperiment(config)
-    start = time.perf_counter()
-    series = experiment.run()
-    elapsed = time.perf_counter() - start
+    series, wall = _timed_run(AvailabilityExperiment(config))
     print(
         f"Figure 10 — unavailable files (%) vs failed nodes "
         f"({config.node_count} nodes, {config.file_count} files, "
         f"{config.fail_fraction:.0%} failed, columnar ledger)"
     )
     print(format_series_table(list(series.values()), x_label="failed_nodes"))
-    print(f"wall time: {elapsed:.1f}s")
+    print(wall)
     return 0
 
 
 def _run_table3(args: argparse.Namespace) -> int:
     """Table 3 at the paper's scale (10 000 nodes, 10 % and 20 % failed) by default."""
-    import time
-    from dataclasses import replace
-
     fractions = tuple(float(pct) / 100.0 for pct in args.fractions.split(","))
     config = replace(
         PAPER_TABLE3,
-        node_count=max(2, int(round(args.nodes * args.scale))),
-        file_count=max(1, int(round(args.files * args.scale))),
+        node_count=_scaled(args.nodes, args.scale, 2),
+        file_count=_scaled(args.files, args.scale, 1),
         fail_fractions=fractions,
         seed=args.seed,
     )
-    start = time.perf_counter()
-    table = ChurnExperiment(config).run()
-    elapsed = time.perf_counter() - start
+    table, wall = _timed_run(ChurnExperiment(config))
     print(table.format())
-    print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, {config.file_count} files, "
+    print(f"{wall} ({config.node_count} nodes, {config.file_count} files, "
           "columnar ledger)")
     return 0
 
 
 def _run_soak(args: argparse.Namespace) -> int:
     """Join/leave churn soak at the paper's scale (10 000 nodes, one week) by default."""
-    import time
-    from dataclasses import replace
-
     config = replace(
         PAPER_SOAK,
-        node_count=max(2, int(round(args.nodes * args.scale))),
-        file_count=max(1, int(round(args.files * args.scale))),
+        node_count=_scaled(args.nodes, args.scale, 2),
+        file_count=_scaled(args.files, args.scale, 1),
         horizon_hours=args.days * 24.0,
         join_rate_per_hour=args.join_rate * args.scale,
         leave_rate_per_hour=args.leave_rate * args.scale,
@@ -153,61 +151,51 @@ def _run_soak(args: argparse.Namespace) -> int:
         bandwidth_gb_per_hour=args.bandwidth_gb_hour,
         seed=args.seed,
     )
-    start = time.perf_counter()
-    result = SoakExperiment(config).run()
-    elapsed = time.perf_counter() - start
+    result, wall = _timed_run(SoakExperiment(config))
     print(result.series_table().format(float_format="{:,.2f}"))
     print()
     summary = result.summary()
     print("soak summary: " + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
-    print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, {config.file_count} files, "
+    print(f"{wall} ({config.node_count} nodes, {config.file_count} files, "
           f"{config.horizon_hours / 24:.1f} simulated days, columnar ledger + compaction)")
     return 0
 
 
 def _run_repair(args: argparse.Namespace) -> int:
     """Bandwidth-aware repair at the paper's scale (10 000 nodes) by default."""
-    import time
-    from dataclasses import replace
-
     fractions = tuple(float(pct) / 100.0 for pct in args.fractions.split(","))
     sweep = tuple(float(value) for value in args.bandwidth_sweep.split(","))
     config = replace(
         PAPER_REPAIR,
-        node_count=max(2, int(round(args.nodes * args.scale))),
-        file_count=max(1, int(round(args.files * args.scale))),
+        node_count=_scaled(args.nodes, args.scale, 2),
+        file_count=_scaled(args.files, args.scale, 1),
         fail_fractions=fractions,
         bandwidth_mb_s=args.bandwidth,
         bandwidth_sweep_mb_s=sweep,
         failure_spacing_s=args.spacing,
         seed=args.seed,
     )
-    start = time.perf_counter()
-    result = RepairExperiment(config).run()
-    elapsed = time.perf_counter() - start
+    result, wall = _timed_run(RepairExperiment(config))
     print(result.fraction_table().format(float_format="{:,.2f}"))
     print()
     print(result.bandwidth_table().format(float_format="{:,.2f}"))
     print()
     print(result.ablation_table().format(float_format="{:,.2f}"))
-    print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, {config.file_count} files, "
+    print(f"{wall} ({config.node_count} nodes, {config.file_count} files, "
           "columnar ledger, fair-share transfer scheduler)")
     return 0
 
 
 def _run_faults(args: argparse.Namespace) -> int:
     """Failure-domain fault panels at the paper's scale (10 000 nodes) by default."""
-    import time
-    from dataclasses import replace
-
     if args.smoke:
         config = replace(SMOKE_FINITE_CORE if args.oversub else SMOKE_FAULTS,
                          seed=args.seed)
     else:
         config = replace(
             FINITE_CORE_FAULTS if args.oversub else PAPER_FAULTS,
-            node_count=max(2, int(round(args.nodes * args.scale))),
-            file_count=max(1, int(round(args.files * args.scale))),
+            node_count=_scaled(args.nodes, args.scale, 2),
+            file_count=_scaled(args.files, args.scale, 1),
             flash_fraction=args.flash_pct / 100.0,
             bandwidth_mb_s=args.bandwidth,
             sites=args.sites,
@@ -216,9 +204,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         )
     if args.oversub:
         config = replace(config, oversubscription=args.oversub)
-    start = time.perf_counter()
-    result = FaultsExperiment(config).run()
-    elapsed = time.perf_counter() - start
+    result, wall = _timed_run(FaultsExperiment(config))
     print(result.durability_table().format(float_format="{:,.2f}"))
     print()
     print(result.repair_table().format(float_format="{:,.2f}"))
@@ -227,7 +213,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         print(result.topology_table().format(float_format="{:,.2f}"))
     core = (f"{args.oversub:g}:1 oversubscribed core" if args.oversub
             else "access links only")
-    print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, {config.file_count} files, "
+    print(f"{wall} ({config.node_count} nodes, {config.file_count} files, "
           f"{config.sites}x{config.racks_per_site} racks, "
           f"{config.block_replication}-copy target, {core})")
     return 0
@@ -235,16 +221,13 @@ def _run_faults(args: argparse.Namespace) -> int:
 
 def _run_tenants(args: argparse.Namespace) -> int:
     """Per-tenant QoS isolation panels at the paper's scale (10 000 nodes) by default."""
-    import time
-    from dataclasses import replace
-
     if args.smoke:
         config = replace(SMOKE_TENANTS, seed=args.seed)
     else:
         config = replace(
             PAPER_TENANTS,
-            node_count=max(2, int(round(args.nodes * args.scale))),
-            archive_files=max(1, int(round(args.files * args.scale))),
+            node_count=_scaled(args.nodes, args.scale, 2),
+            archive_files=_scaled(args.files, args.scale, 1),
             bandwidth_mb_s=args.bandwidth,
             seed=args.seed,
         )
@@ -252,16 +235,14 @@ def _run_tenants(args: argparse.Namespace) -> int:
         config = replace(config, oversubscription=args.oversub or None)
     if args.no_isolation:
         config = replace(config, storm_tenant_weight=1.0, storm_tenant_cap_mb_s=None)
-    start = time.perf_counter()
-    result = TenantsExperiment(config).run()
-    elapsed = time.perf_counter() - start
+    result, wall = _timed_run(TenantsExperiment(config))
     print(result.isolation_table().format(float_format="{:,.2f}"))
     print()
     print(result.slo_table().format(float_format="{:,.2f}"))
     summary = result.isolation_summary()
     print("isolation summary: "
           + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
-    print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, "
+    print(f"{wall} ({config.node_count} nodes, "
           f"{config.archive_files} archive files, "
           f"{config.oversubscription or 0:g}:1 core, "
           f"storm weight {config.storm_tenant_weight:g})")
@@ -270,16 +251,12 @@ def _run_tenants(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """Serve-path panels at the paper's scale (10 000 nodes) by default."""
-    import time
-    from dataclasses import replace
-
-    spec = get_experiment("serving")
-    config = spec.preset("smoke" if args.smoke else "paper")
+    config = SMOKE_SERVING if args.smoke else PAPER_SERVING
     if not args.smoke:
         config = replace(
             config,
-            node_count=max(2, int(round(args.nodes * args.scale))),
-            catalog_files=max(1, int(round(args.files * args.scale))),
+            node_count=_scaled(args.nodes, args.scale, 2),
+            catalog_files=_scaled(args.files, args.scale, 1),
             request_rate=args.rate,
             duration_s=args.duration,
             client_count=args.clients,
@@ -293,14 +270,12 @@ def _run_serve(args: argparse.Namespace) -> int:
         config = replace(config, cache_modes=(False,))
     if args.oversub is not None:
         config = replace(config, oversubscription=args.oversub or None)
-    start = time.perf_counter()
-    result = spec.run(config)
-    elapsed = time.perf_counter() - start
+    result, wall = _timed_run(ServingExperiment(config))
     print(result.table().format(float_format="{:,.2f}"))
     summary = result.summary()
     print("serving summary: "
           + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
-    print(f"wall time: {elapsed:.1f}s ({config.node_count} nodes, "
+    print(f"{wall} ({config.node_count} nodes, "
           f"{config.catalog_files} catalog files, "
           f"{config.oversubscription or 0:g}:1 core, "
           f"{config.cache_mb:g} MB/gateway cache)")
@@ -340,20 +315,16 @@ def _run_multicast(args: argparse.Namespace) -> int:
 
 def _run_routing(args: argparse.Namespace) -> int:
     """Routing-fabric panels at the paper's scale (10 000 nodes) by default."""
-    import time
-    from dataclasses import replace
-
-    spec = get_experiment("routing")
-    config = spec.preset("smoke" if args.smoke else "paper")
+    config = SMOKE_ROUTING if args.smoke else PAPER_ROUTING
     if not args.smoke and args.scale != 1.0:
         config = replace(
             config,
             population_sweep=tuple(
-                max(16, int(round(nodes * args.scale)))
+                _scaled(nodes, args.scale, 16)
                 for nodes in config.population_sweep),
-            churn_nodes=max(32, int(round(config.churn_nodes * args.scale))),
-            lookups=max(50, int(round(config.lookups * args.scale))),
-            churn_lookups=max(50, int(round(config.churn_lookups * args.scale))),
+            churn_nodes=_scaled(config.churn_nodes, args.scale, 32),
+            lookups=_scaled(config.lookups, args.scale, 50),
+            churn_lookups=_scaled(config.churn_lookups, args.scale, 50),
         )
     config = replace(config, seed=args.seed)
     if args.engines:
@@ -361,16 +332,14 @@ def _run_routing(args: argparse.Namespace) -> int:
                          engines=tuple(name.strip() for name in args.engines.split(",")))
     if args.lookups is not None:
         config = replace(config, lookups=args.lookups)
-    start = time.perf_counter()
-    result = spec.run(config)
-    elapsed = time.perf_counter() - start
+    result, wall = _timed_run(RoutingExperiment(config))
     print(result.panel_table().format(float_format="{:,.2f}"))
     print()
     print(result.churn_table().format(float_format="{:,.2f}"))
     summary = result.summary()
     print("routing summary: "
           + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
-    print(f"wall time: {elapsed:.1f}s (sweep {config.population_sweep}, "
+    print(f"{wall} (sweep {config.population_sweep}, "
           f"{config.lookups} lookups/cell, engines {', '.join(config.engines)})")
     return 0
 

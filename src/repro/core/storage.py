@@ -41,7 +41,7 @@ from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import NodeId
-from repro.overlay.node import NeighborBlockRecord, OverlayNode
+from repro.overlay.node import OverlayNode
 
 #: Sentinel distinguishing "keyword not passed" from an explicit ``None``
 #: (``client=None`` legitimately means "an external client outside the
@@ -150,7 +150,6 @@ class StorageSystem:
         codec: Optional[ChunkCodec] = None,
         policy: Optional[StoragePolicy] = None,
         payload_mode: bool = False,
-        track_neighbor_ledgers: bool = False,
         ledger: Optional[BlockLedger] = None,
         tenant: Optional[str] = None,
     ) -> None:
@@ -158,7 +157,6 @@ class StorageSystem:
         self.codec = codec or ChunkCodec(NullCode(), blocks_per_chunk=1)
         self.policy = policy or StoragePolicy()
         self.payload_mode = payload_mode
-        self.track_neighbor_ledgers = track_neighbor_ledgers
         #: Columnar system-wide block bookkeeping: one ledger row per stored
         #: copy, incrementally-maintained chunk decodability and O(1)
         #: usage/availability aggregates (``tests/reference/dict_walk.py``
@@ -444,8 +442,6 @@ class StorageSystem:
                 self._block_payloads[(int(node.node_id), name)] = payloads[index]
                 for replica_id in replica_ids:
                     self._block_payloads[(int(replica_id), name)] = payloads[index]
-            if self.track_neighbor_ledgers:
-                self._record_in_ledgers(name, block_size, filename, node)
         chunk.placements = placements
         return True
 
@@ -463,11 +459,6 @@ class StorageSystem:
             if neighbor.store_block(name, size):
                 replicas.append(neighbor.node_id)
         return tuple(replicas)
-
-    def _record_in_ledgers(self, name: str, size: int, filename: str, holder: OverlayNode) -> None:
-        record = NeighborBlockRecord(block_name=name, size=size, owner_file=filename)
-        for neighbor in self.dht.immediate_neighbors(holder.node_id):
-            neighbor.record_neighbor_block(holder.node_id, record)
 
     def _store_cat(self, filename: str, cat: ChunkAllocationTable) -> Optional[List[BlockPlacement]]:
         """Store the CAT object and its replicas; None if no live node has room.

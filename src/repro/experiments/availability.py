@@ -32,21 +32,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.policies import StoragePolicy
-from repro.core.storage import StorageSystem
 from repro.erasure.base import CodeSpec
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.erasure.xor_code import XorParityCode
+from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import Series
-from repro.overlay.dht import DHTView
-from repro.overlay.network import OverlayNetwork
 from repro.sim.churn import FailureSchedule
 from repro.sim.rng import RandomStreams
-from repro.workloads.capacity import CapacityConfig, generate_capacities
-from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
 
 
 class _SpecOnlyCode(NullCode):
@@ -67,23 +62,15 @@ class _SpecOnlyCode(NullCode):
 
 
 @dataclass(frozen=True)
-class AvailabilityConfig:
+class AvailabilityConfig(DeploymentConfig):
     """Scaled-down defaults for the Figure 10 experiment."""
 
     node_count: int = 300
-    capacity_mean: int = 45 * GB
-    capacity_std: int = 10 * GB
-    file_count: int = 2_000
-    mean_file_size: int = 243 * MB
-    std_file_size: int = 55 * MB
-    min_file_size: int = 50 * MB
+    seed: int = 2
     #: Fraction of nodes failed one-by-one (paper: 1000 of 10 000 = 10 %).
     fail_fraction: float = 0.10
     #: Number of points sampled along the failure axis.
     sample_points: int = 20
-    #: Blocks per chunk used by the coded configurations.
-    blocks_per_chunk: int = 2
-    seed: int = 2
 
 
 #: The paper's Figure 10 configuration: 10 000 nodes, fail 10 % one by one.
@@ -126,50 +113,26 @@ class AvailabilityExperiment:
         """
         config = self.config
         streams = RandomStreams(config.seed)
-        capacities = generate_capacities(
-            CapacityConfig(
-                node_count=config.node_count,
-                distribution="normal",
-                mean=config.capacity_mean,
-                std=config.capacity_std,
-            ),
-            rng=streams.fresh("capacities"),
-        )
-        trace_config = FileTraceConfig(
-            file_count=config.file_count,
-            mean_size=config.mean_file_size,
-            std_size=config.std_file_size,
-            min_size=config.min_file_size,
-        )
-
         results: Dict[str, Series] = {}
         self.timings = {}
         for label, codec in self._codecs().items():
             phase_start = time.perf_counter()
-            network = OverlayNetwork.build(
-                config.node_count,
-                rng=streams.fresh("overlay"),
-                capacities=list(capacities),
-            )
-            dht = DHTView(network)
-            storage = StorageSystem(dht, codec=codec, policy=StoragePolicy())
-            trace = generate_file_trace(trace_config, rng=streams.fresh("trace"))
-            stored_files: List[str] = []
-            for record in trace:
-                if storage.store_file(record.name, record.size).success:
-                    stored_files.append(record.name)
+            # Same stream labels every round: the three codings meet the same
+            # population and the same trace.
+            session, client = deploy(config, streams, codec=codec)
+            network = session.network
             distribute_s = time.perf_counter() - phase_start
 
             schedule = FailureSchedule(
                 network.live_ids(), config.fail_fraction, rng=streams.fresh("failures", label)
             )
             series = Series(label=label)
-            total = len(stored_files)
+            total = client.file_count
             sample_every = max(1, len(schedule) // max(1, config.sample_points))
             failed_so_far = 0
             series.append(0, 0.0)
             sweep_start = time.perf_counter()
-            ledger = storage.ledger
+            ledger = session.ledger
             for event in schedule:
                 node = network.node(event.node_id)
                 if node.alive:

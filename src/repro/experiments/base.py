@@ -1,20 +1,47 @@
-"""Common experiment configuration base and the experiment registry.
+"""Shared experiment configuration and the one deployment path.
 
-Every experiment module so far grew its own frozen config dataclass with the
-same knobs (population size, seed) under slightly different spellings.  :class:`ExperimentConfig` is the shared base;
-:class:`ExperimentSpec` + :func:`register_experiment` give the CLI and the
-benchmarks one table to look experiments up in, instead of another
-hand-maintained if/elif ladder per consumer.
+Section 6 of the paper runs every measurement on one simulated population
+(capacities N(45 GB, 10 GB)) loaded with one file trace (243 MB +- 55 MB).
+:class:`DeploymentConfig` owns those fields once and :func:`deploy` builds the
+cluster through :class:`~repro.api.ClusterSession`, so ``availability``,
+``churn``, ``regeneration``, ``soak`` and ``faults`` share one construction
+order and one set of RNG stream labels (``"capacities"``, ``"overlay"``,
+``"trace"``), and take their clock, transfer fabric, repair manager and fault
+injector from the session.  ``tenants`` and ``serving`` name their corpus
+fields differently (several tenants, a lognormal catalog), so they compose the
+same pieces -- :func:`open_session`, :func:`claim_client`, :func:`load_trace` --
+themselves.
 
-``experiments/serving.py`` is the first registrant; existing experiments
-migrate opportunistically (their config classes can subclass
-:class:`ExperimentConfig` without changing any field defaults).
+Three experiments deliberately stay off this path: ``storage_insertion``
+builds three populations under ``(label, replication_index)`` stream labels
+and feeds two baseline stores that are not session clients, and ``routing``
+and ``multicast_replicas`` run on bare overlays with no storage at all.
+Bending ``ClusterSession`` to them would add options nothing else needs.
+
+Every experiment follows one convention: a frozen config dataclass, ``PAPER_*``
+/ ``SMOKE_*`` preset constants, and ``Experiment(config).run()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import numpy as np
+
+from repro.api import ArchiveClient, ClusterSession
+from repro.core.policies import StoragePolicy
+from repro.erasure.chunk_codec import ChunkCodec
+from repro.erasure.xor_code import XorParityCode
+from repro.sim.rng import RandomStreams
+from repro.workloads.capacity import CapacityConfig
+from repro.workloads.filetrace import (
+    GB,
+    MB,
+    FileTrace,
+    FileTraceConfig,
+    generate_file_trace,
+)
 
 
 @dataclass(frozen=True)
@@ -26,45 +53,85 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """One registered experiment: its config type, presets and runner."""
+class DeploymentConfig(ExperimentConfig):
+    """Section 6's population and corpus (subclasses re-declare what differs)."""
 
-    name: str
-    help: str
-    config_type: type
-    #: Named preset configs (``"paper"``, ``"smoke"``, ...).
-    presets: Mapping[str, ExperimentConfig] = field(default_factory=dict)
-    #: ``runner(config) -> result`` (the result type is experiment-specific).
-    runner: Callable = None
-
-    def preset(self, name: str) -> ExperimentConfig:
-        """One named preset config."""
-        return self.presets[name]
-
-    def run(self, config: ExperimentConfig):
-        """Run the experiment with ``config``."""
-        return self.runner(config)
+    capacity_mean: int = 45 * GB
+    capacity_std: int = 10 * GB
+    file_count: int = 2_000
+    mean_file_size: int = 243 * MB
+    std_file_size: int = 55 * MB
+    min_file_size: int = 50 * MB
+    #: Blocks per chunk for the (2,3) XOR protection used during distribution.
+    blocks_per_chunk: int = 2
+    #: Copies kept of each encoded block (1 = primary only, the paper's
+    #: insertion setting).
+    block_replication: int = 1
 
 
-_REGISTRY: Dict[str, ExperimentSpec] = {}
+def open_session(config, streams: RandomStreams, **session_kwargs) -> ClusterSession:
+    """A session over ``config``'s N(capacity_mean, capacity_std) population."""
+    return ClusterSession(
+        config.node_count,
+        streams=streams,
+        capacity_config=CapacityConfig(
+            node_count=config.node_count,
+            distribution="normal",
+            mean=config.capacity_mean,
+            std=config.capacity_std,
+        ),
+        **session_kwargs,
+    )
 
 
-def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register (or re-register, e.g. on module reload) one experiment."""
-    _REGISTRY[spec.name] = spec
-    return spec
+def claim_client(session: ClusterSession, config, tenant: Optional[str] = None,
+                 codec: Optional[ChunkCodec] = None) -> ArchiveClient:
+    """A client storing under ``config``'s chunking and replication target.
+
+    The default codec is the (2,3) XOR code every dynamics experiment
+    distributes with.
+    """
+    return session.client(
+        tenant,
+        codec=codec or ChunkCodec(XorParityCode(group_size=2),
+                                  blocks_per_chunk=config.blocks_per_chunk),
+        policy=StoragePolicy(block_replication=config.block_replication),
+    )
 
 
-def get_experiment(name: str) -> ExperimentSpec:
-    """Look one registered experiment up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
+def load_trace(client: ArchiveClient, trace_config: FileTraceConfig,
+               rng: np.random.Generator) -> FileTrace:
+    """Generate one file trace and store it through ``client``.
+
+    Stores are instantaneous here: experiments load their corpus before the
+    client attaches to the transfer fabric.  Files that did not fit are
+    simply absent from ``client.storage.files``.
+    """
+    trace = generate_file_trace(trace_config, rng=rng)
+    for record in trace:
+        client.store(record.name, record.size)
+    return trace
 
 
-def registered_experiments() -> Tuple[str, ...]:
-    """The registered experiment names, sorted."""
-    return tuple(sorted(_REGISTRY))
+def deploy(config: DeploymentConfig, streams: RandomStreams, *,
+           codec: Optional[ChunkCodec] = None,
+           **session_kwargs) -> Tuple[ClusterSession, ArchiveClient]:
+    """Build ``config``'s cluster, claim the untagged client, load the trace.
+
+    ``session_kwargs`` are the :class:`~repro.api.ClusterSession` deployment
+    arguments an experiment's own fields map to (failure domains, the
+    transfer fabric).
+    """
+    session = open_session(config, streams, **session_kwargs)
+    client = claim_client(session, config, codec=codec)
+    load_trace(
+        client,
+        FileTraceConfig(
+            file_count=config.file_count,
+            mean_size=config.mean_file_size,
+            std_size=config.std_file_size,
+            min_size=config.min_file_size,
+        ),
+        streams.fresh("trace"),
+    )
+    return session, client

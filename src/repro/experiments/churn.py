@@ -33,41 +33,25 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.policies import StoragePolicy
-from repro.core.recovery import RecoveryManager
-from repro.core.storage import StorageSystem
-from repro.erasure.chunk_codec import ChunkCodec
-from repro.erasure.xor_code import XorParityCode
+from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult
-from repro.overlay.dht import DHTView
-from repro.overlay.network import OverlayNetwork
 from repro.sim.churn import FailureSchedule
-from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workloads.capacity import CapacityConfig, generate_capacities
-from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
+from repro.workloads.filetrace import GB, MB
 
 
 @dataclass(frozen=True)
-class ChurnConfig:
+class ChurnConfig(DeploymentConfig):
     """Scaled-down defaults for the Table 3 experiment."""
 
     node_count: int = 300
-    capacity_mean: int = 45 * GB
-    capacity_std: int = 10 * GB
-    file_count: int = 2_000
-    mean_file_size: int = 243 * MB
-    std_file_size: int = 55 * MB
-    min_file_size: int = 50 * MB
+    seed: int = 4
     #: Failure fractions to report rows for (paper: 10 % and 20 %).
     fail_fractions: tuple = (0.10, 0.20)
-    #: Blocks per chunk for the (2,3) XOR protection used during distribution.
-    blocks_per_chunk: int = 2
     #: Simulated seconds between consecutive node failures.
     failure_spacing: float = 10.0
     #: Bytes per simulated second a recovering neighbour can regenerate.
     recovery_rate: float = 50 * MB
-    seed: int = 4
 
 
 #: The paper's Table 3 configuration: 10 000 nodes, fail 10 % then 20 %.  As
@@ -106,53 +90,17 @@ class ChurnExperiment:
         #: the churn benchmarks.
         self.timings: Dict[float, Dict[str, float]] = {}
 
-    def _distribute(self, streams: RandomStreams) -> StorageSystem:
-        config = self.config
-        capacities = generate_capacities(
-            CapacityConfig(
-                node_count=config.node_count,
-                distribution="normal",
-                mean=config.capacity_mean,
-                std=config.capacity_std,
-            ),
-            rng=streams.fresh("capacities"),
-        )
-        network = OverlayNetwork.build(
-            config.node_count,
-            rng=streams.fresh("overlay"),
-            capacities=list(capacities),
-        )
-        dht = DHTView(network)
-        storage = StorageSystem(
-            dht,
-            codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=config.blocks_per_chunk),
-            policy=StoragePolicy(),
-        )
-        trace = generate_file_trace(
-            FileTraceConfig(
-                file_count=config.file_count,
-                mean_size=config.mean_file_size,
-                std_size=config.std_file_size,
-                min_size=config.min_file_size,
-            ),
-            rng=streams.fresh("trace"),
-        )
-        for record in trace:
-            storage.store_file(record.name, record.size)
-        return storage
-
     def _run_fraction(self, fraction: float) -> ChurnRow:
         config = self.config
         streams = RandomStreams(config.seed)
         phase_start = time.perf_counter()
-        storage = self._distribute(streams)
+        session, client = deploy(config, streams)
         distribute_s = time.perf_counter() - phase_start
-        recovery = RecoveryManager(storage)
-        network = storage.dht.network
-        total_data = float(storage.stored_bytes())
+        recovery = session.recovery(client)
+        total_data = float(client.storage.stored_bytes())
 
         schedule = FailureSchedule(
-            network.live_ids(),
+            session.network.live_ids(),
             fraction,
             rng=streams.fresh("failures", fraction),
             spacing=config.failure_spacing,
@@ -162,7 +110,7 @@ class ChurnExperiment:
         # the discrete-event kernel so that later failures can land while a
         # previous recovery is still in flight (the regeneration work is
         # applied when the delay elapses, not at failure time).
-        sim = Simulator()
+        sim = session.sim
         pending: List = []
 
         def fail_at(event) -> None:

@@ -48,21 +48,15 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.policies import StoragePolicy
-from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
-from repro.core.transfer import TransferScheduler, oversubscribed_topology
-from repro.erasure.chunk_codec import ChunkCodec
-from repro.erasure.xor_code import XorParityCode
+from repro.core.transfer import TransferScheduler
+from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult
-from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
-from repro.sim.engine import Simulator
-from repro.sim.faults import FaultInjector, assign_domains
+from repro.sim.faults import FaultInjector
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
-from repro.workloads.capacity import CapacityConfig, generate_capacities
-from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
+from repro.workloads.filetrace import GB, MB
 
 #: Scenario keys understood by :meth:`FaultsExperiment._run_scenario`.
 SCENARIOS = (
@@ -80,17 +74,12 @@ FINITE_CORE_SCENARIOS = SCENARIOS + ("storm_site_outage",)
 
 
 @dataclass(frozen=True)
-class FaultsConfig:
+class FaultsConfig(DeploymentConfig):
     """Defaults for the fault-injection panels (time unit: seconds)."""
 
     node_count: int = 10_000
-    capacity_mean: int = 45 * GB
-    capacity_std: int = 10 * GB
     file_count: int = 10_000
-    mean_file_size: int = 243 * MB
-    std_file_size: int = 55 * MB
-    min_file_size: int = 50 * MB
-    blocks_per_chunk: int = 2
+    seed: int = 7
     #: Replication target per placement; 2 exercises the re-replication path.
     block_replication: int = 2
     #: Failure-domain grid: ``sites x racks_per_site`` racks, round-robin
@@ -136,7 +125,6 @@ class FaultsConfig:
     foreground_reads: int = 200
     foreground_period_s: float = 2.0
     scenarios: tuple = SCENARIOS
-    seed: int = 7
 
 
 #: The paper-scale configuration: 10 000 nodes, ~2.4 TB, 16 racks in 4 sites.
@@ -242,44 +230,6 @@ class FaultsExperiment:
     def __init__(self, config: Optional[FaultsConfig] = None) -> None:
         self.config = config or FaultsConfig()
 
-    def _deployment(self, streams: RandomStreams):
-        config = self.config
-        capacities = generate_capacities(
-            CapacityConfig(
-                node_count=config.node_count,
-                distribution="normal",
-                mean=config.capacity_mean,
-                std=config.capacity_std,
-            ),
-            rng=streams.fresh("capacities"),
-        )
-        network = OverlayNetwork.build(
-            config.node_count,
-            rng=streams.fresh("overlay"),
-            capacities=list(capacities),
-        )
-        # RNG-free, so the population is byte-identical to an undomained build.
-        assign_domains(network.nodes(), sites=config.sites,
-                       racks_per_site=config.racks_per_site)
-        storage = StorageSystem(
-            DHTView(network),
-            codec=ChunkCodec(XorParityCode(group_size=2),
-                             blocks_per_chunk=config.blocks_per_chunk),
-            policy=StoragePolicy(block_replication=config.block_replication),
-        )
-        trace = generate_file_trace(
-            FileTraceConfig(
-                file_count=config.file_count,
-                mean_size=config.mean_file_size,
-                std_size=config.std_file_size,
-                min_size=config.min_file_size,
-            ),
-            rng=streams.fresh("trace"),
-        )
-        for record in trace:
-            storage.store_file(record.name, record.size)
-        return network, storage
-
     def _probe_reads(self, storage: StorageSystem) -> Dict[str, float]:
         """Read a deterministic file sample; count degraded vs failed reads."""
         names = sorted(storage.files)[: self.config.read_sample]
@@ -372,28 +322,29 @@ class FaultsExperiment:
         config = self.config
         streams = RandomStreams(config.seed)
         cell_start = time.perf_counter()
-        network, storage = self._deployment(streams)
+        session, client = deploy(
+            config, streams,
+            sites=config.sites,
+            racks_per_site=config.racks_per_site,
+            bandwidth_mb_s=config.bandwidth_mb_s,
+            oversubscription=config.oversubscription,
+            latency={
+                "intra_rack_latency": config.intra_rack_latency_s,
+                "intra_site_latency": config.intra_site_latency_s,
+                "inter_site_latency": config.inter_site_latency_s,
+            },
+        )
         distribute_s = time.perf_counter() - cell_start
 
-        sim = Simulator()
-        rate = config.bandwidth_mb_s * MB
-        topology = None
-        if config.oversubscription is not None:
-            topology = oversubscribed_topology(
-                network.nodes(),
-                access_bandwidth=rate,
-                oversubscription=config.oversubscription,
-                intra_rack_latency=config.intra_rack_latency_s,
-                intra_site_latency=config.intra_site_latency_s,
-                inter_site_latency=config.inter_site_latency_s,
-            )
-        transfers = TransferScheduler(sim, uplink=rate, downlink=rate,
-                                      topology=topology)
-        recovery = RecoveryManager(storage, transfers=transfers,
-                                   repair_window=config.repair_window,
-                                   repair_weight=config.repair_weight)
-        injector = FaultInjector(sim, network, recovery=recovery, transfers=transfers,
-                                 repair_spacing=config.repair_spacing_s)
+        network = session.network
+        storage = client.storage
+        sim = session.sim
+        transfers = session.transfers
+        recovery = session.recovery(client,
+                                    repair_window=config.repair_window,
+                                    repair_weight=config.repair_weight)
+        injector = session.fault_injector(recovery,
+                                          repair_spacing=config.repair_spacing_s)
 
         inject_start = time.perf_counter()
         durations: List[float] = []

@@ -43,36 +43,21 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.policies import StoragePolicy
-from repro.core.recovery import RecoveryManager
-from repro.core.storage import StorageSystem
-from repro.core.transfer import TransferScheduler
-from repro.erasure.chunk_codec import ChunkCodec
-from repro.erasure.xor_code import XorParityCode
+from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult
-from repro.overlay.dht import DHTView
-from repro.overlay.network import OverlayNetwork
 from repro.sim.churn import FailureSchedule
-from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
-from repro.workloads.capacity import CapacityConfig, generate_capacities
-from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
+from repro.workloads.filetrace import GB
 
 
 @dataclass(frozen=True)
-class RepairConfig:
+class RepairConfig(DeploymentConfig):
     """Defaults for the bandwidth-aware repair experiment (time unit: seconds)."""
 
     node_count: int = 10_000
-    capacity_mean: int = 45 * GB
-    capacity_std: int = 10 * GB
     file_count: int = 10_000
-    mean_file_size: int = 243 * MB
-    std_file_size: int = 55 * MB
-    min_file_size: int = 50 * MB
-    #: Blocks per chunk for the (2,3) XOR protection used during distribution.
-    blocks_per_chunk: int = 2
+    seed: int = 7
     #: Failure fractions for the time-to-repair curve (sweep panel).
     fail_fractions: tuple = (0.02, 0.05, 0.10)
     #: Per-node symmetric link capacity (MB per simulated second) used by the
@@ -85,7 +70,6 @@ class RepairConfig:
     failure_spacing_s: float = 5.0
     #: Fraction of the population departing gracefully in the ablation panel.
     leave_fraction: float = 0.05
-    seed: int = 7
 
 
 #: The paper-scale configuration: 10 000 nodes, ~2.4 TB distributed.
@@ -140,40 +124,6 @@ class RepairExperiment:
     def __init__(self, config: Optional[RepairConfig] = None) -> None:
         self.config = config or RepairConfig()
 
-    def _distribute(self, streams: RandomStreams) -> StorageSystem:
-        config = self.config
-        capacities = generate_capacities(
-            CapacityConfig(
-                node_count=config.node_count,
-                distribution="normal",
-                mean=config.capacity_mean,
-                std=config.capacity_std,
-            ),
-            rng=streams.fresh("capacities"),
-        )
-        network = OverlayNetwork.build(
-            config.node_count,
-            rng=streams.fresh("overlay"),
-            capacities=list(capacities),
-        )
-        storage = StorageSystem(
-            DHTView(network),
-            codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=config.blocks_per_chunk),
-            policy=StoragePolicy(),
-        )
-        trace = generate_file_trace(
-            FileTraceConfig(
-                file_count=config.file_count,
-                mean_size=config.mean_file_size,
-                std_size=config.std_file_size,
-                min_size=config.min_file_size,
-            ),
-            rng=streams.fresh("trace"),
-        )
-        for record in trace:
-            storage.store_file(record.name, record.size)
-        return storage
-
     def _run_cell(self, fraction: float, bandwidth_mb_s: float, mode: str) -> Dict[str, float]:
         """One fresh distribution + one churn burst under one bandwidth.
 
@@ -184,14 +134,13 @@ class RepairExperiment:
         config = self.config
         streams = RandomStreams(config.seed)
         cell_start = time.perf_counter()
-        storage = self._distribute(streams)
+        session, client = deploy(config, streams, bandwidth_mb_s=bandwidth_mb_s)
         distribute_s = time.perf_counter() - cell_start
 
-        sim = Simulator()
-        rate = bandwidth_mb_s * MB
-        transfers = TransferScheduler(sim, uplink=rate, downlink=rate)
-        recovery = RecoveryManager(storage, transfers=transfers)
-        network = storage.dht.network
+        sim = session.sim
+        transfers = session.transfers
+        recovery = session.recovery(client)
+        network = session.network
         schedule = FailureSchedule(
             network.live_ids(),
             fraction,

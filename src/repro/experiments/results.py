@@ -128,241 +128,88 @@ def load_benchmark_record(path: Path) -> Optional[dict]:
         return None
 
 
-def insertion_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_insertion.json rows as a files/s / lookups/s table."""
-    table = TableResult(
-        title="Insertion throughput (array-backed placement engine)",
-        columns=["nodes", "files", "pipeline", "seconds", "files_per_s", "lookups_per_s"],
-    )
+#: Columns several records share (routing's record keys its ``nodes`` directly).
+_NODES = ("nodes", "node_count", 0)
+_FILES = ("files", "file_count", 0)
+_SCENARIO = ("scenario", "scenario", "?")
+_PIPELINE = ("pipeline", "pipeline", "?")
+
+#: One entry per ``BENCH_<name>.json`` record, in summary order:
+#: name -> (table title, speed-up line label, columns).  A column is
+#: ``(column, record key, default)`` and a float default also coerces the
+#: value with ``float``; a bare string is short for ``(name, name, 0.0)``.
+#: Faults: the topology columns are 0 on access-only rows.  Tenants: flagship
+#: rows carry tenant ``-``, the ``*-slo-*`` rows one tenant's accounting.
+BENCHMARK_TABLES = {
+    "insertion": (
+        "Insertion throughput (array-backed placement engine)", "insertion engine",
+        [_NODES, _FILES, _PIPELINE, "seconds", "files_per_s", "lookups_per_s"]),
+    "coding": (
+        "Coding throughput (vectorized erasure kernel)", "coding kernel",
+        [("code", "code", "?"), ("chunk_bytes", "chunk_bytes", 0),
+         ("n_blocks", "n_blocks", 0), "encode_MBps", "decode_MBps"]),
+    "churn": (
+        "Churn throughput (columnar block ledger)", "churn engine",
+        [_SCENARIO, _NODES, _FILES, _PIPELINE, "seconds",
+         ("failures", "failures", 0), "failures_per_s"]),
+    "soak": (
+        "Churn soak (join/leave engine + ledger compaction)", "soak engine",
+        [_NODES, _FILES, "sim_days", _PIPELINE, "seconds", ("events", "events", 0),
+         "events_per_s", ("peak_rows", "peak_rows", 0),
+         ("peak_live_rows", "peak_live_rows", 0),
+         ("rows_reclaimed", "rows_reclaimed", 0)]),
+    "repair": (
+        "Bandwidth-aware repair (fair-share transfer scheduler)", "repair subsystem",
+        [_SCENARIO, _NODES, "fail_pct", "bandwidth_mb_s", ("mode", "mode", "fail"),
+         "moved_gb", "traffic_gb", "mean_ttr_s", "makespan_s", "seconds"]),
+    "faults": (
+        "Fault injection (failure domains + durability-grade repair)", "fault injection",
+        [_SCENARIO, _NODES, "nodes_down", "lost_gb", "availability_pct", "traffic_gb",
+         "mean_ttr_s", "makespan_s", "degraded_reads", "failed_reads", "oversub",
+         "trunk_util_pct", "storm_queue_peak", "foreground_p95_s", "seconds"]),
+    "tenants": (
+        "Tenant QoS isolation (noisy-neighbor storm suite)", "tenant QoS isolation",
+        [_SCENARIO, _NODES, ("tenant", "tenant", "-"), "ingest_mb_s",
+         "ingest_slowdown_x", "probe_p95_s", "repair_gb", "availability_pct",
+         "moved_gb", "backlog_gb", "storm_queue_peak", "trunk_util_pct", "seconds"]),
+    "serving": (
+        "Serve path (open-loop Zipf traffic, per-gateway block caches)", "serve path",
+        [_SCENARIO, _NODES, "zipf_s", "cache", "sustained_req_s", "read_p50_s",
+         "read_p95_s", "read_p99_s", "cache_hit_pct", "load_imbalance_x",
+         "promotions", "seconds"]),
+    "routing": (
+        "Routing fabric (batched Pastry/Chord lookups, array engines)", "routing fabric",
+        [("engine", "engine", "?"), "nodes", "lookups", "avg_hops", "p95_hops",
+         "max_hops", "build_s", "routes_per_s", "table_mb", "bytes_per_node"]),
+}
+
+
+def benchmark_table(name: str, record: dict) -> TableResult:
+    """Render one ``BENCH_<name>.json`` record's rows as its summary table."""
+    title, _, columns = BENCHMARK_TABLES[name]
+    columns = [(c, c, 0.0) if isinstance(c, str) else c for c in columns]
+    table = TableResult(title=title, columns=[column for column, _, _ in columns])
     for row in record.get("results", []):
-        table.add_row(
-            nodes=row.get("node_count", 0),
-            files=row.get("file_count", 0),
-            pipeline=row.get("pipeline", "?"),
-            seconds=float(row.get("seconds", 0.0)),
-            files_per_s=float(row.get("files_per_s", 0.0)),
-            lookups_per_s=float(row.get("lookups_per_s", 0.0)),
-        )
+        values = {}
+        for column, key, default in columns:
+            value = row.get(key, default)
+            values[column] = float(value) if isinstance(default, float) else value
+        table.add_row(**values)
     return table
 
 
-def coding_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_coding.json rows as an encode/decode MB/s table."""
-    table = TableResult(
-        title="Coding throughput (vectorized erasure kernel)",
-        columns=["code", "chunk_bytes", "n_blocks", "encode_MBps", "decode_MBps"],
-    )
-    for row in record.get("results", []):
-        table.add_row(
-            code=row.get("code", "?"),
-            chunk_bytes=row.get("chunk_bytes", 0),
-            n_blocks=row.get("n_blocks", 0),
-            encode_MBps=float(row.get("encode_MBps", 0.0)),
-            decode_MBps=float(row.get("decode_MBps", 0.0)),
-        )
-    return table
-
-
-def soak_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_soak.json rows as an events/s + memory-bound table."""
-    table = TableResult(
-        title="Churn soak (join/leave engine + ledger compaction)",
-        columns=[
-            "nodes", "files", "sim_days", "pipeline", "seconds", "events",
-            "events_per_s", "peak_rows", "peak_live_rows", "rows_reclaimed",
-        ],
-    )
-    for row in record.get("results", []):
-        table.add_row(
-            nodes=row.get("node_count", 0),
-            files=row.get("file_count", 0),
-            sim_days=float(row.get("sim_days", 0.0)),
-            pipeline=row.get("pipeline", "?"),
-            seconds=float(row.get("seconds", 0.0)),
-            events=row.get("events", 0),
-            events_per_s=float(row.get("events_per_s", 0.0)),
-            peak_rows=row.get("peak_rows", 0),
-            peak_live_rows=row.get("peak_live_rows", 0),
-            rows_reclaimed=row.get("rows_reclaimed", 0),
-        )
-    return table
-
-
-def repair_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_repair.json rows as a time-to-repair/traffic table."""
-    table = TableResult(
-        title="Bandwidth-aware repair (fair-share transfer scheduler)",
-        columns=[
-            "scenario", "nodes", "fail_pct", "bandwidth_mb_s", "mode",
-            "moved_gb", "traffic_gb", "mean_ttr_s", "makespan_s", "seconds",
-        ],
-    )
-    for row in record.get("results", []):
-        table.add_row(
-            scenario=row.get("scenario", "?"),
-            nodes=row.get("node_count", 0),
-            fail_pct=float(row.get("fail_pct", 0.0)),
-            bandwidth_mb_s=float(row.get("bandwidth_mb_s", 0.0)),
-            mode=row.get("mode", "fail"),
-            moved_gb=float(row.get("moved_gb", 0.0)),
-            traffic_gb=float(row.get("traffic_gb", 0.0)),
-            mean_ttr_s=float(row.get("mean_ttr_s", 0.0)),
-            makespan_s=float(row.get("makespan_s", 0.0)),
-            seconds=float(row.get("seconds", 0.0)),
-        )
-    return table
-
-
-def faults_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_faults.json rows as a per-scenario durability table.
-
-    The topology columns (core oversubscription ratio, peak trunk
-    utilization, storm queue depth, foreground p95) are 0 on access-only
-    rows and populated on the finite-core and TTR-vs-oversubscription rows.
-    """
-    table = TableResult(
-        title="Fault injection (failure domains + durability-grade repair)",
-        columns=[
-            "scenario", "nodes", "nodes_down", "lost_gb", "availability_pct",
-            "traffic_gb", "mean_ttr_s", "makespan_s", "degraded_reads",
-            "failed_reads", "oversub", "trunk_util_pct", "storm_queue_peak",
-            "foreground_p95_s", "seconds",
-        ],
-    )
-    for row in record.get("results", []):
-        table.add_row(
-            scenario=row.get("scenario", "?"),
-            nodes=row.get("node_count", 0),
-            nodes_down=float(row.get("nodes_down", 0.0)),
-            lost_gb=float(row.get("lost_gb", 0.0)),
-            availability_pct=float(row.get("availability_pct", 0.0)),
-            traffic_gb=float(row.get("traffic_gb", 0.0)),
-            mean_ttr_s=float(row.get("mean_ttr_s", 0.0)),
-            makespan_s=float(row.get("makespan_s", 0.0)),
-            degraded_reads=float(row.get("degraded_reads", 0.0)),
-            failed_reads=float(row.get("failed_reads", 0.0)),
-            oversub=float(row.get("oversub", 0.0)),
-            trunk_util_pct=float(row.get("trunk_util_pct", 0.0)),
-            storm_queue_peak=float(row.get("storm_queue_peak", 0.0)),
-            foreground_p95_s=float(row.get("foreground_p95_s", 0.0)),
-            seconds=float(row.get("seconds", 0.0)),
-        )
-    return table
-
-
-def tenants_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_tenants.json rows as a QoS isolation table.
-
-    Flagship rows (tenant ``-``) carry the victim's ingest/probe SLOs and
-    the storm's repair totals; the ``*-slo-*`` rows carry each tenant's
-    availability and bytes-moved accounting from the shared ledger/fabric.
-    """
-    table = TableResult(
-        title="Tenant QoS isolation (noisy-neighbor storm suite)",
-        columns=[
-            "scenario", "nodes", "tenant", "ingest_mb_s", "ingest_slowdown_x",
-            "probe_p95_s", "repair_gb", "availability_pct", "moved_gb",
-            "backlog_gb", "storm_queue_peak", "trunk_util_pct", "seconds",
-        ],
-    )
-    for row in record.get("results", []):
-        table.add_row(
-            scenario=row.get("scenario", "?"),
-            nodes=row.get("node_count", 0),
-            tenant=row.get("tenant", "-"),
-            ingest_mb_s=float(row.get("ingest_mb_s", 0.0)),
-            ingest_slowdown_x=float(row.get("ingest_slowdown_x", 0.0)),
-            probe_p95_s=float(row.get("probe_p95_s", 0.0)),
-            repair_gb=float(row.get("repair_gb", 0.0)),
-            availability_pct=float(row.get("availability_pct", 0.0)),
-            moved_gb=float(row.get("moved_gb", 0.0)),
-            backlog_gb=float(row.get("backlog_gb", 0.0)),
-            storm_queue_peak=float(row.get("storm_queue_peak", 0.0)),
-            trunk_util_pct=float(row.get("trunk_util_pct", 0.0)),
-            seconds=float(row.get("seconds", 0.0)),
-        )
-    return table
-
-
-def churn_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_churn.json rows as a failure-throughput table."""
-    table = TableResult(
-        title="Churn throughput (columnar block ledger)",
-        columns=["scenario", "nodes", "files", "pipeline", "seconds", "failures", "failures_per_s"],
-    )
-    for row in record.get("results", []):
-        table.add_row(
-            scenario=row.get("scenario", "?"),
-            nodes=row.get("node_count", 0),
-            files=row.get("file_count", 0),
-            pipeline=row.get("pipeline", "?"),
-            seconds=float(row.get("seconds", 0.0)),
-            failures=row.get("failures", 0),
-            failures_per_s=float(row.get("failures_per_s", 0.0)),
-        )
-    return table
-
-
-def serving_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_serving.json rows as a serve-path panel table."""
-    table = TableResult(
-        title="Serve path (open-loop Zipf traffic, per-gateway block caches)",
-        columns=["scenario", "nodes", "zipf_s", "cache", "sustained_req_s",
-                 "read_p50_s", "read_p95_s", "read_p99_s", "cache_hit_pct",
-                 "load_imbalance_x", "promotions", "seconds"],
-    )
-    for row in record.get("results", []):
-        table.add_row(
-            scenario=row.get("scenario", "?"),
-            nodes=row.get("node_count", 0),
-            zipf_s=float(row.get("zipf_s", 0.0)),
-            cache=float(row.get("cache", 0.0)),
-            sustained_req_s=float(row.get("sustained_req_s", 0.0)),
-            read_p50_s=float(row.get("read_p50_s", 0.0)),
-            read_p95_s=float(row.get("read_p95_s", 0.0)),
-            read_p99_s=float(row.get("read_p99_s", 0.0)),
-            cache_hit_pct=float(row.get("cache_hit_pct", 0.0)),
-            load_imbalance_x=float(row.get("load_imbalance_x", 0.0)),
-            promotions=float(row.get("promotions", 0.0)),
-            seconds=float(row.get("seconds", 0.0)),
-        )
-    return table
-
-
-def routing_benchmark_table(record: dict) -> TableResult:
-    """Render the BENCH_routing.json rows as a routing-fabric panel table."""
-    table = TableResult(
-        title="Routing fabric (batched Pastry/Chord lookups, array engines)",
-        columns=["engine", "nodes", "lookups", "avg_hops", "p95_hops",
-                 "max_hops", "build_s", "routes_per_s", "table_mb",
-                 "bytes_per_node"],
-    )
-    for row in record.get("results", []):
-        table.add_row(
-            engine=row.get("engine", "?"),
-            nodes=float(row.get("nodes", 0.0)),
-            lookups=float(row.get("lookups", 0.0)),
-            avg_hops=float(row.get("avg_hops", 0.0)),
-            p95_hops=float(row.get("p95_hops", 0.0)),
-            max_hops=float(row.get("max_hops", 0.0)),
-            build_s=float(row.get("build_s", 0.0)),
-            routes_per_s=float(row.get("routes_per_s", 0.0)),
-            table_mb=float(row.get("table_mb", 0.0)),
-            bytes_per_node=float(row.get("bytes_per_node", 0.0)),
-        )
-    return table
-
-
-def _benchmark_section(root: Path, filename: str, table_fn, speedup_label: str) -> List[str]:
+def _benchmark_section(root: Path, name: str) -> List[str]:
     """One record's summary: its table plus a rendered speedups line.
 
     Ratio entries get an ``x`` suffix; absolute entries (throughputs ending
     in ``_per_s``, wall times ending in ``_seconds``) are printed plain.
     """
+    _, label, _ = BENCHMARK_TABLES[name]
+    filename = f"BENCH_{name}.json"
     record = load_benchmark_record(Path(root) / filename)
     if record is None:
         return [f"{filename} not found - run `python -m repro.cli bench`"]
-    sections = [table_fn(record).format(float_format="{:,.1f}")]
+    sections = [benchmark_table(name, record).format(float_format="{:,.1f}")]
     speedups = record.get("speedups", {})
     rendered = [
         f"{key}={value:,.1f}"
@@ -371,7 +218,7 @@ def _benchmark_section(root: Path, filename: str, table_fn, speedup_label: str) 
         if isinstance(value, (int, float))
     ]
     if rendered:
-        sections.append(speedup_label + ": " + ", ".join(rendered))
+        sections.append(label + ": " + ", ".join(rendered))
     return sections
 
 
@@ -383,31 +230,9 @@ def benchmark_summary(root: Path) -> str:
     events/s + compaction bound, so one report tracks every hot layer
     across PRs.
     """
-    sections: List[str] = []
-    sections += _benchmark_section(
-        root, "BENCH_insertion.json", insertion_benchmark_table, "insertion engine"
+    return "\n\n".join(
+        section for name in BENCHMARK_TABLES for section in _benchmark_section(root, name)
     )
-    sections += _benchmark_section(root, "BENCH_coding.json", coding_benchmark_table, "coding kernel")
-    sections += _benchmark_section(
-        root, "BENCH_churn.json", churn_benchmark_table, "churn engine"
-    )
-    sections += _benchmark_section(root, "BENCH_soak.json", soak_benchmark_table, "soak engine")
-    sections += _benchmark_section(
-        root, "BENCH_repair.json", repair_benchmark_table, "repair subsystem"
-    )
-    sections += _benchmark_section(
-        root, "BENCH_faults.json", faults_benchmark_table, "fault injection"
-    )
-    sections += _benchmark_section(
-        root, "BENCH_tenants.json", tenants_benchmark_table, "tenant QoS isolation"
-    )
-    sections += _benchmark_section(
-        root, "BENCH_serving.json", serving_benchmark_table, "serve path"
-    )
-    sections += _benchmark_section(
-        root, "BENCH_routing.json", routing_benchmark_table, "routing fabric"
-    )
-    return "\n\n".join(sections)
 
 
 def format_series_table(series_list: Sequence[Series], x_label: str = "x") -> str:

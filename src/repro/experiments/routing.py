@@ -30,11 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.base import (
-    ExperimentConfig,
-    ExperimentSpec,
-    register_experiment,
-)
+from repro.experiments.base import ExperimentConfig
 from repro.experiments.results import TableResult
 from repro.overlay.ids import random_node_id
 from repro.overlay.network import OverlayNetwork
@@ -229,19 +225,3 @@ class RoutingExperiment:
                 summary[f"{prefix}_bytes_per_node"] = row["bytes_per_node"]
         result.summary_values = summary
         return result
-
-
-def run_routing(config: RoutingConfig) -> RoutingResult:
-    """Registry entry point: run the routing panels with ``config``."""
-    return RoutingExperiment(config).run()
-
-
-register_experiment(
-    ExperimentSpec(
-        name="routing",
-        help="routing fabric: hops vs N, Chord vs Pastry under churn",
-        config_type=RoutingConfig,
-        presets={"paper": PAPER_ROUTING, "smoke": SMOKE_ROUTING},
-        runner=run_routing,
-    )
-)

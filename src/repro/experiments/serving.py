@@ -31,19 +31,16 @@ from typing import Dict, List, Optional
 
 from repro.api import ClusterSession
 from repro.core.cache import CacheManager
-from repro.core.policies import StoragePolicy
-from repro.erasure.chunk_codec import ChunkCodec
-from repro.erasure.xor_code import XorParityCode
 from repro.experiments.base import (
     ExperimentConfig,
-    ExperimentSpec,
-    register_experiment,
+    load_trace,
+    open_session,
+    claim_client,
 )
 from repro.experiments.results import TableResult
 from repro.multicast.replication import MulticastReplicator
 from repro.sim.rng import RandomStreams
-from repro.workloads.capacity import CapacityConfig
-from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
+from repro.workloads.filetrace import GB, MB, FileTraceConfig
 from repro.workloads.serving import (
     ServeEngine,
     ServingTraceConfig,
@@ -189,15 +186,8 @@ class ServingExperiment:
 
     def _session(self, streams: RandomStreams) -> ClusterSession:
         config = self.config
-        return ClusterSession(
-            config.node_count,
-            streams=streams,
-            capacity_config=CapacityConfig(
-                node_count=config.node_count,
-                distribution="normal",
-                mean=config.capacity_mean,
-                std=config.capacity_std,
-            ),
+        return open_session(
+            config, streams,
             sites=config.sites,
             racks_per_site=config.racks_per_site,
             bandwidth_mb_s=config.bandwidth_mb_s,
@@ -214,16 +204,12 @@ class ServingExperiment:
         cell_start = time.perf_counter()
         streams = RandomStreams(config.seed)
         session = self._session(streams)
-        client = session.client(
-            tenant="serve",
-            codec=ChunkCodec(XorParityCode(group_size=2),
-                             blocks_per_chunk=config.blocks_per_chunk),
-            policy=StoragePolicy(block_replication=config.block_replication),
-        )
+        client = claim_client(session, config, tenant="serve")
 
         # The catalog is pre-stored before the fabric attaches (instantaneous
         # bulk load, the same convention every other experiment uses).
-        catalog_trace = generate_file_trace(
+        catalog_trace = load_trace(
+            client,
             FileTraceConfig(
                 file_count=config.catalog_files,
                 mean_size=config.catalog_mean_size,
@@ -232,10 +218,8 @@ class ServingExperiment:
                 model="lognormal",
                 name_prefix="media",
             ),
-            rng=streams.fresh("catalog"),
+            streams.fresh("catalog"),
         )
-        for record in catalog_trace:
-            client.store(record.name, record.size)
         catalog = [record.name for record in catalog_trace
                    if record.name in client.storage.files]
 
@@ -312,19 +296,3 @@ class ServingExperiment:
                 result.rows.append(row)
                 result.timings[row["scenario"]] = row["seconds"]
         return result
-
-
-def run_serving(config: ServingConfig) -> ServingResult:
-    """Registry entry point: run the serving sweep with ``config``."""
-    return ServingExperiment(config).run()
-
-
-register_experiment(
-    ExperimentSpec(
-        name="serving",
-        help="serve path: open-loop Zipf traffic, block caches, hot replicas",
-        config_type=ServingConfig,
-        presets={"paper": PAPER_SERVING, "smoke": SMOKE_SERVING},
-        runner=run_serving,
-    )
-)

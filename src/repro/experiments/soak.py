@@ -49,41 +49,27 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.policies import StoragePolicy
-from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
-from repro.erasure.chunk_codec import ChunkCodec
-from repro.erasure.xor_code import XorParityCode
+from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult
-from repro.overlay.dht import DHTView
 from repro.overlay.ids import random_node_id
-from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
-from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workloads.capacity import CapacityConfig, generate_capacities
-from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
+from repro.workloads.filetrace import GB, MB
 
 HOURS_PER_DAY = 24.0
 
 
 @dataclass(frozen=True)
-class SoakConfig:
-    """Scaled-down defaults for the join/leave churn soak (time unit: hours)."""
+class SoakConfig(DeploymentConfig):
+    """Scaled-down defaults for the join/leave churn soak (time unit: hours).
+
+    ``block_replication`` 2+ keeps every placement alive through single
+    departures, which is what makes migration == regeneration an oracle.
+    """
 
     node_count: int = 300
-    capacity_mean: int = 45 * GB
-    capacity_std: int = 10 * GB
-    file_count: int = 2_000
-    mean_file_size: int = 243 * MB
-    std_file_size: int = 55 * MB
-    min_file_size: int = 50 * MB
-    #: Blocks per chunk for the (2,3) XOR protection used during distribution.
-    blocks_per_chunk: int = 2
-    #: Copies kept of each encoded block (1 = primary only, the paper's
-    #: insertion setting).  2+ keeps every placement alive through single
-    #: departures, which is what makes migration == regeneration an oracle.
-    block_replication: int = 1
+    seed: int = 8
     #: Simulated soak length.
     horizon_hours: float = 7 * HOURS_PER_DAY
     #: Session model: exponential up/down times (availability ~ up/(up+down)).
@@ -112,7 +98,6 @@ class SoakConfig:
     #: the fair-share transfer scheduler (None = unconstrained links, i.e.
     #: the preserved instantaneous-repair behaviour).
     bandwidth_gb_per_hour: Optional[float] = None
-    seed: int = 8
 
 
 #: The paper-scale soak: 10 000 nodes under one simulated week of session
@@ -201,59 +186,26 @@ class SoakExperiment:
         #: (e.g. the replication-histogram no-decay assertion).
         self.storage: Optional[StorageSystem] = None
 
-    def _distribute(self, streams: RandomStreams) -> StorageSystem:
-        config = self.config
-        capacities = generate_capacities(
-            CapacityConfig(
-                node_count=config.node_count,
-                distribution="normal",
-                mean=config.capacity_mean,
-                std=config.capacity_std,
-            ),
-            rng=streams.fresh("capacities"),
-        )
-        network = OverlayNetwork.build(
-            config.node_count,
-            rng=streams.fresh("overlay"),
-            capacities=list(capacities),
-        )
-        storage = StorageSystem(
-            DHTView(network),
-            codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=config.blocks_per_chunk),
-            policy=StoragePolicy(block_replication=config.block_replication),
-        )
-        trace = generate_file_trace(
-            FileTraceConfig(
-                file_count=config.file_count,
-                mean_size=config.mean_file_size,
-                std_size=config.std_file_size,
-                min_size=config.min_file_size,
-            ),
-            rng=streams.fresh("trace"),
-        )
-        for record in trace:
-            storage.store_file(record.name, record.size)
-        return storage
-
     def run(self) -> SoakResult:  # noqa: C901 - one event loop, many small closures
         config = self.config
         streams = RandomStreams(config.seed)
         phase_start = time.perf_counter()
-        storage = self._distribute(streams)
-        self.storage = storage
+        # The soak clock runs in hours, so the session's "MB per clock unit"
+        # is MB per hour: GB/h x 1024 (a power of two, exact in floats).
+        bandwidth = config.bandwidth_gb_per_hour
+        session, client = deploy(
+            config, streams,
+            bandwidth_mb_s=None if bandwidth is None else bandwidth * (GB // MB),
+        )
+        storage = self.storage = client.storage
         distribute_s = time.perf_counter() - phase_start
 
-        dht = storage.dht
-        network = dht.network
-        ledger = storage.ledger
-        sim = Simulator()
-        transfers = None
-        if config.bandwidth_gb_per_hour is not None:
-            from repro.core.transfer import TransferScheduler
-
-            rate = config.bandwidth_gb_per_hour * GB
-            transfers = TransferScheduler(sim, uplink=rate, downlink=rate)
-        recovery = RecoveryManager(storage, transfers=transfers)
+        dht = session.dht
+        network = session.network
+        ledger = session.ledger
+        sim = session.sim
+        transfers = session.transfers
+        recovery = session.recovery(client)
         result = SoakResult(config=config, files_stored=len(storage.files))
         counters = {"failures": 0, "returns": 0, "joins": 0, "leaves": 0}
 

@@ -39,18 +39,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.api import ClusterSession
-from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
 from repro.core.transfer import TransferScheduler
-from repro.erasure.chunk_codec import ChunkCodec
-from repro.erasure.xor_code import XorParityCode
+from repro.experiments.base import load_trace, open_session, claim_client
 from repro.experiments.results import TableResult
 from repro.overlay.network import OverlayNetwork
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
-from repro.workloads.capacity import CapacityConfig
-from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
+from repro.workloads.filetrace import GB, MB, FileTraceConfig
 from repro.workloads.tenants import (
     BigCopyBurstProfile,
     BulletDistributionProfile,
@@ -239,30 +235,16 @@ class TenantsExperiment:
         unchanged by the port (pinned by ``tests/test_api.py``).
         """
         config = self.config
-        session = ClusterSession(
-            config.node_count,
-            streams=streams,
-            capacity_config=CapacityConfig(
-                node_count=config.node_count,
-                distribution="normal",
-                mean=config.capacity_mean,
-                std=config.capacity_std,
-            ),
+        session = open_session(
+            config, streams,
             sites=config.sites,
             racks_per_site=config.racks_per_site,
             bandwidth_mb_s=config.bandwidth_mb_s,
             oversubscription=config.oversubscription,
         )
-        clients = {
-            name: session.client(
-                name,
-                codec=ChunkCodec(XorParityCode(group_size=2),
-                                 blocks_per_chunk=config.blocks_per_chunk),
-                policy=StoragePolicy(block_replication=config.block_replication),
-            )
-            for name in TENANTS
-        }
-        trace = generate_file_trace(
+        clients = {name: claim_client(session, config, tenant=name) for name in TENANTS}
+        load_trace(
+            clients["archive"],
             FileTraceConfig(
                 file_count=config.archive_files,
                 mean_size=config.archive_mean_size,
@@ -270,10 +252,8 @@ class TenantsExperiment:
                 min_size=config.archive_min_size,
                 name_prefix="archive",
             ),
-            rng=streams.fresh("trace"),
+            streams.fresh("trace"),
         )
-        for record in trace:
-            clients["archive"].store(record.name, record.size)
         return session, clients
 
     def _client(self, network: OverlayNetwork, ordinal: int):

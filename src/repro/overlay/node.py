@@ -13,24 +13,17 @@ the paper):
   between its two immediate neighbours, which therefore become responsible for
   re-creating the blocks that were stored on it;
 * each node keeps "a list of blocks stored on its neighbors" so it knows what
-  to re-create (the neighbour-block ledger below).
+  to re-create: the block ledger's per-owner row index
+  (:meth:`repro.core.block_ledger.BlockLedger.recovery_rows`) is that list,
+  kept once system-wide instead of once per neighbour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Tuple
+from typing import ClassVar, Dict, Tuple
 
 from repro.overlay.ids import NodeId
-
-
-@dataclass
-class NeighborBlockRecord:
-    """One entry of the neighbour-block ledger: a block a neighbour stores."""
-
-    block_name: str
-    size: int
-    owner_file: str
 
 
 @dataclass
@@ -39,8 +32,7 @@ class OverlayNode:
 
     Besides its id and the coordinates of the proximity metric, the node
     carries the storage-related attributes used by the contributory storage
-    system: contributed capacity, used space, the set of blocks it stores, and
-    the ledger of blocks stored on its neighbours.
+    system: contributed capacity, used space and the set of blocks it stores.
     """
 
     node_id: NodeId
@@ -67,8 +59,6 @@ class OverlayNode:
     rack: int = -1
     #: Names and sizes of blocks stored locally: {block_name: size}.
     stored_blocks: Dict[str, int] = field(default_factory=dict)
-    #: Ledger of blocks stored on leaf-set neighbours (Section 4.4).
-    neighbor_blocks: Dict[NodeId, Dict[str, NeighborBlockRecord]] = field(default_factory=dict)
 
     #: Placement-engine indexes currently tracking this node's usage.  A class
     #: attribute so that the ``used`` property setter works during ``__init__``
@@ -125,23 +115,6 @@ class OverlayNode:
     def has_block(self, block_name: str) -> bool:
         """Whether the node currently stores the named block."""
         return self.alive and block_name in self.stored_blocks
-
-    # -- neighbour ledger ----------------------------------------------------
-    def record_neighbor_block(self, neighbor: NodeId, record: NeighborBlockRecord) -> None:
-        """Note that ``neighbor`` stores ``record`` (updated on create/remove)."""
-        self.neighbor_blocks.setdefault(neighbor, {})[record.block_name] = record
-
-    def forget_neighbor_block(self, neighbor: NodeId, block_name: str) -> None:
-        """Remove a neighbour-ledger entry (file deleted or block migrated)."""
-        ledger = self.neighbor_blocks.get(neighbor)
-        if ledger is not None:
-            ledger.pop(block_name, None)
-            if not ledger:
-                del self.neighbor_blocks[neighbor]
-
-    def ledger_for(self, neighbor: NodeId) -> List[NeighborBlockRecord]:
-        """All blocks this node believes ``neighbor`` stores."""
-        return list(self.neighbor_blocks.get(neighbor, {}).values())
 
     # -- failure ------------------------------------------------------------
     def fail(self) -> None:

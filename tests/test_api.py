@@ -180,6 +180,29 @@ def test_session_requires_nodes_or_network():
         ClusterSession()
 
 
+@pytest.mark.parametrize("argument, kwargs", [
+    # No bandwidth_mb_s: no fabric is built, so these would vanish.
+    ("oversubscription", {"node_count": 8, "oversubscription": 4.0}),
+    ("latency", {"node_count": 8, "latency": {"inter_site_latency": 0.02}}),
+])
+def test_session_rejects_fabric_arguments_without_a_fabric(argument, kwargs):
+    with pytest.raises(ValueError, match=f"^{argument}="):
+        ClusterSession(**kwargs)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("capacities", [64 * MB] * 24),
+    ("capacity_config", CapacityConfig(node_count=24)),
+    ("sites", 2),
+])
+def test_session_rejects_build_arguments_on_an_adopted_network(argument, value):
+    network, _, _ = _manual_deployment(41)
+    with pytest.raises(ValueError, match=f"^{argument}="):
+        ClusterSession(network=network, **{argument: value})
+    with pytest.raises(ValueError, match=f"^{argument}="):
+        ClusterSession.adopt(network, **{argument: value})
+
+
 def test_vectorized_keyword_is_gone_not_ignored():
     """One placement path: the seed-path selector is a ``TypeError`` everywhere."""
     network, _, _ = _manual_deployment(37)

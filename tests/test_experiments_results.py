@@ -10,8 +10,8 @@ from repro.experiments.results import (
     Series,
     TableResult,
     benchmark_summary,
+    benchmark_table,
     format_series_table,
-    insertion_benchmark_table,
     load_benchmark_record,
 )
 
@@ -85,7 +85,7 @@ def test_benchmark_summary_renders_insertion_rows(tmp_path):
         "speedups": {"end_to_end": 23.6},
     }
     (tmp_path / "BENCH_insertion.json").write_text(json.dumps(record))
-    table = insertion_benchmark_table(record)
+    table = benchmark_table("insertion", record)
     assert table.column("files_per_s") == [1666.7]
     summary = benchmark_summary(tmp_path)
     assert "vectorized" in summary

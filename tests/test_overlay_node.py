@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.overlay.ids import NodeId
-from repro.overlay.node import NeighborBlockRecord, OverlayNode
+from repro.overlay.node import OverlayNode
 
 from reference.seed_pastry import LeafSet
 
@@ -113,15 +113,3 @@ def test_recover_wipes_by_default():
     node.fail()
     node.recover(wipe=False)
     assert node.has_block("b")
-
-
-def test_neighbor_ledger_record_and_forget():
-    node = make_node(7)
-    neighbor = NodeId(99)
-    record = NeighborBlockRecord(block_name="f_1_1", size=10, owner_file="f")
-    node.record_neighbor_block(neighbor, record)
-    assert node.ledger_for(neighbor) == [record]
-    node.forget_neighbor_block(neighbor, "f_1_1")
-    assert node.ledger_for(neighbor) == []
-    # Forgetting an unknown entry is a no-op.
-    node.forget_neighbor_block(neighbor, "missing")
