@@ -93,9 +93,9 @@ class PastStore:
             holders = self._try_place(name, size, target)
             if holders is not None:
                 self.files[filename] = (name, holders)
-                # Buffered: the single-row column writes land in one bulk
-                # pass at the next flush point (a liveness event or a
-                # ledger read), keeping the ledger out of the store loop.
+                # Buffered: the single-row column writes happen at the next
+                # flush point (a liveness event or a ledger read), file by
+                # file, keeping the ledger out of the store loop.
                 self.ledger.queue_whole_file(
                     filename, size, name, holders, salted=attempt > 0
                 )

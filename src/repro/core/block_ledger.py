@@ -89,8 +89,9 @@ default tenant 0 and the global aggregates are its aggregates.
 
 PAST's whole-file stores additionally *buffer* their single-row registrations
 (:meth:`BlockLedger.queue_whole_file`): the per-file scalar column writes are
-deferred and materialised in one bulk write.  Exactness is preserved because
-every path that can read buffered state flushes the buffer first --
+deferred to the next flush, which registers the queued files one by one (the
+writes leave the store loop; they are not batched).  Exactness is preserved
+because every path that can read buffered state flushes the buffer first --
 ``file_index`` on a pending name, the per-node repair-row reads, the
 aggregate accessors, compaction, the listener notifications of already
 materialised rows -- and the flush *reconciles* each holder's actual
@@ -304,7 +305,7 @@ class BlockLedger:
         #: Deferred single-group registrations: (filename, size, stored name,
         #: holder nodes, salted, tenant).  Aggregates are bumped and liveness
         #: listeners attached at queue time; slot creation and the column
-        #: writes land in one bulk pass at flush.
+        #: writes happen at flush, file by file.
         self._pending_whole: List[tuple] = []
         self._pending_names: set = set()
         # -- node slots -------------------------------------------------------
@@ -572,7 +573,7 @@ class BlockLedger:
         salted: bool = False,
         tenant: int = 0,
     ) -> None:
-        """Buffer a whole-file registration for a later bulk column write.
+        """Buffer a whole-file registration; its column writes happen at the next flush.
 
         Every ``holders`` entry must already hold ``stored_name`` (the way
         PAST's store loop places blocks before registering); the flush
@@ -997,12 +998,13 @@ class BlockLedger:
 
     # --------------------------------------------------------------- repair API --
     def recovery_rows(self, node: "OverlayNode") -> List[int]:
-        """Rows mirroring the node's ``stored_blocks`` dict, in insertion order.
+        """The node's unreleased rows, in insertion order: the record repair reads.
 
         One read of the owner index (O(rows of that node), never a scan of
         the owner column); released rows (deleted files, superseded
-        primaries) are excluded, exactly matching the names the seed's dict
-        walk would still find.  The liveness listeners above sweep these rows.
+        primaries) are excluded, so a name a dead node's ``stored_blocks``
+        dict still lists without a row here was already repaired or deleted.
+        The liveness listeners above sweep these rows.
         """
         if self._pending_whole:
             self._flush_pending()

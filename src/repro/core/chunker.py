@@ -10,7 +10,7 @@ exceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.core.capacity import CapacityProbe, ProbeResult
 from repro.core.policies import StoragePolicy
@@ -98,34 +98,3 @@ class Chunker:
                 remaining -= chunk_size
             chunk_no += 1
         return plans
-
-    def iter_plan(self, filename: str, file_size: int) -> Iterator[ChunkPlan]:
-        """Streaming variant of :meth:`plan_file` (used by the storage system so
-        that block placement interleaves with planning, exactly as the real
-        system stores chunk ``i`` before probing for chunk ``i + 1``)."""
-        remaining = file_size
-        offset = 0
-        chunk_no = 1
-        consecutive_zero = 0
-        encoded_blocks = self.codec.encoded_block_count()
-        while remaining > 0:
-            probe = self.probe.probe_chunk(filename, chunk_no, encoded_blocks)
-            chunk_size = self.size_chunk(probe, remaining)
-            plan = ChunkPlan(chunk_no=chunk_no, start=offset, size=chunk_size, probe=probe)
-            outcome = yield plan
-            # The storage system reports back whether the chunk actually stuck
-            # (capacity may have evaporated between probe and store).
-            effective_size = plan.size if outcome is None else int(outcome)
-            if effective_size == 0:
-                consecutive_zero += 1
-                if consecutive_zero > self.policy.max_consecutive_zero_chunks:
-                    raise StoreAborted(
-                        f"store of {filename!r} aborted: {consecutive_zero} consecutive "
-                        f"zero-sized chunks (limit {self.policy.max_consecutive_zero_chunks})",
-                        planned=[],
-                    )
-            else:
-                consecutive_zero = 0
-                offset += effective_size
-                remaining -= effective_size
-            chunk_no += 1

@@ -16,28 +16,29 @@ here:
 * CAT objects are re-replicated, and a lost CAT can be rebuilt by probing
   chunk names one past the zero-chunk limit (Section 4.4).
 
-The recovery subsystem is split into two collaborating halves:
+The ledger's unreleased rows of a node are the one record of what it held
+(:meth:`~repro.core.block_ledger.BlockLedger.recovery_rows`, the paper's "list
+of blocks stored on its neighbors"): :class:`RecoveryManager` walks them and
+nothing else.  A name still in a dead node's ``stored_blocks`` dict with no
+unreleased row was already repaired or deleted, so repairing a node twice is a
+no-op.  Two collaborators do the per-row work:
 
-* :class:`RepairPlanner` *selects* the repair work: which block copies died
-  with the node (one read of the columnar ledger's per-owner row index;
-  copies a node's dict holds outside the ledger are classified by name),
-  which of them can be regenerated vs. are lost, which must be copied out
-  ahead of a graceful departure, and which surviving nodes the regeneration
-  reads come from;
-* :class:`RepairExecutor` *applies* each selected step: it places the
+* :class:`RepairPlanner` *selects* which surviving nodes a regeneration
+  reads from (congestion-ranked when a topology is attached);
+* :class:`RepairExecutor` *applies* each step: it places the
   replacement copy (DHT lookup plus the rateless relocation walk), re-points
   the placement bookkeeping, mirrors the ledger, and -- when a
   :class:`~repro.core.transfer.TransferScheduler` is attached -- charges the
   bytes that step moves to the fair-share bandwidth model so repairs take
   simulated *time*.
 
-Planning and execution stay interleaved (the planner classifies one lost copy
-at a time and the executor applies it before the next classification) because
-placement decisions consume capacity that later decisions must observe --
-exactly the seed ordering.  With no scheduler attached (``transfers=None``,
-the default) the executor applies every step instantaneously and the
-impacts, totals and placements equal the frozen seed outputs in
-``tests/golden/``; the oracle is ``tests/test_churn_equivalence.py``.
+Classification and execution stay interleaved (one row is classified and
+applied before the next is read) because placement decisions consume capacity
+that later decisions must observe -- exactly the seed ordering.  With no
+scheduler attached (``transfers=None``, the default) the executor applies
+every step instantaneously and the impacts, totals and placements equal the
+frozen seed outputs in ``tests/golden/``; the oracle is
+``tests/test_churn_equivalence.py``.
 
 Graceful departures (:meth:`RecoveryManager.handle_leave`) are first-class:
 the departing node's blocks are *copied out* to the nodes now responsible for
@@ -59,10 +60,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import naming
 from repro.core.block_ledger import BlockLedger, TenantLedgerView
 from repro.core.cat import ChunkAllocationTable
-from repro.core.storage import BlockPlacement, StorageSystem, StoredChunk, StoredFile
+from repro.core.storage import BlockPlacement, StorageSystem, StoredChunk
 from repro.core.transfer import TransferPacer, TransferScheduler, TransferSpec
 from repro.erasure.base import DecodingError
 from repro.overlay.ids import NodeId
@@ -111,27 +111,22 @@ class FailureImpact:
 
 
 class RepairPlanner:
-    """Selects repair/migration work from the ledger rows.
+    """Selects the surviving nodes a repair reads from.
 
-    The planner owns the *decisions* -- which copies are examined in which
-    order, regenerate vs. lost vs. copy-out, and which surviving nodes a
-    regeneration reads from -- but never mutates placement state; every
-    decision is handed to the executor before the next one is taken, because
-    executing a step consumes target capacity that later decisions observe.
+    The planner never mutates placement state; it is consulted once per
+    repaired row (and once per retried transfer), after the steps before it
+    have been applied, because executing a step consumes target capacity and
+    creates copies that later selections observe.
     """
 
-    def __init__(self, storage: StorageSystem) -> None:
+    def __init__(self, storage: StorageSystem, transfers: Optional[TransferScheduler]) -> None:
         self.storage = storage
-        self.dht = storage.dht
-        #: Tenant whose chunk rows this planner repairs (0 for a private
-        #: ledger; shared multi-tenant ledgers tag rows per tenant).
-        self.tenant_id = getattr(storage.ledger, "tenant_id", 0)
         #: Transfer scheduler consulted for congestion-aware source ranking;
         #: ranking activates only when it also carries a topology, so the
         #: access-only and instantaneous paths keep the seed selection order.
-        self.transfers: Optional[TransferScheduler] = None
+        self.transfers = transfers
 
-    def _rank_sources(self, candidates: list, early_stop: Optional[int] = None) -> list:
+    def _rank_sources(self, candidates: list, early_stop: int) -> list:
         """Stable-sort read-source candidates by outbound path congestion.
 
         Candidates whose uplink/rack/site stages are saturated sort last, so
@@ -143,74 +138,12 @@ class RepairPlanner:
         """
         transfers = self.transfers
         if transfers is None or transfers.topology is None or len(candidates) <= 1:
-            return candidates if early_stop is None else candidates[:early_stop]
+            return candidates[:early_stop]
         ranked = sorted(
             candidates,
             key=lambda node: transfers.source_congestion(int(node.node_id)),
         )
-        return ranked if early_stop is None else ranked[:early_stop]
-
-    # -------------------------------------------------------- classification --
-    def classify_row(self, row: int, name: str, ledger: BlockLedger, failed_node: NodeId):
-        """Classify one ledger row of a failed node into a repair step.
-
-        Returns one of::
-
-            ("skip",)                      -- another tenant's row, or a
-                                              baseline replica-group row (the
-                                              baselines have no regeneration)
-            ("meta", name, size, key, digest)
-            ("lost", chunk, file_name)     -- chunk below decode threshold
-            ("regenerate", chunk, position, name, size, key, digest)
-            ("rereplicate", chunk, position, name, size, key, digest)
-
-        A placement row is a *primary* loss (regenerate: re-point the
-        placement at a fresh block) only when the placement's primary lived on
-        the failed node; otherwise the dead copy was a neighbour replica and
-        the repair must re-replicate it -- re-pointing the primary from a
-        replica row is exactly the erosion bug this distinction closes.
-        """
-        if ledger.row_group(row) >= 0 or ledger.row_tenant(row) != self.tenant_id:
-            return ("skip",)
-        file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
-        key = ledger.row_key(row)
-        digest = ledger.row_digest(row)
-        if placement_idx < 0:
-            return ("meta", name, size, key, digest)
-        chunk = ledger.chunk_object(chunk_idx)
-        if not ledger.chunk_recoverable(chunk_idx):
-            return ("lost", chunk, ledger.file_name(file_idx))
-        position = ledger.placement_position(placement_idx)
-        kind = (
-            "regenerate"
-            if int(chunk.placements[position].node_id) == int(failed_node)
-            else "rereplicate"
-        )
-        return (kind, chunk, position, name, size, key, digest)
-
-    def classify_block(self, block_name: str, size: int, failed_node: NodeId):
-        """By-name counterpart of :meth:`classify_row` for a copy with no ledger row."""
-        parsed = naming.parse_block_name(block_name)
-        if parsed is None:
-            # Not an encoded block: CAT object or replica.
-            return ("meta", block_name, size, None, None)
-        stored = self.storage.files.get(parsed.filename)
-        if stored is None:
-            return ("skip",)
-        chunk = self._find_chunk(stored, parsed.chunk_no)
-        if chunk is None:
-            return ("skip",)
-        placement_index = self._find_placement(chunk, block_name)
-        if placement_index is None:
-            return ("skip",)
-        if not self.storage.chunk_is_recoverable(chunk):
-            return ("lost", chunk, parsed.filename)
-        kind = (
-            "regenerate"
-            if int(chunk.placements[placement_index].node_id) == int(failed_node)
-            else "rereplicate"
-        )
-        return (kind, chunk, placement_index, block_name, size, None, None)
+        return ranked[:early_stop]
 
     # ---------------------------------------------------------- read sources --
     def regeneration_sources(self, chunk: StoredChunk, skip_position: int) -> List[OverlayNode]:
@@ -238,20 +171,6 @@ class RepairPlanner:
                     break
         return self._rank_sources(sources, required)
 
-    @staticmethod
-    def _find_chunk(stored: StoredFile, chunk_no: int) -> Optional[StoredChunk]:
-        for chunk in stored.chunks:
-            if chunk.chunk_no == chunk_no:
-                return chunk
-        return None
-
-    @staticmethod
-    def _find_placement(chunk: StoredChunk, block_name: str) -> Optional[int]:
-        for index, placement in enumerate(chunk.placements):
-            if placement.block_name == block_name:
-                return index
-        return None
-
 
 class RepairExecutor:
     """Applies repair/migration steps: placement, bookkeeping, bandwidth.
@@ -268,14 +187,18 @@ class RepairExecutor:
         storage: StorageSystem,
         relocate_when_full: bool,
         transfers: Optional[TransferScheduler],
+        planner: RepairPlanner,
+        repair_weight: float,
+        tenant: Optional[int],
+        pacer: Optional[TransferPacer],
     ) -> None:
         self.storage = storage
         self.dht = storage.dht
         self.relocate_when_full = relocate_when_full
         self.transfers = transfers
-        #: Planner consulted when a failed repair transfer re-plans its read
-        #: from a surviving copy (set by :class:`RecoveryManager`).
-        self.planner: Optional[RepairPlanner] = None
+        #: Picks the decode-read sources of a regeneration, and of a failed
+        #: repair transfer that re-plans its read from a surviving copy.
+        self.planner = planner
         #: Per-transfer timeout (simulated time) applied to every repair
         #: transfer; ``None`` (the default) preserves untimed transfers.
         self.transfer_timeout: Optional[float] = None
@@ -286,18 +209,18 @@ class RepairExecutor:
         self.retry_backoff: float = 1.0
         #: Fair-share weight of repair transfers (< 1.0 de-prioritises repair
         #: below weight-1.0 foreground traffic on every shared link).
-        self.repair_weight: float = 1.0
+        self.repair_weight = repair_weight
         #: Optional admission controller: repair submissions beyond its
         #: bounded in-flight window are queued (never dropped) and drain as
         #: completions free slots -- the recovery-storm backpressure valve.
         #: ``None`` submits directly (the seed behaviour).
-        self.pacer: Optional[TransferPacer] = None
+        self.pacer = pacer
         #: Tenant tag charged to this executor's repair transfers (``None`` =
         #: untagged, the single-tenant default).  A store built on a
         #: :class:`~repro.core.block_ledger.TenantLedgerView` repairs under
         #: its own tenant; cross-tenant migrations pass the row's tenant
         #: explicitly.
-        self.tenant: Optional[int] = None
+        self.tenant = tenant
         #: Transfer specs staged for the failure currently being processed:
         #: ``(size, src, dst, ctx, tenant)`` where ``ctx`` is ``None`` or a
         #: ``(mode, chunk, position)`` re-planning context.
@@ -413,10 +336,9 @@ class RepairExecutor:
             source = self._copy_source(chunk, position, exclude)
             if source is not None:
                 return source
-        if self.planner is not None:
-            for source in self.planner.regeneration_sources(chunk, position):
-                if int(source.node_id) not in exclude:
-                    return int(source.node_id)
+        for source in self.planner.regeneration_sources(chunk, position):
+            if int(source.node_id) not in exclude:
+                return int(source.node_id)
         return None
 
     # ------------------------------------------------------------ regenerate --
@@ -428,9 +350,8 @@ class RepairExecutor:
         size: int,
         failed_node: NodeId,
         impact: FailureImpact,
-        key: Optional[int] = None,
-        digest: Optional[bytes] = None,
-        planner: Optional[RepairPlanner] = None,
+        key: int,
+        digest: bytes,
     ) -> None:
         """Re-create one lost block and re-point its placement.
 
@@ -440,9 +361,9 @@ class RepairExecutor:
         each).  The placement re-point is mirrored into the ledger.
         """
         sources: List[OverlayNode] = []
-        if self.transfers is not None and planner is not None:
+        if self.transfers is not None:
             # Collected before the re-point so the fresh copy is never a source.
-            sources = planner.regeneration_sources(chunk, placement_index)
+            sources = self.planner.regeneration_sources(chunk, placement_index)
         new_holder = self.place_block(block_name, size, exclude=failed_node, key=key)
         if new_holder is None:
             impact.bytes_dropped += size
@@ -469,7 +390,7 @@ class RepairExecutor:
             new_holder,
             block_name,
             size,
-            digest if digest is not None else naming.key_digest(block_name),
+            digest,
         )
         if self.storage.payload_mode and chunk.encoded is not None:
             index = placement_index
@@ -521,9 +442,8 @@ class RepairExecutor:
         size: int,
         failed_node: NodeId,
         impact: FailureImpact,
-        key: Optional[int] = None,
-        digest: Optional[bytes] = None,
-        planner: Optional[RepairPlanner] = None,
+        key: int,
+        digest: bytes,
     ) -> None:
         """Re-create a lost neighbour-replica copy (durability repair).
 
@@ -565,8 +485,8 @@ class RepairExecutor:
                 self._stage(
                     size, source, int(new_holder.node_id), ("copy", chunk, placement_index)
                 )
-            elif planner is not None:
-                for src in planner.regeneration_sources(chunk, placement_index):
+            else:
+                for src in self.planner.regeneration_sources(chunk, placement_index):
                     self._stage(
                         size,
                         int(src.node_id),
@@ -580,7 +500,7 @@ class RepairExecutor:
             new_holder,
             block_name,
             size,
-            digest if digest is not None else naming.key_digest(block_name),
+            digest,
         )
         if self.storage.payload_mode:
             payloads = self.storage._block_payloads
@@ -633,15 +553,10 @@ class RepairExecutor:
         return min(candidates, key=self.transfers.source_congestion)
 
     def place_block(
-        self, block_name: str, size: int, exclude: NodeId, key: Optional[int] = None
+        self, block_name: str, size: int, exclude: NodeId, key: int
     ) -> Optional[OverlayNode]:
-        """Find a live node to hold a regenerated or migrated block.
-
-        ``key`` lets a ledger row reuse its stored digest instead of
-        re-hashing the name; the lookup itself (and its accounting) is the
-        same counted boundary bisect either way.
-        """
-        target = self.dht.locate_key(key if key is not None else naming.key_int_for_name(block_name))
+        """Find a live node to hold a regenerated or migrated block (``key``: the row's digest)."""
+        target = self.dht.locate_key(key)
         if target.node_id != exclude and target.store_block(block_name, size):
             return target
         if not self.relocate_when_full:
@@ -660,10 +575,10 @@ class RepairExecutor:
         name: str,
         size: int,
         impact: FailureImpact,
-        key: Optional[int] = None,
-        digest: Optional[bytes] = None,
+        key: int,
+        digest: bytes,
     ) -> None:
-        target = self.dht.locate_key(key if key is not None else naming.key_int_for_name(name))
+        target = self.dht.locate_key(key)
         if target.has_block(name):
             # The responsible node already has a replica; nothing to do.
             return
@@ -675,8 +590,7 @@ class RepairExecutor:
             # replica is found does the charge fall back to the receiver's
             # downlink alone.
             self._stage(size, self._meta_source(name, target), int(target.node_id))
-            if digest is not None:  # None: an out-of-ledger copy, classified by name
-                self.storage.ledger.restore_meta_copy(target, name, size, digest)
+            self.storage.ledger.restore_meta_copy(target, name, size, digest)
 
     def _meta_source(self, name: str, target: OverlayNode) -> Optional[int]:
         """The surviving replica a meta/CAT restore copies its bytes from.
@@ -705,9 +619,9 @@ class RepairExecutor:
         size: int,
         leaving: OverlayNode,
         impact: FailureImpact,
-        key: Optional[int] = None,
-        digest: Optional[bytes] = None,
-        tenant: Optional[int] = None,
+        key: int,
+        digest: bytes,
+        tenant: Optional[int],
     ) -> None:
         """Copy one encoded block off a departing node before it leaves.
 
@@ -741,7 +655,7 @@ class RepairExecutor:
             new_holder,
             block_name,
             size,
-            digest if digest is not None else naming.key_digest(block_name),
+            digest,
         )
         if self.storage.payload_mode:
             payload_key = (int(leaving.node_id), block_name)
@@ -758,9 +672,9 @@ class RepairExecutor:
         size: int,
         leaving: OverlayNode,
         impact: FailureImpact,
-        key: Optional[int] = None,
-        digest: Optional[bytes] = None,
-        tenant: Optional[int] = None,
+        key: int,
+        digest: bytes,
+        tenant: Optional[int],
     ) -> None:
         """Copy a neighbour-replica copy off a departing node.
 
@@ -806,7 +720,7 @@ class RepairExecutor:
             new_holder,
             block_name,
             size,
-            digest if digest is not None else naming.key_digest(block_name),
+            digest,
         )
         if self.storage.payload_mode:
             payload = self.storage._block_payloads.pop(
@@ -822,9 +736,9 @@ class RepairExecutor:
         size: int,
         leaving: OverlayNode,
         impact: FailureImpact,
-        key: Optional[int] = None,
-        digest: Optional[bytes] = None,
-        tenant: Optional[int] = None,
+        key: int,
+        digest: bytes,
+        tenant: Optional[int],
     ) -> None:
         """Copy a CAT/metadata object off a departing node.
 
@@ -835,18 +749,17 @@ class RepairExecutor:
         multi-tenant ledger migrates every tenant's copies through one
         executor); ``None`` uses the executor's own store tenant.
         """
-        target = self.dht.locate_key(key if key is not None else naming.key_int_for_name(name))
+        target = self.dht.locate_key(key)
         if not target.has_block(name) and target.store_block(name, size):
             impact.cat_copies_restored += 1
             impact.bytes_migrated += size
             self._stage(size, int(leaving.node_id), int(target.node_id), tenant=tenant)
             ledger = self.storage.ledger
-            if digest is not None:  # None: an out-of-ledger copy, migrated by name
-                if tenant is None:
-                    ledger.restore_meta_copy(target, name, size, digest)
-                else:
-                    base = getattr(ledger, "base", ledger)
-                    base.restore_meta_copy(target, name, size, digest, tenant=tenant)
+            if tenant is None:
+                ledger.restore_meta_copy(target, name, size, digest)
+            else:
+                base = getattr(ledger, "base", ledger)
+                base.restore_meta_copy(target, name, size, digest, tenant=tenant)
         if self.storage.payload_mode:
             payload = self.storage._block_payloads.pop((int(leaving.node_id), name), None)
             if payload is not None and target.has_block(name):
@@ -861,7 +774,7 @@ class RepairExecutor:
         leaving: OverlayNode,
         impact: FailureImpact,
         ledger: BlockLedger,
-        tenant: Optional[int] = None,
+        tenant: Optional[int],
     ) -> None:
         """Copy one baseline (PAST/CFS) replica-group row off a departing node.
 
@@ -910,15 +823,9 @@ class RecoveryManager:
         #: Fair-share bandwidth model; ``None`` (the default) keeps every
         #: repair instantaneous.
         self.transfers = transfers
-        self.planner = RepairPlanner(storage)
-        self.planner.transfers = transfers
-        self.executor = RepairExecutor(storage, relocate_when_full, transfers)
-        self.executor.planner = self.planner
-        self.executor.repair_weight = repair_weight
-        # A tenant-scoped store repairs under its own tenant tag; a private
-        # (or raw shared) ledger stays untagged -- the untagged QoS oracle.
-        if isinstance(storage.ledger, TenantLedgerView):
-            self.executor.tenant = storage.ledger.tenant_id
+        #: Tenant whose chunk and meta rows this manager repairs after a
+        #: failure (0 for a private ledger; shared ledgers tag rows per tenant).
+        self.tenant_id = storage.ledger.tenant_id
         #: Repair QoS knobs: ``repair_window`` bounds in-flight repair
         #: transfers (overflow queues FIFO -- backpressure, not drops) and
         #: ``repair_weight`` is the repair class's fair-share weight; the
@@ -928,7 +835,14 @@ class RecoveryManager:
             self.pacer = TransferPacer(
                 transfers, max_in_flight=repair_window, weight=repair_weight
             )
-            self.executor.pacer = self.pacer
+        self.planner = RepairPlanner(storage, transfers)
+        # A tenant-scoped store repairs under its own tenant tag; a private
+        # (or raw shared) ledger stays untagged -- the untagged QoS oracle.
+        tagged = isinstance(storage.ledger, TenantLedgerView)
+        self.executor = RepairExecutor(
+            storage, relocate_when_full, transfers, self.planner, repair_weight,
+            tenant=self.tenant_id if tagged else None, pacer=self.pacer,
+        )
         self.impacts: List[FailureImpact] = []
 
     @property
@@ -947,22 +861,23 @@ class RecoveryManager:
         """Fail ``node_id`` and regenerate what can be regenerated.
 
         The node is marked failed in the overlay, removed from the DHT view,
-        and every block it stored is examined: blocks whose chunk is still
-        decodable are re-created on the node now responsible for their name
-        (or elsewhere if that node is full); chunks that are no longer
-        decodable are counted as lost data.
+        and each of its unreleased ledger rows is repaired: blocks whose chunk
+        is still decodable are re-created on the node now responsible for
+        their name (or elsewhere if that node is full); chunks that are no
+        longer decodable are counted as lost data.  The rows are the record:
+        a name in the dead node's dict with no unreleased row was already
+        repaired or deleted, so a second call on the same node is a no-op.
 
-        The lost blocks come from one read of the ledger's per-owner row
-        index and every decodability check is an O(1) counter read; impacts,
-        placements and Table 3 rows equal the frozen seed dict-walk outputs
+        The rows come from one read of the ledger's per-owner row index and
+        every decodability check is an O(1) counter read; impacts, placements
+        and Table 3 rows equal the frozen seed dict-walk outputs
         (``tests/test_churn_equivalence.py``).
         """
         ledger = self.storage.ledger
         node = self.dht.network.node(node_id)
-        lost_blocks = dict(node.stored_blocks)
         impact = FailureImpact(failed_node=node_id)
-        impact.blocks_lost = len(lost_blocks)
-        impact.bytes_on_failed_node = sum(lost_blocks.values())
+        impact.blocks_lost = len(node.stored_blocks)
+        impact.bytes_on_failed_node = sum(node.stored_blocks.values())
         self.executor.begin(impact)
 
         rows = ledger.recovery_rows(node)
@@ -972,73 +887,48 @@ class RecoveryManager:
         ledger.ensure_digests(rows)
 
         damaged_files: set[str] = set()
-        ledger_names = set()
         for row in rows:
-            name = ledger.row_name(row)
-            ledger_names.add(name)
-            self._apply_step(
-                self.planner.classify_row(row, name, ledger, node_id),
-                node_id,
-                impact,
-                damaged_files,
-            )
-        # Blocks present in the node's dict but not in the ledger (out-of-band
-        # stores, copies a repair re-pointed away from) are classified by
-        # name, so every copy the node held is examined.
-        missing = lost_blocks.keys() - ledger_names
-        if missing:
-            for name, size in lost_blocks.items():
-                if name in missing:
-                    self._recover_block(name, size, node_id, impact, damaged_files)
+            self._apply_failure_row(row, node_id, impact, ledger, damaged_files)
         impact.files_damaged = len(damaged_files)
         self.executor.finish(impact)
         self.impacts.append(impact)
         return impact
 
-    # ------------------------------------------------------------- step driver --
-    def _apply_step(self, step, failed_node: NodeId, impact, damaged_files: set) -> None:
-        """Execute one planner decision for a failed node's lost copy."""
-        kind = step[0]
-        if kind == "skip":
+    def _apply_failure_row(
+        self, row: int, failed_node: NodeId, impact: FailureImpact, ledger: BlockLedger,
+        damaged_files: set,
+    ) -> None:
+        """Repair one ledger row of a failed node."""
+        if ledger.row_group(row) >= 0 or ledger.row_tenant(row) != self.tenant_id:
+            # A baseline replica-group row (the baselines have no
+            # regeneration) or another tenant's row (its manager repairs it).
             return
-        if kind == "meta":
-            _, name, size, key, digest = step
-            self.executor.restore_object_copy(name, size, impact, key=key, digest=digest)
+        name = ledger.row_name(row)
+        file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
+        key = ledger.row_key(row)
+        digest = ledger.row_digest(row)
+        if placement_idx < 0:
+            self.executor.restore_object_copy(name, size, impact, key, digest)
             return
-        if kind == "lost":
-            _, chunk, file_name = step
-            damaged_files.add(file_name)
+        chunk = ledger.chunk_object(chunk_idx)
+        if not ledger.chunk_recoverable(chunk_idx):  # below the decode threshold
+            damaged_files.add(ledger.file_name(file_idx))
             if not getattr(chunk, "_counted_lost", False):
                 impact.data_bytes_lost += chunk.size
                 impact.chunks_lost += 1
                 setattr(chunk, "_counted_lost", True)
             return
-        _, chunk, position, name, size, key, digest = step
+        position = ledger.placement_position(placement_idx)
+        # A *primary* loss re-points the placement at a fresh block only when
+        # the placement's primary lived on the failed node; otherwise the dead
+        # copy was a neighbour replica and is re-replicated -- re-pointing the
+        # primary from a replica row would erode the replication level.
         apply = (
-            self.executor.apply_rereplication
-            if kind == "rereplicate"
-            else self.executor.apply_regeneration
+            self.executor.apply_regeneration
+            if int(chunk.placements[position].node_id) == int(failed_node)
+            else self.executor.apply_rereplication
         )
-        apply(
-            chunk, position, name, size, failed_node, impact,
-            key=key, digest=digest, planner=self.planner,
-        )
-
-    def _recover_block(
-        self,
-        block_name: str,
-        size: int,
-        failed_node: NodeId,
-        impact: FailureImpact,
-        damaged_files: set,
-    ) -> None:
-        """Classify and apply one lost copy that has no ledger row, by name."""
-        self._apply_step(
-            self.planner.classify_block(block_name, size, failed_node),
-            failed_node,
-            impact,
-            damaged_files,
-        )
+        apply(chunk, position, name, size, failed_node, impact, key, digest)
 
     # ---------------------------------------------------------------- departure --
     def handle_leave(self, node_id: NodeId) -> FailureImpact:
@@ -1055,34 +945,27 @@ class RecoveryManager:
         (``tests/test_soak.py``'s migration-conserves-bytes oracle).
         """
         node = self.dht.network.node(node_id)
-        held = dict(node.stored_blocks)
         impact = FailureImpact(failed_node=node_id)
-        impact.blocks_lost = len(held)
-        impact.bytes_on_failed_node = sum(held.values())
+        impact.blocks_lost = len(node.stored_blocks)
+        impact.bytes_on_failed_node = sum(node.stored_blocks.values())
         self.executor.begin(impact)
 
         self.dht.remove(node_id)  # lookups now exclude the departing node
         ledger = self.storage.ledger
         rows = ledger.recovery_rows(node)
         ledger.ensure_digests(rows)
-        ledger_names = set()
         for row in rows:
-            name = ledger.row_name(row)
-            ledger_names.add(name)
-            self._apply_migration_row(row, name, node, impact, ledger)
-        missing = held.keys() - ledger_names
-        if missing:
-            for name, size in held.items():
-                if name in missing:
-                    self._migrate_block_scalar(name, size, node, impact)
+            self._apply_migration_row(row, node, impact, ledger)
         self.executor.finish(impact)
         self.dht.network.leave(node_id)  # releases whatever was not migrated
         self.impacts.append(impact)
         return impact
 
     def _apply_migration_row(
-        self, row: int, name: str, node: OverlayNode, impact: FailureImpact, ledger: BlockLedger
+        self, row: int, node: OverlayNode, impact: FailureImpact, ledger: BlockLedger
     ) -> None:
+        """Copy one ledger row of a departing node out."""
+        name = ledger.row_name(row)
         # The transfer tag follows the *row's* tenant (a departure migrates
         # every tenant's copies through one executor); a single-tenant ledger
         # stays untagged so the untagged oracle holds end to end.
@@ -1090,8 +973,7 @@ class RecoveryManager:
         if ledger.row_group(row) >= 0:
             # Baseline replica-group copy (any tenant): representation-free move.
             self.executor.migrate_group_row(
-                row, name, int(ledger.row_fields(row)[3]), node, impact, ledger,
-                tenant=row_tenant,
+                row, name, int(ledger.row_fields(row)[3]), node, impact, ledger, row_tenant
             )
             return
         # Chunk and meta rows migrate regardless of tenant: the departure is
@@ -1106,10 +988,7 @@ class RecoveryManager:
         key = ledger.row_key(row)
         digest = ledger.row_digest(row)
         if placement_idx < 0:
-            self.executor.migrate_meta(
-                name, size, node, impact, key=key, digest=digest,
-                tenant=ledger.row_tenant(row) if ledger.multi_tenant else None,
-            )
+            self.executor.migrate_meta(name, size, node, impact, key, digest, row_tenant)
             return
         chunk = ledger.chunk_object(chunk_idx)
         position = ledger.placement_position(placement_idx)
@@ -1118,34 +997,7 @@ class RecoveryManager:
             if int(chunk.placements[position].node_id) == int(node.node_id)
             else self.executor.migrate_replica
         )
-        migrate(
-            chunk, position, name, size, node, impact, key=key, digest=digest,
-            tenant=row_tenant,
-        )
-
-    def _migrate_block_scalar(
-        self, block_name: str, size: int, node: OverlayNode, impact: FailureImpact
-    ) -> None:
-        """By-name migration of one copy that has no ledger row."""
-        parsed = naming.parse_block_name(block_name)
-        if parsed is None:
-            self.executor.migrate_meta(block_name, size, node, impact)
-            return
-        stored = self.storage.files.get(parsed.filename)
-        if stored is None:
-            return
-        chunk = self.planner._find_chunk(stored, parsed.chunk_no)
-        if chunk is None:
-            return
-        placement_index = self.planner._find_placement(chunk, block_name)
-        if placement_index is None:
-            return
-        migrate = (
-            self.executor.migrate_block
-            if int(chunk.placements[placement_index].node_id) == int(node.node_id)
-            else self.executor.migrate_replica
-        )
-        migrate(chunk, placement_index, block_name, size, node, impact)
+        migrate(chunk, position, name, size, node, impact, key, digest, row_tenant)
 
     # ---------------------------------------------------------------- CAT rebuild --
     def rebuild_cat(self, filename: str, probe_limit: Optional[int] = None) -> ChunkAllocationTable:

@@ -982,8 +982,8 @@ class TransferScheduler:
         """Per-trunk charged bytes and capacity, keyed by human-readable name.
 
         Capacity ``-1`` marks an unconstrained trunk.  Utilization over an
-        interval is ``bytes / (capacity x interval)`` -- computed by the
-        experiment, which knows the storm's makespan.
+        interval is ``bytes / (capacity x interval)``
+        (:meth:`peak_trunk_utilization`; the caller knows the storm's makespan).
         """
         out: Dict[str, Dict[str, float]] = {}
         for key in sorted(self.trunk_bytes):
@@ -995,6 +995,16 @@ class TransferScheduler:
                 "capacity": -1.0 if capacity is None else float(capacity),
             }
         return out
+
+    def peak_trunk_utilization(self, makespan: float) -> float:
+        """The busiest finite trunk's bytes over capacity x makespan, in %."""
+        if makespan <= 0:
+            return 0.0
+        peak = 0.0
+        for entry in self.trunk_summary().values():
+            if entry["capacity"] > 0:
+                peak = max(peak, 100.0 * entry["bytes"] / (entry["capacity"] * makespan))
+        return peak
 
     def tenant_summary(self) -> Dict[int, Dict[str, float]]:
         """Per-tenant byte/flow accounting, QoS settings and live backlog.

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.core.storage import StorageSystem
-from repro.core.transfer import TransferScheduler
 from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult
 from repro.overlay.network import OverlayNetwork
@@ -383,9 +382,7 @@ class FaultsExperiment:
             "under_target_rows": under_target,
             # -- two-stage core panels (all 0 on the access-only model) ------
             "oversub": float(config.oversubscription or 0.0),
-            "trunk_util_pct": self._peak_trunk_utilization(
-                transfers, summary["last_completion_time"]
-            ),
+            "trunk_util_pct": transfers.peak_trunk_utilization(summary["last_completion_time"]),
             "storm_queue_peak": (
                 float(recovery.pacer.peak_queue_depth) if recovery.pacer else 0.0
             ),
@@ -395,17 +392,6 @@ class FaultsExperiment:
             "inject_s": inject_s,
             **probe,
         }
-
-    @staticmethod
-    def _peak_trunk_utilization(transfers: TransferScheduler, makespan: float) -> float:
-        """The busiest finite trunk's bytes over capacity x makespan, in %."""
-        if makespan <= 0:
-            return 0.0
-        peak = 0.0
-        for entry in transfers.trunk_summary().values():
-            if entry["capacity"] > 0:
-                peak = max(peak, 100.0 * entry["bytes"] / (entry["capacity"] * makespan))
-        return peak
 
     def oversubscription_sweep(self, ratios=(1.0, 2.0, 4.0, 8.0)) -> List[Dict[str, float]]:
         """Time-to-repair of one whole-site outage vs the core's ratio.

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.storage import StorageSystem
-from repro.core.transfer import TransferScheduler
 from repro.experiments.base import load_trace, open_session, claim_client
 from repro.experiments.results import TableResult
 from repro.overlay.network import OverlayNetwork
@@ -422,8 +421,7 @@ class TenantsExperiment:
                 (managers[name].pacer.peak_queue_depth
                  for name in TENANTS if managers[name].pacer), default=0.0)),
             "storm_backlog_end_gb": archive_row.get("backlog_bytes", 0.0) / GB,
-            "trunk_util_pct": self._peak_trunk_utilization(
-                transfers, summary["last_completion_time"]),
+            "trunk_util_pct": transfers.peak_trunk_utilization(summary["last_completion_time"]),
             "transfers_failed": summary["failed"],
             "makespan_s": summary["last_completion_time"],
             "cell_s": time.perf_counter() - cell_start,
@@ -447,17 +445,6 @@ class TenantsExperiment:
                 "max_ttr_s": ttrs["max"],
                 **census,
             })
-
-    @staticmethod
-    def _peak_trunk_utilization(transfers: TransferScheduler, makespan: float) -> float:
-        """The busiest finite trunk's bytes over capacity x makespan, in %."""
-        if makespan <= 0:
-            return 0.0
-        peak = 0.0
-        for entry in transfers.trunk_summary().values():
-            if entry["capacity"] > 0:
-                peak = max(peak, 100.0 * entry["bytes"] / (entry["capacity"] * makespan))
-        return peak
 
     def run(self) -> TenantsResult:
         """Produce every configured scenario (fresh shared deployment per cell)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.block_ledger import BlockLedger
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
@@ -82,6 +83,40 @@ def test_lost_chunks_counted_once(xor_storage, dht):
     impacts = [recovery.handle_failure(holder) for holder in dict.fromkeys(holders)]
     total_lost = sum(impact.data_bytes_lost for impact in impacts)
     assert total_lost <= chunk.size  # never double counted
+
+
+@pytest.mark.parametrize("tenants", [1, 2])
+def test_repairing_a_dead_node_twice_is_a_no_op(dht, tenants):
+    """The ledger's unreleased rows are the record of what a node held: a name
+    left in a dead node's dict whose row a repair already released (the
+    re-pointed placement keeps the block name) must not be repaired again --
+    by the same manager, or by a second tenant's manager on a shared ledger."""
+    shared = BlockLedger(dht.network)
+    stores = [
+        StorageSystem(
+            dht,
+            codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
+            policy=StoragePolicy(block_replication=2),
+            ledger=shared,
+            tenant=f"tenant-{index}" if tenants > 1 else None,
+        )
+        for index in range(tenants)
+    ]
+    for index, storage in enumerate(stores):
+        for number in range(3):
+            assert storage.store_file(f"file-{index}-{number}", 20 * MB).success
+    managers = [RecoveryManager(storage) for storage in stores]
+    victim = max(dht.network.live_nodes(), key=lambda node: len(node.stored_blocks)).node_id
+    first = [manager.handle_failure(victim) for manager in managers]
+    assert all(impact.bytes_regenerated > 0 for impact in first)
+    assert sum(impact.replicas_restored for impact in first) > 0
+    live_rows, used = shared.live_rows, dht.total_used()
+    for manager in managers:
+        again = manager.handle_failure(victim)
+        assert again.blocks_lost == first[0].blocks_lost
+        assert again.bytes_regenerated == again.replicas_restored == again.bytes_dropped == 0
+    assert (shared.live_rows, dht.total_used()) == (live_rows, used)
+    shared.check_invariants()
 
 
 def test_relocation_disabled_drops_blocks(dht):

@@ -2,10 +2,11 @@
 
 One small overlay carries the erasure-coded system, PAST and CFS on one shared
 multi-tenant ledger; Hypothesis drives stores, deletes, crashes, wiped and
-unwiped returns, departures, repairs, compactions and flushes in any order and
-calls :meth:`BlockLedger.check_invariants` (every aggregate and every row
-index recomputed from the raw columns) after each step, then compares every
-file's availability with a walk over the nodes' ``stored_blocks`` dicts.
+unwiped returns, departures, repairs (also of nodes already down, twice over),
+compactions and flushes in any order and calls
+:meth:`BlockLedger.check_invariants` (every aggregate and every row index
+recomputed from the raw columns) after each step, then compares every file's
+availability with a walk over the nodes' ``stored_blocks`` dicts.
 Half the runs shrink the row indexes' overflow limit to 3 so sorts land in
 the middle of repairs.
 """
@@ -101,6 +102,17 @@ class LedgerMachine(RuleBasedStateMachine):
         node = self._live()[which % len(self._live())]
         self.recovery.handle_failure(node.node_id)
         self.down.append(node)
+
+    @precondition(lambda self: self.down)
+    @rule(which=pick)
+    def repair_while_down(self, which):
+        """Repair a node that is already down; once repaired, doing it again is a no-op."""
+        node = self.down[which % len(self.down)]
+        self.recovery.handle_failure(node.node_id)
+        before = (self.ledger.live_rows, self.dht.total_used())
+        again = self.recovery.handle_failure(node.node_id)
+        assert again.bytes_regenerated == again.replicas_restored == 0
+        assert (self.ledger.live_rows, self.dht.total_used()) == before
 
     @precondition(lambda self: self.down)
     @rule(which=pick, wipe=st.booleans())
