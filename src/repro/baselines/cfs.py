@@ -82,10 +82,6 @@ class CfsStore:
             return 0
         return -(-size // self.block_size)
 
-    def _block_name(self, filename: str, index: int, attempt: int) -> str:
-        base = f"{filename}/block{index}"
-        return base if attempt == 0 else f"{base}#salt{attempt}"
-
     def store_file(self, filename: str, size: int) -> BaselineStoreResult:
         """Insert one file; one p2p lookup per block placement attempt.
 
@@ -115,7 +111,7 @@ class CfsStore:
             )
         block_count = self.block_count_for(size)
         state = self.dht.state
-        names = [self._block_name(filename, index, 0) for index in range(block_count)]
+        names = [f"{filename}/block{index}" for index in range(block_count)]
         if block_count:
             # Raises LookupError on an empty view, like a first dht.lookup;
             # a zero-block file never looks anything up.
@@ -147,7 +143,7 @@ class CfsStore:
             # view's counter in bulk, for parity with failed-store accounting.)
             placed = False
             for attempt in range(1, retries + 1):
-                salted_name = self._block_name(filename, index, attempt)
+                salted_name = f"{name}#salt{attempt}"
                 target = state.lookup_node(naming.key_int_for_name(salted_name))
                 extra_lookups += 1
                 if target.store_block(salted_name, block_bytes):

@@ -111,6 +111,7 @@ audit the ledger against that walk and against the frozen seed outputs in
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,6 +125,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
 
 _S20 = "S20"
 _INITIAL = 1024
+_serial_of = attrgetter("serial")
 
 #: Row kinds: the role a stored copy plays in its file's redundancy layout.
 KIND_PRIMARY = 0   #: the copy a placement/group points at first
@@ -309,13 +311,16 @@ class BlockLedger:
         self._pending_whole: List[tuple] = []
         self._pending_names: set = set()
         # -- node slots -------------------------------------------------------
-        self._slots: Dict[int, int] = {}
+        #: Owner slot per node ``serial`` (-1 = holds no row yet).  Slots are
+        #: dense in first-sight order and belong to a node *object*: a fresh
+        #: machine that joins under a departed node's id gets its own.
+        self._serial_slot: List[int] = []
         self._slot_nodes: List["OverlayNode"] = []
         #: Failure-domain columns alongside the owner column: the site and
         #: (globally unique) rack of each owner slot, so a correlated outage
         #: is one equality mask composed with ``_owner`` -- never N scalar
-        #: failures.  Captured at slot creation; :meth:`refresh_domains`
-        #: re-syncs after late assignment.
+        #: failures.  Captured when a holder is first seen (:meth:`_owner_slots`);
+        #: :meth:`refresh_domains` re-syncs after late assignment.
         self._slot_site = np.full(_INITIAL, -1, dtype=np.int16)
         self._slot_rack = np.full(_INITIAL, -1, dtype=np.int16)
         #: Replication-level histogram over the erasure-coded chunk
@@ -391,20 +396,29 @@ class BlockLedger:
         return int(self._file_tenant[file_idx])
 
     # ------------------------------------------------------------- registration --
-    def _slot_for(self, node: "OverlayNode") -> int:
-        value = int(node.node_id)
-        slot = self._slots.get(value)
-        if slot is None:
-            slot = len(self._slots)
-            self._slots[value] = slot
-            self._slot_nodes.append(node)
-            if slot >= len(self._slot_site):
-                self._grow(_SLOT_COLUMNS, slot + 1)
-            self._slot_site[slot] = node.site
-            self._slot_rack[slot] = node.rack
-            if self not in node._state_listeners:
-                node._state_listeners = node._state_listeners + (self,)
-        return slot
+    def _owner_slots(self, holders: Sequence["OverlayNode"]) -> List[int]:
+        """The owner slot of every holder: one C-level gather through the table.
+
+        First-sight work (slot, site / rack, listener) runs once per node, not per row.
+        """
+        table = self._serial_slot
+        # Nodes built or joined since the last registration (a no-op otherwise).
+        table.extend([-1] * (self.network.serial_count - len(table)))
+        slots = list(map(table.__getitem__, map(_serial_of, holders)))
+        if -1 in slots:
+            for index, node in enumerate(holders):
+                slot = table[node.serial]
+                if slot < 0:  # still: an earlier entry of ``holders`` may be this node
+                    slot = table[node.serial] = len(self._slot_nodes)
+                    self._slot_nodes.append(node)
+                    if slot >= len(self._slot_site):
+                        self._grow(_SLOT_COLUMNS, slot + 1)
+                    self._slot_site[slot] = node.site
+                    self._slot_rack[slot] = node.rack
+                    if self not in node._state_listeners:
+                        node._state_listeners = node._state_listeners + (self,)
+                slots[index] = slot
+        return slots
 
     def _grow(self, columns: Tuple[str, ...], needed: int) -> None:
         """Grow one registry's columns together (callers check capacity first)."""
@@ -428,8 +442,9 @@ class BlockLedger:
         if row >= len(self._owner):
             self._grow(_ROW_COLUMNS, row + 1)
         self.names.append(name)
-        slot = self._slot_for(node)
-        self._owner[row] = slot
+        table = self._serial_slot
+        slot = table[node.serial] if node.serial < len(table) else -1
+        self._owner[row] = slot if slot >= 0 else self._owner_slots((node,))[0]
         self._size[row] = size
         self._file[row] = file_idx
         self._chunk[row] = chunk_idx
@@ -653,13 +668,12 @@ class BlockLedger:
         b = len(holders)
         if not b:
             return f
-        slots = [self._slot_for(node) for node in holders]
         row0 = self.row_count
         row1 = row0 + b
         if row1 > len(self._owner):
             self._grow(_ROW_COLUMNS, row1)
         self.names.extend([stored_name] * b)
-        self._owner[row0:row1] = slots
+        self._owner[row0:row1] = self._owner_slots(holders)
         self._size[row0:row1] = size
         self._file[row0:row1] = f
         self._chunk[row0:row1] = -1
@@ -679,12 +693,15 @@ class BlockLedger:
         else:
             network = self.network
             for offset, node in enumerate(holders):
-                if node.alive and stored_name in node.stored_blocks and node.node_id in network:
+                # Gone for good (never revives): wiped, or departed -- also when
+                # a fresh machine has since joined under the departed id.
+                gone = (stored_name not in node.stored_blocks or node.node_id not in network
+                        or network.node(node.node_id) is not node)
+                if node.alive and not gone:
                     continue
                 row = np.asarray([row0 + offset], dtype=np.int64)
                 self._kill_rows(row)
-                if stored_name not in node.stored_blocks or node.node_id not in network:
-                    # The copy itself is gone (wipe/departure): never revives.
+                if gone:
                     self._released[row] = True
         return f
 
@@ -724,14 +741,12 @@ class BlockLedger:
         if row1 > len(self._owner):
             self._grow(_ROW_COLUMNS, row1)
         self.names.extend(names)
-        slot_for = self._slot_for
-        slots = [slot_for(node) for node in holders]
-        self._owner[row0:row1] = slots
+        self._owner[row0:row1] = self._owner_slots(holders)
         if b:
-            sizes = np.full(b, block_size, dtype=np.int64)
-            sizes[-1] = size - (b - 1) * block_size
-            self._size[row0:row1] = sizes
-            self.live_bytes += int(sizes.sum())
+            # Full blocks plus the remainder: the sizes sum to ``size``.
+            self._size[row0:row1] = block_size
+            self._size[row1 - 1] = size - (b - 1) * block_size
+            self.live_bytes += size
         self._file[row0:row1] = f
         self._chunk[row0:row1] = -1
         self._placement[row0:row1] = -1
@@ -744,7 +759,7 @@ class BlockLedger:
         self.row_count = row1
         self.live_rows += b
         if self._multi_tenant and b:
-            self._tenant_live_bytes[tenant] += int(self._size[row0:row1].sum())
+            self._tenant_live_bytes[tenant] += size
             self._tenant_live_rows[tenant] += b
         if replicas:
             for index, node in replicas:
@@ -939,7 +954,7 @@ class BlockLedger:
     def refresh_domains(self) -> None:
         """Re-sync the per-slot domain columns from the tracked nodes.
 
-        Domains are captured when a slot is first created; call this after
+        Domains are captured when a holder is first seen; call this after
         assigning ``node.site`` / ``node.rack`` to nodes the ledger already
         tracks (e.g. domains laid over a pre-built population).
         """
@@ -1008,8 +1023,9 @@ class BlockLedger:
         """
         if self._pending_whole:
             self._flush_pending()
-        slot = self._slots.get(int(node.node_id))
-        if slot is None:
+        table = self._serial_slot
+        slot = table[node.serial] if node.serial < len(table) else -1
+        if slot < 0:
             return []
         released = self._released
         return [row for row in self._by_owner.lookup(self, slot) if not released[row]]
@@ -1111,11 +1127,9 @@ class BlockLedger:
 
     def _release_copy(self, placement_idx: int, node_id: int) -> None:
         """Release the placement's first unreleased copy held by ``node_id``."""
-        slot = self._slots.get(int(node_id))
-        if slot is None:
-            return
+        node_id, slot_nodes = int(node_id), self._slot_nodes
         for row in self._by_placement.lookup(self, placement_idx):
-            if self._owner[row] == slot and not self._released[row]:
+            if slot_nodes[self._owner[row]].node_id.value == node_id and not self._released[row]:
                 if self._alive[row]:
                     self._kill_rows(np.asarray([row], dtype=np.int64))
                 self._released[row] = True
@@ -1418,6 +1432,13 @@ class BlockLedger:
             ):
                 want = np.bincount(tenants, weights=weights, minlength=count).astype(np.int64)
                 law(name, getattr(self, name)[:count], want)
+
+        table, slot_nodes = self._serial_slot, self._slot_nodes
+        law("_serial_slot maps one to one onto the slots",
+            sorted(slot for slot in table if slot >= 0), list(range(len(slot_nodes))))
+        holding = np.unique(self._owner[:n][~self._released[:n]]).tolist()
+        law("_serial_slot finds every holder of an unreleased row",
+            [table[slot_nodes[slot].serial] for slot in holding], holding)
 
         for index, keys in (
             (self._by_owner, len(self._slot_nodes)),

@@ -131,5 +131,5 @@ def name_digests(names: Sequence[str]) -> np.ndarray:
     :class:`repro.overlay.node_state.NodeArrayState`.
     """
     sha1 = hashlib.sha1
-    buffer = b"".join(sha1(name.encode("utf-8")).digest() for name in names)
+    buffer = b"".join([sha1(name.encode("utf-8")).digest() for name in names])
     return np.frombuffer(buffer, dtype="S20")

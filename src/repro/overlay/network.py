@@ -50,6 +50,9 @@ class OverlayNetwork:
         self.leaf_set_half_size = leaf_set_half_size
         self.max_route_hops = max_route_hops
         self._nodes: Dict[NodeId, OverlayNode] = {}
+        #: Serials handed out so far: every node *object* built or joining gets the
+        #: next one (dense; a newcomer under a departed node's id does not reuse its).
+        self.serial_count = 0
         self.total_route_hops = 0
         self.total_routes = 0
         #: The routing engine :meth:`route` / :meth:`route_many` dispatch to
@@ -88,7 +91,9 @@ class OverlayNetwork:
                 node_id=node_id,
                 coordinates=(float(rng.uniform(0.0, 1000.0)), float(rng.uniform(0.0, 1000.0))),
                 capacity=int(capacities[index]) if capacities is not None else 0,
+                serial=index,
             )
+        network.serial_count = count
         return network
 
     def join(self, node: OverlayNode) -> None:
@@ -101,6 +106,8 @@ class OverlayNetwork:
         if node.node_id in self._nodes:
             raise OverlayError(f"node id already present: {node.node_id!r}")
         self._nodes[node.node_id] = node
+        node.serial = self.serial_count
+        self.serial_count += 1
         for listener in self._routing_listeners:
             listener.on_join(node)
 

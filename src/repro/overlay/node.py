@@ -21,12 +21,12 @@ the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.overlay.ids import NodeId
 
 
-@dataclass
+@dataclass(slots=True)
 class OverlayNode:
     """A participant in the overlay.
 
@@ -41,9 +41,17 @@ class OverlayNode:
     coordinates: tuple[float, float] = (0.0, 0.0)
     #: Total storage contributed by this participant, in bytes.
     capacity: int = 0
-    #: Bytes currently consumed by stored blocks.  Exposed as a property (see
-    #: below the class) so that attached :class:`~repro.overlay.node_state.`
-    #: ``NodeArrayState`` indexes can maintain O(1) usage aggregates.
+    #: Placement-engine indexes (``NodeArrayState``) whose ``used_total`` follows
+    #: this node's usage.  These three precede ``used``: the generated ``__init__``
+    #: assigns fields in order and ``used`` goes through the setter, which reads them.
+    _usage_listeners: Tuple[object, ...] = field(default=(), init=False, compare=False)
+    #: Liveness listeners notified on fail/recover/depart transitions (the
+    #: columnar block ledger); separate, so a store never walks past a ledger.
+    _state_listeners: Tuple[object, ...] = field(default=(), init=False, compare=False)
+    #: Backing storage of the ``used`` property.
+    _used_value: int = field(default=0, init=False, compare=False)
+    #: Bytes currently consumed by stored blocks.  A property (installed below
+    #: the class) so that direct assignment keeps the listeners' totals exact.
     used: int = 0
     #: Whether the node is currently alive.
     alive: bool = True
@@ -59,21 +67,11 @@ class OverlayNode:
     rack: int = -1
     #: Names and sizes of blocks stored locally: {block_name: size}.
     stored_blocks: Dict[str, int] = field(default_factory=dict)
-
-    #: Placement-engine indexes currently tracking this node's usage.  A class
-    #: attribute so that the ``used`` property setter works during ``__init__``
-    #: before any state has attached; attaching replaces it per instance.
-    _usage_listeners: ClassVar[Tuple[object, ...]] = ()
-
-    #: Liveness listeners notified on fail/recover/depart transitions (the
-    #: columnar block ledger).  Kept separate from ``_usage_listeners`` so the
-    #: ``used`` property setter -- the hottest call in a store loop -- never
-    #: pays a no-op call per attached ledger.
-    _state_listeners: ClassVar[Tuple[object, ...]] = ()
-
-    #: Backing storage for the ``used`` property; the class-level default lets
-    #: the setter read the previous value without a ``getattr`` fallback.
-    _used_value: ClassVar[int] = 0
+    #: Dense number of this node *object* in its network, handed out at build /
+    #: join and never reused (not even with the id): what the block ledger keys
+    #: owner slots by.  ``None`` until numbered -- the ledger indexes a list with
+    #: it, so an unnumbered node is a ``TypeError`` there, not someone else's slot.
+    serial: Optional[int] = field(default=None, compare=False)
 
     # -- capacity -----------------------------------------------------------
     @property
@@ -101,7 +99,10 @@ class OverlayNode:
             return False
         size = int(size)
         blocks[block_name] = size
-        self.used = used + size
+        # The ``used`` setter in line: this is the one call a stored block costs.
+        self._used_value = used + size
+        for listener in self._usage_listeners:
+            listener.used_total += size
         return True
 
     def remove_block(self, block_name: str) -> bool:
@@ -109,7 +110,9 @@ class OverlayNode:
         size = self.stored_blocks.pop(block_name, None)
         if size is None:
             return False
-        self.used -= size
+        self._used_value -= size
+        for listener in self._usage_listeners:
+            listener.used_total -= size
         return True
 
     def has_block(self, block_name: str) -> bool:
@@ -166,21 +169,16 @@ def _used_get(self: OverlayNode) -> int:
 
 
 def _used_set(self: OverlayNode, value: int) -> None:
-    # Every mutation of ``used`` -- store_block, remove_block, recover, and
-    # direct assignment (tests fill nodes with ``node.used = node.capacity``) --
-    # flows through here, so attached placement indexes can keep exact O(1)
-    # usage totals without ever rescanning the population.
+    # ``recover`` and direct assignment (tests fill nodes with ``node.used =
+    # node.capacity``) land here; ``store_block`` / ``remove_block`` do the same
+    # two steps in line, so the attached indexes' O(1) totals stay exact.
     value = int(value)
-    listeners = self._usage_listeners
-    if listeners:
-        previous = self._used_value
-        self._used_value = value
-        for listener in listeners:
-            listener._note_used_delta(value - previous)
-    else:
-        self._used_value = value
+    delta = value - self._used_value
+    self._used_value = value
+    for listener in self._usage_listeners:
+        listener.used_total += delta
 
 
-#: Installed after the dataclass machinery runs so the generated ``__init__``
-#: (``self.used = used``) routes the initial value through the setter too.
+#: Installed after the dataclass machinery runs (it shadows the ``used`` slot),
+#: so the generated ``__init__`` (``self.used = used``) goes through the setter.
 OverlayNode.used = property(_used_get, _used_set)  # type: ignore[assignment]

@@ -22,7 +22,8 @@ brute-force oracle on adversarial rings (gaps larger than half the ring,
 exact midpoints, single-node populations).
 
 The state also maintains O(1) aggregates (total contributed capacity, total
-used bytes) via the ``OverlayNode.used`` property listeners, which makes the
+used bytes): every indexed node lists the state in ``_usage_listeners`` and adds
+its own usage deltas to ``used_total`` (see ``OverlayNode``), which makes the
 utilization sampling of the insertion experiments independent of the
 population size.
 
@@ -172,9 +173,6 @@ class NodeArrayState:
         node._usage_listeners = tuple(
             listener for listener in node._usage_listeners if listener is not self
         )
-
-    def _note_used_delta(self, delta: int) -> None:
-        self.used_total += delta
 
     def utilization(self) -> float:
         """Used / contributed capacity over the indexed nodes, in O(1)."""
@@ -440,10 +438,28 @@ class NodeArrayState:
         """Free bytes per indexed node, in id order."""
         return np.asarray([node.free for node in self.nodes], dtype=np.int64)
 
-    def resync_totals(self) -> None:
-        """Recompute the aggregates from scratch (defensive; O(N))."""
-        self.capacity_total = sum(node.capacity for node in self.nodes)
-        self.used_total = sum(node.used for node in self.nodes)
+    def check_invariants(self) -> None:
+        """Recompute the aggregates, the id order and the boundaries from the nodes.
+
+        Raises ``AssertionError`` naming the first broken law; O(N), for tests and debugging.
+        """
+
+        def law(name: str, have, want) -> None:
+            if have != want:
+                raise AssertionError(f"node-state invariant {name!r}: have {have!r}, nodes say {want!r}")
+
+        nodes = self.nodes
+        law("used_total", self.used_total, sum(node.used for node in nodes))
+        law("capacity_total", self.capacity_total, sum(node.capacity for node in nodes))
+        law("ids_int aligned with nodes", self.ids_int, [int(node.node_id) for node in nodes])
+        law("ids_int strictly ascending", self.ids_int, sorted(set(self.ids_int)))
+        law("listed once per indexed node",
+            [node._usage_listeners.count(self) for node in nodes], [1] * len(nodes))
+        if not self._bounds_dirty:
+            patched = (self._wrap_first, self._bounds_int, self._bounds_bytes.tolist())
+            self._rebuild_bounds()
+            law("patched bounds",
+                patched, (self._wrap_first, self._bounds_int, self._bounds_bytes.tolist()))
 
     def memory_footprint(self) -> dict:
         """Index sizing counters (same shape as the routing engines').

@@ -104,9 +104,11 @@ def audit(storage) -> None:
     on a live node is one the bookkeeping still references (a node that
     returns *unwiped* after its blocks were regenerated elsewhere would break
     that; no caller audits in that state).  The ledger's own laws (aggregates
-    and row indexes against the raw columns) are checked first.
+    and row indexes against the raw columns) and the node index's (totals,
+    listeners, patched boundaries) are checked first.
     """
     storage.ledger.check_invariants()
+    storage.dht.state.check_invariants()
     for name, stored in storage.files.items():
         for chunk in stored.chunks:
             assert storage.chunk_is_recoverable(chunk) == chunk_decodable(storage, chunk), (

@@ -2,8 +2,9 @@
 
 One small overlay carries the erasure-coded system, PAST and CFS on one shared
 multi-tenant ledger; Hypothesis drives stores, deletes, crashes, wiped and
-unwiped returns, departures, repairs (also of nodes already down, twice over),
-compactions and flushes in any order and calls
+unwiped returns, departures (also with a fresh machine taking over the id),
+repairs (also of nodes already down, twice over), compactions and flushes in
+any order and calls
 :meth:`BlockLedger.check_invariants` (every aggregate and every row index
 recomputed from the raw columns) after each step, then compares every file's
 availability with a walk over the nodes' ``stored_blocks`` dicts.
@@ -29,6 +30,7 @@ from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import OverlayNode
 
 MB = 1 << 20
 NODES = 24
@@ -130,6 +132,17 @@ class LedgerMachine(RuleBasedStateMachine):
         else:
             self.dht.remove(node.node_id)
             self.network.leave(node.node_id)
+
+    @precondition(lambda self: len(self._live()) > MIN_LIVE)
+    @rule(which=pick)
+    def leave_then_rejoin_same_id(self, which):
+        """A fresh machine takes over a departed node's id: a new holder, not the old one."""
+        node = self._live()[which % len(self._live())]
+        self.dht.remove(node.node_id)
+        self.network.leave(node.node_id)
+        fresh = OverlayNode(node_id=node.node_id, capacity=node.capacity)
+        self.network.join(fresh)
+        self.dht.add(fresh)
 
     @precondition(lambda self: self.down)
     @rule(which=pick)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.overlay.ids import NodeId
 from repro.overlay.node import OverlayNode
+from repro.overlay.node_state import NodeArrayState
 
 from reference.seed_pastry import LeafSet
 
@@ -113,3 +116,46 @@ def test_recover_wipes_by_default():
     node.fail()
     node.recover(wipe=False)
     assert node.has_block("b")
+
+
+# -- slots fallout --------------------------------------------------------------------
+def test_nodes_are_slotted_and_construct_in_the_documented_order():
+    node = OverlayNode(NodeId(7), (1.0, 2.0), 100, 10, True, 0.5, 3, 14, {"a": 10})
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.scratch = 1
+    assert (node.coordinates, node.capacity, node.used, node.alive) == ((1.0, 2.0), 100, 10, True)
+    assert (node.capacity_report_fraction, node.site, node.rack) == (0.5, 3, 14)
+    assert node.stored_blocks == {"a": 10} and node.serial is None
+    # Positional construction skips the three init=False bookkeeping fields,
+    # which sit before ``used`` because its setter reads them during __init__.
+    assert [f.name for f in dataclasses.fields(OverlayNode) if f.init] == [
+        "node_id", "coordinates", "capacity", "used", "alive",
+        "capacity_report_fraction", "site", "rack", "stored_blocks", "serial"]
+    assert type(node.stored_blocks) is dict  # perfbench and dict_walk read it as one
+
+
+def test_equality_and_repr_ignore_the_serial_and_the_bookkeeping_fields():
+    left = OverlayNode(node_id=NodeId(9), capacity=100, used=10, serial=4)
+    right = OverlayNode(node_id=NodeId(9), capacity=100)
+    state = NodeArrayState([right])  # attaches a usage listener to ``right`` only
+    right.used = 10
+    assert state.used_total == 10
+    assert left._usage_listeners != right._usage_listeners and left.serial != right.serial
+    assert left == right and repr(left) == repr(right)
+    right.store_block("a", 1)
+    assert left != right
+
+
+def test_the_tracer_patches_classes_by_name_and_never_a_node():
+    """perfbench/tracing.py reads ``owner.__dict__[attr]``: the names must stay put."""
+    from perfbench.tracing import _targets
+
+    targets = _targets()
+    assert all(attr in vars(owner) for owner, attr, _, _ in targets)
+    assert OverlayNode not in {owner for owner, _, _, _ in targets}
+    patched = {(getattr(owner, "__name__", ""), attr) for owner, attr, _, _ in targets}
+    assert {("CfsStore", "store_file"), ("DHTView", "resolve_digests"),
+            ("BlockLedger", "register_striped_file"), ("BlockLedger", "register_file"),
+            ("BlockLedger", "queue_whole_file"), ("BlockLedger", "flush_registrations"),
+            ("OverlayNetwork", "build"), ("OverlayNetwork", "join")} <= patched

@@ -136,7 +136,7 @@ def test_aggregates_track_used_mutations_incrementally():
     assert state.used_total == 400 and state.capacity_total == 4000
     second.recover(wipe=True)
     assert state.used_total == 0
-    state.resync_totals()
+    state.check_invariants()
     assert state.used_total == 0 and state.capacity_total == 4000
 
 
