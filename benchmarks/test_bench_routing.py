@@ -72,8 +72,8 @@ def _assert_routing_contrast(outcome) -> None:
 
 def _assert_column_dtypes(network) -> None:
     """The dtype audit: int32 slot columns, uint8 digit views."""
-    pastry = network.attach_router("pastry", dispatch=False)
-    chord = network.attach_router("chord", dispatch=False)
+    pastry = network.attach_router("pastry")
+    chord = network.attach_router("chord")
     assert isinstance(pastry, PastryArrayRouter)
     assert isinstance(chord, ChordArrayRouter)
     assert pastry._table.dtype == np.int32

@@ -40,7 +40,6 @@ from repro.core.cache import CacheManager
 from repro.core.recovery import RecoveryManager
 from repro.core.storage import _UNSET, RetrieveResult, StorageSystem, StoreResult
 from repro.core.transfer import TransferScheduler, oversubscribed_topology
-from repro.multicast.replication import MulticastReplicator, ReplicationReport
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.sim.engine import Simulator
@@ -188,11 +187,6 @@ class ClusterSession:
                              repair_spacing=repair_spacing, **kwargs)
 
     # ------------------------------------------------------------------- clock --
-    @property
-    def now(self) -> float:
-        """The session clock (simulated seconds)."""
-        return self.sim.now
-
     def run(self, until: Optional[float] = None) -> None:
         """Drain the event queue (optionally up to simulated time ``until``)."""
         self.sim.run(until=until)
@@ -204,9 +198,8 @@ class ClusterSession:
         The first call for a given engine name builds the engine from the
         live population and registers it as a churn listener on the network
         (so joins/leaves/failures keep its tables patched); later calls
-        return the cached instance.  The *first* engine built also becomes
-        ``network.router``, the dispatch target of ``network.route`` /
-        ``route_many``.
+        return the cached instance.  Route on the engine itself
+        (``route`` / ``route_many``).
         """
         cached = self._routers.get(engine)
         if cached is not None:
@@ -216,8 +209,7 @@ class ClusterSession:
                     "engine options only apply to the first call"
                 )
             return cached
-        router = self.network.attach_router(
-            engine, dispatch=not self._routers, **kwargs)
+        router = self.network.attach_router(engine, **kwargs)
         self._routers[engine] = router
         return router
 
@@ -299,15 +291,6 @@ class ArchiveClient:
     def available(self, filename: str) -> bool:
         """Whether every chunk of the file can still be recovered."""
         return self.storage.is_file_available(filename)
-
-    def replicate(self, filename: str, replicas: int, *,
-                  rng: Optional[np.random.Generator] = None,
-                  fanout: int = 2,
-                  simulate_push: bool = True) -> List[ReplicationReport]:
-        """Push ``replicas`` extra copies of every data chunk of one file."""
-        replicator = MulticastReplicator(self.storage, rng=rng, fanout=fanout,
-                                         simulate_push=simulate_push)
-        return replicator.replicate_file(filename, replicas)
 
     # -------------------------------------------------------------- accounting --
     def aggregates(self) -> Dict[str, float]:

@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
-from repro.experiments.availability import PAPER_FIG10, AvailabilityConfig, AvailabilityExperiment
-from repro.experiments.churn import PAPER_TABLE3, ChurnConfig, ChurnExperiment
+from repro.experiments.availability import PAPER_FIG10, AvailabilityExperiment
+from repro.experiments.churn import PAPER_TABLE3, ChurnExperiment
 from repro.experiments.coding_perf import CodingPerfConfig, run_coding_performance
 from repro.experiments.condor_case_study import CondorCaseStudyConfig, run_condor_case_study
 from repro.experiments.faults import (
@@ -54,6 +54,7 @@ from repro.experiments.serving import PAPER_SERVING, SMOKE_SERVING, ServingExper
 from repro.experiments.soak import PAPER_SOAK, SoakExperiment
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
 from repro.experiments.tenants import PAPER_TENANTS, SMOKE_TENANTS, TenantsExperiment
+from repro.overlay.engine import ROUTER_ENGINES
 from repro.workloads.filetrace import GB, MB
 
 
@@ -92,14 +93,6 @@ def _run_insertion(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_availability(args: argparse.Namespace) -> int:
-    config = AvailabilityConfig(node_count=args.nodes, file_count=args.files, seed=args.seed)
-    series = AvailabilityExperiment(config).run()
-    print("Figure 10 — unavailable files (%) vs failed nodes")
-    print(format_series_table(list(series.values()), x_label="failed_nodes"))
-    return 0
-
-
 def _run_fig10(args: argparse.Namespace) -> int:
     """Figure 10 at the paper's scale (10 000 nodes, 1 000 failures) by default."""
     config = replace(
@@ -122,7 +115,7 @@ def _run_fig10(args: argparse.Namespace) -> int:
 
 def _run_table3(args: argparse.Namespace) -> int:
     """Table 3 at the paper's scale (10 000 nodes, 10 % and 20 % failed) by default."""
-    fractions = tuple(float(pct) / 100.0 for pct in args.fractions.split(","))
+    fractions = tuple(pct / 100.0 for pct in args.fractions)
     config = replace(
         PAPER_TABLE3,
         node_count=_scaled(args.nodes, args.scale, 2),
@@ -163,15 +156,13 @@ def _run_soak(args: argparse.Namespace) -> int:
 
 def _run_repair(args: argparse.Namespace) -> int:
     """Bandwidth-aware repair at the paper's scale (10 000 nodes) by default."""
-    fractions = tuple(float(pct) / 100.0 for pct in args.fractions.split(","))
-    sweep = tuple(float(value) for value in args.bandwidth_sweep.split(","))
     config = replace(
         PAPER_REPAIR,
         node_count=_scaled(args.nodes, args.scale, 2),
         file_count=_scaled(args.files, args.scale, 1),
-        fail_fractions=fractions,
+        fail_fractions=tuple(pct / 100.0 for pct in args.fractions),
         bandwidth_mb_s=args.bandwidth,
-        bandwidth_sweep_mb_s=sweep,
+        bandwidth_sweep_mb_s=args.bandwidth_sweep,
         failure_spacing_s=args.spacing,
         seed=args.seed,
     )
@@ -288,12 +279,6 @@ def _run_coding(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_churn(args: argparse.Namespace) -> int:
-    config = ChurnConfig(node_count=args.nodes, file_count=args.files, seed=args.seed)
-    print(ChurnExperiment(config).run().format())
-    return 0
-
-
 def _run_multicast(args: argparse.Namespace) -> int:
     config = MulticastConfig(seed=args.seed, node_count=args.nodes,
                              replica_count=args.replicas)
@@ -328,8 +313,7 @@ def _run_routing(args: argparse.Namespace) -> int:
         )
     config = replace(config, seed=args.seed)
     if args.engines:
-        config = replace(config,
-                         engines=tuple(name.strip() for name in args.engines.split(",")))
+        config = replace(config, engines=args.engines)
     if args.lookups is not None:
         config = replace(config, lookups=args.lookups)
     result, wall = _timed_run(RoutingExperiment(config))
@@ -345,7 +329,7 @@ def _run_routing(args: argparse.Namespace) -> int:
 
 
 def _run_condor(args: argparse.Namespace) -> int:
-    sizes = tuple(int(float(size) * GB) for size in args.sizes.split(","))
+    sizes = tuple(int(size * GB) for size in args.sizes)
     config = CondorCaseStudyConfig(file_sizes=sizes, seed=args.seed)
     print(run_condor_case_study(config).format(float_format="{:.1f}"))
     return 0
@@ -395,18 +379,38 @@ def _arg(*flags: str, **options) -> Arg:
     return Arg(flags=flags, options=options)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _checked(cast: Callable, accept: Callable[..., bool], what: str) -> Callable:
+    """An argparse ``type=``: ``cast`` the text, then reject what ``accept`` refuses.
+
+    Bad input is then argparse's usage error (exit 2), not a traceback from
+    deep inside an experiment.
+    """
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
-    return value
+def _comma_list(item: Callable) -> Callable:
+    """An argparse ``type=`` for a comma-separated list, ``item`` applied to each entry."""
+    return lambda text: tuple(item(part) for part in text.split(","))
+
+
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+_positive_float = _checked(float, lambda value: value > 0, "a positive number")
+_percent = _checked(float, lambda value: 0 <= value <= 100, "a percentage in [0, 100]")
+_oversub_ratio = _checked(float, lambda value: value == 0 or value >= 1,
+                          "0 (access links only) or a ratio >= 1")
+_engine_name = _checked(str.strip, ROUTER_ENGINES.__contains__,
+                        "one of " + ", ".join(sorted(ROUTER_ENGINES)))
+_size_gb = _checked(float, lambda value: value >= 0, "a size in GB >= 0")
 
 
 _DEFAULT_SCALE_HELP = "multiply nodes and files by this factor (e.g. 0.1)"
@@ -435,22 +439,16 @@ class Command:
 COMMANDS: Tuple[Command, ...] = (
     Command(
         "insertion", "Figures 7-9 and Table 1", _run_insertion,
-        args=(_arg("--nodes", type=int, default=200),
+        args=(_arg("--nodes", type=_positive_int, default=200),
               _arg("--files", type=int, default=None)),
         seed=1,
-    ),
-    Command(
-        "availability", "Figure 10", _run_availability,
-        args=(_arg("--nodes", type=int, default=300),
-              _arg("--files", type=int, default=2000)),
-        seed=2,
     ),
     Command(
         "fig10", "Figure 10 at paper scale (10 000 nodes / 1 000 failures)",
         _run_fig10,
         args=(_arg("--nodes", type=int, default=PAPER_FIG10.node_count),
               _arg("--files", type=int, default=PAPER_FIG10.file_count),
-              _arg("--fail-pct", type=float, default=10.0,
+              _arg("--fail-pct", type=_percent, default=10.0,
                    help="percent of the population failed one by one")),
         scale=_DEFAULT_SCALE_HELP,
         seed=PAPER_FIG10.seed,
@@ -460,7 +458,7 @@ COMMANDS: Tuple[Command, ...] = (
         _run_table3,
         args=(_arg("--nodes", type=int, default=PAPER_TABLE3.node_count),
               _arg("--files", type=int, default=PAPER_TABLE3.file_count),
-              _arg("--fractions", type=str, default="10,20",
+              _arg("--fractions", type=_comma_list(_percent), default="10,20",
                    help="comma-separated failure percentages")),
         scale=_DEFAULT_SCALE_HELP,
         seed=PAPER_TABLE3.seed,
@@ -496,11 +494,11 @@ COMMANDS: Tuple[Command, ...] = (
         _run_repair,
         args=(_arg("--nodes", type=int, default=PAPER_REPAIR.node_count),
               _arg("--files", type=int, default=PAPER_REPAIR.file_count),
-              _arg("--fractions", type=str, default="2,5,10",
+              _arg("--fractions", type=_comma_list(_percent), default="2,5,10",
                    help="comma-separated failure percentages for the sweep"),
-              _arg("--bandwidth", type=float, default=PAPER_REPAIR.bandwidth_mb_s,
+              _arg("--bandwidth", type=_positive_float, default=PAPER_REPAIR.bandwidth_mb_s,
                    help="per-node link capacity in MB per simulated second"),
-              _arg("--bandwidth-sweep", type=str, default="4,8,16",
+              _arg("--bandwidth-sweep", type=_comma_list(_positive_float), default="4,8,16",
                    help="comma-separated bandwidths for the bandwidth panel"),
               _arg("--spacing", type=float, default=PAPER_REPAIR.failure_spacing_s,
                    help="simulated seconds between consecutive failures")),
@@ -517,7 +515,7 @@ COMMANDS: Tuple[Command, ...] = (
               _arg("--flash-pct", type=float,
                    default=100.0 * PAPER_FAULTS.flash_fraction,
                    help="percent of the population downed by the flash crowd"),
-              _arg("--bandwidth", type=float, default=PAPER_FAULTS.bandwidth_mb_s,
+              _arg("--bandwidth", type=_positive_float, default=PAPER_FAULTS.bandwidth_mb_s,
                    help="per-node link capacity in MB per simulated second"),
               _arg("--sites", type=int, default=PAPER_FAULTS.sites,
                    help="failure-domain sites in the grid"),
@@ -537,7 +535,7 @@ COMMANDS: Tuple[Command, ...] = (
         args=(_arg("--nodes", type=int, default=PAPER_TENANTS.node_count),
               _arg("--files", type=int, default=PAPER_TENANTS.archive_files,
                    help="archive-tenant corpus size (files)"),
-              _arg("--bandwidth", type=float, default=PAPER_TENANTS.bandwidth_mb_s,
+              _arg("--bandwidth", type=_positive_float, default=PAPER_TENANTS.bandwidth_mb_s,
                    help="per-node link capacity in MB per simulated second"),
               _arg("--no-isolation", action="store_true",
                    help="drop the storm tenant's weight/cap in every "
@@ -580,12 +578,6 @@ COMMANDS: Tuple[Command, ...] = (
               _arg("--blocks", type=_positive_int, default=512)),
     ),
     Command(
-        "churn", "Table 3", _run_churn,
-        args=(_arg("--nodes", type=int, default=300),
-              _arg("--files", type=int, default=2000)),
-        seed=4,
-    ),
-    Command(
         "multicast", "Figures 11 and 12", _run_multicast,
         args=(_arg("--nodes", type=int, default=0,
                    help="overlay size to route the dissemination tree over "
@@ -600,7 +592,7 @@ COMMANDS: Tuple[Command, ...] = (
         "routing fabric: batched Pastry/Chord lookups, hops vs N, churn "
         "head-to-head (paper scale: 10 000 nodes)",
         _run_routing,
-        args=(_arg("--engines", type=str, default=None,
+        args=(_arg("--engines", type=_comma_list(_engine_name), default=None,
                    help="comma-separated engines (default pastry,chord)"),
               _arg("--lookups", type=int, default=None,
                    help="batched lookups per (size, engine) cell")),
@@ -610,7 +602,7 @@ COMMANDS: Tuple[Command, ...] = (
     ),
     Command(
         "condor", "Table 4", _run_condor,
-        args=(_arg("--sizes", type=str, default="1,2,4,8,16,32,64,128",
+        args=(_arg("--sizes", type=_comma_list(_size_gb), default="1,2,4,8,16,32,64,128",
                    help="comma-separated file sizes in GB"),),
         seed=6,
     ),
@@ -643,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command.smoke:
             sub.add_argument("--smoke", action="store_true", help=_SMOKE_HELP)
         if command.oversub is not None:
-            sub.add_argument("--oversub", type=float, default=None, metavar="RATIO",
+            sub.add_argument("--oversub", type=_oversub_ratio, default=None, metavar="RATIO",
                             help=command.oversub)
         if command.seed is not None:
             sub.add_argument("--seed", type=int, default=command.seed)

@@ -383,17 +383,9 @@ class BlockLedger:
             self._views[tenant] = view
         return view
 
-    def tenant_name(self, tenant: int) -> str:
-        """The registered name of tenant id ``tenant``."""
-        return self._tenant_names[tenant]
-
     def row_tenant(self, row: int) -> int:
         """The tenant a row's copy belongs to."""
         return int(self._row_tenant[row])
-
-    def file_tenant(self, file_idx: int) -> int:
-        """The tenant a registered file belongs to."""
-        return int(self._file_tenant[file_idx])
 
     # ------------------------------------------------------------- registration --
     def _owner_slots(self, holders: Sequence["OverlayNode"]) -> List[int]:
@@ -1506,13 +1498,6 @@ class TenantLedgerView:
     # -- tenant-scoped registration -------------------------------------------
     def register_file(self, stored: "StoredFile", required_blocks: int) -> None:
         return self.base.register_file(stored, required_blocks, tenant=self.tenant_id)
-
-    def register_whole_file(
-        self, filename, size, stored_name, holders, salted: bool = False
-    ) -> int:
-        return self.base.register_whole_file(
-            filename, size, stored_name, holders, salted, tenant=self.tenant_id
-        )
 
     def queue_whole_file(
         self, filename, size, stored_name, holders, salted: bool = False

@@ -13,7 +13,7 @@ implements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,6 @@ class ChunkAllocationTable:
         return cls(filename, entries)
 
     # -- container protocol -------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[CatEntry]:
-        return iter(self._entries)
-
     def __getitem__(self, index: int) -> CatEntry:
         return self._entries[index]
 

@@ -113,11 +113,6 @@ def block_names(filename: str, chunk_no: int, count: int) -> List[str]:
     return [f"{prefix}{ecb}" for ecb in range(1, count + 1)]
 
 
-def key_digest(name: str) -> bytes:
-    """The raw 20-byte SHA-1 digest of a name (the key's big-endian encoding)."""
-    return hashlib.sha1(name.encode("utf-8")).digest()
-
-
 def key_int_for_name(name: str) -> int:
     """The DHT key of a name as a plain int (hot-path variant of key_for_name)."""
     return int.from_bytes(hashlib.sha1(name.encode("utf-8")).digest(), "big")

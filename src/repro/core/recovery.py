@@ -185,7 +185,6 @@ class RepairExecutor:
     def __init__(
         self,
         storage: StorageSystem,
-        relocate_when_full: bool,
         transfers: Optional[TransferScheduler],
         planner: RepairPlanner,
         repair_weight: float,
@@ -194,7 +193,6 @@ class RepairExecutor:
     ) -> None:
         self.storage = storage
         self.dht = storage.dht
-        self.relocate_when_full = relocate_when_full
         self.transfers = transfers
         #: Picks the decode-read sources of a regeneration, and of a failed
         #: repair transfer that re-plans its read from a surviving copy.
@@ -555,13 +553,15 @@ class RepairExecutor:
     def place_block(
         self, block_name: str, size: int, exclude: NodeId, key: int
     ) -> Optional[OverlayNode]:
-        """Find a live node to hold a regenerated or migrated block (``key``: the row's digest)."""
+        """Find a live node to hold a regenerated or migrated block (``key``: the row's digest).
+
+        When the responsible node lacks capacity the paper adopts "drop and
+        create another one at a different location": walk the target's
+        neighbours until one accepts (``None`` when none does).
+        """
         target = self.dht.locate_key(key)
         if target.node_id != exclude and target.store_block(block_name, size):
             return target
-        if not self.relocate_when_full:
-            return None
-        # Rateless relocation: walk the target's neighbours until one accepts.
         for candidate in self.dht.neighbors(target.node_id, 8):
             if candidate.node_id == exclude:
                 continue
@@ -813,7 +813,6 @@ class RecoveryManager:
     def __init__(
         self,
         storage: StorageSystem,
-        relocate_when_full: bool = True,
         transfers: Optional[TransferScheduler] = None,
         repair_window: Optional[int] = None,
         repair_weight: float = 1.0,
@@ -840,21 +839,10 @@ class RecoveryManager:
         # (or raw shared) ledger stays untagged -- the untagged QoS oracle.
         tagged = isinstance(storage.ledger, TenantLedgerView)
         self.executor = RepairExecutor(
-            storage, relocate_when_full, transfers, self.planner, repair_weight,
+            storage, transfers, self.planner, repair_weight,
             tenant=self.tenant_id if tagged else None, pacer=self.pacer,
         )
         self.impacts: List[FailureImpact] = []
-
-    @property
-    def relocate_when_full(self) -> bool:
-        """The paper adopts "drop and create another one at a different
-        location" when the neighbour lacks capacity; set False to model the
-        alternative (skip regeneration entirely)."""
-        return self.executor.relocate_when_full
-
-    @relocate_when_full.setter
-    def relocate_when_full(self, value: bool) -> None:
-        self.executor.relocate_when_full = value
 
     # ------------------------------------------------------------------ failure --
     def handle_failure(self, node_id: NodeId) -> FailureImpact:

@@ -444,10 +444,6 @@ class NetworkTopology:
         cls = self.latency_class(src, dst)
         return 0.0 if cls is None else self._latency[cls]
 
-    def class_latency(self, cls: str) -> float:
-        """The configured latency of one named class."""
-        return self._latency[cls]
-
     @property
     def constrained(self) -> bool:
         """Whether any trunk stage actually has a finite capacity."""
@@ -792,10 +788,6 @@ class TransferScheduler:
         else:
             self._tenant_cap[tenant] = float(cap)
         self._capacity_changed(lambda t: cap == 0 and t.tenant == tenant, "tenant blackholed")
-
-    def tenant_weight_of(self, tenant: int) -> float:
-        """The fair-share class weight of one tenant (1.0 = default)."""
-        return self._tenant_weight.get(int(tenant), 1.0)
 
     def tenant_cap_of(self, tenant: int) -> Optional[float]:
         """The hard aggregate cap of one tenant (``None`` = uncapped)."""
@@ -1409,16 +1401,6 @@ class TransferPacer:
             self._backlog.append(self._wrap(spec))
         self.queued_total += len(specs)
         self._drain()
-
-    def summary(self) -> Dict[str, float]:
-        """Queue-depth/backpressure accounting (the storm-survival panel)."""
-        return {
-            "queued": float(self.queued_total),
-            "backlog": float(len(self._backlog)),
-            "in_flight": float(self.in_flight),
-            "peak_queue_depth": float(self.peak_queue_depth),
-            "peak_in_flight": float(self.peak_in_flight),
-        }
 
     # ------------------------------------------------------------- internals --
     def _wrap(self, spec: TransferSpec) -> TransferSpec:

@@ -30,8 +30,8 @@ kernel that turns the coding hot paths into batched NumPy operations:
   per-equation degree counters (the decode-program compiler and the
   encoder's decodability guarantee), processing whole frontiers of degree-1
   equations per round instead of re-scanning every equation;
-* ``bits_from_csr`` / ``eliminate`` — bit-packed Gauss-Jordan elimination for
-  the small-system exact fallback and rank tests;
+* ``bits_from_csr`` / ``compile_residual`` — bit-packed Gauss-Jordan
+  elimination of a stalled peel's residual system (the exact fallback);
 * ``hash_counters`` — counter-based splitmix64 streams so rateless graph
   structure is derived in vectorized batches *and* any single stream index
   can be regenerated independently.  That derivation is the online code's

@@ -43,13 +43,6 @@ class EncodedChunk:
         """Total bytes across encoded blocks."""
         return sum(block.size for block in self.blocks)
 
-    @property
-    def storage_overhead(self) -> float:
-        """Extra bytes stored relative to the original chunk size."""
-        if self.original_size == 0:
-            return 0.0
-        return self.encoded_size / self.original_size - 1.0
-
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -179,6 +172,3 @@ class ErasureCode(abc.ABC):
         if block_size <= 0:
             return 0
         return block_size * n_blocks
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"

@@ -3,9 +3,9 @@
 Every erasure code in the repo ultimately reduces to three primitives over
 GF(2): XORing groups of equal-size blocks together (encode), solving a sparse
 linear system by belief-propagation peeling (rateless decode), and exact
-Gaussian elimination when peeling stalls (small-system fallback and rank
-tests).  The seed implementation ran all three with per-block Python loops;
-this module provides them as batched NumPy operations so the coding layer
+Gaussian elimination of the residual system when peeling stalls.  The seed
+implementation ran all three with per-block Python loops; this module
+provides them as batched NumPy operations so the coding layer
 "runs as fast as the hardware allows":
 
 * payloads are packed into rows of ``np.uint64`` words, so one XOR touches
@@ -269,47 +269,6 @@ def bits_from_csr(flat: np.ndarray, offsets: np.ndarray, n_cols: int) -> np.ndar
 def row_weights(bits: np.ndarray) -> np.ndarray:
     """Number of set bits per row of a packed GF(2) matrix."""
     return popcount(bits).sum(axis=1)
-
-
-def eliminate(
-    bits: np.ndarray, n_cols: int, payload: Optional[np.ndarray] = None
-) -> Dict[int, int]:
-    """In-place Gauss-Jordan elimination of a packed GF(2) matrix.
-
-    Row updates are applied to every affected row at once (one boolean mask
-    and one vectorized XOR per pivot column) rather than row-by-row.  When
-    ``payload`` (a uint64 word matrix with one row per equation) is given,
-    the same row operations are mirrored onto it.  Returns the mapping of
-    pivot column -> pivot row.
-    """
-    n_rows = bits.shape[0]
-    pivots: Dict[int, int] = {}
-    if n_rows == 0:
-        return pivots
-    pivot_row = 0
-    for column in range(int(n_cols)):
-        word, bit = divmod(column, WORD_BITS)
-        shift = np.uint64(bit)
-        one = np.uint64(1)
-        candidates = np.nonzero((bits[pivot_row:, word] >> shift) & one)[0]
-        if candidates.size == 0:
-            continue
-        chosen = pivot_row + int(candidates[0])
-        if chosen != pivot_row:
-            bits[[pivot_row, chosen]] = bits[[chosen, pivot_row]]
-            if payload is not None:
-                payload[[pivot_row, chosen]] = payload[[chosen, pivot_row]]
-        mask = ((bits[:, word] >> shift) & one).astype(bool)
-        mask[pivot_row] = False
-        if mask.any():
-            bits[mask] ^= bits[pivot_row]
-            if payload is not None:
-                payload[mask] ^= payload[pivot_row]
-        pivots[column] = pivot_row
-        pivot_row += 1
-        if pivot_row == n_rows:
-            break
-    return pivots
 
 
 def solved_unit_rows(bits: np.ndarray, pivots: Dict[int, int]) -> Dict[int, int]:

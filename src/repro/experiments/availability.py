@@ -19,7 +19,6 @@ one core::
 
     python -m repro.cli fig10                 # paper scale (minutes)
     python -m repro.cli fig10 --scale 0.1     # 1 000 nodes, quick look
-    python -m repro.cli availability          # legacy scaled-down defaults
 
 The seed pipeline's curves (per-node dict walks per sample) are frozen in
 ``tests/golden/fig10_curves.json``; ``tests/test_churn_equivalence.py``

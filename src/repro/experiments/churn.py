@@ -18,7 +18,6 @@ O(N) rebuild.  That makes the paper's 10 000-node configuration
 
     python -m repro.cli table3                # paper scale (10 % and 20 %)
     python -m repro.cli table3 --scale 0.1    # 1 000 nodes, quick look
-    python -m repro.cli churn                 # legacy scaled-down defaults
 
 The seed pipeline's rows (per-node dict walks and placement scans) are frozen
 in ``tests/golden/table3_rows.json``; ``tests/test_churn_equivalence.py``

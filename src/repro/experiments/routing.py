@@ -140,7 +140,7 @@ class RoutingExperiment:
                 network, config.lookups, streams.fresh("lookups", nodes))
             for engine in config.engines:
                 start_time = time.perf_counter()
-                router = network.attach_router(engine, dispatch=False)
+                router = network.attach_router(engine)
                 build_s = time.perf_counter() - start_time
                 start_time = time.perf_counter()
                 result = router.route_many(keys, starts)
@@ -168,7 +168,7 @@ class RoutingExperiment:
         streams = RandomStreams(config.seed)
         network = self._build_network(
             config.churn_nodes, streams.fresh("churn-overlay"))
-        routers = {engine: network.attach_router(engine, dispatch=False)
+        routers = {engine: network.attach_router(engine)
                    for engine in config.engines}
         rng = streams.fresh("churn-events")
         rows: List[Dict[str, float]] = []

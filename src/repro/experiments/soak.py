@@ -5,8 +5,8 @@ bursts -- at most 20 % of the population fails once, with no joins and no
 returns.  This experiment opens the workload class those results gesture at:
 a population under *sustained* churn for simulated weeks, where
 
-* every node alternates exponential up/down sessions (the continuous session
-  model of :class:`repro.sim.churn.ChurnModel`); a failure triggers the
+* every node alternates exponential up/down sessions, drawn one at a time
+  from the ``"sessions"`` stream as each timer is set; a failure triggers the
   Section 4.4 regeneration pipeline, and the node later returns (by default
   with a wiped disk) and re-enters the DHT through the incremental boundary
   *insertion* patch;

@@ -47,11 +47,6 @@ class JobResult:
         """Simulated seconds the job ran for."""
         return self.finished_at - self.started_at
 
-    @property
-    def wait_time(self) -> float:
-        """Seconds the job waited in the queue before starting."""
-        return self.started_at
-
 
 @dataclass
 class CondorPool:

@@ -115,10 +115,9 @@ class FixedChunkBackend(StorageBackend):
         )
 
     def chunk_layout(self, filename: str) -> List[int]:
-        sizes = self.store.chunk_sizes(filename)
-        if not sizes:
+        if filename not in self.store.files:  # an empty file is stored with no chunks
             raise KeyError(filename)
-        return sizes
+        return self.store.chunk_sizes(filename)
 
     def delete_file(self, filename: str) -> None:
         self.store.delete_file(filename)

@@ -91,9 +91,6 @@ class BulletSession:
         self.history: List[EpochStats] = []
 
     # -- helpers -----------------------------------------------------------------
-    def _missing(self, label: int) -> Set[int]:
-        return set(range(self.config.total_packets)) - self.packets[label]
-
     def _transfer(self, source_label: int, dest_label: int, budget: int) -> int:
         """Move up to ``budget`` packets the destination lacks; returns how many."""
         if budget <= 0:

@@ -78,10 +78,6 @@ class MulticastTree:
         """The replica recipients."""
         return [node for node in self._nodes if node.is_leaf]
 
-    def internal_nodes(self) -> List[TreeNode]:
-        """Vertices with at least one child (including the root)."""
-        return [node for node in self._nodes if node.children]
-
     def height(self) -> int:
         """Maximum depth over all vertices."""
         return max((node.depth() for node in self._nodes), default=0)

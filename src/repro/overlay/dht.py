@@ -61,17 +61,8 @@ class DHTView:
 
     # -- queries ---------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.state)
-
-    @property
-    def live_count(self) -> int:
         """Number of live nodes currently indexed."""
         return len(self.state)
-
-    @property
-    def _sorted_ids(self) -> List[int]:
-        """The indexed node ids, ascending (kept for introspection/tests)."""
-        return self.state.ids_int
 
     def lookup(self, key: NodeId) -> OverlayNode:
         """The live node numerically closest to ``key`` (the DHT root for the key).
@@ -143,26 +134,6 @@ class DHTView:
             self.lookup_count += len(indices)
         return indices
 
-    # -- routed-path access ----------------------------------------------------
-    def attach_router(self, engine: str = "pastry", **kwargs):
-        """Attach (or reuse) an array routing engine on the underlying network.
-
-        Thin passthrough so pipelines that only hold a :class:`DHTView` can
-        still opt into hop-accurate routed paths without reaching for the
-        network object.  Returns the engine.
-        """
-        if self.network.router is not None and not kwargs:
-            return self.network.router
-        return self.network.attach_router(engine, **kwargs)
-
-    def route(self, key: NodeId, start: NodeId):
-        """Route a message on the underlying network (engine or seed tables)."""
-        return self.network.route(key, start)
-
-    def route_many(self, keys, starts=None, collect_paths: bool = False):
-        """Batched routing on the underlying network (see ``OverlayNetwork.route_many``)."""
-        return self.network.route_many(keys, starts, collect_paths=collect_paths)
-
     def successors(self, key: NodeId, count: int) -> List[OverlayNode]:
         """The ``count`` live nodes that follow ``key`` clockwise (CFS-style replica set)."""
         nodes = self.state.nodes
@@ -177,14 +148,6 @@ class DHTView:
         nodes = self.state.nodes
         return [nodes[index] for index in self.state.neighbor_indices(int(node_id), count)]
 
-    def immediate_neighbors(self, node_id: NodeId) -> List[OverlayNode]:
-        """The immediate clockwise and counter-clockwise live neighbours of a node."""
-        return self.neighbors(node_id, 2)
-
-    def live_node_objects(self) -> List[OverlayNode]:
-        """All live nodes in id order."""
-        return list(self.state.nodes)
-
     # -- statistics --------------------------------------------------------------
     def total_capacity(self) -> int:
         """Total contributed capacity across indexed live nodes (bytes), O(1)."""
@@ -197,7 +160,3 @@ class DHTView:
     def utilization(self) -> float:
         """Used / capacity over the indexed live nodes, O(1)."""
         return self.state.utilization()
-
-    def free_space_array(self) -> np.ndarray:
-        """Free bytes per live node (in id order), for vectorised analyses."""
-        return self.state.free_space_array()

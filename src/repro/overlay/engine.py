@@ -11,9 +11,9 @@ survives as the path-identity oracle in ``tests/reference/seed_pastry.py``.)
 This module holds what both engines share:
 
 * :class:`OverlayRouting` — the small protocol an engine implements so
-  :class:`~repro.overlay.network.OverlayNetwork` can dispatch to it
+  :class:`~repro.overlay.network.OverlayNetwork` can register it
   (``attach_router``) and forward join/leave/fail churn as incremental
-  patches (no full rebuilds on churn);
+  patches (no full rebuilds on churn); callers route on the engine;
 * :class:`ArrayRouterBase` — stable node *slots* (append-only with a free
   list, so table cells stay valid across churn), the id limb/byte columns,
   and the sorted live-id view used for batched root resolution;
@@ -102,11 +102,6 @@ class BatchRouteResult:
         """The responsible node id (as int) per request."""
         assert self.engine is not None
         return [self.engine.slot_id(int(slot)) for slot in self.root_slots]
-
-    @property
-    def mean_hops(self) -> float:
-        """Average hop count over the batch."""
-        return float(self.hops.mean()) if len(self.hops) else 0.0
 
 
 def _id_digest(value: int) -> bytes:
@@ -278,10 +273,6 @@ class ArrayRouterBase:
             hops=int(result.hops[0]),
             path=path,
         )
-
-    def route_many(self, keys: KeysLike, starts: KeysLike,
-                   collect_paths: bool = False) -> BatchRouteResult:
-        raise NotImplementedError
 
     def _base_footprint(self) -> Dict[str, int]:
         return {

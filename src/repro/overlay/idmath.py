@@ -51,11 +51,6 @@ def limbs_from_ints(values: Sequence[int]) -> np.ndarray:
     return out
 
 
-def int_from_limbs(limbs: np.ndarray) -> int:
-    """One ``(3,)`` limb row -> Python int."""
-    return int(limbs[0]) | (int(limbs[1]) << 64) | (int(limbs[2]) << 128)
-
-
 def digest_bytes_matrix(digests: np.ndarray) -> np.ndarray:
     """``(n,)`` S20 digests -> ``(n, 20)`` uint8 (no copy when contiguous)."""
     arr = np.ascontiguousarray(digests)

@@ -44,9 +44,6 @@ class NodeId:
     def __int__(self) -> int:
         return self.value
 
-    def __index__(self) -> int:
-        return self.value
-
     def hex(self) -> str:
         """Fixed-width hexadecimal rendering (40 hex digits)."""
         return f"{self.value:0{DIGITS}x}"

@@ -4,15 +4,17 @@ This corresponds to the FreePastry "simulator mode" used by the paper:
 messages are routed hop by hop, but the transport is a direct in-memory call.
 The network owns the *population* -- who is a member, who is alive, where
 they sit for the proximity metric -- and knows no routing protocol.  Routing
-state lives in the attached array engine (:mod:`repro.overlay.engine_pastry`
-by default, :mod:`repro.overlay.engine_chord` for head-to-heads), which the
-network keeps current by forwarding every membership change.  It supports:
+state lives in the array engines (:mod:`repro.overlay.engine_pastry`,
+:mod:`repro.overlay.engine_chord`) a caller attaches with
+:meth:`OverlayNetwork.attach_router` and routes on directly; the network
+keeps every attached engine current by forwarding each membership change.
+It supports:
 
 * building an overlay of N nodes with random ids and random coordinates;
 * node join, graceful leave, abrupt failure and recovery, each announced to
   the attached routing listeners as an incremental patch;
-* key routing with hop counting (:meth:`OverlayNetwork.route`), which is the
-  overlay-level cost the evaluation charges per p2p look-up;
+* the responsible node of a key (:meth:`OverlayNetwork.responsible_node`),
+  the brute-force oracle the engines and the DHT view are checked against;
 * the proximity metric used to build locality-aware multicast trees.
 """
 
@@ -43,7 +45,7 @@ class RouteResult:
 
 
 class OverlayNetwork:
-    """A population of :class:`OverlayNode` objects plus routing dispatch."""
+    """A population of :class:`OverlayNode` objects plus its routing listeners."""
 
     def __init__(self, leaf_set_half_size: int = 8, max_route_hops: int = 128) -> None:
         #: Routing parameters the attached engines read when they are built.
@@ -53,12 +55,7 @@ class OverlayNetwork:
         #: Serials handed out so far: every node *object* built or joining gets the
         #: next one (dense; a newcomer under a departed node's id does not reuse its).
         self.serial_count = 0
-        self.total_route_hops = 0
-        self.total_routes = 0
-        #: The routing engine :meth:`route` / :meth:`route_many` dispatch to
-        #: (see :meth:`attach_router`), plus every listener receiving
-        #: join/leave/fail churn patches.
-        self.router = None
+        #: Every attached engine, receiving join/leave/fail churn patches.
         self._routing_listeners: List = []
 
     # -- population management ----------------------------------------------
@@ -74,9 +71,8 @@ class OverlayNetwork:
 
         ``capacities`` optionally assigns contributed storage per node (bytes);
         it must have length ``count`` when given.  Building is O(N): no
-        routing state exists until an engine is attached (explicitly, or by
-        the first :meth:`route` call), which is what keeps the paper's
-        10 000-node configurations practical.
+        routing state exists until an engine is attached, which is what keeps
+        the paper's 10 000-node configurations practical.
         """
         if count < 1:
             raise ValueError("overlay needs at least one node")
@@ -187,93 +183,31 @@ class OverlayNetwork:
         return math.hypot(ax - bx, ay - by)
 
     # -- pluggable routing engines --------------------------------------------
-    def attach_router(self, engine="pastry", dispatch=True, **kwargs):
+    def attach_router(self, engine="pastry", **kwargs):
         """Attach an array routing engine ("pastry", "chord", or an instance).
 
-        The engine is built over the current live population, registered for
-        join/leave/fail churn patches, and becomes what :meth:`route` and
-        :meth:`route_many` dispatch to.
-
-        ``dispatch=False`` registers the engine for churn tracking without
-        making it the :meth:`route` target (unless there is none yet) — how a
-        session keeps a Chord engine alongside the dispatching Pastry one for
-        head-to-heads, and how the reference router of
-        ``tests/reference/seed_pastry.py`` follows membership.
+        The engine is built over the current live population (``kwargs`` are
+        its build options) and registered for join/leave/fail churn patches;
+        route on the returned engine.  Every call builds a new engine -- a
+        :class:`~repro.api.ClusterSession` caches one per name.
         """
         from repro.overlay.engine import make_router
 
-        router = make_router(engine, self, **kwargs) if isinstance(engine, str) else engine
-        if dispatch or self.router is None:
-            self.router = router
+        if isinstance(engine, str):
+            router = make_router(engine, self, **kwargs)
+        elif kwargs:
+            raise TypeError(f"build options {sorted(kwargs)} need an engine name, "
+                            "not an engine instance")
+        else:
+            router = engine
         if router not in self._routing_listeners:
             self._routing_listeners.append(router)
         return router
 
-    # -- routing ---------------------------------------------------------------
+    # -- routing oracle ----------------------------------------------------------
     def responsible_node(self, key: NodeId) -> NodeId:
         """The live node numerically closest to ``key`` (the DHT root)."""
         live = self.live_ids()
         if not live:
             raise OverlayError("no live nodes in the overlay")
         return min(live, key=lambda nid: (distance(nid, key), int(nid)))
-
-    def _dispatch_target(self):
-        """The attached engine; the default Pastry one is attached on first use."""
-        if self.router is None:
-            self.attach_router("pastry")
-        return self.router
-
-    def _first_live_id(self) -> NodeId:
-        live = self.live_ids()
-        if not live:
-            raise OverlayError("no live nodes in the overlay")
-        return live[0]
-
-    def route(self, key: NodeId, start: Optional[NodeId] = None) -> RouteResult:
-        """Route ``key`` hop by hop from ``start`` on the attached engine.
-
-        Returns the responsible (root) node, the number of overlay hops and
-        the path taken.  ``start`` defaults to the first live node; routing
-        from a failed or unknown node raises :class:`OverlayError`.
-        """
-        if start is None:
-            start = self._first_live_id()
-        result = self._dispatch_target().route(key, start)
-        self.total_route_hops += result.hops
-        self.total_routes += 1
-        return result
-
-    def route_many(self, keys, starts=None, collect_paths: bool = False):
-        """Batched routing: one vectorized pass per hop on the attached engine.
-
-        Returns a :class:`~repro.overlay.engine.BatchRouteResult`; ``starts``
-        is one node for the whole batch or one per key (default: the first
-        live node).
-        """
-        if starts is None:
-            starts = self._first_live_id()
-        result = self._dispatch_target().route_many(keys, starts, collect_paths=collect_paths)
-        self.total_route_hops += int(result.hops.sum())
-        self.total_routes += len(result.hops)
-        return result
-
-    # -- statistics --------------------------------------------------------------
-    @property
-    def mean_route_hops(self) -> float:
-        """Average hops per routed message so far."""
-        if self.total_routes == 0:
-            return 0.0
-        return self.total_route_hops / self.total_routes
-
-    def total_capacity(self) -> int:
-        """Total contributed capacity over live nodes (bytes)."""
-        return sum(node.capacity for node in self.live_nodes())
-
-    def total_used(self) -> int:
-        """Total used space over live nodes (bytes)."""
-        return sum(node.used for node in self.live_nodes())
-
-    def utilization(self) -> float:
-        """Fraction of live contributed capacity currently used."""
-        capacity = self.total_capacity()
-        return (self.total_used() / capacity) if capacity else 0.0

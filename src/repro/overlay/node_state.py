@@ -154,9 +154,6 @@ class NodeArrayState:
     def __len__(self) -> int:
         return len(self.ids_int)
 
-    def __contains__(self, node_id: int) -> bool:
-        return self.position(node_id) is not None
-
     def position(self, node_id: int) -> Optional[int]:
         """Index of a node id in the sorted order, or None."""
         value = int(node_id)
@@ -433,11 +430,7 @@ class NodeArrayState:
         nodes = self.nodes
         return [nodes[int(index)] for index in np.flatnonzero(mask)]
 
-    # -- bulk accounting -------------------------------------------------------
-    def free_space_array(self) -> np.ndarray:
-        """Free bytes per indexed node, in id order."""
-        return np.asarray([node.free for node in self.nodes], dtype=np.int64)
-
+    # -- invariants --------------------------------------------------------------
     def check_invariants(self) -> None:
         """Recompute the aggregates, the id order and the boundaries from the nodes.
 
@@ -460,24 +453,3 @@ class NodeArrayState:
             self._rebuild_bounds()
             law("patched bounds",
                 patched, (self._wrap_first, self._bounds_int, self._bounds_bytes.tolist()))
-
-    def memory_footprint(self) -> dict:
-        """Index sizing counters (same shape as the routing engines').
-
-        The boundary arrays are the only NumPy columns; the Python-side
-        mirrors (``ids_int``, ``_bounds_int``) are counted per-entry at
-        pointer size so the routing bench can compare apples to apples.
-        """
-        if self._bounds_dirty:
-            self._rebuild_bounds()
-        pointer_bytes = 8
-        column_bytes = int(self._bounds_bytes.nbytes)
-        python_bytes = pointer_bytes * (len(self.ids_int) + len(self._bounds_int))
-        total = column_bytes + python_bytes
-        return {
-            "live_nodes": len(self.ids_int),
-            "boundary_bytes": column_bytes,
-            "python_index_bytes": python_bytes,
-            "total_bytes": total,
-            "bytes_per_node": total // max(1, len(self.ids_int)),
-        }

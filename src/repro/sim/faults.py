@@ -18,8 +18,8 @@ discrete-event kernel of :mod:`repro.sim.engine`:
   :meth:`repro.core.transfer.TransferScheduler.set_node_bandwidth`) and
   degraded/partitioned core trunks (capacity cut through
   :meth:`~repro.core.transfer.TransferScheduler.set_trunk_bandwidth` against
-  the attached :class:`~repro.core.transfer.NetworkTopology`) -- either
-  immediately or scheduled on the simulator clock;
+  the attached :class:`~repro.core.transfer.NetworkTopology`) -- each a
+  method a caller runs now or schedules on the simulator clock;
 * when a :class:`~repro.core.recovery.RecoveryManager` is attached every
   outage is followed by the durability-grade repair pass (regeneration plus
   replica re-replication), and the injector reports per-event accounting
@@ -144,13 +144,6 @@ class FaultInjector:
         self.events: List[FaultEvent] = []
 
     # ------------------------------------------------------------- primitives --
-    def _down(self, node: OverlayNode) -> None:
-        """Overlay-side transition for one failed node (no repair)."""
-        if node.alive:
-            self.network.fail(node.node_id)
-        if self.dht is not None:
-            self.dht.remove(node.node_id)
-
     def _repair_one(self, node: OverlayNode, event: FaultEvent) -> None:
         """One member's repair pass, folded into the event's accounting."""
         impact = self.recovery.handle_failure(node.node_id)
@@ -362,9 +355,9 @@ class FaultInjector:
         ``fraction=0`` partitions the domain off the core, which
         deterministically fails every in-flight transfer crossing the trunk
         (repair transfers then retry re-planned onto surviving paths).  The
-        event records the old capacities so a later
-        :meth:`restore_trunk` -- or a scheduled repair of the cut -- can undo
-        the fault exactly.
+        event records the old capacities (``uplink_before`` /
+        ``downlink_before``), which is what undoing the fault through
+        ``set_trunk_bandwidth`` needs.
         """
         if self.transfers is None or self.transfers.topology is None:
             raise ValueError("degrade_trunk requires a scheduler with a topology")
@@ -392,48 +385,3 @@ class FaultInjector:
         )
         self.events.append(event)
         return event
-
-    def restore_trunk(self, event: FaultEvent) -> None:
-        """Undo a :meth:`degrade_trunk` fault (the cable is spliced back)."""
-        details = event.details
-        self.transfers.set_trunk_bandwidth(
-            site=details["site"],
-            rack=details["rack"],
-            uplink=details["uplink_before"],
-            downlink=details["downlink_before"],
-        )
-
-    # ------------------------------------------------------------ scheduling --
-    def schedule_trunk_degradation(
-        self,
-        delay: float,
-        site: Optional[int] = None,
-        rack: Optional[int] = None,
-        fraction: float = 0.0,
-        duration: Optional[float] = None,
-    ):
-        """Queue a trunk degradation; with ``duration`` the cut heals itself."""
-
-        def inject() -> None:
-            event = self.degrade_trunk(site=site, rack=rack, fraction=fraction)
-            if duration is not None:
-                self.sim.schedule(duration, lambda: self.restore_trunk(event))
-
-        return self.sim.schedule(delay, inject)
-
-    def schedule_site_outage(self, delay: float, site: int, repair: bool = True):
-        """Queue a whole-site outage ``delay`` from now on the sim clock."""
-        return self.sim.schedule(delay, lambda: self.fail_domain(site=site, repair=repair))
-
-    def schedule_rack_outage(self, delay: float, rack: int, repair: bool = True):
-        """Queue a whole-rack outage ``delay`` from now on the sim clock."""
-        return self.sim.schedule(delay, lambda: self.fail_domain(rack=rack, repair=repair))
-
-    def schedule_flash_crowd(
-        self, delay: float, fraction: float = 0.10, rng: Optional[random.Random] = None,
-        repair: bool = True,
-    ):
-        """Queue a flash-crowd mass failure ``delay`` from now."""
-        return self.sim.schedule(
-            delay, lambda: self.flash_crowd(fraction=fraction, rng=rng, repair=repair)
-        )

@@ -55,6 +55,3 @@ class RandomStreams:
     def spawn(self, *names: object) -> "RandomStreams":
         """Return a child :class:`RandomStreams` rooted at the label path."""
         return RandomStreams(derive_seed(self.seed, *names))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomStreams(seed={self.seed}, streams={sorted(self._streams)})"

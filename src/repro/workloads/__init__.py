@@ -6,9 +6,8 @@ of at least 50 MB (about 1.2 M files, mean 243 MB, standard deviation 55 MB,
 278.7 TB total), and (ii) node storage capacities drawn from a normal
 distribution with mean 45 GB and standard deviation 10 GB (10 000 nodes,
 439.1 TB total).  Neither artefact is publicly available, so this package
-generates statistically equivalent synthetic traces (see DESIGN.md,
-substitution table) with deterministic seeding, plus save/load helpers so a
-generated trace can be pinned and reused across experiments.
+generates statistically equivalent synthetic traces with deterministic
+seeding: a trace is pinned by its config and seed, not by a file.
 """
 
 from repro.workloads.filetrace import (
@@ -22,7 +21,6 @@ from repro.workloads.capacity import (
     generate_capacities,
     PAPER_CAPACITY_CONFIG,
 )
-from repro.workloads.traces import load_trace, save_trace
 
 __all__ = [
     "FileRecord",
@@ -32,6 +30,4 @@ __all__ = [
     "CapacityConfig",
     "generate_capacities",
     "PAPER_CAPACITY_CONFIG",
-    "load_trace",
-    "save_trace",
 ]

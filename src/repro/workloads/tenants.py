@@ -47,13 +47,6 @@ class ProfileRun:
     pushes: int = 0
     push_bytes: int = 0
 
-    @property
-    def store_success_pct(self) -> float:
-        """Percentage of attempted stores that succeeded."""
-        if self.stores_attempted == 0:
-            return 100.0
-        return 100.0 * self.stores_succeeded / self.stores_attempted
-
 
 def _tenant_label(storage) -> str:
     """The tenant name of a tenant-scoped store (``"-"`` when untagged)."""

@@ -10,7 +10,7 @@ hop and path for path.
 
 :class:`SeedPastryRouter` owns the per-node state and follows membership
 through the network's listener hooks -- attach it with
-``network.attach_router(SeedPastryRouter(network), dispatch=False)``.
+``network.attach_router(SeedPastryRouter(network))``.
 
 A Pastry routing table has one row per shared-prefix length and one column per
 identifier digit.  Entry ``(row, column)`` holds a node whose id shares the

@@ -36,7 +36,7 @@ def test_help_renders_for_every_command(argv, capsys):
 
 def test_parser_knows_all_experiments():
     parser = build_parser()
-    for name in ("insertion", "availability", "coding", "churn", "soak", "faults",
+    for name in ("insertion", "fig10", "table3", "coding", "soak", "faults",
                  "tenants", "serve", "routing", "multicast", "condor"):
         args = parser.parse_args([name])
         assert args.experiment == name
@@ -83,7 +83,8 @@ def test_multicast_command_runs(capsys):
 
 
 def test_availability_command_runs_small(capsys):
-    assert main(["availability", "--nodes", "60", "--files", "150", "--seed", "3"]) == 0
+    """The Figure 10 availability experiment, run through ``fig10``."""
+    assert main(["fig10", "--nodes", "60", "--files", "150", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "Figure 10" in out and "Online code" in out
 
@@ -95,8 +96,29 @@ def test_condor_command_runs_small(capsys):
 
 
 def test_churn_command_runs_small(capsys):
-    assert main(["churn", "--nodes", "50", "--files", "120", "--seed", "4"]) == 0
+    """The Table 3 churn experiment, run through ``table3``."""
+    assert main(["table3", "--nodes", "50", "--files", "120", "--seed", "4"]) == 0
     assert "Table 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig10", "--fail-pct", "150"],
+    ["table3", "--fractions", "120"],
+    ["table3", "--fractions", "10,abc"],
+    ["repair", "--bandwidth", "0"],
+    ["insertion", "--nodes", "0"],
+    ["routing", "--engines", "kademlia"],
+    ["tenants", "--oversub", "-2"],
+    ["serve", "--oversub", "0.5"],
+    ["condor", "--sizes", "1,-2"],
+    ["availability"],
+    ["churn"],
+], ids=" ".join)
+def test_bad_input_is_a_usage_error_not_a_traceback(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_soak_command_runs_small(capsys):
@@ -175,7 +197,7 @@ def test_parser_knows_routing_flags():
                               "--lookups", "100", "--seed", "9"])
     assert args.experiment == "routing"
     assert args.smoke
-    assert args.engines == "pastry"
+    assert args.engines == ("pastry",)
     assert args.lookups == 100
     assert args.seed == 9
     assert callable(args.func)

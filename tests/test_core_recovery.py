@@ -52,9 +52,9 @@ def test_handle_failure_updates_dht_view(xor_storage, dht):
     xor_storage.store_file("file-b", 10 * MB)
     recovery = RecoveryManager(xor_storage)
     victim = first_block_holder(xor_storage, "file-b")
-    live_before = dht.live_count
+    live_before = len(dht)
     recovery.handle_failure(victim)
-    assert dht.live_count == live_before - 1
+    assert len(dht) == live_before - 1
     assert not dht.network.node(victim).alive
 
 
@@ -119,14 +119,17 @@ def test_repairing_a_dead_node_twice_is_a_no_op(dht, tenants):
     shared.check_invariants()
 
 
-def test_relocation_disabled_drops_blocks(dht):
+def test_regeneration_into_a_full_cluster_drops_blocks(dht):
+    """Relocation walks the neighbours; with every node full the block is dropped."""
     storage = StorageSystem(
         dht,
         codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
         policy=StoragePolicy(),
     )
     storage.store_file("file-e", 20 * MB)
-    recovery = RecoveryManager(storage, relocate_when_full=False)
+    with pytest.raises(TypeError):  # relocation is the only policy: no switch
+        RecoveryManager(storage, relocate_when_full=False)
+    recovery = RecoveryManager(storage)
     # Exhaust every node so regenerated blocks cannot be placed anywhere.
     for node in dht.network.live_nodes():
         node.used = node.capacity

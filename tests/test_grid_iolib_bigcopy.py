@@ -190,6 +190,24 @@ def test_bigcopy_whole_file_fails_when_too_large(pool):
     assert result.failure_reason
 
 
+def _make_whole_file_backend(network) -> WholeFileBackend:
+    return WholeFileBackend(max(network.live_nodes(), key=lambda node: node.capacity))
+
+
+@pytest.mark.parametrize("make_backend", [_make_whole_file_backend, make_fixed_backend,
+                                          make_varying_backend])
+def test_bigcopy_of_an_empty_file_succeeds_on_every_backend(pool, make_backend):
+    """A stored file with no chunks is not a missing file (``condor --sizes 0``)."""
+    network, _ = pool
+    backend = make_backend(network)
+    result = run_bigcopy(backend, 0)
+    assert result.success and result.failure_reason is None
+    assert result.chunk_count == len(backend.chunk_layout("bigcopy-copy")) <= 1
+    backend.delete_file("bigcopy-copy")
+    with pytest.raises(KeyError):
+        backend.chunk_layout("bigcopy-copy")
+
+
 def test_bigcopy_fixed_chunks_slower_than_varying(pool):
     network_a, _ = build_condor_pool_nodes(16, seed=5)
     network_b, _ = build_condor_pool_nodes(16, seed=5)

@@ -30,9 +30,10 @@ def test_lookup_matches_overlay_responsible_node(network, view):
 def test_lookup_matches_hop_by_hop_routing(network, view):
     rng = np.random.default_rng(12)
     start = network.live_ids()[0]
+    router = network.attach_router("pastry")
     for _ in range(50):
         key = random_node_id(rng)
-        assert view.lookup(key).node_id == network.route(key, start=start).root
+        assert view.lookup(key).node_id == router.route(key, start).root
 
 
 def test_lookup_counts_lookups(view):
@@ -69,9 +70,9 @@ def test_remove_changes_lookup_result(network, view):
 def test_add_restores_node(network, view):
     node = view.lookup(key_for("thing"))
     view.remove(node.node_id)
-    assert view.live_count == len(network) - 1
+    assert len(view) == len(network) - 1
     view.add(node)
-    assert view.live_count == len(network)
+    assert len(view) == len(network)
     assert view.lookup(node.node_id).node_id == node.node_id
 
 
@@ -79,7 +80,7 @@ def test_refresh_syncs_with_network_failures(network, view):
     for node_id in network.live_ids()[:5]:
         network.fail(node_id)
     view.refresh()
-    assert view.live_count == len(network) - 5
+    assert len(view) == len(network) - 5
 
 
 def test_successors_are_clockwise_and_live(network, view):
@@ -112,7 +113,7 @@ def test_neighbors_are_closest_and_exclude_self(network, view):
 
 def test_immediate_neighbors_returns_two(view, network):
     target = network.live_ids()[0]
-    assert len(view.immediate_neighbors(target)) == 2
+    assert len(view.neighbors(target, 2)) == 2
 
 
 def test_empty_view_raises(network):
@@ -133,7 +134,7 @@ def test_capacity_and_utilization(network, view):
     node.store_block("fill-me", 50)
     assert view.total_used() == 50
     assert view.utilization() == pytest.approx(50 / 4000)
-    assert view.free_space_array().sum() == 4000 - 50
+    assert sum(node.free for node in view.state.nodes) == 4000 - 50
 
 
 def test_lookup_is_uniformly_spread(network, view):

@@ -1,10 +1,12 @@
-"""Unit tests for the simulated overlay network (routing, join, failure)."""
+"""Unit tests for the simulated overlay network (membership, routing engines, failure)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.overlay.dht import DHTView
+from repro.overlay.engine_pastry import PastryArrayRouter
 from repro.overlay.ids import distance, key_for, random_node_id
 from repro.overlay.network import OverlayError, OverlayNetwork
 from repro.overlay.node import OverlayNode
@@ -17,10 +19,16 @@ def network() -> OverlayNetwork:
     return OverlayNetwork.build(50, np.random.default_rng(42), capacities=[1000] * 50)
 
 
+@pytest.fixture
+def router(network: OverlayNetwork) -> PastryArrayRouter:
+    """The Pastry engine, attached before the test changes membership."""
+    return network.attach_router("pastry")
+
+
 def test_build_populates_nodes_and_capacities(network: OverlayNetwork):
     assert len(network) == 50
     assert all(node.capacity == 1000 for node in network.nodes())
-    assert network.total_capacity() == 50_000
+    assert sum(node.capacity for node in network.nodes()) == 50_000
 
 
 def test_build_requires_matching_capacities():
@@ -37,46 +45,45 @@ def test_responsible_node_is_numerically_closest(network: OverlayNetwork):
     assert root == best
 
 
-def test_route_reaches_responsible_node_from_any_start(network: OverlayNetwork):
+def test_route_reaches_responsible_node_from_any_start(network: OverlayNetwork, router):
     key = key_for("another-object")
     expected = network.responsible_node(key)
     for start in network.live_ids()[:10]:
-        result = network.route(key, start=start)
+        result = router.route(key, start)
         assert result.root == expected
         assert result.path[0] == start
         assert result.path[-1] == expected
         assert result.hops == len(result.path) - 1
 
 
-def test_route_hops_are_logarithmicish(network: OverlayNetwork):
+def test_route_hops_are_logarithmicish(network: OverlayNetwork, router):
     rng = np.random.default_rng(7)
-    for _ in range(30):
-        network.route(random_node_id(rng), start=network.live_ids()[0])
+    hops = [router.route(random_node_id(rng), network.live_ids()[0]).hops for _ in range(30)]
     # 50 nodes with hex digits: expect a small number of hops on average.
-    assert 0 < network.mean_route_hops <= 6
+    assert 0 < np.mean(hops) <= 6
 
 
-def test_route_from_failed_node_rejected(network: OverlayNetwork):
+def test_route_from_failed_node_rejected(network: OverlayNetwork, router):
     victim = network.live_ids()[0]
     network.fail(victim)
     with pytest.raises(OverlayError):
-        network.route(key_for("x"), start=victim)
+        router.route(key_for("x"), victim)
 
 
-def test_failed_node_no_longer_responsible(network: OverlayNetwork):
+def test_failed_node_no_longer_responsible(network: OverlayNetwork, router):
     key = key_for("doomed")
     first = network.responsible_node(key)
     network.fail(first)
     second = network.responsible_node(key)
     assert second != first
     # Routing still converges to the new root from any live start.
-    result = network.route(key, start=network.live_ids()[0])
+    result = router.route(key, network.live_ids()[0])
     assert result.root == second
 
 
-def test_fail_removes_from_neighbor_state(network: OverlayNetwork):
+def test_fail_removes_from_neighbor_state(network: OverlayNetwork, router):
     """Per-node state lives in the reference router; leaf sets are repaired."""
-    reference = network.attach_router(SeedPastryRouter(network), dispatch=False)
+    reference = network.attach_router(SeedPastryRouter(network))
     victim = network.live_ids()[0]
     network.fail(victim)
     for node in network.live_nodes():
@@ -84,7 +91,7 @@ def test_fail_removes_from_neighbor_state(network: OverlayNetwork):
         assert victim not in reference.routing_table(node.node_id).known_nodes()
         assert len(reference.leaf_set(node.node_id)) == 2 * network.leaf_set_half_size
     # The array engine drops the victim too (leaf sets are positional there).
-    assert victim not in network.attach_router("pastry")
+    assert victim not in router
 
 
 def test_leave_removes_node_entirely(network: OverlayNetwork):
@@ -95,14 +102,14 @@ def test_leave_removes_node_entirely(network: OverlayNetwork):
         network.node(victim)
 
 
-def test_join_new_node_becomes_routable(network: OverlayNetwork):
+def test_join_new_node_becomes_routable(network: OverlayNetwork, router):
     rng = np.random.default_rng(99)
     newcomer = OverlayNode(node_id=random_node_id(rng), coordinates=(1.0, 2.0), capacity=5)
     network.join(newcomer)
     assert newcomer.node_id in network
     # The newcomer is responsible for keys close to its own id.
     assert network.responsible_node(newcomer.node_id) == newcomer.node_id
-    result = network.route(newcomer.node_id, start=network.live_ids()[0])
+    result = router.route(newcomer.node_id, network.live_ids()[0])
     assert result.root == newcomer.node_id
 
 
@@ -119,7 +126,8 @@ def test_proximity_symmetric_nonnegative(network: OverlayNetwork):
 
 
 def test_utilization_tracks_used_space(network: OverlayNetwork):
-    assert network.utilization() == 0.0
+    view = DHTView(network)
+    assert view.utilization() == 0.0
     node = network.live_nodes()[0]
     node.store_block("x", 500)
-    assert network.utilization() == pytest.approx(500 / 50_000)
+    assert view.utilization() == pytest.approx(500 / 50_000)

@@ -104,7 +104,7 @@ def _ours_snapshot(store: StorageSystem):
 
 
 def _usage_snapshot(view: DHTView):
-    return [(int(n.node_id), n.used, dict(n.stored_blocks)) for n in view.live_node_objects()]
+    return [(int(n.node_id), n.used, dict(n.stored_blocks)) for n in view.state.nodes]
 
 
 @pytest.mark.parametrize("node_count,file_count", POPULATIONS)
@@ -193,7 +193,7 @@ def test_ledger_usage_aggregates_match_dict_scan():
     assert ledger.stored_data_bytes == sum(f.size for f in v_ours.files.values())
     assert ledger.active_files == len(v_ours.files)
     # Failures flow through the node listeners into the same aggregates.
-    victim = v_view.live_node_objects()[0]
+    victim = v_view.state.nodes[0]
     victim_bytes, victim_blocks = victim.used, len(victim.stored_blocks)
     before_bytes, before_rows = ledger.live_bytes, ledger.live_rows
     victim.fail()

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.overlay.dht import DHTView
-from repro.overlay.engine import BatchRouteResult, make_router
+from repro.overlay.engine import make_router
 from repro.overlay.engine_chord import ChordArrayRouter
 from repro.overlay.engine_pastry import PastryArrayRouter
 from repro.overlay.ids import ID_SPACE, NodeId, random_node_id
@@ -58,7 +57,7 @@ def test_pastry_engine_is_path_identical_to_seed_router(nodes):
     rng = np.random.default_rng(91)
     network = OverlayNetwork.build(nodes, rng)
     router = network.attach_router("pastry")
-    reference = network.attach_router(SeedPastryRouter(network), dispatch=False)
+    reference = network.attach_router(SeedPastryRouter(network))
     keys, starts = _lookups(network, 120, rng)
     batch = router.route_many(keys, starts, collect_paths=True)
     for index, (key, start) in enumerate(zip(keys, starts)):
@@ -74,7 +73,7 @@ def test_pastry_identity_survives_interleaved_churn(nodes):
     rng = np.random.default_rng(47)
     network = OverlayNetwork.build(nodes, rng)
     router = network.attach_router("pastry")
-    reference = network.attach_router(SeedPastryRouter(network), dispatch=False)
+    reference = network.attach_router(SeedPastryRouter(network))
     _churn(network, 30, rng)
     keys, starts = _lookups(network, 150, rng)
     batch = router.route_many(keys, starts, collect_paths=True)
@@ -176,7 +175,7 @@ def test_recovered_node_is_reannounced_to_the_attached_router(engine):
         network.fail(victim)
         assert victim not in router
         with pytest.raises(OverlayError):
-            network.route(random_node_id(rng), start=victim)
+            router.route(random_node_id(rng), victim)
     for victim in victims:
         node = network.recover(victim)
         assert node.alive and victim in router
@@ -192,7 +191,7 @@ def test_recovered_node_is_reannounced_to_the_attached_router(engine):
     assert patched.hops.tolist() == rebuilt.hops.tolist()
     assert patched.root_ids() == rebuilt.root_ids()
     assert patched.paths == rebuilt.paths
-    assert network.route(keys[0], start=victims[0]).hops == int(patched.hops[0])
+    assert router.route(keys[0], victims[0]).hops == int(patched.hops[0])
 
 
 def test_recover_without_a_router_is_plain_node_recover():
@@ -207,7 +206,7 @@ def test_recover_without_a_router_is_plain_node_recover():
     assert victim.alive and not victim.stored_blocks
 
 
-# --------------------------------------------------------- engines & dispatch --
+# ---------------------------------------------------------------- engines --
 def test_unknown_engine_is_rejected():
     rng = np.random.default_rng(1)
     network = OverlayNetwork.build(8, rng)
@@ -215,65 +214,34 @@ def test_unknown_engine_is_rejected():
         make_router("gossip", network)
 
 
-def test_network_dispatches_route_many_to_attached_engine():
-    rng = np.random.default_rng(5)
-    network = OverlayNetwork.build(100, rng)
-    router = network.attach_router("pastry")
-    assert network.router is router
-    keys, starts = _lookups(network, 20, rng)
-    result = network.route_many(keys, starts)
-    assert isinstance(result, BatchRouteResult)
-    assert result.engine is router
-    assert network.total_routes == 20
+def test_engine_build_options_are_checked():
+    """Options go to the engine's constructor; there is no dispatch switch any more."""
+    network = OverlayNetwork.build(40, np.random.default_rng(2))
+    with pytest.raises(TypeError):
+        network.attach_router("pastry", dispatch=False)
+    with pytest.raises(TypeError):
+        network.attach_router(SeedPastryRouter(network), leaf_set_half_size=4)
+    pastry = network.attach_router("pastry", leaf_set_half_size=4)
+    chord = network.attach_router("chord")
+    assert network._routing_listeners == [pastry, chord]
 
 
-def test_routerless_route_attaches_the_pastry_engine():
-    """No router attached: ``route`` builds the default engine and counts its hops.
-
-    (It used to fall into a scalar loop over empty leaf sets and book exactly
-    one hop per key into ``mean_route_hops``.)
-    """
-    rng = np.random.default_rng(17)
-    plain = OverlayNetwork.build(300, np.random.default_rng(7))
-    routed = OverlayNetwork.build(300, np.random.default_rng(7))
-    router = routed.attach_router("pastry")
-    assert plain.router is None
-    keys, starts = _lookups(plain, 80, rng)
-    for key, start in zip(keys, starts):
-        lazy = plain.route(key, start)
-        eager = router.route(key, start)
-        assert (lazy.hops, lazy.root, lazy.path) == (eager.hops, eager.root, eager.path)
-        assert routed.route(key, start).hops == eager.hops
-    assert isinstance(plain.router, PastryArrayRouter)
-    assert plain.router in plain._routing_listeners
-    assert plain.mean_route_hops == routed.mean_route_hops > 1.5
-    # The default start (first live node) and the batched entry point agree.
-    assert plain.route(keys[0]).hops == int(plain.route_many(keys[:1]).hops[0])
-
-
-def test_second_engine_does_not_steal_dispatch():
-    rng = np.random.default_rng(6)
-    network = OverlayNetwork.build(60, rng)
-    pastry = network.attach_router("pastry")
-    chord = network.attach_router("chord", dispatch=False)
-    assert network.router is pastry
-    # Both engines still track churn as listeners.
-    assert pastry in network._routing_listeners
-    assert chord in network._routing_listeners
-
-
-def test_dht_view_routing_passthrough():
-    rng = np.random.default_rng(11)
-    network = OverlayNetwork.build(90, rng)
-    view = DHTView(network)
-    router = view.attach_router("pastry")
-    assert view.attach_router() is router
-    key = random_node_id(rng)
-    start = network.live_ids()[0]
-    result = view.route(key, start)
-    assert int(result.root) == int(network.responsible_node(key))
-    batch = view.route_many([key], [start])
-    assert batch.root_ids() == [int(result.root)]
+@pytest.mark.parametrize("engine", ["pastry", "chord"])
+def test_joins_past_the_initial_slot_slack_grow_the_columns(engine):
+    """More joins than the slack an engine is built with: the slot columns
+    grow, and routes still equal an engine built fresh on the membership."""
+    rng = np.random.default_rng(61)
+    network = OverlayNetwork.build(24, rng)
+    router = network.attach_router(engine)
+    capacity = router._capacity
+    for _ in range(capacity):
+        network.join(OverlayNode(node_id=random_node_id(rng)))
+    assert router._capacity > capacity and router.live_count == 24 + capacity
+    keys, starts = _lookups(network, 120, rng)
+    patched = router.route_many(keys, starts, collect_paths=True)
+    rebuilt = make_router(engine, network).route_many(keys, starts, collect_paths=True)
+    assert patched.hops.tolist() == rebuilt.hops.tolist()
+    assert patched.paths == rebuilt.paths
 
 
 # ------------------------------------------------------------ the routed tree --
@@ -324,7 +292,7 @@ def test_trailing_nul_keys_route_correctly():
     rng = np.random.default_rng(43)
     network = OverlayNetwork.build(80, rng)
     router = network.attach_router("pastry")
-    reference = network.attach_router(SeedPastryRouter(network), dispatch=False)
+    reference = network.attach_router(SeedPastryRouter(network))
     start = network.live_ids()[0]
     for shift in (8, 16, 24):
         key = NodeId(((int(random_node_id(rng)) >> shift) << shift) % ID_SPACE)

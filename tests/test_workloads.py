@@ -1,4 +1,4 @@
-"""Unit tests for workload/trace generation and (de)serialisation."""
+"""Unit tests for workload/trace generation."""
 
 from __future__ import annotations
 
@@ -15,12 +15,10 @@ from repro.workloads.filetrace import (
     GB,
     MB,
     FileRecord,
-    FileTrace,
     FileTraceConfig,
     generate_file_trace,
     trace_from_sizes,
 )
-from repro.workloads.traces import load_trace, save_trace
 
 
 # -- file traces -------------------------------------------------------------------
@@ -100,29 +98,3 @@ def test_capacity_generation_deterministic_and_validated():
         CapacityConfig(node_count=-1)
     with pytest.raises(ValueError):
         CapacityConfig(distribution="pareto")
-
-
-# -- (de)serialisation -----------------------------------------------------------------------
-def test_save_and_load_trace_round_trip(tmp_path):
-    trace = generate_file_trace(FileTraceConfig(file_count=250), seed=4)
-    path = save_trace(trace, tmp_path / "trace.npz")
-    restored = load_trace(path)
-    assert len(restored) == len(trace)
-    assert [f.name for f in restored] == [f.name for f in trace]
-    assert [f.size for f in restored] == [f.size for f in trace]
-
-
-def test_load_trace_rejects_bad_version(tmp_path):
-    import json
-
-    import numpy as np
-
-    path = tmp_path / "bad.npz"
-    np.savez_compressed(
-        path,
-        header=np.asarray(json.dumps({"version": 99, "count": 0})),
-        names=np.asarray([]),
-        sizes=np.asarray([], dtype=np.int64),
-    )
-    with pytest.raises(ValueError):
-        load_trace(path)
