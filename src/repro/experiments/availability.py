@@ -62,9 +62,16 @@ class _SpecOnlyCode(NullCode):
 
 @dataclass(frozen=True)
 class AvailabilityConfig(DeploymentConfig):
-    """Scaled-down defaults for the Figure 10 experiment."""
+    """The Figure 10 experiment; the defaults are the paper's configuration.
 
-    node_count: int = 300
+    The file count keeps the distribution phase to a couple of minutes on one
+    core while preserving the figure's qualitative comparison; raise it
+    towards the paper's full trace for longer runs
+    (``python -m repro.cli fig10 --files N``).
+    """
+
+    node_count: int = 10_000
+    file_count: int = 20_000
     seed: int = 2
     #: Fraction of nodes failed one-by-one (paper: 1000 of 10 000 = 10 %).
     fail_fraction: float = 0.10
@@ -73,10 +80,7 @@ class AvailabilityConfig(DeploymentConfig):
 
 
 #: The paper's Figure 10 configuration: 10 000 nodes, fail 10 % one by one.
-#: The file count keeps the distribution phase to a couple of minutes on one
-#: core while preserving the figure's qualitative comparison; raise it towards
-#: the paper's full trace for longer runs (`python -m repro.cli fig10 --files N`).
-PAPER_FIG10 = AvailabilityConfig(node_count=10_000, file_count=20_000)
+PAPER_FIG10 = AvailabilityConfig()
 
 
 class AvailabilityExperiment:

@@ -193,13 +193,7 @@ class OverlayNetwork:
         """
         from repro.overlay.engine import make_router
 
-        if isinstance(engine, str):
-            router = make_router(engine, self, **kwargs)
-        elif kwargs:
-            raise TypeError(f"build options {sorted(kwargs)} need an engine name, "
-                            "not an engine instance")
-        else:
-            router = engine
+        router = make_router(engine, self, **kwargs) if isinstance(engine, str) else engine
         if router not in self._routing_listeners:
             self._routing_listeners.append(router)
         return router

@@ -219,8 +219,6 @@ def test_engine_build_options_are_checked():
     network = OverlayNetwork.build(40, np.random.default_rng(2))
     with pytest.raises(TypeError):
         network.attach_router("pastry", dispatch=False)
-    with pytest.raises(TypeError):
-        network.attach_router(SeedPastryRouter(network), leaf_set_half_size=4)
     pastry = network.attach_router("pastry", leaf_set_half_size=4)
     chord = network.attach_router("chord")
     assert network._routing_listeners == [pastry, chord]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ClusterSession
 from repro.workloads.capacity import (
     CONDOR_CAPACITY_CONFIG,
     PAPER_CAPACITY_CONFIG,
@@ -19,6 +20,7 @@ from repro.workloads.filetrace import (
     generate_file_trace,
     trace_from_sizes,
 )
+from repro.workloads.tenants import BigCopyBurstProfile
 
 
 # -- file traces -------------------------------------------------------------------
@@ -98,3 +100,16 @@ def test_capacity_generation_deterministic_and_validated():
         CapacityConfig(node_count=-1)
     with pytest.raises(ValueError):
         CapacityConfig(distribution="pareto")
+
+
+# -- tenant profiles ------------------------------------------------------------------
+def test_profile_runs_are_labelled_with_the_store_tenant():
+    session = ClusterSession(20, seed=1)
+    profile = BigCopyBurstProfile(bursts=1, sizes_gb=(0.01,))
+    rng = np.random.default_rng(0)
+    untagged = profile.schedule(session.sim, session.client().storage, rng)
+    scoped = profile.schedule(session.sim, session.client(tenant="archive").storage, rng)
+    session.run()
+    assert untagged.tenant == "-"
+    assert scoped.tenant == "archive"
+    assert untagged.stores_attempted == scoped.stores_attempted == 1

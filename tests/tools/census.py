@@ -2,9 +2,6 @@
 """Call census: which ``src/`` functions does anything actually run?
 
     python tests/tools/census.py              # run every entry point, then report
-    python tests/tools/census.py --all        # ... and list the live functions too
-    python tests/tools/census.py --data DIR   # keep the raw per-process records in DIR
-    python tests/tools/census.py --data DIR --no-run   # re-report a kept run
 
 Every entry point -- tier-1, the perfbench workloads (``--smoke --trace 1``),
 the example scripts and every CLI subcommand at a tiny scale -- runs in its own
@@ -125,9 +122,7 @@ def run_entry_points(data: Path) -> list[str]:
     """Run every entry point under the hook; returns the labels that failed."""
     failed = []
     for label, argv in entry_points():
-        out = data / _slug(label)
-        shutil.rmtree(out, ignore_errors=True)
-        env = dict(os.environ, REPRO_CENSUS_OUT=str(out))
+        env = dict(os.environ, REPRO_CENSUS_OUT=str(data / _slug(label)))
         env["PYTHONPATH"] = os.pathsep.join(
             [str(HOOK), str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         start = time.perf_counter()
@@ -241,14 +236,12 @@ def _line(key, qualname, lines, note="") -> str:
     return f"  {where:<40} {qualname:<64} {lines:>4} lines{note}"
 
 
-def report(data: Path, show_live: bool) -> int:
+def report(data: Path) -> int:
     functions, groups = classify(data)
     total = sum(lines for _, lines in functions.values())
     print(f"\n{len(functions)} functions in src/ ({total} lines of function bodies)")
     sections = [("never", "never run"), ("tier-1", "reached only from tier-1"),
                 ("benchmarks", "not run outside tier-1, but named in benchmarks/ (counted live)")]
-    if show_live:
-        sections.append(("live", "live"))
     unexplained = 0
     for group, title in sections:
         rows = groups[group]
@@ -261,9 +254,8 @@ def report(data: Path, show_live: bool) -> int:
             else:
                 note = f"  KEEP: {reason}" if reason else ""
             print(_line(key, qualname, lines, note))
-    if not show_live:
-        print(f"\nlive: {len(groups['live'])} functions, "
-              f"{sum(lines for *_, lines in groups['live'])} lines (--all lists them)")
+    print(f"\nlive: {len(groups['live'])} functions, "
+          f"{sum(lines for *_, lines in groups['live'])} lines")
     explained = [qualname for group in ("never", "tier-1", "benchmarks")
                  for _, qualname, _ in groups[group]]
     stale = sorted(name for name in KEEP
@@ -278,26 +270,19 @@ def report(data: Path, show_live: bool) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--data", type=Path, help="directory for the raw records (kept)")
-    parser.add_argument("--no-run", action="store_true", help="report on an existing --data")
-    parser.add_argument("--all", action="store_true", help="also list the live functions")
-    args = parser.parse_args(argv)
-    if args.no_run and args.data is None:
-        parser.error("--no-run needs --data")
+    parser.parse_args(argv)
     sys.path.insert(0, str(SRC))
     from repro.cli import COMMANDS
 
     missing = {command.name for command in COMMANDS} - {run[0] for run in CLI_RUNS}
     if missing:
         parser.error(f"CLI_RUNS has no run for: {', '.join(sorted(missing))}")
-    data = args.data or Path(tempfile.mkdtemp(prefix="census-"))
-    failed = []
-    if not args.no_run:
-        data.mkdir(parents=True, exist_ok=True)
-        print(f"running {len(entry_points())} entry points (records in {data})")
+    data = Path(tempfile.mkdtemp(prefix="census-"))
+    try:
+        print(f"running {len(entry_points())} entry points")
         failed = run_entry_points(data)
-    status = report(data, args.all)
-    if args.data is None:
+        status = report(data)
+    finally:
         shutil.rmtree(data, ignore_errors=True)
     if failed:
         print(f"\nentry points that failed (census incomplete): {', '.join(failed)}")
