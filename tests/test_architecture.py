@@ -12,16 +12,30 @@ to the layering has to change the table in the same diff.
 one job was deleted.  Each must stay gone from where the table says (``src/``,
 ``examples/``, README.md); the last column says what retired it (a commit, or
 the call census of ``tests/tools/census.py``) and what replaced it.
+
+:data:`SURFACE` (``tests/golden/public_surface.json``) is the public surface:
+every CLI subcommand with its flags, their types and the config it runs with
+when no flag is given, plus the public names of ``repro.api`` with their
+signatures.  A change to any of them shows in the diff of that file.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
+import importlib
+import inspect
+import json
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+import repro.experiments
+from repro import api, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -42,6 +56,8 @@ IMPORT_EDGES = {
     "sim": {"overlay"},  # sim/faults.py injects failures into the overlay
     "workloads": {"core", "overlay", "sim"},
 }
+
+SURFACE = ROOT / "tests" / "golden" / "public_surface.json"
 
 #: Beside the standard library, the one third-party import ``src/`` may use.
 THIRD_PARTY = {"numpy"}
@@ -170,3 +186,78 @@ def test_a_retired_name_stays_retired(label, pattern, where, retired_by):
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if regex.search(line)]
     assert not hits, f"{label} retired ({retired_by}) but back:\n" + "\n".join(hits)
+
+
+class _Captured(Exception):
+    """Raised instead of running an experiment; carries its config."""
+
+
+def _capture(*args, **kwargs):
+    raise _Captured(args[-1] if args else kwargs["config"])
+
+
+def _effective_config(argv):
+    """The config ``repro.cli`` hands its experiment for ``argv`` (nothing runs)."""
+    with pytest.MonkeyPatch.context() as patch:
+        for info in pkgutil.iter_modules(repro.experiments.__path__):
+            module = importlib.import_module(f"repro.experiments.{info.name}")
+            for name, value in vars(module).items():
+                if inspect.isclass(value) and name.endswith("Experiment"):
+                    patch.setattr(value, "__init__", _capture)
+        for name in ("run_coding_performance", "run_condor_case_study"):
+            if hasattr(cli, name):
+                patch.setattr(cli, name, _capture)
+        with pytest.raises(_Captured) as captured:
+            cli.main(argv)
+    return json.loads(json.dumps(dataclasses.asdict(captured.value.args[0])))
+
+
+def _flag_type(action, names):
+    if action.nargs == 0:
+        return "switch"
+    kind = action.type or str
+    label = names.get(id(kind)) or kind.__qualname__
+    return label + (f" in {','.join(action.choices)}" if action.choices else "")
+
+
+def _cli_surface():
+    names = {id(value): name for name, value in vars(cli).items() if callable(value)}
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {
+        name: {
+            "flags": {"/".join(action.option_strings): _flag_type(action, names)
+                      for action in sub._actions if action.dest != "help"},
+            "config": None if name == "bench" else _effective_config([name]),
+        }
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def _signature(value) -> str:
+    return re.sub(r" at 0x[0-9a-f]+", "", str(inspect.signature(value)))
+
+
+def _api_surface():
+    surface = {}
+    for name, value in vars(api).items():
+        if name.startswith("_") or getattr(value, "__module__", None) != api.__name__:
+            continue
+        surface[name] = _signature(value)
+        if inspect.isclass(value):
+            for member, attribute in vars(value).items():
+                if not member.startswith("_"):
+                    surface[f"{name}.{member}"] = (
+                        "property" if isinstance(attribute, property)
+                        else _signature(getattr(value, member)))
+    return surface
+
+
+def public_surface():
+    """What :data:`SURFACE` holds, computed from the tree."""
+    return {"cli": _cli_surface(), "repro.api": _api_surface()}
+
+
+def test_the_public_surface_is_the_snapshot():
+    assert public_surface() == json.loads(SURFACE.read_text())

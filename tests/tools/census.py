@@ -48,23 +48,27 @@ HOOK = Path(__file__).resolve().parent / "census_hook"
 TIER1 = "tier-1"
 
 #: Every CLI subcommand at a tiny scale (seconds each); ``main`` checks that
-#: each subcommand in ``repro.cli.COMMANDS`` has at least one run here.
+#: each subcommand in ``repro.cli.COMMANDS`` has at least one run here, and
+#: ``tests/test_cli.py`` compares the stdout of each run whose output has no
+#: host-time column against ``tests/golden/cli_stdout.json``.
 CLI_RUNS = (
     ("--list",),
-    ("insertion", "--nodes", "25", "--files", "300"),
+    ("insertion", "--nodes", "25", "--files", "300", "--seed", "5"),
     ("fig10", "--scale", "0.02"),
+    ("fig10", "--nodes", "60", "--files", "150", "--seed", "3"),
     ("table3", "--scale", "0.02"),
-    ("soak", "--scale", "0.01", "--days", "0.5"),
+    ("table3", "--nodes", "50", "--files", "120", "--seed", "4"),
+    ("soak", "--scale", "0.01", "--days", "1", "--seed", "6"),
     ("repair", "--scale", "0.01"),
     ("faults", "--smoke"),
     ("faults", "--smoke", "--oversub", "4"),
     ("tenants", "--smoke"),
     ("serve", "--smoke"),
     ("coding", "--chunk-mb", "0.25", "--blocks", "64"),
-    ("multicast",),
-    ("multicast", "--nodes", "300", "--replicas", "8"),
+    ("multicast", "--seed", "1"),
+    ("multicast", "--nodes", "300", "--replicas", "8", "--seed", "1"),
     ("routing", "--smoke"),
-    ("condor", "--sizes", "0,1,16"),
+    ("condor", "--sizes", "0,1,16", "--seed", "2"),
     ("bench", "--summary-only"),  # running the suite would rewrite BENCH_*.json
 )
 
