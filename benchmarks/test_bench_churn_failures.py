@@ -31,7 +31,7 @@ COMPARE_TABLE3 = ChurnConfig(node_count=300, file_count=1000, seed=4)
 def _fig10_row(config: AvailabilityConfig, scenario: str, pipeline: str, results: dict) -> dict:
     experiment = AvailabilityExperiment(config)
     start = time.perf_counter()
-    series = experiment.run()
+    series = experiment.run().curves
     seconds = time.perf_counter() - start
     sweep_s = sum(timing["sweep_s"] for timing in experiment.timings.values())
     failures = int(sum(timing["failures"] for timing in experiment.timings.values()))

@@ -18,7 +18,7 @@ def test_bench_fig10_availability(benchmark):
     """Benchmark the availability experiment and report Figure 10."""
 
     def run_once():
-        return AvailabilityExperiment(BENCH_CONFIG).run()
+        return AvailabilityExperiment(BENCH_CONFIG).run().curves
 
     series = benchmark.pedantic(run_once, rounds=1, iterations=1)
     print("\nFigure 10 — unavailable files (%) vs failed nodes:")

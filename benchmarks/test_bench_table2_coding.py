@@ -14,7 +14,7 @@ full-scale measurement.
 
 from __future__ import annotations
 
-from repro.experiments.coding_perf import CodingPerfConfig, run_coding_performance
+from repro.experiments.coding_perf import CodingPerfConfig, CodingPerfExperiment
 from repro.workloads.filetrace import MB
 
 BENCH_CONFIG = CodingPerfConfig(chunk_size=1 * MB, blocks_per_chunk=512, repetitions=3, seed=3)
@@ -24,7 +24,7 @@ def test_bench_table2_coding_performance(benchmark):
     """Benchmark the coding measurement and report Table 2."""
 
     def run_once():
-        return run_coding_performance(BENCH_CONFIG)
+        return CodingPerfExperiment(BENCH_CONFIG).run()
 
     table = benchmark.pedantic(run_once, rounds=1, iterations=1)
     print("\n" + table.format())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments.condor_case_study import CondorCaseStudyConfig, run_condor_case_study
+from repro.experiments.condor_case_study import CondorCaseStudyConfig, CondorCaseStudyExperiment
 from repro.workloads.filetrace import GB
 
 BENCH_CONFIG = CondorCaseStudyConfig(seed=6)
@@ -22,7 +22,7 @@ def test_bench_table4_condor_case_study(benchmark):
     """Benchmark the Condor case study and report Table 4."""
 
     def run_once():
-        return run_condor_case_study(BENCH_CONFIG)
+        return CondorCaseStudyExperiment(BENCH_CONFIG).run()
 
     table = benchmark.pedantic(run_once, rounds=1, iterations=1)
     print("\n" + table.format(float_format="{:.1f}"))

@@ -1,27 +1,15 @@
 """Command-line entry point: run any of the paper's experiments.
 
-Examples
---------
-Run the insertion comparison (Figures 7-9, Table 1) at the default scale::
+    python -m repro.cli --list                   # every subcommand
+    python -m repro.cli fig10 --scale 0.05       # Figure 10 at 500 nodes
+    python -m repro.cli coding --chunk-mb 4 --blocks 4096   # Table 2, paper size
+    python -m repro.cli serve --smoke            # the serve panels in seconds
 
-    python -m repro.cli insertion
-
-Run the coding-performance measurement (Table 2) at the paper's parameters::
-
-    python -m repro.cli coding --chunk-mb 4 --blocks 4096
-
-Run the serve-path panels (open-loop Zipf traffic, cache on/off)::
-
-    python -m repro.cli serve --smoke
-
-List everything::
-
-    python -m repro.cli --list
-
-Subcommands are declared in the :data:`COMMANDS` table -- one
-:class:`Command` per experiment, with the shared ``--scale``/``--smoke``/
-``--oversub``/``--seed`` flags attached declaratively instead of another
-copy-pasted ``add_parser`` block per command.
+Every subcommand is one :class:`Command` of the :data:`COMMANDS` table and
+runs through :func:`_run`: the command's preset (``SMOKE_*`` under
+``--smoke``, else ``PAPER_*``) is the only source of defaults, each flag the
+user gives sets the config field it names, ``--scale`` goes through the
+config's ``scaled()``, and the result prints its own ``report()``.
 """
 
 from __future__ import annotations
@@ -32,13 +20,14 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.availability import PAPER_FIG10, AvailabilityExperiment
 from repro.experiments.churn import PAPER_TABLE3, ChurnExperiment
-from repro.experiments.coding_perf import CodingPerfConfig, run_coding_performance
-from repro.experiments.condor_case_study import CondorCaseStudyConfig, run_condor_case_study
+from repro.experiments.coding_perf import CodingPerfConfig, CodingPerfExperiment
+from repro.experiments.condor_case_study import CondorCaseStudyConfig, CondorCaseStudyExperiment
 from repro.experiments.faults import (
     FINITE_CORE_FAULTS,
     PAPER_FAULTS,
@@ -48,7 +37,7 @@ from repro.experiments.faults import (
 )
 from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
 from repro.experiments.regeneration import PAPER_REPAIR, RepairExperiment
-from repro.experiments.results import benchmark_summary, format_series_table
+from repro.experiments.results import benchmark_summary
 from repro.experiments.routing import PAPER_ROUTING, SMOKE_ROUTING, RoutingExperiment
 from repro.experiments.serving import PAPER_SERVING, SMOKE_SERVING, ServingExperiment
 from repro.experiments.soak import PAPER_SOAK, SoakExperiment
@@ -58,286 +47,130 @@ from repro.overlay.engine import ROUTER_ENGINES
 from repro.workloads.filetrace import GB, MB
 
 
-def _scaled(value: float, scale: float, floor: int) -> int:
-    """``value x scale`` rounded to an integer, never below ``floor``."""
-    return max(floor, int(round(value * scale)))
+# ---------------------------------------------------------------- flag types --
+def _checked(cast: Callable, accept: Callable[..., bool], what: str) -> Callable:
+    """An argparse ``type=``: ``cast`` the text, then reject what ``accept`` refuses.
+
+    Bad input is then argparse's usage error (exit 2), not a traceback from
+    deep inside an experiment.
+    """
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _timed_run(experiment) -> Tuple[object, str]:
-    """``experiment.run()`` plus the ``wall time: ...s`` line of its host seconds."""
+def _comma_list(item: Callable) -> Callable:
+    """An argparse ``type=`` for a comma-separated list, ``item`` applied to each entry."""
+    return lambda text: tuple(item(part) for part in text.split(","))
+
+
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+_count = _checked(int, lambda value: value >= 0, "an integer >= 0")
+_positive_float = _checked(float, lambda value: value > 0, "a positive number")
+_non_negative = _checked(float, lambda value: value >= 0, "a number >= 0")
+#: A percentage on the command line, the fraction it stands for in the config.
+_percent = _checked(lambda text: float(text) / 100.0, lambda value: 0 <= value <= 1,
+                    "a percentage in [0, 100]")
+_days_as_hours = _checked(lambda text: float(text) * 24.0, lambda value: value > 0,
+                          "a positive number of days")
+_mb_as_bytes = _checked(lambda text: int(float(text) * MB), lambda value: value > 0,
+                        "a positive size in MB")
+_gb_as_bytes = _checked(lambda text: int(float(text) * GB), lambda value: value >= 0,
+                        "a size in GB >= 0")
+#: ``0`` (access links only) is the config's ``None``.
+_oversub_ratio = _checked(lambda text: float(text) or None,
+                          lambda value: value is None or value >= 1,
+                          "0 (access links only) or a ratio >= 1")
+_engine_name = _checked(str.strip, ROUTER_ENGINES.__contains__,
+                        "one of " + ", ".join(sorted(ROUTER_ENGINES)))
+
+
+class _StoreFields(argparse.Action):
+    """A switch that sets several config fields at once."""
+
+    def __init__(self, option_strings, dest, fields, **kwargs) -> None:
+        super().__init__(option_strings, dest, nargs=0, **kwargs)
+        self.fields = fields
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        for name, value in self.fields.items():
+            setattr(namespace, name, value)
+
+
+# -------------------------------------------------------------- registration --
+def _arg(flag: str, dest: str, **options) -> Tuple[str, str, dict]:
+    """One ``add_argument`` call: the flag, the config field it sets, options."""
+    return flag, dest, options
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its experiment, presets, flags and shared-flag opt-ins.
+
+    ``paper`` is the config run when no flag is given; ``smoke`` (the
+    ``--smoke`` preset) opts into that flag; ``finite_core`` is the
+    ``(paper, smoke)`` pair used instead when ``--oversub`` gives a ratio.
+    ``scale``/``oversub`` carry the flag's help text when the command takes
+    it.  ``handler`` replaces the driver (``bench`` only).
+    """
+
+    name: str
+    help: str
+    experiment: Optional[Callable] = None
+    paper: object = None
+    args: Tuple[tuple, ...] = ()
+    smoke: object = None
+    finite_core: Optional[Tuple[object, object]] = None
+    scale: Optional[str] = None
+    oversub: Optional[str] = None
+    seed: bool = True
+    handler: Optional[Callable[[argparse.Namespace], int]] = None
+
+    def preset(self, smoke: bool, fields: dict):
+        """The config the flags in ``fields`` are applied to."""
+        paper, small = self.paper, self.smoke
+        if self.finite_core and fields.get("oversubscription"):
+            paper, small = self.finite_core
+        return small if smoke else paper
+
+    def shared_args(self) -> Tuple[tuple, ...]:
+        """The ``--scale``/``--smoke``/``--oversub``/``--seed`` flags it opts into."""
+        shared = []
+        if self.scale is not None:
+            shared.append(_arg("--scale", "scale", type=_positive_float, help=self.scale))
+        if self.smoke is not None:
+            shared.append(_arg("--smoke", "smoke", action="store_true",
+                               help="run the fixed tier-1 smoke configuration (seconds)"))
+        if self.oversub is not None:
+            shared.append(_arg("--oversub", "oversubscription", type=_oversub_ratio,
+                               metavar="RATIO", help=self.oversub))
+        if self.seed:
+            shared.append(_arg("--seed", "seed", type=_count))
+        return tuple(shared)
+
+
+# ------------------------------------------------------------------- drivers --
+def _run(command: Command, args: argparse.Namespace) -> int:
+    """Preset, the given flags, ``--scale``; run; print the report and wall time."""
+    fields = {name: value for name, value in vars(args).items()
+              if name not in ("list", "experiment", "func", "scale", "smoke")}
+    config = replace(command.preset(getattr(args, "smoke", False), fields), **fields)
+    if hasattr(args, "scale"):
+        config = config.scaled(args.scale)
     start = time.perf_counter()
-    result = experiment.run()
-    return result, f"wall time: {time.perf_counter() - start:.1f}s"
-
-
-def _run_insertion(args: argparse.Namespace) -> int:
-    config = InsertionConfig(
-        node_count=args.nodes,
-        file_count=args.files,
-        seed=args.seed,
-    )
-    outcome = InsertionExperiment(config).run()
-    print("Figure 7 — failed stores (%, final):", outcome.final_failed_stores())
-    print("Figure 8 — failed data (%, final):  ", outcome.final_failed_data())
-    print("Figure 9 — utilisation (%, final):  ", outcome.final_utilization())
-    print()
-    print("Table 1 — chunk statistics")
-    for scheme in ("CFS", "Our System"):
-        stats = outcome.curves[scheme].chunk_stats
-        print(
-            f"  {scheme:12s} chunks/file {stats.get('mean_chunks_per_file', 0):7.2f} "
-            f"(sd {stats.get('std_chunks_per_file', 0):6.2f})   "
-            f"chunk size {stats.get('mean_chunk_size', 0) / MB:8.2f} MB "
-            f"(sd {stats.get('std_chunk_size', 0) / MB:7.2f} MB)"
-        )
+    result = command.experiment(config).run()
+    seconds = time.perf_counter() - start
+    print(result.report())
+    print(f"wall time: {seconds:.1f}s")
     return 0
-
-
-def _run_fig10(args: argparse.Namespace) -> int:
-    """Figure 10 at the paper's scale (10 000 nodes, 1 000 failures) by default."""
-    config = replace(
-        PAPER_FIG10,
-        node_count=_scaled(args.nodes, args.scale, 2),
-        file_count=_scaled(args.files, args.scale, 1),
-        fail_fraction=args.fail_pct / 100.0,
-        seed=args.seed,
-    )
-    series, wall = _timed_run(AvailabilityExperiment(config))
-    print(
-        f"Figure 10 — unavailable files (%) vs failed nodes "
-        f"({config.node_count} nodes, {config.file_count} files, "
-        f"{config.fail_fraction:.0%} failed, columnar ledger)"
-    )
-    print(format_series_table(list(series.values()), x_label="failed_nodes"))
-    print(wall)
-    return 0
-
-
-def _run_table3(args: argparse.Namespace) -> int:
-    """Table 3 at the paper's scale (10 000 nodes, 10 % and 20 % failed) by default."""
-    fractions = tuple(pct / 100.0 for pct in args.fractions)
-    config = replace(
-        PAPER_TABLE3,
-        node_count=_scaled(args.nodes, args.scale, 2),
-        file_count=_scaled(args.files, args.scale, 1),
-        fail_fractions=fractions,
-        seed=args.seed,
-    )
-    table, wall = _timed_run(ChurnExperiment(config))
-    print(table.format())
-    print(f"{wall} ({config.node_count} nodes, {config.file_count} files, "
-          "columnar ledger)")
-    return 0
-
-
-def _run_soak(args: argparse.Namespace) -> int:
-    """Join/leave churn soak at the paper's scale (10 000 nodes, one week) by default."""
-    config = replace(
-        PAPER_SOAK,
-        node_count=_scaled(args.nodes, args.scale, 2),
-        file_count=_scaled(args.files, args.scale, 1),
-        horizon_hours=args.days * 24.0,
-        join_rate_per_hour=args.join_rate * args.scale,
-        leave_rate_per_hour=args.leave_rate * args.scale,
-        compaction=not args.no_compaction,
-        leave_mode=args.leave_mode,
-        bandwidth_gb_per_hour=args.bandwidth_gb_hour,
-        seed=args.seed,
-    )
-    result, wall = _timed_run(SoakExperiment(config))
-    print(result.series_table().format(float_format="{:,.2f}"))
-    print()
-    summary = result.summary()
-    print("soak summary: " + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
-    print(f"{wall} ({config.node_count} nodes, {config.file_count} files, "
-          f"{config.horizon_hours / 24:.1f} simulated days, columnar ledger + compaction)")
-    return 0
-
-
-def _run_repair(args: argparse.Namespace) -> int:
-    """Bandwidth-aware repair at the paper's scale (10 000 nodes) by default."""
-    config = replace(
-        PAPER_REPAIR,
-        node_count=_scaled(args.nodes, args.scale, 2),
-        file_count=_scaled(args.files, args.scale, 1),
-        fail_fractions=tuple(pct / 100.0 for pct in args.fractions),
-        bandwidth_mb_s=args.bandwidth,
-        bandwidth_sweep_mb_s=args.bandwidth_sweep,
-        failure_spacing_s=args.spacing,
-        seed=args.seed,
-    )
-    result, wall = _timed_run(RepairExperiment(config))
-    print(result.fraction_table().format(float_format="{:,.2f}"))
-    print()
-    print(result.bandwidth_table().format(float_format="{:,.2f}"))
-    print()
-    print(result.ablation_table().format(float_format="{:,.2f}"))
-    print(f"{wall} ({config.node_count} nodes, {config.file_count} files, "
-          "columnar ledger, fair-share transfer scheduler)")
-    return 0
-
-
-def _run_faults(args: argparse.Namespace) -> int:
-    """Failure-domain fault panels at the paper's scale (10 000 nodes) by default."""
-    if args.smoke:
-        config = replace(SMOKE_FINITE_CORE if args.oversub else SMOKE_FAULTS,
-                         seed=args.seed)
-    else:
-        config = replace(
-            FINITE_CORE_FAULTS if args.oversub else PAPER_FAULTS,
-            node_count=_scaled(args.nodes, args.scale, 2),
-            file_count=_scaled(args.files, args.scale, 1),
-            flash_fraction=args.flash_pct / 100.0,
-            bandwidth_mb_s=args.bandwidth,
-            sites=args.sites,
-            racks_per_site=args.racks_per_site,
-            seed=args.seed,
-        )
-    if args.oversub:
-        config = replace(config, oversubscription=args.oversub)
-    result, wall = _timed_run(FaultsExperiment(config))
-    print(result.durability_table().format(float_format="{:,.2f}"))
-    print()
-    print(result.repair_table().format(float_format="{:,.2f}"))
-    if args.oversub:
-        print()
-        print(result.topology_table().format(float_format="{:,.2f}"))
-    core = (f"{args.oversub:g}:1 oversubscribed core" if args.oversub
-            else "access links only")
-    print(f"{wall} ({config.node_count} nodes, {config.file_count} files, "
-          f"{config.sites}x{config.racks_per_site} racks, "
-          f"{config.block_replication}-copy target, {core})")
-    return 0
-
-
-def _run_tenants(args: argparse.Namespace) -> int:
-    """Per-tenant QoS isolation panels at the paper's scale (10 000 nodes) by default."""
-    if args.smoke:
-        config = replace(SMOKE_TENANTS, seed=args.seed)
-    else:
-        config = replace(
-            PAPER_TENANTS,
-            node_count=_scaled(args.nodes, args.scale, 2),
-            archive_files=_scaled(args.files, args.scale, 1),
-            bandwidth_mb_s=args.bandwidth,
-            seed=args.seed,
-        )
-    if args.oversub is not None:
-        config = replace(config, oversubscription=args.oversub or None)
-    if args.no_isolation:
-        config = replace(config, storm_tenant_weight=1.0, storm_tenant_cap_mb_s=None)
-    result, wall = _timed_run(TenantsExperiment(config))
-    print(result.isolation_table().format(float_format="{:,.2f}"))
-    print()
-    print(result.slo_table().format(float_format="{:,.2f}"))
-    summary = result.isolation_summary()
-    print("isolation summary: "
-          + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
-    print(f"{wall} ({config.node_count} nodes, "
-          f"{config.archive_files} archive files, "
-          f"{config.oversubscription or 0:g}:1 core, "
-          f"storm weight {config.storm_tenant_weight:g})")
-    return 0
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    """Serve-path panels at the paper's scale (10 000 nodes) by default."""
-    config = SMOKE_SERVING if args.smoke else PAPER_SERVING
-    if not args.smoke:
-        config = replace(
-            config,
-            node_count=_scaled(args.nodes, args.scale, 2),
-            catalog_files=_scaled(args.files, args.scale, 1),
-            request_rate=args.rate,
-            duration_s=args.duration,
-            client_count=args.clients,
-            cache_mb=args.cache_mb,
-        )
-    config = replace(config, seed=args.seed)
-    if args.zipf:
-        config = replace(config,
-                         zipf_sweep=tuple(float(value) for value in args.zipf.split(",")))
-    if args.no_cache:
-        config = replace(config, cache_modes=(False,))
-    if args.oversub is not None:
-        config = replace(config, oversubscription=args.oversub or None)
-    result, wall = _timed_run(ServingExperiment(config))
-    print(result.table().format(float_format="{:,.2f}"))
-    summary = result.summary()
-    print("serving summary: "
-          + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
-    print(f"{wall} ({config.node_count} nodes, "
-          f"{config.catalog_files} catalog files, "
-          f"{config.oversubscription or 0:g}:1 core, "
-          f"{config.cache_mb:g} MB/gateway cache)")
-    return 0
-
-
-def _run_coding(args: argparse.Namespace) -> int:
-    config = CodingPerfConfig(chunk_size=int(args.chunk_mb * MB), blocks_per_chunk=args.blocks)
-    print(run_coding_performance(config).format())
-    return 0
-
-
-def _run_multicast(args: argparse.Namespace) -> int:
-    config = MulticastConfig(seed=args.seed, node_count=args.nodes,
-                             replica_count=args.replicas)
-    experiment = MulticastExperiment(config)
-    if config.node_count > 0:
-        tree = experiment._build_tree()
-        print(f"dissemination tree routed over {config.node_count} overlay nodes: "
-              f"{len(tree)} vertices, height {tree.height()}, "
-              f"{len(tree.leaves())} leaves")
-    sweep = experiment.run_ransub_sweep()
-    print("Figure 11 — epochs to full dissemination per RanSub size")
-    for fraction, series in sorted(sweep.items()):
-        print(f"  RanSub {fraction:5.0%}: {len(series):4d} epochs")
-    minimum, average, maximum = experiment.run_saturation()
-    print("Figure 12 — final min/avg/max packets per node:",
-          minimum.final(), average.final(), maximum.final())
-    return 0
-
-
-def _run_routing(args: argparse.Namespace) -> int:
-    """Routing-fabric panels at the paper's scale (10 000 nodes) by default."""
-    config = SMOKE_ROUTING if args.smoke else PAPER_ROUTING
-    if not args.smoke and args.scale != 1.0:
-        config = replace(
-            config,
-            population_sweep=tuple(
-                _scaled(nodes, args.scale, 16)
-                for nodes in config.population_sweep),
-            churn_nodes=_scaled(config.churn_nodes, args.scale, 32),
-            lookups=_scaled(config.lookups, args.scale, 50),
-            churn_lookups=_scaled(config.churn_lookups, args.scale, 50),
-        )
-    config = replace(config, seed=args.seed)
-    if args.engines:
-        config = replace(config, engines=args.engines)
-    if args.lookups is not None:
-        config = replace(config, lookups=args.lookups)
-    result, wall = _timed_run(RoutingExperiment(config))
-    print(result.panel_table().format(float_format="{:,.2f}"))
-    print()
-    print(result.churn_table().format(float_format="{:,.2f}"))
-    summary = result.summary()
-    print("routing summary: "
-          + ", ".join(f"{key}={value:,.2f}" for key, value in summary.items()))
-    print(f"{wall} (sweep {config.population_sweep}, "
-          f"{config.lookups} lookups/cell, engines {', '.join(config.engines)})")
-    return 0
-
-
-def _run_condor(args: argparse.Namespace) -> int:
-    sizes = tuple(int(size * GB) for size in args.sizes)
-    config = CondorCaseStudyConfig(file_sizes=sizes, seed=args.seed)
-    print(run_condor_case_study(config).format(float_format="{:.1f}"))
-    return 0
-
-
-def _repo_root() -> Path:
-    """The repository checkout containing the ``benchmarks/`` suite."""
-    return Path(__file__).resolve().parents[2]
 
 
 def _run_bench(args: argparse.Namespace) -> int:
@@ -347,7 +180,7 @@ def _run_bench(args: argparse.Namespace) -> int:
     ``BENCH_*.json`` only from a clean, complete run of its own module, so a
     filtered (``--select``) or failed run never clobbers the other records.
     """
-    root = _repo_root()
+    root = Path(__file__).resolve().parents[2]
     if not (root / "benchmarks").is_dir():
         print(f"benchmarks/ suite not found under {root}", file=sys.stderr)
         return 2
@@ -366,260 +199,182 @@ def _run_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-# --------------------------------------------------------------- registration --
-@dataclass(frozen=True)
-class Arg:
-    """One ``add_argument`` call: positional flags plus keyword options."""
-
-    flags: Tuple[str, ...]
-    options: dict
-
-
-def _arg(*flags: str, **options) -> Arg:
-    return Arg(flags=flags, options=options)
-
-
-def _checked(cast: Callable, accept: Callable[..., bool], what: str) -> Callable:
-    """An argparse ``type=``: ``cast`` the text, then reject what ``accept`` refuses.
-
-    Bad input is then argparse's usage error (exit 2), not a traceback from
-    deep inside an experiment.
-    """
-
-    def parse(text: str):
-        try:
-            value = cast(text)
-        except ValueError:
-            value = None
-        if value is None or not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
-
-    return parse
-
-
-def _comma_list(item: Callable) -> Callable:
-    """An argparse ``type=`` for a comma-separated list, ``item`` applied to each entry."""
-    return lambda text: tuple(item(part) for part in text.split(","))
-
-
-_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
-_positive_float = _checked(float, lambda value: value > 0, "a positive number")
-_percent = _checked(float, lambda value: 0 <= value <= 100, "a percentage in [0, 100]")
-_oversub_ratio = _checked(float, lambda value: value == 0 or value >= 1,
-                          "0 (access links only) or a ratio >= 1")
-_engine_name = _checked(str.strip, ROUTER_ENGINES.__contains__,
-                        "one of " + ", ".join(sorted(ROUTER_ENGINES)))
-_size_gb = _checked(float, lambda value: value >= 0, "a size in GB >= 0")
-
-
-_DEFAULT_SCALE_HELP = "multiply nodes and files by this factor (e.g. 0.1)"
-_SMOKE_HELP = "run the fixed tier-1 smoke configuration (seconds)"
-
-
-@dataclass(frozen=True)
-class Command:
-    """One subcommand: handler, per-command args, shared-flag opt-ins.
-
-    ``scale``/``oversub`` carry the flag's help text when the command takes
-    it (``None`` omits the flag); ``smoke`` opts into the shared ``--smoke``
-    flag; ``seed`` is the command's default seed (``None`` omits ``--seed``).
-    """
-
-    name: str
-    help: str
-    handler: Callable[[argparse.Namespace], int]
-    args: Tuple[Arg, ...] = ()
-    scale: Optional[str] = None
-    smoke: bool = False
-    oversub: Optional[str] = None
-    seed: Optional[int] = None
-
+_NODES = _arg("--nodes", "node_count", type=_positive_int)
+_FILES = _arg("--files", "file_count", type=_positive_int)
+_BANDWIDTH = _arg("--bandwidth", "bandwidth_mb_s", type=_positive_float,
+                  help="per-node link capacity in MB per simulated second")
+_SCALE_HELP = "multiply nodes and files by this factor (e.g. 0.1)"
+_CORE_HELP = "two-stage core oversubscription ratio (default 4:1; 0 = access links only)"
 
 COMMANDS: Tuple[Command, ...] = (
     Command(
-        "insertion", "Figures 7-9 and Table 1", _run_insertion,
-        args=(_arg("--nodes", type=_positive_int, default=200),
-              _arg("--files", type=int, default=None)),
-        seed=1,
+        "insertion", "Figures 7-9 and Table 1", InsertionExperiment, InsertionConfig(),
+        args=(_NODES, _FILES),
     ),
     Command(
         "fig10", "Figure 10 at paper scale (10 000 nodes / 1 000 failures)",
-        _run_fig10,
-        args=(_arg("--nodes", type=int, default=PAPER_FIG10.node_count),
-              _arg("--files", type=int, default=PAPER_FIG10.file_count),
-              _arg("--fail-pct", type=_percent, default=10.0,
+        AvailabilityExperiment, PAPER_FIG10,
+        args=(_NODES, _FILES,
+              _arg("--fail-pct", "fail_fraction", type=_percent,
                    help="percent of the population failed one by one")),
-        scale=_DEFAULT_SCALE_HELP,
-        seed=PAPER_FIG10.seed,
+        scale=_SCALE_HELP,
     ),
     Command(
         "table3", "Table 3 at paper scale (10 000 nodes, 10 %% and 20 %% failed)",
-        _run_table3,
-        args=(_arg("--nodes", type=int, default=PAPER_TABLE3.node_count),
-              _arg("--files", type=int, default=PAPER_TABLE3.file_count),
-              _arg("--fractions", type=_comma_list(_percent), default="10,20",
+        ChurnExperiment, PAPER_TABLE3,
+        args=(_NODES, _FILES,
+              _arg("--fractions", "fail_fractions", type=_comma_list(_percent),
                    help="comma-separated failure percentages")),
-        scale=_DEFAULT_SCALE_HELP,
-        seed=PAPER_TABLE3.seed,
+        scale=_SCALE_HELP,
     ),
     Command(
         "soak",
         "join/leave churn soak (paper scale: 10 000 nodes, one simulated week)",
-        _run_soak,
-        args=(_arg("--nodes", type=int, default=PAPER_SOAK.node_count),
-              _arg("--files", type=int, default=PAPER_SOAK.file_count),
-              _arg("--days", type=float, default=PAPER_SOAK.horizon_hours / 24.0,
+        SoakExperiment, PAPER_SOAK,
+        args=(_NODES, _FILES,
+              _arg("--days", "horizon_hours", type=_days_as_hours,
                    help="simulated soak length in days"),
-              _arg("--join-rate", type=float, default=PAPER_SOAK.join_rate_per_hour,
+              _arg("--join-rate", "join_rate_per_hour", type=_non_negative,
                    help="fresh-node joins per simulated hour (before --scale)"),
-              _arg("--leave-rate", type=float, default=PAPER_SOAK.leave_rate_per_hour,
+              _arg("--leave-rate", "leave_rate_per_hour", type=_non_negative,
                    help="graceful departures per simulated hour (before --scale)"),
-              _arg("--no-compaction", action="store_true",
+              _arg("--no-compaction", "compaction", action="store_false",
                    help="disable the periodic ledger compaction pass"),
-              _arg("--leave-mode", type=str, default=PAPER_SOAK.leave_mode,
-                   choices=("regenerate", "migrate"),
+              _arg("--leave-mode", "leave_mode", choices=("regenerate", "migrate"),
                    help="graceful departures regenerate from redundancy or "
                         "migrate their blocks out over their uplink"),
-              _arg("--bandwidth-gb-hour", type=float, default=None,
+              _arg("--bandwidth-gb-hour", "bandwidth_gb_per_hour", type=_positive_float,
                    help="per-node link capacity in GB per simulated hour "
                         "(default: unconstrained, instantaneous repair)")),
         scale="multiply nodes, files and churn rates by this factor (e.g. 0.1)",
-        seed=PAPER_SOAK.seed,
     ),
     Command(
         "repair",
         "bandwidth-aware repair: time-to-repair and traffic curves, "
         "migration-vs-regeneration ablation (paper scale: 10 000 nodes)",
-        _run_repair,
-        args=(_arg("--nodes", type=int, default=PAPER_REPAIR.node_count),
-              _arg("--files", type=int, default=PAPER_REPAIR.file_count),
-              _arg("--fractions", type=_comma_list(_percent), default="2,5,10",
+        RepairExperiment, PAPER_REPAIR,
+        args=(_NODES, _FILES,
+              _arg("--fractions", "fail_fractions", type=_comma_list(_percent),
                    help="comma-separated failure percentages for the sweep"),
-              _arg("--bandwidth", type=_positive_float, default=PAPER_REPAIR.bandwidth_mb_s,
-                   help="per-node link capacity in MB per simulated second"),
-              _arg("--bandwidth-sweep", type=_comma_list(_positive_float), default="4,8,16",
+              _BANDWIDTH,
+              _arg("--bandwidth-sweep", "bandwidth_sweep_mb_s",
+                   type=_comma_list(_positive_float),
                    help="comma-separated bandwidths for the bandwidth panel"),
-              _arg("--spacing", type=float, default=PAPER_REPAIR.failure_spacing_s,
+              _arg("--spacing", "failure_spacing_s", type=_non_negative,
                    help="simulated seconds between consecutive failures")),
-        scale=_DEFAULT_SCALE_HELP,
-        seed=PAPER_REPAIR.seed,
+        scale=_SCALE_HELP,
     ),
     Command(
         "faults",
         "failure-domain fault panels: site/rack outages, flash crowd, "
         "rolling restart, degraded links (paper scale: 10 000 nodes)",
-        _run_faults,
-        args=(_arg("--nodes", type=int, default=PAPER_FAULTS.node_count),
-              _arg("--files", type=int, default=PAPER_FAULTS.file_count),
-              _arg("--flash-pct", type=float,
-                   default=100.0 * PAPER_FAULTS.flash_fraction,
+        FaultsExperiment, PAPER_FAULTS,
+        args=(_NODES, _FILES,
+              _arg("--flash-pct", "flash_fraction", type=_percent,
                    help="percent of the population downed by the flash crowd"),
-              _arg("--bandwidth", type=_positive_float, default=PAPER_FAULTS.bandwidth_mb_s,
-                   help="per-node link capacity in MB per simulated second"),
-              _arg("--sites", type=int, default=PAPER_FAULTS.sites,
+              _BANDWIDTH,
+              _arg("--sites", "sites", type=_positive_int,
                    help="failure-domain sites in the grid"),
-              _arg("--racks-per-site", type=int, default=PAPER_FAULTS.racks_per_site)),
-        scale=_DEFAULT_SCALE_HELP,
-        smoke=True,
+              _arg("--racks-per-site", "racks_per_site", type=_positive_int)),
+        smoke=SMOKE_FAULTS,
+        finite_core=(FINITE_CORE_FAULTS, SMOKE_FINITE_CORE),
+        scale=_SCALE_HELP,
         oversub="finite two-stage core: trunks carry the members' "
                 "aggregate access bandwidth / RATIO (adds the "
                 "recovery-storm panel and the topology table)",
-        seed=PAPER_FAULTS.seed,
     ),
     Command(
         "tenants",
         "per-tenant QoS isolation: the noisy-neighbor storm suite "
         "(paper scale: 10 000 nodes, 4 tenants, 4:1 core)",
-        _run_tenants,
-        args=(_arg("--nodes", type=int, default=PAPER_TENANTS.node_count),
-              _arg("--files", type=int, default=PAPER_TENANTS.archive_files,
+        TenantsExperiment, PAPER_TENANTS,
+        args=(_NODES,
+              _arg("--files", "archive_files", type=_positive_int,
                    help="archive-tenant corpus size (files)"),
-              _arg("--bandwidth", type=_positive_float, default=PAPER_TENANTS.bandwidth_mb_s,
-                   help="per-node link capacity in MB per simulated second"),
-              _arg("--no-isolation", action="store_true",
+              _BANDWIDTH,
+              _arg("--no-isolation", "storm_tenant_weight", action=_StoreFields,
+                   fields={"storm_tenant_weight": 1.0, "storm_tenant_cap_mb_s": None},
                    help="drop the storm tenant's weight/cap in every "
                         "scenario (storm_isolated degenerates to open)")),
+        smoke=SMOKE_TENANTS,
         scale="multiply nodes and archive files by this factor",
-        smoke=True,
-        oversub="two-stage core oversubscription ratio "
-                "(default 4:1; 0 = access links only)",
-        seed=PAPER_TENANTS.seed,
+        oversub=_CORE_HELP,
     ),
     Command(
         "serve",
         "serve path: open-loop Zipf traffic, per-gateway block caches, "
         "hot-file replication (paper scale: 10 000 nodes)",
-        _run_serve,
-        args=(_arg("--nodes", type=int, default=PAPER_SERVING.node_count),
-              _arg("--files", type=int, default=PAPER_SERVING.catalog_files,
+        ServingExperiment, PAPER_SERVING,
+        args=(_NODES,
+              _arg("--files", "catalog_files", type=_positive_int,
                    help="served catalog size (files)"),
-              _arg("--rate", type=float, default=PAPER_SERVING.request_rate,
+              _arg("--rate", "request_rate", type=_positive_float,
                    help="offered request rate (requests per simulated second)"),
-              _arg("--duration", type=float, default=PAPER_SERVING.duration_s,
+              _arg("--duration", "duration_s", type=_positive_float,
                    help="open-loop arrival window in simulated seconds"),
-              _arg("--zipf", type=str, default=None,
-                   help="comma-separated Zipf skew values (default 0.8,1.1)"),
-              _arg("--clients", type=int, default=PAPER_SERVING.client_count,
+              _arg("--zipf", "zipf_sweep", type=_comma_list(_non_negative),
+                   help="comma-separated Zipf skew values"),
+              _arg("--clients", "client_count", type=_positive_int,
                    help="front-end gateway nodes requests fan out over"),
-              _arg("--cache-mb", type=float, default=PAPER_SERVING.cache_mb,
+              _arg("--cache-mb", "cache_mb", type=_non_negative,
                    help="per-gateway LRU block-cache budget in MB"),
-              _arg("--no-cache", action="store_true",
+              _arg("--no-cache", "cache_modes", action="store_const", const=(False,),
                    help="run only the direct (cache-off) cells")),
+        smoke=SMOKE_SERVING,
         scale="multiply nodes and catalog files by this factor",
-        smoke=True,
-        oversub="two-stage core oversubscription ratio "
-                "(default 4:1; 0 = access links only)",
-        seed=PAPER_SERVING.seed,
+        oversub=_CORE_HELP,
     ),
     Command(
-        "coding", "Table 2", _run_coding,
-        args=(_arg("--chunk-mb", type=_positive_float, default=1.0),
-              _arg("--blocks", type=_positive_int, default=512)),
+        "coding", "Table 2", CodingPerfExperiment, CodingPerfConfig(),
+        args=(_arg("--chunk-mb", "chunk_size", type=_mb_as_bytes),
+              _arg("--blocks", "blocks_per_chunk", type=_positive_int)),
+        seed=False,
     ),
     Command(
-        "multicast", "Figures 11 and 12", _run_multicast,
-        args=(_arg("--nodes", type=int, default=0,
+        "multicast", "Figures 11 and 12", MulticastExperiment, MulticastConfig(),
+        args=(_arg("--nodes", "node_count", type=_count,
                    help="overlay size to route the dissemination tree over "
                         "(0 = the paper's synthetic binary tree)"),
-              _arg("--replicas", type=int, default=32,
+              _arg("--replicas", "replica_count", type=_positive_int,
                    help="replica holders reached through the overlay "
                         "(only with --nodes > 0)")),
-        seed=5,
     ),
     Command(
         "routing",
         "routing fabric: batched Pastry/Chord lookups, hops vs N, churn "
         "head-to-head (paper scale: 10 000 nodes)",
-        _run_routing,
-        args=(_arg("--engines", type=_comma_list(_engine_name), default=None,
-                   help="comma-separated engines (default pastry,chord)"),
-              _arg("--lookups", type=int, default=None,
+        RoutingExperiment, PAPER_ROUTING,
+        args=(_arg("--engines", "engines", type=_comma_list(_engine_name),
+                   help="comma-separated engines"),
+              _arg("--lookups", "lookups", type=_positive_int,
                    help="batched lookups per (size, engine) cell")),
+        smoke=SMOKE_ROUTING,
         scale="multiply sweep populations and lookup counts by this factor",
-        smoke=True,
-        seed=PAPER_ROUTING.seed,
     ),
     Command(
-        "condor", "Table 4", _run_condor,
-        args=(_arg("--sizes", type=_comma_list(_size_gb), default="1,2,4,8,16,32,64,128",
+        "condor", "Table 4", CondorCaseStudyExperiment, CondorCaseStudyConfig(),
+        args=(_arg("--sizes", "file_sizes", type=_comma_list(_gb_as_bytes),
                    help="comma-separated file sizes in GB"),),
-        seed=6,
     ),
     Command(
         "bench",
         "run the -m bench suite and update the BENCH_*.json trajectory",
-        _run_bench,
-        args=(_arg("--select", type=str, default=None,
+        args=(_arg("--select", "select", default=None,
                    help="pytest -k expression to run a subset of the benchmarks"),
-              _arg("--summary-only", action="store_true",
+              _arg("--summary-only", "summary_only", action="store_true", default=False,
                    help="skip running; just print the recorded BENCH_*.json summary")),
+        seed=False,
+        handler=_run_bench,
     ),
 )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser from the :data:`COMMANDS` table."""
+    """Construct the CLI argument parser from the :data:`COMMANDS` table.
+
+    A flag left out leaves no attribute (``argparse.SUPPRESS``): the preset
+    is the only default, and ``--help`` shows the preset's value.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's figures and tables.",
@@ -628,31 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="experiment")
     for command in COMMANDS:
         sub = subparsers.add_parser(command.name, help=command.help)
-        for arg in command.args:
-            sub.add_argument(*arg.flags, **arg.options)
-        if command.scale is not None:
-            sub.add_argument("--scale", type=float, default=1.0, help=command.scale)
-        if command.smoke:
-            sub.add_argument("--smoke", action="store_true", help=_SMOKE_HELP)
-        if command.oversub is not None:
-            sub.add_argument("--oversub", type=_oversub_ratio, default=None, metavar="RATIO",
-                            help=command.oversub)
-        if command.seed is not None:
-            sub.add_argument("--seed", type=int, default=command.seed)
-        sub.set_defaults(func=command.handler)
+        for flag, dest, options in command.args + command.shared_args():
+            options = dict({"default": argparse.SUPPRESS}, **options)
+            if "action" not in options and "choices" not in options:
+                options.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+            if hasattr(command.paper, dest):
+                preset = f"{dest} = {getattr(command.paper, dest)!r}".replace("%", "%%")
+                options["help"] = f"{options.get('help', '')} [preset: {preset}]".lstrip()
+            sub.add_argument(flag, dest=dest, **options)
+        sub.set_defaults(func=command.handler or partial(_run, command))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.list or args.experiment is None:
         names = ", ".join(command.name for command in COMMANDS)
         print(f"Available experiments: {names}")
         return 0
-    handler: Callable[[argparse.Namespace], int] = args.func
-    return handler(args)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,11 @@
 """Experiment harnesses that regenerate every figure and table of the paper.
 
-Each module reproduces one measurement loop from Section 6 and returns plain
-result objects (series of points or table rows) that the benchmarks print and
-EXPERIMENTS.md records.  Defaults are scaled down so each experiment runs in
-seconds; every configuration accepts the paper's full-scale parameters.
+Each module reproduces one measurement loop from Section 6 (or one named
+extension) as ``Experiment(config).run()``; the result holds series of points
+or table rows, and its ``report()`` is what ``python -m repro.cli`` prints.
+The ``PAPER_*`` presets (for Figure 10, Table 3 and the soak the config's own
+defaults) run at the paper's 10 000 nodes; the ``SMOKE_*`` presets and the
+CLI's ``--scale`` make a run take seconds.
 
 | Module                                       | Results                                  |
 |----------------------------------------------|------------------------------------------|
@@ -23,41 +25,7 @@ seconds; every configuration accepts the paper's full-scale parameters.
 :mod:`~repro.experiments.base` holds the shared configuration and the one
 deployment path (``DeploymentConfig`` + ``deploy()`` on
 :class:`~repro.api.ClusterSession`); :mod:`~repro.experiments.results` the
-``Series`` / ``TableResult`` containers and the ``BENCH_*.json`` renderer.
+``Series`` / ``TableResult`` containers, the report renderer and the
+``BENCH_*.json`` renderer.  Names are imported from their module; the
+package re-exports nothing.
 """
-
-from repro.experiments.results import Series, TableResult
-from repro.experiments.storage_insertion import (
-    InsertionConfig,
-    InsertionExperiment,
-    InsertionOutcome,
-    SchemeCurve,
-)
-from repro.experiments.availability import AvailabilityConfig, AvailabilityExperiment
-from repro.experiments.coding_perf import CodingPerfConfig, run_coding_performance
-from repro.experiments.churn import ChurnConfig, ChurnExperiment
-from repro.experiments.soak import SoakConfig, SoakExperiment, SoakResult
-from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
-from repro.experiments.condor_case_study import CondorCaseStudyConfig, run_condor_case_study
-
-__all__ = [
-    "Series",
-    "TableResult",
-    "InsertionConfig",
-    "InsertionExperiment",
-    "InsertionOutcome",
-    "SchemeCurve",
-    "AvailabilityConfig",
-    "AvailabilityExperiment",
-    "CodingPerfConfig",
-    "run_coding_performance",
-    "ChurnConfig",
-    "ChurnExperiment",
-    "SoakConfig",
-    "SoakExperiment",
-    "SoakResult",
-    "MulticastConfig",
-    "MulticastExperiment",
-    "CondorCaseStudyConfig",
-    "run_condor_case_study",
-]

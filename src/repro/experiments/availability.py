@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.erasure.base import CodeSpec
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.base import DeploymentConfig, deploy
-from repro.experiments.results import Series
+from repro.experiments.results import Series, format_series_table
 from repro.sim.churn import FailureSchedule
 from repro.sim.rng import RandomStreams
 
@@ -83,11 +83,26 @@ class AvailabilityConfig(DeploymentConfig):
 PAPER_FIG10 = AvailabilityConfig()
 
 
+@dataclass
+class AvailabilityResult:
+    """One series per coding: x = failed nodes, y = % of files unavailable."""
+
+    config: AvailabilityConfig
+    curves: Dict[str, Series]
+
+    def report(self) -> str:
+        config = self.config
+        return (f"Figure 10 — unavailable files (%) vs failed nodes "
+                f"({config.node_count} nodes, {config.file_count} files, "
+                f"{config.fail_fraction:.0%} failed, columnar ledger)\n"
+                + format_series_table(list(self.curves.values()), x_label="failed_nodes"))
+
+
 class AvailabilityExperiment:
     """Runs the unavailable-files-vs-failures comparison for three codings."""
 
-    def __init__(self, config: Optional[AvailabilityConfig] = None) -> None:
-        self.config = config or AvailabilityConfig()
+    def __init__(self, config: AvailabilityConfig) -> None:
+        self.config = config
         #: Per-coding wall-clock phase timings of the last :meth:`run`
         #: ({label: {"distribute_s": ..., "sweep_s": ...}}), recorded for the
         #: churn benchmarks.
@@ -108,12 +123,8 @@ class AvailabilityExperiment:
             "Online code": ChunkCodec(_SpecOnlyCode(online_spec), blocks_per_chunk=blocks),
         }
 
-    def run(self) -> Dict[str, Series]:
-        """Distribute the trace under each coding and fail nodes one by one.
-
-        Returns one series per coding: x = number of failed nodes, y = percent
-        of stored files that are no longer available.
-        """
+    def run(self) -> AvailabilityResult:
+        """Distribute the trace under each coding and fail nodes one by one."""
         config = self.config
         streams = RandomStreams(config.seed)
         results: Dict[str, Series] = {}
@@ -155,4 +166,4 @@ class AvailabilityExperiment:
                 "sweep_s": time.perf_counter() - sweep_start,
                 "failures": float(len(schedule)),
             }
-        return results
+        return AvailabilityResult(config, results)

@@ -19,12 +19,14 @@ and ``multicast_replicas`` run on bare overlays with no storage at all.
 Bending ``ClusterSession`` to them would add options nothing else needs.
 
 Every experiment follows one convention: a frozen config dataclass, ``PAPER_*``
-/ ``SMOKE_*`` preset constants, and ``Experiment(config).run()``.
+/ ``SMOKE_*`` preset constants, ``Experiment(config).run()``, and a result
+whose ``report()`` is what ``python -m repro.cli`` prints.  A config that the
+CLI's ``--scale`` applies to says which of its fields scale in ``scaled()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -42,6 +44,11 @@ from repro.workloads.filetrace import (
     FileTraceConfig,
     generate_file_trace,
 )
+
+
+def scaled_count(value: int, factor: float, floor: int) -> int:
+    """``value x factor`` rounded to an integer, never below ``floor``."""
+    return max(floor, int(round(value * factor)))
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,11 @@ class DeploymentConfig(ExperimentConfig):
     #: Copies kept of each encoded block (1 = primary only, the paper's
     #: insertion setting).
     block_replication: int = 1
+
+    def scaled(self, factor: float):
+        """The population and the corpus multiplied by ``factor``."""
+        return replace(self, node_count=scaled_count(self.node_count, factor, 2),
+                       file_count=scaled_count(self.file_count, factor, 1))
 
 
 def open_session(config, streams: RandomStreams, **session_kwargs) -> ClusterSession:

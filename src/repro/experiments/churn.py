@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult
@@ -85,8 +85,8 @@ class ChurnRow:
 class ChurnExperiment:
     """Runs the fail-and-regenerate experiment with recovery delays."""
 
-    def __init__(self, config: Optional[ChurnConfig] = None) -> None:
-        self.config = config or ChurnConfig()
+    def __init__(self, config: ChurnConfig) -> None:
+        self.config = config
         #: Per-fraction wall-clock phase timings of the last :meth:`run`
         #: ({fraction: {"distribute_s": ..., "recover_s": ...}}), recorded for
         #: the churn benchmarks.

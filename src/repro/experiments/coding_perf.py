@@ -12,7 +12,7 @@ property of the algorithms and carries over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -66,45 +66,50 @@ def _codecs(config: CodingPerfConfig) -> Dict[str, ChunkCodec]:
     return codecs
 
 
-def run_coding_performance(config: Optional[CodingPerfConfig] = None) -> TableResult:
-    """Measure encode/decode time and size overhead for each code (Table 2)."""
-    config = config or CodingPerfConfig()
-    rng = np.random.default_rng(config.seed)
-    payload = rng.integers(0, 256, size=config.chunk_size, dtype=np.uint8).tobytes()
+class CodingPerfExperiment:
+    """Measures encode/decode time and size overhead for each code (Table 2)."""
 
-    table = TableResult(
-        title=f"Table 2 — coding a {config.chunk_size / MB:.1f} MB chunk "
-        f"({config.blocks_per_chunk} blocks/chunk)",
-        columns=[
-            "code",
-            "encoded_size_mb",
-            "size_overhead_pct",
-            "encode_ms",
-            "encode_overhead_pct",
-            "decode_ms",
-            "encode_MBps",
-            "decode_MBps",
-        ],
-    )
+    def __init__(self, config: CodingPerfConfig) -> None:
+        self.config = config
 
-    measurements: Dict[str, List[CodingMeasurement]] = {}
-    for label, codec in _codecs(config).items():
-        runs = [codec.measure(payload) for _ in range(config.repetitions)]
-        measurements[label] = runs
+    def run(self) -> TableResult:
+        config = self.config
+        rng = np.random.default_rng(config.seed)
+        payload = rng.integers(0, 256, size=config.chunk_size, dtype=np.uint8).tobytes()
 
-    null_encode = float(np.mean([m.encode_seconds for m in measurements["Null"]]))
-    for label, runs in measurements.items():
-        encode = float(np.mean([m.encode_seconds for m in runs]))
-        decode = float(np.mean([m.decode_seconds for m in runs]))
-        encoded_size = float(np.mean([m.encoded_size for m in runs]))
-        table.add_row(
-            code=label,
-            encoded_size_mb=encoded_size / MB,
-            size_overhead_pct=100.0 * (encoded_size / config.chunk_size - 1.0),
-            encode_ms=encode * 1e3,
-            encode_overhead_pct=(100.0 * (encode / null_encode - 1.0)) if null_encode > 0 else 0.0,
-            decode_ms=decode * 1e3,
-            encode_MBps=float(np.mean([m.encode_throughput_mb_s for m in runs])),
-            decode_MBps=float(np.mean([m.decode_throughput_mb_s for m in runs])),
+        table = TableResult(
+            title=f"Table 2 — coding a {config.chunk_size / MB:.1f} MB chunk "
+            f"({config.blocks_per_chunk} blocks/chunk)",
+            columns=[
+                "code",
+                "encoded_size_mb",
+                "size_overhead_pct",
+                "encode_ms",
+                "encode_overhead_pct",
+                "decode_ms",
+                "encode_MBps",
+                "decode_MBps",
+            ],
         )
-    return table
+
+        measurements: Dict[str, List[CodingMeasurement]] = {}
+        for label, codec in _codecs(config).items():
+            runs = [codec.measure(payload) for _ in range(config.repetitions)]
+            measurements[label] = runs
+
+        null_encode = float(np.mean([m.encode_seconds for m in measurements["Null"]]))
+        for label, runs in measurements.items():
+            encode = float(np.mean([m.encode_seconds for m in runs]))
+            decode = float(np.mean([m.decode_seconds for m in runs]))
+            encoded_size = float(np.mean([m.encoded_size for m in runs]))
+            table.add_row(
+                code=label,
+                encoded_size_mb=encoded_size / MB,
+                size_overhead_pct=100.0 * (encoded_size / config.chunk_size - 1.0),
+                encode_ms=encode * 1e3,
+                encode_overhead_pct=(100.0 * (encode / null_encode - 1.0)) if null_encode > 0 else 0.0,
+                decode_ms=decode * 1e3,
+                encode_MBps=float(np.mean([m.encode_throughput_mb_s for m in runs])),
+                decode_MBps=float(np.mean([m.decode_throughput_mb_s for m in runs])),
+            )
+        return table

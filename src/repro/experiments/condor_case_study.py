@@ -16,7 +16,7 @@ the retry limits are set high enough that chunked schemes always find space
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -48,56 +48,62 @@ class CondorCaseStudyConfig:
     seed: int = 6
 
 
-def run_condor_case_study(config: Optional[CondorCaseStudyConfig] = None) -> TableResult:
-    """Produce the Table 4 rows: per file size, wall time under each scheme."""
-    config = config or CondorCaseStudyConfig()
-    cost = TransferCostModel()
-    table = TableResult(
-        title="Table 4 — bigCopy wall time (seconds) by storage scheme",
-        columns=[
-            "file_size_gb",
-            "whole_file_s",
-            "fixed_chunks_s",
-            "fixed_overhead_pct",
-            "varying_chunks_s",
-            "varying_overhead_pct",
-        ],
-    )
+class CondorCaseStudyExperiment:
+    """Produces the Table 4 rows: per file size, wall time under each scheme."""
 
-    for file_size in config.file_sizes:
-        row: Dict[str, object] = {"file_size_gb": file_size / GB}
+    def __init__(self, config: CondorCaseStudyConfig) -> None:
+        self.config = config
 
-        # Whole-file scheme: a single designated machine must hold the copy.
-        network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
-        target = max(network.live_nodes(), key=lambda node: node.capacity)
-        whole = run_bigcopy(WholeFileBackend(target), file_size, cost_model=cost)
-        row["whole_file_s"] = whole.elapsed_seconds if whole.success else float("nan")
-
-        # Fixed-size chunks (CFS-like).
-        network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
-        cfs = CfsStore(
-            DHTView(network),
-            block_size=config.fixed_chunk_size,
-            retries_per_block=config.retries_per_block,
+    def run(self) -> TableResult:
+        config = self.config
+        cost = TransferCostModel()
+        table = TableResult(
+            title="Table 4 — bigCopy wall time (seconds) by storage scheme",
+            columns=[
+                "file_size_gb",
+                "whole_file_s",
+                "fixed_chunks_s",
+                "fixed_overhead_pct",
+                "varying_chunks_s",
+                "varying_overhead_pct",
+            ],
+            float_format="{:.1f}",
         )
-        fixed = run_bigcopy(FixedChunkBackend(cfs), file_size, cost_model=cost)
-        row["fixed_chunks_s"] = fixed.elapsed_seconds if fixed.success else float("nan")
 
-        # Varying-size chunks (the proposed system).
-        network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
-        storage = StorageSystem(
-            DHTView(network),
-            codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
-            policy=StoragePolicy(max_consecutive_zero_chunks=config.zero_chunk_limit),
-        )
-        varying = run_bigcopy(VaryingChunkBackend(storage), file_size, cost_model=cost)
-        row["varying_chunks_s"] = varying.elapsed_seconds if varying.success else float("nan")
+        for file_size in config.file_sizes:
+            row: Dict[str, object] = {"file_size_gb": file_size / GB}
 
-        baseline = row["whole_file_s"]
-        row["fixed_overhead_pct"] = _overhead_pct(fixed, baseline)
-        row["varying_overhead_pct"] = _overhead_pct(varying, baseline)
-        table.add_row(**row)
-    return table
+            # Whole-file scheme: a single designated machine must hold the copy.
+            network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
+            target = max(network.live_nodes(), key=lambda node: node.capacity)
+            whole = run_bigcopy(WholeFileBackend(target), file_size, cost_model=cost)
+            row["whole_file_s"] = whole.elapsed_seconds if whole.success else float("nan")
+
+            # Fixed-size chunks (CFS-like).
+            network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
+            cfs = CfsStore(
+                DHTView(network),
+                block_size=config.fixed_chunk_size,
+                retries_per_block=config.retries_per_block,
+            )
+            fixed = run_bigcopy(FixedChunkBackend(cfs), file_size, cost_model=cost)
+            row["fixed_chunks_s"] = fixed.elapsed_seconds if fixed.success else float("nan")
+
+            # Varying-size chunks (the proposed system).
+            network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
+            storage = StorageSystem(
+                DHTView(network),
+                codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
+                policy=StoragePolicy(max_consecutive_zero_chunks=config.zero_chunk_limit),
+            )
+            varying = run_bigcopy(VaryingChunkBackend(storage), file_size, cost_model=cost)
+            row["varying_chunks_s"] = varying.elapsed_seconds if varying.success else float("nan")
+
+            baseline = row["whole_file_s"]
+            row["fixed_overhead_pct"] = _overhead_pct(fixed, baseline)
+            row["varying_overhead_pct"] = _overhead_pct(varying, baseline)
+            table.add_row(**row)
+        return table
 
 
 def _overhead_pct(result: BigCopyResult, baseline: object) -> float:

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional
 
 from repro.core.storage import StorageSystem
 from repro.experiments.base import DeploymentConfig, deploy
-from repro.experiments.results import TableResult
+from repro.experiments.results import TableResult, render_report
 from repro.overlay.network import OverlayNetwork
 from repro.sim.faults import FaultInjector
 from repro.sim.rng import RandomStreams
@@ -184,50 +184,41 @@ class FaultsResult:
                 return entry
         raise KeyError(scenario)
 
-    def durability_table(self) -> TableResult:
-        table = TableResult(
-            title="Fault scenarios — durability "
-                  f"({self.config.block_replication}-copy target, "
-                  f"{self.config.sites}x{self.config.racks_per_site} racks)",
-            columns=["scenario", "nodes_down", "rows_killed", "replicas_restored",
-                     "regenerated_gb", "lost_gb", "chunks_lost", "availability_pct"],
-        )
-        for row in self.rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
-
-    def repair_table(self) -> TableResult:
-        table = TableResult(
-            title="Fault scenarios — repair timing, traffic and read census "
-                  f"({self.config.bandwidth_mb_s:g} MB/s per-node links)",
-            columns=["scenario", "traffic_gb", "mean_ttr_s", "max_ttr_s",
-                     "makespan_s", "degraded_reads", "failed_reads", "reads_sampled"],
-        )
-        for row in self.rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
-
-    def topology_table(self) -> TableResult:
-        """The two-stage-core panel: trunk load, storm backlog, isolation."""
+    def report(self) -> str:
+        """Durability and repair panels, plus the core's when it is finite."""
         config = self.config
-        window = "unbounded" if config.repair_window is None else str(config.repair_window)
-        table = TableResult(
-            title="Fault scenarios — two-stage core "
-                  f"({config.oversubscription or 0:g}:1 oversubscription, "
-                  f"repair window {window}, weight {config.repair_weight:g})",
-            columns=["scenario", "oversub", "trunk_util_pct", "storm_queue_peak",
-                     "foreground_reads_done", "foreground_p95_s", "makespan_s"],
-        )
-        for row in self.rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
+        tables = [
+            TableResult.from_rows(
+                "Fault scenarios — durability "
+                f"({config.block_replication}-copy target, "
+                f"{config.sites}x{config.racks_per_site} racks)",
+                ["scenario", "nodes_down", "rows_killed", "replicas_restored",
+                 "regenerated_gb", "lost_gb", "chunks_lost", "availability_pct"],
+                self.rows),
+            TableResult.from_rows(
+                "Fault scenarios — repair timing, traffic and read census "
+                f"({config.bandwidth_mb_s:g} MB/s per-node links)",
+                ["scenario", "traffic_gb", "mean_ttr_s", "max_ttr_s",
+                 "makespan_s", "degraded_reads", "failed_reads", "reads_sampled"],
+                self.rows),
+        ]
+        if config.oversubscription:
+            window = "unbounded" if config.repair_window is None else str(config.repair_window)
+            tables.append(TableResult.from_rows(
+                "Fault scenarios — two-stage core "
+                f"({config.oversubscription:g}:1 oversubscription, "
+                f"repair window {window}, weight {config.repair_weight:g})",
+                ["scenario", "oversub", "trunk_util_pct", "storm_queue_peak",
+                 "foreground_reads_done", "foreground_p95_s", "makespan_s"],
+                self.rows))
+        return render_report(*tables)
 
 
 class FaultsExperiment:
     """Runs the correlated-failure scenario panels (fresh deployment per cell)."""
 
-    def __init__(self, config: Optional[FaultsConfig] = None) -> None:
-        self.config = config or FaultsConfig()
+    def __init__(self, config: FaultsConfig) -> None:
+        self.config = config
 
     def _probe_reads(self, storage: StorageSystem) -> Dict[str, float]:
         """Read a deterministic file sample; count degraded vs failed reads."""

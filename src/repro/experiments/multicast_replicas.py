@@ -54,12 +54,41 @@ class MulticastConfig:
     routing_engine: str = "pastry"
 
 
+@dataclass
+class MulticastResult:
+    """Figures 11 and 12, plus the routed tree in ``node_count`` mode."""
+
+    config: MulticastConfig
+    sweep: Dict[float, Series]
+    saturation: Tuple[Series, Series, Series]
+    tree: Optional[MulticastTree] = None
+
+    def report(self) -> str:
+        lines = []
+        if self.tree is not None:
+            lines.append(f"dissemination tree routed over {self.config.node_count} overlay "
+                         f"nodes: {len(self.tree)} vertices, height {self.tree.height()}, "
+                         f"{len(self.tree.leaves())} leaves")
+        lines.append("Figure 11 — epochs to full dissemination per RanSub size")
+        lines += [f"  RanSub {fraction:5.0%}: {len(series):4d} epochs"
+                  for fraction, series in sorted(self.sweep.items())]
+        minimum, average, maximum = self.saturation
+        lines.append("Figure 12 — final min/avg/max packets per node: "
+                     f"{minimum.final()} {average.final()} {maximum.final()}")
+        return "\n".join(lines)
+
+
 class MulticastExperiment:
     """Runs the RanSub sweep and the saturation study."""
 
-    def __init__(self, config: Optional[MulticastConfig] = None) -> None:
-        self.config = config or MulticastConfig()
+    def __init__(self, config: MulticastConfig) -> None:
+        self.config = config
         self._routed_tree: Optional[MulticastTree] = None
+
+    def run(self) -> MulticastResult:
+        """Figures 11 and 12 over one dissemination tree."""
+        tree = self._build_tree() if self.config.node_count > 0 else None
+        return MulticastResult(self.config, self.run_ransub_sweep(), self.run_saturation(), tree)
 
     def _build_tree(self) -> MulticastTree:
         """The dissemination tree (synthetic, or routed over an overlay).

@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.base import DeploymentConfig, deploy
-from repro.experiments.results import TableResult
+from repro.experiments.results import TableResult, render_report
 from repro.sim.churn import FailureSchedule
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
@@ -86,43 +86,33 @@ class RepairResult:
     ablation_rows: List[Dict[str, float]] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
 
-    def fraction_table(self) -> TableResult:
-        table = TableResult(
-            title="Time-to-repair and repair traffic vs failure fraction "
-                  f"({self.config.bandwidth_mb_s:g} MB/s per-node links)",
-            columns=["fail_pct", "failures", "regenerated_gb", "lost_gb",
-                     "traffic_gb", "mean_ttr_s", "p95_ttr_s", "makespan_s"],
-        )
-        for row in self.fraction_rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
-
-    def bandwidth_table(self) -> TableResult:
-        middle = self.config.fail_fractions[len(self.config.fail_fractions) // 2]
-        table = TableResult(
-            title=f"Time-to-repair vs per-node bandwidth ({100 * middle:g} % failed)",
-            columns=["bandwidth_mb_s", "traffic_gb", "mean_ttr_s", "p95_ttr_s", "makespan_s"],
-        )
-        for row in self.bandwidth_rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
-
-    def ablation_table(self) -> TableResult:
-        table = TableResult(
-            title=f"Graceful departure of {100 * self.config.leave_fraction:g} % of nodes: "
-                  "migration vs regeneration",
-            columns=["mode", "moved_gb", "traffic_gb", "lost_gb", "mean_ttr_s", "makespan_s"],
-        )
-        for row in self.ablation_rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
+    def report(self) -> str:
+        """Repair vs failure fraction and vs bandwidth, then the departure ablation."""
+        config = self.config
+        middle = config.fail_fractions[len(config.fail_fractions) // 2]
+        return render_report(
+            TableResult.from_rows(
+                "Time-to-repair and repair traffic vs failure fraction "
+                f"({config.bandwidth_mb_s:g} MB/s per-node links)",
+                ["fail_pct", "failures", "regenerated_gb", "lost_gb",
+                 "traffic_gb", "mean_ttr_s", "p95_ttr_s", "makespan_s"],
+                self.fraction_rows),
+            TableResult.from_rows(
+                f"Time-to-repair vs per-node bandwidth ({100 * middle:g} % failed)",
+                ["bandwidth_mb_s", "traffic_gb", "mean_ttr_s", "p95_ttr_s", "makespan_s"],
+                self.bandwidth_rows),
+            TableResult.from_rows(
+                f"Graceful departure of {100 * config.leave_fraction:g} % of nodes: "
+                "migration vs regeneration",
+                ["mode", "moved_gb", "traffic_gb", "lost_gb", "mean_ttr_s", "makespan_s"],
+                self.ablation_rows))
 
 
 class RepairExperiment:
     """Runs the bandwidth-aware repair panels on the discrete-event kernel."""
 
-    def __init__(self, config: Optional[RepairConfig] = None) -> None:
-        self.config = config or RepairConfig()
+    def __init__(self, config: RepairConfig) -> None:
+        self.config = config
 
     def _run_cell(self, fraction: float, bandwidth_mb_s: float, mode: str) -> Dict[str, float]:
         """One fresh distribution + one churn burst under one bandwidth.

@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 
 @dataclass
@@ -84,6 +84,14 @@ class TableResult:
     title: str
     columns: List[str]
     rows: List[Dict[str, object]] = field(default_factory=list)
+    #: How :meth:`format` renders floats unless told otherwise.
+    float_format: str = "{:.3f}"
+
+    @classmethod
+    def from_rows(cls, title: str, columns: List[str],
+                  rows: Iterable[Dict[str, object]]) -> "TableResult":
+        """The table of ``columns`` picked from each row (rows may carry more keys)."""
+        return cls(title, columns, [{column: row[column] for column in columns} for row in rows])
 
     def add_row(self, **values: object) -> None:
         """Append a row; every configured column must be provided."""
@@ -98,8 +106,10 @@ class TableResult:
             raise KeyError(name)
         return [row[name] for row in self.rows]
 
-    def format(self, float_format: str = "{:.3f}") -> str:
+    def format(self, float_format: Optional[str] = None) -> str:
         """Render the table as aligned plain text (used by benches and the CLI)."""
+        float_format = float_format or self.float_format
+
         def render(value: object) -> str:
             if isinstance(value, bool):
                 return str(value)
@@ -118,6 +128,21 @@ class TableResult:
         for line in rendered:
             lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(line))))
         return "\n".join(lines)
+
+    def report(self) -> str:
+        """What the CLI prints for a one-table result."""
+        return self.format()
+
+
+def render_report(*blocks: Union[TableResult, str], float_format: str = "{:,.2f}") -> str:
+    """Tables (and lines of text) joined by blank lines: a result's CLI report."""
+    return "\n\n".join(block if isinstance(block, str) else block.format(float_format)
+                       for block in blocks)
+
+
+def summary_line(name: str, values: Dict[str, float]) -> str:
+    """The ``"<name> summary: k=v, ..."`` line of a result's headline numbers."""
+    return f"{name} summary: " + ", ".join(f"{key}={value:,.2f}" for key, value in values.items())
 
 
 def load_benchmark_record(path: Path) -> Optional[dict]:

@@ -27,11 +27,11 @@ Run it::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List
 
-from repro.experiments.base import ExperimentConfig
-from repro.experiments.results import TableResult
+from repro.experiments.base import ExperimentConfig, scaled_count
+from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.ids import random_node_id
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
@@ -57,6 +57,17 @@ class RoutingConfig(ExperimentConfig):
     churn_lookups: int = 2_000
     leaf_set_half_size: int = 8
 
+    def scaled(self, factor: float) -> "RoutingConfig":
+        """Sweep populations and lookup counts multiplied by ``factor``."""
+        return replace(
+            self,
+            population_sweep=tuple(scaled_count(nodes, factor, 16)
+                                   for nodes in self.population_sweep),
+            churn_nodes=scaled_count(self.churn_nodes, factor, 32),
+            lookups=scaled_count(self.lookups, factor, 50),
+            churn_lookups=scaled_count(self.churn_lookups, factor, 50),
+        )
+
 
 #: The paper-scale flagship sweep.
 PAPER_ROUTING = RoutingConfig()
@@ -81,28 +92,21 @@ class RoutingResult:
     churn_rows: List[Dict[str, float]] = field(default_factory=list)
     summary_values: Dict[str, float] = field(default_factory=dict)
 
-    def panel_table(self) -> TableResult:
-        """Hops vs N: per-engine hop distribution, build time, routes/s."""
-        table = TableResult(
-            title="Routing fabric — batched lookups vs population size",
-            columns=["engine", "nodes", "lookups", "avg_hops", "median_hops",
-                     "p95_hops", "max_hops", "build_s", "routes_per_s",
-                     "table_mb", "bytes_per_node"],
-        )
-        for row in self.panel_rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
-
-    def churn_table(self) -> TableResult:
-        """Chord vs Pastry hop distributions before and after churn."""
-        table = TableResult(
-            title="Routing under churn — incremental table repair head-to-head",
-            columns=["engine", "phase", "nodes", "lookups", "avg_hops",
-                     "median_hops", "p95_hops", "max_hops"],
-        )
-        for row in self.churn_rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
+    def report(self) -> str:
+        """Hops vs N per engine, Chord vs Pastry under churn, the headline numbers."""
+        return render_report(
+            TableResult.from_rows(
+                "Routing fabric — batched lookups vs population size",
+                ["engine", "nodes", "lookups", "avg_hops", "median_hops",
+                 "p95_hops", "max_hops", "build_s", "routes_per_s",
+                 "table_mb", "bytes_per_node"],
+                self.panel_rows),
+            TableResult.from_rows(
+                "Routing under churn — incremental table repair head-to-head",
+                ["engine", "phase", "nodes", "lookups", "avg_hops",
+                 "median_hops", "p95_hops", "max_hops"],
+                self.churn_rows),
+        ) + "\n" + summary_line("routing", self.summary_values)
 
     def summary(self) -> Dict[str, float]:
         """The headline numbers the benchmark records and asserts on."""
@@ -112,8 +116,8 @@ class RoutingResult:
 class RoutingExperiment:
     """Runs the routing panels."""
 
-    def __init__(self, config: Optional[RoutingConfig] = None) -> None:
-        self.config = config or RoutingConfig()
+    def __init__(self, config: RoutingConfig) -> None:
+        self.config = config
 
     # ------------------------------------------------------------- workloads --
     def _lookup_workload(self, network: OverlayNetwork, count: int, rng):

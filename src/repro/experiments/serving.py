@@ -26,18 +26,19 @@ Run it::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.api import ClusterSession
 from repro.core.cache import CacheManager
 from repro.experiments.base import (
     ExperimentConfig,
+    claim_client,
     load_trace,
     open_session,
-    claim_client,
+    scaled_count,
 )
-from repro.experiments.results import TableResult
+from repro.experiments.results import TableResult, render_report, summary_line
 from repro.multicast.replication import MulticastReplicator
 from repro.sim.rng import RandomStreams
 from repro.workloads.filetrace import GB, MB, FileTraceConfig
@@ -101,6 +102,11 @@ class ServingConfig(ExperimentConfig):
     #: The routing engine that supplies hop counts when ``hop_latency_s`` > 0.
     routing_engine: str = "pastry"
 
+    def scaled(self, factor: float) -> "ServingConfig":
+        """The population and the served catalog multiplied by ``factor``."""
+        return replace(self, node_count=scaled_count(self.node_count, factor, 2),
+                       catalog_files=scaled_count(self.catalog_files, factor, 1))
+
 
 #: The paper-scale flagship: 10 000 nodes behind a 4:1 core.
 PAPER_SERVING = ServingConfig()
@@ -141,27 +147,6 @@ class ServingResult:
                 return row
         raise KeyError(name)
 
-    def table(self) -> TableResult:
-        """The serving panel: throughput, tail latency, hit ratio, balance."""
-        config = self.config
-        table = TableResult(
-            title=(
-                f"Serve path — open-loop Zipf traffic "
-                f"({config.request_rate:g} req/s offered, "
-                f"{config.read_fraction:.0%} reads, "
-                f"{config.cache_mb:g} MB/gateway cache)"
-            ),
-            columns=[
-                "scenario", "zipf_s", "cache", "offered_req_s",
-                "sustained_req_s", "read_p50_s", "read_p95_s", "read_p99_s",
-                "cache_hit_pct", "replica_read_pct", "load_max_mb",
-                "load_imbalance_x", "promotions",
-            ],
-        )
-        for row in self.rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
-
     def summary(self) -> Dict[str, float]:
         """The headline numbers the benchmark records and asserts on."""
         out: Dict[str, float] = {}
@@ -173,6 +158,20 @@ class ServingResult:
             out[f"{key}_load_imbalance_x"] = row["load_imbalance_x"]
         return out
 
+    def report(self) -> str:
+        """Throughput, tail latency, hit ratio and balance per cell, the headline numbers."""
+        config = self.config
+        return render_report(TableResult.from_rows(
+            f"Serve path — open-loop Zipf traffic "
+            f"({config.request_rate:g} req/s offered, "
+            f"{config.read_fraction:.0%} reads, "
+            f"{config.cache_mb:g} MB/gateway cache)",
+            ["scenario", "zipf_s", "cache", "offered_req_s",
+             "sustained_req_s", "read_p50_s", "read_p95_s", "read_p99_s",
+             "cache_hit_pct", "replica_read_pct", "load_max_mb",
+             "load_imbalance_x", "promotions"],
+            self.rows)) + "\n" + summary_line("serving", self.summary())
+
 
 def _scenario_name(zipf_s: float, cache_on: bool) -> str:
     return f"s{zipf_s:g}_{'cache' if cache_on else 'direct'}"
@@ -181,8 +180,8 @@ def _scenario_name(zipf_s: float, cache_on: bool) -> str:
 class ServingExperiment:
     """Runs the serving sweep (fresh deployment per cell, shared seed)."""
 
-    def __init__(self, config: Optional[ServingConfig] = None) -> None:
-        self.config = config or ServingConfig()
+    def __init__(self, config: ServingConfig) -> None:
+        self.config = config
 
     def _session(self, streams: RandomStreams) -> ClusterSession:
         config = self.config

@@ -46,12 +46,12 @@ Run the paper-scale preset (10 000 nodes, one simulated week)::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.core.storage import StorageSystem
 from repro.experiments.base import DeploymentConfig, deploy
-from repro.experiments.results import TableResult
+from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.ids import random_node_id
 from repro.overlay.node import OverlayNode
 from repro.sim.rng import RandomStreams
@@ -62,13 +62,17 @@ HOURS_PER_DAY = 24.0
 
 @dataclass(frozen=True)
 class SoakConfig(DeploymentConfig):
-    """Scaled-down defaults for the join/leave churn soak (time unit: hours).
+    """The join/leave churn soak; the defaults are the paper-scale preset.
 
+    10 000 nodes under one simulated week of session churn plus ~50 joins and
+    ~50 departures per hour (time unit: hours).  The file count matches the
+    fig10/table3 presets so the three dynamics workloads share a baseline.
     ``block_replication`` 2+ keeps every placement alive through single
     departures, which is what makes migration == regeneration an oracle.
     """
 
-    node_count: int = 300
+    node_count: int = 10_000
+    file_count: int = 20_000
     seed: int = 8
     #: Simulated soak length.
     horizon_hours: float = 7 * HOURS_PER_DAY
@@ -76,8 +80,8 @@ class SoakConfig(DeploymentConfig):
     mean_uptime_hours: float = 24.0
     mean_downtime_hours: float = 2.0
     #: Poisson rates for fresh-node joins and graceful departures.
-    join_rate_per_hour: float = 2.0
-    leave_rate_per_hour: float = 2.0
+    join_rate_per_hour: float = 50.0
+    leave_rate_per_hour: float = 50.0
     #: Availability/usage/memory sampling grid.
     sample_every_hours: float = 6.0
     #: Ledger compaction period.
@@ -99,16 +103,15 @@ class SoakConfig(DeploymentConfig):
     #: the preserved instantaneous-repair behaviour).
     bandwidth_gb_per_hour: Optional[float] = None
 
+    def scaled(self, factor: float) -> "SoakConfig":
+        """Population, corpus and the join/leave rates multiplied by ``factor``."""
+        return replace(super().scaled(factor),
+                       join_rate_per_hour=self.join_rate_per_hour * factor,
+                       leave_rate_per_hour=self.leave_rate_per_hour * factor)
 
-#: The paper-scale soak: 10 000 nodes under one simulated week of session
-#: churn plus ~50 joins and ~50 departures per hour.  The file count matches
-#: the fig10/table3 presets so the three dynamics workloads share a baseline.
-PAPER_SOAK = SoakConfig(
-    node_count=10_000,
-    file_count=20_000,
-    join_rate_per_hour=50.0,
-    leave_rate_per_hour=50.0,
-)
+
+#: The paper-scale soak.
+PAPER_SOAK = SoakConfig()
 
 
 @dataclass
@@ -157,31 +160,24 @@ class SoakResult:
             "peak_column_mb": (max(self.ledger_column_bytes) / MB) if self.ledger_column_bytes else 0.0,
         }
 
-    def series_table(self) -> TableResult:
-        """The sampled soak series as one aligned table (CLI output)."""
-        table = TableResult(
-            title="Join/leave churn soak",
-            columns=["t_hours", "live_nodes", "unavailable_pct", "utilization_pct",
-                     "ledger_rows", "live_rows", "column_mb"],
-        )
-        for index, t in enumerate(self.time_hours):
-            table.add_row(
-                t_hours=t,
-                live_nodes=self.live_nodes[index],
-                unavailable_pct=self.unavailable_pct[index],
-                utilization_pct=self.utilization_pct[index],
-                ledger_rows=self.ledger_rows[index],
-                live_rows=self.ledger_live_rows[index],
-                column_mb=self.ledger_column_bytes[index] / MB,
-            )
-        return table
+    def report(self) -> str:
+        """The sampled series as one table, then the headline numbers."""
+        columns = ["t_hours", "live_nodes", "unavailable_pct", "utilization_pct",
+                   "ledger_rows", "live_rows", "column_mb"]
+        samples = zip(self.time_hours, self.live_nodes, self.unavailable_pct,
+                      self.utilization_pct, self.ledger_rows, self.ledger_live_rows,
+                      (column_bytes / MB for column_bytes in self.ledger_column_bytes))
+        return render_report(
+            TableResult("Join/leave churn soak", columns,
+                        [dict(zip(columns, sample)) for sample in samples]),
+            summary_line("soak", self.summary()))
 
 
 class SoakExperiment:
     """Runs the join/leave churn soak on the discrete-event kernel."""
 
-    def __init__(self, config: Optional[SoakConfig] = None) -> None:
-        self.config = config or SoakConfig()
+    def __init__(self, config: SoakConfig) -> None:
+        self.config = config
         #: Final storage system after :meth:`run`, for post-soak oracles
         #: (e.g. the replication-histogram no-decay assertion).
         self.storage: Optional[StorageSystem] = None

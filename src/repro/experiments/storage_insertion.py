@@ -115,14 +115,29 @@ class InsertionOutcome:
         """Scheme -> final utilisation percentage."""
         return {name: curve.utilization_pct.final() for name, curve in self.curves.items()}
 
+    def report(self) -> str:
+        """The final values of Figures 7-9 and the Table 1 chunk statistics."""
+        lines = [f"Figure 7 — failed stores (%, final): {self.final_failed_stores()}",
+                 f"Figure 8 — failed data (%, final):   {self.final_failed_data()}",
+                 f"Figure 9 — utilisation (%, final):   {self.final_utilization()}",
+                 "", "Table 1 — chunk statistics"]
+        for scheme in ("CFS", "Our System"):
+            stats = self.curves[scheme].chunk_stats
+            lines.append(
+                f"  {scheme:12s} chunks/file {stats.get('mean_chunks_per_file', 0):7.2f} "
+                f"(sd {stats.get('std_chunks_per_file', 0):6.2f})   "
+                f"chunk size {stats.get('mean_chunk_size', 0) / MB:8.2f} MB "
+                f"(sd {stats.get('std_chunk_size', 0) / MB:7.2f} MB)")
+        return "\n".join(lines)
+
 
 class InsertionExperiment:
     """Runs the three-scheme insertion comparison."""
 
     SCHEMES = ("PAST", "CFS", "Our System")
 
-    def __init__(self, config: Optional[InsertionConfig] = None) -> None:
-        self.config = config or InsertionConfig()
+    def __init__(self, config: InsertionConfig) -> None:
+        self.config = config
         #: The DHT views of the most recent :meth:`run_once` (scheme -> view);
         #: benchmarks read their lookup counters from here.
         self.last_views: Dict[str, DHTView] = {}

@@ -36,12 +36,12 @@ Run it::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.core.storage import StorageSystem
-from repro.experiments.base import load_trace, open_session, claim_client
-from repro.experiments.results import TableResult
+from repro.experiments.base import claim_client, load_trace, open_session, scaled_count
+from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.network import OverlayNetwork
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
@@ -111,6 +111,11 @@ class TenantsConfig:
     scenarios: tuple = SCENARIOS
     seed: int = 11
 
+    def scaled(self, factor: float) -> "TenantsConfig":
+        """The population and the archive corpus multiplied by ``factor``."""
+        return replace(self, node_count=scaled_count(self.node_count, factor, 2),
+                       archive_files=scaled_count(self.archive_files, factor, 1))
+
 
 #: The paper-scale flagship: 10 000 nodes behind a 4:1 core.
 PAPER_TENANTS = TenantsConfig()
@@ -167,34 +172,27 @@ class TenantsResult:
                 return entry
         raise KeyError((scenario, tenant))
 
-    def isolation_table(self) -> TableResult:
-        """The flagship panel: the victim's SLOs across the three scenarios."""
+    def report(self) -> str:
+        """The victim's SLOs across the scenarios, then every tenant's."""
         config = self.config
         cap = ("uncapped" if config.storm_tenant_cap_mb_s is None
                else f"{config.storm_tenant_cap_mb_s:g} MB/s cap")
-        table = TableResult(
-            title="Noisy-neighbor storm — victim ingest vs archive repair "
-                  f"({config.oversubscription or 0:g}:1 core, storm weight "
-                  f"{config.storm_tenant_weight:g}, {cap})",
-            columns=["scenario", "ingest_mb_s", "ingest_slowdown_x", "probe_p95_s",
-                     "probe_reads_done", "repair_gb", "repair_makespan_s",
-                     "storm_queue_peak", "trunk_util_pct"],
-        )
-        for row in self.rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
-
-    def slo_table(self) -> TableResult:
-        """Per-tenant SLOs from the ledger aggregates and transfer accounting."""
-        table = TableResult(
-            title="Per-tenant SLOs (availability, bytes moved, backlog, reads, TTR)",
-            columns=["scenario", "tenant", "availability_pct", "stored_gb",
-                     "moved_gb", "backlog_gb", "degraded_reads", "failed_reads",
-                     "mean_ttr_s", "max_ttr_s"],
-        )
-        for row in self.tenant_rows:
-            table.add_row(**{column: row[column] for column in table.columns})
-        return table
+        return render_report(
+            TableResult.from_rows(
+                "Noisy-neighbor storm — victim ingest vs archive repair "
+                f"({config.oversubscription or 0:g}:1 core, storm weight "
+                f"{config.storm_tenant_weight:g}, {cap})",
+                ["scenario", "ingest_mb_s", "ingest_slowdown_x", "probe_p95_s",
+                 "probe_reads_done", "repair_gb", "repair_makespan_s",
+                 "storm_queue_peak", "trunk_util_pct"],
+                self.rows),
+            TableResult.from_rows(
+                "Per-tenant SLOs (availability, bytes moved, backlog, reads, TTR)",
+                ["scenario", "tenant", "availability_pct", "stored_gb",
+                 "moved_gb", "backlog_gb", "degraded_reads", "failed_reads",
+                 "mean_ttr_s", "max_ttr_s"],
+                self.tenant_rows),
+        ) + "\n" + summary_line("isolation", self.isolation_summary())
 
     def isolation_summary(self) -> Dict[str, float]:
         """The headline numbers the benchmark records and asserts on."""
@@ -220,8 +218,8 @@ class TenantsResult:
 class TenantsExperiment:
     """Runs the multi-tenant QoS scenarios (fresh shared deployment per cell)."""
 
-    def __init__(self, config: Optional[TenantsConfig] = None) -> None:
-        self.config = config or TenantsConfig()
+    def __init__(self, config: TenantsConfig) -> None:
+        self.config = config
 
     # -------------------------------------------------------------- deployment --
     def _deployment(self, streams: RandomStreams):

@@ -110,6 +110,15 @@ RETIRED = (
     ("legacy subcommands",
      r"repro\.cli (availability|churn)\b",
      _EVERYWHERE, _CENSUS + "; fig10 / table3 at --nodes 300 --files 2000 build the same runs"),
+    ("per-experiment CLI handlers",
+     r"\bdef _run_(?!bench\b)|\b_scaled\(|\b_timed_run\b|\b(PAPER|SMOKE)_\w+\.\w",
+     ("src/repro/cli.py",), "one driver over COMMANDS: presets are the only defaults"),
+    ("experiment functions",
+     r"\brun_coding_performance\b|\brun_condor_case_study\b",
+     _EVERYWHERE, "every experiment is Experiment(config).run() with a report()"),
+    ("experiment re-exports",
+     r"from repro\.experiments import",
+     _EVERYWHERE, "each name is imported from its module, one path per name"),
 )
 
 
@@ -192,8 +201,8 @@ class _Captured(Exception):
     """Raised instead of running an experiment; carries its config."""
 
 
-def _capture(*args, **kwargs):
-    raise _Captured(args[-1] if args else kwargs["config"])
+def _capture(experiment, config):
+    raise _Captured(config)
 
 
 def _effective_config(argv):
@@ -204,9 +213,6 @@ def _effective_config(argv):
             for name, value in vars(module).items():
                 if inspect.isclass(value) and name.endswith("Experiment"):
                     patch.setattr(value, "__init__", _capture)
-        for name in ("run_coding_performance", "run_condor_case_study"):
-            if hasattr(cli, name):
-                patch.setattr(cli, name, _capture)
         with pytest.raises(_Captured) as captured:
             cli.main(argv)
     return json.loads(json.dumps(dataclasses.asdict(captured.value.args[0])))

@@ -47,7 +47,7 @@ def test_figure10_curves_identical_across_engines(node_count, file_count):
         seed=11,
     )
     scalar = load_golden("fig10_curves.json")[f"{node_count}x{file_count}"]
-    vector = AvailabilityExperiment(config).run()
+    vector = AvailabilityExperiment(config).run().curves
     assert scalar.keys() == vector.keys()
     for label in scalar:
         assert scalar[label]["x"] == vector[label].x, label

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -15,6 +16,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+from repro.experiments.availability import PAPER_FIG10
+from repro.experiments.routing import PAPER_ROUTING
+from repro.experiments.serving import PAPER_SERVING
+from repro.experiments.soak import PAPER_SOAK
+from repro.experiments.tenants import PAPER_TENANTS
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = str(_ROOT / "src")
@@ -128,6 +134,15 @@ def test_coding_rejects_non_positive_sizes_with_a_usage_error(argv, capsys):
     ["tenants", "--oversub", "-2"],
     ["serve", "--oversub", "0.5"],
     ["condor", "--sizes", "1,-2"],
+    ["serve", "--zipf", "abc"],
+    ["serve", "--clients", "0"],
+    ["faults", "--sites", "0"],
+    ["faults", "--flash-pct", "150"],
+    ["repair", "--spacing", "-1"],
+    ["soak", "--days", "-1"],
+    ["soak", "--join-rate", "-1"],
+    ["routing", "--lookups", "0"],
+    ["multicast", "--nodes", "-5"],
     ["availability"],
     ["churn"],
 ], ids=" ".join)
@@ -151,11 +166,39 @@ def test_parser_knows_serve_flags():
     args = parser.parse_args(["serve", "--smoke", "--zipf", "0.9,1.2",
                               "--no-cache", "--oversub", "2", "--seed", "3"])
     assert args.experiment == "serve"
-    assert args.smoke and args.no_cache
-    assert args.zipf == "0.9,1.2"
-    assert args.oversub == 2.0
+    assert args.smoke
+    assert args.cache_modes == (False,)
+    assert args.zipf_sweep == (0.9, 1.2)
+    assert args.oversubscription == 2.0
     assert args.seed == 3
     assert callable(args.func)
+
+
+def test_absent_flags_leave_the_preset_alone():
+    """Only given flags reach the namespace; ``--no-isolation`` sets two fields."""
+    args = vars(build_parser().parse_args(["tenants", "--no-isolation"]))
+    assert {name: args[name] for name in args if name not in ("list", "experiment", "func")} == {
+        "storm_tenant_weight": 1.0, "storm_tenant_cap_mb_s": None}
+
+
+@pytest.mark.parametrize("preset, fields", [
+    (PAPER_FIG10, {"node_count", "file_count"}),
+    (PAPER_SOAK, {"node_count", "file_count", "join_rate_per_hour", "leave_rate_per_hour"}),
+    (PAPER_TENANTS, {"node_count", "archive_files"}),
+    (PAPER_SERVING, {"node_count", "catalog_files"}),
+    (PAPER_ROUTING, {"population_sweep", "churn_nodes", "lookups", "churn_lookups"}),
+], ids=lambda value: type(value).__name__ if dataclasses.is_dataclass(value) else "")
+def test_scale_multiplies_the_fields_each_config_names(preset, fields):
+    """``--scale`` is ``config.scaled(factor)``: each config says what grows with it."""
+    half = preset.scaled(0.5)
+    assert {field.name for field in dataclasses.fields(preset)
+            if getattr(half, field.name) != getattr(preset, field.name)} == fields
+    assert half.node_count <= preset.node_count and preset.scaled(1.0) == preset
+
+
+def test_flags_apply_on_top_of_the_smoke_preset(capsys):
+    assert main(["faults", "--smoke", "--sites", "2"]) == 0
+    assert "2x4 racks" in capsys.readouterr().out
 
 
 def test_serve_no_cache_runs_direct_cells_only(capsys):

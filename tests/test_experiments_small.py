@@ -14,8 +14,8 @@ import pytest
 
 from repro.experiments.availability import AvailabilityConfig, AvailabilityExperiment
 from repro.experiments.churn import ChurnConfig, ChurnExperiment
-from repro.experiments.coding_perf import CodingPerfConfig, run_coding_performance
-from repro.experiments.condor_case_study import CondorCaseStudyConfig, run_condor_case_study
+from repro.experiments.coding_perf import CodingPerfConfig, CodingPerfExperiment
+from repro.experiments.condor_case_study import CondorCaseStudyConfig, CondorCaseStudyExperiment
 from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
 from repro.workloads.filetrace import GB, MB
@@ -74,7 +74,7 @@ def test_insertion_resolved_file_count_from_utilization():
 # -- availability (Figure 10) -----------------------------------------------------------
 def test_availability_error_coding_reduces_losses():
     config = AvailabilityConfig(node_count=80, file_count=300, fail_fraction=0.15, sample_points=5, seed=2)
-    series = AvailabilityExperiment(config).run()
+    series = AvailabilityExperiment(config).run().curves
     assert set(series) == {"No error code", "XOR code", "Online code"}
     none_final = series["No error code"].final()
     xor_final = series["XOR code"].final()
@@ -89,7 +89,8 @@ def test_availability_error_coding_reduces_losses():
 
 # -- coding performance (Table 2) ----------------------------------------------------------
 def test_coding_performance_shape():
-    table = run_coding_performance(CodingPerfConfig(chunk_size=256 * 1024, blocks_per_chunk=128, repetitions=1))
+    table = CodingPerfExperiment(
+        CodingPerfConfig(chunk_size=256 * 1024, blocks_per_chunk=128, repetitions=1)).run()
     rows = {row["code"]: row for row in table.rows}
     assert rows["Null"]["size_overhead_pct"] == pytest.approx(0.0, abs=0.5)
     assert rows["XOR"]["size_overhead_pct"] == pytest.approx(50.0, rel=0.05)
@@ -103,9 +104,9 @@ def test_coding_performance_shape():
 
 
 def test_coding_performance_optional_reed_solomon():
-    table = run_coding_performance(
+    table = CodingPerfExperiment(
         CodingPerfConfig(chunk_size=64 * 1024, blocks_per_chunk=32, repetitions=1, include_reed_solomon=True)
-    )
+    ).run()
     assert any(row["code"] == "Reed-Solomon" for row in table.rows)
 
 
@@ -150,7 +151,7 @@ def test_multicast_saturation_is_even():
 # -- Condor case study (Table 4) ------------------------------------------------------------------
 def test_condor_case_study_shape():
     config = CondorCaseStudyConfig(file_sizes=(1 * GB, 4 * GB, 16 * GB), seed=6)
-    table = run_condor_case_study(config)
+    table = CondorCaseStudyExperiment(config).run()
     rows = {row["file_size_gb"]: row for row in table.rows}
     # Whole-file works at 1 and 4 GB, fails at 16 GB (largest contribution is 15 GB).
     assert math.isfinite(rows[1.0]["whole_file_s"])

@@ -88,7 +88,7 @@ def test_churn_failure_sweep_within_budget():
     # rebuilds costs well over the guarded 5x.
     config = AvailabilityConfig(node_count=250, file_count=400, sample_points=8, seed=7)
     start = time.perf_counter()
-    series = AvailabilityExperiment(config).run()
+    series = AvailabilityExperiment(config).run().curves
     elapsed = time.perf_counter() - start
     assert set(series) == {"No error code", "XOR code", "Online code"}
     assert all(len(curve) >= 2 for curve in series.values())
