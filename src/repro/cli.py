@@ -15,6 +15,7 @@ config's ``scaled()``, and the result prints its own ``report()``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -51,16 +52,17 @@ from repro.workloads.filetrace import GB, MB
 def _checked(cast: Callable, accept: Callable[..., bool], what: str) -> Callable:
     """An argparse ``type=``: ``cast`` the text, then reject what ``accept`` refuses.
 
-    Bad input is then argparse's usage error (exit 2), not a traceback from
-    deep inside an experiment.
+    Bad input (non-finite numbers included) is then argparse's usage error
+    (exit 2), not a traceback from deep inside an experiment.
     """
 
     def parse(text: str):
         try:
             value = cast(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
-        if not accept(value):
+            ok = (not isinstance(value, float) or math.isfinite(value)) and accept(value)
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
@@ -119,7 +121,8 @@ class Command:
     ``--smoke`` preset) opts into that flag; ``finite_core`` is the
     ``(paper, smoke)`` pair used instead when ``--oversub`` gives a ratio.
     ``scale``/``oversub`` carry the flag's help text when the command takes
-    it.  ``handler`` replaces the driver (``bench`` only).
+    it, ``note`` words the run after its wall time, ``handler`` replaces the
+    driver (``bench`` only).
     """
 
     name: str
@@ -132,14 +135,8 @@ class Command:
     scale: Optional[str] = None
     oversub: Optional[str] = None
     seed: bool = True
+    note: Optional[Callable[[object], str]] = None
     handler: Optional[Callable[[argparse.Namespace], int]] = None
-
-    def preset(self, smoke: bool, fields: dict):
-        """The config the flags in ``fields`` are applied to."""
-        paper, small = self.paper, self.smoke
-        if self.finite_core and fields.get("oversubscription"):
-            paper, small = self.finite_core
-        return small if smoke else paper
 
     def shared_args(self) -> Tuple[tuple, ...]:
         """The ``--scale``/``--smoke``/``--oversub``/``--seed`` flags it opts into."""
@@ -162,14 +159,16 @@ def _run(command: Command, args: argparse.Namespace) -> int:
     """Preset, the given flags, ``--scale``; run; print the report and wall time."""
     fields = {name: value for name, value in vars(args).items()
               if name not in ("list", "experiment", "func", "scale", "smoke")}
-    config = replace(command.preset(getattr(args, "smoke", False), fields), **fields)
+    presets = (command.finite_core if command.finite_core and fields.get("oversubscription")
+               else (command.paper, command.smoke))
+    config = replace(presets[getattr(args, "smoke", False)], **fields)
     if hasattr(args, "scale"):
         config = config.scaled(args.scale)
     start = time.perf_counter()
     result = command.experiment(config).run()
     seconds = time.perf_counter() - start
     print(result.report())
-    print(f"wall time: {seconds:.1f}s")
+    print(f"wall time: {seconds:.1f}s" + (f" ({command.note(config)})" if command.note else ""))
     return 0
 
 
@@ -226,6 +225,7 @@ COMMANDS: Tuple[Command, ...] = (
               _arg("--fractions", "fail_fractions", type=_comma_list(_percent),
                    help="comma-separated failure percentages")),
         scale=_SCALE_HELP,
+        note=lambda c: f"{c.node_count} nodes, {c.file_count} files, columnar ledger",
     ),
     Command(
         "soak",
@@ -247,6 +247,8 @@ COMMANDS: Tuple[Command, ...] = (
                    help="per-node link capacity in GB per simulated hour "
                         "(default: unconstrained, instantaneous repair)")),
         scale="multiply nodes, files and churn rates by this factor (e.g. 0.1)",
+        note=lambda c: (f"{c.node_count} nodes, {c.file_count} files, {c.horizon_hours / 24:.1f} "
+                        "simulated days, columnar ledger + compaction"),
     ),
     Command(
         "repair",
@@ -263,6 +265,8 @@ COMMANDS: Tuple[Command, ...] = (
               _arg("--spacing", "failure_spacing_s", type=_non_negative,
                    help="simulated seconds between consecutive failures")),
         scale=_SCALE_HELP,
+        note=lambda c: (f"{c.node_count} nodes, {c.file_count} files, columnar ledger, "
+                        "fair-share transfer scheduler"),
     ),
     Command(
         "faults",
@@ -282,6 +286,10 @@ COMMANDS: Tuple[Command, ...] = (
         oversub="finite two-stage core: trunks carry the members' "
                 "aggregate access bandwidth / RATIO (adds the "
                 "recovery-storm panel and the topology table)",
+        note=lambda c: (f"{c.node_count} nodes, {c.file_count} files, {c.sites}x{c.racks_per_site} "
+                        f"racks, {c.block_replication}-copy target, "
+                        + (f"{c.oversubscription:g}:1 oversubscribed core"
+                           if c.oversubscription else "access links only")),
     ),
     Command(
         "tenants",
@@ -299,6 +307,9 @@ COMMANDS: Tuple[Command, ...] = (
         smoke=SMOKE_TENANTS,
         scale="multiply nodes and archive files by this factor",
         oversub=_CORE_HELP,
+        note=lambda c: (f"{c.node_count} nodes, {c.archive_files} archive files, "
+                        f"{c.oversubscription or 0:g}:1 core, "
+                        f"storm weight {c.storm_tenant_weight:g}"),
     ),
     Command(
         "serve",
@@ -323,6 +334,8 @@ COMMANDS: Tuple[Command, ...] = (
         smoke=SMOKE_SERVING,
         scale="multiply nodes and catalog files by this factor",
         oversub=_CORE_HELP,
+        note=lambda c: (f"{c.node_count} nodes, {c.catalog_files} catalog files, "
+                        f"{c.oversubscription or 0:g}:1 core, {c.cache_mb:g} MB/gateway cache"),
     ),
     Command(
         "coding", "Table 2", CodingPerfExperiment, CodingPerfConfig(),
@@ -350,6 +363,8 @@ COMMANDS: Tuple[Command, ...] = (
                    help="batched lookups per (size, engine) cell")),
         smoke=SMOKE_ROUTING,
         scale="multiply sweep populations and lookup counts by this factor",
+        note=lambda c: (f"sweep {c.population_sweep}, {c.lookups} lookups/cell, "
+                        f"engines {', '.join(c.engines)}"),
     ),
     Command(
         "condor", "Table 4", CondorCaseStudyExperiment, CondorCaseStudyConfig(),
@@ -370,11 +385,7 @@ COMMANDS: Tuple[Command, ...] = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser from the :data:`COMMANDS` table.
-
-    A flag left out leaves no attribute (``argparse.SUPPRESS``): the preset
-    is the only default, and ``--help`` shows the preset's value.
-    """
+    """The parser of :data:`COMMANDS`: absent flags set nothing; ``--help`` shows presets."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the paper's figures and tables.",

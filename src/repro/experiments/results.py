@@ -134,9 +134,9 @@ class TableResult:
         return self.format()
 
 
-def render_report(*blocks: Union[TableResult, str], float_format: str = "{:,.2f}") -> str:
-    """Tables (and lines of text) joined by blank lines: a result's CLI report."""
-    return "\n\n".join(block if isinstance(block, str) else block.format(float_format)
+def render_report(*blocks: Union[TableResult, str]) -> str:
+    """Tables (floats to two places) and lines of text joined by blank lines: a CLI report."""
+    return "\n\n".join(block if isinstance(block, str) else block.format("{:,.2f}")
                        for block in blocks)
 
 

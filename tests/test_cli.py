@@ -143,6 +143,10 @@ def test_coding_rejects_non_positive_sizes_with_a_usage_error(argv, capsys):
     ["soak", "--join-rate", "-1"],
     ["routing", "--lookups", "0"],
     ["multicast", "--nodes", "-5"],
+    ["coding", "--chunk-mb", "inf"],
+    ["condor", "--sizes", "inf"],
+    ["soak", "--days", "inf"],
+    ["serve", "--rate", "nan"],
     ["availability"],
     ["churn"],
 ], ids=" ".join)
@@ -227,7 +231,8 @@ def test_routing_smoke_runs_every_panel(capsys):
     assert "Routing fabric" in out and "Routing under churn" in out
     assert "pastry" in out and "chord" in out
     assert "pastry_avg_hops=" in out and "chord_avg_hops=" in out
-    assert "routing summary" in out and "wall time" in out
+    assert "routing summary" in out
+    assert "(sweep (200, 400), 400 lookups/cell, engines pastry, chord)\n" in out
 
 
 def _cli_stdout(argv, hashseed: str) -> str:
