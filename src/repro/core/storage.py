@@ -454,8 +454,6 @@ class StorageSystem:
         for neighbor in self.dht.neighbors(primary.node_id, extra * 2):
             if len(replicas) >= extra:
                 break
-            if neighbor.node_id == primary.node_id:
-                continue
             if neighbor.store_block(name, size):
                 replicas.append(neighbor.node_id)
         return tuple(replicas)

@@ -667,6 +667,9 @@ class TransferScheduler:
         #: the level the flow freezes at or below.  The shared links this
         #: proves slack (status cached until their membership changes).
         self._bound: Dict[int, float] = {}
+        #: Per shared (trunk or tenant) link, its members' bounds as a
+        #: ``{bound: count}`` multiset: the slack test reads its max.
+        self._link_bounds: Dict[LinkKey, Dict[float, int]] = {}
         self._slack: set = set()
         #: Flows whose rate may have changed since the last fill (its seeds).
         self._dirty: set = set()
@@ -1083,7 +1086,8 @@ class TransferScheduler:
             capacity = self._key_capacity(key)
             if capacity is not None:
                 self._capacity[key] = float(capacity)
-        self._bound[seq] = self._access_bound(keys, weight)
+        bound = self._bound[seq] = self._access_bound(keys, weight)
+        self._count_bound(keys, bound, 1)
         self._dirty.add(seq)
         self._touch(keys)
 
@@ -1091,10 +1095,11 @@ class TransferScheduler:
         seq, weight = transfer.seq, transfer.weight
         del self._active[seq]
         self._order.remove(seq)
-        del self._weights[seq], self._bound[seq]
+        del self._weights[seq]
         self._dirty.discard(seq)
         load, members = self._link_load, self._members
         keys = self._links.pop(seq)
+        self._count_bound(keys, self._bound.pop(seq), -1)
         for key in keys:
             remaining = load.get(key, 0.0) - weight
             if remaining <= _WEIGHT_TOLERANCE:
@@ -1114,11 +1119,27 @@ class TransferScheduler:
         return min([capacity.get(key, math.inf) for key in keys if key[0] <= _DOWN],
                    default=math.inf) / weight
 
+    def _count_bound(self, keys: Iterable[LinkKey], bound: float, step: int) -> None:
+        """Add (``step`` 1) or remove (-1) one flow's bound on its shared links."""
+        link_bounds = self._link_bounds
+        for key in keys:
+            if key[0] > _DOWN:
+                counts = link_bounds.get(key)
+                if counts is None:
+                    counts = link_bounds[key] = {}
+                left = counts.get(bound, 0) + step
+                if left:
+                    counts[bound] = left
+                elif len(counts) > 1:
+                    del counts[bound]
+                else:
+                    del link_bounds[key]
+
     def _touch(self, keys: Iterable[LinkKey]) -> None:
         """Re-derive the slack status of links whose membership changed and
         mark the members of those binding before or after it for the refill."""
-        capacity, members, slack, bound = self._capacity, self._members, self._slack, self._bound
-        load = self._link_load
+        capacity, members, slack = self._capacity, self._members, self._slack
+        load, link_bounds = self._link_load, self._link_bounds
         for key in keys:
             limit = capacity.get(key)
             if limit is None:  # unconstrained or emptied: not an edge
@@ -1126,7 +1147,7 @@ class TransferScheduler:
                 continue
             row = members[key]
             if key[0] > _DOWN and limit > (
-                    _SLACK_MARGIN * load.get(key, 0.0) * max([bound[f] for f in row])):
+                    _SLACK_MARGIN * load.get(key, 0.0) * max(link_bounds[key])):
                 if key in slack:
                     continue
                 slack.add(key)
@@ -1151,8 +1172,10 @@ class TransferScheduler:
             self._topology_version = self.topology.version
         resolved = ((key, self._key_capacity(key)) for key in self._members)
         self._capacity = {key: float(value) for key, value in resolved if value is not None}
+        self._link_bounds = {}
         for seq, keys in self._links.items():
-            self._bound[seq] = self._access_bound(keys, self._weights[seq])
+            bound = self._bound[seq] = self._access_bound(keys, self._weights[seq])
+            self._count_bound(keys, bound, 1)
         # Every bound and status is re-derived and every flow refilled.
         self._slack.clear()
         self._touch(self._members)
@@ -1231,7 +1254,8 @@ class TransferScheduler:
                 if rate == math.inf:
                     transfer.remaining = 0.0
                 elif rate > 0.0:
-                    transfer.remaining = max(0.0, transfer.remaining - rate * dt)
+                    left = transfer.remaining - rate * dt
+                    transfer.remaining = left if left > 0.0 else 0.0
         self._last_update = now
 
     def _reallocate(self) -> None:

@@ -93,11 +93,12 @@ class ChunkCodec:
             raise ValueError("blocks_per_chunk must be >= 1")
         self.code = code
         self.blocks_per_chunk = blocks_per_chunk
+        self._spec = code.spec(blocks_per_chunk)
 
     # -- capacity negotiation helpers ------------------------------------------
     def spec(self) -> CodeSpec:
         """The capacity-simulation spec for the configured block count."""
-        return self.code.spec(self.blocks_per_chunk)
+        return self._spec
 
     def max_chunk_size(self, max_block_size: int) -> int:
         """Largest chunk storable when every encoded block must fit ``max_block_size``.
@@ -115,7 +116,7 @@ class ChunkCodec:
 
     def encoded_block_count(self) -> int:
         """Number of encoded blocks produced per chunk."""
-        return self.code.encoded_block_count(self.blocks_per_chunk)
+        return self._spec.output_blocks
 
     # -- real-bytes mode ---------------------------------------------------------
     def encode(self, data: bytes) -> EncodedChunk:

@@ -75,8 +75,6 @@ class MulticastReplicator:
         for candidate in self.dht.neighbors(primary, count * 3):
             if len(targets) >= count:
                 break
-            if candidate.node_id == primary:
-                continue
             if candidate.store_block(block_name, size):
                 targets.append(candidate.node_id)
         return targets

@@ -140,10 +140,12 @@ class DHTView:
         return [nodes[index] for index in self.state.successor_indices(int(key), count)]
 
     def neighbors(self, node_id: NodeId, count: int) -> List[OverlayNode]:
-        """The ``count`` live nodes numerically closest to ``node_id`` (excluding it).
+        """The ``count`` live nodes nearest ``node_id``, never ``node_id`` itself.
 
-        Used to pick replica targets "k-1 of its neighbors in the identifier
-        space" (Section 4.4.1) and CAT replica holders.
+        Nearest first by ``(ring distance, id)``: the caller's candidate order
+        when it walks further from a full neighbour.  Used to pick replica
+        targets "k-1 of its neighbors in the identifier space" (Section
+        4.4.1), CAT replica holders and the targets of repair and relocation.
         """
         nodes = self.state.nodes
         return [nodes[index] for index in self.state.neighbor_indices(int(node_id), count)]

@@ -371,36 +371,45 @@ class NodeArrayState:
         return [(start + offset) % size for offset in range(min(count, size))]
 
     def neighbor_indices(self, node_id: int, count: int) -> List[int]:
-        """Indices of the ``count`` nodes closest to ``node_id``, excluding it.
+        """Positions of the ``count`` indexed nodes nearest ``node_id``, excluding it.
 
-        Exactly reproduces the seed ``DHTView.neighbors`` semantics: collect a
-        window of candidates twice as wide as needed on both sides, then pick
-        the nearest by ``(ring distance, id)``.
+        Nearest first by ``(ring distance, id)``; fewer than ``count`` when
+        fewer other nodes are indexed.  A two-pointer walk outward from the
+        query's ``bisect`` position: the clockwise chain's offsets from the
+        query only grow, as do the counter-clockwise chain's, and a node's
+        offset on the side it is first reached from is its ring distance
+        (reached from the far side, it would already have been passed on the
+        near one).  Merging the chains by offset, ties towards the smaller
+        id, therefore picks in ``(ring distance, id)`` order at one big-int
+        subtraction per pick.  ``tests/reference/seed_neighbors.py`` keeps
+        the window-and-sort this replaced; the two agree on every ring.
         """
         if count <= 0:
             return []
         ids = self.ids_int
         if not ids:
             raise LookupError("no live nodes in the placement index")
-        value = int(node_id) % ID_SPACE
-        index = bisect.bisect_left(ids, value)
         size = len(ids)
-        seen = {value}
-        candidates: List[int] = []
-        half = ID_SPACE // 2
-        for step in range(1, min(size, count * 2 + 2) + 1):
-            for candidate in (ids[(index + step - 1) % size], ids[(index - step) % size]):
-                if candidate not in seen:
-                    seen.add(candidate)
-                    candidates.append(candidate)
-
-        def ring_key(candidate: int):
-            delta = (candidate - value) % ID_SPACE
-            return (delta if delta <= half else ID_SPACE - delta, candidate)
-
-        candidates.sort(key=ring_key)
-        id_index = bisect.bisect_left
-        return [id_index(ids, candidate) for candidate in candidates[:count]]
+        value = int(node_id) % ID_SPACE
+        up = bisect.bisect_left(ids, value) % size  # next clockwise position
+        down = (up or size) - 1  # next counter-clockwise position
+        others = size
+        if ids[up] == value:  # the query node itself is never picked
+            up = (up + 1) % size
+            others -= 1
+        ahead = (ids[up] - value) % ID_SPACE
+        behind = (value - ids[down]) % ID_SPACE
+        picks: List[int] = []
+        for _ in range(min(count, others)):
+            if ahead < behind or (ahead == behind and ids[up] < ids[down]):
+                picks.append(up)
+                up = up + 1 if up + 1 < size else 0
+                ahead = (ids[up] - value) % ID_SPACE
+            else:
+                picks.append(down)
+                down = (down or size) - 1
+                behind = (value - ids[down]) % ID_SPACE
+        return picks
 
     # -- failure domains -------------------------------------------------------
     def site_array(self) -> np.ndarray:

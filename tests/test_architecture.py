@@ -17,6 +17,9 @@ the call census of ``tests/tools/census.py``) and what replaced it.
 every CLI subcommand with its flags, their types and the config it runs with
 when no flag is given, plus the public names of ``repro.api`` with their
 signatures.  A change to any of them shows in the diff of that file.
+
+``perfbench/tracing.py`` attributes wall time by wrapping named methods; each
+name it lists must be a function its owner defines, so a rename fails here.
 """
 
 from __future__ import annotations
@@ -267,3 +270,21 @@ def public_surface():
 
 def test_the_public_surface_is_the_snapshot():
     assert public_surface() == json.loads(SURFACE.read_text())
+
+
+def test_every_traced_entry_point_is_a_function_its_owner_defines():
+    """The tracer wraps ``owner.__dict__[attr]``: a renamed or inherited target
+    would silently zero its layer in the attribution table."""
+    from perfbench.tracing import LAYERS, _targets
+
+    broken = []
+    for owner, attr, layer, _ in _targets():
+        value = vars(owner).get(attr)
+        if isinstance(value, classmethod):
+            value = value.__func__
+        where = (f"{owner.__qualname__}.{attr}" if inspect.isclass(owner) else attr,
+                 owner.__module__ if inspect.isclass(owner) else owner.__name__)
+        if (layer not in LAYERS or not inspect.isfunction(value)
+                or (value.__qualname__, value.__module__) != where):
+            broken.append(f"{getattr(owner, '__qualname__', owner.__name__)}.{attr} ({layer})")
+    assert not broken, "perfbench/tracing.py targets nothing real: " + ", ".join(broken)

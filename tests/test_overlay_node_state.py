@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from reference.seed_neighbors import seed_neighbor_indices
 
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import ID_SPACE, NodeId, key_for, random_node_id
@@ -374,6 +375,44 @@ def test_remove_before_any_lookup_stays_coalesced():
     assert state.remove(2)
     assert state._bounds_dirty
     assert state.ids_int[state.lookup_index(2)] in (1, 3)
+
+
+_IDS = st.integers(0, ID_SPACE - 1)
+
+
+@st.composite
+def _neighbour_queries(draw):
+    """A ring (uniform, clustered or evenly spaced ids, maybe the two ends of
+    the id space), a member or non-member query and a count."""
+    size = draw(st.integers(1, 200))
+    layout = draw(st.sampled_from(("uniform", "clustered", "even")))
+    if layout == "uniform":
+        ids = set(draw(st.lists(_IDS, min_size=1, max_size=size)))
+    elif layout == "clustered":
+        origin, spread = draw(_IDS), draw(st.integers(1, 4 * size))
+        offsets = draw(st.lists(st.integers(-spread, spread), min_size=1, max_size=size))
+        ids = {(origin + offset) % ID_SPACE for offset in offsets}
+    else:  # exact ties: a member's two nearest are one step away on each side
+        origin, step = draw(_IDS), ID_SPACE // size
+        ids = {(origin + i * step) % ID_SPACE for i in range(size)}
+    ids |= set(draw(st.sampled_from(((), (0,), (ID_SPACE - 1,), (0, ID_SPACE - 1)))))
+    ids = sorted(ids)
+    if draw(st.booleans()):
+        query = draw(st.sampled_from(ids))
+    else:
+        query = draw(st.one_of(
+            _IDS, st.sampled_from((0, ID_SPACE - 1)),
+            st.sampled_from(ids).map(lambda value: (value + ID_SPACE // 2) % ID_SPACE)))
+    return ids, query, draw(st.integers(0, 50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_neighbour_queries())
+@example(([0, 2 ** 158, 2 ** 159, 3 * 2 ** 158], 0, 3))  # one tie, antipode last
+@example(([5, 9], 5, 4))  # the member query itself is never returned
+def test_neighbor_walk_matches_the_seed_window_and_sort(case):
+    ids, query, count = case
+    assert _state_for(ids).neighbor_indices(query, count) == seed_neighbor_indices(ids, query, count)
 
 
 def test_successors_and_neighbors_delegate_to_state():

@@ -8,7 +8,8 @@ Three layers of checks, none of which reads a wall clock:
 * a differential fuzz of :class:`TransferScheduler` (persistent constraint
   graph + allocation epoch + same-instant activation folding) against the
   rebuild-on-every-event reference in ``tests/reference`` -- schedules,
-  callback order and every byte counter must agree with ``==``;
+  callback order and every byte counter must agree with ``==``, and the
+  per-link bound multisets of the slack test equal a recount after every op;
 * pinned ``reallocations`` / ``flows_filled`` counts, so "the scheduler
   recomputes rates only when their inputs changed, and only of the flows whose
   bottleneck component changed" is a tier-1 regression gate.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -263,6 +265,12 @@ _op = st.one_of(
 _latencies = st.tuples(*[st.sampled_from([0.0, 0.5, 1.0])] * 3)
 
 
+def _bound_multisets(sched):
+    """Each shared link's ``{bound: count}``, recounted from its members' bounds."""
+    return {key: dict(Counter(sched._bound[seq] for seq in row))
+            for key, row in sched._members.items() if key[0] > _DOWN}
+
+
 def _drive(scheduler_cls, ops, latencies):
     """Apply one op sequence to a fresh scheduler; return everything observable."""
     sim = Simulator()
@@ -305,6 +313,7 @@ def _drive(scheduler_cls, ops, latencies):
             sched.set_tenant_weight(args[0], args[1])
         else:
             topology.set_site_trunk(args[0], uplink=args[1])
+        assert sched._link_bounds == _bound_multisets(sched)
     sim.run()
     summary = sched.summary()
     del summary["reallocations"], summary["flows_filled"]  # the reference counts none
@@ -457,7 +466,8 @@ def _both(scenario):
 
 def _idle_and_clean(sched):
     """Nothing cached per flow or per link outlives the active set."""
-    return sched.idle and not (sched._bound or sched._slack or sched._dirty or sched._capacity)
+    return sched.idle and not (sched._bound or sched._link_bounds or sched._slack
+                               or sched._dirty or sched._capacity)
 
 
 def test_a_fresh_flow_crossing_no_binding_link_is_still_filled():
