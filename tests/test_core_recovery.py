@@ -188,6 +188,45 @@ def test_payload_mode_recovery_restores_payload(dht):
         assert out.complete and out.data == data
 
 
+def test_payload_mode_departures_move_every_copy_kind():
+    """Graceful departure in payload mode: primaries, neighbour replicas and
+    CAT copies leave with their bytes, so every holder a placement names is
+    live and has the payload, and every file reads back byte for byte."""
+    network = OverlayNetwork.build(40, np.random.default_rng(3), capacities=[64 * MB] * 40)
+    storage = StorageSystem(
+        DHTView(network),
+        codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
+        policy=StoragePolicy(block_replication=2),
+        payload_mode=True,
+    )
+    rng = np.random.default_rng(4)
+    files = {
+        f"file-{number}": rng.integers(0, 256, size=3 * MB + 4099 * number, dtype=np.uint8).tobytes()
+        for number in range(6)
+    }
+    for name, data in files.items():
+        assert storage.store_bytes(name, data).success
+    recovery = RecoveryManager(storage)
+    impacts = []
+    for _ in range(8):
+        fullest = max(network.live_nodes(), key=lambda node: node.used)
+        impacts.append(recovery.handle_leave(fullest.node_id))
+    for field in ("bytes_migrated", "replicas_restored", "cat_copies_restored"):
+        assert sum(getattr(impact, field) for impact in impacts) > 0, field
+    for stored in storage.files.values():
+        for chunk in stored.data_chunks():
+            for placement in chunk.placements:
+                for node_id in (placement.node_id, *placement.replica_nodes):
+                    assert node_id in network and network.node(node_id).alive
+                    assert (int(node_id), placement.block_name) in storage._block_payloads
+    for node in network.live_nodes():  # CAT copies included
+        assert all((int(node.node_id), name) in storage._block_payloads for name in node.stored_blocks)
+    for name, data in files.items():
+        out = storage.retrieve_file(name)
+        assert out.complete and out.data == data
+    storage.ledger.check_invariants()
+
+
 def test_totals_empty_manager():
     network = OverlayNetwork.build(8, np.random.default_rng(0), capacities=[MB] * 8)
     storage = StorageSystem(DHTView(network))
