@@ -14,7 +14,7 @@ Public entry points:
 * :class:`~repro.core.policies.StoragePolicy` -- all tunables (zero-chunk
   retry limit, replication factors, capacity-report fraction, ...);
 * :class:`~repro.core.recovery.RecoveryManager` -- failure handling, block
-  regeneration and graceful-departure migration (planner/executor split);
+  regeneration and graceful-departure migration;
 * :class:`~repro.core.transfer.TransferScheduler` -- the deterministic
   fair-share bandwidth model repairs charge their data movements to;
 * :mod:`~repro.core.naming` -- the ``filename_chunk_ECB`` naming convention.

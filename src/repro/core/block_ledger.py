@@ -1085,7 +1085,7 @@ class BlockLedger:
     def live_copy_owner(self, placement_idx: int) -> Optional["OverlayNode"]:
         """A node holding a live copy of the placement (None if all are dead).
 
-        Used by the bandwidth-aware repair executor to pick the surviving
+        Used by the bandwidth-aware recovery manager to pick the surviving
         blocks a regeneration reads from; the first live row in registration
         order keeps the choice deterministic.
         """
@@ -1519,9 +1519,6 @@ class TenantLedgerView:
 
     def file_index(self, name: str) -> Optional[int]:
         return self.base.file_index(name, tenant=self.tenant_id)
-
-    def restore_meta_copy(self, node, name, size, digest=None) -> int:
-        return self.base.restore_meta_copy(node, name, size, digest, tenant=self.tenant_id)
 
     # -- tenant-scoped aggregates ----------------------------------------------
     @property

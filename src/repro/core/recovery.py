@@ -10,9 +10,9 @@ here:
   lost one (with a rateless code new check blocks are simply appended);
 * if the chunk has already lost too many blocks to decode, nothing can be
   regenerated and the chunk's data is lost;
-* if the newly responsible node lacks capacity, the block is either dropped
-  and re-created at a different location (the paper's adopted choice, possible
-  because of the rateless online code) or skipped, per policy;
+* if the newly responsible node lacks capacity, the block is dropped and
+  re-created at a different location (the paper's adopted choice, possible
+  because of the rateless online code);
 * CAT objects are re-replicated, and a lost CAT can be rebuilt by probing
   chunk names one past the zero-chunk limit (Section 4.4).
 
@@ -21,24 +21,24 @@ The ledger's unreleased rows of a node are the one record of what it held
 of blocks stored on its neighbors"): :class:`RecoveryManager` walks them and
 nothing else.  A name still in a dead node's ``stored_blocks`` dict with no
 unreleased row was already repaired or deleted, so repairing a node twice is a
-no-op.  Two collaborators do the per-row work:
+no-op.  Each row is one copy to re-create -- a primary block, a neighbour
+replica, a CAT / metadata copy or (departures only) a PAST/CFS replica-group
+copy -- and a failure and a departure re-create it with the same step per copy
+kind: place it (DHT lookup plus the rateless relocation walk), re-point the
+placement and mirror the ledger.  What each trigger keeps as its own is where
+the bytes are read from and which counter books them: a failure reads the
+surviving blocks and counts them as regenerated, a departure reads the leaving
+node's copy and counts it as migrated.  With a
+:class:`~repro.core.transfer.TransferScheduler` attached, the bytes each step
+moves are charged to the fair-share bandwidth model so repairs take simulated
+*time*.
 
-* :class:`RepairPlanner` *selects* which surviving nodes a regeneration
-  reads from (congestion-ranked when a topology is attached);
-* :class:`RepairExecutor` *applies* each step: it places the
-  replacement copy (DHT lookup plus the rateless relocation walk), re-points
-  the placement bookkeeping, mirrors the ledger, and -- when a
-  :class:`~repro.core.transfer.TransferScheduler` is attached -- charges the
-  bytes that step moves to the fair-share bandwidth model so repairs take
-  simulated *time*.
-
-Classification and execution stay interleaved (one row is classified and
-applied before the next is read) because placement decisions consume capacity
-that later decisions must observe -- exactly the seed ordering.  With no
-scheduler attached (``transfers=None``, the default) the executor applies
-every step instantaneously and the impacts, totals and placements equal the
-frozen seed outputs in ``tests/golden/``; the oracle is
-``tests/test_churn_equivalence.py``.
+Rows are applied one at a time (one row is classified and applied before the
+next is read) because placement decisions consume capacity that later
+decisions must observe -- exactly the seed ordering.  With no scheduler
+attached (``transfers=None``, the default) every step applies instantaneously
+and the impacts, totals and placements equal the frozen seed outputs in
+``tests/golden/``; the oracle is ``tests/test_churn_equivalence.py``.
 
 Graceful departures (:meth:`RecoveryManager.handle_leave`) are first-class:
 the departing node's blocks are *copied out* to the nodes now responsible for
@@ -110,70 +110,8 @@ class FailureImpact:
         return self.repair_finished_at - self.repair_started_at
 
 
-class RepairPlanner:
-    """Selects the surviving nodes a repair reads from.
-
-    The planner never mutates placement state; it is consulted once per
-    repaired row (and once per retried transfer), after the steps before it
-    have been applied, because executing a step consumes target capacity and
-    creates copies that later selections observe.
-    """
-
-    def __init__(self, storage: StorageSystem, transfers: Optional[TransferScheduler]) -> None:
-        self.storage = storage
-        #: Transfer scheduler consulted for congestion-aware source ranking;
-        #: ranking activates only when it also carries a topology, so the
-        #: access-only and instantaneous paths keep the seed selection order.
-        self.transfers = transfers
-
-    def _rank_sources(self, candidates: list, early_stop: int) -> list:
-        """Stable-sort read-source candidates by outbound path congestion.
-
-        Candidates whose uplink/rack/site stages are saturated sort last, so
-        a repair read prefers copies reachable without crossing a hot trunk.
-        The sort is stable and gated on an attached topology: with no
-        topology (or an unconstrained one, where every congestion is 0) the
-        original placement order is preserved exactly -- the infinite-core
-        oracle's selection guarantee.
-        """
-        transfers = self.transfers
-        if transfers is None or transfers.topology is None or len(candidates) <= 1:
-            return candidates[:early_stop]
-        ranked = sorted(
-            candidates,
-            key=lambda node: transfers.source_congestion(int(node.node_id)),
-        )
-        return ranked[:early_stop]
-
-    # ---------------------------------------------------------- read sources --
-    def regeneration_sources(self, chunk: StoredChunk, skip_position: int) -> List[OverlayNode]:
-        """Live nodes a regeneration reads its ``required`` input blocks from.
-
-        One surviving copy per placement (the decoder needs ``required``
-        distinct blocks of the chunk), skipping the placement being repaired.
-        Only consulted when a transfer scheduler is charging repair traffic.
-        With a topology attached the candidates are congestion-ranked (least
-        saturated outbound path first) before truncation to ``required``.
-        """
-        required = self.storage.codec.spec().required_blocks()
-        rank = self.transfers is not None and self.transfers.topology is not None
-        sources: List[OverlayNode] = []
-        ledger = self.storage.ledger
-        for position, placement_idx in enumerate(
-            ledger.chunk_placement_indexes(chunk.ledger_index)
-        ):
-            if position == skip_position:
-                continue
-            owner = ledger.live_copy_owner(placement_idx)
-            if owner is not None:
-                sources.append(owner)
-                if not rank and len(sources) >= required:
-                    break
-        return self._rank_sources(sources, required)
-
-
-class RepairExecutor:
-    """Applies repair/migration steps: placement, bookkeeping, bandwidth.
+class RecoveryManager:
+    """Drives block regeneration after failures and migration before leaves.
 
     With ``transfers=None`` every step applies instantaneously.  With a
     scheduler attached, the logical state change still applies immediately
@@ -185,18 +123,25 @@ class RepairExecutor:
     def __init__(
         self,
         storage: StorageSystem,
-        transfers: Optional[TransferScheduler],
-        planner: RepairPlanner,
-        repair_weight: float,
-        tenant: Optional[int],
-        pacer: Optional[TransferPacer],
+        transfers: Optional[TransferScheduler] = None,
+        repair_window: Optional[int] = None,
+        repair_weight: float = 1.0,
     ) -> None:
         self.storage = storage
         self.dht = storage.dht
+        #: Fair-share bandwidth model; ``None`` (the default) keeps every
+        #: repair instantaneous.  Read sources are congestion-ranked only when
+        #: it also carries a topology, so the access-only and instantaneous
+        #: paths keep the seed selection order.
         self.transfers = transfers
-        #: Picks the decode-read sources of a regeneration, and of a failed
-        #: repair transfer that re-plans its read from a surviving copy.
-        self.planner = planner
+        #: Tenant whose chunk and meta rows this manager repairs after a
+        #: failure (0 for a private ledger; shared ledgers tag rows per tenant).
+        self.tenant_id = storage.ledger.tenant_id
+        #: Tenant tag of the failure repairs' transfers: a tenant-scoped store
+        #: repairs under its own tenant; a private (or raw shared) ledger stays
+        #: untagged (``None``) -- the untagged QoS oracle.  A departure tags
+        #: each copy with its row's tenant instead.
+        self.tenant = self.tenant_id if isinstance(storage.ledger, TenantLedgerView) else None
         #: Per-transfer timeout (simulated time) applied to every repair
         #: transfer; ``None`` (the default) preserves untimed transfers.
         self.transfer_timeout: Optional[float] = None
@@ -208,33 +153,455 @@ class RepairExecutor:
         #: Fair-share weight of repair transfers (< 1.0 de-prioritises repair
         #: below weight-1.0 foreground traffic on every shared link).
         self.repair_weight = repair_weight
-        #: Optional admission controller: repair submissions beyond its
-        #: bounded in-flight window are queued (never dropped) and drain as
-        #: completions free slots -- the recovery-storm backpressure valve.
+        #: Optional admission controller: ``repair_window`` bounds in-flight
+        #: repair transfers (overflow queues FIFO -- backpressure, not drops);
         #: ``None`` submits directly (the seed behaviour).
-        self.pacer = pacer
-        #: Tenant tag charged to this executor's repair transfers (``None`` =
-        #: untagged, the single-tenant default).  A store built on a
-        #: :class:`~repro.core.block_ledger.TenantLedgerView` repairs under
-        #: its own tenant; cross-tenant migrations pass the row's tenant
-        #: explicitly.
-        self.tenant = tenant
+        self.pacer: Optional[TransferPacer] = None
+        if transfers is not None and repair_window is not None:
+            self.pacer = TransferPacer(
+                transfers, max_in_flight=repair_window, weight=repair_weight
+            )
         #: Transfer specs staged for the failure currently being processed:
         #: ``(size, src, dst, ctx, tenant)`` where ``ctx`` is ``None`` or a
         #: ``(mode, chunk, position)`` re-planning context.
         self._staged: List[
             Tuple[float, Optional[int], Optional[int], Optional[tuple], Optional[int]]
         ] = []
+        self.impacts: List[FailureImpact] = []
 
-    # -------------------------------------------------------------- staging --
-    def begin(self, impact: FailureImpact) -> None:
-        """Start charging a new failure's repair traffic."""
+    # ------------------------------------------------------------------ failure --
+    def handle_failure(self, node_id: NodeId) -> FailureImpact:
+        """Fail ``node_id`` and regenerate what can be regenerated.
+
+        The node is marked failed in the overlay, removed from the DHT view,
+        and each of its unreleased ledger rows is repaired: blocks whose chunk
+        is still decodable are re-created on the node now responsible for
+        their name (or elsewhere if that node is full); chunks that are no
+        longer decodable are counted as lost data.  The rows are the record:
+        a name in the dead node's dict with no unreleased row was already
+        repaired or deleted, so a second call on the same node is a no-op.
+
+        The rows come from one read of the ledger's per-owner row index and
+        every decodability check is an O(1) counter read; impacts, placements
+        and Table 3 rows equal the frozen seed dict-walk outputs
+        (``tests/test_churn_equivalence.py``).
+        """
+        ledger = self.storage.ledger
+        node = self.dht.network.node(node_id)
+        impact = self._begin(node_id, node)
+
+        rows = ledger.recovery_rows(node)
+        if node.alive:
+            self.dht.network.fail(node_id)  # the ledger is notified via its listener
+        self.dht.remove(node_id)  # incremental boundary patch, not an O(N) rebuild
+        ledger.ensure_digests(rows)
+
+        damaged_files: set[str] = set()
+        for row in rows:
+            self._apply_failure_row(row, node_id, impact, ledger, damaged_files)
+        impact.files_damaged = len(damaged_files)
+        self._finish(impact)
+        return impact
+
+    def _apply_failure_row(
+        self, row: int, failed_node: NodeId, impact: FailureImpact, ledger: BlockLedger,
+        damaged_files: set,
+    ) -> None:
+        """Repair one ledger row of a failed node."""
+        if ledger.row_group(row) >= 0 or ledger.row_tenant(row) != self.tenant_id:
+            # A baseline replica-group row (the baselines have no
+            # regeneration) or another tenant's row (its manager repairs it).
+            return
+        name = ledger.row_name(row)
+        file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
+        if placement_idx < 0:
+            target, copied = self._copy_meta(ledger, row, name, size, impact)
+            if copied:
+                impact.bytes_regenerated += size
+                if self.transfers is not None:
+                    # Read from a surviving replica in the name's
+                    # neighbourhood; with none left only the receiver's
+                    # downlink is charged.
+                    holders = [int(candidate.node_id)
+                               for candidate in self.dht.neighbors(target.node_id, 8)
+                               if candidate.has_block(name)]
+                    source = next(iter(self._least_congested(holders)), None)
+                    self._stage(size, source, int(target.node_id))
+            return
+        chunk = ledger.chunk_object(chunk_idx)
+        if not ledger.chunk_recoverable(chunk_idx):  # below the decode threshold
+            damaged_files.add(ledger.file_name(file_idx))
+            if not chunk.counted_lost:
+                impact.data_bytes_lost += chunk.size
+                impact.chunks_lost += 1
+                chunk.counted_lost = True
+            return
+        position = ledger.placement_position(placement_idx)
+        digest = ledger.row_digest(row)
+        # A *primary* loss re-points the placement at a fresh block only when
+        # the placement's primary lived on the failed node; otherwise the dead
+        # copy was a neighbour replica and is re-replicated -- re-pointing the
+        # primary from a replica row would erode the replication level.
+        primary = int(chunk.placements[position].node_id) == int(failed_node)
+        if primary:
+            new_holder = self._repoint_primary(
+                ledger, chunk, position, name, size, ledger.row_key(row), digest
+            )
+        else:
+            new_holder = self._repoint_replica(
+                ledger, chunk, position, name, size, failed_node, digest, impact
+            )
+        if new_holder is None:
+            impact.bytes_dropped += size
+            return
+        impact.bytes_regenerated += size
+        dst = int(new_holder.node_id)
+        if self.transfers is not None:
+            # A lost replica is copied from a surviving holder of the block
+            # (one read); a lost primary -- or a replica with no intact copy
+            # left -- is decoded from ``required`` reads of the other placements.
+            source = None if primary else self._copy_source(chunk, position, {int(failed_node), dst})
+            if source is not None:
+                self._stage(size, source, dst, ("copy", chunk, position))
+            else:
+                for source in self.regeneration_sources(chunk, position):
+                    self._stage(size, source, dst, ("regen", chunk, position))
+        if not self.storage.payload_mode:
+            return
+        payloads = self.storage._block_payloads
+        placement = chunk.placements[position]
+        if not primary:
+            for holder in (placement.node_id, *placement.replica_nodes):
+                payload = payloads.get((int(holder), name))
+                if payload is not None:
+                    payloads[(dst, name)] = payload
+                    break
+            payloads.pop((int(failed_node), name), None)
+        elif chunk.encoded is not None and position < len(chunk.encoded.blocks):
+            payload = chunk.encoded.blocks[position].data
+            fresh = self._fresh_check_block(chunk)
+            if fresh is not None:
+                # Rateless repair (Section 4.4): the replacement is a *new*
+                # check block continuing the stream, not a byte-identical
+                # copy of the lost one.
+                chunk.encoded.blocks[position] = fresh
+                payload = fresh.data
+            payloads[(dst, name)] = payload
+            # Surviving replicas still hold the *old* payload under this
+            # block name; refresh them so a later fetch from a replica
+            # cannot serve stale bytes keyed by the new stream index.
+            for replica_id in placement.replica_nodes:
+                if (int(replica_id), name) in payloads:
+                    payloads[(int(replica_id), name)] = payload
+
+    def _fresh_check_block(self, chunk: StoredChunk):
+        """Mint a brand-new encoded block for a rateless chunk, if possible.
+
+        Returns ``None`` for non-rateless codes (their repair re-places the
+        original payload).  For the online code, the surviving blocks are
+        decoded and ``generate_additional_blocks`` continues the check-block
+        stream -- the cached code-structure layer means this reuses the graph
+        the encoder built rather than re-deriving it.
+        """
+        code = self.storage.codec.code
+        if not hasattr(code, "generate_additional_blocks") or chunk.encoded is None:
+            return None
+        encoded = chunk.encoded
+        try:
+            data = code.decode(encoded, {b.index: b.data for b in encoded.blocks})
+        except DecodingError:  # peeling stalled: fall back to copying the lost payload
+            return None
+        (block,) = code.generate_additional_blocks(encoded, data, 1)
+        encoded.metadata["output_blocks"] = block.index + 1
+        return block
+
+    # ---------------------------------------------------------------- departure --
+    def handle_leave(self, node_id: NodeId) -> FailureImpact:
+        """Gracefully migrate a node's blocks out, then remove it.
+
+        The departing node's copies are *moved* (each block crosses the
+        network once, charged to the node's uplink) to the nodes that become
+        responsible for them -- the same targets the post-failure regeneration
+        pipeline would pick -- before :meth:`~repro.overlay.network.
+        OverlayNetwork.leave` releases whatever could not be placed.  On a
+        multi-tenant ledger the PAST/CFS replica-group rows migrate too.
+        When redundancy is intact and capacity suffices, the resulting
+        placements are identical to failing the node and regenerating
+        (``tests/test_soak.py``'s migration-conserves-bytes oracle).
+        """
+        node = self.dht.network.node(node_id)
+        impact = self._begin(node_id, node)
+
+        self.dht.remove(node_id)  # lookups now exclude the departing node
+        ledger = self.storage.ledger
+        rows = ledger.recovery_rows(node)
+        ledger.ensure_digests(rows)
+        for row in rows:
+            self._apply_migration_row(row, node, impact, ledger)
+        self._finish(impact)
+        self.dht.network.leave(node_id)  # releases whatever was not migrated
+        return impact
+
+    def _apply_migration_row(
+        self, row: int, node: OverlayNode, impact: FailureImpact, ledger: BlockLedger
+    ) -> None:
+        """Copy one ledger row of a departing node out.
+
+        Every tenant's rows migrate: the departure is final (``network.leave``
+        permanently releases whatever stays behind, and no other tenant's
+        manager can run on a node that already left), and the ledger
+        bookkeeping is tenant-exact either way.  The one cross-tenant gap is
+        payload mode: another tenant's block *bytes* live in that tenant's
+        storage and are not relocated here (capacity accounting stays exact).
+        """
+        name = ledger.row_name(row)
+        file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
+        # The transfer tag follows the *row's* tenant; a single-tenant ledger
+        # keeps the manager's own tag so the untagged oracle holds end to end.
+        tag = ledger.row_tenant(row) if ledger.multi_tenant else None
+        leaving = int(node.node_id)
+        payloads = self.storage._block_payloads if self.storage.payload_mode else {}
+        if ledger.row_group(row) >= 0:
+            # A baseline (PAST/CFS) replica-group copy goes where the baseline
+            # would re-insert it: the name's root, or the root's neighbourhood
+            # (where a fellow replica usually already sits on the root).
+            placed = self.place_block(name, size, ledger.row_key(row))
+            if placed is None:
+                impact.bytes_dropped += size
+            else:
+                impact.bytes_migrated += size
+                self._stage(size, leaving, int(placed.node_id), tenant=tag)
+                ledger.migrate_group_row(row, placed)
+        elif placement_idx < 0:
+            target, copied = self._copy_meta(ledger, row, name, size, impact)
+            if copied:
+                impact.bytes_migrated += size
+                self._stage(size, leaving, int(target.node_id), tenant=tag)
+            payload = payloads.pop((leaving, name), None)
+            if payload is not None and target.has_block(name):
+                payloads.setdefault((int(target.node_id), name), payload)
+        else:
+            chunk = ledger.chunk_object(chunk_idx)
+            position = ledger.placement_position(placement_idx)
+            digest = ledger.row_digest(row)
+            primary = int(chunk.placements[position].node_id) == leaving
+            if primary:
+                new_holder = self._repoint_primary(
+                    ledger, chunk, position, name, size, ledger.row_key(row), digest
+                )
+            else:
+                new_holder = self._repoint_replica(
+                    ledger, chunk, position, name, size, node.node_id, digest, impact
+                )
+            if new_holder is None:
+                impact.bytes_dropped += size
+                if primary:
+                    return  # the primary stays on the leaving node until ``network.leave``
+            else:
+                impact.bytes_migrated += size
+                dst = int(new_holder.node_id)
+                self._stage(size, leaving, dst, ("copy", chunk, position), tag)
+                payload = payloads.pop((leaving, name), None)
+                if payload is not None:
+                    payloads[(dst, name)] = payload
+        node.remove_block(name)
+
+    # ------------------------------------------------------------- copy steps --
+    def place_block(self, block_name: str, size: int, key: int) -> Optional[OverlayNode]:
+        """Find a live node to hold a re-created copy (``key``: the row's digest).
+
+        When the responsible node lacks capacity the paper adopts "drop and
+        create another one at a different location": walk the target's
+        neighbours until one accepts (``None`` when none does).  The failed or
+        departing node has already left the DHT view, so it is never a
+        candidate.
+        """
+        target = self.dht.locate_key(key)
+        if target.store_block(block_name, size):
+            return target
+        for candidate in self.dht.neighbors(target.node_id, 8):
+            if candidate.store_block(block_name, size):
+                return candidate
+        return None
+
+    def place_replica(
+        self, placement: BlockPlacement, block_name: str, size: int
+    ) -> Optional[OverlayNode]:
+        """Pick a live node near the primary for a re-created replica copy.
+
+        Walks the primary's identifier-space neighbourhood -- the same nodes
+        the original replication pass considered -- skipping the primary and
+        every holder the placement names.
+        """
+        taken = {int(placement.node_id), *(int(nid) for nid in placement.replica_nodes)}
+        for candidate in self.dht.neighbors(placement.node_id, 8):
+            if int(candidate.node_id) not in taken and candidate.store_block(block_name, size):
+                return candidate
+        return None
+
+    def _repoint_primary(
+        self, ledger: BlockLedger, chunk: StoredChunk, position: int, name: str, size: int,
+        key: int, digest: bytes,
+    ) -> Optional[OverlayNode]:
+        """Place a new primary copy and re-point the placement at it.
+
+        The old primary's row leaves the placement in the ledger; the
+        placement keeps its replicas.  Returns the new holder, or ``None``
+        when no node near the name's root has room.
+        """
+        new_holder = self.place_block(name, size, key)
+        if new_holder is None:
+            return None
+        old = chunk.placements[position]
+        chunk.placements[position] = BlockPlacement(name, new_holder.node_id, size, old.replica_nodes)
+        ledger.replace_primary(
+            ledger.placement_for(chunk.ledger_index, position),
+            int(old.node_id), new_holder, name, size, digest,
+        )
+        return new_holder
+
+    def _repoint_replica(
+        self, ledger: BlockLedger, chunk: StoredChunk, position: int, name: str, size: int,
+        gone: NodeId, digest: bytes, impact: FailureImpact,
+    ) -> Optional[OverlayNode]:
+        """Swap a gone neighbour replica for a new copy near the primary.
+
+        The primary placement is untouched; the gone holder leaves
+        ``placement.replica_nodes`` either way, and a new copy (when one is
+        placed) joins it, restoring the placement's replication level.
+        Returns the new holder, or ``None``.
+        """
+        old = chunk.placements[position]
+        survivors = tuple(nid for nid in old.replica_nodes if int(nid) != int(gone))
+        new_holder = self.place_replica(old, name, size)
+        if new_holder is not None:
+            survivors += (new_holder.node_id,)
+        chunk.placements[position] = BlockPlacement(name, old.node_id, size, survivors)
+        if new_holder is None:
+            return None
+        impact.replicas_restored += 1
+        ledger.replace_replica(
+            ledger.placement_for(chunk.ledger_index, position),
+            int(gone), new_holder, name, size, digest,
+        )
+        return new_holder
+
+    def _copy_meta(
+        self, ledger: BlockLedger, row: int, name: str, size: int, impact: FailureImpact
+    ) -> Tuple[OverlayNode, bool]:
+        """Re-create a CAT / metadata copy on the node responsible for its name.
+
+        One lookup and no relocation walk; nothing happens when that node
+        already holds a copy or is full.  The restored row keeps the row's
+        tenant.  Returns the responsible node and whether a copy was made.
+        """
+        target = self.dht.locate_key(ledger.row_key(row))
+        if target.has_block(name) or not target.store_block(name, size):
+            return target, False
+        impact.cat_copies_restored += 1
+        ledger.restore_meta_copy(
+            target, name, size, ledger.row_digest(row), tenant=ledger.row_tenant(row)
+        )
+        return target, True
+
+    # ---------------------------------------------------------- read sources --
+    def _least_congested(self, ids: List[int]) -> List[int]:
+        """``ids`` ranked by outbound path congestion, least congested first.
+
+        Sources whose uplink/rack/site stages are saturated sort last, so a
+        repair read prefers copies reachable without crossing a hot trunk.
+        The sort is stable and gated on an attached topology: with no
+        topology (or an unconstrained one, where every congestion is 0) the
+        placement order is kept exactly -- the infinite-core oracle's
+        selection guarantee.
+        """
+        transfers = self.transfers
+        if transfers is None or transfers.topology is None or len(ids) < 2:
+            return ids
+        return sorted(ids, key=transfers.source_congestion)
+
+    def regeneration_sources(self, chunk: StoredChunk, skip_position: int) -> List[int]:
+        """Live node ids a regeneration reads its ``required`` input blocks from.
+
+        One surviving copy per placement (the decoder needs ``required``
+        distinct blocks of the chunk), skipping the placement being repaired,
+        congestion-ranked before truncation to ``required``.  Only consulted
+        when a transfer scheduler is charging repair traffic.
+        """
+        ledger = self.storage.ledger
+        sources = []
+        for position, placement_idx in enumerate(
+            ledger.chunk_placement_indexes(chunk.ledger_index)
+        ):
+            owner = ledger.live_copy_owner(placement_idx) if position != skip_position else None
+            if owner is not None:
+                sources.append(int(owner.node_id))
+        return self._least_congested(sources)[: self.storage.codec.spec().required_blocks()]
+
+    def _copy_source(self, chunk: StoredChunk, position: int, exclude: set) -> Optional[int]:
+        """A live holder of the placement's block a copy can be read from."""
+        placement = chunk.placements[position]
+        network = self.dht.network
+        holders = [
+            int(node_id) for node_id in (placement.node_id, *placement.replica_nodes)
+            if int(node_id) not in exclude and node_id in network
+            and network.node(node_id).has_block(placement.block_name)
+        ]
+        return next(iter(self._least_congested(holders)), None)
+
+    def _replan_source(
+        self, ctx: Optional[tuple], failed_src: Optional[int], dst: Optional[int]
+    ) -> Optional[int]:
+        """Pick a surviving node for a retried repair read.
+
+        ``("copy", chunk, position)`` retries prefer another intact copy of
+        the *same* placement (primary or neighbour replica); ``("regen", ...)``
+        retries -- and copy retries with no intact copy left -- fall back to
+        the decode-read sources of the chunk's other placements.  ``None``
+        charges the receiver's downlink only (context-free transfers such as
+        meta restores keep their original endpoints).
+        """
+        if ctx is None:
+            return failed_src
+        mode, chunk, position = ctx
+        exclude = {x for x in (failed_src, dst) if x is not None}
+        if mode == "copy" and 0 <= position < len(chunk.placements):
+            source = self._copy_source(chunk, position, exclude)
+            if source is not None:
+                return source
+        return next(
+            (src for src in self.regeneration_sources(chunk, position) if src not in exclude),
+            None,
+        )
+
+    # -------------------------------------------------------------- transfers --
+    def _begin(self, node_id: NodeId, node: OverlayNode) -> FailureImpact:
+        """A new impact for ``node``; its repair traffic starts now."""
+        impact = FailureImpact(
+            failed_node=node_id,
+            blocks_lost=len(node.stored_blocks),
+            bytes_on_failed_node=sum(node.stored_blocks.values()),
+        )
         self._staged = []
         if self.transfers is not None:
             impact.repair_started_at = self.transfers.sim.now
+        return impact
 
-    def finish(self, impact: FailureImpact) -> None:
-        """Submit the staged transfers and wire the completion accounting.
+    def _stage(
+        self,
+        size: float,
+        src: Optional[int],
+        dst: Optional[int],
+        ctx: Optional[tuple] = None,
+        tenant: Optional[int] = None,
+    ) -> None:
+        if self.transfers is not None:
+            self._staged.append(
+                (size, src, dst, ctx, self.tenant if tenant is None else tenant)
+            )
+
+    def _finish(self, impact: FailureImpact) -> None:
+        """Submit the staged transfers, wire the completion accounting, record ``impact``.
 
         Each transfer that fails mid-flight (source endpoint died, bandwidth
         cut to zero, or deadline expired) is resubmitted after an exponential
@@ -242,11 +609,10 @@ class RepairExecutor:
         :attr:`max_retries` times; the repair is complete when every staged
         byte has either drained or been abandoned.
         """
-        if self.transfers is None or not self._staged:
-            self._staged = []
+        self.impacts.append(impact)
+        staged, self._staged = self._staged, []
+        if self.transfers is None or not staged:
             return
-        staged = self._staged
-        self._staged = []
         state = {"pending": len(staged)}
 
         def settle() -> None:
@@ -300,692 +666,6 @@ class RepairExecutor:
             self.transfers.submit_many(
                 [replace(spec, weight=self.repair_weight) for spec in specs]
             )
-
-    def _stage(
-        self,
-        size: float,
-        src: Optional[int],
-        dst: Optional[int],
-        ctx: Optional[tuple] = None,
-        tenant: Optional[int] = None,
-    ) -> None:
-        if self.transfers is not None:
-            self._staged.append(
-                (size, src, dst, ctx, self.tenant if tenant is None else tenant)
-            )
-
-    def _replan_source(
-        self, ctx: Optional[tuple], failed_src: Optional[int], dst: Optional[int]
-    ) -> Optional[int]:
-        """Pick a surviving node for a retried repair read.
-
-        ``("copy", chunk, position)`` retries prefer another intact copy of
-        the *same* placement (primary or neighbour replica); ``("regen", ...)``
-        retries -- and copy retries with no intact copy left -- fall back to
-        the decode-read sources of the chunk's other placements.  ``None``
-        charges the receiver's downlink only (context-free transfers such as
-        meta restores keep their original endpoints).
-        """
-        if ctx is None:
-            return failed_src
-        mode, chunk, position = ctx
-        exclude = {x for x in (failed_src, dst) if x is not None}
-        if mode == "copy" and 0 <= position < len(chunk.placements):
-            source = self._copy_source(chunk, position, exclude)
-            if source is not None:
-                return source
-        for source in self.planner.regeneration_sources(chunk, position):
-            if int(source.node_id) not in exclude:
-                return int(source.node_id)
-        return None
-
-    # ------------------------------------------------------------ regenerate --
-    def apply_regeneration(
-        self,
-        chunk: StoredChunk,
-        placement_index: int,
-        block_name: str,
-        size: int,
-        failed_node: NodeId,
-        impact: FailureImpact,
-        key: int,
-        digest: bytes,
-    ) -> None:
-        """Re-create one lost block and re-point its placement.
-
-        Regenerating the block requires reading the surviving blocks of the
-        chunk (cost charged by the Table 3 experiment as "data regenerated",
-        and by the transfer scheduler as ``required`` reads of ``size`` bytes
-        each).  The placement re-point is mirrored into the ledger.
-        """
-        sources: List[OverlayNode] = []
-        if self.transfers is not None:
-            # Collected before the re-point so the fresh copy is never a source.
-            sources = self.planner.regeneration_sources(chunk, placement_index)
-        new_holder = self.place_block(block_name, size, exclude=failed_node, key=key)
-        if new_holder is None:
-            impact.bytes_dropped += size
-            return
-        old_placement = chunk.placements[placement_index]
-        chunk.placements[placement_index] = BlockPlacement(
-            block_name=block_name,
-            node_id=new_holder.node_id,
-            size=size,
-            replica_nodes=old_placement.replica_nodes,
-        )
-        impact.bytes_regenerated += size
-        for source in sources:
-            self._stage(
-                size,
-                int(source.node_id),
-                int(new_holder.node_id),
-                ("regen", chunk, placement_index),
-            )
-        ledger = self.storage.ledger
-        ledger.replace_primary(
-            ledger.placement_for(chunk.ledger_index, placement_index),
-            int(old_placement.node_id),
-            new_holder,
-            block_name,
-            size,
-            digest,
-        )
-        if self.storage.payload_mode and chunk.encoded is not None:
-            index = placement_index
-            if index < len(chunk.encoded.blocks):
-                payload = chunk.encoded.blocks[index].data
-                fresh = self._fresh_check_block(chunk)
-                if fresh is not None:
-                    # Rateless repair (Section 4.4): the replacement is a *new*
-                    # check block continuing the stream, not a byte-identical
-                    # copy of the lost one.
-                    chunk.encoded.blocks[index] = fresh
-                    payload = fresh.data
-                self.storage._block_payloads[(int(new_holder.node_id), block_name)] = payload
-                # Surviving replicas still hold the *old* payload under this
-                # block name; refresh them so a later fetch from a replica
-                # cannot serve stale bytes keyed by the new stream index.
-                for replica_id in old_placement.replica_nodes:
-                    replica_key = (int(replica_id), block_name)
-                    if replica_key in self.storage._block_payloads:
-                        self.storage._block_payloads[replica_key] = payload
-
-    def _fresh_check_block(self, chunk: StoredChunk):
-        """Mint a brand-new encoded block for a rateless chunk, if possible.
-
-        Returns ``None`` for non-rateless codes (their repair re-places the
-        original payload).  For the online code, the surviving blocks are
-        decoded and ``generate_additional_blocks`` continues the check-block
-        stream -- the cached code-structure layer means this reuses the graph
-        the encoder built rather than re-deriving it.
-        """
-        code = self.storage.codec.code
-        if not hasattr(code, "generate_additional_blocks") or chunk.encoded is None:
-            return None
-        encoded = chunk.encoded
-        try:
-            data = code.decode(encoded, {b.index: b.data for b in encoded.blocks})
-        except DecodingError:  # peeling stalled: fall back to copying the lost payload
-            return None
-        (block,) = code.generate_additional_blocks(encoded, data, 1)
-        encoded.metadata["output_blocks"] = block.index + 1
-        return block
-
-    # ---------------------------------------------------------- re-replicate --
-    def apply_rereplication(
-        self,
-        chunk: StoredChunk,
-        placement_index: int,
-        block_name: str,
-        size: int,
-        failed_node: NodeId,
-        impact: FailureImpact,
-        key: int,
-        digest: bytes,
-    ) -> None:
-        """Re-create a lost neighbour-replica copy (durability repair).
-
-        The primary placement is untouched; a fresh copy of the *same* block
-        is placed near the primary (the same neighbourhood the original
-        replication walk used) and swapped into ``placement.replica_nodes``
-        for the dead holder, restoring the placement's replication level.
-        The copy is read from a surviving holder of the block (one ``size``
-        read, not ``required`` decode reads); only when no intact copy is
-        left is the replica regenerated from the chunk's other placements.
-        """
-        old_placement = chunk.placements[placement_index]
-        survivors = tuple(
-            nid for nid in old_placement.replica_nodes if int(nid) != int(failed_node)
-        )
-        new_holder = self.place_replica(old_placement, block_name, size, exclude=failed_node)
-        if new_holder is None:
-            chunk.placements[placement_index] = BlockPlacement(
-                block_name=block_name,
-                node_id=old_placement.node_id,
-                size=size,
-                replica_nodes=survivors,
-            )
-            impact.bytes_dropped += size
-            return
-        chunk.placements[placement_index] = BlockPlacement(
-            block_name=block_name,
-            node_id=old_placement.node_id,
-            size=size,
-            replica_nodes=survivors + (new_holder.node_id,),
-        )
-        impact.bytes_regenerated += size
-        impact.replicas_restored += 1
-        if self.transfers is not None:
-            source = self._copy_source(
-                chunk, placement_index, exclude={int(failed_node), int(new_holder.node_id)}
-            )
-            if source is not None:
-                self._stage(
-                    size, source, int(new_holder.node_id), ("copy", chunk, placement_index)
-                )
-            else:
-                for src in self.planner.regeneration_sources(chunk, placement_index):
-                    self._stage(
-                        size,
-                        int(src.node_id),
-                        int(new_holder.node_id),
-                        ("regen", chunk, placement_index),
-                    )
-        ledger = self.storage.ledger
-        ledger.replace_replica(
-            ledger.placement_for(chunk.ledger_index, placement_index),
-            int(failed_node),
-            new_holder,
-            block_name,
-            size,
-            digest,
-        )
-        if self.storage.payload_mode:
-            payloads = self.storage._block_payloads
-            for holder in (int(old_placement.node_id), *(int(nid) for nid in survivors)):
-                payload = payloads.get((holder, block_name))
-                if payload is not None:
-                    payloads[(int(new_holder.node_id), block_name)] = payload
-                    break
-            payloads.pop((int(failed_node), block_name), None)
-
-    def place_replica(
-        self, placement: BlockPlacement, block_name: str, size: int, exclude: NodeId
-    ) -> Optional[OverlayNode]:
-        """Pick a live node near the primary for a re-created replica copy.
-
-        Walks the primary's identifier-space neighbourhood -- the same nodes
-        the original replication pass considered -- skipping the primary,
-        the dead/departing holder and the surviving replicas.
-        """
-        taken = {int(placement.node_id), int(exclude)}
-        taken.update(int(nid) for nid in placement.replica_nodes)
-        for candidate in self.dht.neighbors(placement.node_id, 8):
-            if int(candidate.node_id) in taken:
-                continue
-            if candidate.store_block(block_name, size):
-                return candidate
-        return None
-
-    def _copy_source(self, chunk: StoredChunk, position: int, exclude: set) -> Optional[int]:
-        """A live holder of the placement's block a copy can be read from.
-
-        With a topology attached, the least congested holder (outbound path)
-        wins; ties -- and the no-topology path -- keep the primary-first
-        placement order.
-        """
-        placement = chunk.placements[position]
-        network = self.dht.network
-        candidates: List[int] = []
-        for node_id in (placement.node_id, *placement.replica_nodes):
-            if int(node_id) in exclude:
-                continue
-            if node_id in network and network.node(node_id).has_block(placement.block_name):
-                if self.transfers is None or self.transfers.topology is None:
-                    return int(node_id)
-                candidates.append(int(node_id))
-        if not candidates:
-            return None
-        # min() keeps the first of tied candidates, so zero congestion
-        # everywhere reproduces the placement-order pick exactly.
-        return min(candidates, key=self.transfers.source_congestion)
-
-    def place_block(
-        self, block_name: str, size: int, exclude: NodeId, key: int
-    ) -> Optional[OverlayNode]:
-        """Find a live node to hold a regenerated or migrated block (``key``: the row's digest).
-
-        When the responsible node lacks capacity the paper adopts "drop and
-        create another one at a different location": walk the target's
-        neighbours until one accepts (``None`` when none does).
-        """
-        target = self.dht.locate_key(key)
-        if target.node_id != exclude and target.store_block(block_name, size):
-            return target
-        for candidate in self.dht.neighbors(target.node_id, 8):
-            if candidate.node_id == exclude:
-                continue
-            if candidate.store_block(block_name, size):
-                return candidate
-        return None
-
-    # ------------------------------------------------------------------ meta --
-    def restore_object_copy(
-        self,
-        name: str,
-        size: int,
-        impact: FailureImpact,
-        key: int,
-        digest: bytes,
-    ) -> None:
-        target = self.dht.locate_key(key)
-        if target.has_block(name):
-            # The responsible node already has a replica; nothing to do.
-            return
-        if target.store_block(name, size):
-            impact.cat_copies_restored += 1
-            impact.bytes_regenerated += size
-            # The restore is read from a surviving CAT replica in the name's
-            # neighbourhood, charging that node's uplink; only when no live
-            # replica is found does the charge fall back to the receiver's
-            # downlink alone.
-            self._stage(size, self._meta_source(name, target), int(target.node_id))
-            self.storage.ledger.restore_meta_copy(target, name, size, digest)
-
-    def _meta_source(self, name: str, target: OverlayNode) -> Optional[int]:
-        """The surviving replica a meta/CAT restore copies its bytes from.
-
-        Congestion-ranked like the block reads: with a topology attached the
-        least loaded surviving replica serves the restore.
-        """
-        if self.transfers is None:
-            return None
-        candidates: List[int] = []
-        for candidate in self.dht.neighbors(target.node_id, 8):
-            if candidate.node_id != target.node_id and candidate.has_block(name):
-                if self.transfers.topology is None:
-                    return int(candidate.node_id)
-                candidates.append(int(candidate.node_id))
-        if not candidates:
-            return None
-        return min(candidates, key=self.transfers.source_congestion)
-
-    # ------------------------------------------------------------- migration --
-    def migrate_block(
-        self,
-        chunk: StoredChunk,
-        placement_index: int,
-        block_name: str,
-        size: int,
-        leaving: OverlayNode,
-        impact: FailureImpact,
-        key: int,
-        digest: bytes,
-        tenant: Optional[int],
-    ) -> None:
-        """Copy one encoded block off a departing node before it leaves.
-
-        Unlike regeneration, migration moves the existing bytes once
-        (``size`` bytes over the departing node's uplink) -- no surviving
-        blocks are read and no fresh check block is minted.  The placement is
-        re-pointed at the node now responsible for the name, exactly where the
-        regeneration path would have re-created it.  ``tenant`` charges the
-        copy to the row's tenant (``None`` = the executor's own).
-        """
-        new_holder = self.place_block(block_name, size, exclude=leaving.node_id, key=key)
-        if new_holder is None:
-            impact.bytes_dropped += size
-            return
-        old_placement = chunk.placements[placement_index]
-        chunk.placements[placement_index] = BlockPlacement(
-            block_name=block_name,
-            node_id=new_holder.node_id,
-            size=size,
-            replica_nodes=old_placement.replica_nodes,
-        )
-        impact.bytes_migrated += size
-        self._stage(
-            size, int(leaving.node_id), int(new_holder.node_id),
-            ("copy", chunk, placement_index), tenant,
-        )
-        ledger = self.storage.ledger
-        ledger.replace_primary(
-            ledger.placement_for(chunk.ledger_index, placement_index),
-            int(old_placement.node_id),
-            new_holder,
-            block_name,
-            size,
-            digest,
-        )
-        if self.storage.payload_mode:
-            payload_key = (int(leaving.node_id), block_name)
-            payload = self.storage._block_payloads.pop(payload_key, None)
-            if payload is not None:
-                self.storage._block_payloads[(int(new_holder.node_id), block_name)] = payload
-        leaving.remove_block(block_name)
-
-    def migrate_replica(
-        self,
-        chunk: StoredChunk,
-        placement_index: int,
-        block_name: str,
-        size: int,
-        leaving: OverlayNode,
-        impact: FailureImpact,
-        key: int,
-        digest: bytes,
-        tenant: Optional[int],
-    ) -> None:
-        """Copy a neighbour-replica copy off a departing node.
-
-        The migration counterpart of :meth:`apply_rereplication`: the primary
-        placement is untouched and the departing holder's slot in
-        ``placement.replica_nodes`` is re-pointed at the migrated copy, so a
-        graceful departure preserves the placement's replication level
-        instead of eroding it (or, worse, re-pointing the primary).
-        """
-        old_placement = chunk.placements[placement_index]
-        survivors = tuple(
-            nid for nid in old_placement.replica_nodes if int(nid) != int(leaving.node_id)
-        )
-        new_holder = self.place_replica(
-            old_placement, block_name, size, exclude=leaving.node_id
-        )
-        if new_holder is None:
-            chunk.placements[placement_index] = BlockPlacement(
-                block_name=block_name,
-                node_id=old_placement.node_id,
-                size=size,
-                replica_nodes=survivors,
-            )
-            impact.bytes_dropped += size
-            leaving.remove_block(block_name)
-            return
-        chunk.placements[placement_index] = BlockPlacement(
-            block_name=block_name,
-            node_id=old_placement.node_id,
-            size=size,
-            replica_nodes=survivors + (new_holder.node_id,),
-        )
-        impact.bytes_migrated += size
-        impact.replicas_restored += 1
-        self._stage(
-            size, int(leaving.node_id), int(new_holder.node_id),
-            ("copy", chunk, placement_index), tenant,
-        )
-        ledger = self.storage.ledger
-        ledger.replace_replica(
-            ledger.placement_for(chunk.ledger_index, placement_index),
-            int(leaving.node_id),
-            new_holder,
-            block_name,
-            size,
-            digest,
-        )
-        if self.storage.payload_mode:
-            payload = self.storage._block_payloads.pop(
-                (int(leaving.node_id), block_name), None
-            )
-            if payload is not None:
-                self.storage._block_payloads[(int(new_holder.node_id), block_name)] = payload
-        leaving.remove_block(block_name)
-
-    def migrate_meta(
-        self,
-        name: str,
-        size: int,
-        leaving: OverlayNode,
-        impact: FailureImpact,
-        key: int,
-        digest: bytes,
-        tenant: Optional[int],
-    ) -> None:
-        """Copy a CAT/metadata object off a departing node.
-
-        Mirrors :meth:`restore_object_copy`'s placement rule (single lookup,
-        skip if the responsible node already holds a replica, no relocation
-        walk) so migration and post-failure restoration land copies on the
-        same nodes.  ``tenant`` tags the restored row explicitly (a shared
-        multi-tenant ledger migrates every tenant's copies through one
-        executor); ``None`` uses the executor's own store tenant.
-        """
-        target = self.dht.locate_key(key)
-        if not target.has_block(name) and target.store_block(name, size):
-            impact.cat_copies_restored += 1
-            impact.bytes_migrated += size
-            self._stage(size, int(leaving.node_id), int(target.node_id), tenant=tenant)
-            ledger = self.storage.ledger
-            if tenant is None:
-                ledger.restore_meta_copy(target, name, size, digest)
-            else:
-                base = getattr(ledger, "base", ledger)
-                base.restore_meta_copy(target, name, size, digest, tenant=tenant)
-        if self.storage.payload_mode:
-            payload = self.storage._block_payloads.pop((int(leaving.node_id), name), None)
-            if payload is not None and target.has_block(name):
-                self.storage._block_payloads.setdefault((int(target.node_id), name), payload)
-        leaving.remove_block(name)
-
-    def migrate_group_row(
-        self,
-        row: int,
-        name: str,
-        size: int,
-        leaving: OverlayNode,
-        impact: FailureImpact,
-        ledger: BlockLedger,
-        tenant: Optional[int],
-    ) -> None:
-        """Copy one baseline (PAST/CFS) replica-group row off a departing node.
-
-        The copy goes to the node now responsible for the stored name -- the
-        root PAST/CFS would re-insert it at -- falling back to the root's
-        identifier-space neighbours when the root cannot take it (it is full,
-        or it already holds a fellow replica of the same group, which is the
-        common case for PAST's leaf-set replicas); that is the same
-        neighbourhood the baselines place their replicas on.  Only when no
-        nearby node accepts is the copy dropped with the departure.
-        """
-        key = ledger.row_key(row)
-        target = self.dht.locate_key(key)
-        placed: Optional[OverlayNode] = None
-        if target.node_id != leaving.node_id and target.store_block(name, size):
-            placed = target
-        else:
-            for candidate in self.dht.neighbors(target.node_id, 8):
-                if candidate.node_id == leaving.node_id:
-                    continue
-                if candidate.store_block(name, size):
-                    placed = candidate
-                    break
-        if placed is not None:
-            impact.bytes_migrated += size
-            self._stage(size, int(leaving.node_id), int(placed.node_id), tenant=tenant)
-            ledger.migrate_group_row(row, placed)
-        else:
-            impact.bytes_dropped += size
-        leaving.remove_block(name)
-
-
-class RecoveryManager:
-    """Drives block regeneration after failures and migration before leaves."""
-
-    def __init__(
-        self,
-        storage: StorageSystem,
-        transfers: Optional[TransferScheduler] = None,
-        repair_window: Optional[int] = None,
-        repair_weight: float = 1.0,
-    ) -> None:
-        self.storage = storage
-        self.dht = storage.dht
-        #: Fair-share bandwidth model; ``None`` (the default) keeps every
-        #: repair instantaneous.
-        self.transfers = transfers
-        #: Tenant whose chunk and meta rows this manager repairs after a
-        #: failure (0 for a private ledger; shared ledgers tag rows per tenant).
-        self.tenant_id = storage.ledger.tenant_id
-        #: Repair QoS knobs: ``repair_window`` bounds in-flight repair
-        #: transfers (overflow queues FIFO -- backpressure, not drops) and
-        #: ``repair_weight`` is the repair class's fair-share weight; the
-        #: defaults (no window, weight 1.0) are the seed behaviour.
-        self.pacer: Optional[TransferPacer] = None
-        if transfers is not None and repair_window is not None:
-            self.pacer = TransferPacer(
-                transfers, max_in_flight=repair_window, weight=repair_weight
-            )
-        self.planner = RepairPlanner(storage, transfers)
-        # A tenant-scoped store repairs under its own tenant tag; a private
-        # (or raw shared) ledger stays untagged -- the untagged QoS oracle.
-        tagged = isinstance(storage.ledger, TenantLedgerView)
-        self.executor = RepairExecutor(
-            storage, transfers, self.planner, repair_weight,
-            tenant=self.tenant_id if tagged else None, pacer=self.pacer,
-        )
-        self.impacts: List[FailureImpact] = []
-
-    # ------------------------------------------------------------------ failure --
-    def handle_failure(self, node_id: NodeId) -> FailureImpact:
-        """Fail ``node_id`` and regenerate what can be regenerated.
-
-        The node is marked failed in the overlay, removed from the DHT view,
-        and each of its unreleased ledger rows is repaired: blocks whose chunk
-        is still decodable are re-created on the node now responsible for
-        their name (or elsewhere if that node is full); chunks that are no
-        longer decodable are counted as lost data.  The rows are the record:
-        a name in the dead node's dict with no unreleased row was already
-        repaired or deleted, so a second call on the same node is a no-op.
-
-        The rows come from one read of the ledger's per-owner row index and
-        every decodability check is an O(1) counter read; impacts, placements
-        and Table 3 rows equal the frozen seed dict-walk outputs
-        (``tests/test_churn_equivalence.py``).
-        """
-        ledger = self.storage.ledger
-        node = self.dht.network.node(node_id)
-        impact = FailureImpact(failed_node=node_id)
-        impact.blocks_lost = len(node.stored_blocks)
-        impact.bytes_on_failed_node = sum(node.stored_blocks.values())
-        self.executor.begin(impact)
-
-        rows = ledger.recovery_rows(node)
-        if node.alive:
-            self.dht.network.fail(node_id)  # the ledger is notified via its listener
-        self.dht.remove(node_id)  # incremental boundary patch, not an O(N) rebuild
-        ledger.ensure_digests(rows)
-
-        damaged_files: set[str] = set()
-        for row in rows:
-            self._apply_failure_row(row, node_id, impact, ledger, damaged_files)
-        impact.files_damaged = len(damaged_files)
-        self.executor.finish(impact)
-        self.impacts.append(impact)
-        return impact
-
-    def _apply_failure_row(
-        self, row: int, failed_node: NodeId, impact: FailureImpact, ledger: BlockLedger,
-        damaged_files: set,
-    ) -> None:
-        """Repair one ledger row of a failed node."""
-        if ledger.row_group(row) >= 0 or ledger.row_tenant(row) != self.tenant_id:
-            # A baseline replica-group row (the baselines have no
-            # regeneration) or another tenant's row (its manager repairs it).
-            return
-        name = ledger.row_name(row)
-        file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
-        key = ledger.row_key(row)
-        digest = ledger.row_digest(row)
-        if placement_idx < 0:
-            self.executor.restore_object_copy(name, size, impact, key, digest)
-            return
-        chunk = ledger.chunk_object(chunk_idx)
-        if not ledger.chunk_recoverable(chunk_idx):  # below the decode threshold
-            damaged_files.add(ledger.file_name(file_idx))
-            if not getattr(chunk, "_counted_lost", False):
-                impact.data_bytes_lost += chunk.size
-                impact.chunks_lost += 1
-                setattr(chunk, "_counted_lost", True)
-            return
-        position = ledger.placement_position(placement_idx)
-        # A *primary* loss re-points the placement at a fresh block only when
-        # the placement's primary lived on the failed node; otherwise the dead
-        # copy was a neighbour replica and is re-replicated -- re-pointing the
-        # primary from a replica row would erode the replication level.
-        apply = (
-            self.executor.apply_regeneration
-            if int(chunk.placements[position].node_id) == int(failed_node)
-            else self.executor.apply_rereplication
-        )
-        apply(chunk, position, name, size, failed_node, impact, key, digest)
-
-    # ---------------------------------------------------------------- departure --
-    def handle_leave(self, node_id: NodeId) -> FailureImpact:
-        """Gracefully migrate a node's blocks out, then remove it.
-
-        The departing node's copies are *moved* (each block crosses the
-        network once, charged to the node's uplink) to the nodes that become
-        responsible for them -- the same targets the post-failure regeneration
-        pipeline would pick -- before :meth:`~repro.overlay.network.
-        OverlayNetwork.leave` releases whatever could not be placed.  On a
-        multi-tenant ledger the PAST/CFS replica-group rows migrate too.
-        When redundancy is intact and capacity suffices, the resulting
-        placements are identical to failing the node and regenerating
-        (``tests/test_soak.py``'s migration-conserves-bytes oracle).
-        """
-        node = self.dht.network.node(node_id)
-        impact = FailureImpact(failed_node=node_id)
-        impact.blocks_lost = len(node.stored_blocks)
-        impact.bytes_on_failed_node = sum(node.stored_blocks.values())
-        self.executor.begin(impact)
-
-        self.dht.remove(node_id)  # lookups now exclude the departing node
-        ledger = self.storage.ledger
-        rows = ledger.recovery_rows(node)
-        ledger.ensure_digests(rows)
-        for row in rows:
-            self._apply_migration_row(row, node, impact, ledger)
-        self.executor.finish(impact)
-        self.dht.network.leave(node_id)  # releases whatever was not migrated
-        self.impacts.append(impact)
-        return impact
-
-    def _apply_migration_row(
-        self, row: int, node: OverlayNode, impact: FailureImpact, ledger: BlockLedger
-    ) -> None:
-        """Copy one ledger row of a departing node out."""
-        name = ledger.row_name(row)
-        # The transfer tag follows the *row's* tenant (a departure migrates
-        # every tenant's copies through one executor); a single-tenant ledger
-        # stays untagged so the untagged oracle holds end to end.
-        row_tenant = ledger.row_tenant(row) if ledger.multi_tenant else None
-        if ledger.row_group(row) >= 0:
-            # Baseline replica-group copy (any tenant): representation-free move.
-            self.executor.migrate_group_row(
-                row, name, int(ledger.row_fields(row)[3]), node, impact, ledger, row_tenant
-            )
-            return
-        # Chunk and meta rows migrate regardless of tenant: the departure is
-        # final (``network.leave`` permanently releases whatever stays behind,
-        # and no other tenant's manager can run on a node that already left),
-        # and the ledger bookkeeping is tenant-exact either way -- re-pointed
-        # placements inherit their file's tenant, and restored meta copies
-        # keep the departing row's tag.  The one cross-tenant gap is payload
-        # mode: another tenant's block *bytes* live in that tenant's storage
-        # and are not relocated here (capacity accounting stays exact).
-        file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
-        key = ledger.row_key(row)
-        digest = ledger.row_digest(row)
-        if placement_idx < 0:
-            self.executor.migrate_meta(name, size, node, impact, key, digest, row_tenant)
-            return
-        chunk = ledger.chunk_object(chunk_idx)
-        position = ledger.placement_position(placement_idx)
-        migrate = (
-            self.executor.migrate_block
-            if int(chunk.placements[position].node_id) == int(node.node_id)
-            else self.executor.migrate_replica
-        )
-        migrate(chunk, position, name, size, node, impact, key, digest, row_tenant)
 
     # ---------------------------------------------------------------- CAT rebuild --
     def rebuild_cat(self, filename: str, probe_limit: Optional[int] = None) -> ChunkAllocationTable:

@@ -77,6 +77,9 @@ class StoredChunk:
     #: Index of this chunk in the columnar block ledger (``None`` until the
     #: file's store succeeds; zero-sized chunks are never registered).
     ledger_index: Optional[int] = None
+    #: Set by repair when the chunk falls below its decode threshold, so its
+    #: lost bytes are counted once across all the failures that touch it.
+    counted_lost: bool = False
 
     @property
     def is_empty(self) -> bool:

@@ -832,8 +832,8 @@ class TransferScheduler:
     def submit_many(self, specs: Sequence[TransferSpec]) -> List[Transfer]:
         """Submit a batch of :class:`TransferSpec`.
 
-        One rate reallocation for the whole batch -- the way the repair
-        executor charges all transfers of one failure at once.
+        One rate reallocation for the whole batch -- the way the recovery
+        manager charges all transfers of one failure at once.
         """
         if not specs:
             return []
@@ -947,7 +947,7 @@ class TransferScheduler:
     def path_congestion(self, src: Optional[int], dst: Optional[int]) -> float:
         """Summed congestion over every link a ``src -> dst`` flow would cross.
 
-        The congestion-aware repair planner ranks candidate read sources by
+        Congestion-aware repair ranks candidate read sources by
         this signal: a source whose path crosses a saturated trunk scores
         higher and is picked last.  Dead links score infinite.
         """

@@ -154,10 +154,6 @@ class ErasureCode(abc.ABC):
         """The counts-only description used by capacity simulations."""
 
     # -- shared helpers ------------------------------------------------------
-    def encoded_block_count(self, n_blocks: int) -> int:
-        """Number of encoded blocks produced for ``n_blocks`` original blocks."""
-        return self.spec(n_blocks).output_blocks
-
     def minimum_blocks(self, n_blocks: int) -> int:
         """Minimum encoded blocks required for successful decode."""
         return self.spec(n_blocks).required_blocks()

@@ -122,6 +122,10 @@ RETIRED = (
     ("experiment re-exports",
      r"from repro\.experiments import",
      _EVERYWHERE, "each name is imported from its module, one path per name"),
+    ("repair planner / executor and per-trigger copy steps",
+     r"\bRepairPlanner\b|\bRepairExecutor\b|\bmigrate_(block|replica|meta)\b"
+     r"|\bapply_(regeneration|rereplication)\b|\brestore_object_copy\b",
+     _EVERYWHERE, "RecoveryManager: failure and departure share one copy step per copy kind"),
 )
 
 

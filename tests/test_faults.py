@@ -400,8 +400,8 @@ def test_composed_timing_faults_match_instantaneous_sequence():
                                   repair_window=8 if with_overlay else None,
                                   repair_weight=0.5 if with_overlay else 1.0)
         if with_overlay:
-            manager.executor.transfer_timeout = 3.0
-            manager.executor.retry_backoff = 0.5
+            manager.transfer_timeout = 3.0
+            manager.retry_backoff = 0.5
         injector = FaultInjector(sim, network, recovery=manager,
                                  transfers=transfers)
         victims = [n.node_id for n in network.live_nodes()[:4]]
