@@ -14,6 +14,7 @@ default here.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.common import BaselineStoreResult
@@ -93,6 +94,8 @@ class CfsStore:
         tuples: placed holders accumulate in one list and the whole file is
         registered into the columnar ledger with a single bulk column write.
         """
+        if not 0 <= size < math.inf:
+            raise ValueError(f"file size must be finite and non-negative, got {size!r}")
         # A shared ledger is a shared file namespace: a name another store on
         # the same ledger already registered must be rejected up front, before
         # any block is placed (for a private ledger the check is redundant and

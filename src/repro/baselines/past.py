@@ -12,6 +12,7 @@ implementation.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.baselines.common import BaselineStoreResult
@@ -69,6 +70,8 @@ class PastStore:
 
     def store_file(self, filename: str, size: int) -> BaselineStoreResult:
         """Insert one file; a single p2p lookup per attempt, as in PAST."""
+        if not 0 <= size < math.inf:
+            raise ValueError(f"file size must be finite and non-negative, got {size!r}")
         # A shared ledger is a shared file namespace: a name another store on
         # the same ledger already registered must be rejected up front, before
         # any block is placed (for a private ledger the check is redundant and

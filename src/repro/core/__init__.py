@@ -20,13 +20,12 @@ Public entry points:
 * :mod:`~repro.core.naming` -- the ``filename_chunk_ECB`` naming convention.
 """
 
-from repro.core.naming import block_name, cat_name, chunk_name, parse_block_name, parse_chunk_name
+from repro.core.naming import block_name, cat_name, chunk_name
 from repro.core.block_ledger import BlockLedger, TenantLedgerView
 from repro.core.transfer import Transfer, TransferScheduler
 from repro.core.cat import CatEntry, ChunkAllocationTable
 from repro.core.policies import StoragePolicy
 from repro.core.capacity import CapacityProbe, ProbeResult
-from repro.core.chunker import ChunkPlan, Chunker
 from repro.core.storage import (
     BlockPlacement,
     RetrieveResult,
@@ -45,15 +44,11 @@ __all__ = [
     "TransferScheduler",
     "cat_name",
     "chunk_name",
-    "parse_block_name",
-    "parse_chunk_name",
     "CatEntry",
     "ChunkAllocationTable",
     "StoragePolicy",
     "CapacityProbe",
     "ProbeResult",
-    "ChunkPlan",
-    "Chunker",
     "BlockPlacement",
     "RetrieveResult",
     "StorageSystem",

@@ -38,11 +38,6 @@ class ProbeResult:
         """
         return min(self.offers) if self.offers else 0
 
-    @property
-    def max_offer(self) -> int:
-        """The single largest offer received (useful for diagnostics/ablations)."""
-        return max(self.offers) if self.offers else 0
-
 
 class CapacityProbe:
     """Issues getCapacity probes through a DHT view."""

@@ -93,23 +93,9 @@ class ChunkAllocationTable:
         """Total file size recorded by the CAT."""
         return self._entries[-1].end if self._entries else 0
 
-    @property
-    def chunk_count(self) -> int:
-        """Number of chunks, including zero-sized ones."""
-        return len(self._entries)
-
     def non_empty_entries(self) -> List[CatEntry]:
         """Entries for chunks that actually hold data."""
         return [entry for entry in self._entries if not entry.is_empty]
-
-    def chunk_for_offset(self, offset: int) -> CatEntry:
-        """The chunk containing byte ``offset`` of the file."""
-        if not 0 <= offset < self.file_size:
-            raise IndexError(f"offset {offset} outside file of size {self.file_size}")
-        for entry in self._entries:
-            if entry.start <= offset < entry.end:
-                return entry
-        raise IndexError(f"offset {offset} not covered by any chunk")  # pragma: no cover
 
     def chunks_for_range(self, offset: int, length: int) -> List[CatEntry]:
         """All chunks overlapping the byte range ``[offset, offset + length)``.

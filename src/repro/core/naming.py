@@ -14,33 +14,18 @@ The CAT file for a file is named ``filename.CAT``.
 from __future__ import annotations
 
 import hashlib
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.overlay.ids import NodeId, key_for
 
 #: Separator between the file name and the chunk / block counters.  File names
-#: containing the separator are allowed; parsing is done from the right.
+#: containing the separator are allowed.
 SEPARATOR = "_"
 
 #: Suffix of the chunk-allocation-table object for a file.
 CAT_SUFFIX = ".CAT"
-
-
-class ParsedBlockName(NamedTuple):
-    """Decomposition of an encoded-block name."""
-
-    filename: str
-    chunk_no: int
-    ecb: int
-
-
-class ParsedChunkName(NamedTuple):
-    """Decomposition of a chunk name."""
-
-    filename: str
-    chunk_no: int
 
 
 def chunk_name(filename: str, chunk_no: int) -> str:
@@ -60,41 +45,6 @@ def block_name(filename: str, chunk_no: int, ecb: int) -> str:
 def cat_name(filename: str) -> str:
     """The name under which the file's chunk allocation table is stored."""
     return f"{filename}{CAT_SUFFIX}"
-
-
-def replica_name(base_name: str, replica_no: int) -> str:
-    """Name of the ``replica_no``-th additional replica of an object.
-
-    Replica 0 is the primary and uses ``base_name`` itself; additional
-    replicas get a distinguishable name so that neighbour placement and the
-    DHT mapping cannot collide with the primary.
-    """
-    if replica_no < 0:
-        raise ValueError("replica numbers are non-negative")
-    if replica_no == 0:
-        return base_name
-    return f"{base_name}{SEPARATOR}r{replica_no}"
-
-
-def parse_chunk_name(name: str) -> Optional[ParsedChunkName]:
-    """Parse a chunk name back into (filename, chunk_no); None if not a chunk name."""
-    head, _, tail = name.rpartition(SEPARATOR)
-    if not head or not tail.isdigit():
-        return None
-    return ParsedChunkName(filename=head, chunk_no=int(tail))
-
-
-def parse_block_name(name: str) -> Optional[ParsedBlockName]:
-    """Parse an encoded-block name into (filename, chunk_no, ecb); None if malformed."""
-    head, _, ecb_text = name.rpartition(SEPARATOR)
-    if not head or not ecb_text.isdigit():
-        return None
-    parsed_chunk = parse_chunk_name(head)
-    if parsed_chunk is None:
-        return None
-    return ParsedBlockName(
-        filename=parsed_chunk.filename, chunk_no=parsed_chunk.chunk_no, ecb=int(ecb_text)
-    )
 
 
 def key_for_name(name: str) -> NodeId:

@@ -24,6 +24,7 @@ The class operates in two modes:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -34,7 +35,6 @@ from repro.core import naming
 from repro.core.block_ledger import BlockLedger, TenantLedgerView, resolve_ledger
 from repro.core.capacity import CapacityProbe, ProbeResult
 from repro.core.cat import CatEntry, ChunkAllocationTable
-from repro.core.chunker import Chunker
 from repro.core.policies import StoragePolicy
 from repro.erasure.base import EncodedChunk
 from repro.erasure.chunk_codec import ChunkCodec
@@ -57,11 +57,6 @@ class BlockPlacement:
     node_id: NodeId
     size: int
     replica_nodes: Tuple[NodeId, ...] = ()
-
-    @property
-    def copies(self) -> int:
-        """Total copies of the block (primary plus replicas)."""
-        return 1 + len(self.replica_nodes)
 
 
 @dataclass
@@ -187,7 +182,6 @@ class StorageSystem:
         #: chunk reads -- the serve path's load-balance histogram source.
         self.read_load: Dict[int, float] = {}
         self.probe = CapacityProbe(dht, self.policy.capacity_report_fraction)
-        self.chunker = Chunker(self.probe, self.codec, self.policy)
         self.files: Dict[str, StoredFile] = {}
         #: Payload-mode block contents: (node id value, block name) -> bytes.
         self._block_payloads: Dict[Tuple[int, str], bytes] = {}
@@ -286,10 +280,14 @@ class StorageSystem:
 
         ``client``/``observer`` override the :meth:`attach_transfers`
         defaults for this one store (a serving gateway ingesting on behalf
-        of a specific front-end node, with its own completion probe).
+        of a specific front-end node, with its own completion probe).  A
+        negative or non-finite ``size`` raises ``ValueError`` before any
+        lookup or counter moves.
         """
         if self.payload_mode:
             raise RuntimeError("store_file() is for capacity mode; use store_bytes() in payload mode")
+        if not 0 <= size < math.inf:
+            raise ValueError(f"file size must be finite and non-negative, got {size!r}")
         with self._request_context(client, observer):
             return self._store(filename, size, data=None)
 
@@ -330,7 +328,7 @@ class StorageSystem:
 
         while remaining > 0:
             probe = self.probe.probe_chunk_fast(filename, chunk_no, encoded_blocks)
-            chunk_size = self.chunker.size_chunk(probe, remaining)
+            chunk_size = self._size_chunk(probe, remaining)
             chunk = StoredChunk(chunk_no=chunk_no, start=offset, size=chunk_size)
             if chunk_size > 0:
                 chunk_data = data[offset : offset + chunk_size] if data is not None else None
@@ -398,6 +396,15 @@ class StorageSystem:
             lookups=self.probe.total_probes - lookups_before,
             failure_reason=failure_reason or "incomplete store",
         )
+
+    def _size_chunk(self, probe: ProbeResult, remaining: int) -> int:
+        """Chunk size implied by a probe's smallest offer and the remaining file bytes."""
+        capacity = self.codec.max_chunk_size(probe.usable_block_size)
+        if self.policy.min_chunk_size is not None and capacity < self.policy.min_chunk_size:
+            return 0  # an offer too small to matter counts as no offer at all
+        if self.policy.max_chunk_size is not None:
+            capacity = min(capacity, self.policy.max_chunk_size)
+        return min(remaining, capacity)
 
     def _place_chunk(
         self,
@@ -816,10 +823,6 @@ class StorageSystem:
             "mean_chunk_size": float(sizes_array.mean()) if sizes else 0.0,
             "std_chunk_size": float(sizes_array.std()) if sizes else 0.0,
         }
-
-    def utilization(self) -> float:
-        """Fraction of contributed capacity currently used (Figure 9 metric)."""
-        return self.dht.utilization()
 
     def stored_bytes(self) -> int:
         """Total bytes of user data currently stored (excluding coding overhead)."""

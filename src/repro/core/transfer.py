@@ -444,12 +444,6 @@ class NetworkTopology:
         cls = self.latency_class(src, dst)
         return 0.0 if cls is None else self._latency[cls]
 
-    @property
-    def constrained(self) -> bool:
-        """Whether any trunk stage actually has a finite capacity."""
-        defaults = (self.rack_uplink, self.rack_downlink, self.site_uplink, self.site_downlink)
-        return any(c is not None for c in (*defaults, *self._overrides.values()))
-
 
 def oversubscribed_topology(
     nodes: Iterable,
@@ -475,8 +469,7 @@ def oversubscribed_topology(
     site_ratio = oversubscription if site_oversubscription is None else site_oversubscription
     if site_ratio < 1.0:
         raise ValueError("site oversubscription ratio must be >= 1")
-    topology = NetworkTopology(**latencies)
-    topology.refresh(nodes)
+    topology = NetworkTopology.from_nodes(nodes, **latencies)
     rack_members: Dict[int, int] = {}
     site_racks: Dict[int, set] = {}
     for node in nodes:
@@ -792,10 +785,6 @@ class TransferScheduler:
             self._tenant_cap[tenant] = float(cap)
         self._capacity_changed(lambda t: cap == 0 and t.tenant == tenant, "tenant blackholed")
 
-    def tenant_cap_of(self, tenant: int) -> Optional[float]:
-        """The hard aggregate cap of one tenant (``None`` = uncapped)."""
-        return self._tenant_cap.get(int(tenant))
-
     def uplink_of(self, node_id: int) -> Optional[float]:
         """The access uplink capacity of ``node_id`` (None = unconstrained)."""
         return self._uplink.get(int(node_id), self.default_uplink)
@@ -944,27 +933,12 @@ class TransferScheduler:
             return math.inf
         return self._link_load.get(key, 0.0) / capacity
 
-    def path_congestion(self, src: Optional[int], dst: Optional[int]) -> float:
-        """Summed congestion over every link a ``src -> dst`` flow would cross.
-
-        Congestion-aware repair ranks candidate read sources by
-        this signal: a source whose path crosses a saturated trunk scores
-        higher and is picked last.  Dead links score infinite.
-        """
-        keys: List[Tuple[int, int]] = []
-        if src is not None:
-            keys.append((_UP, int(src)))
-        if self.topology is not None:
-            keys.extend(self.topology.trunk_links(src, dst))
-        if dst is not None:
-            keys.append((_DOWN, int(dst)))
-        return sum(self.link_congestion(key) for key in keys)
-
     def source_congestion(self, src: Optional[int]) -> float:
-        """Congestion over a source's outbound stages (uplink + trunks).
+        """Summed congestion over a source's outbound stages (uplink + trunks).
 
-        The destination-free variant of :meth:`path_congestion`, for ranking
-        read sources before the destination of the repair copy is known.
+        Repair ranks candidate read sources by it before the destination of
+        the copy is known: a source behind a saturated trunk scores higher and
+        is picked last.  Dead links score infinite.
         """
         if src is None:
             return 0.0
@@ -1398,21 +1372,6 @@ class TransferPacer:
     def idle(self) -> bool:
         """Whether the pacer holds no admitted or queued work."""
         return self.in_flight == 0 and not self._backlog
-
-    def submit(
-        self,
-        size: float,
-        src: Optional[int] = None,
-        dst: Optional[int] = None,
-        on_complete: Optional[Callable[[Transfer], None]] = None,
-        on_failed: Optional[Callable[[Transfer], None]] = None,
-        timeout: Optional[float] = None,
-        tenant: Optional[int] = None,
-    ) -> None:
-        """Queue one transfer for admission (see :meth:`submit_many`)."""
-        self.submit_many(
-            [TransferSpec(size, src, dst, on_complete, on_failed, timeout, tenant=tenant)]
-        )
 
     def submit_many(self, specs: Sequence[TransferSpec]) -> None:
         """Admit up to the window, backlog the rest (FIFO, in spec order).

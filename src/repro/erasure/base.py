@@ -65,11 +65,6 @@ class CodeSpec:
         if not 0 <= self.loss_tolerance < self.output_blocks:
             raise ValueError("loss tolerance must be in [0, output_blocks)")
 
-    @property
-    def rate(self) -> float:
-        """The code rate r = n / (n + k) defined in Section 2.2 of the paper."""
-        return self.input_blocks / self.output_blocks
-
     def required_blocks(self) -> int:
         """Minimum surviving encoded blocks for the chunk to remain decodable."""
         return self.output_blocks - self.loss_tolerance

@@ -116,21 +116,12 @@ class OnlineCodeParameters:
         """F, the maximum check-block degree, as a function of epsilon."""
         return max(2, int(math.ceil(math.log(epsilon**2 / 4.0) / math.log(1.0 - epsilon / 2.0))))
 
-    @property
-    def max_degree(self) -> int:
-        """F, the maximum check-block degree."""
-        return self.max_degree_for(self.epsilon)
-
-    def degree_distribution(self) -> np.ndarray:
-        """Probabilities rho_1..rho_F of the check-block degree distribution.
-
-        Cached per ``epsilon`` (the distribution is recomputed for every
-        encode *and* decode otherwise); the returned array is read-only.
-        """
-        return _degree_distribution_cached(self.epsilon)
-
     def rho_cdf(self) -> np.ndarray:
-        """Cumulative degree distribution used by inverse-CDF sampling (cached)."""
+        """Cumulative check-block degree distribution rho_1..rho_F, for inverse-CDF sampling.
+
+        Cached per ``epsilon`` (it is needed by every encode *and* decode);
+        the returned array is read-only.
+        """
         return _rho_cdf_cached(self.epsilon)
 
     def auxiliary_count(self, n_blocks: int) -> int:

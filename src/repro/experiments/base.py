@@ -10,7 +10,8 @@ order and one set of RNG stream labels (``"capacities"``, ``"overlay"``,
 injector from the session.  ``tenants`` and ``serving`` name their corpus
 fields differently (several tenants, a lognormal catalog), so they compose the
 same pieces -- :func:`open_session`, :func:`claim_client`, :func:`load_trace` --
-themselves.
+themselves.  ``faults`` and ``tenants`` count their post-run reads with
+:func:`read_census`.
 
 Three experiments deliberately stay off this path: ``storage_insertion``
 builds three populations under ``(label, replication_index)`` stream labels
@@ -27,12 +28,13 @@ CLI's ``--scale`` applies to says which of its fields scale in ``scaled()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.api import ArchiveClient, ClusterSession
 from repro.core.policies import StoragePolicy
+from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.sim.rng import RandomStreams
@@ -147,3 +149,17 @@ def deploy(config: DeploymentConfig, streams: RandomStreams, *,
         streams.fresh("trace"),
     )
     return session, client
+
+
+def read_census(storage: StorageSystem, sample: int) -> Dict[str, float]:
+    """Read the first ``sample`` files in name order; count degraded and failed reads."""
+    names = sorted(storage.files)[:sample]
+    degraded_before = storage.degraded_reads
+    failed_before = storage.failed_reads
+    for name in names:
+        storage.retrieve_file(name)
+    return {
+        "reads_sampled": float(len(names)),
+        "degraded_reads": float(storage.degraded_reads - degraded_before),
+        "failed_reads": float(storage.failed_reads - failed_before),
+    }

@@ -48,8 +48,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.storage import StorageSystem
-from repro.experiments.base import DeploymentConfig, deploy
+from repro.experiments.base import DeploymentConfig, deploy, read_census
 from repro.experiments.results import TableResult, render_report
 from repro.overlay.network import OverlayNetwork
 from repro.sim.faults import FaultInjector
@@ -220,19 +219,6 @@ class FaultsExperiment:
     def __init__(self, config: FaultsConfig) -> None:
         self.config = config
 
-    def _probe_reads(self, storage: StorageSystem) -> Dict[str, float]:
-        """Read a deterministic file sample; count degraded vs failed reads."""
-        names = sorted(storage.files)[: self.config.read_sample]
-        degraded_before = storage.degraded_reads
-        failed_before = storage.failed_reads
-        for name in names:
-            storage.retrieve_file(name)
-        return {
-            "reads_sampled": float(len(names)),
-            "degraded_reads": float(storage.degraded_reads - degraded_before),
-            "failed_reads": float(storage.failed_reads - failed_before),
-        }
-
     def _inject(self, scenario: str, injector: FaultInjector,
                 network: OverlayNetwork) -> None:
         config = self.config
@@ -344,7 +330,7 @@ class FaultsExperiment:
         sim.run()  # drains staggered restarts and every repair transfer
         inject_s = time.perf_counter() - inject_start
 
-        probe = self._probe_reads(storage)
+        probe = read_census(storage, self.config.read_sample)
         events = injector.events
         ttrs = summarize(recovery.repair_times())
         summary = transfers.summary()

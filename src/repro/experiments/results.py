@@ -69,10 +69,6 @@ class Series:
             raise ValueError(f"series {self.label!r} is empty")
         return self.y[-1]
 
-    def as_rows(self) -> List[tuple[float, float]]:
-        """The series as (x, y) tuples."""
-        return list(zip(self.x, self.y))
-
     def __len__(self) -> int:
         return len(self.x)
 
@@ -99,12 +95,6 @@ class TableResult:
         if missing:
             raise ValueError(f"row missing columns {missing}")
         self.rows.append({column: values[column] for column in self.columns})
-
-    def column(self, name: str) -> List[object]:
-        """All values of one column."""
-        if name not in self.columns:
-            raise KeyError(name)
-        return [row[name] for row in self.rows]
 
     def format(self, float_format: Optional[str] = None) -> str:
         """Render the table as aligned plain text (used by benches and the CLI)."""

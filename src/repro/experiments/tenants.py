@@ -39,8 +39,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.storage import StorageSystem
-from repro.experiments.base import claim_client, load_trace, open_session, scaled_count
+from repro.experiments.base import claim_client, load_trace, open_session, read_census, scaled_count
 from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.network import OverlayNetwork
 from repro.sim.rng import RandomStreams
@@ -306,19 +305,6 @@ class TenantsExperiment:
                          lambda i=index: issue(i))
         return durations
 
-    def _census(self, storage: StorageSystem) -> Dict[str, float]:
-        """Post-run degraded/failed read census over a sorted file sample."""
-        names = sorted(storage.files)[: self.config.read_sample]
-        degraded_before = storage.degraded_reads
-        failed_before = storage.failed_reads
-        for name in names:
-            storage.retrieve_file(name)
-        return {
-            "reads_sampled": float(len(names)),
-            "degraded_reads": float(storage.degraded_reads - degraded_before),
-            "failed_reads": float(storage.failed_reads - failed_before),
-        }
-
     # ---------------------------------------------------------------- scenario --
     def _run_scenario(self, scenario: str) -> None:
         config = self.config
@@ -427,7 +413,7 @@ class TenantsExperiment:
         for name in TENANTS:
             store = stores[name]
             aggregates = clients[name].aggregates()
-            census = self._census(store)
+            census = read_census(store, self.config.read_sample)
             row = per_tenant.get(store.store_tenant, {})
             ttrs = summarize(managers[name].repair_times())
             active = max(1, aggregates["active_files"])

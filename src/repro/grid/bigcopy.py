@@ -32,12 +32,6 @@ class BigCopyResult:
     chunk_count: int
     failure_reason: Optional[str] = None
 
-    def overhead_vs(self, baseline_seconds: float) -> Optional[float]:
-        """Fractional overhead relative to a baseline time (Table 4 columns)."""
-        if not self.success or baseline_seconds <= 0:
-            return None
-        return self.elapsed_seconds / baseline_seconds - 1.0
-
 
 def run_bigcopy(
     backend: StorageBackend,

@@ -42,11 +42,6 @@ class JobResult:
     started_at: float
     finished_at: float
 
-    @property
-    def duration(self) -> float:
-        """Simulated seconds the job ran for."""
-        return self.finished_at - self.started_at
-
 
 @dataclass
 class CondorPool:
@@ -63,7 +58,7 @@ class CondorPool:
         self.queue.append(job)
 
     def _next_idle_machine(self) -> Optional[GridMachine]:
-        idle = [machine for machine in self.machines if machine.is_idle(self.now)]
+        idle = self.idle_machines()
         if not idle:
             return None
         # Deterministic choice: least-loaded, then name order.

@@ -40,11 +40,6 @@ class BackendStoreOutcome:
     lookups: int
     failure_reason: Optional[str] = None
 
-    @property
-    def chunk_count(self) -> int:
-        """Number of data chunks the file was split into."""
-        return len(self.chunk_sizes)
-
 
 class StorageBackend(abc.ABC):
     """Interface the interposition layer redirects file operations to."""

@@ -28,11 +28,6 @@ class GridMachine:
     busy_until: float = 0.0
     jobs_run: int = 0
 
-    @property
-    def contributed_capacity(self) -> int:
-        """Bytes of storage this machine contributes to the pool."""
-        return self.overlay_node.capacity
-
     def is_idle(self, now: float) -> bool:
         """Whether the machine can accept a job at simulated time ``now``."""
         return self.overlay_node.alive and now >= self.busy_until

@@ -46,10 +46,6 @@ class TransferCostModel:
             raise ValueError("size must be non-negative")
         return size_bytes / self.bandwidth_bytes_per_s + (self.per_transfer_latency if size_bytes else 0.0)
 
-    def copy_time(self, size_bytes: int) -> float:
-        """Seconds to read ``size_bytes`` from one node and write them to another."""
-        return 2.0 * self.transfer_time(size_bytes)
-
     def lookup_time(self, lookups: int) -> float:
         """Seconds spent on ``lookups`` p2p look-up operations."""
         if lookups < 0:

@@ -188,16 +188,3 @@ class BulletSession:
             if until_complete and epochs is None and self.is_complete():
                 break
         return self.history
-
-    # -- summaries -------------------------------------------------------------------
-    def completion_epoch(self) -> Optional[int]:
-        """First epoch at which every leaf held the full chunk, if reached."""
-        leaf_count = len(self.tree.leaves())
-        for stats in self.history:
-            if stats.complete_leaves == leaf_count:
-                return stats.epoch
-        return None
-
-    def average_series(self) -> List[float]:
-        """Average packets per node after each epoch (Figure 11 series)."""
-        return [stats.average for stats in self.history]

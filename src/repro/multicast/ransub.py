@@ -42,10 +42,6 @@ class RanSubView:
     epoch: int
     members: List[MemberDescriptor] = field(default_factory=list)
 
-    def labels(self) -> List[int]:
-        """Labels of the members in the view."""
-        return [member.label for member in self.members]
-
 
 class RanSubProtocol:
     """Runs the collect/distribute phases of RanSub over a multicast tree."""

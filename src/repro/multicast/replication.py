@@ -40,11 +40,6 @@ class ReplicationReport:
     #: Replica holders per block name.
     holders: Dict[str, List[NodeId]] = field(default_factory=dict)
 
-    @property
-    def complete(self) -> bool:
-        """Whether every requested replica of every block was created."""
-        return self.replicas_skipped_no_space == 0 and self.replicas_created > 0
-
 
 class MulticastReplicator:
     """Creates k replicas of stored chunks by multicast push."""

@@ -82,10 +82,6 @@ class MulticastTree:
         """Maximum depth over all vertices."""
         return max((node.depth() for node in self._nodes), default=0)
 
-    def by_label(self) -> Dict[int, TreeNode]:
-        """Label -> vertex map."""
-        return {node.label: node for node in self._nodes}
-
 
 def build_binary_tree(height: int) -> MulticastTree:
     """A complete binary tree of the given height (height 5 => 63 vertices)."""

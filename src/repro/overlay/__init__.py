@@ -35,7 +35,6 @@ from repro.overlay.ids import (
     key_for,
     node_id_from_int,
     random_node_id,
-    ring_between,
 )
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
@@ -58,7 +57,6 @@ __all__ = [
     "key_for",
     "node_id_from_int",
     "random_node_id",
-    "ring_between",
     "NodeArrayState",
     "OverlayNode",
     "OverlayNetwork",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -101,30 +101,3 @@ def distance(a: IdLike, b: IdLike) -> int:
 def clockwise_distance(a: IdLike, b: IdLike) -> int:
     """Distance travelling clockwise (increasing ids) from ``a`` to ``b``."""
     return (_as_int(b) - _as_int(a)) % ID_SPACE
-
-
-def ring_between(low: IdLike, target: IdLike, high: IdLike) -> bool:
-    """Whether ``target`` lies in the clockwise arc ``(low, high]``."""
-    low_int, target_int, high_int = _as_int(low), _as_int(target), _as_int(high)
-    if low_int == high_int:
-        return True
-    return clockwise_distance(low_int, target_int) <= clockwise_distance(low_int, high_int) and target_int != low_int
-
-
-def numerically_closest(target: IdLike, candidates: Iterable[IdLike]) -> int:
-    """The candidate id numerically closest to ``target`` on the ring.
-
-    Ties are broken towards the clockwise (higher-id) side, matching the
-    deterministic tie-break used by :class:`repro.overlay.dht.DHTView`.
-    """
-    target_int = _as_int(target)
-    best: int | None = None
-    best_key: tuple[int, int] | None = None
-    for candidate in candidates:
-        candidate_int = _as_int(candidate)
-        key = (distance(candidate_int, target_int), clockwise_distance(target_int, candidate_int))
-        if best_key is None or key < best_key:
-            best, best_key = candidate_int, key
-    if best is None:
-        raise ValueError("no candidates supplied")
-    return best

@@ -411,34 +411,6 @@ class NodeArrayState:
                 behind = (value - ids[down]) % ID_SPACE
         return picks
 
-    # -- failure domains -------------------------------------------------------
-    def site_array(self) -> np.ndarray:
-        """Site id per indexed node (int16, id order; ``-1`` = unassigned)."""
-        return np.asarray([node.site for node in self.nodes], dtype=np.int16)
-
-    def rack_array(self) -> np.ndarray:
-        """Globally unique rack id per indexed node (int16, id order)."""
-        return np.asarray([node.rack for node in self.nodes], dtype=np.int16)
-
-    def domain_members(
-        self, site: Optional[int] = None, rack: Optional[int] = None
-    ) -> List[OverlayNode]:
-        """Indexed nodes inside one failure domain, in id order.
-
-        One vectorised equality test over the int16 domain columns -- the
-        fault injector resolves a whole-rack or whole-site outage to its
-        casualty list with a single mask, never a per-node Python scan.
-        """
-        if site is None and rack is None:
-            raise ValueError("specify a site and/or a rack")
-        mask = np.ones(len(self.nodes), dtype=bool)
-        if site is not None:
-            mask &= self.site_array() == np.int16(site)
-        if rack is not None:
-            mask &= self.rack_array() == np.int16(rack)
-        nodes = self.nodes
-        return [nodes[int(index)] for index in np.flatnonzero(mask)]
-
     # -- invariants --------------------------------------------------------------
     def check_invariants(self) -> None:
         """Recompute the aggregates, the id order and the boundaries from the nodes.

@@ -70,12 +70,3 @@ class FailureSchedule:
 
     def __iter__(self) -> Iterator[FailureEvent]:
         return iter(self._events)
-
-    @property
-    def node_ids(self) -> List[int]:
-        """Node ids in failure order."""
-        return [event.node_id for event in self._events]
-
-    def up_to(self, count: int) -> List[FailureEvent]:
-        """The first ``count`` failures of the schedule."""
-        return self._events[:count]

@@ -14,7 +14,6 @@ capacities, file sizes, failure order, RanSub sampling, ...) draws from a
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
 
 import numpy as np
 
@@ -39,19 +38,7 @@ class RandomStreams:
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
-        self._streams: Dict[str, np.random.Generator] = {}
-
-    def stream(self, *names: object) -> np.random.Generator:
-        """Return (creating if needed) the generator for the given label path."""
-        key = "/".join(str(name) for name in names)
-        if key not in self._streams:
-            self._streams[key] = np.random.default_rng(derive_seed(self.seed, *names))
-        return self._streams[key]
 
     def fresh(self, *names: object) -> np.random.Generator:
         """Return a brand-new generator for the label path (never cached)."""
         return np.random.default_rng(derive_seed(self.seed, *names))
-
-    def spawn(self, *names: object) -> "RandomStreams":
-        """Return a child :class:`RandomStreams` rooted at the label path."""
-        return RandomStreams(derive_seed(self.seed, *names))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -37,26 +37,10 @@ class FileTrace:
     def __iter__(self) -> Iterator[FileRecord]:
         return iter(self.files)
 
-    def __getitem__(self, index: int) -> FileRecord:
-        return self.files[index]
-
     @property
     def total_bytes(self) -> int:
         """Sum of all file sizes."""
         return sum(record.size for record in self.files)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """File sizes as an int64 array (for vectorised statistics)."""
-        return np.asarray([record.size for record in self.files], dtype=np.int64)
-
-    def mean_size(self) -> float:
-        """Mean file size in bytes."""
-        return float(self.sizes.mean()) if self.files else 0.0
-
-    def std_size(self) -> float:
-        """Standard deviation of file sizes in bytes."""
-        return float(self.sizes.std()) if self.files else 0.0
 
     def subset(self, count: int) -> "FileTrace":
         """The first ``count`` files as a new trace."""
@@ -148,10 +132,3 @@ def generate_file_trace(
         for index, size in enumerate(sizes)
     ]
     return FileTrace(files=files)
-
-
-def trace_from_sizes(sizes: Sequence[int], name_prefix: str = "file") -> FileTrace:
-    """Build a trace from explicit sizes (used by tests and examples)."""
-    return FileTrace(
-        files=[FileRecord(name=f"{name_prefix}-{index:08d}", size=int(size)) for index, size in enumerate(sizes)]
-    )

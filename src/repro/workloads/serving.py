@@ -75,11 +75,6 @@ class RequestTrace:
         """Total requests in the trace."""
         return int(self.arrivals.shape[0])
 
-    @property
-    def read_count(self) -> int:
-        """Read requests in the trace."""
-        return int(self.is_read.sum())
-
     def fingerprint(self) -> str:
         """A digest over every column (the determinism tests compare these)."""
         digest = hashlib.sha1()

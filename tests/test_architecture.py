@@ -126,6 +126,12 @@ RETIRED = (
      r"\bRepairPlanner\b|\bRepairExecutor\b|\bmigrate_(block|replica|meta)\b"
      r"|\bapply_(regeneration|rereplication)\b|\brestore_object_copy\b",
      _EVERYWHERE, "RecoveryManager: failure and departure share one copy step per copy kind"),
+    ("tier-1-only twins",
+     r"\bplan_file\b|\bChunkPlan\b|\bStoreAborted\b|\bChunker\b|\bparse_(block|chunk)_name\b"
+     r"|\breplica_name\b|\bnumerically_closest\b|\bring_between\b|\bdomain_members\b"
+     r"|\bpath_congestion\b|\bchunk_for_offset\b",
+     _EVERYWHERE, "the call census (tests/tools/census.py): only their own tests ran them; "
+     "StorageSystem sizes chunks, DHTView.lookup and FaultInjector resolve keys and domains"),
 )
 
 

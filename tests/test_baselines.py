@@ -36,6 +36,16 @@ def test_past_store_places_whole_file_on_one_node(dht):
     assert holders[0].has_block(name)
 
 
+@pytest.mark.parametrize("size", [-5, float("nan"), float("inf")])
+def test_past_rejects_a_negative_or_non_finite_size(dht, size):
+    past = PastStore(dht)
+    with pytest.raises(ValueError):
+        past.store_file("bad", size)
+    # Rejected before any lookup: no salted retries are spent on it.
+    assert past.total_lookups == 0 and dht.lookup_count == 0
+    assert not past.files
+
+
 def test_past_cannot_store_file_larger_than_one_node(dht):
     past = PastStore(dht, retries=5)
     result = past.store_file("giant", 100 * MB)  # every node holds only 64 MB
@@ -111,6 +121,16 @@ def test_cfs_splits_into_fixed_blocks(dht):
     assert sizes[:-1] == [4 * MB] * 7
     assert sizes[-1] == 30 * MB - 7 * 4 * MB
     assert result.lookups >= 8
+
+
+@pytest.mark.parametrize("size", [-5, float("nan"), float("inf")])
+def test_cfs_rejects_a_negative_or_non_finite_size(dht, size):
+    cfs = CfsStore(dht)
+    with pytest.raises(ValueError):
+        cfs.store_file("bad", size)
+    # Nothing stored, nothing looked up, and the ledger never saw the size.
+    assert not cfs.files and cfs.total_lookups == 0 and dht.lookup_count == 0
+    assert cfs.ledger.stored_data_bytes == 0 and cfs.ledger.active_files == 0
 
 
 def test_cfs_block_count_for(dht):

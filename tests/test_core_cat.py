@@ -15,7 +15,7 @@ def make_cat() -> ChunkAllocationTable:
 
 def test_from_chunk_sizes_builds_contiguous_ranges():
     cat = make_cat()
-    assert cat.chunk_count == 6
+    assert len(cat.chunk_sizes()) == 6
     assert cat[0].start == 0 and cat[0].end == 5242880
     assert cat[1].start == cat[0].end
     assert cat.file_size == sum(cat.chunk_sizes())
@@ -30,17 +30,17 @@ def test_zero_sized_chunk_is_empty_entry():
 
 def test_chunk_for_offset_finds_owner():
     cat = make_cat()
-    assert cat.chunk_for_offset(0).chunk_no == 1
-    assert cat.chunk_for_offset(5242880).chunk_no == 2
-    assert cat.chunk_for_offset(cat.file_size - 1).chunk_no == 6
+    assert [entry.chunk_no for entry in cat.chunks_for_range(0, 1)] == [1]
+    assert [entry.chunk_no for entry in cat.chunks_for_range(5242880, 1)] == [2]
+    assert [entry.chunk_no for entry in cat.chunks_for_range(cat.file_size - 1, 1)] == [6]
 
 
 def test_chunk_for_offset_out_of_range():
     cat = make_cat()
     with pytest.raises(IndexError):
-        cat.chunk_for_offset(cat.file_size)
+        cat.chunks_for_range(cat.file_size, 1)
     with pytest.raises(IndexError):
-        cat.chunk_for_offset(-1)
+        cat.chunks_for_range(-1, 1)
 
 
 def test_chunks_for_range_partial_access():
@@ -90,6 +90,6 @@ def test_validation_rejects_gaps_and_bad_numbering():
 def test_empty_cat():
     cat = ChunkAllocationTable.from_chunk_sizes("empty", [])
     assert cat.file_size == 0
-    assert cat.chunk_count == 0
+    assert cat.chunk_sizes() == []
     assert cat.serialize() == ""
     assert ChunkAllocationTable.deserialize("empty", "") == cat

@@ -28,39 +28,6 @@ def test_one_based_numbering_enforced():
         naming.block_name("f", 1, 0)
 
 
-def test_parse_chunk_name_round_trip():
-    parsed = naming.parse_chunk_name(naming.chunk_name("my_data_file", 12))
-    assert parsed == ("my_data_file", 12)
-
-
-def test_parse_block_name_round_trip():
-    parsed = naming.parse_block_name(naming.block_name("my_data_file", 12, 5))
-    assert parsed is not None
-    assert parsed.filename == "my_data_file"
-    assert parsed.chunk_no == 12
-    assert parsed.ecb == 5
-
-
-def test_parse_handles_underscores_in_filename():
-    name = naming.block_name("a_b_c", 4, 2)
-    parsed = naming.parse_block_name(name)
-    assert parsed == ("a_b_c", 4, 2)
-
-
-def test_parse_rejects_malformed_names():
-    assert naming.parse_chunk_name("nochunkhere") is None
-    assert naming.parse_chunk_name("file_x") is None
-    assert naming.parse_block_name("file_1") is None or naming.parse_block_name("file_1").ecb == 1
-    assert naming.parse_block_name("justafile") is None
-
-
-def test_replica_name_zero_is_identity():
-    assert naming.replica_name("f_1_1", 0) == "f_1_1"
-    assert naming.replica_name("f_1_1", 2) == "f_1_1_r2"
-    with pytest.raises(ValueError):
-        naming.replica_name("x", -1)
-
-
 def test_key_for_name_is_sha1():
     assert naming.key_for_name("f_1_1") == key_for("f_1_1")
 

@@ -54,7 +54,6 @@ def test_probe_usable_block_size_is_minimum_offer(dht):
     probe = CapacityProbe(dht)
     result = probe.probe_chunk("somefile", 1, encoded_blocks=4)
     assert result.usable_block_size == min(result.offers)
-    assert result.max_offer == max(result.offers)
 
 
 def test_probe_respects_report_fraction(dht):
@@ -90,4 +89,3 @@ def test_probe_validation(dht):
 def test_probe_empty_result_properties(dht):
     result = CapacityProbe(dht).probe_names([])
     assert result.usable_block_size == 0
-    assert result.max_offer == 0

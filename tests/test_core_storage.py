@@ -44,12 +44,22 @@ def test_store_updates_node_usage_and_utilization(capacity_storage, dht):
     before = dht.total_used()
     capacity_storage.store_file("b", 30 * MB)
     # The consumed space is the file itself plus the (tiny) CAT copies.
-    cat_bytes = sum(p.size * p.copies for p in capacity_storage.files["b"].cat_placements)
+    cat_bytes = sum(p.size * (1 + len(p.replica_nodes)) for p in capacity_storage.files["b"].cat_placements)
     assert dht.total_used() == before + 30 * MB + cat_bytes
     assert 0 < cat_bytes < 1024
-    assert capacity_storage.utilization() == pytest.approx(
+    assert dht.utilization() == pytest.approx(
         (30 * MB + cat_bytes) / dht.total_capacity()
     )
+
+
+@pytest.mark.parametrize("size", [-5, float("nan"), float("inf")])
+def test_store_file_rejects_a_negative_or_non_finite_size(capacity_storage, dht, size):
+    with pytest.raises(ValueError):
+        capacity_storage.store_file("bad", size)
+    # Rejected before any lookup or counter moves.
+    assert (capacity_storage.store_attempts, capacity_storage.store_failures) == (0, 0)
+    assert capacity_storage.failed_bytes == 0
+    assert capacity_storage.probe.total_probes == 0 and dht.lookup_count == 0
 
 
 def test_duplicate_store_rejected(capacity_storage):
@@ -124,7 +134,7 @@ def test_block_replication_places_copies_on_neighbors(dht):
     stored = storage.files["replicated"]
     for chunk in stored.data_chunks():
         for placement in chunk.placements:
-            assert placement.copies == 3
+            assert len(placement.replica_nodes) == 2
 
 
 def test_chunk_statistics_reports_means(capacity_storage):

@@ -59,7 +59,6 @@ def test_null_spec_zero_overhead():
     assert spec.output_blocks == 6
     assert spec.loss_tolerance == 0
     assert spec.size_overhead == 0.0
-    assert spec.rate == 1.0
     assert spec.required_blocks() == 6
 
 
@@ -122,7 +121,6 @@ def test_xor_spec_overhead_fifty_percent():
     assert spec.output_blocks == 6
     assert spec.size_overhead == pytest.approx(0.5)
     assert spec.loss_tolerance == 1
-    assert spec.rate == pytest.approx(4 / 6)
 
 
 def test_xor_group_size_validation():

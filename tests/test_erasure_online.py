@@ -31,10 +31,10 @@ def test_parameters_validation():
 
 def test_degree_distribution_is_normalised():
     params = OnlineCodeParameters(epsilon=0.01, q=3)
-    rho = params.degree_distribution()
-    assert rho.sum() == pytest.approx(1.0)
-    assert (rho >= 0).all()
-    assert len(rho) == params.max_degree
+    cdf = params.rho_cdf()
+    assert cdf[-1] == pytest.approx(1.0)
+    assert cdf[0] >= 0 and (np.diff(cdf) >= 0).all()
+    assert len(cdf) == OnlineCodeParameters.max_degree_for(params.epsilon)
 
 
 def test_auxiliary_count_formula():

@@ -86,4 +86,3 @@ def test_spec_invariants_hold_for_all_codes(n_blocks: int):
         assert spec.output_blocks >= spec.input_blocks == n_blocks
         assert 0 <= spec.loss_tolerance < spec.output_blocks
         assert spec.required_blocks() + spec.loss_tolerance == spec.output_blocks
-        assert 0 < spec.rate <= 1.0

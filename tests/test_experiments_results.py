@@ -21,7 +21,7 @@ def test_series_append_and_final():
     series.append(1, 0.5)
     series.append(2, 0.7)
     assert series.final() == 0.7
-    assert series.as_rows() == [(1.0, 0.5), (2.0, 0.7)]
+    assert (series.x, series.y) == ([1.0, 2.0], [0.5, 0.7])
     assert len(series) == 2
 
 
@@ -34,9 +34,7 @@ def test_table_add_row_and_columns():
     table = TableResult(title="t", columns=["a", "b"])
     table.add_row(a=1, b=2.5)
     table.add_row(a=3, b=4.5)
-    assert table.column("a") == [1, 3]
-    with pytest.raises(KeyError):
-        table.column("c")
+    assert table.rows == [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5}]
     with pytest.raises(ValueError):
         table.add_row(a=1)
 
@@ -86,7 +84,7 @@ def test_benchmark_summary_renders_insertion_rows(tmp_path):
     }
     (tmp_path / "BENCH_insertion.json").write_text(json.dumps(record))
     table = benchmark_table("insertion", record)
-    assert table.column("files_per_s") == [1666.7]
+    assert [row["files_per_s"] for row in table.rows] == [1666.7]
     summary = benchmark_summary(tmp_path)
     assert "vectorized" in summary
     assert "end_to_end=23.6x" in summary

@@ -12,7 +12,11 @@ import math
 
 import pytest
 
+from repro.core.storage import StorageSystem
+from repro.erasure.chunk_codec import ChunkCodec
+from repro.erasure.xor_code import XorParityCode
 from repro.experiments.availability import AvailabilityConfig, AvailabilityExperiment
+from repro.experiments.base import read_census
 from repro.experiments.churn import ChurnConfig, ChurnExperiment
 from repro.experiments.coding_perf import CodingPerfConfig, CodingPerfExperiment
 from repro.experiments.condor_case_study import CondorCaseStudyConfig, CondorCaseStudyExperiment
@@ -164,3 +168,21 @@ def test_condor_case_study_shape():
         assert rows[size]["varying_chunks_s"] <= rows[size]["fixed_chunks_s"]
     # Overheads relative to the whole-file baseline are positive where defined.
     assert rows[4.0]["fixed_overhead_pct"] > rows[4.0]["varying_overhead_pct"] >= 0.0
+
+
+# -- read census (faults, tenants) ---------------------------------------------------
+def test_read_census_counts_degraded_and_failed_reads(dht):
+    storage = StorageSystem(dht, codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2))
+    for index in range(6):
+        assert storage.store_file(f"file-{index}", 5 * MB).success
+    for node in list(dht.network.live_nodes())[::3]:
+        node.fail()
+    sample = [storage.retrieve_file(name) for name in sorted(storage.files)[:4]]
+    census = read_census(storage, 4)
+    assert census == {
+        "reads_sampled": 4.0,
+        "degraded_reads": float(sum(result.degraded for result in sample)),
+        "failed_reads": float(sum(not result.complete for result in sample)),
+    }
+    assert census["degraded_reads"] + census["failed_reads"] > 0
+    assert read_census(storage, 100)["reads_sampled"] == 6.0

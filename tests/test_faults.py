@@ -22,7 +22,6 @@ from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
-from repro.overlay.node_state import NodeArrayState
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, assign_domains
 from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
@@ -89,18 +88,20 @@ def test_assign_domains_is_deterministic_and_rng_free():
     ]
 
 
-def test_node_array_state_exposes_domain_columns():
+def test_fault_injector_resolves_failure_domains():
     network = OverlayNetwork.build(30, np.random.default_rng(5))
     assign_domains(network.nodes(), sites=2, racks_per_site=2)
-    state = NodeArrayState(network.nodes())
-    assert state.site_array().dtype == np.int16
-    assert state.rack_array().dtype == np.int16
-    members = state.domain_members(site=1)
-    assert members and all(node.site == 1 for node in members)
-    rack_members = state.domain_members(rack=2)
-    assert rack_members and all(node.rack == 2 for node in rack_members)
+    injector = FaultInjector(Simulator(), network)
+    rack = injector.fail_domain(rack=2, repair=False)
+    down = [node for node in network.nodes() if not node.alive]
+    assert down and all(node.rack == 2 for node in down)
+    assert rack.nodes_affected == len(down)
+    # Site 1 holds racks 2 and 3; only the still-live rack-3 nodes are new casualties.
+    site = injector.fail_domain(site=1, repair=False)
+    assert site.nodes_affected == sum(1 for node in network.nodes() if node.rack == 3)
+    assert all(node.alive == (node.site == 0) for node in network.nodes())
     with pytest.raises(ValueError):
-        state.domain_members()
+        injector.fail_domain()
 
 
 # --------------------------------------------------------- correlated oracle --

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.grid.bigcopy import run_bigcopy
 from repro.grid.condor import CondorJob, CondorPool, SchedulingError
+from repro.grid.iolib import WholeFileBackend
 from repro.grid.machines import build_condor_pool_nodes
 from repro.grid.transfer import TransferCostModel
 from repro.workloads.filetrace import GB
@@ -15,7 +17,6 @@ def test_transfer_time_scales_linearly():
     model = TransferCostModel(bandwidth_bytes_per_s=10e6, per_transfer_latency=0.0)
     assert model.transfer_time(10_000_000) == pytest.approx(1.0)
     assert model.transfer_time(0) == 0.0
-    assert model.copy_time(10_000_000) == pytest.approx(2.0)
 
 
 def test_transfer_latency_added_once_per_transfer():
@@ -42,8 +43,10 @@ def test_transfer_model_validation():
 
 def test_one_gb_whole_file_copy_lands_near_paper_baseline():
     # Table 4: a 1 GB whole-file copy takes 151 s on the paper's testbed.
-    model = TransferCostModel()
-    assert 120.0 <= model.copy_time(1 * GB) <= 260.0
+    network, _ = build_condor_pool_nodes(8, seed=0)
+    target = max(network.live_nodes(), key=lambda node: node.capacity)
+    result = run_bigcopy(WholeFileBackend(target), 1 * GB)
+    assert result.success and 120.0 <= result.elapsed_seconds <= 260.0
 
 
 # -- pool construction --------------------------------------------------------------------
@@ -52,7 +55,7 @@ def test_build_condor_pool_matches_paper_parameters():
     assert len(machines) == 32
     assert len(network) == 32
     for machine in machines:
-        assert 2 * GB <= machine.contributed_capacity <= 15 * GB
+        assert 2 * GB <= machine.overlay_node.capacity <= 15 * GB
         assert machine.overlay_node.alive
     assert len({machine.name for machine in machines}) == 32
 
@@ -60,7 +63,7 @@ def test_build_condor_pool_matches_paper_parameters():
 def test_build_condor_pool_is_deterministic():
     _, machines_a = build_condor_pool_nodes(8, seed=3)
     _, machines_b = build_condor_pool_nodes(8, seed=3)
-    assert [m.contributed_capacity for m in machines_a] == [m.contributed_capacity for m in machines_b]
+    assert [m.overlay_node.capacity for m in machines_a] == [m.overlay_node.capacity for m in machines_b]
 
 
 def test_build_condor_pool_validation():
@@ -81,8 +84,8 @@ def test_jobs_run_fifo_on_idle_machines():
         pool.submit(CondorJob(name=f"job-{index}", body=lambda machine, d=duration: d))
     results = pool.run_all()
     assert len(results) == 3
-    assert results[0].started_at == 0.0 and results[0].duration == 5.0
-    assert results[1].started_at == 0.0 and results[1].duration == 3.0
+    assert (results[0].started_at, results[0].finished_at) == (0.0, 5.0)
+    assert (results[1].started_at, results[1].finished_at) == (0.0, 3.0)
     # Third job waits for the first machine to free up (at t=3).
     assert results[2].started_at == pytest.approx(3.0)
     assert pool.makespan() == pytest.approx(7.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.baselines.cfs import CfsStore
@@ -9,6 +11,7 @@ from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
+from repro.experiments.condor_case_study import _overhead_pct
 from repro.grid.bigcopy import run_bigcopy, submit_and_run_bigcopy
 from repro.grid.condor import CondorPool
 from repro.grid.iolib import (
@@ -48,7 +51,7 @@ def test_whole_file_backend_capacity_limit(pool):
     target = max(network.live_nodes(), key=lambda node: node.capacity)
     backend = WholeFileBackend(target)
     outcome = backend.create_file("fits", target.capacity // 2)
-    assert outcome.success and outcome.chunk_count == 1 and outcome.lookups == 0
+    assert outcome.success and len(outcome.chunk_sizes) == 1 and outcome.lookups == 0
     too_big = backend.create_file("huge", 20 * GB)
     assert not too_big.success
     assert backend.chunk_layout("fits") == [target.capacity // 2]
@@ -69,7 +72,7 @@ def test_fixed_backend_reports_chunks_and_lookups(pool):
     backend = make_fixed_backend(network)
     outcome = backend.create_file("data", 40 * MB)
     assert outcome.success
-    assert outcome.chunk_count == 10
+    assert len(outcome.chunk_sizes) == 10
     assert outcome.lookups >= 10
     assert sum(backend.chunk_layout("data")) == 40 * MB
     backend.delete_file("data")
@@ -82,7 +85,7 @@ def test_varying_backend_reports_few_chunks(pool):
     backend = make_varying_backend(network)
     outcome = backend.create_file("data", 4 * GB)
     assert outcome.success
-    assert 1 <= outcome.chunk_count < 10
+    assert 1 <= len(outcome.chunk_sizes) < 10
     assert sum(backend.chunk_layout("data")) == 4 * GB
 
 
@@ -222,8 +225,8 @@ def test_bigcopy_fixed_chunks_slower_than_varying(pool):
 def test_bigcopy_overhead_vs_baseline():
     network, _ = build_condor_pool_nodes(16, seed=6)
     result = run_bigcopy(make_varying_backend(network), 1 * GB)
-    assert result.overhead_vs(result.elapsed_seconds * 0.9) == pytest.approx(1 / 0.9 - 1, rel=1e-6)
-    assert result.overhead_vs(0.0) is None
+    assert _overhead_pct(result, result.elapsed_seconds * 0.9) == pytest.approx(100 / 0.9 - 100)
+    assert math.isnan(_overhead_pct(result, 0.0))
 
 
 def test_submit_and_run_bigcopy_through_condor_pool():
@@ -231,5 +234,5 @@ def test_submit_and_run_bigcopy_through_condor_pool():
     pool = CondorPool(machines=machines)
     job_result, copy_result = submit_and_run_bigcopy(pool, make_varying_backend(network), 1 * GB)
     assert copy_result.success
-    assert job_result.duration == pytest.approx(copy_result.elapsed_seconds)
+    assert job_result.finished_at - job_result.started_at == pytest.approx(copy_result.elapsed_seconds)
     assert pool.makespan() >= copy_result.elapsed_seconds

@@ -78,11 +78,11 @@ def test_trace_driven_insertion_then_partial_reads():
             successes += 1
     assert successes == len(trace)  # plenty of space at this scale
     # Partial-range availability queries resolve through the CAT.
-    sample = trace[0]
+    sample = trace.files[0]
     result = storage.retrieve_range(sample.name, offset=sample.size // 2, length=1 * MB)
     assert result.complete
     assert result.chunks_needed >= 1
-    assert storage.utilization() > 0
+    assert dht.utilization() > 0
 
 
 def test_new_node_joining_takes_future_load():

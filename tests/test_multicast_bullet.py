@@ -46,7 +46,6 @@ def test_run_disseminates_to_every_leaf():
     history = session.run(until_complete=True)
     assert session.is_complete()
     assert history[-1].complete_leaves == len(session.tree.leaves())
-    assert session.completion_epoch() == len(history)
     # Every non-source vertex ends with the full chunk.
     for node in session.tree.nodes():
         assert session.node_packet_count(node.label) == 200
@@ -55,7 +54,7 @@ def test_run_disseminates_to_every_leaf():
 def test_packet_counts_are_monotone_per_epoch():
     session = make_session()
     session.run(until_complete=True)
-    averages = session.average_series()
+    averages = [stats.average for stats in session.history]
     assert all(b >= a for a, b in zip(averages, averages[1:]))
     assert averages[-1] == pytest.approx(200.0)
 
@@ -80,7 +79,7 @@ def test_larger_ransub_view_speeds_up_dissemination():
     fast = make_session(ransub_fraction=0.20, seed=1)
     slow.run(until_complete=True)
     fast.run(until_complete=True)
-    assert fast.completion_epoch() <= slow.completion_epoch()
+    assert len(fast.history) <= len(slow.history)
 
 
 def test_mesh_pulls_help_over_pure_tree_push():
@@ -88,7 +87,7 @@ def test_mesh_pulls_help_over_pure_tree_push():
     with_mesh = make_session(peer_capacity=5, download_capacity=25, seed=2)
     pure_tree.run(until_complete=True)
     with_mesh.run(until_complete=True)
-    assert with_mesh.completion_epoch() < pure_tree.completion_epoch()
+    assert len(with_mesh.history) < len(pure_tree.history)
 
 
 def test_fixed_epoch_run_does_not_overrun():

@@ -41,13 +41,6 @@ def test_binary_tree_negative_height_rejected():
         build_binary_tree(-1)
 
 
-def test_by_label_lookup():
-    tree = build_binary_tree(2)
-    mapping = tree.by_label()
-    assert mapping[tree.root.label] is tree.root
-    assert len(mapping) == len(tree)
-
-
 def test_locality_tree_includes_all_targets_once():
     network = OverlayNetwork.build(40, np.random.default_rng(1), capacities=[1] * 40)
     ids = network.live_ids()
@@ -109,7 +102,7 @@ def test_ransub_views_are_random_subsets_of_population():
     views = protocol.run_epoch(lambda label: 0)
     seen = set()
     for view in views.values():
-        members = set(view.labels())
+        members = {member.label for member in view.members}
         assert members <= population
         seen |= members
     # Across all views a large share of the population should appear somewhere.
@@ -123,7 +116,7 @@ def test_ransub_epochs_change_views():
     second = protocol.run_epoch(lambda label: 0)
     assert protocol.epoch == 2
     # With overwhelming probability at least one leaf's view differs between epochs.
-    different = any(first[node.label].labels() != second[node.label].labels() for node in tree.leaves())
+    different = any(first[node.label].members != second[node.label].members for node in tree.leaves())
     assert different
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.overlay.dht import DHTView
 from repro.overlay.ids import (
     ID_SPACE,
     NodeId,
@@ -12,10 +13,18 @@ from repro.overlay.ids import (
     distance,
     key_for,
     node_id_from_int,
-    numerically_closest,
     random_node_id,
-    ring_between,
 )
+from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import OverlayNode
+
+
+def _view(*ids: int) -> DHTView:
+    """A DHT view over nodes with exactly these ids."""
+    network = OverlayNetwork()
+    for value in ids:
+        network.join(OverlayNode(node_id=NodeId(value)))
+    return DHTView(network)
 
 
 def test_key_for_is_sha1_of_name():
@@ -72,30 +81,20 @@ def test_clockwise_distance_wraps():
     assert clockwise_distance(NodeId(1), NodeId(ID_SPACE - 1)) == ID_SPACE - 2
 
 
-def test_ring_between_arc_membership():
-    low, high = NodeId(100), NodeId(200)
-    assert ring_between(low, NodeId(150), high)
-    assert ring_between(low, high, high)
-    assert not ring_between(low, low, high)
-    assert not ring_between(low, NodeId(250), high)
-    # Wrapping arc
-    assert ring_between(NodeId(ID_SPACE - 5), NodeId(2), NodeId(10))
-
-
 def test_numerically_closest_picks_min_ring_distance():
-    target = NodeId(1000)
-    candidates = [NodeId(10), NodeId(990), NodeId(1500)]
-    assert numerically_closest(target, candidates) == 990
+    assert int(_view(10, 990, 1500).lookup(NodeId(1000)).node_id) == 990
+    assert int(_view(10, ID_SPACE - 5).lookup(NodeId(ID_SPACE - 1)).node_id) == ID_SPACE - 5
 
 
-def test_numerically_closest_tie_breaks_clockwise():
-    target = NodeId(100)
-    assert numerically_closest(target, [NodeId(90), NodeId(110)]) == 110
+def test_numerically_closest_tie_breaks_to_the_lower_id():
+    view = _view(90, 110)
+    assert int(view.lookup(NodeId(100)).node_id) == 90
+    assert view.network.responsible_node(NodeId(100)) == NodeId(90)
 
 
 def test_numerically_closest_requires_candidates():
-    with pytest.raises(ValueError):
-        numerically_closest(NodeId(1), [])
+    with pytest.raises(LookupError):
+        _view().lookup(NodeId(1))
 
 
 def test_random_node_id_uniform_and_deterministic():

@@ -36,7 +36,7 @@ def test_cat_round_trips_and_covers_file(sizes):
     if cat.file_size:
         probe_points = {0, cat.file_size - 1, cat.file_size // 2}
         for offset in probe_points:
-            entry = cat.chunk_for_offset(offset)
+            (entry,) = cat.chunks_for_range(offset, 1)
             assert entry.start <= offset < entry.end
 
 

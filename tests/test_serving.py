@@ -137,7 +137,7 @@ def test_trace_columns_are_consistent():
     reads = trace.file_index[trace.is_read]
     assert np.all((reads >= 0) & (reads < 64))
     assert np.all((trace.client_index >= 0) & (trace.client_index < 5))
-    assert 0 < trace.read_count < trace.count
+    assert 0 < trace.is_read.sum() < trace.count
 
 
 def test_zipf_probabilities_skew_toward_low_ranks():

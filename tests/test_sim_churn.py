@@ -18,7 +18,7 @@ def test_failure_schedule_nodes_unique_and_from_population():
     rng = np.random.default_rng(1)
     population = list(range(50))
     schedule = FailureSchedule(population, 0.5, rng)
-    chosen = schedule.node_ids
+    chosen = [event.node_id for event in schedule]
     assert len(set(chosen)) == len(chosen)
     assert set(chosen) <= set(population)
 
@@ -28,12 +28,6 @@ def test_failure_schedule_times_follow_spacing():
     schedule = FailureSchedule(list(range(10)), 1.0, rng, spacing=2.5)
     times = [event.time for event in schedule]
     assert times == [2.5 * index for index in range(10)]
-
-
-def test_failure_schedule_up_to_prefix():
-    rng = np.random.default_rng(3)
-    schedule = FailureSchedule(list(range(30)), 1.0, rng)
-    assert [event.node_id for event in schedule.up_to(5)] == schedule.node_ids[:5]
 
 
 def test_failure_schedule_rejects_bad_fraction_and_spacing():
@@ -47,4 +41,4 @@ def test_failure_schedule_rejects_bad_fraction_and_spacing():
 def test_failure_schedule_is_deterministic_for_seed():
     one = FailureSchedule(list(range(40)), 0.25, np.random.default_rng(9))
     two = FailureSchedule(list(range(40)), 0.25, np.random.default_rng(9))
-    assert one.node_ids == two.node_ids
+    assert list(one) == list(two)

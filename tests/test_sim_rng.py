@@ -18,23 +18,16 @@ def test_derive_seed_depends_on_labels_and_base():
 
 
 def test_streams_same_label_same_sequence():
-    one = RandomStreams(7).stream("capacities")
-    two = RandomStreams(7).stream("capacities")
+    one = RandomStreams(7).fresh("capacities")
+    two = RandomStreams(7).fresh("capacities")
     assert np.array_equal(one.integers(0, 1000, 16), two.integers(0, 1000, 16))
 
 
 def test_streams_different_labels_are_independent():
     streams = RandomStreams(7)
-    a = streams.stream("alpha").integers(0, 1_000_000, 32)
-    b = streams.stream("beta").integers(0, 1_000_000, 32)
+    a = streams.fresh("alpha").integers(0, 1_000_000, 32)
+    b = streams.fresh("beta").integers(0, 1_000_000, 32)
     assert not np.array_equal(a, b)
-
-
-def test_stream_is_cached_fresh_is_not():
-    streams = RandomStreams(3)
-    cached = streams.stream("x")
-    assert streams.stream("x") is cached
-    assert streams.fresh("x") is not streams.fresh("x")
 
 
 def test_fresh_restarts_sequence():
@@ -42,11 +35,4 @@ def test_fresh_restarts_sequence():
     first = streams.fresh("trace").integers(0, 100, 8)
     second = streams.fresh("trace").integers(0, 100, 8)
     assert np.array_equal(first, second)
-
-
-def test_spawn_creates_independent_child_space():
-    parent = RandomStreams(11)
-    child_a = parent.spawn("replication", 0)
-    child_b = parent.spawn("replication", 1)
-    assert child_a.seed != child_b.seed
-    assert child_a.seed == RandomStreams(11).spawn("replication", 0).seed
+    assert streams.fresh("trace") is not streams.fresh("trace")

@@ -109,7 +109,8 @@ def test_tenant_cap_bounds_aggregate_rate_without_hurting_others():
     assert capped_a.rate == pytest.approx(capped_b.rate)
     # The other tenant's disjoint path is untouched by the cap.
     assert other.rate == pytest.approx(8.0)
-    assert sched.tenant_cap_of(5) == 6.0 and sched.tenant_cap_of(9) is None
+    summary = sched.tenant_summary()
+    assert summary[5]["cap"] == 6.0 and summary[9]["cap"] == -1
     # Clearing the cap releases the aggregate back to the physical links.
     sched.set_tenant_cap(5, None)
     assert capped_a.rate == pytest.approx(8.0)

@@ -97,7 +97,6 @@ def test_oversubscribed_topology_derives_trunks_from_population():
     # Rack trunk: 4 members x 10 / 4 = 10; site trunk: (10 + 10) / 4 = 5.
     assert topo.trunk_capacity(rack=0) == (10.0, 10.0)
     assert topo.trunk_capacity(site=0) == (5.0, 5.0)
-    assert topo.constrained
     non_blocking = oversubscribed_topology(nodes, access_bandwidth=10.0, oversubscription=1.0)
     assert non_blocking.trunk_capacity(rack=0) == (40.0, 40.0)
 
@@ -201,7 +200,7 @@ def test_set_trunk_bandwidth_kills_crossing_transfers_and_refunds():
 def test_congestion_signals_rank_saturated_paths():
     nodes = _grid(8, 1, 2)
     sim, topo, sched = _topo_scheduler(nodes, access=10.0, rack_uplink=5.0)
-    assert sched.path_congestion(0, 1) == 0.0
+    assert sched.source_congestion(0) == 0.0
     sched.submit(1000.0, src=0, dst=1)
     sched.submit(1000.0, src=0, dst=5)
     # Rack-0 uplink carries 2 flows over capacity 5 -> congestion 0.4;
@@ -211,8 +210,8 @@ def test_congestion_signals_rank_saturated_paths():
     assert sched.source_congestion(2) == pytest.approx(0.4)  # shares the trunk
     assert sched.source_congestion(5) == 0.0  # rack 1's uplink is quiet
     # A dead trunk is infinitely congested.
-    topo.set_rack_trunk(1, downlink=0.0)
-    assert math.isinf(sched.path_congestion(0, 1))
+    topo.set_rack_trunk(0, uplink=0.0)
+    assert math.isinf(sched.source_congestion(0))
 
 
 def test_trunk_summary_reports_bytes_and_capacity():
@@ -284,7 +283,7 @@ def test_pacer_weight_tags_submissions():
     sim = Simulator()
     sched = TransferScheduler(sim, uplink=10.0, downlink=None)
     pacer = TransferPacer(sched, max_in_flight=4, weight=0.25)
-    pacer.submit(100.0, src=0)
+    pacer.submit_many([TransferSpec(100.0, src=0)])
     fg = sched.submit(100.0, src=0, weight=1.0)
     # Level = 10 / 1.25 = 8: foreground 8, paced background 2.
     assert fg.rate == pytest.approx(8.0)

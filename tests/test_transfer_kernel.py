@@ -29,6 +29,7 @@ from reference.transfer_reference import ReferenceTransferScheduler
 
 from repro.core.transfer import (
     _DOWN,
+    _UP,
     _KEEP,
     _SLACK_MARGIN,
     NetworkTopology,
@@ -295,7 +296,10 @@ def _drive(scheduler_cls, ops, latencies):
     for kind, gap, *args in ops:
         sim.run(until=sim.now + gap)
         # The congestion signals carry the float history of the link loads.
-        log.append(("load", [sched.path_congestion(src, src + 5) for src in range(6)]))
+        log.append(("load", [
+            [sched.link_congestion(key)
+             for key in ((_UP, src), *topology.trunk_links(src, src + 5), (_DOWN, src + 5))]
+            for src in range(6)]))
         if kind == "submit":
             transfers.extend(sched.submit_many([
                 TransferSpec(size, src, dst, (lambda t, f=follow: done(t, f)), failed,

@@ -16,26 +16,30 @@ from repro.workloads.filetrace import (
     GB,
     MB,
     FileRecord,
+    FileTrace,
     FileTraceConfig,
     generate_file_trace,
-    trace_from_sizes,
 )
 from repro.workloads.tenants import BigCopyBurstProfile
 
 
 # -- file traces -------------------------------------------------------------------
+def sizes(trace) -> np.ndarray:
+    return np.array([record.size for record in trace])
+
+
 def test_generated_trace_matches_requested_statistics():
     config = FileTraceConfig(file_count=5_000)
     trace = generate_file_trace(config, seed=0)
     assert len(trace) == 5_000
-    assert trace.sizes.min() >= config.min_size
-    assert trace.mean_size() == pytest.approx(config.mean_size, rel=0.05)
-    assert trace.std_size() == pytest.approx(config.std_size, rel=0.20)
+    assert sizes(trace).min() >= config.min_size
+    assert sizes(trace).mean() == pytest.approx(config.mean_size, rel=0.05)
+    assert sizes(trace).std() == pytest.approx(config.std_size, rel=0.20)
 
 
 def test_trace_minimum_size_filter_matches_paper():
     trace = generate_file_trace(FileTraceConfig(file_count=2_000), seed=1)
-    assert trace.sizes.min() >= 50 * MB
+    assert sizes(trace).min() >= 50 * MB
 
 
 def test_lognormal_model_heavier_tail():
@@ -43,7 +47,7 @@ def test_lognormal_model_heavier_tail():
     heavy = generate_file_trace(
         FileTraceConfig(file_count=5_000, model="lognormal", std_size=500 * MB), seed=2
     )
-    assert heavy.sizes.max() > normal.sizes.max()
+    assert sizes(heavy).max() > sizes(normal).max()
 
 
 def test_trace_generation_is_deterministic():
@@ -55,12 +59,12 @@ def test_trace_generation_is_deterministic():
 
 
 def test_trace_helpers():
-    trace = trace_from_sizes([10, 20, 30])
+    trace = FileTrace([FileRecord(f"file-{index}", size) for index, size in enumerate([10, 20, 30])])
     assert trace.total_bytes == 60
     assert trace.subset(2).total_bytes == 30
-    assert trace[0].name.endswith("00000000")
+    assert next(iter(generate_file_trace(FileTraceConfig(file_count=1)))).name.endswith("00000000")
     empty = generate_file_trace(FileTraceConfig(file_count=0))
-    assert len(empty) == 0 and empty.mean_size() == 0.0
+    assert len(empty) == 0 and empty.total_bytes == 0
 
 
 def test_trace_config_validation():

@@ -22,10 +22,14 @@ section of its own, since a static name match cannot tell owners apart.
 
 :data:`KEEP` holds every deliberate keep with its reason, keyed by qualified
 name (a class or module name covers everything inside it); the report prints
-the reason beside each function it explains.
+the reason beside each function it explains and ``UNEXPLAINED`` beside a
+never-run or tier-1-only function it does not.  Such a function is either
+deleted (a second implementation of a live path, or a capability no product
+path, paper figure or table, or named extension calls) or given a reason.
 
-Exit status: 1 when a never-run function is not explained in :data:`KEEP`,
-2 when an entry point failed (the census is then incomplete), 0 otherwise.
+Exit status: 1 when a never-run or tier-1-only function is not explained in
+:data:`KEEP`, 2 when an entry point failed (the census is then incomplete),
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -74,6 +78,14 @@ CLI_RUNS = (
 
 _TRACED = "perfbench/tracing.py wraps it by name (its _targets() table)"
 _STUB = "interface stub: the array engines implement it"
+_ORACLE = "a tests/reference oracle calls it"
+_CAT = "CAT recovery, paper section 4.4"
+_DELETE = "file deletion: repro.api ArchiveClient.delete and the Table 4 back-end interface"
+_CFS_REPLICAS = "CFS successor replication (replication > 1), the scheme the baseline models"
+_DEGRADE = "degrade_trunk (README-named fault scenario) calls it"
+_TRANSFER_FAILURE = "transfer failure: dead links, partitioned trunks, timeouts"
+_GROW = "joins past the preallocated table capacity"
+_SCALED = "the CLI's --scale applies it; no CLI_RUNS row scales this command"
 
 #: Deliberate keeps of functions no product entry point runs:
 #: qualified name (function, class or module) -> why it stays.
@@ -82,21 +94,100 @@ KEEP: dict[str, str] = {
     "repro.erasure.gf2.popcount": "NumPy < 2 fallback for np.bitwise_count",
     "repro.grid.iolib.StorageBackend": "abstract methods of the Table 4 back-end interface",
     "repro.overlay.engine.OverlayRouting": _STUB,
-    # Reached only from tier-1 (or named only in benchmarks/).
+    # Reached only from tier-1 (or named only in benchmarks/): traced, oracles, invariants.
     "repro.overlay.dht.DHTView.lookup": "the per-key oracle of the batched lookups; " + _TRACED,
     "repro.overlay.dht.DHTView.lookup_many": _TRACED,
+    "repro.overlay.node_state.digest_array": "packs the keys DHTView.lookup_many resolves",
+    "repro.overlay.node_state.NodeArrayState.position": "DHTView.lookup resolves its answer with it",
     "repro.core.capacity.CapacityProbe.probe_chunk": _TRACED,
     "repro.core.capacity.CapacityProbe.probe_names": _TRACED,
+    "repro.core.naming.key_for_name": "probe_chunk / probe_names hash names with it",
+    "repro.overlay.ids.key_for": "key_for_name's SHA-1",
     "repro.core.block_ledger.BlockLedger.register_whole_file": _TRACED,
     "repro.core.block_ledger.BlockLedger.flush_registrations": _TRACED,
     "repro.overlay.engine.ArrayRouterBase.route": "scalar routing for tests; " + _TRACED,
+    "repro.overlay.engine.BatchRouteResult.root_ids": "the seed-router comparison reads it",
     "repro.overlay.network.OverlayNetwork.responsible_node": "brute-force oracle of every lookup",
+    "repro.overlay.network.OverlayNetwork.proximity": _ORACLE,
+    "repro.overlay.ids.NodeId.digit": _ORACLE,
+    "repro.overlay.ids.NodeId.shared_prefix_length": _ORACLE,
+    "repro.overlay.ids._as_int": _ORACLE,
+    "repro.overlay.ids.distance": _ORACLE,
+    "repro.overlay.ids.clockwise_distance": _ORACLE,
+    "repro.baselines.cfs.CfsStore.block_entries": _ORACLE,
+    "repro.core.block_ledger.BlockLedger.baseline_entries": _ORACLE,
+    "repro.baselines.cfs.CfsStore.is_file_available": "O(1) availability, checked against dict_walk",
+    "repro.baselines.past.PastStore.is_file_available": "O(1) availability, checked against dict_walk",
+    "repro.core.storage.StorageSystem.usage_summary": _ORACLE + "; repro.api ArchiveClient.usage",
     "repro.core.block_ledger.BlockLedger.check_invariants": "the ledger's invariant call",
     "repro.overlay.node_state.NodeArrayState.check_invariants": "the node state's invariant call",
+    "repro.overlay.engine_chord.ChordArrayRouter.successor_list_ids": "a Chord invariant surface",
+    "repro.overlay.engine_chord.ChordArrayRouter.finger_ids": "a Chord invariant surface",
+    "repro.core.block_ledger.BlockLedger.placements_below": "durability query the repair oracles assert",
+    "repro.core.block_ledger.BlockLedger.placement_live_copies": "durability query the repair oracles assert",
+    # Reached only from tier-1: public surface and named extensions.
+    "repro.api": "the client facade tests/golden/public_surface.json pins",
+    "repro.erasure.chunk_codec.get_code": "public package export (repro.__all__)",
+    "repro.cli._StoreFields.__call__": "the tenants --no-isolation switch; no CLI_RUNS row passes it",
+    "repro.experiments.routing.RoutingConfig.scaled": _SCALED,
+    "repro.experiments.serving.ServingConfig.scaled": _SCALED,
+    "repro.experiments.tenants.TenantsConfig.scaled": _SCALED,
     "repro.erasure.reed_solomon": "Reed-Solomon: the examples stripe with it, Table 2 can time it",
-    "repro.core.recovery.RecoveryManager.rebuild_cat": "CAT recovery, paper section 4.4",
-    "repro.core.cat.ChunkAllocationTable.deserialize": "CAT recovery, paper section 4.4",
+    "repro.erasure.gf2._xor_reduce_grouped": "the narrow-row XOR kernel gf2 selects by size",
+    "repro.erasure.chunk_codec.clear_coding_caches": "cold-cache coding measurements (measure(cold=True))",
+    "repro.erasure.online_code.clear_code_graph_cache": "cold-cache coding measurements (measure(cold=True))",
+    "repro.core.recovery.RecoveryManager.rebuild_cat": _CAT,
+    "repro.core.cat.ChunkAllocationTable.deserialize": _CAT,
+    "repro.core.cat.ChunkAllocationTable.__eq__": _CAT + " (a rebuilt CAT is compared by value)",
+    "repro.core.cat.ChunkAllocationTable.__getitem__": _CAT + " (rows of a rebuilt CAT)",
+    "repro.core.cat.ChunkAllocationTable.chunk_sizes": _CAT + " (chunk sizes of a rebuilt CAT)",
+    "repro.core.recovery.RecoveryManager._replan_source": "retry re-plan of a failed repair transfer",
+    "repro.core.recovery.RecoveryManager._finish.<locals>.submit_spec.<locals>.on_failed":
+        "retry re-plan of a failed repair transfer",
+    "repro.core.block_ledger.BlockLedger.migrate_group_row":
+        "graceful departure of baseline group rows (handle_leave; no perfbench workload departs)",
+    "repro.core.block_ledger.BlockLedger.refresh_domains":
+        "failure domains re-laid over a population the ledger already tracks",
+    "repro.core.block_ledger.TenantLedgerView":
+        "a tenant's view of a shared ledger mirrors BlockLedger, so every store runs on one",
+    "repro.core.storage.StorageSystem.delete_file": _DELETE,
+    "repro.core.storage.StorageSystem._release_chunk": _DELETE + "; failed-store rollback",
+    "repro.core.storage.StorageSystem._release_placement": _DELETE + "; failed-store rollback",
+    "repro.core.block_ledger.BlockLedger.remove_file": _DELETE,
+    "repro.core.block_ledger.BlockLedger._mark_files_good": _DELETE,
+    "repro.core.block_ledger.BlockLedger.file_rows": _DELETE,
+    "repro.core.block_ledger.BlockLedger.row_owner": _DELETE,
+    "repro.baselines.cfs.CfsStore.delete_file": _DELETE,
+    "repro.baselines.past.PastStore.delete_file": _DELETE,
+    "repro.grid.iolib.WholeFileBackend.delete_file": _DELETE,
+    "repro.grid.iolib.FixedChunkBackend.delete_file": _DELETE,
+    "repro.grid.iolib.VaryingChunkBackend.delete_file": _DELETE,
+    "repro.grid.iolib.InterposedIO.read": "the Table 4 interposed read",
+    "repro.grid.iolib.InterposedIO.seek": "the Table 4 interposed seek",
+    "repro.grid.condor.CondorPool._advance_to_next_completion":
+        "the Condor queue waiting for a busy machine",
+    "repro.core.cache.CacheManager.lookup_block": "the payload-mode cache path",
+    "repro.core.cache.CacheManager.fill_block": "the payload-mode cache path",
+    "repro.core.cache.NodeBlockCache.__contains__": "container protocol the cache tests read",
+    "repro.core.cache.NodeBlockCache.__len__": "container protocol the cache tests read",
+    "repro.baselines.cfs.CfsStore._replicate": _CFS_REPLICAS,
+    "repro.overlay.dht.DHTView.successors": _CFS_REPLICAS,
+    "repro.overlay.node_state.NodeArrayState.successor_indices": _CFS_REPLICAS,
+    "repro.multicast.tree.build_locality_tree":
+        "the section 4.4.1 locality tree MulticastReplicator(simulate_push=True) builds",
     "repro.sim.faults.FaultInjector.degrade_trunk": "README-named fault scenario, oracle-tested",
+    "repro.core.transfer.NetworkTopology.trunk_capacity": _DEGRADE,
+    "repro.core.transfer.TransferScheduler.set_trunk_bandwidth": _DEGRADE,
+    "repro.core.transfer.TransferScheduler._fail_transfer": _TRANSFER_FAILURE,
+    "repro.core.transfer.Transfer": _TRANSFER_FAILURE + " (status properties)",
+    "repro.core.transfer.TransferScheduler.active_transfers": "per-flow rates the fair-share tests assert",
+    "repro.core.transfer.TransferPacer.queue_depth": "backlog gauge the admission tests assert",
+    "repro.core.transfer.TransferPacer.idle": "drain check the admission tests assert",
+    "repro.overlay.engine.ArrayRouterBase._grow_capacity": _GROW,
+    "repro.overlay.engine_chord.ChordArrayRouter._grow_capacity": _GROW,
+    "repro.overlay.engine_pastry.PastryArrayRouter._grow_capacity": _GROW,
+    "repro.overlay.node.OverlayNode.__repr__": "debugging repr (the generated one lists every block)",
+    "repro.workloads.serving.RequestTrace.fingerprint": "trace determinism digest the serving tests compare",
     "repro.experiments.faults.FaultsResult.row": "benchmarks/ reads it",
     "repro.experiments.faults.FaultsExperiment.oversubscription_sweep": "benchmarks/ runs it",
     "repro.experiments.serving.ServingResult.cell": "benchmarks/ reads it",
@@ -246,16 +337,17 @@ def report(data: Path) -> int:
     print(f"\n{len(functions)} functions in src/ ({total} lines of function bodies)")
     sections = [("never", "never run"), ("tier-1", "reached only from tier-1"),
                 ("benchmarks", "not run outside tier-1, but named in benchmarks/ (counted live)")]
-    unexplained = 0
+    unexplained = kept_tier1 = 0
     for group, title in sections:
         rows = groups[group]
         print(f"\n{title}: {len(rows)} functions, {sum(lines for *_, lines in rows)} lines")
         for key, qualname, lines in rows:
             reason = keep_reason(qualname)
-            if reason is None and group == "never":
+            if reason is None and group in ("never", "tier-1"):
                 unexplained += 1
                 note = "  UNEXPLAINED"
             else:
+                kept_tier1 += reason is not None and group == "tier-1"
                 note = f"  KEEP: {reason}" if reason else ""
             print(_line(key, qualname, lines, note))
     print(f"\nlive: {len(groups['live'])} functions, "
@@ -268,7 +360,8 @@ def report(data: Path) -> int:
         print("\nKEEP entries that explain nothing (the function runs, was renamed or is gone):")
         for name in stale:
             print(f"  {name}")
-    print(f"\nKEEP: {len(KEEP)} entries; unexplained never-run functions: {unexplained}")
+    print(f"\nKEEP: {len(KEEP)} entries; tier-1-only functions kept: {kept_tier1}; "
+          f"unexplained never-run or tier-1-only functions: {unexplained}")
     return 1 if unexplained else 0
 
 
