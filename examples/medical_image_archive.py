@@ -92,8 +92,9 @@ def overnight_churn_drill(seed: int = 8) -> None:
 
     Radiology and cardiology archive onto the same desktops as distinct
     tenants of one session: each department sees only its own namespace and
-    repairs only its own rows, while the session's shared ledger answers
-    per-tenant availability and footprint in O(1).
+    repairs only its own rows, while the session's shared ledger works out
+    per-tenant availability and footprint in one pass over its columns (its
+    global counters stay O(1)).
     """
     session = ClusterSession.adopt(build_pool(seed))
     departments = {

@@ -294,12 +294,8 @@ class ArchiveClient:
 
     # -------------------------------------------------------------- accounting --
     def aggregates(self) -> Dict[str, float]:
-        """This tenant's usage aggregates (system-wide when untagged)."""
-        ledger = self.storage.ledger
-        tenant_id = self.storage.store_tenant
-        if tenant_id is not None:
-            return ledger.base.tenant_aggregates(tenant_id)
-        return self.storage.usage_summary()
+        """This tenant's five ledger counters (the whole ledger's when untagged)."""
+        return self.storage.ledger.tenant_aggregates(self.storage.store_tenant)
 
     @property
     def tenant(self) -> Optional[str]:

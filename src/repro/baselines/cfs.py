@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.common import BaselineStoreResult
 from repro.core import naming
-from repro.core.block_ledger import BlockLedger, resolve_ledger
+from repro.core.block_ledger import BlockLedger
 from repro.overlay.dht import DHTView
 from repro.overlay.node import OverlayNode
 
@@ -69,7 +69,9 @@ class CfsStore:
         #: Columnar bookkeeping.  Pass ``ledger`` to share one instance with
         #: other stores on the same overlay, and ``tenant`` to scope this
         #: store's files to their own namespace on a multi-tenant ledger.
-        self.ledger = resolve_ledger(dht.network, ledger, tenant)
+        self.ledger = BlockLedger(dht.network) if ledger is None else ledger
+        #: The tenant id this store registers under (``None``: untagged).
+        self.store_tenant = None if tenant is None else self.ledger.ensure_tenant(tenant)
         #: A private ledger's namespace is exactly ``self.files``; only a
         #: shared ledger needs the pre-flight name check on the hot path.
         self._ledger_shared = ledger is not None
@@ -101,7 +103,8 @@ class CfsStore:
         # any block is placed (for a private ledger the check is redundant and
         # skipped).
         if filename in self.files or (
-            self._ledger_shared and self.ledger.file_index(filename) is not None
+            self._ledger_shared
+            and self.ledger.file_index(filename, self.store_tenant) is not None
         ):
             return BaselineStoreResult(
                 filename=filename,
@@ -166,7 +169,8 @@ class CfsStore:
         self.dht.lookup_count += lookups
         self.total_lookups += lookups
         self.files[filename] = self.ledger.register_striped_file(
-            filename, size, names, holders, block_size, salted=salted, replicas=replicas
+            filename, size, names, holders, block_size, salted=salted, replicas=replicas,
+            tenant=self.store_tenant,
         )
         return BaselineStoreResult(
             filename=filename,
@@ -261,5 +265,5 @@ class CfsStore:
         ledger = self.ledger
         for row in ledger.file_rows(entry):
             ledger.row_owner(row).remove_block(ledger.row_name(row))
-        ledger.remove_file(filename)
+        ledger.remove_file(filename, self.store_tenant)
         return True

@@ -16,7 +16,7 @@ import math
 from typing import List, Optional
 
 from repro.baselines.common import BaselineStoreResult
-from repro.core.block_ledger import BlockLedger, resolve_ledger
+from repro.core.block_ledger import BlockLedger
 from repro.overlay.dht import DHTView
 from repro.overlay.node import OverlayNode
 
@@ -55,7 +55,9 @@ class PastStore:
         #: Columnar bookkeeping.  Pass ``ledger`` to share one instance with
         #: other stores on the same overlay, and ``tenant`` to scope this
         #: store's files to their own namespace on a multi-tenant ledger.
-        self.ledger = resolve_ledger(dht.network, ledger, tenant)
+        self.ledger = BlockLedger(dht.network) if ledger is None else ledger
+        #: The tenant id this store registers under (``None``: untagged).
+        self.store_tenant = None if tenant is None else self.ledger.ensure_tenant(tenant)
         #: Only a ledger shared with other stores can carry a colliding name
         #: this store's own ``files`` dict does not know about; a private
         #: ledger's namespace is exactly ``self.files``, so the per-store
@@ -77,7 +79,8 @@ class PastStore:
         # any block is placed (for a private ledger the check is redundant and
         # skipped).
         if filename in self.files or (
-            self._ledger_shared and self.ledger.file_index(filename) is not None
+            self._ledger_shared
+            and self.ledger.file_index(filename, self.store_tenant) is not None
         ):
             return BaselineStoreResult(
                 filename=filename,
@@ -100,7 +103,7 @@ class PastStore:
                 # flush point (a liveness event or a ledger read), file by
                 # file, keeping the ledger out of the store loop.
                 self.ledger.queue_whole_file(
-                    filename, size, name, holders, salted=attempt > 0
+                    filename, size, name, holders, salted=attempt > 0, tenant=self.store_tenant
                 )
                 self.total_lookups += lookups
                 return BaselineStoreResult(
@@ -148,7 +151,7 @@ class PastStore:
         """
         if filename not in self.files:
             return False
-        return self.ledger.file_available(self.ledger.file_index(filename))
+        return self.ledger.file_available(self.ledger.file_index(filename, self.store_tenant))
 
     def delete_file(self, filename: str) -> bool:
         """Remove the file and its replicas."""
@@ -158,5 +161,5 @@ class PastStore:
         stored_name, holders = entry
         for holder in holders:
             holder.remove_block(stored_name)
-        self.ledger.remove_file(filename)
+        self.ledger.remove_file(filename, self.store_tenant)
         return True

@@ -21,7 +21,7 @@ Public entry points:
 """
 
 from repro.core.naming import block_name, cat_name, chunk_name
-from repro.core.block_ledger import BlockLedger, TenantLedgerView
+from repro.core.block_ledger import BlockLedger
 from repro.core.transfer import Transfer, TransferScheduler
 from repro.core.cat import CatEntry, ChunkAllocationTable
 from repro.core.policies import StoragePolicy
@@ -39,7 +39,6 @@ from repro.core.recovery import FailureImpact, RecoveryManager
 __all__ = [
     "block_name",
     "BlockLedger",
-    "TenantLedgerView",
     "Transfer",
     "TransferScheduler",
     "cat_name",

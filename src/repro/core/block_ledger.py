@@ -77,15 +77,16 @@ Multi-tenancy: one ledger per overlay
 -------------------------------------
 A single ledger can carry *mixed* workloads -- the erasure-coded system plus
 the PAST and CFS baselines -- as first-class **tenants**: every row and every
-file carries a tenant tag, file names are scoped per tenant (two tenants may
-both store ``"movie"``), and per-tenant O(1) aggregates (active files,
-unavailable files, stored/live bytes) sit next to the global ones.
-:meth:`BlockLedger.tenant` returns a :class:`TenantLedgerView` -- the facade
-each store registers through -- while liveness transitions, per-node row
-indexes and :meth:`BlockLedger.compact` remain global: mixed PAST/CFS/ours
-populations share one failure mask and one compaction pass.  A raw ledger
-used directly (no views) behaves exactly as before: everything lands in the
-default tenant 0 and the global aggregates are its aggregates.
+file carries a tenant tag, and file names are scoped per tenant (two tenants
+may both store ``"movie"``).  A store holds the ledger and the tenant id
+:meth:`BlockLedger.ensure_tenant` gave it, and passes ``tenant=`` on the
+calls scoped per tenant (``register_file``, ``queue_whole_file``,
+``register_striped_file``, ``remove_file``, ``file_index``); ``None`` is the
+default tenant 0 every untagged store shares.  Liveness transitions, row
+indexes and :meth:`BlockLedger.compact` are global: mixed PAST/CFS/ours
+populations share one failure mask and one compaction pass.  The maintained
+O(1) counters are the global ones; :meth:`BlockLedger.tenant_aggregates`
+works one tenant's out of the row and file columns when asked.
 
 PAST's whole-file stores additionally *buffer* their single-row registrations
 (:meth:`BlockLedger.queue_whole_file`): the per-file scalar column writes are
@@ -101,7 +102,7 @@ registration would have produced.  Aggregate counters are bumped eagerly at
 queue time.  Any new code path that reads the raw row columns must call
 ``_flush_pending()`` (or go through one of the accessors above) first.
 
-Every store owns or shares a ledger (:func:`resolve_ledger`); the per-node
+Every store owns or shares a ledger; the per-node
 ``stored_blocks`` dicts and ``StoredChunk.placements`` it mirrors still exist,
 and ``tests/reference/dict_walk.py`` re-derives every answer from them --
 ``tests/test_churn_equivalence.py`` / ``tests/test_placement_equivalence.py``
@@ -290,19 +291,10 @@ class BlockLedger:
         self._file_placement0 = np.zeros(_INITIAL, dtype=np.int64)
         self.file_count = 0
         # -- tenants -----------------------------------------------------------
-        #: Tenant 0 is the default namespace a raw ledger operates in; the
-        #: per-tenant aggregate arrays are maintained only once a second
-        #: tenant exists (``_multi_tenant``) -- a private single-tenant ledger
-        #: pays nothing, and the global counters *are* tenant 0's.
+        #: Tenant id -> name; tenant 0 is the default namespace untagged
+        #: stores share.
         self._tenant_ids: Dict[str, int] = {"default": 0}
-        self._tenant_names: List[str] = ["default"]
-        self._views: Dict[int, "TenantLedgerView"] = {}
-        self._multi_tenant = False
-        self._tenant_active_files = np.zeros(1, dtype=np.int64)
-        self._tenant_unavailable = np.zeros(1, dtype=np.int64)
-        self._tenant_stored_bytes = np.zeros(1, dtype=np.int64)
-        self._tenant_live_bytes = np.zeros(1, dtype=np.int64)
-        self._tenant_live_rows = np.zeros(1, dtype=np.int64)
+        self.tenant_names: List[str] = ["default"]
         # -- buffered whole-file registrations (PAST's store loop) ------------
         #: Deferred single-group registrations: (filename, size, stored name,
         #: holder nodes, salted, tenant).  Aggregates are bumped and liveness
@@ -338,50 +330,17 @@ class BlockLedger:
 
     # ----------------------------------------------------------------- tenants --
     @property
-    def tenant_id(self) -> int:
-        """The tenant a raw (un-viewed) ledger operates as: the default, 0."""
-        return 0
-
-    @property
     def multi_tenant(self) -> bool:
         """Whether any tenant beyond the default 0 has been registered."""
-        return self._multi_tenant
+        return len(self.tenant_names) > 1
 
     def ensure_tenant(self, name: str) -> int:
-        """Create (or look up) the tenant id for ``name``.
-
-        Creating the first *additional* tenant switches the ledger to
-        multi-tenant accounting; everything registered so far belonged to the
-        default tenant, so its per-tenant aggregates seed from the globals.
-        """
+        """Create (or look up) the tenant id for ``name``."""
         tenant = self._tenant_ids.get(name)
-        if tenant is not None:
-            return tenant
-        tenant = len(self._tenant_names)
-        self._tenant_ids[name] = tenant
-        self._tenant_names.append(name)
-        for attr in (
-            "_tenant_active_files", "_tenant_unavailable", "_tenant_stored_bytes",
-            "_tenant_live_bytes", "_tenant_live_rows",
-        ):
-            setattr(self, attr, _grown(getattr(self, attr), tenant + 1))
-        if not self._multi_tenant:
-            self._multi_tenant = True
-            self._tenant_active_files[0] = self.active_files
-            self._tenant_unavailable[0] = self.unavailable_files
-            self._tenant_stored_bytes[0] = self.stored_data_bytes
-            self._tenant_live_bytes[0] = self.live_bytes
-            self._tenant_live_rows[0] = self.live_rows
+        if tenant is None:
+            tenant = self._tenant_ids[name] = len(self.tenant_names)
+            self.tenant_names.append(name)
         return tenant
-
-    def tenant(self, name: str) -> "TenantLedgerView":
-        """The (cached) tenant-scoped facade for ``name``."""
-        tenant = self.ensure_tenant(name)
-        view = self._views.get(tenant)
-        if view is None:
-            view = TenantLedgerView(self, name, tenant)
-            self._views[tenant] = view
-        return view
 
     def row_tenant(self, row: int) -> int:
         """The tenant a row's copy belongs to."""
@@ -451,9 +410,6 @@ class BlockLedger:
         self.row_count = row + 1
         self.live_bytes += size
         self.live_rows += 1
-        if self._multi_tenant:
-            self._tenant_live_bytes[tenant] += size
-            self._tenant_live_rows[tenant] += 1
         return row
 
     def _new_file_entry(self, name: str, size: int, tenant: int = 0, counted: bool = True) -> int:
@@ -479,18 +435,18 @@ class BlockLedger:
         if counted:
             self.active_files += 1
             self.stored_data_bytes += size
-            if self._multi_tenant:
-                self._tenant_active_files[tenant] += 1
-                self._tenant_stored_bytes[tenant] += size
         return f
 
-    def register_file(self, stored: "StoredFile", required_blocks: int, tenant: int = 0) -> None:
+    def register_file(
+        self, stored: "StoredFile", required_blocks: int, tenant: Optional[int] = None
+    ) -> None:
         """Record every copy of a freshly (successfully) stored file.
 
         Called once per successful store, after the chunk and CAT placements
         are final, so the per-node row order matches the chronological
         ``stored_blocks`` dict order the seed recovery path iterates.
         """
+        tenant = tenant or 0
         f = self._new_file_entry(stored.name, stored.size, tenant)
         stored.ledger_index = f
 
@@ -541,8 +497,6 @@ class BlockLedger:
                 )
         if self._file_bad[f] > 0:
             self.unavailable_files += 1
-            if self._multi_tenant:
-                self._tenant_unavailable[tenant] += 1
 
     # ------------------------------------------------- baseline registration --
     def register_whole_file(
@@ -567,8 +521,6 @@ class BlockLedger:
             # Degenerate zero-copy store: the group is dead on arrival.
             self._file_bad[f] = 1
             self.unavailable_files += 1
-            if self._multi_tenant:
-                self._tenant_unavailable[tenant] += 1
         return f
 
     def queue_whole_file(
@@ -578,7 +530,7 @@ class BlockLedger:
         stored_name: str,
         holders: Sequence["OverlayNode"],
         salted: bool = False,
-        tenant: int = 0,
+        tenant: Optional[int] = None,
     ) -> None:
         """Buffer a whole-file registration; its column writes happen at the next flush.
 
@@ -598,6 +550,7 @@ class BlockLedger:
         gone for good, released) row, exactly as the listener path would
         have recorded it.
         """
+        tenant = tenant or 0
         if not holders:
             self.register_whole_file(filename, size, stored_name, holders, salted, tenant)
             return
@@ -611,11 +564,6 @@ class BlockLedger:
         self.stored_data_bytes += size
         self.live_bytes += size * copies
         self.live_rows += copies
-        if self._multi_tenant:
-            self._tenant_active_files[tenant] += 1
-            self._tenant_stored_bytes[tenant] += size
-            self._tenant_live_bytes[tenant] += size * copies
-            self._tenant_live_rows[tenant] += copies
 
     def flush_registrations(self) -> None:
         """Materialise every buffered registration (idempotent)."""
@@ -679,9 +627,6 @@ class BlockLedger:
         if counted:
             self.live_bytes += size * b
             self.live_rows += b
-            if self._multi_tenant:
-                self._tenant_live_bytes[tenant] += size * b
-                self._tenant_live_rows[tenant] += b
         else:
             network = self.network
             for offset, node in enumerate(holders):
@@ -706,7 +651,7 @@ class BlockLedger:
         block_size: int,
         salted: Optional[Sequence[int]] = None,
         replicas: Optional[Sequence[Tuple[int, "OverlayNode"]]] = None,
-        tenant: int = 0,
+        tenant: Optional[int] = None,
     ) -> int:
         """Record a CFS-style striped store in bulk: one group per fixed block.
 
@@ -720,6 +665,7 @@ class BlockLedger:
         the columnar bookkeeping replaces the per-block tuple lists the seed
         path carries.  Returns the ledger file index.
         """
+        tenant = tenant or 0
         f = self._new_file_entry(filename, size, tenant)
         b = len(names)
         g0 = self.group_count
@@ -750,9 +696,6 @@ class BlockLedger:
             self._kind[[row0 + index for index in salted]] = KIND_SALTED
         self.row_count = row1
         self.live_rows += b
-        if self._multi_tenant and b:
-            self._tenant_live_bytes[tenant] += size
-            self._tenant_live_rows[tenant] += b
         if replicas:
             for index, node in replicas:
                 block_bytes = int(self._size[row0 + index])
@@ -763,24 +706,19 @@ class BlockLedger:
                 self._group_copies[g0 + index] += 1
         return f
 
-    def remove_file(self, name: str, tenant: int = 0) -> bool:
+    def remove_file(self, name: str, tenant: Optional[int] = None) -> bool:
         """Release every row of a deleted file and drop it from the accounting."""
         if self._pending_whole:
             self._flush_pending()
-        f = self._file_index.pop((tenant, name), None)
+        f = self._file_index.pop((tenant or 0, name), None)
         if f is None:
             return False
         if self._file_active[f]:
             self._file_active[f] = False
             self.active_files -= 1
             self.stored_data_bytes -= int(self._file_size[f])
-            if self._multi_tenant:
-                self._tenant_active_files[tenant] -= 1
-                self._tenant_stored_bytes[tenant] -= int(self._file_size[f])
             if self._file_bad[f] > 0:
                 self.unavailable_files -= 1
-                if self._multi_tenant:
-                    self._tenant_unavailable[tenant] -= 1
         rows = np.asarray(self._by_file.lookup(self, f), dtype=np.int64)
         self._kill_rows(rows[self._alive[rows]])
         self._released[rows] = True
@@ -802,13 +740,6 @@ class BlockLedger:
         self._file_bad[uf] = before_f + inc
         crossed = (before_f == 0) & self._file_active[uf]
         self.unavailable_files += int(crossed.sum())
-        if self._multi_tenant and crossed.any():
-            # The aggregate arrays grow by amortized doubling, so slice to the
-            # live tenant count before adding the bincount.
-            count = len(self._tenant_names)
-            self._tenant_unavailable[:count] += np.bincount(
-                self._file_tenant[uf[crossed]], minlength=count
-            )
 
     def _mark_files_good(self, files: np.ndarray) -> None:
         """The inverse of :meth:`_mark_files_bad`."""
@@ -818,24 +749,6 @@ class BlockLedger:
         self._file_bad[uf] = after_f
         crossed = (after_f == 0) & (before_f > 0) & self._file_active[uf]
         self.unavailable_files -= int(crossed.sum())
-        if self._multi_tenant and crossed.any():
-            count = len(self._tenant_names)
-            self._tenant_unavailable[:count] -= np.bincount(
-                self._file_tenant[uf[crossed]], minlength=count
-            )
-
-    def _tenant_live_delta(self, rows: np.ndarray, sign: int) -> None:
-        """Apply a kill/revive batch to the per-tenant live aggregates.
-
-        The aggregate arrays grow by amortized doubling, so the bincounts are
-        added through a slice of the live tenant count.
-        """
-        tenants = self._row_tenant[rows]
-        count = len(self._tenant_names)
-        self._tenant_live_rows[:count] += sign * np.bincount(tenants, minlength=count)
-        self._tenant_live_bytes[:count] += sign * np.bincount(
-            tenants, weights=self._size[rows], minlength=count
-        ).astype(np.int64)
 
     def _kill_rows(self, rows: np.ndarray) -> None:
         """Mark currently-live rows dead and propagate the count transitions."""
@@ -844,8 +757,6 @@ class BlockLedger:
         self._alive[rows] = False
         self.live_bytes -= int(self._size[rows].sum())
         self.live_rows -= int(rows.size)
-        if self._multi_tenant:
-            self._tenant_live_delta(rows, -1)
         placements = self._placement[rows]
         placements = placements[placements >= 0]
         if placements.size:
@@ -888,8 +799,6 @@ class BlockLedger:
         self._alive[rows] = True
         self.live_bytes += int(self._size[rows].sum())
         self.live_rows += int(rows.size)
-        if self._multi_tenant:
-            self._tenant_live_delta(rows, 1)
         placements = self._placement[rows]
         placements = placements[placements >= 0]
         if placements.size:
@@ -1196,8 +1105,6 @@ class BlockLedger:
             alive = self._chunk_alive
             alive[chunk_idx] += 1
             if alive[chunk_idx] == self._chunk_required[chunk_idx] and file_idx >= 0:
-                # Route the crossing through the shared transition helper so
-                # the per-tenant unavailable counters move with the global one.
                 self._mark_files_good(np.asarray([file_idx], dtype=np.int64))
         return row
 
@@ -1244,11 +1151,12 @@ class BlockLedger:
         return new_row
 
     # --------------------------------------------------------- baseline access --
-    def file_index(self, name: str, tenant: int = 0) -> Optional[int]:
+    def file_index(self, name: str, tenant: Optional[int] = None) -> Optional[int]:
         """The ledger file index of ``name``, or None when never registered."""
-        if self._pending_names and (tenant, name) in self._pending_names:
+        key = (tenant or 0, name)
+        if self._pending_names and key in self._pending_names:
             self._flush_pending()
-        return self._file_index.get((tenant, name))
+        return self._file_index.get(key)
 
     def file_rows(self, file_idx: int) -> List[int]:
         """Row ids of a file in registration (= ascending row id) order; a fresh list.
@@ -1412,19 +1320,6 @@ class BlockLedger:
         law("replication histogram", self._replication_hist, np.bincount(
             np.minimum(counted, REPLICATION_HIST_MAX), minlength=REPLICATION_HIST_MAX + 1))
 
-        if self._multi_tenant:
-            count = len(self._tenant_names)
-            file_tenant, row_tenant = self._file_tenant[:files], self._row_tenant[:n][alive]
-            for name, tenants, weights in (
-                ("_tenant_active_files", file_tenant[active], None),
-                ("_tenant_unavailable", file_tenant[active & (bad > 0)], None),
-                ("_tenant_stored_bytes", file_tenant[active], file_size[active]),
-                ("_tenant_live_rows", row_tenant, None),
-                ("_tenant_live_bytes", row_tenant, size[alive]),
-            ):
-                want = np.bincount(tenants, weights=weights, minlength=count).astype(np.int64)
-                law(name, getattr(self, name)[:count], want)
-
         table, slot_nodes = self._serial_slot, self._slot_nodes
         law("_serial_slot maps one to one onto the slots",
             sorted(slot for slot in table if slot >= 0), list(range(len(slot_nodes))))
@@ -1456,11 +1351,15 @@ class BlockLedger:
         """Whether every chunk of an active file is still decodable, O(1)."""
         return bool(self._file_active[file_idx]) and int(self._file_bad[file_idx]) == 0
 
-    def tenant_aggregates(self, tenant: int) -> Dict[str, int]:
-        """O(1) per-tenant counters (globals when only the default tenant exists)."""
+    def tenant_aggregates(self, tenant: Optional[int] = None) -> Dict[str, int]:
+        """One tenant's counters, worked out from the row and file columns.
+
+        ``None`` reads the maintained O(1) global counters instead; an id
+        :meth:`ensure_tenant` never returned raises ``ValueError``.
+        """
         if self._pending_whole:
             self._flush_pending()  # buffered holders may have churned unseen
-        if not self._multi_tenant:
+        if tenant is None:
             return {
                 "active_files": self.active_files,
                 "unavailable_files": self.unavailable_files,
@@ -1468,96 +1367,15 @@ class BlockLedger:
                 "live_bytes": self.live_bytes,
                 "live_rows": self.live_rows,
             }
+        if not 0 <= tenant < len(self.tenant_names):
+            raise ValueError(f"unknown tenant id {tenant!r}")
+        n, files = self.row_count, self.file_count
+        live = self._alive[:n] & (self._row_tenant[:n] == tenant)
+        active = self._file_active[:files] & (self._file_tenant[:files] == tenant)
         return {
-            "active_files": int(self._tenant_active_files[tenant]),
-            "unavailable_files": int(self._tenant_unavailable[tenant]),
-            "stored_data_bytes": int(self._tenant_stored_bytes[tenant]),
-            "live_bytes": int(self._tenant_live_bytes[tenant]),
-            "live_rows": int(self._tenant_live_rows[tenant]),
+            "active_files": int(active.sum()),
+            "unavailable_files": int((active & (self._file_bad[:files] > 0)).sum()),
+            "stored_data_bytes": int(self._file_size[:files][active].sum()),
+            "live_bytes": int(self._size[:n][live].sum()),
+            "live_rows": int(live.sum()),
         }
-
-
-class TenantLedgerView:
-    """A tenant-scoped facade over a (potentially shared) :class:`BlockLedger`.
-
-    Stores register and delete through the view, which tags every file and
-    row with the tenant id and scopes the file namespace, while every other
-    operation -- liveness listeners, repair row reads, compaction -- passes
-    straight through to the shared base ledger (mixed PAST/CFS/ours
-    populations share one failure mask and one compaction pass).  Aggregate
-    properties read the per-tenant O(1) counters.
-    """
-
-    __slots__ = ("base", "tenant_name", "tenant_id")
-
-    def __init__(self, base: BlockLedger, name: str, tenant_id: int) -> None:
-        self.base = base
-        self.tenant_name = name
-        self.tenant_id = tenant_id
-
-    # -- tenant-scoped registration -------------------------------------------
-    def register_file(self, stored: "StoredFile", required_blocks: int) -> None:
-        return self.base.register_file(stored, required_blocks, tenant=self.tenant_id)
-
-    def queue_whole_file(
-        self, filename, size, stored_name, holders, salted: bool = False
-    ) -> None:
-        return self.base.queue_whole_file(
-            filename, size, stored_name, holders, salted, tenant=self.tenant_id
-        )
-
-    def register_striped_file(
-        self, filename, size, names, holders, block_size, salted=None, replicas=None
-    ) -> int:
-        return self.base.register_striped_file(
-            filename, size, names, holders, block_size, salted=salted, replicas=replicas,
-            tenant=self.tenant_id,
-        )
-
-    def remove_file(self, name: str) -> bool:
-        return self.base.remove_file(name, tenant=self.tenant_id)
-
-    def file_index(self, name: str) -> Optional[int]:
-        return self.base.file_index(name, tenant=self.tenant_id)
-
-    # -- tenant-scoped aggregates ----------------------------------------------
-    @property
-    def unavailable_count(self) -> int:
-        """Unavailable active files of this tenant, O(1)."""
-        return self.base.tenant_aggregates(self.tenant_id)["unavailable_files"]
-
-    @property
-    def active_files(self) -> int:
-        return self.base.tenant_aggregates(self.tenant_id)["active_files"]
-
-    @property
-    def stored_data_bytes(self) -> int:
-        return self.base.tenant_aggregates(self.tenant_id)["stored_data_bytes"]
-
-    @property
-    def live_bytes(self) -> int:
-        return self.base.tenant_aggregates(self.tenant_id)["live_bytes"]
-
-    @property
-    def live_rows(self) -> int:
-        return self.base.tenant_aggregates(self.tenant_id)["live_rows"]
-
-    # -- passthrough -----------------------------------------------------------
-    def __getattr__(self, name: str):
-        return getattr(self.base, name)
-
-
-def resolve_ledger(network: "OverlayNetwork", ledger, tenant: Optional[str]):
-    """Resolve a store's ledger handle: private, shared, or tenant-scoped.
-
-    ``ledger=None`` creates a private untagged :class:`BlockLedger`; a
-    ``tenant`` name wraps the (possibly shared) ledger in a
-    :class:`TenantLedgerView` so files and rows are tagged and name-scoped
-    per tenant.  A raw shared ledger without a tenant keeps the single shared
-    namespace (duplicate names across stores are rejected).
-    """
-    if ledger is None:
-        ledger = BlockLedger(network)
-    if tenant is None:
-        return ledger
-    return ledger.tenant(tenant) if isinstance(ledger, BlockLedger) else ledger

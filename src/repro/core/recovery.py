@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.block_ledger import BlockLedger, TenantLedgerView
+from repro.core.block_ledger import BlockLedger
 from repro.core.cat import ChunkAllocationTable
 from repro.core.storage import BlockPlacement, StorageSystem, StoredChunk
 from repro.core.transfer import TransferPacer, TransferScheduler, TransferSpec
@@ -134,14 +134,11 @@ class RecoveryManager:
         #: it also carries a topology, so the access-only and instantaneous
         #: paths keep the seed selection order.
         self.transfers = transfers
-        #: Tenant whose chunk and meta rows this manager repairs after a
-        #: failure (0 for a private ledger; shared ledgers tag rows per tenant).
-        self.tenant_id = storage.ledger.tenant_id
-        #: Tenant tag of the failure repairs' transfers: a tenant-scoped store
-        #: repairs under its own tenant; a private (or raw shared) ledger stays
-        #: untagged (``None``) -- the untagged QoS oracle.  A departure tags
-        #: each copy with its row's tenant instead.
-        self.tenant = self.tenant_id if isinstance(storage.ledger, TenantLedgerView) else None
+        #: The store's tenant: a failure repairs only its chunk and meta rows
+        #: (an untagged store's are the default tenant 0's) and tags the
+        #: transfers with it -- ``None`` stays untagged, the untagged QoS
+        #: oracle.  A departure tags each copy with its row's tenant instead.
+        self.tenant = storage.store_tenant
         #: Per-transfer timeout (simulated time) applied to every repair
         #: transfer; ``None`` (the default) preserves untimed transfers.
         self.transfer_timeout: Optional[float] = None
@@ -208,7 +205,7 @@ class RecoveryManager:
         damaged_files: set,
     ) -> None:
         """Repair one ledger row of a failed node."""
-        if ledger.row_group(row) >= 0 or ledger.row_tenant(row) != self.tenant_id:
+        if ledger.row_group(row) >= 0 or ledger.row_tenant(row) != (self.tenant or 0):
             # A baseline replica-group row (the baselines have no
             # regeneration) or another tenant's row (its manager repairs it).
             return

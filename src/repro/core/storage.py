@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core import naming
-from repro.core.block_ledger import BlockLedger, TenantLedgerView, resolve_ledger
+from repro.core.block_ledger import BlockLedger
 from repro.core.capacity import CapacityProbe, ProbeResult
 from repro.core.cat import CatEntry, ChunkAllocationTable
 from repro.core.policies import StoragePolicy
@@ -162,7 +162,11 @@ class StorageSystem:
         #: to share one multi-tenant ledger with other stores on the same
         #: overlay and ``tenant`` to scope this store's file namespace and
         #: aggregates (a private untagged ledger otherwise).
-        self.ledger = resolve_ledger(dht.network, ledger, tenant)
+        self.ledger = BlockLedger(dht.network) if ledger is None else ledger
+        #: The tenant this store registers files under and moves bytes for:
+        #: ``None`` (untagged) keeps transfers untagged, preserving the
+        #: single-tenant scheduler oracle bit-for-bit.
+        self.store_tenant = None if tenant is None else self.ledger.ensure_tenant(tenant)
         #: A private ledger's namespace is exactly ``self.files``; only a
         #: shared ledger needs the pre-flight name check before placing.
         self._ledger_shared = ledger is not None
@@ -193,20 +197,6 @@ class StorageSystem:
         self.degraded_reads = 0
         #: Reads that could not recover every requested chunk.
         self.failed_reads = 0
-
-    @property
-    def store_tenant(self) -> Optional[int]:
-        """The tenant this store moves bytes for (``None`` when untagged).
-
-        Derived from the ledger handle: a store built on a
-        :class:`~repro.core.block_ledger.TenantLedgerView` charges every
-        transfer it submits to that tenant; a private or raw shared ledger
-        leaves transfers untagged, preserving the single-tenant scheduler
-        oracle bit-for-bit.
-        """
-        if isinstance(self.ledger, TenantLedgerView):
-            return self.ledger.tenant_id
-        return None
 
     def attach_transfers(self, scheduler, client: Optional[int] = None,
                          observer=None) -> None:
@@ -304,7 +294,8 @@ class StorageSystem:
         # up front, before any block is placed (the same pre-flight check the
         # baselines make -- registration would otherwise raise mid-store).
         if filename in self.files or (
-            self._ledger_shared and self.ledger.file_index(filename) is not None
+            self._ledger_shared
+            and self.ledger.file_index(filename, self.store_tenant) is not None
         ):
             return StoreResult(
                 filename=filename,
@@ -366,7 +357,9 @@ class StorageSystem:
                     cat_placements=cat_placements,
                 )
                 self.files[filename] = stored
-                self.ledger.register_file(stored, self.codec.spec().required_blocks())
+                self.ledger.register_file(
+                    stored, self.codec.spec().required_blocks(), self.store_tenant
+                )
                 return StoreResult(
                     filename=filename,
                     requested_size=size,
@@ -524,7 +517,7 @@ class StorageSystem:
             self._release_chunk(chunk)
         for placement in stored.cat_placements:
             self._release_placement(placement)
-        self.ledger.remove_file(filename)
+        self.ledger.remove_file(filename, self.store_tenant)
         return True
 
     def _release_chunk(self, chunk: StoredChunk) -> None:
@@ -584,9 +577,10 @@ class StorageSystem:
     def unavailable_file_count(self) -> int:
         """Stored files that currently have at least one undecodable chunk.
 
-        O(1): the Figure 10 sweep samples this once per failure batch.
+        O(1) for an untagged store: the Figure 10 sweep samples this once per
+        failure batch.
         """
-        return self.ledger.unavailable_count
+        return self.ledger.tenant_aggregates(self.store_tenant)["unavailable_files"]
 
     def retrieve_file(self, filename: str, *,
                       client=_UNSET, observer=_UNSET) -> RetrieveResult:
@@ -826,21 +820,22 @@ class StorageSystem:
 
     def stored_bytes(self) -> int:
         """Total bytes of user data currently stored (excluding coding overhead)."""
-        return self.ledger.stored_data_bytes
+        return self.ledger.tenant_aggregates(self.store_tenant)["stored_data_bytes"]
 
     def usage_summary(self) -> Dict[str, float]:
-        """System-wide usage aggregates, each an O(1) ledger counter.
+        """This store's usage aggregates (O(1) ledger counters when untagged).
 
         ``live_block_bytes`` counts the copies the placement bookkeeping still
         references on live nodes (blocks, replicas and CAT copies including
         coding overhead); ``tests/test_placement_equivalence.py`` audits the
         counters against a walk of the per-node ``stored_blocks`` dicts.
         """
+        counts = self.ledger.tenant_aggregates(self.store_tenant)
         return {
-            "file_count": float(self.ledger.active_files),
-            "stored_file_bytes": float(self.ledger.stored_data_bytes),
-            "live_block_bytes": float(self.ledger.live_bytes),
-            "live_block_count": float(self.ledger.live_rows),
+            "file_count": float(counts["active_files"]),
+            "stored_file_bytes": float(counts["stored_data_bytes"]),
+            "live_block_bytes": float(counts["live_bytes"]),
+            "live_block_count": float(counts["live_rows"]),
             "utilization": self.dht.utilization(),
         }
 

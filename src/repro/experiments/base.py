@@ -10,7 +10,8 @@ order and one set of RNG stream labels (``"capacities"``, ``"overlay"``,
 injector from the session.  ``tenants`` and ``serving`` name their corpus
 fields differently (several tenants, a lognormal catalog), so they compose the
 same pieces -- :func:`open_session`, :func:`claim_client`, :func:`load_trace` --
-themselves.  ``faults`` and ``tenants`` count their post-run reads with
+themselves.  ``faults`` and ``tenants`` time block reads during the storm
+with :func:`schedule_block_probes` and count their post-run reads with
 :func:`read_census`.
 
 Three experiments deliberately stay off this path: ``storage_insertion``
@@ -28,7 +29,7 @@ CLI's ``--scale`` applies to says which of its fields scale in ``scaled()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
+from repro.overlay.node import OverlayNode
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig
 from repro.workloads.filetrace import (
@@ -163,3 +165,50 @@ def read_census(storage: StorageSystem, sample: int) -> Dict[str, float]:
         "degraded_reads": float(storage.degraded_reads - degraded_before),
         "failed_reads": float(storage.failed_reads - failed_before),
     }
+
+
+def schedule_block_probes(
+    session: ClusterSession,
+    storage: StorageSystem,
+    count: int,
+    period: float,
+    start: float,
+    pick_client: Callable[[int], OverlayNode],
+    tenant: Optional[int] = None,
+) -> List[float]:
+    """Schedule ``count`` timed block reads on the session's clock, ``period`` apart.
+
+    Probe ``i`` reads one real stored block -- the first live copy of the
+    first placement of the ``i``-th file in name order -- to
+    ``pick_client(i)``, as one transfer tagged ``tenant``; it is skipped when
+    there is no file, no live copy, or the client is down or holds the copy.
+    The returned list fills with completion latencies as the simulation runs.
+    """
+    sim, transfers, network = session.sim, session.transfers, session.network
+    durations: List[float] = []
+
+    def issue(index: int) -> None:
+        names = sorted(storage.files)
+        if not names:
+            return
+        stored = storage.files[names[index % len(names)]]
+        if not stored.chunks or not stored.chunks[0].placements:
+            return
+        placement = stored.chunks[0].placements[0]
+        src = next((int(node_id) for node_id in (placement.node_id, *placement.replica_nodes)
+                    if node_id in network and network.node(node_id).alive), None)
+        client = pick_client(index)
+        if src is None or not client.alive or src == int(client.node_id):
+            return
+        submitted = sim.now
+        transfers.submit(
+            float(placement.size),
+            src=src,
+            dst=int(client.node_id),
+            on_complete=lambda t: durations.append(t.finished_at - submitted),
+            tenant=tenant,
+        )
+
+    for index in range(count):
+        sim.schedule(start + index * period, lambda i=index: issue(i))
+    return durations

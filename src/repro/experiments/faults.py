@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.base import DeploymentConfig, deploy, read_census
+from repro.experiments.base import DeploymentConfig, deploy, read_census, schedule_block_probes
 from repro.experiments.results import TableResult, render_report
 from repro.overlay.network import OverlayNetwork
 from repro.sim.faults import FaultInjector
@@ -251,48 +251,6 @@ class FaultsExperiment:
         else:
             raise ValueError(f"unknown fault scenario {scenario!r}")
 
-    def _schedule_foreground_reads(self, storage, network, transfers, sim) -> List[float]:
-        """Foreground retrieve probes riding through the storm at weight 1.0.
-
-        Each probe reads one real stored block (a live holder of a sampled
-        file's first placement) to a live client node; the filled list of
-        completion latencies feeds the panel's p95.  Deterministic: sorted
-        file names, stride-picked clients, no RNG.
-        """
-        config = self.config
-        durations: List[float] = []
-        if config.foreground_reads <= 0:
-            return durations
-        live = sorted(network.live_nodes(), key=lambda node: int(node.node_id))
-        names = sorted(storage.files)
-        if not live or not names:
-            return durations
-
-        def issue(index: int) -> None:
-            stored = storage.files[names[index % len(names)]]
-            if not stored.chunks or not stored.chunks[0].placements:
-                return
-            placement = stored.chunks[0].placements[0]
-            src = None
-            for node_id in (placement.node_id, *placement.replica_nodes):
-                if node_id in network and network.node(node_id).alive:
-                    src = int(node_id)
-                    break
-            client = live[(index * 13 + 1) % len(live)]
-            if src is None or not client.alive or src == int(client.node_id):
-                return  # every copy died with the site, or the client did
-            submitted = sim.now
-            transfers.submit(
-                float(placement.size),
-                src=src,
-                dst=int(client.node_id),
-                on_complete=lambda t: durations.append(t.finished_at - submitted),
-            )
-
-        for index in range(config.foreground_reads):
-            sim.schedule(index * config.foreground_period_s, lambda i=index: issue(i))
-        return durations
-
     def _run_scenario(self, scenario: str) -> Dict[str, float]:
         """One fresh deployment + one injected scenario, drained to quiescence."""
         config = self.config
@@ -325,7 +283,13 @@ class FaultsExperiment:
         inject_start = time.perf_counter()
         durations: List[float] = []
         if scenario == "storm_site_outage":
-            durations = self._schedule_foreground_reads(storage, network, transfers, sim)
+            # Foreground reads riding through the storm at weight 1.0, to
+            # stride-picked clients live before the outage.
+            live = sorted(network.live_nodes(), key=lambda node: int(node.node_id))
+            durations = schedule_block_probes(
+                session, storage, config.foreground_reads, config.foreground_period_s, 0.0,
+                lambda index: live[(index * 13 + 1) % len(live)],
+            )
         self._inject(scenario, injector, network)
         sim.run()  # drains staggered restarts and every repair transfer
         inject_s = time.perf_counter() - inject_start

@@ -39,7 +39,14 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.base import claim_client, load_trace, open_session, read_census, scaled_count
+from repro.experiments.base import (
+    claim_client,
+    load_trace,
+    open_session,
+    read_census,
+    scaled_count,
+    schedule_block_probes,
+)
 from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.network import OverlayNetwork
 from repro.sim.rng import RandomStreams
@@ -260,51 +267,6 @@ class TenantsExperiment:
         outside.sort(key=lambda node: int(node.node_id))
         return outside[(ordinal * 13 + 1) % len(outside)]
 
-    def _schedule_probes(self, sim, storage, transfers, network) -> List[float]:
-        """Victim retrieve probes: one stored-block read each, tenant-tagged.
-
-        Deterministic (sorted names, stride-picked live sources); the filled
-        durations list feeds the scenario's p95.  Probes start after the
-        first study lands and skip silently while the victim has no files.
-        """
-        config = self.config
-        durations: List[float] = []
-        if config.probe_reads <= 0:
-            return durations
-        client = self._client(network, 2)
-        client_id = int(client.node_id)
-        tenant = storage.store_tenant
-
-        def issue(index: int) -> None:
-            names = sorted(storage.files)
-            if not names:
-                return
-            stored = storage.files[names[index % len(names)]]
-            if not stored.chunks or not stored.chunks[0].placements:
-                return
-            placement = stored.chunks[0].placements[0]
-            src = None
-            for node_id in (placement.node_id, *placement.replica_nodes):
-                if node_id in network and network.node(node_id).alive:
-                    src = int(node_id)
-                    break
-            if src is None or src == client_id or not client.alive:
-                return
-            submitted = sim.now
-            transfers.submit(
-                float(placement.size),
-                src=src,
-                dst=client_id,
-                on_complete=lambda t: durations.append(t.finished_at - submitted),
-                tenant=tenant,
-            )
-
-        start = config.study_interval_s + config.probe_period_s
-        for index in range(config.probe_reads):
-            sim.schedule(start + index * config.probe_period_s,
-                         lambda i=index: issue(i))
-        return durations
-
     # ---------------------------------------------------------------- scenario --
     def _run_scenario(self, scenario: str) -> None:
         config = self.config
@@ -362,7 +324,13 @@ class TenantsExperiment:
                 payload=config.distribution_payload,
             ).schedule(sim, stores["cdn"], transfers, network, streams.fresh("cdn")),
         ]
-        durations = self._schedule_probes(sim, stores["medimg"], transfers, network)
+        # Victim probes start after the first study lands, to one client.
+        victim, probe_client = stores["medimg"], self._client(network, 2)
+        durations = schedule_block_probes(
+            session, victim, config.probe_reads, config.probe_period_s,
+            config.study_interval_s + config.probe_period_s,
+            lambda index: probe_client, tenant=victim.store_tenant,
+        )
 
         # The storm: a whole-site outage repaired by every tenant's manager
         # (the injector drives the archive tenant -- the storm proper -- and

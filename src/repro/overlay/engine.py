@@ -261,6 +261,36 @@ class ArrayRouterBase:
         idx = np.searchsorted(self._sorted_bytes, key_bytes) % n
         return self._sorted_slots[idx].astype(np.int32)
 
+    # -- the batched hop loop ---------------------------------------------------
+    def _hop_loop(self, current: np.ndarray, roots: np.ndarray, next_hops,
+                  collect_paths: bool) -> BatchRouteResult:
+        """Step every request from ``current`` until it reaches its root slot.
+
+        Each engine's ``route_many`` supplies the roots and ``next_hops(subset,
+        slots)``: the next slot of the still-active requests ``subset``, now at
+        ``slots``.  ``current`` is advanced in place.
+        """
+        hops = np.zeros(len(current), dtype=np.int32)
+        paths: Optional[List[List[int]]] = None
+        if collect_paths:
+            paths = [[self.slot_id(int(slot))] for slot in current]
+        active = current != roots
+        rounds = 0
+        while active.any():
+            if rounds >= self.max_route_hops:
+                raise OverlayError(
+                    f"batched routing exceeded {self.max_route_hops} hops")
+            rounds += 1
+            subset = np.flatnonzero(active)
+            nxt = next_hops(subset, current[subset])
+            current[subset] = nxt
+            hops[subset] += 1
+            if paths is not None:
+                for i, slot in zip(subset, nxt):
+                    paths[i].append(self.slot_id(int(slot)))
+            active[subset] = nxt != roots[subset]
+        return BatchRouteResult(hops=hops, root_slots=roots, engine=self, paths=paths)
+
     # -- scalar convenience ----------------------------------------------------
     def route(self, key: IdLike, start: IdLike) -> RouteResult:
         """Scalar wrapper over :meth:`route_many` (a batch of one)."""

@@ -28,7 +28,7 @@ cheaper than the patch bookkeeping.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from repro.overlay.idmath import (
     limbs_from_ints,
 )
 from repro.overlay.ids import ID_BITS, IdLike
-from repro.overlay.network import OverlayError
 from repro.overlay.node import OverlayNode
 
 #: Limb forms of 2^i for every finger index.
@@ -179,30 +178,11 @@ class ChordArrayRouter(ArrayRouterBase):
     def route_many(self, keys: KeysLike, starts: KeysLike,
                    collect_paths: bool = False) -> BatchRouteResult:
         key_bytes = self._normalize_keys(keys)
-        count = len(key_bytes)
         key_limbs = limbs_from_digests(key_bytes)
-        current = self._slots_for_starts(starts, count).copy()
-        roots = self._successor_roots(key_bytes)
-        hops = np.zeros(count, dtype=np.int32)
-        paths: Optional[List[List[int]]] = None
-        if collect_paths:
-            paths = [[self.slot_id(int(slot))] for slot in current]
-        active = current != roots
-        rounds = 0
-        while active.any():
-            if rounds >= self.max_route_hops:
-                raise OverlayError(
-                    f"batched routing exceeded {self.max_route_hops} hops")
-            rounds += 1
-            subset = np.flatnonzero(active)
-            nxt = self._next_hops(current[subset], key_limbs[subset])
-            current[subset] = nxt
-            hops[subset] += 1
-            if paths is not None:
-                for i, slot in zip(subset, nxt):
-                    paths[i].append(self.slot_id(int(slot)))
-            active[subset] = nxt != roots[subset]
-        return BatchRouteResult(hops=hops, root_slots=roots, engine=self, paths=paths)
+        current = self._slots_for_starts(starts, len(key_bytes)).copy()
+        return self._hop_loop(
+            current, self._successor_roots(key_bytes),
+            lambda subset, slots: self._next_hops(slots, key_limbs[subset]), collect_paths)
 
     def _next_hops(self, current: np.ndarray, key_limbs: np.ndarray) -> np.ndarray:
         count = len(current)

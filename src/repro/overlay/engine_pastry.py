@@ -42,7 +42,7 @@ a per-request scalar fallback so its candidate-pool semantics stay exact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -65,7 +65,6 @@ from repro.overlay.idmath import (
     ring_dist,
 )
 from repro.overlay.ids import DIGITS, ID_SPACE, IdLike
-from repro.overlay.network import OverlayError
 from repro.overlay.node import OverlayNode
 
 _HALF_RING_INT = 1 << 159
@@ -261,28 +260,12 @@ class PastryArrayRouter(ArrayRouterBase):
                     for row in digest_bytes_matrix(key_bytes)]
         current = self._slots_for_starts(starts, count).copy()
         roots = self._pastry_roots(key_bytes, key_limbs)
-        hops = np.zeros(count, dtype=np.int32)
-        paths: Optional[List[List[int]]] = None
-        if collect_paths:
-            paths = [[self.slot_id(int(slot))] for slot in current]
-        active = current != roots
-        rounds = 0
-        while active.any():
-            if rounds >= self.max_route_hops:
-                raise OverlayError(
-                    f"batched routing exceeded {self.max_route_hops} hops")
-            rounds += 1
-            subset = np.flatnonzero(active)
-            nxt = self._next_hops(
-                current[subset], key_limbs[subset], key_digits[subset],
-                [key_ints[i] for i in subset], roots[subset])
-            current[subset] = nxt
-            hops[subset] += 1
-            if paths is not None:
-                for i, slot in zip(subset, nxt):
-                    paths[i].append(self.slot_id(int(slot)))
-            active[subset] = nxt != roots[subset]
-        return BatchRouteResult(hops=hops, root_slots=roots, engine=self, paths=paths)
+        return self._hop_loop(
+            current, roots,
+            lambda subset, slots: self._next_hops(
+                slots, key_limbs[subset], key_digits[subset],
+                [key_ints[i] for i in subset], roots[subset]),
+            collect_paths)
 
     def _next_hops(self, current: np.ndarray, key_limbs: np.ndarray,
                    key_digits: np.ndarray, key_ints: List[int],

@@ -1,9 +1,8 @@
 """Composable per-tenant workload profiles for the QoS isolation suite.
 
 Each profile schedules one tenant's traffic against its own tenant-scoped
-:class:`~repro.core.storage.StorageSystem` (a :class:`~repro.core.
-block_ledger.TenantLedgerView` over the shared ledger) on the discrete-event
-clock.  Because the store is attached to the transfer fabric
+:class:`~repro.core.storage.StorageSystem` (one tenant of the shared ledger)
+on the discrete-event clock.  Because the store is attached to the transfer fabric
 (:meth:`~repro.core.storage.StorageSystem.attach_transfers`), every store and
 push automatically charges tenant-tagged transfers -- the profiles never touch
 the scheduler directly except for the distribution profile's fan-out pushes.
@@ -50,7 +49,8 @@ class ProfileRun:
 
 def _tenant_label(storage) -> str:
     """The tenant name of a tenant-scoped store (``"-"`` when untagged)."""
-    return getattr(storage.ledger, "tenant_name", None) or "-"
+    tenant = storage.store_tenant
+    return "-" if tenant is None else storage.ledger.tenant_names[tenant]
 
 
 @dataclass(frozen=True)

@@ -171,8 +171,10 @@ def test_tenant_aggregates_come_from_the_shared_ledger():
     untagged = session.client()
     assert untagged.tenant is None
     assert untagged.store("b", 1 * MB).success
-    # Untagged clients fall back to the system-wide usage summary.
-    assert "stored_file_bytes" in untagged.aggregates()
+    # An untagged client reads the same five counters, over the whole ledger.
+    whole = untagged.aggregates()
+    assert whole["active_files"] == 2
+    assert whole == session.ledger.tenant_aggregates()
 
 
 def test_session_requires_nodes_or_network():

@@ -132,6 +132,10 @@ RETIRED = (
      r"|\bpath_congestion\b|\bchunk_for_offset\b",
      _EVERYWHERE, "the call census (tests/tools/census.py): only their own tests ran them; "
      "StorageSystem sizes chunks, DHTView.lookup and FaultInjector resolve keys and domains"),
+    ("tenant ledger views and double bookkeeping",
+     r"\bTenantLedgerView\b|\bresolve_ledger\b|\b_multi_tenant\b|\b_tenant_live_delta\b",
+     _EVERYWHERE, "a store holds the ledger and a tenant id; tenant_aggregates works one "
+     "tenant's counters out of the columns"),
 )
 
 

@@ -279,7 +279,7 @@ def test_pending_whole_file_rows_are_visible_to_every_lookup():
     assert not ledger._pending_whole and len(rows) == 1
     assert past.store_file("whole2", 2 * MB).success
     assert ledger._pending_whole
-    f = past.ledger.file_index("whole")
+    f = ledger.file_index("whole", past.store_tenant)
     assert ledger.file_rows(f) == [0, 1] and not ledger._pending_whole
     ledger.check_invariants()
 

@@ -7,7 +7,8 @@ repairs (also of nodes already down, twice over), compactions and flushes in
 any order and calls
 :meth:`BlockLedger.check_invariants` (every aggregate and every row index
 recomputed from the raw columns) after each step, then compares every file's
-availability with a walk over the nodes' ``stored_blocks`` dicts.
+availability with a walk over the nodes' ``stored_blocks`` dicts and each
+store's tenant counters with its own files.
 Half the runs shrink the row indexes' overflow limit to 3 so sorts land in
 the middle of repairs.
 """
@@ -62,7 +63,7 @@ class LedgerMachine(RuleBasedStateMachine):
         )
         self.stores = {"ours": self.ours, "past": self.past, "cfs": self.cfs}
         self.recovery = RecoveryManager(self.ours)
-        self.names = {scheme: [] for scheme in self.stores}
+        self.names = {scheme: {} for scheme in self.stores}  # name -> bytes
         self.down = []  # crashed, still members: may return (wiped or not) or leave
         self.counter = 0
 
@@ -80,12 +81,13 @@ class LedgerMachine(RuleBasedStateMachine):
         name = f"file{self.counter}"
         self.counter += 1
         if self.stores[scheme].store_file(name, size_mb * MB).success:
-            self.names[scheme].append(name)
+            self.names[scheme][name] = size_mb * MB
 
     @rule(scheme=st.sampled_from(["ours", "past", "cfs"]), which=pick)
     def delete(self, scheme, which):
         if self.names[scheme]:
-            name = self.names[scheme].pop(which % len(self.names[scheme]))
+            name = list(self.names[scheme])[which % len(self.names[scheme])]
+            del self.names[scheme][name]
             assert self.stores[scheme].delete_file(name)
 
     # -- membership ------------------------------------------------------------------
@@ -178,6 +180,14 @@ class LedgerMachine(RuleBasedStateMachine):
             assert self.cfs.is_file_available(name) == all(
                 any(node.has_block(block) for node in members)
                 for block, _, _, _ in self.cfs.block_entries(name))
+        # Each store's tenant counters, worked out from the columns.
+        for scheme, store in self.stores.items():
+            counts = self.ledger.tenant_aggregates(store.store_tenant)
+            sizes = self.names[scheme]
+            assert counts["active_files"] == len(store.files) == len(sizes)
+            assert counts["stored_data_bytes"] == sum(sizes.values())
+            assert counts["unavailable_files"] == sum(
+                not store.is_file_available(name) for name in sizes)
 
 
 LedgerMachine.TestCase.settings = settings(

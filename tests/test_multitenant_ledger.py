@@ -35,6 +35,11 @@ def _pool(node_count: int, seed: int, capacity=120 * MB):
     return network, DHTView(network)
 
 
+def _counts(store):
+    """One store's counters, worked out by the shared ledger."""
+    return store.ledger.tenant_aggregates(store.store_tenant)
+
+
 def _three_tenants(node_count=40, seed=61):
     """One shared ledger carrying ours + PAST + CFS, each in its own tenant."""
     network, dht = _pool(node_count, seed)
@@ -51,6 +56,21 @@ def _three_tenants(node_count=40, seed=61):
     return network, dht, shared, ours, past, cfs
 
 
+def test_tenant_aggregates_rejects_a_tenant_id_it_never_handed_out():
+    network, _ = _pool(8, 5)
+    ledger = BlockLedger(network)
+    with pytest.raises(ValueError):
+        ledger.tenant_aggregates(7)  # only the default tenant 0 exists
+    ledger.ensure_tenant("a")
+    ledger.ensure_tenant("b")
+    with pytest.raises(ValueError):
+        ledger.tenant_aggregates(3)
+    ledger.ensure_tenant("c")
+    with pytest.raises(ValueError):
+        ledger.tenant_aggregates(5)
+    assert ledger.tenant_aggregates(3) == dict.fromkeys(ledger.tenant_aggregates(), 0)
+
+
 def test_tenants_scope_the_file_namespace():
     """Every tenant can store the same file name on one shared ledger."""
     _, _, shared, ours, past, cfs = _three_tenants()
@@ -59,10 +79,10 @@ def test_tenants_scope_the_file_namespace():
     assert cfs.store_file("movie", 6 * MB).success
     shared.flush_registrations()
     assert shared.active_files == 3
-    # Per-tenant views see exactly their own file.
-    assert ours.ledger.active_files == 1
-    assert past.ledger.active_files == 1
-    assert cfs.ledger.active_files == 1
+    # Every tenant's counters see exactly its own file.
+    assert _counts(ours)["active_files"] == 1
+    assert _counts(past)["active_files"] == 1
+    assert _counts(cfs)["active_files"] == 1
     assert ours.is_file_available("movie")
     assert past.is_file_available("movie")
     assert cfs.is_file_available("movie")
@@ -74,9 +94,8 @@ def test_tenants_scope_the_file_namespace():
 
 
 def test_two_tenant_ledger_survives_churn_and_deletes():
-    """Regression: per-tenant bincount updates must not assume the aggregate
-    arrays are sized exactly to the tenant count (they grow by doubling, so a
-    two-store ledger has 3 tenant names in length-4 arrays)."""
+    """Regression: a two-store ledger (3 tenant names with the default) keeps
+    its per-tenant counters exact through churn and deletes."""
     network, dht = _pool(30, 111)
     shared = BlockLedger(network)
     ours = StorageSystem(
@@ -93,7 +112,7 @@ def test_two_tenant_ledger_survives_churn_and_deletes():
     victim.fail()  # crashed with a broadcast ValueError before the fix
     victim.recover(wipe=False)
     assert ours.delete_file("o0") and past.delete_file("p0")
-    assert ours.ledger.active_files == past.ledger.active_files == 4
+    assert _counts(ours)["active_files"] == _counts(past)["active_files"] == 4
     assert shared.unavailable_files == 0
 
 
@@ -105,7 +124,7 @@ def test_regenerated_copies_inherit_their_tenant():
         assert ours.store_file(f"o{index}", 4 * MB).success
         assert past.store_file(f"p{index}", 3 * MB).success
     recovery = RecoveryManager(ours)
-    ours_tenant = ours.ledger.tenant_id
+    ours_tenant = ours.store_tenant
     recovery.handle_failure(dht.state.nodes[0].node_id)
     assert sum(impact.bytes_regenerated for impact in recovery.impacts) > 0
     shared.flush_registrations()
@@ -114,9 +133,9 @@ def test_regenerated_copies_inherit_their_tenant():
         if shared.row_fields(row)[2] >= 0 and not shared._released[row]:
             assert shared.row_tenant(row) == ours_tenant, row
     # ...and the per-tenant live aggregates still sum to the global ones.
-    views = [ours.ledger, past.ledger, cfs.ledger]
-    assert sum(view.live_rows for view in views) == shared.live_rows
-    assert sum(view.live_bytes for view in views) == shared.live_bytes
+    stores = [ours, past, cfs]
+    assert sum(_counts(store)["live_rows"] for store in stores) == shared.live_rows
+    assert sum(_counts(store)["live_bytes"] for store in stores) == shared.live_bytes
     # The regenerated copies stay repairable: fail every node once more and
     # the availability counter keeps agreeing with the placement walk.
     for node in list(dht.state.nodes[:6]):
@@ -124,7 +143,7 @@ def test_regenerated_copies_inherit_their_tenant():
     walked = sum(
         0 if dict_walk.file_available(ours, f"o{index}") else 1 for index in range(6)
     )
-    assert ours.ledger.unavailable_count == walked
+    assert _counts(ours)["unavailable_files"] == walked
 
 
 def test_storage_system_rejects_shared_namespace_collisions_preflight():
@@ -163,23 +182,23 @@ def test_per_tenant_aggregates_match_walks():
         assert ours.store_file(f"o{index}", 4 * MB).success
         assert past.store_file(f"p{index}", 3 * MB).success
         assert cfs.store_file(f"c{index}", 5 * MB).success
-    assert ours.ledger.active_files == past.ledger.active_files == 8
-    assert ours.ledger.stored_data_bytes == 8 * 4 * MB
-    assert past.ledger.stored_data_bytes == 8 * 3 * MB
-    assert cfs.ledger.stored_data_bytes == 8 * 5 * MB
+    assert _counts(ours)["active_files"] == _counts(past)["active_files"] == 8
+    assert _counts(ours)["stored_data_bytes"] == 8 * 4 * MB
+    assert _counts(past)["stored_data_bytes"] == 8 * 3 * MB
+    assert _counts(cfs)["stored_data_bytes"] == 8 * 5 * MB
     # Tenant live rows/bytes sum to the global aggregates.
-    views = [ours.ledger, past.ledger, cfs.ledger]
+    stores = [ours, past, cfs]
     shared.flush_registrations()
-    assert sum(view.live_rows for view in views) == shared.live_rows
-    assert sum(view.live_bytes for view in views) == shared.live_bytes
-    # Fail a node: every tenant's unavailable counter stays an O(1) truth.
+    assert sum(_counts(store)["live_rows"] for store in stores) == shared.live_rows
+    assert sum(_counts(store)["live_bytes"] for store in stores) == shared.live_bytes
+    # Fail a node: every tenant's unavailable count agrees with a walk.
     victim = dht.state.nodes[0]
     victim.fail()
     for store, names in ((ours, [f"o{i}" for i in range(8)]),
                         (past, [f"p{i}" for i in range(8)]),
                         (cfs, [f"c{i}" for i in range(8)])):
         walked = sum(0 if store.is_file_available(name) else 1 for name in names)
-        assert store.ledger.unavailable_count == walked
+        assert _counts(store)["unavailable_files"] == walked
     victim.recover(wipe=False)
     assert shared.unavailable_files == 0
 
@@ -203,7 +222,7 @@ def test_mixed_tenant_compaction_keeps_stable_remaps():
         )
 
     def _past_entries(store, name):
-        idx = store.ledger.file_index(name)
+        idx = store.ledger.file_index(name, store.store_tenant)
         return store.ledger.baseline_entries(idx) if idx is not None else []
 
     # Release rows in every tenant: deletions plus a wiped holder.
@@ -212,15 +231,12 @@ def test_mixed_tenant_compaction_keeps_stable_remaps():
     node.fail()
     node.recover(wipe=True)
     before = snapshots()
-    tenant_rows_before = {
-        view.tenant_id: (view.live_rows, view.live_bytes)
-        for view in (ours.ledger, past.ledger, cfs.ledger)
-    }
+    tenant_rows_before = {store.store_tenant: _counts(store) for store in (ours, past, cfs)}
     stats = shared.compact()
     assert stats["rows_released"] > 0
     assert snapshots() == before
-    for view in (ours.ledger, past.ledger, cfs.ledger):
-        assert (view.live_rows, view.live_bytes) == tenant_rows_before[view.tenant_id]
+    for store in (ours, past, cfs):
+        assert _counts(store) == tenant_rows_before[store.store_tenant]
     # The compacted ledger keeps working: repair, more stores, another GC.
     RecoveryManager(ours).handle_failure(dht.state.nodes[2].node_id)
     assert ours.store_file("after-compact", 4 * MB).success
@@ -254,8 +270,8 @@ def test_marginal_chunk_migration_keeps_tenant_unavailable_exact():
         return dict_walk.file_available(ours, name)
 
     walked_bad = sum(0 if walked_available(f"o{index}") else 1 for index in range(6))
-    assert ours.ledger.unavailable_count == walked_bad
-    assert shared.unavailable_files >= ours.ledger.unavailable_count
+    assert _counts(ours)["unavailable_files"] == walked_bad
+    assert shared.unavailable_files >= _counts(ours)["unavailable_files"]
 
 
 def test_repair_pipeline_only_regenerates_its_own_tenant():
@@ -276,12 +292,12 @@ def test_repair_pipeline_only_regenerates_its_own_tenant():
     def walked_available(name: str) -> bool:
         return dict_walk.file_available(ours, name)
 
-    # The O(1) per-tenant counters agree with the placement walk after the
+    # The per-tenant counters agree with the placement walk after the
     # mixed-tenant repair pass (losses, if any, are counted identically).
     for index in range(6):
         assert ours.is_file_available(f"o{index}") == walked_available(f"o{index}")
     walked_bad = sum(0 if walked_available(f"o{index}") else 1 for index in range(6))
-    assert ours.ledger.unavailable_count == walked_bad
+    assert _counts(ours)["unavailable_files"] == walked_bad
     total = sum(impact.bytes_regenerated for impact in recovery.impacts)
     assert total > 0
     # No baseline row was duplicated onto a live node by the repair pass: the
@@ -325,13 +341,13 @@ def test_graceful_leave_migrates_every_tenant():
     migrated = sum(impact.bytes_migrated for impact in recovery.impacts)
     assert migrated > 0
     # Per-tenant aggregates survived the cross-tenant migration exactly.
-    views = [ours.ledger, other.ledger, past.ledger, cfs.ledger]
+    stores = [ours, other, past, cfs]
     shared.flush_registrations()
-    assert sum(view.live_rows for view in views) == shared.live_rows
-    assert sum(view.live_bytes for view in views) == shared.live_bytes
+    assert sum(_counts(store)["live_rows"] for store in stores) == shared.live_rows
+    assert sum(_counts(store)["live_bytes"] for store in stores) == shared.live_bytes
     assert shared.unavailable_files == 0
-    for view in views:
-        assert view.unavailable_count == 0
+    for store in stores:
+        assert _counts(store)["unavailable_files"] == 0
 
 
 def test_migrate_group_row_preserves_tenant_columns():
@@ -342,9 +358,9 @@ def test_migrate_group_row_preserves_tenant_columns():
     assert cfs.store_file("c", 6 * MB).success
     shared.flush_registrations()
     for store, name in ((past, "p"), (cfs, "c")):
-        tenant = store.ledger.tenant_id
-        live_before = (store.ledger.live_rows, store.ledger.live_bytes)
-        idx = store.ledger.file_index(name)
+        tenant = store.store_tenant
+        live_before = (_counts(store)["live_rows"], _counts(store)["live_bytes"])
+        idx = shared.file_index(name, tenant)
         row = next(r for r in shared.file_rows(idx) if not shared._released[r])
         new_node = next(node for node in dht.state.nodes
                         if node.alive and shared.names[row] not in node.stored_blocks)
@@ -353,30 +369,30 @@ def test_migrate_group_row_preserves_tenant_columns():
         assert shared.row_tenant(new_row) == tenant
         assert shared._released[row]
         assert store.is_file_available(name)
-        assert (store.ledger.live_rows, store.ledger.live_bytes) == live_before
+        assert (_counts(store)["live_rows"], _counts(store)["live_bytes"]) == live_before
     # Released baseline halves of still-active files survive the GC (the
     # seed bookkeeping never forgets a placed block); the migrated twins and
     # their tenant columns must read back exactly through the remap.
     shared.compact()
     assert past.is_file_available("p") and cfs.is_file_available("c")
-    views = [ours.ledger, past.ledger, cfs.ledger]
-    assert sum(view.live_rows for view in views) == shared.live_rows
-    assert sum(view.live_bytes for view in views) == shared.live_bytes
+    stores = [ours, past, cfs]
+    assert sum(_counts(store)["live_rows"] for store in stores) == shared.live_rows
+    assert sum(_counts(store)["live_bytes"] for store in stores) == shared.live_bytes
     # Deleting the file finally collects both halves, per tenant.
     assert past.delete_file("p")
     stats = shared.compact()
     assert stats["rows_released"] > 0
-    assert past.ledger.active_files == 0
+    assert _counts(past)["active_files"] == 0
     assert cfs.is_file_available("c")
 
 
 def test_colliding_namespaces_and_aggregates_survive_compact():
     """Cross-tenant name collisions stay scoped through delete + compact, and
-    every tenant's O(1) aggregates read back unchanged after the GC."""
+    every tenant's aggregates read back unchanged after the GC."""
     _, dht, shared, ours, past, cfs = _three_tenants(node_count=36, seed=151)
     for store in (ours, past, cfs):
         assert store.store_file("shared-name", 4 * MB).success
-        assert store.store_file(f"own-{store.ledger.tenant_name}", 2 * MB).success
+        assert store.store_file(f"own-{shared.tenant_names[store.store_tenant]}", 2 * MB).success
     shared.flush_registrations()
     # Release rows: one tenant drops its copy of the colliding name, and a
     # wiped holder releases rows of whoever it hosted.
@@ -384,23 +400,20 @@ def test_colliding_namespaces_and_aggregates_survive_compact():
     node = dht.state.nodes[0]
     node.fail()
     node.recover(wipe=True)
-    views = (ours.ledger, past.ledger, cfs.ledger)
-    before = {
-        view.tenant_id: dict(shared.tenant_aggregates(view.tenant_id))
-        for view in views
-    }
+    stores = (ours, past, cfs)
+    before = {store.store_tenant: shared.tenant_aggregates(store.store_tenant) for store in stores}
     stats = shared.compact()
     assert stats["rows_released"] > 0
-    for view in views:
-        assert dict(shared.tenant_aggregates(view.tenant_id)) == before[view.tenant_id]
+    for store in stores:
+        assert shared.tenant_aggregates(store.store_tenant) == before[store.store_tenant]
     # The namespaces stayed scoped: the deleted namesake is gone only for
     # its own tenant, and that tenant can re-store the name post-GC.
     assert not past.is_file_available("shared-name")
-    assert ours.ledger.file_index("shared-name") is not None
-    assert cfs.ledger.file_index("shared-name") is not None
+    assert shared.file_index("shared-name", ours.store_tenant) is not None
+    assert shared.file_index("shared-name", cfs.store_tenant) is not None
     assert past.store_file("shared-name", 3 * MB).success
     assert past.is_file_available("shared-name")
-    assert sum(view.live_rows for view in views) == shared.live_rows
+    assert sum(_counts(store)["live_rows"] for store in stores) == shared.live_rows
 
 
 # -- buffered PAST registration ------------------------------------------------------

@@ -118,7 +118,7 @@ KEEP: dict[str, str] = {
     "repro.core.block_ledger.BlockLedger.baseline_entries": _ORACLE,
     "repro.baselines.cfs.CfsStore.is_file_available": "O(1) availability, checked against dict_walk",
     "repro.baselines.past.PastStore.is_file_available": "O(1) availability, checked against dict_walk",
-    "repro.core.storage.StorageSystem.usage_summary": _ORACLE + "; repro.api ArchiveClient.usage",
+    "repro.core.storage.StorageSystem.usage_summary": _ORACLE,
     "repro.core.block_ledger.BlockLedger.check_invariants": "the ledger's invariant call",
     "repro.overlay.node_state.NodeArrayState.check_invariants": "the node state's invariant call",
     "repro.overlay.engine_chord.ChordArrayRouter.successor_list_ids": "a Chord invariant surface",
@@ -148,8 +148,6 @@ KEEP: dict[str, str] = {
         "graceful departure of baseline group rows (handle_leave; no perfbench workload departs)",
     "repro.core.block_ledger.BlockLedger.refresh_domains":
         "failure domains re-laid over a population the ledger already tracks",
-    "repro.core.block_ledger.TenantLedgerView":
-        "a tenant's view of a shared ledger mirrors BlockLedger, so every store runs on one",
     "repro.core.storage.StorageSystem.delete_file": _DELETE,
     "repro.core.storage.StorageSystem._release_chunk": _DELETE + "; failed-store rollback",
     "repro.core.storage.StorageSystem._release_placement": _DELETE + "; failed-store rollback",
