@@ -57,7 +57,7 @@ paper and the bandwidth-aware repair experiment report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.block_ledger import BlockLedger
@@ -147,14 +147,15 @@ class RecoveryManager:
         self.max_retries: int = 3
         #: Base delay of the exponential retry backoff (doubles per attempt).
         self.retry_backoff: float = 1.0
-        #: Fair-share weight of repair transfers (< 1.0 de-prioritises repair
-        #: below weight-1.0 foreground traffic on every shared link).
-        self.repair_weight = repair_weight
-        #: Optional admission controller: ``repair_window`` bounds in-flight
-        #: repair transfers (overflow queues FIFO -- backpressure, not drops);
-        #: ``None`` submits directly (the seed behaviour).
+        #: The one repair submission path when a scheduler is attached: the
+        #: admission controller of the repair class.  ``repair_window`` bounds
+        #: in-flight repair transfers (overflow queues FIFO -- backpressure,
+        #: not drops); ``None`` is its pass-through, one batch per submission
+        #: (the seed behaviour).  ``repair_weight`` is the class's fair-share
+        #: weight (< 1.0 de-prioritises repair below weight-1.0 foreground
+        #: traffic on every shared link), checked here.
         self.pacer: Optional[TransferPacer] = None
-        if transfers is not None and repair_window is not None:
+        if transfers is not None:
             self.pacer = TransferPacer(
                 transfers, max_in_flight=repair_window, weight=repair_weight
             )
@@ -630,7 +631,7 @@ class RecoveryManager:
                 delay = self.retry_backoff * (2.0 ** attempt)
                 spec = submit_spec(size, new_src, dst, ctx, tenant, attempt + 1)
                 self.transfers.sim.schedule(
-                    delay, lambda spec=spec: self._submit([spec])
+                    delay, lambda spec=spec: self.pacer.submit_many([spec])
                 )
 
             impact.repair_traffic_bytes += int(size)
@@ -642,27 +643,12 @@ class RecoveryManager:
                 tenant=tenant,
             )
 
-        self._submit(
+        self.pacer.submit_many(
             [
                 submit_spec(size, src, dst, ctx, tenant, 0)
                 for size, src, dst, ctx, tenant in staged
             ]
         )
-
-    def _submit(self, specs: List[TransferSpec]) -> None:
-        """Route repair specs through the admission window (when configured).
-
-        Without a pacer the specs go straight to the scheduler tagged with
-        the repair weight class -- weight 1.0 is arithmetically the unweighted
-        seed path, so the default stays bit-identical.  The tenant tag rides
-        through either route.
-        """
-        if self.pacer is not None:
-            self.pacer.submit_many(specs)
-        else:
-            self.transfers.submit_many(
-                [replace(spec, weight=self.repair_weight) for spec in specs]
-            )
 
     # ---------------------------------------------------------------- CAT rebuild --
     def rebuild_cat(self, filename: str, probe_limit: Optional[int] = None) -> ChunkAllocationTable:

@@ -89,10 +89,10 @@ state the scheduler *keeps* instead of rebuilding per event:
   every link's members in submission order (activations arrive out of that
   order, hence bisect-inserted), each flow's resolved link tuple, and each
   member link's finite capacity (re-resolved by the capacity setters);
-* an **allocation epoch**: adding or dropping an active flow, a capacity or cap
-  setter and a moved :attr:`NetworkTopology.version` mark the allocation stale,
-  and only a stale allocation is refilled -- a submission that merely enters
-  its latency window, or a timer that finishes nothing, fills nothing;
+* an **allocation epoch**: adding or dropping an active flow and every
+  capacity or cap setter mark the allocation stale, and only a stale
+  allocation is refilled -- a submission that merely enters its latency
+  window, or a timer that finishes nothing, fills nothing;
 * **same-instant folding**: of several latency windows ending at one simulated
   instant only the last activation fills; rates are a function of the active
   set and no bytes move in zero time, so the schedule cannot tell.
@@ -113,8 +113,8 @@ elided, they define the bound).  This is exact, not approximate:
 
 The status depends on the link's own members and capacity only: it is cached
 and re-derived when the link gains or loses a member (every one of them by a
-capacity setter or a moved topology version).  **Bottleneck components**: rates
-are a function of a flow's connected component over the *binding* (finite,
+capacity setter).  **Bottleneck components**: rates are a function of a
+flow's connected component over the *binding* (finite,
 non-slack) links, so a stale allocation refills the components of (i) the
 members of every link that changed membership and was binding before *or* is
 binding after the change -- a trunk a departure turned slack still set its
@@ -159,7 +159,10 @@ bit-identical to the seed implementation.
 
 Failure semantics
 -----------------
-A link capacity of exactly ``0`` models a *dead* stage: a per-node link via
+The scheduler owns every link capacity in one ``{link key: capacity}`` table
+(access, trunk and tenant-cap links; an unlisted link has its stage's
+default), and its three setters write it through one routine.  A capacity of
+exactly ``0`` models a *dead* stage: a per-node link via
 :meth:`TransferScheduler.set_node_bandwidth` (a dead endpoint), a trunk via
 :meth:`TransferScheduler.set_trunk_bandwidth` (a partitioned rack or site).
 Submitting a transfer across a dead link fails it deterministically --
@@ -234,6 +237,9 @@ _STAGE_NAMES = {
     _TENANT: "tenant",
 }
 
+#: Why a flow crossing a dead (capacity ``0``) link of each stage fails.
+_DEAD_REASON = ("dead endpoint",) * 2 + ("partitioned trunk",) * 4 + ("tenant blackholed",)
+
 #: The latency classes of the two-stage model, nearest first.
 LATENCY_CLASSES = ("intra_rack", "intra_site", "inter_site")
 
@@ -262,19 +268,19 @@ def _validate_capacity(value: Optional[float], what: str, allow_zero: bool) -> N
 class NetworkTopology:
     """Failure-domain topology: rack/site trunk capacities and latency classes.
 
-    Maps node ids to the site/rack grid laid down by
-    :func:`repro.sim.faults.assign_domains` and derives, per transfer, the
-    shared trunk links its path crosses and its propagation latency class.
-    Capacities are bytes per simulated time unit; ``None`` = unconstrained
-    (the default -- an unconfigured topology adds no constraints at all).
+    A read-only description once built: maps node ids to the site/rack grid
+    laid down by :func:`repro.sim.faults.assign_domains` and derives, per
+    transfer, the shared trunk links its path crosses and its propagation
+    latency class.  Capacities are bytes per simulated time unit; ``None`` =
+    unconstrained (the default -- an unconfigured topology adds no
+    constraints at all).
 
-    Trunk capacities have class-wide defaults (``rack_uplink`` et al.) plus
-    per-domain overrides (:meth:`set_rack_trunk` / :meth:`set_site_trunk`);
-    an override of exactly ``0`` models a partitioned trunk.  When the
-    topology is attached to a live :class:`TransferScheduler`, change trunk
-    capacities through :meth:`TransferScheduler.set_trunk_bandwidth` so
-    in-flight transfers are re-shared at once and those crossing a dead trunk
-    fail (a direct change is only re-shared, at the scheduler's next event).
+    The trunk capacities it is built with are class-wide (``rack_uplink`` et
+    al.) plus the per-domain values in :attr:`trunks`
+    (:func:`oversubscribed_topology` lays them down).  A
+    :class:`TransferScheduler` copies both into its capacity table when it is
+    built and owns them from then on: change a trunk mid-run through
+    :meth:`TransferScheduler.set_trunk_bandwidth` (``0`` = partitioned).
 
     An endpoint outside the grid (``site``/``rack`` of ``-1``, or a ``None``
     node id such as a meta restore's unmodelled source) counts as "the
@@ -296,8 +302,8 @@ class NetworkTopology:
                             (site_uplink, "site trunk uplink"), (site_downlink, "site trunk downlink")):
             _validate_capacity(value, what, allow_zero=False)
         latencies = (intra_rack_latency, intra_site_latency, inter_site_latency)
-        if any(latency < 0 for latency in latencies):
-            raise ValueError("latencies must be >= 0")
+        if not all(0 <= latency < math.inf for latency in latencies):  # NaN fails both
+            raise ValueError(f"latencies must be finite and >= 0: {latencies!r}")
         self.rack_uplink = rack_uplink
         self.rack_downlink = rack_downlink
         self.site_uplink = site_uplink
@@ -309,75 +315,23 @@ class NetworkTopology:
         }
         self._site_of: Dict[int, int] = {}
         self._rack_of: Dict[int, int] = {}
-        #: Per-domain capacity overrides keyed by trunk link key.
-        self._overrides: Dict[Tuple[int, int], Optional[float]] = {}
+        #: Per-domain trunk capacities keyed by trunk link key, over the
+        #: class-wide values (laid down before any scheduler is built).
+        self.trunks: Dict[LinkKey, float] = {}
         #: ``trunk_links`` results per (src rack, src site, dst rack, dst site).
         self._trunk_memo: Dict[tuple, Tuple[Tuple[int, int], ...]] = {}
-        #: Bumped by every mutation; an attached scheduler re-shares its
-        #: active flows at its next event when this has moved.
-        self.version = 0
 
-    # -------------------------------------------------------------- building --
     @classmethod
     def from_nodes(cls, nodes: Iterable, **kwargs) -> "NetworkTopology":
         """A topology whose node->domain maps mirror ``node.site``/``node.rack``."""
         topology = cls(**kwargs)
-        topology.refresh(nodes)
-        return topology
-
-    def refresh(self, nodes: Iterable) -> None:
-        """Re-sync the node->domain maps (after churn or a domain re-layout)."""
-        self._site_of.clear()
-        self._rack_of.clear()
-        self._trunk_memo.clear()
-        self.version += 1
         for node in nodes:
             node_id = int(node.node_id)
             if node.site >= 0:
-                self._site_of[node_id] = int(node.site)
+                topology._site_of[node_id] = int(node.site)
             if node.rack >= 0:
-                self._rack_of[node_id] = int(node.rack)
-
-    # ------------------------------------------------------------ capacities --
-    def set_rack_trunk(self, rack: int, uplink=_KEEP, downlink=_KEEP) -> None:
-        """Override one rack's aggregation trunk (``0`` = partitioned)."""
-        self._override("rack", ((_RACK_UP, int(rack)), uplink), ((_RACK_DOWN, int(rack)), downlink))
-
-    def set_site_trunk(self, site: int, uplink=_KEEP, downlink=_KEEP) -> None:
-        """Override one site's transit trunk (``0`` = partitioned)."""
-        self._override("site", ((_SITE_UP, int(site)), uplink), ((_SITE_DOWN, int(site)), downlink))
-
-    def _override(self, what: str, up, down) -> None:
-        for (key, value), side in ((up, "uplink"), (down, "downlink")):
-            if value is not _KEEP:
-                _validate_capacity(value, f"{what} trunk {side}", allow_zero=True)
-                self._overrides[key] = value
-        self.version += 1
-
-    def capacity_of(self, key: Tuple[int, int]) -> Optional[float]:
-        """The capacity of one trunk link key (``None`` = unconstrained)."""
-        if key in self._overrides:
-            return self._overrides[key]
-        stage = key[0]
-        if stage == _RACK_UP:
-            return self.rack_uplink
-        if stage == _RACK_DOWN:
-            return self.rack_downlink
-        if stage == _SITE_UP:
-            return self.site_uplink
-        if stage == _SITE_DOWN:
-            return self.site_downlink
-        raise KeyError(f"not a trunk link key: {key!r}")
-
-    def trunk_capacity(
-        self, site: Optional[int] = None, rack: Optional[int] = None
-    ) -> Tuple[Optional[float], Optional[float]]:
-        """One domain's effective ``(uplink, downlink)`` trunk capacities."""
-        if (site is None) == (rack is None):
-            raise ValueError("specify exactly one of site= or rack=")
-        if rack is not None:
-            return self.capacity_of((_RACK_UP, int(rack))), self.capacity_of((_RACK_DOWN, int(rack)))
-        return self.capacity_of((_SITE_UP, int(site))), self.capacity_of((_SITE_DOWN, int(site)))
+                topology._rack_of[node_id] = int(node.rack)
+        return topology
 
     # ----------------------------------------------------------------- paths --
     def site_of(self, node_id: Optional[int]) -> Optional[int]:
@@ -413,17 +367,6 @@ class NetworkTopology:
                 keys.append((_RACK_DOWN, dst_rack))
         memo = self._trunk_memo[pair] = tuple(keys)
         return memo
-
-    def source_links(self, src: Optional[int]) -> Tuple[Tuple[int, int], ...]:
-        """The source-side trunk keys of flows leaving ``src``'s rack."""
-        keys: List[Tuple[int, int]] = []
-        rack = self.rack_of(src)
-        if rack is not None:
-            keys.append((_RACK_UP, rack))
-        site = self.site_of(src)
-        if site is not None:
-            keys.append((_SITE_UP, site))
-        return tuple(keys)
 
     def latency_class(self, src: Optional[int], dst: Optional[int]) -> Optional[str]:
         """``intra_rack``/``intra_site``/``inter_site`` (None = unmodelled)."""
@@ -478,14 +421,13 @@ def oversubscribed_topology(
         rack_members[int(node.rack)] = rack_members.get(int(node.rack), 0) + 1
         if node.site >= 0:
             site_racks.setdefault(int(node.site), set()).add(int(node.rack))
-    rack_cap: Dict[int, float] = {}
+    trunks = topology.trunks
     for rack in sorted(rack_members):
         capacity = rack_members[rack] * access_bandwidth / oversubscription
-        rack_cap[rack] = capacity
-        topology.set_rack_trunk(rack, uplink=capacity, downlink=capacity)
+        trunks[(_RACK_UP, rack)] = trunks[(_RACK_DOWN, rack)] = capacity
     for site in sorted(site_racks):
-        capacity = sum(rack_cap[rack] for rack in sorted(site_racks[site])) / site_ratio
-        topology.set_site_trunk(site, uplink=capacity, downlink=capacity)
+        capacity = sum(trunks[(_RACK_UP, rack)] for rack in sorted(site_racks[site])) / site_ratio
+        trunks[(_SITE_UP, site)] = trunks[(_SITE_DOWN, site)] = capacity
     return topology
 
 
@@ -629,7 +571,8 @@ class TransferScheduler:
         Optional :class:`NetworkTopology`.  When attached, every transfer
         additionally crosses its path's trunk links and is delayed by its
         latency class; with unbounded trunks and zero latencies the schedule
-        is bit-identical to the access-only model.
+        is bit-identical to the access-only model.  Its trunk capacities are
+        copied into the scheduler's capacity table here.
     """
 
     def __init__(
@@ -642,11 +585,16 @@ class TransferScheduler:
         _validate_capacity(uplink, "uplink", allow_zero=False)
         _validate_capacity(downlink, "downlink", allow_zero=False)
         self.sim = sim
-        self.default_uplink = uplink
-        self.default_downlink = downlink
         self.topology = topology
-        self._uplink: Dict[int, Optional[float]] = {}
-        self._downlink: Dict[int, Optional[float]] = {}
+        #: The one capacity table, every constrained link keyed like the
+        #: constraint graph; a link it does not list has its stage's default.
+        self._caps: Dict[LinkKey, Optional[float]] = {}
+        trunks: Tuple[Optional[float], ...] = (None,) * 4
+        if topology is not None:
+            self._caps.update(topology.trunks)
+            trunks = (topology.rack_uplink, topology.rack_downlink,
+                      topology.site_uplink, topology.site_downlink)
+        self._cap_defaults = (uplink, downlink, *trunks, None)
         self._active: Dict[int, Transfer] = {}
         #: The persistent constraint graph of the active set (_add_active /
         #: _drop_active): active seqs and per-link member seqs in submission
@@ -667,9 +615,8 @@ class TransferScheduler:
         #: Flows whose rate may have changed since the last fill (its seeds).
         self._dirty: set = set()
         #: Allocation epoch: set when the active set or a capacity changed
-        #: since the last fill (the topology's own changes via its version).
+        #: since the last fill.
         self._stale = False
-        self._topology_version = 0 if topology is None else topology.version
         #: Transfers inside their latency window (submitted, not yet active).
         self._pending: Dict[int, Transfer] = {}
         #: The last-queued activation per due time (same-instant folding).
@@ -681,8 +628,6 @@ class TransferScheduler:
         self._link_load: Dict[Tuple[int, int], float] = {}
         #: Per-tenant fair-share class weights (folded in at submission).
         self._tenant_weight: Dict[int, float] = {}
-        #: Per-tenant hard caps: the virtual link capacities (None = uncapped).
-        self._tenant_cap: Dict[int, Optional[float]] = {}
         #: Per-tenant byte/flow accounting (see :meth:`tenant_summary`).
         self._tenant_stats: Dict[int, Dict[str, float]] = {}
         # -- accounting ------------------------------------------------------
@@ -716,41 +661,19 @@ class TransferScheduler:
         immediately.  Transfers still inside their latency window are failed
         at activation time instead.
         """
-        node_id = int(node_id)
-        self._advance()
-        if uplink is not _KEEP:
-            _validate_capacity(uplink, "per-node uplink", allow_zero=True)
-            self._uplink[node_id] = uplink
-        if downlink is not _KEEP:
-            _validate_capacity(downlink, "per-node downlink", allow_zero=True)
-            self._downlink[node_id] = downlink
-        dead_up = self.uplink_of(node_id) == 0
-        dead_down = self.downlink_of(node_id) == 0
-        self._capacity_changed(
-            lambda t: (dead_up and t.src == node_id) or (dead_down and t.dst == node_id), "endpoint failed")
+        self._set_capacities(zip(self._pair(int(node_id), None, None), (uplink, downlink)))
 
     def set_trunk_bandwidth(
         self, site: Optional[int] = None, rack: Optional[int] = None, uplink=_KEEP, downlink=_KEEP
     ) -> None:
         """Change one trunk's capacity mid-flight (``0`` = partitioned).
 
-        The trunk counterpart of :meth:`set_node_bandwidth`: updates the
-        attached topology, fails every active transfer whose frozen path
-        crosses a now-dead trunk (in submission order, through the event
-        queue) and re-shares the survivors.
+        The trunk counterpart of :meth:`set_node_bandwidth` (one of ``site=``
+        / ``rack=``, an attached topology): fails every active transfer whose
+        frozen path crosses a now-dead trunk (in submission order, through the
+        event queue) and re-shares the survivors.
         """
-        if self.topology is None:
-            raise ValueError("set_trunk_bandwidth requires an attached topology")
-        if (site is None) == (rack is None):
-            raise ValueError("specify exactly one of site= or rack=")
-        self._advance()
-        if rack is not None:
-            self.topology.set_rack_trunk(int(rack), uplink=uplink, downlink=downlink)
-        else:
-            self.topology.set_site_trunk(int(site), uplink=uplink, downlink=downlink)
-        capacity_of = self.topology.capacity_of
-        self._capacity_changed(
-            lambda t: any(capacity_of(key) == 0 for key in t.trunk_links), "partitioned trunk")
+        self._set_capacities(zip(self._pair(None, site, rack), (uplink, downlink)))
 
     def set_tenant_weight(self, tenant: int, weight: float) -> None:
         """Assign one tenant's fair-share class weight (1.0 = foreground).
@@ -776,22 +699,19 @@ class TransferScheduler:
         submission order, through the event queue, like a dead access link)
         and new submissions fail at submission time.
         """
-        _validate_capacity(cap, "tenant cap", allow_zero=True)
-        tenant = int(tenant)
-        self._advance()
-        if cap is None:
-            self._tenant_cap.pop(tenant, None)
-        else:
-            self._tenant_cap[tenant] = float(cap)
-        self._capacity_changed(lambda t: cap == 0 and t.tenant == tenant, "tenant blackholed")
+        self._set_capacities([((_TENANT, int(tenant)), cap)])
 
-    def uplink_of(self, node_id: int) -> Optional[float]:
-        """The access uplink capacity of ``node_id`` (None = unconstrained)."""
-        return self._uplink.get(int(node_id), self.default_uplink)
+    def capacity_of(self, key: LinkKey) -> Optional[float]:
+        """One link's current capacity (``None`` = unconstrained, ``0`` = dead)."""
+        return self._caps.get(key, self._cap_defaults[key[0]])
 
-    def downlink_of(self, node_id: int) -> Optional[float]:
-        """The access downlink capacity of ``node_id`` (None = unconstrained)."""
-        return self._downlink.get(int(node_id), self.default_downlink)
+    def link_capacities(
+        self, node_id: Optional[int] = None, site: Optional[int] = None, rack: Optional[int] = None
+    ) -> Tuple[Optional[float], Optional[float]]:
+        """The current ``(uplink, downlink)`` of one node's access links, or of
+        one domain's trunk (``site=`` / ``rack=``, as :meth:`set_trunk_bandwidth`)."""
+        up, down = self._pair(node_id, site, rack)
+        return self.capacity_of(up), self.capacity_of(down)
 
     # ------------------------------------------------------------- submission --
     def submit(
@@ -926,7 +846,7 @@ class TransferScheduler:
     # ------------------------------------------------------------- congestion --
     def link_congestion(self, key: Tuple[int, int]) -> float:
         """Active weight over capacity of one link (0 when unconstrained)."""
-        capacity = self._key_capacity(key)
+        capacity = self.capacity_of(key)
         if capacity is None:
             return 0.0
         if capacity <= 0:
@@ -943,8 +863,8 @@ class TransferScheduler:
         if src is None:
             return 0.0
         keys: List[Tuple[int, int]] = [(_UP, int(src))]
-        if self.topology is not None:
-            keys.extend(self.topology.source_links(src))
+        if self.topology is not None:  # to "the network at large": the source-side trunks
+            keys.extend(self.topology.trunk_links(src, None))
         return sum(self.link_congestion(key) for key in keys)
 
     def trunk_summary(self) -> Dict[str, Dict[str, float]]:
@@ -958,7 +878,7 @@ class TransferScheduler:
         for key in sorted(self.trunk_bytes):
             stage, domain = key
             name = _STAGE_NAMES[stage].replace(":", f"{domain}:")
-            capacity = self.topology.capacity_of(key) if self.topology is not None else None
+            capacity = self.capacity_of(key)
             out[name] = {
                 "bytes": self.trunk_bytes[key],
                 "capacity": -1.0 if capacity is None else float(capacity),
@@ -985,26 +905,33 @@ class TransferScheduler:
         bytes (``backlog_bytes``), and the tenant's current class ``weight``
         and ``cap`` (``-1`` = uncapped).  The per-tenant SLO reports are
         assembled from this plus the ledger's per-tenant O(1) aggregates.
+        A read: the backlog is worked out at ``now`` without moving a
+        transfer's ``remaining`` (whose float history must not be split).
         """
-        self._advance()
+        dt = self.sim.now - self._last_update
         in_flight: Dict[int, Tuple[int, float]] = {}
         for pool in (self._active, self._pending):
             for transfer in pool.values():
                 if transfer.tenant is None:
                     continue
+                left, rate = transfer.remaining, transfer.rate
+                if dt > 0.0 and rate > 0.0:  # _advance's step, not written back
+                    left = 0.0 if rate == math.inf else max(0.0, left - rate * dt)
                 count, backlog = in_flight.get(transfer.tenant, (0, 0.0))
-                in_flight[transfer.tenant] = (count + 1, backlog + transfer.remaining)
+                in_flight[transfer.tenant] = (count + 1, backlog + left)
+        capped = {ident for (stage, ident), cap in self._caps.items()
+                  if stage == _TENANT and cap is not None}
         tenants = (
             set(self._tenant_stats)
             | set(self._tenant_weight)
-            | set(self._tenant_cap)
+            | capped
             | set(in_flight)
         )
         out: Dict[int, Dict[str, float]] = {}
         for tenant in sorted(tenants):
             row = dict(self._tenant_stats.get(tenant) or _NO_TENANT_STATS)
             count, backlog = in_flight.get(tenant, (0, 0.0))
-            cap = self._tenant_cap.get(tenant)
+            cap = self.capacity_of((_TENANT, tenant))
             row["active"] = float(count)
             row["backlog_bytes"] = backlog
             row["weight"] = self._tenant_weight.get(tenant, 1.0)
@@ -1019,20 +946,9 @@ class TransferScheduler:
             stats = self._tenant_stats[tenant] = dict(_NO_TENANT_STATS)
         return stats
 
-    def _key_capacity(self, key: Tuple[int, int]) -> Optional[float]:
-        stage, ident = key
-        if stage == _UP:
-            return self.uplink_of(ident)
-        if stage == _DOWN:
-            return self.downlink_of(ident)
-        if stage == _TENANT:
-            return self._tenant_cap.get(ident)
-        if self.topology is None:
-            return None
-        return self.topology.capacity_of(key)
-
-    def _add_active(self, transfer: Transfer) -> None:
-        seq, weight = transfer.seq, transfer.weight
+    @staticmethod
+    def _path(transfer: Transfer) -> Tuple[LinkKey, ...]:
+        """Every link the transfer crosses: access up and down, trunks, tenant."""
         keys: List[LinkKey] = []
         if transfer.src is not None:
             keys.append((_UP, transfer.src))
@@ -1043,12 +959,31 @@ class TransferScheduler:
             # Capped or not: an uncapped tenant link has capacity None and
             # constrains nothing until set_tenant_cap gives it one mid-flight.
             keys.append((_TENANT, transfer.tenant))
+        return tuple(keys)
+
+    def _pair(
+        self, node_id: Optional[int], site: Optional[int], rack: Optional[int]
+    ) -> Tuple[LinkKey, LinkKey]:
+        """The ``(uplink, downlink)`` keys of a node's access links or a domain's trunk."""
+        if node_id is not None:
+            return (_UP, int(node_id)), (_DOWN, int(node_id))
+        if self.topology is None:
+            raise ValueError("trunk capacities require an attached topology")
+        if (site is None) == (rack is None):
+            raise ValueError("specify exactly one of site= or rack=")
+        if rack is not None:
+            return (_RACK_UP, int(rack)), (_RACK_DOWN, int(rack))
+        return (_SITE_UP, int(site)), (_SITE_DOWN, int(site))
+
+    def _add_active(self, transfer: Transfer) -> None:
+        seq, weight = transfer.seq, transfer.weight
+        keys = self._path(transfer)
         self._active[seq] = transfer
         # Activations arrive out of submission order (latency classes), so
         # every seq-ordered list is kept sorted by insertion.
         insort(self._order, seq)
         self._weights[seq] = weight
-        self._links[seq] = tuple(keys)
+        self._links[seq] = keys
         load, members = self._link_load, self._members
         for key in keys:
             load[key] = load.get(key, 0.0) + weight
@@ -1057,7 +992,7 @@ class TransferScheduler:
                 insort(row, seq)
                 continue
             members[key] = [seq]
-            capacity = self._key_capacity(key)
+            capacity = self.capacity_of(key)
             if capacity is not None:
                 self._capacity[key] = float(capacity)
         bound = self._bound[seq] = self._access_bound(keys, weight)
@@ -1130,21 +1065,24 @@ class TransferScheduler:
             self._dirty.update(row)
         self._stale = True
 
-    def _capacity_changed(self, doomed: Callable[[Transfer], bool], reason: str) -> None:
-        """Finish a capacity setter: fail the flows it killed, re-share the rest."""
+    def _set_capacities(self, changes: Iterable[Tuple[LinkKey, object]]) -> None:
+        """The one capacity setter: validate every value (before the clock
+        moves), advance, write the table, fail the active flows a dead link
+        now strands (in submission order, through the event queue) and
+        re-share the rest.  ``_KEEP`` values leave their link as it is."""
+        changes = [(key, value) for key, value in changes if value is not _KEEP]
+        for key, value in changes:
+            _validate_capacity(value, _STAGE_NAMES[key[0]], allow_zero=True)
+        self._advance()
+        self._caps.update(changes)
         active = self._active
-        for transfer in [active[seq] for seq in self._order if doomed(active[seq])]:
-            self._drop_active(transfer)
-            self.sim.schedule(0.0, lambda t=transfer: self._fail_transfer(t, reason))
-        self._resolve_capacities()
-        self._reallocate()
-        self._reschedule()
-
-    def _resolve_capacities(self) -> None:
-        """Re-read every member link's capacity (a setter ran); mark stale."""
-        if self.topology is not None:
-            self._topology_version = self.topology.version
-        resolved = ((key, self._key_capacity(key)) for key in self._members)
+        for seq in list(self._order):
+            reason = self._dead_reason(active[seq])
+            if reason is not None:
+                transfer = active[seq]
+                self._drop_active(transfer)
+                self.sim.schedule(0.0, lambda t=transfer, r=reason: self._fail_transfer(t, r))
+        resolved = ((key, self.capacity_of(key)) for key in self._members)
         self._capacity = {key: float(value) for key, value in resolved if value is not None}
         self._link_bounds = {}
         for seq, keys in self._links.items():
@@ -1154,18 +1092,14 @@ class TransferScheduler:
         self._slack.clear()
         self._touch(self._members)
         self._dirty.update(self._active)
+        self._reallocate()
+        self._reschedule()
 
     def _dead_reason(self, transfer: Transfer) -> Optional[str]:
-        """Why the transfer cannot run (a dead stage on its path), if at all."""
-        if transfer.src is not None and self.uplink_of(transfer.src) == 0:
-            return "dead endpoint"
-        if transfer.dst is not None and self.downlink_of(transfer.dst) == 0:
-            return "dead endpoint"
-        for key in transfer.trunk_links:
-            if self.topology.capacity_of(key) == 0:
-                return "partitioned trunk"
-        if transfer.tenant is not None and self._tenant_cap.get(transfer.tenant) == 0:
-            return "tenant blackholed"
+        """Why the transfer cannot run (a dead link on its path), if at all."""
+        for key in self._path(transfer):
+            if self.capacity_of(key) == 0:
+                return _DEAD_REASON[key[0]]
         return None
 
     def _activate(self, seq: int) -> None:
@@ -1234,9 +1168,6 @@ class TransferScheduler:
 
     def _reallocate(self) -> None:
         """Re-share the active set's rates -- only if their inputs changed."""
-        topology = self.topology
-        if topology is not None and topology.version != self._topology_version:
-            self._resolve_capacities()  # the topology was changed directly
         if not self._stale:
             return
         self._stale = False

@@ -324,9 +324,7 @@ class FaultsExperiment:
             # -- two-stage core panels (all 0 on the access-only model) ------
             "oversub": float(config.oversubscription or 0.0),
             "trunk_util_pct": transfers.peak_trunk_utilization(summary["last_completion_time"]),
-            "storm_queue_peak": (
-                float(recovery.pacer.peak_queue_depth) if recovery.pacer else 0.0
-            ),
+            "storm_queue_peak": float(recovery.pacer.peak_queue_depth),
             "foreground_reads_done": float(len(durations)),
             "foreground_p95_s": summarize(durations)["p95"],
             "distribute_s": distribute_s,

@@ -370,8 +370,7 @@ class TenantsExperiment:
             "repair_gb": archive_row.get("bytes_completed", 0.0) / GB,
             "repair_makespan_s": archive_row.get("last_completion_time", 0.0),
             "storm_queue_peak": float(max(
-                (managers[name].pacer.peak_queue_depth
-                 for name in TENANTS if managers[name].pacer), default=0.0)),
+                managers[name].pacer.peak_queue_depth for name in TENANTS)),
             "storm_backlog_end_gb": archive_row.get("backlog_bytes", 0.0) / GB,
             "trunk_util_pct": transfers.peak_trunk_utilization(summary["last_completion_time"]),
             "transfers_failed": summary["failed"],

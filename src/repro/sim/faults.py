@@ -17,9 +17,10 @@ discrete-event kernel of :mod:`repro.sim.engine`:
   nodes (bandwidth cut through
   :meth:`repro.core.transfer.TransferScheduler.set_node_bandwidth`) and
   degraded/partitioned core trunks (capacity cut through
-  :meth:`~repro.core.transfer.TransferScheduler.set_trunk_bandwidth` against
-  the attached :class:`~repro.core.transfer.NetworkTopology`) -- each a
-  method a caller runs now or schedules on the simulator clock;
+  :meth:`~repro.core.transfer.TransferScheduler.set_trunk_bandwidth`; the
+  scheduler owns every link capacity, the attached
+  :class:`~repro.core.transfer.NetworkTopology` only names the trunks) --
+  each a method a caller runs now or schedules on the simulator clock;
 * when a :class:`~repro.core.recovery.RecoveryManager` is attached every
   outage is followed by the durability-grade repair pass (regeneration plus
   replica re-replication), and the injector reports per-event accounting
@@ -106,7 +107,7 @@ class FaultInjector:
         outages kill its rows with one mask.
     transfers:
         Optional :class:`~repro.core.transfer.TransferScheduler` for the
-        slow-node scenario.
+        slow-node and trunk scenarios.
     repair_spacing:
         Simulated seconds between consecutive per-node repair passes after a
         correlated outage.  0 (the default) repairs every member synchronously
@@ -128,8 +129,8 @@ class FaultInjector:
         transfers=None,
         repair_spacing: float = 0.0,
     ) -> None:
-        if repair_spacing < 0:
-            raise ValueError("repair_spacing must be >= 0")
+        if not 0 <= repair_spacing < math.inf:  # NaN fails both
+            raise ValueError(f"repair_spacing must be finite and >= 0: {repair_spacing!r}")
         self.sim = sim
         self.network = network
         self.recovery = recovery
@@ -307,7 +308,22 @@ class FaultInjector:
             self.sim.schedule(index * interval + downtime, up)
         return events
 
-    # ------------------------------------------------------------ slow nodes --
+    # ------------------------------------------------------- link degradation --
+    def _scale_links(
+        self, fraction: float, node_id=None, site: Optional[int] = None, rack: Optional[int] = None
+    ):
+        """Scale one node's access links, or one domain's trunk, in both
+        directions to ``fraction`` of the scheduler's current capacities
+        (unconstrained stays unconstrained); returns the ``(uplink, downlink)``
+        before."""
+        before = self.transfers.link_capacities(node_id, site=site, rack=rack)
+        uplink, downlink = (None if value is None else value * fraction for value in before)
+        if node_id is None:
+            self.transfers.set_trunk_bandwidth(site=site, rack=rack, uplink=uplink, downlink=downlink)
+        else:
+            self.transfers.set_node_bandwidth(node_id, uplink, downlink)
+        return before
+
     def degrade_nodes(self, node_ids: Sequence, fraction: float) -> FaultEvent:
         """Cut the nodes' bandwidth to ``fraction`` of the current value.
 
@@ -321,14 +337,7 @@ class FaultInjector:
         if fraction < 0:
             raise ValueError("fraction must be >= 0")
         for node_id in node_ids:
-            nid = int(node_id)
-            uplink = self.transfers.uplink_of(nid)
-            downlink = self.transfers.downlink_of(nid)
-            self.transfers.set_node_bandwidth(
-                nid,
-                None if uplink is None else uplink * fraction,
-                None if downlink is None else downlink * fraction,
-            )
+            self._scale_links(fraction, int(node_id))
         event = FaultEvent(
             scenario="degraded_nodes",
             at=self.sim.now,
@@ -349,8 +358,8 @@ class FaultInjector:
 
         Requires a transfer scheduler with an attached
         :class:`~repro.core.transfer.NetworkTopology`.  The domain's trunk
-        capacities (both directions) are scaled to ``fraction`` of their
-        *current* value through
+        capacities (both directions) are scaled to ``fraction`` of the
+        scheduler's *current* value through
         :meth:`~repro.core.transfer.TransferScheduler.set_trunk_bandwidth`;
         ``fraction=0`` partitions the domain off the core, which
         deterministically fails every in-flight transfer crossing the trunk
@@ -363,14 +372,7 @@ class FaultInjector:
             raise ValueError("degrade_trunk requires a scheduler with a topology")
         if fraction < 0:
             raise ValueError("fraction must be >= 0")
-        topology = self.transfers.topology
-        uplink, downlink = topology.trunk_capacity(site=site, rack=rack)
-        self.transfers.set_trunk_bandwidth(
-            site=site,
-            rack=rack,
-            uplink=None if uplink is None else uplink * fraction,
-            downlink=None if downlink is None else downlink * fraction,
-        )
+        uplink, downlink = self._scale_links(fraction, site=site, rack=rack)
         event = FaultEvent(
             scenario="trunk_partition" if fraction == 0 else "degraded_trunk",
             at=self.sim.now,

@@ -58,7 +58,7 @@ class ReferenceTransferScheduler(TransferScheduler):
         for transfer in ordered:
             keys: List[Tuple[int, int]] = []
             if transfer.src is not None:
-                capacity = self.uplink_of(transfer.src)
+                capacity = self.capacity_of((_UP, transfer.src))
                 if capacity is not None:
                     key = (_UP, transfer.src)
                     if key not in link_cap:
@@ -67,7 +67,7 @@ class ReferenceTransferScheduler(TransferScheduler):
                     link_members[key].append(transfer)
                     keys.append(key)
             if transfer.dst is not None:
-                capacity = self.downlink_of(transfer.dst)
+                capacity = self.capacity_of((_DOWN, transfer.dst))
                 if capacity is not None:
                     key = (_DOWN, transfer.dst)
                     if key not in link_cap:
@@ -76,7 +76,7 @@ class ReferenceTransferScheduler(TransferScheduler):
                     link_members[key].append(transfer)
                     keys.append(key)
             for key in transfer.trunk_links:
-                capacity = self.topology.capacity_of(key)
+                capacity = self.capacity_of(key)
                 if capacity is not None:
                     if key not in link_cap:
                         link_cap[key] = float(capacity)
@@ -84,7 +84,7 @@ class ReferenceTransferScheduler(TransferScheduler):
                     link_members[key].append(transfer)
                     keys.append(key)
             if transfer.tenant is not None:
-                capacity = self._tenant_cap.get(transfer.tenant)
+                capacity = self.capacity_of((_TENANT, transfer.tenant))
                 if capacity is not None:
                     key = (_TENANT, transfer.tenant)
                     if key not in link_cap:

@@ -152,6 +152,19 @@ def test_recovery_manager_rides_the_session_fabric():
     assert manager.transfers is session.transfers
 
 
+def test_a_repair_weight_the_fabric_cannot_use_is_refused_at_construction():
+    """On a fabric every repair goes through the repair class's pacer, so its
+    weight check runs when the manager is built -- not inside the first
+    ``handle_failure``, after the node was failed and its rows were dropped."""
+    session = ClusterSession(48, seed=9, capacities=[1 << 30] * 48, bandwidth_mb_s=8.0)
+    client = session.client(codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2))
+    assert client.store("f", 4 * MB).success
+    with pytest.raises(ValueError, match="weight"):
+        session.recovery(client, repair_weight=0.0)
+    unwindowed = session.recovery(client)  # the pacer's pass-through mode
+    assert unwindowed.pacer is not None and unwindowed.pacer.max_in_flight is None
+
+
 def test_gateways_are_deterministic_and_strided():
     session = ClusterSession(64, seed=13, capacities=[1 << 30] * 64)
     four = session.gateways(4)

@@ -136,6 +136,15 @@ RETIRED = (
      r"\bTenantLedgerView\b|\bresolve_ledger\b|\b_multi_tenant\b|\b_tenant_live_delta\b",
      _EVERYWHERE, "a store holds the ledger and a tenant id; tenant_aggregates works one "
      "tenant's counters out of the columns"),
+    ("topology-held and per-kind link capacities",
+     r"\bset_(rack|site)_trunk\b|\btrunk_capacity\b|\b_topology_version\b|\b_key_capacity\b"
+     r"|\b_tenant_cap\b",
+     _EVERYWHERE, "one capacity table in TransferScheduler, written through one setter path; "
+     "NetworkTopology is read-only once built"),
+    ("direct repair submission",
+     r"\bdef _submit\b",
+     ("src/repro/core/recovery.py",), "every fabric repair goes through the repair class's "
+     "TransferPacer (repair_window=None is its pass-through)"),
 )
 
 

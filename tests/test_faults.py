@@ -10,6 +10,7 @@ target (the erosion bug the re-replication path closes).
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
+from repro.core.transfer import NetworkTopology
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
@@ -102,6 +104,21 @@ def test_fault_injector_resolves_failure_domains():
     assert all(node.alive == (node.site == 0) for node in network.nodes())
     with pytest.raises(ValueError):
         injector.fail_domain()
+
+
+@pytest.mark.parametrize("build", [
+    lambda network: NetworkTopology.from_nodes(network.nodes(), inter_site_latency=math.nan),
+    lambda network: NetworkTopology.from_nodes(network.nodes(), inter_site_latency=math.inf),
+    lambda network: FaultInjector(Simulator(), network, repair_spacing=math.nan),
+    lambda network: FaultInjector(Simulator(), network, repair_spacing=math.inf),
+], ids=["nan latency", "inf latency", "nan repair spacing", "inf repair spacing"])
+def test_non_finite_timing_is_rejected_at_construction(build):
+    """A NaN or infinite delay would otherwise surface mid-run: as no latency
+    at all, or as a raise after a submission was counted or a site was downed."""
+    network = OverlayNetwork.build(8, np.random.default_rng(5))
+    assign_domains(network.nodes(), sites=2, racks_per_site=1)
+    with pytest.raises(ValueError):
+        build(network)
 
 
 # --------------------------------------------------------- correlated oracle --
@@ -252,9 +269,9 @@ def test_degrade_nodes_cuts_bandwidth_via_scheduler():
 
     event = injector.degrade_nodes([1, 2], fraction=0.25)
     assert event.scenario == "degraded_nodes"
-    assert scheduler.uplink_of(1) == pytest.approx(25.0)
-    assert scheduler.downlink_of(2) == pytest.approx(25.0)
-    assert scheduler.uplink_of(3) == pytest.approx(100.0)
+    assert scheduler.link_capacities(1)[0] == pytest.approx(25.0)
+    assert scheduler.link_capacities(2)[1] == pytest.approx(25.0)
+    assert scheduler.link_capacities(3)[0] == pytest.approx(100.0)
 
     no_scheduler = FaultInjector(sim, network, recovery=manager)
     with pytest.raises(ValueError):

@@ -94,11 +94,13 @@ def test_latency_between_uses_class_latencies():
 def test_oversubscribed_topology_derives_trunks_from_population():
     nodes = _grid(16, 2, 2)  # 4 nodes per rack
     topo = oversubscribed_topology(nodes, access_bandwidth=10.0, oversubscription=4.0)
+    sched = TransferScheduler(Simulator(), topology=topo)
     # Rack trunk: 4 members x 10 / 4 = 10; site trunk: (10 + 10) / 4 = 5.
-    assert topo.trunk_capacity(rack=0) == (10.0, 10.0)
-    assert topo.trunk_capacity(site=0) == (5.0, 5.0)
+    assert sched.link_capacities(rack=0) == (10.0, 10.0)
+    assert sched.link_capacities(site=0) == (5.0, 5.0)
     non_blocking = oversubscribed_topology(nodes, access_bandwidth=10.0, oversubscription=1.0)
-    assert non_blocking.trunk_capacity(rack=0) == (40.0, 40.0)
+    sched = TransferScheduler(Simulator(), topology=non_blocking)
+    assert sched.link_capacities(rack=0) == (40.0, 40.0)
 
 
 # ------------------------------------------------------------ trunk sharing --
@@ -165,7 +167,7 @@ def test_timeout_inside_latency_window_fails_at_deadline():
 def test_partitioned_trunk_fails_submissions_deterministically():
     nodes = _grid(8, 1, 2)
     sim, topo, sched = _topo_scheduler(nodes, access=10.0)
-    topo.set_rack_trunk(1, downlink=0.0)
+    sched.set_trunk_bandwidth(rack=1, downlink=0.0)
     failed = []
     sched.submit(100.0, src=0, dst=1, on_failed=lambda tr: failed.append(tr))
     sim.run()
@@ -210,7 +212,7 @@ def test_congestion_signals_rank_saturated_paths():
     assert sched.source_congestion(2) == pytest.approx(0.4)  # shares the trunk
     assert sched.source_congestion(5) == 0.0  # rack 1's uplink is quiet
     # A dead trunk is infinitely congested.
-    topo.set_rack_trunk(0, uplink=0.0)
+    sched.set_trunk_bandwidth(rack=0, uplink=0.0)
     assert math.isinf(sched.source_congestion(0))
 
 
@@ -385,11 +387,9 @@ def test_set_node_bandwidth_keeps_unspecified_direction():
     sched = TransferScheduler(sim, uplink=8.0, downlink=12.0)
     sched.set_node_bandwidth(3, downlink=5.0)
     sched.set_node_bandwidth(3, uplink=2.0)
-    assert sched.downlink_of(3) == 5.0  # was clobbered back to 12.0 pre-fix
-    assert sched.uplink_of(3) == 2.0
+    assert sched.link_capacities(3) == (2.0, 5.0)  # downlink was clobbered to 12.0 pre-fix
     sched.set_node_bandwidth(3, downlink=None)  # explicit None: unconstrained
-    assert sched.downlink_of(3) is None
-    assert sched.uplink_of(3) == 2.0
+    assert sched.link_capacities(3) == (2.0, None)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])

@@ -252,16 +252,17 @@ _spec = st.tuples(
     _tenant,
     st.booleans(),                                  # completion submits a follow-up
 )
+_trunk_op = st.tuples(st.just("trunk"), _gap, st.booleans(), st.integers(0, 3),
+                     _shared_capacity, _shared_capacity)
 _op = st.one_of(
     st.tuples(st.just("submit"), _gap, st.lists(_spec, min_size=1, max_size=4)),
     st.tuples(st.just("node"), _gap, _node, _capacity, _capacity),
-    st.tuples(st.just("trunk"), _gap, st.booleans(), st.integers(0, 3),
-              _shared_capacity, _shared_capacity),
+    _trunk_op,
     st.tuples(st.just("cap"), _gap, st.integers(0, 2),
               st.sampled_from([None, 0.0, 2.0, 15.0, 100.0, 5000.0])),
     st.tuples(st.just("weight"), _gap, st.integers(0, 2), st.sampled_from([1.0, 0.1, 3.0])),
-    # Mutating the topology object behind the scheduler's back.
-    st.tuples(st.just("direct"), _gap, st.integers(0, 1), st.sampled_from([None, 4.0, 60.0, 900.0])),
+    # Trunk changes keep two of the six shares.
+    _trunk_op,
 )
 _latencies = st.tuples(*[st.sampled_from([0.0, 0.5, 1.0])] * 3)
 
@@ -313,10 +314,8 @@ def _drive(scheduler_cls, ops, latencies):
             sched.set_trunk_bandwidth(uplink=args[2], downlink=args[3], **domain)
         elif kind == "cap":
             sched.set_tenant_cap(args[0], args[1])
-        elif kind == "weight":
-            sched.set_tenant_weight(args[0], args[1])
         else:
-            topology.set_site_trunk(args[0], uplink=args[1])
+            sched.set_tenant_weight(args[0], args[1])
         assert sched._link_bounds == _bound_multisets(sched)
     sim.run()
     summary = sched.summary()
@@ -372,15 +371,13 @@ def _random_ops(seed, steps=120):
         roll = rng.random()
         if roll < 0.15:
             ops.append(("node", 0.0, node(), capacity(), capacity()))
-        elif roll < 0.25:
+        elif roll < 0.25 or 0.45 <= roll < 0.5:  # trunk changes keep two shares
             ops.append(("trunk", 0.0, rng.random() < 0.5, rng.randrange(4),
                         rng.choice([_KEEP, 0.0, None, shared()]), rng.choice([_KEEP, 0.0, None, shared()])))
         elif roll < 0.35:
             ops.append(("cap", 0.0, rng.randrange(3), rng.choice([None, 0.0, shared()])))
         elif roll < 0.45:
             ops.append(("weight", 0.0, rng.randrange(3), rng.uniform(0.1, 4.0)))
-        elif roll < 0.5:
-            ops.append(("direct", 0.0, rng.randrange(2), shared()))
     return ops
 
 
@@ -392,26 +389,42 @@ def test_scheduler_matches_the_reference_through_a_long_random_storm(seed):
     assert new["summary"]["completed"] > 20  # the storm really moves data
 
 
-def test_direct_topology_mutation_is_picked_up_at_the_next_event():
-    """``topology.set_site_trunk`` mid-flight re-shares the survivors at the
-    next scheduler event, even one that leaves the active set untouched."""
+def _rejected(call):
+    def run(sched):
+        with pytest.raises(ValueError):
+            call(sched)
+    return run
 
-    def run(scheduler_cls):
-        sim = Simulator()
-        topology = NetworkTopology.from_nodes(_grid(), site_uplink=20.0, inter_site_latency=1.0)
-        sched = scheduler_cls(sim, uplink=8.0, downlink=12.0, topology=topology)
-        first = [sched.submit(100.0, src=0, dst=2), sched.submit(100.0, src=4, dst=6)]
-        sim.run(until=3.0)
-        topology.set_site_trunk(0, uplink=4.0)
-        # Enters its latency window: the active set does not change here.
-        late = sched.submit(10.0, src=1, dst=3)
-        rates = [t.rate for t in first]
-        sim.run()
-        return rates, [t.finished_at for t in first + [late]]
 
-    rates, finished = run(TransferScheduler)
-    assert rates == [2.0, 2.0]  # the 4 B/s trunk, shared, from t=3 on
-    assert (rates, finished) == run(ReferenceTransferScheduler)
+_CALLS = {
+    "tenant_summary": lambda sched: sched.tenant_summary(),
+    "rejected node change": _rejected(lambda sched: sched.set_node_bandwidth(0, uplink=-1.0)),
+    "rejected trunk change": _rejected(lambda sched: sched.set_trunk_bandwidth(rack=0, uplink=-1.0)),
+    "rejected tenant cap": _rejected(lambda sched: sched.set_tenant_cap(0, -1.0)),
+}
+
+
+def _finish_times(call):
+    """Five flows' completion times, with ``call`` (if any) made three times mid-flight."""
+    sim = Simulator()
+    topology = NetworkTopology.from_nodes(_grid(), rack_uplink=30.0, site_uplink=20.0)
+    sched = TransferScheduler(sim, uplink=8.0, downlink=12.0, topology=topology)
+    flows = [sched.submit(size, src=src, dst=dst, tenant=src % 2)
+             for size, src, dst in ((428.58, 11, 3), (552.48, 1, 5), (76.0, 0, 10),
+                                    (510.2, 6, 10), (234.11, 6, 11))]
+    for when in (2.924, 5.59, 77.7):
+        sim.run(until=when)
+        if call is not None:
+            call(sched)
+    sim.run()
+    return [t.finished_at for t in flows]
+
+
+@pytest.mark.parametrize("call", list(_CALLS.values()), ids=list(_CALLS))
+def test_a_read_or_a_rejected_call_moves_no_float_history(call):
+    """``remaining`` carries a float history an extra ``_advance`` would split:
+    a read and a call rejected on its arguments must not move the clock."""
+    assert _finish_times(call) == _finish_times(None)
 
 
 # ------------------------------------------------------ fills are change-driven --

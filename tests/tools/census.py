@@ -174,7 +174,6 @@ KEEP: dict[str, str] = {
     "repro.multicast.tree.build_locality_tree":
         "the section 4.4.1 locality tree MulticastReplicator(simulate_push=True) builds",
     "repro.sim.faults.FaultInjector.degrade_trunk": "README-named fault scenario, oracle-tested",
-    "repro.core.transfer.NetworkTopology.trunk_capacity": _DEGRADE,
     "repro.core.transfer.TransferScheduler.set_trunk_bandwidth": _DEGRADE,
     "repro.core.transfer.TransferScheduler._fail_transfer": _TRANSFER_FAILURE,
     "repro.core.transfer.Transfer": _TRANSFER_FAILURE + " (status properties)",
