@@ -81,6 +81,8 @@ _non_negative = _checked(float, lambda value: value >= 0, "a number >= 0")
 #: A percentage on the command line, the fraction it stands for in the config.
 _percent = _checked(lambda text: float(text) / 100.0, lambda value: 0 <= value <= 1,
                     "a percentage in [0, 100]")
+_positive_percent = _checked(lambda text: float(text) / 100.0, lambda value: 0 < value <= 1,
+                             "a percentage in (0, 100]")
 _days_as_hours = _checked(lambda text: float(text) * 24.0, lambda value: value > 0,
                           "a positive number of days")
 _mb_as_bytes = _checked(lambda text: int(float(text) * MB), lambda value: value > 0,
@@ -262,7 +264,7 @@ COMMANDS: Tuple[Command, ...] = (
               _arg("--bandwidth-sweep", "bandwidth_sweep_mb_s",
                    type=_comma_list(_positive_float),
                    help="comma-separated bandwidths for the bandwidth panel"),
-              _arg("--spacing", "failure_spacing_s", type=_non_negative,
+              _arg("--spacing", "failure_spacing_s", type=_positive_float,
                    help="simulated seconds between consecutive failures")),
         scale=_SCALE_HELP,
         note=lambda c: (f"{c.node_count} nodes, {c.file_count} files, columnar ledger, "
@@ -274,7 +276,7 @@ COMMANDS: Tuple[Command, ...] = (
         "rolling restart, degraded links (paper scale: 10 000 nodes)",
         FaultsExperiment, PAPER_FAULTS,
         args=(_NODES, _FILES,
-              _arg("--flash-pct", "flash_fraction", type=_percent,
+              _arg("--flash-pct", "flash_fraction", type=_positive_percent,
                    help="percent of the population downed by the flash crowd"),
               _BANDWIDTH,
               _arg("--sites", "sites", type=_positive_int,
@@ -327,7 +329,7 @@ COMMANDS: Tuple[Command, ...] = (
                    help="comma-separated Zipf skew values"),
               _arg("--clients", "client_count", type=_positive_int,
                    help="front-end gateway nodes requests fan out over"),
-              _arg("--cache-mb", "cache_mb", type=_non_negative,
+              _arg("--cache-mb", "cache_mb", type=_positive_float,
                    help="per-gateway LRU block-cache budget in MB"),
               _arg("--no-cache", "cache_modes", action="store_const", const=(False,),
                    help="run only the direct (cache-off) cells")),

@@ -30,10 +30,14 @@ registers itself as a state listener on every :class:`OverlayNode` that holds
 one of its rows: ``node.fail()`` / ``node.recover()`` / ``network.leave()``
 notify it directly (the same pattern the array-backed placement engine uses
 for O(1) usage aggregates).  A row can therefore die (node failure) and come
-back (``recover(wipe=False)``); rows that stop being *referenced* -- file
-deleted, node wiped or departed, or a placement re-pointed at a regenerated
-copy -- are ``released`` and never resurrect, mirroring exactly which copies
-the seed's placement-walking accounting would still see.
+back (``recover(wipe=False)``): both directions are one rule,
+``_set_alive(rows, alive)``, which moves every count by one step per row and
+a file's bad counter wherever a placement, group or chunk crosses its
+threshold.  Rows that stop being *referenced* -- file deleted, node wiped or
+departed, or a copy re-pointed at a regenerated one -- go through
+``_release_rows`` (killed if still live, then ``released``) and never
+resurrect, mirroring exactly which copies the seed's placement-walking
+accounting would still see.
 
 The ledger is the *system-wide* block store: besides the erasure-coded
 placements of :class:`~repro.core.storage.StorageSystem` it carries the
@@ -516,12 +520,7 @@ class BlockLedger:
         Returns the ledger file index.
         """
         self._flush_pending()
-        f = self._register_whole_file_now(filename, size, stored_name, holders, salted, tenant)
-        if not holders:
-            # Degenerate zero-copy store: the group is dead on arrival.
-            self._file_bad[f] = 1
-            self.unavailable_files += 1
-        return f
+        return self._register_whole_file_now(filename, size, stored_name, holders, salted, tenant)
 
     def queue_whole_file(
         self,
@@ -599,31 +598,14 @@ class BlockLedger:
         been materialised eagerly.
         """
         f = self._new_file_entry(filename, size, tenant, counted=counted)
-        g = self.group_count
-        self.group_count = g + 1
-        if g >= len(self._group_file):
-            self._grow(_GROUP_COLUMNS, g + 1)
-        self._group_copies[g] = len(holders)
-        self._group_file[g] = f
         b = len(holders)
+        g = self._new_groups(f, 1, b)
         if not b:
+            # Degenerate zero-copy store: the group is dead on arrival.
+            self._shift_files(np.asarray([f], dtype=np.int64), 1)
             return f
-        row0 = self.row_count
-        row1 = row0 + b
-        if row1 > len(self._owner):
-            self._grow(_ROW_COLUMNS, row1)
-        self.names.extend([stored_name] * b)
-        self._owner[row0:row1] = self._owner_slots(holders)
-        self._size[row0:row1] = size
-        self._file[row0:row1] = f
-        self._chunk[row0:row1] = -1
-        self._placement[row0:row1] = -1
-        self._alive[row0:row1] = True
-        self._kind[row0:row1] = KIND_REPLICA
+        row0 = self._append_group_rows(f, [stored_name] * b, holders, size, g, KIND_REPLICA, tenant)
         self._kind[row0] = KIND_SALTED if salted else KIND_PRIMARY
-        self._group[row0:row1] = g
-        self._row_tenant[row0:row1] = tenant
-        self.row_count = row1
         if counted:
             self.live_bytes += size * b
             self.live_rows += b
@@ -634,13 +616,54 @@ class BlockLedger:
                 # a fresh machine has since joined under the departed id.
                 gone = (stored_name not in node.stored_blocks or node.node_id not in network
                         or network.node(node.node_id) is not node)
-                if node.alive and not gone:
-                    continue
-                row = np.asarray([row0 + offset], dtype=np.int64)
-                self._kill_rows(row)
                 if gone:
-                    self._released[row] = True
+                    self._release_rows(np.asarray([row0 + offset], dtype=np.int64))
+                elif not node.alive:
+                    self._set_alive(np.asarray([row0 + offset], dtype=np.int64), False)
         return f
+
+    def _new_groups(self, f: int, count: int, copies: int) -> int:
+        """Open ``count`` replica groups of file ``f``, ``copies`` each; returns the first id."""
+        g0 = self.group_count
+        self.group_count = g0 + count
+        if g0 + count > len(self._group_file):
+            self._grow(_GROUP_COLUMNS, g0 + count)
+        self._group_copies[g0 : g0 + count] = copies
+        self._group_file[g0 : g0 + count] = f
+        return g0
+
+    def _append_group_rows(
+        self,
+        f: int,
+        names: Sequence[str],
+        holders: Sequence["OverlayNode"],
+        size: int,
+        groups: int | np.ndarray,
+        kind: int,
+        tenant: int,
+    ) -> int:
+        """Append one live baseline row per holder as bulk column writes.
+
+        Every row gets ``size`` bytes and ``kind`` (the caller patches the odd
+        primary, salted block or remainder); ``groups`` is one group id or one
+        per row.  The live aggregates are the caller's.  Returns the first row.
+        """
+        row0 = self.row_count
+        row1 = row0 + len(holders)
+        if row1 > len(self._owner):
+            self._grow(_ROW_COLUMNS, row1)
+        self.names.extend(names)
+        self._owner[row0:row1] = self._owner_slots(holders)
+        self._size[row0:row1] = size
+        self._file[row0:row1] = f
+        self._chunk[row0:row1] = -1
+        self._placement[row0:row1] = -1
+        self._alive[row0:row1] = True
+        self._kind[row0:row1] = kind
+        self._group[row0:row1] = groups
+        self._row_tenant[row0:row1] = tenant
+        self.row_count = row1
+        return row0
 
     def register_striped_file(
         self,
@@ -668,33 +691,17 @@ class BlockLedger:
         tenant = tenant or 0
         f = self._new_file_entry(filename, size, tenant)
         b = len(names)
-        g0 = self.group_count
-        self.group_count = g0 + b
-        if g0 + b > len(self._group_file):
-            self._grow(_GROUP_COLUMNS, g0 + b)
-        self._group_copies[g0 : g0 + b] = 1
-        self._group_file[g0 : g0 + b] = f
-        row0 = self.row_count
-        row1 = row0 + b
-        if row1 > len(self._owner):
-            self._grow(_ROW_COLUMNS, row1)
-        self.names.extend(names)
-        self._owner[row0:row1] = self._owner_slots(holders)
+        g0 = self._new_groups(f, b, 1)
+        row0 = self._append_group_rows(
+            f, names, holders, block_size, np.arange(g0, g0 + b, dtype=np.int64), KIND_PRIMARY,
+            tenant,
+        )
         if b:
             # Full blocks plus the remainder: the sizes sum to ``size``.
-            self._size[row0:row1] = block_size
-            self._size[row1 - 1] = size - (b - 1) * block_size
+            self._size[row0 + b - 1] = size - (b - 1) * block_size
             self.live_bytes += size
-        self._file[row0:row1] = f
-        self._chunk[row0:row1] = -1
-        self._placement[row0:row1] = -1
-        self._group[row0:row1] = np.arange(g0, g0 + b, dtype=np.int64)
-        self._alive[row0:row1] = True
-        self._kind[row0:row1] = KIND_PRIMARY
-        self._row_tenant[row0:row1] = tenant
         if salted:
             self._kind[[row0 + index for index in salted]] = KIND_SALTED
-        self.row_count = row1
         self.live_rows += b
         if replicas:
             for index, node in replicas:
@@ -719,9 +726,7 @@ class BlockLedger:
             self.stored_data_bytes -= int(self._file_size[f])
             if self._file_bad[f] > 0:
                 self.unavailable_files -= 1
-        rows = np.asarray(self._by_file.lookup(self, f), dtype=np.int64)
-        self._kill_rows(rows[self._alive[rows]])
-        self._released[rows] = True
+        self._release_rows(np.asarray(self._by_file.lookup(self, f), dtype=np.int64))
         # Retire the file's placements from the replication histogram: every
         # row is now released, so no transition can touch them again.  Read
         # from the registry, not the rows -- a placement whose copies were all
@@ -733,123 +738,81 @@ class BlockLedger:
         return True
 
     # ------------------------------------------------------ liveness transitions --
-    def _mark_files_bad(self, files: np.ndarray) -> None:
-        """Bump the bad counter of ``files`` (with multiplicity, in one pass)."""
-        uf, inc = np.unique(files, return_counts=True)
-        before_f = self._file_bad[uf]
-        self._file_bad[uf] = before_f + inc
-        crossed = (before_f == 0) & self._file_active[uf]
-        self.unavailable_files += int(crossed.sum())
+    def _shift_files(self, files: np.ndarray, step: int) -> None:
+        """Move the bad counter of ``files`` by ``step`` per occurrence, in one pass."""
+        uniq, counts = np.unique(files, return_counts=True)
+        before = self._file_bad[uniq]
+        after = before + step * counts
+        self._file_bad[uniq] = after
+        crossed = ((before > 0) != (after > 0)) & self._file_active[uniq]
+        self.unavailable_files += step * int(crossed.sum())
 
-    def _mark_files_good(self, files: np.ndarray) -> None:
-        """The inverse of :meth:`_mark_files_bad`."""
-        uf, dec = np.unique(files, return_counts=True)
-        before_f = self._file_bad[uf]
-        after_f = before_f - dec
-        self._file_bad[uf] = after_f
-        crossed = (after_f == 0) & (before_f > 0) & self._file_active[uf]
-        self.unavailable_files -= int(crossed.sum())
+    def _set_alive(self, rows: np.ndarray, alive: bool) -> None:
+        """Flip ``rows`` (each currently the other way) to ``alive`` and propagate.
 
-    def _kill_rows(self, rows: np.ndarray) -> None:
-        """Mark currently-live rows dead and propagate the count transitions."""
+        Every count moves by ``step`` (+1 revives, -1 kills) per row; a
+        placement or group that crosses zero live copies, or a chunk that
+        crosses its decode threshold, moves its file's bad counter by ``-step``.
+        """
         if rows.size == 0:
             return
-        self._alive[rows] = False
-        self.live_bytes -= int(self._size[rows].sum())
-        self.live_rows -= int(rows.size)
+        step = 1 if alive else -1
+        self._alive[rows] = alive
+        self.live_bytes += step * int(self._size[rows].sum())
+        self.live_rows += step * int(rows.size)
         placements = self._placement[rows]
         placements = placements[placements >= 0]
         if placements.size:
             uniq, counts = np.unique(placements, return_counts=True)
             before = self._placement_copies[uniq]
-            after = before - counts
+            after = before + step * counts
             self._placement_copies[uniq] = after
             hist = self._replication_hist
             np.subtract.at(hist, np.minimum(before, REPLICATION_HIST_MAX), 1)
             np.add.at(hist, np.minimum(after, REPLICATION_HIST_MAX), 1)
-            newly_dead = uniq[(after == 0) & (before > 0)]
-            if newly_dead.size:
-                chunks, dec = np.unique(self._placement_chunk[newly_dead], return_counts=True)
-                before_c = self._chunk_alive[chunks]
-                after_c = before_c - dec
-                self._chunk_alive[chunks] = after_c
+            flipped = uniq[(before > 0) != (after > 0)]
+            if flipped.size:
+                chunks, counts = np.unique(self._placement_chunk[flipped], return_counts=True)
+                before = self._chunk_alive[chunks]
+                after = before + step * counts
+                self._chunk_alive[chunks] = after
                 required = self._chunk_required[chunks]
-                crossed = chunks[(after_c < required) & (before_c >= required)]
+                crossed = chunks[(before >= required) != (after >= required)]
                 if crossed.size:
-                    files = self._chunk_file[crossed]
-                    files = files[files >= 0]
-                    if files.size:
-                        self._mark_files_bad(files)
-        # Baseline (flat-group) rows: a group dies with its last live copy.
+                    self._shift_files(self._chunk_file[crossed], -step)
+        # Baseline (flat-group) rows: a group lives while one copy does.
         groups = self._group[rows]
         groups = groups[groups >= 0]
         if groups.size:
             uniq, counts = np.unique(groups, return_counts=True)
             before = self._group_copies[uniq]
-            after = before - counts
+            after = before + step * counts
             self._group_copies[uniq] = after
-            newly_dead = uniq[(after == 0) & (before > 0)]
-            if newly_dead.size:
-                self._mark_files_bad(self._group_file[newly_dead])
+            flipped = uniq[(before > 0) != (after > 0)]
+            if flipped.size:
+                self._shift_files(self._group_file[flipped], -step)
 
-    def _revive_rows(self, rows: np.ndarray) -> None:
-        """Bring dead (but unreleased) rows back; the inverse of :meth:`_kill_rows`."""
-        if rows.size == 0:
-            return
-        self._alive[rows] = True
-        self.live_bytes += int(self._size[rows].sum())
-        self.live_rows += int(rows.size)
-        placements = self._placement[rows]
-        placements = placements[placements >= 0]
-        if placements.size:
-            uniq, counts = np.unique(placements, return_counts=True)
-            before = self._placement_copies[uniq]
-            self._placement_copies[uniq] = before + counts
-            hist = self._replication_hist
-            np.subtract.at(hist, np.minimum(before, REPLICATION_HIST_MAX), 1)
-            np.add.at(hist, np.minimum(before + counts, REPLICATION_HIST_MAX), 1)
-            newly_live = uniq[before == 0]
-            if newly_live.size:
-                chunks, inc = np.unique(self._placement_chunk[newly_live], return_counts=True)
-                before_c = self._chunk_alive[chunks]
-                after_c = before_c + inc
-                self._chunk_alive[chunks] = after_c
-                required = self._chunk_required[chunks]
-                crossed = chunks[(after_c >= required) & (before_c < required)]
-                if crossed.size:
-                    files = self._chunk_file[crossed]
-                    files = files[files >= 0]
-                    if files.size:
-                        self._mark_files_good(files)
-        groups = self._group[rows]
-        groups = groups[groups >= 0]
-        if groups.size:
-            uniq, counts = np.unique(groups, return_counts=True)
-            before = self._group_copies[uniq]
-            self._group_copies[uniq] = before + counts
-            newly_live = uniq[before == 0]
-            if newly_live.size:
-                self._mark_files_good(self._group_file[newly_live])
+    def _release_rows(self, rows: np.ndarray) -> None:
+        """Take ``rows`` out of the system for good: kill the live ones, release all."""
+        self._set_alive(rows[self._alive[rows]], False)
+        self._released[rows] = True
 
     # -- node state listener hooks (wired through OverlayNode/OverlayNetwork) ----
     def _note_failed(self, node: "OverlayNode") -> None:
         rows = np.asarray(self.recovery_rows(node), dtype=np.int64)
-        self._kill_rows(rows[self._alive[rows]])
+        self._set_alive(rows[self._alive[rows]], False)
 
     def _note_recovered(self, node: "OverlayNode", wipe: bool, revived: bool) -> None:
         rows = np.asarray(self.recovery_rows(node), dtype=np.int64)
         if wipe:
             # The disk came back empty: every copy it held is gone for good.
-            self._kill_rows(rows[self._alive[rows]])
-            self._released[rows] = True
+            self._release_rows(rows)
         elif revived:
-            self._revive_rows(rows[~self._alive[rows]])
+            self._set_alive(rows[~self._alive[rows]], True)
 
     def _note_departed(self, node: "OverlayNode") -> None:
         """A graceful leave takes the copies out of the system permanently."""
-        rows = np.asarray(self.recovery_rows(node), dtype=np.int64)
-        self._kill_rows(rows[self._alive[rows]])
-        self._released[rows] = True
+        self._release_rows(np.asarray(self.recovery_rows(node), dtype=np.int64))
 
     # --------------------------------------------------------- failure domains --
     def refresh_domains(self) -> None:
@@ -869,7 +832,7 @@ class BlockLedger:
 
         This is the correlated-outage primitive: the site/rack equality test
         over the int16 slot columns composes with the owner column into one
-        row mask, and the whole outage is a single :meth:`_kill_rows` batch --
+        row mask, and the whole outage is a single :meth:`_set_alive` batch --
         never N scalar per-node failures.  The caller remains responsible for
         the overlay-side transitions (``node.fail()``, DHT removal); by the
         time those run, this ledger holds no live rows for the domain, so the
@@ -891,7 +854,7 @@ class BlockLedger:
             slot_mask &= self._slot_rack[:count] == np.int16(rack)
         n = self.row_count
         rows = np.flatnonzero(slot_mask[self._owner[:n]] & self._alive[:n])
-        self._kill_rows(rows)
+        self._set_alive(rows, False)
         return int(rows.size)
 
     def replication_histogram(self) -> np.ndarray:
@@ -1007,33 +970,33 @@ class BlockLedger:
     def file_name(self, file_idx: int) -> str:
         return self._file_names[file_idx]
 
-    def replace_primary(
+    def replace_copy(
         self,
         placement_idx: int,
         old_node_id: int,
         new_node: "OverlayNode",
         name: str,
         size: int,
-        digest: Optional[bytes] = None,
+        digest: Optional[bytes],
+        kind: int,
     ) -> int:
-        """Re-point a placement's primary copy at a regenerated block.
+        """Re-point one copy of a placement at a regenerated or re-replicated block.
 
-        Mirrors the seed's repair semantics exactly: the old primary's copy
-        leaves the placement's reference set (released -- even if the old
-        holder is alive and still has the bytes, the placement no longer
-        points at it), and the fresh copy on ``new_node`` joins it.
+        Mirrors the seed's repair semantics exactly: the old holder's copy
+        leaves the placement's reference set -- released, even if the old
+        holder is alive and still has the bytes, so it can never revive and
+        double-count the copy -- and the fresh copy on ``new_node`` joins it as
+        a ``kind`` row (:data:`KIND_PRIMARY` or :data:`KIND_REPLICA`).
         """
         self._release_copy(placement_idx, old_node_id)
-        return self._register_copy_row(placement_idx, new_node, name, size, digest)
+        return self._register_copy_row(placement_idx, new_node, name, size, digest, kind=kind)
 
     def _release_copy(self, placement_idx: int, node_id: int) -> None:
         """Release the placement's first unreleased copy held by ``node_id``."""
         node_id, slot_nodes = int(node_id), self._slot_nodes
         for row in self._by_placement.lookup(self, placement_idx):
             if slot_nodes[self._owner[row]].node_id.value == node_id and not self._released[row]:
-                if self._alive[row]:
-                    self._kill_rows(np.asarray([row], dtype=np.int64))
-                self._released[row] = True
+                self._release_rows(np.asarray([row], dtype=np.int64))
                 return
 
     def add_replica_copy(
@@ -1053,27 +1016,6 @@ class BlockLedger:
         """
         return self._register_copy_row(
             self.placement_for(chunk_idx, position), node, name, size, digest, kind=KIND_REPLICA
-        )
-
-    def replace_replica(
-        self,
-        placement_idx: int,
-        old_node_id: int,
-        new_node: "OverlayNode",
-        name: str,
-        size: int,
-        digest: Optional[bytes] = None,
-    ) -> int:
-        """Re-point a lost neighbour-replica copy at a re-replicated block.
-
-        The replica counterpart of :meth:`replace_primary`: the dead holder's
-        row leaves the placement's reference set (released -- it can never
-        revive and double-count the copy) and the fresh copy on ``new_node``
-        joins it, restoring the placement's replication level.
-        """
-        self._release_copy(placement_idx, old_node_id)
-        return self._register_copy_row(
-            placement_idx, new_node, name, size, digest, kind=KIND_REPLICA
         )
 
     def _register_copy_row(
@@ -1105,7 +1047,7 @@ class BlockLedger:
             alive = self._chunk_alive
             alive[chunk_idx] += 1
             if alive[chunk_idx] == self._chunk_required[chunk_idx] and file_idx >= 0:
-                self._mark_files_good(np.asarray([file_idx], dtype=np.int64))
+                self._shift_files(np.asarray([file_idx], dtype=np.int64), -1)
         return row
 
     def restore_meta_copy(
@@ -1123,7 +1065,7 @@ class BlockLedger:
     def migrate_group_row(self, row: int, new_node: "OverlayNode") -> int:
         """Re-point one baseline replica-group copy at a migrated duplicate.
 
-        The graceful-departure counterpart of :meth:`replace_primary` for
+        The graceful-departure counterpart of :meth:`replace_copy` for
         PAST/CFS rows: the departing holder's copy leaves the group
         (released), and the copy written to ``new_node`` joins it, keeping
         the group's live-copy counter -- and therefore ``is_file_available``
@@ -1136,10 +1078,7 @@ class BlockLedger:
         kind = int(self._kind[row])
         tenant = int(self._row_tenant[row])
         digest = bytes(self._digest[row]) if self._digest_known[row] else None
-        if not self._released[row]:
-            if self._alive[row]:
-                self._kill_rows(np.asarray([row], dtype=np.int64))
-            self._released[row] = True
+        self._release_rows(np.asarray([row], dtype=np.int64))
         new_row = self._append_row(
             new_node, name, size, file_idx, -1, -1, digest, kind=kind, group_idx=group,
             tenant=tenant,
@@ -1147,7 +1086,7 @@ class BlockLedger:
         before = int(self._group_copies[group])
         self._group_copies[group] = before + 1
         if before == 0:
-            self._mark_files_good(np.asarray([self._group_file[group]], dtype=np.int64))
+            self._shift_files(np.asarray([self._group_file[group]], dtype=np.int64), -1)
         return new_row
 
     # --------------------------------------------------------- baseline access --

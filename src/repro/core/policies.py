@@ -16,6 +16,7 @@ ablation benchmarks can vary them in one place:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,10 +65,11 @@ class StoragePolicy:
             raise ValueError("cat_replication must be >= 1")
         if self.block_replication < 1:
             raise ValueError("block_replication must be >= 1")
-        if self.min_chunk_size is not None and self.min_chunk_size < 0:
-            raise ValueError("min_chunk_size must be non-negative")
-        if self.max_chunk_size is not None and self.max_chunk_size <= 0:
-            raise ValueError("max_chunk_size must be positive")
+        # Written so that NaN fails: a NaN bound would silently act as no bound.
+        if self.min_chunk_size is not None and not 0 <= self.min_chunk_size < math.inf:
+            raise ValueError("min_chunk_size must be finite and non-negative")
+        if self.max_chunk_size is not None and not 0 < self.max_chunk_size < math.inf:
+            raise ValueError("max_chunk_size must be finite and positive")
         if (
             self.min_chunk_size is not None
             and self.max_chunk_size is not None

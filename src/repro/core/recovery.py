@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.block_ledger import BlockLedger
+from repro.core.block_ledger import KIND_PRIMARY, KIND_REPLICA, BlockLedger
 from repro.core.cat import ChunkAllocationTable
 from repro.core.storage import BlockPlacement, StorageSystem, StoredChunk
 from repro.core.transfer import TransferPacer, TransferScheduler, TransferSpec
@@ -452,9 +452,9 @@ class RecoveryManager:
             return None
         old = chunk.placements[position]
         chunk.placements[position] = BlockPlacement(name, new_holder.node_id, size, old.replica_nodes)
-        ledger.replace_primary(
+        ledger.replace_copy(
             ledger.placement_for(chunk.ledger_index, position),
-            int(old.node_id), new_holder, name, size, digest,
+            int(old.node_id), new_holder, name, size, digest, KIND_PRIMARY,
         )
         return new_holder
 
@@ -478,9 +478,9 @@ class RecoveryManager:
         if new_holder is None:
             return None
         impact.replicas_restored += 1
-        ledger.replace_replica(
+        ledger.replace_copy(
             ledger.placement_for(chunk.ledger_index, position),
-            int(gone), new_holder, name, size, digest,
+            int(gone), new_holder, name, size, digest, KIND_REPLICA,
         )
         return new_holder
 

@@ -405,13 +405,12 @@ def oversubscribed_topology(
     a non-blocking core; ``assign_domains``'s round-robin striping makes all
     racks the same size +-1 node.
     """
-    if access_bandwidth <= 0:
-        raise ValueError("access_bandwidth must be positive")
-    if oversubscription < 1.0:
-        raise ValueError("oversubscription ratio must be >= 1")
+    if not 0 < access_bandwidth < math.inf:  # NaN fails both
+        raise ValueError(f"access_bandwidth must be positive and finite: {access_bandwidth!r}")
     site_ratio = oversubscription if site_oversubscription is None else site_oversubscription
-    if site_ratio < 1.0:
-        raise ValueError("site oversubscription ratio must be >= 1")
+    for ratio, what in ((oversubscription, "oversubscription"), (site_ratio, "site oversubscription")):
+        if not 1.0 <= ratio < math.inf:
+            raise ValueError(f"{what} ratio must be finite and >= 1: {ratio!r}")
     topology = NetworkTopology.from_nodes(nodes, **latencies)
     rack_members: Dict[int, int] = {}
     site_racks: Dict[int, set] = {}
@@ -591,6 +590,8 @@ class TransferScheduler:
         self._caps: Dict[LinkKey, Optional[float]] = {}
         trunks: Tuple[Optional[float], ...] = (None,) * 4
         if topology is not None:
+            for key, value in topology.trunks.items():
+                _validate_capacity(value, _STAGE_NAMES[key[0]], allow_zero=True)
             self._caps.update(topology.trunks)
             trunks = (topology.rack_uplink, topology.rack_downlink,
                       topology.site_uplink, topology.site_downlink)

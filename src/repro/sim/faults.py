@@ -253,11 +253,18 @@ class FaultInjector:
         rng: Optional[random.Random] = None,
         repair: bool = True,
     ) -> FaultEvent:
-        """Mass simultaneous failure of a population fraction (default 10%)."""
+        """Mass simultaneous failure of a population fraction (default 10%).
+
+        The count is rounded up, so with ``repair=True`` a fraction that
+        reaches the whole live population is refused before anyone is downed.
+        """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         live = sorted(self.network.live_nodes(), key=lambda node: int(node.node_id))
         count = max(1, math.ceil(len(live) * fraction)) if live else 0
+        if repair and live and count == len(live):
+            raise ValueError(f"a repairing flash crowd cannot down all {count} live nodes: "
+                             "no survivor would be left to repair onto")
         if rng is not None:
             members = rng.sample(live, count)
         else:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
@@ -14,6 +17,16 @@ from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 
 MB = 1 << 20
+
+#: One example-budget multiplier, read from ``REPRO_EXAMPLE_BUDGET`` (default 1:
+#: tier-1's budgets; CI's long job runs 10).  It rides on the loaded Hypothesis
+#: profile, whose ``max_examples`` (100 by default) it multiplies; the stateful
+#: machines ask for a multiple of ``settings.default.max_examples``.
+EXAMPLE_BUDGET = int(os.environ.get("REPRO_EXAMPLE_BUDGET", "1"))
+if EXAMPLE_BUDGET < 1:
+    raise ValueError(f"REPRO_EXAMPLE_BUDGET must be a positive integer: {EXAMPLE_BUDGET}")
+settings.register_profile("budget", max_examples=settings.default.max_examples * EXAMPLE_BUDGET)
+settings.load_profile("budget")
 
 
 @pytest.fixture

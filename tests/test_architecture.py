@@ -145,6 +145,10 @@ RETIRED = (
      r"\bdef _submit\b",
      ("src/repro/core/recovery.py",), "every fabric repair goes through the repair class's "
      "TransferPacer (repair_window=None is its pass-through)"),
+    ("mirror-image ledger transitions and per-kind copy re-points",
+     r"\b_kill_rows\b|\b_revive_rows\b|\b_mark_files_(bad|good)\b|\breplace_(primary|replica)\b",
+     _EVERYWHERE, "one rule per ledger transition: _set_alive / _shift_files move counts both "
+     "ways, _release_rows releases, replace_copy(kind) re-points either copy kind"),
 )
 
 

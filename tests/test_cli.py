@@ -139,6 +139,10 @@ def test_coding_rejects_non_positive_sizes_with_a_usage_error(argv, capsys):
     ["faults", "--sites", "0"],
     ["faults", "--flash-pct", "150"],
     ["repair", "--spacing", "-1"],
+    # Values each experiment refuses only after it has started.
+    ["repair", "--scale", "0.02", "--spacing", "0"],
+    ["serve", "--smoke", "--cache-mb", "0"],
+    ["faults", "--smoke", "--flash-pct", "0"],
     ["soak", "--days", "-1"],
     ["soak", "--join-rate", "-1"],
     ["routing", "--lookups", "0"],

@@ -16,10 +16,11 @@ import random
 import numpy as np
 import pytest
 
+from repro.api import ClusterSession
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
-from repro.core.transfer import NetworkTopology
+from repro.core.transfer import NetworkTopology, TransferScheduler, oversubscribed_topology
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
@@ -119,6 +120,38 @@ def test_non_finite_timing_is_rejected_at_construction(build):
     assign_domains(network.nodes(), sites=2, racks_per_site=1)
     with pytest.raises(ValueError):
         build(network)
+
+
+@pytest.mark.parametrize("build", [
+    lambda network: oversubscribed_topology(network.nodes(), 8 * MB, math.nan),
+    lambda network: oversubscribed_topology(network.nodes(), 8 * MB, math.inf),
+    lambda network: oversubscribed_topology(network.nodes(), 8 * MB, 4.0, site_oversubscription=math.nan),
+    lambda network: oversubscribed_topology(network.nodes(), math.inf, 4.0),
+    lambda network: ClusterSession(60, sites=2, racks_per_site=2, bandwidth_mb_s=8,
+                                   oversubscription=math.nan),
+    lambda network: ClusterSession(60, sites=2, racks_per_site=2, bandwidth_mb_s=8,
+                                   oversubscription=math.inf),
+    lambda network: TransferScheduler(Simulator(), topology=_with_trunk(network, math.nan)),
+    lambda network: StoragePolicy(min_chunk_size=math.nan),
+    lambda network: StoragePolicy(max_chunk_size=math.nan),
+    lambda network: StoragePolicy(max_chunk_size=math.inf),
+], ids=["nan ratio", "inf ratio", "nan site ratio", "inf access bandwidth", "nan session ratio",
+        "inf session ratio", "nan trunk copied by the scheduler", "nan min chunk",
+        "nan max chunk", "inf max chunk"])
+def test_non_finite_ratios_and_bounds_are_rejected_at_construction(build):
+    """A NaN ratio would put NaN into the trunk capacities, an infinite one
+    would partition every trunk, and a NaN chunk bound would act as no bound."""
+    network = OverlayNetwork.build(8, np.random.default_rng(5))
+    assign_domains(network.nodes(), sites=2, racks_per_site=2)
+    with pytest.raises(ValueError):
+        build(network)
+
+
+def _with_trunk(network, capacity):
+    """A built topology with one per-domain trunk overwritten."""
+    topology = oversubscribed_topology(network.nodes(), 8 * MB, 4.0)
+    topology.trunks[next(iter(topology.trunks))] = capacity
+    return topology
 
 
 # --------------------------------------------------------- correlated oracle --
@@ -240,6 +273,21 @@ def test_flash_crowd_fails_fraction_and_reads_degrade():
     assert degraded > 0
     assert storage.degraded_reads == degraded
     assert storage.failed_reads == failed
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.999])
+def test_a_repairing_flash_crowd_of_everyone_is_refused_before_anyone_goes_down(fraction):
+    """Rounded up, the fraction downs every live node, leaving no survivor to
+    repair onto: refuse it up front instead of raising mid-repair."""
+    network, storage, manager = _deployment(seed=17, node_count=20, file_count=10)
+    injector = FaultInjector(Simulator(), network, recovery=manager)
+    live_rows = storage.ledger.live_rows
+    with pytest.raises(ValueError, match="flash crowd"):
+        injector.flash_crowd(fraction=fraction)
+    assert len(network.live_nodes()) == 20
+    assert storage.ledger.live_rows == live_rows and not injector.events
+    event = injector.flash_crowd(fraction=fraction, repair=False)  # nothing to repair onto
+    assert event.nodes_affected == 20 and not network.live_nodes()
 
 
 def test_rolling_restart_returns_nodes_with_data_intact():
@@ -387,7 +435,7 @@ def test_repair_infinite_core_oracle(node_count):
     """The tentpole oracle, repair pipeline included: an attached topology
     with unbounded trunks and one zero-latency class leaves every schedule,
     byte count and repaired end state identical to the access-only model."""
-    from repro.core.transfer import NetworkTopology
+    from repro.core.transfer import NetworkTopology, TransferScheduler, oversubscribed_topology
 
     access_only = _site_outage_with_scheduler(43, node_count, lambda net: None)
     infinite_core = _site_outage_with_scheduler(

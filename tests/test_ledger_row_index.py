@@ -62,7 +62,8 @@ def _repoint(storage: StorageSystem, placement_idx: int, old_node, new_node) -> 
     )
     name, size = ledger.row_name(row), ledger.row_fields(row)[3]
     assert new_node.store_block(name, size)
-    return ledger.replace_primary(placement_idx, old_node.node_id, new_node, name, size)
+    return ledger.replace_copy(
+        placement_idx, old_node.node_id, new_node, name, size, None, block_ledger.KIND_PRIMARY)
 
 
 # -- _RowIndex alone ---------------------------------------------------------------

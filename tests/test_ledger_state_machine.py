@@ -2,7 +2,8 @@
 
 One small overlay carries the erasure-coded system, PAST and CFS on one shared
 multi-tenant ledger; Hypothesis drives stores, deletes, crashes, wiped and
-unwiped returns, departures (also with a fresh machine taking over the id),
+unwiped returns, site and rack outages (one ``fail_domain`` mask, then the
+members fail), departures (also with a fresh machine taking over the id),
 repairs (also of nodes already down, twice over), compactions and flushes in
 any order and calls
 :meth:`BlockLedger.check_invariants` (every aggregate and every row index
@@ -32,10 +33,12 @@ from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
+from repro.sim.faults import assign_domains
 
 MB = 1 << 20
 NODES = 24
 MIN_LIVE = 10  # keep enough live nodes that stores and repairs can still place
+SITES, RACKS_PER_SITE = 2, 2  # six nodes a rack at build time
 
 pick = st.integers(0, 10 ** 6)  # reduced modulo whatever population exists
 
@@ -49,6 +52,7 @@ class LedgerMachine(RuleBasedStateMachine):
         copies = 2 if replicas else 1
         self.network = OverlayNetwork.build(
             NODES, np.random.default_rng(seed), capacities=[96 * MB] * NODES)
+        assign_domains(self.network.nodes(), sites=SITES, racks_per_site=RACKS_PER_SITE)
         self.dht = DHTView(self.network)
         self.ledger = BlockLedger(self.network)
         self.ours = StorageSystem(
@@ -117,6 +121,25 @@ class LedgerMachine(RuleBasedStateMachine):
         again = self.recovery.handle_failure(node.node_id)
         assert again.bytes_regenerated == again.replicas_restored == 0
         assert (self.ledger.live_rows, self.dht.total_used()) == before
+
+    @precondition(lambda self: len(self._live()) > MIN_LIVE)
+    @rule(rack=st.integers(0, SITES * RACKS_PER_SITE - 1), whole_site=st.booleans())
+    def domain_outage(self, rack, whole_site):
+        """A correlated outage the way ``FaultInjector`` runs one: one mask
+        kills the domain's rows (many files at once), then its live members fail."""
+        site = rack // RACKS_PER_SITE
+        members = [node for node in self._live()
+                   if node.site == site and (whole_site or node.rack == rack)]
+        if len(self._live()) - len(members) < MIN_LIVE:
+            return
+        live_rows = sum(int(self.ledger._alive[row])
+                        for node in members for row in self.ledger.recovery_rows(node))
+        domain = {"site": site} if whole_site else {"rack": rack}
+        assert self.ledger.fail_domain(**domain) == live_rows
+        for node in members:
+            self.network.fail(node.node_id)
+            self.dht.remove(node.node_id)
+            self.down.append(node)
 
     @precondition(lambda self: self.down)
     @rule(which=pick, wipe=st.booleans())
@@ -191,6 +214,7 @@ class LedgerMachine(RuleBasedStateMachine):
 
 
 LedgerMachine.TestCase.settings = settings(
-    max_examples=200, stateful_step_count=30, deadline=None
+    # 200 examples at tier-1's budget (tests/conftest.py scales the default).
+    max_examples=2 * settings.default.max_examples, stateful_step_count=30, deadline=None
 )
 test_ledger_state_machine = LedgerMachine.TestCase

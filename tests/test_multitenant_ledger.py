@@ -117,7 +117,7 @@ def test_two_tenant_ledger_survives_churn_and_deletes():
 
 
 def test_regenerated_copies_inherit_their_tenant():
-    """Regression: replace_primary's fresh rows must carry the file's tenant,
+    """Regression: replace_copy's fresh rows must carry the file's tenant,
     or later failures of the regenerated holder skip them as foreign rows."""
     _, dht, shared, ours, past, cfs = _three_tenants(node_count=30, seed=117)
     for index in range(6):
@@ -246,7 +246,7 @@ def test_mixed_tenant_compaction_keeps_stable_remaps():
 
 def test_marginal_chunk_migration_keeps_tenant_unavailable_exact():
     """Regression: migrating a block of a chunk sitting exactly at its decode
-    threshold crosses availability down (replace_primary kills the live row)
+    threshold crosses availability down (replace_copy kills the live row)
     and immediately back up (_register_copy_row); both crossings must move
     the per-tenant counter, not just the global one."""
     _, dht, shared, ours, past, _ = _three_tenants(node_count=40, seed=131)

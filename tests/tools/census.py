@@ -152,7 +152,6 @@ KEEP: dict[str, str] = {
     "repro.core.storage.StorageSystem._release_chunk": _DELETE + "; failed-store rollback",
     "repro.core.storage.StorageSystem._release_placement": _DELETE + "; failed-store rollback",
     "repro.core.block_ledger.BlockLedger.remove_file": _DELETE,
-    "repro.core.block_ledger.BlockLedger._mark_files_good": _DELETE,
     "repro.core.block_ledger.BlockLedger.file_rows": _DELETE,
     "repro.core.block_ledger.BlockLedger.row_owner": _DELETE,
     "repro.baselines.cfs.CfsStore.delete_file": _DELETE,
