@@ -3,14 +3,18 @@
 A production archive is read-dominated, and Zipf-skewed popularity means the
 same hot files are fetched over and over by the same front-end gateways.
 :class:`CacheManager` gives every *client* node (the flat id the retrieve
-traffic terminates at) its own byte-budgeted LRU of encoded-block names:
+traffic terminates at) its own byte-budgeted LRU of encoded blocks:
 
 * a **hit** -- every block the decode needs is resident in the client's
   cache -- skips the transfer charge entirely (the read never touches the
   fabric);
 * a **miss** charges the fabric as before and then fills the client's cache
-  with the fetched block names, evicting least-recently-used entries to
-  stay under the per-node byte budget.
+  with the fetched blocks, evicting least-recently-used entries to stay
+  under the per-node byte budget.
+
+In payload mode an LRU entry also holds the block's bytes and their stream
+index; a lookup naming another index (rateless repair re-mints a block under
+its old name) is a miss.
 
 The cache is a *performance* layer, not a durability layer: capacity-mode
 reads consult it only for chunks that are still recoverable from the
@@ -25,12 +29,13 @@ replication pay-off (``multicast/replication.py``) becomes visible.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class NodeBlockCache:
-    """One client node's LRU over encoded-block names (byte budget)."""
+    """One client node's LRU over encoded blocks (byte budget)."""
 
     __slots__ = ("capacity", "used", "evictions", "_entries")
 
@@ -40,8 +45,9 @@ class NodeBlockCache:
         self.capacity = int(capacity)
         self.used = 0
         self.evictions = 0
-        #: block name -> size, ordered least- to most-recently used.
-        self._entries: "OrderedDict[str, int]" = OrderedDict()
+        #: block name -> (size, stream index, bytes), least- to most-recently
+        #: used; index and bytes are ``None`` in capacity mode.
+        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
 
     def __contains__(self, block_name: str) -> bool:
         return block_name in self._entries
@@ -59,25 +65,27 @@ class NodeBlockCache:
             if name in self._entries:
                 self._entries.move_to_end(name)
 
-    def admit(self, block_name: str, size: int) -> List[str]:
+    def admit(self, block_name: str, size: int, index: Optional[int] = None,
+              payload: Optional[bytes] = None) -> List[str]:
         """Insert one block, evicting LRU entries to fit; returns evictions.
 
-        A block larger than the whole budget is never admitted (the return
-        value is empty and the cache is unchanged).
+        ``index`` / ``payload`` (payload mode) are what a hit returns.  A block
+        larger than the whole budget is never admitted (the return value is
+        empty and the cache is unchanged).
         """
         size = int(size)
         if size > self.capacity:
             return []
         previous = self._entries.pop(block_name, None)
         if previous is not None:
-            self.used -= previous
+            self.used -= previous[0]
         evicted: List[str] = []
         while self.used + size > self.capacity and self._entries:
-            victim, victim_size = self._entries.popitem(last=False)
+            victim, (victim_size, _, _) = self._entries.popitem(last=False)
             self.used -= victim_size
             self.evictions += 1
             evicted.append(victim)
-        self._entries[block_name] = size
+        self._entries[block_name] = (size, index, payload)
         self.used += size
         return evicted
 
@@ -92,13 +100,13 @@ class CacheManager:
     """
 
     def __init__(self, capacity_bytes: int, hit_latency_s: float = 0.0) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("cache capacity must be positive")
+        if not 1 <= capacity_bytes < math.inf:
+            raise ValueError(f"cache capacity must be at least one byte, got {capacity_bytes!r}")
+        if not 0 <= hit_latency_s < math.inf:
+            raise ValueError(f"hit latency must be finite and non-negative, got {hit_latency_s!r}")
         self.capacity_bytes = int(capacity_bytes)
         self.hit_latency_s = float(hit_latency_s)
         self._caches: Dict[int, NodeBlockCache] = {}
-        #: Payload-mode block contents: (client id, block name) -> bytes.
-        self._payloads: Dict[Tuple[int, str], bytes] = {}
         # Chunk-granular accounting (capacity-mode reads).
         self.chunk_hits = 0
         self.chunk_misses = 0
@@ -141,34 +149,32 @@ class CacheManager:
         """Admit the fetched blocks of one chunk into ``client``'s cache."""
         cache = self.node_cache(client)
         for name, size in entries:
-            for victim in cache.admit(name, size):
-                self._payloads.pop((client, victim), None)
+            cache.admit(name, size)
             self.bytes_filled += int(size)
 
     # -- payload mode: block-granular lookups ---------------------------------
-    def lookup_block(self, client: int, block_name: str) -> Optional[bytes]:
-        """The cached payload of one block at ``client`` (None on miss)."""
+    def lookup_block(self, client: int, block_name: str, index: int) -> Optional[bytes]:
+        """The cached bytes of stream block ``index`` under ``block_name`` (None on miss).
+
+        An entry of another index (the block before a repair re-minted it) misses.
+        """
         cache = self._caches.get(client)
-        if cache is not None and block_name in cache:
-            payload = self._payloads.get((client, block_name))
-            if payload is not None:
-                cache.touch([block_name])
-                self.block_hits += 1
-                self.bytes_served += len(payload)
-                return payload
+        entry = cache._entries.get(block_name) if cache is not None else None
+        if entry is not None and entry[1] == index:
+            cache._entries.move_to_end(block_name)
+            self.block_hits += 1
+            self.bytes_served += len(entry[2])
+            return entry[2]
         self.block_misses += 1
         return None
 
-    def fill_block(self, client: int, block_name: str, size: int,
+    def fill_block(self, client: int, block_name: str, size: int, index: int,
                    payload: bytes) -> None:
-        """Admit one fetched block payload into ``client``'s cache."""
+        """Admit the fetched bytes of stream block ``index`` into ``client``'s cache."""
         cache = self.node_cache(client)
-        evicted = cache.admit(block_name, size)
+        cache.admit(block_name, size, index, payload)
         if block_name in cache:
-            self._payloads[(client, block_name)] = payload
             self.bytes_filled += int(size)
-        for victim in evicted:
-            self._payloads.pop((client, victim), None)
 
     # -- source accounting ----------------------------------------------------
     def note_source(self, primary: bool) -> None:

@@ -28,10 +28,13 @@ kind: place it (DHT lookup plus the rateless relocation walk), re-point the
 placement and mirror the ledger.  What each trigger keeps as its own is where
 the bytes are read from and which counter books them: a failure reads the
 surviving blocks and counts them as regenerated, a departure reads the leaving
-node's copy and counts it as migrated.  With a
-:class:`~repro.core.transfer.TransferScheduler` attached, the bytes each step
-moves are charged to the fair-share bandwidth model so repairs take simulated
-*time*.
+node's copy and counts it as migrated.  In payload mode the bytes live on the
+holders (:attr:`~repro.overlay.node.OverlayNode.payloads`): a departure moves
+the leaving node's, a failure writes a surviving holder's (a freshly minted
+check block for a rateless primary; the file's CAT when no CAT copy survives).
+With a :class:`~repro.core.transfer.TransferScheduler` attached, the bytes each
+step moves are charged to the fair-share bandwidth model so repairs take
+simulated *time*.
 
 Rows are applied one at a time (one row is classified and applied before the
 next is read) because placement decisions consume capacity that later
@@ -214,17 +217,29 @@ class RecoveryManager:
         file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
         if placement_idx < 0:
             target, copied = self._copy_meta(ledger, row, name, size, impact)
-            if copied:
-                impact.bytes_regenerated += size
-                if self.transfers is not None:
-                    # Read from a surviving replica in the name's
-                    # neighbourhood; with none left only the receiver's
-                    # downlink is charged.
-                    holders = [int(candidate.node_id)
-                               for candidate in self.dht.neighbors(target.node_id, 8)
-                               if candidate.has_block(name)]
-                    source = next(iter(self._least_congested(holders)), None)
-                    self._stage(size, source, int(target.node_id))
+            if not copied:
+                return
+            impact.bytes_regenerated += size
+            if self.transfers is None and not self.storage.payload_mode:
+                return
+            # Read from a surviving replica in the name's neighbourhood; with
+            # none left only the receiver's downlink is charged.
+            holders = [candidate for candidate in self.dht.neighbors(target.node_id, 8)
+                       if candidate.has_block(name)]
+            source = next(iter(self._least_congested([int(h.node_id) for h in holders])), None)
+            self._stage(size, source, int(target.node_id))
+            if self.storage.payload_mode:
+                # The bytes come from a live source, never the dead holder: a
+                # surviving copy, else the CAT of the file stored under that
+                # name (a restored copy's row names no file).
+                payload = next((h.payloads[name] for h in holders if name in h.payloads), None)
+                if payload is None:
+                    payload = next((stored.cat.serialize().encode("utf-8")
+                                    for stored in self.storage.files.values()
+                                    if any(p.block_name == name for p in stored.cat_placements)),
+                                   None)
+                if payload is not None:
+                    target.payloads[name] = payload
             return
         chunk = ledger.chunk_object(chunk_idx)
         if not ledger.chunk_recoverable(chunk_idx):  # below the decode threshold
@@ -266,15 +281,14 @@ class RecoveryManager:
                     self._stage(size, source, dst, ("regen", chunk, position))
         if not self.storage.payload_mode:
             return
-        payloads = self.storage._block_payloads
+        network = self.dht.network
         placement = chunk.placements[position]
+        holders = [network.node(holder) for holder in (placement.node_id, *placement.replica_nodes)
+                   if holder in network]
         if not primary:
-            for holder in (placement.node_id, *placement.replica_nodes):
-                payload = payloads.get((int(holder), name))
-                if payload is not None:
-                    payloads[(dst, name)] = payload
-                    break
-            payloads.pop((int(failed_node), name), None)
+            payload = next((h.payloads[name] for h in holders if name in h.payloads), None)
+            if payload is not None:
+                new_holder.payloads[name] = payload
         elif chunk.encoded is not None and position < len(chunk.encoded.blocks):
             payload = chunk.encoded.blocks[position].data
             fresh = self._fresh_check_block(chunk)
@@ -284,13 +298,12 @@ class RecoveryManager:
                 # copy of the lost one.
                 chunk.encoded.blocks[position] = fresh
                 payload = fresh.data
-            payloads[(dst, name)] = payload
-            # Surviving replicas still hold the *old* payload under this
-            # block name; refresh them so a later fetch from a replica
-            # cannot serve stale bytes keyed by the new stream index.
-            for replica_id in placement.replica_nodes:
-                if (int(replica_id), name) in payloads:
-                    payloads[(int(replica_id), name)] = payload
+            # The new primary gets it, and surviving replicas -- which still
+            # hold the *old* payload under this block name -- are refreshed so
+            # a later fetch cannot serve stale bytes keyed by the new index.
+            for holder in holders:
+                if holder is new_holder or name in holder.payloads:
+                    holder.payloads[name] = payload
 
     def _fresh_check_block(self, chunk: StoredChunk):
         """Mint a brand-new encoded block for a rateless chunk, if possible.
@@ -348,9 +361,8 @@ class RecoveryManager:
         Every tenant's rows migrate: the departure is final (``network.leave``
         permanently releases whatever stays behind, and no other tenant's
         manager can run on a node that already left), and the ledger
-        bookkeeping is tenant-exact either way.  The one cross-tenant gap is
-        payload mode: another tenant's block *bytes* live in that tenant's
-        storage and are not relocated here (capacity accounting stays exact).
+        bookkeeping is tenant-exact either way.  A copy's bytes (payload
+        mode) live on the leaving node, so they move with it, whoever owns them.
         """
         name = ledger.row_name(row)
         file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
@@ -358,7 +370,7 @@ class RecoveryManager:
         # keeps the manager's own tag so the untagged oracle holds end to end.
         tag = ledger.row_tenant(row) if ledger.multi_tenant else None
         leaving = int(node.node_id)
-        payloads = self.storage._block_payloads if self.storage.payload_mode else {}
+        payload = node.payloads.get(name)
         if ledger.row_group(row) >= 0:
             # A baseline (PAST/CFS) replica-group copy goes where the baseline
             # would re-insert it: the name's root, or the root's neighbourhood
@@ -375,9 +387,8 @@ class RecoveryManager:
             if copied:
                 impact.bytes_migrated += size
                 self._stage(size, leaving, int(target.node_id), tenant=tag)
-            payload = payloads.pop((leaving, name), None)
             if payload is not None and target.has_block(name):
-                payloads.setdefault((int(target.node_id), name), payload)
+                target.payloads.setdefault(name, payload)
         else:
             chunk = ledger.chunk_object(chunk_idx)
             position = ledger.placement_position(placement_idx)
@@ -399,9 +410,8 @@ class RecoveryManager:
                 impact.bytes_migrated += size
                 dst = int(new_holder.node_id)
                 self._stage(size, leaving, dst, ("copy", chunk, position), tag)
-                payload = payloads.pop((leaving, name), None)
                 if payload is not None:
-                    payloads[(dst, name)] = payload
+                    new_holder.payloads[name] = payload
         node.remove_block(name)
 
     # ------------------------------------------------------------- copy steps --

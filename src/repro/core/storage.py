@@ -19,13 +19,15 @@ The class operates in two modes:
   paper's own simulations;
 * **payload mode** (``payload_mode=True``) moves real bytes through the real
   erasure coders, so store → fail nodes → retrieve round-trips are genuine
-  end-to-end tests of the data path.
+  end-to-end tests of the data path.  A copy's bytes live on its holder
+  (:attr:`~repro.overlay.node.OverlayNode.payloads`) and leave with the block.
+
+A request's client and observer are arguments, resolved once per public entry.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -34,7 +36,7 @@ import numpy as np
 from repro.core import naming
 from repro.core.block_ledger import BlockLedger
 from repro.core.capacity import CapacityProbe, ProbeResult
-from repro.core.cat import CatEntry, ChunkAllocationTable
+from repro.core.cat import ChunkAllocationTable
 from repro.core.policies import StoragePolicy
 from repro.erasure.base import EncodedChunk
 from repro.erasure.chunk_codec import ChunkCodec
@@ -176,10 +178,6 @@ class StorageSystem:
         self.transfers = None
         self._transfer_client: Optional[int] = None
         self._transfer_observer = None
-        #: Per-call overrides (one store/retrieve) layered over the attached
-        #: defaults -- see :meth:`_request_context`.
-        self._call_client = _UNSET
-        self._call_observer = _UNSET
         #: Optional per-client-node block cache (see :meth:`attach_cache`).
         self.cache = None
         #: Per-holder read traffic (bytes served) accumulated by capacity-mode
@@ -187,8 +185,6 @@ class StorageSystem:
         self.read_load: Dict[int, float] = {}
         self.probe = CapacityProbe(dht, self.policy.capacity_report_fraction)
         self.files: Dict[str, StoredFile] = {}
-        #: Payload-mode block contents: (node id value, block name) -> bytes.
-        self._block_payloads: Dict[Tuple[int, str], bytes] = {}
         self.total_lookups = 0
         self.store_attempts = 0
         self.store_failures = 0
@@ -229,38 +225,16 @@ class StorageSystem:
         """
         self.cache = cache
 
-    @contextmanager
-    def _request_context(self, client, observer):
-        """Scope per-call ``client=``/``observer=`` overrides to one request."""
-        if client is _UNSET and observer is _UNSET:
-            yield
-            return
-        saved = (self._call_client, self._call_observer)
-        self._call_client = client
-        self._call_observer = observer
-        try:
-            yield
-        finally:
-            self._call_client, self._call_observer = saved
+    def _request(self, client, observer) -> tuple:
+        """One request's ``(client, observer)``: per-call values over the defaults."""
+        return (self._transfer_client if client is _UNSET else client,
+                self._transfer_observer if observer is _UNSET else observer)
 
-    def _effective_client(self) -> Optional[int]:
-        """The client node id of the current request (per-call over default)."""
-        if self._call_client is not _UNSET:
-            return self._call_client
-        return self._transfer_client
-
-    def _effective_observer(self):
-        """The completion observer of the current request (per-call over default)."""
-        if self._call_observer is not _UNSET:
-            return self._call_observer
-        return self._transfer_observer
-
-    def _charge(self, size: float, src: Optional[int], dst: Optional[int]) -> None:
+    def _charge(self, size: float, src: Optional[int], dst: Optional[int], observer) -> None:
         """Submit one tenant-tagged charging transfer (no-op when detached)."""
         if self.transfers is None or size <= 0:
             return
-        self.transfers.submit(float(size), src, dst,
-                              on_complete=self._effective_observer(),
+        self.transfers.submit(float(size), src, dst, on_complete=observer,
                               tenant=self.store_tenant)
 
     # ------------------------------------------------------------------ store --
@@ -278,18 +252,17 @@ class StorageSystem:
             raise RuntimeError("store_file() is for capacity mode; use store_bytes() in payload mode")
         if not 0 <= size < math.inf:
             raise ValueError(f"file size must be finite and non-negative, got {size!r}")
-        with self._request_context(client, observer):
-            return self._store(filename, size, data=None)
+        return self._store(filename, size, None, *self._request(client, observer))
 
     def store_bytes(self, filename: str, data: bytes, *,
                     client=_UNSET, observer=_UNSET) -> StoreResult:
         """Store real file contents (payload mode)."""
         if not self.payload_mode:
             raise RuntimeError("store_bytes() requires payload_mode=True")
-        with self._request_context(client, observer):
-            return self._store(filename, len(data), data=data)
+        return self._store(filename, len(data), data, *self._request(client, observer))
 
-    def _store(self, filename: str, size: int, data: Optional[bytes]) -> StoreResult:
+    def _store(self, filename: str, size: int, data: Optional[bytes], client,
+               observer) -> StoreResult:
         # On a shared ledger another store may already own the name; reject
         # up front, before any block is placed (the same pre-flight check the
         # baselines make -- registration would otherwise raise mid-store).
@@ -323,7 +296,7 @@ class StorageSystem:
             chunk = StoredChunk(chunk_no=chunk_no, start=offset, size=chunk_size)
             if chunk_size > 0:
                 chunk_data = data[offset : offset + chunk_size] if data is not None else None
-                placed = self._place_chunk(filename, chunk, probe, chunk_data)
+                placed = self._place_chunk(filename, chunk, probe, chunk_data, client, observer)
                 if not placed:
                     # Capacity evaporated between probe and store: the paper's
                     # remedy is to treat the chunk as zero-sized and continue.
@@ -345,7 +318,7 @@ class StorageSystem:
 
         if failure_reason is None and remaining == 0:
             cat = ChunkAllocationTable.from_chunk_sizes(filename, [c.size for c in chunks])
-            cat_placements = self._store_cat(filename, cat)
+            cat_placements = self._store_cat(filename, cat, client, observer)
             if cat_placements is None:
                 failure_reason = "unable to store chunk allocation table"
             else:
@@ -405,6 +378,8 @@ class StorageSystem:
         chunk: StoredChunk,
         probe: ProbeResult,
         chunk_data: Optional[bytes],
+        client,
+        observer,
     ) -> bool:
         """Place every encoded block of ``chunk``; False if placement failed."""
         if chunk_data is not None:
@@ -438,13 +413,12 @@ class StorageSystem:
             placements.append(placement)
             # Ingest charging: the client uploads the primary copy; neighbour
             # replicas are pushed onward by the primary holder.
-            self._charge(block_size, self._effective_client(), int(node.node_id))
+            self._charge(block_size, client, int(node.node_id), observer)
             for replica_id in replica_ids:
-                self._charge(block_size, int(node.node_id), int(replica_id))
+                self._charge(block_size, int(node.node_id), int(replica_id), observer)
             if payloads is not None:
-                self._block_payloads[(int(node.node_id), name)] = payloads[index]
-                for replica_id in replica_ids:
-                    self._block_payloads[(int(replica_id), name)] = payloads[index]
+                for holder in (node.node_id, *replica_ids):
+                    self.dht.network.node(holder).payloads[name] = payloads[index]
         chunk.placements = placements
         return True
 
@@ -461,7 +435,8 @@ class StorageSystem:
                 replicas.append(neighbor.node_id)
         return tuple(replicas)
 
-    def _store_cat(self, filename: str, cat: ChunkAllocationTable) -> Optional[List[BlockPlacement]]:
+    def _store_cat(self, filename: str, cat: ChunkAllocationTable, client,
+                   observer) -> Optional[List[BlockPlacement]]:
         """Store the CAT object and its replicas; None if no live node has room.
 
         The primary target is the node responsible for ``filename.CAT``; if it
@@ -475,16 +450,16 @@ class StorageSystem:
         serialized = cat.serialize().encode("utf-8") if self.payload_mode else None
 
         def finalize(name: str, node: OverlayNode) -> List[BlockPlacement]:
-            self._charge(size, self._effective_client(), int(node.node_id))
+            self._charge(size, client, int(node.node_id), observer)
             replica_ids = []
             for neighbor in self.dht.neighbors(node.node_id, self.policy.cat_replication - 1):
                 if neighbor.store_block(name, size):
                     replica_ids.append(neighbor.node_id)
-                    self._charge(size, int(node.node_id), int(neighbor.node_id))
+                    self._charge(size, int(node.node_id), int(neighbor.node_id), observer)
                     if serialized is not None:
-                        self._block_payloads[(int(neighbor.node_id), name)] = serialized
+                        neighbor.payloads[name] = serialized
             if serialized is not None:
-                self._block_payloads[(int(node.node_id), name)] = serialized
+                node.payloads[name] = serialized
             return [
                 BlockPlacement(
                     block_name=name, node_id=node.node_id, size=size, replica_nodes=tuple(replica_ids)
@@ -529,32 +504,31 @@ class StorageSystem:
         for node_id in (placement.node_id, *placement.replica_nodes):
             if node_id in self.dht.network:
                 self.dht.network.node(node_id).remove_block(placement.block_name)
-            self._block_payloads.pop((int(node_id), placement.block_name), None)
 
     # --------------------------------------------------------------- retrieval --
-    def _fetch_block(self, placement: BlockPlacement) -> Tuple[Optional[bytes], bool]:
-        """Fetch one block's payload (payload mode): client cache, then holders.
+    def _fetch_block(self, placement: BlockPlacement, index: int,
+                     client: Optional[int]) -> Tuple[Optional[bytes], bool]:
+        """Fetch the bytes of stream block ``index`` (payload mode): cache, then holders.
 
-        Returns ``(payload, from_cache)``; a network fetch fills the
-        requesting client's cache when one is attached.
+        The first live holder with the block serves its ``payloads`` entry.
+        Returns ``(payload, from_cache)``; a network fetch fills ``client``'s
+        cache when one is attached.
         """
-        client = self._effective_client()
+        name = placement.block_name
         use_cache = self.cache is not None and client is not None
         if use_cache:
-            cached = self.cache.lookup_block(int(client), placement.block_name)
+            cached = self.cache.lookup_block(int(client), name, index)
             if cached is not None:
                 return cached, True
         for node_id in (placement.node_id, *placement.replica_nodes):
             if node_id not in self.dht.network:
                 continue
             node = self.dht.network.node(node_id)
-            if node.has_block(placement.block_name):
-                payload = self._block_payloads.get((int(node_id), placement.block_name))
-                if payload is not None:
-                    if use_cache:
-                        self.cache.fill_block(int(client), placement.block_name,
-                                              placement.size, payload)
-                    return payload, False
+            payload = node.payloads.get(name) if node.has_block(name) else None
+            if payload is not None:
+                if use_cache:
+                    self.cache.fill_block(int(client), name, placement.size, index, payload)
+                return payload, False
         return None, False
 
     def chunk_is_recoverable(self, chunk: StoredChunk) -> bool:
@@ -590,56 +564,12 @@ class StorageSystem:
         defaults for this one read -- the requesting client's id also keys
         the block cache when one is attached.
         """
-        stored = self.files.get(filename)
-        if stored is None:
-            return RetrieveResult(
-                filename=filename,
-                complete=False,
-                bytes_available=0,
-                chunks_needed=0,
-                chunks_recovered=0,
-                blocks_fetched=0,
-                lookups=0,
-                failure_reason="unknown file",
-            )
-        with self._request_context(client, observer):
-            return self._retrieve(stored, stored.cat.non_empty_entries())
+        return self._retrieve(filename, None, *self._request(client, observer))
 
     def retrieve_range(self, filename: str, offset: int, length: int, *,
                        client=_UNSET, observer=_UNSET) -> RetrieveResult:
         """Retrieve ``length`` bytes starting at ``offset`` (partial-file access)."""
-        stored = self.files.get(filename)
-        if stored is None:
-            return RetrieveResult(
-                filename=filename,
-                complete=False,
-                bytes_available=0,
-                chunks_needed=0,
-                chunks_recovered=0,
-                blocks_fetched=0,
-                lookups=0,
-                failure_reason="unknown file",
-            )
-        entries = [entry for entry in stored.cat.chunks_for_range(offset, length) if not entry.is_empty]
-        with self._request_context(client, observer):
-            result = self._retrieve(stored, entries)
-        if result.data is not None:
-            base = entries[0].start if entries else 0
-            window = result.data[offset - base : offset - base + length]
-            result = RetrieveResult(
-                filename=result.filename,
-                complete=result.complete,
-                bytes_available=len(window) if result.complete else result.bytes_available,
-                chunks_needed=result.chunks_needed,
-                chunks_recovered=result.chunks_recovered,
-                blocks_fetched=result.blocks_fetched,
-                lookups=result.lookups,
-                data=window,
-                failure_reason=result.failure_reason,
-                chunks_degraded=result.chunks_degraded,
-                chunks_cached=result.chunks_cached,
-            )
-        return result
+        return self._retrieve(filename, (offset, length), *self._request(client, observer))
 
     def _chunk_live_placements(self, chunk: StoredChunk) -> int:
         """Distinct placements of ``chunk`` with a surviving copy (O(1))."""
@@ -665,7 +595,7 @@ class StorageSystem:
         src = min(candidates, key=lambda nid: (self.read_load.get(nid, 0.0), nid))
         return src, src == int(placement.node_id)
 
-    def _serve_chunk_read(self, chunk: StoredChunk, required: int) -> bool:
+    def _serve_chunk_read(self, chunk: StoredChunk, required: int, client, observer) -> bool:
         """Account one recoverable capacity-mode chunk read; True on cache hit.
 
         With a cache attached and a client id resolved, a fully-cached chunk
@@ -676,7 +606,6 @@ class StorageSystem:
         """
         if not chunk.placements:
             return False
-        client = self._effective_client()
         if self.cache is not None and client is not None:
             needed = chunk.placements[: min(required, len(chunk.placements))]
             names = [placement.block_name for placement in needed]
@@ -684,18 +613,36 @@ class StorageSystem:
                 return True
             src, primary = self._read_source(chunk)
             self.cache.note_source(primary)
-            self._charge(chunk.size, src, client)
+            self._charge(chunk.size, src, client, observer)
             self.read_load[src] = self.read_load.get(src, 0.0) + chunk.size
             self.cache.fill_chunk(
                 int(client), [(placement.block_name, placement.size) for placement in needed]
             )
             return False
         src = int(chunk.placements[0].node_id)
-        self._charge(chunk.size, src, client)
+        self._charge(chunk.size, src, client, observer)
         self.read_load[src] = self.read_load.get(src, 0.0) + chunk.size
         return False
 
-    def _retrieve(self, stored: StoredFile, entries: List[CatEntry]) -> RetrieveResult:
+    def _retrieve(self, filename: str, span: Optional[Tuple[int, int]], client,
+                  observer) -> RetrieveResult:
+        """Read the whole file (``span=None``) or ``span = (offset, length)`` of it."""
+        stored = self.files.get(filename)
+        if stored is None:
+            return RetrieveResult(
+                filename=filename,
+                complete=False,
+                bytes_available=0,
+                chunks_needed=0,
+                chunks_recovered=0,
+                blocks_fetched=0,
+                lookups=0,
+                failure_reason="unknown file",
+            )
+        if span is None:
+            entries = stored.cat.non_empty_entries()
+        else:
+            entries = [entry for entry in stored.cat.chunks_for_range(*span) if not entry.is_empty]
         lookups = 1  # locating the CAT object
         blocks_fetched = 0
         recovered = 0
@@ -723,7 +670,7 @@ class StorageSystem:
                     # Read charging: one decoded chunk's worth of traffic
                     # drains from a holder to the client (skipped entirely
                     # when the client's block cache holds the whole chunk).
-                    served_from_cache = self._serve_chunk_read(chunk, required)
+                    served_from_cache = self._serve_chunk_read(chunk, required, client, observer)
                     if served_from_cache:
                         cached_chunks += 1
                     # Degraded: the decode works from a strict k-of-n subset
@@ -746,22 +693,19 @@ class StorageSystem:
                 failure_reason = f"chunk {entry.chunk_no} has no encoder metadata"
                 continue
             available: Dict[int, bytes] = {}
-            cached_blocks = 0
             network_fetched = 0
             for index, placement in enumerate(chunk.placements):
-                payload, from_cache = self._fetch_block(placement)
+                stream_index = (
+                    chunk.encoded.blocks[index].index
+                    if index < len(chunk.encoded.blocks)
+                    else index
+                )
+                payload, from_cache = self._fetch_block(placement, stream_index, client)
                 lookups += 1
                 if payload is not None:
-                    stream_index = (
-                        chunk.encoded.blocks[index].index
-                        if index < len(chunk.encoded.blocks)
-                        else index
-                    )
                     available[stream_index] = payload
                     blocks_fetched += 1
-                    if from_cache:
-                        cached_blocks += 1
-                    else:
+                    if not from_cache:
                         network_fetched += 1
             try:
                 piece = self.codec.decode(chunk.encoded, available)
@@ -771,7 +715,7 @@ class StorageSystem:
                 continue
             recovered += 1
             bytes_available += chunk.size
-            if cached_blocks and network_fetched == 0:
+            if available and network_fetched == 0:
                 # Served entirely from the client's cache: no holder was
                 # touched, so the read is neither degraded nor charged.
                 cached_chunks += 1
@@ -784,7 +728,13 @@ class StorageSystem:
             self.failed_reads += 1
         elif degraded_chunks:
             self.degraded_reads += 1
-        data = b"".join(pieces) if (self.payload_mode and complete) else None
+        data = None
+        if self.payload_mode and complete:
+            data = b"".join(pieces)
+            if span is not None:  # cut the requested window out of the whole chunks
+                start = span[0] - (entries[0].start if entries else 0)
+                data = data[start : start + span[1]]
+                bytes_available = len(data)
         return RetrieveResult(
             filename=stored.name,
             complete=complete,

@@ -115,9 +115,16 @@ class MulticastReplicator:
             report.replicas_skipped_no_space += replicas - len(targets)
             all_targets.extend(targets)
             # When the store is attached to a transfer fabric, the multicast
-            # push charges one tenant-tagged transfer per created replica.
+            # push charges one tenant-tagged transfer per created replica (to
+            # the store's attached observer: it belongs to no request).  In
+            # payload mode the replica holders receive the block's bytes.
+            payload = (network.node(placement.node_id).payloads.get(placement.block_name)
+                       if placement.node_id in network else None)
             for target in targets:
-                self.storage._charge(placement.size, int(placement.node_id), int(target))
+                self.storage._charge(placement.size, int(placement.node_id), int(target),
+                                     self.storage._transfer_observer)
+                if payload is not None:
+                    network.node(target).payloads[placement.block_name] = payload
             new_placements.append(
                 BlockPlacement(
                     block_name=placement.block_name,
@@ -126,14 +133,6 @@ class MulticastReplicator:
                     replica_nodes=placement.replica_nodes + tuple(targets),
                 )
             )
-            # Payload mode: the replica holders receive the block contents.
-            if self.storage.payload_mode:
-                payload = self.storage._block_payloads.get(
-                    (int(placement.node_id), placement.block_name)
-                )
-                if payload is not None:
-                    for target in targets:
-                        self.storage._block_payloads[(int(target), placement.block_name)] = payload
 
         chunk.placements = new_placements
 

@@ -30,9 +30,9 @@ from repro.overlay.ids import NodeId
 class OverlayNode:
     """A participant in the overlay.
 
-    Besides its id and the coordinates of the proximity metric, the node
-    carries the storage-related attributes used by the contributory storage
-    system: contributed capacity, used space and the set of blocks it stores.
+    Besides its id and the coordinates of the proximity metric, the node carries
+    the storage attributes of the contributory storage system: contributed
+    capacity, used space, the blocks it stores and, in payload mode, their bytes.
     """
 
     node_id: NodeId
@@ -67,6 +67,9 @@ class OverlayNode:
     rack: int = -1
     #: Names and sizes of blocks stored locally: {block_name: size}.
     stored_blocks: Dict[str, int] = field(default_factory=dict)
+    #: Payload mode: the bytes of each stored block, {block_name: bytes}; they
+    #: leave with the block (:meth:`remove_block`, a wiping :meth:`recover`).
+    payloads: Dict[str, bytes] = field(default_factory=dict, init=False, compare=False)
     #: Dense number of this node *object* in its network, handed out at build /
     #: join and never reused (not even with the id): what the block ledger keys
     #: owner slots by.  ``None`` until numbered -- the ledger indexes a list with
@@ -110,6 +113,7 @@ class OverlayNode:
         size = self.stored_blocks.pop(block_name, None)
         if size is None:
             return False
+        self.payloads.pop(block_name, None)
         self._used_value -= size
         for listener in self._usage_listeners:
             listener.used_total -= size
@@ -139,6 +143,7 @@ class OverlayNode:
         self.alive = True
         if wipe:
             self.stored_blocks.clear()
+            self.payloads.clear()
             self.used = 0
         for listener in self._state_listeners:
             listener._note_recovered(self, wipe, revived)

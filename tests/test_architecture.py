@@ -149,6 +149,11 @@ RETIRED = (
      r"\b_kill_rows\b|\b_revive_rows\b|\b_mark_files_(bad|good)\b|\breplace_(primary|replica)\b",
      _EVERYWHERE, "one rule per ledger transition: _set_alive / _shift_files move counts both "
      "ways, _release_rows releases, replace_copy(kind) re-points either copy kind"),
+    ("payload side tables and per-call request slots",
+     r"\b_block_payloads\b|\b_request_context\b|\b_effective_(client|observer)\b"
+     r"|\b_call_(client|observer)\b",
+     _EVERYWHERE, "a block's bytes live on its holder (OverlayNode.payloads), cached bytes in "
+     "their LRU entry, and a request's client and observer are arguments"),
 )
 
 

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.api import ClusterSession
 from repro.core.cache import CacheManager, NodeBlockCache
 from repro.core.policies import StoragePolicy
+from repro.core.recovery import RecoveryManager
+from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
+from repro.erasure.online_code import OnlineCode, OnlineCodeParameters
 from repro.erasure.xor_code import XorParityCode
+from repro.overlay.dht import DHTView
+from repro.overlay.network import OverlayNetwork
 
 MB = 1 << 20
 
@@ -50,6 +57,17 @@ def test_cache_manager_rejects_non_positive_budget():
         CacheManager(0)
     with pytest.raises(ValueError):
         NodeBlockCache(-1)
+
+
+@pytest.mark.parametrize("capacity, hit_latency", [
+    (0, 0.0), (0.5, 0.0), (math.inf, 0.0), (math.nan, 0.0),
+    (1, -1.0), (1, math.nan), (1, math.inf),
+])
+def test_cache_manager_rejects_bad_input_at_construction(capacity, hit_latency):
+    # A sub-byte budget would otherwise fail only at the first fill, mid-run,
+    # and a bad latency would be clamped away by the serving engine.
+    with pytest.raises(ValueError):
+        CacheManager(capacity, hit_latency_s=hit_latency)
 
 
 def test_manager_keeps_per_client_caches_separate():
@@ -225,3 +243,28 @@ def test_payload_mode_cached_bytes_identical():
     assert second.complete and second.data == data
     assert second.chunks_cached > 0
     assert cache.block_hits > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_payload_cache_misses_a_block_that_repair_reminted(seed):
+    """Rateless repair mints a new check block under the *old* name.  A client
+    cache still holding the old bytes must miss on it instead of handing them
+    to the decoder as the new stream index (a complete read of wrong bytes)."""
+    network = OverlayNetwork.build(40, np.random.default_rng(seed), capacities=[64 * MB] * 40)
+    code = OnlineCode(OnlineCodeParameters(epsilon=0.2, q=3, quality=1.25), seed=seed)
+    storage = StorageSystem(DHTView(network), codec=ChunkCodec(code, blocks_per_chunk=4),
+                            payload_mode=True)
+    data = np.random.default_rng(100 + seed).integers(0, 256, size=MB, dtype=np.uint8).tobytes()
+    assert storage.store_bytes("scan", data).success
+    storage.attach_cache(CacheManager(64 * MB))
+    assert storage.retrieve_file("scan", client=1).data == data  # fills client 1's cache
+
+    recovery = RecoveryManager(storage)
+    for _ in range(3):
+        recovery.handle_failure(storage.files["scan"].data_chunks()[0].placements[0].node_id)
+    warm = storage.retrieve_file("scan", client=1)
+    assert warm.complete and warm.data == data
+    assert warm.chunks_cached == 0  # the re-minted blocks came from their holders
+    # The refill replaced the stale entries: the next read is a full hit.
+    again = storage.retrieve_file("scan", client=1)
+    assert again.data == data and again.chunks_cached == len(storage.files["scan"].data_chunks())

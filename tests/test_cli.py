@@ -25,6 +25,7 @@ from repro.experiments.tenants import PAPER_TENANTS
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = str(_ROOT / "src")
 _GOLDEN = _ROOT / "tests" / "golden" / "cli_stdout.json"
+_EXAMPLES_GOLDEN = _ROOT / "tests" / "golden" / "examples_stdout.json"
 
 
 def _census():
@@ -239,21 +240,61 @@ def test_routing_smoke_runs_every_panel(capsys):
     assert "(sweep (200, 400), 400 lookups/cell, engines pastry, chord)\n" in out
 
 
-def _cli_stdout(argv, hashseed: str) -> str:
+def _python_stdout(args, hashseed: str) -> str:
+    """stdout of ``python *args`` in a fresh process with ``src/`` importable."""
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env["PYTHONPATH"] = _SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    done = subprocess.run([sys.executable, "-m", "repro.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    return without_host_seconds(done.stdout)
+    return done.stdout
+
+
+#: Table columns and summary keys that ``routing`` fills with host timings.
+_HOST_TIMED = ("build_s", "routes_per_s", "build_seconds")
+
+
+def without_host_timings(stdout: str) -> str:
+    """:func:`without_host_seconds`, and every host-timed column and ``key=value`` dropped."""
+    lines, drop = [], []
+    for line in without_host_seconds(stdout).splitlines():
+        cells = line.split()
+        if any(cell in _HOST_TIMED for cell in cells):  # a table header
+            drop = [index for index, cell in enumerate(cells) if cell in _HOST_TIMED]
+        elif not cells:  # a blank line ends the table
+            drop = []
+        if drop:
+            line = " ".join(cell for index, cell in enumerate(cells) if index not in drop)
+        lines.append(re.sub(r"\w*(%s)=[0-9.,]+(, )?" % "|".join(_HOST_TIMED), "", line))
+    return "\n".join(lines)
+
+
+def _cli_stdout(argv, hashseed: str) -> str:
+    return without_host_timings(_python_stdout(["-m", "repro.cli", *argv], hashseed))
 
 
 @pytest.mark.parametrize("argv", [
     ["serve", "--smoke"],
     ["soak", "--scale", "0.01", "--days", "0.5", "--seed", "6"],
     ["fig10", "--scale", "0.02"],
+    ["faults", "--smoke"],
+    ["tenants", "--smoke"],
+    ["routing", "--smoke"],
 ])
 def test_output_is_identical_across_hash_seeds(argv):
     """Results must not depend on set/dict iteration order of hashed strings."""
     first = _cli_stdout(argv, "1")
     assert first.strip()
     assert first == _cli_stdout(argv, "2")
+
+
+def test_every_example_is_pinned():
+    pinned = json.loads(_EXAMPLES_GOLDEN.read_text())
+    assert sorted(pinned) == sorted(path.name for path in (_ROOT / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("example", sorted(json.loads(_EXAMPLES_GOLDEN.read_text())))
+def test_example_stdout_matches_the_golden(example):
+    """Each example prints byte for byte its frozen stdout (``quickstart.py``
+    runs payload mode end to end: store bytes, fail a holder, read them back)."""
+    stdout = _python_stdout([str(_ROOT / "examples" / example)], "1")
+    assert stdout == json.loads(_EXAMPLES_GOLDEN.read_text())[example]

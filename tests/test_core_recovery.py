@@ -218,12 +218,38 @@ def test_payload_mode_departures_move_every_copy_kind():
             for placement in chunk.placements:
                 for node_id in (placement.node_id, *placement.replica_nodes):
                     assert node_id in network and network.node(node_id).alive
-                    assert (int(node_id), placement.block_name) in storage._block_payloads
+                    assert placement.block_name in network.node(node_id).payloads
     for node in network.live_nodes():  # CAT copies included
-        assert all((int(node.node_id), name) in storage._block_payloads for name in node.stored_blocks)
+        assert all(name in node.payloads for name in node.stored_blocks)
     for name, data in files.items():
         out = storage.retrieve_file(name)
         assert out.complete and out.data == data
+    storage.ledger.check_invariants()
+
+
+def test_payload_mode_failures_leave_every_stored_block_with_its_bytes():
+    """Failure repair re-creates every copy kind with its bytes, read from a
+    live source: after repeated failures each block a live node stores -- CAT
+    copies included -- has its payload on that node."""
+    network = OverlayNetwork.build(40, np.random.default_rng(3), capacities=[64 * MB] * 40)
+    storage = StorageSystem(
+        DHTView(network),
+        codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
+        policy=StoragePolicy(block_replication=2),
+        payload_mode=True,
+    )
+    rng = np.random.default_rng(4)
+    for number in range(6):
+        data = rng.integers(0, 256, size=3 * MB + 4099 * number, dtype=np.uint8).tobytes()
+        assert storage.store_bytes(f"file-{number}", data).success
+    recovery = RecoveryManager(storage)
+    for _ in range(6):
+        fullest = max(network.live_nodes(), key=lambda node: node.used)
+        recovery.handle_failure(fullest.node_id)
+    assert sum(impact.cat_copies_restored for impact in recovery.impacts) > 0
+    for node in network.live_nodes():
+        missing = [name for name in node.stored_blocks if name not in node.payloads]
+        assert not missing, f"node {node.node_id!r} stores {missing} without their bytes"
     storage.ledger.check_invariants()
 
 
@@ -307,8 +333,7 @@ def test_rateless_repair_refreshes_replica_payloads(dht):
         for index, placement in enumerate(chunk.placements):
             expected = chunk.encoded.blocks[index].data
             for node_id in (placement.node_id, *placement.replica_nodes):
-                key = (int(node_id), placement.block_name)
-                payload = storage._block_payloads.get(key)
+                payload = storage.dht.network.node(node_id).payloads.get(placement.block_name)
                 if payload is not None:
                     assert payload == expected, (
                         f"stale payload on node {node_id} for {placement.block_name}"
@@ -389,7 +414,7 @@ def test_stalled_decode_falls_back_to_replacing_the_lost_payload(dht, monkeypatc
     for chunk in stored.data_chunks():
         for index, placement in enumerate(chunk.placements):
             assert dht.network.node(placement.node_id).alive
-            key = (int(placement.node_id), placement.block_name)
-            assert storage._block_payloads[key] == chunk.encoded.blocks[index].data
+            holder = dht.network.node(placement.node_id)
+            assert holder.payloads[placement.block_name] == chunk.encoded.blocks[index].data
     out = storage.retrieve_file("file-d")
     assert out.complete and out.data == data
