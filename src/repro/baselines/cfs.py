@@ -51,7 +51,6 @@ class CfsStore:
         block_size: int = DEFAULT_BLOCK_SIZE,
         replication: int = 1,
         retries_per_block: int = 3,
-        rollback_on_failure: bool = True,
         ledger: Optional[BlockLedger] = None,
         tenant: Optional[str] = None,
     ) -> None:
@@ -65,7 +64,6 @@ class CfsStore:
         self.block_size = block_size
         self.replication = replication
         self.retries_per_block = retries_per_block
-        self.rollback_on_failure = rollback_on_failure
         #: Columnar bookkeeping.  Pass ``ledger`` to share one instance with
         #: other stores on the same overlay, and ``tenant`` to scope this
         #: store's files to their own namespace on a multi-tenant ledger.
@@ -191,26 +189,18 @@ class CfsStore:
         lookups: int,
         index: int,
     ) -> BaselineStoreResult:
-        """Failure accounting (nothing registered yet).
-
-        Every placed block so far is a full ``block_size`` block (only the
-        last block of a file is short, and a failure always happens at or
-        before it), so the no-rollback byte count is a product, not a sum.
-        """
+        """Failure accounting: nothing was registered yet, so every block
+        placed so far is released."""
         self.total_lookups += lookups
-        if self.rollback_on_failure:
-            for block_index, holder in enumerate(holders):
-                holder.remove_block(names[block_index])
-            for block_index, replica in replicas:
-                replica.remove_block(names[block_index])
-            stored_bytes = 0
-        else:
-            stored_bytes = len(holders) * self.block_size
+        for block_index, holder in enumerate(holders):
+            holder.remove_block(names[block_index])
+        for block_index, replica in replicas:
+            replica.remove_block(names[block_index])
         return BaselineStoreResult(
             filename=filename,
             requested_size=size,
             success=False,
-            stored_bytes=stored_bytes,
+            stored_bytes=0,
             chunk_count=len(holders),
             lookups=lookups,
             failure_reason=f"block {index} could not be placed",

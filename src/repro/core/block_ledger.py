@@ -510,7 +510,7 @@ class BlockLedger:
         stored_name: str,
         holders: Sequence["OverlayNode"],
         salted: bool = False,
-        tenant: int = 0,
+        tenant: Optional[int] = None,
     ) -> int:
         """Record a PAST-style whole-file store: one replica group of copies.
 
@@ -519,6 +519,7 @@ class BlockLedger:
         rows.  The file stays available while any copy in the group survives.
         Returns the ledger file index.
         """
+        tenant = tenant or 0
         self._flush_pending()
         return self._register_whole_file_now(filename, size, stored_name, holders, salted, tenant)
 

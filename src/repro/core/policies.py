@@ -10,8 +10,11 @@ ablation benchmarks can vary them in one place:
 * the replication factor applied to CAT objects and, optionally, to encoded
   blocks (Section 4.4 / 4.4.1);
 * optional lower/upper bounds on chunk sizes (the trade-off discussed in
-  Section 4.5);
-* what happens to already-placed blocks when a store ultimately fails.
+  Section 4.5).
+
+A store that ultimately fails always releases the blocks it had placed: the
+paper does not say, and releasing them keeps the capacity accounting
+conservative and every stored block in the ledger.
 """
 
 from __future__ import annotations
@@ -47,15 +50,6 @@ class StoragePolicy:
     #: probed nodes offer" as in the paper's simulations.
     max_chunk_size: Optional[int] = None
 
-    #: Whether blocks already placed for a file are released when its store
-    #: ultimately fails.  The paper does not specify; releasing them keeps the
-    #: capacity accounting conservative and is the default.
-    rollback_on_failure: bool = True
-
-    #: Number of salted retries when storing the CAT object itself fails
-    #: because its responsible node is out of space.
-    cat_store_retries: int = 3
-
     def __post_init__(self) -> None:
         if self.max_consecutive_zero_chunks < 0:
             raise ValueError("max_consecutive_zero_chunks must be non-negative")
@@ -76,8 +70,6 @@ class StoragePolicy:
             and self.min_chunk_size > self.max_chunk_size
         ):
             raise ValueError("min_chunk_size cannot exceed max_chunk_size")
-        if self.cat_store_retries < 0:
-            raise ValueError("cat_store_retries must be non-negative")
 
 
 #: The configuration used by the paper's large-scale simulations (Section 6.1).

@@ -80,7 +80,6 @@ class FailureImpact:
     blocks_lost: int = 0
     bytes_on_failed_node: int = 0
     bytes_regenerated: int = 0
-    bytes_relocated: int = 0
     bytes_dropped: int = 0
     #: User data (chunk bytes) that became unrecoverable because of this failure.
     data_bytes_lost: int = 0

@@ -50,6 +50,9 @@ from repro.overlay.node import OverlayNode
 #: overlay"), so per-call overrides can layer over :meth:`attach_transfers`.
 _UNSET = object()
 
+#: Salted re-hashes tried when the CAT object's responsible node is full.
+CAT_STORE_RETRIES = 3
+
 
 @dataclass(frozen=True)
 class BlockPlacement:
@@ -343,20 +346,16 @@ class StorageSystem:
                     lookups=self.probe.total_probes - lookups_before,
                 )
 
-        # Failure path.
-        if self.policy.rollback_on_failure:
-            for chunk in chunks:
-                self._release_chunk(chunk)
-            stored_bytes = 0
-        else:
-            stored_bytes = sum(chunk.size for chunk in chunks if chunk.placements)
+        # Failure path: release every block placed so far.
+        for chunk in chunks:
+            self._release_chunk(chunk)
         self.store_failures += 1
         self.failed_bytes += size
         return StoreResult(
             filename=filename,
             requested_size=size,
             success=False,
-            stored_bytes=stored_bytes,
+            stored_bytes=0,
             chunk_count=len(chunks),
             data_chunk_count=sum(1 for chunk in chunks if not chunk.is_empty),
             lookups=self.probe.total_probes - lookups_before,
@@ -467,7 +466,7 @@ class StorageSystem:
             ]
 
         primary: Optional[OverlayNode] = None
-        for attempt in range(self.policy.cat_store_retries + 1):
+        for attempt in range(CAT_STORE_RETRIES + 1):
             name = base_name if attempt == 0 else f"{base_name}~salt{attempt}"
             node = self.dht.locate_name(name)
             if primary is None:

@@ -271,15 +271,14 @@ class NetworkTopology:
     A read-only description once built: maps node ids to the site/rack grid
     laid down by :func:`repro.sim.faults.assign_domains` and derives, per
     transfer, the shared trunk links its path crosses and its propagation
-    latency class.  Capacities are bytes per simulated time unit; ``None`` =
-    unconstrained (the default -- an unconfigured topology adds no
-    constraints at all).
+    latency class.
 
-    The trunk capacities it is built with are class-wide (``rack_uplink`` et
-    al.) plus the per-domain values in :attr:`trunks`
-    (:func:`oversubscribed_topology` lays them down).  A
-    :class:`TransferScheduler` copies both into its capacity table when it is
-    built and owns them from then on: change a trunk mid-run through
+    Trunk capacities (bytes per simulated time unit) are the per-domain
+    values in :attr:`trunks` (:func:`oversubscribed_topology` lays them
+    down); a trunk it does not list is unconstrained, so an unconfigured
+    topology adds no constraints at all.  A :class:`TransferScheduler`
+    copies them into its capacity table when it is built and owns them from
+    then on: change a trunk mid-run through
     :meth:`TransferScheduler.set_trunk_bandwidth` (``0`` = partitioned).
 
     An endpoint outside the grid (``site``/``rack`` of ``-1``, or a ``None``
@@ -290,24 +289,13 @@ class NetworkTopology:
 
     def __init__(
         self,
-        rack_uplink: Optional[float] = None,
-        rack_downlink: Optional[float] = None,
-        site_uplink: Optional[float] = None,
-        site_downlink: Optional[float] = None,
         intra_rack_latency: float = 0.0,
         intra_site_latency: float = 0.0,
         inter_site_latency: float = 0.0,
     ) -> None:
-        for value, what in ((rack_uplink, "rack trunk uplink"), (rack_downlink, "rack trunk downlink"),
-                            (site_uplink, "site trunk uplink"), (site_downlink, "site trunk downlink")):
-            _validate_capacity(value, what, allow_zero=False)
         latencies = (intra_rack_latency, intra_site_latency, inter_site_latency)
         if not all(0 <= latency < math.inf for latency in latencies):  # NaN fails both
             raise ValueError(f"latencies must be finite and >= 0: {latencies!r}")
-        self.rack_uplink = rack_uplink
-        self.rack_downlink = rack_downlink
-        self.site_uplink = site_uplink
-        self.site_downlink = site_downlink
         self._latency = {
             "intra_rack": float(intra_rack_latency),
             "intra_site": float(intra_site_latency),
@@ -315,8 +303,8 @@ class NetworkTopology:
         }
         self._site_of: Dict[int, int] = {}
         self._rack_of: Dict[int, int] = {}
-        #: Per-domain trunk capacities keyed by trunk link key, over the
-        #: class-wide values (laid down before any scheduler is built).
+        #: Per-domain trunk capacities keyed by trunk link key (laid down
+        #: before any scheduler is built).
         self.trunks: Dict[LinkKey, float] = {}
         #: ``trunk_links`` results per (src rack, src site, dst rack, dst site).
         self._trunk_memo: Dict[tuple, Tuple[Tuple[int, int], ...]] = {}
@@ -392,25 +380,22 @@ def oversubscribed_topology(
     nodes: Iterable,
     access_bandwidth: float,
     oversubscription: float,
-    site_oversubscription: Optional[float] = None,
     **latencies: float,
 ) -> NetworkTopology:
     """Derive a two-stage oversubscribed core from a domained population.
 
     Each rack's aggregation trunk carries ``members x access_bandwidth /
     oversubscription`` (both directions); each site's transit trunk carries
-    the sum of its racks' trunk capacities divided by the site ratio (which
-    defaults to the same ratio, i.e. ``ratio^2`` end to end across sites --
-    the classic leaf/spine oversubscription ladder).  A 1:1 ratio reproduces
-    a non-blocking core; ``assign_domains``'s round-robin striping makes all
-    racks the same size +-1 node.
+    the sum of its racks' trunk capacities divided by the same ratio, i.e.
+    ``ratio^2`` end to end across sites -- the classic leaf/spine
+    oversubscription ladder.  A 1:1 ratio reproduces a non-blocking core;
+    ``assign_domains``'s round-robin striping makes all racks the same size
+    +-1 node.
     """
     if not 0 < access_bandwidth < math.inf:  # NaN fails both
         raise ValueError(f"access_bandwidth must be positive and finite: {access_bandwidth!r}")
-    site_ratio = oversubscription if site_oversubscription is None else site_oversubscription
-    for ratio, what in ((oversubscription, "oversubscription"), (site_ratio, "site oversubscription")):
-        if not 1.0 <= ratio < math.inf:
-            raise ValueError(f"{what} ratio must be finite and >= 1: {ratio!r}")
+    if not 1.0 <= oversubscription < math.inf:
+        raise ValueError(f"oversubscription ratio must be finite and >= 1: {oversubscription!r}")
     topology = NetworkTopology.from_nodes(nodes, **latencies)
     rack_members: Dict[int, int] = {}
     site_racks: Dict[int, set] = {}
@@ -425,7 +410,7 @@ def oversubscribed_topology(
         capacity = rack_members[rack] * access_bandwidth / oversubscription
         trunks[(_RACK_UP, rack)] = trunks[(_RACK_DOWN, rack)] = capacity
     for site in sorted(site_racks):
-        capacity = sum(trunks[(_RACK_UP, rack)] for rack in sorted(site_racks[site])) / site_ratio
+        capacity = sum(trunks[(_RACK_UP, rack)] for rack in sorted(site_racks[site])) / oversubscription
         trunks[(_SITE_UP, site)] = trunks[(_SITE_DOWN, site)] = capacity
     return topology
 
@@ -588,14 +573,11 @@ class TransferScheduler:
         #: The one capacity table, every constrained link keyed like the
         #: constraint graph; a link it does not list has its stage's default.
         self._caps: Dict[LinkKey, Optional[float]] = {}
-        trunks: Tuple[Optional[float], ...] = (None,) * 4
         if topology is not None:
             for key, value in topology.trunks.items():
                 _validate_capacity(value, _STAGE_NAMES[key[0]], allow_zero=True)
             self._caps.update(topology.trunks)
-            trunks = (topology.rack_uplink, topology.rack_downlink,
-                      topology.site_uplink, topology.site_downlink)
-        self._cap_defaults = (uplink, downlink, *trunks, None)
+        self._cap_defaults = (uplink, downlink) + (None,) * 5
         self._active: Dict[int, Transfer] = {}
         #: The persistent constraint graph of the active set (_add_active /
         #: _drop_active): active seqs and per-link member seqs in submission

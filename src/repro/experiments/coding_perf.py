@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.erasure.chunk_codec import ChunkCodec, CodingMeasurement
 from repro.erasure.null_code import NullCode
-from repro.erasure.online_code import OnlineCode, OnlineCodeParameters
-from repro.erasure.reed_solomon import ReedSolomonCode
+from repro.erasure.online_code import OnlineCode
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.results import TableResult
 from repro.workloads.filetrace import MB
@@ -36,34 +35,18 @@ class CodingPerfConfig:
 
     chunk_size: int = 1 * MB
     blocks_per_chunk: int = 512
-    online_epsilon: float = 0.01
-    online_q: int = 3
-    xor_group_size: int = 2
     repetitions: int = 3
-    include_reed_solomon: bool = False
     seed: int = 3
 
 
 def _codecs(config: CodingPerfConfig) -> Dict[str, ChunkCodec]:
-    codecs: Dict[str, ChunkCodec] = {
-        "Null": ChunkCodec(NullCode(), blocks_per_chunk=config.blocks_per_chunk),
-        "XOR": ChunkCodec(
-            XorParityCode(group_size=config.xor_group_size),
-            blocks_per_chunk=config.blocks_per_chunk,
-        ),
-        "Online": ChunkCodec(
-            OnlineCode(
-                OnlineCodeParameters(epsilon=config.online_epsilon, q=config.online_q),
-                seed=config.seed,
-            ),
-            blocks_per_chunk=config.blocks_per_chunk,
-        ),
+    # The codes' own defaults are the paper's: (2,3) XOR parity and the
+    # online code at (epsilon, q) = (0.01, 3).
+    return {
+        label: ChunkCodec(code, blocks_per_chunk=config.blocks_per_chunk)
+        for label, code in (("Null", NullCode()), ("XOR", XorParityCode()),
+                            ("Online", OnlineCode(seed=config.seed)))
     }
-    if config.include_reed_solomon:
-        codecs["Reed-Solomon"] = ChunkCodec(
-            ReedSolomonCode(parity_blocks=2), blocks_per_chunk=min(config.blocks_per_chunk, 64)
-        )
-    return codecs
 
 
 class CodingPerfExperiment:

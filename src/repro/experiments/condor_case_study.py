@@ -31,17 +31,19 @@ from repro.grid.iolib import FixedChunkBackend, VaryingChunkBackend, WholeFileBa
 from repro.grid.machines import build_condor_pool_nodes
 from repro.grid.transfer import TransferCostModel
 from repro.overlay.dht import DHTView
-from repro.workloads.filetrace import GB, MB
+from repro.workloads.filetrace import GB
 
 
 @dataclass(frozen=True)
 class CondorCaseStudyConfig:
-    """Defaults matching the paper's Section 6.4 setup (scaled file list)."""
+    """Defaults matching the paper's Section 6.4 setup (scaled file list).
 
-    machine_count: int = 32
+    The pool is :func:`build_condor_pool_nodes`' 32 machines and the fixed
+    chunks are CFS's 4 MB blocks, both the paper's.
+    """
+
     #: File sizes to copy, in bytes (paper: 1, 2, 4, ..., 128 GB).
     file_sizes: tuple = tuple(int(size) * GB for size in (1, 2, 4, 8, 16, 32, 64, 128))
-    fixed_chunk_size: int = 4 * MB
     #: Retries are effectively unlimited, as in the paper's methodology.
     retries_per_block: int = 64
     zero_chunk_limit: int = 64
@@ -74,23 +76,19 @@ class CondorCaseStudyExperiment:
             row: Dict[str, object] = {"file_size_gb": file_size / GB}
 
             # Whole-file scheme: a single designated machine must hold the copy.
-            network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
+            network, machines = build_condor_pool_nodes(seed=config.seed)
             target = max(network.live_nodes(), key=lambda node: node.capacity)
             whole = run_bigcopy(WholeFileBackend(target), file_size, cost_model=cost)
             row["whole_file_s"] = whole.elapsed_seconds if whole.success else float("nan")
 
             # Fixed-size chunks (CFS-like).
-            network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
-            cfs = CfsStore(
-                DHTView(network),
-                block_size=config.fixed_chunk_size,
-                retries_per_block=config.retries_per_block,
-            )
+            network, machines = build_condor_pool_nodes(seed=config.seed)
+            cfs = CfsStore(DHTView(network), retries_per_block=config.retries_per_block)
             fixed = run_bigcopy(FixedChunkBackend(cfs), file_size, cost_model=cost)
             row["fixed_chunks_s"] = fixed.elapsed_seconds if fixed.success else float("nan")
 
             # Varying-size chunks (the proposed system).
-            network, machines = build_condor_pool_nodes(config.machine_count, seed=config.seed)
+            network, machines = build_condor_pool_nodes(seed=config.seed)
             storage = StorageSystem(
                 DHTView(network),
                 codec=ChunkCodec(NullCode(), blocks_per_chunk=1),

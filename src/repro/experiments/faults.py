@@ -70,6 +70,11 @@ SCENARIOS = (
 #: isolation panel (whole-site outage with foreground retrieve probes).
 FINITE_CORE_SCENARIOS = SCENARIOS + ("storm_site_outage",)
 
+#: Degraded-repair scenario: this fraction of the population keeps only
+#: ``DEGRADE_BANDWIDTH_FRACTION`` of its links while a rack outage repairs.
+DEGRADE_NODE_FRACTION = 0.25
+DEGRADE_BANDWIDTH_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class FaultsConfig(DeploymentConfig):
@@ -97,10 +102,6 @@ class FaultsConfig(DeploymentConfig):
     restart_count: int = 10
     restart_interval_s: float = 30.0
     restart_downtime_s: float = 60.0
-    #: Degraded-repair scenario: this fraction of the population keeps only
-    #: ``degrade_bandwidth_fraction`` of its links while a rack outage repairs.
-    degrade_node_fraction: float = 0.25
-    degrade_bandwidth_fraction: float = 0.25
     #: Files sampled by the post-event read probe (degraded/failed census).
     read_sample: int = 400
     #: Two-stage core model: when set, rack/site trunks carry the members'
@@ -108,10 +109,6 @@ class FaultsConfig(DeploymentConfig):
     #: 4:1 oversubscribed aggregation layer); ``None`` = access links only,
     #: bit-identical to the pre-topology panels.
     oversubscription: Optional[float] = None
-    #: Latency classes (simulated seconds), applied with the core model.
-    intra_rack_latency_s: float = 0.0
-    intra_site_latency_s: float = 0.0
-    inter_site_latency_s: float = 0.0
     #: Repair QoS knobs: bounded in-flight repair window (``None`` =
     #: unbounded, the seed behaviour; overflow queues FIFO -- backpressure,
     #: never drops) and the repair class's fair-share weight (< 1.0 keeps
@@ -241,10 +238,10 @@ class FaultsExperiment:
                                      downtime=config.restart_downtime_s)
         elif scenario == "degraded_rack_outage":
             live = sorted(network.live_nodes(), key=lambda node: int(node.node_id))
-            count = max(1, int(len(live) * config.degrade_node_fraction))
+            count = max(1, int(len(live) * DEGRADE_NODE_FRACTION))
             stride = max(1, len(live) // count)
             slow = [int(node.node_id) for node in live[::stride][:count]]
-            injector.degrade_nodes(slow, fraction=config.degrade_bandwidth_fraction)
+            injector.degrade_nodes(slow, fraction=DEGRADE_BANDWIDTH_FRACTION)
             # The outage must repair *through* the degraded links: pick the
             # rack whose stride-selected members were just slowed.
             injector.fail_domain(rack=1)
@@ -262,11 +259,6 @@ class FaultsExperiment:
             racks_per_site=config.racks_per_site,
             bandwidth_mb_s=config.bandwidth_mb_s,
             oversubscription=config.oversubscription,
-            latency={
-                "intra_rack_latency": config.intra_rack_latency_s,
-                "intra_site_latency": config.intra_site_latency_s,
-                "inter_site_latency": config.inter_site_latency_s,
-            },
         )
         distribute_s = time.perf_counter() - cell_start
 

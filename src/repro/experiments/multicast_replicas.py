@@ -30,16 +30,20 @@ from repro.overlay.network import OverlayNetwork
 from repro.sim.rng import RandomStreams
 
 
+#: Height of the paper's synthetic binary tree (63 vertices, 32 leaves).
+TREE_HEIGHT = 5
+
+#: RanSub fraction used by Figure 12.
+SATURATION_FRACTION = 0.16
+
+
 @dataclass(frozen=True)
 class MulticastConfig:
     """Defaults matching the paper's Section 6.3 setup."""
 
-    tree_height: int = 5
     total_packets: int = 1000
     #: RanSub set sizes (fractions of the tree) swept by Figure 11.
     ransub_fractions: tuple = (0.03, 0.05, 0.06, 0.08, 0.10, 0.11, 0.13, 0.14, 0.16)
-    #: RanSub fraction used by Figure 12.
-    saturation_fraction: float = 0.16
     link_capacity: int = 10
     peer_capacity: int = 5
     download_capacity: int = 25
@@ -50,8 +54,6 @@ class MulticastConfig:
     node_count: int = 0
     #: Replica holders reached through the overlay (``node_count`` mode).
     replica_count: int = 32
-    #: Array routing engine that supplies the paths (``node_count`` mode).
-    routing_engine: str = "pastry"
 
 
 @dataclass
@@ -99,12 +101,12 @@ class MulticastExperiment:
         """
         config = self.config
         if config.node_count <= 0:
-            return build_binary_tree(config.tree_height)
+            return build_binary_tree(TREE_HEIGHT)
         if self._routed_tree is None:
             streams = RandomStreams(config.seed)
             network = OverlayNetwork.build(
                 config.node_count, streams.fresh("overlay"))
-            router = network.attach_router(config.routing_engine)
+            router = network.attach_router("pastry")
             live = network.live_ids()
             pick = streams.fresh("participants")
             count = min(config.replica_count + 1, len(live))
@@ -149,7 +151,7 @@ class MulticastExperiment:
     def run_saturation(self) -> Tuple[Series, Series, Series]:
         """Figure 12: (minimum, average, maximum) packets per node over epochs."""
         streams = RandomStreams(self.config.seed)
-        session = self._session(self.config.saturation_fraction, streams.fresh("saturation"))
+        session = self._session(SATURATION_FRACTION, streams.fresh("saturation"))
         session.run(until_complete=True)
         minimum = Series(label="Min")
         average = Series(label="Average")

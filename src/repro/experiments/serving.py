@@ -50,6 +50,10 @@ from repro.workloads.serving import (
 )
 
 
+#: Simulated seconds a fully cached read costs.
+CACHE_HIT_LATENCY_S = 0.0005
+
+
 @dataclass(frozen=True)
 class ServingConfig(ExperimentConfig):
     """Defaults for the serving panels (time unit: seconds)."""
@@ -89,18 +93,16 @@ class ServingConfig(ExperimentConfig):
     #: The sweep: skew values x cache modes (False = direct, True = cached).
     zipf_sweep: tuple = (0.8, 1.1)
     cache_modes: tuple = (False, True)
-    #: Per-gateway LRU budget and the simulated cost of a full cache hit.
+    #: Per-gateway LRU budget (a full cache hit costs ``CACHE_HIT_LATENCY_S``).
     cache_mb: float = 256.0
-    cache_hit_latency_s: float = 0.0005
     #: Promote a file (push extra replicas) at this many reads (0 = never).
     hot_threshold: int = 24
     hot_replicas: int = 2
     #: Opt-in overlay lookup cost: fabric-touching requests are additionally
     #: charged ``hops * hop_latency_s`` over the routed path from their
-    #: gateway to the file key's root (0 = off, the seed latency model).
+    #: gateway to the file key's root on the Pastry engine (0 = off, the
+    #: seed latency model).
     hop_latency_s: float = 0.0
-    #: The routing engine that supplies hop counts when ``hop_latency_s`` > 0.
-    routing_engine: str = "pastry"
 
     def scaled(self, factor: float) -> "ServingConfig":
         """The population and the served catalog multiplied by ``factor``."""
@@ -227,8 +229,7 @@ class ServingExperiment:
         replicator = None
         if cache_on:
             cache = client.attach_cache(
-                CacheManager(int(config.cache_mb * MB),
-                             hit_latency_s=config.cache_hit_latency_s)
+                CacheManager(int(config.cache_mb * MB), hit_latency_s=CACHE_HIT_LATENCY_S)
             )
             if config.hot_threshold > 0:
                 replicator = MulticastReplicator(
@@ -253,7 +254,7 @@ class ServingExperiment:
         )
         router = None
         if config.hop_latency_s > 0.0:
-            router = session.routing(config.routing_engine)
+            router = session.routing()
         engine = ServeEngine(
             session.sim,
             client,

@@ -86,9 +86,6 @@ class SoakConfig(DeploymentConfig):
     sample_every_hours: float = 6.0
     #: Ledger compaction period.
     compact_every_hours: float = 24.0
-    #: Whether a returning node comes back with a wiped disk (the conservative
-    #: default: long outages lose the disk) or with its blocks intact.
-    wipe_on_return: bool = True
     #: Gate for the periodic compaction pass (the soak oracle runs with and
     #: without it to assert compaction never changes observable state).
     compaction: bool = True
@@ -227,7 +224,8 @@ class SoakExperiment:
             if node_id not in network:
                 return
             counters["returns"] += 1
-            node = network.recover(node_id, wipe=config.wipe_on_return)
+            # Conservatively, a returning node's long outage lost its disk.
+            node = network.recover(node_id, wipe=True)
             dht.add(node)  # incremental boundary *insertion* patch
             schedule_failure(node_id)
 

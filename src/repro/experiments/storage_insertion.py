@@ -43,14 +43,18 @@ from repro.workloads.capacity import CapacityConfig, generate_capacities
 from repro.workloads.filetrace import GB, MB, FileTrace, FileTraceConfig, generate_file_trace
 
 
+#: Data inserted relative to the total contributed capacity when no file
+#: count is given: the paper inserts 278.7 TB into 439.1 TB (~63.5 %).
+EXPECTED_UTILIZATION = 0.635
+
+
 @dataclass(frozen=True)
 class InsertionConfig:
     """Scaled-down defaults for the insertion experiment.
 
-    ``expected_utilization`` controls how much data is inserted relative to the
-    total contributed capacity; the paper inserts 278.7 TB into 439.1 TB
-    (~63.5 %).  Set ``node_count=10_000`` and ``file_count=None`` with the
-    paper's capacity/trace configs to run at full scale.
+    Set ``node_count=10_000`` and ``file_count=None`` with the paper's
+    capacity/trace configs to run at full scale.  CFS retries each block
+    ``CfsStore``'s default 3 times.
     """
 
     node_count: int = 200
@@ -59,16 +63,14 @@ class InsertionConfig:
     mean_file_size: int = 243 * MB
     std_file_size: int = 55 * MB
     min_file_size: int = 50 * MB
-    #: Explicit number of files; if None it is derived from expected_utilization.
+    #: Explicit number of files; if None it is derived from EXPECTED_UTILIZATION.
     file_count: Optional[int] = None
-    expected_utilization: float = 0.635
     cfs_block_size: int = 4 * MB
     #: PAST's salted-rehash retries.  The paper describes the mechanism but its
     #: reported 36 % failure rate is only consistent with the retry being
     #: absent/ineffective in the original simulation, so the default is 0; the
     #: ablation benchmarks sweep this knob.
     past_retries: int = 0
-    cfs_retries_per_block: int = 3
     zero_chunk_limit: int = 5
     replication: int = 1
     sample_points: int = 20
@@ -80,7 +82,7 @@ class InsertionConfig:
         if self.file_count is not None:
             return self.file_count
         total_capacity = self.node_count * self.capacity_mean
-        return max(1, int(round(total_capacity * self.expected_utilization / self.mean_file_size)))
+        return max(1, int(round(total_capacity * EXPECTED_UTILIZATION / self.mean_file_size)))
 
 
 @dataclass
@@ -194,7 +196,6 @@ class InsertionExperiment:
             views["CFS"],
             block_size=config.cfs_block_size,
             replication=config.replication,
-            retries_per_block=config.cfs_retries_per_block,
         )
         ours = StorageSystem(
             views["Our System"],

@@ -64,6 +64,9 @@ SCENARIOS = ("baseline", "storm_isolated", "storm_open")
 #: Tenant names, in SLO-table order.  ``archive`` is the storm tenant.
 TENANTS = ("archive", "medimg", "grid", "cdn")
 
+#: The site whose whole-domain outage is the storm.
+STORM_SITE = 0
+
 
 @dataclass(frozen=True)
 class TenantsConfig:
@@ -104,9 +107,8 @@ class TenantsConfig:
     probe_period_s: float = 2.0
     #: Post-run degraded/failed read census sample per tenant.
     read_sample: int = 200
-    #: The storm: a whole-site outage at this sim time, repaired with
-    #: staggered per-node passes through a bounded admission window.
-    storm_site: int = 0
+    #: The storm: an outage of site ``STORM_SITE`` at this sim time, repaired
+    #: with staggered per-node passes through a bounded admission window.
     storm_time_s: float = 60.0
     repair_spacing_s: float = 5.0
     repair_window: Optional[int] = 512
@@ -261,9 +263,8 @@ class TenantsExperiment:
 
     def _client(self, network: OverlayNetwork, ordinal: int):
         """A deterministic live client node *outside* the storm site."""
-        config = self.config
         outside = [node for node in network.nodes()
-                   if node.alive and node.site != config.storm_site]
+                   if node.alive and node.site != STORM_SITE]
         outside.sort(key=lambda node: int(node.node_id))
         return outside[(ordinal * 13 + 1) % len(outside)]
 
@@ -340,8 +341,8 @@ class TenantsExperiment:
         if scenario != "baseline":
             def storm() -> None:
                 members = [node for node in network.nodes()
-                           if node.alive and node.site == config.storm_site]
-                injector.fail_domain(site=config.storm_site)
+                           if node.alive and node.site == STORM_SITE]
+                injector.fail_domain(site=STORM_SITE)
                 for index, node in enumerate(members):
                     for name in TENANTS[1:]:
                         sim.schedule(

@@ -55,18 +55,19 @@ from repro.overlay.node import OverlayNode
 #: Limb forms of 2^i for every finger index.
 _POW2_LIMBS = limbs_from_ints([1 << i for i in range(ID_BITS)])
 
+#: Entries in every node's successor list (``r``).
+SUCCESSOR_COUNT = 8
+
 
 class ChordArrayRouter(ArrayRouterBase):
     """The Chord engine (see module docstring for semantics)."""
 
     name = "chord"
 
-    def __init__(self, nodes: Sequence[OverlayNode], successor_count: int = 8,
-                 max_route_hops: int = 128) -> None:
+    def __init__(self, nodes: Sequence[OverlayNode], max_route_hops: int = 128) -> None:
         super().__init__(nodes, max_route_hops=max_route_hops)
-        self.successor_count = successor_count
         self._fingers = np.full((self._capacity, ID_BITS), -1, dtype=np.int32)
-        self._succ = np.full((self._capacity, successor_count), -1, dtype=np.int32)
+        self._succ = np.full((self._capacity, SUCCESSOR_COUNT), -1, dtype=np.int32)
         self._rebuild_all()
 
     @classmethod
@@ -85,7 +86,7 @@ class ChordArrayRouter(ArrayRouterBase):
     def _successor_lists_for(self, positions: np.ndarray) -> np.ndarray:
         """Successor lists (slots) for the nodes at ``positions`` in sorted order."""
         n = self.live_count
-        r = self.successor_count
+        r = SUCCESSOR_COUNT
         steps = np.arange(1, r + 1)
         window = (positions[:, None] + steps[None, :]) % n
         lists = self._sorted_slots[window].astype(np.int32)
@@ -122,7 +123,7 @@ class ChordArrayRouter(ArrayRouterBase):
         self._succ[slot] = -1
         position = self._insert_sorted(slot)
         n = self.live_count
-        if n <= self.successor_count + 2:
+        if n <= SUCCESSOR_COUNT + 2:
             self._rebuild_all()
             return
         succ_slot = int(self._sorted_slots[(position + 1) % n])
@@ -132,7 +133,7 @@ class ChordArrayRouter(ArrayRouterBase):
         self._fingers[slot] = self._fingers_for_slots(block)[0]
         self._succ[slot] = self._successor_lists_for(np.array([position]))[0]
         # Predecessors' successor lists now include the newcomer.
-        pred_positions = (position - np.arange(1, self.successor_count + 1)) % n
+        pred_positions = (position - np.arange(1, SUCCESSOR_COUNT + 1)) % n
         self._succ[self._sorted_slots[pred_positions]] = (
             self._successor_lists_for(pred_positions))
         # Finger entries whose start falls in (pred, newcomer] move from the
@@ -153,7 +154,7 @@ class ChordArrayRouter(ArrayRouterBase):
         position = int(self._positions()[slot])
         self._remove_sorted(slot)
         n = self.live_count
-        if n <= self.successor_count + 2:
+        if n <= SUCCESSOR_COUNT + 2:
             self._release_slot(slot)
             self._rebuild_all()
             return
@@ -161,7 +162,7 @@ class ChordArrayRouter(ArrayRouterBase):
         succ_slot = int(self._sorted_slots[position % n])
         self._fingers[self._fingers == slot] = succ_slot
         self._succ[self._succ == slot] = -1  # cleared; lists refilled below
-        pred_positions = (position - 1 - np.arange(self.successor_count)) % n
+        pred_positions = (position - 1 - np.arange(SUCCESSOR_COUNT)) % n
         self._succ[self._sorted_slots[pred_positions]] = (
             self._successor_lists_for(pred_positions))
         self._fingers[slot] = -1

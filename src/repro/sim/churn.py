@@ -2,16 +2,15 @@
 
 Section 6.2 of the paper studies fault tolerance by failing randomly chosen
 nodes one-by-one (up to 10% of 10 000 nodes for the availability experiment
-and up to 20% for the regeneration experiment) "without any node recovery",
-and by introducing a recovery delay proportional to the amount of data that
-has to be regenerated.  :class:`FailureSchedule` is that deterministic ordered
-list of node failures.  (Continuous session churn -- exponential up and down
-times -- is drawn by the soak experiment itself, see
-:mod:`repro.experiments.soak`.)
+and up to 20% for the regeneration experiment) "without any node recovery".
+:class:`FailureSchedule` is that deterministic ordered list of node failures.
+(Continuous session churn -- exponential up and down times -- is drawn by the
+soak experiment itself, see :mod:`repro.experiments.soak`.)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
@@ -40,9 +39,11 @@ class FailureSchedule:
     rng:
         NumPy generator used to pick the failure order.
     spacing:
-        Virtual time between consecutive failures.  The storage experiments
-        only need the *order*, but the recovery experiment (Table 3) spaces
-        failures so that recovery delays can overlap subsequent failures.
+        Virtual time between consecutive failures (finite and positive).
+        Table 3 and Figure 10 only need the *order* (Table 3's repair is
+        instantaneous, applied at failure time); the bandwidth-aware repair
+        experiment spaces failures so that repair transfers on the fabric
+        can overlap subsequent failures.
     """
 
     def __init__(
@@ -54,8 +55,8 @@ class FailureSchedule:
     ) -> None:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be within [0, 1], got {fraction}")
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < spacing < math.inf:  # NaN fails both
+            raise ValueError(f"spacing must be finite and positive, got {spacing!r}")
         population = list(node_ids)
         count = int(round(len(population) * fraction))
         count = min(count, len(population))

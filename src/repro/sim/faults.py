@@ -293,11 +293,13 @@ class FaultInjector:
         default skips the repair pass; ``repair=True`` models an operator
         re-protecting data during long restarts.
         """
-        if interval < 0 or downtime <= 0:
-            raise ValueError("interval must be >= 0 and downtime > 0")
+        # Checked before anything is scheduled (NaN fails both ranges).
+        if not (0 <= interval < math.inf and 0 < downtime < math.inf):
+            raise ValueError(f"interval must be finite and >= 0 and downtime finite and > 0, "
+                             f"got interval={interval!r}, downtime={downtime!r}")
+        nodes = [self.network.node(node_id) for node_id in node_ids]
         events: List[FaultEvent] = []
-        for index, node_id in enumerate(node_ids):
-            node = self.network.node(node_id)
+        for index, node in enumerate(nodes):
 
             def down(node=node) -> None:
                 event = self._fail_correlated(

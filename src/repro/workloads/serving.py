@@ -222,7 +222,6 @@ class ServeEngine:
         replicator=None,
         hot_threshold: int = 0,
         hot_replicas: int = 1,
-        write_prefix: str = "put",
         router=None,
         hop_latency_s: float = 0.0,
     ) -> None:
@@ -239,7 +238,6 @@ class ServeEngine:
         self.replicator = replicator
         self.hot_threshold = hot_threshold
         self.hot_replicas = hot_replicas
-        self.write_prefix = write_prefix
         #: Opt-in routed-hop latency: requests that touch the fabric are
         #: additionally charged ``hops * hop_latency_s`` for the overlay
         #: lookup from their gateway to the file key's root.  Cache hits
@@ -275,7 +273,7 @@ class ServeEngine:
     def _filename(self, index: int) -> str:
         if self.trace.is_read[index]:
             return self.catalog[int(self.trace.file_index[index])]
-        return f"{self.write_prefix}-{index:08d}"
+        return f"put-{index:08d}"
 
     def _can_issue(self, gateway: int) -> bool:
         network = self.storage.dht.network

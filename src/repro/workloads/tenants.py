@@ -18,9 +18,9 @@ Three profiles ground the flagship noisy-neighbor panel:
   a stored payload from its holder to a rotating subscriber set
   (``multicast/bullet.py``'s push pattern as background distribution load).
 
-All profiles are deterministic given their RNG stream: batch contents are
-generated eagerly at schedule time, so two runs with the same seeds produce
-identical event timelines.
+All profiles start at simulated time 0 and are deterministic given their
+RNG stream: batch contents are generated eagerly at schedule time, so two
+runs with the same seeds produce identical event timelines.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.workloads.filetrace import GB, MB, FileTrace, FileTraceConfig, generate_file_trace
+
+
+#: The smallest medical-image frame file.
+MIN_FRAME_SIZE = 1 * MB
 
 
 @dataclass
@@ -66,9 +70,7 @@ class MedicalIngestProfile:
     frames_per_study: int = 16
     mean_frame_size: int = 12 * MB
     std_frame_size: int = 6 * MB
-    min_frame_size: int = 1 * MB
     study_interval_s: float = 30.0
-    start_s: float = 0.0
     name_prefix: str = "study"
 
     def study_trace(self, study: int, rng: np.random.Generator) -> FileTrace:
@@ -78,7 +80,7 @@ class MedicalIngestProfile:
                 file_count=self.frames_per_study,
                 mean_size=self.mean_frame_size,
                 std_size=self.std_frame_size,
-                min_size=self.min_frame_size,
+                min_size=MIN_FRAME_SIZE,
                 model="lognormal",
                 name_prefix=f"{self.name_prefix}-{study:04d}.frame",
             ),
@@ -99,8 +101,7 @@ class MedicalIngestProfile:
 
         for study in range(self.studies):
             trace = self.study_trace(study, rng)  # eager: determinism
-            sim.schedule(self.start_s + study * self.study_interval_s,
-                         lambda t=trace: ingest(t))
+            sim.schedule(study * self.study_interval_s, lambda t=trace: ingest(t))
         return run
 
 
@@ -115,7 +116,6 @@ class BigCopyBurstProfile:
     bursts: int = 6
     sizes_gb: tuple = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
     burst_interval_s: float = 120.0
-    start_s: float = 0.0
     name_prefix: str = "bigcopy"
 
     def schedule(self, sim, storage, rng: np.random.Generator) -> ProfileRun:
@@ -131,8 +131,7 @@ class BigCopyBurstProfile:
                 run.bytes_stored += size
 
         for index in range(self.bursts):
-            sim.schedule(self.start_s + index * self.burst_interval_s,
-                         lambda i=index: burst(i))
+            sim.schedule(index * self.burst_interval_s, lambda i=index: burst(i))
         return run
 
 
@@ -150,7 +149,6 @@ class BulletDistributionProfile:
     payload: int = 16 * MB
     fanout: int = 4
     period_s: float = 15.0
-    start_s: float = 0.0
     name_prefix: str = "bullet-seed"
 
     def schedule(self, sim, storage, transfers, network,
@@ -190,6 +188,5 @@ class BulletDistributionProfile:
                 run.push_bytes += int(share)
 
         for round_index in range(self.rounds):
-            sim.schedule(self.start_s + round_index * self.period_s,
-                         lambda i=round_index: push(i))
+            sim.schedule(round_index * self.period_s, lambda i=round_index: push(i))
         return run

@@ -8,6 +8,7 @@ own.  ``tests/test_transfer_kernel.py`` differential-fuzzes the production
 :class:`~repro.core.transfer.TransferScheduler` (persistent graph, allocation
 epoch, same-instant activation folding, the pure ``allocate`` kernel) against
 this class and requires identical schedules with ``==``.
+:func:`uniform_trunks` builds the transfer tests' one-capacity-per-direction trunk grids.
 
 Nothing under ``src/`` imports this module.
 """
@@ -20,12 +21,33 @@ from typing import Dict, List, Tuple
 
 from repro.core.transfer import (
     _DOWN,
+    _RACK_DOWN,
+    _RACK_UP,
+    _SITE_DOWN,
+    _SITE_UP,
     _TENANT,
     _UP,
     _WEIGHT_TOLERANCE,
+    NetworkTopology,
     Transfer,
     TransferScheduler,
 )
+
+
+def uniform_trunks(nodes, rack_uplink=None, rack_downlink=None, site_uplink=None,
+                   site_downlink=None, **latencies) -> NetworkTopology:
+    """A topology over ``nodes`` giving every rack / site trunk of a direction
+    one capacity (``None``: unconstrained), written per domain into
+    :attr:`NetworkTopology.trunks` -- the fabric's only trunk-capacity input."""
+    topology = NetworkTopology.from_nodes(nodes, **latencies)
+    for node in nodes:
+        for stage, domain, capacity in ((_RACK_UP, node.rack, rack_uplink),
+                                        (_RACK_DOWN, node.rack, rack_downlink),
+                                        (_SITE_UP, node.site, site_uplink),
+                                        (_SITE_DOWN, node.site, site_downlink)):
+            if domain >= 0 and capacity is not None:
+                topology.trunks[(stage, int(domain))] = capacity
+    return topology
 
 
 class ReferenceTransferScheduler(TransferScheduler):

@@ -154,6 +154,17 @@ RETIRED = (
      r"|\b_call_(client|observer)\b",
      _EVERYWHERE, "a block's bytes live on its holder (OverlayNode.payloads), cached bytes in "
      "their LRU entry, and a request's client and observer are arguments"),
+    ("settings no entry point changed",
+     r"\brollback_on_failure\b|\bwipe_on_return\b|\bcat_store_retries\b|\brecovery_rate\b"
+     r"|\bfailure_spacing\b|\bonline_(epsilon|q)\b|\bxor_group_size\b|\binclude_reed_solomon\b"
+     r"|\bfixed_chunk_size\b|\bdegrade_(node|bandwidth)_fraction\b"
+     r"|\b(intra_rack|intra_site|inter_site)_latency_s\b|\btree_height\b|\bsaturation_fraction\b"
+     r"|\brouting_engine\b|\bcache_hit_latency_s\b|\bcfs_retries_per_block\b"
+     r"|\bexpected_utilization\b|\bstorm_site\b|\bstart_s\b|\bmin_frame_size\b"
+     r"|\b(rack|site)_(up|down)link\b|\bsite_oversubscription\b|\bsuccessor_count\b"
+     r"|\bwrite_prefix\b|\bbytes_relocated\b",
+     _EVERYWHERE, "one value, one path: each is a module constant or inlined; a failed store "
+     "always releases its blocks, and a trunk's capacity is its per-domain topology.trunks entry"),
 )
 
 

@@ -158,15 +158,6 @@ def test_cfs_failure_rolls_back_by_default(dht, network):
     assert dht.total_used() == used_before
 
 
-def test_cfs_failure_without_rollback_keeps_blocks(dht, network):
-    cfs = CfsStore(dht, block_size=4 * MB, retries_per_block=0, rollback_on_failure=False)
-    for node in network.live_nodes():
-        node.used = node.capacity - 5 * MB
-    result = cfs.store_file("partial", 400 * MB)
-    assert not result.success
-    assert result.stored_bytes > 0
-
-
 def test_cfs_replication_on_successors(dht):
     cfs = CfsStore(dht, block_size=4 * MB, replication=2)
     cfs.store_file("replicated", 8 * MB)

@@ -26,7 +26,6 @@ def test_default_policy_matches_paper_simulation():
         {"min_chunk_size": -1},
         {"max_chunk_size": 0},
         {"min_chunk_size": 100, "max_chunk_size": 50},
-        {"cat_store_retries": -1},
     ],
 )
 def test_policy_validation_rejects_bad_values(kwargs):

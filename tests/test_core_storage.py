@@ -90,20 +90,6 @@ def test_store_failure_when_system_full_and_rollback(dht):
     assert "toobig" not in storage.files
 
 
-def test_store_failure_without_rollback_keeps_partial_data(dht):
-    storage = StorageSystem(
-        dht,
-        codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
-        policy=StoragePolicy(max_consecutive_zero_chunks=2, rollback_on_failure=False),
-    )
-    total = dht.total_capacity()
-    storage.store_file("filler", int(total * 0.95))
-    used_before = dht.total_used()
-    result = storage.store_file("toobig", int(total * 0.3))
-    assert not result.success
-    assert dht.total_used() >= used_before
-
-
 def test_cat_is_stored_and_replicated(capacity_storage, dht):
     capacity_storage.store_file("withcat", 5 * MB)
     stored = capacity_storage.files["withcat"]

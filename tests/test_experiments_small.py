@@ -21,7 +21,11 @@ from repro.experiments.churn import ChurnConfig, ChurnExperiment
 from repro.experiments.coding_perf import CodingPerfConfig, CodingPerfExperiment
 from repro.experiments.condor_case_study import CondorCaseStudyConfig, CondorCaseStudyExperiment
 from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
-from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
+from repro.experiments.storage_insertion import (
+    EXPECTED_UTILIZATION,
+    InsertionConfig,
+    InsertionExperiment,
+)
 from repro.workloads.filetrace import GB, MB
 
 
@@ -68,8 +72,8 @@ def test_insertion_curves_are_monotone_in_x(insertion_outcome):
 
 
 def test_insertion_resolved_file_count_from_utilization():
-    config = InsertionConfig(node_count=10, file_count=None, expected_utilization=0.5)
-    expected = round(10 * config.capacity_mean * 0.5 / config.mean_file_size)
+    config = InsertionConfig(node_count=10, file_count=None)
+    expected = round(10 * config.capacity_mean * EXPECTED_UTILIZATION / config.mean_file_size)
     assert config.resolved_file_count() == expected
     explicit = InsertionConfig(file_count=123)
     assert explicit.resolved_file_count() == 123
@@ -105,13 +109,6 @@ def test_coding_performance_shape():
     # No ordering of the sub-millisecond, single-repetition host timings: a
     # scheduler hiccup reorders them (speed guards: test_erasure_perf_smoke.py).
     assert all(row["encode_ms"] > 0.0 for row in rows.values())
-
-
-def test_coding_performance_optional_reed_solomon():
-    table = CodingPerfExperiment(
-        CodingPerfConfig(chunk_size=64 * 1024, blocks_per_chunk=32, repetitions=1, include_reed_solomon=True)
-    ).run()
-    assert any(row["code"] == "Reed-Solomon" for row in table.rows)
 
 
 # -- churn (Table 3) ---------------------------------------------------------------------------

@@ -125,7 +125,6 @@ def test_non_finite_timing_is_rejected_at_construction(build):
 @pytest.mark.parametrize("build", [
     lambda network: oversubscribed_topology(network.nodes(), 8 * MB, math.nan),
     lambda network: oversubscribed_topology(network.nodes(), 8 * MB, math.inf),
-    lambda network: oversubscribed_topology(network.nodes(), 8 * MB, 4.0, site_oversubscription=math.nan),
     lambda network: oversubscribed_topology(network.nodes(), math.inf, 4.0),
     lambda network: ClusterSession(60, sites=2, racks_per_site=2, bandwidth_mb_s=8,
                                    oversubscription=math.nan),
@@ -135,7 +134,7 @@ def test_non_finite_timing_is_rejected_at_construction(build):
     lambda network: StoragePolicy(min_chunk_size=math.nan),
     lambda network: StoragePolicy(max_chunk_size=math.nan),
     lambda network: StoragePolicy(max_chunk_size=math.inf),
-], ids=["nan ratio", "inf ratio", "nan site ratio", "inf access bandwidth", "nan session ratio",
+], ids=["nan ratio", "inf ratio", "inf access bandwidth", "nan session ratio",
         "inf session ratio", "nan trunk copied by the scheduler", "nan min chunk",
         "nan max chunk", "inf max chunk"])
 def test_non_finite_ratios_and_bounds_are_rejected_at_construction(build):
@@ -305,6 +304,22 @@ def test_rolling_restart_returns_nodes_with_data_intact():
     assert storage.ledger.placements_below(TARGET_REPLICATION) == 0
     restarts = [e for e in injector.events if e.scenario == "rolling_restart"]
     assert len(restarts) == len(victims)
+
+
+@pytest.mark.parametrize("interval, downtime", [
+    (1.0, math.inf), (1.0, math.nan), (1.0, 0.0), (math.nan, 5.0), (math.inf, 5.0), (-1.0, 5.0),
+])
+def test_rolling_restart_rejects_bad_timing_before_scheduling_anything(interval, downtime):
+    """An infinite downtime used to schedule node 0's failure and then raise,
+    leaving it down for good after ``sim.run()``; a NaN interval passed."""
+    network = OverlayNetwork.build(8, np.random.default_rng(5))
+    sim = Simulator()
+    injector = FaultInjector(sim, network)
+    victims = [node.node_id for node in network.live_nodes()[:3]]
+    with pytest.raises(ValueError):
+        injector.rolling_restart(victims, interval=interval, downtime=downtime)
+    sim.run()
+    assert len(network.live_nodes()) == 8 and not injector.events
 
 
 def test_degrade_nodes_cuts_bandwidth_via_scheduler():

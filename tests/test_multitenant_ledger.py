@@ -517,3 +517,17 @@ def test_queue_rejects_duplicates_and_handles_degenerate_stores():
     assert shared.unavailable_files == 1
     shared.flush_registrations()
     assert shared.active_files == 2
+
+
+def test_whole_file_registration_reads_no_tenant_as_tenant_zero():
+    """``tenant=None`` is the untagged tenant 0, as for the three sibling
+    registrations -- it used to raise only after counting the file and
+    indexing it under ``(None, name)``, which left the ledger inconsistent."""
+    network, dht = _pool(12, 98)
+    ledger = BlockLedger(network)
+    holder = dht.state.nodes[0]
+    assert holder.store_block("whole", 1 * MB)
+    index = ledger.register_whole_file("whole", 1 * MB, "whole", [holder], tenant=None)
+    assert ledger.file_index("whole") == index
+    assert ledger.active_files == 1
+    ledger.check_invariants()

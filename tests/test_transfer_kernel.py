@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference.transfer_reference import ReferenceTransferScheduler
+from reference.transfer_reference import ReferenceTransferScheduler, uniform_trunks
 
 from repro.core.transfer import (
     _DOWN,
@@ -276,7 +276,7 @@ def _bound_multisets(sched):
 def _drive(scheduler_cls, ops, latencies):
     """Apply one op sequence to a fresh scheduler; return everything observable."""
     sim = Simulator()
-    topology = NetworkTopology.from_nodes(
+    topology = uniform_trunks(
         _grid(), rack_uplink=30.0, site_uplink=20.0, site_downlink=25.0,
         intra_rack_latency=latencies[0], intra_site_latency=latencies[1],
         inter_site_latency=latencies[2],
@@ -407,7 +407,7 @@ _CALLS = {
 def _finish_times(call):
     """Five flows' completion times, with ``call`` (if any) made three times mid-flight."""
     sim = Simulator()
-    topology = NetworkTopology.from_nodes(_grid(), rack_uplink=30.0, site_uplink=20.0)
+    topology = uniform_trunks(_grid(), rack_uplink=30.0, site_uplink=20.0)
     sched = TransferScheduler(sim, uplink=8.0, downlink=12.0, topology=topology)
     flows = [sched.submit(size, src=src, dst=dst, tenant=src % 2)
              for size, src, dst in ((428.58, 11, 3), (552.48, 1, 5), (76.0, 0, 10),
@@ -431,7 +431,7 @@ def test_a_read_or_a_rejected_call_moves_no_float_history(call):
 
 def _latent_scheduler(latency=1.0):
     sim = Simulator()
-    topology = NetworkTopology.from_nodes(
+    topology = uniform_trunks(
         _grid(), site_uplink=20.0, intra_rack_latency=latency,
         intra_site_latency=latency, inter_site_latency=latency)
     return sim, TransferScheduler(sim, uplink=8.0, downlink=12.0, topology=topology)
@@ -511,7 +511,7 @@ def test_a_trunk_that_turns_slack_because_a_member_left_refills_the_rest():
 
     def scenario(scheduler_cls):
         sim = Simulator()
-        topology = NetworkTopology.from_nodes(_grid(), site_uplink=20.0)
+        topology = uniform_trunks(_grid(), site_uplink=20.0)
         sched = scheduler_cls(sim, uplink=8.0, downlink=12.0, topology=topology)
         # Site 0 -> site 1 on disjoint endpoints: only the 20 B/s trunk joins them.
         flows = [sched.submit(size, src=src, dst=src + 2)
@@ -532,7 +532,7 @@ def test_a_link_emptied_and_refilled_is_judged_afresh():
 
     def scenario(scheduler_cls):
         sim = Simulator()
-        topology = NetworkTopology.from_nodes(_grid(), site_uplink=20.0)
+        topology = uniform_trunks(_grid(), site_uplink=20.0)
         sched = scheduler_cls(sim, uplink=8.0, downlink=12.0, topology=topology)
         sched.set_node_bandwidth(1, uplink=40.0)
         sched.set_node_bandwidth(3, downlink=40.0)
@@ -554,7 +554,7 @@ def test_flows_without_a_finite_access_link_keep_their_trunk_binding():
 
     def scenario(scheduler_cls):
         sim = Simulator()
-        topology = NetworkTopology.from_nodes(_grid(), site_downlink=100.0)
+        topology = uniform_trunks(_grid(), site_downlink=100.0)
         sched = scheduler_cls(sim, uplink=8.0, downlink=12.0, topology=topology)
         sched.set_node_bandwidth(1, uplink=None)
         for node in (3, 7):
@@ -584,7 +584,7 @@ def test_a_fill_covers_the_bottleneck_component_not_the_active_set():
     nodes = [_Node(g, site=0, rack=0) for g in range(3)]
     nodes += [_Node(s, site=1, rack=1) for s in range(10, 20)]
     sim = Simulator()
-    topology = NetworkTopology.from_nodes(nodes, site_uplink=1000.0, site_downlink=1000.0)
+    topology = uniform_trunks(nodes, site_uplink=1000.0, site_downlink=1000.0)
     sched = TransferScheduler(sim, uplink=8.0, downlink=12.0, topology=topology)
     sources = iter(range(10, 20))
 

@@ -132,7 +132,8 @@ KEEP: dict[str, str] = {
     "repro.experiments.routing.RoutingConfig.scaled": _SCALED,
     "repro.experiments.serving.ServingConfig.scaled": _SCALED,
     "repro.experiments.tenants.TenantsConfig.scaled": _SCALED,
-    "repro.erasure.reed_solomon": "Reed-Solomon: the examples stripe with it, Table 2 can time it",
+    "repro.erasure.reed_solomon": "Reed-Solomon: two examples stripe with its (4+2) spec in "
+        "capacity mode; only tier-1 codes bytes with it",
     "repro.erasure.gf2._xor_reduce_grouped": "the narrow-row XOR kernel gf2 selects by size",
     "repro.erasure.chunk_codec.clear_coding_caches": "cold-cache coding measurements (measure(cold=True))",
     "repro.erasure.online_code.clear_code_graph_cache": "cold-cache coding measurements (measure(cold=True))",
