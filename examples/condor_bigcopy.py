@@ -2,8 +2,8 @@
 """The paper's Condor case study as a runnable example (Section 6.4).
 
 A 32-machine Condor pool (each machine contributing 2-15 GB over 100 Mb/s
-Ethernet) runs the ``bigCopy`` job for growing file sizes under the three
-storage back-ends Table 4 compares: the original whole-file scheme, CFS-style
+Ethernet) runs the ``bigCopy`` job for growing file sizes into the three
+stores Table 4 compares: the original whole-file scheme, CFS-style
 fixed 4 MB chunks, and the proposed variable-size chunks.  The whole-file
 scheme stops working once the copy no longer fits on any single machine; the
 chunked schemes keep working, and the variable-size chunks pay far fewer p2p
@@ -20,12 +20,10 @@ from repro import (
     ClusterSession,
     CondorPool,
     DHTView,
-    FixedChunkBackend,
     NullCode,
     StoragePolicy,
     TransferCostModel,
-    VaryingChunkBackend,
-    WholeFileBackend,
+    WholeFileStore,
 )
 from repro.grid.bigcopy import submit_and_run_bigcopy
 from repro.grid.machines import build_condor_pool_nodes
@@ -34,7 +32,7 @@ MB = 1 << 20
 GB = 1 << 30
 
 
-def fresh_backends(seed: int):
+def fresh_stores(seed: int):
     """Build one pool per scheme so each run starts from empty disks.
 
     The varying-chunk store runs as an explicit ``condor`` tenant of a
@@ -47,9 +45,7 @@ def fresh_backends(seed: int):
     whole_target = max(whole_network.live_nodes(), key=lambda node: node.capacity)
 
     fixed_network, fixed_machines = build_condor_pool_nodes(32, seed=seed)
-    fixed_backend = FixedChunkBackend(
-        CfsStore(DHTView(fixed_network), block_size=4 * MB, retries_per_block=64)
-    )
+    fixed_store = CfsStore(DHTView(fixed_network), block_size=4 * MB, retries_per_block=64)
 
     varying_network, varying_machines = build_condor_pool_nodes(32, seed=seed)
     varying_session = ClusterSession.adopt(varying_network)
@@ -58,11 +54,10 @@ def fresh_backends(seed: int):
         codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
         policy=StoragePolicy(max_consecutive_zero_chunks=64),
     )
-    varying_backend = VaryingChunkBackend(varying_client.storage)
     return cost, varying_client, [
-        ("whole file", WholeFileBackend(whole_target), whole_machines),
-        ("fixed 4 MB chunks", fixed_backend, fixed_machines),
-        ("varying chunks", varying_backend, varying_machines),
+        ("whole file", WholeFileStore(whole_target), whole_machines),
+        ("fixed 4 MB chunks", fixed_store, fixed_machines),
+        ("varying chunks", varying_client.storage, varying_machines),
     ]
 
 
@@ -71,11 +66,11 @@ def main() -> None:
     varying_client = None
     for size_gb in (1, 2, 4, 8, 16, 32):
         row = [f"{size_gb:6d}GB"]
-        cost, varying_client, backends = fresh_backends(seed=size_gb)
-        for label, backend, machines in backends:
+        cost, varying_client, stores = fresh_stores(seed=size_gb)
+        for label, store, machines in stores:
             pool = CondorPool(machines=machines)
             try:
-                _, copy = submit_and_run_bigcopy(pool, backend, size_gb * GB, cost_model=cost)
+                _, copy = submit_and_run_bigcopy(pool, store, size_gb * GB, cost_model=cost)
                 cell = f"{copy.elapsed_seconds:9.0f} s ({copy.chunk_count} chunks)"
                 if not copy.success:
                     cell = "      N/A"

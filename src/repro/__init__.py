@@ -45,11 +45,9 @@ from repro.baselines import CfsStore, PastStore
 from repro.multicast import BulletConfig, BulletSession, build_binary_tree, build_locality_tree
 from repro.grid import (
     CondorPool,
-    FixedChunkBackend,
     InterposedIO,
     TransferCostModel,
-    VaryingChunkBackend,
-    WholeFileBackend,
+    WholeFileStore,
     run_bigcopy,
 )
 from repro.workloads import (
@@ -99,9 +97,7 @@ __all__ = [
     "CondorPool",
     "InterposedIO",
     "TransferCostModel",
-    "WholeFileBackend",
-    "FixedChunkBackend",
-    "VaryingChunkBackend",
+    "WholeFileStore",
     "run_bigcopy",
     # workloads
     "FileTrace",

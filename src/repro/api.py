@@ -38,10 +38,11 @@ import numpy as np
 from repro.core.block_ledger import BlockLedger
 from repro.core.cache import CacheManager
 from repro.core.recovery import RecoveryManager
-from repro.core.storage import _UNSET, RetrieveResult, StorageSystem, StoreResult
+from repro.core.storage import _UNSET, RetrieveResult, StorageSystem
 from repro.core.transfer import TransferScheduler, oversubscribed_topology
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import StoreResult
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, assign_domains
 from repro.sim.rng import RandomStreams

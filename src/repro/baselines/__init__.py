@@ -8,12 +8,14 @@
   successors of the block key.
 
 Both baselines are implemented against the same DHT view and node population
-as the proposed system so the comparison (Figures 7-9, Table 1) is
+as the proposed system, and speak its store contract: they share its ledger
+wiring (:class:`~repro.core.storage.LedgerStore`), answer ``store_file`` with
+the one :class:`~repro.overlay.node.StoreResult`, and CFS answers the same
+``chunk_sizes`` layout query, so the comparison (Figures 7-9, Table 1) is
 apples-to-apples.
 """
 
-from repro.baselines.common import BaselineStoreResult, InsertionStats
 from repro.baselines.past import PastStore
 from repro.baselines.cfs import CfsStore
 
-__all__ = ["BaselineStoreResult", "InsertionStats", "PastStore", "CfsStore"]
+__all__ = ["PastStore", "CfsStore"]

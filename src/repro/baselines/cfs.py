@@ -14,20 +14,19 @@ default here.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.baselines.common import BaselineStoreResult
 from repro.core import naming
 from repro.core.block_ledger import BlockLedger
+from repro.core.storage import LedgerStore
 from repro.overlay.dht import DHTView
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, StoreResult, store_refusal
 
 #: The block size used in the paper's simulations (4 MB).
 DEFAULT_BLOCK_SIZE = 4 * (1 << 20)
 
 
-class CfsStore:
+class CfsStore(LedgerStore):
     """A CFS-style fixed-block store over a DHT view.
 
     The attempt-0 placements of *all* blocks of a file are resolved in one
@@ -42,7 +41,8 @@ class CfsStore:
     under out-of-band churn.  Results, placements and lookup counts are
     identical to the seed one-``DHTView.lookup``-per-attempt store kept as
     ``tests/reference/seed_placement.py``; the equivalence is asserted by
-    ``tests/test_placement_equivalence.py``.
+    ``tests/test_placement_equivalence.py``.  ``files`` maps each stored name
+    to its ledger file index.
     """
 
     def __init__(
@@ -60,22 +60,10 @@ class CfsStore:
             raise ValueError("replication must be >= 1")
         if retries_per_block < 0:
             raise ValueError("retries_per_block must be non-negative")
-        self.dht = dht
+        super().__init__(dht, ledger, tenant)
         self.block_size = block_size
         self.replication = replication
         self.retries_per_block = retries_per_block
-        #: Columnar bookkeeping.  Pass ``ledger`` to share one instance with
-        #: other stores on the same overlay, and ``tenant`` to scope this
-        #: store's files to their own namespace on a multi-tenant ledger.
-        self.ledger = BlockLedger(dht.network) if ledger is None else ledger
-        #: The tenant id this store registers under (``None``: untagged).
-        self.store_tenant = None if tenant is None else self.ledger.ensure_tenant(tenant)
-        #: A private ledger's namespace is exactly ``self.files``; only a
-        #: shared ledger needs the pre-flight name check on the hot path.
-        self._ledger_shared = ledger is not None
-        #: filename -> ledger file index.
-        self.files: Dict[str, int] = {}
-        self.total_lookups = 0
 
     def block_count_for(self, size: int) -> int:
         """Number of fixed-size blocks a file of ``size`` bytes is split into."""
@@ -83,7 +71,7 @@ class CfsStore:
             return 0
         return -(-size // self.block_size)
 
-    def store_file(self, filename: str, size: int) -> BaselineStoreResult:
+    def store_file(self, filename: str, size: int) -> StoreResult:
         """Insert one file; one p2p lookup per block placement attempt.
 
         Every attempt-0 target is batch-resolved, then applied.  Those
@@ -94,25 +82,9 @@ class CfsStore:
         tuples: placed holders accumulate in one list and the whole file is
         registered into the columnar ledger with a single bulk column write.
         """
-        if not 0 <= size < math.inf:
-            raise ValueError(f"file size must be finite and non-negative, got {size!r}")
-        # A shared ledger is a shared file namespace: a name another store on
-        # the same ledger already registered must be rejected up front, before
-        # any block is placed (for a private ledger the check is redundant and
-        # skipped).
-        if filename in self.files or (
-            self._ledger_shared
-            and self.ledger.file_index(filename, self.store_tenant) is not None
-        ):
-            return BaselineStoreResult(
-                filename=filename,
-                requested_size=size,
-                success=False,
-                stored_bytes=0,
-                chunk_count=0,
-                lookups=0,
-                failure_reason="file already stored",
-            )
+        refused = store_refusal(filename, size, self._taken)
+        if refused is not None:
+            return refused
         block_count = self.block_count_for(size)
         state = self.dht.state
         names = [f"{filename}/block{index}" for index in range(block_count)]
@@ -170,12 +142,13 @@ class CfsStore:
             filename, size, names, holders, block_size, salted=salted, replicas=replicas,
             tenant=self.store_tenant,
         )
-        return BaselineStoreResult(
+        return StoreResult(
             filename=filename,
             requested_size=size,
             success=True,
             stored_bytes=size,
             chunk_count=block_count,
+            data_chunk_count=block_count,
             lookups=lookups,
         )
 
@@ -188,7 +161,7 @@ class CfsStore:
         replicas: List[Tuple[int, OverlayNode]],
         lookups: int,
         index: int,
-    ) -> BaselineStoreResult:
+    ) -> StoreResult:
         """Failure accounting: nothing was registered yet, so every block
         placed so far is released."""
         self.total_lookups += lookups
@@ -196,12 +169,13 @@ class CfsStore:
             holder.remove_block(names[block_index])
         for block_index, replica in replicas:
             replica.remove_block(names[block_index])
-        return BaselineStoreResult(
+        return StoreResult(
             filename=filename,
             requested_size=size,
             success=False,
             stored_bytes=0,
             chunk_count=len(holders),
+            data_chunk_count=len(holders),
             lookups=lookups,
             failure_reason=f"block {index} could not be placed",
         )

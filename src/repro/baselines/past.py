@@ -12,16 +12,15 @@ implementation.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
-from repro.baselines.common import BaselineStoreResult
 from repro.core.block_ledger import BlockLedger
+from repro.core.storage import LedgerStore
 from repro.overlay.dht import DHTView
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, StoreResult, store_refusal
 
 
-class PastStore:
+class PastStore(LedgerStore):
     """A PAST-style whole-file store over a DHT view.
 
     The per-attempt lookup runs on the array-backed placement engine (raw
@@ -35,6 +34,8 @@ class PastStore:
     :meth:`is_file_available` an O(1) counter read that stays exact under
     out-of-band ``fail()``/``recover()``/``leave()`` churn.  Pass ``ledger``
     to share one ledger instance with other stores on the same overlay.
+    ``files`` maps each stored name to ``(name actually stored under, holder
+    nodes)``.
     """
 
     def __init__(
@@ -49,48 +50,18 @@ class PastStore:
             raise ValueError("replication must be >= 1")
         if retries < 0:
             raise ValueError("retries must be non-negative")
-        self.dht = dht
+        super().__init__(dht, ledger, tenant)
         self.replication = replication
         self.retries = retries
-        #: Columnar bookkeeping.  Pass ``ledger`` to share one instance with
-        #: other stores on the same overlay, and ``tenant`` to scope this
-        #: store's files to their own namespace on a multi-tenant ledger.
-        self.ledger = BlockLedger(dht.network) if ledger is None else ledger
-        #: The tenant id this store registers under (``None``: untagged).
-        self.store_tenant = None if tenant is None else self.ledger.ensure_tenant(tenant)
-        #: Only a ledger shared with other stores can carry a colliding name
-        #: this store's own ``files`` dict does not know about; a private
-        #: ledger's namespace is exactly ``self.files``, so the per-store
-        #: ledger lookup is skipped on the hot path.
-        self._ledger_shared = ledger is not None
-        #: filename -> (name actually stored under, holder nodes).
-        self.files: dict[str, tuple[str, List[OverlayNode]]] = {}
-        self.total_lookups = 0
 
     def _salted_name(self, filename: str, attempt: int) -> str:
         return filename if attempt == 0 else f"{filename}#salt{attempt}"
 
-    def store_file(self, filename: str, size: int) -> BaselineStoreResult:
+    def store_file(self, filename: str, size: int) -> StoreResult:
         """Insert one file; a single p2p lookup per attempt, as in PAST."""
-        if not 0 <= size < math.inf:
-            raise ValueError(f"file size must be finite and non-negative, got {size!r}")
-        # A shared ledger is a shared file namespace: a name another store on
-        # the same ledger already registered must be rejected up front, before
-        # any block is placed (for a private ledger the check is redundant and
-        # skipped).
-        if filename in self.files or (
-            self._ledger_shared
-            and self.ledger.file_index(filename, self.store_tenant) is not None
-        ):
-            return BaselineStoreResult(
-                filename=filename,
-                requested_size=size,
-                success=False,
-                stored_bytes=0,
-                chunk_count=0,
-                lookups=0,
-                failure_reason="file already stored",
-            )
+        refused = store_refusal(filename, size, self._taken)
+        if refused is not None:
+            return refused
         lookups = 0
         for attempt in range(self.retries + 1):
             name = self._salted_name(filename, attempt)
@@ -106,21 +77,23 @@ class PastStore:
                     filename, size, name, holders, salted=attempt > 0, tenant=self.store_tenant
                 )
                 self.total_lookups += lookups
-                return BaselineStoreResult(
+                return StoreResult(
                     filename=filename,
                     requested_size=size,
                     success=True,
                     stored_bytes=size * len(holders),
                     chunk_count=1,
+                    data_chunk_count=1,
                     lookups=lookups,
                 )
         self.total_lookups += lookups
-        return BaselineStoreResult(
+        return StoreResult(
             filename=filename,
             requested_size=size,
             success=False,
             stored_bytes=0,
             chunk_count=0,
+            data_chunk_count=0,
             lookups=lookups,
             failure_reason=f"no node could hold {size} bytes after {self.retries + 1} attempts",
         )

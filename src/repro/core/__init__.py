@@ -32,8 +32,8 @@ from repro.core.storage import (
     StorageSystem,
     StoredChunk,
     StoredFile,
-    StoreResult,
 )
+from repro.overlay.node import StoreResult
 from repro.core.recovery import FailureImpact, RecoveryManager
 
 __all__ = [

@@ -610,11 +610,14 @@ class RecoveryManager:
     def _finish(self, impact: FailureImpact) -> None:
         """Submit the staged transfers, wire the completion accounting, record ``impact``.
 
-        Each transfer that fails mid-flight (source endpoint died, bandwidth
-        cut to zero, or deadline expired) is resubmitted after an exponential
-        backoff with its read re-planned onto a surviving copy, up to
-        :attr:`max_retries` times; the repair is complete when every staged
-        byte has either drained or been abandoned.
+        Each transfer that fails mid-flight -- a link on its path cut to zero,
+        or its :attr:`transfer_timeout` expired (``None`` unless a caller sets
+        it) -- is resubmitted after an exponential backoff with its read
+        re-planned onto a surviving copy, up to :attr:`max_retries` times; the
+        repair is complete when every staged byte has either drained or been
+        abandoned.  A node failure alone does not fail a transfer: the fabric
+        does not watch liveness, so bytes from a source that died mid-flight
+        still arrive.
         """
         self.impacts.append(impact)
         staged, self._staged = self._staged, []

@@ -23,15 +23,17 @@ The class operates in two modes:
   (:attr:`~repro.overlay.node.OverlayNode.payloads`) and leave with the block.
 
 A request's client and observer are arguments, resolved once per public entry.
+
+:class:`LedgerStore` is what the three stores of the insertion comparison --
+this one, :class:`~repro.baselines.past.PastStore` and
+:class:`~repro.baselines.cfs.CfsStore` -- share: their file namespace on a
+block ledger and the refusal of a name already taken.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core import naming
 from repro.core.block_ledger import BlockLedger
@@ -43,7 +45,7 @@ from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import NodeId
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, StoreResult, store_refusal
 
 #: Sentinel distinguishing "keyword not passed" from an explicit ``None``
 #: (``client=None`` legitimately means "an external client outside the
@@ -105,20 +107,6 @@ class StoredFile:
 
 
 @dataclass(frozen=True)
-class StoreResult:
-    """Outcome of one file store."""
-
-    filename: str
-    requested_size: int
-    success: bool
-    stored_bytes: int
-    chunk_count: int
-    data_chunk_count: int
-    lookups: int
-    failure_reason: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class RetrieveResult:
     """Outcome of one retrieval (whole file or byte range)."""
 
@@ -144,8 +132,39 @@ class RetrieveResult:
         return self.complete and self.chunks_degraded > 0
 
 
-class StorageSystem:
+class LedgerStore:
+    """A file namespace on a block ledger: the wiring PAST, CFS and ours share.
+
+    The store registers its copies in ``ledger`` -- a private one unless a
+    ledger is passed to share with other stores on the same overlay -- under
+    the tenant id ``store_tenant`` (``None``: untagged).  ``files`` maps each
+    stored name to the store's own record of it, and ``total_lookups`` counts
+    the DHT look-ups its stores and reads charged.
+    """
+
+    def __init__(self, dht: DHTView, ledger: Optional[BlockLedger],
+                 tenant: Optional[str]) -> None:
+        self.dht = dht
+        self.ledger = BlockLedger(dht.network) if ledger is None else ledger
+        self.store_tenant = None if tenant is None else self.ledger.ensure_tenant(tenant)
+        #: A private ledger's namespace is exactly ``files``; only a shared
+        #: ledger can hold a name another store registered, so only then is
+        #: the ledger read before a store.
+        self._ledger_shared = ledger is not None
+        self.files: dict = {}
+        self.total_lookups = 0
+
+    def _taken(self, filename: str) -> bool:
+        """Whether ``filename`` is already stored in this store's namespace."""
+        return filename in self.files or (
+            self._ledger_shared and self.ledger.file_index(filename, self.store_tenant) is not None
+        )
+
+
+class StorageSystem(LedgerStore):
     """The striped, erasure-coded contributory storage system."""
+
+    files: Dict[str, StoredFile]
 
     def __init__(
         self,
@@ -156,25 +175,15 @@ class StorageSystem:
         ledger: Optional[BlockLedger] = None,
         tenant: Optional[str] = None,
     ) -> None:
-        self.dht = dht
+        #: The ledger holds one row per stored copy, incrementally-maintained
+        #: chunk decodability and O(1) usage/availability aggregates
+        #: (``tests/reference/dict_walk.py`` re-derives each of them from the
+        #: per-node dicts).  An untagged store (``tenant=None``) moves its
+        #: bytes untagged, preserving the single-tenant scheduler oracle.
+        super().__init__(dht, ledger, tenant)
         self.codec = codec or ChunkCodec(NullCode(), blocks_per_chunk=1)
         self.policy = policy or StoragePolicy()
         self.payload_mode = payload_mode
-        #: Columnar system-wide block bookkeeping: one ledger row per stored
-        #: copy, incrementally-maintained chunk decodability and O(1)
-        #: usage/availability aggregates (``tests/reference/dict_walk.py``
-        #: re-derives each of them from the per-node dicts).  Pass ``ledger``
-        #: to share one multi-tenant ledger with other stores on the same
-        #: overlay and ``tenant`` to scope this store's file namespace and
-        #: aggregates (a private untagged ledger otherwise).
-        self.ledger = BlockLedger(dht.network) if ledger is None else ledger
-        #: The tenant this store registers files under and moves bytes for:
-        #: ``None`` (untagged) keeps transfers untagged, preserving the
-        #: single-tenant scheduler oracle bit-for-bit.
-        self.store_tenant = None if tenant is None else self.ledger.ensure_tenant(tenant)
-        #: A private ledger's namespace is exactly ``self.files``; only a
-        #: shared ledger needs the pre-flight name check before placing.
-        self._ledger_shared = ledger is not None
         #: Optional transfer fabric for charging data movement (see
         #: :meth:`attach_transfers`).  ``None`` (the default) keeps stores and
         #: retrieves instantaneous, exactly as before.
@@ -187,8 +196,6 @@ class StorageSystem:
         #: chunk reads -- the serve path's load-balance histogram source.
         self.read_load: Dict[int, float] = {}
         self.probe = CapacityProbe(dht, self.policy.capacity_report_fraction)
-        self.files: Dict[str, StoredFile] = {}
-        self.total_lookups = 0
         self.store_attempts = 0
         self.store_failures = 0
         self.failed_bytes = 0
@@ -253,8 +260,6 @@ class StorageSystem:
         """
         if self.payload_mode:
             raise RuntimeError("store_file() is for capacity mode; use store_bytes() in payload mode")
-        if not 0 <= size < math.inf:
-            raise ValueError(f"file size must be finite and non-negative, got {size!r}")
         return self._store(filename, size, None, *self._request(client, observer))
 
     def store_bytes(self, filename: str, data: bytes, *,
@@ -266,23 +271,9 @@ class StorageSystem:
 
     def _store(self, filename: str, size: int, data: Optional[bytes], client,
                observer) -> StoreResult:
-        # On a shared ledger another store may already own the name; reject
-        # up front, before any block is placed (the same pre-flight check the
-        # baselines make -- registration would otherwise raise mid-store).
-        if filename in self.files or (
-            self._ledger_shared
-            and self.ledger.file_index(filename, self.store_tenant) is not None
-        ):
-            return StoreResult(
-                filename=filename,
-                requested_size=size,
-                success=False,
-                stored_bytes=0,
-                chunk_count=0,
-                data_chunk_count=0,
-                lookups=0,
-                failure_reason="file already stored",
-            )
+        refused = store_refusal(filename, size, self._taken)
+        if refused is not None:
+            return refused
         self.store_attempts += 1
         lookups_before = self.probe.total_probes
         chunks: List[StoredChunk] = []
@@ -749,23 +740,10 @@ class StorageSystem:
         )
 
     # --------------------------------------------------------------- statistics --
-    def chunk_statistics(self) -> Dict[str, float]:
-        """Mean/sd of data-chunk counts and sizes across stored files (Table 1)."""
-        counts: List[int] = []
-        sizes: List[int] = []
-        for stored in self.files.values():
-            data_chunks = stored.data_chunks()
-            counts.append(len(data_chunks))
-            sizes.extend(chunk.size for chunk in data_chunks)
-        counts_array = np.asarray(counts, dtype=float) if counts else np.zeros(0)
-        sizes_array = np.asarray(sizes, dtype=float) if sizes else np.zeros(0)
-        return {
-            "files": float(len(counts)),
-            "mean_chunks_per_file": float(counts_array.mean()) if counts else 0.0,
-            "std_chunks_per_file": float(counts_array.std()) if counts else 0.0,
-            "mean_chunk_size": float(sizes_array.mean()) if sizes else 0.0,
-            "std_chunk_size": float(sizes_array.std()) if sizes else 0.0,
-        }
+    def chunk_sizes(self, filename: str) -> List[int]:
+        """Sizes of a stored file's data chunks (``[]`` for an unknown name)."""
+        stored = self.files.get(filename)
+        return [] if stored is None else [chunk.size for chunk in stored.data_chunks()]
 
     def stored_bytes(self) -> int:
         """Total bytes of user data currently stored (excluding coding overhead)."""

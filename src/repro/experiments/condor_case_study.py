@@ -1,6 +1,6 @@
 """Condor case study: Table 4.
 
-``bigCopy`` copies files of 1-128 GB through three storage back-ends on a
+``bigCopy`` copies files of 1-128 GB into three stores on a
 32-machine pool (each machine contributing 2-15 GB, 100 Mb/s Ethernet):
 
 * the original Condor whole-file scheme (the copy must fit on one machine);
@@ -27,7 +27,7 @@ from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.experiments.results import TableResult
 from repro.grid.bigcopy import BigCopyResult, run_bigcopy
-from repro.grid.iolib import FixedChunkBackend, VaryingChunkBackend, WholeFileBackend
+from repro.grid.iolib import WholeFileStore
 from repro.grid.machines import build_condor_pool_nodes
 from repro.grid.transfer import TransferCostModel
 from repro.overlay.dht import DHTView
@@ -78,13 +78,13 @@ class CondorCaseStudyExperiment:
             # Whole-file scheme: a single designated machine must hold the copy.
             network, machines = build_condor_pool_nodes(seed=config.seed)
             target = max(network.live_nodes(), key=lambda node: node.capacity)
-            whole = run_bigcopy(WholeFileBackend(target), file_size, cost_model=cost)
+            whole = run_bigcopy(WholeFileStore(target), file_size, cost_model=cost)
             row["whole_file_s"] = whole.elapsed_seconds if whole.success else float("nan")
 
             # Fixed-size chunks (CFS-like).
             network, machines = build_condor_pool_nodes(seed=config.seed)
             cfs = CfsStore(DHTView(network), retries_per_block=config.retries_per_block)
-            fixed = run_bigcopy(FixedChunkBackend(cfs), file_size, cost_model=cost)
+            fixed = run_bigcopy(cfs, file_size, cost_model=cost)
             row["fixed_chunks_s"] = fixed.elapsed_seconds if fixed.success else float("nan")
 
             # Varying-size chunks (the proposed system).
@@ -94,7 +94,7 @@ class CondorCaseStudyExperiment:
                 codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
                 policy=StoragePolicy(max_consecutive_zero_chunks=config.zero_chunk_limit),
             )
-            varying = run_bigcopy(VaryingChunkBackend(storage), file_size, cost_model=cost)
+            varying = run_bigcopy(storage, file_size, cost_model=cost)
             row["varying_chunks_s"] = varying.elapsed_seconds if varying.success else float("nan")
 
             baseline = row["whole_file_s"]

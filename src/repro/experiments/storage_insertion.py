@@ -9,7 +9,12 @@ stored (Fig. 8), the overall capacity utilisation (Fig. 9) and the chunk-count
 
 The harness reproduces that loop at a configurable scale.  Every scheme runs
 against its own copy of an identical node population (same ids, same
-capacities) so the comparison isolates the placement policy.
+capacities) so the comparison isolates the placement policy.  The three
+stores speak one contract -- ``store_file`` answers a
+:class:`~repro.overlay.node.StoreResult`, ``chunk_sizes`` the chunk layout --
+so one loop stores each file under every scheme and folds every result into
+that scheme's :class:`InsertionStats`; Table 1 (CFS and ours; PAST stores
+whole files) is computed from those stats alike.
 
 The whole pipeline runs on the array-backed placement engine: every store
 resolves its block names through batched ``searchsorted`` kernels, and the
@@ -24,12 +29,11 @@ lookups/s in ``BENCH_insertion.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.baselines.cfs import CfsStore
-from repro.baselines.common import InsertionStats
 from repro.baselines.past import PastStore
 from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
@@ -38,6 +42,7 @@ from repro.erasure.null_code import NullCode
 from repro.experiments.results import Series
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import StoreResult
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig, generate_capacities
 from repro.workloads.filetrace import GB, MB, FileTrace, FileTraceConfig, generate_file_trace
@@ -46,6 +51,9 @@ from repro.workloads.filetrace import GB, MB, FileTrace, FileTraceConfig, genera
 #: Data inserted relative to the total contributed capacity when no file
 #: count is given: the paper inserts 278.7 TB into 439.1 TB (~63.5 %).
 EXPECTED_UTILIZATION = 0.635
+
+#: The schemes Table 1 reports chunk statistics for (PAST stores whole files).
+TABLE1_SCHEMES = ("CFS", "Our System")
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,53 @@ class InsertionConfig:
 
 
 @dataclass
+class InsertionStats:
+    """Running statistics over a sequence of store attempts (Figures 7-9, Table 1)."""
+
+    attempts: int = 0
+    failures: int = 0
+    requested_bytes: int = 0
+    failed_bytes: int = 0
+    lookups: int = 0
+    chunk_counts: List[int] = field(default_factory=list)
+    chunk_sizes: List[int] = field(default_factory=list)
+
+    def record(self, result: StoreResult, chunk_sizes: Optional[List[int]] = None) -> None:
+        """Fold one store result (and optionally its data chunk sizes) into the stats."""
+        self.attempts += 1
+        self.requested_bytes += result.requested_size
+        self.lookups += result.lookups
+        if not result.success:
+            self.failures += 1
+            self.failed_bytes += result.requested_size
+        else:
+            self.chunk_counts.append(result.data_chunk_count)
+            if chunk_sizes:
+                self.chunk_sizes.extend(chunk_sizes)
+
+    @property
+    def failure_fraction(self) -> float:
+        """Fraction of attempted stores that failed (Figure 7 metric)."""
+        return self.failures / self.attempts if self.attempts else 0.0
+
+    @property
+    def failed_data_fraction(self) -> float:
+        """Fraction of attempted bytes that failed to be stored (Figure 8 metric)."""
+        return self.failed_bytes / self.requested_bytes if self.requested_bytes else 0.0
+
+    def chunk_stats(self) -> Dict[str, float]:
+        """Table 1: mean and standard deviation of the data chunks per stored
+        file and of the data chunk sizes (``0.0`` when nothing was stored)."""
+        stats: Dict[str, float] = {}
+        for label, values in (("chunks_per_file", self.chunk_counts),
+                              ("chunk_size", self.chunk_sizes)):
+            array = np.asarray(values, dtype=float)
+            stats[f"mean_{label}"] = float(array.mean()) if values else 0.0
+            stats[f"std_{label}"] = float(array.std()) if values else 0.0
+        return stats
+
+
+@dataclass
 class SchemeCurve:
     """Per-scheme sampled curves plus final statistics."""
 
@@ -123,7 +178,7 @@ class InsertionOutcome:
                  f"Figure 8 — failed data (%, final):   {self.final_failed_data()}",
                  f"Figure 9 — utilisation (%, final):   {self.final_utilization()}",
                  "", "Table 1 — chunk statistics"]
-        for scheme in ("CFS", "Our System"):
+        for scheme in TABLE1_SCHEMES:
             stats = self.curves[scheme].chunk_stats
             lines.append(
                 f"  {scheme:12s} chunks/file {stats.get('mean_chunks_per_file', 0):7.2f} "
@@ -187,33 +242,26 @@ class InsertionExperiment:
         self.last_views = views
         trace = self._build_trace(streams, replication_index)
 
-        past = PastStore(
-            views["PAST"],
-            replication=config.replication,
-            retries=config.past_retries,
-        )
-        cfs = CfsStore(
-            views["CFS"],
-            block_size=config.cfs_block_size,
-            replication=config.replication,
-        )
-        ours = StorageSystem(
-            views["Our System"],
-            codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
-            policy=StoragePolicy(
-                max_consecutive_zero_chunks=config.zero_chunk_limit,
-                block_replication=config.replication,
+        stores = dict(zip(self.SCHEMES, (
+            PastStore(views["PAST"], replication=config.replication, retries=config.past_retries),
+            CfsStore(views["CFS"], block_size=config.cfs_block_size,
+                     replication=config.replication),
+            StorageSystem(
+                views["Our System"],
+                codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
+                policy=StoragePolicy(
+                    max_consecutive_zero_chunks=config.zero_chunk_limit,
+                    block_replication=config.replication,
+                ),
             ),
-        )
-
-        stats = {scheme: InsertionStats() for scheme in self.SCHEMES}
+        )))
         curves = {
             scheme: SchemeCurve(
                 scheme=scheme,
                 failed_stores_pct=Series(label=scheme),
                 failed_data_pct=Series(label=scheme),
                 utilization_pct=Series(label=scheme),
-                stats=stats[scheme],
+                stats=InsertionStats(),
             )
             for scheme in self.SCHEMES
         }
@@ -222,52 +270,20 @@ class InsertionExperiment:
         sample_every = max(1, total_files // max(1, config.sample_points))
 
         for index, record in enumerate(trace, start=1):
-            past_result = past.store_file(record.name, record.size)
-            stats["PAST"].record(past_result)
+            sample = index % sample_every == 0 or index == total_files
+            for scheme, store in stores.items():
+                result = store.store_file(record.name, record.size)
+                curve = curves[scheme]
+                stats = curve.stats
+                stats.record(result, store.chunk_sizes(record.name)
+                             if result.success and scheme in TABLE1_SCHEMES else None)
+                if sample:
+                    curve.failed_stores_pct.append(index, 100.0 * stats.failure_fraction)
+                    curve.failed_data_pct.append(index, 100.0 * stats.failed_data_fraction)
+                    curve.utilization_pct.append(index, 100.0 * views[scheme].utilization())
 
-            cfs_result = cfs.store_file(record.name, record.size)
-            stats["CFS"].record(
-                cfs_result,
-                chunk_sizes=cfs.chunk_sizes(record.name) if cfs_result.success else None,
-            )
-
-            ours_result = ours.store_file(record.name, record.size)
-            if ours_result.success:
-                stored = ours.files[record.name]
-                chunk_sizes = [chunk.size for chunk in stored.data_chunks()]
-            else:
-                chunk_sizes = None
-            stats["Our System"].record(
-                _as_baseline_result(ours_result), chunk_sizes=chunk_sizes
-            )
-
-            if index % sample_every == 0 or index == total_files:
-                curves["PAST"].failed_stores_pct.append(index, 100.0 * stats["PAST"].failure_fraction)
-                curves["CFS"].failed_stores_pct.append(index, 100.0 * stats["CFS"].failure_fraction)
-                curves["Our System"].failed_stores_pct.append(
-                    index, 100.0 * stats["Our System"].failure_fraction
-                )
-                curves["PAST"].failed_data_pct.append(index, 100.0 * stats["PAST"].failed_data_fraction)
-                curves["CFS"].failed_data_pct.append(index, 100.0 * stats["CFS"].failed_data_fraction)
-                curves["Our System"].failed_data_pct.append(
-                    index, 100.0 * stats["Our System"].failed_data_fraction
-                )
-                curves["PAST"].utilization_pct.append(index, 100.0 * views["PAST"].utilization())
-                curves["CFS"].utilization_pct.append(index, 100.0 * views["CFS"].utilization())
-                curves["Our System"].utilization_pct.append(
-                    index, 100.0 * views["Our System"].utilization()
-                )
-
-        # Table 1 statistics.
-        cfs_count_mean, cfs_count_std = stats["CFS"].chunk_count_stats()
-        cfs_size_mean, cfs_size_std = stats["CFS"].chunk_size_stats()
-        curves["CFS"].chunk_stats = {
-            "mean_chunks_per_file": cfs_count_mean,
-            "std_chunks_per_file": cfs_count_std,
-            "mean_chunk_size": cfs_size_mean,
-            "std_chunk_size": cfs_size_std,
-        }
-        curves["Our System"].chunk_stats = ours.chunk_statistics()
+        for scheme in TABLE1_SCHEMES:
+            curves[scheme].chunk_stats = curves[scheme].stats.chunk_stats()
 
         return InsertionOutcome(config=config, curves=curves, files_inserted=total_files)
 
@@ -291,17 +307,3 @@ class InsertionExperiment:
                 series.y[-1] = float(np.mean(finals))
         return first
 
-
-def _as_baseline_result(result) -> "object":
-    """Adapt a core StoreResult to the BaselineStoreResult interface for stats."""
-    from repro.baselines.common import BaselineStoreResult
-
-    return BaselineStoreResult(
-        filename=result.filename,
-        requested_size=result.requested_size,
-        success=result.success,
-        stored_bytes=result.stored_bytes,
-        chunk_count=result.data_chunk_count,
-        lookups=result.lookups,
-        failure_reason=result.failure_reason,
-    )

@@ -1,7 +1,7 @@
 """The ``bigCopy`` case-study application (Section 6.4, Table 4).
 
 ``bigCopy`` creates a copy of a specified file: it streams the source file in
-and writes the copy out through whichever storage back-end is under test.  The
+and writes the copy out through whichever store is under test.  The
 measurement of interest is the end-to-end wall time and whether the copy could
 be stored at all (the whole-file scheme fails once the file exceeds the
 largest single contribution in the pool).
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.grid.condor import CondorJob, CondorPool, JobResult
-from repro.grid.iolib import InterposedIO, StorageBackend
+from repro.grid.iolib import InterposedIO
 from repro.grid.machines import GridMachine
 from repro.grid.transfer import TransferCostModel
 
@@ -34,23 +34,23 @@ class BigCopyResult:
 
 
 def run_bigcopy(
-    backend: StorageBackend,
+    store,
     file_size: int,
     cost_model: Optional[TransferCostModel] = None,
     io_size: int = DEFAULT_IO_SIZE,
     source_name: str = "bigcopy-source",
     copy_name: str = "bigcopy-copy",
 ) -> BigCopyResult:
-    """Copy a ``file_size``-byte file into ``backend``, reporting simulated time.
+    """Copy a ``file_size``-byte file into ``store``, reporting simulated time.
 
     The source file is streamed from the submitting machine (outside the
     storage pool), so reading it costs pure transfer time; the copy is written
-    through the interposition layer into the back-end under test.
+    through the interposition layer into the store under test.
     """
     if file_size < 0:
         raise ValueError("file_size must be non-negative")
     cost = cost_model or TransferCostModel()
-    io = InterposedIO(backend, cost)
+    io = InterposedIO(store, cost)
 
     # Reading the source from the submission machine: straight streaming.
     read_seconds = cost.transfer_time(file_size)
@@ -75,7 +75,7 @@ def run_bigcopy(
         remaining -= written
     io.close(fd)
 
-    chunk_count = len(backend.chunk_layout(copy_name))
+    chunk_count = len(store.chunk_sizes(copy_name))
     elapsed = read_seconds + io.elapsed
     return BigCopyResult(
         file_size=file_size,
@@ -89,14 +89,14 @@ def run_bigcopy(
 
 def bigcopy_job(
     name: str,
-    backend: StorageBackend,
+    store,
     file_size: int,
     cost_model: Optional[TransferCostModel] = None,
 ) -> CondorJob:
     """Wrap a bigCopy run as a Condor job whose duration is the simulated time."""
 
     def body(machine: GridMachine) -> float:
-        result = run_bigcopy(backend, file_size, cost_model=cost_model)
+        result = run_bigcopy(store, file_size, cost_model=cost_model)
         # Attach the detailed result to the job object for later inspection.
         body.result = result  # type: ignore[attr-defined]
         return result.elapsed_seconds if result.success else 0.0
@@ -107,13 +107,13 @@ def bigcopy_job(
 
 def submit_and_run_bigcopy(
     pool: CondorPool,
-    backend: StorageBackend,
+    store,
     file_size: int,
     cost_model: Optional[TransferCostModel] = None,
     name: str = "bigCopy",
 ) -> tuple[JobResult, BigCopyResult]:
     """Submit a bigCopy job to a pool, run it, and return both result records."""
-    job = bigcopy_job(name, backend, file_size, cost_model=cost_model)
+    job = bigcopy_job(name, store, file_size, cost_model=cost_model)
     pool.submit(job)
     results = pool.run_all()
     job_result = results[-1]

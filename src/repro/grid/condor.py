@@ -9,6 +9,7 @@ scheduler tracks per-machine busy windows on a virtual clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -82,8 +83,9 @@ class CondorPool:
                 machine = self._next_idle_machine()
             started = max(self.now, job.submitted_at)
             duration = float(job.body(machine))
-            if duration < 0:
-                raise ValueError(f"job {job.name!r} reported negative duration")
+            if not 0 <= duration < math.inf:
+                raise ValueError(f"job {job.name!r} reported duration {duration!r}; "
+                                 "it must be finite and non-negative")
             finished = started + duration
             machine.busy_until = finished
             machine.jobs_run += 1

@@ -1,4 +1,4 @@
-"""I/O interposition layer and the pluggable storage back-ends it redirects to.
+"""I/O interposition layer over the storage schemes Table 4 compares.
 
 The paper's implementation overrides ``open``/``read``/``write``/``close`` via
 ``LD_PRELOAD`` (259 lines of C) and forwards the calls to a lookup module that
@@ -9,137 +9,55 @@ that layer against simulated time: every redirected call charges interposition
 overhead, cache misses charge p2p look-ups, and data movement charges transfer
 time, all through :class:`repro.grid.transfer.TransferCostModel`.
 
-Three back-ends implement the schemes compared in Table 4:
-
-* :class:`WholeFileBackend`   -- the original Condor model: the whole file must
-  fit on a single designated machine; no DHT, no redirection overhead;
-* :class:`FixedChunkBackend`  -- a CFS-like scheme with fixed-size chunks;
-* :class:`VaryingChunkBackend`-- the proposed system with capacity-negotiated
-  variable-size chunks.
+It redirects to a store directly -- anything speaking the store contract:
+``store_file(name, size)`` answering a
+:class:`~repro.overlay.node.StoreResult`, ``chunk_sizes(name)``, ``files``
+and ``delete_file``.  Table 4 runs three: :class:`WholeFileStore` (the
+original Condor model, defined here), a CFS store with fixed-size chunks and
+the proposed system with capacity-negotiated variable-size chunks.  The
+whole-file machine needs no DHT and no redirection, so a
+:class:`WholeFileStore` is reached without interposition overhead or look-ups.
 """
 
 from __future__ import annotations
 
-import abc
 import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.baselines.cfs import CfsStore
-from repro.core.storage import StorageSystem
 from repro.grid.transfer import TransferCostModel
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, StoreResult, store_refusal
 
 
-@dataclass(frozen=True)
-class BackendStoreOutcome:
-    """Result of asking a back-end to place a new file."""
-
-    success: bool
-    chunk_sizes: List[int]
-    lookups: int
-    failure_reason: Optional[str] = None
-
-
-class StorageBackend(abc.ABC):
-    """Interface the interposition layer redirects file operations to."""
-
-    #: Whether opening files through this back-end involves the interposition
-    #: library at all (the whole-file scheme bypasses it entirely).
-    uses_interposition: bool = True
-
-    @abc.abstractmethod
-    def create_file(self, filename: str, size: int) -> BackendStoreOutcome:
-        """Allocate/stage a new file of ``size`` bytes."""
-
-    @abc.abstractmethod
-    def chunk_layout(self, filename: str) -> List[int]:
-        """Chunk sizes of a stored file (for read planning)."""
-
-    @abc.abstractmethod
-    def delete_file(self, filename: str) -> None:
-        """Remove a stored file, releasing its space."""
-
-
-class WholeFileBackend(StorageBackend):
-    """Original Condor I/O model: the entire file lives on one machine."""
-
-    uses_interposition = False
+class WholeFileStore:
+    """Original Condor I/O model: every file lives whole on one machine."""
 
     def __init__(self, target: OverlayNode) -> None:
         self.target = target
-        self._files: Dict[str, int] = {}
+        #: filename -> size.
+        self.files: Dict[str, int] = {}
 
-    def create_file(self, filename: str, size: int) -> BackendStoreOutcome:
-        if filename in self._files:
-            return BackendStoreOutcome(False, [], 0, "file already exists")
+    def store_file(self, filename: str, size: int) -> StoreResult:
+        """Store the file on the target machine, or fail if it lacks the space."""
+        refused = store_refusal(filename, size, self.files.__contains__)
+        if refused is not None:
+            return refused
         if not self.target.store_block(filename, size):
-            return BackendStoreOutcome(
-                False,
-                [],
-                0,
-                f"machine {self.target.node_id!r} lacks {size} bytes of free space",
-            )
-        self._files[filename] = size
-        return BackendStoreOutcome(True, [size], 0)
+            return StoreResult(filename, size, False, 0, 0, 0, 0,
+                               f"machine {self.target.node_id!r} lacks {size} bytes of free space")
+        self.files[filename] = size
+        return StoreResult(filename, size, True, size, 1, 1, 0)
 
-    def chunk_layout(self, filename: str) -> List[int]:
-        if filename not in self._files:
-            raise KeyError(filename)
-        return [self._files[filename]]
+    def chunk_sizes(self, filename: str) -> List[int]:
+        """A stored file is one chunk, the whole file (``[]`` for an unknown name)."""
+        return [self.files[filename]] if filename in self.files else []
 
-    def delete_file(self, filename: str) -> None:
-        size = self._files.pop(filename, None)
-        if size is not None:
-            self.target.remove_block(filename)
-
-
-class FixedChunkBackend(StorageBackend):
-    """CFS-like fixed-size chunk placement through the DHT."""
-
-    def __init__(self, store: CfsStore) -> None:
-        self.store = store
-
-    def create_file(self, filename: str, size: int) -> BackendStoreOutcome:
-        result = self.store.store_file(filename, size)
-        return BackendStoreOutcome(
-            success=result.success,
-            chunk_sizes=self.store.chunk_sizes(filename) if result.success else [],
-            lookups=result.lookups,
-            failure_reason=result.failure_reason,
-        )
-
-    def chunk_layout(self, filename: str) -> List[int]:
-        if filename not in self.store.files:  # an empty file is stored with no chunks
-            raise KeyError(filename)
-        return self.store.chunk_sizes(filename)
-
-    def delete_file(self, filename: str) -> None:
-        self.store.delete_file(filename)
-
-
-class VaryingChunkBackend(StorageBackend):
-    """The proposed system: capacity-negotiated variable-size chunks."""
-
-    def __init__(self, storage: StorageSystem) -> None:
-        self.storage = storage
-
-    def create_file(self, filename: str, size: int) -> BackendStoreOutcome:
-        result = self.storage.store_file(filename, size)
-        if not result.success:
-            return BackendStoreOutcome(False, [], result.lookups, result.failure_reason)
-        stored = self.storage.files[filename]
-        sizes = [chunk.size for chunk in stored.data_chunks()]
-        return BackendStoreOutcome(True, sizes, result.lookups)
-
-    def chunk_layout(self, filename: str) -> List[int]:
-        stored = self.storage.files.get(filename)
-        if stored is None:
-            raise KeyError(filename)
-        return [chunk.size for chunk in stored.data_chunks()]
-
-    def delete_file(self, filename: str) -> None:
-        self.storage.delete_file(filename)
+    def delete_file(self, filename: str) -> bool:
+        """Remove the file, releasing its space on the target machine."""
+        if self.files.pop(filename, None) is None:
+            return False
+        self.target.remove_block(filename)
+        return True
 
 
 @dataclass
@@ -157,8 +75,10 @@ class _OpenFile:
 class InterposedIO:
     """The redirected POSIX-like interface used by grid applications."""
 
-    def __init__(self, backend: StorageBackend, cost_model: Optional[TransferCostModel] = None) -> None:
-        self.backend = backend
+    def __init__(self, store, cost_model: Optional[TransferCostModel] = None) -> None:
+        self.store = store
+        #: The whole-file machine bypasses the interposition library entirely.
+        self._interposed = not isinstance(store, WholeFileStore)
         self.cost = cost_model or TransferCostModel()
         self._descriptors: Dict[int, _OpenFile] = {}
         self._next_fd = 3  # 0-2 are conventionally stdin/stdout/stderr
@@ -174,11 +94,11 @@ class InterposedIO:
         self.elapsed += seconds
 
     def _charge_interposition(self) -> None:
-        if self.backend.uses_interposition:
+        if self._interposed:
             self._charge(self.cost.interposition_seconds)
 
     def _charge_lookups(self, count: int) -> None:
-        if count > 0 and self.backend.uses_interposition:
+        if count > 0 and self._interposed:
             self.lookup_count += count
             self._charge(self.cost.lookup_time(count))
 
@@ -186,21 +106,23 @@ class InterposedIO:
     def open(self, filename: str, size: int = 0, create: bool = False) -> int:
         """Open (or create) a file; returns a file descriptor.
 
-        Creating a file triggers the back-end's placement (and its look-ups);
-        opening an existing file locates its metadata with a single look-up.
+        Creating a file triggers the store's placement (and its look-ups);
+        opening an existing file locates its metadata with a single look-up
+        (``KeyError`` for a name the store does not hold).
         """
         self.call_count += 1
         self._charge_interposition()
         if create:
-            outcome = self.backend.create_file(filename, size)
-            self._charge_lookups(outcome.lookups)
-            if not outcome.success:
-                raise OSError(f"cannot create {filename!r}: {outcome.failure_reason}")
+            result = self.store.store_file(filename, size)
+            self._charge_lookups(result.lookups)
+            if not result.success:
+                raise OSError(f"cannot create {filename!r}: {result.failure_reason}")
             file_size = size
         else:
-            layout = self.backend.chunk_layout(filename)  # raises KeyError if unknown
+            if filename not in self.store.files:
+                raise KeyError(filename)
             self._charge_lookups(1)
-            file_size = sum(layout)
+            file_size = sum(self.store.chunk_sizes(filename))
         fd = self._next_fd
         self._next_fd += 1
         self._descriptors[fd] = _OpenFile(filename=filename, size=file_size, writable=create)
@@ -216,7 +138,7 @@ class InterposedIO:
         """Cumulative end offsets of the file's chunks (cached per descriptor)."""
         ends = getattr(handle, "_chunk_ends", None)
         if ends is None:
-            layout = self.backend.chunk_layout(handle.filename)
+            layout = self.store.chunk_sizes(handle.filename)
             ends = []
             total = 0
             for chunk_size in layout:
@@ -238,7 +160,9 @@ class InterposedIO:
         """Sequentially read ``length`` bytes; returns bytes actually read."""
         self.call_count += 1
         handle = self._descriptor(fd)
-        length = max(0, min(length, handle.size - handle.position))
+        if length < 0:
+            raise ValueError("length must be non-negative")
+        length = min(length, handle.size - handle.position)
         if length == 0:
             return 0
         touched = self._chunks_for_span(handle, handle.position, length)
@@ -284,4 +208,5 @@ class InterposedIO:
     def close(self, fd: int) -> None:
         """Close the descriptor, clearing its cache state for reuse."""
         self.call_count += 1
-        self._descriptors.pop(fd, None)
+        self._descriptor(fd)
+        del self._descriptors[fd]

@@ -12,6 +12,7 @@ whole-file copy takes on the order of 150 s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: Bytes per second of a 100 Mb/s Ethernet link, de-rated for protocol
@@ -35,10 +36,11 @@ class TransferCostModel:
     per_transfer_latency: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth must be positive")
-        if min(self.lookup_seconds, self.interposition_seconds, self.per_transfer_latency) < 0:
-            raise ValueError("cost components must be non-negative")
+        if not 0 < self.bandwidth_bytes_per_s < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_bytes_per_s!r}")
+        for value in (self.lookup_seconds, self.interposition_seconds, self.per_transfer_latency):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"cost components must be finite and non-negative, got {value!r}")
 
     def transfer_time(self, size_bytes: int) -> float:
         """Seconds to move ``size_bytes`` one way across the network."""

@@ -16,12 +16,17 @@ the paper):
   to re-create: the block ledger's per-owner row index
   (:meth:`repro.core.block_ledger.BlockLedger.recovery_rows`) is that list,
   kept once system-wide instead of once per neighbour.
+
+Every file store built on these nodes -- PAST, CFS, the proposed system and
+the whole-file Condor machine -- answers a store with one
+:class:`StoreResult`, and refuses a bad request through :func:`store_refusal`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.overlay.ids import NodeId
 
@@ -187,3 +192,41 @@ def _used_set(self: OverlayNode, value: int) -> None:
 #: Installed after the dataclass machinery runs (it shadows the ``used`` slot),
 #: so the generated ``__init__`` (``self.used = used``) goes through the setter.
 OverlayNode.used = property(_used_get, _used_set)  # type: ignore[assignment]
+
+
+@dataclass(frozen=True)
+class StoreResult:
+    """Outcome of one file store, whichever scheme stored it.
+
+    ``stored_bytes`` is what the store now holds for the file: the file size
+    for CFS, the proposed system and the whole-file machine, the size times
+    its replica count for PAST, and ``0`` on failure.  ``chunk_count`` is ``1``
+    for the whole-file schemes, the number of fixed blocks for CFS (on failure,
+    the blocks placed before it), and the number of chunk slots -- zero-sized
+    ones included -- for the proposed system.  ``data_chunk_count`` counts only
+    the chunks that hold data: the proposed system's non-empty slots, equal to
+    ``chunk_count`` for the other schemes.  ``lookups`` counts DHT look-ups.
+    """
+
+    filename: str
+    requested_size: int
+    success: bool
+    stored_bytes: int
+    chunk_count: int
+    data_chunk_count: int
+    lookups: int
+    failure_reason: Optional[str] = None
+
+
+def store_refusal(filename: str, size, taken: Callable[[str], bool]) -> Optional[StoreResult]:
+    """What a store answers before it looks anything up or moves a counter.
+
+    A negative or non-finite ``size`` raises ``ValueError``; a name ``taken``
+    reports as already stored is refused with no lookup charged; otherwise
+    ``None``, and the store goes ahead.
+    """
+    if not 0 <= size < math.inf:
+        raise ValueError(f"file size must be finite and non-negative, got {size!r}")
+    if taken(filename):
+        return StoreResult(filename, size, False, 0, 0, 0, 0, "file already stored")
+    return None

@@ -18,12 +18,11 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.baselines.cfs import DEFAULT_BLOCK_SIZE
-from repro.baselines.common import BaselineStoreResult
 from repro.baselines.past import PastStore
 from repro.core.storage import StorageSystem
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import key_for
-from repro.overlay.node import OverlayNode
+from repro.overlay.node import OverlayNode, StoreResult
 
 #: ``(stored block name, primary, size, replicas)`` -- the seed CFS bookkeeping.
 BlockEntry = Tuple[str, OverlayNode, int, List[OverlayNode]]
@@ -68,11 +67,12 @@ class SeedCfsStore:
         self.files: dict[str, List[BlockEntry]] = {}
         self.total_lookups = 0
 
-    def store_file(self, filename: str, size: int) -> BaselineStoreResult:
+    def store_file(self, filename: str, size: int) -> StoreResult:
         if filename in self.files:
-            return BaselineStoreResult(
+            return StoreResult(
                 filename=filename, requested_size=size, success=False, stored_bytes=0,
-                chunk_count=0, lookups=0, failure_reason="file already stored",
+                chunk_count=0, data_chunk_count=0, lookups=0,
+                failure_reason="file already stored",
             )
         block_count = -(-size // self.block_size) if size > 0 else 0
         lookups = 0
@@ -96,21 +96,22 @@ class SeedCfsStore:
                 return self._fail(filename, size, placements, lookups, index)
         self.files[filename] = placements
         self.total_lookups += lookups
-        return BaselineStoreResult(
+        return StoreResult(
             filename=filename, requested_size=size, success=True, stored_bytes=size,
-            chunk_count=block_count, lookups=lookups,
+            chunk_count=block_count, data_chunk_count=block_count, lookups=lookups,
         )
 
-    def _fail(self, filename, size, placements, lookups, index) -> BaselineStoreResult:
+    def _fail(self, filename, size, placements, lookups, index) -> StoreResult:
         self.total_lookups += lookups
         if self.rollback_on_failure:
             self._release(placements)
             stored_bytes = 0
         else:
             stored_bytes = sum(entry[2] for entry in placements)
-        return BaselineStoreResult(
+        return StoreResult(
             filename=filename, requested_size=size, success=False,
-            stored_bytes=stored_bytes, chunk_count=len(placements), lookups=lookups,
+            stored_bytes=stored_bytes, chunk_count=len(placements),
+            data_chunk_count=len(placements), lookups=lookups,
             failure_reason=f"block {index} could not be placed",
         )
 

@@ -3,7 +3,8 @@
 ``src/repro`` is layered -- ``overlay`` at the bottom (it imports no other
 package), ``sim`` on it (the fault injector fails overlay nodes), ``erasure``
 on ``sim`` (``derive_seed``), then ``core``, its users (baselines,
-workloads, grid, multicast), ``experiments`` on top of all of them, and
+workloads, multicast), ``grid`` on the overlay and the workloads alone (the
+stores it measures are passed in), ``experiments`` on top of all of them, and
 ``api`` / ``cli`` as the entry points.  :data:`IMPORT_EDGES` pins which package
 imports which (found with ``ast``, function-level imports included); a change
 to the layering has to change the table in the same diff.
@@ -53,7 +54,7 @@ IMPORT_EDGES = {
     "erasure": {"sim"},
     "experiments": {"api", "baselines", "core", "erasure", "grid", "multicast", "overlay", "sim",
                     "workloads"},
-    "grid": {"baselines", "core", "overlay", "workloads"},
+    "grid": {"overlay", "workloads"},
     "multicast": {"core", "overlay"},
     "overlay": set(),
     "sim": {"overlay"},  # sim/faults.py injects failures into the overlay
@@ -165,6 +166,13 @@ RETIRED = (
      r"|\bwrite_prefix\b|\bbytes_relocated\b",
      _EVERYWHERE, "one value, one path: each is a module constant or inlined; a failed store "
      "always releases its blocks, and a trunk's capacity is its per-domain topology.trunks entry"),
+    ("per-scheme store results and the Table 4 back-end adapters",
+     r"\bBaselineStoreResult\b|\bBackendStoreOutcome\b|\bStorageBackend\b"
+     r"|\b(Fixed|Varying)ChunkBackend\b|\bWholeFileBackend\b|\bchunk_statistics\b"
+     r"|\b_as_baseline_result\b|\bcreate_file\b|\bchunk_layout\b|\buses_interposition\b",
+     _EVERYWHERE, "one store contract: PAST, CFS, ours and WholeFileStore answer store_file "
+     "with StoreResult and the chunking stores chunk_sizes; InterposedIO takes a store, and "
+     "Table 1 comes from InsertionStats for CFS and ours alike"),
 )
 
 

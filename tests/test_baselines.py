@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.baselines.cfs import CfsStore
-from repro.baselines.common import BaselineStoreResult, InsertionStats
 from repro.baselines.past import PastStore
+from repro.experiments.storage_insertion import InsertionStats
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import StoreResult
 
 MB = 1 << 20
 
@@ -238,23 +239,21 @@ def test_past_and_cfs_share_one_ledger(dht, network):
 def test_insertion_stats_tracks_failures_and_chunks():
     stats = InsertionStats()
     stats.record(
-        BaselineStoreResult("a", 100, True, 100, 4, 4), chunk_sizes=[25, 25, 25, 25]
+        StoreResult("a", 100, True, 100, 4, 4, 4), chunk_sizes=[25, 25, 25, 25]
     )
-    stats.record(BaselineStoreResult("b", 200, False, 0, 0, 3))
+    stats.record(StoreResult("b", 200, False, 0, 0, 0, 3))
     assert stats.attempts == 2
     assert stats.failures == 1
     assert stats.failure_fraction == 0.5
     assert stats.failed_data_fraction == pytest.approx(200 / 300)
     assert stats.lookups == 7
-    mean_count, std_count = stats.chunk_count_stats()
-    assert mean_count == 4 and std_count == 0
-    mean_size, _ = stats.chunk_size_stats()
-    assert mean_size == 25
+    table1 = stats.chunk_stats()
+    assert table1["mean_chunks_per_file"] == 4 and table1["std_chunks_per_file"] == 0
+    assert table1["mean_chunk_size"] == 25 and table1["std_chunk_size"] == 0
 
 
 def test_insertion_stats_empty():
     stats = InsertionStats()
     assert stats.failure_fraction == 0.0
     assert stats.failed_data_fraction == 0.0
-    assert stats.chunk_count_stats() == (0.0, 0.0)
-    assert stats.chunk_size_stats() == (0.0, 0.0)
+    assert set(stats.chunk_stats().values()) == {0.0}

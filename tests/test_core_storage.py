@@ -123,13 +123,15 @@ def test_block_replication_places_copies_on_neighbors(dht):
             assert len(placement.replica_nodes) == 2
 
 
-def test_chunk_statistics_reports_means(capacity_storage):
+def test_chunk_sizes_are_the_data_chunks_of_a_stored_file(capacity_storage):
     for index in range(5):
-        capacity_storage.store_file(f"file-{index}", 20 * MB)
-    stats = capacity_storage.chunk_statistics()
-    assert stats["files"] == 5
-    assert stats["mean_chunks_per_file"] >= 1.0
-    assert stats["mean_chunk_size"] > 0
+        result = capacity_storage.store_file(f"file-{index}", 20 * MB)
+        sizes = capacity_storage.chunk_sizes(f"file-{index}")
+        stored = capacity_storage.files[f"file-{index}"]
+        assert sizes == [chunk.size for chunk in stored.data_chunks()]
+        assert len(sizes) == result.data_chunk_count >= 1
+        assert sum(sizes) == 20 * MB and all(size > 0 for size in sizes)
+    assert capacity_storage.chunk_sizes("never-stored") == []
 
 
 def test_is_file_available_tracks_node_failures(capacity_storage, dht):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.grid.bigcopy import run_bigcopy
 from repro.grid.condor import CondorJob, CondorPool, SchedulingError
-from repro.grid.iolib import WholeFileBackend
+from repro.grid.iolib import WholeFileStore
 from repro.grid.machines import build_condor_pool_nodes
 from repro.grid.transfer import TransferCostModel
 from repro.workloads.filetrace import GB
@@ -41,11 +43,20 @@ def test_transfer_model_validation():
         TransferCostModel().transfer_time(-5)
 
 
+@pytest.mark.parametrize("field", ["bandwidth_bytes_per_s", "lookup_seconds",
+                                   "interposition_seconds", "per_transfer_latency"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_transfer_model_rejects_non_finite_values(field, value):
+    """NaN passes both ``<= 0`` and ``< 0``: Table 4 would print NaN seconds."""
+    with pytest.raises(ValueError):
+        TransferCostModel(**{field: value})
+
+
 def test_one_gb_whole_file_copy_lands_near_paper_baseline():
     # Table 4: a 1 GB whole-file copy takes 151 s on the paper's testbed.
     network, _ = build_condor_pool_nodes(8, seed=0)
     target = max(network.live_nodes(), key=lambda node: node.capacity)
-    result = run_bigcopy(WholeFileBackend(target), 1 * GB)
+    result = run_bigcopy(WholeFileStore(target), 1 * GB)
     assert result.success and 120.0 <= result.elapsed_seconds <= 260.0
 
 
@@ -105,6 +116,20 @@ def test_job_negative_duration_rejected():
     pool.submit(CondorJob(name="bad", body=lambda machine: -1.0))
     with pytest.raises(ValueError):
         pool.run_all()
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_job_non_finite_duration_rejected_before_anything_changes(duration):
+    """NaN would leave the machine busy forever (a NaN makespan); inf would
+    start the next job at inf."""
+    pool = make_pool(1)
+    pool.submit(CondorJob(name="ok", body=lambda machine: 2.0))
+    pool.submit(CondorJob(name="bad", body=lambda machine: duration))
+    with pytest.raises(ValueError, match="'bad'"):
+        pool.run_all()
+    assert pool.machines[0].busy_until == 2.0
+    assert [result.job_name for result in pool.results] == ["ok"]
+    assert pool.makespan() == 2.0
 
 
 def test_no_live_machine_raises():

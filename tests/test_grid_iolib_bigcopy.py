@@ -1,4 +1,8 @@
-"""Unit tests for the I/O interposition layer, its back-ends and bigCopy."""
+"""Unit tests for the I/O interposition layer, the stores behind it and bigCopy.
+
+The ``make_*_backend`` helpers build the store the layer redirects to (its
+back-end); what each store answers on its own is
+``tests/test_store_contract.py``."""
 
 from __future__ import annotations
 
@@ -14,12 +18,7 @@ from repro.erasure.null_code import NullCode
 from repro.experiments.condor_case_study import _overhead_pct
 from repro.grid.bigcopy import run_bigcopy, submit_and_run_bigcopy
 from repro.grid.condor import CondorPool
-from repro.grid.iolib import (
-    FixedChunkBackend,
-    InterposedIO,
-    VaryingChunkBackend,
-    WholeFileBackend,
-)
+from repro.grid.iolib import InterposedIO, WholeFileStore
 from repro.grid.machines import build_condor_pool_nodes
 from repro.grid.transfer import TransferCostModel
 from repro.overlay.dht import DHTView
@@ -32,61 +31,20 @@ def pool():
     return network, machines
 
 
-def make_varying_backend(network) -> VaryingChunkBackend:
-    storage = StorageSystem(
+def make_varying_backend(network) -> StorageSystem:
+    return StorageSystem(
         DHTView(network),
         codec=ChunkCodec(NullCode(), blocks_per_chunk=1),
         policy=StoragePolicy(max_consecutive_zero_chunks=32),
     )
-    return VaryingChunkBackend(storage)
 
 
-def make_fixed_backend(network) -> FixedChunkBackend:
-    return FixedChunkBackend(CfsStore(DHTView(network), block_size=4 * MB, retries_per_block=32))
+def make_fixed_backend(network) -> CfsStore:
+    return CfsStore(DHTView(network), block_size=4 * MB, retries_per_block=32)
 
 
-# -- back-ends ---------------------------------------------------------------------------
-def test_whole_file_backend_capacity_limit(pool):
-    network, _ = pool
-    target = max(network.live_nodes(), key=lambda node: node.capacity)
-    backend = WholeFileBackend(target)
-    outcome = backend.create_file("fits", target.capacity // 2)
-    assert outcome.success and len(outcome.chunk_sizes) == 1 and outcome.lookups == 0
-    too_big = backend.create_file("huge", 20 * GB)
-    assert not too_big.success
-    assert backend.chunk_layout("fits") == [target.capacity // 2]
-    backend.delete_file("fits")
-    with pytest.raises(KeyError):
-        backend.chunk_layout("fits")
-
-
-def test_whole_file_backend_duplicate(pool):
-    network, _ = pool
-    backend = WholeFileBackend(network.live_nodes()[0])
-    assert backend.create_file("a", 1 * MB).success
-    assert not backend.create_file("a", 1 * MB).success
-
-
-def test_fixed_backend_reports_chunks_and_lookups(pool):
-    network, _ = pool
-    backend = make_fixed_backend(network)
-    outcome = backend.create_file("data", 40 * MB)
-    assert outcome.success
-    assert len(outcome.chunk_sizes) == 10
-    assert outcome.lookups >= 10
-    assert sum(backend.chunk_layout("data")) == 40 * MB
-    backend.delete_file("data")
-    with pytest.raises(KeyError):
-        backend.chunk_layout("data")
-
-
-def test_varying_backend_reports_few_chunks(pool):
-    network, _ = pool
-    backend = make_varying_backend(network)
-    outcome = backend.create_file("data", 4 * GB)
-    assert outcome.success
-    assert 1 <= len(outcome.chunk_sizes) < 10
-    assert sum(backend.chunk_layout("data")) == 4 * GB
+def _make_whole_file_backend(network) -> WholeFileStore:
+    return WholeFileStore(max(network.live_nodes(), key=lambda node: node.capacity))
 
 
 # -- InterposedIO ---------------------------------------------------------------------------
@@ -109,8 +67,7 @@ def test_interposed_io_open_write_read_close(pool):
 def test_interposed_io_charges_interposition_and_lookups(pool):
     network, _ = pool
     cost = TransferCostModel(interposition_seconds=5.0, lookup_seconds=1.0)
-    backend = make_fixed_backend(network)
-    io = InterposedIO(backend, cost)
+    io = InterposedIO(make_fixed_backend(network), cost)
     fd = io.open("file", size=8 * MB, create=True)
     # 2 blocks of 4 MB => at least 2 look-ups plus the fixed interposition cost.
     assert io.lookup_count >= 2
@@ -120,9 +77,8 @@ def test_interposed_io_charges_interposition_and_lookups(pool):
 
 def test_interposed_io_whole_file_backend_charges_no_overhead(pool):
     network, _ = pool
-    target = max(network.live_nodes(), key=lambda node: node.capacity)
     cost = TransferCostModel(interposition_seconds=10.0, lookup_seconds=10.0)
-    io = InterposedIO(WholeFileBackend(target), cost)
+    io = InterposedIO(_make_whole_file_backend(network), cost)
     io.open("plain", size=1 * MB, create=True)
     assert io.lookup_count == 0
     assert io.elapsed == 0.0  # no interposition, no data written yet
@@ -130,9 +86,8 @@ def test_interposed_io_whole_file_backend_charges_no_overhead(pool):
 
 def test_interposed_io_read_cache_avoids_repeat_lookups(pool):
     network, _ = pool
-    backend = make_fixed_backend(network)
     cost = TransferCostModel(lookup_seconds=1.0)
-    io = InterposedIO(backend, cost)
+    io = InterposedIO(make_fixed_backend(network), cost)
     fd = io.open("cached", size=8 * MB, create=True)
     io.write(fd, 8 * MB)
     io.close(fd)
@@ -158,15 +113,14 @@ def test_interposed_io_open_missing_file_raises(pool):
 def test_interposed_io_create_failure_raises_oserror(pool):
     network, _ = pool
     target = min(network.live_nodes(), key=lambda node: node.capacity)
-    io = InterposedIO(WholeFileBackend(target))
+    io = InterposedIO(WholeFileStore(target))
     with pytest.raises(OSError):
         io.open("too-big", size=100 * GB, create=True)
 
 
 def test_interposed_io_write_requires_writable_and_seek_bounds(pool):
     network, _ = pool
-    backend = make_varying_backend(network)
-    io = InterposedIO(backend)
+    io = InterposedIO(make_varying_backend(network))
     fd = io.open("w", size=1 * MB, create=True)
     io.close(fd)
     fd2 = io.open("w")  # reopen read-only
@@ -174,6 +128,24 @@ def test_interposed_io_write_requires_writable_and_seek_bounds(pool):
         io.write(fd2, 10)
     with pytest.raises(ValueError):
         io.seek(fd2, 2 * MB)
+
+
+def test_interposed_io_treats_bad_descriptors_and_lengths_alike(pool):
+    """``close`` of an unknown descriptor fails like ``read``/``write`` do,
+    and ``read`` rejects a negative length like ``write`` does."""
+    network, _ = pool
+    io = InterposedIO(make_varying_backend(network))
+    with pytest.raises(OSError, match="bad file descriptor"):
+        io.close(999)
+    fd = io.open("f", size=1 * MB, create=True)
+    with pytest.raises(ValueError, match="non-negative"):
+        io.read(fd, -5)
+    with pytest.raises(ValueError, match="non-negative"):
+        io.write(fd, -5)
+    assert io.bytes_read == io.bytes_written == 0
+    io.close(fd)
+    with pytest.raises(OSError, match="bad file descriptor"):
+        io.close(fd)
 
 
 # -- bigCopy ---------------------------------------------------------------------------------
@@ -188,13 +160,9 @@ def test_bigcopy_succeeds_with_varying_chunks(pool):
 def test_bigcopy_whole_file_fails_when_too_large(pool):
     network, _ = pool
     target = max(network.live_nodes(), key=lambda node: node.capacity)
-    result = run_bigcopy(WholeFileBackend(target), 20 * GB)
+    result = run_bigcopy(WholeFileStore(target), 20 * GB)
     assert not result.success
     assert result.failure_reason
-
-
-def _make_whole_file_backend(network) -> WholeFileBackend:
-    return WholeFileBackend(max(network.live_nodes(), key=lambda node: node.capacity))
 
 
 @pytest.mark.parametrize("make_backend", [_make_whole_file_backend, make_fixed_backend,
@@ -202,13 +170,14 @@ def _make_whole_file_backend(network) -> WholeFileBackend:
 def test_bigcopy_of_an_empty_file_succeeds_on_every_backend(pool, make_backend):
     """A stored file with no chunks is not a missing file (``condor --sizes 0``)."""
     network, _ = pool
-    backend = make_backend(network)
-    result = run_bigcopy(backend, 0)
+    store = make_backend(network)
+    result = run_bigcopy(store, 0)
     assert result.success and result.failure_reason is None
-    assert result.chunk_count == len(backend.chunk_layout("bigcopy-copy")) <= 1
-    backend.delete_file("bigcopy-copy")
+    assert result.chunk_count == len(store.chunk_sizes("bigcopy-copy")) <= 1
+    assert "bigcopy-copy" in store.files
+    store.delete_file("bigcopy-copy")
     with pytest.raises(KeyError):
-        backend.chunk_layout("bigcopy-copy")
+        InterposedIO(store).open("bigcopy-copy")
 
 
 def test_bigcopy_fixed_chunks_slower_than_varying(pool):

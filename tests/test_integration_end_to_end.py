@@ -17,7 +17,6 @@ from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.erasure.xor_code import XorParityCode
 from repro.grid.bigcopy import run_bigcopy
-from repro.grid.iolib import VaryingChunkBackend
 from repro.grid.machines import build_condor_pool_nodes
 from repro.multicast.bullet import BulletConfig, BulletSession
 from repro.multicast.tree import build_locality_tree
@@ -126,8 +125,7 @@ def test_condor_backend_round_trip_with_reed_solomon_protection():
         codec=ChunkCodec(ReedSolomonCode(parity_blocks=2), blocks_per_chunk=4),
         policy=StoragePolicy(max_consecutive_zero_chunks=32),
     )
-    backend = VaryingChunkBackend(storage)
-    result = run_bigcopy(backend, 2 * GB)
+    result = run_bigcopy(storage, 2 * GB)
     assert result.success
     # The copy is protected: any single machine failure keeps it available.
     copy_name = "bigcopy-copy"

@@ -80,7 +80,7 @@ _TRACED = "perfbench/tracing.py wraps it by name (its _targets() table)"
 _STUB = "interface stub: the array engines implement it"
 _ORACLE = "a tests/reference oracle calls it"
 _CAT = "CAT recovery, paper section 4.4"
-_DELETE = "file deletion: repro.api ArchiveClient.delete and the Table 4 back-end interface"
+_DELETE = "file deletion: repro.api ArchiveClient.delete and the store contract"
 _CFS_REPLICAS = "CFS successor replication (replication > 1), the scheme the baseline models"
 _DEGRADE = "degrade_trunk (README-named fault scenario) calls it"
 _TRANSFER_FAILURE = "transfer failure: dead links, partitioned trunks, timeouts"
@@ -92,7 +92,6 @@ _SCALED = "the CLI's --scale applies it; no CLI_RUNS row scales this command"
 KEEP: dict[str, str] = {
     # Never run.
     "repro.erasure.gf2.popcount": "NumPy < 2 fallback for np.bitwise_count",
-    "repro.grid.iolib.StorageBackend": "abstract methods of the Table 4 back-end interface",
     "repro.overlay.engine.OverlayRouting": _STUB,
     # Reached only from tier-1 (or named only in benchmarks/): traced, oracles, invariants.
     "repro.overlay.dht.DHTView.lookup": "the per-key oracle of the batched lookups; " + _TRACED,
@@ -157,9 +156,7 @@ KEEP: dict[str, str] = {
     "repro.core.block_ledger.BlockLedger.row_owner": _DELETE,
     "repro.baselines.cfs.CfsStore.delete_file": _DELETE,
     "repro.baselines.past.PastStore.delete_file": _DELETE,
-    "repro.grid.iolib.WholeFileBackend.delete_file": _DELETE,
-    "repro.grid.iolib.FixedChunkBackend.delete_file": _DELETE,
-    "repro.grid.iolib.VaryingChunkBackend.delete_file": _DELETE,
+    "repro.grid.iolib.WholeFileStore.delete_file": _DELETE,
     "repro.grid.iolib.InterposedIO.read": "the Table 4 interposed read",
     "repro.grid.iolib.InterposedIO.seek": "the Table 4 interposed seek",
     "repro.grid.condor.CondorPool._advance_to_next_completion":
