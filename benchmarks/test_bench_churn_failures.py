@@ -19,22 +19,27 @@ accelerates; ``seconds`` is the end-to-end experiment time.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
-from repro.experiments.availability import PAPER_FIG10, AvailabilityConfig, AvailabilityExperiment
-from repro.experiments.churn import PAPER_TABLE3, ChurnConfig, ChurnExperiment
+from repro.experiments.failure_sweep import (
+    PAPER_FIG10,
+    PAPER_TABLE3,
+    FailureSweepConfig,
+    FailureSweepExperiment,
+)
 
 #: The scale the retired seed path was compared at (kept for row continuity).
-COMPARE_FIG10 = AvailabilityConfig(node_count=300, file_count=1000, sample_points=20, seed=2)
-COMPARE_TABLE3 = ChurnConfig(node_count=300, file_count=1000, seed=4)
+COMPARE_FIG10 = replace(PAPER_FIG10, node_count=300, file_count=1000, sample_points=20, seed=2)
+COMPARE_TABLE3 = replace(PAPER_TABLE3, node_count=300, file_count=1000, seed=4)
 
 
-def _fig10_row(config: AvailabilityConfig, scenario: str, pipeline: str, results: dict) -> dict:
-    experiment = AvailabilityExperiment(config)
+def _fig10_row(config: FailureSweepConfig, scenario: str, pipeline: str, results: dict) -> dict:
     start = time.perf_counter()
-    series = experiment.run().curves
+    result = FailureSweepExperiment(config).run()
     seconds = time.perf_counter() - start
-    sweep_s = sum(timing["sweep_s"] for timing in experiment.timings.values())
-    failures = int(sum(timing["failures"] for timing in experiment.timings.values()))
+    series = result.curves
+    sweep_s = sum(row["churn_s"] for row in result.fraction_rows)
+    failures = int(sum(row["failures"] for row in result.fraction_rows))
     row = {
         "scenario": scenario,
         "node_count": config.node_count,
@@ -50,13 +55,13 @@ def _fig10_row(config: AvailabilityConfig, scenario: str, pipeline: str, results
     return row
 
 
-def _table3_row(config: ChurnConfig, scenario: str, pipeline: str, results: dict) -> dict:
-    experiment = ChurnExperiment(config)
+def _table3_row(config: FailureSweepConfig, scenario: str, pipeline: str, results: dict) -> dict:
     start = time.perf_counter()
-    table = experiment.run()
+    result = FailureSweepExperiment(config).run()
     seconds = time.perf_counter() - start
-    recover_s = sum(timing["recover_s"] for timing in experiment.timings.values())
-    failures = int(sum(timing["failures"] for timing in experiment.timings.values()))
+    table = result.table
+    recover_s = sum(row["churn_s"] for row in result.fraction_rows)
+    failures = int(sum(row["failures"] for row in result.fraction_rows))
     row = {
         "scenario": scenario,
         "node_count": config.node_count,
@@ -98,12 +103,12 @@ def test_bench_fig10_paper_scale_flagship(churn_bench_results):
 def test_bench_table3_paper_scale_flagship(churn_bench_results):
     """Table 3 at the paper's 10 000 nodes, 10 % and 20 % failures, ledger path."""
     config = PAPER_TABLE3
-    experiment = ChurnExperiment(config)
     start = time.perf_counter()
-    table = experiment.run()
+    result = FailureSweepExperiment(config).run()
     seconds = time.perf_counter() - start
-    recover_s = sum(timing["recover_s"] for timing in experiment.timings.values())
-    failures = int(sum(timing["failures"] for timing in experiment.timings.values()))
+    table = result.table
+    recover_s = sum(row["churn_s"] for row in result.fraction_rows)
+    failures = int(sum(row["failures"] for row in result.fraction_rows))
     churn_bench_results["results"].append({
         "scenario": "table3-paper-scale",
         "node_count": config.node_count,

@@ -8,17 +8,19 @@ overall (and almost none up to 866 failed nodes).
 
 from __future__ import annotations
 
-from repro.experiments.availability import AvailabilityConfig, AvailabilityExperiment
+from dataclasses import replace
+
+from repro.experiments.failure_sweep import PAPER_FIG10, FailureSweepExperiment
 from repro.experiments.results import format_series_table
 
-BENCH_CONFIG = AvailabilityConfig(node_count=300, file_count=2000, fail_fraction=0.10, seed=2)
+BENCH_CONFIG = replace(PAPER_FIG10, node_count=300, file_count=2000, fail_fractions=(0.10,), seed=2)
 
 
 def test_bench_fig10_availability(benchmark):
     """Benchmark the availability experiment and report Figure 10."""
 
     def run_once():
-        return AvailabilityExperiment(BENCH_CONFIG).run().curves
+        return FailureSweepExperiment(BENCH_CONFIG).run().curves
 
     series = benchmark.pedantic(run_once, rounds=1, iterations=1)
     print("\nFigure 10 — unavailable files (%) vs failed nodes:")

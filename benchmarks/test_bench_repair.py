@@ -21,14 +21,16 @@ flagship wall time -- the cross-PR trajectory of the repair subsystem.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.regeneration import PAPER_REPAIR, RepairConfig, RepairExperiment
+from repro.experiments.failure_sweep import PAPER_REPAIR, FailureSweepConfig, FailureSweepExperiment
 from repro.workloads.filetrace import MB
 
 #: CI-feasible scale: every panel in a few seconds, same structure as paper scale.
-SMALL_REPAIR = RepairConfig(
+SMALL_REPAIR = replace(
+    PAPER_REPAIR,
     node_count=300,
     file_count=800,
     capacity_mean=400 * MB,
@@ -45,7 +47,8 @@ SMALL_REPAIR = RepairConfig(
 )
 
 
-def _record_rows(results: dict, scenario: str, config: RepairConfig, outcome, seconds: float):
+def _record_rows(results: dict, scenario: str, config: FailureSweepConfig, outcome,
+                 seconds: float):
     for row in outcome.fraction_rows:
         entry = {"scenario": scenario, "node_count": config.node_count,
                  "mode": "fail", "seconds": seconds, **row}
@@ -59,7 +62,7 @@ def _record_rows(results: dict, scenario: str, config: RepairConfig, outcome, se
 def test_bench_repair_curves_are_monotone(repair_bench_results):
     """Traffic and makespan grow with the failure fraction; TTR ~ 1/bandwidth."""
     start = time.perf_counter()
-    outcome = RepairExperiment(SMALL_REPAIR).run()
+    outcome = FailureSweepExperiment(SMALL_REPAIR).run()
     seconds = time.perf_counter() - start
     _record_rows(repair_bench_results, "repair", SMALL_REPAIR, outcome, seconds)
 
@@ -102,7 +105,7 @@ def test_bench_repair_migration_moves_instead_of_regenerating(repair_bench_resul
 def test_bench_repair_paper_scale_flagship(repair_bench_results):
     """All three panels at 10 000 nodes in well under two minutes."""
     start = time.perf_counter()
-    outcome = RepairExperiment(PAPER_REPAIR).run()
+    outcome = FailureSweepExperiment(PAPER_REPAIR).run()
     seconds = time.perf_counter() - start
     _record_rows(repair_bench_results, "repair-paper-scale", PAPER_REPAIR, outcome, seconds)
     assert seconds < 120.0, "the paper-scale repair experiment must stay under ~2 minutes"

@@ -11,16 +11,18 @@ regenerated at 20 %, and a small per-failure regeneration share.
 
 from __future__ import annotations
 
-from repro.experiments.churn import ChurnConfig, ChurnExperiment
+from dataclasses import replace
 
-BENCH_CONFIG = ChurnConfig(node_count=300, file_count=2000, seed=4)
+from repro.experiments.failure_sweep import PAPER_TABLE3, FailureSweepExperiment
+
+BENCH_CONFIG = replace(PAPER_TABLE3, node_count=300, file_count=2000, seed=4)
 
 
 def test_bench_table3_churn(benchmark):
     """Benchmark the churn/regeneration experiment and report Table 3."""
 
     def run_once():
-        return ChurnExperiment(BENCH_CONFIG).run()
+        return FailureSweepExperiment(BENCH_CONFIG).run().table
 
     table = benchmark.pedantic(run_once, rounds=1, iterations=1)
     print("\n" + table.format())

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import ChunkCodec, DHTView, NullCode, OverlayNetwork, ReedSolomonCode, StoragePolicy, StorageSystem, XorParityCode
 from repro.erasure.base import CodeSpec
-from repro.experiments.availability import _SpecOnlyCode
+from repro.experiments.failure_sweep import _SpecOnlyCode
 from repro.sim.churn import FailureSchedule
 from repro.workloads.filetrace import FileTraceConfig, generate_file_trace
 

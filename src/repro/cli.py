@@ -25,10 +25,14 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
-from repro.experiments.availability import PAPER_FIG10, AvailabilityExperiment
-from repro.experiments.churn import PAPER_TABLE3, ChurnExperiment
 from repro.experiments.coding_perf import CodingPerfConfig, CodingPerfExperiment
 from repro.experiments.condor_case_study import CondorCaseStudyConfig, CondorCaseStudyExperiment
+from repro.experiments.failure_sweep import (
+    PAPER_FIG10,
+    PAPER_REPAIR,
+    PAPER_TABLE3,
+    FailureSweepExperiment,
+)
 from repro.experiments.faults import (
     FINITE_CORE_FAULTS,
     PAPER_FAULTS,
@@ -37,7 +41,6 @@ from repro.experiments.faults import (
     FaultsExperiment,
 )
 from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
-from repro.experiments.regeneration import PAPER_REPAIR, RepairExperiment
 from repro.experiments.results import benchmark_summary
 from repro.experiments.routing import PAPER_ROUTING, SMOKE_ROUTING, RoutingExperiment
 from repro.experiments.serving import PAPER_SERVING, SMOKE_SERVING, ServingExperiment
@@ -214,15 +217,16 @@ COMMANDS: Tuple[Command, ...] = (
     ),
     Command(
         "fig10", "Figure 10 at paper scale (10 000 nodes / 1 000 failures)",
-        AvailabilityExperiment, PAPER_FIG10,
+        FailureSweepExperiment, PAPER_FIG10,
         args=(_NODES, _FILES,
-              _arg("--fail-pct", "fail_fraction", type=_percent,
-                   help="percent of the population failed one by one")),
+              _arg("--fail-pct", "fail_fractions", type=_comma_list(_percent),
+                   help="percent of the population failed one by one "
+                        "(of a comma-separated list, the largest)")),
         scale=_SCALE_HELP,
     ),
     Command(
         "table3", "Table 3 at paper scale (10 000 nodes, 10 %% and 20 %% failed)",
-        ChurnExperiment, PAPER_TABLE3,
+        FailureSweepExperiment, PAPER_TABLE3,
         args=(_NODES, _FILES,
               _arg("--fractions", "fail_fractions", type=_comma_list(_percent),
                    help="comma-separated failure percentages")),
@@ -256,7 +260,7 @@ COMMANDS: Tuple[Command, ...] = (
         "repair",
         "bandwidth-aware repair: time-to-repair and traffic curves, "
         "migration-vs-regeneration ablation (paper scale: 10 000 nodes)",
-        RepairExperiment, PAPER_REPAIR,
+        FailureSweepExperiment, PAPER_REPAIR,
         args=(_NODES, _FILES,
               _arg("--fractions", "fail_fractions", type=_comma_list(_percent),
                    help="comma-separated failure percentages for the sweep"),

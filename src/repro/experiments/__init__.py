@@ -10,13 +10,11 @@ CLI's ``--scale`` make a run take seconds.
 | Module                                       | Results                                  |
 |----------------------------------------------|------------------------------------------|
 | :mod:`~repro.experiments.storage_insertion`  | Figures 7, 8, 9 and Table 1              |
-| :mod:`~repro.experiments.availability`       | Figure 10                                |
 | :mod:`~repro.experiments.coding_perf`        | Table 2                                  |
-| :mod:`~repro.experiments.churn`              | Table 3                                  |
+| :mod:`~repro.experiments.failure_sweep`      | Figure 10, Table 3, repair panels (ext.) |
 | :mod:`~repro.experiments.multicast_replicas` | Figures 11 and 12                        |
 | :mod:`~repro.experiments.condor_case_study`  | Table 4                                  |
 | :mod:`~repro.experiments.soak`               | join/leave churn soak (ext.)             |
-| :mod:`~repro.experiments.regeneration`       | bandwidth-aware repair panels (ext.)     |
 | :mod:`~repro.experiments.faults`             | failure-domain fault panels (ext.)       |
 | :mod:`~repro.experiments.tenants`            | per-tenant QoS isolation (ext.)          |
 | :mod:`~repro.experiments.serving`            | serve path, cache on/off (ext.)          |

@@ -3,11 +3,11 @@
 Section 6 of the paper runs every measurement on one simulated population
 (capacities N(45 GB, 10 GB)) loaded with one file trace (243 MB +- 55 MB).
 :class:`DeploymentConfig` owns those fields once and :func:`deploy` builds the
-cluster through :class:`~repro.api.ClusterSession`, so ``availability``,
-``churn``, ``regeneration``, ``soak`` and ``faults`` share one construction
-order and one set of RNG stream labels (``"capacities"``, ``"overlay"``,
-``"trace"``), and take their clock, transfer fabric, repair manager and fault
-injector from the session.  ``tenants`` and ``serving`` name their corpus
+cluster through :class:`~repro.api.ClusterSession`, so ``failure_sweep``
+(Figure 10, Table 3 and the repair panels), ``soak`` and ``faults`` share one
+construction order and one set of RNG stream labels (``"capacities"``,
+``"overlay"``, ``"trace"``), and take their clock, transfer fabric, repair
+manager and fault injector from the session.  ``tenants`` and ``serving`` name their corpus
 fields differently (several tenants, a lognormal catalog), so they compose the
 same pieces -- :func:`open_session`, :func:`claim_client`, :func:`load_trace` --
 themselves.  ``faults`` and ``tenants`` time block reads during the storm

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
@@ -71,6 +72,9 @@ class FileTraceConfig:
     def __post_init__(self) -> None:
         if self.file_count < 0:
             raise ValueError("file_count must be non-negative")
+        for name in ("mean_size", "std_size", "min_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.min_size < 0 or self.mean_size <= 0 or self.std_size < 0:
             raise ValueError("sizes must be positive")
         if self.model not in ("truncated-normal", "lognormal"):

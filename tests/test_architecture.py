@@ -68,7 +68,7 @@ THIRD_PARTY = {"numpy"}
 
 _EVERYWHERE = ("src", "examples", "README.md")
 _DEPLOYING = tuple(f"src/repro/experiments/{name}.py" for name in (
-    "availability", "churn", "regeneration", "soak", "faults", "tenants", "serving"))
+    "failure_sweep", "soak", "faults", "tenants", "serving"))
 _CENSUS = "the call census (tests/tools/census.py): nothing ran it"
 
 #: (label, retired names as a regex, where they must not reappear, what retired them).
@@ -173,6 +173,12 @@ RETIRED = (
      _EVERYWHERE, "one store contract: PAST, CFS, ours and WholeFileStore answer store_file "
      "with StoreResult and the chunking stores chunk_sizes; InterposedIO takes a store, and "
      "Table 1 comes from InsertionStats for CFS and ours alike"),
+    ("per-panel failure sweeps",
+     r"\b(Availability|Churn|Repair)(Config|Experiment|Result)\b|\bChurnRow\b"
+     r"|repro\.experiments\.(availability|churn|regeneration)\b",
+     _EVERYWHERE, "one failure sweep: Figure 10, Table 3 and repair are presets of "
+     "FailureSweepExperiment, whose repair bandwidth (none, instant or finite) is the only "
+     "difference"),
 )
 
 

@@ -11,6 +11,8 @@ the seed's placement walks (``tests/reference/dict_walk.py``).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from reference import dict_walk
@@ -21,8 +23,7 @@ from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
-from repro.experiments.availability import AvailabilityConfig, AvailabilityExperiment
-from repro.experiments.churn import ChurnConfig, ChurnExperiment
+from repro.experiments.failure_sweep import PAPER_TABLE3, FailureSweepConfig, FailureSweepExperiment
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
@@ -35,7 +36,7 @@ CHURN_CASES = [(40, 100), (80, 180)]
 @pytest.mark.parametrize("node_count,file_count", AVAILABILITY_CASES)
 def test_figure10_curves_identical_across_engines(node_count, file_count):
     """Seed walk and ledger counter produce the same availability curves."""
-    config = AvailabilityConfig(
+    config = FailureSweepConfig(
         node_count=node_count,
         file_count=file_count,
         capacity_mean=400 * MB,
@@ -47,7 +48,7 @@ def test_figure10_curves_identical_across_engines(node_count, file_count):
         seed=11,
     )
     scalar = load_golden("fig10_curves.json")[f"{node_count}x{file_count}"]
-    vector = AvailabilityExperiment(config).run().curves
+    vector = FailureSweepExperiment(config).run().curves
     assert scalar.keys() == vector.keys()
     for label in scalar:
         assert scalar[label]["x"] == vector[label].x, label
@@ -57,7 +58,8 @@ def test_figure10_curves_identical_across_engines(node_count, file_count):
 @pytest.mark.parametrize("node_count,file_count", CHURN_CASES)
 def test_table3_rows_identical_across_engines(node_count, file_count):
     """Seed and ledger recovery produce byte-identical Table 3 rows."""
-    config = ChurnConfig(
+    config = replace(
+        PAPER_TABLE3,
         node_count=node_count,
         file_count=file_count,
         capacity_mean=400 * MB,
@@ -68,7 +70,7 @@ def test_table3_rows_identical_across_engines(node_count, file_count):
         seed=13,
     )
     scalar = load_golden("table3_rows.json")[f"{node_count}x{file_count}"]
-    vector = ChurnExperiment(config).run()
+    vector = FailureSweepExperiment(config).run().table
     assert scalar["columns"] == vector.columns
     assert scalar["rows"] == vector.rows
 

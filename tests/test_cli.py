@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
-from repro.experiments.availability import PAPER_FIG10
+from repro.experiments.failure_sweep import PAPER_FIG10
 from repro.experiments.routing import PAPER_ROUTING
 from repro.experiments.serving import PAPER_SERVING
 from repro.experiments.soak import PAPER_SOAK
@@ -276,6 +276,8 @@ def _cli_stdout(argv, hashseed: str) -> str:
     ["serve", "--smoke"],
     ["soak", "--scale", "0.01", "--days", "0.5", "--seed", "6"],
     ["fig10", "--scale", "0.02"],
+    ["table3", "--scale", "0.02"],
+    ["repair", "--scale", "0.01"],
     ["faults", "--smoke"],
     ["tenants", "--smoke"],
     ["routing", "--smoke"],

@@ -1,7 +1,7 @@
 """Frozen result rows of the experiments no other golden pins.
 
-Availability, churn and soak are pinned by their own files under
-``tests/golden/``; regeneration, faults, tenants and serving are pinned here.
+Figure 10, Table 3 and soak are pinned by their own files under
+``tests/golden/``; the repair panels, faults, tenants and serving are pinned here.
 ``tests/golden/experiment_rows.json`` was dumped at commit ``28ba8c6`` -- the
 last one where ``regeneration`` and ``faults`` wired their deployment by hand
 -- so any change of a stream label, a construction order or a tenant tag in
@@ -10,10 +10,12 @@ the shared deployment path moves a row and fails the comparison.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments.failure_sweep import PAPER_REPAIR, FailureSweepExperiment
 from repro.experiments.faults import SMOKE_FAULTS, SMOKE_FINITE_CORE, FaultsExperiment
-from repro.experiments.regeneration import RepairConfig, RepairExperiment
 from repro.experiments.serving import SMOKE_SERVING, ServingExperiment
 from repro.experiments.tenants import SMOKE_TENANTS, TenantsExperiment
 from repro.workloads.filetrace import MB
@@ -23,15 +25,15 @@ from reference.golden import jsonable, load_golden
 #: Wall-clock entries of the result rows (everything else is simulated).
 HOST_TIME_KEYS = ("seconds", "distribute_s", "churn_s", "inject_s", "cell_s")
 
-SMALL_REPAIR = RepairConfig(
-    node_count=80, file_count=160, capacity_mean=400 * MB, capacity_std=100 * MB,
+SMALL_REPAIR = replace(
+    PAPER_REPAIR, node_count=80, file_count=160, capacity_mean=400 * MB, capacity_std=100 * MB,
     mean_file_size=24 * MB, std_file_size=8 * MB, min_file_size=4 * MB,
     fail_fractions=(0.05, 0.10, 0.20), leave_fraction=0.10,
 )
 
 #: name -> (experiment, the result's row-list attributes).
 CASES = {
-    "repair": (RepairExperiment(SMALL_REPAIR),
+    "repair": (FailureSweepExperiment(SMALL_REPAIR),
                ("fraction_rows", "bandwidth_rows", "ablation_rows")),
     "faults_smoke": (FaultsExperiment(SMOKE_FAULTS), ("rows",)),
     "faults_finite_core": (FaultsExperiment(SMOKE_FINITE_CORE), ("rows",)),

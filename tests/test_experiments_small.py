@@ -9,17 +9,22 @@ same harnesses at the default (larger) scale.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
-from repro.experiments.availability import AvailabilityConfig, AvailabilityExperiment
 from repro.experiments.base import read_census
-from repro.experiments.churn import ChurnConfig, ChurnExperiment
 from repro.experiments.coding_perf import CodingPerfConfig, CodingPerfExperiment
 from repro.experiments.condor_case_study import CondorCaseStudyConfig, CondorCaseStudyExperiment
+from repro.experiments.failure_sweep import (
+    PAPER_REPAIR,
+    PAPER_TABLE3,
+    FailureSweepConfig,
+    FailureSweepExperiment,
+)
 from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
 from repro.experiments.storage_insertion import (
     EXPECTED_UTILIZATION,
@@ -81,8 +86,9 @@ def test_insertion_resolved_file_count_from_utilization():
 
 # -- availability (Figure 10) -----------------------------------------------------------
 def test_availability_error_coding_reduces_losses():
-    config = AvailabilityConfig(node_count=80, file_count=300, fail_fraction=0.15, sample_points=5, seed=2)
-    series = AvailabilityExperiment(config).run().curves
+    config = FailureSweepConfig(node_count=80, file_count=300, fail_fractions=(0.15,), sample_points=5,
+                                seed=2)
+    series = FailureSweepExperiment(config).run().curves
     assert set(series) == {"No error code", "XOR code", "Online code"}
     none_final = series["No error code"].final()
     xor_final = series["XOR code"].final()
@@ -113,8 +119,8 @@ def test_coding_performance_shape():
 
 # -- churn (Table 3) ---------------------------------------------------------------------------
 def test_churn_regeneration_scales_with_failures():
-    config = ChurnConfig(node_count=60, file_count=300, seed=4)
-    table = ChurnExperiment(config).run()
+    config = replace(PAPER_TABLE3, node_count=60, file_count=300, seed=4)
+    table = FailureSweepExperiment(config).run().table
     assert len(table.rows) == 2
     ten, twenty = table.rows
     assert twenty["nodes_failed"] > ten["nodes_failed"]
@@ -122,6 +128,22 @@ def test_churn_regeneration_scales_with_failures():
     assert ten["data_lost_gb"] <= twenty["data_lost_gb"] + 1e-9
     # Data lost is small relative to data regenerated (fault tolerance works).
     assert twenty["data_lost_gb"] < twenty["data_regenerated_gb"]
+
+
+@pytest.mark.parametrize("fields", [
+    {"fail_fractions": ()},
+    {"fail_fractions": (0.05, 1.5)},
+    {"fail_fractions": (-0.1,)},
+    {"fail_fractions": (math.nan,)},
+    {"leave_fraction": 2.0},
+    {"sample_points": 0},
+    {"sample_points": -3},
+], ids=["no fractions", "fraction above 1", "negative fraction", "NaN fraction",
+        "leave fraction above 1", "no sample points", "negative sample points"])
+def test_a_bad_failure_sweep_is_refused_at_construction(fields):
+    """Refused by the config, before a deployment that takes minutes at paper scale."""
+    with pytest.raises(ValueError):
+        replace(PAPER_REPAIR, **fields)
 
 
 # -- multicast (Figures 11, 12) ------------------------------------------------------------------

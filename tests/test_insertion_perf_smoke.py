@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from repro.baselines.cfs import CfsStore
 from repro.core import naming
 from repro.core.block_ledger import BlockLedger
 from repro.core.storage import BlockPlacement, StoredChunk, StoredFile
-from repro.experiments.availability import AvailabilityConfig, AvailabilityExperiment
-from repro.experiments.churn import ChurnConfig, ChurnExperiment
+from repro.experiments.failure_sweep import PAPER_TABLE3, FailureSweepConfig, FailureSweepExperiment
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import random_node_id
@@ -86,9 +86,9 @@ def test_churn_failure_sweep_within_budget():
     # failures each) on the ledger path: ~0.13 s on the development machine.
     # A fall-back to per-sample placement walks or per-failure O(N) boundary
     # rebuilds costs well over the guarded 5x.
-    config = AvailabilityConfig(node_count=250, file_count=400, sample_points=8, seed=7)
+    config = FailureSweepConfig(node_count=250, file_count=400, sample_points=8, seed=7)
     start = time.perf_counter()
-    series = AvailabilityExperiment(config).run().curves
+    series = FailureSweepExperiment(config).run().curves
     elapsed = time.perf_counter() - start
     assert set(series) == {"No error code", "XOR code", "Online code"}
     assert all(len(curve) >= 2 for curve in series.values())
@@ -98,9 +98,9 @@ def test_churn_failure_sweep_within_budget():
 def test_churn_recovery_within_budget():
     # Table 3 end-to-end (200 nodes, 300 files, 10 % + 20 % sweeps with
     # regeneration) on the ledger path: ~0.07 s on the development machine.
-    config = ChurnConfig(node_count=200, file_count=300, seed=7)
+    config = replace(PAPER_TABLE3, node_count=200, file_count=300, seed=7)
     start = time.perf_counter()
-    table = ChurnExperiment(config).run()
+    table = FailureSweepExperiment(config).run().table
     elapsed = time.perf_counter() - start
     assert [row["nodes_failed_pct"] for row in table.rows] == [10.0, 20.0]
     assert elapsed < 4.0, f"ledger churn recovery took {elapsed:.2f}s at 200 nodes"

@@ -78,6 +78,15 @@ def test_trace_config_validation():
         FileRecord(name="x", size=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mean_size", float("nan")), ("std_size", float("nan")), ("min_size", float("nan")),
+    ("mean_size", float("inf")), ("std_size", float("inf")),
+])
+def test_trace_config_refuses_non_finite_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        FileTraceConfig(**{field: value})
+
+
 # -- capacities -----------------------------------------------------------------------
 def test_paper_capacity_distribution():
     capacities = generate_capacities(CapacityConfig(node_count=5_000), seed=0)
