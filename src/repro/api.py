@@ -26,6 +26,10 @@ The keyword surface underneath (``StorageSystem(..., ledger=, tenant=)``,
 low-level API -- the facade builds on it and
 ``tests/test_api.py`` pins that both wirings are placement- and
 RNG-identical (same ``RandomStreams`` labels, same construction order).
+
+A numeric argument outside its range -- NaN and infinity included -- raises
+:class:`ParameterError`, a ``ValueError`` from :mod:`repro.overlay.validation`
+whose message names the parameter, before anything is built or charged.
 """
 
 from __future__ import annotations
@@ -43,11 +47,14 @@ from repro.core.transfer import TransferScheduler, oversubscribed_topology
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import StoreResult
+from repro.overlay.validation import ParameterError, require_range
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, assign_domains
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig, generate_capacities
 from repro.workloads.filetrace import MB
+
+__all__ = ["ArchiveClient", "ClusterSession", "ParameterError"]
 
 
 def _reject(arguments: Dict[str, object], reason: str) -> None:
@@ -89,6 +96,10 @@ class ClusterSession:
         if bandwidth_mb_s is None:
             _reject({"oversubscription": oversubscription, "latency": latency},
                     "needs bandwidth_mb_s= (no transfer fabric is built without it)")
+        else:
+            require_range("bandwidth_mb_s", bandwidth_mb_s, 0, ends="()")
+        if oversubscription is not None:
+            require_range("oversubscription", oversubscription, 1.0)
         if network is not None:
             _reject({"capacities": capacities, "capacity_config": capacity_config,
                      "sites": sites},
@@ -96,6 +107,7 @@ class ClusterSession:
         if network is None:
             if node_count is None:
                 raise ValueError("either node_count or an existing network is required")
+            require_range("node_count", node_count, 1)
             if capacities is None and capacity_config is not None:
                 if capacity_config.node_count != node_count:
                     capacity_config = replace(capacity_config, node_count=node_count)

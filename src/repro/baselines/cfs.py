@@ -21,6 +21,7 @@ from repro.core.block_ledger import BlockLedger
 from repro.core.storage import LedgerStore
 from repro.overlay.dht import DHTView
 from repro.overlay.node import OverlayNode, StoreResult, store_refusal
+from repro.overlay.validation import require_range
 
 #: The block size used in the paper's simulations (4 MB).
 DEFAULT_BLOCK_SIZE = 4 * (1 << 20)
@@ -54,12 +55,9 @@ class CfsStore(LedgerStore):
         ledger: Optional[BlockLedger] = None,
         tenant: Optional[str] = None,
     ) -> None:
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if replication < 1:
-            raise ValueError("replication must be >= 1")
-        if retries_per_block < 0:
-            raise ValueError("retries_per_block must be non-negative")
+        require_range("block_size", block_size, 1)
+        require_range("replication", replication, 1)
+        require_range("retries_per_block", retries_per_block, 0)
         super().__init__(dht, ledger, tenant)
         self.block_size = block_size
         self.replication = replication

@@ -18,6 +18,7 @@ from repro.core.block_ledger import BlockLedger
 from repro.core.storage import LedgerStore
 from repro.overlay.dht import DHTView
 from repro.overlay.node import OverlayNode, StoreResult, store_refusal
+from repro.overlay.validation import require_range
 
 
 class PastStore(LedgerStore):
@@ -46,10 +47,8 @@ class PastStore(LedgerStore):
         ledger: Optional[BlockLedger] = None,
         tenant: Optional[str] = None,
     ) -> None:
-        if replication < 1:
-            raise ValueError("replication must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
+        require_range("replication", replication, 1)
+        require_range("retries", retries, 0)
         super().__init__(dht, ledger, tenant)
         self.replication = replication
         self.retries = retries

@@ -122,6 +122,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import naming
+from repro.overlay.idmath import digest_bytes
+from repro.overlay.validation import require_range
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
     from repro.core.storage import StoredChunk, StoredFile
@@ -908,10 +910,10 @@ class BlockLedger:
 
     def row_key(self, row: int) -> int:
         """The 160-bit DHT key of the row's block name (requires ensure_digests)."""
-        return int.from_bytes(bytes(self._digest[row]).ljust(20, b"\x00"), "big")
+        return int.from_bytes(self.row_digest(row), "big")
 
     def row_digest(self, row: int) -> bytes:
-        return bytes(self._digest[row]).ljust(20, b"\x00")
+        return digest_bytes(self._digest[row])
 
     def row_fields(self, row: int) -> tuple:
         """(file_idx, chunk_idx, placement_idx, size) of one row."""
@@ -1307,8 +1309,7 @@ class BlockLedger:
                 "live_bytes": self.live_bytes,
                 "live_rows": self.live_rows,
             }
-        if not 0 <= tenant < len(self.tenant_names):
-            raise ValueError(f"unknown tenant id {tenant!r}")
+        require_range("tenant", tenant, 0, len(self.tenant_names))
         n, files = self.row_count, self.file_count
         live = self._alive[:n] & (self._row_tenant[:n] == tenant)
         active = self._file_active[:files] & (self._file_tenant[:files] == tenant)

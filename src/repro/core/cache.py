@@ -29,9 +29,10 @@ replication pay-off (``multicast/replication.py``) becomes visible.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.overlay.validation import require_range
 
 
 class NodeBlockCache:
@@ -40,9 +41,7 @@ class NodeBlockCache:
     __slots__ = ("capacity", "used", "evictions", "_entries")
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        self.capacity = int(capacity)
+        self.capacity = int(require_range("capacity", capacity, 0, ends="()"))
         self.used = 0
         self.evictions = 0
         #: block name -> (size, stream index, bytes), least- to most-recently
@@ -100,12 +99,8 @@ class CacheManager:
     """
 
     def __init__(self, capacity_bytes: int, hit_latency_s: float = 0.0) -> None:
-        if not 1 <= capacity_bytes < math.inf:
-            raise ValueError(f"cache capacity must be at least one byte, got {capacity_bytes!r}")
-        if not 0 <= hit_latency_s < math.inf:
-            raise ValueError(f"hit latency must be finite and non-negative, got {hit_latency_s!r}")
-        self.capacity_bytes = int(capacity_bytes)
-        self.hit_latency_s = float(hit_latency_s)
+        self.capacity_bytes = int(require_range("capacity_bytes", capacity_bytes, 1))
+        self.hit_latency_s = float(require_range("hit_latency_s", hit_latency_s, 0))
         self._caches: Dict[int, NodeBlockCache] = {}
         # Chunk-granular accounting (capacity-mode reads).
         self.chunk_hits = 0

@@ -16,6 +16,7 @@ from typing import List, Sequence
 from repro.core import naming
 from repro.overlay.dht import DHTView
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import require_range
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,9 @@ class CapacityProbe:
     """Issues getCapacity probes through a DHT view."""
 
     def __init__(self, dht: DHTView, capacity_report_fraction: float = 1.0) -> None:
-        if not 0.0 < capacity_report_fraction <= 1.0:
-            raise ValueError("capacity_report_fraction must be in (0, 1]")
+        self.capacity_report_fraction = require_range(
+            "capacity_report_fraction", capacity_report_fraction, 0.0, 1.0, "(]")
         self.dht = dht
-        self.capacity_report_fraction = capacity_report_fraction
         self.total_probes = 0
 
     def offer_from(self, node: OverlayNode) -> int:
@@ -60,8 +60,7 @@ class CapacityProbe:
 
     def probe_chunk(self, filename: str, chunk_no: int, encoded_blocks: int) -> ProbeResult:
         """Probe the prospective holders of chunk ``chunk_no``'s encoded blocks."""
-        if encoded_blocks < 1:
-            raise ValueError("encoded_blocks must be >= 1")
+        require_range("encoded_blocks", encoded_blocks, 1)
         names: List[str] = [
             naming.block_name(filename, chunk_no, ecb) for ecb in range(1, encoded_blocks + 1)
         ]
@@ -86,8 +85,7 @@ class CapacityProbe:
         the ``searchsorted`` kernel; lookup accounting matches
         :meth:`probe_chunk` exactly (one lookup per probed block).
         """
-        if encoded_blocks < 1:
-            raise ValueError("encoded_blocks must be >= 1")
+        require_range("encoded_blocks", encoded_blocks, 1)
         state = self.dht.state
         if encoded_blocks == 1:
             # The dominant configuration of the insertion experiments (one

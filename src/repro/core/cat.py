@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.overlay.validation import require_range
+
 
 @dataclass(frozen=True)
 class CatEntry:
@@ -25,10 +27,9 @@ class CatEntry:
     end: int
 
     def __post_init__(self) -> None:
-        if self.chunk_no < 1:
-            raise ValueError("chunk numbers are 1-based")
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"invalid chunk range [{self.start}, {self.end})")
+        require_range("chunk_no", self.chunk_no, 1)
+        require_range("start", self.start, 0)
+        require_range("end", self.end, self.start)
 
     @property
     def size(self) -> int:
@@ -72,8 +73,7 @@ class ChunkAllocationTable:
         entries: List[CatEntry] = []
         offset = 0
         for index, size in enumerate(sizes, start=1):
-            if size < 0:
-                raise ValueError("chunk sizes must be non-negative")
+            require_range("chunk size", size, 0)
             entries.append(CatEntry(chunk_no=index, start=offset, end=offset + int(size)))
             offset += int(size)
         return cls(filename, entries)
@@ -103,15 +103,12 @@ class ChunkAllocationTable:
         This is the lookup the paper performs to serve partial-file reads:
         "only the chunk(s) containing that portion are retrieved".
         """
-        if length < 0:
-            raise ValueError("length must be non-negative")
+        require_range("length", length, 0)
         if length == 0:
             return []
         end = offset + length
-        if offset < 0 or end > self.file_size:
-            raise IndexError(
-                f"range [{offset}, {end}) outside file of size {self.file_size}"
-            )
+        if not (0 <= offset and end <= self.file_size):  # NaN fails too
+            raise IndexError(f"range [{offset}, {end}) outside file of size {self.file_size}")
         return [entry for entry in self._entries if entry.end > offset and entry.start < end]
 
     # -- serialisation -----------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.overlay.ids import NodeId, key_for
+from repro.overlay.validation import require_range
 
 #: Separator between the file name and the chunk / block counters.  File names
 #: containing the separator are allowed.
@@ -30,15 +31,13 @@ CAT_SUFFIX = ".CAT"
 
 def chunk_name(filename: str, chunk_no: int) -> str:
     """The name of chunk ``chunk_no`` (1-based) of ``filename``."""
-    if chunk_no < 1:
-        raise ValueError(f"chunk numbers are 1-based, got {chunk_no}")
+    require_range("chunk_no", chunk_no, 1)
     return f"{filename}{SEPARATOR}{chunk_no}"
 
 
 def block_name(filename: str, chunk_no: int, ecb: int) -> str:
     """The name of encoded block ``ecb`` (1-based) of chunk ``chunk_no``."""
-    if ecb < 1:
-        raise ValueError(f"encoded block numbers are 1-based, got {ecb}")
+    require_range("ecb", ecb, 1)
     return f"{chunk_name(filename, chunk_no)}{SEPARATOR}{ecb}"
 
 
@@ -55,10 +54,8 @@ def key_for_name(name: str) -> NodeId:
 # -- batch helpers for the array-backed placement engine -------------------------
 def block_names(filename: str, chunk_no: int, count: int) -> List[str]:
     """The names of all ``count`` encoded blocks of one chunk, in ECB order."""
-    if chunk_no < 1:
-        raise ValueError(f"chunk numbers are 1-based, got {chunk_no}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    require_range("chunk_no", chunk_no, 1)
+    require_range("count", count, 1)
     prefix = f"{filename}{SEPARATOR}{chunk_no}{SEPARATOR}"
     return [f"{prefix}{ecb}" for ecb in range(1, count + 1)]
 

@@ -19,9 +19,10 @@ conservative and every stored block in the ledger.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.overlay.validation import require_range
 
 
 @dataclass(frozen=True)
@@ -51,25 +52,16 @@ class StoragePolicy:
     max_chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_consecutive_zero_chunks < 0:
-            raise ValueError("max_consecutive_zero_chunks must be non-negative")
-        if not 0.0 < self.capacity_report_fraction <= 1.0:
-            raise ValueError("capacity_report_fraction must be in (0, 1]")
-        if self.cat_replication < 1:
-            raise ValueError("cat_replication must be >= 1")
-        if self.block_replication < 1:
-            raise ValueError("block_replication must be >= 1")
-        # Written so that NaN fails: a NaN bound would silently act as no bound.
-        if self.min_chunk_size is not None and not 0 <= self.min_chunk_size < math.inf:
-            raise ValueError("min_chunk_size must be finite and non-negative")
-        if self.max_chunk_size is not None and not 0 < self.max_chunk_size < math.inf:
-            raise ValueError("max_chunk_size must be finite and positive")
-        if (
-            self.min_chunk_size is not None
-            and self.max_chunk_size is not None
-            and self.min_chunk_size > self.max_chunk_size
-        ):
-            raise ValueError("min_chunk_size cannot exceed max_chunk_size")
+        require_range("max_consecutive_zero_chunks", self.max_consecutive_zero_chunks, 0)
+        require_range("capacity_report_fraction", self.capacity_report_fraction, 0.0, 1.0, "(]")
+        require_range("cat_replication", self.cat_replication, 1)
+        require_range("block_replication", self.block_replication, 1)
+        if self.min_chunk_size is not None:
+            require_range("min_chunk_size", self.min_chunk_size, 0)
+        if self.max_chunk_size is not None:
+            require_range("max_chunk_size", self.max_chunk_size, 0, ends="()")
+            if self.min_chunk_size is not None:
+                require_range("max_chunk_size", self.max_chunk_size, self.min_chunk_size)
 
 
 #: The configuration used by the paper's large-scale simulations (Section 6.1).

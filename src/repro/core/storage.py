@@ -46,6 +46,7 @@ from repro.erasure.null_code import NullCode
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import NodeId
 from repro.overlay.node import OverlayNode, StoreResult, store_refusal
+from repro.overlay.validation import require_range
 
 #: Sentinel distinguishing "keyword not passed" from an explicit ``None``
 #: (``client=None`` legitimately means "an external client outside the
@@ -255,7 +256,7 @@ class StorageSystem(LedgerStore):
         ``client``/``observer`` override the :meth:`attach_transfers`
         defaults for this one store (a serving gateway ingesting on behalf
         of a specific front-end node, with its own completion probe).  A
-        negative or non-finite ``size`` raises ``ValueError`` before any
+        negative or non-finite ``size`` raises ``ParameterError`` before any
         lookup or counter moves.
         """
         if self.payload_mode:
@@ -558,7 +559,10 @@ class StorageSystem(LedgerStore):
 
     def retrieve_range(self, filename: str, offset: int, length: int, *,
                        client=_UNSET, observer=_UNSET) -> RetrieveResult:
-        """Retrieve ``length`` bytes starting at ``offset`` (partial-file access)."""
+        """Retrieve ``length`` bytes from ``offset``.  A number no file could serve raises
+        ``ParameterError`` before the file is looked up; a range past its end, ``IndexError``."""
+        require_range("offset", offset, 0)
+        require_range("length", length, 0)
         return self._retrieve(filename, (offset, length), *self._request(client, observer))
 
     def _chunk_live_placements(self, chunk: StoredChunk) -> int:

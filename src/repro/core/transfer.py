@@ -197,6 +197,7 @@ from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.overlay.validation import require_range
 from repro.sim.engine import Simulator
 
 #: Residual bytes below which a transfer counts as complete (see module docs).
@@ -253,16 +254,11 @@ _NO_TENANT_STATS = {
 #: so it cannot double as the no-op default -- see set_node_bandwidth).
 _KEEP = object()
 
+#: What a refused access or trunk capacity is called: its setter's argument name.
+_ARGUMENTS = ("uplink", "downlink")
+
 #: A link of the constraint graph: ``(stage tag, node / rack / site / tenant id)``.
 LinkKey = Tuple[int, int]
-
-
-def _validate_capacity(value: Optional[float], what: str, allow_zero: bool) -> None:
-    if value is None:
-        return
-    if not value >= 0 or (value == 0 and not allow_zero):  # NaN is not >= 0
-        bound = ">= 0" if allow_zero else "positive"
-        raise ValueError(f"{what} capacity must be {bound} (or None): {value!r}")
 
 
 class NetworkTopology:
@@ -293,9 +289,9 @@ class NetworkTopology:
         intra_site_latency: float = 0.0,
         inter_site_latency: float = 0.0,
     ) -> None:
-        latencies = (intra_rack_latency, intra_site_latency, inter_site_latency)
-        if not all(0 <= latency < math.inf for latency in latencies):  # NaN fails both
-            raise ValueError(f"latencies must be finite and >= 0: {latencies!r}")
+        require_range("intra_rack_latency", intra_rack_latency, 0)
+        require_range("intra_site_latency", intra_site_latency, 0)
+        require_range("inter_site_latency", inter_site_latency, 0)
         self._latency = {
             "intra_rack": float(intra_rack_latency),
             "intra_site": float(intra_site_latency),
@@ -392,10 +388,8 @@ def oversubscribed_topology(
     ``assign_domains``'s round-robin striping makes all racks the same size
     +-1 node.
     """
-    if not 0 < access_bandwidth < math.inf:  # NaN fails both
-        raise ValueError(f"access_bandwidth must be positive and finite: {access_bandwidth!r}")
-    if not 1.0 <= oversubscription < math.inf:
-        raise ValueError(f"oversubscription ratio must be finite and >= 1: {oversubscription!r}")
+    require_range("access_bandwidth", access_bandwidth, 0, ends="()")
+    require_range("oversubscription", oversubscription, 1.0)
     topology = NetworkTopology.from_nodes(nodes, **latencies)
     rack_members: Dict[int, int] = {}
     site_racks: Dict[int, set] = {}
@@ -566,8 +560,9 @@ class TransferScheduler:
         downlink: Optional[float] = None,
         topology: Optional[NetworkTopology] = None,
     ) -> None:
-        _validate_capacity(uplink, "uplink", allow_zero=False)
-        _validate_capacity(downlink, "downlink", allow_zero=False)
+        for name, value in (("uplink", uplink), ("downlink", downlink)):
+            if value is not None:  # None = unconstrained
+                require_range(name, value, 0, ends="()")
         self.sim = sim
         self.topology = topology
         #: The one capacity table, every constrained link keyed like the
@@ -575,7 +570,8 @@ class TransferScheduler:
         self._caps: Dict[LinkKey, Optional[float]] = {}
         if topology is not None:
             for key, value in topology.trunks.items():
-                _validate_capacity(value, _STAGE_NAMES[key[0]], allow_zero=True)
+                if value is not None:
+                    require_range(f"{_STAGE_NAMES[key[0]]} capacity", value, 0)
             self._caps.update(topology.trunks)
         self._cap_defaults = (uplink, downlink) + (None,) * 5
         self._active: Dict[int, Transfer] = {}
@@ -644,7 +640,7 @@ class TransferScheduler:
         immediately.  Transfers still inside their latency window are failed
         at activation time instead.
         """
-        self._set_capacities(zip(self._pair(int(node_id), None, None), (uplink, downlink)))
+        self._set_capacities(zip(_ARGUMENTS, self._pair(int(node_id), None, None), (uplink, downlink)))
 
     def set_trunk_bandwidth(
         self, site: Optional[int] = None, rack: Optional[int] = None, uplink=_KEEP, downlink=_KEEP
@@ -656,7 +652,7 @@ class TransferScheduler:
         frozen path crosses a now-dead trunk (in submission order, through the
         event queue) and re-shares the survivors.
         """
-        self._set_capacities(zip(self._pair(None, site, rack), (uplink, downlink)))
+        self._set_capacities(zip(_ARGUMENTS, self._pair(None, site, rack), (uplink, downlink)))
 
     def set_tenant_weight(self, tenant: int, weight: float) -> None:
         """Assign one tenant's fair-share class weight (1.0 = foreground).
@@ -667,9 +663,7 @@ class TransferScheduler:
         1.0 (the default) is arithmetically absent, which is what keeps the
         all-tenants-weight-1 schedule bit-identical to the untagged one.
         """
-        if not 0 < weight < math.inf:
-            raise ValueError(f"tenant weight must be finite and positive: {weight!r}")
-        self._tenant_weight[int(tenant)] = float(weight)
+        self._tenant_weight[int(tenant)] = float(require_range("weight", weight, 0, ends="()"))
 
     def set_tenant_cap(self, tenant: int, cap: Optional[float]) -> None:
         """Set (or clear) one tenant's hard aggregate bandwidth cap.
@@ -682,7 +676,7 @@ class TransferScheduler:
         submission order, through the event queue, like a dead access link)
         and new submissions fail at submission time.
         """
-        self._set_capacities([((_TENANT, int(tenant)), cap)])
+        self._set_capacities([("cap", (_TENANT, int(tenant)), cap)])
 
     def capacity_of(self, key: LinkKey) -> Optional[float]:
         """One link's current capacity (``None`` = unconstrained, ``0`` = dead)."""
@@ -729,13 +723,11 @@ class TransferScheduler:
         """
         if not specs:
             return []
-        for spec in specs:  # before any counter moves: NaN fails every comparison
-            if not 0 <= spec.size < math.inf:
-                raise ValueError(f"transfer size must be finite and >= 0: {spec.size!r}")
-            if spec.timeout is not None and not 0 < spec.timeout < math.inf:
-                raise ValueError(f"transfer timeout must be finite and positive: {spec.timeout!r}")
-            if not 0 < spec.weight < math.inf:
-                raise ValueError(f"transfer weight must be finite and positive: {spec.weight!r}")
+        for spec in specs:  # before any counter moves
+            require_range("size", spec.size, 0)
+            if spec.timeout is not None:
+                require_range("timeout", spec.timeout, 0, ends="()")
+            require_range("weight", spec.weight, 0, ends="()")
         self._advance()
         transfers: List[Transfer] = []
         now = self.sim.now
@@ -1048,16 +1040,18 @@ class TransferScheduler:
             self._dirty.update(row)
         self._stale = True
 
-    def _set_capacities(self, changes: Iterable[Tuple[LinkKey, object]]) -> None:
+    def _set_capacities(self, changes: Iterable[Tuple[str, LinkKey, object]]) -> None:
         """The one capacity setter: validate every value (before the clock
         moves), advance, write the table, fail the active flows a dead link
         now strands (in submission order, through the event queue) and
-        re-share the rest.  ``_KEEP`` values leave their link as it is."""
-        changes = [(key, value) for key, value in changes if value is not _KEEP]
-        for key, value in changes:
-            _validate_capacity(value, _STAGE_NAMES[key[0]], allow_zero=True)
+        re-share the rest.  ``changes`` are ``(argument name, link, value)``;
+        ``_KEEP`` values leave their link as it is."""
+        changes = [(name, key, value) for name, key, value in changes if value is not _KEEP]
+        for name, _, value in changes:
+            if value is not None:  # None = unconstrained
+                require_range(name, value, 0)
         self._advance()
-        self._caps.update(changes)
+        self._caps.update((key, value) for _, key, value in changes)
         active = self._active
         for seq in list(self._order):
             reason = self._dead_reason(active[seq])
@@ -1264,13 +1258,11 @@ class TransferPacer:
         max_in_flight: Optional[int] = None,
         weight: float = 1.0,
     ) -> None:
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1 (or None)")
-        if not 0 < weight < math.inf:
-            raise ValueError("weight must be finite and positive")
+        if max_in_flight is not None:
+            require_range("max_in_flight", max_in_flight, 1)
+        self.weight = float(require_range("weight", weight, 0, ends="()"))
         self.scheduler = scheduler
         self.max_in_flight = max_in_flight
-        self.weight = float(weight)
         self._backlog: Deque[TransferSpec] = deque()
         self.in_flight = 0
         self.queued_total = 0

@@ -8,6 +8,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.overlay.validation import require_range
+
 
 class DecodingError(RuntimeError):
     """Raised when the available encoded blocks are insufficient or malformed."""
@@ -60,10 +62,9 @@ class CodeSpec:
     size_overhead: float
 
     def __post_init__(self) -> None:
-        if self.input_blocks < 1 or self.output_blocks < self.input_blocks:
-            raise ValueError("invalid code spec block counts")
-        if not 0 <= self.loss_tolerance < self.output_blocks:
-            raise ValueError("loss tolerance must be in [0, output_blocks)")
+        require_range("input_blocks", self.input_blocks, 1)
+        require_range("output_blocks", self.output_blocks, self.input_blocks)
+        require_range("loss_tolerance", self.loss_tolerance, 0, self.output_blocks)
 
     def required_blocks(self) -> int:
         """Minimum surviving encoded blocks for the chunk to remain decodable."""
@@ -80,8 +81,7 @@ def split_into_matrix(data: bytes, n_blocks: int) -> np.ndarray:
     per-block Python loops.  The matrix is for reading: when ``data`` divides
     evenly it is a read-only view of ``data`` itself, not a copy.
     """
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
+    require_range("n_blocks", n_blocks, 1)
     buffer = np.frombuffer(data, dtype=np.uint8)
     block_size = -(-len(buffer) // n_blocks) if len(buffer) else 1
     if len(buffer) != block_size * n_blocks:

@@ -17,6 +17,7 @@ from repro.erasure.null_code import NullCode
 from repro.erasure.online_code import OnlineCode, OnlineCodeParameters
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.erasure.xor_code import XorParityCode
+from repro.overlay.validation import require_range
 
 
 #: Factory registry mapping code names to zero-argument constructors with the
@@ -89,10 +90,8 @@ class ChunkCodec:
     """Erasure coding applied at chunk granularity (Section 4.2 of the paper)."""
 
     def __init__(self, code: ErasureCode, blocks_per_chunk: int = 4) -> None:
-        if blocks_per_chunk < 1:
-            raise ValueError("blocks_per_chunk must be >= 1")
+        self.blocks_per_chunk = require_range("blocks_per_chunk", blocks_per_chunk, 1)
         self.code = code
-        self.blocks_per_chunk = blocks_per_chunk
         self._spec = code.spec(blocks_per_chunk)
 
     # -- capacity negotiation helpers ------------------------------------------

@@ -54,6 +54,7 @@ from repro.erasure.base import (
     require_block_lengths,
     split_into_matrix,
 )
+from repro.overlay.validation import require_range
 from repro.sim.rng import derive_seed
 
 #: Wire-format tag of the stream derivation, written into chunk metadata and
@@ -102,14 +103,9 @@ class OnlineCodeParameters:
     margin: int = 16
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.quality < 1.0:
-            raise ValueError("quality must be >= 1.0")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
+        require_range("epsilon", self.epsilon, 0, 1, "()")
+        for name, low in (("q", 1), ("quality", 1.0), ("margin", 0)):
+            require_range(name, getattr(self, name), low)
 
     @staticmethod
     def max_degree_for(epsilon: float) -> int:
@@ -585,8 +581,7 @@ class OnlineCode(ErasureCode):
 
         if output_blocks is None:
             output_blocks = self.default_output_blocks(n_blocks)
-        if output_blocks < 1:
-            raise ValueError("output_blocks must be >= 1")
+        require_range("output_blocks", output_blocks, 1)
 
         # Rateless small-system guarantee: for chunks split into few blocks the
         # nominal (1 + epsilon) overhead gives no probabilistic guarantee, so

@@ -37,6 +37,7 @@ from repro.erasure.base import (
     require_block_lengths,
     split_into_matrix,
 )
+from repro.overlay.validation import require_range
 
 _PRIMITIVE_POLY = 0x11D
 
@@ -129,8 +130,7 @@ def gf_matrix_inverse(matrix: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _cauchy_parity_rows(k: int, parity_blocks: int) -> np.ndarray:
     """Parity rows of the generator matrix (Cauchy construction), cached."""
-    if k + parity_blocks > 255:
-        raise ValueError("k + parity must be <= 255 for GF(256) Cauchy construction")
+    require_range("k + parity_blocks", k + parity_blocks, 0, 255, "[]")  # GF(256) Cauchy rows
     x_values = np.arange(k, dtype=np.int32)
     y_values = np.arange(k, k + parity_blocks, dtype=np.int32) + 1
     rows = _INV_TABLE[(x_values[None, :] ^ y_values[:, None])].astype(np.int32)
@@ -153,9 +153,7 @@ class ReedSolomonCode(ErasureCode):
     name = "reed-solomon"
 
     def __init__(self, parity_blocks: int = 2) -> None:
-        if parity_blocks < 1:
-            raise ValueError("parity_blocks must be >= 1")
-        self.parity_blocks = parity_blocks
+        self.parity_blocks = require_range("parity_blocks", parity_blocks, 1)
 
     def _generator_rows(self, k: int) -> np.ndarray:
         """Parity rows of the generator matrix (Cauchy construction)."""

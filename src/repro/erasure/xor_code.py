@@ -27,6 +27,7 @@ from repro.erasure.base import (
     require_block_lengths,
     split_into_matrix,
 )
+from repro.overlay.validation import require_range
 
 
 class XorParityCode(ErasureCode):
@@ -35,9 +36,7 @@ class XorParityCode(ErasureCode):
     name = "xor"
 
     def __init__(self, group_size: int = 2) -> None:
-        if group_size < 1:
-            raise ValueError("group_size must be >= 1")
-        self.group_size = group_size
+        self.group_size = require_range("group_size", group_size, 1)
 
     # -- encode ---------------------------------------------------------------
     def encode(self, data: bytes, n_blocks: int) -> EncodedChunk:

@@ -68,6 +68,7 @@ from repro.erasure.null_code import NullCode
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import Series, TableResult, format_series_table, render_report
+from repro.overlay.validation import require_range
 from repro.sim.churn import FailureSchedule
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
@@ -114,11 +115,10 @@ class FailureSweepConfig(DeploymentConfig):
         # Refused here, not after a deployment that takes minutes at paper scale.
         if not self.fail_fractions:
             raise ValueError("fail_fractions must name at least one fraction")
-        for fraction in (*self.fail_fractions, self.leave_fraction):
-            if not 0.0 <= fraction <= 1.0:  # NaN fails too
-                raise ValueError(f"a failure fraction must be within [0, 1], got {fraction!r}")
-        if self.sample_points < 1:
-            raise ValueError(f"sample_points must be at least 1, got {self.sample_points!r}")
+        for fraction in self.fail_fractions:
+            require_range("fail_fractions", fraction, 0.0, 1.0, "[]")
+        require_range("leave_fraction", self.leave_fraction, 0.0, 1.0, "[]")
+        require_range("sample_points", self.sample_points, 1)
 
 
 #: Figure 10: 10 000 nodes, 10 % failed one by one, no repair.  The file count

@@ -167,11 +167,10 @@ SMOKE_FINITE_CORE = replace(
 
 @dataclass
 class FaultsResult:
-    """One row per scenario plus wall-clock timings."""
+    """One row per scenario."""
 
     config: FaultsConfig
     rows: List[Dict[str, float]] = field(default_factory=list)
-    timings: Dict[str, float] = field(default_factory=dict)
 
     def row(self, scenario: str) -> Dict[str, float]:
         """The accounting row of one scenario."""
@@ -352,11 +351,6 @@ class FaultsExperiment:
     def run(self) -> FaultsResult:
         """Produce every configured scenario row (fresh deployment per cell)."""
         result = FaultsResult(config=self.config)
-        start = time.perf_counter()
         for scenario in self.config.scenarios:
             result.rows.append(self._run_scenario(scenario))
-        result.timings = {
-            "total_s": time.perf_counter() - start,
-            "cells": float(len(result.rows)),
-        }
         return result

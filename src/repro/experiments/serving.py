@@ -139,7 +139,6 @@ class ServingResult:
 
     config: ServingConfig
     rows: List[Dict[str, float]] = field(default_factory=list)
-    timings: Dict[str, float] = field(default_factory=dict)
 
     def cell(self, zipf_s: float, cache_on: bool) -> Dict[str, float]:
         """The row of one sweep cell."""
@@ -292,7 +291,5 @@ class ServingExperiment:
         result = ServingResult(config=self.config)
         for zipf_s in self.config.zipf_sweep:
             for cache_on in self.config.cache_modes:
-                row = self._run_cell(zipf_s, cache_on)
-                result.rows.append(row)
-                result.timings[row["scenario"]] = row["seconds"]
+                result.rows.append(self._run_cell(zipf_s, cache_on))
         return result

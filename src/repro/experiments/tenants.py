@@ -164,7 +164,6 @@ class TenantsResult:
     config: TenantsConfig
     rows: List[Dict[str, float]] = field(default_factory=list)
     tenant_rows: List[Dict[str, float]] = field(default_factory=list)
-    timings: Dict[str, float] = field(default_factory=dict)
 
     def row(self, scenario: str) -> Dict[str, float]:
         """The flagship row of one scenario."""
@@ -403,7 +402,6 @@ class TenantsExperiment:
         result = TenantsResult(config=self.config)
         self.rows = result.rows
         self.tenant_rows = result.tenant_rows
-        start = time.perf_counter()
         for scenario in self.config.scenarios:
             self._run_scenario(scenario)
         try:
@@ -413,8 +411,4 @@ class TenantsExperiment:
         for row in result.rows:
             row["ingest_slowdown_x"] = (baseline / row["ingest_mb_s"]
                                         if row["ingest_mb_s"] > 0 else 0.0)
-        result.timings = {
-            "total_s": time.perf_counter() - start,
-            "cells": float(len(result.rows)),
-        }
         return result

@@ -16,6 +16,7 @@ from repro.grid.condor import CondorJob, CondorPool, JobResult
 from repro.grid.iolib import InterposedIO
 from repro.grid.machines import GridMachine
 from repro.grid.transfer import TransferCostModel
+from repro.overlay.validation import require_range
 
 #: Default I/O request size used by the copy loop (64 MB application buffers).
 DEFAULT_IO_SIZE = 64 * (1 << 20)
@@ -47,8 +48,7 @@ def run_bigcopy(
     storage pool), so reading it costs pure transfer time; the copy is written
     through the interposition layer into the store under test.
     """
-    if file_size < 0:
-        raise ValueError("file_size must be non-negative")
+    require_range("file_size", file_size, 0)
     cost = cost_model or TransferCostModel()
     io = InterposedIO(store, cost)
 

@@ -9,11 +9,11 @@ scheduler tracks per-machine busy windows on a virtual clock.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.grid.machines import GridMachine
+from repro.overlay.validation import require_range
 
 
 class SchedulingError(RuntimeError):
@@ -82,10 +82,7 @@ class CondorPool:
                 self._advance_to_next_completion()
                 machine = self._next_idle_machine()
             started = max(self.now, job.submitted_at)
-            duration = float(job.body(machine))
-            if not 0 <= duration < math.inf:
-                raise ValueError(f"job {job.name!r} reported duration {duration!r}; "
-                                 "it must be finite and non-negative")
+            duration = require_range(f"duration of job {job.name!r}", float(job.body(machine)), 0)
             finished = started + duration
             machine.busy_until = finished
             machine.jobs_run += 1

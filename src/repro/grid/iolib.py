@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.grid.transfer import TransferCostModel
 from repro.overlay.node import OverlayNode, StoreResult, store_refusal
+from repro.overlay.validation import require_range
 
 
 class WholeFileStore:
@@ -160,8 +161,7 @@ class InterposedIO:
         """Sequentially read ``length`` bytes; returns bytes actually read."""
         self.call_count += 1
         handle = self._descriptor(fd)
-        if length < 0:
-            raise ValueError("length must be non-negative")
+        require_range("length", length, 0)
         length = min(length, handle.size - handle.position)
         if length == 0:
             return 0
@@ -180,8 +180,7 @@ class InterposedIO:
         handle = self._descriptor(fd)
         if not handle.writable:
             raise OSError(f"descriptor {fd} not open for writing")
-        if length < 0:
-            raise ValueError("length must be non-negative")
+        require_range("length", length, 0)
         if length == 0:
             return 0
         end = min(handle.position + length, handle.size)
@@ -200,8 +199,7 @@ class InterposedIO:
     def seek(self, fd: int, position: int) -> int:
         """Reposition the descriptor; returns the new position."""
         handle = self._descriptor(fd)
-        if not 0 <= position <= handle.size:
-            raise ValueError(f"seek position {position} outside file of size {handle.size}")
+        require_range("position", position, 0, handle.size, "[]")
         handle.position = position
         return position
 

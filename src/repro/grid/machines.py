@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import require_range
 from repro.workloads.capacity import CONDOR_CAPACITY_CONFIG, CapacityConfig, generate_capacities
 
 
@@ -43,8 +44,7 @@ def build_condor_pool_nodes(
     Returns the overlay network (whose nodes carry the contributed capacities)
     and the machine wrappers in a deterministic order.
     """
-    if machine_count < 1:
-        raise ValueError("machine_count must be >= 1")
+    require_range("machine_count", machine_count, 1)
     config = capacity_config or CapacityConfig(
         node_count=machine_count,
         distribution=CONDOR_CAPACITY_CONFIG.distribution,

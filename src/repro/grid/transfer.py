@@ -12,8 +12,9 @@ whole-file copy takes on the order of 150 s).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from repro.overlay.validation import require_range
 
 #: Bytes per second of a 100 Mb/s Ethernet link, de-rated for protocol
 #: overhead (the paper's 1 GB / 151 s baseline implies ~85 % efficiency when
@@ -36,20 +37,16 @@ class TransferCostModel:
     per_transfer_latency: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0 < self.bandwidth_bytes_per_s < math.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_bytes_per_s!r}")
-        for value in (self.lookup_seconds, self.interposition_seconds, self.per_transfer_latency):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"cost components must be finite and non-negative, got {value!r}")
+        require_range("bandwidth_bytes_per_s", self.bandwidth_bytes_per_s, 0, ends="()")
+        for name in ("lookup_seconds", "interposition_seconds", "per_transfer_latency"):
+            require_range(name, getattr(self, name), 0)
 
     def transfer_time(self, size_bytes: int) -> float:
         """Seconds to move ``size_bytes`` one way across the network."""
-        if size_bytes < 0:
-            raise ValueError("size must be non-negative")
+        require_range("size_bytes", size_bytes, 0)
         return size_bytes / self.bandwidth_bytes_per_s + (self.per_transfer_latency if size_bytes else 0.0)
 
     def lookup_time(self, lookups: int) -> float:
         """Seconds spent on ``lookups`` p2p look-up operations."""
-        if lookups < 0:
-            raise ValueError("lookups must be non-negative")
+        require_range("lookups", lookups, 0)
         return lookups * self.lookup_seconds

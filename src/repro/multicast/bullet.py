@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.multicast.ransub import RanSubProtocol, RanSubView
 from repro.multicast.tree import MulticastTree, TreeNode
+from repro.overlay.validation import require_range
 
 
 @dataclass(frozen=True)
@@ -48,14 +49,10 @@ class BulletConfig:
     max_epochs: int = 2000
 
     def __post_init__(self) -> None:
-        if self.total_packets < 1:
-            raise ValueError("total_packets must be >= 1")
-        if not 0.0 < self.ransub_fraction <= 1.0:
-            raise ValueError("ransub_fraction must be in (0, 1]")
-        if self.link_capacity < 0 or self.peer_capacity < 0 or self.download_capacity < 1:
-            raise ValueError("capacities must be positive")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        for name, low in (("total_packets", 1), ("link_capacity", 0), ("peer_capacity", 0),
+                          ("download_capacity", 1), ("max_epochs", 1)):
+            require_range(name, getattr(self, name), low)
+        require_range("ransub_fraction", self.ransub_fraction, 0.0, 1.0, "(]")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from repro.multicast.tree import MulticastTree, TreeNode
+from repro.overlay.validation import require_range
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,8 @@ class RanSubProtocol:
         subset_size: int,
         rng: np.random.Generator,
     ) -> None:
-        if subset_size < 1:
-            raise ValueError("subset_size must be >= 1")
+        self.subset_size = require_range("subset_size", subset_size, 1)
         self.tree = tree
-        self.subset_size = subset_size
         self.rng = rng
         self.epoch = 0
         #: Messages exchanged during the last epoch (collect + distribute).

@@ -24,6 +24,7 @@ from repro.core.storage import BlockPlacement, StorageSystem
 from repro.multicast.bullet import BulletConfig, BulletSession
 from repro.multicast.tree import build_locality_tree
 from repro.overlay.ids import NodeId
+from repro.overlay.validation import require_range
 
 
 @dataclass
@@ -82,8 +83,7 @@ class MulticastReplicator:
         is the node that stored the chunk, the leaves are the replica holders,
         and the session's epochs measure how long the push takes.
         """
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
+        require_range("replicas", replicas, 1)
         stored = self.storage.files.get(filename)
         if stored is None:
             raise KeyError(f"unknown file: {filename!r}")

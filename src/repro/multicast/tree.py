@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.overlay.ids import NodeId
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.validation import require_range
 
 
 @dataclass
@@ -85,8 +86,7 @@ class MulticastTree:
 
 def build_binary_tree(height: int) -> MulticastTree:
     """A complete binary tree of the given height (height 5 => 63 vertices)."""
-    if height < 0:
-        raise ValueError("height must be non-negative")
+    require_range("height", height, 0)
     counter = 0
 
     def make(depth: int, parent: Optional[TreeNode]) -> TreeNode:
@@ -154,8 +154,7 @@ def build_locality_tree(
     strong locality at each step" without guaranteeing globally shortest
     paths -- exactly the property the paper claims.
     """
-    if fanout < 1:
-        raise ValueError("fanout must be >= 1")
+    require_range("fanout", fanout, 1)
     remaining = [target for target in dict.fromkeys(targets) if target != source]
     label = 0
     root = TreeNode(label=label, overlay_id=source)

@@ -55,7 +55,7 @@ from repro.overlay.engine import (
 from repro.overlay.idmath import (
     HALF_RING_LIMBS,
     cw_dist,
-    digest_bytes_matrix,
+    digest_bytes,
     digits_from_digests,
     lex_argmax,
     lex_argmin,
@@ -254,10 +254,7 @@ class PastryArrayRouter(ArrayRouterBase):
         count = len(key_bytes)
         key_limbs = limbs_from_digests(key_bytes)
         key_digits = digits_from_digests(key_bytes)
-        # int() via the uint8 view -- numpy S20 scalars strip trailing NUL
-        # bytes, which would silently shift such keys right by whole bytes.
-        key_ints = [int.from_bytes(row.tobytes(), "big")
-                    for row in digest_bytes_matrix(key_bytes)]
+        key_ints = [int.from_bytes(digest_bytes(key), "big") for key in key_bytes]
         current = self._slots_for_starts(starts, count).copy()
         roots = self._pastry_roots(key_bytes, key_limbs)
         return self._hop_loop(

@@ -57,6 +57,12 @@ def digest_bytes_matrix(digests: np.ndarray) -> np.ndarray:
     return arr.view(np.uint8).reshape(len(arr), 20)
 
 
+def digest_bytes(digest) -> bytes:
+    """One ``S20`` digest as its 20 bytes: NumPy ``S20`` scalars strip trailing
+    NULs, which would shorten a digest (and shift it, read as an integer)."""
+    return bytes(digest).ljust(20, b"\x00")
+
+
 def limbs_from_digests(digests: np.ndarray) -> np.ndarray:
     """``(n,)`` S20 (or ``(n, 20)`` uint8) big-endian digests -> limbs."""
     if digests.dtype != np.uint8:

@@ -19,6 +19,8 @@ from typing import Union
 
 import numpy as np
 
+from repro.overlay.validation import require_range
+
 #: Number of bits in the identifier space (SHA-1 output size).
 ID_BITS: int = 160
 
@@ -38,8 +40,7 @@ class NodeId:
     value: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.value < ID_SPACE:
-            raise ValueError(f"identifier out of range: {self.value!r}")
+        require_range("identifier", self.value, 0, ID_SPACE)
 
     def __int__(self) -> int:
         return self.value
@@ -50,8 +51,7 @@ class NodeId:
 
     def digit(self, position: int) -> int:
         """The ``position``-th most significant base-16 digit (Pastry b=4)."""
-        if not 0 <= position < DIGITS:
-            raise ValueError(f"digit position out of range: {position}")
+        require_range("position", position, 0, DIGITS)
         shift = (DIGITS - 1 - position) * BITS_PER_DIGIT
         return (self.value >> shift) & ((1 << BITS_PER_DIGIT) - 1)
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.overlay.ids import NodeId, distance, random_node_id
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import require_range
 
 
 class OverlayError(RuntimeError):
@@ -74,8 +75,7 @@ class OverlayNetwork:
         routing state exists until an engine is attached, which is what keeps
         the paper's 10 000-node configurations practical.
         """
-        if count < 1:
-            raise ValueError("overlay needs at least one node")
+        require_range("count", count, 1)
         if capacities is not None and len(capacities) != count:
             raise ValueError("capacities length must match node count")
         network = cls(leaf_set_half_size=leaf_set_half_size)

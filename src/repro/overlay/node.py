@@ -24,11 +24,11 @@ the whole-file Condor machine -- answers a store with one
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.overlay.ids import NodeId
+from repro.overlay.validation import require_range
 
 
 @dataclass(slots=True)
@@ -221,12 +221,11 @@ class StoreResult:
 def store_refusal(filename: str, size, taken: Callable[[str], bool]) -> Optional[StoreResult]:
     """What a store answers before it looks anything up or moves a counter.
 
-    A negative or non-finite ``size`` raises ``ValueError``; a name ``taken``
+    A negative or non-finite ``size`` raises ``ParameterError``; a name ``taken``
     reports as already stored is refused with no lookup charged; otherwise
     ``None``, and the store goes ahead.
     """
-    if not 0 <= size < math.inf:
-        raise ValueError(f"file size must be finite and non-negative, got {size!r}")
+    require_range("size", size, 0)
     if taken(filename):
         return StoreResult(filename, size, False, 0, 0, 0, 0, "file already stored")
     return None

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.overlay.ids import ID_SPACE
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import require_range
 
 _ID_BYTES = 20
 
@@ -362,8 +363,7 @@ class NodeArrayState:
     # -- neighbourhood queries -------------------------------------------------
     def successor_indices(self, key: int, count: int) -> List[int]:
         """Indices of the ``count`` nodes following ``key`` clockwise."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        require_range("count", count, 0)
         if not self.ids_int:
             raise LookupError("no live nodes in the placement index")
         start = bisect.bisect_left(self.ids_int, key % ID_SPACE)

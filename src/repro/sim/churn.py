@@ -10,11 +10,12 @@ soak experiment itself, see :mod:`repro.experiments.soak`.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
 import numpy as np
+
+from repro.overlay.validation import require_range
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,8 @@ class FailureSchedule:
         rng: np.random.Generator,
         spacing: float = 1.0,
     ) -> None:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be within [0, 1], got {fraction}")
-        if not 0 < spacing < math.inf:  # NaN fails both
-            raise ValueError(f"spacing must be finite and positive, got {spacing!r}")
+        require_range("fraction", fraction, 0.0, 1.0, "[]")
+        require_range("spacing", spacing, 0, ends="()")
         population = list(node_ids)
         count = int(round(len(population) * fraction))
         count = min(count, len(population))

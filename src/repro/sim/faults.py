@@ -39,6 +39,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import require_range
 from repro.sim.engine import Simulator
 
 
@@ -54,8 +55,8 @@ def assign_domains(
     (``site * racks_per_site + rack``), matching the convention of
     :attr:`repro.overlay.node.OverlayNode.rack`.
     """
-    if sites < 1 or racks_per_site < 1:
-        raise ValueError("need at least one site and one rack per site")
+    require_range("sites", sites, 1)
+    require_range("racks_per_site", racks_per_site, 1)
     ordered = sorted(nodes, key=lambda node: int(node.node_id))
     total_racks = sites * racks_per_site
     for index, node in enumerate(ordered):
@@ -129,12 +130,10 @@ class FaultInjector:
         transfers=None,
         repair_spacing: float = 0.0,
     ) -> None:
-        if not 0 <= repair_spacing < math.inf:  # NaN fails both
-            raise ValueError(f"repair_spacing must be finite and >= 0: {repair_spacing!r}")
+        self.repair_spacing = require_range("repair_spacing", repair_spacing, 0)
         self.sim = sim
         self.network = network
         self.recovery = recovery
-        self.repair_spacing = repair_spacing
         if recovery is not None:
             dht = dht if dht is not None else recovery.dht
             if ledger is None:
@@ -258,8 +257,7 @@ class FaultInjector:
         The count is rounded up, so with ``repair=True`` a fraction that
         reaches the whole live population is refused before anyone is downed.
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
+        require_range("fraction", fraction, 0.0, 1.0, "(]")
         live = sorted(self.network.live_nodes(), key=lambda node: int(node.node_id))
         count = max(1, math.ceil(len(live) * fraction)) if live else 0
         if repair and live and count == len(live):
@@ -293,10 +291,8 @@ class FaultInjector:
         default skips the repair pass; ``repair=True`` models an operator
         re-protecting data during long restarts.
         """
-        # Checked before anything is scheduled (NaN fails both ranges).
-        if not (0 <= interval < math.inf and 0 < downtime < math.inf):
-            raise ValueError(f"interval must be finite and >= 0 and downtime finite and > 0, "
-                             f"got interval={interval!r}, downtime={downtime!r}")
+        require_range("interval", interval, 0)  # before anything is scheduled
+        require_range("downtime", downtime, 0, ends="()")
         nodes = [self.network.node(node_id) for node_id in node_ids]
         events: List[FaultEvent] = []
         for index, node in enumerate(nodes):
@@ -343,8 +339,7 @@ class FaultInjector:
         """
         if self.transfers is None:
             raise ValueError("degrade_nodes requires a transfer scheduler")
-        if fraction < 0:
-            raise ValueError("fraction must be >= 0")
+        require_range("fraction", fraction, 0)
         for node_id in node_ids:
             self._scale_links(fraction, int(node_id))
         event = FaultEvent(
@@ -379,8 +374,7 @@ class FaultInjector:
         """
         if self.transfers is None or self.transfers.topology is None:
             raise ValueError("degrade_trunk requires a scheduler with a topology")
-        if fraction < 0:
-            raise ValueError("fraction must be >= 0")
+        require_range("fraction", fraction, 0)
         uplink, downlink = self._scale_links(fraction, site=site, rack=rack)
         event = FaultEvent(
             scenario="trunk_partition" if fraction == 0 else "degraded_trunk",

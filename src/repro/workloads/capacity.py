@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.overlay.validation import require_range
 from repro.workloads.filetrace import GB
 
 
@@ -31,12 +32,12 @@ class CapacityConfig:
     minimum: int = 1 * GB
 
     def __post_init__(self) -> None:
-        if self.node_count < 0:
-            raise ValueError("node_count must be non-negative")
+        require_range("node_count", self.node_count, 0)
         if self.distribution not in ("normal", "uniform"):
             raise ValueError(f"unknown capacity distribution {self.distribution!r}")
-        if self.minimum < 0:
-            raise ValueError("minimum capacity must be non-negative")
+        for name in ("mean", "std", "low", "minimum"):
+            require_range(name, getattr(self, name), 0)
+        require_range("high", self.high, self.low)
 
 
 #: The paper's simulation configuration (Section 6.1).

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 import numpy as np
+
+from repro.overlay.validation import require_range
 
 #: Bytes per mega/gigabyte used throughout the reproduction (binary units,
 #: matching the paper's "4 MB chunk", "45 GB capacity" style figures).
@@ -22,8 +23,7 @@ class FileRecord:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"file size must be non-negative, got {self.size}")
+        require_range("size", self.size, 0)
 
 
 @dataclass
@@ -70,13 +70,9 @@ class FileTraceConfig:
     name_prefix: str = "file"
 
     def __post_init__(self) -> None:
-        if self.file_count < 0:
-            raise ValueError("file_count must be non-negative")
-        for name in ("mean_size", "std_size", "min_size"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.min_size < 0 or self.mean_size <= 0 or self.std_size < 0:
-            raise ValueError("sizes must be positive")
+        for name in ("file_count", "std_size", "min_size"):
+            require_range(name, getattr(self, name), 0)
+        require_range("mean_size", self.mean_size, 0, ends="()")
         if self.model not in ("truncated-normal", "lognormal"):
             raise ValueError(f"unknown trace model {self.model!r}")
 

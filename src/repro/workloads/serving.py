@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.naming import name_digests
 from repro.overlay.ids import node_id_from_int
+from repro.overlay.validation import require_range
 from repro.sim.stats import summarize
 from repro.workloads.filetrace import MB
 
@@ -104,8 +105,7 @@ def generate_request_trace(
     (which file is "rank 1" is itself random, so popularity is not
     correlated with insertion order).
     """
-    if catalog_size <= 0:
-        raise ValueError("catalog_size must be positive")
+    require_range("catalog_size", catalog_size, 0, ends="()")
     mean_gap = 1.0 / config.request_rate
     gaps: List[np.ndarray] = []
     total = 0.0

@@ -21,6 +21,11 @@ signatures.  A change to any of them shows in the diff of that file.
 
 ``perfbench/tracing.py`` attributes wall time by wrapping named methods; each
 name it lists must be a function its owner defines, so a rename fails here.
+
+Every numeric range check in ``src/`` is a call to
+:func:`repro.overlay.validation.require_range`: an ``if`` that compares and
+raises ``ValueError`` anywhere else fails here, unless :data:`RANGE_GUARDS_KEPT`
+names it with a reason.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ IMPORT_EDGES = {
     "baselines": {"core", "overlay"},
     "cli": {"experiments", "overlay", "workloads"},
     "core": {"erasure", "overlay", "sim"},
-    "erasure": {"sim"},
+    "erasure": {"overlay", "sim"},
     "experiments": {"api", "baselines", "core", "erasure", "grid", "multicast", "overlay", "sim",
                     "workloads"},
     "grid": {"overlay", "workloads"},
@@ -173,6 +178,10 @@ RETIRED = (
      _EVERYWHERE, "one store contract: PAST, CFS, ours and WholeFileStore answer store_file "
      "with StoreResult and the chunking stores chunk_sizes; InterposedIO takes a store, and "
      "Table 1 comes from InsertionStats for CFS and ours alike"),
+    ("module-private range checks",
+     r"\b_validate_capacity\b",
+     _EVERYWHERE, "one validation boundary: require_range refuses NaN and infinity with "
+     "ParameterError"),
     ("per-panel failure sweeps",
      r"\b(Availability|Churn|Repair)(Config|Experiment|Result)\b|\bChurnRow\b"
      r"|repro\.experiments\.(availability|churn|regeneration)\b",
@@ -180,6 +189,11 @@ RETIRED = (
      "FailureSweepExperiment, whose repair bandwidth (none, instant or finite) is the only "
      "difference"),
 )
+
+
+#: ``(file under src/repro, function) -> reason`` for a range guard that stays
+#: outside :func:`repro.overlay.validation.require_range`.
+RANGE_GUARDS_KEPT: dict = {}
 
 
 def _package_of(path: Path) -> str:
@@ -257,6 +271,69 @@ def test_a_retired_name_stays_retired(label, pattern, where, retired_by):
     assert not hits, f"{label} retired ({retired_by}) but back:\n" + "\n".join(hits)
 
 
+def _raises_value_error(statements) -> bool:
+    for node in (node for statement in statements for node in ast.walk(statement)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(raised, "id", getattr(raised, "attr", None)) in ("ValueError",
+                                                                       "ParameterError"):
+                return True
+    return False
+
+
+def _tests_a_range(test) -> bool:
+    for node in ast.walk(test):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+            return True
+        if (isinstance(node, ast.Attribute) and node.attr in ("inf", "isfinite")
+                and getattr(node.value, "id", None) == "math"):
+            return True
+    return False
+
+
+def range_guards(package: Path = PACKAGE):
+    """``(file, function, line)`` of every ``if`` under ``package`` that compares
+    (or reads ``math.inf`` / ``math.isfinite``) and raises ``ValueError``,
+    outside the helper's own module."""
+    found = []
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if (isinstance(child, ast.If) and _tests_a_range(child.test)
+                    and _raises_value_error(child.body)):
+                found.append((path, function, child.lineno))
+            visit(child, path, function)
+
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        if relative != "overlay/validation.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), relative, "<module>")
+    return found
+
+
+def test_every_numeric_guard_goes_through_the_helper():
+    """An inline ``if x < 0: raise ValueError`` lets NaN through (and ``x <= 0``
+    lets infinity through); require_range states the range once and refuses both."""
+    stray = [f"{path}:{line} in {function}()" for path, function, line in range_guards()
+             if (path, function) not in RANGE_GUARDS_KEPT]
+    assert not stray, "range checks outside require_range:\n" + "\n".join(stray)
+
+
+def test_digests_are_padded_back_to_20_bytes_in_one_place():
+    """NumPy ``S20`` scalars strip trailing NUL bytes; ``idmath.digest_bytes`` is
+    the one place that restores them."""
+    spelling = re.compile(r"ljust\(20\b|from_bytes\([^)]*tobytes\(\)")
+    hits = [f"{path.relative_to(ROOT)}:{number}"
+            for path in sorted(PACKAGE.rglob("*.py")) if path.name != "idmath.py"
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if spelling.search(line)]
+    assert not hits, "an S20 digest padded outside overlay/idmath.py: " + ", ".join(hits)
+
+
 class _Captured(Exception):
     """Raised instead of running an experiment; carries its config."""
 
@@ -307,8 +384,12 @@ def _signature(value) -> str:
 
 def _api_surface():
     surface = {}
-    for name, value in vars(api).items():
-        if name.startswith("_") or getattr(value, "__module__", None) != api.__name__:
+    defined_here = {name for name, value in vars(api).items() if not name.startswith("_")
+                    and getattr(value, "__module__", None) == api.__name__}
+    for name in sorted(defined_here | set(api.__all__)):
+        value = getattr(api, name)
+        if inspect.isclass(value) and issubclass(value, Exception):
+            surface[name] = f"exception({value.__base__.__name__})"
             continue
         surface[name] = _signature(value)
         if inspect.isclass(value):

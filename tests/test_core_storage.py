@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core import naming
 from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
@@ -19,6 +23,20 @@ def payload(size: int, seed: int = 0) -> bytes:
 
 
 # -- capacity mode ----------------------------------------------------------------------
+def test_a_digest_ending_in_a_nul_byte_keeps_it_in_the_ledger(capacity_storage):
+    """NumPy ``S20`` scalars strip trailing NUL bytes: a block whose SHA-1 ends
+    in 0x00 must still read back its full 20-byte digest and its key."""
+    filename = next(name for name in (f"nul-{index}" for index in itertools.count())
+                    if hashlib.sha1(naming.block_name(name, 1, 1).encode()).digest()[-1] == 0)
+    assert capacity_storage.store_file(filename, 1 * MB).success
+    ledger = capacity_storage.ledger
+    row = ledger.names.index(naming.block_name(filename, 1, 1))
+    ledger.ensure_digests([row])
+    digest = hashlib.sha1(naming.block_name(filename, 1, 1).encode()).digest()
+    assert ledger.row_digest(row) == digest
+    assert ledger.row_key(row) == int.from_bytes(digest, "big")
+
+
 def test_store_small_file_succeeds(capacity_storage):
     result = capacity_storage.store_file("a", 10 * MB)
     assert result.success

@@ -138,9 +138,9 @@ def test_interposed_io_treats_bad_descriptors_and_lengths_alike(pool):
     with pytest.raises(OSError, match="bad file descriptor"):
         io.close(999)
     fd = io.open("f", size=1 * MB, create=True)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^length must be in "):
         io.read(fd, -5)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^length must be in "):
         io.write(fd, -5)
     assert io.bytes_read == io.bytes_written == 0
     io.close(fd)
