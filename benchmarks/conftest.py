@@ -1,10 +1,9 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the throughput benchmarks.
 
-Every figure/table of the paper gets one benchmark module.  The three
-insertion figures and Table 1 come from a single (expensive) experiment run,
-so that run is computed once per session and shared; the benchmark hooks then
-measure the full run once (Figure 7's module) and the derived extractions for
-the other modules.
+The paper's figures and tables are not benchmarks: their claims live in
+``repro.experiments.paper`` and ``python -m repro.cli reproduce`` checks them.
+The modules here measure throughput and write the ``BENCH_<name>.json``
+records at the repository root through the ``<name>_bench_results`` fixtures.
 """
 
 from __future__ import annotations
@@ -21,13 +20,11 @@ _SRC = _ROOT / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.experiments.results import BENCHMARK_TABLES  # noqa: E402
-from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment  # noqa: E402
-
 #: Session accumulators, one per ``BENCH_<name>.json`` trajectory record at the
 #: repository root; the ``test_bench_*.py`` modules fill them through the
 #: ``<name>_bench_results`` fixtures and ``pytest_sessionfinish`` writes them.
-_RECORDS = {name: {"results": [], "speedups": {}} for name in BENCHMARK_TABLES}
+_RECORDS = {name: {"results": [], "speedups": {}} for name in (
+    "insertion", "coding", "churn", "soak", "repair", "faults", "tenants", "serving", "routing")}
 
 
 def pytest_collection_modifyitems(config, items):
@@ -69,14 +66,3 @@ def pytest_sessionfinish(session, exitstatus):
         if record["results"] and record["speedups"]:
             (_ROOT / f"BENCH_{name}.json").write_text(json.dumps(record, indent=2) + "\n")
 
-
-#: Scale used by the insertion benchmarks (nodes / derived file count).  The
-#: paper uses 10 000 nodes and 1.2 M files; this default finishes in well under
-#: a minute while preserving every qualitative conclusion.
-BENCH_INSERTION_CONFIG = InsertionConfig(node_count=100, sample_points=10, seed=1)
-
-
-@pytest.fixture(scope="session")
-def insertion_outcome():
-    """One shared insertion-experiment run (Figures 7-9 and Table 1)."""
-    return InsertionExperiment(BENCH_INSERTION_CONFIG).run()

@@ -1,7 +1,6 @@
 """Churn-engine throughput of the columnar block ledger.
 
-Two kinds of measurement feed ``BENCH_churn.json`` (the cross-PR perf
-trajectory printed by ``python -m repro.cli bench``):
+Two kinds of measurement feed ``BENCH_churn.json``:
 
 * the Figure 10 availability experiment and the Table 3 regeneration
   experiment at the 300-node scale earlier records compared against the seed

@@ -1,7 +1,6 @@
 """Fault-injection panels: correlated outages, repair, degraded reads.
 
-Two measurements feed ``BENCH_faults.json`` (printed by
-``python -m repro.cli bench``):
+Two measurements feed ``BENCH_faults.json``:
 
 * the scenario panels at a CI-feasible scale -- the acceptance checks live
   here: a whole-rack outage must be loss-free (round-robin striping puts a

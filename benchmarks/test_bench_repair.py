@@ -1,7 +1,6 @@
 """Bandwidth-aware repair: time-to-repair curves, traffic, and the ablation.
 
-Three measurements feed ``BENCH_repair.json`` (printed by
-``python -m repro.cli bench``):
+Three measurements feed ``BENCH_repair.json``:
 
 * the failure-fraction sweep at a CI-feasible scale -- the acceptance checks
   live here: repair *traffic* and repair *makespan* must be monotone in the

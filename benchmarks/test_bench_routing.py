@@ -1,7 +1,6 @@
 """Routing-fabric panels: batched Pastry/Chord lookups over array columns.
 
-Two measurements feed ``BENCH_routing.json`` (printed by
-``python -m repro.cli bench``):
+Two measurements feed ``BENCH_routing.json``:
 
 * the CI-scale panel -- the full hops-vs-N sweep and the Chord-vs-Pastry
   churn head-to-head.  The acceptance checks live here: the engine

@@ -1,7 +1,6 @@
 """Serve-path panels: open-loop Zipf traffic, cache-on vs cache-off.
 
-Two measurements feed ``BENCH_serving.json`` (printed by
-``python -m repro.cli bench``):
+Two measurements feed ``BENCH_serving.json``:
 
 * the serve-path contrast panel at CI scale -- the full (skew x cache)
   sweep on identical deployments and request traces.  The acceptance

@@ -1,7 +1,6 @@
 """Churn-soak throughput and the compaction memory bound.
 
-Three measurements feed ``BENCH_soak.json`` (printed by
-``python -m repro.cli bench``):
+Three measurements feed ``BENCH_soak.json``:
 
 * the soak at the 300-node scale earlier records compared against the seed
   dict walk (the committed rows keep that historical ``scalar-seed`` figure;

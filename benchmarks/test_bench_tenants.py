@@ -1,7 +1,6 @@
 """Per-tenant QoS isolation panels: the noisy-neighbor storm suite.
 
-Two measurements feed ``BENCH_tenants.json`` (printed by
-``python -m repro.cli bench``):
+Two measurements feed ``BENCH_tenants.json``:
 
 * the isolation contrast panel at a CI-feasible scale -- all three scenarios
   (no storm, storm with QoS on, storm with QoS off) on identical deployments

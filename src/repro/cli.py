@@ -4,25 +4,24 @@
     python -m repro.cli fig10 --scale 0.05       # Figure 10 at 500 nodes
     python -m repro.cli coding --chunk-mb 4 --blocks 4096   # Table 2, paper size
     python -m repro.cli serve --smoke            # the serve panels in seconds
+    python -m repro.cli reproduce                # every paper claim, seeds 1-5
 
 Every subcommand is one :class:`Command` of the :data:`COMMANDS` table and
 runs through :func:`_run`: the command's preset (``SMOKE_*`` under
 ``--smoke``, else ``PAPER_*``) is the only source of defaults, each flag the
 user gives sets the config field it names, ``--scale`` goes through the
-config's ``scaled()``, and the result prints its own ``report()``.
+config's ``scaled()``, and the result prints its own ``report()``.  A result
+with a ``holds`` verdict (``reproduce``'s) exits 1 when it is false.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.coding_perf import CodingPerfConfig, CodingPerfExperiment
@@ -41,7 +40,7 @@ from repro.experiments.faults import (
     FaultsExperiment,
 )
 from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
-from repro.experiments.results import benchmark_summary
+from repro.experiments.paper import PAPER_REPRODUCE, SMOKE_REPRODUCE, ReproduceExperiment
 from repro.experiments.routing import PAPER_ROUTING, SMOKE_ROUTING, RoutingExperiment
 from repro.experiments.serving import PAPER_SERVING, SMOKE_SERVING, ServingExperiment
 from repro.experiments.soak import PAPER_SOAK, SoakExperiment
@@ -100,6 +99,16 @@ _engine_name = _checked(str.strip, ROUTER_ENGINES.__contains__,
                         "one of " + ", ".join(sorted(ROUTER_ENGINES)))
 
 
+def _seeds(text: str) -> tuple:
+    """``3``, or the inclusive range ``1-5``, as the seeds it names."""
+    first, _, last = text.partition("-")
+    return tuple(range(int(first), int(last or first) + 1))
+
+
+_seed_range = _checked(_seeds, lambda seeds: len(seeds) > 0 and seeds[0] >= 0,
+                       "a seed or a range of seeds like 1-5")
+
+
 class _StoreFields(argparse.Action):
     """A switch that sets several config fields at once."""
 
@@ -126,8 +135,7 @@ class Command:
     ``--smoke`` preset) opts into that flag; ``finite_core`` is the
     ``(paper, smoke)`` pair used instead when ``--oversub`` gives a ratio.
     ``scale``/``oversub`` carry the flag's help text when the command takes
-    it, ``note`` words the run after its wall time, ``handler`` replaces the
-    driver (``bench`` only).
+    it, ``note`` words the run after its wall time.
     """
 
     name: str
@@ -141,7 +149,6 @@ class Command:
     oversub: Optional[str] = None
     seed: bool = True
     note: Optional[Callable[[object], str]] = None
-    handler: Optional[Callable[[argparse.Namespace], int]] = None
 
     def shared_args(self) -> Tuple[tuple, ...]:
         """The ``--scale``/``--smoke``/``--oversub``/``--seed`` flags it opts into."""
@@ -174,33 +181,7 @@ def _run(command: Command, args: argparse.Namespace) -> int:
     seconds = time.perf_counter() - start
     print(result.report())
     print(f"wall time: {seconds:.1f}s" + (f" ({command.note(config)})" if command.note else ""))
-    return 0
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    """Run the ``-m bench`` suite and merge/refresh the BENCH_*.json records.
-
-    The benchmark session hooks (``benchmarks/conftest.py``) rewrite each
-    ``BENCH_*.json`` only from a clean, complete run of its own module, so a
-    filtered (``--select``) or failed run never clobbers the other records.
-    """
-    root = Path(__file__).resolve().parents[2]
-    if not (root / "benchmarks").is_dir():
-        print(f"benchmarks/ suite not found under {root}", file=sys.stderr)
-        return 2
-    if not args.summary_only:
-        command = [sys.executable, "-m", "pytest", "benchmarks", "-m", "bench", "-q"]
-        if args.select:
-            command += ["-k", args.select]
-        env = dict(os.environ)
-        src = str(root / "src")
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        code = subprocess.call(command, cwd=root, env=env)
-        if code != 0:
-            return code
-    print()
-    print(benchmark_summary(root))
-    return 0
+    return 0 if getattr(result, "holds", True) else 1
 
 
 _NODES = _arg("--nodes", "node_count", type=_positive_int)
@@ -378,14 +359,14 @@ COMMANDS: Tuple[Command, ...] = (
                    help="comma-separated file sizes in GB"),),
     ),
     Command(
-        "bench",
-        "run the -m bench suite and update the BENCH_*.json trajectory",
-        args=(_arg("--select", "select", default=None,
-                   help="pytest -k expression to run a subset of the benchmarks"),
-              _arg("--summary-only", "summary_only", action="store_true", default=False,
-                   help="skip running; just print the recorded BENCH_*.json summary")),
+        "reproduce",
+        "every number of the paper's Figures 7-12 and Tables 1-4 beside ours, "
+        "per seed (exit 1 if a claim fails on any seed)",
+        ReproduceExperiment, PAPER_REPRODUCE,
+        args=(_arg("--seeds", "seeds", type=_seed_range,
+                   help="run every experiment once per seed, e.g. 1-5"),),
+        smoke=SMOKE_REPRODUCE,
         seed=False,
-        handler=_run_bench,
     ),
 )
 
@@ -408,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                 preset = f"{dest} = {getattr(command.paper, dest)!r}".replace("%", "%%")
                 options["help"] = f"{options.get('help', '')} [preset: {preset}]".lstrip()
             sub.add_argument(flag, dest=dest, **options)
-        sub.set_defaults(func=command.handler or partial(_run, command))
+        sub.set_defaults(func=partial(_run, command))
     return parser
 
 

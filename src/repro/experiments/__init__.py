@@ -19,11 +19,11 @@ CLI's ``--scale`` make a run take seconds.
 | :mod:`~repro.experiments.tenants`            | per-tenant QoS isolation (ext.)          |
 | :mod:`~repro.experiments.serving`            | serve path, cache on/off (ext.)          |
 | :mod:`~repro.experiments.routing`            | routing fabric, Pastry vs Chord (ext.)   |
+| :mod:`~repro.experiments.paper`              | every paper number beside ours, per seed |
 
 :mod:`~repro.experiments.base` holds the shared configuration and the one
 deployment path (``DeploymentConfig`` + ``deploy()`` on
 :class:`~repro.api.ClusterSession`); :mod:`~repro.experiments.results` the
-``Series`` / ``TableResult`` containers, the report renderer and the
-``BENCH_*.json`` renderer.  Names are imported from their module; the
-package re-exports nothing.
+``Series`` / ``TableResult`` containers and the report renderer.  Names are
+imported from their module; the package re-exports nothing.
 """

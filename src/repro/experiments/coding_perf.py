@@ -11,6 +11,7 @@ property of the algorithms and carries over.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -21,6 +22,7 @@ from repro.erasure.null_code import NullCode
 from repro.erasure.online_code import OnlineCode
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.results import TableResult
+from repro.overlay.validation import require_range
 from repro.workloads.filetrace import MB
 
 
@@ -37,6 +39,11 @@ class CodingPerfConfig:
     blocks_per_chunk: int = 512
     repetitions: int = 3
     seed: int = 3
+
+    def __post_init__(self) -> None:
+        for name, low in (("chunk_size", 1), ("blocks_per_chunk", 1), ("repetitions", 1),
+                          ("seed", 0)):
+            require_range(name, getattr(self, name), low)
 
 
 def _codecs(config: CodingPerfConfig) -> Dict[str, ChunkCodec]:
@@ -76,9 +83,14 @@ class CodingPerfExperiment:
         )
 
         measurements: Dict[str, List[CodingMeasurement]] = {}
-        for label, codec in _codecs(config).items():
-            runs = [codec.measure(payload) for _ in range(config.repetitions)]
-            measurements[label] = runs
+        collecting = gc.isenabled()
+        gc.disable()  # a collection of the caller's objects is not coding time
+        try:
+            for label, codec in _codecs(config).items():
+                measurements[label] = [codec.measure(payload) for _ in range(config.repetitions)]
+        finally:
+            if collecting:
+                gc.enable()
 
         null_encode = float(np.mean([m.encode_seconds for m in measurements["Null"]]))
         for label, runs in measurements.items():

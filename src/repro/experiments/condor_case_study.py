@@ -31,6 +31,7 @@ from repro.grid.iolib import WholeFileStore
 from repro.grid.machines import build_condor_pool_nodes
 from repro.grid.transfer import TransferCostModel
 from repro.overlay.dht import DHTView
+from repro.overlay.validation import require_range
 from repro.workloads.filetrace import GB
 
 
@@ -48,6 +49,12 @@ class CondorCaseStudyConfig:
     retries_per_block: int = 64
     zero_chunk_limit: int = 64
     seed: int = 6
+
+    def __post_init__(self) -> None:
+        for size in self.file_sizes:
+            require_range("file_sizes", size, 0)
+        for name in ("retries_per_block", "zero_chunk_limit", "seed"):
+            require_range(name, getattr(self, name), 0)
 
 
 class CondorCaseStudyExperiment:

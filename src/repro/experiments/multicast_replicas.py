@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.experiments.results import Series
 from repro.multicast.bullet import BulletConfig, BulletSession
 from repro.multicast.tree import MulticastTree, build_binary_tree, build_routed_tree
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.validation import require_range
 from repro.sim.rng import RandomStreams
 
 
@@ -54,6 +53,14 @@ class MulticastConfig:
     node_count: int = 0
     #: Replica holders reached through the overlay (``node_count`` mode).
     replica_count: int = 32
+
+    def __post_init__(self) -> None:
+        for name, low in (("total_packets", 1), ("link_capacity", 0), ("peer_capacity", 0),
+                          ("download_capacity", 1), ("max_epochs", 1), ("seed", 0),
+                          ("node_count", 0), ("replica_count", 1)):
+            require_range(name, getattr(self, name), low)
+        for fraction in self.ransub_fractions:
+            require_range("ransub_fractions", fraction, 0.0, 1.0, "(]")
 
 
 @dataclass
@@ -142,12 +149,6 @@ class MulticastExperiment:
             results[fraction] = series
         return results
 
-    def completion_epochs(self, sweep: Optional[Dict[float, Series]] = None) -> Dict[float, int]:
-        """Epochs needed to fully disseminate, per RanSub size (Fig. 11 summary)."""
-        if sweep is None:
-            sweep = self.run_ransub_sweep()
-        return {fraction: len(series) for fraction, series in sweep.items()}
-
     def run_saturation(self) -> Tuple[Series, Series, Series]:
         """Figure 12: (minimum, average, maximum) packets per node over epochs."""
         streams = RandomStreams(self.config.seed)
@@ -162,10 +163,3 @@ class MulticastExperiment:
             maximum.append(stats.epoch, stats.maximum)
         return minimum, average, maximum
 
-    @staticmethod
-    def saturation_spread(minimum: Series, average: Series, maximum: Series) -> float:
-        """Mean (max - min) gap relative to the total packets, a measure of evenness."""
-        if not average.y:
-            return 0.0
-        gaps = np.asarray(maximum.y) - np.asarray(minimum.y)
-        return float(gaps.mean())

@@ -43,6 +43,7 @@ from repro.experiments.results import Series
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import StoreResult
+from repro.overlay.validation import require_range
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig, generate_capacities
 from repro.workloads.filetrace import GB, MB, FileTrace, FileTraceConfig, generate_file_trace
@@ -84,6 +85,16 @@ class InsertionConfig:
     sample_points: int = 20
     seed: int = 1
     repetitions: int = 1
+
+    def __post_init__(self) -> None:
+        for name, low in (("node_count", 1), ("capacity_mean", 0), ("capacity_std", 0),
+                          ("std_file_size", 0), ("min_file_size", 0), ("cfs_block_size", 1),
+                          ("past_retries", 0), ("zero_chunk_limit", 0), ("replication", 1),
+                          ("sample_points", 1), ("seed", 0), ("repetitions", 1)):
+            require_range(name, getattr(self, name), low)
+        require_range("mean_file_size", self.mean_file_size, 0, ends="()")
+        if self.file_count is not None:
+            require_range("file_count", self.file_count, 1)
 
     def resolved_file_count(self) -> int:
         """File count implied by the expected utilisation when not set explicitly."""
@@ -267,7 +278,7 @@ class InsertionExperiment:
         }
 
         total_files = len(trace)
-        sample_every = max(1, total_files // max(1, config.sample_points))
+        sample_every = max(1, total_files // config.sample_points)
 
         for index, record in enumerate(trace, start=1):
             sample = index % sample_every == 0 or index == total_files

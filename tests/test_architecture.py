@@ -120,7 +120,7 @@ RETIRED = (
      r"repro\.cli (availability|churn)\b",
      _EVERYWHERE, _CENSUS + "; fig10 / table3 at --nodes 300 --files 2000 build the same runs"),
     ("per-experiment CLI handlers",
-     r"\bdef _run_(?!bench\b)|\b_scaled\(|\b_timed_run\b|\b(PAPER|SMOKE)_\w+\.\w",
+     r"\bdef _run_|\b_scaled\(|\b_timed_run\b|\b(PAPER|SMOKE)_\w+\.\w",
      ("src/repro/cli.py",), "one driver over COMMANDS: presets are the only defaults"),
     ("experiment functions",
      r"\brun_coding_performance\b|\brun_condor_case_study\b",
@@ -182,6 +182,11 @@ RETIRED = (
      r"\b_validate_capacity\b",
      _EVERYWHERE, "one validation boundary: require_range refuses NaN and infinity with "
      "ParameterError"),
+    ("bench subcommand and BENCH_*.json renderer",
+     r"repro\.cli bench\b|\bbenchmark_(summary|table)\b|\bBENCHMARK_TABLES\b"
+     r"|\bload_benchmark_record\b|\b_benchmark_section\b|\bhandler=",
+     _EVERYWHERE, "one home for the paper's claims: experiments/paper.py's PAPER_CLAIMS, "
+     "checked by `repro.cli reproduce`"),
     ("per-panel failure sweeps",
      r"\b(Availability|Churn|Repair)(Config|Experiment|Result)\b|\bChurnRow\b"
      r"|repro\.experiments\.(availability|churn|regeneration)\b",
@@ -372,7 +377,7 @@ def _cli_surface():
         name: {
             "flags": {"/".join(action.option_strings): _flag_type(action, names)
                       for action in sub._actions if action.dest != "help"},
-            "config": None if name == "bench" else _effective_config([name]),
+            "config": _effective_config([name]),
         }
         for name, sub in subparsers.choices.items()
     }

@@ -35,10 +35,11 @@ def _census():
     return module
 
 
-#: The census's CLI runs whose stdout has no host-time column (``coding`` and
-#: ``routing`` print measured timings, ``bench`` the recorded BENCH_*.json).
+#: The census's CLI runs whose stdout has no host-time column (``coding``,
+#: ``routing`` and ``reproduce``, whose Table 2 rows are host milliseconds,
+#: print measured timings).
 GOLDEN_RUNS = [argv for argv in _census().CLI_RUNS
-               if argv[0] not in ("coding", "routing", "bench")]
+               if argv[0] not in ("coding", "routing", "reproduce")]
 
 
 def without_host_seconds(stdout: str) -> str:
@@ -86,27 +87,10 @@ def test_help_renders_for_every_command(argv, capsys):
 def test_parser_knows_all_experiments():
     parser = build_parser()
     for name in ("insertion", "fig10", "table3", "coding", "soak", "faults",
-                 "tenants", "serve", "routing", "multicast", "condor"):
+                 "tenants", "serve", "routing", "multicast", "condor", "reproduce"):
         args = parser.parse_args([name])
         assert args.experiment == name
         assert callable(args.func)
-
-
-def test_parser_knows_bench_subcommand():
-    parser = build_parser()
-    args = parser.parse_args(["bench", "--select", "insertion", "--summary-only"])
-    assert args.experiment == "bench"
-    assert args.select == "insertion"
-    assert args.summary_only
-    assert callable(args.func)
-
-
-def test_bench_summary_only_prints_trajectory(capsys):
-    # --summary-only must not launch pytest; it renders whatever BENCH_*.json
-    # records exist (or says how to create them).
-    assert main(["bench", "--summary-only"]) == 0
-    out = capsys.readouterr().out
-    assert "BENCH" in out or "throughput" in out
 
 
 def test_coding_command_runs(capsys):
@@ -152,6 +136,8 @@ def test_coding_rejects_non_positive_sizes_with_a_usage_error(argv, capsys):
     ["condor", "--sizes", "inf"],
     ["soak", "--days", "inf"],
     ["serve", "--rate", "nan"],
+    ["reproduce", "--seeds", "5-1"],
+    ["reproduce", "--seeds", "x"],
     ["availability"],
     ["churn"],
 ], ids=" ".join)

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.experiments.results import (
-    Series,
-    TableResult,
-    benchmark_summary,
-    benchmark_table,
-    format_series_table,
-    load_benchmark_record,
-)
+from repro.experiments.results import Series, TableResult, format_series_table
 
 
 def test_series_append_and_final():
@@ -57,35 +48,3 @@ def test_format_series_table_aligns_on_shared_x():
     assert rendered.count("\n") >= 4
     assert format_series_table([]) == "(no series)"
 
-
-def test_load_benchmark_record_handles_missing_and_corrupt(tmp_path):
-    assert load_benchmark_record(tmp_path / "nope.json") is None
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert load_benchmark_record(bad) is None
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"results": []}))
-    assert load_benchmark_record(good) == {"results": []}
-
-
-def test_benchmark_summary_renders_insertion_rows(tmp_path):
-    record = {
-        "results": [
-            {
-                "node_count": 10_000,
-                "file_count": 100_000,
-                "pipeline": "vectorized",
-                "seconds": 60.0,
-                "files_per_s": 1666.7,
-                "lookups_per_s": 100_000.0,
-            }
-        ],
-        "speedups": {"end_to_end": 23.6},
-    }
-    (tmp_path / "BENCH_insertion.json").write_text(json.dumps(record))
-    table = benchmark_table("insertion", record)
-    assert [row["files_per_s"] for row in table.rows] == [1666.7]
-    summary = benchmark_summary(tmp_path)
-    assert "vectorized" in summary
-    assert "end_to_end=23.6x" in summary
-    assert "BENCH_coding.json not found" in summary

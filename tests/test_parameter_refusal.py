@@ -29,6 +29,11 @@ from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.online_code import OnlineCodeParameters
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.erasure.xor_code import XorParityCode
+from repro.experiments.coding_perf import CodingPerfConfig
+from repro.experiments.condor_case_study import CondorCaseStudyConfig
+from repro.experiments.multicast_replicas import MulticastConfig
+from repro.experiments.paper import ReproduceConfig
+from repro.experiments.storage_insertion import InsertionConfig
 from repro.grid.transfer import TransferCostModel
 from repro.multicast.bullet import BulletConfig
 from repro.sim.churn import FailureSchedule
@@ -78,6 +83,11 @@ def _moved(session, client, *extra):
 def _constructor(cls, **fixed):
     """A constructor case: nothing exists before the call, so nothing can move."""
     return lambda: (lambda **kwargs: cls(**fixed, **kwargs), lambda: None)
+
+
+def _one_element(cls, name: str):
+    """A constructor case whose tuple field ``name`` is tried one element at a time."""
+    return lambda: (lambda **kwargs: cls(**{**kwargs, name: (kwargs[name],)}), lambda: None)
 
 
 def _on_session(method: str):
@@ -140,6 +150,26 @@ CASES = (
          {"total_packets": AT_LEAST_1, "ransub_fraction": FRACTION, "link_capacity": AT_LEAST_0,
           "peer_capacity": AT_LEAST_0, "download_capacity": AT_LEAST_1,
           "max_epochs": AT_LEAST_1}),
+    Case("InsertionConfig", _constructor(InsertionConfig), {"node_count": 10, "file_count": 20},
+         {"node_count": AT_LEAST_1, "capacity_mean": AT_LEAST_0, "capacity_std": AT_LEAST_0,
+          "mean_file_size": POSITIVE, "std_file_size": AT_LEAST_0, "min_file_size": AT_LEAST_0,
+          "file_count": AT_LEAST_1, "cfs_block_size": AT_LEAST_1, "past_retries": AT_LEAST_0,
+          "zero_chunk_limit": AT_LEAST_0, "replication": AT_LEAST_1, "sample_points": AT_LEAST_1,
+          "seed": AT_LEAST_0, "repetitions": AT_LEAST_1}),
+    Case("CodingPerfConfig", _constructor(CodingPerfConfig), {},
+         {"chunk_size": AT_LEAST_1, "blocks_per_chunk": AT_LEAST_1, "repetitions": AT_LEAST_1,
+          "seed": AT_LEAST_0}),
+    Case("CondorCaseStudyConfig", _one_element(CondorCaseStudyConfig, "file_sizes"),
+         {"file_sizes": 1 * GB},
+         {"file_sizes": AT_LEAST_0, "retries_per_block": AT_LEAST_0,
+          "zero_chunk_limit": AT_LEAST_0, "seed": AT_LEAST_0}),
+    Case("MulticastConfig", _one_element(MulticastConfig, "ransub_fractions"),
+         {"ransub_fractions": 0.08},
+         {"total_packets": AT_LEAST_1, "ransub_fractions": FRACTION, "link_capacity": AT_LEAST_0,
+          "peer_capacity": AT_LEAST_0, "download_capacity": AT_LEAST_1, "max_epochs": AT_LEAST_1,
+          "seed": AT_LEAST_0, "node_count": AT_LEAST_0, "replica_count": AT_LEAST_1}),
+    Case("ReproduceConfig", _one_element(ReproduceConfig, "seeds"), {"seeds": 1},
+         {"seeds": AT_LEAST_0}),
     Case("TransferCostModel", _constructor(TransferCostModel), {},
          {"bandwidth_bytes_per_s": POSITIVE, "lookup_seconds": AT_LEAST_0,
           "interposition_seconds": AT_LEAST_0, "per_transfer_latency": AT_LEAST_0}),

@@ -73,7 +73,7 @@ CLI_RUNS = (
     ("multicast", "--nodes", "300", "--replicas", "8", "--seed", "1"),
     ("routing", "--smoke"),
     ("condor", "--sizes", "0,1,16", "--seed", "2"),
-    ("bench", "--summary-only"),  # running the suite would rewrite BENCH_*.json
+    ("reproduce", "--smoke"),
 )
 
 _TRACED = "perfbench/tracing.py wraps it by name (its _targets() table)"
@@ -128,6 +128,7 @@ KEEP: dict[str, str] = {
     "repro.api": "the client facade tests/golden/public_surface.json pins",
     "repro.erasure.chunk_codec.get_code": "public package export (repro.__all__)",
     "repro.cli._StoreFields.__call__": "the tenants --no-isolation switch; no CLI_RUNS row passes it",
+    "repro.cli._seeds": "the reproduce --seeds flag; no CLI_RUNS row passes it",
     "repro.experiments.routing.RoutingConfig.scaled": _SCALED,
     "repro.experiments.serving.ServingConfig.scaled": _SCALED,
     "repro.experiments.tenants.TenantsConfig.scaled": _SCALED,
