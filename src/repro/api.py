@@ -71,7 +71,11 @@ class ClusterSession:
     same order as the hand-rolled experiment wiring (``"capacities"`` then
     ``"overlay"``), so a session-built deployment is bit-identical to the
     manual one.  Pass an already-built ``network`` (or use :meth:`adopt`)
-    to wrap existing overlays without consuming any randomness.
+    to wrap existing overlays without consuming any randomness.  An ``rng``
+    given for the overlay build must be a ``numpy.random.Generator`` over
+    PCG64, PCG64DXSM, Philox or SFC64 (see :meth:`OverlayNetwork.build`);
+    any other generator, a legacy ``RandomState`` included, raises
+    :class:`TypeError`.
     """
 
     def __init__(

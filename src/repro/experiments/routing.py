@@ -32,7 +32,7 @@ from typing import Dict, List
 
 from repro.experiments.base import ExperimentConfig, scaled_count
 from repro.experiments.results import TableResult, render_report, summary_line
-from repro.overlay.ids import random_node_id
+from repro.overlay.ids import COORDINATE_SPAN, random_node_id
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.sim.rng import RandomStreams
@@ -201,8 +201,8 @@ class RoutingExperiment:
             if kind == 0 or len(live) <= floor:
                 node = OverlayNode(
                     node_id=random_node_id(rng),
-                    coordinates=(float(rng.uniform(0.0, 1000.0)),
-                                 float(rng.uniform(0.0, 1000.0))),
+                    coordinates=(float(rng.uniform(0.0, COORDINATE_SPAN)),
+                                 float(rng.uniform(0.0, COORDINATE_SPAN))),
                 )
                 network.join(node)
             elif kind == 1:

@@ -52,8 +52,9 @@ from typing import Dict, List, Optional
 from repro.core.storage import StorageSystem
 from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult, render_report, summary_line
-from repro.overlay.ids import random_node_id
+from repro.overlay.ids import COORDINATE_SPAN, random_node_id
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import require_range
 from repro.sim.rng import RandomStreams
 from repro.workloads.filetrace import GB, MB
 
@@ -99,6 +100,23 @@ class SoakConfig(DeploymentConfig):
     #: the fair-share transfer scheduler (None = unconstrained links, i.e.
     #: the preserved instantaneous-repair behaviour).
     bandwidth_gb_per_hour: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # Refused here, not mid-soak: a NaN horizon or a zero sampling step
+        # never ends the run, and a NaN rate silently turns churn off.
+        for name, low, ends in (
+                ("node_count", 1, "[)"), ("file_count", 0, "[)"), ("seed", 0, "[)"),
+                ("capacity_mean", 0, "[)"), ("capacity_std", 0, "[)"),
+                ("mean_file_size", 0, "()"), ("std_file_size", 0, "[)"),
+                ("min_file_size", 0, "[)"), ("blocks_per_chunk", 1, "[)"),
+                ("block_replication", 1, "[)"), ("horizon_hours", 0, "()"),
+                ("mean_uptime_hours", 0, "()"), ("mean_downtime_hours", 0, "[)"),
+                ("join_rate_per_hour", 0, "[)"), ("leave_rate_per_hour", 0, "[)"),
+                ("sample_every_hours", 0, "()"),
+                ("compact_every_hours", 0, "[)")):  # 0 = no compaction
+            require_range(name, getattr(self, name), low, ends=ends)
+        if self.bandwidth_gb_per_hour is not None:
+            require_range("bandwidth_gb_per_hour", self.bandwidth_gb_per_hour, 0, ends="()")
 
     def scaled(self, factor: float) -> "SoakConfig":
         """Population, corpus and the join/leave rates multiplied by ``factor``."""
@@ -245,8 +263,8 @@ class SoakExperiment:
             capacity = max(1, int(join_rng.normal(config.capacity_mean, config.capacity_std)))
             node = OverlayNode(
                 node_id=node_id,
-                coordinates=(float(join_rng.uniform(0.0, 1000.0)),
-                             float(join_rng.uniform(0.0, 1000.0))),
+                coordinates=(float(join_rng.uniform(0.0, COORDINATE_SPAN)),
+                             float(join_rng.uniform(0.0, COORDINATE_SPAN))),
                 capacity=capacity,
             )
             network.join(node)

@@ -26,9 +26,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.overlay.ids import NodeId, distance, random_node_id
+from repro.overlay.ids import NodeId, distance, random_population
 from repro.overlay.node import OverlayNode
-from repro.overlay.validation import require_range
 
 
 class OverlayError(RuntimeError):
@@ -74,21 +73,32 @@ class OverlayNetwork:
         it must have length ``count`` when given.  Building is O(N): no
         routing state exists until an engine is attached, which is what keeps
         the paper's 10 000-node configurations practical.
+
+        The draw is :func:`~repro.overlay.ids.random_population`: node ``i``
+        gets exactly what ``rng.bytes(20)`` (its id, read big-endian) and two
+        ``rng.uniform(0, COORDINATE_SPAN)`` calls (its coordinates) would give
+        it, in node order, and ``rng`` ends in the state those calls leave.
+        ``rng`` must be a ``Generator`` whose bit generator that reproduces:
+        PCG64, PCG64DXSM, Philox or SFC64 (anything else, a legacy
+        ``RandomState`` included, raises :class:`TypeError`).
+        Two equal ids, a chance of about ``count**2 / 2**161``, raise
+        :class:`OverlayError`.
         """
-        require_range("count", count, 1)
         if capacities is not None and len(capacities) != count:
             raise ValueError("capacities length must match node count")
+        ids, coordinates = random_population(rng, count)
         network = cls(leaf_set_half_size=leaf_set_half_size)
-        for index in range(count):
-            node_id = random_node_id(rng)
-            while node_id in network._nodes:  # pragma: no cover - negligible probability
-                node_id = random_node_id(rng)
-            network._nodes[node_id] = OverlayNode(
+        nodes = network._nodes
+        xs, ys = coordinates.T.tolist()
+        for index, (node_id, x, y) in enumerate(zip(ids, xs, ys)):
+            nodes[node_id] = OverlayNode(
                 node_id=node_id,
-                coordinates=(float(rng.uniform(0.0, 1000.0)), float(rng.uniform(0.0, 1000.0))),
+                coordinates=(x, y),
                 capacity=int(capacities[index]) if capacities is not None else 0,
                 serial=index,
             )
+        if len(nodes) != count:
+            raise OverlayError(f"{count - len(nodes)} duplicate node id(s) drawn for {count} nodes")
         network.serial_count = count
         return network
 

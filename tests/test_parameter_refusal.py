@@ -33,6 +33,7 @@ from repro.experiments.coding_perf import CodingPerfConfig
 from repro.experiments.condor_case_study import CondorCaseStudyConfig
 from repro.experiments.multicast_replicas import MulticastConfig
 from repro.experiments.paper import ReproduceConfig
+from repro.experiments.soak import SoakConfig
 from repro.experiments.storage_insertion import InsertionConfig
 from repro.grid.transfer import TransferCostModel
 from repro.multicast.bullet import BulletConfig
@@ -170,6 +171,16 @@ CASES = (
           "seed": AT_LEAST_0, "node_count": AT_LEAST_0, "replica_count": AT_LEAST_1}),
     Case("ReproduceConfig", _one_element(ReproduceConfig, "seeds"), {"seeds": 1},
          {"seeds": AT_LEAST_0}),
+    Case("SoakConfig", _constructor(SoakConfig),
+         {"node_count": 10, "file_count": 20, "bandwidth_gb_per_hour": 1.0},
+         {"node_count": AT_LEAST_1, "file_count": AT_LEAST_0, "seed": AT_LEAST_0,
+          "capacity_mean": AT_LEAST_0, "capacity_std": AT_LEAST_0, "mean_file_size": POSITIVE,
+          "std_file_size": AT_LEAST_0, "min_file_size": AT_LEAST_0,
+          "blocks_per_chunk": AT_LEAST_1, "block_replication": AT_LEAST_1,
+          "horizon_hours": POSITIVE, "mean_uptime_hours": POSITIVE,
+          "mean_downtime_hours": AT_LEAST_0, "join_rate_per_hour": AT_LEAST_0,
+          "leave_rate_per_hour": AT_LEAST_0, "sample_every_hours": POSITIVE,
+          "compact_every_hours": AT_LEAST_0, "bandwidth_gb_per_hour": POSITIVE}),
     Case("TransferCostModel", _constructor(TransferCostModel), {},
          {"bandwidth_bytes_per_s": POSITIVE, "lookup_seconds": AT_LEAST_0,
           "interposition_seconds": AT_LEAST_0, "per_transfer_latency": AT_LEAST_0}),
