@@ -68,7 +68,7 @@ def main() -> None:
 
     # 5. Fail a node that holds one of the blocks, recover, and verify.
     victim = storage.files["brain-scan.img"].data_chunks()[0].placements[0].node_id
-    print(f"failing node {victim!r} and regenerating its blocks...")
+    print(f"failing node {victim:#042x} and regenerating its blocks...")
     impact = RecoveryManager(storage).handle_failure(victim)
     print(
         f"  regenerated {impact.bytes_regenerated / MB:.1f} MB, "

@@ -25,7 +25,7 @@ True
 
 from repro.api import ArchiveClient, ClusterSession
 from repro.core.cache import CacheManager, NodeBlockCache
-from repro.overlay import DHTView, OverlayNetwork, OverlayNode, NodeId, key_for
+from repro.overlay import DHTView, OverlayNetwork, OverlayNode, key_for
 from repro.erasure import (
     ChunkCodec,
     NullCode,
@@ -70,7 +70,6 @@ __all__ = [
     "DHTView",
     "OverlayNetwork",
     "OverlayNode",
-    "NodeId",
     "key_for",
     # erasure coding
     "ChunkCodec",

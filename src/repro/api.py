@@ -238,7 +238,7 @@ class ClusterSession:
         even stride keeps them deterministic and spread across the id space
         (and therefore across failure domains under round-robin placement).
         """
-        live = sorted(int(node.node_id) for node in self.network.live_nodes())
+        live = sorted(node.node_id for node in self.network.live_nodes())
         if not live:
             return []
         count = min(count, len(live))

@@ -20,6 +20,7 @@ from repro.core import naming
 from repro.core.block_ledger import BlockLedger
 from repro.core.storage import LedgerStore
 from repro.overlay.dht import DHTView
+from repro.overlay.ids import key_for
 from repro.overlay.node import OverlayNode, StoreResult, store_refusal
 from repro.overlay.validation import require_range
 
@@ -118,7 +119,7 @@ class CfsStore(LedgerStore):
             placed = False
             for attempt in range(1, retries + 1):
                 salted_name = f"{name}#salt{attempt}"
-                target = state.lookup_node(naming.key_int_for_name(salted_name))
+                target = state.lookup_node(key_for(salted_name))
                 extra_lookups += 1
                 if target.store_block(salted_name, block_bytes):
                     names[index] = salted_name

@@ -996,9 +996,9 @@ class BlockLedger:
 
     def _release_copy(self, placement_idx: int, node_id: int) -> None:
         """Release the placement's first unreleased copy held by ``node_id``."""
-        node_id, slot_nodes = int(node_id), self._slot_nodes
+        slot_nodes = self._slot_nodes
         for row in self._by_placement.lookup(self, placement_idx):
-            if slot_nodes[self._owner[row]].node_id.value == node_id and not self._released[row]:
+            if slot_nodes[self._owner[row]].node_id == node_id and not self._released[row]:
                 self._release_rows(np.asarray([row], dtype=np.int64))
                 return
 

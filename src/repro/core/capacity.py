@@ -15,6 +15,7 @@ from typing import List, Sequence
 
 from repro.core import naming
 from repro.overlay.dht import DHTView
+from repro.overlay.ids import key_for
 from repro.overlay.node import OverlayNode
 from repro.overlay.validation import require_range
 
@@ -67,7 +68,7 @@ class CapacityProbe:
         nodes: List[OverlayNode] = []
         offers: List[int] = []
         for name in names:
-            node = self.dht.lookup(naming.key_for_name(name))
+            node = self.dht.lookup(key_for(name))
             nodes.append(node)
             offers.append(self.offer_from(node))
         self.total_probes += len(names)
@@ -91,7 +92,7 @@ class CapacityProbe:
             # The dominant configuration of the insertion experiments (one
             # encoded block per chunk): skip all intermediate containers.
             name = naming.block_name(filename, chunk_no, 1)
-            node = state.lookup_node(naming.key_int_for_name(name))
+            node = state.lookup_node(key_for(name))
             self.dht.lookup_count += 1
             self.total_probes += 1
             return ProbeResult(
@@ -101,7 +102,7 @@ class CapacityProbe:
         if encoded_blocks >= 4:
             indices = state.lookup_digests(naming.name_digests(names)).tolist()
         else:
-            indices = [state.lookup_index(naming.key_int_for_name(name)) for name in names]
+            indices = [state.lookup_index(key_for(name)) for name in names]
         self.dht.lookup_count += len(names)
         state_nodes = state.nodes
         offer_from = self.offer_from
@@ -120,7 +121,7 @@ class CapacityProbe:
         nodes: List[OverlayNode] = []
         offers: List[int] = []
         for name in names:
-            node = self.dht.lookup(naming.key_for_name(name))
+            node = self.dht.lookup(key_for(name))
             nodes.append(node)
             offers.append(self.offer_from(node))
         self.total_probes += len(names)

@@ -18,7 +18,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.overlay.ids import NodeId, key_for
 from repro.overlay.validation import require_range
 
 #: Separator between the file name and the chunk / block counters.  File names
@@ -46,11 +45,6 @@ def cat_name(filename: str) -> str:
     return f"{filename}{CAT_SUFFIX}"
 
 
-def key_for_name(name: str) -> NodeId:
-    """The DHT key of a named object (SHA-1 of the name, Section 4.1)."""
-    return key_for(name)
-
-
 # -- batch helpers for the array-backed placement engine -------------------------
 def block_names(filename: str, chunk_no: int, count: int) -> List[str]:
     """The names of all ``count`` encoded blocks of one chunk, in ECB order."""
@@ -58,11 +52,6 @@ def block_names(filename: str, chunk_no: int, count: int) -> List[str]:
     require_range("count", count, 1)
     prefix = f"{filename}{SEPARATOR}{chunk_no}{SEPARATOR}"
     return [f"{prefix}{ecb}" for ecb in range(1, count + 1)]
-
-
-def key_int_for_name(name: str) -> int:
-    """The DHT key of a name as a plain int (hot-path variant of key_for_name)."""
-    return int.from_bytes(hashlib.sha1(name.encode("utf-8")).digest(), "big")
 
 
 def name_digests(names: Sequence[str]) -> np.ndarray:

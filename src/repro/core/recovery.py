@@ -68,7 +68,6 @@ from repro.core.cat import ChunkAllocationTable
 from repro.core.storage import BlockPlacement, StorageSystem, StoredChunk
 from repro.core.transfer import TransferPacer, TransferScheduler, TransferSpec
 from repro.erasure.base import DecodingError
-from repro.overlay.ids import NodeId
 from repro.overlay.node import OverlayNode
 
 
@@ -76,7 +75,7 @@ from repro.overlay.node import OverlayNode
 class FailureImpact:
     """Accounting for one node failure or departure (one Table 3 row share)."""
 
-    failed_node: NodeId
+    failed_node: int
     blocks_lost: int = 0
     bytes_on_failed_node: int = 0
     bytes_regenerated: int = 0
@@ -170,7 +169,7 @@ class RecoveryManager:
         self.impacts: List[FailureImpact] = []
 
     # ------------------------------------------------------------------ failure --
-    def handle_failure(self, node_id: NodeId) -> FailureImpact:
+    def handle_failure(self, node_id: int) -> FailureImpact:
         """Fail ``node_id`` and regenerate what can be regenerated.
 
         The node is marked failed in the overlay, removed from the DHT view,
@@ -204,7 +203,7 @@ class RecoveryManager:
         return impact
 
     def _apply_failure_row(
-        self, row: int, failed_node: NodeId, impact: FailureImpact, ledger: BlockLedger,
+        self, row: int, failed_node: int, impact: FailureImpact, ledger: BlockLedger,
         damaged_files: set,
     ) -> None:
         """Repair one ledger row of a failed node."""
@@ -225,8 +224,8 @@ class RecoveryManager:
             # none left only the receiver's downlink is charged.
             holders = [candidate for candidate in self.dht.neighbors(target.node_id, 8)
                        if candidate.has_block(name)]
-            source = next(iter(self._least_congested([int(h.node_id) for h in holders])), None)
-            self._stage(size, source, int(target.node_id))
+            source = next(iter(self._least_congested([h.node_id for h in holders])), None)
+            self._stage(size, source, target.node_id)
             if self.storage.payload_mode:
                 # The bytes come from a live source, never the dead holder: a
                 # surviving copy, else the CAT of the file stored under that
@@ -254,7 +253,7 @@ class RecoveryManager:
         # the placement's primary lived on the failed node; otherwise the dead
         # copy was a neighbour replica and is re-replicated -- re-pointing the
         # primary from a replica row would erode the replication level.
-        primary = int(chunk.placements[position].node_id) == int(failed_node)
+        primary = chunk.placements[position].node_id == failed_node
         if primary:
             new_holder = self._repoint_primary(
                 ledger, chunk, position, name, size, ledger.row_key(row), digest
@@ -267,12 +266,12 @@ class RecoveryManager:
             impact.bytes_dropped += size
             return
         impact.bytes_regenerated += size
-        dst = int(new_holder.node_id)
+        dst = new_holder.node_id
         if self.transfers is not None:
             # A lost replica is copied from a surviving holder of the block
             # (one read); a lost primary -- or a replica with no intact copy
             # left -- is decoded from ``required`` reads of the other placements.
-            source = None if primary else self._copy_source(chunk, position, {int(failed_node), dst})
+            source = None if primary else self._copy_source(chunk, position, {failed_node, dst})
             if source is not None:
                 self._stage(size, source, dst, ("copy", chunk, position))
             else:
@@ -326,7 +325,7 @@ class RecoveryManager:
         return block
 
     # ---------------------------------------------------------------- departure --
-    def handle_leave(self, node_id: NodeId) -> FailureImpact:
+    def handle_leave(self, node_id: int) -> FailureImpact:
         """Gracefully migrate a node's blocks out, then remove it.
 
         The departing node's copies are *moved* (each block crosses the
@@ -368,7 +367,7 @@ class RecoveryManager:
         # The transfer tag follows the *row's* tenant; a single-tenant ledger
         # keeps the manager's own tag so the untagged oracle holds end to end.
         tag = ledger.row_tenant(row) if ledger.multi_tenant else None
-        leaving = int(node.node_id)
+        leaving = node.node_id
         payload = node.payloads.get(name)
         if ledger.row_group(row) >= 0:
             # A baseline (PAST/CFS) replica-group copy goes where the baseline
@@ -379,20 +378,20 @@ class RecoveryManager:
                 impact.bytes_dropped += size
             else:
                 impact.bytes_migrated += size
-                self._stage(size, leaving, int(placed.node_id), tenant=tag)
+                self._stage(size, leaving, placed.node_id, tenant=tag)
                 ledger.migrate_group_row(row, placed)
         elif placement_idx < 0:
             target, copied = self._copy_meta(ledger, row, name, size, impact)
             if copied:
                 impact.bytes_migrated += size
-                self._stage(size, leaving, int(target.node_id), tenant=tag)
+                self._stage(size, leaving, target.node_id, tenant=tag)
             if payload is not None and target.has_block(name):
                 target.payloads.setdefault(name, payload)
         else:
             chunk = ledger.chunk_object(chunk_idx)
             position = ledger.placement_position(placement_idx)
             digest = ledger.row_digest(row)
-            primary = int(chunk.placements[position].node_id) == leaving
+            primary = chunk.placements[position].node_id == leaving
             if primary:
                 new_holder = self._repoint_primary(
                     ledger, chunk, position, name, size, ledger.row_key(row), digest
@@ -407,7 +406,7 @@ class RecoveryManager:
                     return  # the primary stays on the leaving node until ``network.leave``
             else:
                 impact.bytes_migrated += size
-                dst = int(new_holder.node_id)
+                dst = new_holder.node_id
                 self._stage(size, leaving, dst, ("copy", chunk, position), tag)
                 if payload is not None:
                     new_holder.payloads[name] = payload
@@ -440,9 +439,9 @@ class RecoveryManager:
         the original replication pass considered -- skipping the primary and
         every holder the placement names.
         """
-        taken = {int(placement.node_id), *(int(nid) for nid in placement.replica_nodes)}
+        taken = {placement.node_id, *placement.replica_nodes}
         for candidate in self.dht.neighbors(placement.node_id, 8):
-            if int(candidate.node_id) not in taken and candidate.store_block(block_name, size):
+            if candidate.node_id not in taken and candidate.store_block(block_name, size):
                 return candidate
         return None
 
@@ -463,13 +462,13 @@ class RecoveryManager:
         chunk.placements[position] = BlockPlacement(name, new_holder.node_id, size, old.replica_nodes)
         ledger.replace_copy(
             ledger.placement_for(chunk.ledger_index, position),
-            int(old.node_id), new_holder, name, size, digest, KIND_PRIMARY,
+            old.node_id, new_holder, name, size, digest, KIND_PRIMARY,
         )
         return new_holder
 
     def _repoint_replica(
         self, ledger: BlockLedger, chunk: StoredChunk, position: int, name: str, size: int,
-        gone: NodeId, digest: bytes, impact: FailureImpact,
+        gone: int, digest: bytes, impact: FailureImpact,
     ) -> Optional[OverlayNode]:
         """Swap a gone neighbour replica for a new copy near the primary.
 
@@ -479,7 +478,7 @@ class RecoveryManager:
         Returns the new holder, or ``None``.
         """
         old = chunk.placements[position]
-        survivors = tuple(nid for nid in old.replica_nodes if int(nid) != int(gone))
+        survivors = tuple(nid for nid in old.replica_nodes if nid != gone)
         new_holder = self.place_replica(old, name, size)
         if new_holder is not None:
             survivors += (new_holder.node_id,)
@@ -489,7 +488,7 @@ class RecoveryManager:
         impact.replicas_restored += 1
         ledger.replace_copy(
             ledger.placement_for(chunk.ledger_index, position),
-            int(gone), new_holder, name, size, digest, KIND_REPLICA,
+            gone, new_holder, name, size, digest, KIND_REPLICA,
         )
         return new_holder
 
@@ -542,7 +541,7 @@ class RecoveryManager:
         ):
             owner = ledger.live_copy_owner(placement_idx) if position != skip_position else None
             if owner is not None:
-                sources.append(int(owner.node_id))
+                sources.append(owner.node_id)
         return self._least_congested(sources)[: self.storage.codec.spec().required_blocks()]
 
     def _copy_source(self, chunk: StoredChunk, position: int, exclude: set) -> Optional[int]:
@@ -550,8 +549,8 @@ class RecoveryManager:
         placement = chunk.placements[position]
         network = self.dht.network
         holders = [
-            int(node_id) for node_id in (placement.node_id, *placement.replica_nodes)
-            if int(node_id) not in exclude and node_id in network
+            node_id for node_id in (placement.node_id, *placement.replica_nodes)
+            if node_id not in exclude and node_id in network
             and network.node(node_id).has_block(placement.block_name)
         ]
         return next(iter(self._least_congested(holders)), None)
@@ -582,7 +581,7 @@ class RecoveryManager:
         )
 
     # -------------------------------------------------------------- transfers --
-    def _begin(self, node_id: NodeId, node: OverlayNode) -> FailureImpact:
+    def _begin(self, node_id: int, node: OverlayNode) -> FailureImpact:
         """A new impact for ``node``; its repair traffic starts now."""
         impact = FailureImpact(
             failed_node=node_id,

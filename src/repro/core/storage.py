@@ -44,7 +44,6 @@ from repro.erasure.base import EncodedChunk
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.overlay.dht import DHTView
-from repro.overlay.ids import NodeId
 from repro.overlay.node import OverlayNode, StoreResult, store_refusal
 from repro.overlay.validation import require_range
 
@@ -62,9 +61,9 @@ class BlockPlacement:
     """Where one encoded block (and its optional replicas) lives."""
 
     block_name: str
-    node_id: NodeId
+    node_id: int
     size: int
-    replica_nodes: Tuple[NodeId, ...] = ()
+    replica_nodes: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -404,21 +403,21 @@ class StorageSystem(LedgerStore):
             placements.append(placement)
             # Ingest charging: the client uploads the primary copy; neighbour
             # replicas are pushed onward by the primary holder.
-            self._charge(block_size, client, int(node.node_id), observer)
+            self._charge(block_size, client, node.node_id, observer)
             for replica_id in replica_ids:
-                self._charge(block_size, int(node.node_id), int(replica_id), observer)
+                self._charge(block_size, node.node_id, replica_id, observer)
             if payloads is not None:
                 for holder in (node.node_id, *replica_ids):
                     self.dht.network.node(holder).payloads[name] = payloads[index]
         chunk.placements = placements
         return True
 
-    def _replicate_block(self, name: str, size: int, primary: OverlayNode) -> Tuple[NodeId, ...]:
+    def _replicate_block(self, name: str, size: int, primary: OverlayNode) -> Tuple[int, ...]:
         """Best-effort placement of ``block_replication - 1`` neighbour replicas."""
         extra = self.policy.block_replication - 1
         if extra <= 0:
             return ()
-        replicas: List[NodeId] = []
+        replicas: List[int] = []
         for neighbor in self.dht.neighbors(primary.node_id, extra * 2):
             if len(replicas) >= extra:
                 break
@@ -441,12 +440,12 @@ class StorageSystem(LedgerStore):
         serialized = cat.serialize().encode("utf-8") if self.payload_mode else None
 
         def finalize(name: str, node: OverlayNode) -> List[BlockPlacement]:
-            self._charge(size, client, int(node.node_id), observer)
+            self._charge(size, client, node.node_id, observer)
             replica_ids = []
             for neighbor in self.dht.neighbors(node.node_id, self.policy.cat_replication - 1):
                 if neighbor.store_block(name, size):
                     replica_ids.append(neighbor.node_id)
-                    self._charge(size, int(node.node_id), int(neighbor.node_id), observer)
+                    self._charge(size, node.node_id, neighbor.node_id, observer)
                     if serialized is not None:
                         neighbor.payloads[name] = serialized
             if serialized is not None:
@@ -508,7 +507,7 @@ class StorageSystem(LedgerStore):
         name = placement.block_name
         use_cache = self.cache is not None and client is not None
         if use_cache:
-            cached = self.cache.lookup_block(int(client), name, index)
+            cached = self.cache.lookup_block(client, name, index)
             if cached is not None:
                 return cached, True
         for node_id in (placement.node_id, *placement.replica_nodes):
@@ -518,7 +517,7 @@ class StorageSystem(LedgerStore):
             payload = node.payloads.get(name) if node.has_block(name) else None
             if payload is not None:
                 if use_cache:
-                    self.cache.fill_block(int(client), name, placement.size, index, payload)
+                    self.cache.fill_block(client, name, placement.size, index, payload)
                 return payload, False
         return None, False
 
@@ -583,11 +582,11 @@ class StorageSystem(LedgerStore):
             if node_id in self.dht.network and self.dht.network.node(node_id).has_block(
                 placement.block_name
             ):
-                candidates.append(int(node_id))
+                candidates.append(node_id)
         if not candidates:
-            return int(placement.node_id), True
+            return placement.node_id, True
         src = min(candidates, key=lambda nid: (self.read_load.get(nid, 0.0), nid))
-        return src, src == int(placement.node_id)
+        return src, src == placement.node_id
 
     def _serve_chunk_read(self, chunk: StoredChunk, required: int, client, observer) -> bool:
         """Account one recoverable capacity-mode chunk read; True on cache hit.
@@ -603,17 +602,17 @@ class StorageSystem(LedgerStore):
         if self.cache is not None and client is not None:
             needed = chunk.placements[: min(required, len(chunk.placements))]
             names = [placement.block_name for placement in needed]
-            if self.cache.lookup_chunk(int(client), names, chunk.size):
+            if self.cache.lookup_chunk(client, names, chunk.size):
                 return True
             src, primary = self._read_source(chunk)
             self.cache.note_source(primary)
             self._charge(chunk.size, src, client, observer)
             self.read_load[src] = self.read_load.get(src, 0.0) + chunk.size
             self.cache.fill_chunk(
-                int(client), [(placement.block_name, placement.size) for placement in needed]
+                client, [(placement.block_name, placement.size) for placement in needed]
             )
             return False
-        src = int(chunk.placements[0].node_id)
+        src = chunk.placements[0].node_id
         self._charge(chunk.size, src, client, observer)
         self.read_load[src] = self.read_load.get(src, 0.0) + chunk.size
         return False

@@ -241,9 +241,6 @@ _STAGE_NAMES = {
 #: Why a flow crossing a dead (capacity ``0``) link of each stage fails.
 _DEAD_REASON = ("dead endpoint",) * 2 + ("partitioned trunk",) * 4 + ("tenant blackholed",)
 
-#: The latency classes of the two-stage model, nearest first.
-LATENCY_CLASSES = ("intra_rack", "intra_site", "inter_site")
-
 #: One tenant's accounting row before it has moved anything.
 _NO_TENANT_STATS = {
     "submitted": 0.0, "completed": 0.0, "failed": 0.0, "bytes_submitted": 0.0,
@@ -310,7 +307,7 @@ class NetworkTopology:
         """A topology whose node->domain maps mirror ``node.site``/``node.rack``."""
         topology = cls(**kwargs)
         for node in nodes:
-            node_id = int(node.node_id)
+            node_id = node.node_id
             if node.site >= 0:
                 topology._site_of[node_id] = int(node.site)
             if node.rack >= 0:
@@ -320,11 +317,11 @@ class NetworkTopology:
     # ----------------------------------------------------------------- paths --
     def site_of(self, node_id: Optional[int]) -> Optional[int]:
         """The site of a node (``None`` = outside the modelled grid)."""
-        return None if node_id is None else self._site_of.get(int(node_id))
+        return None if node_id is None else self._site_of.get(node_id)
 
     def rack_of(self, node_id: Optional[int]) -> Optional[int]:
         """The (globally unique) rack of a node (``None`` = outside the grid)."""
-        return None if node_id is None else self._rack_of.get(int(node_id))
+        return None if node_id is None else self._rack_of.get(node_id)
 
     def trunk_links(self, src: Optional[int], dst: Optional[int]) -> Tuple[LinkKey, ...]:
         """The shared trunk link keys a ``src -> dst`` transfer crosses.
@@ -640,7 +637,7 @@ class TransferScheduler:
         immediately.  Transfers still inside their latency window are failed
         at activation time instead.
         """
-        self._set_capacities(zip(_ARGUMENTS, self._pair(int(node_id), None, None), (uplink, downlink)))
+        self._set_capacities(zip(_ARGUMENTS, self._pair(node_id, None, None), (uplink, downlink)))
 
     def set_trunk_bandwidth(
         self, site: Optional[int] = None, rack: Optional[int] = None, uplink=_KEEP, downlink=_KEEP
@@ -837,37 +834,21 @@ class TransferScheduler:
         """
         if src is None:
             return 0.0
-        keys: List[Tuple[int, int]] = [(_UP, int(src))]
+        keys: List[Tuple[int, int]] = [(_UP, src)]
         if self.topology is not None:  # to "the network at large": the source-side trunks
             keys.extend(self.topology.trunk_links(src, None))
         return sum(self.link_congestion(key) for key in keys)
 
-    def trunk_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-trunk charged bytes and capacity, keyed by human-readable name.
-
-        Capacity ``-1`` marks an unconstrained trunk.  Utilization over an
-        interval is ``bytes / (capacity x interval)``
-        (:meth:`peak_trunk_utilization`; the caller knows the storm's makespan).
-        """
-        out: Dict[str, Dict[str, float]] = {}
-        for key in sorted(self.trunk_bytes):
-            stage, domain = key
-            name = _STAGE_NAMES[stage].replace(":", f"{domain}:")
-            capacity = self.capacity_of(key)
-            out[name] = {
-                "bytes": self.trunk_bytes[key],
-                "capacity": -1.0 if capacity is None else float(capacity),
-            }
-        return out
-
     def peak_trunk_utilization(self, makespan: float) -> float:
-        """The busiest finite trunk's bytes over capacity x makespan, in %."""
+        """The busiest finite trunk's charged bytes (:attr:`trunk_bytes`) over
+        capacity x makespan, in %; an unconstrained or dead trunk does not count."""
         if makespan <= 0:
             return 0.0
         peak = 0.0
-        for entry in self.trunk_summary().values():
-            if entry["capacity"] > 0:
-                peak = max(peak, 100.0 * entry["bytes"] / (entry["capacity"] * makespan))
+        for key, charged in self.trunk_bytes.items():
+            capacity = self.capacity_of(key)
+            if capacity is not None and capacity > 0:
+                peak = max(peak, 100.0 * charged / (capacity * makespan))
         return peak
 
     def tenant_summary(self) -> Dict[int, Dict[str, float]]:
@@ -941,7 +922,7 @@ class TransferScheduler:
     ) -> Tuple[LinkKey, LinkKey]:
         """The ``(uplink, downlink)`` keys of a node's access links or a domain's trunk."""
         if node_id is not None:
-            return (_UP, int(node_id)), (_DOWN, int(node_id))
+            return (_UP, node_id), (_DOWN, node_id)
         if self.topology is None:
             raise ValueError("trunk capacities require an attached topology")
         if (site is None) == (rack is None):
@@ -1265,7 +1246,6 @@ class TransferPacer:
         self.max_in_flight = max_in_flight
         self._backlog: Deque[TransferSpec] = deque()
         self.in_flight = 0
-        self.queued_total = 0
         self.peak_queue_depth = 0
         self.peak_in_flight = 0
 
@@ -1288,7 +1268,6 @@ class TransferPacer:
         """
         for spec in specs:
             self._backlog.append(self._wrap(spec))
-        self.queued_total += len(specs)
         self._drain()
 
     # ------------------------------------------------------------- internals --

@@ -29,7 +29,7 @@ CLI's ``--scale`` applies to says which of its fields scale in ``scaled()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import AT_LEAST_1, POSITIVE, require_fields
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig
 from repro.workloads.filetrace import (
@@ -62,6 +63,12 @@ class ExperimentConfig:
     node_count: int = 200
     seed: int = 1
 
+    #: Numeric fields not in ``[0, inf)`` (:func:`require_fields`); subclasses extend it.
+    RANGES: ClassVar[Dict[str, tuple]] = {"node_count": AT_LEAST_1}
+
+    def __post_init__(self) -> None:
+        require_fields(self, self.RANGES)
+
 
 @dataclass(frozen=True)
 class DeploymentConfig(ExperimentConfig):
@@ -78,6 +85,10 @@ class DeploymentConfig(ExperimentConfig):
     #: Copies kept of each encoded block (1 = primary only, the paper's
     #: insertion setting).
     block_replication: int = 1
+
+    RANGES: ClassVar[Dict[str, tuple]] = {
+        **ExperimentConfig.RANGES, "mean_file_size": POSITIVE, "blocks_per_chunk": AT_LEAST_1,
+        "block_replication": AT_LEAST_1}
 
     def scaled(self, factor: float):
         """The population and the corpus multiplied by ``factor``."""
@@ -195,16 +206,16 @@ def schedule_block_probes(
         if not stored.chunks or not stored.chunks[0].placements:
             return
         placement = stored.chunks[0].placements[0]
-        src = next((int(node_id) for node_id in (placement.node_id, *placement.replica_nodes)
+        src = next((node_id for node_id in (placement.node_id, *placement.replica_nodes)
                     if node_id in network and network.node(node_id).alive), None)
         client = pick_client(index)
-        if src is None or not client.alive or src == int(client.node_id):
+        if src is None or not client.alive or src == client.node_id:
             return
         submitted = sim.now
         transfers.submit(
             float(placement.size),
             src=src,
-            dst=int(client.node_id),
+            dst=client.node_id,
             on_complete=lambda t: durations.append(t.finished_at - submitted),
             tenant=tenant,
         )

@@ -22,7 +22,7 @@ from repro.erasure.null_code import NullCode
 from repro.erasure.online_code import OnlineCode
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.results import TableResult
-from repro.overlay.validation import require_range
+from repro.overlay.validation import AT_LEAST_1, require_fields
 from repro.workloads.filetrace import MB
 
 
@@ -41,9 +41,8 @@ class CodingPerfConfig:
     seed: int = 3
 
     def __post_init__(self) -> None:
-        for name, low in (("chunk_size", 1), ("blocks_per_chunk", 1), ("repetitions", 1),
-                          ("seed", 0)):
-            require_range(name, getattr(self, name), low)
+        require_fields(self, {"chunk_size": AT_LEAST_1, "blocks_per_chunk": AT_LEAST_1,
+                              "repetitions": AT_LEAST_1})
 
 
 def _codecs(config: CodingPerfConfig) -> Dict[str, ChunkCodec]:

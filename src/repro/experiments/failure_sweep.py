@@ -60,7 +60,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.erasure.base import CodeSpec
 from repro.erasure.chunk_codec import ChunkCodec
@@ -68,7 +68,7 @@ from repro.erasure.null_code import NullCode
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import Series, TableResult, format_series_table, render_report
-from repro.overlay.validation import require_range
+from repro.overlay.validation import AT_LEAST_1, CLOSED_FRACTION
 from repro.sim.churn import FailureSchedule
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
@@ -111,14 +111,15 @@ class FailureSweepConfig(DeploymentConfig):
     #: panel (0 = no ablation).
     leave_fraction: float = 0.0
 
+    RANGES: ClassVar[Dict[str, tuple]] = {
+        **DeploymentConfig.RANGES, "fail_fractions": CLOSED_FRACTION,
+        "leave_fraction": CLOSED_FRACTION, "sample_points": AT_LEAST_1,
+        "bandwidth_mb_s": (0, math.inf, "[]")}
+
     def __post_init__(self) -> None:
-        # Refused here, not after a deployment that takes minutes at paper scale.
         if not self.fail_fractions:
             raise ValueError("fail_fractions must name at least one fraction")
-        for fraction in self.fail_fractions:
-            require_range("fail_fractions", fraction, 0.0, 1.0, "[]")
-        require_range("leave_fraction", self.leave_fraction, 0.0, 1.0, "[]")
-        require_range("sample_points", self.sample_points, 1)
+        super().__post_init__()
 
 
 #: Figure 10: 10 000 nodes, 10 % failed one by one, no repair.  The file count

@@ -46,11 +46,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.experiments.base import DeploymentConfig, deploy, read_census, schedule_block_probes
 from repro.experiments.results import TableResult, render_report
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.validation import AT_LEAST_1, FRACTION, POSITIVE, RATIO
 from repro.sim.faults import FaultInjector
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
@@ -120,6 +121,11 @@ class FaultsConfig(DeploymentConfig):
     foreground_reads: int = 200
     foreground_period_s: float = 2.0
     scenarios: tuple = SCENARIOS
+
+    RANGES: ClassVar[Dict[str, tuple]] = {
+        **DeploymentConfig.RANGES, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
+        "bandwidth_mb_s": POSITIVE, "flash_fraction": FRACTION, "restart_downtime_s": POSITIVE,
+        "oversubscription": RATIO, "repair_window": AT_LEAST_1, "repair_weight": POSITIVE}
 
 
 #: The paper-scale configuration: 10 000 nodes, ~2.4 TB, 16 racks in 4 sites.
@@ -236,10 +242,10 @@ class FaultsExperiment:
             injector.rolling_restart(victims, interval=config.restart_interval_s,
                                      downtime=config.restart_downtime_s)
         elif scenario == "degraded_rack_outage":
-            live = sorted(network.live_nodes(), key=lambda node: int(node.node_id))
+            live = sorted(network.live_nodes(), key=lambda node: node.node_id)
             count = max(1, int(len(live) * DEGRADE_NODE_FRACTION))
             stride = max(1, len(live) // count)
-            slow = [int(node.node_id) for node in live[::stride][:count]]
+            slow = [node.node_id for node in live[::stride][:count]]
             injector.degrade_nodes(slow, fraction=DEGRADE_BANDWIDTH_FRACTION)
             # The outage must repair *through* the degraded links: pick the
             # rack whose stride-selected members were just slowed.
@@ -276,7 +282,7 @@ class FaultsExperiment:
         if scenario == "storm_site_outage":
             # Foreground reads riding through the storm at weight 1.0, to
             # stride-picked clients live before the outage.
-            live = sorted(network.live_nodes(), key=lambda node: int(node.node_id))
+            live = sorted(network.live_nodes(), key=lambda node: node.node_id)
             durations = schedule_block_probes(
                 session, storage, config.foreground_reads, config.foreground_period_s, 0.0,
                 lambda index: live[(index * 13 + 1) % len(live)],

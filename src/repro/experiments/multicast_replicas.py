@@ -25,7 +25,7 @@ from repro.experiments.results import Series
 from repro.multicast.bullet import BulletConfig, BulletSession
 from repro.multicast.tree import MulticastTree, build_binary_tree, build_routed_tree
 from repro.overlay.network import OverlayNetwork
-from repro.overlay.validation import require_range
+from repro.overlay.validation import AT_LEAST_1, FRACTION, require_fields
 from repro.sim.rng import RandomStreams
 
 
@@ -55,12 +55,9 @@ class MulticastConfig:
     replica_count: int = 32
 
     def __post_init__(self) -> None:
-        for name, low in (("total_packets", 1), ("link_capacity", 0), ("peer_capacity", 0),
-                          ("download_capacity", 1), ("max_epochs", 1), ("seed", 0),
-                          ("node_count", 0), ("replica_count", 1)):
-            require_range(name, getattr(self, name), low)
-        for fraction in self.ransub_fractions:
-            require_range("ransub_fractions", fraction, 0.0, 1.0, "(]")
+        require_fields(self, {
+            "total_packets": AT_LEAST_1, "ransub_fractions": FRACTION,
+            "download_capacity": AT_LEAST_1, "max_epochs": AT_LEAST_1, "replica_count": AT_LEAST_1})
 
 
 @dataclass

@@ -24,7 +24,7 @@ from repro.experiments.failure_sweep import PAPER_FIG10, PAPER_TABLE3, FailureSw
 from repro.experiments.multicast_replicas import MulticastConfig, MulticastExperiment
 from repro.experiments.results import TableResult
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
-from repro.overlay.validation import require_range
+from repro.overlay.validation import require_fields, require_range
 from repro.sim.stats import summarize
 from repro.workloads.filetrace import GB, MB
 
@@ -44,8 +44,7 @@ class ReproduceConfig:
 
     def __post_init__(self) -> None:
         require_range("len(seeds)", len(self.seeds), 1)
-        for seed in self.seeds:
-            require_range("seeds", seed, 0)
+        require_fields(self, {})
 
 
 #: The weekly gate, on seeds 1-5.

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List
+from typing import ClassVar, Dict, List
 
 from repro.experiments.base import ExperimentConfig, scaled_count
 from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.ids import COORDINATE_SPAN, random_node_id
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import AT_LEAST_1
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
 
@@ -56,6 +57,10 @@ class RoutingConfig(ExperimentConfig):
     churn_events: int = 200
     churn_lookups: int = 2_000
     leaf_set_half_size: int = 8
+
+    RANGES: ClassVar[Dict[str, tuple]] = {
+        **ExperimentConfig.RANGES, "population_sweep": AT_LEAST_1, "lookups": AT_LEAST_1,
+        "churn_nodes": AT_LEAST_1, "churn_lookups": AT_LEAST_1, "leaf_set_half_size": AT_LEAST_1}
 
     def scaled(self, factor: float) -> "RoutingConfig":
         """Sweep populations and lookup counts multiplied by ``factor``."""

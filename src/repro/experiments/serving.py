@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.api import ClusterSession
 from repro.core.cache import CacheManager
@@ -40,6 +40,7 @@ from repro.experiments.base import (
 )
 from repro.experiments.results import TableResult, render_report, summary_line
 from repro.multicast.replication import MulticastReplicator
+from repro.overlay.validation import AT_LEAST_1, CLOSED_FRACTION, POSITIVE, RATIO
 from repro.sim.rng import RandomStreams
 from repro.workloads.filetrace import GB, MB, FileTraceConfig
 from repro.workloads.serving import (
@@ -103,6 +104,14 @@ class ServingConfig(ExperimentConfig):
     #: gateway to the file key's root on the Pastry engine (0 = off, the
     #: seed latency model).
     hop_latency_s: float = 0.0
+
+    RANGES: ClassVar[Dict[str, tuple]] = {
+        **ExperimentConfig.RANGES, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
+        "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO, "blocks_per_chunk": AT_LEAST_1,
+        "block_replication": AT_LEAST_1, "catalog_files": AT_LEAST_1,
+        "catalog_mean_size": POSITIVE, "request_rate": POSITIVE, "duration_s": POSITIVE,
+        "read_fraction": CLOSED_FRACTION, "client_count": AT_LEAST_1,
+        "write_mean_size": POSITIVE, "cache_mb": POSITIVE}
 
     def scaled(self, factor: float) -> "ServingConfig":
         """The population and the served catalog multiplied by ``factor``."""

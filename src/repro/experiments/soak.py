@@ -47,14 +47,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.core.storage import StorageSystem
 from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.ids import COORDINATE_SPAN, random_node_id
 from repro.overlay.node import OverlayNode
-from repro.overlay.validation import require_range
+from repro.overlay.validation import POSITIVE
 from repro.sim.rng import RandomStreams
 from repro.workloads.filetrace import GB, MB
 
@@ -101,22 +101,11 @@ class SoakConfig(DeploymentConfig):
     #: the preserved instantaneous-repair behaviour).
     bandwidth_gb_per_hour: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        # Refused here, not mid-soak: a NaN horizon or a zero sampling step
-        # never ends the run, and a NaN rate silently turns churn off.
-        for name, low, ends in (
-                ("node_count", 1, "[)"), ("file_count", 0, "[)"), ("seed", 0, "[)"),
-                ("capacity_mean", 0, "[)"), ("capacity_std", 0, "[)"),
-                ("mean_file_size", 0, "()"), ("std_file_size", 0, "[)"),
-                ("min_file_size", 0, "[)"), ("blocks_per_chunk", 1, "[)"),
-                ("block_replication", 1, "[)"), ("horizon_hours", 0, "()"),
-                ("mean_uptime_hours", 0, "()"), ("mean_downtime_hours", 0, "[)"),
-                ("join_rate_per_hour", 0, "[)"), ("leave_rate_per_hour", 0, "[)"),
-                ("sample_every_hours", 0, "()"),
-                ("compact_every_hours", 0, "[)")):  # 0 = no compaction
-            require_range(name, getattr(self, name), low, ends=ends)
-        if self.bandwidth_gb_per_hour is not None:
-            require_range("bandwidth_gb_per_hour", self.bandwidth_gb_per_hour, 0, ends="()")
+    # A NaN horizon or a zero sampling step would never end the run, and a NaN
+    # rate would silently turn churn off.  ``compact_every_hours`` 0 = no compaction.
+    RANGES: ClassVar[Dict[str, tuple]] = {
+        **DeploymentConfig.RANGES, "horizon_hours": POSITIVE, "mean_uptime_hours": POSITIVE,
+        "sample_every_hours": POSITIVE, "bandwidth_gb_per_hour": POSITIVE}
 
     def scaled(self, factor: float) -> "SoakConfig":
         """Population, corpus and the join/leave rates multiplied by ``factor``."""

@@ -43,7 +43,7 @@ from repro.experiments.results import Series
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import StoreResult
-from repro.overlay.validation import require_range
+from repro.overlay.validation import AT_LEAST_1, POSITIVE, require_fields
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig, generate_capacities
 from repro.workloads.filetrace import GB, MB, FileTrace, FileTraceConfig, generate_file_trace
@@ -87,14 +87,10 @@ class InsertionConfig:
     repetitions: int = 1
 
     def __post_init__(self) -> None:
-        for name, low in (("node_count", 1), ("capacity_mean", 0), ("capacity_std", 0),
-                          ("std_file_size", 0), ("min_file_size", 0), ("cfs_block_size", 1),
-                          ("past_retries", 0), ("zero_chunk_limit", 0), ("replication", 1),
-                          ("sample_points", 1), ("seed", 0), ("repetitions", 1)):
-            require_range(name, getattr(self, name), low)
-        require_range("mean_file_size", self.mean_file_size, 0, ends="()")
-        if self.file_count is not None:
-            require_range("file_count", self.file_count, 1)
+        require_fields(self, {
+            "node_count": AT_LEAST_1, "mean_file_size": POSITIVE, "file_count": AT_LEAST_1,
+            "cfs_block_size": AT_LEAST_1, "replication": AT_LEAST_1, "sample_points": AT_LEAST_1,
+            "repetitions": AT_LEAST_1})
 
     def resolved_file_count(self) -> int:
         """File count implied by the expected utilisation when not set explicitly."""

@@ -49,6 +49,7 @@ from repro.experiments.base import (
 )
 from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.validation import AT_LEAST_1, POSITIVE, RATIO, require_fields
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
 from repro.workloads.filetrace import GB, MB, FileTraceConfig
@@ -118,6 +119,14 @@ class TenantsConfig:
     storm_tenant_cap_mb_s: Optional[float] = 512.0
     scenarios: tuple = SCENARIOS
     seed: int = 11
+
+    def __post_init__(self) -> None:
+        require_fields(self, {
+            "node_count": AT_LEAST_1, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
+            "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO, "blocks_per_chunk": AT_LEAST_1,
+            "block_replication": AT_LEAST_1, "archive_mean_size": POSITIVE,
+            "mean_frame_size": POSITIVE, "repair_window": AT_LEAST_1,
+            "storm_tenant_weight": POSITIVE})
 
     def scaled(self, factor: float) -> "TenantsConfig":
         """The population and the archive corpus multiplied by ``factor``."""
@@ -264,7 +273,7 @@ class TenantsExperiment:
         """A deterministic live client node *outside* the storm site."""
         outside = [node for node in network.nodes()
                    if node.alive and node.site != STORM_SITE]
-        outside.sort(key=lambda node: int(node.node_id))
+        outside.sort(key=lambda node: node.node_id)
         return outside[(ordinal * 13 + 1) % len(outside)]
 
     # ---------------------------------------------------------------- scenario --
@@ -288,7 +297,7 @@ class TenantsExperiment:
 
         for ordinal, name in enumerate(TENANTS):
             clients[name].attach(
-                client=int(self._client(network, ordinal).node_id),
+                client=self._client(network, ordinal).node_id,
                 observer=observe_ingest if name == "medimg" else None,
             )
 

@@ -23,7 +23,6 @@ import numpy as np
 from repro.core.storage import BlockPlacement, StorageSystem
 from repro.multicast.bullet import BulletConfig, BulletSession
 from repro.multicast.tree import build_locality_tree
-from repro.overlay.ids import NodeId
 from repro.overlay.validation import require_range
 
 
@@ -39,7 +38,7 @@ class ReplicationReport:
     epochs_used: int = 0
     packets_per_block: int = 0
     #: Replica holders per block name.
-    holders: Dict[str, List[NodeId]] = field(default_factory=dict)
+    holders: Dict[str, List[int]] = field(default_factory=dict)
 
 
 class MulticastReplicator:
@@ -65,9 +64,9 @@ class MulticastReplicator:
         self.simulate_push = simulate_push
 
     # -- target selection -----------------------------------------------------
-    def _replica_targets(self, primary: NodeId, block_name: str, size: int, count: int) -> List[NodeId]:
+    def _replica_targets(self, primary: int, block_name: str, size: int, count: int) -> List[int]:
         """k-1 identifier-space neighbours of the primary that can hold the block."""
-        targets: List[NodeId] = []
+        targets: List[int] = []
         for candidate in self.dht.neighbors(primary, count * 3):
             if len(targets) >= count:
                 break
@@ -96,7 +95,7 @@ class MulticastReplicator:
         )
         ledger = self.storage.ledger
         network = self.dht.network
-        all_targets: List[NodeId] = []
+        all_targets: List[int] = []
         new_placements: List[BlockPlacement] = []
         for position, placement in enumerate(chunk.placements):
             targets = self._replica_targets(
@@ -121,7 +120,7 @@ class MulticastReplicator:
             payload = (network.node(placement.node_id).payloads.get(placement.block_name)
                        if placement.node_id in network else None)
             for target in targets:
-                self.storage._charge(placement.size, int(placement.node_id), int(target),
+                self.storage._charge(placement.size, placement.node_id, target,
                                      self.storage._transfer_observer)
                 if payload is not None:
                     network.node(target).payloads[placement.block_name] = payload

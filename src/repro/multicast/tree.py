@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.overlay.ids import NodeId
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.validation import require_range
 
@@ -34,7 +33,7 @@ class TreeNode:
     parent: Optional["TreeNode"] = None
     children: List["TreeNode"] = field(default_factory=list)
     #: Overlay node backing this vertex (None for purely synthetic trees).
-    overlay_id: Optional[NodeId] = None
+    overlay_id: Optional[int] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -102,8 +101,8 @@ def build_binary_tree(height: int) -> MulticastTree:
 
 def build_routed_tree(
     router,
-    source: NodeId,
-    targets: Sequence[NodeId],
+    source: int,
+    targets: Sequence[int],
 ) -> MulticastTree:
     """The union of the routed overlay paths from ``source`` to ``targets``.
 
@@ -117,7 +116,7 @@ def build_routed_tree(
     """
     unique_targets = [target for target in dict.fromkeys(targets) if target != source]
     root = TreeNode(label=0, overlay_id=source)
-    by_id: Dict[int, TreeNode] = {int(source): root}
+    by_id: Dict[int, TreeNode] = {source: root}
     if not unique_targets:
         return MulticastTree(root)
     result = router.route_many(unique_targets, source, collect_paths=True)
@@ -129,8 +128,7 @@ def build_routed_tree(
         for value in path:
             vertex = by_id.get(value)
             if vertex is None:
-                vertex = TreeNode(label=label, parent=parent,
-                                  overlay_id=NodeId(value))
+                vertex = TreeNode(label=label, parent=parent, overlay_id=value)
                 label += 1
                 parent.children.append(vertex)
                 by_id[value] = vertex
@@ -140,8 +138,8 @@ def build_routed_tree(
 
 def build_locality_tree(
     network: OverlayNetwork,
-    source: NodeId,
-    targets: Sequence[NodeId],
+    source: int,
+    targets: Sequence[int],
     fanout: int = 2,
 ) -> MulticastTree:
     """Greedy locality-aware tree from ``source`` to the replica ``targets``.

@@ -4,8 +4,8 @@ The paper builds its storage system on Pastry/FreePastry.  This package is a
 from-scratch Python reproduction of the parts the storage system actually
 relies on:
 
-* a circular 160-bit identifier space shared by node ids and object keys
-  (:mod:`repro.overlay.ids`);
+* a circular 160-bit identifier space shared by node ids and object keys,
+  each a plain ``int`` (:mod:`repro.overlay.ids`);
 * per-node identity, liveness and storage bookkeeping
   (:mod:`repro.overlay.node`);
 * a simulated directly-connected network of overlay nodes supporting join,
@@ -30,10 +30,8 @@ relies on:
 from repro.overlay.ids import (
     ID_BITS,
     ID_SPACE,
-    NodeId,
     distance,
     key_for,
-    node_id_from_int,
     random_node_id,
 )
 from repro.overlay.node import OverlayNode
@@ -52,10 +50,8 @@ from repro.overlay.engine_chord import ChordArrayRouter
 __all__ = [
     "ID_BITS",
     "ID_SPACE",
-    "NodeId",
     "distance",
     "key_for",
-    "node_id_from_int",
     "random_node_id",
     "NodeArrayState",
     "OverlayNode",

@@ -26,12 +26,11 @@ vectorized kernels agree with :meth:`lookup` key-for-key.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Iterable, List
 
 import numpy as np
 
-from repro.overlay.ids import ID_SPACE, NodeId, distance
+from repro.overlay.ids import distance, key_for
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
@@ -51,9 +50,9 @@ class DHTView:
         """Rebuild the index from the overlay's current live population."""
         self.state.rebuild(self.network.live_nodes())
 
-    def remove(self, node_id: NodeId) -> None:
+    def remove(self, node_id: int) -> None:
         """Incrementally drop a node that failed or left."""
-        self.state.remove(int(node_id))
+        self.state.remove(node_id)
 
     def add(self, node: OverlayNode) -> None:
         """Incrementally add a node that joined or recovered."""
@@ -64,7 +63,7 @@ class DHTView:
         """Number of live nodes currently indexed."""
         return len(self.state)
 
-    def lookup(self, key: NodeId) -> OverlayNode:
+    def lookup(self, key: int) -> OverlayNode:
         """The live node numerically closest to ``key`` (the DHT root for the key).
 
         This is the seed per-key path, preserved verbatim as the oracle of
@@ -74,22 +73,21 @@ class DHTView:
         if not sorted_ids:
             raise LookupError("no live nodes in the DHT")
         self.lookup_count += 1
-        value = int(key) % ID_SPACE
-        index = bisect.bisect_left(sorted_ids, value)
+        index = bisect.bisect_left(sorted_ids, key)
         candidates = {
             sorted_ids[index % len(sorted_ids)],
             sorted_ids[(index - 1) % len(sorted_ids)],
         }
-        best = min(candidates, key=lambda nid: (distance(nid, value), nid))
+        best = min(candidates, key=lambda nid: (distance(nid, key), nid))
         return self.state.nodes[self.state.position(best)]
 
-    def lookup_many(self, keys: Iterable[NodeId]) -> List[OverlayNode]:
+    def lookup_many(self, keys: Iterable[int]) -> List[OverlayNode]:
         """Vectorised batch lookup: one ``searchsorted`` for the whole batch.
 
         Counts every key in :attr:`lookup_count`, exactly like issuing the
         lookups one by one.
         """
-        key_list = [int(key) % ID_SPACE for key in keys]
+        key_list = list(keys)
         if not key_list:
             return []
         if not len(self.state):
@@ -107,10 +105,7 @@ class DHTView:
         succeeded (matching :meth:`lookup`'s raise-before-count behaviour on
         an empty view); the node is the one ``lookup(key_for(name))`` returns.
         """
-        # Raw int key (same value as ``key_for``) skips the NodeId wrapper on
-        # the hot path -- one sha1 + from_bytes per lookup.
-        return self.locate_key(
-            int.from_bytes(hashlib.sha1(name.encode("utf-8")).digest(), "big"))
+        return self.locate_key(key_for(name))
 
     def locate_key(self, key: int) -> OverlayNode:
         """:meth:`lookup` through the boundary bisect: same node, one lookup counted.
@@ -134,12 +129,12 @@ class DHTView:
             self.lookup_count += len(indices)
         return indices
 
-    def successors(self, key: NodeId, count: int) -> List[OverlayNode]:
+    def successors(self, key: int, count: int) -> List[OverlayNode]:
         """The ``count`` live nodes that follow ``key`` clockwise (CFS-style replica set)."""
         nodes = self.state.nodes
-        return [nodes[index] for index in self.state.successor_indices(int(key), count)]
+        return [nodes[index] for index in self.state.successor_indices(key, count)]
 
-    def neighbors(self, node_id: NodeId, count: int) -> List[OverlayNode]:
+    def neighbors(self, node_id: int, count: int) -> List[OverlayNode]:
         """The ``count`` live nodes nearest ``node_id``, never ``node_id`` itself.
 
         Nearest first by ``(ring distance, id)``: the caller's candidate order
@@ -148,7 +143,7 @@ class DHTView:
         4.4.1), CAT replica holders and the targets of repair and relocation.
         """
         nodes = self.state.nodes
-        return [nodes[index] for index in self.state.neighbor_indices(int(node_id), count)]
+        return [nodes[index] for index in self.state.neighbor_indices(node_id, count)]
 
     # -- statistics --------------------------------------------------------------
     def total_capacity(self) -> int:

@@ -28,11 +28,10 @@ from typing import Dict, List, Optional, Protocol, Sequence, Union, runtime_chec
 import numpy as np
 
 from repro.overlay.idmath import LIMB_COUNT, lex_lt, limbs_from_digests, ring_dist
-from repro.overlay.ids import ID_SPACE, IdLike, NodeId, node_id_from_int
 from repro.overlay.network import OverlayError, RouteResult
 from repro.overlay.node import OverlayNode
 
-KeysLike = Union[np.ndarray, Sequence[IdLike]]
+KeysLike = Union[np.ndarray, Sequence[int]]
 
 
 @runtime_checkable
@@ -54,11 +53,11 @@ class OverlayRouting(Protocol):
     name: str
     membership_epoch: int
 
-    def __contains__(self, node_id: IdLike) -> bool:
+    def __contains__(self, node_id: int) -> bool:
         """Whether ``node_id`` is a live node the engine can route from."""
         ...  # pragma: no cover - protocol
 
-    def route(self, key: IdLike, start: IdLike) -> RouteResult:
+    def route(self, key: int, start: int) -> RouteResult:
         """Route one key hop by hop from ``start``."""
         ...  # pragma: no cover - protocol
 
@@ -71,11 +70,11 @@ class OverlayRouting(Protocol):
         """Incremental patch for a newly joined node."""
         ...  # pragma: no cover - protocol
 
-    def on_leave(self, node_id: NodeId) -> None:
+    def on_leave(self, node_id: int) -> None:
         """Incremental patch for a graceful departure."""
         ...  # pragma: no cover - protocol
 
-    def on_fail(self, node_id: NodeId) -> None:
+    def on_fail(self, node_id: int) -> None:
         """Incremental patch for an abrupt failure."""
         ...  # pragma: no cover - protocol
 
@@ -105,7 +104,7 @@ class BatchRouteResult:
 
 
 def _id_digest(value: int) -> bytes:
-    return int(value).to_bytes(20, "big")
+    return value.to_bytes(20, "big")
 
 
 class ArrayRouterBase:
@@ -135,7 +134,7 @@ class ArrayRouterBase:
         #: Bumped by every join and departure (see :class:`OverlayRouting`).
         self.membership_epoch = 0
         for slot, node in enumerate(live):
-            value = int(node.node_id)
+            value = node.node_id
             self._slot_ids[slot] = value
             self._slot_of[value] = slot
             self._ids_bytes[slot] = _id_digest(value)
@@ -158,8 +157,8 @@ class ArrayRouterBase:
         """The node id (int) occupying ``slot``."""
         return self._slot_ids[slot]
 
-    def __contains__(self, node_id: IdLike) -> bool:
-        return int(node_id) in self._slot_of
+    def __contains__(self, node_id: int) -> bool:
+        return node_id in self._slot_of
 
     # -- slot management ------------------------------------------------------
     def _grow_capacity(self, new_capacity: int) -> None:
@@ -220,16 +219,16 @@ class ArrayRouterBase:
     def _normalize_keys(self, keys: KeysLike) -> np.ndarray:
         if isinstance(keys, np.ndarray) and keys.dtype.kind == "S":
             return np.ascontiguousarray(keys).astype("S20")
-        return np.array([_id_digest(int(key) % ID_SPACE) for key in keys], dtype="S20")
+        return np.array([_id_digest(key) for key in keys], dtype="S20")
 
     def _slots_for_starts(self, starts: KeysLike, count: int) -> np.ndarray:
-        if isinstance(starts, (int, NodeId)):
+        if isinstance(starts, int):
             starts = [starts] * count
         out = np.empty(count, dtype=np.int32)
         if len(starts) != count:
             raise OverlayError("starts length must match keys length")
         for i, start in enumerate(starts):
-            slot = self._slot_of.get(int(start))
+            slot = self._slot_of.get(start)
             if slot is None:
                 raise OverlayError(f"routing from an unknown or failed node: {start!r}")
             out[i] = slot
@@ -292,16 +291,15 @@ class ArrayRouterBase:
         return BatchRouteResult(hops=hops, root_slots=roots, engine=self, paths=paths)
 
     # -- scalar convenience ----------------------------------------------------
-    def route(self, key: IdLike, start: IdLike) -> RouteResult:
+    def route(self, key: int, start: int) -> RouteResult:
         """Scalar wrapper over :meth:`route_many` (a batch of one)."""
         result = self.route_many([key], [start], collect_paths=True)
         assert result.paths is not None
-        path = tuple(node_id_from_int(value) for value in result.paths[0])
         return RouteResult(
-            key=node_id_from_int(int(key)),
-            root=node_id_from_int(self.slot_id(int(result.root_slots[0]))),
+            key=key,
+            root=self.slot_id(int(result.root_slots[0])),
             hops=int(result.hops[0]),
-            path=path,
+            path=tuple(result.paths[0]),
         )
 
     def _base_footprint(self) -> Dict[str, int]:

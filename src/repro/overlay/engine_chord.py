@@ -49,7 +49,7 @@ from repro.overlay.idmath import (
     limbs_from_digests,
     limbs_from_ints,
 )
-from repro.overlay.ids import ID_BITS, IdLike
+from repro.overlay.ids import ID_BITS
 from repro.overlay.node import OverlayNode
 
 #: Limb forms of 2^i for every finger index.
@@ -117,8 +117,7 @@ class ChordArrayRouter(ArrayRouterBase):
 
     # -- incremental churn patches --------------------------------------------
     def on_join(self, node: OverlayNode) -> None:
-        value = int(node.node_id)
-        slot = self._alloc_slot(value)
+        slot = self._alloc_slot(node.node_id)
         self._fingers[slot] = -1
         self._succ[slot] = -1
         position = self._insert_sorted(slot)
@@ -147,8 +146,8 @@ class ChordArrayRouter(ArrayRouterBase):
             in_range = in_range.reshape(-1)
             self._fingers[owner_rows[in_range], finger_cols[in_range]] = slot
 
-    def _on_departure(self, node_id: IdLike) -> None:
-        slot = self._slot_of.get(int(node_id))
+    def _on_departure(self, node_id: int) -> None:
+        slot = self._slot_of.get(node_id)
         if slot is None:
             return
         position = int(self._positions()[slot])
@@ -169,10 +168,10 @@ class ChordArrayRouter(ArrayRouterBase):
         self._succ[slot] = -1
         self._release_slot(slot)
 
-    def on_leave(self, node_id: IdLike) -> None:
+    def on_leave(self, node_id: int) -> None:
         self._on_departure(node_id)
 
-    def on_fail(self, node_id: IdLike) -> None:
+    def on_fail(self, node_id: int) -> None:
         self._on_departure(node_id)
 
     # -- batched routing -------------------------------------------------------
@@ -229,14 +228,14 @@ class ChordArrayRouter(ArrayRouterBase):
         return out
 
     # -- invariants (exercised by the oracle tests) ----------------------------
-    def successor_list_ids(self, node_id: IdLike) -> List[int]:
+    def successor_list_ids(self, node_id: int) -> List[int]:
         """The node's successor list as ids (for invariant checks)."""
-        slot = self._slot_of[int(node_id)]
+        slot = self._slot_of[node_id]
         return [self.slot_id(int(s)) for s in self._succ[slot] if s >= 0]
 
-    def finger_ids(self, node_id: IdLike) -> List[int]:
+    def finger_ids(self, node_id: int) -> List[int]:
         """The node's 160 finger targets as ids (for invariant checks)."""
-        slot = self._slot_of[int(node_id)]
+        slot = self._slot_of[node_id]
         return [self.slot_id(int(s)) for s in self._fingers[slot]]
 
 

@@ -64,7 +64,7 @@ from repro.overlay.idmath import (
     limbs_from_digests,
     ring_dist,
 )
-from repro.overlay.ids import DIGITS, ID_SPACE, IdLike
+from repro.overlay.ids import DIGITS, ID_SPACE
 from repro.overlay.node import OverlayNode
 
 _HALF_RING_INT = 1 << 159
@@ -190,8 +190,7 @@ class PastryArrayRouter(ArrayRouterBase):
     # -- incremental churn patches --------------------------------------------
     def on_join(self, node: OverlayNode) -> None:
         """O(N) vectorized join patch — exact, no rebuild."""
-        value = int(node.node_id)
-        slot = self._alloc_slot(value)
+        slot = self._alloc_slot(node.node_id)
         self._coords[slot] = node.coordinates
         self._digits[slot] = digits_from_digests(self._ids_bytes[slot:slot + 1])[0]
         self._table[slot] = -1
@@ -223,10 +222,10 @@ class PastryArrayRouter(ArrayRouterBase):
         )
         self._table[others[better], prefix[better], column[better]] = slot
 
-    def _on_departure(self, node_id: IdLike) -> None:
+    def _on_departure(self, node_id: int) -> None:
         """Clear the single slot per owner that can reference the departed
         node — the seed's remove-without-refill semantics."""
-        slot = self._slot_of.get(int(node_id))
+        slot = self._slot_of.get(node_id)
         if slot is None:
             return
         self._remove_sorted(slot)
@@ -241,10 +240,10 @@ class PastryArrayRouter(ArrayRouterBase):
         self._table[slot] = -1
         self._release_slot(slot)
 
-    def on_leave(self, node_id: IdLike) -> None:
+    def on_leave(self, node_id: int) -> None:
         self._on_departure(node_id)
 
-    def on_fail(self, node_id: IdLike) -> None:
+    def on_fail(self, node_id: int) -> None:
         self._on_departure(node_id)
 
     # -- batched routing -------------------------------------------------------

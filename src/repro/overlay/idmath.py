@@ -17,7 +17,7 @@ Conventions:
 * ``digests``: ``(n,)`` ``S20`` byte strings (big-endian SHA-1 digests) or
   ``(n, 20)`` ``uint8`` views of the same.
 * ``digits``: ``(n, 40)`` ``uint8`` nibble matrices, most significant digit
-  first — the layout :meth:`repro.overlay.ids.NodeId.digit` uses.
+  first — the layout :func:`repro.overlay.ids.digit` reads off an int id.
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@ is directly a key, as in the paper (Section 4.1: "a unique identifier (UID)
 for the chunk is first calculated by performing SHA-1 hash on the chunk
 name").
 
-Identifiers are plain Python integers in ``[0, 2**160)`` wrapped in a tiny
-value type for readability; all arithmetic is modular ("ring") arithmetic.
+An identifier is a plain Python ``int`` in ``[0, 2**160)`` everywhere, from
+the overlay to the experiments; all arithmetic is modular ("ring")
+arithmetic.  Every id is in range by construction (a SHA-1 digest, 20 random
+bytes, a value reduced ``% ID_SPACE``) except one a caller hands in, and that
+one enters through :meth:`repro.overlay.network.OverlayNetwork.join`, which
+checks it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -33,56 +36,25 @@ BITS_PER_DIGIT: int = 4
 DIGITS: int = ID_BITS // BITS_PER_DIGIT
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """An identifier on the ring (used for both node ids and object keys)."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        require_range("identifier", self.value, 0, ID_SPACE)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def hex(self) -> str:
-        """Fixed-width hexadecimal rendering (40 hex digits)."""
-        return f"{self.value:0{DIGITS}x}"
-
-    def digit(self, position: int) -> int:
-        """The ``position``-th most significant base-16 digit (Pastry b=4)."""
-        require_range("position", position, 0, DIGITS)
-        shift = (DIGITS - 1 - position) * BITS_PER_DIGIT
-        return (self.value >> shift) & ((1 << BITS_PER_DIGIT) - 1)
-
-    def shared_prefix_length(self, other: "NodeId") -> int:
-        """Number of leading base-16 digits shared with ``other``."""
-        for position in range(DIGITS):
-            if self.digit(position) != other.digit(position):
-                return position
-        return DIGITS
-
-    def __repr__(self) -> str:
-        return f"NodeId(0x{self.hex()[:10]}…)"
+def digit(value: int, position: int) -> int:
+    """The ``position``-th most significant base-16 digit of ``value`` (Pastry b=4)."""
+    require_range("position", position, 0, DIGITS)
+    shift = (DIGITS - 1 - position) * BITS_PER_DIGIT
+    return (value >> shift) & ((1 << BITS_PER_DIGIT) - 1)
 
 
-IdLike = Union[NodeId, int]
+def shared_prefix_length(a: int, b: int) -> int:
+    """Number of leading base-16 digits ``a`` and ``b`` share."""
+    for position in range(DIGITS):
+        if digit(a, position) != digit(b, position):
+            return position
+    return DIGITS
 
 
-def _as_int(identifier: IdLike) -> int:
-    return int(identifier) % ID_SPACE
-
-
-def node_id_from_int(value: int) -> NodeId:
-    """Wrap an integer (reduced modulo the ring size) as a :class:`NodeId`."""
-    return NodeId(value % ID_SPACE)
-
-
-def key_for(name: Union[str, bytes]) -> NodeId:
+def key_for(name: Union[str, bytes]) -> int:
     """SHA-1 hash of a name, as an identifier (the paper's UID construction)."""
     data = name.encode("utf-8") if isinstance(name, str) else bytes(name)
-    digest = hashlib.sha1(data).digest()
-    return NodeId(int.from_bytes(digest, "big"))
+    return int.from_bytes(hashlib.sha1(data).digest(), "big")
 
 
 #: Bytes per identifier: 160 bits drawn as 20 bytes, exactly uniform on the ring.
@@ -99,20 +71,19 @@ COORDINATE_SPAN: float = 1000.0
 SPLIT_WORD_GENERATORS: Tuple[str, ...] = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
 
 
-def _ids_from_bytes(raw: bytes) -> List[NodeId]:
+def _ids_from_bytes(raw: bytes) -> List[int]:
     """One identifier per consecutive 20 bytes, read big-endian."""
-    return [NodeId(int.from_bytes(raw[start:start + ID_BYTES], "big"))
+    return [int.from_bytes(raw[start:start + ID_BYTES], "big")
             for start in range(0, len(raw), ID_BYTES)]
 
 
-def random_node_id(rng: np.random.Generator) -> NodeId:
+def random_node_id(rng: np.random.Generator) -> int:
     """A uniformly random identifier (Pastry's random nodeId assignment)."""
     # Draw 160 bits as 20 bytes for exact uniformity over the ring.
-    raw = rng.bytes(ID_BITS // 8)
-    return NodeId(int.from_bytes(raw, "big"))
+    return int.from_bytes(rng.bytes(ID_BYTES), "big")
 
 
-def random_population(rng: np.random.Generator, count: int) -> Tuple[List[NodeId], np.ndarray]:
+def random_population(rng: np.random.Generator, count: int) -> Tuple[List[int], np.ndarray]:
     """``count`` nodes' identifiers and ``(count, 2)`` coordinates in one array pass.
 
     Node ``i`` gets what ``random_node_id(rng)`` and then two
@@ -174,12 +145,12 @@ def _draw_population(bit_generator: np.random.BitGenerator, count: int) -> Tuple
     return words[:5 * count].tobytes(), coordinates
 
 
-def distance(a: IdLike, b: IdLike) -> int:
+def distance(a: int, b: int) -> int:
     """Minimal ring distance between two identifiers."""
-    delta = (_as_int(a) - _as_int(b)) % ID_SPACE
+    delta = (a - b) % ID_SPACE
     return min(delta, ID_SPACE - delta)
 
 
-def clockwise_distance(a: IdLike, b: IdLike) -> int:
+def clockwise_distance(a: int, b: int) -> int:
     """Distance travelling clockwise (increasing ids) from ``a`` to ``b``."""
-    return (_as_int(b) - _as_int(a)) % ID_SPACE
+    return (b - a) % ID_SPACE

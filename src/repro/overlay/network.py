@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.overlay.ids import NodeId, distance, random_population
+from repro.overlay.ids import ID_SPACE, distance, random_population
 from repro.overlay.node import OverlayNode
+from repro.overlay.validation import require_range
 
 
 class OverlayError(RuntimeError):
@@ -38,10 +39,10 @@ class OverlayError(RuntimeError):
 class RouteResult:
     """Outcome of routing a key: the responsible node and the path taken."""
 
-    key: NodeId
-    root: NodeId
+    key: int
+    root: int
     hops: int
-    path: tuple[NodeId, ...] = field(default=())
+    path: tuple[int, ...] = field(default=())
 
 
 class OverlayNetwork:
@@ -51,7 +52,7 @@ class OverlayNetwork:
         #: Routing parameters the attached engines read when they are built.
         self.leaf_set_half_size = leaf_set_half_size
         self.max_route_hops = max_route_hops
-        self._nodes: Dict[NodeId, OverlayNode] = {}
+        self._nodes: Dict[int, OverlayNode] = {}
         #: Serials handed out so far: every node *object* built or joining gets the
         #: next one (dense; a newcomer under a departed node's id does not reuse its).
         self.serial_count = 0
@@ -108,7 +109,12 @@ class OverlayNetwork:
         O(1) here; each routing listener applies its own incremental patch
         (as does a :class:`~repro.overlay.dht.DHTView` the caller adds the
         node to), which is what keeps join-heavy churn soaks incremental.
+
+        This is the one door a caller's id comes in by: an id outside
+        ``[0, ID_SPACE)`` raises :class:`~repro.overlay.validation.ParameterError`
+        before anything changes.
         """
+        require_range("node_id", node.node_id, 0, ID_SPACE)
         if node.node_id in self._nodes:
             raise OverlayError(f"node id already present: {node.node_id!r}")
         self._nodes[node.node_id] = node
@@ -117,7 +123,7 @@ class OverlayNetwork:
         for listener in self._routing_listeners:
             listener.on_join(node)
 
-    def leave(self, node_id: NodeId) -> None:
+    def leave(self, node_id: int) -> None:
         """Graceful departure: remove the node and tell the routing listeners.
 
         The node-level :meth:`~repro.overlay.node.OverlayNode.leave` hook
@@ -133,7 +139,7 @@ class OverlayNetwork:
         for listener in self._routing_listeners:
             listener.on_leave(node_id)
 
-    def fail(self, node_id: NodeId) -> OverlayNode:
+    def fail(self, node_id: int) -> OverlayNode:
         """Abrupt failure: the node stays in the table but is marked dead."""
         node = self.node(node_id)
         node.fail()
@@ -141,7 +147,7 @@ class OverlayNetwork:
             listener.on_fail(node_id)
         return node
 
-    def recover(self, node_id: NodeId, wipe: bool = False) -> OverlayNode:
+    def recover(self, node_id: int, wipe: bool = False) -> OverlayNode:
         """Bring a failed node back: the counterpart of :meth:`fail`.
 
         ``node.recover(wipe)`` plus the announcement :meth:`fail` revoked:
@@ -160,14 +166,14 @@ class OverlayNetwork:
         return node
 
     # -- accessors ------------------------------------------------------------
-    def node(self, node_id: NodeId) -> OverlayNode:
+    def node(self, node_id: int) -> OverlayNode:
         """The node object for ``node_id`` (alive or failed)."""
         try:
             return self._nodes[node_id]
         except KeyError as error:
             raise OverlayError(f"unknown node: {node_id!r}") from error
 
-    def __contains__(self, node_id: NodeId) -> bool:
+    def __contains__(self, node_id: int) -> bool:
         return node_id in self._nodes
 
     def __len__(self) -> int:
@@ -181,12 +187,12 @@ class OverlayNetwork:
         """Only the currently alive nodes."""
         return [node for node in self._nodes.values() if node.alive]
 
-    def live_ids(self) -> List[NodeId]:
+    def live_ids(self) -> List[int]:
         """Ids of the currently alive nodes."""
         return [node.node_id for node in self._nodes.values() if node.alive]
 
     # -- proximity -------------------------------------------------------------
-    def proximity(self, a: NodeId, b: NodeId) -> float:
+    def proximity(self, a: int, b: int) -> float:
         """The proximity metric between two participants (Euclidean distance)."""
         ax, ay = self.node(a).coordinates
         bx, by = self.node(b).coordinates
@@ -209,9 +215,9 @@ class OverlayNetwork:
         return router
 
     # -- routing oracle ----------------------------------------------------------
-    def responsible_node(self, key: NodeId) -> NodeId:
+    def responsible_node(self, key: int) -> int:
         """The live node numerically closest to ``key`` (the DHT root)."""
         live = self.live_ids()
         if not live:
             raise OverlayError("no live nodes in the overlay")
-        return min(live, key=lambda nid: (distance(nid, key), int(nid)))
+        return min(live, key=lambda nid: (distance(nid, key), nid))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.overlay.ids import NodeId
 from repro.overlay.validation import require_range
 
 
@@ -40,7 +39,8 @@ class OverlayNode:
     capacity, used space, the blocks it stores and, in payload mode, their bytes.
     """
 
-    node_id: NodeId
+    #: The node's identifier on the ring, an int in ``[0, ID_SPACE)``.
+    node_id: int
     #: Position used by the proximity metric (Euclidean distance in a plane),
     #: standing in for network latency between participants.
     coordinates: tuple[float, float] = (0.0, 0.0)

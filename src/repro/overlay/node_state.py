@@ -2,7 +2,7 @@
 
 The paper's large-scale experiments resolve tens of millions of DHT lookups
 (one per encoded block, capacity probe and CAT placement).  The seed
-implementation paid, per lookup, a SHA-1 -> ``NodeId`` -> ``bisect`` ->
+implementation paid, per lookup, a SHA-1 -> ``int`` id -> ``bisect`` ->
 big-int ring-distance pipeline; :class:`NodeArrayState` replaces it with a
 *boundary array*: for every pair of adjacent live nodes the exact identifier
 at which responsibility switches from one to the other is precomputed (plain
@@ -95,9 +95,9 @@ class NodeArrayState:
         """Re-index from scratch (detaching from any previously tracked nodes)."""
         for node in self.nodes:
             self._detach(node)
-        ordered = sorted(nodes, key=lambda node: int(node.node_id))
+        ordered = sorted(nodes, key=lambda node: node.node_id)
         self.nodes = ordered
-        self.ids_int = [int(node.node_id) for node in ordered]
+        self.ids_int = [node.node_id for node in ordered]
         self.capacity_total = sum(node.capacity for node in ordered)
         self.used_total = sum(node.used for node in ordered)
         for node in ordered:
@@ -115,7 +115,7 @@ class NodeArrayState:
         population build), the join simply coalesces into the pending full
         rebuild.
         """
-        value = int(node.node_id)
+        value = node.node_id
         index = bisect.bisect_left(self.ids_int, value)
         if index < len(self.ids_int) and self.ids_int[index] == value:
             return False
@@ -139,9 +139,8 @@ class NodeArrayState:
         (bulk membership change in progress), the removal simply coalesces
         into the pending full rebuild.
         """
-        value = int(node_id)
-        index = bisect.bisect_left(self.ids_int, value)
-        if index >= len(self.ids_int) or self.ids_int[index] != value:
+        index = bisect.bisect_left(self.ids_int, node_id)
+        if index >= len(self.ids_int) or self.ids_int[index] != node_id:
             return False
         node = self.nodes.pop(index)
         del self.ids_int[index]
@@ -157,9 +156,8 @@ class NodeArrayState:
 
     def position(self, node_id: int) -> Optional[int]:
         """Index of a node id in the sorted order, or None."""
-        value = int(node_id)
-        index = bisect.bisect_left(self.ids_int, value)
-        if index < len(self.ids_int) and self.ids_int[index] == value:
+        index = bisect.bisect_left(self.ids_int, node_id)
+        if index < len(self.ids_int) and self.ids_int[index] == node_id:
             return index
         return None
 
@@ -338,7 +336,7 @@ class NodeArrayState:
             raise LookupError("no live nodes in the placement index")
         if self._bounds_dirty:
             self._rebuild_bounds()
-        slot = bisect.bisect_left(self._bounds_int, key % ID_SPACE)
+        slot = bisect.bisect_left(self._bounds_int, key)
         return (slot - self._wrap_first) % len(self.ids_int)
 
     def lookup_digests(self, digests) -> np.ndarray:
@@ -366,7 +364,7 @@ class NodeArrayState:
         require_range("count", count, 0)
         if not self.ids_int:
             raise LookupError("no live nodes in the placement index")
-        start = bisect.bisect_left(self.ids_int, key % ID_SPACE)
+        start = bisect.bisect_left(self.ids_int, key)
         size = len(self.ids_int)
         return [(start + offset) % size for offset in range(min(count, size))]
 
@@ -390,25 +388,24 @@ class NodeArrayState:
         if not ids:
             raise LookupError("no live nodes in the placement index")
         size = len(ids)
-        value = int(node_id) % ID_SPACE
-        up = bisect.bisect_left(ids, value) % size  # next clockwise position
+        up = bisect.bisect_left(ids, node_id) % size  # next clockwise position
         down = (up or size) - 1  # next counter-clockwise position
         others = size
-        if ids[up] == value:  # the query node itself is never picked
+        if ids[up] == node_id:  # the query node itself is never picked
             up = (up + 1) % size
             others -= 1
-        ahead = (ids[up] - value) % ID_SPACE
-        behind = (value - ids[down]) % ID_SPACE
+        ahead = (ids[up] - node_id) % ID_SPACE
+        behind = (node_id - ids[down]) % ID_SPACE
         picks: List[int] = []
         for _ in range(min(count, others)):
             if ahead < behind or (ahead == behind and ids[up] < ids[down]):
                 picks.append(up)
                 up = up + 1 if up + 1 < size else 0
-                ahead = (ids[up] - value) % ID_SPACE
+                ahead = (ids[up] - node_id) % ID_SPACE
             else:
                 picks.append(down)
                 down = (down or size) - 1
-                behind = (value - ids[down]) % ID_SPACE
+                behind = (node_id - ids[down]) % ID_SPACE
         return picks
 
     # -- invariants --------------------------------------------------------------
@@ -425,7 +422,7 @@ class NodeArrayState:
         nodes = self.nodes
         law("used_total", self.used_total, sum(node.used for node in nodes))
         law("capacity_total", self.capacity_total, sum(node.capacity for node in nodes))
-        law("ids_int aligned with nodes", self.ids_int, [int(node.node_id) for node in nodes])
+        law("ids_int aligned with nodes", self.ids_int, [node.node_id for node in nodes])
         law("ids_int strictly ascending", self.ids_int, sorted(set(self.ids_int)))
         law("listed once per indexed node",
             [node._usage_listeners.count(self) for node in nodes], [1] * len(nodes))

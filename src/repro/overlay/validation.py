@@ -1,4 +1,4 @@
-"""The one numeric range check of every public constructor and call.
+"""The one numeric range check of every public constructor, call and config.
 
 An inline ``if x < 0`` guard lets NaN through, and ``if x <= 0`` lets
 infinity through.  :func:`require_range` states the interval the value must
@@ -9,6 +9,7 @@ infinity.  It lives in ``overlay``, the package that imports nothing.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 
 class ParameterError(ValueError):
@@ -28,3 +29,25 @@ def require_range(name: str, value, low, high=math.inf, ends: str = "[)"):
     elif low < value <= high if ends == "(]" else low <= value <= high:
         return value
     raise ParameterError(f"{name} must be in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+
+
+#: Intervals ``(low, high, ends)`` configs name for :func:`require_fields`.
+AT_LEAST_1 = (1, math.inf, "[)")
+POSITIVE = (0, math.inf, "()")
+FRACTION = (0.0, 1.0, "(]")
+CLOSED_FRACTION = (0.0, 1.0, "[]")
+RATIO = (1.0, math.inf, "[)")
+
+
+def require_fields(config, ranges: dict[str, tuple]) -> None:
+    """Put every numeric field of dataclass ``config`` (each element of a tuple
+    field) through :func:`require_range`: in ``ranges[name]`` when named, else in
+    ``[0, inf)``.  ``None`` (an optional knob left off) passes.  Configs call it
+    from ``__post_init__``, so a bad number is refused at construction, not
+    minutes into a paper-scale run."""
+    for spec in fields(config):
+        low, high, ends = ranges.get(spec.name, (0, math.inf, "[)"))
+        value = getattr(config, spec.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, (int, float)) and not isinstance(item, bool):
+                require_range(spec.name, item, low, high, ends)

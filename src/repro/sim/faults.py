@@ -57,7 +57,7 @@ def assign_domains(
     """
     require_range("sites", sites, 1)
     require_range("racks_per_site", racks_per_site, 1)
-    ordered = sorted(nodes, key=lambda node: int(node.node_id))
+    ordered = sorted(nodes, key=lambda node: node.node_id)
     total_racks = sites * racks_per_site
     for index, node in enumerate(ordered):
         global_rack = index % total_racks
@@ -258,7 +258,7 @@ class FaultInjector:
         reaches the whole live population is refused before anyone is downed.
         """
         require_range("fraction", fraction, 0.0, 1.0, "(]")
-        live = sorted(self.network.live_nodes(), key=lambda node: int(node.node_id))
+        live = sorted(self.network.live_nodes(), key=lambda node: node.node_id)
         count = max(1, math.ceil(len(live) * fraction)) if live else 0
         if repair and live and count == len(live):
             raise ValueError(f"a repairing flash crowd cannot down all {count} live nodes: "
@@ -341,7 +341,7 @@ class FaultInjector:
             raise ValueError("degrade_nodes requires a transfer scheduler")
         require_range("fraction", fraction, 0)
         for node_id in node_ids:
-            self._scale_links(fraction, int(node_id))
+            self._scale_links(fraction, node_id)
         event = FaultEvent(
             scenario="degraded_nodes",
             at=self.sim.now,

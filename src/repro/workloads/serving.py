@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.naming import name_digests
-from repro.overlay.ids import node_id_from_int
 from repro.overlay.validation import require_range
 from repro.sim.stats import summarize
 from repro.workloads.filetrace import MB
@@ -277,8 +276,7 @@ class ServeEngine:
 
     def _can_issue(self, gateway: int) -> bool:
         network = self.storage.dht.network
-        node_id = node_id_from_int(gateway)
-        if node_id not in network or not network.node(node_id).alive:
+        if gateway not in network or not network.node(gateway).alive:
             return False
         return not self._routed or gateway in self.router
 

@@ -171,19 +171,19 @@ class BulletDistributionProfile:
             src = None
             for node_id in (placement.node_id, *placement.replica_nodes):
                 if node_id in network and network.node(node_id).alive:
-                    src = int(node_id)
+                    src = node_id
                     break
             if src is None:
                 return
-            live = sorted(network.live_nodes(), key=lambda node: int(node.node_id))
+            live = sorted(network.live_nodes(), key=lambda node: node.node_id)
             if not live:
                 return
             share = self.payload / self.fanout
             for leaf in range(self.fanout):
                 client = live[(round_index * 31 + leaf * 7 + 1) % len(live)]
-                if not client.alive or int(client.node_id) == src:
+                if not client.alive or client.node_id == src:
                     continue
-                transfers.submit(share, src=src, dst=int(client.node_id), tenant=tenant)
+                transfers.submit(share, src=src, dst=client.node_id, tenant=tenant)
                 run.pushes += 1
                 run.push_bytes += int(share)
 

@@ -25,7 +25,7 @@ def seed_neighbor_indices(ids: List[int], node_id: int, count: int) -> List[int]
         return []
     if not ids:
         raise LookupError("no live nodes in the placement index")
-    value = int(node_id) % ID_SPACE
+    value = node_id % ID_SPACE
     index = bisect.bisect_left(ids, value)
     size = len(ids)
     seen = {value}

@@ -27,9 +27,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.overlay.ids import (
     BITS_PER_DIGIT,
     DIGITS,
-    NodeId,
     clockwise_distance,
+    digit,
     distance,
+    shared_prefix_length,
 )
 from repro.overlay.network import OverlayError, OverlayNetwork, RouteResult
 from repro.overlay.node import OverlayNode
@@ -38,26 +39,26 @@ from repro.overlay.node import OverlayNode
 class LeafSet:
     """The numerically closest live neighbours of a node, split by ring side."""
 
-    def __init__(self, owner: NodeId, half_size: int = 8) -> None:
+    def __init__(self, owner: int, half_size: int = 8) -> None:
         if half_size < 1:
             raise ValueError("leaf set half size must be >= 1")
         self.owner = owner
         self.half_size = half_size
-        self._smaller: List[NodeId] = []   # counter-clockwise neighbours, nearest first
-        self._larger: List[NodeId] = []    # clockwise neighbours, nearest first
+        self._smaller: List[int] = []   # counter-clockwise neighbours, nearest first
+        self._larger: List[int] = []    # clockwise neighbours, nearest first
 
     # -- membership ---------------------------------------------------------
-    def members(self) -> List[NodeId]:
+    def members(self) -> List[int]:
         """All leaf-set members (both sides), nearest first per side."""
         return list(self._smaller) + list(self._larger)
 
-    def __contains__(self, node_id: NodeId) -> bool:
+    def __contains__(self, node_id: int) -> bool:
         return node_id in self._smaller or node_id in self._larger
 
     def __len__(self) -> int:
         return len(self._smaller) + len(self._larger)
 
-    def consider(self, node_id: NodeId) -> bool:
+    def consider(self, node_id: int) -> bool:
         """Offer a node; keep it if it is among the closest on its side."""
         if node_id == self.owner:
             return False
@@ -68,7 +69,7 @@ class LeafSet:
         self._trim()
         return changed and node_id in self
 
-    def remove(self, node_id: NodeId) -> bool:
+    def remove(self, node_id: int) -> bool:
         """Drop a (failed) node.  Returns True if it was a member."""
         for side in (self._smaller, self._larger):
             if node_id in side:
@@ -76,7 +77,7 @@ class LeafSet:
                 return True
         return False
 
-    def _side_of(self, node_id: NodeId) -> List[NodeId]:
+    def _side_of(self, node_id: int) -> List[int]:
         # A node is on the "larger" (clockwise) side if it is nearer going
         # clockwise from the owner than counter-clockwise.
         clockwise = clockwise_distance(self.owner, node_id)
@@ -90,21 +91,21 @@ class LeafSet:
         del self._smaller[self.half_size:]
 
     # -- queries used by the storage system ----------------------------------
-    def immediate_neighbors(self) -> List[NodeId]:
+    def immediate_neighbors(self) -> List[int]:
         """The single nearest neighbour on each side (up to two nodes)."""
-        result: List[NodeId] = []
+        result: List[int] = []
         if self._smaller:
             result.append(self._smaller[0])
         if self._larger:
             result.append(self._larger[0])
         return result
 
-    def nearest(self, count: int) -> List[NodeId]:
+    def nearest(self, count: int) -> List[int]:
         """The ``count`` members numerically closest to the owner."""
         members = sorted(self.members(), key=lambda nid: distance(nid, self.owner))
         return members[:count]
 
-    def covers(self, key: NodeId) -> bool:
+    def covers(self, key: int) -> bool:
         """Whether ``key`` falls within the span of the leaf set."""
         if not self._smaller or not self._larger:
             return False
@@ -112,17 +113,17 @@ class LeafSet:
         high = self._larger[-1]
         return clockwise_distance(low, key) <= clockwise_distance(low, high)
 
-    def closest_to(self, key: NodeId) -> NodeId:
+    def closest_to(self, key: int) -> int:
         """The member (or the owner) numerically closest to ``key``."""
         candidates = self.members() + [self.owner]
-        return min(candidates, key=lambda nid: (distance(nid, key), int(nid)))
+        return min(candidates, key=lambda nid: (distance(nid, key), nid))
 
 
 @dataclass(frozen=True)
 class RoutingEntry:
     """A routing-table slot: the node id it points at and its proximity."""
 
-    node_id: NodeId
+    node_id: int
     proximity: float
 
 
@@ -132,7 +133,7 @@ class RoutingTable:
     ROWS = DIGITS
     COLUMNS = 1 << BITS_PER_DIGIT
 
-    def __init__(self, owner: NodeId) -> None:
+    def __init__(self, owner: int) -> None:
         self.owner = owner
         # Sparse representation: {(row, column): RoutingEntry}
         self._entries: Dict[Tuple[int, int], RoutingEntry] = {}
@@ -144,19 +145,19 @@ class RoutingTable:
         """Iterate over all populated entries."""
         return iter(self._entries.values())
 
-    def slot_for(self, node_id: NodeId) -> Optional[Tuple[int, int]]:
+    def slot_for(self, node_id: int) -> Optional[Tuple[int, int]]:
         """The (row, column) slot a node id belongs to, or None for the owner itself."""
         if node_id == self.owner:
             return None
-        row = self.owner.shared_prefix_length(node_id)
-        column = node_id.digit(row)
+        row = shared_prefix_length(self.owner, node_id)
+        column = digit(node_id, row)
         return (row, column)
 
     def get(self, row: int, column: int) -> Optional[RoutingEntry]:
         """The entry at (row, column), if populated."""
         return self._entries.get((row, column))
 
-    def consider(self, node_id: NodeId, proximity: float) -> bool:
+    def consider(self, node_id: int, proximity: float) -> bool:
         """Offer a node for inclusion; keep it if the slot is empty or it is closer.
 
         Returns True if the table changed.
@@ -172,7 +173,7 @@ class RoutingTable:
             return True
         return False
 
-    def remove(self, node_id: NodeId) -> bool:
+    def remove(self, node_id: int) -> bool:
         """Remove a (failed) node from the table.  Returns True if it was present."""
         slot = self.slot_for(node_id)
         if slot is None:
@@ -183,40 +184,40 @@ class RoutingTable:
             return True
         return False
 
-    def next_hop(self, key: NodeId) -> Optional[NodeId]:
+    def next_hop(self, key: int) -> Optional[int]:
         """Pastry's primary routing rule: the entry matching one more digit of ``key``."""
-        row = self.owner.shared_prefix_length(key)
+        row = shared_prefix_length(self.owner, key)
         if row >= self.ROWS:
             return None
-        column = key.digit(row)
+        column = digit(key, row)
         entry = self._entries.get((row, column))
         return entry.node_id if entry is not None else None
 
-    def candidates_with_longer_or_equal_prefix(self, key: NodeId) -> List[NodeId]:
+    def candidates_with_longer_or_equal_prefix(self, key: int) -> List[int]:
         """Fallback candidates: entries sharing at least as long a prefix with ``key``.
 
         Used by the "rare case" rule of Pastry routing when the primary entry
         is missing: forward to any known node that is numerically closer to the
         key than the present node and shares at least as long a prefix.
         """
-        minimum = self.owner.shared_prefix_length(key)
-        result: List[NodeId] = []
+        minimum = shared_prefix_length(self.owner, key)
+        result: List[int] = []
         for entry in self._entries.values():
-            if entry.node_id.shared_prefix_length(key) >= minimum:
+            if shared_prefix_length(entry.node_id, key) >= minimum:
                 result.append(entry.node_id)
         return result
 
-    def closest_by_proximity(self, count: int, exclude: Callable[[NodeId], bool] | None = None) -> List[RoutingEntry]:
+    def closest_by_proximity(self, count: int, exclude: Callable[[int], bool] | None = None) -> List[RoutingEntry]:
         """The ``count`` entries with smallest proximity (used for multicast trees)."""
         entries = [
             entry
             for entry in self._entries.values()
             if exclude is None or not exclude(entry.node_id)
         ]
-        entries.sort(key=lambda entry: (entry.proximity, int(entry.node_id)))
+        entries.sort(key=lambda entry: (entry.proximity, entry.node_id))
         return entries[:count]
 
-    def known_nodes(self) -> List[NodeId]:
+    def known_nodes(self) -> List[int]:
         """All node ids present in the table."""
         return [entry.node_id for entry in self._entries.values()]
 
@@ -235,14 +236,14 @@ class SeedPastryRouter:
         self.leaf_set_half_size = network.leaf_set_half_size
         self.max_route_hops = network.max_route_hops
         #: Live members only: node id -> (leaf set, routing table).
-        self._state: Dict[NodeId, Tuple[LeafSet, RoutingTable]] = {}
+        self._state: Dict[int, Tuple[LeafSet, RoutingTable]] = {}
         for node in network.live_nodes():
             self.on_join(node)
 
-    def leaf_set(self, node_id: NodeId) -> LeafSet:
+    def leaf_set(self, node_id: int) -> LeafSet:
         return self._state[node_id][0]
 
-    def routing_table(self, node_id: NodeId) -> RoutingTable:
+    def routing_table(self, node_id: int) -> RoutingTable:
         return self._state[node_id][1]
 
     # -- membership ------------------------------------------------------------
@@ -257,7 +258,7 @@ class SeedPastryRouter:
             table.consider(node.node_id, self.network.proximity(other_id, node.node_id))
         self._state[node.node_id] = (own_leaf, own_table)
 
-    def on_leave(self, node_id: NodeId) -> None:
+    def on_leave(self, node_id: int) -> None:
         self._state.pop(node_id, None)
         for other_id, (leaf, table) in self._state.items():
             repaired = leaf.remove(node_id)
@@ -272,13 +273,13 @@ class SeedPastryRouter:
     on_fail = on_leave
 
     # -- routing ---------------------------------------------------------------
-    def route(self, key: NodeId, start: NodeId) -> RouteResult:
+    def route(self, key: int, start: int) -> RouteResult:
         """Route ``key`` hop by hop from ``start`` using Pastry's routing rule."""
         if start not in self._state:
             raise OverlayError(f"routing from a failed node: {start!r}")
-        target_root = min(self._state, key=lambda nid: (distance(nid, key), int(nid)))
+        target_root = min(self._state, key=lambda nid: (distance(nid, key), nid))
         current = start
-        path: List[NodeId] = [current]
+        path: List[int] = [current]
         while current != target_root:
             if len(path) > self.max_route_hops:
                 raise OverlayError(f"routing for key {key!r} exceeded {self.max_route_hops} hops")
@@ -292,7 +293,7 @@ class SeedPastryRouter:
             path.append(current)
         return RouteResult(key=key, root=target_root, hops=len(path) - 1, path=tuple(path))
 
-    def _next_hop(self, current: NodeId, key: NodeId) -> Optional[NodeId]:
+    def _next_hop(self, current: int, key: int) -> Optional[int]:
         leaf_set, routing_table = self._state[current]
         # Rule 1: if the key is covered by the leaf set, go straight to the
         # numerically closest leaf (or stay here).
@@ -305,7 +306,7 @@ class SeedPastryRouter:
         if candidate is not None and candidate in self._state:
             return candidate
         # Rule 3 (rare case): any known node numerically closer with >= prefix.
-        best: Optional[NodeId] = None
+        best: Optional[int] = None
         best_distance = distance(current, key)
         for node_id in (routing_table.candidates_with_longer_or_equal_prefix(key)
                         + leaf_set.members()):

@@ -66,8 +66,8 @@ def test_session_deployment_matches_manual_wiring():
     manual_network, manual_storage, manual_streams = _manual_deployment(29)
     session, client = _facade_deployment(29)
 
-    manual_ids = [int(node.node_id) for node in manual_network.nodes()]
-    facade_ids = [int(node.node_id) for node in session.network.nodes()]
+    manual_ids = [node.node_id for node in manual_network.nodes()]
+    facade_ids = [node.node_id for node in session.network.nodes()]
     assert manual_ids == facade_ids
     assert ([node.capacity for node in manual_network.nodes()]
             == [node.capacity for node in session.network.nodes()])
@@ -96,10 +96,10 @@ def test_session_deployment_matches_manual_wiring():
     for name, stored in manual_storage.files.items():
         facade_stored = client.storage.files[name]
         manual_placements = [
-            (int(p.node_id), tuple(int(r) for r in p.replica_nodes), p.size)
+            (p.node_id, p.replica_nodes, p.size)
             for chunk in stored.chunks for p in chunk.placements]
         facade_placements = [
-            (int(p.node_id), tuple(int(r) for r in p.replica_nodes), p.size)
+            (p.node_id, p.replica_nodes, p.size)
             for chunk in facade_stored.chunks for p in chunk.placements]
         assert manual_placements == facade_placements
     assert manual_storage.usage_summary() == client.storage.usage_summary()

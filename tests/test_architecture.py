@@ -193,6 +193,11 @@ RETIRED = (
      _EVERYWHERE, "one failure sweep: Figure 10, Table 3 and repair are presets of "
      "FailureSweepExperiment, whose repair bandwidth (none, instant or finite) is the only "
      "difference"),
+    ("identifier wrapper and its int twins",
+     r"NodeId|IdLike|node_id_from_int|_as_int|\bkey_(int_)?for_name\b",
+     ("src",), "a node id or key is an int in [0, ID_SPACE) from the overlay to the "
+     "experiments, a name's key is ids.key_for, and OverlayNetwork.join range-checks the "
+     "one id a caller hands in"),
 )
 
 

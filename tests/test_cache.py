@@ -136,7 +136,7 @@ def test_without_cache_reads_charge_the_primary_only():
     for _ in range(4):
         assert client.retrieve("cold").complete
     stored = client.storage.files["cold"]
-    primaries = {int(chunk.placements[0].node_id) for chunk in stored.chunks}
+    primaries = {chunk.placements[0].node_id for chunk in stored.chunks}
     assert set(client.storage.read_load) == primaries
 
 

@@ -107,7 +107,7 @@ def _placements_snapshot(storage: StorageSystem):
     return {
         name: [
             (chunk.chunk_no, [
-                (p.block_name, int(p.node_id), p.size, tuple(map(int, p.replica_nodes)))
+                (p.block_name, p.node_id, p.size, tuple(map(int, p.replica_nodes)))
                 for p in chunk.placements
             ])
             for chunk in stored.chunks
@@ -137,7 +137,7 @@ def test_recovery_impacts_and_placements_identical_across_engines():
         dict_walk.audit(vector)
     assert scalar["placements"] == jsonable(_placements_snapshot(vector))
     assert scalar["totals"] == manager.totals()
-    usage_vector = [[int(n.node_id), n.used] for n in vector.dht.network.live_nodes()]
+    usage_vector = [[n.node_id, n.used] for n in vector.dht.network.live_nodes()]
     assert scalar["usage"] == usage_vector
 
 

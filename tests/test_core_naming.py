@@ -28,10 +28,13 @@ def test_one_based_numbering_enforced():
         naming.block_name("f", 1, 0)
 
 
-def test_key_for_name_is_sha1():
-    assert naming.key_for_name("f_1_1") == key_for("f_1_1")
+def test_a_block_key_is_the_sha1_of_its_name():
+    import hashlib
+
+    assert key_for(naming.block_name("f", 1, 1)) == int.from_bytes(
+        hashlib.sha1(b"f_1_1").digest(), "big")
 
 
 def test_distinct_block_names_get_distinct_keys():
-    keys = {int(naming.key_for_name(naming.block_name("f", c, e))) for c in range(1, 5) for e in range(1, 5)}
+    keys = {key_for(naming.block_name("f", c, e)) for c in range(1, 5) for e in range(1, 5)}
     assert len(keys) == 16

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.capacity import CapacityProbe
 from repro.core.policies import PAPER_SIMULATION_POLICY, StoragePolicy
+from repro.overlay.ids import key_for
 
 
 # -- StoragePolicy ------------------------------------------------------------------
@@ -62,7 +63,7 @@ def test_probe_respects_report_fraction(dht):
 
 
 def test_probe_sees_node_local_under_reporting(dht):
-    node = dht.lookup(__import__("repro.core.naming", fromlist=["naming"]).key_for_name("f_1_1"))
+    node = dht.lookup(key_for("f_1_1"))
     node.capacity_report_fraction = 0.25
     probe = CapacityProbe(dht)
     result = probe.probe_names(["f_1_1"])
@@ -70,9 +71,7 @@ def test_probe_sees_node_local_under_reporting(dht):
 
 
 def test_probe_offer_zero_for_failed_node(dht):
-    from repro.core import naming
-
-    node = dht.lookup(naming.key_for_name("f_1_1"))
+    node = dht.lookup(key_for("f_1_1"))
     node.fail()
     result = CapacityProbe(dht).probe_names(["f_1_1"])
     assert result.offers[0] == 0

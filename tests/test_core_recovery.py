@@ -12,6 +12,7 @@ from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
+from repro.overlay.ids import key_for
 from repro.overlay.network import OverlayNetwork
 
 MB = 1 << 20
@@ -147,7 +148,7 @@ def test_cat_copy_restored_after_failure(xor_storage, dht):
     impact = recovery.handle_failure(cat_holder)
     # Either the responsible node already held a replica or a copy was restored.
     assert impact.cat_copies_restored >= 0
-    new_root = dht.lookup(__import__("repro.core.naming", fromlist=["naming"]).key_for_name("file-f.CAT"))
+    new_root = dht.lookup(key_for("file-f.CAT"))
     assert new_root.alive
 
 

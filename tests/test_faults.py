@@ -62,7 +62,7 @@ def _placements_snapshot(storage: StorageSystem):
     return {
         name: [
             (chunk.chunk_no, [
-                (p.block_name, int(p.node_id), p.size, tuple(sorted(map(int, p.replica_nodes))))
+                (p.block_name, p.node_id, p.size, tuple(sorted(map(int, p.replica_nodes))))
                 for p in chunk.placements
             ])
             for chunk in stored.chunks
@@ -78,8 +78,8 @@ def test_assign_domains_is_deterministic_and_rng_free():
     reference = OverlayNetwork.build(24, np.random.default_rng(3))
     assign_domains(network.nodes(), sites=2, racks_per_site=3)
     # Identical population: domain assignment never consumes the build RNG.
-    assert [int(n.node_id) for n in network.nodes()] == [
-        int(n.node_id) for n in reference.nodes()
+    assert [n.node_id for n in network.nodes()] == [
+        n.node_id for n in reference.nodes()
     ]
     for node in network.nodes():
         assert 0 <= node.site < 2
@@ -180,8 +180,8 @@ def test_site_outage_mask_equals_scalar_failure_sequence():
     assert _placements_snapshot(st_mask) == _placements_snapshot(st_scalar)
     for name in st_mask.files:
         assert st_mask.is_file_available(name) == st_scalar.is_file_available(name), name
-    usage_mask = [(int(n.node_id), n.used) for n in net_mask.live_nodes()]
-    usage_scalar = [(int(n.node_id), n.used) for n in net_scalar.live_nodes()]
+    usage_mask = [(n.node_id, n.used) for n in net_mask.live_nodes()]
+    usage_scalar = [(n.node_id, n.used) for n in net_scalar.live_nodes()]
     assert usage_mask == usage_scalar
 
 
@@ -213,12 +213,12 @@ def test_replica_loss_does_not_repoint_primary():
         if chunk.placements and chunk.placements[0].replica_nodes
     )
     placement = chunk.placements[0]
-    primary = int(placement.node_id)
+    primary = placement.node_id
     victim = placement.replica_nodes[0]
     manager.handle_failure(victim)
     after = chunk.placements[0]
-    assert int(after.node_id) == primary
-    assert int(victim) not in set(map(int, after.replica_nodes))
+    assert after.node_id == primary
+    assert victim not in after.replica_nodes
     assert len(after.replica_nodes) == len(placement.replica_nodes)
     assert storage.ledger.placements_below(TARGET_REPLICATION) == 0
 
@@ -441,7 +441,7 @@ def _site_outage_with_scheduler(seed, node_count, topology_factory):
         "bytes_in": transfers.bytes_in,
         "ttr": event.time_to_repair,
         "traffic": event.repair_traffic_bytes,
-        "usage": [(int(n.node_id), n.used) for n in network.live_nodes()],
+        "usage": [(n.node_id, n.used) for n in network.live_nodes()],
     }
 
 
@@ -488,7 +488,7 @@ def test_composed_timing_faults_match_instantaneous_sequence():
         victims = [n.node_id for n in network.live_nodes()[:4]]
         injector.rolling_restart(victims, interval=3.0, downtime=5.0)
         if with_overlay:
-            live = [int(n.node_id) for n in network.live_nodes()[:12]]
+            live = [n.node_id for n in network.live_nodes()[:12]]
             sim.schedule(2.0, lambda: injector.degrade_nodes(live, fraction=0.25))
             sim.schedule(7.0, lambda: injector.degrade_trunk(rack=1, fraction=0.0))
         sim.schedule(4.0, lambda: injector.fail_domain(rack=3))
@@ -497,7 +497,7 @@ def test_composed_timing_faults_match_instantaneous_sequence():
             "placements": _placements_snapshot(storage),
             "histogram": storage.ledger.replication_histogram().tolist(),
             "unavailable": storage.unavailable_file_count(),
-            "usage": [(int(n.node_id), n.used) for n in network.live_nodes()],
+            "usage": [(n.node_id, n.used) for n in network.live_nodes()],
         }
 
     assert run(True) == run(False)
@@ -541,6 +541,6 @@ def test_recovery_storm_survives_oversubscribed_core():
     )
     # The core actually constrained the storm: finite trunks carried bytes.
     assert any(
-        entry["capacity"] > 0 and entry["bytes"] > 0
-        for entry in transfers.trunk_summary().values()
+        (transfers.capacity_of(key) or 0) > 0 and charged > 0
+        for key, charged in transfers.trunk_bytes.items()
     )

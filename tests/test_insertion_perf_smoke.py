@@ -73,7 +73,7 @@ def test_boundary_patches_within_budget():
     picks = [nodes[int(i)] for i in rng.permutation(len(nodes))[:1000]]
     start = time.perf_counter()
     for node in picks:
-        state.remove(int(node.node_id))
+        state.remove(node.node_id)
     for node in picks:
         state.add(node)
     elapsed = time.perf_counter() - start

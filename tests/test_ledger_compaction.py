@@ -150,7 +150,7 @@ def test_repair_pipeline_keeps_working_across_compactions():
             vector.ledger.compact()  # repair re-points leave released rows behind
         dict_walk.audit(vector)
     assert manager.totals() == scalar["totals"]
-    usage_v = [[int(n.node_id), n.used] for n in vector.dht.network.live_nodes()]
+    usage_v = [[n.node_id, n.used] for n in vector.dht.network.live_nodes()]
     assert usage_v == scalar["usage"]
 
 
@@ -208,7 +208,7 @@ def test_baseline_replica_row_release_parity(scheme):
 
     def node_dicts(store):
         return {
-            int(node.node_id): dict(node.stored_blocks)
+            node.node_id: dict(node.stored_blocks)
             for node in store.dht.network.live_nodes()
         }
 
@@ -271,9 +271,9 @@ def test_compaction_preserves_baseline_bookkeeping_after_wipe(scheme):
     def snapshot(store):
         if scheme == "past":
             stored, holders = store.files["wiped"]
-            return [(stored, [int(h.node_id) for h in holders])]
+            return [(stored, [h.node_id for h in holders])]
         return [
-            (name, int(primary.node_id), size, [int(r.node_id) for r in replicas])
+            (name, primary.node_id, size, [r.node_id for r in replicas])
             for name, primary, size, replicas in store.block_entries("wiped")
         ]
 

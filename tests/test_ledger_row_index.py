@@ -199,8 +199,8 @@ def test_rows_of_keys_that_did_not_exist_at_the_last_sort(monkeypatch):
     storage = _storage()
     _store(storage, 4)
     ledger = storage.ledger
-    holders = {int(node.node_id) for node in ledger._slot_nodes}
-    fresh = next(node for node in storage.dht.state.nodes if int(node.node_id) not in holders)
+    holders = {node.node_id for node in ledger._slot_nodes}
+    fresh = next(node for node in storage.dht.state.nodes if node.node_id not in holders)
     some = ledger._slot_nodes[0]
     assert ledger.recovery_rows(some) and ledger.file_rows(0)  # sorts all but by_placement
     assert ledger.live_copy_owner(0) is not None
@@ -216,8 +216,7 @@ def test_rows_of_keys_that_did_not_exist_at_the_last_sort(monkeypatch):
     assert ledger.recovery_rows(fresh) == [meta_row]
     p = ledger.placement_for(storage.files[name].chunks[0].ledger_index, 0)
     assert p + 1 >= len(ledger._by_placement.offsets)
-    assert int(ledger.live_copy_owner(p).node_id) == int(
-        storage.files[name].chunks[0].placements[0].node_id)
+    assert ledger.live_copy_owner(p).node_id == storage.files[name].chunks[0].placements[0].node_id
     ledger.check_invariants()
 
 

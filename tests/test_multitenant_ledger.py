@@ -214,9 +214,9 @@ def test_mixed_tenant_compaction_keeps_stable_remaps():
     def snapshots():
         return (
             {f"o{i}": ours.is_file_available(f"o{i}") for i in range(10)},
-            {f"p{i}": [(n, int(h.node_id)) for n, h, _, _ in _past_entries(past, f"p{i}")]
+            {f"p{i}": [(n, h.node_id) for n, h, _, _ in _past_entries(past, f"p{i}")]
              for i in range(10) if f"p{i}" in past.files},
-            {f"c{i}": [(n, int(p.node_id), s, [int(r.node_id) for r in reps])
+            {f"c{i}": [(n, p.node_id, s, [r.node_id for r in reps])
                        for n, p, s, reps in cfs.block_entries(f"c{i}")]
              for i in range(10) if f"c{i}" in cfs.files},
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.overlay.ids import ID_SPACE, NodeId
+from repro.overlay.ids import ID_SPACE
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
 
@@ -31,7 +31,7 @@ ring_ids = st.one_of(
 class NodeStateMachine(RuleBasedStateMachine):
     @initialize(ids=st.lists(ring_ids, min_size=1, max_size=8, unique=True))
     def build(self, ids):
-        self.pool = [OverlayNode(node_id=NodeId(value), capacity=1000) for value in ids]
+        self.pool = [OverlayNode(node_id=value, capacity=1000) for value in ids]
         self.states = [NodeArrayState(self.pool), NodeArrayState(self.pool[::2])]
         self.counter = 0
 
@@ -64,21 +64,21 @@ class NodeStateMachine(RuleBasedStateMachine):
     # -- membership ------------------------------------------------------------------
     @rule(state=st.integers(0, 1), value=ring_ids)
     def add_new(self, state, value):
-        if all(int(node.node_id) != value for node in self.pool):
-            node = OverlayNode(node_id=NodeId(value), capacity=1000, used=7)
+        if all(node.node_id != value for node in self.pool):
+            node = OverlayNode(node_id=value, capacity=1000, used=7)
             self.pool.append(node)
             assert self.states[state].add(node)
 
     @rule(state=st.integers(0, 1), which=pick)
     def add_pooled(self, state, which):
         node = self._node(which)
-        indexed = int(node.node_id) in self.states[state].ids_int
+        indexed = node.node_id in self.states[state].ids_int
         assert self.states[state].add(node) != indexed
 
     @rule(state=st.integers(0, 1), which=pick)
     def remove(self, state, which):
         node = self._node(which)
-        indexed = int(node.node_id) in self.states[state].ids_int
+        indexed = node.node_id in self.states[state].ids_int
         assert self.states[state].remove(node.node_id) == indexed
 
     @rule(state=st.integers(0, 1), stride=st.integers(1, 3))

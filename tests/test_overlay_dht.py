@@ -52,7 +52,7 @@ def test_locate_key_and_locate_name_agree_with_the_lookup_oracle(network, view):
             view.remove(victims.pop())
         key = random_node_id(rng)
         before = view.lookup_count
-        assert view.locate_key(int(key)) is view.lookup(key)
+        assert view.locate_key(key) is view.lookup(key)
         assert view.locate_name(f"object-{step}") is view.lookup(key_for(f"object-{step}"))
         assert view.lookup_count == before + 4
 
@@ -88,7 +88,7 @@ def test_successors_are_clockwise_and_live(network, view):
     successors = view.successors(key, 5)
     assert len(successors) == 5
     assert all(node.alive for node in successors)
-    values = [int(node.node_id) for node in successors]
+    values = [node.node_id for node in successors]
     assert len(set(values)) == 5
 
 
@@ -124,7 +124,7 @@ def test_empty_view_raises(network):
     with pytest.raises(LookupError):
         view.lookup(key_for("anything"))
     with pytest.raises(LookupError):
-        view.locate_key(int(key_for("anything")))
+        view.locate_key(key_for("anything"))
     assert view.lookup_count == 0
 
 
@@ -141,5 +141,5 @@ def test_lookup_is_uniformly_spread(network, view):
     # Responsibility follows id-space gaps; over many random keys every node
     # should receive at least one object with overwhelming probability.
     rng = np.random.default_rng(1)
-    owners = {int(view.lookup(random_node_id(rng)).node_id) for _ in range(4000)}
+    owners = {view.lookup(random_node_id(rng)).node_id for _ in range(4000)}
     assert len(owners) >= int(0.9 * len(network))

@@ -41,7 +41,7 @@ def test_build_requires_matching_capacities():
 def test_responsible_node_is_numerically_closest(network: OverlayNetwork):
     key = key_for("some-object")
     root = network.responsible_node(key)
-    best = min(network.live_ids(), key=lambda nid: (distance(nid, key), int(nid)))
+    best = min(network.live_ids(), key=lambda nid: (distance(nid, key), nid))
     assert root == best
 
 

@@ -6,7 +6,6 @@ import dataclasses
 
 import pytest
 
-from repro.overlay.ids import NodeId
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
 
@@ -14,54 +13,54 @@ from reference.seed_pastry import LeafSet
 
 
 def make_node(value: int, capacity: int = 1000) -> OverlayNode:
-    return OverlayNode(node_id=NodeId(value), capacity=capacity)
+    return OverlayNode(node_id=value, capacity=capacity)
 
 
 # -- LeafSet (tests/reference/seed_pastry.py) ------------------------------------
 def test_leaf_set_keeps_closest_on_each_side():
-    owner = NodeId(1000)
+    owner = 1000
     leaf = LeafSet(owner, half_size=2)
     for value in (1100, 1200, 1300, 900, 800, 700):
-        leaf.consider(NodeId(value))
+        leaf.consider(value)
     members = {int(member) for member in leaf.members()}
     assert members == {1100, 1200, 900, 800}
 
 
 def test_leaf_set_ignores_owner_and_duplicates():
-    owner = NodeId(50)
+    owner = 50
     leaf = LeafSet(owner, half_size=2)
     assert not leaf.consider(owner)
-    assert leaf.consider(NodeId(60))
-    leaf.consider(NodeId(60))
+    assert leaf.consider(60)
+    leaf.consider(60)
     assert len(leaf) == 1
 
 
 def test_leaf_set_remove():
-    leaf = LeafSet(NodeId(0), half_size=2)
-    leaf.consider(NodeId(10))
-    assert leaf.remove(NodeId(10))
-    assert not leaf.remove(NodeId(10))
+    leaf = LeafSet(0, half_size=2)
+    leaf.consider(10)
+    assert leaf.remove(10)
+    assert not leaf.remove(10)
     assert len(leaf) == 0
 
 
 def test_leaf_set_immediate_neighbors():
-    leaf = LeafSet(NodeId(1000), half_size=3)
+    leaf = LeafSet(1000, half_size=3)
     for value in (1010, 1050, 990, 950):
-        leaf.consider(NodeId(value))
+        leaf.consider(value)
     immediate = {int(node) for node in leaf.immediate_neighbors()}
     assert immediate == {990, 1010}
 
 
 def test_leaf_set_closest_to_includes_owner():
-    leaf = LeafSet(NodeId(1000), half_size=2)
-    leaf.consider(NodeId(2000))
-    assert int(leaf.closest_to(NodeId(1001))) == 1000
-    assert int(leaf.closest_to(NodeId(1999))) == 2000
+    leaf = LeafSet(1000, half_size=2)
+    leaf.consider(2000)
+    assert leaf.closest_to(1001) == 1000
+    assert leaf.closest_to(1999) == 2000
 
 
 def test_leaf_set_requires_positive_half_size():
     with pytest.raises(ValueError):
-        LeafSet(NodeId(0), half_size=0)
+        LeafSet(0, half_size=0)
 
 
 # -- OverlayNode block storage -------------------------------------------------------
@@ -120,7 +119,7 @@ def test_recover_wipes_by_default():
 
 # -- slots fallout --------------------------------------------------------------------
 def test_nodes_are_slotted_and_construct_in_the_documented_order():
-    node = OverlayNode(NodeId(7), (1.0, 2.0), 100, 10, True, 0.5, 3, 14, {"a": 10})
+    node = OverlayNode(7, (1.0, 2.0), 100, 10, True, 0.5, 3, 14, {"a": 10})
     assert not hasattr(node, "__dict__")
     with pytest.raises(AttributeError):
         node.scratch = 1
@@ -136,8 +135,8 @@ def test_nodes_are_slotted_and_construct_in_the_documented_order():
 
 
 def test_equality_and_repr_ignore_the_serial_and_the_bookkeeping_fields():
-    left = OverlayNode(node_id=NodeId(9), capacity=100, used=10, serial=4)
-    right = OverlayNode(node_id=NodeId(9), capacity=100)
+    left = OverlayNode(node_id=9, capacity=100, used=10, serial=4)
+    right = OverlayNode(node_id=9, capacity=100)
     state = NodeArrayState([right])  # attaches a usage listener to ``right`` only
     right.used = 10
     assert state.used_total == 10

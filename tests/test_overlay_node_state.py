@@ -14,14 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from reference.seed_neighbors import seed_neighbor_indices
 
 from repro.overlay.dht import DHTView
-from repro.overlay.ids import ID_SPACE, NodeId, key_for, random_node_id
+from repro.overlay.ids import ID_SPACE, key_for, random_node_id
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
 
 
 def _state_for(ids: list[int], capacities: int = 100) -> NodeArrayState:
-    nodes = [OverlayNode(node_id=NodeId(v), capacity=capacities) for v in ids]
+    nodes = [OverlayNode(node_id=v, capacity=capacities) for v in ids]
     return NodeArrayState(nodes)
 
 
@@ -77,10 +77,10 @@ def test_lookup_kernels_match_seed_lookup_on_random_ring():
     view = DHTView(network)
     rng = np.random.default_rng(18)
     keys = [random_node_id(rng) for _ in range(500)]
-    expected = [int(view.lookup(key).node_id) for key in keys]
+    expected = [view.lookup(key).node_id for key in keys]
     state = view.state
-    scalar = [state.ids_int[state.lookup_index(int(key))] for key in keys]
-    digests = b"".join(int(key).to_bytes(20, "big") for key in keys)
+    scalar = [state.ids_int[state.lookup_index(key)] for key in keys]
+    digests = b"".join(key.to_bytes(20, "big") for key in keys)
     batched = [state.ids_int[index] for index in state.lookup_digests(digests)]
     assert scalar == expected
     assert batched == expected
@@ -102,7 +102,7 @@ def test_lookup_many_matches_scalar_and_counts():
 def test_membership_updates_keep_index_and_bounds_consistent():
     ids = [10, 200, 3000, 2 ** 100, ID_SPACE - 77]
     state = _state_for(ids)
-    newcomer = OverlayNode(node_id=NodeId(2 ** 130), capacity=50)
+    newcomer = OverlayNode(node_id=2 ** 130, capacity=50)
     assert state.add(newcomer)
     assert not state.add(newcomer)
     current = sorted(ids + [2 ** 130])
@@ -114,7 +114,7 @@ def test_membership_updates_keep_index_and_bounds_consistent():
     assert not state.remove(3000)
     current = sorted(v for v in current if v != 3000)
     assert state.ids_int == current
-    assert [int(node.node_id) for node in state.nodes] == current
+    assert [node.node_id for node in state.nodes] == current
     assert state.position(2 ** 100) == current.index(2 ** 100)
     for key in _interesting_keys(current):
         assert state.ids_int[state.lookup_index(key)] == _oracle(current, key)
@@ -131,7 +131,7 @@ def test_aggregates_track_used_mutations_incrementally():
     assert first.remove_block("a")
     assert state.used_total == 400
     # Membership changes fold the node's current usage in and out.
-    state.remove(int(second.node_id))
+    state.remove(second.node_id)
     assert state.used_total == 0 and state.capacity_total == 3000
     state.add(second)
     assert state.used_total == 400 and state.capacity_total == 4000
@@ -213,7 +213,7 @@ def test_single_removal_patch_equals_full_rebuild(ids):
 def test_sequential_removal_patches_stay_exact_on_random_ring():
     """Failing a third of a random ring one by one, patch == rebuild each time."""
     rng = np.random.default_rng(41)
-    ids = sorted({int(random_node_id(rng)) for _ in range(64)})
+    ids = sorted({random_node_id(rng) for _ in range(64)})
     state = _state_for(ids)
     state.lookup_index(0)
     current = list(ids)
@@ -227,7 +227,7 @@ def test_sequential_removal_patches_stay_exact_on_random_ring():
         assert not state._bounds_dirty
         fresh = _state_for(current)
         assert _bounds_snapshot(state) == _bounds_snapshot(fresh), hex(victim)
-    keys = [int(random_node_id(rng)) for _ in range(200)]
+    keys = [random_node_id(rng) for _ in range(200)]
     digests = b"".join(k.to_bytes(20, "big") for k in keys)
     batched = state.lookup_digests(digests)
     for position, key in enumerate(keys):
@@ -262,7 +262,7 @@ def test_single_insertion_patch_equals_full_rebuild(ids):
     for newcomer_id in _newcomers_for(ids):
         state = _state_for(ids)
         state.lookup_index(0)  # force a clean boundary build before joining
-        assert state.add(OverlayNode(node_id=NodeId(newcomer_id), capacity=1))
+        assert state.add(OverlayNode(node_id=newcomer_id, capacity=1))
         assert not state._bounds_dirty, "a single join must patch, not rebuild"
         grown = sorted(ids + [newcomer_id])
         assert _bounds_snapshot(state) == _bounds_snapshot(_state_for(grown)), hex(newcomer_id)
@@ -273,16 +273,16 @@ def test_single_insertion_patch_equals_full_rebuild(ids):
 def test_interleaved_join_and_removal_patches_stay_exact_on_random_ring():
     """Alternating joins and failures on a random ring, patch == rebuild each time."""
     rng = np.random.default_rng(43)
-    ids = sorted({int(random_node_id(rng)) for _ in range(48)})
+    ids = sorted({random_node_id(rng) for _ in range(48)})
     state = _state_for(ids)
     state.lookup_index(0)
     current = list(ids)
     for step in range(30):
         if step % 2 == 0:
-            newcomer = int(random_node_id(rng))
+            newcomer = random_node_id(rng)
             if newcomer in current:
                 continue
-            assert state.add(OverlayNode(node_id=NodeId(newcomer), capacity=1))
+            assert state.add(OverlayNode(node_id=newcomer, capacity=1))
             current.append(newcomer)
             current.sort()
         else:
@@ -291,7 +291,7 @@ def test_interleaved_join_and_removal_patches_stay_exact_on_random_ring():
             current.remove(victim)
         assert not state._bounds_dirty
         assert _bounds_snapshot(state) == _bounds_snapshot(_state_for(current)), step
-    keys = [int(random_node_id(rng)) for _ in range(200)]
+    keys = [random_node_id(rng) for _ in range(200)]
     digests = b"".join(k.to_bytes(20, "big") for k in keys)
     batched = state.lookup_digests(digests)
     for position, key in enumerate(keys):
@@ -302,10 +302,10 @@ def test_insertion_patch_grows_from_tiny_rings():
     """Joining one- and two-node rings falls back to (trivial) rebuilds."""
     state = _state_for([10])
     state.lookup_index(0)
-    assert state.add(OverlayNode(node_id=NodeId(2 ** 100), capacity=1))
+    assert state.add(OverlayNode(node_id=2 ** 100, capacity=1))
     for key in _interesting_keys([10, 2 ** 100]):
         assert state.ids_int[state.lookup_index(key)] == _oracle([10, 2 ** 100], key)
-    assert state.add(OverlayNode(node_id=NodeId(2 ** 50), capacity=1))
+    assert state.add(OverlayNode(node_id=2 ** 50, capacity=1))
     grown = [10, 2 ** 50, 2 ** 100]
     assert _bounds_snapshot(state) == _bounds_snapshot(_state_for(grown))
 
@@ -335,7 +335,7 @@ def test_patch_sequences_equal_the_brute_force_oracle(extra, start, steps):
             value = pool[pick % len(pool)]
             if value in current:
                 continue
-            assert state.add(OverlayNode(node_id=NodeId(value), capacity=1))
+            assert state.add(OverlayNode(node_id=value, capacity=1))
             current = sorted(current + [value])
         elif len(current) > 1:
             value = current[pick % len(current)]
@@ -356,7 +356,7 @@ def test_bulk_membership_changes_coalesce_to_full_rebuild():
     ids = [10, 200, 3000, 2 ** 100, ID_SPACE - 77]
     state = _state_for(ids)  # freshly rebuilt: bounds start dirty
     assert state._bounds_dirty
-    newcomer = OverlayNode(node_id=NodeId(2 ** 130), capacity=1)
+    newcomer = OverlayNode(node_id=2 ** 130, capacity=1)
     assert state.add(newcomer)
     assert state._bounds_dirty, "a join on dirty bounds must coalesce, not patch"
     assert state.remove(3000)
@@ -423,4 +423,4 @@ def test_successors_and_neighbors_delegate_to_state():
     assert len(neighbors) == 6
     assert all(node.node_id != target for node in neighbors)
     succ = view.successors(key_for("s"), 4)
-    assert len({int(n.node_id) for n in succ}) == 4
+    assert len({n.node_id for n in succ}) == 4

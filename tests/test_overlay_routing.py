@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from repro.overlay.ids import DIGITS, NodeId
+from repro.overlay.ids import DIGITS
 
 from reference.seed_pastry import RoutingTable
 
 
-def hex_id(prefix: str) -> NodeId:
-    return NodeId(int(prefix + "0" * (DIGITS - len(prefix)), 16))
+def hex_id(prefix: str) -> int:
+    return int(prefix + "0" * (DIGITS - len(prefix)), 16)
 
 
 def test_slot_assignment_by_shared_prefix():

@@ -31,10 +31,15 @@ from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.coding_perf import CodingPerfConfig
 from repro.experiments.condor_case_study import CondorCaseStudyConfig
+from repro.experiments.failure_sweep import FailureSweepConfig
+from repro.experiments.faults import FaultsConfig
 from repro.experiments.multicast_replicas import MulticastConfig
 from repro.experiments.paper import ReproduceConfig
+from repro.experiments.routing import RoutingConfig
+from repro.experiments.serving import ServingConfig
 from repro.experiments.soak import SoakConfig
 from repro.experiments.storage_insertion import InsertionConfig
+from repro.experiments.tenants import TenantsConfig
 from repro.grid.transfer import TransferCostModel
 from repro.multicast.bullet import BulletConfig
 from repro.sim.churn import FailureSchedule
@@ -49,6 +54,13 @@ AT_LEAST_1 = (1, INF, "[)")
 POSITIVE = (0, INF, "()")
 FRACTION = (0.0, 1.0, "(]")
 CLOSED_FRACTION = (0.0, 1.0, "[]")
+RATIO = (1.0, INF, "[)")
+#: The fields every deployment config (population + corpus) shares.
+DEPLOYMENT = {"node_count": AT_LEAST_1, "file_count": AT_LEAST_0, "seed": AT_LEAST_0,
+              "capacity_mean": AT_LEAST_0, "capacity_std": AT_LEAST_0,
+              "mean_file_size": POSITIVE, "std_file_size": AT_LEAST_0,
+              "min_file_size": AT_LEAST_0, "blocks_per_chunk": AT_LEAST_1,
+              "block_replication": AT_LEAST_1}
 
 
 def _outside(low, high, ends):
@@ -173,14 +185,56 @@ CASES = (
          {"seeds": AT_LEAST_0}),
     Case("SoakConfig", _constructor(SoakConfig),
          {"node_count": 10, "file_count": 20, "bandwidth_gb_per_hour": 1.0},
-         {"node_count": AT_LEAST_1, "file_count": AT_LEAST_0, "seed": AT_LEAST_0,
-          "capacity_mean": AT_LEAST_0, "capacity_std": AT_LEAST_0, "mean_file_size": POSITIVE,
-          "std_file_size": AT_LEAST_0, "min_file_size": AT_LEAST_0,
-          "blocks_per_chunk": AT_LEAST_1, "block_replication": AT_LEAST_1,
-          "horizon_hours": POSITIVE, "mean_uptime_hours": POSITIVE,
+         {**DEPLOYMENT, "horizon_hours": POSITIVE, "mean_uptime_hours": POSITIVE,
           "mean_downtime_hours": AT_LEAST_0, "join_rate_per_hour": AT_LEAST_0,
           "leave_rate_per_hour": AT_LEAST_0, "sample_every_hours": POSITIVE,
           "compact_every_hours": AT_LEAST_0, "bandwidth_gb_per_hour": POSITIVE}),
+    Case("FailureSweepConfig", _one_element(FailureSweepConfig, "fail_fractions"),
+         {"node_count": 10, "fail_fractions": 0.1},
+         {**DEPLOYMENT, "fail_fractions": CLOSED_FRACTION, "leave_fraction": CLOSED_FRACTION,
+          "sample_points": AT_LEAST_1}),
+    Case("FaultsConfig", _constructor(FaultsConfig),
+         {"node_count": 10, "file_count": 20, "oversubscription": 4.0, "repair_window": 8},
+         {**DEPLOYMENT, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
+          "bandwidth_mb_s": POSITIVE, "repair_spacing_s": AT_LEAST_0, "flash_fraction": FRACTION,
+          "restart_count": AT_LEAST_0, "restart_interval_s": AT_LEAST_0,
+          "restart_downtime_s": POSITIVE, "read_sample": AT_LEAST_0, "oversubscription": RATIO,
+          "repair_window": AT_LEAST_1, "repair_weight": POSITIVE, "foreground_reads": AT_LEAST_0,
+          "foreground_period_s": AT_LEAST_0}),
+    Case("TenantsConfig", _one_element(TenantsConfig, "burst_sizes_gb"),
+         {"node_count": 10, "burst_sizes_gb": 1.0},
+         {"node_count": AT_LEAST_1, "seed": AT_LEAST_0, "capacity_mean": AT_LEAST_0,
+          "capacity_std": AT_LEAST_0, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
+          "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO, "blocks_per_chunk": AT_LEAST_1,
+          "block_replication": AT_LEAST_1, "archive_files": AT_LEAST_0,
+          "archive_mean_size": POSITIVE, "archive_std_size": AT_LEAST_0,
+          "archive_min_size": AT_LEAST_0, "studies": AT_LEAST_0, "frames_per_study": AT_LEAST_0,
+          "mean_frame_size": POSITIVE, "study_interval_s": AT_LEAST_0, "bursts": AT_LEAST_0,
+          "burst_sizes_gb": AT_LEAST_0, "burst_interval_s": AT_LEAST_0,
+          "distribution_rounds": AT_LEAST_0, "distribution_period_s": AT_LEAST_0,
+          "distribution_payload": AT_LEAST_0, "probe_reads": AT_LEAST_0,
+          "probe_period_s": AT_LEAST_0, "read_sample": AT_LEAST_0, "storm_time_s": AT_LEAST_0,
+          "repair_spacing_s": AT_LEAST_0, "repair_window": AT_LEAST_1,
+          "storm_tenant_weight": POSITIVE, "storm_tenant_cap_mb_s": AT_LEAST_0}),
+    Case("ServingConfig", _one_element(ServingConfig, "zipf_sweep"),
+         {"node_count": 10, "zipf_sweep": 1.1},
+         {"node_count": AT_LEAST_1, "seed": AT_LEAST_0, "capacity_mean": AT_LEAST_0,
+          "capacity_std": AT_LEAST_0, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
+          "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO,
+          "intra_rack_latency": AT_LEAST_0, "intra_site_latency": AT_LEAST_0,
+          "inter_site_latency": AT_LEAST_0, "blocks_per_chunk": AT_LEAST_1,
+          "block_replication": AT_LEAST_1, "catalog_files": AT_LEAST_1,
+          "catalog_mean_size": POSITIVE, "catalog_std_size": AT_LEAST_0,
+          "catalog_min_size": AT_LEAST_0, "request_rate": POSITIVE, "duration_s": POSITIVE,
+          "read_fraction": CLOSED_FRACTION, "client_count": AT_LEAST_1,
+          "write_mean_size": POSITIVE, "write_std_size": AT_LEAST_0,
+          "write_min_size": AT_LEAST_0, "zipf_sweep": AT_LEAST_0, "cache_mb": POSITIVE,
+          "hot_threshold": AT_LEAST_0, "hot_replicas": AT_LEAST_0, "hop_latency_s": AT_LEAST_0}),
+    Case("RoutingConfig", _one_element(RoutingConfig, "population_sweep"),
+         {"node_count": 10, "population_sweep": 50},
+         {"node_count": AT_LEAST_1, "seed": AT_LEAST_0, "population_sweep": AT_LEAST_1,
+          "lookups": AT_LEAST_1, "churn_nodes": AT_LEAST_1, "churn_events": AT_LEAST_0,
+          "churn_lookups": AT_LEAST_1, "leaf_set_half_size": AT_LEAST_1}),
     Case("TransferCostModel", _constructor(TransferCostModel), {},
          {"bandwidth_bytes_per_s": POSITIVE, "lookup_seconds": AT_LEAST_0,
           "interposition_seconds": AT_LEAST_0, "per_transfer_latency": AT_LEAST_0}),

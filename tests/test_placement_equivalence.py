@@ -60,7 +60,7 @@ def _trace(file_count: int, seed: int):
 
 def _past_snapshot(store: PastStore):
     return {
-        name: (stored, [int(node.node_id) for node in holders])
+        name: (stored, [node.node_id for node in holders])
         for name, (stored, holders) in store.files.items()
     }
 
@@ -71,7 +71,7 @@ def _cfs_snapshot(store: CfsStore):
     # two representations block for block.
     return {
         name: [
-            (block, int(primary.node_id), size, [int(r.node_id) for r in replicas])
+            (block, primary.node_id, size, [r.node_id for r in replicas])
             for block, primary, size, replicas in store.block_entries(name)
         ]
         for name in store.files
@@ -89,14 +89,14 @@ def _ours_snapshot(store: StorageSystem):
                     chunk.start,
                     chunk.size,
                     [
-                        (p.block_name, int(p.node_id), p.size, tuple(map(int, p.replica_nodes)))
+                        (p.block_name, p.node_id, p.size, tuple(map(int, p.replica_nodes)))
                         for p in chunk.placements
                     ],
                 )
                 for chunk in stored.chunks
             ],
             [
-                (p.block_name, int(p.node_id), p.size, tuple(map(int, p.replica_nodes)))
+                (p.block_name, p.node_id, p.size, tuple(map(int, p.replica_nodes)))
                 for p in stored.cat_placements
             ],
         )
@@ -104,7 +104,7 @@ def _ours_snapshot(store: StorageSystem):
 
 
 def _usage_snapshot(view: DHTView):
-    return [(int(n.node_id), n.used, dict(n.stored_blocks)) for n in view.state.nodes]
+    return [(n.node_id, n.used, dict(n.stored_blocks)) for n in view.state.nodes]
 
 
 @pytest.mark.parametrize("node_count,file_count", POPULATIONS)

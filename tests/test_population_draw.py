@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.overlay import network as network_module
-from repro.overlay.ids import SPLIT_WORD_GENERATORS, NodeId, random_population
+from repro.overlay.ids import SPLIT_WORD_GENERATORS, random_population
 from repro.overlay.network import OverlayError, OverlayNetwork
 from tests.reference.seed_population import seed_population
 
@@ -56,7 +56,7 @@ def test_random_population_is_the_seed_loop(bit_generator, seed, count, prior):
     vector, scalar = _twins(bit_generator, seed, prior)
     ids, coordinates = random_population(vector, count)
     seed_ids, seed_coordinates = seed_population(scalar, count)
-    assert [int(node_id) for node_id in ids] == seed_ids
+    assert [node_id for node_id in ids] == seed_ids
     assert coordinates.shape == (count, 2)
     assert [tuple(pair) for pair in coordinates.tolist()] == seed_coordinates
     _assert_same_state(vector, scalar)
@@ -68,7 +68,7 @@ def test_build_places_the_seed_loops_population():
     network = OverlayNetwork.build(301, rng, capacities=capacities)
     seed_ids, seed_coordinates = seed_population(reference, 301)
     nodes = network.nodes()
-    assert [int(node.node_id) for node in nodes] == seed_ids
+    assert [node.node_id for node in nodes] == seed_ids
     assert [node.coordinates for node in nodes] == seed_coordinates
     assert [node.capacity for node in nodes] == capacities
     assert [node.serial for node in nodes] == list(range(301)) and network.serial_count == 301
@@ -93,7 +93,7 @@ def test_a_legacy_random_state_is_refused_the_same_way():
 
 def test_a_duplicate_id_is_refused(monkeypatch):
     def repeating(rng, count):
-        return [NodeId(7)] * count, np.zeros((count, 2))
+        return [7] * count, np.zeros((count, 2))
 
     monkeypatch.setattr(network_module, "random_population", repeating)
     with pytest.raises(OverlayError, match="2 duplicate node id"):

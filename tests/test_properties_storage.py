@@ -12,7 +12,7 @@ from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
-from repro.overlay.ids import NodeId, distance
+from repro.overlay.ids import distance
 from repro.overlay.network import OverlayNetwork
 
 MB = 1 << 20
@@ -61,10 +61,9 @@ def test_cat_range_queries_cover_requested_window(sizes, data):
 def test_dht_lookup_always_returns_closest_live_node(keys):
     network = OverlayNetwork.build(20, np.random.default_rng(5), capacities=[MB] * 20)
     dht = DHTView(network)
-    for raw in keys:
-        key = NodeId(raw)
+    for key in keys:
         found = dht.lookup(key)
-        best = min(network.live_ids(), key=lambda nid: (distance(nid, key), int(nid)))
+        best = min(network.live_ids(), key=lambda nid: (distance(nid, key), nid))
         assert found.node_id == best
 
 

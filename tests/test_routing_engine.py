@@ -17,7 +17,7 @@ import pytest
 from repro.overlay.engine import make_router
 from repro.overlay.engine_chord import ChordArrayRouter
 from repro.overlay.engine_pastry import PastryArrayRouter
-from repro.overlay.ids import ID_SPACE, NodeId, random_node_id
+from repro.overlay.ids import ID_SPACE, random_node_id
 from repro.overlay.network import OverlayError, OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.multicast.tree import build_routed_tree
@@ -64,7 +64,7 @@ def test_pastry_engine_is_path_identical_to_seed_router(nodes):
         seed = reference.route(key, start)
         assert seed.hops == int(batch.hops[index])
         assert int(seed.root) == batch.root_ids()[index]
-        assert [int(node_id) for node_id in seed.path] == batch.paths[index]
+        assert list(seed.path) == batch.paths[index]
 
 
 @pytest.mark.parametrize("nodes", [50, 200])
@@ -81,7 +81,7 @@ def test_pastry_identity_survives_interleaved_churn(nodes):
         seed = reference.route(key, start)
         assert seed.hops == int(batch.hops[index])
         assert int(seed.root) == batch.root_ids()[index]
-        assert [int(node_id) for node_id in seed.path] == batch.paths[index]
+        assert list(seed.path) == batch.paths[index]
 
 
 def test_route_many_matches_scalar_engine_route():
@@ -94,7 +94,7 @@ def test_route_many_matches_scalar_engine_route():
         single = router.route(key, start)
         assert single.hops == int(batch.hops[index])
         assert int(single.root) == batch.root_ids()[index]
-        assert [int(node_id) for node_id in single.path] == batch.paths[index]
+        assert list(single.path) == batch.paths[index]
 
 
 def test_pastry_columns_keep_their_dtypes():
@@ -117,7 +117,7 @@ def _ring_successor(sorted_ids, value: int) -> int:
 
 def _assert_chord_invariants(network: OverlayNetwork,
                              router: ChordArrayRouter) -> None:
-    sorted_ids = sorted(int(node_id) for node_id in network.live_ids())
+    sorted_ids = sorted(network.live_ids())
     count = len(sorted_ids)
     for position, node_id in enumerate(sorted_ids):
         successors = router.successor_list_ids(node_id)
@@ -155,11 +155,11 @@ def test_chord_routes_resolve_to_ring_successors():
     rng = np.random.default_rng(29)
     network = OverlayNetwork.build(150, rng)
     router = network.attach_router("chord")
-    sorted_ids = sorted(int(node_id) for node_id in network.live_ids())
+    sorted_ids = sorted(network.live_ids())
     keys, starts = _lookups(network, 80, rng)
     batch = router.route_many(keys, starts)
     for key, root in zip(keys, batch.root_ids()):
-        assert root == _ring_successor(sorted_ids, int(key))
+        assert root == _ring_successor(sorted_ids, key)
 
 
 # ------------------------------------------------------ fail -> recover churn --
@@ -269,22 +269,10 @@ def test_routed_tree_with_no_targets_is_just_the_source():
     router = network.attach_router("pastry")
     source = network.live_ids()[0]
     tree = build_routed_tree(router, source, [source])
-    assert len(tree) == 1 and int(tree.root.overlay_id) == int(source)
+    assert len(tree) == 1 and tree.root.overlay_id == source
 
 
 # --------------------------------------------------------------- misc surface --
-def test_keys_accept_ints_and_node_ids():
-    rng = np.random.default_rng(41)
-    network = OverlayNetwork.build(50, rng)
-    router = network.attach_router("pastry")
-    key = random_node_id(rng)
-    start = network.live_ids()[0]
-    as_node_id = router.route(key, start)
-    as_int = router.route(int(key), start)
-    assert int(as_node_id.root) == int(as_int.root)
-    assert as_node_id.hops == as_int.hops
-
-
 def test_trailing_nul_keys_route_correctly():
     """Keys whose digest ends in 0x00 bytes (numpy S20 scalars strip them)."""
     rng = np.random.default_rng(43)
@@ -293,7 +281,7 @@ def test_trailing_nul_keys_route_correctly():
     reference = network.attach_router(SeedPastryRouter(network))
     start = network.live_ids()[0]
     for shift in (8, 16, 24):
-        key = NodeId(((int(random_node_id(rng)) >> shift) << shift) % ID_SPACE)
+        key = (random_node_id(rng) >> shift) << shift
         seed = reference.route(key, start)
         engine = router.route(key, start)
         assert seed.hops == engine.hops

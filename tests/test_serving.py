@@ -22,7 +22,7 @@ from repro.core.policies import StoragePolicy
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.experiments.serving import ServingConfig, ServingExperiment
-from repro.overlay.ids import key_for, node_id_from_int, random_node_id
+from repro.overlay.ids import key_for, random_node_id
 from repro.overlay.node import OverlayNode
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig
@@ -286,7 +286,7 @@ def _churn_non_gateways(session, engine, events: int = 24) -> None:
     network, dht = session.network, session.dht
     rng = np.random.default_rng(77)
     spare = [node for node in network.live_nodes()
-             if int(node.node_id) not in engine.gateways]
+             if node.node_id not in engine.gateways]
     victims = [spare[int(i)] for i in rng.permutation(len(spare))[:events]]
     times = np.sort(rng.uniform(0.0, engine.trace.duration_s, size=events))
 
@@ -374,7 +374,7 @@ def test_lookahead_window_restarts_after_a_membership_change():
     def prepare(session, engine):
         box["sizes"] = _count_route_many(engine)
         victim = next(node for node in session.network.live_nodes()
-                      if int(node.node_id) not in engine.gateways)
+                      if node.node_id not in engine.gateways)
 
         def fail():
             box["calls_before"] = len(box["sizes"])
@@ -396,7 +396,7 @@ def test_requests_of_a_failed_gateway_fail_instead_of_crashing_the_run(routing):
     assert baseline.failed_reads + baseline.failed_writes == 0
 
     def prepare(session, engine):
-        dead = node_id_from_int(engine.gateways[0])
+        dead = engine.gateways[0]
         session.sim.schedule(0.5, lambda: session.network.fail(dead))
 
     _, _, engine, _ = _serve_cell(routing=routing, prepare=prepare)
@@ -415,7 +415,7 @@ def test_restarted_gateway_issues_its_requests_again(routing):
     down_at, up_at = 0.5, 2.0
 
     def prepare(session, engine):
-        gateway = node_id_from_int(engine.gateways[0])
+        gateway = engine.gateways[0]
         injector = session.fault_injector(dht=session.dht)
         session.sim.schedule(down_at, lambda: injector.rolling_restart(
             [gateway], interval=0.0, downtime=up_at - down_at))

@@ -217,15 +217,17 @@ def test_congestion_signals_rank_saturated_paths():
     assert math.isinf(sched.source_congestion(0))
 
 
-def test_trunk_summary_reports_bytes_and_capacity():
+def test_trunk_bytes_and_capacity_of_each_crossed_trunk():
     nodes = _grid(8, 1, 2)
     sim, topo, sched = _topo_scheduler(nodes, access=10.0, rack_uplink=10.0)
     sched.submit(100.0, src=0, dst=1)
     sim.run()
-    summary = sched.trunk_summary()
-    assert summary["rack0:up"] == {"bytes": pytest.approx(100.0), "capacity": 10.0}
-    # The downlink stage was left unconstrained (capacity -1 marker).
-    assert summary["rack1:down"] == {"bytes": pytest.approx(100.0), "capacity": -1.0}
+    rack0_up, rack1_down = topo.trunk_links(0, 1)
+    assert sched.trunk_bytes[rack0_up] == pytest.approx(100.0)
+    assert sched.capacity_of(rack0_up) == 10.0
+    # The downlink stage was left unconstrained (no capacity).
+    assert sched.trunk_bytes[rack1_down] == pytest.approx(100.0)
+    assert sched.capacity_of(rack1_down) is None
 
 
 # -------------------------------------------------------------------- pacer --

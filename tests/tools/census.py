@@ -100,17 +100,14 @@ KEEP: dict[str, str] = {
     "repro.overlay.node_state.NodeArrayState.position": "DHTView.lookup resolves its answer with it",
     "repro.core.capacity.CapacityProbe.probe_chunk": _TRACED,
     "repro.core.capacity.CapacityProbe.probe_names": _TRACED,
-    "repro.core.naming.key_for_name": "probe_chunk / probe_names hash names with it",
-    "repro.overlay.ids.key_for": "key_for_name's SHA-1",
     "repro.core.block_ledger.BlockLedger.register_whole_file": _TRACED,
     "repro.core.block_ledger.BlockLedger.flush_registrations": _TRACED,
     "repro.overlay.engine.ArrayRouterBase.route": "scalar routing for tests; " + _TRACED,
     "repro.overlay.engine.BatchRouteResult.root_ids": "the seed-router comparison reads it",
     "repro.overlay.network.OverlayNetwork.responsible_node": "brute-force oracle of every lookup",
     "repro.overlay.network.OverlayNetwork.proximity": _ORACLE,
-    "repro.overlay.ids.NodeId.digit": _ORACLE,
-    "repro.overlay.ids.NodeId.shared_prefix_length": _ORACLE,
-    "repro.overlay.ids._as_int": _ORACLE,
+    "repro.overlay.ids.digit": _ORACLE,
+    "repro.overlay.ids.shared_prefix_length": _ORACLE,
     "repro.overlay.ids.distance": _ORACLE,
     "repro.overlay.ids.clockwise_distance": _ORACLE,
     "repro.baselines.cfs.CfsStore.block_entries": _ORACLE,
