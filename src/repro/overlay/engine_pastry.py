@@ -8,27 +8,29 @@ One dense ``(capacity, rows, 16)`` int32 table holds every node's routing
 table (``table[slot, row, col]`` = slot of the entry, ``-1`` empty); digits
 are uint8 nibble views over the S20 digests.  Construction replaces the
 seed's N^2 pairwise ``consider()`` calls with a prefix-group recursion:
-nodes sharing the first ``row`` digits form contiguous runs in id-sorted
-order, so each run's pairwise proximity matrix is computed once (in owner
-chunks) and per-digit-bucket lexicographic argmins fill a whole row of
-entries at a time.  The total work is still ~N^2 candidate comparisons —
-the same information the seed consumes — but as a handful of large numpy
-reductions instead of 10^8 Python calls.
+nodes sharing the first ``row`` digits form a contiguous run of the id-sorted
+order and each digit bucket a slice of it, so each run's proximity matrix is
+computed once (in owner chunks) and one ``argmin`` per bucket fills a column
+of entries.  The work is still ~N^2 distances -- what the seed consumes --
+but as a few large numpy reductions instead of 10^8 Python calls.
 
 Exactness (the oracle in ``tests/test_routing_engine.py`` pins all of it):
 
 * **Tables are order-independent.**  Seed construction has every node
-  consider every other, so entry ``(row, col)`` of owner ``o`` is simply
-  the argmin over matching candidates by ``(proximity, id)`` — which is
-  what the batch build computes.
+  consider every other, so entry ``(row, col)`` of owner ``o`` is the argmin
+  over matching candidates by ``(proximity, id)``: the bucket is in id order
+  and ``argmin`` returns the first minimum, so no id key is needed.  Both
+  sides measure with ``np.hypot`` (:meth:`OverlayNetwork.proximity
+  <repro.overlay.network.OverlayNetwork.proximity>`), and ``join`` refuses
+  non-finite coordinates, so ties fall the same way and no NaN sorts first.
 * **Removal never refills.**  The seed's departure repair only deletes
   the departed id from routing tables; for each owner there is exactly
   one slot that can reference a given node (``row`` = shared prefix,
   ``col`` = the node's digit there), so removal is one
   gather/compare/scatter.
-* **Joins are candidate-replacement.**  The newcomer's own table is an
-  argmin over the live population (one ``np.lexsort``); every existing
-  owner compares the newcomer against the single slot it belongs to.
+* **Joins are candidate-replacement.**  The newcomer's own table is one
+  stable ``np.lexsort`` by (slot, proximity) of the others in id order;
+  every existing owner compares the newcomer against its single slot.
 * **Leaf sets are positional.**  At all times the seed leaf set equals
   the <= ``half_size`` nearest live ids per ring side (side = half-ring
   test), so the engine reads them straight out of the sorted live order —
@@ -163,27 +165,24 @@ class PastryArrayRouter(ArrayRouterBase):
         """Fill entry (row, col) for every owner in a prefix group.
 
         Candidates for column ``col`` are the group's digit-``col`` bucket;
-        each owner outside that bucket takes the bucket's argmin by
-        ``(proximity, id)`` — the seed's ``consider()`` fixed point.
+        each owner outside it takes the bucket's first proximity minimum, its
+        argmin by ``(proximity, id)`` -- the seed's ``consider()`` fixed point.
         """
         count = len(members)
-        coords = self._coords[members]
-        limbs = self._ids_limbs[members]
+        xs = self._coords[members, 0]
+        ys = self._coords[members, 1]
         # Bound the owner x member proximity matrix to ~4M cells per chunk.
         chunk = max(1, min(4096, (1 << 22) // count))
         for start in range(0, count, chunk):
-            owners = members[start:start + chunk]
-            owner_digits = digits[start:start + chunk]
-            delta = coords[start:start + chunk, None, :] - coords[None, :, :]
-            proximity = np.hypot(delta[..., 0], delta[..., 1])
+            stop = start + chunk
+            owners = members[start:stop]
+            owner_digits = digits[start:stop]
+            proximity = np.hypot(xs[start:stop, None] - xs, ys[start:stop, None] - ys)
             for col in range(_COLUMNS):
                 lo, hi = int(bounds[col]), int(bounds[col + 1])
                 if lo == hi:
                     continue
-                sub = proximity[:, lo:hi]
-                best = lex_argmin([sub, limbs[lo:hi, 2], limbs[lo:hi, 1],
-                                   limbs[lo:hi, 0]], axis=1)
-                entry = members[lo + best]
+                entry = members[lo + proximity[:, lo:hi].argmin(axis=1)]
                 outside = owner_digits != col
                 self._table[owners[outside], row, col] = entry[outside]
 
@@ -203,11 +202,10 @@ class PastryArrayRouter(ArrayRouterBase):
         self._ensure_rows(int(prefix.max()) + 2)
         delta = self._coords[others] - self._coords[slot][None, :]
         proximity = np.hypot(delta[:, 0], delta[:, 1])
-        limbs = self._ids_limbs[others]
-        # The newcomer's own table: per-slot argmin by (proximity, id) over
-        # the whole live population, via one lexsort + first-occurrence scan.
+        # The newcomer's own table: per-slot argmin by (proximity, id).  lexsort
+        # is stable and ``others`` is in id order, so each slot's first row is it.
         slot_key = prefix.astype(np.int64) * _COLUMNS + self._digits[others, prefix]
-        order = np.lexsort((limbs[:, 0], limbs[:, 1], limbs[:, 2], proximity, slot_key))
+        order = np.lexsort((proximity, slot_key))
         filled, first = np.unique(slot_key[order], return_index=True)
         self._table[slot].reshape(-1)[filled] = others[order[first]]
         # Existing owners consider the newcomer at its single slot.

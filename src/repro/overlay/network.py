@@ -110,11 +110,14 @@ class OverlayNetwork:
         (as does a :class:`~repro.overlay.dht.DHTView` the caller adds the
         node to), which is what keeps join-heavy churn soaks incremental.
 
-        This is the one door a caller's id comes in by: an id outside
-        ``[0, ID_SPACE)`` raises :class:`~repro.overlay.validation.ParameterError`
-        before anything changes.
+        This is the one door a caller's id and coordinates come in by: an id
+        outside ``[0, ID_SPACE)`` or a non-finite coordinate raises
+        :class:`~repro.overlay.validation.ParameterError` before anything
+        changes.
         """
         require_range("node_id", node.node_id, 0, ID_SPACE)
+        for name, value in zip(("x", "y"), node.coordinates):
+            require_range(f"coordinate {name}", value, -math.inf, math.inf, "()")
         if node.node_id in self._nodes:
             raise OverlayError(f"node id already present: {node.node_id!r}")
         self._nodes[node.node_id] = node
@@ -193,10 +196,11 @@ class OverlayNetwork:
 
     # -- proximity -------------------------------------------------------------
     def proximity(self, a: int, b: int) -> float:
-        """The proximity metric between two participants (Euclidean distance)."""
+        """The proximity metric between two participants (Euclidean distance):
+        ``np.hypot``, as in the Pastry engine (``math.hypot`` rounds some ties apart)."""
         ax, ay = self.node(a).coordinates
         bx, by = self.node(b).coordinates
-        return math.hypot(ax - bx, ay - by)
+        return float(np.hypot(ax - bx, ay - by))
 
     # -- pluggable routing engines --------------------------------------------
     def attach_router(self, engine="pastry", **kwargs):

@@ -42,6 +42,8 @@ from repro.experiments.storage_insertion import InsertionConfig
 from repro.experiments.tenants import TenantsConfig
 from repro.grid.transfer import TransferCostModel
 from repro.multicast.bullet import BulletConfig
+from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import OverlayNode
 from repro.sim.churn import FailureSchedule
 from repro.sim.engine import Simulator
 from repro.workloads.capacity import CapacityConfig
@@ -66,7 +68,8 @@ DEPLOYMENT = {"node_count": AT_LEAST_1, "file_count": AT_LEAST_0, "seed": AT_LEA
 def _outside(low, high, ends):
     """Values the range ``(low, high, ends)`` excludes."""
     values = [math.nan, INF, -INF]
-    values.append(low if ends[0] == "(" else math.nextafter(low, -INF))
+    if low > -INF:
+        values.append(low if ends[0] == "(" else math.nextafter(low, -INF))
     if -1 < low or (-1 == low and ends[0] == "("):
         values.append(-1)
     if high < INF:
@@ -114,6 +117,18 @@ def _on_session(method: str):
         extra = (lambda: tuple(target.events)) if owner == "injector" else (lambda: ())
         return call, lambda: _moved(session, client, *extra())
     return make
+
+
+def _join():
+    """``OverlayNetwork.join`` of a node at ``(coordinate x, coordinate y)``,
+    with a Pastry engine attached that must not learn a refused node."""
+    network = OverlayNetwork.build(8, np.random.default_rng(4))
+    router = network.attach_router("pastry")
+
+    def call(**coordinates):
+        network.join(OverlayNode(node_id=5, coordinates=(coordinates["coordinate x"],
+                                                         coordinates["coordinate y"])))
+    return call, lambda: (tuple(network.live_ids()), router.live_count, network.serial_count)
 
 
 @dataclass(frozen=True)
@@ -257,6 +272,8 @@ CASES = (
     Case("TransferPacer", lambda: (lambda **kwargs: TransferPacer(
         TransferScheduler(Simulator()), **kwargs), lambda: None),
          {"max_in_flight": 4, "weight": 0.5}, {"max_in_flight": AT_LEAST_1, "weight": POSITIVE}),
+    Case("OverlayNetwork.join", _join, {"coordinate x": 1.0, "coordinate y": -1.0},
+         {"coordinate x": (-INF, INF, "()"), "coordinate y": (-INF, INF, "()")}),
     Case("FailureSchedule", _constructor(FailureSchedule, node_ids=range(10),
                                          rng=np.random.default_rng(0)),
          {"fraction": 0.2, "spacing": 1.0}, {"fraction": CLOSED_FRACTION, "spacing": POSITIVE}),

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.overlay.engine import make_router
 from repro.overlay.engine_chord import ChordArrayRouter
 from repro.overlay.engine_pastry import PastryArrayRouter
-from repro.overlay.ids import ID_SPACE, random_node_id
+from repro.overlay.ids import BITS_PER_DIGIT, ID_SPACE, random_node_id
 from repro.overlay.network import OverlayError, OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.multicast.tree import build_routed_tree
@@ -82,6 +83,100 @@ def test_pastry_identity_survives_interleaved_churn(nodes):
         assert seed.hops == int(batch.hops[index])
         assert int(seed.root) == batch.root_ids()[index]
         assert list(seed.path) == batch.paths[index]
+
+
+# ---------------------------------------------- the tables, cell by cell --
+def _engine_cells(router: PastryArrayRouter, owner: int) -> dict:
+    """The engine's table of ``owner`` as ``{(row, column): entry id}``."""
+    table = router._table[router._slot_of[owner]]
+    return {(int(row), int(column)): router.slot_id(int(table[row, column]))
+            for row, column in zip(*np.nonzero(table >= 0))}
+
+
+def _seed_cells(reference: SeedPastryRouter, owner: int) -> dict:
+    table = reference.routing_table(owner)
+    return {table.slot_for(entry.node_id): entry.node_id for entry in table.entries()}
+
+
+def _assert_same_tables_and_routes(network, router, reference, rng) -> None:
+    """Every live owner's full table, then routes to random keys and to node ids."""
+    live = network.live_ids()
+    for owner in live:
+        assert _engine_cells(router, owner) == _seed_cells(reference, owner), owner
+    keys, starts = _lookups(network, 50, rng)
+    hits = live[:10]
+    keys[:len(hits)] = hits
+    batch = router.route_many(keys, starts, collect_paths=True)
+    for index, (key, start) in enumerate(zip(keys, starts)):
+        assert list(reference.route(key, start).path) == batch.paths[index]
+
+
+@pytest.mark.parametrize("attach", ["before joins", "after joins"])
+def test_an_exact_proximity_tie_falls_the_same_way_in_seed_and_engine(attach):
+    """(17, 52) and (28, 47) are both sqrt(2993) from an owner at the origin and
+    share its (0, 1) bucket; every other bucket of row 0 holds one node.
+    ``math.hypot`` rounds the two distances equal, ``np.hypot`` an ulp apart,
+    so a seed and an engine on different metrics pick different entries."""
+    owner, near, far = 0, 0x10 << 152, 0x18 << 152
+    population = [OverlayNode(node_id=owner, coordinates=(0.0, 0.0)),
+                  OverlayNode(node_id=near, coordinates=(17.0, 52.0)),
+                  OverlayNode(node_id=far, coordinates=(28.0, 47.0))]
+    population += [OverlayNode(node_id=column << 156, coordinates=(100.0 * column, 0.0))
+                   for column in range(2, 16)]
+    network = OverlayNetwork()
+    if attach == "before joins":
+        network.join(population.pop(0))
+    router = network.attach_router("pastry")
+    reference = network.attach_router(SeedPastryRouter(network))
+    for node in population:
+        network.join(node)
+    entry = reference.routing_table(owner).get(0, 1).node_id
+    assert _engine_cells(router, owner)[(0, 1)] == entry
+    assert entry == far  # np.hypot, the one metric, puts (28, 47) an ulp nearer
+    _assert_same_tables_and_routes(network, router, reference, np.random.default_rng(7))
+
+
+def _fuzz_node(rng, live, side: int) -> OverlayNode:
+    """A node on a ``side`` x ``side`` integer lattice (exact ties and
+    equidistant pairs occur); a quarter of the ids copy 1-6 leading digits of a
+    live id, so deep rows and table growth on join are exercised."""
+    node_id = random_node_id(rng)
+    if live and rng.random() < 0.25:
+        low_bits = 160 - BITS_PER_DIGIT * int(rng.integers(1, 7))
+        mask = (1 << low_bits) - 1
+        node_id = (live[int(rng.integers(len(live)))] & ~mask) | (node_id & mask)
+    x, y = rng.integers(0, side, size=2).tolist()
+    return OverlayNode(node_id=node_id, coordinates=(float(x), float(y)))
+
+
+@given(count=st.integers(2, 300), side=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       churn=st.lists(st.sampled_from(["join", "leave", "fail", "recover"]), max_size=24))
+@settings(max_examples=max(1, settings.default.max_examples // 10), deadline=None)
+def test_pastry_tables_and_routes_match_the_seed_under_fuzzed_churn(count, side, seed, churn):
+    """The batch build, then every churn patch, against the seed's per-node tables."""
+    rng = np.random.default_rng(seed)
+    network = OverlayNetwork()
+    for _ in range(count):
+        network.join(_fuzz_node(rng, network.live_ids(), side))
+    router = network.attach_router("pastry")
+    reference = network.attach_router(SeedPastryRouter(network))
+    _assert_same_tables_and_routes(network, router, reference, rng)
+    failed = []
+    for event in churn:
+        live = network.live_ids()
+        if event == "join" or len(live) < 3:
+            network.join(_fuzz_node(rng, live, side))
+        elif event == "recover":
+            if failed:
+                network.recover(failed.pop(int(rng.integers(len(failed)))))
+        else:
+            victim = live[int(rng.integers(len(live)))]
+            if event == "leave":
+                network.leave(victim)
+            else:
+                network.fail(victim)
+                failed.append(victim)
+    _assert_same_tables_and_routes(network, router, reference, rng)
 
 
 def test_route_many_matches_scalar_engine_route():
