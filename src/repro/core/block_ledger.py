@@ -106,8 +106,11 @@ registration would have produced.  Aggregate counters are bumped eagerly at
 queue time.  Any new code path that reads the raw row columns must call
 ``_flush_pending()`` (or go through one of the accessors above) first.
 
-Every store owns or shares a ledger; the per-node
-``stored_blocks`` dicts and ``StoredChunk.placements`` it mirrors still exist,
+Where a block lives has this one home: a placement's primary is the owner-slot
+column ``_placement_primary`` (slots survive :meth:`BlockLedger.compact`), its
+replicas its unreleased :data:`KIND_REPLICA` rows in row order, and a file's
+CAT copies its :data:`KIND_META` rows; ``StoredChunk.placements`` is a view of
+them.  The per-node ``stored_blocks`` dicts the ledger mirrors still exist,
 and ``tests/reference/dict_walk.py`` re-derives every answer from them --
 ``tests/test_churn_equivalence.py`` / ``tests/test_placement_equivalence.py``
 audit the ledger against that walk and against the frozen seed outputs in
@@ -129,6 +132,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
     from repro.core.storage import StoredChunk, StoredFile
     from repro.overlay.network import OverlayNetwork
     from repro.overlay.node import OverlayNode
+
+#: One placed block (or CAT object) as a store hands it over: its name, the
+#: primary holder, its size and the neighbour-replica holders.
+Placed = Tuple[str, "OverlayNode", int, Tuple["OverlayNode", ...]]
 
 _S20 = "S20"
 _INITIAL = 1024
@@ -164,7 +171,7 @@ _ROW_COLUMNS = (
     "_alive", "_released", "_kind", "_group", "_row_tenant",
 )
 _GROUP_COLUMNS = ("_group_copies", "_group_file")
-_PLACEMENT_COLUMNS = ("_placement_chunk", "_placement_pos", "_placement_copies")
+_PLACEMENT_COLUMNS = ("_placement_chunk", "_placement_primary", "_placement_copies")
 _CHUNK_COLUMNS = ("_chunk_required", "_chunk_alive", "_chunk_file", "_chunk_first", "_chunk_span")
 _FILE_COLUMNS = ("_file_size", "_file_bad", "_file_active", "_file_tenant", "_file_placement0")
 _SLOT_COLUMNS = ("_slot_site", "_slot_rack")
@@ -273,8 +280,11 @@ class BlockLedger:
         # -- placement registry (one entry per block of a chunk) -------------
         self.placement_count = 0
         self._placement_chunk = np.full(_INITIAL, -1, dtype=np.int64)
-        self._placement_pos = np.zeros(_INITIAL, dtype=np.int64)
+        #: Owner slot of the copy the placement points at first; with the
+        #: block name and the replica rows, everything a placement is.
+        self._placement_primary = np.full(_INITIAL, -1, dtype=np.int64)
         self._placement_copies = np.zeros(_INITIAL, dtype=np.int64)
+        self._placement_names: List[str] = []
         # -- chunk registry ---------------------------------------------------
         self.chunk_count = 0
         self._chunk_required = np.zeros(_INITIAL, dtype=np.int64)
@@ -443,23 +453,19 @@ class BlockLedger:
             self.stored_data_bytes += size
         return f
 
-    def register_file(
-        self, stored: "StoredFile", required_blocks: int, tenant: Optional[int] = None
-    ) -> None:
+    def register_file(self, stored: "StoredFile", required_blocks: int, tenant: Optional[int],
+                      chunks: Sequence[Tuple["StoredChunk", Sequence[Placed]]], cat: Placed) -> None:
         """Record every copy of a freshly (successfully) stored file.
 
-        Called once per successful store, after the chunk and CAT placements
-        are final, so the per-node row order matches the chronological
+        ``chunks`` pairs each placed data chunk with its blocks, in chunk
+        order.  Called once per successful store, after the placements are
+        final, so the per-node row order matches the chronological
         ``stored_blocks`` dict order the seed recovery path iterates.
         """
         tenant = tenant or 0
         f = self._new_file_entry(stored.name, stored.size, tenant)
         stored.ledger_index = f
-
-        network_node = self.network.node
-        for chunk in stored.chunks:
-            if chunk.is_empty or not chunk.placements:
-                continue
+        for chunk, blocks in chunks:
             c = self.chunk_count
             self.chunk_count = c + 1
             if c >= len(self._chunk_file):
@@ -467,40 +473,32 @@ class BlockLedger:
             self._chunk_required[c] = required_blocks
             self._chunk_file[c] = f
             self._chunk_first[c] = self.placement_count
-            self._chunk_span[c] = len(chunk.placements)
+            self._chunk_span[c] = len(blocks)
             self._chunk_objs.append(chunk)
-            chunk.ledger_index = c
-            needed = self.placement_count + len(chunk.placements)
+            chunk.ledger, chunk.ledger_index = self, c
+            needed = self.placement_count + len(blocks)
             if needed > len(self._placement_chunk):
                 self._grow(_PLACEMENT_COLUMNS, needed)
-            for pos, placement in enumerate(chunk.placements):
+            for name, node, size, replicas in blocks:
                 p = self.placement_count
                 self.placement_count = p + 1
                 self._placement_chunk[p] = c
-                self._placement_pos[p] = pos
-                self._append_row(
-                    network_node(placement.node_id), placement.block_name, placement.size,
-                    f, c, p, tenant=tenant,
-                )
-                for node_id in placement.replica_nodes:
-                    self._append_row(
-                        network_node(node_id), placement.block_name, placement.size, f, c, p,
-                        kind=KIND_REPLICA, tenant=tenant,
-                    )
-                copies = 1 + len(placement.replica_nodes)
+                self._placement_names.append(name)
+                row = self._append_row(node, name, size, f, c, p, tenant=tenant)
+                self._placement_primary[p] = self._owner[row]
+                for replica in replicas:
+                    self._append_row(replica, name, size, f, c, p, kind=KIND_REPLICA, tenant=tenant)
+                copies = 1 + len(replicas)
                 self._placement_copies[p] = copies
                 self._replication_hist[min(copies, REPLICATION_HIST_MAX)] += 1
             # A fresh chunk has every placement alive; it can still start
             # below threshold if a policy ever under-places, so count it.
-            self._chunk_alive[c] = len(chunk.placements)
+            self._chunk_alive[c] = len(blocks)
             if self._chunk_alive[c] < required_blocks:
                 self._file_bad[f] += 1
-        for placement in stored.cat_placements:
-            for node_id in (placement.node_id, *placement.replica_nodes):
-                self._append_row(
-                    network_node(node_id), placement.block_name, placement.size, f, -1, -1,
-                    kind=KIND_META, tenant=tenant,
-                )
+        name, node, size, replicas = cat
+        for holder in (node, *replicas):
+            self._append_row(holder, name, size, f, -1, -1, kind=KIND_META, tenant=tenant)
         if self._file_bad[f] > 0:
             self.unavailable_files += 1
 
@@ -946,7 +944,7 @@ class BlockLedger:
 
     def placement_position(self, placement_idx: int) -> int:
         """The placement's index within its chunk's ``placements`` list."""
-        return int(self._placement_pos[placement_idx])
+        return placement_idx - int(self._chunk_first[self._placement_chunk[placement_idx]])
 
     def placement_for(self, chunk_idx: int, position: int) -> int:
         """The ledger placement index for position ``position`` of a chunk."""
@@ -956,6 +954,26 @@ class BlockLedger:
         """The ledger placement indexes of a chunk, in placement order."""
         first = int(self._chunk_first[chunk_idx])
         return range(first, first + int(self._chunk_span[chunk_idx]))
+
+    def placement_primary(self, placement_idx: int) -> int:
+        """The node id the placement points at first (its primary holder), O(1)."""
+        return self._slot_nodes[self._placement_primary[placement_idx]].node_id
+
+    def placement_holders(self, placement_idx: int) -> List[int]:
+        """The placement's primary, then its unreleased replica rows' owners in row order.
+
+        Node ids; a holder may be down (its row dead but revivable).
+        """
+        released, kind, owner, slot_nodes = self._released, self._kind, self._owner, self._slot_nodes
+        return [self.placement_primary(placement_idx)] + [
+            slot_nodes[owner[row]].node_id
+            for row in self._by_placement.lookup(self, placement_idx)
+            if kind[row] == KIND_REPLICA and not released[row]
+        ]
+
+    def placement_name(self, placement_idx: int) -> str:
+        """The name of the placement's block."""
+        return self._placement_names[placement_idx]
 
     def live_copy_owner(self, placement_idx: int) -> Optional["OverlayNode"]:
         """A node holding a live copy of the placement (None if all are dead).
@@ -989,10 +1007,14 @@ class BlockLedger:
         leaves the placement's reference set -- released, even if the old
         holder is alive and still has the bytes, so it can never revive and
         double-count the copy -- and the fresh copy on ``new_node`` joins it as
-        a ``kind`` row (:data:`KIND_PRIMARY` or :data:`KIND_REPLICA`).
+        a ``kind`` row (:data:`KIND_PRIMARY` or :data:`KIND_REPLICA`).  A
+        fresh primary becomes the copy the placement points at first.
         """
         self._release_copy(placement_idx, old_node_id)
-        return self._register_copy_row(placement_idx, new_node, name, size, digest, kind=kind)
+        row = self._register_copy_row(placement_idx, new_node, name, size, digest, kind=kind)
+        if kind == KIND_PRIMARY:
+            self._placement_primary[placement_idx] = self._owner[row]
+        return row
 
     def _release_copy(self, placement_idx: int, node_id: int) -> None:
         """Release the placement's first unreleased copy held by ``node_id``."""
@@ -1014,8 +1036,8 @@ class BlockLedger:
         """Record an extra replica copy joining an existing placement.
 
         Used by out-of-pipeline replica creation (the multicast replicator of
-        Section 4.4.1), which appends holders to ``placement.replica_nodes``
-        after the file was registered.
+        Section 4.4.1) after the file was registered: the row joins the end
+        of the placement's replicas.
         """
         return self._register_copy_row(
             self.placement_for(chunk_idx, position), node, name, size, digest, kind=KIND_REPLICA
@@ -1059,9 +1081,9 @@ class BlockLedger:
     ) -> int:
         """Record a re-created CAT/metadata copy.
 
-        Registered untracked-by-file (``file_idx = -1``) because the seed does
-        not add restored copies to ``cat_placements`` either -- deleting the
-        file later leaves them behind in both representations.
+        Registered untracked-by-file (``file_idx = -1``), as the seed did not
+        count restored copies among the file's CAT copies either: deleting
+        the file later leaves them behind.
         """
         return self._append_row(node, name, size, -1, -1, -1, digest, tenant=tenant)
 
@@ -1114,6 +1136,10 @@ class BlockLedger:
     def row_owner(self, row: int) -> "OverlayNode":
         """The node a row's copy lives on."""
         return self._slot_nodes[self._owner[row]]
+
+    def row_released(self, row: int) -> bool:
+        """Whether the row's copy left the system for good (deleted, wiped, departed, re-pointed)."""
+        return bool(self._released[row])
 
     def baseline_entries(
         self, file_idx: int
@@ -1250,8 +1276,16 @@ class BlockLedger:
         first, span = self._chunk_first[:chunks], self._chunk_span[:chunks]
         law("_chunk_span", np.repeat(np.arange(chunks), span), placement_chunk)
         law("_chunk_first", first, np.cumsum(span) - span)
-        law("_placement_pos", self._placement_pos[:placements],
-            np.arange(placements) - first[placement_chunk])
+        # The placement's newest primary-kind row is the copy a re-point left
+        # it pointing at; once released (wiped, departed) it may be compacted away.
+        placement_col = self._placement[:n]
+        primary_rows = np.flatnonzero((self._kind[:n] == KIND_PRIMARY) & (placement_col >= 0))
+        newest = np.full(placements, -1, dtype=np.int64)
+        np.maximum.at(newest, placement_col[primary_rows], primary_rows)
+        held = newest[newest >= 0]
+        held = held[~self._released[held]]
+        law("_placement_primary names the newest unreleased primary row's owner",
+            self._placement_primary[placement_col[held]], self._owner[held])
         chunk_alive = np.bincount(placement_chunk[copies > 0], minlength=chunks)
         law("_chunk_alive", self._chunk_alive[:chunks], chunk_alive)
         chunk_file = self._chunk_file[:chunks]

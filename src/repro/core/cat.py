@@ -93,10 +93,6 @@ class ChunkAllocationTable:
         """Total file size recorded by the CAT."""
         return self._entries[-1].end if self._entries else 0
 
-    def non_empty_entries(self) -> List[CatEntry]:
-        """Entries for chunks that actually hold data."""
-        return [entry for entry in self._entries if not entry.is_empty]
-
     def chunks_for_range(self, offset: int, length: int) -> List[CatEntry]:
         """All chunks overlapping the byte range ``[offset, offset + length)``.
 

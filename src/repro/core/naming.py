@@ -27,6 +27,9 @@ SEPARATOR = "_"
 #: Suffix of the chunk-allocation-table object for a file.
 CAT_SUFFIX = ".CAT"
 
+#: Marker before the retry number of a salted CAT name (``filename.CAT~salt2``).
+CAT_SALT = "~salt"
+
 
 def chunk_name(filename: str, chunk_no: int) -> str:
     """The name of chunk ``chunk_no`` (1-based) of ``filename``."""
@@ -40,9 +43,21 @@ def block_name(filename: str, chunk_no: int, ecb: int) -> str:
     return f"{chunk_name(filename, chunk_no)}{SEPARATOR}{ecb}"
 
 
-def cat_name(filename: str) -> str:
-    """The name under which the file's chunk allocation table is stored."""
-    return f"{filename}{CAT_SUFFIX}"
+def cat_name(filename: str, attempt: int = 0) -> str:
+    """The name under which the file's chunk allocation table is stored.
+
+    Retry ``attempt`` > 0 salts the name, re-hashing it away from a full node.
+    """
+    name = f"{filename}{CAT_SUFFIX}"
+    return f"{name}{CAT_SALT}{attempt}" if attempt else name
+
+
+def cat_file(name: str) -> str:
+    """The file whose chunk allocation table is stored under ``name`` (salted or not)."""
+    base, salt, attempt = name.rpartition(CAT_SALT)
+    if salt and attempt.isdigit() and base.endswith(CAT_SUFFIX):
+        name = base
+    return name[: -len(CAT_SUFFIX)]
 
 
 # -- batch helpers for the array-backed placement engine -------------------------

@@ -63,9 +63,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import naming
 from repro.core.block_ledger import KIND_PRIMARY, KIND_REPLICA, BlockLedger
 from repro.core.cat import ChunkAllocationTable
-from repro.core.storage import BlockPlacement, StorageSystem, StoredChunk
+from repro.core.storage import StorageSystem, StoredChunk
 from repro.core.transfer import TransferPacer, TransferScheduler, TransferSpec
 from repro.erasure.base import DecodingError
 from repro.overlay.node import OverlayNode
@@ -231,11 +232,9 @@ class RecoveryManager:
                 # surviving copy, else the CAT of the file stored under that
                 # name (a restored copy's row names no file).
                 payload = next((h.payloads[name] for h in holders if name in h.payloads), None)
-                if payload is None:
-                    payload = next((stored.cat.serialize().encode("utf-8")
-                                    for stored in self.storage.files.values()
-                                    if any(p.block_name == name for p in stored.cat_placements)),
-                                   None)
+                stored = None if payload is not None else self.storage.files.get(naming.cat_file(name))
+                if stored is not None:
+                    payload = stored.cat.serialize().encode("utf-8")
                 if payload is not None:
                     target.payloads[name] = payload
             return
@@ -253,14 +252,14 @@ class RecoveryManager:
         # the placement's primary lived on the failed node; otherwise the dead
         # copy was a neighbour replica and is re-replicated -- re-pointing the
         # primary from a replica row would erode the replication level.
-        primary = chunk.placements[position].node_id == failed_node
+        primary = ledger.placement_primary(placement_idx) == failed_node
         if primary:
             new_holder = self._repoint_primary(
-                ledger, chunk, position, name, size, ledger.row_key(row), digest
+                ledger, placement_idx, name, size, ledger.row_key(row), digest
             )
         else:
             new_holder = self._repoint_replica(
-                ledger, chunk, position, name, size, failed_node, digest, impact
+                ledger, placement_idx, name, size, failed_node, digest, impact
             )
         if new_holder is None:
             impact.bytes_dropped += size
@@ -271,7 +270,7 @@ class RecoveryManager:
             # A lost replica is copied from a surviving holder of the block
             # (one read); a lost primary -- or a replica with no intact copy
             # left -- is decoded from ``required`` reads of the other placements.
-            source = None if primary else self._copy_source(chunk, position, {failed_node, dst})
+            source = None if primary else self._copy_source(placement_idx, {failed_node, dst})
             if source is not None:
                 self._stage(size, source, dst, ("copy", chunk, position))
             else:
@@ -280,8 +279,7 @@ class RecoveryManager:
         if not self.storage.payload_mode:
             return
         network = self.dht.network
-        placement = chunk.placements[position]
-        holders = [network.node(holder) for holder in (placement.node_id, *placement.replica_nodes)
+        holders = [network.node(holder) for holder in ledger.placement_holders(placement_idx)
                    if holder in network]
         if not primary:
             payload = next((h.payloads[name] for h in holders if name in h.payloads), None)
@@ -391,14 +389,14 @@ class RecoveryManager:
             chunk = ledger.chunk_object(chunk_idx)
             position = ledger.placement_position(placement_idx)
             digest = ledger.row_digest(row)
-            primary = chunk.placements[position].node_id == leaving
+            primary = ledger.placement_primary(placement_idx) == leaving
             if primary:
                 new_holder = self._repoint_primary(
-                    ledger, chunk, position, name, size, ledger.row_key(row), digest
+                    ledger, placement_idx, name, size, ledger.row_key(row), digest
                 )
             else:
                 new_holder = self._repoint_replica(
-                    ledger, chunk, position, name, size, node.node_id, digest, impact
+                    ledger, placement_idx, name, size, leaving, digest, impact
                 )
             if new_holder is None:
                 impact.bytes_dropped += size
@@ -430,24 +428,9 @@ class RecoveryManager:
                 return candidate
         return None
 
-    def place_replica(
-        self, placement: BlockPlacement, block_name: str, size: int
-    ) -> Optional[OverlayNode]:
-        """Pick a live node near the primary for a re-created replica copy.
-
-        Walks the primary's identifier-space neighbourhood -- the same nodes
-        the original replication pass considered -- skipping the primary and
-        every holder the placement names.
-        """
-        taken = {placement.node_id, *placement.replica_nodes}
-        for candidate in self.dht.neighbors(placement.node_id, 8):
-            if candidate.node_id not in taken and candidate.store_block(block_name, size):
-                return candidate
-        return None
-
     def _repoint_primary(
-        self, ledger: BlockLedger, chunk: StoredChunk, position: int, name: str, size: int,
-        key: int, digest: bytes,
+        self, ledger: BlockLedger, placement_idx: int, name: str, size: int, key: int,
+        digest: bytes,
     ) -> Optional[OverlayNode]:
         """Place a new primary copy and re-point the placement at it.
 
@@ -458,38 +441,32 @@ class RecoveryManager:
         new_holder = self.place_block(name, size, key)
         if new_holder is None:
             return None
-        old = chunk.placements[position]
-        chunk.placements[position] = BlockPlacement(name, new_holder.node_id, size, old.replica_nodes)
         ledger.replace_copy(
-            ledger.placement_for(chunk.ledger_index, position),
-            old.node_id, new_holder, name, size, digest, KIND_PRIMARY,
+            placement_idx, ledger.placement_primary(placement_idx), new_holder, name, size,
+            digest, KIND_PRIMARY,
         )
         return new_holder
 
     def _repoint_replica(
-        self, ledger: BlockLedger, chunk: StoredChunk, position: int, name: str, size: int,
-        gone: int, digest: bytes, impact: FailureImpact,
+        self, ledger: BlockLedger, placement_idx: int, name: str, size: int, gone: int,
+        digest: bytes, impact: FailureImpact,
     ) -> Optional[OverlayNode]:
         """Swap a gone neighbour replica for a new copy near the primary.
 
-        The primary placement is untouched; the gone holder leaves
-        ``placement.replica_nodes`` either way, and a new copy (when one is
-        placed) joins it, restoring the placement's replication level.
+        The new copy goes to the first node of the primary's identifier-space
+        neighbourhood -- where the original replication pass looked -- that
+        is no holder yet and has room; the gone holder's row is then
+        released.  With no room anywhere the row stays, dead but revivable.
         Returns the new holder, or ``None``.
         """
-        old = chunk.placements[position]
-        survivors = tuple(nid for nid in old.replica_nodes if nid != gone)
-        new_holder = self.place_replica(old, name, size)
-        if new_holder is not None:
-            survivors += (new_holder.node_id,)
-        chunk.placements[position] = BlockPlacement(name, old.node_id, size, survivors)
+        holders = ledger.placement_holders(placement_idx)
+        new_holder = next((candidate for candidate in self.dht.neighbors(holders[0], 8)
+                           if candidate.node_id not in holders and candidate.store_block(name, size)),
+                          None)
         if new_holder is None:
             return None
         impact.replicas_restored += 1
-        ledger.replace_copy(
-            ledger.placement_for(chunk.ledger_index, position),
-            gone, new_holder, name, size, digest, KIND_REPLICA,
-        )
+        ledger.replace_copy(placement_idx, gone, new_holder, name, size, digest, KIND_REPLICA)
         return new_holder
 
     def _copy_meta(
@@ -544,15 +521,10 @@ class RecoveryManager:
                 sources.append(owner.node_id)
         return self._least_congested(sources)[: self.storage.codec.spec().required_blocks()]
 
-    def _copy_source(self, chunk: StoredChunk, position: int, exclude: set) -> Optional[int]:
+    def _copy_source(self, placement_idx: int, exclude: set) -> Optional[int]:
         """A live holder of the placement's block a copy can be read from."""
-        placement = chunk.placements[position]
-        network = self.dht.network
-        holders = [
-            node_id for node_id in (placement.node_id, *placement.replica_nodes)
-            if node_id not in exclude and node_id in network
-            and network.node(node_id).has_block(placement.block_name)
-        ]
+        holders = [node_id for node_id in self.storage.live_holders(placement_idx)
+                   if node_id not in exclude]
         return next(iter(self._least_congested(holders)), None)
 
     def _replan_source(
@@ -571,8 +543,9 @@ class RecoveryManager:
             return failed_src
         mode, chunk, position = ctx
         exclude = {x for x in (failed_src, dst) if x is not None}
-        if mode == "copy" and 0 <= position < len(chunk.placements):
-            source = self._copy_source(chunk, position, exclude)
+        if mode == "copy":
+            source = self._copy_source(
+                self.storage.ledger.placement_for(chunk.ledger_index, position), exclude)
             if source is not None:
                 return source
         return next(
@@ -681,15 +654,10 @@ class RecoveryManager:
         sizes: List[int] = []
         missing_run = 0
         chunk_no = 1
-        chunk_by_no = {chunk.chunk_no: chunk for chunk in stored.chunks}
         while missing_run < limit:
-            chunk = chunk_by_no.get(chunk_no)
-            if chunk is None or chunk.is_empty or not chunk.placements:
-                sizes.append(0)
-                missing_run += 1
-            else:
-                sizes.append(chunk.size)
-                missing_run = 0
+            size = stored.chunks[chunk_no - 1].size if chunk_no <= len(stored.chunks) else 0
+            sizes.append(size)
+            missing_run = 0 if size else missing_run + 1
             chunk_no += 1
         # Trim the trailing zero probes that only served to detect the end.
         while sizes and sizes[-1] == 0:

@@ -22,6 +22,10 @@ The class operates in two modes:
   end-to-end tests of the data path.  A copy's bytes live on its holder
   (:attr:`~repro.overlay.node.OverlayNode.payloads`) and leave with the block.
 
+Where a block lives has one home, the block ledger; a store keeps only the
+chunk layout (:class:`StoredFile`, :class:`StoredChunk`), whose
+``placements`` and ``cat`` are built from the ledger and the chunk sizes on read.
+
 A request's client and observer are arguments, resolved once per public entry.
 
 :class:`LedgerStore` is what the three stores of the insertion comparison --
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import naming
-from repro.core.block_ledger import BlockLedger
+from repro.core.block_ledger import BlockLedger, Placed
 from repro.core.capacity import CapacityProbe, ProbeResult
 from repro.core.cat import ChunkAllocationTable
 from repro.core.policies import StoragePolicy
@@ -58,7 +62,7 @@ CAT_STORE_RETRIES = 3
 
 @dataclass(frozen=True)
 class BlockPlacement:
-    """Where one encoded block (and its optional replicas) lives."""
+    """Where one encoded block (and its optional replicas) lives: a view of the ledger."""
 
     block_name: str
     node_id: int
@@ -66,18 +70,20 @@ class BlockPlacement:
     replica_nodes: Tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredChunk:
-    """Book-keeping for one stored chunk."""
+    """Book-keeping for one stored chunk: its place in the file, not where its blocks live."""
 
     chunk_no: int
     start: int
     size: int
-    placements: List[BlockPlacement] = field(default_factory=list)
+    #: Bytes of each of the chunk's encoded blocks (every code pads them to one size).
+    block_size: int = 0
     #: Present only in payload mode: the encoder output (needed to decode).
     encoded: Optional[EncodedChunk] = None
-    #: Index of this chunk in the columnar block ledger (``None`` until the
-    #: file's store succeeds; zero-sized chunks are never registered).
+    #: The ledger holding the chunk's blocks and the chunk's index in it (``None``
+    #: until the file's store succeeds; zero-sized chunks are never registered).
+    ledger: Optional[BlockLedger] = field(default=None, repr=False, compare=False)
     ledger_index: Optional[int] = None
     #: Set by repair when the chunk falls below its decode threshold, so its
     #: lost bytes are counted once across all the failures that touch it.
@@ -88,18 +94,39 @@ class StoredChunk:
         """Whether this is a zero-sized placeholder chunk."""
         return self.size == 0
 
+    @property
+    def placements(self) -> List[BlockPlacement]:
+        """Where each encoded block lives, built from the ledger on every read.
 
-@dataclass
+        The primary is the ledger's placement column and the replicas are
+        the placement's unreleased replica rows, in row order; ``[]`` for a
+        chunk the ledger never registered.
+        """
+        if self.ledger is None:
+            return []
+        ledger = self.ledger
+        views = []
+        for placement in ledger.chunk_placement_indexes(self.ledger_index):
+            primary, *replicas = ledger.placement_holders(placement)
+            views.append(BlockPlacement(ledger.placement_name(placement), primary,
+                                        self.block_size, tuple(replicas)))
+        return views
+
+
+@dataclass(slots=True)
 class StoredFile:
     """Book-keeping for one stored file."""
 
     name: str
     size: int
-    cat: ChunkAllocationTable
     chunks: List[StoredChunk]
-    cat_placements: List[BlockPlacement] = field(default_factory=list)
     #: Index of this file in the columnar block ledger.
     ledger_index: Optional[int] = None
+
+    @property
+    def cat(self) -> ChunkAllocationTable:
+        """The file's Chunk Allocation Table, built from the chunk sizes on every read."""
+        return ChunkAllocationTable.from_chunk_sizes(self.name, [chunk.size for chunk in self.chunks])
 
     def data_chunks(self) -> List[StoredChunk]:
         """Chunks that actually hold data (non zero-sized)."""
@@ -277,6 +304,7 @@ class StorageSystem(LedgerStore):
         self.store_attempts += 1
         lookups_before = self.probe.total_probes
         chunks: List[StoredChunk] = []
+        placed: List[Tuple[StoredChunk, List[Placed]]] = []
         remaining = size
         offset = 0
         chunk_no = 1
@@ -290,11 +318,13 @@ class StorageSystem(LedgerStore):
             chunk = StoredChunk(chunk_no=chunk_no, start=offset, size=chunk_size)
             if chunk_size > 0:
                 chunk_data = data[offset : offset + chunk_size] if data is not None else None
-                placed = self._place_chunk(filename, chunk, probe, chunk_data, client, observer)
-                if not placed:
+                blocks = self._place_chunk(filename, chunk, probe, chunk_data, client, observer)
+                if blocks is None:
                     # Capacity evaporated between probe and store: the paper's
                     # remedy is to treat the chunk as zero-sized and continue.
                     chunk = StoredChunk(chunk_no=chunk_no, start=offset, size=0)
+                else:
+                    placed.append((chunk, blocks))
             chunks.append(chunk)
             if chunk.size == 0:
                 consecutive_zero += 1
@@ -311,21 +341,14 @@ class StorageSystem(LedgerStore):
             chunk_no += 1
 
         if failure_reason is None and remaining == 0:
-            cat = ChunkAllocationTable.from_chunk_sizes(filename, [c.size for c in chunks])
-            cat_placements = self._store_cat(filename, cat, client, observer)
-            if cat_placements is None:
+            stored = StoredFile(name=filename, size=size, chunks=chunks)
+            cat = self._store_cat(filename, stored.cat, client, observer)
+            if cat is None:
                 failure_reason = "unable to store chunk allocation table"
             else:
-                stored = StoredFile(
-                    name=filename,
-                    size=size,
-                    cat=cat,
-                    chunks=chunks,
-                    cat_placements=cat_placements,
-                )
                 self.files[filename] = stored
                 self.ledger.register_file(
-                    stored, self.codec.spec().required_blocks(), self.store_tenant
+                    stored, self.codec.spec().required_blocks(), self.store_tenant, placed, cat
                 )
                 return StoreResult(
                     filename=filename,
@@ -333,13 +356,13 @@ class StorageSystem(LedgerStore):
                     success=True,
                     stored_bytes=size,
                     chunk_count=len(chunks),
-                    data_chunk_count=len(stored.data_chunks()),
+                    data_chunk_count=len(placed),
                     lookups=self.probe.total_probes - lookups_before,
                 )
 
         # Failure path: release every block placed so far.
-        for chunk in chunks:
-            self._release_chunk(chunk)
+        for _, blocks in placed:
+            self._release(blocks)
         self.store_failures += 1
         self.failed_bytes += size
         return StoreResult(
@@ -348,7 +371,7 @@ class StorageSystem(LedgerStore):
             success=False,
             stored_bytes=0,
             chunk_count=len(chunks),
-            data_chunk_count=sum(1 for chunk in chunks if not chunk.is_empty),
+            data_chunk_count=len(placed),
             lookups=self.probe.total_probes - lookups_before,
             failure_reason=failure_reason or "incomplete store",
         )
@@ -370,63 +393,57 @@ class StorageSystem(LedgerStore):
         chunk_data: Optional[bytes],
         client,
         observer,
-    ) -> bool:
-        """Place every encoded block of ``chunk``; False if placement failed."""
+    ) -> Optional[List[Placed]]:
+        """Place every encoded block of ``chunk``; ``None`` (nothing kept) if one did not fit."""
+        payloads: Optional[List[bytes]] = None
         if chunk_data is not None:
-            encoded = self.codec.encode(chunk_data)
-            chunk.encoded = encoded
-            block_sizes = [block.size for block in encoded.blocks]
-            payloads: Optional[List[bytes]] = [block.data for block in encoded.blocks]
+            chunk.encoded = self.codec.encode(chunk_data)
+            payloads = [block.data for block in chunk.encoded.blocks]
+            chunk.block_size = chunk.encoded.block_size
         else:
-            block_size = self.codec.encoded_block_size(chunk.size)
-            count = self.codec.encoded_block_count()
             # The last block of a chunk may be smaller; capacity mode keeps the
             # accounting simple and conservative by charging equal-sized blocks
             # that sum to at least the encoded chunk size.
-            block_sizes = [block_size] * count
-            payloads = None
+            chunk.block_size = self.codec.encoded_block_size(chunk.size)
+        block_size = chunk.block_size
+        count = self.codec.encoded_block_count() if payloads is None else len(payloads)
 
-        placements: List[BlockPlacement] = []
-        for index, block_size in enumerate(block_sizes):
+        blocks: List[Placed] = []
+        for index in range(count):
             name = probe.block_names[index] if index < len(probe.block_names) else naming.block_name(
                 filename, chunk.chunk_no, index + 1
             )
             node = probe.nodes[index] if index < len(probe.nodes) else self.dht.locate_name(name)
             if not node.store_block(name, block_size):
-                for placement in placements:
-                    self._release_placement(placement)
-                return False
-            replica_ids = self._replicate_block(name, block_size, node)
-            placement = BlockPlacement(
-                block_name=name, node_id=node.node_id, size=block_size, replica_nodes=replica_ids
-            )
-            placements.append(placement)
+                self._release(blocks)
+                return None
+            replicas = self._replicate_block(name, block_size, node)
+            blocks.append((name, node, block_size, replicas))
             # Ingest charging: the client uploads the primary copy; neighbour
             # replicas are pushed onward by the primary holder.
             self._charge(block_size, client, node.node_id, observer)
-            for replica_id in replica_ids:
-                self._charge(block_size, node.node_id, replica_id, observer)
+            for replica in replicas:
+                self._charge(block_size, node.node_id, replica.node_id, observer)
             if payloads is not None:
-                for holder in (node.node_id, *replica_ids):
-                    self.dht.network.node(holder).payloads[name] = payloads[index]
-        chunk.placements = placements
-        return True
+                for holder in (node, *replicas):
+                    holder.payloads[name] = payloads[index]
+        return blocks
 
-    def _replicate_block(self, name: str, size: int, primary: OverlayNode) -> Tuple[int, ...]:
+    def _replicate_block(self, name: str, size: int, primary: OverlayNode) -> Tuple[OverlayNode, ...]:
         """Best-effort placement of ``block_replication - 1`` neighbour replicas."""
         extra = self.policy.block_replication - 1
         if extra <= 0:
             return ()
-        replicas: List[int] = []
+        replicas: List[OverlayNode] = []
         for neighbor in self.dht.neighbors(primary.node_id, extra * 2):
             if len(replicas) >= extra:
                 break
             if neighbor.store_block(name, size):
-                replicas.append(neighbor.node_id)
+                replicas.append(neighbor)
         return tuple(replicas)
 
     def _store_cat(self, filename: str, cat: ChunkAllocationTable, client,
-                   observer) -> Optional[List[BlockPlacement]]:
+                   observer) -> Optional[Placed]:
         """Store the CAT object and its replicas; None if no live node has room.
 
         The primary target is the node responsible for ``filename.CAT``; if it
@@ -436,29 +453,24 @@ class StorageSystem(LedgerStore):
         while free space remains anywhere in the pool).
         """
         size = cat.serialized_size
-        base_name = naming.cat_name(filename)
         serialized = cat.serialize().encode("utf-8") if self.payload_mode else None
 
-        def finalize(name: str, node: OverlayNode) -> List[BlockPlacement]:
+        def finalize(name: str, node: OverlayNode) -> Placed:
             self._charge(size, client, node.node_id, observer)
-            replica_ids = []
+            replicas = []
             for neighbor in self.dht.neighbors(node.node_id, self.policy.cat_replication - 1):
                 if neighbor.store_block(name, size):
-                    replica_ids.append(neighbor.node_id)
+                    replicas.append(neighbor)
                     self._charge(size, node.node_id, neighbor.node_id, observer)
                     if serialized is not None:
                         neighbor.payloads[name] = serialized
             if serialized is not None:
                 node.payloads[name] = serialized
-            return [
-                BlockPlacement(
-                    block_name=name, node_id=node.node_id, size=size, replica_nodes=tuple(replica_ids)
-                )
-            ]
+            return name, node, size, tuple(replicas)
 
         primary: Optional[OverlayNode] = None
         for attempt in range(CAT_STORE_RETRIES + 1):
-            name = base_name if attempt == 0 else f"{base_name}~salt{attempt}"
+            name = naming.cat_name(filename, attempt)
             node = self.dht.locate_name(name)
             if primary is None:
                 primary = node
@@ -467,33 +479,31 @@ class StorageSystem(LedgerStore):
                 return finalize(name, node)
         # Diversion: place the CAT on the closest neighbour with room.
         if primary is not None:
+            base_name = naming.cat_name(filename)
             for candidate in self.dht.neighbors(primary.node_id, 16):
                 if candidate.store_block(base_name, size):
                     return finalize(base_name, candidate)
         return None
 
+    @staticmethod
+    def _release(blocks: List[Placed]) -> None:
+        """Take back every copy of blocks a store placed but did not keep."""
+        for name, node, _, replicas in blocks:
+            for holder in (node, *replicas):
+                holder.remove_block(name)
+
     # ----------------------------------------------------------------- delete --
     def delete_file(self, filename: str) -> bool:
-        """Remove a file, releasing every block, replica and CAT copy."""
+        """Remove a file, releasing every block, replica and CAT copy (its unreleased rows)."""
         stored = self.files.pop(filename, None)
         if stored is None:
             return False
-        for chunk in stored.chunks:
-            self._release_chunk(chunk)
-        for placement in stored.cat_placements:
-            self._release_placement(placement)
-        self.ledger.remove_file(filename, self.store_tenant)
+        ledger = self.ledger
+        for row in ledger.file_rows(stored.ledger_index):
+            if not ledger.row_released(row):
+                ledger.row_owner(row).remove_block(ledger.row_name(row))
+        ledger.remove_file(filename, self.store_tenant)
         return True
-
-    def _release_chunk(self, chunk: StoredChunk) -> None:
-        for placement in chunk.placements:
-            self._release_placement(placement)
-        chunk.placements = []
-
-    def _release_placement(self, placement: BlockPlacement) -> None:
-        for node_id in (placement.node_id, *placement.replica_nodes):
-            if node_id in self.dht.network:
-                self.dht.network.node(node_id).remove_block(placement.block_name)
 
     # --------------------------------------------------------------- retrieval --
     def _fetch_block(self, placement: BlockPlacement, index: int,
@@ -564,55 +574,50 @@ class StorageSystem(LedgerStore):
         require_range("length", length, 0)
         return self._retrieve(filename, (offset, length), *self._request(client, observer))
 
-    def _chunk_live_placements(self, chunk: StoredChunk) -> int:
-        """Distinct placements of ``chunk`` with a surviving copy (O(1))."""
-        return self.ledger.chunk_live_blocks(chunk.ledger_index)
+    def live_holders(self, placement: int) -> List[int]:
+        """The ledger placement's holders (primary first) that are up and hold its block."""
+        network = self.dht.network
+        name = self.ledger.placement_name(placement)
+        return [node_id for node_id in self.ledger.placement_holders(placement)
+                if node_id in network and network.node(node_id).has_block(name)]
 
-    def _read_source(self, chunk: StoredChunk) -> Tuple[int, bool]:
-        """The live holder a cached-serve-path chunk read drains from.
+    def first_block_source(self, filename: str) -> Optional[Tuple[int, int]]:
+        """The first holder that is up (primary, then replicas) of a file's first block,
+        and the block's size; ``None`` for no file, a zero-sized first chunk or no holder up."""
+        stored = self.files.get(filename)
+        first = stored.chunks[0] if stored is not None and stored.chunks else None
+        if first is None or first.ledger is None:
+            return None
+        network = self.dht.network
+        for node_id in self.ledger.placement_holders(self.ledger.placement_for(first.ledger_index, 0)):
+            if node_id in network and network.node(node_id).alive:
+                return node_id, first.block_size
+        return None
 
-        Picks the least-loaded live copy (accumulated :attr:`read_load`,
-        node id as tie-break) among the first placement's primary and
-        neighbour replicas; falls back to the primary when no copy answers.
-        Returns ``(node id, is_primary)``.
-        """
-        placement = chunk.placements[0]
-        candidates: List[int] = []
-        for node_id in (placement.node_id, *placement.replica_nodes):
-            if node_id in self.dht.network and self.dht.network.node(node_id).has_block(
-                placement.block_name
-            ):
-                candidates.append(node_id)
-        if not candidates:
-            return placement.node_id, True
-        src = min(candidates, key=lambda nid: (self.read_load.get(nid, 0.0), nid))
-        return src, src == placement.node_id
-
-    def _serve_chunk_read(self, chunk: StoredChunk, required: int, client, observer) -> bool:
+    def _serve_chunk_read(self, chunk: StoredChunk, placements: int, required: int, client,
+                          observer) -> bool:
         """Account one recoverable capacity-mode chunk read; True on cache hit.
 
         With a cache attached and a client id resolved, a fully-cached chunk
         skips the transfer charge entirely; a miss drains from the
-        least-loaded live holder and fills the client's cache.  Without a
+        least-loaded live holder of the first block (accumulated
+        :attr:`read_load`, node id as tie-break; the primary when no copy
+        answers) and fills the client's cache.  Without a
         cache the charge drains from the primary holder exactly as before
         (the cache-off serving oracle pins this bit-for-bit).
         """
-        if not chunk.placements:
-            return False
+        first = self.ledger.placement_for(chunk.ledger_index, 0)
+        primary = src = self.ledger.placement_primary(first)
         if self.cache is not None and client is not None:
-            needed = chunk.placements[: min(required, len(chunk.placements))]
-            names = [placement.block_name for placement in needed]
+            names = [self.ledger.placement_name(placement)
+                     for placement in range(first, first + min(required, placements))]
             if self.cache.lookup_chunk(client, names, chunk.size):
                 return True
-            src, primary = self._read_source(chunk)
-            self.cache.note_source(primary)
-            self._charge(chunk.size, src, client, observer)
-            self.read_load[src] = self.read_load.get(src, 0.0) + chunk.size
-            self.cache.fill_chunk(
-                client, [(placement.block_name, placement.size) for placement in needed]
-            )
-            return False
-        src = chunk.placements[0].node_id
+            holders = self.live_holders(first)
+            if holders:
+                src = min(holders, key=lambda nid: (self.read_load.get(nid, 0.0), nid))
+            self.cache.note_source(src == primary)
+            self.cache.fill_chunk(client, [(name, chunk.block_size) for name in names])
         self._charge(chunk.size, src, client, observer)
         self.read_load[src] = self.read_load.get(src, 0.0) + chunk.size
         return False
@@ -633,9 +638,10 @@ class StorageSystem(LedgerStore):
                 failure_reason="unknown file",
             )
         if span is None:
-            entries = stored.cat.non_empty_entries()
-        else:
-            entries = [entry for entry in stored.cat.chunks_for_range(*span) if not entry.is_empty]
+            chunks = stored.data_chunks()
+        else:  # the CAT names the chunks a byte range touches
+            chunks = [stored.chunks[entry.chunk_no - 1]
+                      for entry in stored.cat.chunks_for_range(*span) if not entry.is_empty]
         lookups = 1  # locating the CAT object
         blocks_fetched = 0
         recovered = 0
@@ -645,49 +651,46 @@ class StorageSystem(LedgerStore):
         pieces: List[bytes] = []
         complete = True
         failure_reason: Optional[str] = None
-        chunk_by_no = {chunk.chunk_no: chunk for chunk in stored.chunks}
         required = self.codec.spec().required_blocks()
 
-        for entry in entries:
-            chunk = chunk_by_no.get(entry.chunk_no)
-            if chunk is None:
-                complete = False
-                failure_reason = f"chunk {entry.chunk_no} metadata missing"
-                continue
+        for chunk in chunks:
             if not self.payload_mode:
-                lookups += min(required, len(chunk.placements))
+                placements = len(self.ledger.chunk_placement_indexes(chunk.ledger_index))
+                lookups += min(required, placements)
                 if self.chunk_is_recoverable(chunk):
                     recovered += 1
                     bytes_available += chunk.size
-                    blocks_fetched += min(required, len(chunk.placements))
+                    blocks_fetched += min(required, placements)
                     # Read charging: one decoded chunk's worth of traffic
                     # drains from a holder to the client (skipped entirely
                     # when the client's block cache holds the whole chunk).
-                    served_from_cache = self._serve_chunk_read(chunk, required, client, observer)
+                    served_from_cache = self._serve_chunk_read(
+                        chunk, placements, required, client, observer)
                     if served_from_cache:
                         cached_chunks += 1
                     # Degraded: the decode works from a strict k-of-n subset
                     # because some placements lost every copy.  A pure cache
                     # hit never touches the holders, so a repeat read of a
                     # cached chunk is not re-counted as degraded.
-                    elif self._chunk_live_placements(chunk) < len(chunk.placements):
+                    elif self.ledger.chunk_live_blocks(chunk.ledger_index) < placements:
                         degraded_chunks += 1
                 else:
                     complete = False
-                    failure_reason = f"chunk {entry.chunk_no} unrecoverable"
+                    failure_reason = f"chunk {chunk.chunk_no} unrecoverable"
                 continue
             # Payload mode: fetch enough blocks and decode.  Blocks are keyed
             # by their *stream index* in the chunk encoding (for rateless
             # codes the repair path mints replacement blocks whose indices
             # continue the stream rather than reusing the lost index).
+            placements = chunk.placements
             if chunk.encoded is None:
-                lookups += len(chunk.placements)
+                lookups += len(placements)
                 complete = False
-                failure_reason = f"chunk {entry.chunk_no} has no encoder metadata"
+                failure_reason = f"chunk {chunk.chunk_no} has no encoder metadata"
                 continue
             available: Dict[int, bytes] = {}
             network_fetched = 0
-            for index, placement in enumerate(chunk.placements):
+            for index, placement in enumerate(placements):
                 stream_index = (
                     chunk.encoded.blocks[index].index
                     if index < len(chunk.encoded.blocks)
@@ -704,7 +707,7 @@ class StorageSystem(LedgerStore):
                 piece = self.codec.decode(chunk.encoded, available)
             except Exception as error:  # noqa: BLE001 - decoding failure is a data-loss event
                 complete = False
-                failure_reason = f"chunk {entry.chunk_no} decode failed: {error}"
+                failure_reason = f"chunk {chunk.chunk_no} decode failed: {error}"
                 continue
             recovered += 1
             bytes_available += chunk.size
@@ -712,7 +715,7 @@ class StorageSystem(LedgerStore):
                 # Served entirely from the client's cache: no holder was
                 # touched, so the read is neither degraded nor charged.
                 cached_chunks += 1
-            elif len(available) < len(chunk.placements):
+            elif len(available) < len(placements):
                 degraded_chunks += 1
             pieces.append(piece)
 
@@ -725,14 +728,14 @@ class StorageSystem(LedgerStore):
         if self.payload_mode and complete:
             data = b"".join(pieces)
             if span is not None:  # cut the requested window out of the whole chunks
-                start = span[0] - (entries[0].start if entries else 0)
+                start = span[0] - (chunks[0].start if chunks else 0)
                 data = data[start : start + span[1]]
                 bytes_available = len(data)
         return RetrieveResult(
             filename=stored.name,
             complete=complete,
             bytes_available=bytes_available,
-            chunks_needed=len(entries),
+            chunks_needed=len(chunks),
             chunks_recovered=recovered,
             blocks_fetched=blocks_fetched,
             lookups=lookups,

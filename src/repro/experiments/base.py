@@ -195,25 +195,21 @@ def schedule_block_probes(
     there is no file, no live copy, or the client is down or holds the copy.
     The returned list fills with completion latencies as the simulation runs.
     """
-    sim, transfers, network = session.sim, session.transfers, session.network
+    sim, transfers = session.sim, session.transfers
     durations: List[float] = []
 
     def issue(index: int) -> None:
         names = sorted(storage.files)
         if not names:
             return
-        stored = storage.files[names[index % len(names)]]
-        if not stored.chunks or not stored.chunks[0].placements:
-            return
-        placement = stored.chunks[0].placements[0]
-        src = next((node_id for node_id in (placement.node_id, *placement.replica_nodes)
-                    if node_id in network and network.node(node_id).alive), None)
+        source = storage.first_block_source(names[index % len(names)])
         client = pick_client(index)
-        if src is None or not client.alive or src == client.node_id:
+        if source is None or not client.alive or source[0] == client.node_id:
             return
+        src, size = source
         submitted = sim.now
         transfers.submit(
-            float(placement.size),
+            float(size),
             src=src,
             dst=client.node_id,
             on_complete=lambda t: durations.append(t.finished_at - submitted),

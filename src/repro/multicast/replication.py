@@ -9,8 +9,8 @@ proximity-aware routing state and runs Bullet to disseminate the block.
 :class:`MulticastReplicator` ties that machinery to
 :class:`repro.core.storage.StorageSystem`: it picks the replica holders,
 reserves the space, runs a :class:`~repro.multicast.bullet.BulletSession` per
-block, and records the resulting replica placements back into the stored-file
-metadata so that availability checks and recovery see them.
+block, and records each new replica copy in the block ledger, where
+availability checks, reads and recovery see it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.storage import BlockPlacement, StorageSystem
+from repro.core.storage import StorageSystem
 from repro.multicast.bullet import BulletConfig, BulletSession
 from repro.multicast.tree import build_locality_tree
 from repro.overlay.validation import require_range
@@ -96,8 +96,8 @@ class MulticastReplicator:
         ledger = self.storage.ledger
         network = self.dht.network
         all_targets: List[int] = []
-        new_placements: List[BlockPlacement] = []
-        for position, placement in enumerate(chunk.placements):
+        placements = chunk.placements
+        for position, placement in enumerate(placements):
             targets = self._replica_targets(
                 placement.node_id, placement.block_name, placement.size, replicas
             )
@@ -124,19 +124,9 @@ class MulticastReplicator:
                                      self.storage._transfer_observer)
                 if payload is not None:
                     network.node(target).payloads[placement.block_name] = payload
-            new_placements.append(
-                BlockPlacement(
-                    block_name=placement.block_name,
-                    node_id=placement.node_id,
-                    size=placement.size,
-                    replica_nodes=placement.replica_nodes + tuple(targets),
-                )
-            )
-
-        chunk.placements = new_placements
 
         if all_targets and self.simulate_push:
-            source = chunk.placements[0].node_id
+            source = placements[0].node_id
             tree = build_locality_tree(self.dht.network, source, all_targets, fanout=self.fanout)
             session = BulletSession(tree, self.config, rng=self.rng)
             session.run(until_complete=True)

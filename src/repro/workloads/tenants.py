@@ -164,17 +164,10 @@ class BulletDistributionProfile:
             run.bytes_stored += self.payload
 
         def push(round_index: int) -> None:
-            stored = storage.files.get(seed_name)
-            if stored is None or not stored.chunks or not stored.chunks[0].placements:
+            source = storage.first_block_source(seed_name)
+            if source is None:
                 return
-            placement = stored.chunks[0].placements[0]
-            src = None
-            for node_id in (placement.node_id, *placement.replica_nodes):
-                if node_id in network and network.node(node_id).alive:
-                    src = node_id
-                    break
-            if src is None:
-                return
+            src = source[0]
             live = sorted(network.live_nodes(), key=lambda node: node.node_id)
             if not live:
                 return

@@ -1,9 +1,11 @@
 """The seed dict walk, kept as a test-only auditor of the block ledger.
 
 Before the columnar :class:`~repro.core.block_ledger.BlockLedger` existed,
-every availability and usage answer was recomputed by walking state that still
-exists on the single production path: each node's ``stored_blocks`` dict and
-each :class:`~repro.core.storage.StoredChunk`'s ``placements``.  The functions
+every availability and usage answer was recomputed by walking each node's
+``stored_blocks`` dict and each :class:`~repro.core.storage.StoredChunk`'s
+``placements`` (now a view of the ledger's placement columns and replica rows,
+so the walk checks the ledger's counters against what that view names and
+what the nodes actually hold).  The functions
 below are those walks (formerly the ``ledger is None`` arms of
 ``StorageSystem``, ``PastStore`` and ``CfsStore``); :func:`audit` asserts the
 ledger's O(1) answers against them and is what the equivalence tests call
@@ -15,6 +17,21 @@ Nothing under ``src/`` imports this module.
 from __future__ import annotations
 
 from typing import Dict, Tuple
+
+from repro.core.block_ledger import KIND_META
+
+
+def cat_placement(storage, name: str) -> Tuple[str, int, int, Tuple[int, ...]]:
+    """``(block name, primary id, size, replica ids)`` of a stored file's CAT object.
+
+    The file's unreleased CAT rows in row order: the store registers the
+    primary copy first, then its neighbour replicas.
+    """
+    ledger = storage.ledger
+    rows = [row for row in ledger.file_rows(storage.files[name].ledger_index)
+            if ledger._kind[row] == KIND_META and not ledger.row_released(row)]
+    holders = tuple(ledger.row_owner(row).node_id for row in rows)
+    return ledger.row_name(rows[0]), holders[0], int(ledger._size[rows[0]]), holders[1:]
 
 
 def live_copies(network, placement) -> int:
@@ -114,7 +131,7 @@ def audit(storage) -> None:
             assert storage.chunk_is_recoverable(chunk) == chunk_decodable(storage, chunk), (
                 name, chunk.chunk_no)
             if not chunk.is_empty:
-                assert storage._chunk_live_placements(chunk) == live_placements(
+                assert storage.ledger.chunk_live_blocks(chunk.ledger_index) == live_placements(
                     storage, chunk), (name, chunk.chunk_no)
         assert storage.is_file_available(name) == file_available(storage, name), name
     assert storage.unavailable_file_count() == unavailable_count(storage)

@@ -198,6 +198,11 @@ RETIRED = (
      ("src",), "a node id or key is an int in [0, ID_SPACE) from the overlay to the "
      "experiments, a name's key is ids.key_for, and OverlayNetwork.join range-checks the "
      "one id a caller hands in"),
+    ("placement object graph",
+     r"cat_placements|\.placements\s*=[^=]|chunk_by_no",
+     ("src",), "one home for where a block lives: the ledger's placement columns and replica "
+     "rows; StoredChunk.placements is a view of them, a file's CAT copies are its meta rows and "
+     "StoredFile.cat is built from the chunk sizes"),
 )
 
 

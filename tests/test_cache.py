@@ -184,7 +184,8 @@ def test_range_read_spanning_chunks_is_cache_aware():
     client.attach(client=session.gateways(1)[0])
     client.attach_cache(64 * MB)
 
-    boundary = stored.cat.non_empty_entries()[0].end
+    first_chunk = stored.data_chunks()[0]
+    boundary = first_chunk.start + first_chunk.size
     offset, length = boundary - 1024, 4096
     first = client.retrieve("volume", offset, length)
     assert first.complete and first.chunks_needed >= 2
@@ -217,7 +218,7 @@ def test_range_counters_match_whole_file_counters_without_cache():
         # One victim can lose each chunk at most one placement: every chunk
         # stays recoverable, at least the first runs degraded.
         session.network.fail(storage.files["volume"].chunks[0].placements[-1].node_id)
-        size = storage.files["volume"].cat.non_empty_entries()[-1].end
+        size = storage.files["volume"].size
         result = (client.retrieve("volume", 0, size) if use_range
                   else client.retrieve("volume"))
         assert result.complete and result.chunks_degraded >= 1

@@ -25,7 +25,7 @@ def test_zero_sized_chunk_is_empty_entry():
     cat = make_cat()
     assert cat[4].is_empty
     assert cat[4].start == cat[4].end
-    assert len(cat.non_empty_entries()) == 5
+    assert sum(not entry.is_empty for entry in cat) == 5
 
 
 def test_chunk_for_offset_finds_owner():

@@ -116,7 +116,7 @@ def test_capacity_evaporating_after_the_probe_leaves_a_zero_sized_chunk(dht, mon
 
     def first_placement_fails(self, filename, chunk, probe, chunk_data, *request):
         calls.append(chunk.chunk_no)
-        return len(calls) > 1 and place(self, filename, chunk, probe, chunk_data, *request)
+        return place(self, filename, chunk, probe, chunk_data, *request) if len(calls) > 1 else None
 
     monkeypatch.setattr(StorageSystem, "_place_chunk", first_placement_fails)
     storage = make_storage(dht)

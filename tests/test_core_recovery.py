@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference import dict_walk
 
 from repro.core.block_ledger import BlockLedger
 from repro.core.policies import StoragePolicy
@@ -142,8 +143,7 @@ def test_regeneration_into_a_full_cluster_drops_blocks(dht):
 
 def test_cat_copy_restored_after_failure(xor_storage, dht):
     xor_storage.store_file("file-f", 8 * MB)
-    stored = xor_storage.files["file-f"]
-    cat_holder = stored.cat_placements[0].node_id
+    _, cat_holder, _, _ = dict_walk.cat_placement(xor_storage, "file-f")
     recovery = RecoveryManager(xor_storage)
     impact = recovery.handle_failure(cat_holder)
     # Either the responsible node already held a replica or a copy was restored.

@@ -7,6 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
+from reference import dict_walk
 
 from repro.core import naming
 from repro.core.policies import StoragePolicy
@@ -62,7 +63,8 @@ def test_store_updates_node_usage_and_utilization(capacity_storage, dht):
     before = dht.total_used()
     capacity_storage.store_file("b", 30 * MB)
     # The consumed space is the file itself plus the (tiny) CAT copies.
-    cat_bytes = sum(p.size * (1 + len(p.replica_nodes)) for p in capacity_storage.files["b"].cat_placements)
+    _, _, size, replicas = dict_walk.cat_placement(capacity_storage, "b")
+    cat_bytes = size * (1 + len(replicas))
     assert dht.total_used() == before + 30 * MB + cat_bytes
     assert 0 < cat_bytes < 1024
     assert dht.utilization() == pytest.approx(
@@ -111,12 +113,11 @@ def test_store_failure_when_system_full_and_rollback(dht):
 def test_cat_is_stored_and_replicated(capacity_storage, dht):
     capacity_storage.store_file("withcat", 5 * MB)
     stored = capacity_storage.files["withcat"]
-    assert stored.cat_placements
-    placement = stored.cat_placements[0]
-    holder = dht.network.node(placement.node_id)
-    assert holder.has_block(placement.block_name)
+    name, primary, size, replicas = dict_walk.cat_placement(capacity_storage, "withcat")
+    assert name == "withcat.CAT" and size == stored.cat.serialized_size
+    assert dht.network.node(primary).has_block(name)
     # One replica by default (cat_replication=2 => primary + 1 neighbour).
-    assert len(placement.replica_nodes) == capacity_storage.policy.cat_replication - 1
+    assert len(replicas) == capacity_storage.policy.cat_replication - 1
 
 
 def test_delete_file_releases_all_space(capacity_storage, dht):

@@ -23,7 +23,9 @@ import numpy as np
 from repro.baselines.cfs import CfsStore
 from repro.core import naming
 from repro.core.block_ledger import BlockLedger
-from repro.core.storage import BlockPlacement, StoredChunk, StoredFile
+from repro.core.storage import StorageSystem, StoredChunk, StoredFile
+from repro.erasure.chunk_codec import ChunkCodec
+from repro.erasure.xor_code import XorParityCode
 from repro.experiments.failure_sweep import PAPER_TABLE3, FailureSweepConfig, FailureSweepExperiment
 from repro.experiments.storage_insertion import InsertionConfig, InsertionExperiment
 from repro.overlay.dht import DHTView
@@ -118,22 +120,42 @@ def test_fast_population_build_within_budget():
     assert elapsed < 8.0, f"fast 4000-node build took {elapsed:.2f}s"
 
 
+def test_a_stored_file_costs_at_most_three_tracked_objects():
+    # Where a block lives is ledger columns and rows, and the CAT is built
+    # from the chunk sizes when read, so a one-chunk capacity-mode file keeps
+    # its StoredFile, its StoredChunk and the chunk list: 3 GC-tracked objects
+    # (11.2 when placements and the CAT were objects of their own).  Few
+    # nodes, so the first batch has seen every holder (a holder's first row
+    # adds the ledger to its listener tuple, once).
+    network = OverlayNetwork.build(50, np.random.default_rng(4), capacities=[10 ** 12] * 50)
+    storage = StorageSystem(
+        DHTView(network), codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2))
+
+    def tracked_after_storing(count: int) -> int:
+        for index in range(len(storage.files), count):
+            assert storage.store_file(f"file-{index}", 243 * MB).success
+        gc.collect()
+        return len(gc.get_objects())
+
+    half, full = tracked_after_storing(1000), tracked_after_storing(2000)
+    assert all(len(stored.chunks) == 1 for stored in storage.files.values())
+    assert (full - half) / 1000 <= 3, f"{(full - half) / 1000:.2f} tracked objects per stored file"
+
+
 def _synthetic_ledger(node_count: int, file_count: int):
     """A ledger shaped like the churn soak's: 5 rows and 3 placements per file."""
     network = OverlayNetwork.build(
         node_count, np.random.default_rng(9), capacities=[10 ** 12] * node_count,
     )
     ledger = BlockLedger(network)
-    ids = [node.node_id for node in network.nodes()]
+    nodes = network.nodes()
     picks = np.random.default_rng(10).integers(0, node_count, size=(file_count, 5)).tolist()
     for index, (a, b, c, d, e) in enumerate(picks):
         name = f"f{index}"
-        chunk = StoredChunk(0, 0, 3 * MB, placements=[
-            BlockPlacement(f"{name}/0/{pos}", ids[slot], MB) for pos, slot in enumerate((a, b, c))
-        ])
-        ledger.register_file(StoredFile(name, 3 * MB, None, [chunk], cat_placements=[
-            BlockPlacement(f"{name}/cat", ids[d], 1024, replica_nodes=(ids[e],)),
-        ]), required_blocks=2)
+        chunk = StoredChunk(0, 0, 3 * MB, block_size=MB)
+        blocks = [(f"{name}/0/{pos}", nodes[slot], MB, ()) for pos, slot in enumerate((a, b, c))]
+        ledger.register_file(StoredFile(name, 3 * MB, [chunk]), 2, None, [(chunk, blocks)],
+                             (f"{name}/cat", nodes[d], 1024, (nodes[e],)))
     return network, ledger
 
 

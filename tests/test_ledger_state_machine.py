@@ -1,15 +1,18 @@
 """A state machine that hunts the block ledger's invariants.
 
 One small overlay carries the erasure-coded system, PAST and CFS on one shared
-multi-tenant ledger; Hypothesis drives stores, deletes, crashes, wiped and
-unwiped returns, site and rack outages (one ``fail_domain`` mask, then the
-members fail), departures (also with a fresh machine taking over the id),
-repairs (also of nodes already down, twice over), compactions and flushes in
-any order and calls
+multi-tenant ledger; Hypothesis drives stores, deletes, reads, multicast
+replications, crashes, wiped and unwiped returns, site and rack outages (one
+``fail_domain`` mask, then the members fail), departures (also with a fresh
+machine taking over the id), repairs (also of nodes already down, twice over),
+compactions and flushes in any order and calls
 :meth:`BlockLedger.check_invariants` (every aggregate and every row index
 recomputed from the raw columns) after each step, then compares every file's
 availability with a walk over the nodes' ``stored_blocks`` dicts and each
-store's tenant counters with its own files.
+store's tenant counters with its own files.  A read also holds each placement
+view (``StoredChunk.placements``, derived from the ledger) to the ledger's
+live-copy count.  Two orderings where the view differs from what the seed's
+placement objects would have said are pinned by the shrunk tests at the end.
 Half the runs shrink the row indexes' overflow limit to 3 so sorts land in
 the middle of repairs.
 """
@@ -28,6 +31,7 @@ from repro.core.block_ledger import BlockLedger
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
+from repro.multicast.replication import MulticastReplicator
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
@@ -67,6 +71,7 @@ class LedgerMachine(RuleBasedStateMachine):
         )
         self.stores = {"ours": self.ours, "past": self.past, "cfs": self.cfs}
         self.recovery = RecoveryManager(self.ours)
+        self.replicator = MulticastReplicator(self.ours, simulate_push=False)
         self.names = {scheme: {} for scheme in self.stores}  # name -> bytes
         self.down = []  # crashed, still members: may return (wiped or not) or leave
         self.counter = 0
@@ -93,6 +98,31 @@ class LedgerMachine(RuleBasedStateMachine):
             name = list(self.names[scheme])[which % len(self.names[scheme])]
             del self.names[scheme][name]
             assert self.stores[scheme].delete_file(name)
+
+    def _ours_file(self, which):
+        names = list(self.names["ours"])
+        return names[which % len(names)]
+
+    @precondition(lambda self: self.names["ours"])
+    @rule(which=pick)
+    def read(self, which):
+        """A whole-file read, then every placement view against the ledger's copy count."""
+        name = self._ours_file(which)
+        result = self.ours.retrieve_file(name)
+        assert result.complete == self.ours.is_file_available(name)
+        for chunk in self.ours.files[name].data_chunks():
+            for index, placement in zip(
+                    self.ledger.chunk_placement_indexes(chunk.ledger_index), chunk.placements):
+                assert dict_walk.live_copies(self.network, placement) == (
+                    self.ledger.placement_live_copies(index))
+
+    @precondition(lambda self: self.names["ours"])
+    @rule(which=pick)
+    def replicate(self, which):
+        """One more multicast replica of every block of a data chunk (Section 4.4.1)."""
+        name = self._ours_file(which)
+        chunks = self.ours.files[name].data_chunks()
+        self.replicator.replicate_chunk(name, chunks[which % len(chunks)].chunk_no, 1)
 
     # -- membership ------------------------------------------------------------------
     @precondition(lambda self: len(self._live()) > MIN_LIVE)
@@ -218,3 +248,61 @@ LedgerMachine.TestCase.settings = settings(
     max_examples=2 * settings.default.max_examples, stateful_step_count=30, deadline=None
 )
 test_ledger_state_machine = LedgerMachine.TestCase
+
+
+# -- two orderings where the placement view answers the ledger's way -----------------
+def _replicated_file():
+    """One (2,3)-XOR file with a neighbour replica of every block, on a quiet overlay."""
+    network = OverlayNetwork.build(NODES, np.random.default_rng(0), capacities=[96 * MB] * NODES)
+    dht = DHTView(network)
+    storage = StorageSystem(
+        dht, codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
+        policy=StoragePolicy(block_replication=2),
+    )
+    assert storage.store_file("f", 4 * MB).success
+    chunk = storage.files["f"].data_chunks()[0]
+    placement = storage.ledger.placement_for(chunk.ledger_index, 0)
+    return network, dht, storage, chunk, placement
+
+
+def test_a_replica_repair_with_no_room_keeps_its_holder_revivable():
+    """The seed's placement object dropped a replica holder it found no room to
+    replace, yet the holder's row stays dead but revivable; the view keeps naming
+    the holder, so its copy counts again when it returns with its disk."""
+    network, dht, storage, chunk, placement = _replicated_file()
+    (holder,) = chunk.placements[0].replica_nodes
+    others = [node for node in dht.state.nodes if node.node_id != holder]
+    for node in others:
+        assert node.store_block("filler", node.free)
+    impact = RecoveryManager(storage).handle_failure(holder)
+    assert impact.replicas_restored == 0 and impact.bytes_dropped > 0
+    for node in others:
+        node.remove_block("filler")
+    assert chunk.placements[0].replica_nodes == (holder,)
+    assert storage.ledger.placement_live_copies(placement) == 1
+    network.recover(holder, wipe=False)
+    dht.add(network.node(holder))
+    assert storage.ledger.placement_live_copies(placement) == 2
+    dict_walk.audit(storage)
+
+
+def test_a_wiped_replica_leaves_the_placement_view():
+    """A replica holder that returns with an empty disk lost its copy for good (the
+    wipe released its row); the seed's placement object kept its id, the view drops
+    it, and a later replication may pick the holder again without listing it twice."""
+    network, dht, storage, chunk, placement = _replicated_file()
+    before = chunk.placements[0]
+    (holder,) = before.replica_nodes
+    network.fail(holder)
+    dht.remove(holder)
+    network.recover(holder, wipe=True)
+    dht.add(network.node(holder))
+    after = chunk.placements[0]
+    assert (after.node_id, after.replica_nodes) == (before.node_id, ())
+    assert storage.ledger.placement_live_copies(placement) == 1
+    dict_walk.audit(storage)
+    report = MulticastReplicator(storage, simulate_push=False).replicate_chunk("f", chunk.chunk_no, 1)
+    assert report.holders[before.block_name] == [holder]
+    assert chunk.placements[0].replica_nodes == (holder,)
+    assert storage.ledger.placement_live_copies(placement) == 2
+    dict_walk.audit(storage)

@@ -95,10 +95,7 @@ def _ours_snapshot(store: StorageSystem):
                 )
                 for chunk in stored.chunks
             ],
-            [
-                (p.block_name, p.node_id, p.size, tuple(map(int, p.replica_nodes)))
-                for p in stored.cat_placements
-            ],
+            [dict_walk.cat_placement(store, name)],
         )
     return snapshot
 

@@ -25,11 +25,13 @@ name (a class or module name covers everything inside it); the report prints
 the reason beside each function it explains and ``UNEXPLAINED`` beside a
 never-run or tier-1-only function it does not.  Such a function is either
 deleted (a second implementation of a live path, or a capability no product
-path, paper figure or table, or named extension calls) or given a reason.
+path, paper figure or table, or named extension calls) or given a reason.  A
+:data:`KEEP` entry that explains no never-run or tier-1-only function (it runs
+now, or was renamed or deleted) is *stale* and printed as such.
 
 Exit status: 1 when a never-run or tier-1-only function is not explained in
-:data:`KEEP`, 2 when an entry point failed (the census is then incomplete),
-0 otherwise.
+:data:`KEEP` or a :data:`KEEP` entry is stale, 2 when an entry point failed
+(the census is then incomplete), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -131,7 +133,6 @@ KEEP: dict[str, str] = {
     "repro.experiments.tenants.TenantsConfig.scaled": _SCALED,
     "repro.erasure.reed_solomon": "Reed-Solomon: two examples stripe with its (4+2) spec in "
         "capacity mode; only tier-1 codes bytes with it",
-    "repro.erasure.gf2._xor_reduce_grouped": "the narrow-row XOR kernel gf2 selects by size",
     "repro.erasure.chunk_codec.clear_coding_caches": "cold-cache coding measurements (measure(cold=True))",
     "repro.erasure.online_code.clear_code_graph_cache": "cold-cache coding measurements (measure(cold=True))",
     "repro.core.recovery.RecoveryManager.rebuild_cat": _CAT,
@@ -147,11 +148,12 @@ KEEP: dict[str, str] = {
     "repro.core.block_ledger.BlockLedger.refresh_domains":
         "failure domains re-laid over a population the ledger already tracks",
     "repro.core.storage.StorageSystem.delete_file": _DELETE,
-    "repro.core.storage.StorageSystem._release_chunk": _DELETE + "; failed-store rollback",
-    "repro.core.storage.StorageSystem._release_placement": _DELETE + "; failed-store rollback",
     "repro.core.block_ledger.BlockLedger.remove_file": _DELETE,
     "repro.core.block_ledger.BlockLedger.file_rows": _DELETE,
     "repro.core.block_ledger.BlockLedger.row_owner": _DELETE,
+    "repro.core.block_ledger.BlockLedger.row_released": _DELETE,
+    "repro.core.naming.cat_file":
+        "payload-mode repair of a CAT copy no surviving holder can source (the file's CAT is re-serialized)",
     "repro.baselines.cfs.CfsStore.delete_file": _DELETE,
     "repro.baselines.past.PastStore.delete_file": _DELETE,
     "repro.grid.iolib.WholeFileStore.delete_file": _DELETE,
@@ -353,8 +355,9 @@ def report(data: Path) -> int:
         for name in stale:
             print(f"  {name}")
     print(f"\nKEEP: {len(KEEP)} entries; tier-1-only functions kept: {kept_tier1}; "
-          f"unexplained never-run or tier-1-only functions: {unexplained}")
-    return 1 if unexplained else 0
+          f"unexplained never-run or tier-1-only functions: {unexplained}; "
+          f"stale entries: {len(stale)}")
+    return 1 if unexplained or stale else 0
 
 
 def main(argv=None) -> int:
