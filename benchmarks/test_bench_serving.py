@@ -52,10 +52,10 @@ def _record_rows(results: dict, prefix: str, config: ServingConfig,
 
 def _assert_serve_contrast(outcome) -> None:
     """The acceptance oracles shared by the CI panel and the flagship."""
-    direct_hot = outcome.cell(1.1, cache_on=False)
-    cached_hot = outcome.cell(1.1, cache_on=True)
-    direct_mild = outcome.cell(0.8, cache_on=False)
-    cached_mild = outcome.cell(0.8, cache_on=True)
+    direct_hot = outcome.row("s1.1_direct")
+    cached_hot = outcome.row("s1.1_cache")
+    direct_mild = outcome.row("s0.8_direct")
+    cached_mild = outcome.row("s0.8_cache")
 
     # Every cell completed its whole trace: open-loop, nothing dropped.
     for row in (direct_hot, cached_hot, direct_mild, cached_mild):
@@ -92,8 +92,8 @@ def test_bench_serving_contrast_panels(serving_bench_results):
                  seconds)
     _assert_serve_contrast(outcome)
 
-    cached_hot = outcome.cell(1.1, cache_on=True)
-    direct_hot = outcome.cell(1.1, cache_on=False)
+    cached_hot = outcome.row("s1.1_cache")
+    direct_hot = outcome.row("s1.1_direct")
     staged = serving_bench_results.setdefault("_staged", {})
     staged["serving_small_seconds"] = seconds
     print(f"\nserve panels @ {SMALL_SERVING.node_count} nodes: {seconds:.2f}s; "
@@ -121,8 +121,8 @@ def test_bench_serving_paper_scale_flagship(serving_bench_results):
     assert seconds < 300.0, "the 10k-node serve cells must stay under ~5 minutes"
     _assert_serve_contrast(outcome)
 
-    direct_hot = outcome.cell(1.1, cache_on=False)
-    cached_hot = outcome.cell(1.1, cache_on=True)
+    direct_hot = outcome.row("s1.1_direct")
+    cached_hot = outcome.row("s1.1_cache")
     staged = serving_bench_results.setdefault("_staged", {})
     staged["serving_flagship_seconds"] = seconds
     staged["serving_flagship_sustained_req_per_s"] = cached_hot["sustained_req_s"]

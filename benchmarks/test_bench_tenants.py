@@ -39,10 +39,10 @@ SMALL_TENANTS = TenantsConfig(
     node_count=1000,
     capacity_mean=2 * GB,
     capacity_std=500 * MB,
-    archive_files=1200,
-    archive_mean_size=24 * MB,
-    archive_std_size=8 * MB,
-    archive_min_size=4 * MB,
+    file_count=1200,
+    mean_file_size=24 * MB,
+    std_file_size=8 * MB,
+    min_file_size=4 * MB,
     studies=12,
     frames_per_study=12,
     mean_frame_size=8 * MB,
@@ -86,6 +86,12 @@ def _record_rows(results: dict, prefix: str, config: TenantsConfig,
         })
 
 
+def _slo_row(outcome, scenario: str, tenant: str) -> dict:
+    """The SLO row of one tenant in one scenario."""
+    return next(row for row in outcome.tenant_rows
+                if row["scenario"] == scenario and row["tenant"] == tenant)
+
+
 def test_bench_tenants_isolation_panels(tenants_bench_results):
     """The QoS isolation oracles at CI scale, recorded into the trajectory."""
     start = time.perf_counter()
@@ -122,9 +128,9 @@ def test_bench_tenants_isolation_panels(tenants_bench_results):
 
     # Per-tenant SLO rows: the storm tenant moved the repair bytes, and the
     # victim's accounting is scoped to its own tag (no cross-tenant bleed).
-    archive = outcome.tenant_row("storm_isolated", "archive")
-    victim = outcome.tenant_row("storm_isolated", "medimg")
-    open_victim = outcome.tenant_row("storm_open", "medimg")
+    archive = _slo_row(outcome, "storm_isolated", "archive")
+    victim = _slo_row(outcome, "storm_isolated", "medimg")
+    open_victim = _slo_row(outcome, "storm_open", "medimg")
     assert archive["moved_gb"] >= isolated["repair_gb"]
     assert victim["stored_gb"] > 0.0
     # The outage's durability damage is identical in both storm cells: QoS

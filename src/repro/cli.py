@@ -283,10 +283,7 @@ COMMANDS: Tuple[Command, ...] = (
         "per-tenant QoS isolation: the noisy-neighbor storm suite "
         "(paper scale: 10 000 nodes, 4 tenants, 4:1 core)",
         TenantsExperiment, PAPER_TENANTS,
-        args=(_NODES,
-              _arg("--files", "archive_files", type=_positive_int,
-                   help="archive-tenant corpus size (files)"),
-              _BANDWIDTH,
+        args=(_NODES, _FILES, _BANDWIDTH,
               _arg("--no-isolation", "storm_tenant_weight", action=_StoreFields,
                    fields={"storm_tenant_weight": 1.0, "storm_tenant_cap_mb_s": None},
                    help="drop the storm tenant's weight/cap in every "
@@ -294,7 +291,7 @@ COMMANDS: Tuple[Command, ...] = (
         smoke=SMOKE_TENANTS,
         scale="multiply nodes and archive files by this factor",
         oversub=_CORE_HELP,
-        note=lambda c: (f"{c.node_count} nodes, {c.archive_files} archive files, "
+        note=lambda c: (f"{c.node_count} nodes, {c.file_count} archive files, "
                         f"{c.oversubscription or 0:g}:1 core, "
                         f"storm weight {c.storm_tenant_weight:g}"),
     ),
@@ -303,9 +300,7 @@ COMMANDS: Tuple[Command, ...] = (
         "serve path: open-loop Zipf traffic, per-gateway block caches, "
         "hot-file replication (paper scale: 10 000 nodes)",
         ServingExperiment, PAPER_SERVING,
-        args=(_NODES,
-              _arg("--files", "catalog_files", type=_positive_int,
-                   help="served catalog size (files)"),
+        args=(_NODES, _FILES,
               _arg("--rate", "request_rate", type=_positive_float,
                    help="offered request rate (requests per simulated second)"),
               _arg("--duration", "duration_s", type=_positive_float,
@@ -321,7 +316,7 @@ COMMANDS: Tuple[Command, ...] = (
         smoke=SMOKE_SERVING,
         scale="multiply nodes and catalog files by this factor",
         oversub=_CORE_HELP,
-        note=lambda c: (f"{c.node_count} nodes, {c.catalog_files} catalog files, "
+        note=lambda c: (f"{c.node_count} nodes, {c.file_count} catalog files, "
                         f"{c.oversubscription or 0:g}:1 core, {c.cache_mb:g} MB/gateway cache"),
     ),
     Command(

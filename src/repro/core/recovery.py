@@ -641,7 +641,10 @@ class RecoveryManager:
         Section 4.4: chunk sizes are discovered incrementally; a missing chunk
         either means a zero-sized chunk or the end of the file, and because
         consecutive zero-sized chunks are bounded, probing one past the limit
-        pins down the true end of the file.
+        pins down the true end of the file.  A probe finds a chunk only while
+        the ledger holds a live copy of one of its blocks, so a chunk whose
+        every copy is gone reads as missing and the rebuilt table comes out
+        short.
         """
         stored = self.storage.files.get(filename)
         if stored is None:
@@ -655,7 +658,10 @@ class RecoveryManager:
         missing_run = 0
         chunk_no = 1
         while missing_run < limit:
-            size = stored.chunks[chunk_no - 1].size if chunk_no <= len(stored.chunks) else 0
+            chunk = stored.chunks[chunk_no - 1] if chunk_no <= len(stored.chunks) else None
+            found = (chunk is not None and chunk.ledger_index is not None
+                     and chunk.ledger.chunk_live_blocks(chunk.ledger_index) > 0)
+            size = chunk.size if found else 0
             sizes.append(size)
             missing_run = 0 if size else missing_run + 1
             chunk_no += 1

@@ -3,14 +3,19 @@
 Section 6 of the paper runs every measurement on one simulated population
 (capacities N(45 GB, 10 GB)) loaded with one file trace (243 MB +- 55 MB).
 :class:`DeploymentConfig` owns those fields once and :func:`deploy` builds the
-cluster through :class:`~repro.api.ClusterSession`, so ``failure_sweep``
-(Figure 10, Table 3 and the repair panels), ``soak`` and ``faults`` share one
-construction order and one set of RNG stream labels (``"capacities"``,
-``"overlay"``, ``"trace"``), and take their clock, transfer fabric, repair
-manager and fault injector from the session.  ``tenants`` and ``serving`` name their corpus
-fields differently (several tenants, a lognormal catalog), so they compose the
-same pieces -- :func:`open_session`, :func:`claim_client`, :func:`load_trace` --
-themselves.  ``faults`` and ``tenants`` time block reads during the storm
+cluster through :class:`~repro.api.ClusterSession`, claims the client the
+corpus is stored through and loads the corpus.  Every experiment that stores
+into one cluster -- ``failure_sweep`` (Figure 10, Table 3 and the repair
+panels), ``soak``, ``faults``, ``tenants`` and ``serving`` -- deploys there, so
+all share one construction order and one set of RNG stream labels
+(``"capacities"``, ``"overlay"``, then the corpus's), and take their clock,
+transfer fabric, repair manager and fault injector from the session.
+:class:`FabricConfig` adds the failure-domain grid and the transfer fabric
+that ``faults``, ``tenants`` and ``serving`` run on.  What their corpora differ
+in is a class constant of the config, not an option: ``tenants`` pre-stores
+the ``"archive"`` tenant's ``archive-*`` files, ``serving`` a lognormal
+``media-*`` catalog drawn from the ``"catalog"`` stream for tenant
+``"serve"``.  ``faults`` and ``tenants`` time block reads during the storm
 with :func:`schedule_block_probes` and count their post-run reads with
 :func:`read_census`.
 
@@ -29,9 +34,7 @@ CLI's ``--scale`` applies to says which of its fields scale in ``scaled()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from repro.api import ArchiveClient, ClusterSession
 from repro.core.policies import StoragePolicy
@@ -39,16 +42,10 @@ from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.xor_code import XorParityCode
 from repro.overlay.node import OverlayNode
-from repro.overlay.validation import AT_LEAST_1, POSITIVE, require_fields
+from repro.overlay.validation import AT_LEAST_1, POSITIVE, RATIO, require_fields
 from repro.sim.rng import RandomStreams
 from repro.workloads.capacity import CapacityConfig
-from repro.workloads.filetrace import (
-    GB,
-    MB,
-    FileTrace,
-    FileTraceConfig,
-    generate_file_trace,
-)
+from repro.workloads.filetrace import GB, MB, FileTraceConfig, generate_file_trace
 
 
 def scaled_count(value: int, factor: float, floor: int) -> int:
@@ -90,15 +87,64 @@ class DeploymentConfig(ExperimentConfig):
         **ExperimentConfig.RANGES, "mean_file_size": POSITIVE, "blocks_per_chunk": AT_LEAST_1,
         "block_replication": AT_LEAST_1}
 
+    #: What one experiment's corpus differs in from another's: the size model,
+    #: the file-name prefix, the RNG stream label the sizes are drawn from and
+    #: the tenant that stores it (``None`` = the untagged client).
+    TRACE_MODEL: ClassVar[str] = "truncated-normal"
+    NAME_PREFIX: ClassVar[str] = "file"
+    TRACE_STREAM: ClassVar[str] = "trace"
+    TENANT: ClassVar[Optional[str]] = None
+
     def scaled(self, factor: float):
         """The population and the corpus multiplied by ``factor``."""
         return replace(self, node_count=scaled_count(self.node_count, factor, 2),
                        file_count=scaled_count(self.file_count, factor, 1))
 
+    def session_arguments(self) -> Dict[str, object]:
+        """The :class:`~repro.api.ClusterSession` arguments this config's fields map to."""
+        return {}
 
-def open_session(config, streams: RandomStreams, **session_kwargs) -> ClusterSession:
-    """A session over ``config``'s N(capacity_mean, capacity_std) population."""
-    return ClusterSession(
+
+@dataclass(frozen=True)
+class FabricConfig(DeploymentConfig):
+    """A deployment on a failure-domain grid behind the fair-share transfer fabric."""
+
+    #: Failure-domain grid: ``sites x racks_per_site`` racks, round-robin
+    #: striped over the id space (a site outage downs 1/sites of the nodes).
+    sites: int = 4
+    racks_per_site: int = 4
+    #: Per-node symmetric link capacity (MB per simulated second).
+    bandwidth_mb_s: float = 8.0
+    #: Two-stage core model: when set, rack/site trunks carry the members'
+    #: aggregate access bandwidth divided by this ratio (4.0 = the classic
+    #: 4:1 oversubscribed aggregation layer); ``None`` = access links only.
+    oversubscription: Optional[float] = None
+
+    RANGES: ClassVar[Dict[str, tuple]] = {
+        **DeploymentConfig.RANGES, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
+        "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO}
+
+    def session_arguments(self) -> Dict[str, object]:
+        """The domain grid and the fabric's links and core."""
+        return {"sites": self.sites, "racks_per_site": self.racks_per_site,
+                "bandwidth_mb_s": self.bandwidth_mb_s,
+                "oversubscription": self.oversubscription}
+
+
+def deploy(config: DeploymentConfig, streams: RandomStreams, *,
+           codec: Optional[ChunkCodec] = None,
+           **session_kwargs) -> Tuple[ClusterSession, ArchiveClient]:
+    """Build ``config``'s cluster, claim ``config.TENANT``'s client, store the corpus.
+
+    The session gets ``config.session_arguments()`` plus ``session_kwargs``,
+    the per-run arguments an experiment works out itself (a failure sweep
+    cell's repair bandwidth, the soak's hourly one).  The default codec is
+    the (2,3) XOR code every dynamics experiment distributes with.  Stores
+    are instantaneous: the corpus is loaded before the client attaches to
+    the transfer fabric, and a file that did not fit is simply absent from
+    ``client.storage.files``, which keeps the trace's order.
+    """
+    session = ClusterSession(
         config.node_count,
         streams=streams,
         capacity_config=CapacityConfig(
@@ -107,60 +153,28 @@ def open_session(config, streams: RandomStreams, **session_kwargs) -> ClusterSes
             mean=config.capacity_mean,
             std=config.capacity_std,
         ),
+        **config.session_arguments(),
         **session_kwargs,
     )
-
-
-def claim_client(session: ClusterSession, config, tenant: Optional[str] = None,
-                 codec: Optional[ChunkCodec] = None) -> ArchiveClient:
-    """A client storing under ``config``'s chunking and replication target.
-
-    The default codec is the (2,3) XOR code every dynamics experiment
-    distributes with.
-    """
-    return session.client(
-        tenant,
+    client = session.client(
+        config.TENANT,
         codec=codec or ChunkCodec(XorParityCode(group_size=2),
                                   blocks_per_chunk=config.blocks_per_chunk),
         policy=StoragePolicy(block_replication=config.block_replication),
     )
-
-
-def load_trace(client: ArchiveClient, trace_config: FileTraceConfig,
-               rng: np.random.Generator) -> FileTrace:
-    """Generate one file trace and store it through ``client``.
-
-    Stores are instantaneous here: experiments load their corpus before the
-    client attaches to the transfer fabric.  Files that did not fit are
-    simply absent from ``client.storage.files``.
-    """
-    trace = generate_file_trace(trace_config, rng=rng)
-    for record in trace:
-        client.store(record.name, record.size)
-    return trace
-
-
-def deploy(config: DeploymentConfig, streams: RandomStreams, *,
-           codec: Optional[ChunkCodec] = None,
-           **session_kwargs) -> Tuple[ClusterSession, ArchiveClient]:
-    """Build ``config``'s cluster, claim the untagged client, load the trace.
-
-    ``session_kwargs`` are the :class:`~repro.api.ClusterSession` deployment
-    arguments an experiment's own fields map to (failure domains, the
-    transfer fabric).
-    """
-    session = open_session(config, streams, **session_kwargs)
-    client = claim_client(session, config, codec=codec)
-    load_trace(
-        client,
+    trace = generate_file_trace(
         FileTraceConfig(
             file_count=config.file_count,
             mean_size=config.mean_file_size,
             std_size=config.std_file_size,
             min_size=config.min_file_size,
+            model=config.TRACE_MODEL,
+            name_prefix=config.NAME_PREFIX,
         ),
-        streams.fresh("trace"),
+        rng=streams.fresh(config.TRACE_STREAM),
     )
+    for record in trace:
+        client.store(record.name, record.size)
     return session, client
 
 
@@ -176,6 +190,13 @@ def read_census(storage: StorageSystem, sample: int) -> Dict[str, float]:
         "degraded_reads": float(storage.degraded_reads - degraded_before),
         "failed_reads": float(storage.failed_reads - failed_before),
     }
+
+
+def stride_picker(nodes: Iterable[OverlayNode]) -> Callable[[int], OverlayNode]:
+    """Deterministic client nodes: pick ``i`` is the ``(13 i + 1)``-th of ``nodes``
+    in id order, wrapping round."""
+    ordered = sorted(nodes, key=lambda node: node.node_id)
+    return lambda index: ordered[(index * 13 + 1) % len(ordered)]
 
 
 def schedule_block_probes(

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar, Dict, List, Optional
 
-from repro.experiments.base import DeploymentConfig, deploy, read_census, schedule_block_probes
-from repro.experiments.results import TableResult, render_report
+from repro.experiments.base import FabricConfig, deploy, read_census, schedule_block_probes, stride_picker
+from repro.experiments.results import ScenarioRows, TableResult, render_report
 from repro.overlay.network import OverlayNetwork
-from repro.overlay.validation import AT_LEAST_1, FRACTION, POSITIVE, RATIO
+from repro.overlay.validation import AT_LEAST_1, FRACTION, POSITIVE, OneOf
 from repro.sim.faults import FaultInjector
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
@@ -78,7 +78,7 @@ DEGRADE_BANDWIDTH_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
-class FaultsConfig(DeploymentConfig):
+class FaultsConfig(FabricConfig):
     """Defaults for the fault-injection panels (time unit: seconds)."""
 
     node_count: int = 10_000
@@ -86,12 +86,6 @@ class FaultsConfig(DeploymentConfig):
     seed: int = 7
     #: Replication target per placement; 2 exercises the re-replication path.
     block_replication: int = 2
-    #: Failure-domain grid: ``sites x racks_per_site`` racks, round-robin
-    #: striped over the id space (a site outage downs 1/sites of the nodes).
-    sites: int = 4
-    racks_per_site: int = 4
-    #: Per-node symmetric link capacity (MB per simulated second).
-    bandwidth_mb_s: float = 8.0
     #: Simulated seconds between consecutive per-node repair passes after a
     #: correlated outage (all members are down before the first pass; the
     #: staggering only bounds concurrent repair flows, not the end state).
@@ -105,11 +99,6 @@ class FaultsConfig(DeploymentConfig):
     restart_downtime_s: float = 60.0
     #: Files sampled by the post-event read probe (degraded/failed census).
     read_sample: int = 400
-    #: Two-stage core model: when set, rack/site trunks carry the members'
-    #: aggregate access bandwidth divided by this ratio (4.0 = the classic
-    #: 4:1 oversubscribed aggregation layer); ``None`` = access links only,
-    #: bit-identical to the pre-topology panels.
-    oversubscription: Optional[float] = None
     #: Repair QoS knobs: bounded in-flight repair window (``None`` =
     #: unbounded, the seed behaviour; overflow queues FIFO -- backpressure,
     #: never drops) and the repair class's fair-share weight (< 1.0 keeps
@@ -123,9 +112,9 @@ class FaultsConfig(DeploymentConfig):
     scenarios: tuple = SCENARIOS
 
     RANGES: ClassVar[Dict[str, tuple]] = {
-        **DeploymentConfig.RANGES, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
-        "bandwidth_mb_s": POSITIVE, "flash_fraction": FRACTION, "restart_downtime_s": POSITIVE,
-        "oversubscription": RATIO, "repair_window": AT_LEAST_1, "repair_weight": POSITIVE}
+        **FabricConfig.RANGES, "flash_fraction": FRACTION, "restart_downtime_s": POSITIVE,
+        "repair_window": AT_LEAST_1, "repair_weight": POSITIVE,
+        "scenarios": OneOf(FINITE_CORE_SCENARIOS)}
 
 
 #: The paper-scale configuration: 10 000 nodes, ~2.4 TB, 16 racks in 4 sites.
@@ -172,18 +161,10 @@ SMOKE_FINITE_CORE = replace(
 
 
 @dataclass
-class FaultsResult:
-    """One row per scenario."""
+class FaultsResult(ScenarioRows):
+    """One accounting row per scenario."""
 
     config: FaultsConfig
-    rows: List[Dict[str, float]] = field(default_factory=list)
-
-    def row(self, scenario: str) -> Dict[str, float]:
-        """The accounting row of one scenario."""
-        for entry in self.rows:
-            if entry["scenario"] == scenario:
-                return entry
-        raise KeyError(scenario)
 
     def report(self) -> str:
         """Durability and repair panels, plus the core's when it is finite."""
@@ -241,7 +222,7 @@ class FaultsExperiment:
                        for node in network.live_nodes()[: config.restart_count]]
             injector.rolling_restart(victims, interval=config.restart_interval_s,
                                      downtime=config.restart_downtime_s)
-        elif scenario == "degraded_rack_outage":
+        else:  # degraded_rack_outage
             live = sorted(network.live_nodes(), key=lambda node: node.node_id)
             count = max(1, int(len(live) * DEGRADE_NODE_FRACTION))
             stride = max(1, len(live) // count)
@@ -250,21 +231,13 @@ class FaultsExperiment:
             # The outage must repair *through* the degraded links: pick the
             # rack whose stride-selected members were just slowed.
             injector.fail_domain(rack=1)
-        else:
-            raise ValueError(f"unknown fault scenario {scenario!r}")
 
     def _run_scenario(self, scenario: str) -> Dict[str, float]:
         """One fresh deployment + one injected scenario, drained to quiescence."""
         config = self.config
         streams = RandomStreams(config.seed)
         cell_start = time.perf_counter()
-        session, client = deploy(
-            config, streams,
-            sites=config.sites,
-            racks_per_site=config.racks_per_site,
-            bandwidth_mb_s=config.bandwidth_mb_s,
-            oversubscription=config.oversubscription,
-        )
+        session, client = deploy(config, streams)
         distribute_s = time.perf_counter() - cell_start
 
         network = session.network
@@ -282,10 +255,9 @@ class FaultsExperiment:
         if scenario == "storm_site_outage":
             # Foreground reads riding through the storm at weight 1.0, to
             # stride-picked clients live before the outage.
-            live = sorted(network.live_nodes(), key=lambda node: node.node_id)
             durations = schedule_block_probes(
                 session, storage, config.foreground_reads, config.foreground_period_s, 0.0,
-                lambda index: live[(index * 13 + 1) % len(live)],
+                stride_picker(network.live_nodes()),
             )
         self._inject(scenario, injector, network)
         sim.run()  # drains staggered restarts and every repair transfer
@@ -328,31 +300,6 @@ class FaultsExperiment:
             "inject_s": inject_s,
             **probe,
         }
-
-    def oversubscription_sweep(self, ratios=(1.0, 2.0, 4.0, 8.0)) -> List[Dict[str, float]]:
-        """Time-to-repair of one whole-site outage vs the core's ratio.
-
-        Each ratio re-runs the ``site_outage`` cell on a fresh deployment
-        with trunks carrying ``aggregate access / ratio``; the 1.0 row is the
-        non-blocking core.  The TTR growth with the ratio is the panel
-        recorded as ``ttr_vs_oversubscription`` in ``BENCH_faults.json``.
-        """
-        rows: List[Dict[str, float]] = []
-        for ratio in ratios:
-            cell = FaultsExperiment(
-                replace(self.config, oversubscription=float(ratio),
-                        scenarios=("site_outage",))
-            )
-            row = cell._run_scenario("site_outage")
-            rows.append({
-                "oversub": float(ratio),
-                "mean_ttr_s": row["mean_ttr_s"],
-                "max_ttr_s": row["max_ttr_s"],
-                "makespan_s": row["makespan_s"],
-                "trunk_util_pct": row["trunk_util_pct"],
-                "traffic_gb": row["traffic_gb"],
-            })
-        return rows
 
     def run(self) -> FaultsResult:
         """Produce every configured scenario row (fresh deployment per cell)."""

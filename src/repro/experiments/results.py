@@ -1,8 +1,10 @@
 """Small result containers shared by the experiment harnesses.
 
-:class:`Series` is one line of a figure, :class:`TableResult` one table;
-:func:`render_report`, :func:`summary_line` and :func:`format_series_table`
-turn them into the text ``python -m repro.cli`` prints.
+:class:`Series` is one line of a figure, :class:`TableResult` one table,
+:class:`ScenarioRows` the one-row-per-scenario result of the extension panels
+(faults, tenants, serving); :func:`render_report`, :func:`summary_line` and
+:func:`format_series_table` turn them into the text ``python -m repro.cli``
+prints.
 """
 
 from __future__ import annotations
@@ -83,6 +85,21 @@ class TableResult:
     def report(self) -> str:
         """What the CLI prints for a one-table result."""
         return self.format()
+
+
+@dataclass
+class ScenarioRows:
+    """One row per scenario, each naming its scenario under ``"scenario"``."""
+
+    config: object
+    rows: List[Dict[str, object]] = field(default_factory=list)
+
+    def row(self, scenario: str) -> Dict[str, object]:
+        """The row of one scenario."""
+        for entry in self.rows:
+            if entry["scenario"] == scenario:
+                return entry
+        raise KeyError(scenario)
 
 
 def render_report(*blocks: Union[TableResult, str]) -> str:

@@ -26,23 +26,16 @@ Run it::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, List, Optional
+from dataclasses import dataclass
+from typing import ClassVar, Dict, Optional
 
-from repro.api import ClusterSession
 from repro.core.cache import CacheManager
-from repro.experiments.base import (
-    ExperimentConfig,
-    claim_client,
-    load_trace,
-    open_session,
-    scaled_count,
-)
-from repro.experiments.results import TableResult, render_report, summary_line
+from repro.experiments.base import FabricConfig, deploy
+from repro.experiments.results import ScenarioRows, TableResult, render_report, summary_line
 from repro.multicast.replication import MulticastReplicator
-from repro.overlay.validation import AT_LEAST_1, CLOSED_FRACTION, POSITIVE, RATIO
+from repro.overlay.validation import AT_LEAST_1, CLOSED_FRACTION, POSITIVE, OneOf
 from repro.sim.rng import RandomStreams
-from repro.workloads.filetrace import GB, MB, FileTraceConfig
+from repro.workloads.filetrace import MB
 from repro.workloads.serving import (
     ServeEngine,
     ServingTraceConfig,
@@ -56,28 +49,21 @@ CACHE_HIT_LATENCY_S = 0.0005
 
 
 @dataclass(frozen=True)
-class ServingConfig(ExperimentConfig):
+class ServingConfig(FabricConfig):
     """Defaults for the serving panels (time unit: seconds)."""
 
     node_count: int = 10_000
     seed: int = 13
-    capacity_mean: int = 45 * GB
-    capacity_std: int = 10 * GB
-    sites: int = 4
-    racks_per_site: int = 4
-    #: Per-node symmetric link capacity (MB per simulated second).
-    bandwidth_mb_s: float = 8.0
     oversubscription: Optional[float] = 4.0
     intra_rack_latency: float = 0.0005
     intra_site_latency: float = 0.002
     inter_site_latency: float = 0.02
-    blocks_per_chunk: int = 2
     block_replication: int = 2
     #: The served catalog (pre-stored before the fabric attaches).
-    catalog_files: int = 4_000
-    catalog_mean_size: int = 8 * MB
-    catalog_std_size: int = 6 * MB
-    catalog_min_size: int = 1 * MB
+    file_count: int = 4_000
+    mean_file_size: int = 8 * MB
+    std_file_size: int = 6 * MB
+    min_file_size: int = 1 * MB
     #: Open-loop traffic.  The direct s=1.1 cell is genuinely overloaded
     #: (hot primaries' 8 MB/s uplinks vs ~30 MB/s of demand on the head of
     #: the catalog), so its backlog -- and the fair-share scheduler's cost,
@@ -106,17 +92,22 @@ class ServingConfig(ExperimentConfig):
     hop_latency_s: float = 0.0
 
     RANGES: ClassVar[Dict[str, tuple]] = {
-        **ExperimentConfig.RANGES, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
-        "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO, "blocks_per_chunk": AT_LEAST_1,
-        "block_replication": AT_LEAST_1, "catalog_files": AT_LEAST_1,
-        "catalog_mean_size": POSITIVE, "request_rate": POSITIVE, "duration_s": POSITIVE,
-        "read_fraction": CLOSED_FRACTION, "client_count": AT_LEAST_1,
-        "write_mean_size": POSITIVE, "cache_mb": POSITIVE}
+        **FabricConfig.RANGES, "file_count": AT_LEAST_1, "request_rate": POSITIVE,
+        "duration_s": POSITIVE, "read_fraction": CLOSED_FRACTION, "client_count": AT_LEAST_1,
+        "write_mean_size": POSITIVE, "cache_mb": POSITIVE, "cache_modes": OneOf((False, True))}
 
-    def scaled(self, factor: float) -> "ServingConfig":
-        """The population and the served catalog multiplied by ``factor``."""
-        return replace(self, node_count=scaled_count(self.node_count, factor, 2),
-                       catalog_files=scaled_count(self.catalog_files, factor, 1))
+    TRACE_MODEL: ClassVar[str] = "lognormal"
+    NAME_PREFIX: ClassVar[str] = "media"
+    TRACE_STREAM: ClassVar[str] = "catalog"
+    TENANT: ClassVar[Optional[str]] = "serve"
+
+    def session_arguments(self) -> Dict[str, object]:
+        """The fabric's, plus the three latency classes of the core."""
+        return {**super().session_arguments(), "latency": {
+            "intra_rack_latency": self.intra_rack_latency,
+            "intra_site_latency": self.intra_site_latency,
+            "inter_site_latency": self.inter_site_latency,
+        }}
 
 
 #: The paper-scale flagship: 10 000 nodes behind a 4:1 core.
@@ -127,10 +118,10 @@ SMOKE_SERVING = ServingConfig(
     node_count=200,
     capacity_mean=400 * MB,
     capacity_std=100 * MB,
-    catalog_files=240,
-    catalog_mean_size=2 * MB,
-    catalog_std_size=1 * MB,
-    catalog_min_size=256 * 1024,
+    file_count=240,
+    mean_file_size=2 * MB,
+    std_file_size=1 * MB,
+    min_file_size=256 * 1024,
     request_rate=30.0,
     duration_s=12.0,
     client_count=12,
@@ -143,19 +134,10 @@ SMOKE_SERVING = ServingConfig(
 
 
 @dataclass
-class ServingResult:
-    """One row per (zipf_s, cache mode) cell of the sweep."""
+class ServingResult(ScenarioRows):
+    """One row per (zipf_s, cache mode) cell of the sweep, named ``s<zipf>_<cache|direct>``."""
 
     config: ServingConfig
-    rows: List[Dict[str, float]] = field(default_factory=list)
-
-    def cell(self, zipf_s: float, cache_on: bool) -> Dict[str, float]:
-        """The row of one sweep cell."""
-        name = _scenario_name(zipf_s, cache_on)
-        for row in self.rows:
-            if row["scenario"] == name:
-                return row
-        raise KeyError(name)
 
     def summary(self) -> Dict[str, float]:
         """The headline numbers the benchmark records and asserts on."""
@@ -183,54 +165,18 @@ class ServingResult:
             self.rows)) + "\n" + summary_line("serving", self.summary())
 
 
-def _scenario_name(zipf_s: float, cache_on: bool) -> str:
-    return f"s{zipf_s:g}_{'cache' if cache_on else 'direct'}"
-
-
 class ServingExperiment:
     """Runs the serving sweep (fresh deployment per cell, shared seed)."""
 
     def __init__(self, config: ServingConfig) -> None:
         self.config = config
 
-    def _session(self, streams: RandomStreams) -> ClusterSession:
-        config = self.config
-        return open_session(
-            config, streams,
-            sites=config.sites,
-            racks_per_site=config.racks_per_site,
-            bandwidth_mb_s=config.bandwidth_mb_s,
-            oversubscription=config.oversubscription,
-            latency={
-                "intra_rack_latency": config.intra_rack_latency,
-                "intra_site_latency": config.intra_site_latency,
-                "inter_site_latency": config.inter_site_latency,
-            },
-        )
-
     def _run_cell(self, zipf_s: float, cache_on: bool) -> Dict[str, float]:
         config = self.config
         cell_start = time.perf_counter()
         streams = RandomStreams(config.seed)
-        session = self._session(streams)
-        client = claim_client(session, config, tenant="serve")
-
-        # The catalog is pre-stored before the fabric attaches (instantaneous
-        # bulk load, the same convention every other experiment uses).
-        catalog_trace = load_trace(
-            client,
-            FileTraceConfig(
-                file_count=config.catalog_files,
-                mean_size=config.catalog_mean_size,
-                std_size=config.catalog_std_size,
-                min_size=config.catalog_min_size,
-                model="lognormal",
-                name_prefix="media",
-            ),
-            streams.fresh("catalog"),
-        )
-        catalog = [record.name for record in catalog_trace
-                   if record.name in client.storage.files]
+        session, client = deploy(config, streams)
+        catalog = list(client.storage.files)  # the stored catalog, in trace order
 
         client.attach(client=None)
         cache = None
@@ -281,7 +227,7 @@ class ServingExperiment:
         session.run()
 
         row: Dict[str, float] = {
-            "scenario": _scenario_name(zipf_s, cache_on),
+            "scenario": f"s{zipf_s:g}_{'cache' if cache_on else 'direct'}",
             "node_count": float(config.node_count),
             "zipf_s": float(zipf_s),
             "cache": 1.0 if cache_on else 0.0,

@@ -54,7 +54,7 @@ from repro.experiments.base import DeploymentConfig, deploy
 from repro.experiments.results import TableResult, render_report, summary_line
 from repro.overlay.ids import COORDINATE_SPAN, random_node_id
 from repro.overlay.node import OverlayNode
-from repro.overlay.validation import POSITIVE
+from repro.overlay.validation import POSITIVE, OneOf
 from repro.sim.rng import RandomStreams
 from repro.workloads.filetrace import GB, MB
 
@@ -105,7 +105,8 @@ class SoakConfig(DeploymentConfig):
     # rate would silently turn churn off.  ``compact_every_hours`` 0 = no compaction.
     RANGES: ClassVar[Dict[str, tuple]] = {
         **DeploymentConfig.RANGES, "horizon_hours": POSITIVE, "mean_uptime_hours": POSITIVE,
-        "sample_every_hours": POSITIVE, "bandwidth_gb_per_hour": POSITIVE}
+        "sample_every_hours": POSITIVE, "bandwidth_gb_per_hour": POSITIVE,
+        "leave_mode": OneOf(("regenerate", "migrate"))}
 
     def scaled(self, factor: float) -> "SoakConfig":
         """Population, corpus and the join/leave rates multiplied by ``factor``."""

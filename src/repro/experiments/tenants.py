@@ -36,23 +36,15 @@ Run it::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict, List, Optional, Tuple
 
-from repro.experiments.base import (
-    claim_client,
-    load_trace,
-    open_session,
-    read_census,
-    scaled_count,
-    schedule_block_probes,
-)
-from repro.experiments.results import TableResult, render_report, summary_line
-from repro.overlay.network import OverlayNetwork
-from repro.overlay.validation import AT_LEAST_1, POSITIVE, RATIO, require_fields
+from repro.experiments.base import FabricConfig, deploy, read_census, schedule_block_probes, stride_picker
+from repro.experiments.results import ScenarioRows, TableResult, render_report, summary_line
+from repro.overlay.validation import AT_LEAST_1, POSITIVE, OneOf
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import summarize
-from repro.workloads.filetrace import GB, MB, FileTraceConfig
+from repro.workloads.filetrace import GB, MB
 from repro.workloads.tenants import (
     BigCopyBurstProfile,
     BulletDistributionProfile,
@@ -70,26 +62,16 @@ STORM_SITE = 0
 
 
 @dataclass(frozen=True)
-class TenantsConfig:
+class TenantsConfig(FabricConfig):
     """Defaults for the QoS isolation panels (time unit: seconds)."""
 
     node_count: int = 10_000
-    capacity_mean: int = 45 * GB
-    capacity_std: int = 10 * GB
-    sites: int = 4
-    racks_per_site: int = 4
-    #: Per-node symmetric link capacity (MB per simulated second).
-    bandwidth_mb_s: float = 8.0
-    #: Two-stage core: trunks carry the members' aggregate access bandwidth
-    #: divided by this ratio (the flagship runs behind the classic 4:1 core).
-    oversubscription: Optional[float] = 4.0
-    blocks_per_chunk: int = 2
+    seed: int = 11
     block_replication: int = 2
     #: The archive (storm) tenant's pre-stored corpus.
-    archive_files: int = 6_000
-    archive_mean_size: int = 243 * MB
-    archive_std_size: int = 55 * MB
-    archive_min_size: int = 50 * MB
+    file_count: int = 6_000
+    #: The flagship runs behind the classic 4:1 core.
+    oversubscription: Optional[float] = 4.0
     #: Victim tenant: per-study frame-batch ingest cadence.
     studies: int = 24
     frames_per_study: int = 16
@@ -118,20 +100,13 @@ class TenantsConfig:
     storm_tenant_weight: float = 0.25
     storm_tenant_cap_mb_s: Optional[float] = 512.0
     scenarios: tuple = SCENARIOS
-    seed: int = 11
 
-    def __post_init__(self) -> None:
-        require_fields(self, {
-            "node_count": AT_LEAST_1, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
-            "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO, "blocks_per_chunk": AT_LEAST_1,
-            "block_replication": AT_LEAST_1, "archive_mean_size": POSITIVE,
-            "mean_frame_size": POSITIVE, "repair_window": AT_LEAST_1,
-            "storm_tenant_weight": POSITIVE})
+    RANGES: ClassVar[Dict[str, tuple]] = {
+        **FabricConfig.RANGES, "mean_frame_size": POSITIVE, "repair_window": AT_LEAST_1,
+        "storm_tenant_weight": POSITIVE, "scenarios": OneOf(SCENARIOS)}
 
-    def scaled(self, factor: float) -> "TenantsConfig":
-        """The population and the archive corpus multiplied by ``factor``."""
-        return replace(self, node_count=scaled_count(self.node_count, factor, 2),
-                       archive_files=scaled_count(self.archive_files, factor, 1))
+    NAME_PREFIX: ClassVar[str] = "archive"
+    TENANT: ClassVar[Optional[str]] = TENANTS[0]
 
 
 #: The paper-scale flagship: 10 000 nodes behind a 4:1 core.
@@ -142,10 +117,10 @@ SMOKE_TENANTS = TenantsConfig(
     node_count=200,
     capacity_mean=400 * MB,
     capacity_std=100 * MB,
-    archive_files=160,
-    archive_mean_size=10 * MB,
-    archive_std_size=3 * MB,
-    archive_min_size=1 * MB,
+    file_count=160,
+    mean_file_size=10 * MB,
+    std_file_size=3 * MB,
+    min_file_size=1 * MB,
     studies=6,
     frames_per_study=6,
     mean_frame_size=2 * MB,
@@ -167,26 +142,11 @@ SMOKE_TENANTS = TenantsConfig(
 
 
 @dataclass
-class TenantsResult:
+class TenantsResult(ScenarioRows):
     """Per-scenario flagship rows plus the per-(scenario, tenant) SLO rows."""
 
     config: TenantsConfig
-    rows: List[Dict[str, float]] = field(default_factory=list)
     tenant_rows: List[Dict[str, float]] = field(default_factory=list)
-
-    def row(self, scenario: str) -> Dict[str, float]:
-        """The flagship row of one scenario."""
-        for entry in self.rows:
-            if entry["scenario"] == scenario:
-                return entry
-        raise KeyError(scenario)
-
-    def tenant_row(self, scenario: str, tenant: str) -> Dict[str, float]:
-        """The SLO row of one tenant in one scenario."""
-        for entry in self.tenant_rows:
-            if entry["scenario"] == scenario and entry["tenant"] == tenant:
-                return entry
-        raise KeyError((scenario, tenant))
 
     def report(self) -> str:
         """The victim's SLOs across the scenarios, then every tenant's."""
@@ -208,9 +168,9 @@ class TenantsResult:
                  "moved_gb", "backlog_gb", "degraded_reads", "failed_reads",
                  "mean_ttr_s", "max_ttr_s"],
                 self.tenant_rows),
-        ) + "\n" + summary_line("isolation", self.isolation_summary())
+        ) + "\n" + summary_line("isolation", self.summary())
 
-    def isolation_summary(self) -> Dict[str, float]:
+    def summary(self) -> Dict[str, float]:
         """The headline numbers the benchmark records and asserts on."""
         baseline = self.row("baseline")
         summary = {
@@ -237,51 +197,22 @@ class TenantsExperiment:
     def __init__(self, config: TenantsConfig) -> None:
         self.config = config
 
-    # -------------------------------------------------------------- deployment --
-    def _deployment(self, streams: RandomStreams):
-        """One :class:`ClusterSession` + four tenant clients on its ledger.
-
-        The archive tenant's corpus is pre-stored (instantaneous, before the
-        fabric attaches) -- the storm repairs standing data, it does not
-        ingest it.  The session consumes the same RNG stream labels in the
-        same order as the pre-facade hand wiring, so every number here is
-        unchanged by the port (pinned by ``tests/test_api.py``).
-        """
-        config = self.config
-        session = open_session(
-            config, streams,
-            sites=config.sites,
-            racks_per_site=config.racks_per_site,
-            bandwidth_mb_s=config.bandwidth_mb_s,
-            oversubscription=config.oversubscription,
-        )
-        clients = {name: claim_client(session, config, tenant=name) for name in TENANTS}
-        load_trace(
-            clients["archive"],
-            FileTraceConfig(
-                file_count=config.archive_files,
-                mean_size=config.archive_mean_size,
-                std_size=config.archive_std_size,
-                min_size=config.archive_min_size,
-                name_prefix="archive",
-            ),
-            streams.fresh("trace"),
-        )
-        return session, clients
-
-    def _client(self, network: OverlayNetwork, ordinal: int):
-        """A deterministic live client node *outside* the storm site."""
-        outside = [node for node in network.nodes()
-                   if node.alive and node.site != STORM_SITE]
-        outside.sort(key=lambda node: node.node_id)
-        return outside[(ordinal * 13 + 1) % len(outside)]
-
     # ---------------------------------------------------------------- scenario --
-    def _run_scenario(self, scenario: str) -> None:
+    def _run_scenario(self, scenario: str) -> Tuple[Dict[str, float], List[Dict[str, float]]]:
+        """One fresh deployment: the scenario's flagship row and its tenants' SLO rows.
+
+        The archive tenant's corpus is the deployment's, pre-stored -- the
+        storm repairs standing data, it does not ingest it; the other
+        tenants' clients share its codec and replication target.
+        """
         config = self.config
         streams = RandomStreams(config.seed)
         cell_start = time.perf_counter()
-        session, clients = self._deployment(streams)
+        session, archive = deploy(config, streams)
+        clients = {TENANTS[0]: archive}
+        for name in TENANTS[1:]:
+            clients[name] = session.client(name, codec=archive.storage.codec,
+                                           policy=archive.storage.policy)
         network = session.network
         sim = session.sim
         transfers = session.transfers
@@ -295,9 +226,11 @@ class TenantsExperiment:
             ingest_done["bytes"] += transfer.size
             ingest_done["last"] = max(ingest_done["last"], transfer.finished_at)
 
+        # Deterministic client nodes *outside* the storm site.
+        pick = stride_picker(node for node in network.live_nodes() if node.site != STORM_SITE)
         for ordinal, name in enumerate(TENANTS):
             clients[name].attach(
-                client=self._client(network, ordinal).node_id,
+                client=pick(ordinal).node_id,
                 observer=observe_ingest if name == "medimg" else None,
             )
 
@@ -306,7 +239,7 @@ class TenantsExperiment:
                                    repair_window=config.repair_window)
             for name in TENANTS
         }
-        archive_tid = stores["archive"].store_tenant
+        archive_tid = archive.storage.store_tenant
         if scenario == "storm_isolated":
             transfers.set_tenant_weight(archive_tid, config.storm_tenant_weight)
             if config.storm_tenant_cap_mb_s is not None:
@@ -334,7 +267,7 @@ class TenantsExperiment:
             ).schedule(sim, stores["cdn"], transfers, network, streams.fresh("cdn")),
         ]
         # Victim probes start after the first study lands, to one client.
-        victim, probe_client = stores["medimg"], self._client(network, 2)
+        victim, probe_client = stores["medimg"], pick(2)
         durations = schedule_block_probes(
             session, victim, config.probe_reads, config.probe_period_s,
             config.study_interval_s + config.probe_period_s,
@@ -370,7 +303,7 @@ class TenantsExperiment:
         archive_row = per_tenant.get(archive_tid, {})
         ingest_mb_s = (ingest_done["bytes"] / MB / ingest_done["last"]
                        if ingest_done["last"] > 0 else 0.0)
-        self.rows.append({
+        row = {
             "scenario": scenario,
             "ingest_mb_s": ingest_mb_s,
             "ingest_slowdown_x": 0.0,  # filled by run() from the baseline row
@@ -385,34 +318,36 @@ class TenantsExperiment:
             "transfers_failed": summary["failed"],
             "makespan_s": summary["last_completion_time"],
             "cell_s": time.perf_counter() - cell_start,
-        })
+        }
+        tenant_rows = []
         for name in TENANTS:
             store = stores[name]
             aggregates = clients[name].aggregates()
-            census = read_census(store, self.config.read_sample)
-            row = per_tenant.get(store.store_tenant, {})
+            census = read_census(store, config.read_sample)
+            moved = per_tenant.get(store.store_tenant, {})
             ttrs = summarize(managers[name].repair_times())
             active = max(1, aggregates["active_files"])
-            self.tenant_rows.append({
+            tenant_rows.append({
                 "scenario": scenario,
                 "tenant": name,
                 "availability_pct": 100.0 * (1.0 - aggregates["unavailable_files"] / active),
                 "stored_gb": aggregates["stored_data_bytes"] / GB,
-                "moved_gb": row.get("bytes_completed", 0.0) / GB,
-                "backlog_gb": row.get("backlog_bytes", 0.0) / GB,
-                "transfers_failed": row.get("failed", 0.0),
+                "moved_gb": moved.get("bytes_completed", 0.0) / GB,
+                "backlog_gb": moved.get("backlog_bytes", 0.0) / GB,
+                "transfers_failed": moved.get("failed", 0.0),
                 "mean_ttr_s": ttrs["avg"],
                 "max_ttr_s": ttrs["max"],
                 **census,
             })
+        return row, tenant_rows
 
     def run(self) -> TenantsResult:
         """Produce every configured scenario (fresh shared deployment per cell)."""
         result = TenantsResult(config=self.config)
-        self.rows = result.rows
-        self.tenant_rows = result.tenant_rows
         for scenario in self.config.scenarios:
-            self._run_scenario(scenario)
+            row, tenant_rows = self._run_scenario(scenario)
+            result.rows.append(row)
+            result.tenant_rows.extend(tenant_rows)
         try:
             baseline = result.row("baseline")["ingest_mb_s"]
         except KeyError:

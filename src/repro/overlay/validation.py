@@ -39,15 +39,25 @@ CLOSED_FRACTION = (0.0, 1.0, "[]")
 RATIO = (1.0, math.inf, "[)")
 
 
+class OneOf(tuple):
+    """A :func:`require_fields` entry naming the values a field may take
+    (scenario names, a mode): matched by type and value, so ``1`` is not ``True``."""
+
+
 def require_fields(config, ranges: dict[str, tuple]) -> None:
     """Put every numeric field of dataclass ``config`` (each element of a tuple
     field) through :func:`require_range`: in ``ranges[name]`` when named, else in
-    ``[0, inf)``.  ``None`` (an optional knob left off) passes.  Configs call it
-    from ``__post_init__``, so a bad number is refused at construction, not
-    minutes into a paper-scale run."""
+    ``[0, inf)``.  ``None`` (an optional knob left off) passes.  A field named
+    with :class:`OneOf` must instead be (hold only) one of its values.  Configs
+    call it from ``__post_init__``, so a bad number or a misspelt choice is
+    refused at construction, not minutes into a paper-scale run."""
     for spec in fields(config):
-        low, high, ends = ranges.get(spec.name, (0, math.inf, "[)"))
+        allowed = ranges.get(spec.name, (0, math.inf, "[)"))
         value = getattr(config, spec.name)
         for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, (int, float)) and not isinstance(item, bool):
-                require_range(spec.name, item, low, high, ends)
+            if isinstance(allowed, OneOf):
+                if not any(type(item) is type(choice) and item == choice for choice in allowed):
+                    raise ParameterError(
+                        f"{spec.name} must be one of {tuple(allowed)!r}, got {item!r}")
+            elif isinstance(item, (int, float)) and not isinstance(item, bool):
+                require_range(spec.name, item, *allowed)

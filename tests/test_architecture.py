@@ -203,6 +203,12 @@ RETIRED = (
      ("src",), "one home for where a block lives: the ledger's placement columns and replica "
      "rows; StoredChunk.placements is a view of them, a file's CAT copies are its meta rows and "
      "StoredFile.cat is built from the chunk sizes"),
+    ("per-experiment deployment pieces and corpus fields",
+     r"open_session|claim_client|load_trace|oversubscription_sweep|archive_files|catalog_files"
+     r"|isolation_summary",
+     ("src",), "one deployment path: FabricConfig declares the topology once, tenants and "
+     "serving deploy() a DeploymentConfig corpus, and faults, tenants and serving return "
+     "ScenarioRows"),
 )
 
 
@@ -336,6 +342,17 @@ def test_every_numeric_guard_goes_through_the_helper():
     stray = [f"{path}:{line} in {function}()" for path, function, line in range_guards()
              if (path, function) not in RANGE_GUARDS_KEPT]
     assert not stray, "range checks outside require_range:\n" + "\n".join(stray)
+
+
+def test_only_the_deployment_path_builds_a_cluster_session():
+    """Under ``experiments/``, a ``ClusterSession`` is built by ``base.deploy`` alone."""
+    builders = []
+    for path in sorted((PACKAGE / "experiments").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "ClusterSession" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.append(f"{path.name}:{node.lineno}")
+    assert builders and all(entry.startswith("base.py:") for entry in builders), builders
 
 
 def test_digests_are_padded_back_to_20_bytes_in_one_place():

@@ -179,8 +179,8 @@ def test_absent_flags_leave_the_preset_alone():
 @pytest.mark.parametrize("preset, fields", [
     (PAPER_FIG10, {"node_count", "file_count"}),
     (PAPER_SOAK, {"node_count", "file_count", "join_rate_per_hour", "leave_rate_per_hour"}),
-    (PAPER_TENANTS, {"node_count", "archive_files"}),
-    (PAPER_SERVING, {"node_count", "catalog_files"}),
+    (PAPER_TENANTS, {"node_count", "file_count"}),
+    (PAPER_SERVING, {"node_count", "file_count"}),
     (PAPER_ROUTING, {"population_sweep", "churn_nodes", "lookups", "churn_lookups"}),
 ], ids=lambda value: type(value).__name__ if dataclasses.is_dataclass(value) else "")
 def test_scale_multiplies_the_fields_each_config_names(preset, fields):

@@ -161,6 +161,24 @@ def test_rebuild_cat_matches_original(xor_storage):
     assert rebuilt.file_size == original.file_size
 
 
+def test_rebuild_cat_misses_a_chunk_whose_every_copy_is_gone(xor_storage, dht):
+    """The rebuild probes the ledger: a chunk with no live block reads as missing."""
+    xor_storage.store_file("file-h", 300 * MB)
+    stored = xor_storage.files["file-h"]
+    *kept, last = stored.data_chunks()
+    assert kept and stored.chunks[-1] is last
+    for placement in last.placements:
+        for holder in (placement.node_id, *placement.replica_nodes):
+            if dht.network.node(holder).alive:
+                dht.network.fail(holder)
+    ledger = xor_storage.ledger
+    assert ledger.chunk_live_blocks(last.ledger_index) == 0
+    assert all(ledger.chunk_live_blocks(chunk.ledger_index) > 0 for chunk in kept)
+    rebuilt = RecoveryManager(xor_storage).rebuild_cat("file-h")
+    assert rebuilt.chunk_sizes() == [chunk.size for chunk in stored.chunks[:-1]]
+    assert rebuilt.file_size == stored.cat.file_size - last.size
+
+
 def test_rebuild_cat_unknown_file(xor_storage):
     recovery = RecoveryManager(xor_storage)
     with pytest.raises(KeyError):

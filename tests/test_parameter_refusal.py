@@ -63,6 +63,9 @@ DEPLOYMENT = {"node_count": AT_LEAST_1, "file_count": AT_LEAST_0, "seed": AT_LEA
               "mean_file_size": POSITIVE, "std_file_size": AT_LEAST_0,
               "min_file_size": AT_LEAST_0, "blocks_per_chunk": AT_LEAST_1,
               "block_replication": AT_LEAST_1}
+#: ... plus the failure-domain grid and the fabric (``FabricConfig``).
+FABRIC = {**DEPLOYMENT, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
+          "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO}
 
 
 def _outside(low, high, ends):
@@ -210,20 +213,14 @@ CASES = (
           "sample_points": AT_LEAST_1}),
     Case("FaultsConfig", _constructor(FaultsConfig),
          {"node_count": 10, "file_count": 20, "oversubscription": 4.0, "repair_window": 8},
-         {**DEPLOYMENT, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
-          "bandwidth_mb_s": POSITIVE, "repair_spacing_s": AT_LEAST_0, "flash_fraction": FRACTION,
+         {**FABRIC, "repair_spacing_s": AT_LEAST_0, "flash_fraction": FRACTION,
           "restart_count": AT_LEAST_0, "restart_interval_s": AT_LEAST_0,
-          "restart_downtime_s": POSITIVE, "read_sample": AT_LEAST_0, "oversubscription": RATIO,
-          "repair_window": AT_LEAST_1, "repair_weight": POSITIVE, "foreground_reads": AT_LEAST_0,
+          "restart_downtime_s": POSITIVE, "read_sample": AT_LEAST_0, "repair_window": AT_LEAST_1,
+          "repair_weight": POSITIVE, "foreground_reads": AT_LEAST_0,
           "foreground_period_s": AT_LEAST_0}),
     Case("TenantsConfig", _one_element(TenantsConfig, "burst_sizes_gb"),
          {"node_count": 10, "burst_sizes_gb": 1.0},
-         {"node_count": AT_LEAST_1, "seed": AT_LEAST_0, "capacity_mean": AT_LEAST_0,
-          "capacity_std": AT_LEAST_0, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
-          "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO, "blocks_per_chunk": AT_LEAST_1,
-          "block_replication": AT_LEAST_1, "archive_files": AT_LEAST_0,
-          "archive_mean_size": POSITIVE, "archive_std_size": AT_LEAST_0,
-          "archive_min_size": AT_LEAST_0, "studies": AT_LEAST_0, "frames_per_study": AT_LEAST_0,
+         {**FABRIC, "studies": AT_LEAST_0, "frames_per_study": AT_LEAST_0,
           "mean_frame_size": POSITIVE, "study_interval_s": AT_LEAST_0, "bursts": AT_LEAST_0,
           "burst_sizes_gb": AT_LEAST_0, "burst_interval_s": AT_LEAST_0,
           "distribution_rounds": AT_LEAST_0, "distribution_period_s": AT_LEAST_0,
@@ -233,14 +230,9 @@ CASES = (
           "storm_tenant_weight": POSITIVE, "storm_tenant_cap_mb_s": AT_LEAST_0}),
     Case("ServingConfig", _one_element(ServingConfig, "zipf_sweep"),
          {"node_count": 10, "zipf_sweep": 1.1},
-         {"node_count": AT_LEAST_1, "seed": AT_LEAST_0, "capacity_mean": AT_LEAST_0,
-          "capacity_std": AT_LEAST_0, "sites": AT_LEAST_1, "racks_per_site": AT_LEAST_1,
-          "bandwidth_mb_s": POSITIVE, "oversubscription": RATIO,
-          "intra_rack_latency": AT_LEAST_0, "intra_site_latency": AT_LEAST_0,
-          "inter_site_latency": AT_LEAST_0, "blocks_per_chunk": AT_LEAST_1,
-          "block_replication": AT_LEAST_1, "catalog_files": AT_LEAST_1,
-          "catalog_mean_size": POSITIVE, "catalog_std_size": AT_LEAST_0,
-          "catalog_min_size": AT_LEAST_0, "request_rate": POSITIVE, "duration_s": POSITIVE,
+         {**FABRIC, "file_count": AT_LEAST_1, "intra_rack_latency": AT_LEAST_0,
+          "intra_site_latency": AT_LEAST_0, "inter_site_latency": AT_LEAST_0,
+          "request_rate": POSITIVE, "duration_s": POSITIVE,
           "read_fraction": CLOSED_FRACTION, "client_count": AT_LEAST_1,
           "write_mean_size": POSITIVE, "write_std_size": AT_LEAST_0,
           "write_min_size": AT_LEAST_0, "zipf_sweep": AT_LEAST_0, "cache_mb": POSITIVE,
@@ -312,3 +304,20 @@ def test_a_value_outside_its_range_is_refused_before_anything_moves(case, parame
     with pytest.raises(ParameterError, match=rf"^{re.escape(parameter)} must be in "):
         call(**{**case.kwargs, parameter: value})
     assert snapshot() == before
+
+
+#: ``(config, field, a value outside the field's choices)``: a misspelt scenario
+#: or mode is refused like a bad number, not run under the typo's name.
+BAD_CHOICES = (
+    (TenantsConfig, "scenarios", ("baseline", "storm_isolatd")),
+    (FaultsConfig, "scenarios", ("site_outage", "site_outag")),
+    (SoakConfig, "leave_mode", "migrat"),
+    (ServingConfig, "cache_modes", (2, "x")),
+)
+
+
+@pytest.mark.parametrize("config, field, value", BAD_CHOICES,
+                         ids=[f"{config.__name__}-{field}" for config, field, _ in BAD_CHOICES])
+def test_a_value_outside_its_choices_is_refused_at_construction(config, field, value):
+    with pytest.raises(ParameterError, match=rf"^{field} must be one of "):
+        config(**{field: value})

@@ -40,8 +40,8 @@ def _tiny_config(**overrides) -> ServingConfig:
     base = dict(
         node_count=80, seed=21, capacity_mean=400 * MB, capacity_std=100 * MB,
         sites=2, racks_per_site=2, bandwidth_mb_s=8.0, oversubscription=4.0,
-        catalog_files=60, catalog_mean_size=2 * MB, catalog_std_size=1 * MB,
-        catalog_min_size=256 * 1024, request_rate=20.0, duration_s=6.0,
+        file_count=60, mean_file_size=2 * MB, std_file_size=1 * MB,
+        min_file_size=256 * 1024, request_rate=20.0, duration_s=6.0,
         client_count=8, write_mean_size=1 * MB, write_std_size=512 * 1024,
         write_min_size=256 * 1024, zipf_sweep=(1.1,), cache_modes=(True,),
         cache_mb=16.0, hot_threshold=0,
@@ -78,8 +78,8 @@ def _serve_cell(seed: int = 21, cache_on: bool = False, zipf: float = 1.1,
     )
     catalog_trace = generate_file_trace(
         FileTraceConfig(
-            file_count=config.catalog_files, mean_size=config.catalog_mean_size,
-            std_size=config.catalog_std_size, min_size=config.catalog_min_size,
+            file_count=config.file_count, mean_size=config.mean_file_size,
+            std_size=config.std_file_size, min_size=config.min_file_size,
             model="lognormal", name_prefix="media",
         ),
         rng=streams.fresh("catalog"),
@@ -207,8 +207,8 @@ def test_cache_off_engine_is_oracle_identical_to_direct_retrieval():
     )
     catalog_trace = generate_file_trace(
         FileTraceConfig(
-            file_count=config.catalog_files, mean_size=config.catalog_mean_size,
-            std_size=config.catalog_std_size, min_size=config.catalog_min_size,
+            file_count=config.file_count, mean_size=config.mean_file_size,
+            std_size=config.std_file_size, min_size=config.min_file_size,
             model="lognormal", name_prefix="media",
         ),
         rng=streams.fresh("catalog"),

@@ -129,8 +129,6 @@ KEEP: dict[str, str] = {
     "repro.cli._StoreFields.__call__": "the tenants --no-isolation switch; no CLI_RUNS row passes it",
     "repro.cli._seeds": "the reproduce --seeds flag; no CLI_RUNS row passes it",
     "repro.experiments.routing.RoutingConfig.scaled": _SCALED,
-    "repro.experiments.serving.ServingConfig.scaled": _SCALED,
-    "repro.experiments.tenants.TenantsConfig.scaled": _SCALED,
     "repro.erasure.reed_solomon": "Reed-Solomon: two examples stripe with its (4+2) spec in "
         "capacity mode; only tier-1 codes bytes with it",
     "repro.erasure.chunk_codec.clear_coding_caches": "cold-cache coding measurements (measure(cold=True))",
@@ -182,10 +180,6 @@ KEEP: dict[str, str] = {
     "repro.overlay.engine_pastry.PastryArrayRouter._grow_capacity": _GROW,
     "repro.overlay.node.OverlayNode.__repr__": "debugging repr (the generated one lists every block)",
     "repro.workloads.serving.RequestTrace.fingerprint": "trace determinism digest the serving tests compare",
-    "repro.experiments.faults.FaultsResult.row": "benchmarks/ reads it",
-    "repro.experiments.faults.FaultsExperiment.oversubscription_sweep": "benchmarks/ runs it",
-    "repro.experiments.serving.ServingResult.cell": "benchmarks/ reads it",
-    "repro.experiments.tenants.TenantsResult.tenant_row": "benchmarks/ reads it",
 }
 
 
