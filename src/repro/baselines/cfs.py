@@ -37,7 +37,8 @@ class CfsStore(LedgerStore):
     blocks whose target turns out to be full fall back to per-attempt salted
     re-hashing, in the one-lookup-per-attempt retry order.  Per-file
     bookkeeping lives in the columnar
-    :class:`~repro.core.block_ledger.BlockLedger` (one bulk column write per
+    :class:`~repro.core.block_ledger.BlockLedger` as one chunk with a
+    placement per block, all of which it needs (one bulk column write per
     stored file; replica and salted rows are first-class row kinds), which
     makes :meth:`is_file_available` an O(1) counter read that stays exact
     under out-of-band churn.  Results, placements and lookup counts are
@@ -193,40 +194,29 @@ class CfsStore(LedgerStore):
         return replicas
 
     def chunk_sizes(self, filename: str) -> List[int]:
-        """Sizes of the blocks a stored file was split into (Table 1)."""
+        """Sizes of the blocks a stored file was split into (Table 1).
+
+        Every block is ``block_size`` bytes except the last, which holds the remainder.
+        """
         entry = self.files.get(filename)
         if entry is None:
             return []
-        return self.ledger.baseline_block_sizes(entry)
+        full, rest = divmod(self.ledger.file_size(entry), self.block_size)
+        return [self.block_size] * full + ([rest] if rest else [])
 
     def block_entries(self, filename: str) -> List[tuple[str, OverlayNode, int, List[OverlayNode]]]:
         """Per-block ``(stored name, primary, size, replicas)`` bookkeeping.
 
-        Materialised from the columnar ledger -- the accessor the equivalence
-        oracles compare through.
+        Read from the file's ledger placements (the primary, then the
+        unreleased replicas) -- the accessor the equivalence oracles compare
+        through.
         """
         entry = self.files.get(filename)
         if entry is None:
             return []
-        return self.ledger.baseline_entries(entry)
-
-    def is_file_available(self, filename: str) -> bool:
-        """Whether every block of the file has at least one live copy.
-
-        O(1) from the ledger's group counters.
-        """
-        entry = self.files.get(filename)
-        if entry is None:
-            return False
-        return self.ledger.file_available(entry)
-
-    def delete_file(self, filename: str) -> bool:
-        """Remove the file's blocks and replicas."""
-        entry = self.files.pop(filename, None)
-        if entry is None:
-            return False
         ledger = self.ledger
-        for row in ledger.file_rows(entry):
-            ledger.row_owner(row).remove_block(ledger.row_name(row))
-        ledger.remove_file(filename, self.store_tenant)
-        return True
+        entries = []
+        for placement, size in zip(ledger.file_placements(entry), self.chunk_sizes(filename)):
+            primary, *replicas = ledger.placement_nodes(placement)
+            entries.append((ledger.placement_name(placement), primary, size, replicas))
+        return entries

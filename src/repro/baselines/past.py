@@ -30,8 +30,9 @@ class PastStore(LedgerStore):
     (``tests/reference/seed_placement.py`` is that reference).
 
     Every stored file is registered in the columnar
-    :class:`~repro.core.block_ledger.BlockLedger` (one replica group per
-    file; salted/replica copies are first-class row kinds), which makes
+    :class:`~repro.core.block_ledger.BlockLedger` as one chunk with one
+    placement that needs one live copy (salted/replica copies are
+    first-class row kinds), which makes
     :meth:`is_file_available` an O(1) counter read that stays exact under
     out-of-band ``fail()``/``recover()``/``leave()`` churn.  Pass ``ledger``
     to share one ledger instance with other stores on the same overlay.
@@ -115,23 +116,3 @@ class PastStore(LedgerStore):
                     holder.remove_block(name)
                 return None
         return holders
-
-    def is_file_available(self, filename: str) -> bool:
-        """Whether at least one replica of the whole file survives.
-
-        O(1) from the ledger's group counters.
-        """
-        if filename not in self.files:
-            return False
-        return self.ledger.file_available(self.ledger.file_index(filename, self.store_tenant))
-
-    def delete_file(self, filename: str) -> bool:
-        """Remove the file and its replicas."""
-        entry = self.files.pop(filename, None)
-        if entry is None:
-            return False
-        stored_name, holders = entry
-        for holder in holders:
-            holder.remove_block(stored_name)
-        self.ledger.remove_file(filename, self.store_tenant)
-        return True

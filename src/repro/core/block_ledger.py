@@ -32,24 +32,28 @@ notify it directly (the same pattern the array-backed placement engine uses
 for O(1) usage aggregates).  A row can therefore die (node failure) and come
 back (``recover(wipe=False)``): both directions are one rule,
 ``_set_alive(rows, alive)``, which moves every count by one step per row and
-a file's bad counter wherever a placement, group or chunk crosses its
-threshold.  Rows that stop being *referenced* -- file deleted, node wiped or
-departed, or a copy re-pointed at a regenerated one -- go through
+a file's bad counter wherever a placement or chunk crosses its threshold.
+Rows that stop being *referenced* -- file deleted, node wiped or departed, or
+a copy re-pointed at a regenerated or migrated one -- go through
 ``_release_rows`` (killed if still live, then ``released``) and never
 resurrect, mirroring exactly which copies the seed's placement-walking
 accounting would still see.
 
 The ledger is the *system-wide* block store: besides the erasure-coded
 placements of :class:`~repro.core.storage.StorageSystem` it carries the
-whole-file replica groups of the PAST baseline and the fixed-block stripes of
-the CFS baseline as first-class row kinds (:data:`KIND_PRIMARY`,
+whole-file replicas of the PAST baseline and the fixed-block stripes of the
+CFS baseline as first-class row kinds (:data:`KIND_PRIMARY`,
 :data:`KIND_REPLICA` for successor/leaf-set replicas, :data:`KIND_SALTED` for
 copies stored under a salted retry name, :data:`KIND_META` for CAT copies).
-Baseline rows use a flat *group* registry -- one group per whole file (PAST)
-or per fixed block (CFS), alive while at least one copy survives -- instead of
-the chunk/placement hierarchy, so registering a stored file is a handful of
-vectorised column writes and ``is_file_available`` is an O(1) counter read in
-every scheme.
+Every scheme's copies live in the one file -> chunk -> placement -> row
+hierarchy, and a chunk is decodable while ``required`` of its placements keep
+a live copy.  The three availability rules of Figures 7-9 are that one rule
+with different parameters: a PAST file is one chunk with one placement and
+``required = 1`` (alive while one replica survives), a CFS file one chunk with
+a placement per fixed block and ``required`` = the block count (alive while
+every block has a live copy).  Registering a baseline file is a handful of
+vectorised column writes, and ``is_file_available`` is an O(1) counter read
+in every scheme.
 
 Row indexes: a lazily sorted view of the columns
 -------------------------------------------------
@@ -142,7 +146,7 @@ _INITIAL = 1024
 _serial_of = attrgetter("serial")
 
 #: Row kinds: the role a stored copy plays in its file's redundancy layout.
-KIND_PRIMARY = 0   #: the copy a placement/group points at first
+KIND_PRIMARY = 0   #: the copy a placement points at first
 KIND_REPLICA = 1   #: a neighbour/successor replica of a primary copy
 KIND_META = 2      #: CAT/metadata copy (not part of any chunk)
 KIND_SALTED = 3    #: a primary stored under a salted retry name
@@ -168,9 +172,8 @@ _OVERFLOW_LIMIT = 4096
 
 _ROW_COLUMNS = (
     "_digest", "_digest_known", "_owner", "_size", "_file", "_chunk", "_placement",
-    "_alive", "_released", "_kind", "_group", "_row_tenant",
+    "_alive", "_released", "_kind", "_row_tenant",
 )
-_GROUP_COLUMNS = ("_group_copies", "_group_file")
 _PLACEMENT_COLUMNS = ("_placement_chunk", "_placement_primary", "_placement_copies")
 _CHUNK_COLUMNS = ("_chunk_required", "_chunk_alive", "_chunk_file", "_chunk_first", "_chunk_span")
 _FILE_COLUMNS = ("_file_size", "_file_bad", "_file_active", "_file_tenant", "_file_placement0")
@@ -266,17 +269,12 @@ class BlockLedger:
         self._alive = np.zeros(_INITIAL, dtype=bool)
         self._released = np.zeros(_INITIAL, dtype=bool)
         self._kind = np.zeros(_INITIAL, dtype=np.int8)
-        self._group = np.full(_INITIAL, -1, dtype=np.int64)
         self._row_tenant = np.zeros(_INITIAL, dtype=np.int16)
         #: Lazily sorted views of the ``_owner`` / ``_file`` / ``_placement``
         #: columns (see the module docstring); nothing is written per row.
         self._by_owner = _RowIndex("_owner")
         self._by_file = _RowIndex("_file")
         self._by_placement = _RowIndex("_placement")
-        # -- flat group registry (baseline rows: one group per replica set) --
-        self.group_count = 0
-        self._group_copies = np.zeros(_INITIAL, dtype=np.int64)
-        self._group_file = np.full(_INITIAL, -1, dtype=np.int64)
         # -- placement registry (one entry per block of a chunk) -------------
         self.placement_count = 0
         self._placement_chunk = np.full(_INITIAL, -1, dtype=np.int64)
@@ -293,7 +291,9 @@ class BlockLedger:
         #: A chunk's placements are ``_chunk_first[c] + range(_chunk_span[c])``.
         self._chunk_first = np.zeros(_INITIAL, dtype=np.int64)
         self._chunk_span = np.zeros(_INITIAL, dtype=np.int64)
-        self._chunk_objs: List["StoredChunk"] = []
+        #: The erasure-coded chunk's :class:`StoredChunk`; ``None`` for a PAST
+        #: or CFS file's chunk (nothing to decode: the baselines only copy).
+        self._chunk_objs: List[Optional["StoredChunk"]] = []
         # -- file registry (names scoped per tenant) --------------------------
         self._file_index: Dict[Tuple[int, str], int] = {}
         self._file_names: List[str] = []
@@ -312,7 +312,7 @@ class BlockLedger:
         self._tenant_ids: Dict[str, int] = {"default": 0}
         self.tenant_names: List[str] = ["default"]
         # -- buffered whole-file registrations (PAST's store loop) ------------
-        #: Deferred single-group registrations: (filename, size, stored name,
+        #: Deferred whole-file registrations: (filename, size, stored name,
         #: holder nodes, salted, tenant).  Aggregates are bumped and liveness
         #: listeners attached at queue time; slot creation and the column
         #: writes happen at flush, file by file.
@@ -331,8 +331,8 @@ class BlockLedger:
         #: :meth:`refresh_domains` re-syncs after late assignment.
         self._slot_site = np.full(_INITIAL, -1, dtype=np.int16)
         self._slot_rack = np.full(_INITIAL, -1, dtype=np.int16)
-        #: Replication-level histogram over the erasure-coded chunk
-        #: placements: ``hist[k]`` = placements currently holding ``k`` live
+        #: Replication-level histogram over the placements of every active
+        #: file: ``hist[k]`` = placements currently holding ``k`` live
         #: copies (``k`` clipped to :data:`REPLICATION_HIST_MAX`).  Maintained
         #: incrementally at every copy-count transition, so erosion of the
         #: neighbour-replica level is an O(1) observable.
@@ -402,7 +402,6 @@ class BlockLedger:
         placement_idx: int,
         digest: Optional[bytes] = None,
         kind: int = KIND_PRIMARY,
-        group_idx: int = -1,
         tenant: int = 0,
     ) -> int:
         row = self.row_count
@@ -418,7 +417,6 @@ class BlockLedger:
         self._placement[row] = placement_idx
         self._alive[row] = True
         self._kind[row] = kind
-        self._group[row] = group_idx
         self._row_tenant[row] = tenant
         if digest is not None:
             self._digest[row] = digest
@@ -453,6 +451,80 @@ class BlockLedger:
             self.stored_data_bytes += size
         return f
 
+    def _open_chunk(
+        self, f: int, required: int, names: Sequence[str], copies: int | Sequence[int],
+        chunk: Optional["StoredChunk"] = None,
+    ) -> Tuple[int, int]:
+        """Open one chunk of file ``f``: a placement per block name, holding ``copies`` copies.
+
+        ``copies`` is one count for every placement or one per placement.
+        The one way every scheme's chunks come in; the caller appends the
+        rows.  Every placement opens with a live primary, so the chunk starts
+        with all its placements alive and counts against its file when that
+        is below ``required``.  ``chunk`` is the erasure-coded chunk's
+        :class:`StoredChunk` (``None`` for a PAST or CFS file).  Returns the
+        chunk and its first placement.
+        """
+        c = self.chunk_count
+        self.chunk_count = c + 1
+        if c >= len(self._chunk_file):
+            self._grow(_CHUNK_COLUMNS, c + 1)
+        p0 = self.placement_count
+        p1 = self.placement_count = p0 + len(names)
+        if p1 > len(self._placement_chunk):
+            self._grow(_PLACEMENT_COLUMNS, p1)
+        self._placement_chunk[p0:p1] = c
+        self._placement_copies[p0:p1] = copies
+        self._placement_names.extend(names)
+        hist = self._replication_hist
+        if isinstance(copies, int):  # one count for every placement: one bin moves
+            hist[min(copies, REPLICATION_HIST_MAX)] += len(names)
+        else:
+            for count in copies:
+                hist[min(count, REPLICATION_HIST_MAX)] += 1
+        self._chunk_required[c] = required
+        self._chunk_alive[c] = len(names)
+        self._chunk_file[c] = f
+        self._chunk_first[c] = p0
+        self._chunk_span[c] = len(names)
+        self._chunk_objs.append(chunk)
+        if len(names) < required:
+            self._shift_files(np.asarray([f], dtype=np.int64), 1)
+        return c, p0
+
+    def _append_rows(
+        self,
+        f: int,
+        c: int,
+        placements: int | np.ndarray,
+        names: Sequence[str],
+        holders: Sequence["OverlayNode"],
+        size: int | np.ndarray,
+        kind: int,
+        tenant: int,
+    ) -> int:
+        """Append one live row per holder of chunk ``c`` as bulk column writes.
+
+        ``placements`` and ``size`` are one value or one per row; every row
+        gets ``kind`` (the caller patches the odd primary or salted block).
+        The live aggregates are the caller's.  Returns the first row.
+        """
+        row0 = self.row_count
+        row1 = row0 + len(holders)
+        if row1 > len(self._owner):
+            self._grow(_ROW_COLUMNS, row1)
+        self.names.extend(names)
+        self._owner[row0:row1] = self._owner_slots(holders)
+        self._size[row0:row1] = size
+        self._file[row0:row1] = f
+        self._chunk[row0:row1] = c
+        self._placement[row0:row1] = placements
+        self._alive[row0:row1] = True
+        self._kind[row0:row1] = kind
+        self._row_tenant[row0:row1] = tenant
+        self.row_count = row1
+        return row0
+
     def register_file(self, stored: "StoredFile", required_blocks: int, tenant: Optional[int],
                       chunks: Sequence[Tuple["StoredChunk", Sequence[Placed]]], cat: Placed) -> None:
         """Record every copy of a freshly (successfully) stored file.
@@ -466,41 +538,18 @@ class BlockLedger:
         f = self._new_file_entry(stored.name, stored.size, tenant)
         stored.ledger_index = f
         for chunk, blocks in chunks:
-            c = self.chunk_count
-            self.chunk_count = c + 1
-            if c >= len(self._chunk_file):
-                self._grow(_CHUNK_COLUMNS, c + 1)
-            self._chunk_required[c] = required_blocks
-            self._chunk_file[c] = f
-            self._chunk_first[c] = self.placement_count
-            self._chunk_span[c] = len(blocks)
-            self._chunk_objs.append(chunk)
+            c, p = self._open_chunk(f, required_blocks, [block[0] for block in blocks],
+                                    [1 + len(block[3]) for block in blocks], chunk)
             chunk.ledger, chunk.ledger_index = self, c
-            needed = self.placement_count + len(blocks)
-            if needed > len(self._placement_chunk):
-                self._grow(_PLACEMENT_COLUMNS, needed)
             for name, node, size, replicas in blocks:
-                p = self.placement_count
-                self.placement_count = p + 1
-                self._placement_chunk[p] = c
-                self._placement_names.append(name)
                 row = self._append_row(node, name, size, f, c, p, tenant=tenant)
                 self._placement_primary[p] = self._owner[row]
                 for replica in replicas:
                     self._append_row(replica, name, size, f, c, p, kind=KIND_REPLICA, tenant=tenant)
-                copies = 1 + len(replicas)
-                self._placement_copies[p] = copies
-                self._replication_hist[min(copies, REPLICATION_HIST_MAX)] += 1
-            # A fresh chunk has every placement alive; it can still start
-            # below threshold if a policy ever under-places, so count it.
-            self._chunk_alive[c] = len(blocks)
-            if self._chunk_alive[c] < required_blocks:
-                self._file_bad[f] += 1
+                p += 1
         name, node, size, replicas = cat
         for holder in (node, *replicas):
             self._append_row(holder, name, size, f, -1, -1, kind=KIND_META, tenant=tenant)
-        if self._file_bad[f] > 0:
-            self.unavailable_files += 1
 
     # ------------------------------------------------- baseline registration --
     def register_whole_file(
@@ -512,12 +561,12 @@ class BlockLedger:
         salted: bool = False,
         tenant: Optional[int] = None,
     ) -> int:
-        """Record a PAST-style whole-file store: one replica group of copies.
+        """Record a PAST-style whole-file store: one chunk with one placement, ``required = 1``.
 
         ``holders[0]`` is the primary (:data:`KIND_SALTED` when the store only
         succeeded under a salted retry name), the rest are leaf-set replica
-        rows.  The file stays available while any copy in the group survives.
-        Returns the ledger file index.
+        rows.  The file stays available while any copy survives.  Returns the
+        ledger file index.
         """
         tenant = tenant or 0
         self._flush_pending()
@@ -538,7 +587,7 @@ class BlockLedger:
         PAST's store loop places blocks before registering); the flush
         treats a missing copy as gone for good.
 
-        PAST's store loop registers exactly one replica group per file; the
+        PAST's store loop registers exactly one placement per file; the
         per-file scalar column writes are what shows up as ``pipeline_past``
         in BENCH_insertion.json.  Queuing defers them: the aggregate
         counters are bumped eagerly, and exactness is preserved because
@@ -589,7 +638,7 @@ class BlockLedger:
         tenant: int,
         counted: bool = True,
     ) -> int:
-        """One whole-file replica group as bulk column writes (no scalar rows).
+        """One whole-file placement as bulk column writes (no scalar rows).
 
         ``counted=False`` (the buffered-flush path) additionally reconciles
         each holder's *current* liveness: a holder that failed keeps a dead
@@ -600,13 +649,13 @@ class BlockLedger:
         """
         f = self._new_file_entry(filename, size, tenant, counted=counted)
         b = len(holders)
-        g = self._new_groups(f, 1, b)
+        # A zero-copy store opens no placement: its chunk is unavailable from the start.
+        c, p = self._open_chunk(f, 1, [stored_name] if b else [], b)
         if not b:
-            # Degenerate zero-copy store: the group is dead on arrival.
-            self._shift_files(np.asarray([f], dtype=np.int64), 1)
             return f
-        row0 = self._append_group_rows(f, [stored_name] * b, holders, size, g, KIND_REPLICA, tenant)
+        row0 = self._append_rows(f, c, p, [stored_name] * b, holders, size, KIND_REPLICA, tenant)
         self._kind[row0] = KIND_SALTED if salted else KIND_PRIMARY
+        self._placement_primary[p] = self._owner[row0]
         if counted:
             self.live_bytes += size * b
             self.live_rows += b
@@ -623,49 +672,6 @@ class BlockLedger:
                     self._set_alive(np.asarray([row0 + offset], dtype=np.int64), False)
         return f
 
-    def _new_groups(self, f: int, count: int, copies: int) -> int:
-        """Open ``count`` replica groups of file ``f``, ``copies`` each; returns the first id."""
-        g0 = self.group_count
-        self.group_count = g0 + count
-        if g0 + count > len(self._group_file):
-            self._grow(_GROUP_COLUMNS, g0 + count)
-        self._group_copies[g0 : g0 + count] = copies
-        self._group_file[g0 : g0 + count] = f
-        return g0
-
-    def _append_group_rows(
-        self,
-        f: int,
-        names: Sequence[str],
-        holders: Sequence["OverlayNode"],
-        size: int,
-        groups: int | np.ndarray,
-        kind: int,
-        tenant: int,
-    ) -> int:
-        """Append one live baseline row per holder as bulk column writes.
-
-        Every row gets ``size`` bytes and ``kind`` (the caller patches the odd
-        primary, salted block or remainder); ``groups`` is one group id or one
-        per row.  The live aggregates are the caller's.  Returns the first row.
-        """
-        row0 = self.row_count
-        row1 = row0 + len(holders)
-        if row1 > len(self._owner):
-            self._grow(_ROW_COLUMNS, row1)
-        self.names.extend(names)
-        self._owner[row0:row1] = self._owner_slots(holders)
-        self._size[row0:row1] = size
-        self._file[row0:row1] = f
-        self._chunk[row0:row1] = -1
-        self._placement[row0:row1] = -1
-        self._alive[row0:row1] = True
-        self._kind[row0:row1] = kind
-        self._group[row0:row1] = groups
-        self._row_tenant[row0:row1] = tenant
-        self.row_count = row1
-        return row0
-
     def register_striped_file(
         self,
         filename: str,
@@ -677,26 +683,30 @@ class BlockLedger:
         replicas: Optional[Sequence[Tuple[int, "OverlayNode"]]] = None,
         tenant: Optional[int] = None,
     ) -> int:
-        """Record a CFS-style striped store in bulk: one group per fixed block.
+        """Record a CFS-style striped store in bulk: one chunk, a placement per fixed block.
 
         ``names``/``holders`` are the per-block stored names (already salted
         where a retry was needed) and primary holders, in block order; every
         block is ``block_size`` bytes except the last, which holds the
-        remainder.  ``salted`` lists the block indices stored under a retry
+        remainder.  The chunk needs every block (``required`` = the block
+        count).  ``salted`` lists the block indices stored under a retry
         name; ``replicas`` lists extra ``(block_index, node)`` successor
-        copies.  The whole registration is a handful of vectorised column
-        writes, which is what keeps the ledger out of the store loop's way --
-        the columnar bookkeeping replaces the per-block tuple lists the seed
-        path carries.  Returns the ledger file index.
+        copies, in block order.  The whole registration is a handful of
+        vectorised column writes, which is what keeps the ledger out of the
+        store loop's way -- the columnar bookkeeping replaces the per-block
+        tuple lists the seed path carries.  Returns the ledger file index.
         """
         tenant = tenant or 0
         f = self._new_file_entry(filename, size, tenant)
         b = len(names)
-        g0 = self._new_groups(f, b, 1)
-        row0 = self._append_group_rows(
-            f, names, holders, block_size, np.arange(g0, g0 + b, dtype=np.int64), KIND_PRIMARY,
-            tenant,
-        )
+        copies = 1
+        if replicas:
+            extra = np.asarray([index for index, _ in replicas], dtype=np.int64)
+            copies = 1 + np.bincount(extra, minlength=b)
+        c, p0 = self._open_chunk(f, b, names, copies)
+        row0 = self._append_rows(
+            f, c, np.arange(p0, p0 + b), names, holders, block_size, KIND_PRIMARY, tenant)
+        self._placement_primary[p0 : p0 + b] = self._owner[row0 : row0 + b]
         if b:
             # Full blocks plus the remainder: the sizes sum to ``size``.
             self._size[row0 + b - 1] = size - (b - 1) * block_size
@@ -705,13 +715,11 @@ class BlockLedger:
             self._kind[[row0 + index for index in salted]] = KIND_SALTED
         self.live_rows += b
         if replicas:
-            for index, node in replicas:
-                block_bytes = int(self._size[row0 + index])
-                self._append_row(
-                    node, names[index], block_bytes, f, -1, -1,
-                    kind=KIND_REPLICA, group_idx=g0 + index, tenant=tenant,
-                )
-                self._group_copies[g0 + index] += 1
+            sizes = self._size[row0 + extra]
+            self._append_rows(f, c, p0 + extra, [names[index] for index, _ in replicas],
+                              [node for _, node in replicas], sizes, KIND_REPLICA, tenant)
+            self.live_bytes += int(sizes.sum())
+            self.live_rows += len(replicas)
         return f
 
     def remove_file(self, name: str, tenant: Optional[int] = None) -> bool:
@@ -732,9 +740,9 @@ class BlockLedger:
         # row is now released, so no transition can touch them again.  Read
         # from the registry, not the rows -- a placement whose copies were all
         # wiped and compacted away has no row left to find it through.
-        p0 = int(self._file_placement0[f])
-        p1 = int(self._file_placement0[f + 1]) if f + 1 < self.file_count else self.placement_count
-        buckets = np.minimum(self._placement_copies[p0:p1], REPLICATION_HIST_MAX)
+        placements = self.file_placements(f)
+        buckets = np.minimum(self._placement_copies[placements.start : placements.stop],
+                             REPLICATION_HIST_MAX)
         np.subtract.at(self._replication_hist, buckets, 1)
         return True
 
@@ -751,9 +759,12 @@ class BlockLedger:
     def _set_alive(self, rows: np.ndarray, alive: bool) -> None:
         """Flip ``rows`` (each currently the other way) to ``alive`` and propagate.
 
-        Every count moves by ``step`` (+1 revives, -1 kills) per row; a
-        placement or group that crosses zero live copies, or a chunk that
-        crosses its decode threshold, moves its file's bad counter by ``-step``.
+        Every count moves by ``step`` (+1 revives, -1 kills) per row, along
+        the one path rows -> placements -> chunks -> files: a placement that
+        crosses zero live copies moves its chunk's live-placement count, and a
+        chunk that crosses its decode threshold moves its file's bad counter
+        by ``-step``.  Meta rows belong to no placement and stop at the row
+        counters.
         """
         if rows.size == 0:
             return
@@ -781,17 +792,6 @@ class BlockLedger:
                 crossed = chunks[(before >= required) != (after >= required)]
                 if crossed.size:
                     self._shift_files(self._chunk_file[crossed], -step)
-        # Baseline (flat-group) rows: a group lives while one copy does.
-        groups = self._group[rows]
-        groups = groups[groups >= 0]
-        if groups.size:
-            uniq, counts = np.unique(groups, return_counts=True)
-            before = self._group_copies[uniq]
-            after = before + step * counts
-            self._group_copies[uniq] = after
-            flipped = uniq[(before > 0) != (after > 0)]
-            if flipped.size:
-                self._shift_files(self._group_file[flipped], -step)
 
     def _release_rows(self, rows: np.ndarray) -> None:
         """Take ``rows`` out of the system for good: kill the live ones, release all."""
@@ -914,19 +914,17 @@ class BlockLedger:
         return digest_bytes(self._digest[row])
 
     def row_fields(self, row: int) -> tuple:
-        """(file_idx, chunk_idx, placement_idx, size) of one row."""
+        """(file_idx, chunk_idx, placement_idx, size, kind) of one row."""
         return (
             int(self._file[row]),
             int(self._chunk[row]),
             int(self._placement[row]),
             int(self._size[row]),
+            int(self._kind[row]),
         )
 
-    def row_group(self, row: int) -> int:
-        """The row's baseline replica-group index (-1 for chunk/meta rows)."""
-        return int(self._group[row])
-
-    def chunk_object(self, chunk_idx: int) -> "StoredChunk":
+    def chunk_object(self, chunk_idx: int) -> Optional["StoredChunk"]:
+        """The erasure-coded chunk's :class:`StoredChunk`; ``None`` for a PAST or CFS chunk."""
         return self._chunk_objs[chunk_idx]
 
     def chunk_recoverable(self, chunk_idx: int) -> bool:
@@ -959,17 +957,21 @@ class BlockLedger:
         """The node id the placement points at first (its primary holder), O(1)."""
         return self._slot_nodes[self._placement_primary[placement_idx]].node_id
 
-    def placement_holders(self, placement_idx: int) -> List[int]:
+    def placement_nodes(self, placement_idx: int) -> List["OverlayNode"]:
         """The placement's primary, then its unreleased replica rows' owners in row order.
 
-        Node ids; a holder may be down (its row dead but revivable).
+        A holder may be down (its row dead but revivable).
         """
         released, kind, owner, slot_nodes = self._released, self._kind, self._owner, self._slot_nodes
-        return [self.placement_primary(placement_idx)] + [
-            slot_nodes[owner[row]].node_id
+        return [slot_nodes[self._placement_primary[placement_idx]]] + [
+            slot_nodes[owner[row]]
             for row in self._by_placement.lookup(self, placement_idx)
             if kind[row] == KIND_REPLICA and not released[row]
         ]
+
+    def placement_holders(self, placement_idx: int) -> List[int]:
+        """:meth:`placement_nodes` as node ids."""
+        return [node.node_id for node in self.placement_nodes(placement_idx)]
 
     def placement_name(self, placement_idx: int) -> str:
         """The name of the placement's block."""
@@ -991,6 +993,20 @@ class BlockLedger:
     def file_name(self, file_idx: int) -> str:
         return self._file_names[file_idx]
 
+    def file_size(self, file_idx: int) -> int:
+        """The size the file was stored with, in bytes."""
+        return int(self._file_size[file_idx])
+
+    def file_placements(self, file_idx: int) -> range:
+        """The ledger placement indexes of a file: its chunks' placements, in chunk order.
+
+        Files and their placements are allocated in step, so this is read from
+        the registry and survives :meth:`compact` even where no row is left.
+        """
+        end = (int(self._file_placement0[file_idx + 1]) if file_idx + 1 < self.file_count
+               else self.placement_count)
+        return range(int(self._file_placement0[file_idx]), end)
+
     def replace_copy(
         self,
         placement_idx: int,
@@ -1007,12 +1023,13 @@ class BlockLedger:
         leaves the placement's reference set -- released, even if the old
         holder is alive and still has the bytes, so it can never revive and
         double-count the copy -- and the fresh copy on ``new_node`` joins it as
-        a ``kind`` row (:data:`KIND_PRIMARY` or :data:`KIND_REPLICA`).  A
-        fresh primary becomes the copy the placement points at first.
+        a ``kind`` row (:data:`KIND_PRIMARY`, :data:`KIND_SALTED` or
+        :data:`KIND_REPLICA`).  A fresh primary-kind copy becomes the copy the
+        placement points at first.
         """
         self._release_copy(placement_idx, old_node_id)
         row = self._register_copy_row(placement_idx, new_node, name, size, digest, kind=kind)
-        if kind == KIND_PRIMARY:
+        if kind != KIND_REPLICA:
             self._placement_primary[placement_idx] = self._owner[row]
         return row
 
@@ -1087,34 +1104,7 @@ class BlockLedger:
         """
         return self._append_row(node, name, size, -1, -1, -1, digest, tenant=tenant)
 
-    def migrate_group_row(self, row: int, new_node: "OverlayNode") -> int:
-        """Re-point one baseline replica-group copy at a migrated duplicate.
-
-        The graceful-departure counterpart of :meth:`replace_copy` for
-        PAST/CFS rows: the departing holder's copy leaves the group
-        (released), and the copy written to ``new_node`` joins it, keeping
-        the group's live-copy counter -- and therefore ``is_file_available``
-        -- exact through the move.
-        """
-        group = int(self._group[row])
-        file_idx = int(self._file[row])
-        name = self.names[row]
-        size = int(self._size[row])
-        kind = int(self._kind[row])
-        tenant = int(self._row_tenant[row])
-        digest = bytes(self._digest[row]) if self._digest_known[row] else None
-        self._release_rows(np.asarray([row], dtype=np.int64))
-        new_row = self._append_row(
-            new_node, name, size, file_idx, -1, -1, digest, kind=kind, group_idx=group,
-            tenant=tenant,
-        )
-        before = int(self._group_copies[group])
-        self._group_copies[group] = before + 1
-        if before == 0:
-            self._shift_files(np.asarray([self._group_file[group]], dtype=np.int64), -1)
-        return new_row
-
-    # --------------------------------------------------------- baseline access --
+    # ------------------------------------------------------------ file access --
     def file_index(self, name: str, tenant: Optional[int] = None) -> Optional[int]:
         """The ledger file index of ``name``, or None when never registered."""
         key = (tenant or 0, name)
@@ -1141,51 +1131,21 @@ class BlockLedger:
         """Whether the row's copy left the system for good (deleted, wiped, departed, re-pointed)."""
         return bool(self._released[row])
 
-    def baseline_entries(
-        self, file_idx: int
-    ) -> List[Tuple[str, "OverlayNode", int, List["OverlayNode"]]]:
-        """Materialise a baseline file's ``(name, primary, size, replicas)`` rows.
-
-        Reconstructs, in block order, exactly the per-block bookkeeping the
-        seed dict path carries -- the equivalence oracles compare the two
-        representations through this accessor.
-        """
-        entries: Dict[int, Tuple[str, "OverlayNode", int, List["OverlayNode"]]] = {}
-        slot_nodes = self._slot_nodes
-        for row in self._by_file.lookup(self, file_idx):
-            group = int(self._group[row])
-            node = slot_nodes[self._owner[row]]
-            if int(self._kind[row]) == KIND_REPLICA and group in entries:
-                entries[group][3].append(node)
-            else:
-                entries[group] = (self.names[row], node, int(self._size[row]), [])
-        return [entries[group] for group in sorted(entries)]
-
-    def baseline_block_sizes(self, file_idx: int) -> List[int]:
-        """Sizes of a baseline file's primary blocks (replica rows excluded)."""
-        kind = self._kind
-        size = self._size
-        rows = self._by_file.lookup(self, file_idx)
-        return [int(size[row]) for row in rows if kind[row] != KIND_REPLICA]
-
     # --------------------------------------------------------------- compaction --
     def compact(self) -> Dict[str, int]:
         """Garbage-collect released rows with a stable row-id remapping.
 
-        Rows released by deletions, wipes, departures and repair re-points are
-        dropped from every column; surviving rows keep their relative order
-        (the per-node recovery-row order the seed dict walk defines).  No row
-        id is held outside the columns except by the three row indexes, which
-        are reset and re-sort from the compacted columns on their next
-        lookup.  Two classes of rows survive besides the live ones:
-
-        * dead-but-unreleased rows (an in-flight failure sweep that may yet
-          see ``recover(wipe=False)``), so compacting mid-sweep is always
-          safe;
-        * released *baseline* rows of still-active files: the seed tuple
-          bookkeeping they mirror (``chunk_sizes`` / ``block_entries``) never
-          forgets a placed block, so dropping them would make the GC
-          observable.  They are collected once their file is deleted.
+        Rows released by deletions, wipes, departures and re-points (repair or
+        migration) are dropped from every column, in every scheme alike;
+        surviving rows keep their relative order (the per-node recovery-row
+        order the seed dict walk defines).  No row id is held outside the
+        columns except by the three row indexes, which are reset and re-sort
+        from the compacted columns on their next lookup.  Dead-but-unreleased
+        rows survive besides the live ones (an in-flight failure sweep that
+        may yet see ``recover(wipe=False)``), so compacting mid-sweep is always
+        safe.  What a placement is needs no released row: its primary is the
+        ``_placement_primary`` slot column and its name and file are
+        placement / file registry entries, none of which compaction touches.
 
         Returns ``{rows_before, rows_released, rows_after}`` (``rows_released``
         counts the rows actually dropped).
@@ -1193,14 +1153,7 @@ class BlockLedger:
         if self._pending_whole:
             self._flush_pending()
         n = self.row_count
-        released = self._released[:n]
-        keep = ~released
-        group_col = self._group[:n]
-        file_col = self._file[:n]
-        baseline = released & (group_col >= 0)
-        if baseline.any():
-            keep |= baseline & self._file_active[np.where(file_col >= 0, file_col, 0)]
-        kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(~self._released[:n])
         stats = {
             "rows_before": n,
             "rows_released": int(n - kept.size),
@@ -1225,7 +1178,7 @@ class BlockLedger:
         if self._pending_whole:
             self._flush_pending()
         columns = (
-            *_ROW_COLUMNS, *_GROUP_COLUMNS, *_PLACEMENT_COLUMNS, *_CHUNK_COLUMNS,
+            *_ROW_COLUMNS, *_PLACEMENT_COLUMNS, *_CHUNK_COLUMNS,
             *_FILE_COLUMNS, *_SLOT_COLUMNS, "_replication_hist",
         )
         indexes = (self._by_owner, self._by_file, self._by_placement)
@@ -1254,8 +1207,7 @@ class BlockLedger:
             if not np.array_equal(have, want):
                 raise AssertionError(f"ledger invariant {name!r}: have {have!r}, columns say {want!r}")
 
-        n, files, chunks = self.row_count, self.file_count, self.chunk_count
-        placements, groups = self.placement_count, self.group_count
+        n, files, chunks, placements = self.row_count, self.file_count, self.chunk_count, self.placement_count
         alive, size = self._alive[:n], self._size[:n]
         active, bad = self._file_active[:files], self._file_bad[:files]
         file_size = self._file_size[:files]
@@ -1266,9 +1218,6 @@ class BlockLedger:
         law("stored_data_bytes", self.stored_data_bytes, int(file_size[active].sum()))
         law("unavailable_files", self.unavailable_files, int((active & (bad > 0)).sum()))
 
-        live_group = self._group[:n][alive]
-        group_copies = np.bincount(live_group[live_group >= 0], minlength=groups)
-        law("_group_copies", self._group_copies[:groups], group_copies)
         live_placement = self._placement[:n][alive]
         copies = np.bincount(live_placement[live_placement >= 0], minlength=placements)
         law("_placement_copies", self._placement_copies[:placements], copies)
@@ -1276,10 +1225,12 @@ class BlockLedger:
         first, span = self._chunk_first[:chunks], self._chunk_span[:chunks]
         law("_chunk_span", np.repeat(np.arange(chunks), span), placement_chunk)
         law("_chunk_first", first, np.cumsum(span) - span)
-        # The placement's newest primary-kind row is the copy a re-point left
-        # it pointing at; once released (wiped, departed) it may be compacted away.
-        placement_col = self._placement[:n]
-        primary_rows = np.flatnonzero((self._kind[:n] == KIND_PRIMARY) & (placement_col >= 0))
+        # The placement's newest primary-kind (primary or salted) row is the
+        # copy a re-point left it pointing at; once released (wiped,
+        # departed) it may be compacted away.
+        placement_col, kind = self._placement[:n], self._kind[:n]
+        primary_rows = np.flatnonzero(
+            ((kind == KIND_PRIMARY) | (kind == KIND_SALTED)) & (placement_col >= 0))
         newest = np.full(placements, -1, dtype=np.int64)
         np.maximum.at(newest, placement_col[primary_rows], primary_rows)
         held = newest[newest >= 0]
@@ -1290,7 +1241,6 @@ class BlockLedger:
         law("_chunk_alive", self._chunk_alive[:chunks], chunk_alive)
         chunk_file = self._chunk_file[:chunks]
         file_bad = np.bincount(chunk_file[chunk_alive < self._chunk_required[:chunks]], minlength=files)
-        file_bad += np.bincount(self._group_file[:groups][group_copies == 0], minlength=files)
         law("_file_bad", bad, file_bad)
         counted = copies[active[chunk_file[placement_chunk]]]
         law("replication histogram", self._replication_hist, np.bincount(

@@ -22,10 +22,11 @@ of blocks stored on its neighbors"): :class:`RecoveryManager` walks them and
 nothing else.  A name still in a dead node's ``stored_blocks`` dict with no
 unreleased row was already repaired or deleted, so repairing a node twice is a
 no-op.  Each row is one copy to re-create -- a primary block, a neighbour
-replica, a CAT / metadata copy or (departures only) a PAST/CFS replica-group
-copy -- and a failure and a departure re-create it with the same step per copy
-kind: place it (DHT lookup plus the rateless relocation walk), re-point the
-placement and mirror the ledger.  What each trigger keeps as its own is where
+replica, a CAT / metadata copy or (departures only) a PAST/CFS copy, whose
+chunk has no :class:`~repro.core.storage.StoredChunk` to decode -- and a
+failure and a departure re-create it with the same step per copy kind: place
+it (DHT lookup plus the rateless relocation walk), re-point the placement and
+mirror the ledger.  What each trigger keeps as its own is where
 the bytes are read from and which counter books them: a failure reads the
 surviving blocks and counts them as regenerated, a departure reads the leaving
 node's copy and counts it as migrated.  In payload mode the bytes live on the
@@ -46,7 +47,7 @@ and the impacts, totals and placements equal the frozen seed outputs in
 Graceful departures (:meth:`RecoveryManager.handle_leave`) are first-class:
 the departing node's blocks are *copied out* to the nodes now responsible for
 them before it leaves -- CFS and PAST both define this migration as
-first-class, and their whole-file/stripe replica rows on a shared multi-tenant
+first-class, and their whole-file/stripe copies on a shared multi-tenant
 ledger migrate through the same pipeline -- instead of being regenerated from
 surviving redundancy afterwards.  Migration moves each block once (``B``
 bytes) where regeneration reads ``required`` surviving blocks per lost block
@@ -208,12 +209,10 @@ class RecoveryManager:
         damaged_files: set,
     ) -> None:
         """Repair one ledger row of a failed node."""
-        if ledger.row_group(row) >= 0 or ledger.row_tenant(row) != (self.tenant or 0):
-            # A baseline replica-group row (the baselines have no
-            # regeneration) or another tenant's row (its manager repairs it).
-            return
+        if ledger.row_tenant(row) != (self.tenant or 0):
+            return  # another tenant's row: its manager repairs it
         name = ledger.row_name(row)
-        file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
+        file_idx, chunk_idx, placement_idx, size, _ = ledger.row_fields(row)
         if placement_idx < 0:
             target, copied = self._copy_meta(ledger, row, name, size, impact)
             if not copied:
@@ -239,6 +238,8 @@ class RecoveryManager:
                     target.payloads[name] = payload
             return
         chunk = ledger.chunk_object(chunk_idx)
+        if chunk is None:
+            return  # a PAST/CFS copy: the baselines have no regeneration
         if not ledger.chunk_recoverable(chunk_idx):  # below the decode threshold
             damaged_files.add(ledger.file_name(file_idx))
             if not chunk.counted_lost:
@@ -331,7 +332,7 @@ class RecoveryManager:
         responsible for them -- the same targets the post-failure regeneration
         pipeline would pick -- before :meth:`~repro.overlay.network.
         OverlayNetwork.leave` releases whatever could not be placed.  On a
-        multi-tenant ledger the PAST/CFS replica-group rows migrate too.
+        multi-tenant ledger the PAST/CFS copies migrate too.
         When redundancy is intact and capacity suffices, the resulting
         placements are identical to failing the node and regenerating
         (``tests/test_soak.py``'s migration-conserves-bytes oracle).
@@ -361,30 +362,32 @@ class RecoveryManager:
         mode) live on the leaving node, so they move with it, whoever owns them.
         """
         name = ledger.row_name(row)
-        file_idx, chunk_idx, placement_idx, size = ledger.row_fields(row)
+        file_idx, chunk_idx, placement_idx, size, kind = ledger.row_fields(row)
         # The transfer tag follows the *row's* tenant; a single-tenant ledger
         # keeps the manager's own tag so the untagged oracle holds end to end.
         tag = ledger.row_tenant(row) if ledger.multi_tenant else None
         leaving = node.node_id
         payload = node.payloads.get(name)
-        if ledger.row_group(row) >= 0:
-            # A baseline (PAST/CFS) replica-group copy goes where the baseline
-            # would re-insert it: the name's root, or the root's neighbourhood
-            # (where a fellow replica usually already sits on the root).
-            placed = self.place_block(name, size, ledger.row_key(row))
-            if placed is None:
-                impact.bytes_dropped += size
-            else:
-                impact.bytes_migrated += size
-                self._stage(size, leaving, placed.node_id, tenant=tag)
-                ledger.migrate_group_row(row, placed)
-        elif placement_idx < 0:
+        if placement_idx < 0:
             target, copied = self._copy_meta(ledger, row, name, size, impact)
             if copied:
                 impact.bytes_migrated += size
                 self._stage(size, leaving, target.node_id, tenant=tag)
             if payload is not None and target.has_block(name):
                 target.payloads.setdefault(name, payload)
+        elif ledger.chunk_object(chunk_idx) is None:
+            # A baseline (PAST/CFS) copy goes where the baseline would
+            # re-insert it -- the name's root, or the root's neighbourhood
+            # (where a fellow replica usually already sits on the root) -- and
+            # keeps its kind, so a moved primary stays the placement's primary.
+            placed = self.place_block(name, size, ledger.row_key(row))
+            if placed is None:
+                impact.bytes_dropped += size
+            else:
+                impact.bytes_migrated += size
+                self._stage(size, leaving, placed.node_id, tenant=tag)
+                ledger.replace_copy(placement_idx, leaving, placed, name, size,
+                                    ledger.row_digest(row), kind)
         else:
             chunk = ledger.chunk_object(chunk_idx)
             position = ledger.placement_position(placement_idx)

@@ -166,7 +166,9 @@ class LedgerStore:
     ledger is passed to share with other stores on the same overlay -- under
     the tenant id ``store_tenant`` (``None``: untagged).  ``files`` maps each
     stored name to the store's own record of it, and ``total_lookups`` counts
-    the DHT look-ups its stores and reads charged.
+    the DHT look-ups its stores and reads charged.  Every scheme's file is
+    chunks and placements in the ledger, so availability and deletion are
+    one read of it for all three.
     """
 
     def __init__(self, dht: DHTView, ledger: Optional[BlockLedger],
@@ -186,6 +188,32 @@ class LedgerStore:
         return filename in self.files or (
             self._ledger_shared and self.ledger.file_index(filename, self.store_tenant) is not None
         )
+
+    def is_file_available(self, filename: str) -> bool:
+        """Whether every chunk of the file still has ``required`` placements with a live copy.
+
+        O(1) from the ledger's counters.  In PAST's one placement one live
+        replica is enough; CFS's chunk needs every block; ours needs any
+        ``required`` blocks of each chunk.
+        """
+        if filename not in self.files:
+            return False
+        return self.ledger.file_available(self.ledger.file_index(filename, self.store_tenant))
+
+    def delete_file(self, filename: str) -> bool:
+        """Remove a file and every copy the ledger still references (its unreleased rows).
+
+        The rows, not the holders a store saw at store time: a copy a
+        departure moved is taken back from where it went.
+        """
+        if self.files.pop(filename, None) is None:
+            return False
+        ledger = self.ledger
+        for row in ledger.file_rows(ledger.file_index(filename, self.store_tenant)):
+            if not ledger.row_released(row):
+                ledger.row_owner(row).remove_block(ledger.row_name(row))
+        ledger.remove_file(filename, self.store_tenant)
+        return True
 
 
 class StorageSystem(LedgerStore):
@@ -492,19 +520,6 @@ class StorageSystem(LedgerStore):
             for holder in (node, *replicas):
                 holder.remove_block(name)
 
-    # ----------------------------------------------------------------- delete --
-    def delete_file(self, filename: str) -> bool:
-        """Remove a file, releasing every block, replica and CAT copy (its unreleased rows)."""
-        stored = self.files.pop(filename, None)
-        if stored is None:
-            return False
-        ledger = self.ledger
-        for row in ledger.file_rows(stored.ledger_index):
-            if not ledger.row_released(row):
-                ledger.row_owner(row).remove_block(ledger.row_name(row))
-        ledger.remove_file(filename, self.store_tenant)
-        return True
-
     # --------------------------------------------------------------- retrieval --
     def _fetch_block(self, placement: BlockPlacement, index: int,
                      client: Optional[int]) -> Tuple[Optional[bytes], bool]:
@@ -540,13 +555,6 @@ class StorageSystem(LedgerStore):
         if chunk.is_empty:
             return True
         return self.ledger.chunk_recoverable(chunk.ledger_index)
-
-    def is_file_available(self, filename: str) -> bool:
-        """Whether every chunk of the file can still be recovered (O(1))."""
-        stored = self.files.get(filename)
-        if stored is None:
-            return False
-        return self.ledger.file_available(stored.ledger_index)
 
     def unavailable_file_count(self) -> int:
         """Stored files that currently have at least one undecodable chunk.

@@ -209,6 +209,12 @@ RETIRED = (
      ("src",), "one deployment path: FabricConfig declares the topology once, tenants and "
      "serving deploy() a DeploymentConfig corpus, and faults, tenants and serving return "
      "ScenarioRows"),
+    ("flat replica-group registry",
+     r"_group_copies|_group_file|group_count|row_group|migrate_group_row|baseline_entries"
+     r"|baseline_block_sizes",
+     ("src",), "one registry for every scheme's copies: a PAST file is one chunk with one "
+     "placement and required 1, a CFS file one chunk with a placement per block and required "
+     "the block count; a departing baseline copy moves by place_block and replace_copy"),
 )
 
 

@@ -5,7 +5,8 @@ anywhere -- columns, per-file lists, per-placement copy lists, per-owner
 indexes.  These tests drive the remap through the awkward windows: mid
 failure sweep (dead-but-unreleased rows that may still revive), across
 ``recover(wipe=False)``, interleaved with the repair pipeline, and over the
-baseline replica groups -- always comparing against an uncompacted twin and
+PAST and CFS files (one chunk each, their blocks placements like ours) --
+always comparing against an uncompacted twin and
 the seed path: its dict walk (``tests/reference/dict_walk.py``), its placement
 algorithms (``tests/reference/seed_placement.py``) and its frozen repair
 impacts (``tests/golden/compaction_repair.json``).
@@ -246,7 +247,7 @@ def test_baseline_replica_row_release_parity(scheme):
 
 @pytest.mark.parametrize("scheme", ["past", "cfs"])
 def test_compaction_preserves_baseline_bookkeeping_after_wipe(scheme):
-    """Wipe-released rows of surviving baseline files must outlive the GC.
+    """A surviving baseline file's bookkeeping must outlive the GC of its wiped rows.
 
     The seed tuple bookkeeping never forgets a placed block, so after a
     holder comes back wiped and the ledger compacts, ``chunk_sizes`` /
@@ -294,7 +295,7 @@ def test_compaction_preserves_baseline_bookkeeping_after_wipe(scheme):
         assert len(vector.chunk_sizes("wiped")) == 4  # nothing forgotten
     assert _available(scheme, scalar, "wiped") == vector.is_file_available("wiped")
     assert _available(scheme, vector, "wiped") == vector.is_file_available("wiped")
-    # Deleting the file finally lets the GC collect the preserved rows.
+    # Deleting the file lets the GC collect the rows the file still had.
     assert vector.delete_file("wiped")
     assert vector.ledger.compact()["rows_after"] < stats["rows_after"] + 1
 

@@ -2,9 +2,9 @@
 
 Covers the tenant row/file tagging, per-tenant namespaces and aggregates,
 mixed-tenant compaction with stable remaps of every tenant's indexes, the
-tenant-filtered repair pipeline, graceful-departure migration of baseline
-replica-group rows, and the buffered PAST registration path's exactness
-under out-of-band churn.
+tenant-filtered repair pipeline, graceful-departure migration of the PAST
+and CFS copies (their files are chunks and placements like ours), and the
+buffered PAST registration path's exactness under out-of-band churn.
 """
 
 from __future__ import annotations
@@ -128,9 +128,12 @@ def test_regenerated_copies_inherit_their_tenant():
     recovery.handle_failure(dht.state.nodes[0].node_id)
     assert sum(impact.bytes_regenerated for impact in recovery.impacts) > 0
     shared.flush_registrations()
-    # Every live chunk row (placement >= 0) still belongs to the ours tenant.
+    # Every live erasure-coded chunk row (placement >= 0, a chunk with a
+    # StoredChunk; PAST's placements have none) still belongs to the ours tenant.
     for row in range(shared.row_count):
-        if shared.row_fields(row)[2] >= 0 and not shared._released[row]:
+        _, chunk_idx, placement_idx, _, _ = shared.row_fields(row)
+        if (placement_idx >= 0 and shared.chunk_object(chunk_idx) is not None
+                and not shared._released[row]):
             assert shared.row_tenant(row) == ours_tenant, row
     # ...and the per-tenant live aggregates still sum to the global ones.
     stores = [ours, past, cfs]
@@ -222,8 +225,15 @@ def test_mixed_tenant_compaction_keeps_stable_remaps():
         )
 
     def _past_entries(store, name):
-        idx = store.ledger.file_index(name, store.store_tenant)
-        return store.ledger.baseline_entries(idx) if idx is not None else []
+        """The PAST file's placement as ``(name, primary, size, replicas)``, read
+        the way ``CfsStore.block_entries`` reads a CFS file's."""
+        ledger = store.ledger
+        idx = ledger.file_index(name, store.store_tenant)
+        entries = []
+        for placement in ledger.file_placements(idx) if idx is not None else ():
+            primary, *replicas = ledger.placement_nodes(placement)
+            entries.append((ledger.placement_name(placement), primary, ledger.file_size(idx), replicas))
+        return entries
 
     # Release rows in every tenant: deletions plus a wiped holder.
     assert ours.delete_file("o0") and past.delete_file("p0") and cfs.delete_file("c0")
@@ -285,7 +295,7 @@ def test_repair_pipeline_only_regenerates_its_own_tenant():
     victims = [node.node_id for node in dht.state.nodes[:8]]
     for victim in victims:
         recovery.handle_failure(victim)
-    # Baseline groups lose copies (replicas may survive); nothing regenerates
+    # Baseline placements lose copies (replicas may survive); nothing regenerates
     # them, exactly as the seed baselines have no repair pipeline.
     shared.flush_registrations()
 
@@ -301,7 +311,7 @@ def test_repair_pipeline_only_regenerates_its_own_tenant():
     total = sum(impact.bytes_regenerated for impact in recovery.impacts)
     assert total > 0
     # No baseline row was duplicated onto a live node by the repair pass: the
-    # live copies of every PAST/CFS group are never more than placed.
+    # live copies of every PAST/CFS placement are never more than placed.
     for index in range(6):
         entries = cfs.block_entries(f"c{index}")
         for _, primary, _, replicas in entries:
@@ -310,7 +320,7 @@ def test_repair_pipeline_only_regenerates_its_own_tenant():
 
 def test_graceful_leave_migrates_every_tenant():
     """handle_leave moves ours chunks, a *second* storage tenant's chunks,
-    AND baseline replica-group copies -- the departure is final, so one
+    AND the PAST/CFS copies -- the departure is final, so one
     manager must migrate everything (nothing can run after network.leave
     releases the remaining rows)."""
     _, dht, shared, ours, past, cfs = _three_tenants(node_count=30, seed=73)
@@ -350,7 +360,85 @@ def test_graceful_leave_migrates_every_tenant():
         assert _counts(store)["unavailable_files"] == 0
 
 
-def test_migrate_group_row_preserves_tenant_columns():
+def test_graceful_leave_moves_each_baseline_copy_to_its_root():
+    """PAST and CFS at replication 2 on one ledger: a departing node holding
+    both schemes' primaries and replicas hands every copy to the name's root
+    (or the root's neighbourhood), releases its own rows and keeps each row's
+    kind, so every file stays available.  Holders are node build serials;
+    rows are ``(name, holder, kind, released)`` in row order (kind 0 primary,
+    1 replica)."""
+    _, dht, shared, ours, past, cfs = _three_tenants(node_count=20, seed=151)
+    for index in range(6):
+        assert past.store_file(f"p{index}", (2 + index % 3) * MB).success
+        assert cfs.store_file(f"c{index}", (3 + index) * MB).success
+    files = [(past, f"p{index}") for index in range(6)] + [(cfs, f"c{index}") for index in range(6)]
+
+    def layout(store, name):
+        idx = shared.file_index(name, store.store_tenant)
+        return [(shared.row_name(row), shared.row_owner(row).serial, int(shared._kind[row]),
+                 shared.row_released(row)) for row in shared.file_rows(idx)]
+
+    before = {name: layout(store, name) for store, name in files}
+    leaving = next(node for node in dht.state.nodes if node.serial == 19)
+    impact = RecoveryManager(ours).handle_leave(leaving.node_id)
+    assert (impact.bytes_migrated, impact.bytes_dropped, impact.bytes_regenerated) == (16 * MB, 0, 0)
+    moved = {
+        "p1": [("p1", 19, 0, True), ("p1", 2, 1, False), ("p1", 16, 0, False)],
+        "p2": [("p2", 2, 0, False), ("p2", 19, 1, True), ("p2", 16, 1, False)],
+        "c1": [("c1/block0", 8, 0, False), ("c1/block1", 8, 0, False),
+               ("c1/block0", 19, 1, True), ("c1/block1", 19, 1, True),
+               ("c1/block0", 5, 1, False), ("c1/block1", 5, 1, False)],
+        "c4": [("c4/block0", 19, 0, True), ("c4/block1", 14, 0, False),
+               ("c4/block2", 19, 0, True), ("c4/block3", 8, 0, False),
+               ("c4/block0", 2, 1, False), ("c4/block1", 15, 1, False),
+               ("c4/block2", 2, 1, False), ("c4/block3", 19, 1, True),
+               ("c4/block0", 16, 0, False), ("c4/block2", 8, 0, False),
+               ("c4/block3", 5, 1, False)],
+    }
+    for store, name in files:
+        assert layout(store, name) == moved.get(name, before[name]), name
+        assert store.is_file_available(name), name
+    assert (shared.live_rows, shared.unavailable_files) == (48, 0)
+    shared.check_invariants()
+
+
+def test_deleting_a_migrated_baseline_file_takes_every_copy_back():
+    """A PAST or CFS delete removes the copies the ledger references now, not the
+    holders the store saw at store time: a copy a departure moved is deleted too,
+    so the disks and the ledger agree on zero bytes afterwards."""
+    _, dht, shared, ours, past, cfs = _three_tenants(node_count=20, seed=151)
+    for index in range(6):
+        assert past.store_file(f"p{index}", (2 + index % 3) * MB).success
+        assert cfs.store_file(f"c{index}", (3 + index) * MB).success
+    leaving = next(node for node in dht.state.nodes if node.serial == 19)
+    assert RecoveryManager(ours).handle_leave(leaving.node_id).bytes_migrated > 0
+    for index in range(6):
+        assert past.delete_file(f"p{index}") and cfs.delete_file(f"c{index}")
+    assert dht.total_used() == shared.live_bytes == 0
+    shared.check_invariants()
+
+
+def test_a_departure_keeps_the_cfs_block_layout():
+    """After a departure moves CFS primaries and replicas, ``chunk_sizes`` still
+    lists each block once and ``block_entries`` names, per block, a primary and
+    ``replication - 1`` replicas that all hold it -- never the departed node."""
+    _, dht, shared, ours, past, cfs = _three_tenants(node_count=20, seed=151)
+    for index in range(6):
+        assert past.store_file(f"p{index}", (2 + index % 3) * MB).success
+        assert cfs.store_file(f"c{index}", (3 + index) * MB).success
+    sizes = {f"c{index}": cfs.chunk_sizes(f"c{index}") for index in range(6)}
+    leaving = next(node for node in dht.state.nodes if node.serial == 19)
+    RecoveryManager(ours).handle_leave(leaving.node_id)
+    for name, layout in sizes.items():
+        assert cfs.chunk_sizes(name) == layout
+        entries = cfs.block_entries(name)
+        assert [size for _, _, size, _ in entries] == layout
+        for block, primary, _, replicas in entries:
+            assert len(replicas) == cfs.replication - 1, block
+            assert all(holder.has_block(block) for holder in (primary, *replicas)), block
+
+
+def test_replace_copy_preserves_baseline_tenant_columns():
     """The migrated twin of a baseline copy keeps its tenant, so per-tenant
     aggregates and availability stay exact through a graceful departure."""
     _, dht, shared, ours, past, cfs = _three_tenants(node_count=24, seed=141)
@@ -365,14 +453,15 @@ def test_migrate_group_row_preserves_tenant_columns():
         new_node = next(node for node in dht.state.nodes
                         if node.alive and shared.names[row] not in node.stored_blocks)
         assert new_node.store_block(shared.names[row], int(shared._size[row]))
-        new_row = shared.migrate_group_row(row, new_node)
+        _, _, placement, size, kind = shared.row_fields(row)
+        new_row = shared.replace_copy(placement, shared.row_owner(row).node_id, new_node,
+                                      shared.row_name(row), size, None, kind)
         assert shared.row_tenant(new_row) == tenant
         assert shared._released[row]
         assert store.is_file_available(name)
         assert (_counts(store)["live_rows"], _counts(store)["live_bytes"]) == live_before
-    # Released baseline halves of still-active files survive the GC (the
-    # seed bookkeeping never forgets a placed block); the migrated twins and
-    # their tenant columns must read back exactly through the remap.
+    # The GC drops the released halves; the migrated twins and their tenant
+    # columns must read back exactly through the remap.
     shared.compact()
     assert past.is_file_available("p") and cfs.is_file_available("c")
     stores = [ours, past, cfs]
@@ -512,7 +601,7 @@ def test_queue_rejects_duplicates_and_handles_degenerate_stores():
         shared.queue_whole_file("a", 1 * MB, "a", [dht.state.nodes[1]])
     with pytest.raises(ValueError):
         shared.register_whole_file("a", 1 * MB, "a", [dht.state.nodes[1]])
-    # Zero-holder registration goes through the immediate (bad-group) path.
+    # Zero-holder registration goes through the immediate path: no placement, unavailable.
     shared.queue_whole_file("empty", 1 * MB, "empty", [])
     assert shared.unavailable_files == 1
     shared.flush_registrations()

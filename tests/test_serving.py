@@ -18,15 +18,12 @@ import pytest
 
 from repro.api import ClusterSession
 from repro.core.cache import CacheManager
-from repro.core.policies import StoragePolicy
-from repro.erasure.chunk_codec import ChunkCodec
-from repro.erasure.xor_code import XorParityCode
+from repro.experiments.base import deploy
 from repro.experiments.serving import ServingConfig, ServingExperiment
 from repro.overlay.ids import key_for, random_node_id
 from repro.overlay.node import OverlayNode
 from repro.sim.rng import RandomStreams
-from repro.workloads.capacity import CapacityConfig
-from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
+from repro.workloads.filetrace import MB
 from repro.workloads.serving import (
     ServeEngine,
     ServingTraceConfig,
@@ -50,6 +47,17 @@ def _tiny_config(**overrides) -> ServingConfig:
     return ServingConfig(**base)
 
 
+def _deployed(config: ServingConfig):
+    """``config``'s deployment as the experiment's cells build it: ``deploy()``
+    (the fabric, its three latency classes, the stored catalog), then the
+    client attached to the fabric."""
+    streams = RandomStreams(config.seed)
+    session, client = deploy(config, streams)
+    catalog = list(client.storage.files)  # the stored catalog, in trace order
+    client.attach(client=None)
+    return streams, session, client, catalog
+
+
 def _serve_cell(seed: int = 21, cache_on: bool = False, zipf: float = 1.1,
                 routing=None, prepare=None):
     """One tiny serving cell, wired exactly like the experiment's cells.
@@ -59,36 +67,7 @@ def _serve_cell(seed: int = 21, cache_on: bool = False, zipf: float = 1.1,
     timers, instrumentation).
     """
     config = _tiny_config(seed=seed)
-    streams = RandomStreams(config.seed)
-    session = ClusterSession(
-        config.node_count,
-        streams=streams,
-        capacity_config=CapacityConfig(
-            node_count=config.node_count, distribution="normal",
-            mean=config.capacity_mean, std=config.capacity_std,
-        ),
-        sites=config.sites, racks_per_site=config.racks_per_site,
-        bandwidth_mb_s=config.bandwidth_mb_s,
-        oversubscription=config.oversubscription,
-    )
-    client = session.client(
-        tenant="serve",
-        codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
-        policy=StoragePolicy(block_replication=2),
-    )
-    catalog_trace = generate_file_trace(
-        FileTraceConfig(
-            file_count=config.file_count, mean_size=config.mean_file_size,
-            std_size=config.std_file_size, min_size=config.min_file_size,
-            model="lognormal", name_prefix="media",
-        ),
-        rng=streams.fresh("catalog"),
-    )
-    for record in catalog_trace:
-        client.store(record.name, record.size)
-    catalog = [record.name for record in catalog_trace
-               if record.name in client.storage.files]
-    client.attach(client=None)
+    streams, session, client, catalog = _deployed(config)
     cache = None
     if cache_on:
         cache = client.attach_cache(
@@ -188,36 +167,7 @@ def test_cache_off_engine_is_oracle_identical_to_direct_retrieval():
     # plain retrieve_file/store_file scheduled at the arrival times, no
     # engine, no cache, no observers.
     config = _tiny_config(seed=33)
-    streams = RandomStreams(config.seed)
-    replay_session = ClusterSession(
-        config.node_count,
-        streams=streams,
-        capacity_config=CapacityConfig(
-            node_count=config.node_count, distribution="normal",
-            mean=config.capacity_mean, std=config.capacity_std,
-        ),
-        sites=config.sites, racks_per_site=config.racks_per_site,
-        bandwidth_mb_s=config.bandwidth_mb_s,
-        oversubscription=config.oversubscription,
-    )
-    replay_client = replay_session.client(
-        tenant="serve",
-        codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
-        policy=StoragePolicy(block_replication=2),
-    )
-    catalog_trace = generate_file_trace(
-        FileTraceConfig(
-            file_count=config.file_count, mean_size=config.mean_file_size,
-            std_size=config.std_file_size, min_size=config.min_file_size,
-            model="lognormal", name_prefix="media",
-        ),
-        rng=streams.fresh("catalog"),
-    )
-    for record in catalog_trace:
-        replay_client.store(record.name, record.size)
-    catalog = [record.name for record in catalog_trace
-               if record.name in replay_client.storage.files]
-    replay_client.attach(client=None)
+    streams, replay_session, replay_client, catalog = _deployed(config)
     gateways = replay_session.gateways(config.client_count)
     storage = replay_client.storage
 

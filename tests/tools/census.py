@@ -113,9 +113,6 @@ KEEP: dict[str, str] = {
     "repro.overlay.ids.distance": _ORACLE,
     "repro.overlay.ids.clockwise_distance": _ORACLE,
     "repro.baselines.cfs.CfsStore.block_entries": _ORACLE,
-    "repro.core.block_ledger.BlockLedger.baseline_entries": _ORACLE,
-    "repro.baselines.cfs.CfsStore.is_file_available": "O(1) availability, checked against dict_walk",
-    "repro.baselines.past.PastStore.is_file_available": "O(1) availability, checked against dict_walk",
     "repro.core.storage.StorageSystem.usage_summary": _ORACLE,
     "repro.core.block_ledger.BlockLedger.check_invariants": "the ledger's invariant call",
     "repro.overlay.node_state.NodeArrayState.check_invariants": "the node state's invariant call",
@@ -141,19 +138,17 @@ KEEP: dict[str, str] = {
     "repro.core.recovery.RecoveryManager._replan_source": "retry re-plan of a failed repair transfer",
     "repro.core.recovery.RecoveryManager._finish.<locals>.submit_spec.<locals>.on_failed":
         "retry re-plan of a failed repair transfer",
-    "repro.core.block_ledger.BlockLedger.migrate_group_row":
-        "graceful departure of baseline group rows (handle_leave; no perfbench workload departs)",
     "repro.core.block_ledger.BlockLedger.refresh_domains":
         "failure domains re-laid over a population the ledger already tracks",
-    "repro.core.storage.StorageSystem.delete_file": _DELETE,
+    "repro.core.storage.LedgerStore.delete_file": _DELETE,
     "repro.core.block_ledger.BlockLedger.remove_file": _DELETE,
     "repro.core.block_ledger.BlockLedger.file_rows": _DELETE,
+    "repro.core.block_ledger.BlockLedger.file_placements":
+        _DELETE + "; the block_entries oracle reads a CFS file's blocks through it",
     "repro.core.block_ledger.BlockLedger.row_owner": _DELETE,
     "repro.core.block_ledger.BlockLedger.row_released": _DELETE,
     "repro.core.naming.cat_file":
         "payload-mode repair of a CAT copy no surviving holder can source (the file's CAT is re-serialized)",
-    "repro.baselines.cfs.CfsStore.delete_file": _DELETE,
-    "repro.baselines.past.PastStore.delete_file": _DELETE,
     "repro.grid.iolib.WholeFileStore.delete_file": _DELETE,
     "repro.grid.iolib.InterposedIO.read": "the Table 4 interposed read",
     "repro.grid.iolib.InterposedIO.seek": "the Table 4 interposed seek",
