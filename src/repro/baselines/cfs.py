@@ -14,7 +14,7 @@ default here.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import naming
 from repro.core.block_ledger import BlockLedger
@@ -87,7 +87,7 @@ class CfsStore(LedgerStore):
             return refused
         block_count = self.block_count_for(size)
         state = self.dht.state
-        names = [f"{filename}/block{index}" for index in range(block_count)]
+        names = naming.stripe_names(filename, block_count)
         if block_count:
             # Raises LookupError on an empty view, like a first dht.lookup;
             # a zero-block file never looks anything up.
@@ -95,6 +95,7 @@ class CfsStore(LedgerStore):
         else:
             targets = []
         state_nodes = state.nodes
+        namesakes = self._namesakes(filename)
         holders: List[OverlayNode] = []
         append_holder = holders.append
         salted: List[int] = []
@@ -108,10 +109,11 @@ class CfsStore(LedgerStore):
             block_bytes = block_size if remaining >= block_size else remaining
             remaining -= block_bytes
             target = state_nodes[target_index]
-            if target.store_block(name, block_bytes):
+            if (not namesakes or target.serial not in namesakes.get(name, ())) and target.store_block(
+                    name, block_bytes):
                 append_holder(target)
                 if replicated:
-                    for replica in self._replicate(name, block_bytes, target):
+                    for replica in self._replicate(name, block_bytes, target, namesakes):
                         replicas.append((index, replica))
                 continue
             # Salted retries: resolved lazily, one lookup per attempt.
@@ -119,15 +121,16 @@ class CfsStore(LedgerStore):
             # view's counter in bulk, for parity with failed-store accounting.)
             placed = False
             for attempt in range(1, retries + 1):
-                salted_name = f"{name}#salt{attempt}"
+                salted_name = naming.salted_name(name, attempt)
                 target = state.lookup_node(key_for(salted_name))
                 extra_lookups += 1
-                if target.store_block(salted_name, block_bytes):
+                if target.serial not in namesakes.get(salted_name, ()) and target.store_block(
+                        salted_name, block_bytes):
                     names[index] = salted_name
                     salted.append(index)
                     append_holder(target)
                     if replicated:
-                        for replica in self._replicate(salted_name, block_bytes, target):
+                        for replica in self._replicate(salted_name, block_bytes, target, namesakes):
                             replicas.append((index, replica))
                     placed = True
                     break
@@ -163,12 +166,13 @@ class CfsStore(LedgerStore):
         index: int,
     ) -> StoreResult:
         """Failure accounting: nothing was registered yet, so every block
-        placed so far is released."""
+        placed so far (each a full block: only the last one can be short) is
+        released."""
         self.total_lookups += lookups
         for block_index, holder in enumerate(holders):
-            holder.remove_block(names[block_index])
+            holder.remove_block(names[block_index], self.block_size)
         for block_index, replica in replicas:
-            replica.remove_block(names[block_index])
+            replica.remove_block(names[block_index], self.block_size)
         return StoreResult(
             filename=filename,
             requested_size=size,
@@ -180,16 +184,18 @@ class CfsStore(LedgerStore):
             failure_reason=f"block {index} could not be placed",
         )
 
-    def _replicate(self, name: str, size: int, primary: OverlayNode) -> List[OverlayNode]:
+    def _replicate(self, name: str, size: int, primary: OverlayNode,
+                   namesakes: Dict[str, set]) -> List[OverlayNode]:
         replicas: List[OverlayNode] = []
         if self.replication <= 1:
             return replicas
+        exclude = namesakes.get(name, ()) if namesakes else ()
         for successor in self.dht.successors(primary.node_id, self.replication * 2):
             if len(replicas) >= self.replication - 1:
                 break
             if successor.node_id == primary.node_id:
                 continue
-            if successor.store_block(name, size):
+            if successor.serial not in exclude and successor.store_block(name, size):
                 replicas.append(successor)
         return replicas
 

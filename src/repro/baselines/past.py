@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core import naming
 from repro.core.block_ledger import BlockLedger
 from repro.core.storage import LedgerStore
 from repro.overlay.dht import DHTView
@@ -36,8 +37,11 @@ class PastStore(LedgerStore):
     :meth:`is_file_available` an O(1) counter read that stays exact under
     out-of-band ``fail()``/``recover()``/``leave()`` churn.  Pass ``ledger``
     to share one ledger instance with other stores on the same overlay.
-    ``files`` maps each stored name to ``(name actually stored under, holder
-    nodes)``.
+    ``files`` maps each stored name to the name it is stored under (salted
+    after a retry).  Not to its ledger file index, as ``CfsStore.files`` does:
+    the registration is buffered, so the index exists only from the next flush
+    (``ledger.file_index`` flushes); the holders are the file's one placement
+    in the ledger.
     """
 
     def __init__(
@@ -54,22 +58,20 @@ class PastStore(LedgerStore):
         self.replication = replication
         self.retries = retries
 
-    def _salted_name(self, filename: str, attempt: int) -> str:
-        return filename if attempt == 0 else f"{filename}#salt{attempt}"
-
     def store_file(self, filename: str, size: int) -> StoreResult:
         """Insert one file; a single p2p lookup per attempt, as in PAST."""
         refused = store_refusal(filename, size, self._taken)
         if refused is not None:
             return refused
         lookups = 0
+        namesakes = self._namesakes(filename)
         for attempt in range(self.retries + 1):
-            name = self._salted_name(filename, attempt)
+            name = naming.salted_name(filename, attempt)
             target = self.dht.locate_name(name)
             lookups += 1
-            holders = self._try_place(name, size, target)
+            holders = self._try_place(name, size, target, namesakes.get(name, ()))
             if holders is not None:
-                self.files[filename] = (name, holders)
+                self.files[filename] = name
                 # Buffered: the single-row column writes happen at the next
                 # flush point (a liveness event or a ledger read), file by
                 # file, keeping the ledger out of the store loop.
@@ -98,21 +100,23 @@ class PastStore(LedgerStore):
             failure_reason=f"no node could hold {size} bytes after {self.retries + 1} attempts",
         )
 
-    def _try_place(self, name: str, size: int, target: OverlayNode) -> Optional[List[OverlayNode]]:
-        """Place the file on ``target`` plus replication-1 neighbours; None on failure."""
+    def _try_place(self, name: str, size: int, target: OverlayNode,
+                   exclude) -> Optional[List[OverlayNode]]:
+        """Place the file on ``target`` plus replication-1 neighbours (none on ``exclude``);
+        None on failure."""
         holders: List[OverlayNode] = []
-        if not target.store_block(name, size):
+        if target.serial in exclude or not target.store_block(name, size):
             return None
         holders.append(target)
         if self.replication > 1:
             for neighbor in self.dht.neighbors(target.node_id, (self.replication - 1) * 2):
                 if len(holders) >= self.replication:
                     break
-                if neighbor.store_block(name, size):
+                if neighbor.serial not in exclude and neighbor.store_block(name, size):
                     holders.append(neighbor)
             if len(holders) < self.replication:
                 # PAST requires all k replicas; undo and report failure.
                 for holder in holders:
-                    holder.remove_block(name)
+                    holder.remove_block(name, size)
                 return None
         return holders

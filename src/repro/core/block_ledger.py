@@ -114,15 +114,33 @@ Where a block lives has this one home: a placement's primary is the owner-slot
 column ``_placement_primary`` (slots survive :meth:`BlockLedger.compact`), its
 replicas its unreleased :data:`KIND_REPLICA` rows in row order, and a file's
 CAT copies its :data:`KIND_META` rows; ``StoredChunk.placements`` is a view of
-them.  The per-node ``stored_blocks`` dicts the ledger mirrors still exist,
-and ``tests/reference/dict_walk.py`` re-derives every answer from them --
-``tests/test_churn_equivalence.py`` / ``tests/test_placement_equivalence.py``
+them.
+
+What a block is called is derived, never stored: every scheme names its
+blocks after the file (ours ``naming.block_name(file, chunk_no, position + 1)``,
+CFS ``f"{file}/block{position}"``, PAST the file name, a CAT
+``naming.cat_name(file, attempt)``), so :meth:`BlockLedger.row_name` /
+:meth:`BlockLedger.placement_name` read the file name and the chunk's naming
+rule and keep only what the columns cannot give: the retry attempt of a
+salted placement and of a salted CAT (sparse maps).  A re-created CAT copy is a
+:data:`KIND_RESTORED` row of its file.  The nodes keep no list of their blocks
+either: ``OverlayNode.stored_blocks`` is a view of the ledgers' rows, and a
+placing call keeps a node from taking a second copy of a block by excluding
+the block's on-disk holders (:meth:`BlockLedger.placement_disk_serials`).  A
+copy a repair re-pointed while its holder kept the bytes is an *orphan*: on
+the holder's disk (its ``used``, its ``stored_blocks``, the exclusion) until
+the holder is wiped or departs, in a map keyed by owner slot and placement
+that outlives :meth:`BlockLedger.compact`.  ``tests/reference/dict_walk.py`` re-derives
+every answer from per-node dicts recorded from the ``store_block`` /
+``remove_block`` / ``recover`` calls themselves (``tests/reference/recorder.py``)
+-- ``tests/test_churn_equivalence.py`` / ``tests/test_placement_equivalence.py``
 audit the ledger against that walk and against the frozen seed outputs in
 ``tests/golden/``.
 """
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -150,6 +168,13 @@ KIND_PRIMARY = 0   #: the copy a placement points at first
 KIND_REPLICA = 1   #: a neighbour/successor replica of a primary copy
 KIND_META = 2      #: CAT/metadata copy (not part of any chunk)
 KIND_SALTED = 3    #: a primary stored under a salted retry name
+KIND_RESTORED = 4  #: a re-created CAT copy: named like its file's CAT, outside the file's copies
+
+#: Naming rules of the baselines' chunks, held where an erasure-coded chunk
+#: holds its :class:`StoredChunk`: a PAST placement is named like its file, a
+#: CFS placement ``f"{file}/block{position}"``.
+_PAST_NAMES = "past"
+_CFS_NAMES = "cfs"
 
 #: Top bucket of the replication-level histogram: placements with this many
 #: live copies or more share the last bin (far above any configured target).
@@ -258,7 +283,6 @@ class BlockLedger:
         self.network = network
         # -- row columns (one row per stored copy) ---------------------------
         self.row_count = 0
-        self.names: List[str] = []
         self._digest = np.zeros(_INITIAL, dtype=_S20)
         self._digest_known = np.zeros(_INITIAL, dtype=bool)
         self._owner = np.full(_INITIAL, -1, dtype=np.int64)
@@ -282,7 +306,8 @@ class BlockLedger:
         #: block name and the replica rows, everything a placement is.
         self._placement_primary = np.full(_INITIAL, -1, dtype=np.int64)
         self._placement_copies = np.zeros(_INITIAL, dtype=np.int64)
-        self._placement_names: List[str] = []
+        #: Retry attempt of each placement stored under a salted name (sparse).
+        self._placement_salt: Dict[int, int] = {}
         # -- chunk registry ---------------------------------------------------
         self.chunk_count = 0
         self._chunk_required = np.zeros(_INITIAL, dtype=np.int64)
@@ -291,12 +316,15 @@ class BlockLedger:
         #: A chunk's placements are ``_chunk_first[c] + range(_chunk_span[c])``.
         self._chunk_first = np.zeros(_INITIAL, dtype=np.int64)
         self._chunk_span = np.zeros(_INITIAL, dtype=np.int64)
-        #: The erasure-coded chunk's :class:`StoredChunk`; ``None`` for a PAST
-        #: or CFS file's chunk (nothing to decode: the baselines only copy).
-        self._chunk_objs: List[Optional["StoredChunk"]] = []
+        #: The chunk's naming rule: the erasure-coded chunk's :class:`StoredChunk`
+        #: (its ``chunk_no``), or :data:`_PAST_NAMES` / :data:`_CFS_NAMES` for a
+        #: baseline file's chunk (nothing to decode: the baselines only copy).
+        self._chunk_objs: List[object] = []
         # -- file registry (names scoped per tenant) --------------------------
         self._file_index: Dict[Tuple[int, str], int] = {}
         self._file_names: List[str] = []
+        #: ``sys.getsizeof`` of the file-name strings, summed as files come in.
+        self._file_name_bytes = 0
         self._file_size = np.zeros(_INITIAL, dtype=np.int64)
         self._file_bad = np.zeros(_INITIAL, dtype=np.int64)
         self._file_active = np.zeros(_INITIAL, dtype=bool)
@@ -306,6 +334,8 @@ class BlockLedger:
         #: ``[_file_placement0[f], _file_placement0[f + 1])``.
         self._file_placement0 = np.zeros(_INITIAL, dtype=np.int64)
         self.file_count = 0
+        #: Retry attempt of each file whose CAT went in under a salted name (sparse).
+        self._cat_attempt: Dict[int, int] = {}
         # -- tenants -----------------------------------------------------------
         #: Tenant id -> name; tenant 0 is the default namespace untagged
         #: stores share.
@@ -313,8 +343,8 @@ class BlockLedger:
         self.tenant_names: List[str] = ["default"]
         # -- buffered whole-file registrations (PAST's store loop) ------------
         #: Deferred whole-file registrations: (filename, size, stored name,
-        #: holder nodes, salted, tenant).  Aggregates are bumped and liveness
-        #: listeners attached at queue time; slot creation and the column
+        #: holder nodes, the holders' wipe counts, salted, tenant).  Aggregates
+        #: are bumped at queue time; slot creation, listeners and the column
         #: writes happen at flush, file by file.
         self._pending_whole: List[tuple] = []
         self._pending_names: set = set()
@@ -331,6 +361,15 @@ class BlockLedger:
         #: :meth:`refresh_domains` re-syncs after late assignment.
         self._slot_site = np.full(_INITIAL, -1, dtype=np.int16)
         self._slot_rack = np.full(_INITIAL, -1, dtype=np.int16)
+        #: Copies released from their placement while their holder kept the
+        #: bytes (:meth:`replace_copy`): ``{slot: {placement: size}}``.  Still on
+        #: disk -- they count in the holder's ``used`` and keep it from taking
+        #: the block again -- until the holder is wiped or departs.  Placements
+        #: outlive :meth:`compact`, so these do too.  A repair leaves them on the
+        #: failed node, which takes no copy while down, so only the slots whose
+        #: node is up (``_live_orphans``, usually none) are read per placement.
+        self._orphans: Dict[int, Dict[int, int]] = {}
+        self._live_orphans: set = set()
         #: Replication-level histogram over the placements of every active
         #: file: ``hist[k]`` = placements currently holding ``k`` live
         #: copies (``k`` clipped to :data:`REPLICATION_HIST_MAX`).  Maintained
@@ -357,10 +396,6 @@ class BlockLedger:
             tenant = self._tenant_ids[name] = len(self.tenant_names)
             self.tenant_names.append(name)
         return tenant
-
-    def row_tenant(self, row: int) -> int:
-        """The tenant a row's copy belongs to."""
-        return int(self._row_tenant[row])
 
     # ------------------------------------------------------------- registration --
     def _owner_slots(self, holders: Sequence["OverlayNode"]) -> List[int]:
@@ -395,7 +430,6 @@ class BlockLedger:
     def _append_row(
         self,
         node: "OverlayNode",
-        name: str,
         size: int,
         file_idx: int,
         chunk_idx: int,
@@ -407,7 +441,6 @@ class BlockLedger:
         row = self.row_count
         if row >= len(self._owner):
             self._grow(_ROW_COLUMNS, row + 1)
-        self.names.append(name)
         table = self._serial_slot
         slot = table[node.serial] if node.serial < len(table) else -1
         self._owner[row] = slot if slot >= 0 else self._owner_slots((node,))[0]
@@ -441,6 +474,7 @@ class BlockLedger:
             self._grow(_FILE_COLUMNS, f + 1)
         self._file_index[key] = f
         self._file_names.append(name)
+        self._file_name_bytes += sys.getsizeof(name)
         self._file_placement0[f] = self.placement_count
         self._file_size[f] = size
         self._file_bad[f] = 0
@@ -452,43 +486,41 @@ class BlockLedger:
         return f
 
     def _open_chunk(
-        self, f: int, required: int, names: Sequence[str], copies: int | Sequence[int],
-        chunk: Optional["StoredChunk"] = None,
+        self, f: int, required: int, span: int, copies: int | Sequence[int], rule: object,
     ) -> Tuple[int, int]:
-        """Open one chunk of file ``f``: a placement per block name, holding ``copies`` copies.
+        """Open one chunk of file ``f``: ``span`` placements, holding ``copies`` copies each.
 
         ``copies`` is one count for every placement or one per placement.
         The one way every scheme's chunks come in; the caller appends the
         rows.  Every placement opens with a live primary, so the chunk starts
         with all its placements alive and counts against its file when that
-        is below ``required``.  ``chunk`` is the erasure-coded chunk's
-        :class:`StoredChunk` (``None`` for a PAST or CFS file).  Returns the
-        chunk and its first placement.
+        is below ``required``.  ``rule`` names the placements: the
+        erasure-coded chunk's :class:`StoredChunk`, or :data:`_PAST_NAMES` /
+        :data:`_CFS_NAMES`.  Returns the chunk and its first placement.
         """
         c = self.chunk_count
         self.chunk_count = c + 1
         if c >= len(self._chunk_file):
             self._grow(_CHUNK_COLUMNS, c + 1)
         p0 = self.placement_count
-        p1 = self.placement_count = p0 + len(names)
+        p1 = self.placement_count = p0 + span
         if p1 > len(self._placement_chunk):
             self._grow(_PLACEMENT_COLUMNS, p1)
         self._placement_chunk[p0:p1] = c
         self._placement_copies[p0:p1] = copies
-        self._placement_names.extend(names)
         hist = self._replication_hist
         if isinstance(copies, int):  # one count for every placement: one bin moves
-            hist[min(copies, REPLICATION_HIST_MAX)] += len(names)
+            hist[min(copies, REPLICATION_HIST_MAX)] += span
         else:
             for count in copies:
                 hist[min(count, REPLICATION_HIST_MAX)] += 1
         self._chunk_required[c] = required
-        self._chunk_alive[c] = len(names)
+        self._chunk_alive[c] = span
         self._chunk_file[c] = f
         self._chunk_first[c] = p0
-        self._chunk_span[c] = len(names)
-        self._chunk_objs.append(chunk)
-        if len(names) < required:
+        self._chunk_span[c] = span
+        self._chunk_objs.append(rule)
+        if span < required:
             self._shift_files(np.asarray([f], dtype=np.int64), 1)
         return c, p0
 
@@ -497,7 +529,6 @@ class BlockLedger:
         f: int,
         c: int,
         placements: int | np.ndarray,
-        names: Sequence[str],
         holders: Sequence["OverlayNode"],
         size: int | np.ndarray,
         kind: int,
@@ -513,7 +544,6 @@ class BlockLedger:
         row1 = row0 + len(holders)
         if row1 > len(self._owner):
             self._grow(_ROW_COLUMNS, row1)
-        self.names.extend(names)
         self._owner[row0:row1] = self._owner_slots(holders)
         self._size[row0:row1] = size
         self._file[row0:row1] = f
@@ -530,26 +560,37 @@ class BlockLedger:
         """Record every copy of a freshly (successfully) stored file.
 
         ``chunks`` pairs each placed data chunk with its blocks, in chunk
-        order.  Called once per successful store, after the placements are
-        final, so the per-node row order matches the chronological
-        ``stored_blocks`` dict order the seed recovery path iterates.
+        order; block ``i`` of chunk ``n`` is named ``naming.block_name(file, n,
+        i + 1)`` and the CAT ``naming.cat_name(file, attempt)``, so only a
+        non-zero CAT attempt is kept.  Called once per successful store, after
+        the placements are final, so the per-node row order is the
+        chronological store order the seed recovery path iterates.
         """
         tenant = tenant or 0
         f = self._new_file_entry(stored.name, stored.size, tenant)
         stored.ledger_index = f
         for chunk, blocks in chunks:
-            c, p = self._open_chunk(f, required_blocks, [block[0] for block in blocks],
+            c, p = self._open_chunk(f, required_blocks, len(blocks),
                                     [1 + len(block[3]) for block in blocks], chunk)
             chunk.ledger, chunk.ledger_index = self, c
-            for name, node, size, replicas in blocks:
-                row = self._append_row(node, name, size, f, c, p, tenant=tenant)
+            for _, node, size, replicas in blocks:
+                row = self._append_row(node, size, f, c, p, tenant=tenant)
                 self._placement_primary[p] = self._owner[row]
                 for replica in replicas:
-                    self._append_row(replica, name, size, f, c, p, kind=KIND_REPLICA, tenant=tenant)
+                    self._append_row(replica, size, f, c, p, kind=KIND_REPLICA, tenant=tenant)
                 p += 1
         name, node, size, replicas = cat
+        if name != naming.cat_name(stored.name):
+            attempt = int(name.rpartition(naming.CAT_SALT)[2])
+            assert name == naming.cat_name(stored.name, attempt), name
+            self._cat_attempt[f] = attempt
         for holder in (node, *replicas):
-            self._append_row(holder, name, size, f, -1, -1, kind=KIND_META, tenant=tenant)
+            self._append_row(holder, size, f, -1, -1, kind=KIND_META, tenant=tenant)
+
+    def _salt_placements(self, p0: int, names: Sequence[str], salted: Sequence[int]) -> None:
+        """Keep the retry attempt of each salted block ``names[i]`` (placement ``p0 + i``)."""
+        for index in salted:
+            self._placement_salt[p0 + index] = naming.salt_attempt(names[index])
 
     # ------------------------------------------------- baseline registration --
     def register_whole_file(
@@ -564,9 +605,9 @@ class BlockLedger:
         """Record a PAST-style whole-file store: one chunk with one placement, ``required = 1``.
 
         ``holders[0]`` is the primary (:data:`KIND_SALTED` when the store only
-        succeeded under a salted retry name), the rest are leaf-set replica
-        rows.  The file stays available while any copy survives.  Returns the
-        ledger file index.
+        succeeded under the salted retry name ``naming.salted_name(filename, attempt)``),
+        the rest are leaf-set replica rows.  The file stays available while any
+        copy survives.  Returns the ledger file index.
         """
         tenant = tenant or 0
         self._flush_pending()
@@ -585,7 +626,7 @@ class BlockLedger:
 
         Every ``holders`` entry must already hold ``stored_name`` (the way
         PAST's store loop places blocks before registering); the flush
-        treats a missing copy as gone for good.
+        treats a copy whose holder was wiped or departed since as gone for good.
 
         PAST's store loop registers exactly one placement per file; the
         per-file scalar column writes are what shows up as ``pipeline_past``
@@ -608,7 +649,8 @@ class BlockLedger:
             raise ValueError(f"file already registered: {filename!r}")
         copies = len(holders)
         self._pending_names.add(key)
-        self._pending_whole.append((filename, size, stored_name, holders, salted, tenant))
+        self._pending_whole.append((filename, size, stored_name, holders,
+                                    [node.wipes for node in holders], salted, tenant))
         self.active_files += 1
         self.stored_data_bytes += size
         self.live_bytes += size * copies
@@ -623,9 +665,9 @@ class BlockLedger:
             return
         batch, self._pending_whole = self._pending_whole, []
         self._pending_names.clear()
-        for filename, size, stored_name, holders, salted, tenant in batch:
+        for filename, size, stored_name, holders, wipes, salted, tenant in batch:
             self._register_whole_file_now(
-                filename, size, stored_name, holders, salted, tenant, counted=False
+                filename, size, stored_name, holders, salted, tenant, wipes=wipes
             )
 
     def _register_whole_file_now(
@@ -636,24 +678,28 @@ class BlockLedger:
         holders: Sequence["OverlayNode"],
         salted: bool,
         tenant: int,
-        counted: bool = True,
+        wipes: Optional[Sequence[int]] = None,
     ) -> int:
         """One whole-file placement as bulk column writes (no scalar rows).
 
-        ``counted=False`` (the buffered-flush path) additionally reconciles
-        each holder's *current* liveness: a holder that failed keeps a dead
-        but revivable row; one whose copy is gone for good (wiped disk,
-        graceful departure) gets its row killed and released -- the states
-        the listener notifications would have produced had the registration
-        been materialised eagerly.
+        ``wipes`` (the buffered-flush path: each holder's wipe count at queue
+        time) additionally reconciles each holder's *current* liveness: a
+        holder that failed keeps a dead but revivable row; one whose copy is
+        gone for good (wiped disk since, graceful departure) gets its row
+        killed and released -- the states the listener notifications would
+        have produced had the registration been materialised eagerly.  The
+        aggregates of a buffered file were counted at queue time.
         """
+        counted = wipes is None
         f = self._new_file_entry(filename, size, tenant, counted=counted)
         b = len(holders)
         # A zero-copy store opens no placement: its chunk is unavailable from the start.
-        c, p = self._open_chunk(f, 1, [stored_name] if b else [], b)
+        c, p = self._open_chunk(f, 1, 1 if b else 0, b, _PAST_NAMES)
         if not b:
             return f
-        row0 = self._append_rows(f, c, p, [stored_name] * b, holders, size, KIND_REPLICA, tenant)
+        if salted:
+            self._salt_placements(p, [stored_name], [0])
+        row0 = self._append_rows(f, c, p, holders, size, KIND_REPLICA, tenant)
         self._kind[row0] = KIND_SALTED if salted else KIND_PRIMARY
         self._placement_primary[p] = self._owner[row0]
         if counted:
@@ -661,10 +707,10 @@ class BlockLedger:
             self.live_rows += b
         else:
             network = self.network
-            for offset, node in enumerate(holders):
+            for offset, (node, wiped) in enumerate(zip(holders, wipes)):
                 # Gone for good (never revives): wiped, or departed -- also when
                 # a fresh machine has since joined under the departed id.
-                gone = (stored_name not in node.stored_blocks or node.node_id not in network
+                gone = (node.wipes != wiped or node.node_id not in network
                         or network.node(node.node_id) is not node)
                 if gone:
                     self._release_rows(np.asarray([row0 + offset], dtype=np.int64))
@@ -691,10 +737,12 @@ class BlockLedger:
         remainder.  The chunk needs every block (``required`` = the block
         count).  ``salted`` lists the block indices stored under a retry
         name; ``replicas`` lists extra ``(block_index, node)`` successor
-        copies, in block order.  The whole registration is a handful of
-        vectorised column writes, which is what keeps the ledger out of the
-        store loop's way -- the columnar bookkeeping replaces the per-block
-        tuple lists the seed path carries.  Returns the ledger file index.
+        copies, in block order.  Block ``i`` is named ``f"{filename}/block{i}"``,
+        so of ``names`` only the salted blocks' retry attempts are kept.  The
+        whole registration is a handful of vectorised column writes, which is
+        what keeps the ledger out of the store loop's way -- the columnar
+        bookkeeping replaces the per-block tuple lists the seed path carries.
+        Returns the ledger file index.
         """
         tenant = tenant or 0
         f = self._new_file_entry(filename, size, tenant)
@@ -703,9 +751,9 @@ class BlockLedger:
         if replicas:
             extra = np.asarray([index for index, _ in replicas], dtype=np.int64)
             copies = 1 + np.bincount(extra, minlength=b)
-        c, p0 = self._open_chunk(f, b, names, copies)
+        c, p0 = self._open_chunk(f, b, b, copies, _CFS_NAMES)
         row0 = self._append_rows(
-            f, c, np.arange(p0, p0 + b), names, holders, block_size, KIND_PRIMARY, tenant)
+            f, c, np.arange(p0, p0 + b), holders, block_size, KIND_PRIMARY, tenant)
         self._placement_primary[p0 : p0 + b] = self._owner[row0 : row0 + b]
         if b:
             # Full blocks plus the remainder: the sizes sum to ``size``.
@@ -713,11 +761,12 @@ class BlockLedger:
             self.live_bytes += size
         if salted:
             self._kind[[row0 + index for index in salted]] = KIND_SALTED
+            self._salt_placements(p0, names, salted)
         self.live_rows += b
         if replicas:
             sizes = self._size[row0 + extra]
-            self._append_rows(f, c, p0 + extra, [names[index] for index, _ in replicas],
-                              [node for _, node in replicas], sizes, KIND_REPLICA, tenant)
+            self._append_rows(f, c, p0 + extra, [node for _, node in replicas], sizes,
+                              KIND_REPLICA, tenant)
             self.live_bytes += int(sizes.sum())
             self.live_rows += len(replicas)
         return f
@@ -735,7 +784,9 @@ class BlockLedger:
             self.stored_data_bytes -= int(self._file_size[f])
             if self._file_bad[f] > 0:
                 self.unavailable_files -= 1
-        self._release_rows(np.asarray(self._by_file.lookup(self, f), dtype=np.int64))
+        # A restored CAT copy outlives the file (it was never one of its copies).
+        rows = np.asarray(self._by_file.lookup(self, f), dtype=np.int64)
+        self._release_rows(rows[self._kind[rows] != KIND_RESTORED])
         # Retire the file's placements from the replication histogram: every
         # row is now released, so no transition can touch them again.  Read
         # from the registry, not the rows -- a placement whose copies were all
@@ -802,18 +853,44 @@ class BlockLedger:
     def _note_failed(self, node: "OverlayNode") -> None:
         rows = np.asarray(self.recovery_rows(node), dtype=np.int64)
         self._set_alive(rows[self._alive[rows]], False)
+        if self._live_orphans:
+            self._live_orphans.discard(self._slot_of(node))
 
     def _note_recovered(self, node: "OverlayNode", wipe: bool, revived: bool) -> None:
         rows = np.asarray(self.recovery_rows(node), dtype=np.int64)
         if wipe:
             # The disk came back empty: every copy it held is gone for good.
             self._release_rows(rows)
-        elif revived:
-            self._set_alive(rows[~self._alive[rows]], True)
+            self._drop_orphans(node)
+        else:
+            if revived:
+                self._set_alive(rows[~self._alive[rows]], True)
+            if self._slot_of(node) in self._orphans:
+                self._live_orphans.add(self._slot_of(node))
 
     def _note_departed(self, node: "OverlayNode") -> None:
         """A graceful leave takes the copies out of the system permanently."""
         self._release_rows(np.asarray(self.recovery_rows(node), dtype=np.int64))
+        self._drop_orphans(node)
+
+    def _note_removed(self, node: "OverlayNode", name: str) -> None:
+        """The node dropped the bytes of ``name``: an orphan of that name is gone.
+
+        (An unreleased row's copy is removed just before the row is released.)
+        """
+        slot = self._slot_of(node)
+        held = self._orphans.get(slot)
+        placement = next((p for p in held if self.placement_name(p) == name), None) if held else None
+        if placement is not None:
+            del held[placement]
+            if not held:
+                self._drop_orphans(node)
+
+    def _drop_orphans(self, node: "OverlayNode") -> None:
+        """Forget the released copies still on ``node``'s disk: the disk is gone."""
+        slot = self._slot_of(node)
+        if self._orphans.pop(slot, None) is not None:
+            self._live_orphans.discard(slot)
 
     # --------------------------------------------------------- failure domains --
     def refresh_domains(self) -> None:
@@ -882,9 +959,9 @@ class BlockLedger:
 
         One read of the owner index (O(rows of that node), never a scan of
         the owner column); released rows (deleted files, superseded
-        primaries) are excluded, so a name a dead node's ``stored_blocks``
-        dict still lists without a row here was already repaired or deleted.
-        The liveness listeners above sweep these rows.
+        primaries) are excluded, so a copy still on a dead node's disk without
+        a row here (an orphan) was already repaired or deleted.  The liveness
+        listeners above sweep these rows.
         """
         if self._pending_whole:
             self._flush_pending()
@@ -895,16 +972,165 @@ class BlockLedger:
         released = self._released
         return [row for row in self._by_owner.lookup(self, slot) if not released[row]]
 
-    def ensure_digests(self, rows: Sequence[int]) -> None:
-        """Batch-hash the names of ``rows`` into the digest column (idempotent)."""
-        missing = [row for row in rows if not self._digest_known[row]]
+    def _slot_of(self, node: "OverlayNode") -> int:
+        """The node's owner slot, or -1 when it never held a row of this ledger."""
+        table = self._serial_slot
+        return table[node.serial] if node.serial < len(table) else -1
+
+    def ensure_digests(self, rows: Sequence[int], names: Optional[Sequence[str]] = None) -> None:
+        """Batch-hash the names of ``rows`` into the digest column (idempotent).
+
+        ``names``: the rows' :meth:`row_names`, when the caller derived them already.
+        """
+        known = self._digest_known
+        missing = [index for index, row in enumerate(rows) if not known[row]]
         if missing:
-            names = self.names
-            self._digest[missing] = naming.name_digests([names[row] for row in missing])
-            self._digest_known[missing] = True
+            rows = [rows[index] for index in missing]
+            names = (self.row_names(rows) if names is None
+                     else [names[index] for index in missing])
+            self._digest[rows] = naming.name_digests(names)
+            known[rows] = True
 
     def row_name(self, row: int) -> str:
-        return self.names[row]
+        """The name the row's copy is stored under, derived from its placement or file."""
+        placement = int(self._placement[row])
+        if placement >= 0:
+            return self.placement_name(placement)
+        return self._derived_name(int(self._file[row]), placement, -1, 0)
+
+    def row_names(self, rows: Sequence[int]) -> List[str]:
+        """:meth:`row_name` of many rows, the column reads done in bulk."""
+        return [record[0] for record in self.row_records(rows)]
+
+    def row_records(self, rows: Sequence[int]) -> List[tuple]:
+        """``(name, file_idx, chunk_idx, placement_idx, size, kind, tenant)`` of each row.
+
+        What repair reads of a row, the column reads done in bulk (a CAT copy's
+        chunk and placement are -1).
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        chunks = self._chunk[rows]
+        placements = self._placement[rows]
+        positions = placements - self._chunk_first[chunks]  # a CAT copy's reads no chunk
+        files, chunks, placements = (self._file[rows].tolist(), chunks.tolist(),
+                                     placements.tolist())
+        derive = self._derived_name
+        return [(derive(f, p, c, position), f, c, p, size, kind, tenant)
+                for f, c, p, position, size, kind, tenant in zip(
+                    files, chunks, placements, positions.tolist(), self._size[rows].tolist(),
+                    self._kind[rows].tolist(), self._row_tenant[rows].tolist())]
+
+    def placement_name(self, placement_idx: int) -> str:
+        """The name of the placement's block: its scheme's rule, then any retry salt."""
+        c = int(self._placement_chunk[placement_idx])
+        return self._derived_name(int(self._chunk_file[c]), placement_idx, c,
+                                  placement_idx - int(self._chunk_first[c]))
+
+    def _derived_name(self, f: int, placement: int, chunk: int, position: int) -> str:
+        """The name of a copy of file ``f``: a CAT copy (``placement < 0``), or block
+        ``position`` of ``chunk``, named by the chunk's rule and salted by its retry."""
+        filename = self._file_names[f]
+        if placement < 0:
+            return naming.cat_name(filename, self._cat_attempt.get(f, 0))
+        rule = self._chunk_objs[chunk]
+        if rule is _PAST_NAMES:
+            name = filename
+        elif rule is _CFS_NAMES:
+            name = naming.stripe_name(filename, position)
+        else:
+            name = naming.ecb_name(filename, rule.chunk_no, position + 1)
+        salt = self._placement_salt.get(placement)
+        return name if salt is None else naming.salted_name(name, salt)
+
+    def placement_disk_serials(self, placement_idx: int) -> set:
+        """Serials of the nodes with a copy of the placement on disk.
+
+        The owners of its unreleased rows (up or down) plus the up nodes
+        holding an orphan of it (a down node takes no copy anyway): a node
+        never takes a second copy of one block, so every placement step
+        excludes these.
+        """
+        released, owner, slot_nodes = self._released, self._owner, self._slot_nodes
+        serials = {slot_nodes[owner[row]].serial
+                   for row in self._by_placement.lookup(self, placement_idx) if not released[row]}
+        for slot in self._live_orphans:
+            if placement_idx in self._orphans[slot]:
+                serials.add(slot_nodes[slot].serial)
+        return serials
+
+    def holds_meta_copy(self, node: "OverlayNode", row: int) -> bool:
+        """Whether ``node`` holds an unreleased copy of the CAT the meta ``row`` copies.
+
+        One read of the node's rows (the index repair keeps sorted anyway).
+        """
+        slot = self._slot_of(node)
+        if slot < 0:
+            return False
+        rows = self._by_owner.lookup(self, slot)
+        f, kind, released = int(self._file[row]), self._kind, self._released
+        for other, file in zip(rows, self._file[rows].tolist()):
+            if file == f and not released[other] and (
+                    kind[other] == KIND_META or kind[other] == KIND_RESTORED):
+                return True
+        return False
+
+    def meta_disk_serials(self, row: int) -> set:
+        """Serials of the nodes holding an unreleased copy of the CAT the meta ``row`` copies.
+
+        The file's CAT copies and the restored copies of it share one name.
+        """
+        released, owner, kind, slot_nodes = self._released, self._owner, self._kind, self._slot_nodes
+        return {slot_nodes[owner[other]].serial
+                for other in self._by_file.lookup(self, int(self._file[row]))
+                if (kind[other] == KIND_META or kind[other] == KIND_RESTORED)
+                and not released[other]}
+
+    def namesake_serials(self, filename: str, tenant: Optional[int]) -> Dict[str, set]:
+        """``{name: serials}`` of the on-disk copies of other tenants' files named ``filename``.
+
+        Two tenants may store one file name, and every scheme derives its
+        block names from the file name, so a fresh store must not place a
+        block on a node already holding the namesake's copy.  ``{}`` (the
+        common case) unless another tenant registered the name.
+        """
+        if len(self.tenant_names) == 1:
+            return {}
+        mine = tenant or 0
+        files = []
+        for other in range(len(self.tenant_names)):
+            if other != mine:
+                f = self.file_index(filename, other)
+                if f is not None:
+                    files.append(f)
+        held: Dict[str, set] = {}
+        for f in files:
+            for placement in self.file_placements(f):
+                held.setdefault(self.placement_name(placement), set()).update(
+                    self.placement_disk_serials(placement))
+            meta = next((row for row in self._by_file.lookup(self, f) if self._placement[row] < 0),
+                        None)
+            if meta is not None:
+                held.setdefault(self.row_name(meta), set()).update(self.meta_disk_serials(meta))
+        return held
+
+    def disk_copies(self, node: "OverlayNode") -> Dict[str, int]:
+        """``{name: size}`` of every copy on ``node``'s disk in this ledger.
+
+        Its unreleased rows, then its orphans: what ``OverlayNode.stored_blocks``
+        lists.
+        """
+        rows = self.recovery_rows(node)
+        copies = dict(zip(self.row_names(rows), self._size[rows].tolist()))
+        for placement, size in self._orphans.get(self._slot_of(node), {}).items():
+            copies[self.placement_name(placement)] = size
+        return copies
+
+    def disk_sizes(self, node: "OverlayNode", rows: Optional[List[int]] = None) -> List[int]:
+        """The sizes of :meth:`disk_copies`, without deriving a name (``rows``: the
+        node's :meth:`recovery_rows`, when the caller read them already)."""
+        sizes = self._size[self.recovery_rows(node) if rows is None else rows].tolist()
+        sizes.extend(self._orphans.get(self._slot_of(node), {}).values())
+        return sizes
 
     def row_key(self, row: int) -> int:
         """The 160-bit DHT key of the row's block name (requires ensure_digests)."""
@@ -925,7 +1151,8 @@ class BlockLedger:
 
     def chunk_object(self, chunk_idx: int) -> Optional["StoredChunk"]:
         """The erasure-coded chunk's :class:`StoredChunk`; ``None`` for a PAST or CFS chunk."""
-        return self._chunk_objs[chunk_idx]
+        rule = self._chunk_objs[chunk_idx]
+        return None if isinstance(rule, str) else rule
 
     def chunk_recoverable(self, chunk_idx: int) -> bool:
         """Whether the chunk still has enough live blocks to decode, in O(1)."""
@@ -973,10 +1200,6 @@ class BlockLedger:
         """:meth:`placement_nodes` as node ids."""
         return [node.node_id for node in self.placement_nodes(placement_idx)]
 
-    def placement_name(self, placement_idx: int) -> str:
-        """The name of the placement's block."""
-        return self._placement_names[placement_idx]
-
     def live_copy_owner(self, placement_idx: int) -> Optional["OverlayNode"]:
         """A node holding a live copy of the placement (None if all are dead).
 
@@ -1012,7 +1235,6 @@ class BlockLedger:
         placement_idx: int,
         old_node_id: int,
         new_node: "OverlayNode",
-        name: str,
         size: int,
         digest: Optional[bytes],
         kind: int,
@@ -1025,20 +1247,28 @@ class BlockLedger:
         double-count the copy -- and the fresh copy on ``new_node`` joins it as
         a ``kind`` row (:data:`KIND_PRIMARY`, :data:`KIND_SALTED` or
         :data:`KIND_REPLICA`).  A fresh primary-kind copy becomes the copy the
-        placement points at first.
+        placement points at first.  The released copy stays on the old
+        holder's disk as an orphan until the holder is wiped or departs.
         """
         self._release_copy(placement_idx, old_node_id)
-        row = self._register_copy_row(placement_idx, new_node, name, size, digest, kind=kind)
+        row = self._register_copy_row(placement_idx, new_node, size, digest, kind=kind)
         if kind != KIND_REPLICA:
             self._placement_primary[placement_idx] = self._owner[row]
         return row
 
     def _release_copy(self, placement_idx: int, node_id: int) -> None:
-        """Release the placement's first unreleased copy held by ``node_id``."""
+        """Release the placement's first unreleased copy held by ``node_id``; its bytes stay."""
         slot_nodes = self._slot_nodes
         for row in self._by_placement.lookup(self, placement_idx):
-            if slot_nodes[self._owner[row]].node_id == node_id and not self._released[row]:
+            slot = int(self._owner[row])
+            if slot_nodes[slot].node_id == node_id and not self._released[row]:
                 self._release_rows(np.asarray([row], dtype=np.int64))
+                held = self._orphans.get(slot)
+                if held is None:
+                    held = self._orphans[slot] = {}
+                    if slot_nodes[slot].alive:
+                        self._live_orphans.add(slot)
+                held[placement_idx] = int(self._size[row])
                 return
 
     def add_replica_copy(
@@ -1046,7 +1276,6 @@ class BlockLedger:
         chunk_idx: int,
         position: int,
         node: "OverlayNode",
-        name: str,
         size: int,
         digest: Optional[bytes] = None,
     ) -> int:
@@ -1057,14 +1286,13 @@ class BlockLedger:
         of the placement's replicas.
         """
         return self._register_copy_row(
-            self.placement_for(chunk_idx, position), node, name, size, digest, kind=KIND_REPLICA
+            self.placement_for(chunk_idx, position), node, size, digest, kind=KIND_REPLICA
         )
 
     def _register_copy_row(
         self,
         placement_idx: int,
         node: "OverlayNode",
-        name: str,
         size: int,
         digest: Optional[bytes],
         kind: int = KIND_PRIMARY,
@@ -1077,7 +1305,7 @@ class BlockLedger:
         chunk_idx = int(self._placement_chunk[placement_idx])
         file_idx = int(self._chunk_file[chunk_idx])
         row = self._append_row(
-            node, name, size, file_idx, chunk_idx, placement_idx, digest, kind=kind,
+            node, size, file_idx, chunk_idx, placement_idx, digest, kind=kind,
             tenant=int(self._file_tenant[file_idx]) if file_idx >= 0 else 0,
         )
         copies = self._placement_copies
@@ -1092,17 +1320,17 @@ class BlockLedger:
                 self._shift_files(np.asarray([file_idx], dtype=np.int64), -1)
         return row
 
-    def restore_meta_copy(
-        self, node: "OverlayNode", name: str, size: int, digest: Optional[bytes] = None,
-        tenant: int = 0,
-    ) -> int:
-        """Record a re-created CAT/metadata copy.
+    def restore_meta_copy(self, node: "OverlayNode", row: int) -> int:
+        """Record a re-created copy, on ``node``, of the CAT the meta ``row`` copies.
 
-        Registered untracked-by-file (``file_idx = -1``), as the seed did not
-        count restored copies among the file's CAT copies either: deleting
-        the file later leaves them behind.
+        A :data:`KIND_RESTORED` row of the same file, size, digest and tenant:
+        named like the file's CAT, but, as the seed did not count restored
+        copies among the file's CAT copies either, deleting the file later
+        leaves it behind.
         """
-        return self._append_row(node, name, size, -1, -1, -1, digest, tenant=tenant)
+        digest = self.row_digest(row) if self._digest_known[row] else None
+        return self._append_row(node, int(self._size[row]), int(self._file[row]), -1, -1, digest,
+                                kind=KIND_RESTORED, tenant=int(self._row_tenant[row]))
 
     # ------------------------------------------------------------ file access --
     def file_index(self, name: str, tenant: Optional[int] = None) -> Optional[int]:
@@ -1144,8 +1372,10 @@ class BlockLedger:
         rows survive besides the live ones (an in-flight failure sweep that
         may yet see ``recover(wipe=False)``), so compacting mid-sweep is always
         safe.  What a placement is needs no released row: its primary is the
-        ``_placement_primary`` slot column and its name and file are
-        placement / file registry entries, none of which compaction touches.
+        ``_placement_primary`` slot column, its name is derived from the
+        file / chunk / placement registries (plus the sparse salt and CAT
+        attempt maps) and its orphans are keyed by placement, none of which
+        compaction touches.
 
         Returns ``{rows_before, rows_released, rows_after}`` (``rows_released``
         counts the rows actually dropped).
@@ -1167,7 +1397,6 @@ class BlockLedger:
             new = np.zeros(capacity, dtype=old.dtype)
             new[: kept.size] = old[:n][kept]
             setattr(self, attr, new)
-        self.names = np.asarray(self.names, dtype=object)[kept].tolist()
         self.row_count = int(kept.size)
         for index in (self._by_owner, self._by_file, self._by_placement):
             index.reset()
@@ -1190,7 +1419,17 @@ class BlockLedger:
             "column_bytes": int(sum(getattr(self, attr).nbytes for attr in columns)),
             # The row indexes' Python lists, per entry at pointer size.
             "index_bytes": 8 * sum(index.entries() for index in indexes),
+            # What names are derived from: the file names, the sparse salt and
+            # CAT-attempt maps and the orphan maps (containers and strings).
+            "name_bytes": self._name_bytes(),
         }
+
+    def _name_bytes(self) -> int:
+        size = sys.getsizeof
+        total = size(self._file_names) + self._file_name_bytes + size(self._live_orphans)
+        for side in (self._placement_salt, self._cat_attempt, self._orphans):
+            total += size(side)
+        return total + sum(map(size, self._orphans.values()))
 
     # --------------------------------------------------------------- invariants --
     def check_invariants(self) -> None:
@@ -1252,6 +1491,24 @@ class BlockLedger:
         holding = np.unique(self._owner[:n][~self._released[:n]]).tolist()
         law("_serial_slot finds every holder of an unreleased row",
             [table[slot_nodes[slot].serial] for slot in holding], holding)
+
+        # Every name is derived; a digest hashed from it must match it.
+        known = np.flatnonzero(self._digest_known[:n]).tolist()
+        if known:
+            law("digest == sha1(derived name)", self._digest[known],
+                naming.name_digests([self.row_name(row) for row in known]))
+        law("_live_orphans are the orphan holders that are up",
+            sorted(self._live_orphans),
+            sorted(slot for slot, held in self._orphans.items() if held and slot_nodes[slot].alive))
+        # A node held by this ledger alone (and still a member) stores exactly
+        # its unreleased rows and its orphans.
+        network, owner, released = self.network, self._owner[:n], self._released[:n]
+        for slot, node in enumerate(slot_nodes):
+            if (node._state_listeners == (self,) and node.node_id in network
+                    and network.node(node.node_id) is node):
+                on_disk = int(size[(owner == slot) & ~released].sum())
+                on_disk += sum(self._orphans.get(slot, {}).values())
+                law(f"sizes on slot {slot}'s disk sum to its used", node.used, on_disk)
 
         for index, keys in (
             (self._by_owner, len(self._slot_nodes)),

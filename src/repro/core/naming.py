@@ -30,6 +30,9 @@ CAT_SUFFIX = ".CAT"
 #: Marker before the retry number of a salted CAT name (``filename.CAT~salt2``).
 CAT_SALT = "~salt"
 
+#: Marker before the retry number of a salted PAST / CFS name (``movie#salt1``).
+SALT = "#salt"
+
 
 def chunk_name(filename: str, chunk_no: int) -> str:
     """The name of chunk ``chunk_no`` (1-based) of ``filename``."""
@@ -43,6 +46,21 @@ def block_name(filename: str, chunk_no: int, ecb: int) -> str:
     return f"{chunk_name(filename, chunk_no)}{SEPARATOR}{ecb}"
 
 
+def ecb_name(filename: str, chunk_no: int, ecb: int) -> str:
+    """:func:`block_name` of numbers already checked (the ledger derives names with it)."""
+    return f"{filename}{SEPARATOR}{chunk_no}{SEPARATOR}{ecb}"
+
+
+def stripe_name(filename: str, index: int) -> str:
+    """The name of fixed block ``index`` (0-based) of a CFS-striped file."""
+    return f"{filename}/block{index}"
+
+
+def stripe_names(filename: str, count: int) -> List[str]:
+    """:func:`stripe_name` of blocks ``0 .. count - 1``, in block order."""
+    return [f"{filename}/block{index}" for index in range(count)]
+
+
 def cat_name(filename: str, attempt: int = 0) -> str:
     """The name under which the file's chunk allocation table is stored.
 
@@ -50,6 +68,16 @@ def cat_name(filename: str, attempt: int = 0) -> str:
     """
     name = f"{filename}{CAT_SUFFIX}"
     return f"{name}{CAT_SALT}{attempt}" if attempt else name
+
+
+def salted_name(name: str, attempt: int) -> str:
+    """``name`` re-hashed for placement retry ``attempt`` (PAST and CFS); ``name`` itself at 0."""
+    return f"{name}{SALT}{attempt}" if attempt else name
+
+
+def salt_attempt(name: str) -> int:
+    """The retry attempt of a :func:`salted_name` (which must carry a salt)."""
+    return int(name.rpartition(SALT)[2])
 
 
 def cat_file(name: str) -> str:

@@ -19,9 +19,13 @@ here:
 The ledger's unreleased rows of a node are the one record of what it held
 (:meth:`~repro.core.block_ledger.BlockLedger.recovery_rows`, the paper's "list
 of blocks stored on its neighbors"): :class:`RecoveryManager` walks them and
-nothing else.  A name still in a dead node's ``stored_blocks`` dict with no
-unreleased row was already repaired or deleted, so repairing a node twice is a
-no-op.  Each row is one copy to re-create -- a primary block, a neighbour
+nothing else.  A copy still on a dead node's disk with no unreleased row (an
+orphan: the repair re-pointed its placement while the node kept the bytes) was
+already repaired or deleted, so repairing a node twice is a no-op.  Every
+placement step excludes the block's on-disk holders
+(:meth:`~repro.core.block_ledger.BlockLedger.placement_disk_serials`, for a CAT
+copy :meth:`~repro.core.block_ledger.BlockLedger.holds_meta_copy`): a node never
+takes a second copy of one block, and no node keeps a list of what it holds.  Each row is one copy to re-create -- a primary block, a neighbour
 replica, a CAT / metadata copy or (departures only) a PAST/CFS copy, whose
 chunk has no :class:`~repro.core.storage.StoredChunk` to decode -- and a
 failure and a departure re-create it with the same step per copy kind: place
@@ -179,7 +183,7 @@ class RecoveryManager:
         is still decodable are re-created on the node now responsible for
         their name (or elsewhere if that node is full); chunks that are no
         longer decodable are counted as lost data.  The rows are the record:
-        a name in the dead node's dict with no unreleased row was already
+        a copy on the dead node's disk with no unreleased row was already
         repaired or deleted, so a second call on the same node is a no-op.
 
         The rows come from one read of the ledger's per-owner row index and
@@ -189,30 +193,31 @@ class RecoveryManager:
         """
         ledger = self.storage.ledger
         node = self.dht.network.node(node_id)
-        impact = self._begin(node_id, node)
-
         rows = ledger.recovery_rows(node)
+        impact = self._begin(node_id, node, rows)
+
         if node.alive:
             self.dht.network.fail(node_id)  # the ledger is notified via its listener
         self.dht.remove(node_id)  # incremental boundary patch, not an O(N) rebuild
-        ledger.ensure_digests(rows)
+        records = ledger.row_records(rows)
+        ledger.ensure_digests(rows, [record[0] for record in records])
 
         damaged_files: set[str] = set()
-        for row in rows:
-            self._apply_failure_row(row, node_id, impact, ledger, damaged_files)
+        for row, record in zip(rows, records):
+            self._apply_failure_row(row, record, node_id, impact, ledger, damaged_files)
         impact.files_damaged = len(damaged_files)
         self._finish(impact)
         return impact
 
     def _apply_failure_row(
-        self, row: int, failed_node: int, impact: FailureImpact, ledger: BlockLedger,
-        damaged_files: set,
+        self, row: int, record: tuple, failed_node: int, impact: FailureImpact,
+        ledger: BlockLedger, damaged_files: set,
     ) -> None:
-        """Repair one ledger row of a failed node."""
-        if ledger.row_tenant(row) != (self.tenant or 0):
+        """Repair one ledger row (``record``: its :meth:`BlockLedger.row_records` entry)
+        of a failed node."""
+        name, file_idx, chunk_idx, placement_idx, size, _, tenant = record
+        if tenant != (self.tenant or 0):
             return  # another tenant's row: its manager repairs it
-        name = ledger.row_name(row)
-        file_idx, chunk_idx, placement_idx, size, _ = ledger.row_fields(row)
         if placement_idx < 0:
             target, copied = self._copy_meta(ledger, row, name, size, impact)
             if not copied:
@@ -222,8 +227,9 @@ class RecoveryManager:
                 return
             # Read from a surviving replica in the name's neighbourhood; with
             # none left only the receiver's downlink is charged.
+            copies = ledger.meta_disk_serials(row)
             holders = [candidate for candidate in self.dht.neighbors(target.node_id, 8)
-                       if candidate.has_block(name)]
+                       if candidate.alive and candidate.serial in copies]
             source = next(iter(self._least_congested([h.node_id for h in holders])), None)
             self._stage(size, source, target.node_id)
             if self.storage.payload_mode:
@@ -338,22 +344,25 @@ class RecoveryManager:
         (``tests/test_soak.py``'s migration-conserves-bytes oracle).
         """
         node = self.dht.network.node(node_id)
-        impact = self._begin(node_id, node)
-
-        self.dht.remove(node_id)  # lookups now exclude the departing node
         ledger = self.storage.ledger
         rows = ledger.recovery_rows(node)
-        ledger.ensure_digests(rows)
-        for row in rows:
-            self._apply_migration_row(row, node, impact, ledger)
+        impact = self._begin(node_id, node, rows)
+
+        self.dht.remove(node_id)  # lookups now exclude the departing node
+        records = ledger.row_records(rows)
+        ledger.ensure_digests(rows, [record[0] for record in records])
+        for row, record in zip(rows, records):
+            self._apply_migration_row(row, record, node, impact, ledger)
         self._finish(impact)
         self.dht.network.leave(node_id)  # releases whatever was not migrated
         return impact
 
     def _apply_migration_row(
-        self, row: int, node: OverlayNode, impact: FailureImpact, ledger: BlockLedger
+        self, row: int, record: tuple, node: OverlayNode, impact: FailureImpact,
+        ledger: BlockLedger,
     ) -> None:
-        """Copy one ledger row of a departing node out.
+        """Copy one ledger row (``record``: its :meth:`BlockLedger.row_records` entry)
+        of a departing node out.
 
         Every tenant's rows migrate: the departure is final (``network.leave``
         permanently releases whatever stays behind, and no other tenant's
@@ -361,11 +370,10 @@ class RecoveryManager:
         bookkeeping is tenant-exact either way.  A copy's bytes (payload
         mode) live on the leaving node, so they move with it, whoever owns them.
         """
-        name = ledger.row_name(row)
-        file_idx, chunk_idx, placement_idx, size, kind = ledger.row_fields(row)
+        name, file_idx, chunk_idx, placement_idx, size, kind, tenant = record
         # The transfer tag follows the *row's* tenant; a single-tenant ledger
         # keeps the manager's own tag so the untagged oracle holds end to end.
-        tag = ledger.row_tenant(row) if ledger.multi_tenant else None
+        tag = tenant if ledger.multi_tenant else None
         leaving = node.node_id
         payload = node.payloads.get(name)
         if placement_idx < 0:
@@ -373,21 +381,21 @@ class RecoveryManager:
             if copied:
                 impact.bytes_migrated += size
                 self._stage(size, leaving, target.node_id, tenant=tag)
-            if payload is not None and target.has_block(name):
+            if payload is not None and target.alive and ledger.holds_meta_copy(target, row):
                 target.payloads.setdefault(name, payload)
         elif ledger.chunk_object(chunk_idx) is None:
             # A baseline (PAST/CFS) copy goes where the baseline would
             # re-insert it -- the name's root, or the root's neighbourhood
             # (where a fellow replica usually already sits on the root) -- and
             # keeps its kind, so a moved primary stays the placement's primary.
-            placed = self.place_block(name, size, ledger.row_key(row))
+            placed = self.place_block(name, size, ledger.row_key(row),
+                                      ledger.placement_disk_serials(placement_idx))
             if placed is None:
                 impact.bytes_dropped += size
             else:
                 impact.bytes_migrated += size
                 self._stage(size, leaving, placed.node_id, tenant=tag)
-                ledger.replace_copy(placement_idx, leaving, placed, name, size,
-                                    ledger.row_digest(row), kind)
+                ledger.replace_copy(placement_idx, leaving, placed, size, ledger.row_digest(row), kind)
         else:
             chunk = ledger.chunk_object(chunk_idx)
             position = ledger.placement_position(placement_idx)
@@ -411,23 +419,24 @@ class RecoveryManager:
                 self._stage(size, leaving, dst, ("copy", chunk, position), tag)
                 if payload is not None:
                     new_holder.payloads[name] = payload
-        node.remove_block(name)
+        node.remove_block(name, size)
 
     # ------------------------------------------------------------- copy steps --
-    def place_block(self, block_name: str, size: int, key: int) -> Optional[OverlayNode]:
+    def place_block(self, block_name: str, size: int, key: int, exclude) -> Optional[OverlayNode]:
         """Find a live node to hold a re-created copy (``key``: the row's digest).
 
         When the responsible node lacks capacity the paper adopts "drop and
         create another one at a different location": walk the target's
         neighbours until one accepts (``None`` when none does).  The failed or
         departing node has already left the DHT view, so it is never a
-        candidate.
+        candidate; nor is a node whose serial is in ``exclude`` (the block's
+        on-disk holders: a node never takes a second copy of one block).
         """
         target = self.dht.locate_key(key)
-        if target.store_block(block_name, size):
+        if target.serial not in exclude and target.store_block(block_name, size):
             return target
         for candidate in self.dht.neighbors(target.node_id, 8):
-            if candidate.store_block(block_name, size):
+            if candidate.serial not in exclude and candidate.store_block(block_name, size):
                 return candidate
         return None
 
@@ -441,12 +450,12 @@ class RecoveryManager:
         placement keeps its replicas.  Returns the new holder, or ``None``
         when no node near the name's root has room.
         """
-        new_holder = self.place_block(name, size, key)
+        new_holder = self.place_block(name, size, key, ledger.placement_disk_serials(placement_idx))
         if new_holder is None:
             return None
         ledger.replace_copy(
-            placement_idx, ledger.placement_primary(placement_idx), new_holder, name, size,
-            digest, KIND_PRIMARY,
+            placement_idx, ledger.placement_primary(placement_idx), new_holder, size, digest,
+            KIND_PRIMARY,
         )
         return new_holder
 
@@ -458,18 +467,20 @@ class RecoveryManager:
 
         The new copy goes to the first node of the primary's identifier-space
         neighbourhood -- where the original replication pass looked -- that
-        is no holder yet and has room; the gone holder's row is then
-        released.  With no room anywhere the row stays, dead but revivable.
-        Returns the new holder, or ``None``.
+        is no holder yet, has no copy on disk and has room; the gone holder's
+        row is then released.  With no room anywhere the row stays, dead but
+        revivable.  Returns the new holder, or ``None``.
         """
         holders = ledger.placement_holders(placement_idx)
+        on_disk = ledger.placement_disk_serials(placement_idx)
         new_holder = next((candidate for candidate in self.dht.neighbors(holders[0], 8)
-                           if candidate.node_id not in holders and candidate.store_block(name, size)),
+                           if candidate.node_id not in holders and candidate.serial not in on_disk
+                           and candidate.store_block(name, size)),
                           None)
         if new_holder is None:
             return None
         impact.replicas_restored += 1
-        ledger.replace_copy(placement_idx, gone, new_holder, name, size, digest, KIND_REPLICA)
+        ledger.replace_copy(placement_idx, gone, new_holder, size, digest, KIND_REPLICA)
         return new_holder
 
     def _copy_meta(
@@ -478,16 +489,15 @@ class RecoveryManager:
         """Re-create a CAT / metadata copy on the node responsible for its name.
 
         One lookup and no relocation walk; nothing happens when that node
-        already holds a copy or is full.  The restored row keeps the row's
-        tenant.  Returns the responsible node and whether a copy was made.
+        already holds a copy of the CAT or is full.  The restored row keeps the
+        row's file and tenant.  Returns the responsible node and whether a
+        copy was made.
         """
         target = self.dht.locate_key(ledger.row_key(row))
-        if target.has_block(name) or not target.store_block(name, size):
+        if ledger.holds_meta_copy(target, row) or not target.store_block(name, size):
             return target, False
         impact.cat_copies_restored += 1
-        ledger.restore_meta_copy(
-            target, name, size, ledger.row_digest(row), tenant=ledger.row_tenant(row)
-        )
+        ledger.restore_meta_copy(target, row)
         return target, True
 
     # ---------------------------------------------------------- read sources --
@@ -557,12 +567,17 @@ class RecoveryManager:
         )
 
     # -------------------------------------------------------------- transfers --
-    def _begin(self, node_id: int, node: OverlayNode) -> FailureImpact:
-        """A new impact for ``node``; its repair traffic starts now."""
+    def _begin(self, node_id: int, node: OverlayNode, rows: List[int]) -> FailureImpact:
+        """A new impact for ``node`` (``rows``: its unreleased rows in the store's
+        ledger); its repair traffic starts now."""
+        ledger = self.storage.ledger
+        # Every copy on the node's disk, in whichever ledgers hold its rows.
+        on_disk = (ledger.disk_sizes(node, rows) if node._state_listeners == (ledger,)
+                   else node.disk_sizes())
         impact = FailureImpact(
             failed_node=node_id,
-            blocks_lost=len(node.stored_blocks),
-            bytes_on_failed_node=sum(node.stored_blocks.values()),
+            blocks_lost=len(on_disk),
+            bytes_on_failed_node=sum(on_disk),
         )
         self._staged = []
         if self.transfers is not None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import naming
-from repro.core.block_ledger import BlockLedger, Placed
+from repro.core.block_ledger import KIND_RESTORED, BlockLedger, Placed
 from repro.core.capacity import CapacityProbe, ProbeResult
 from repro.core.cat import ChunkAllocationTable
 from repro.core.policies import StoragePolicy
@@ -210,10 +210,19 @@ class LedgerStore:
             return False
         ledger = self.ledger
         for row in ledger.file_rows(ledger.file_index(filename, self.store_tenant)):
-            if not ledger.row_released(row):
-                ledger.row_owner(row).remove_block(ledger.row_name(row))
+            size, kind = ledger.row_fields(row)[3:]
+            if not ledger.row_released(row) and kind != KIND_RESTORED:
+                ledger.row_owner(row).remove_block(ledger.row_name(row), size)
         ledger.remove_file(filename, self.store_tenant)
         return True
+
+    def _namesakes(self, filename: str) -> Dict[str, set]:
+        """``{block name: serials}`` a fresh store of ``filename`` must not place on.
+
+        Only another tenant's file of the same name on a shared ledger holds
+        blocks of the same names; ``{}`` otherwise.
+        """
+        return self.ledger.namesake_serials(filename, self.store_tenant) if self._ledger_shared else {}
 
 
 class StorageSystem(LedgerStore):
@@ -339,6 +348,7 @@ class StorageSystem(LedgerStore):
         consecutive_zero = 0
         encoded_blocks = self.codec.encoded_block_count()
         failure_reason: Optional[str] = None
+        namesakes = self._namesakes(filename)
 
         while remaining > 0:
             probe = self.probe.probe_chunk_fast(filename, chunk_no, encoded_blocks)
@@ -346,7 +356,8 @@ class StorageSystem(LedgerStore):
             chunk = StoredChunk(chunk_no=chunk_no, start=offset, size=chunk_size)
             if chunk_size > 0:
                 chunk_data = data[offset : offset + chunk_size] if data is not None else None
-                blocks = self._place_chunk(filename, chunk, probe, chunk_data, client, observer)
+                blocks = self._place_chunk(filename, chunk, probe, chunk_data, client, observer,
+                                           namesakes)
                 if blocks is None:
                     # Capacity evaporated between probe and store: the paper's
                     # remedy is to treat the chunk as zero-sized and continue.
@@ -370,7 +381,7 @@ class StorageSystem(LedgerStore):
 
         if failure_reason is None and remaining == 0:
             stored = StoredFile(name=filename, size=size, chunks=chunks)
-            cat = self._store_cat(filename, stored.cat, client, observer)
+            cat = self._store_cat(filename, stored.cat, client, observer, namesakes)
             if cat is None:
                 failure_reason = "unable to store chunk allocation table"
             else:
@@ -421,8 +432,12 @@ class StorageSystem(LedgerStore):
         chunk_data: Optional[bytes],
         client,
         observer,
+        namesakes: Dict[str, set],
     ) -> Optional[List[Placed]]:
-        """Place every encoded block of ``chunk``; ``None`` (nothing kept) if one did not fit."""
+        """Place every encoded block of ``chunk``; ``None`` (nothing kept) if one did not fit.
+
+        A block goes on no node in ``namesakes`` under its name.
+        """
         payloads: Optional[List[bytes]] = None
         if chunk_data is not None:
             chunk.encoded = self.codec.encode(chunk_data)
@@ -442,10 +457,11 @@ class StorageSystem(LedgerStore):
                 filename, chunk.chunk_no, index + 1
             )
             node = probe.nodes[index] if index < len(probe.nodes) else self.dht.locate_name(name)
-            if not node.store_block(name, block_size):
+            exclude = namesakes.get(name, ()) if namesakes else ()
+            if node.serial in exclude or not node.store_block(name, block_size):
                 self._release(blocks)
                 return None
-            replicas = self._replicate_block(name, block_size, node)
+            replicas = self._replicate_block(name, block_size, node, exclude)
             blocks.append((name, node, block_size, replicas))
             # Ingest charging: the client uploads the primary copy; neighbour
             # replicas are pushed onward by the primary holder.
@@ -457,8 +473,9 @@ class StorageSystem(LedgerStore):
                     holder.payloads[name] = payloads[index]
         return blocks
 
-    def _replicate_block(self, name: str, size: int, primary: OverlayNode) -> Tuple[OverlayNode, ...]:
-        """Best-effort placement of ``block_replication - 1`` neighbour replicas."""
+    def _replicate_block(self, name: str, size: int, primary: OverlayNode,
+                         exclude) -> Tuple[OverlayNode, ...]:
+        """Best-effort placement of ``block_replication - 1`` neighbour replicas (none on ``exclude``)."""
         extra = self.policy.block_replication - 1
         if extra <= 0:
             return ()
@@ -466,28 +483,32 @@ class StorageSystem(LedgerStore):
         for neighbor in self.dht.neighbors(primary.node_id, extra * 2):
             if len(replicas) >= extra:
                 break
-            if neighbor.store_block(name, size):
+            if neighbor.serial not in exclude and neighbor.store_block(name, size):
                 replicas.append(neighbor)
         return tuple(replicas)
 
     def _store_cat(self, filename: str, cat: ChunkAllocationTable, client,
-                   observer) -> Optional[Placed]:
+                   observer, namesakes: Dict[str, set]) -> Optional[Placed]:
         """Store the CAT object and its replicas; None if no live node has room.
 
         The primary target is the node responsible for ``filename.CAT``; if it
         is full, salted retries re-hash the name, and as a last resort the CAT
         is diverted to the nearest neighbour with room (a CAT is a few hundred
         bytes, so it should never be the reason a multi-gigabyte store fails
-        while free space remains anywhere in the pool).
+        while free space remains anywhere in the pool).  No copy goes on a node
+        in ``namesakes`` under its name.
         """
         size = cat.serialized_size
         serialized = cat.serialize().encode("utf-8") if self.payload_mode else None
+
+        def fits(node: OverlayNode, name: str) -> bool:
+            return node.serial not in namesakes.get(name, ()) and node.store_block(name, size)
 
         def finalize(name: str, node: OverlayNode) -> Placed:
             self._charge(size, client, node.node_id, observer)
             replicas = []
             for neighbor in self.dht.neighbors(node.node_id, self.policy.cat_replication - 1):
-                if neighbor.store_block(name, size):
+                if fits(neighbor, name):
                     replicas.append(neighbor)
                     self._charge(size, node.node_id, neighbor.node_id, observer)
                     if serialized is not None:
@@ -503,25 +524,25 @@ class StorageSystem(LedgerStore):
             if primary is None:
                 primary = node
             self.total_lookups += 1
-            if node.store_block(name, size):
+            if fits(node, name):
                 return finalize(name, node)
         # Diversion: place the CAT on the closest neighbour with room.
         if primary is not None:
             base_name = naming.cat_name(filename)
             for candidate in self.dht.neighbors(primary.node_id, 16):
-                if candidate.store_block(base_name, size):
+                if fits(candidate, base_name):
                     return finalize(base_name, candidate)
         return None
 
     @staticmethod
     def _release(blocks: List[Placed]) -> None:
         """Take back every copy of blocks a store placed but did not keep."""
-        for name, node, _, replicas in blocks:
+        for name, node, size, replicas in blocks:
             for holder in (node, *replicas):
-                holder.remove_block(name)
+                holder.remove_block(name, size)
 
     # --------------------------------------------------------------- retrieval --
-    def _fetch_block(self, placement: BlockPlacement, index: int,
+    def _fetch_block(self, ledger_placement: int, placement: BlockPlacement, index: int,
                      client: Optional[int]) -> Tuple[Optional[bytes], bool]:
         """Fetch the bytes of stream block ``index`` (payload mode): cache, then holders.
 
@@ -535,11 +556,8 @@ class StorageSystem(LedgerStore):
             cached = self.cache.lookup_block(client, name, index)
             if cached is not None:
                 return cached, True
-        for node_id in (placement.node_id, *placement.replica_nodes):
-            if node_id not in self.dht.network:
-                continue
-            node = self.dht.network.node(node_id)
-            payload = node.payloads.get(name) if node.has_block(name) else None
+        for node_id in self.live_holders(ledger_placement):
+            payload = self.dht.network.node(node_id).payloads.get(name)
             if payload is not None:
                 if use_cache:
                     self.cache.fill_block(client, name, placement.size, index, payload)
@@ -585,9 +603,10 @@ class StorageSystem(LedgerStore):
     def live_holders(self, placement: int) -> List[int]:
         """The ledger placement's holders (primary first) that are up and hold its block."""
         network = self.dht.network
-        name = self.ledger.placement_name(placement)
+        on_disk = self.ledger.placement_disk_serials(placement)
         return [node_id for node_id in self.ledger.placement_holders(placement)
-                if node_id in network and network.node(node_id).has_block(name)]
+                if node_id in network and network.node(node_id).alive
+                and network.node(node_id).serial in on_disk]
 
     def first_block_source(self, filename: str) -> Optional[Tuple[int, int]]:
         """The first holder that is up (primary, then replicas) of a file's first block,
@@ -704,7 +723,9 @@ class StorageSystem(LedgerStore):
                     if index < len(chunk.encoded.blocks)
                     else index
                 )
-                payload, from_cache = self._fetch_block(placement, stream_index, client)
+                payload, from_cache = self._fetch_block(
+                    self.ledger.placement_for(chunk.ledger_index, index), placement, stream_index,
+                    client)
                 lookups += 1
                 if payload is not None:
                     available[stream_index] = payload
@@ -769,7 +790,9 @@ class StorageSystem(LedgerStore):
         ``live_block_bytes`` counts the copies the placement bookkeeping still
         references on live nodes (blocks, replicas and CAT copies including
         coding overhead); ``tests/test_placement_equivalence.py`` audits the
-        counters against a walk of the per-node ``stored_blocks`` dicts.
+        counters against per-node ``{name: size}`` dicts recorded from the
+        ``store_block`` / ``remove_block`` / ``recover`` calls themselves
+        (``tests/reference/recorder.py``), not from the ledger.
         """
         counts = self.ledger.tenant_aggregates(self.store_tenant)
         return {

@@ -55,9 +55,10 @@ class WholeFileStore:
 
     def delete_file(self, filename: str) -> bool:
         """Remove the file, releasing its space on the target machine."""
-        if self.files.pop(filename, None) is None:
+        size = self.files.pop(filename, None)
+        if size is None:
             return False
-        self.target.remove_block(filename)
+        self.target.remove_block(filename, size)
         return True
 
 

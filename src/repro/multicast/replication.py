@@ -64,13 +64,18 @@ class MulticastReplicator:
         self.simulate_push = simulate_push
 
     # -- target selection -----------------------------------------------------
-    def _replica_targets(self, primary: int, block_name: str, size: int, count: int) -> List[int]:
-        """k-1 identifier-space neighbours of the primary that can hold the block."""
+    def _replica_targets(self, primary: int, block_name: str, size: int, count: int,
+                         exclude: set) -> List[int]:
+        """k-1 identifier-space neighbours of the primary that can hold the block.
+
+        ``exclude``: the serials of the block's on-disk holders, which never
+        take a second copy.
+        """
         targets: List[int] = []
         for candidate in self.dht.neighbors(primary, count * 3):
             if len(targets) >= count:
                 break
-            if candidate.store_block(block_name, size):
+            if candidate.serial not in exclude and candidate.store_block(block_name, size):
                 targets.append(candidate.node_id)
         return targets
 
@@ -99,16 +104,12 @@ class MulticastReplicator:
         placements = chunk.placements
         for position, placement in enumerate(placements):
             targets = self._replica_targets(
-                placement.node_id, placement.block_name, placement.size, replicas
+                placement.node_id, placement.block_name, placement.size, replicas,
+                ledger.placement_disk_serials(ledger.placement_for(chunk.ledger_index, position)),
             )
             for target in targets:
-                ledger.add_replica_copy(
-                    chunk.ledger_index,
-                    position,
-                    network.node(target),
-                    placement.block_name,
-                    placement.size,
-                )
+                ledger.add_replica_copy(chunk.ledger_index, position, network.node(target),
+                                        placement.size)
             report.holders[placement.block_name] = targets
             report.replicas_created += len(targets)
             report.replicas_skipped_no_space += replicas - len(targets)

@@ -25,7 +25,8 @@ the whole-file Condor machine -- answers a store with one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.overlay.validation import require_range
 
@@ -36,7 +37,10 @@ class OverlayNode:
 
     Besides its id and the coordinates of the proximity metric, the node carries
     the storage attributes of the contributory storage system: contributed
-    capacity, used space, the blocks it stores and, in payload mode, their bytes.
+    capacity, used space and, in payload mode, the bytes of its blocks.  Which
+    blocks it stores is the block ledgers' record, not the node's: a block's
+    name is derived from the ledger's columns, so a node keeps no name per
+    block (:attr:`stored_blocks` is a view built from the ledgers on read).
     """
 
     #: The node's identifier on the ring, an int in ``[0, ID_SPACE)``.
@@ -70,11 +74,12 @@ class OverlayNode:
     #: whole-rack outage is a single equality test on one column.
     site: int = -1
     rack: int = -1
-    #: Names and sizes of blocks stored locally: {block_name: size}.
-    stored_blocks: Dict[str, int] = field(default_factory=dict)
     #: Payload mode: the bytes of each stored block, {block_name: bytes}; they
     #: leave with the block (:meth:`remove_block`, a wiping :meth:`recover`).
     payloads: Dict[str, bytes] = field(default_factory=dict, init=False, compare=False)
+    #: How many times the node came back with an empty disk: a copy placed
+    #: before a wipe is gone for good (what a buffered registration checks).
+    wipes: int = field(default=0, init=False, compare=False)
     #: Dense number of this node *object* in its network, handed out at build /
     #: join and never reused (not even with the id): what the block ledger keys
     #: owner slots by.  ``None`` until numbered -- the ledger indexes a list with
@@ -95,38 +100,55 @@ class OverlayNode:
 
     # -- block storage -------------------------------------------------------
     def store_block(self, block_name: str, size: int) -> bool:
-        """Accept a block if there is room.  Returns False when full/dead/duplicate."""
+        """Take a block of ``size`` bytes if the node is up and has room.
+
+        A capacity check: the caller records the copy (in a block ledger) and
+        keeps a node from taking a second copy of one block by excluding the
+        block's holders.  ``block_name`` names the copy to whoever watches
+        the call; the node keeps nothing per block but its bytes' count.
+        """
         if not self.alive or size < 0:
-            return False
-        blocks = self.stored_blocks
-        if block_name in blocks:
             return False
         used = self._used_value
         free = self.capacity - used
         if size > (free if free > 0 else 0):
             return False
         size = int(size)
-        blocks[block_name] = size
         # The ``used`` setter in line: this is the one call a stored block costs.
         self._used_value = used + size
         for listener in self._usage_listeners:
             listener.used_total += size
         return True
 
-    def remove_block(self, block_name: str) -> bool:
-        """Delete a stored block, releasing its space."""
-        size = self.stored_blocks.pop(block_name, None)
-        if size is None:
-            return False
+    def remove_block(self, block_name: str, size: int) -> None:
+        """Delete a stored block of ``size`` bytes, releasing its space (and its payload).
+
+        Attached block ledgers hear of it: a copy they had released while the
+        node kept its bytes is gone from the disk now.
+        """
         self.payloads.pop(block_name, None)
         self._used_value -= size
         for listener in self._usage_listeners:
             listener.used_total -= size
-        return True
+        for listener in self._state_listeners:
+            listener._note_removed(self, block_name)
 
-    def has_block(self, block_name: str) -> bool:
-        """Whether the node currently stores the named block."""
-        return self.alive and block_name in self.stored_blocks
+    @property
+    def stored_blocks(self) -> Mapping[str, int]:
+        """Read-only ``{block name: size}`` of the copies on this node's disk.
+
+        Built on every read from the block ledgers holding the node's rows
+        (their unreleased rows plus the copies a repair released while the
+        node kept the bytes), names derived; O(copies on the node).
+        """
+        blocks: Dict[str, int] = {}
+        for ledger in self._state_listeners:
+            blocks.update(ledger.disk_copies(self))
+        return MappingProxyType(blocks)
+
+    def disk_sizes(self) -> List[int]:
+        """The sizes of :attr:`stored_blocks`, without deriving a name."""
+        return [size for ledger in self._state_listeners for size in ledger.disk_sizes(self)]
 
     # -- failure ------------------------------------------------------------
     def fail(self) -> None:
@@ -147,7 +169,7 @@ class OverlayNode:
         revived = not self.alive
         self.alive = True
         if wipe:
-            self.stored_blocks.clear()
+            self.wipes += 1
             self.payloads.clear()
             self.used = 0
         for listener in self._state_listeners:
@@ -168,10 +190,7 @@ class OverlayNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
-        return (
-            f"OverlayNode({self.node_id!r}, {state}, used={self.used}/{self.capacity}, "
-            f"blocks={len(self.stored_blocks)})"
-        )
+        return f"OverlayNode({self.node_id!r}, {state}, used={self.used}/{self.capacity})"
 
 
 def _used_get(self: OverlayNode) -> int:

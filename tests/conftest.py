@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from reference.recorder import BlockRecorder
 
 from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
@@ -27,6 +28,17 @@ if EXAMPLE_BUDGET < 1:
     raise ValueError(f"REPRO_EXAMPLE_BUDGET must be a positive integer: {EXAMPLE_BUDGET}")
 settings.register_profile("budget", max_examples=settings.default.max_examples * EXAMPLE_BUDGET)
 settings.load_profile("budget")
+
+
+@pytest.fixture
+def block_recorder():
+    """Record every node's ``{name: size}`` from the storage calls (``reference/recorder.py``).
+
+    The independent record ``reference/dict_walk.py`` audits the ledger against;
+    a module that walks it opts in with ``pytest.mark.usefixtures("block_recorder")``.
+    """
+    with BlockRecorder() as recorder:
+        yield recorder
 
 
 @pytest.fixture

@@ -5,7 +5,11 @@ every availability and usage answer was recomputed by walking each node's
 ``stored_blocks`` dict and each :class:`~repro.core.storage.StoredChunk`'s
 ``placements`` (now a view of the ledger's placement columns and replica rows,
 so the walk checks the ledger's counters against what that view names and
-what the nodes actually hold).  The functions
+what the nodes actually hold).  Nodes keep no such dict any more, and their
+``stored_blocks`` is a view of the ledger, so the walk reads the dicts the
+active :class:`~reference.recorder.BlockRecorder` rebuilt from the
+``store_block`` / ``remove_block`` / ``recover`` calls instead: run it under the
+``block_recorder`` fixture.  The functions
 below are those walks (formerly the ``ledger is None`` arms of
 ``StorageSystem``, ``PastStore`` and ``CfsStore``); :func:`audit` asserts the
 ledger's O(1) answers against them and is what the equivalence tests call
@@ -16,7 +20,9 @@ Nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
+
+from reference.recorder import current
 
 from repro.core.block_ledger import KIND_META
 
@@ -39,7 +45,7 @@ def live_copies(network, placement) -> int:
     return sum(
         1
         for node_id in (placement.node_id, *placement.replica_nodes)
-        if node_id in network and network.node(node_id).has_block(placement.block_name)
+        if node_id in network and current().has_block(network.node(node_id), placement.block_name)
     )
 
 
@@ -75,12 +81,9 @@ def stored_bytes(storage) -> int:
 
 
 def live_bytes_and_count(network) -> Tuple[int, int]:
-    """``(bytes, copies)`` summed over the live nodes' ``stored_blocks``."""
-    nodes = network.live_nodes()
-    return (
-        sum(sum(node.stored_blocks.values()) for node in nodes),
-        sum(len(node.stored_blocks) for node in nodes),
-    )
+    """``(bytes, copies)`` summed over the live nodes' recorded blocks."""
+    held = [current().blocks(node) for node in network.live_nodes()]
+    return sum(sum(blocks.values()) for blocks in held), sum(len(blocks) for blocks in held)
 
 
 def usage_summary(storage) -> Dict[str, float]:
@@ -95,13 +98,19 @@ def usage_summary(storage) -> Dict[str, float]:
     }
 
 
+def past_holders(store, name: str) -> List:
+    """The holders of a PAST file's one placement (primary first), as the ledger names them."""
+    ledger = store.ledger
+    placements = ledger.file_placements(ledger.file_index(name, store.store_tenant))
+    return ledger.placement_nodes(placements[0]) if len(placements) else []
+
+
 def past_file_available(store, name: str) -> bool:
     """PAST: at least one holder of the whole file is up and still has it."""
-    entry = store.files.get(name)
-    if not entry:
+    if name not in store.files:
         return False
-    stored_name, holders = entry
-    return any(holder.alive and holder.has_block(stored_name) for holder in holders)
+    stored_name = store.files[name]
+    return any(current().has_block(holder, stored_name) for holder in past_holders(store, name))
 
 
 def cfs_file_available(store, name: str) -> bool:
@@ -109,7 +118,7 @@ def cfs_file_available(store, name: str) -> bool:
     if name not in store.files:
         return False
     return all(
-        any(holder.alive and holder.has_block(block) for holder in (primary, *replicas))
+        any(current().has_block(holder, block) for holder in (primary, *replicas))
         for block, primary, _, replicas in store.block_entries(name)
     )
 

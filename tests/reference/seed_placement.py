@@ -129,10 +129,10 @@ class SeedCfsStore:
         return replicas
 
     def _release(self, placements: List[BlockEntry]) -> None:
-        for name, primary, _, replicas in placements:
-            primary.remove_block(name)
+        for name, primary, size, replicas in placements:
+            primary.remove_block(name, size)
             for replica in replicas:
-                replica.remove_block(name)
+                replica.remove_block(name, size)
 
     def chunk_sizes(self, filename: str) -> List[int]:
         return [entry[2] for entry in self.files.get(filename, [])]

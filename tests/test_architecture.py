@@ -215,6 +215,12 @@ RETIRED = (
      ("src",), "one registry for every scheme's copies: a PAST file is one chunk with one "
      "placement and required 1, a CFS file one chunk with a placement per block and required "
      "the block count; a departing baseline copy moves by place_block and replace_copy"),
+    ("stored block names",
+     r"_placement_names|self\.names\b|stored_blocks\[|\.has_block\(",
+     ("src",), "a block's name is derived from the ledger's file / chunk / placement columns "
+     "(plus sparse salt and CAT-attempt maps); a node keeps its used bytes, its "
+     "stored_blocks is a read-only view built from the ledgers, and a placing call "
+     "excludes the block's on-disk holders instead of asking a node has_block"),
 )
 
 

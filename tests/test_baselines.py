@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference.dict_walk import past_holders
+from reference.recorder import current
 
 from repro.baselines.cfs import CfsStore
 from repro.baselines.past import PastStore
@@ -13,6 +15,9 @@ from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import StoreResult
 
 MB = 1 << 20
+
+# The holder walks below read the blocks each node was handed (``reference/recorder.py``).
+pytestmark = pytest.mark.usefixtures("block_recorder")
 
 
 @pytest.fixture
@@ -32,9 +37,9 @@ def test_past_store_places_whole_file_on_one_node(dht):
     assert result.success
     assert result.chunk_count == 1
     assert result.lookups == 1
-    name, holders = past.files["movie"]
+    name, holders = past.files["movie"], past_holders(past, "movie")
     assert len(holders) == 1
-    assert holders[0].has_block(name)
+    assert current().has_block(holders[0], name)
 
 
 @pytest.mark.parametrize("size", [-5, float("nan"), float("inf")])
@@ -64,7 +69,7 @@ def test_past_salted_retry_finds_space(dht, network):
     result = past.store_file("unlucky", 10 * MB)
     assert result.success
     assert result.lookups >= 2
-    stored_name, holders = past.files["unlucky"]
+    stored_name, holders = past.files["unlucky"], past_holders(past, "unlucky")
     assert holders[0].node_id != primary.node_id or stored_name != "unlucky"
 
 
@@ -81,7 +86,7 @@ def test_past_replication_places_k_copies(dht):
     past = PastStore(dht, replication=3)
     result = past.store_file("copied", 5 * MB)
     assert result.success
-    _, holders = past.files["copied"]
+    holders = past_holders(past, "copied")
     assert len(holders) == 3
     assert result.stored_bytes == 3 * 5 * MB
 
@@ -90,7 +95,7 @@ def test_past_availability_and_delete(dht, network):
     past = PastStore(dht, replication=2)
     past.store_file("hafile", 5 * MB)
     assert past.is_file_available("hafile")
-    _, holders = past.files["hafile"]
+    holders = past_holders(past, "hafile")
     for holder in holders:
         holder.fail()
     assert not past.is_file_available("hafile")
@@ -166,7 +171,7 @@ def test_cfs_replication_on_successors(dht):
     assert len(entries) == 2
     for name, primary, size, replicas in entries:
         assert len(replicas) == 1
-        assert replicas[0].has_block(name)
+        assert current().has_block(replicas[0], name)
 
 
 def test_cfs_availability_and_delete(dht):
@@ -207,16 +212,16 @@ def test_past_and_cfs_share_one_ledger(dht, network):
     assert shared.active_files == 2
 
     def walk_past(name):
-        stored, holders = past.files[name]
-        return any(h.alive and h.has_block(stored) for h in holders)
+        stored, holders = past.files[name], past_holders(past, name)
+        return any(current().has_block(h, stored) for h in holders)
 
     def walk_cfs(name):
         return all(
-            any(h.alive and h.has_block(block) for h in [primary, *replicas])
+            any(current().has_block(h, block) for h in [primary, *replicas])
             for block, primary, _, replicas in cfs.block_entries(name)
         )
 
-    victims = [past.files["movie"][1][0]] + [e[1] for e in cfs.block_entries("dataset")]
+    victims = [past_holders(past, "movie")[0]] + [e[1] for e in cfs.block_entries("dataset")]
     for node in victims:
         node.fail()
     assert past.is_file_available("movie") == walk_past("movie")

@@ -28,6 +28,9 @@ from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
 
+# The walks read the blocks each node was handed (``reference/recorder.py``).
+pytestmark = pytest.mark.usefixtures("block_recorder")
+
 #: Two small population sizes exercising both experiments end to end.
 AVAILABILITY_CASES = [(48, 120), (90, 200)]
 CHURN_CASES = [(40, 100), (80, 180)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from reference import dict_walk
+from reference.recorder import current
 
 from repro.core.block_ledger import BlockLedger
 from repro.core.policies import StoragePolicy
@@ -15,6 +16,9 @@ from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import key_for
 from repro.overlay.network import OverlayNetwork
+
+# The walks read the blocks each node was handed (``reference/recorder.py``).
+pytestmark = pytest.mark.usefixtures("block_recorder")
 
 MB = 1 << 20
 
@@ -239,7 +243,7 @@ def test_payload_mode_departures_move_every_copy_kind():
                     assert node_id in network and network.node(node_id).alive
                     assert placement.block_name in network.node(node_id).payloads
     for node in network.live_nodes():  # CAT copies included
-        assert all(name in node.payloads for name in node.stored_blocks)
+        assert all(name in node.payloads for name in current().blocks(node))
     for name, data in files.items():
         out = storage.retrieve_file(name)
         assert out.complete and out.data == data
@@ -267,7 +271,7 @@ def test_payload_mode_failures_leave_every_stored_block_with_its_bytes():
         recovery.handle_failure(fullest.node_id)
     assert sum(impact.cat_copies_restored for impact in recovery.impacts) > 0
     for node in network.live_nodes():
-        missing = [name for name in node.stored_blocks if name not in node.payloads]
+        missing = [name for name in current().blocks(node) if name not in node.payloads]
         assert not missing, f"node {node.node_id!r} stores {missing} without their bytes"
     storage.ledger.check_invariants()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -142,8 +143,44 @@ def test_a_stored_file_costs_at_most_three_tracked_objects():
     assert (full - half) / 1000 <= 3, f"{(full - half) / 1000:.2f} tracked objects per stored file"
 
 
+def test_a_stored_cfs_block_costs_columns_and_keeps_no_name():
+    """~150 CFS files of 61 blocks on 64 nodes, under ``tracemalloc``.
+
+    A block's name is derived from the ledger's columns, so a stored block
+    costs its columns (doubling growth included) and nothing per name: ~165
+    traced bytes a block, where the per-block name strings, the two name lists
+    and the nodes' name dicts made it ~275.  And no string built in the store
+    loop outlives ``store_file``: what ``cfs.py`` allocated and still holds is
+    under a pointer per block (it was ~66 B per block).
+    """
+    network = OverlayNetwork.build(64, np.random.default_rng(7), capacities=[20 * 1024 * MB] * 64)
+    cfs = CfsStore(DHTView(network), block_size=4 * MB)
+    assert cfs.store_file("warm", 244 * MB).success
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(150):
+            assert cfs.store_file(f"file-{index:04d}", 244 * MB).success
+        gc.collect()
+        per_block = (tracemalloc.get_traced_memory()[0] - before) / (150 * 61)
+        for index in range(150, 160):
+            assert cfs.store_file(f"file-{index:04d}", 244 * MB).success
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.filter_traces(
+        [tracemalloc.Filter(True, "*baselines/cfs.py")]).statistics("filename"))
+    assert per_block < 215, f"{per_block:.0f} traced bytes per stored block"
+    assert held < 8 * 10 * 61, f"{held} bytes still held from the store loop's allocations"
+    assert cfs.ledger.memory_footprint()["name_bytes"] < 100 * 161  # file names, not block names
+
+
 def _synthetic_ledger(node_count: int, file_count: int):
-    """A ledger shaped like the churn soak's: 5 rows and 3 placements per file."""
+    """A ledger shaped like the churn soak's: 5 rows and 3 placements per file.
+
+    Each copy is stored on its holder before it is registered, as a store does.
+    """
     network = OverlayNetwork.build(
         node_count, np.random.default_rng(9), capacities=[10 ** 12] * node_count,
     )
@@ -152,10 +189,15 @@ def _synthetic_ledger(node_count: int, file_count: int):
     picks = np.random.default_rng(10).integers(0, node_count, size=(file_count, 5)).tolist()
     for index, (a, b, c, d, e) in enumerate(picks):
         name = f"f{index}"
-        chunk = StoredChunk(0, 0, 3 * MB, block_size=MB)
-        blocks = [(f"{name}/0/{pos}", nodes[slot], MB, ()) for pos, slot in enumerate((a, b, c))]
+        chunk = StoredChunk(1, 0, 3 * MB, block_size=MB)
+        blocks = [(naming.block_name(name, 1, pos + 1), nodes[slot], MB, ())
+                  for pos, slot in enumerate((a, b, c))]
+        for block_name, node, size, _ in blocks:
+            assert node.store_block(block_name, size)
+        for node in (nodes[d], nodes[e]):
+            assert node.store_block(naming.cat_name(name), 1024)
         ledger.register_file(StoredFile(name, 3 * MB, [chunk]), 2, None, [(chunk, blocks)],
-                             (f"{name}/cat", nodes[d], 1024, (nodes[e],)))
+                             (naming.cat_name(name), nodes[d], 1024, (nodes[e],)))
     return network, ledger
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from reference import dict_walk
+from reference.dict_walk import past_holders
 from reference.golden import load_golden
+from reference.recorder import current
 from reference.seed_placement import SeedCfsStore, SeedLookupView, seed_past_store
 
 from repro.baselines.cfs import CfsStore
@@ -31,6 +33,9 @@ from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
+
+# The walks read the blocks each node was handed (``reference/recorder.py``).
+pytestmark = pytest.mark.usefixtures("block_recorder")
 
 
 def _fresh_storage(node_count: int, seed: int) -> StorageSystem:
@@ -112,7 +117,7 @@ def test_recover_without_wipe_after_compaction_revives_exact_rows():
     baseline = (ledger.live_bytes, ledger.live_rows, storage.unavailable_file_count())
 
     victim = storage.dht.network.live_nodes()[3]
-    victim_rows = len(victim.stored_blocks)
+    victim_rows = len(current().blocks(victim))
     victim.fail()
     for name in names[::9]:
         assert storage.delete_file(name)
@@ -120,7 +125,7 @@ def test_recover_without_wipe_after_compaction_revives_exact_rows():
     assert stats["rows_released"] > 0
 
     recovered_names = set(ledger.row_name(row) for row in ledger.recovery_rows(victim))
-    assert recovered_names == set(victim.stored_blocks)
+    assert recovered_names == set(current().blocks(victim))
     assert len(recovered_names) <= victim_rows  # deleted files released theirs
 
     victim.recover(wipe=False)
@@ -209,7 +214,7 @@ def test_baseline_replica_row_release_parity(scheme):
 
     def node_dicts(store):
         return {
-            node.node_id: dict(node.stored_blocks)
+            node.node_id: dict(current().blocks(node))
             for node in store.dht.network.live_nodes()
         }
 
@@ -230,8 +235,8 @@ def test_baseline_replica_row_release_parity(scheme):
     # Post-compaction, failing a holder still flips availability in lockstep.
     sample = survivors[0]
     if scheme == "past":
-        holders = vector.files[sample][1]
-        scalar_holders = scalar.files[sample][1]
+        holders = past_holders(vector, sample)
+        scalar_holders = past_holders(scalar, sample)
     else:
         holders = [entry[1] for entry in vector.block_entries(sample)]
         holders += [r for entry in vector.block_entries(sample) for r in entry[3]]
@@ -271,16 +276,15 @@ def test_compaction_preserves_baseline_bookkeeping_after_wipe(scheme):
 
     def snapshot(store):
         if scheme == "past":
-            stored, holders = store.files["wiped"]
-            return [(stored, [h.node_id for h in holders])]
+            return [(store.files["wiped"], [h.node_id for h in past_holders(store, "wiped")])]
         return [
             (name, primary.node_id, size, [r.node_id for r in replicas])
             for name, primary, size, replicas in store.block_entries("wiped")
         ]
 
     if scheme == "past":
-        victims_v = [vector.files["wiped"][1][0]]
-        victims_s = [scalar.files["wiped"][1][0]]
+        victims_v = [past_holders(vector, "wiped")[0]]
+        victims_s = [past_holders(scalar, "wiped")[0]]
     else:
         victims_v = [vector.block_entries("wiped")[0][1]]
         victims_s = [scalar.block_entries("wiped")[0][1]]
@@ -333,10 +337,10 @@ def test_compaction_on_clean_ledger_is_a_no_op():
     storage = _fresh_storage(20, seed=301)
     _store_trace(storage, 30, seed=303)
     ledger = storage.ledger
-    before = (ledger.row_count, ledger.live_rows, list(ledger.names[:5]))
+    before = (ledger.row_count, ledger.live_rows, [ledger.row_name(row) for row in range(5)])
     stats = ledger.compact()
     assert stats["rows_released"] == 0
-    assert (ledger.row_count, ledger.live_rows, list(ledger.names[:5])) == before
+    assert (ledger.row_count, ledger.live_rows, [ledger.row_name(row) for row in range(5)]) == before
 
 
 def test_compaction_shrinks_allocated_columns():

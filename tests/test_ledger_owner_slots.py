@@ -67,7 +67,7 @@ def test_a_buffered_registration_does_not_mistake_the_newcomer_for_its_holder():
     network, dht = _small_overlay()
     past = PastStore(dht)
     assert past.store_file("a", 4 * MB).success  # queued, not yet a row
-    (holder,) = past.files["a"][1]
+    (holder,) = next(entry[3] for entry in past.ledger._pending_whole if entry[0] == "a")
     _replace_with_fresh_machine(network, dht, holder)
     assert not past.is_file_available("a")
     assert past.ledger.live_rows == 0

@@ -63,7 +63,7 @@ def _repoint(storage: StorageSystem, placement_idx: int, old_node, new_node) -> 
     name, size = ledger.row_name(row), ledger.row_fields(row)[3]
     assert new_node.store_block(name, size)
     return ledger.replace_copy(
-        placement_idx, old_node.node_id, new_node, name, size, None, block_ledger.KIND_PRIMARY)
+        placement_idx, old_node.node_id, new_node, size, None, block_ledger.KIND_PRIMARY)
 
 
 # -- _RowIndex alone ---------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_placement_repointed_twice_skips_the_released_holders(monkeypatch, limit
     assert ledger.placement_live_copies(p) == 1
     # Back onto the first holder (a fresh row next to its released one), then
     # away again: the re-point must release the fresh row, not the stale one.
-    first.remove_block(block)
+    first.remove_block(block, chunk.placements[0].size)
     _repoint(storage, p, second, first)
     second.fail()
     assert ledger.live_copy_owner(p) is first
@@ -209,7 +209,9 @@ def test_rows_of_keys_that_did_not_exist_at_the_last_sort(monkeypatch):
     # A new file (new file key, new placement keys) and a new owner slot.
     name = _store(storage, 1, prefix="late")[0]
     f = ledger.file_index(name)
-    meta_row = ledger.restore_meta_copy(fresh, "late-meta", 1)
+    cat_row = ledger.file_rows(f)[-1]  # a copy of the file's CAT, re-created on ``fresh``
+    assert fresh.store_block(ledger.row_name(cat_row), ledger.row_fields(cat_row)[3])
+    meta_row = ledger.restore_meta_copy(fresh, cat_row)
     assert ledger._by_owner.built == sorted_at
     assert f + 1 >= len(ledger._by_file.offsets)
     assert ledger.file_rows(f) == np.flatnonzero(ledger._file[: ledger.row_count] == f).tolist()
@@ -274,7 +276,7 @@ def test_pending_whole_file_rows_are_visible_to_every_lookup():
     assert past.store_file("whole", 2 * MB).success
     ledger = storage.ledger
     assert ledger._pending_whole and ledger.row_count == 0
-    holder = past.files["whole"][1][0]
+    holder = next(entry[3][0] for entry in ledger._pending_whole if entry[0] == "whole")
     rows = ledger.recovery_rows(holder)
     assert not ledger._pending_whole and len(rows) == 1
     assert past.store_file("whole2", 2 * MB).success
@@ -313,4 +315,4 @@ def test_memory_footprint_counts_the_index_lists_and_the_chunk_columns(monkeypat
     assert footprint["index_bytes"] == 8 * (ledger.row_count + slots + 1)
     assert footprint["column_bytes"] == empty["column_bytes"]
     assert set(empty) == {"row_count", "live_rows", "released_rows", "allocated_rows",
-                          "column_bytes", "index_bytes"}
+                          "column_bytes", "index_bytes", "name_bytes"}

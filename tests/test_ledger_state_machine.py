@@ -20,14 +20,16 @@ the middle of repairs.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from reference import dict_walk
+from reference.recorder import current
 
 from repro.baselines.cfs import CfsStore
 from repro.baselines.past import PastStore
 from repro.core import block_ledger
-from repro.core.block_ledger import BlockLedger
+from repro.core.block_ledger import KIND_META, KIND_RESTORED, BlockLedger
 from repro.core.policies import StoragePolicy
 from repro.core.recovery import RecoveryManager
 from repro.core.storage import StorageSystem
@@ -38,6 +40,9 @@ from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.sim.faults import assign_domains
+
+# The walks read the blocks each node was handed (``reference/recorder.py``).
+pytestmark = pytest.mark.usefixtures("block_recorder")
 
 MB = 1 << 20
 NODES = 24
@@ -91,6 +96,57 @@ class LedgerMachine(RuleBasedStateMachine):
         self.counter += 1
         if self.stores[scheme].store_file(name, size_mb * MB).success:
             self.names[scheme][name] = size_mb * MB
+
+    @rule(size_mb=st.integers(1, 3))
+    def salted_cfs_store(self, size_mb):
+        """A CFS store whose first block's root is full: the block goes in under a salted
+        name, which the ledger keeps as a retry attempt and derives back."""
+        name = f"file{self.counter}"
+        self.counter += 1
+        root = self.dht.locate_name(f"{name}/block0")
+        free = root.free
+        assert root.store_block("filler", free)
+        try:
+            stored = self.cfs.store_file(name, size_mb * MB).success
+        finally:
+            root.remove_block("filler", free)
+        if stored:
+            self.names["cfs"][name] = size_mb * MB
+            block, primary, _, _ = self.cfs.block_entries(name)[0]
+            assert block.startswith(f"{name}/block0#salt") and primary is not root
+
+    @precondition(lambda self: len(self._live()) > MIN_LIVE and self.names["ours"])
+    @rule(which=pick)
+    def repair_a_cat_holder(self, which):
+        """Fail and repair a node holding a CAT copy: each re-created copy is a restored
+        row named like its file's CAT (the digest law holds it to the name it was
+        hashed from), and the file's deletion leaves it behind."""
+        ledger = self.ledger
+        f = self.ours.files[self._ours_file(which)].ledger_index
+        cat = [row for row in ledger.file_rows(f) if ledger.row_fields(row)[4] == KIND_META]
+        live = self._live()
+        holder = next((ledger.row_owner(row) for row in cat if not ledger.row_released(row)
+                       and any(node is ledger.row_owner(row) for node in live)), None)
+        if holder is None:
+            return
+        self.recovery.handle_failure(holder.node_id)
+        self.down.append(holder)
+        for row in ledger.file_rows(f):
+            if ledger.row_fields(row)[4] == KIND_RESTORED:
+                assert ledger.row_name(row) == ledger.row_name(cat[0])
+
+    @precondition(lambda self: len(self._live()) > MIN_LIVE)
+    @rule(which=pick)
+    def repair_then_return_unwiped_then_compact(self, which):
+        """Repair re-points a node's copies while it keeps their bytes (orphans); it comes
+        back with its disk, and a compaction drops the released rows but not the orphans."""
+        node = self._live()[which % len(self._live())]
+        self.recovery.handle_failure(node.node_id)
+        self.network.recover(node.node_id, wipe=False)
+        self.dht.add(node)
+        self.ledger.compact()
+        assert dict(node.stored_blocks) == current().blocks(node)
+        assert node.used == sum(current().blocks(node).values())
 
     @rule(scheme=st.sampled_from(["ours", "past", "cfs"]), which=pick)
     def delete(self, scheme, which):
@@ -224,15 +280,18 @@ class LedgerMachine(RuleBasedStateMachine):
             assert self.ours.is_file_available(name) == dict_walk.file_available(self.ours, name)
         # The baselines' dict walks predate departures and migration (they read
         # the holder lists captured at store time), so walk the members by name.
-        members = self.network.live_nodes()
+        members, held = self.network.live_nodes(), current()
         for name in self.names["past"]:
-            stored_name = self.past.files[name][0]
+            stored_name = self.past.files[name]
             assert self.past.is_file_available(name) == any(
-                node.has_block(stored_name) for node in members)
+                held.has_block(node, stored_name) for node in members)
         for name in self.names["cfs"]:
             assert self.cfs.is_file_available(name) == all(
-                any(node.has_block(block) for node in members)
+                any(held.has_block(node, block) for node in members)
                 for block, _, _, _ in self.cfs.block_entries(name))
+        # The ledger-derived view of each member's disk is what the node was handed.
+        for node in self.network.nodes():
+            assert dict(node.stored_blocks) == held.blocks(node), node.node_id
         # Each store's tenant counters, worked out from the columns.
         for scheme, store in self.stores.items():
             counts = self.ledger.tenant_aggregates(store.store_tenant)
@@ -271,13 +330,13 @@ def test_a_replica_repair_with_no_room_keeps_its_holder_revivable():
     the holder, so its copy counts again when it returns with its disk."""
     network, dht, storage, chunk, placement = _replicated_file()
     (holder,) = chunk.placements[0].replica_nodes
-    others = [node for node in dht.state.nodes if node.node_id != holder]
-    for node in others:
-        assert node.store_block("filler", node.free)
+    fillers = [(node, node.free) for node in dht.state.nodes if node.node_id != holder]
+    for node, free in fillers:
+        assert node.store_block("filler", free)
     impact = RecoveryManager(storage).handle_failure(holder)
     assert impact.replicas_restored == 0 and impact.bytes_dropped > 0
-    for node in others:
-        node.remove_block("filler")
+    for node, free in fillers:
+        node.remove_block("filler", free)
     assert chunk.placements[0].replica_nodes == (holder,)
     assert storage.ledger.placement_live_copies(placement) == 1
     network.recover(holder, wipe=False)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from reference import dict_walk
+from reference.dict_walk import past_holders
+from reference.recorder import current
 from reference.seed_placement import seed_past_store
 
 from repro.baselines.cfs import CfsStore
@@ -25,6 +27,9 @@ from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.workloads.filetrace import MB
+
+# The walks read the blocks each node was handed (``reference/recorder.py``).
+pytestmark = pytest.mark.usefixtures("block_recorder")
 
 
 def _pool(node_count: int, seed: int, capacity=120 * MB):
@@ -134,7 +139,7 @@ def test_regenerated_copies_inherit_their_tenant():
         _, chunk_idx, placement_idx, _, _ = shared.row_fields(row)
         if (placement_idx >= 0 and shared.chunk_object(chunk_idx) is not None
                 and not shared._released[row]):
-            assert shared.row_tenant(row) == ours_tenant, row
+            assert shared._row_tenant[row] == ours_tenant, row
     # ...and the per-tenant live aggregates still sum to the global ones.
     stores = [ours, past, cfs]
     assert sum(_counts(store)["live_rows"] for store in stores) == shared.live_rows
@@ -435,7 +440,7 @@ def test_a_departure_keeps_the_cfs_block_layout():
         assert [size for _, _, size, _ in entries] == layout
         for block, primary, _, replicas in entries:
             assert len(replicas) == cfs.replication - 1, block
-            assert all(holder.has_block(block) for holder in (primary, *replicas)), block
+            assert all(current().has_block(holder, block) for holder in (primary, *replicas)), block
 
 
 def test_replace_copy_preserves_baseline_tenant_columns():
@@ -451,12 +456,12 @@ def test_replace_copy_preserves_baseline_tenant_columns():
         idx = shared.file_index(name, tenant)
         row = next(r for r in shared.file_rows(idx) if not shared._released[r])
         new_node = next(node for node in dht.state.nodes
-                        if node.alive and shared.names[row] not in node.stored_blocks)
-        assert new_node.store_block(shared.names[row], int(shared._size[row]))
+                        if node.alive and shared.row_name(row) not in current().blocks(node))
+        assert new_node.store_block(shared.row_name(row), int(shared._size[row]))
         _, _, placement, size, kind = shared.row_fields(row)
         new_row = shared.replace_copy(placement, shared.row_owner(row).node_id, new_node,
-                                      shared.row_name(row), size, None, kind)
-        assert shared.row_tenant(new_row) == tenant
+                                      size, None, kind)
+        assert shared._row_tenant[new_row] == tenant
         assert shared._released[row]
         assert store.is_file_available(name)
         assert (_counts(store)["live_rows"], _counts(store)["live_bytes"]) == live_before
@@ -508,6 +513,11 @@ def test_colliding_namespaces_and_aggregates_survive_compact():
 # -- buffered PAST registration ------------------------------------------------------
 
 
+def _queued_holders(ledger, name):
+    """The holders a still-buffered PAST registration of ``name`` names (read without a flush)."""
+    return next(entry[3] for entry in ledger._pending_whole if entry[0] == name)
+
+
 def test_buffered_past_registration_is_exact_under_out_of_band_churn():
     """fail/recover/leave between a PAST store and the next read stay exact."""
     network, dht = _pool(24, 81)
@@ -516,13 +526,13 @@ def test_buffered_past_registration_is_exact_under_out_of_band_churn():
     ledger = past.ledger
     # Nothing materialised yet: the registration is buffered...
     assert ledger.row_count == 0
-    primary = past.files["movie"][1][0]
+    primary = _queued_holders(ledger, "movie")[0]
     # ...and a failure hitting a still-buffered holder is reconciled exactly
     # at the next read (the flush records the row dead-but-revivable).
     primary.fail()
     assert past.is_file_available("movie")  # the replica survives
     assert ledger.row_count > 0  # the availability read flushed the buffer
-    replica = past.files["movie"][1][1]
+    replica = past_holders(past, "movie")[1]
     replica.fail()
     assert not past.is_file_available("movie")
     primary.recover(wipe=False)
@@ -530,10 +540,9 @@ def test_buffered_past_registration_is_exact_under_out_of_band_churn():
 
     # A store whose holder is wiped before any flush point loses the copies.
     assert past.store_file("short-lived", 4 * MB).success
-    holder = past.files["short-lived"][1][0]
+    holder, second = _queued_holders(ledger, "short-lived")
     holder.fail()
     holder.recover(wipe=True)
-    second = past.files["short-lived"][1][1]
     second.fail()
     assert not past.is_file_available("short-lived")
 

@@ -12,12 +12,17 @@ boundaries == a full rebuild.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from reference.recorder import current
 
 from repro.overlay.ids import ID_SPACE
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
+
+# Which blocks a node holds is read from the recorder (the nodes keep no names).
+pytestmark = pytest.mark.usefixtures("block_recorder")
 
 pick = st.integers(0, 10 ** 6)  # reduced modulo whatever population exists
 #: Ids cluster at the ring's ends and middle so end insertions / removals and
@@ -47,9 +52,10 @@ class NodeStateMachine(RuleBasedStateMachine):
     @rule(which=pick, block=pick)
     def remove_block(self, which, block):
         node = self._node(which)
-        if node.stored_blocks:
-            names = sorted(node.stored_blocks)
-            assert node.remove_block(names[block % len(names)])
+        held = current().blocks(node)
+        if held:
+            name = sorted(held)[block % len(held)]
+            node.remove_block(name, held[name])
 
     @rule(which=pick, wipe=st.booleans())
     def fail_and_recover(self, which, wipe):

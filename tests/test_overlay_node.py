@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
 
+from repro.core.recovery import RecoveryManager
+from repro.core.storage import StorageSystem
+from repro.overlay.dht import DHTView
+from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
 from repro.overlay.node_state import NodeArrayState
 
+from reference.recorder import BlockRecorder
 from reference.seed_pastry import LeafSet
 
 
@@ -73,26 +80,46 @@ def test_store_block_respects_capacity():
 
 
 def test_store_block_rejects_duplicates_and_dead_nodes():
+    """A dead node takes nothing; a second copy of one block is kept off its holders
+    by the placing call, which excludes the ledger's on-disk holders of the block."""
+    network = OverlayNetwork.build(12, np.random.default_rng(2), capacities=[1 << 30] * 12)
+    storage = StorageSystem(DHTView(network))
+    # The recorder raises where the seed's node would have refused a name it held.
+    with BlockRecorder() as recorder:
+        assert storage.store_file("f", 1 << 20).success
+        ledger = storage.ledger
+        placement = ledger.placement_for(storage.files["f"].chunks[0].ledger_index, 0)
+        (row,) = [row for row in range(ledger.row_count) if ledger.row_fields(row)[2] == placement]
+        holder, name, size = ledger.row_owner(row), ledger.row_name(row), ledger.row_fields(row)[3]
+        ledger.ensure_digests([row])
+        assert storage.dht.locate_key(ledger.row_key(row)) is holder
+        holders = ledger.placement_disk_serials(placement)
+        assert holders == {holder.serial}
+        again = RecoveryManager(storage).place_block(name, size, ledger.row_key(row), holders)
+        assert again is not None and again is not holder
+        assert recorder.has_block(again, name) and recorder.has_block(holder, name)
     node = make_node(2, capacity=100)
-    assert node.store_block("a", 10)
-    assert not node.store_block("a", 10)
     node.fail()
     assert not node.store_block("b", 10)
 
 
 def test_remove_block_releases_space():
     node = make_node(3, capacity=100)
-    node.store_block("a", 70)
-    assert node.remove_block("a")
-    assert node.free == 100
-    assert not node.remove_block("a")
+    with BlockRecorder():
+        node.store_block("a", 70)
+        node.remove_block("a", 70)
+        assert node.free == 100
+        with pytest.raises(AssertionError):  # the node no longer holds it
+            node.remove_block("a", 70)
 
 
 def test_has_block_false_when_failed():
     node = make_node(4, capacity=100)
-    node.store_block("a", 10)
-    node.fail()
-    assert not node.has_block("a")
+    with BlockRecorder() as recorder:
+        node.store_block("a", 10)
+        assert recorder.has_block(node, "a")
+        node.fail()
+        assert not recorder.has_block(node, "a")
 
 
 def test_report_capacity_applies_fraction_and_liveness():
@@ -107,31 +134,35 @@ def test_report_capacity_applies_fraction_and_liveness():
 
 def test_recover_wipes_by_default():
     node = make_node(6, capacity=100)
-    node.store_block("a", 30)
-    node.fail()
-    node.recover()
-    assert node.alive and node.used == 0 and not node.stored_blocks
-    node.store_block("b", 30)
-    node.fail()
-    node.recover(wipe=False)
-    assert node.has_block("b")
+    with BlockRecorder() as recorder:
+        node.store_block("a", 30)
+        node.fail()
+        node.recover()
+        assert node.alive and node.used == 0 and not recorder.blocks(node) and node.wipes == 1
+        node.store_block("b", 30)
+        node.fail()
+        node.recover(wipe=False)
+        assert recorder.has_block(node, "b") and node.used == 30 and node.wipes == 1
 
 
 # -- slots fallout --------------------------------------------------------------------
 def test_nodes_are_slotted_and_construct_in_the_documented_order():
-    node = OverlayNode(7, (1.0, 2.0), 100, 10, True, 0.5, 3, 14, {"a": 10})
+    node = OverlayNode(7, (1.0, 2.0), 100, 10, True, 0.5, 3, 14)
     assert not hasattr(node, "__dict__")
     with pytest.raises(AttributeError):
         node.scratch = 1
     assert (node.coordinates, node.capacity, node.used, node.alive) == ((1.0, 2.0), 100, 10, True)
     assert (node.capacity_report_fraction, node.site, node.rack) == (0.5, 3, 14)
-    assert node.stored_blocks == {"a": 10} and node.serial is None
+    assert node.stored_blocks == {} and node.serial is None  # no ledger holds a row of it
     # Positional construction skips the three init=False bookkeeping fields,
     # which sit before ``used`` because its setter reads them during __init__.
     assert [f.name for f in dataclasses.fields(OverlayNode) if f.init] == [
         "node_id", "coordinates", "capacity", "used", "alive",
-        "capacity_report_fraction", "site", "rack", "stored_blocks", "serial"]
-    assert type(node.stored_blocks) is dict  # perfbench and dict_walk read it as one
+        "capacity_report_fraction", "site", "rack", "serial"]
+    # A read-only mapping derived from the ledgers (perfbench reads its len()).
+    assert isinstance(node.stored_blocks, Mapping)
+    with pytest.raises(TypeError):
+        node.stored_blocks["a"] = 10
 
 
 def test_equality_and_repr_ignore_the_serial_and_the_bookkeeping_fields():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from reference import dict_walk
+from reference.recorder import current
 from reference.golden import jsonable, load_golden
 from reference.seed_placement import (
     SeedCfsStore,
@@ -32,6 +33,9 @@ from repro.experiments.storage_insertion import InsertionConfig, InsertionExperi
 from repro.overlay.dht import DHTView
 from repro.overlay.network import OverlayNetwork
 from repro.workloads.filetrace import MB, FileTraceConfig, generate_file_trace
+
+# The walks read the blocks each node was handed (``reference/recorder.py``).
+pytestmark = pytest.mark.usefixtures("block_recorder")
 
 #: Three population sizes; capacities are chosen so the traces overshoot the
 #: contributed space and every scheme hits its failure handling.
@@ -60,8 +64,8 @@ def _trace(file_count: int, seed: int):
 
 def _past_snapshot(store: PastStore):
     return {
-        name: (stored, [node.node_id for node in holders])
-        for name, (stored, holders) in store.files.items()
+        name: (stored, [node.node_id for node in dict_walk.past_holders(store, name)])
+        for name, stored in store.files.items()
     }
 
 
@@ -101,7 +105,7 @@ def _ours_snapshot(store: StorageSystem):
 
 
 def _usage_snapshot(view: DHTView):
-    return [(n.node_id, n.used, dict(n.stored_blocks)) for n in view.state.nodes]
+    return [(n.node_id, n.used, dict(current().blocks(n))) for n in view.state.nodes]
 
 
 @pytest.mark.parametrize("node_count,file_count", POPULATIONS)
@@ -191,7 +195,7 @@ def test_ledger_usage_aggregates_match_dict_scan():
     assert ledger.active_files == len(v_ours.files)
     # Failures flow through the node listeners into the same aggregates.
     victim = v_view.state.nodes[0]
-    victim_bytes, victim_blocks = victim.used, len(victim.stored_blocks)
+    victim_bytes, victim_blocks = victim.used, len(current().blocks(victim))
     before_bytes, before_rows = ledger.live_bytes, ledger.live_rows
     victim.fail()
     assert ledger.live_bytes == before_bytes - victim_bytes

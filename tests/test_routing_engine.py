@@ -289,16 +289,16 @@ def test_recovered_node_is_reannounced_to_the_attached_router(engine):
     assert router.route(keys[0], victims[0]).hops == int(patched.hops[0])
 
 
-def test_recover_without_a_router_is_plain_node_recover():
+def test_recover_without_a_router_is_plain_node_recover(block_recorder):
     network = OverlayNetwork.build(20, np.random.default_rng(5), capacities=[100] * 20)
     victim = network.live_nodes()[3]
     victim.store_block("kept", 10)
     network.fail(victim.node_id)
     assert network.recover(victim.node_id) is victim
-    assert victim.alive and victim.has_block("kept")
+    assert victim.alive and block_recorder.has_block(victim, "kept") and victim.used == 10
     network.fail(victim.node_id)
     network.recover(victim.node_id, wipe=True)
-    assert victim.alive and not victim.stored_blocks
+    assert victim.alive and not block_recorder.blocks(victim) and victim.used == 0
 
 
 # ---------------------------------------------------------------- engines --

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from reference import dict_walk
 from reference.golden import load_golden
 
 from repro.experiments.soak import PAPER_SOAK, SoakConfig, SoakExperiment
 from repro.workloads.filetrace import MB
+
+# The walks read the blocks each node was handed (``reference/recorder.py``).
+pytestmark = pytest.mark.usefixtures("block_recorder")
 
 #: Small but non-trivial: ~180 failures, ~50 joins/leaves over two sim-days.
 SMALL = SoakConfig(

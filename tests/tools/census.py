@@ -143,10 +143,11 @@ KEEP: dict[str, str] = {
     "repro.core.storage.LedgerStore.delete_file": _DELETE,
     "repro.core.block_ledger.BlockLedger.remove_file": _DELETE,
     "repro.core.block_ledger.BlockLedger.file_rows": _DELETE,
-    "repro.core.block_ledger.BlockLedger.file_placements":
-        _DELETE + "; the block_entries oracle reads a CFS file's blocks through it",
     "repro.core.block_ledger.BlockLedger.row_owner": _DELETE,
     "repro.core.block_ledger.BlockLedger.row_released": _DELETE,
+    "repro.core.block_ledger.BlockLedger.row_fields": _DELETE + " (each row's size and kind)",
+    "repro.core.naming.stripe_name": "the CFS block naming rule a derived CFS name is built with "
+                                     "(block_entries, departures); no census entry point reads one",
     "repro.core.naming.cat_file":
         "payload-mode repair of a CAT copy no surviving holder can source (the file's CAT is re-serialized)",
     "repro.grid.iolib.WholeFileStore.delete_file": _DELETE,
@@ -173,7 +174,7 @@ KEEP: dict[str, str] = {
     "repro.overlay.engine.ArrayRouterBase._grow_capacity": _GROW,
     "repro.overlay.engine_chord.ChordArrayRouter._grow_capacity": _GROW,
     "repro.overlay.engine_pastry.PastryArrayRouter._grow_capacity": _GROW,
-    "repro.overlay.node.OverlayNode.__repr__": "debugging repr (the generated one lists every block)",
+    "repro.overlay.node.OverlayNode.__repr__": "debugging repr (the generated one lists every field)",
     "repro.workloads.serving.RequestTrace.fingerprint": "trace determinism digest the serving tests compare",
 }
 
