@@ -95,7 +95,7 @@ class CfsStore(LedgerStore):
         else:
             targets = []
         state_nodes = state.nodes
-        namesakes = self._namesakes(filename)
+        namesakes = self.ledger.namesake_serials(filename)
         holders: List[OverlayNode] = []
         append_holder = holders.append
         salted: List[int] = []
@@ -170,9 +170,9 @@ class CfsStore(LedgerStore):
         released."""
         self.total_lookups += lookups
         for block_index, holder in enumerate(holders):
-            holder.remove_block(names[block_index], self.block_size)
+            holder.release_block(names[block_index], self.block_size)
         for block_index, replica in replicas:
-            replica.remove_block(names[block_index], self.block_size)
+            replica.release_block(names[block_index], self.block_size)
         return StoreResult(
             filename=filename,
             requested_size=size,

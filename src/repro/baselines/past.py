@@ -64,7 +64,7 @@ class PastStore(LedgerStore):
         if refused is not None:
             return refused
         lookups = 0
-        namesakes = self._namesakes(filename)
+        namesakes = self.ledger.namesake_serials(filename)
         for attempt in range(self.retries + 1):
             name = naming.salted_name(filename, attempt)
             target = self.dht.locate_name(name)
@@ -117,6 +117,6 @@ class PastStore(LedgerStore):
             if len(holders) < self.replication:
                 # PAST requires all k replicas; undo and report failure.
                 for holder in holders:
-                    holder.remove_block(name, size)
+                    holder.release_block(name, size)
                 return None
         return holders

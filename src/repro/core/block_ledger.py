@@ -125,15 +125,21 @@ rule and keep only what the columns cannot give: the retry attempt of a
 salted placement and of a salted CAT (sparse maps).  A re-created CAT copy is a
 :data:`KIND_RESTORED` row of its file.  The nodes keep no list of their blocks
 either: ``OverlayNode.stored_blocks`` is a view of the ledgers' rows, and a
-placing call keeps a node from taking a second copy of a block by excluding
-the block's on-disk holders (:meth:`BlockLedger.placement_disk_serials`).  A
+placing call keeps a node from taking a second copy of a name by excluding
+the nodes with a copy of it on disk
+(:meth:`BlockLedger.placement_disk_serials`; for a CAT copy
+:meth:`BlockLedger.holds_cat_copy`, by name), a namesake file's copies
+included: another tenant's file of the same name, or what a deleted one left
+behind (:meth:`BlockLedger.namesake_serials`).  ``OverlayNode.remove_block``
+asks the ledger, which refuses a copy it does not record on that node.  A
 copy a repair re-pointed while its holder kept the bytes is an *orphan*: on
 the holder's disk (its ``used``, its ``stored_blocks``, the exclusion) until
-the holder is wiped or departs, in a map keyed by owner slot and placement
-that outlives :meth:`BlockLedger.compact`.  ``tests/reference/dict_walk.py`` re-derives
-every answer from per-node dicts recorded from the ``store_block`` /
-``remove_block`` / ``recover`` calls themselves (``tests/reference/recorder.py``)
--- ``tests/test_churn_equivalence.py`` / ``tests/test_placement_equivalence.py``
+the holder is wiped, departs or removes it, in a map keyed by owner slot and
+placement that outlives :meth:`BlockLedger.compact`.
+``tests/reference/dict_walk.py`` re-derives every answer from per-node dicts
+recorded from the ``store_block`` / ``remove_block`` / ``release_block`` /
+``recover`` calls themselves (``tests/reference/recorder.py``) --
+``tests/test_churn_equivalence.py`` / ``tests/test_placement_equivalence.py``
 audit the ledger against that walk and against the frozen seed outputs in
 ``tests/golden/``.
 """
@@ -336,6 +342,12 @@ class BlockLedger:
         self.file_count = 0
         #: Retry attempt of each file whose CAT went in under a salted name (sparse).
         self._cat_attempt: Dict[int, int] = {}
+        #: Deleted files by name: what they leave on disk (restored CAT copies,
+        #: orphans) is named like a new file of that name (sparse).
+        self._removed_files: Dict[str, List[int]] = {}
+        #: Names registered by more than one file (another tenant's, or after a
+        #: deletion): the only names whose copies can collide on one node.
+        self._shared_names: set = set()
         # -- tenants -----------------------------------------------------------
         #: Tenant id -> name; tenant 0 is the default namespace untagged
         #: stores share.
@@ -472,6 +484,10 @@ class BlockLedger:
         self.file_count = f + 1
         if f >= len(self._file_size):
             self._grow(_FILE_COLUMNS, f + 1)
+        if name in self._removed_files or any(
+                (other, name) in self._file_index or (other, name) in self._pending_names
+                for other in range(len(self.tenant_names)) if other != tenant):
+            self._shared_names.add(name)
         self._file_index[key] = f
         self._file_names.append(name)
         self._file_name_bytes += sys.getsizeof(name)
@@ -778,6 +794,7 @@ class BlockLedger:
         f = self._file_index.pop((tenant or 0, name), None)
         if f is None:
             return False
+        self._removed_files.setdefault(name, []).append(f)
         if self._file_active[f]:
             self._file_active[f] = False
             self.active_files -= 1
@@ -873,18 +890,27 @@ class BlockLedger:
         self._release_rows(np.asarray(self.recovery_rows(node), dtype=np.int64))
         self._drop_orphans(node)
 
-    def _note_removed(self, node: "OverlayNode", name: str) -> None:
-        """The node dropped the bytes of ``name``: an orphan of that name is gone.
+    def _note_removed(self, node: "OverlayNode", name: str) -> bool:
+        """Whether ``node`` held a copy of ``name`` in this ledger, which its disk just dropped.
 
-        (An unreleased row's copy is removed just before the row is released.)
+        An orphan of that name is forgotten; an unreleased row of it is released
+        (its bytes are gone).  ``False``, changing nothing, when it holds neither.
         """
         slot = self._slot_of(node)
-        held = self._orphans.get(slot)
-        placement = next((p for p in held if self.placement_name(p) == name), None) if held else None
+        if slot < 0:
+            return False
+        placement = self._orphan_named(slot, name)
         if placement is not None:
+            held = self._orphans[slot]
             del held[placement]
             if not held:
                 self._drop_orphans(node)
+            return True
+        row = self._row_named(node, name)
+        if row is None:
+            return False
+        self._release_rows(np.asarray([row], dtype=np.int64))
+        return True
 
     def _drop_orphans(self, node: "OverlayNode") -> None:
         """Forget the released copies still on ``node``'s disk: the disk is gone."""
@@ -1043,13 +1069,24 @@ class BlockLedger:
         return name if salt is None else naming.salted_name(name, salt)
 
     def placement_disk_serials(self, placement_idx: int) -> set:
-        """Serials of the nodes with a copy of the placement on disk.
+        """Serials of the nodes with a copy of the placement's block on disk.
 
-        The owners of its unreleased rows (up or down) plus the up nodes
-        holding an orphan of it (a down node takes no copy anyway): a node
-        never takes a second copy of one block, so every placement step
+        The owners of its unreleased rows (up or down), the up nodes holding
+        an orphan of it (a down node takes no copy anyway) and the holders of
+        a namesake file's copy of the same name (:meth:`namesake_serials`): a
+        node never takes a second copy of one name, so every placement step
         excludes these.
         """
+        serials = self._copy_serials(placement_idx)
+        if self._shared_names:
+            f = int(self._chunk_file[self._placement_chunk[placement_idx]])
+            if self._file_names[f] in self._shared_names:
+                serials |= self.namesake_serials(self._file_names[f], f).get(
+                    self.placement_name(placement_idx), set())
+        return serials
+
+    def _copy_serials(self, placement_idx: int) -> set:
+        """The placement's own part of :meth:`placement_disk_serials`: rows and live orphans."""
         released, owner, slot_nodes = self._released, self._owner, self._slot_nodes
         serials = {slot_nodes[owner[row]].serial
                    for row in self._by_placement.lookup(self, placement_idx) if not released[row]}
@@ -1058,59 +1095,58 @@ class BlockLedger:
                 serials.add(slot_nodes[slot].serial)
         return serials
 
-    def holds_meta_copy(self, node: "OverlayNode", row: int) -> bool:
-        """Whether ``node`` holds an unreleased copy of the CAT the meta ``row`` copies.
+    def holds_cat_copy(self, node: "OverlayNode", name: str) -> bool:
+        """Whether ``node`` has an unreleased CAT copy called ``name``, whichever file's.
 
-        One read of the node's rows (the index repair keeps sorted anyway).
+        A file's CAT copies and the restored ones share its CAT name, and so
+        does a namesake file's CAT: a node never takes a second copy of one
+        name.  One read of the node's rows (the index repair keeps sorted).
         """
         slot = self._slot_of(node)
         if slot < 0:
             return False
-        rows = self._by_owner.lookup(self, slot)
-        f, kind, released = int(self._file[row]), self._kind, self._released
-        for other, file in zip(rows, self._file[rows].tolist()):
-            if file == f and not released[other] and (
-                    kind[other] == KIND_META or kind[other] == KIND_RESTORED):
-                return True
-        return False
+        released, placement, row_name = self._released, self._placement, self.row_name
+        return any(placement[row] < 0 and not released[row] and row_name(row) == name
+                   for row in self._by_owner.lookup(self, slot))
 
-    def meta_disk_serials(self, row: int) -> set:
-        """Serials of the nodes holding an unreleased copy of the CAT the meta ``row`` copies.
+    def _orphan_named(self, slot: int, name: str) -> Optional[int]:
+        """The placement of the orphan named ``name`` on owner ``slot``, or None."""
+        held = self._orphans.get(slot)
+        return next((p for p in held if self.placement_name(p) == name), None) if held else None
 
-        The file's CAT copies and the restored copies of it share one name.
+    def _row_named(self, node: "OverlayNode", name: str) -> Optional[int]:
+        """The node's unreleased row named ``name``, or None (compared by digest)."""
+        rows = self.recovery_rows(node)
+        if not rows:
+            return None
+        self.ensure_digests(rows)
+        hits = np.flatnonzero(self._digest[rows] == naming.name_digests([name])[0])
+        return rows[hits[0]] if hits.size else None
+
+    def namesake_serials(self, filename: str, skip: int = -1) -> Dict[str, set]:
+        """``{name: serials}`` of the on-disk copies of every file called ``filename`` but ``skip``.
+
+        Every scheme derives its block names from the file name, so a file
+        shares names with the other tenants' files of its name and with what
+        deleted files of its name left on disk (restored CAT copies, orphans).
+        A fresh store must not place a block on a node holding a copy of its
+        name; ``{}`` (the common case) when no such file exists.
         """
-        released, owner, kind, slot_nodes = self._released, self._owner, self._kind, self._slot_nodes
-        return {slot_nodes[owner[other]].serial
-                for other in self._by_file.lookup(self, int(self._file[row]))
-                if (kind[other] == KIND_META or kind[other] == KIND_RESTORED)
-                and not released[other]}
-
-    def namesake_serials(self, filename: str, tenant: Optional[int]) -> Dict[str, set]:
-        """``{name: serials}`` of the on-disk copies of other tenants' files named ``filename``.
-
-        Two tenants may store one file name, and every scheme derives its
-        block names from the file name, so a fresh store must not place a
-        block on a node already holding the namesake's copy.  ``{}`` (the
-        common case) unless another tenant registered the name.
-        """
-        if len(self.tenant_names) == 1:
-            return {}
-        mine = tenant or 0
-        files = []
-        for other in range(len(self.tenant_names)):
-            if other != mine:
-                f = self.file_index(filename, other)
-                if f is not None:
-                    files.append(f)
+        files = [f for f in self._removed_files.get(filename, ()) if f != skip]
+        for tenant in range(len(self.tenant_names)):
+            f = self.file_index(filename, tenant)
+            if f is not None and f != skip:
+                files.append(f)
         held: Dict[str, set] = {}
         for f in files:
             for placement in self.file_placements(f):
                 held.setdefault(self.placement_name(placement), set()).update(
-                    self.placement_disk_serials(placement))
-            meta = next((row for row in self._by_file.lookup(self, f) if self._placement[row] < 0),
-                        None)
-            if meta is not None:
-                held.setdefault(self.row_name(meta), set()).update(self.meta_disk_serials(meta))
+                    self._copy_serials(placement))
+            cats = [row for row in self._by_file.lookup(self, f)
+                    if self._placement[row] < 0 and not self._released[row]]
+            if cats:  # a file's CAT copies and its restored ones share one name
+                held.setdefault(self.row_name(cats[0]), set()).update(
+                    self._slot_nodes[self._owner[row]].serial for row in cats)
         return held
 
     def disk_copies(self, node: "OverlayNode") -> Dict[str, int]:
@@ -1125,10 +1161,9 @@ class BlockLedger:
             copies[self.placement_name(placement)] = size
         return copies
 
-    def disk_sizes(self, node: "OverlayNode", rows: Optional[List[int]] = None) -> List[int]:
-        """The sizes of :meth:`disk_copies`, without deriving a name (``rows``: the
-        node's :meth:`recovery_rows`, when the caller read them already)."""
-        sizes = self._size[self.recovery_rows(node) if rows is None else rows].tolist()
+    def disk_sizes(self, node: "OverlayNode") -> List[int]:
+        """The sizes of :meth:`disk_copies`, without deriving a name."""
+        sizes = self._size[self.recovery_rows(node)].tolist()
         sizes.extend(self._orphans.get(self._slot_of(node), {}).values())
         return sizes
 
@@ -1420,16 +1455,19 @@ class BlockLedger:
             # The row indexes' Python lists, per entry at pointer size.
             "index_bytes": 8 * sum(index.entries() for index in indexes),
             # What names are derived from: the file names, the sparse salt and
-            # CAT-attempt maps and the orphan maps (containers and strings).
+            # CAT-attempt maps, the orphan maps and the deleted / shared file
+            # names (containers and strings).
             "name_bytes": self._name_bytes(),
         }
 
     def _name_bytes(self) -> int:
         size = sys.getsizeof
         total = size(self._file_names) + self._file_name_bytes + size(self._live_orphans)
-        for side in (self._placement_salt, self._cat_attempt, self._orphans):
+        for side in (self._placement_salt, self._cat_attempt, self._orphans, self._removed_files,
+                     self._shared_names):
             total += size(side)
-        return total + sum(map(size, self._orphans.values()))
+        return (total + sum(map(size, self._orphans.values()))
+                + sum(map(size, self._removed_files.values())))
 
     # --------------------------------------------------------------- invariants --
     def check_invariants(self) -> None:

@@ -42,8 +42,9 @@ def chunk_name(filename: str, chunk_no: int) -> str:
 
 def block_name(filename: str, chunk_no: int, ecb: int) -> str:
     """The name of encoded block ``ecb`` (1-based) of chunk ``chunk_no``."""
+    require_range("chunk_no", chunk_no, 1)
     require_range("ecb", ecb, 1)
-    return f"{chunk_name(filename, chunk_no)}{SEPARATOR}{ecb}"
+    return ecb_name(filename, chunk_no, ecb)
 
 
 def ecb_name(filename: str, chunk_no: int, ecb: int) -> str:
@@ -58,7 +59,7 @@ def stripe_name(filename: str, index: int) -> str:
 
 def stripe_names(filename: str, count: int) -> List[str]:
     """:func:`stripe_name` of blocks ``0 .. count - 1``, in block order."""
-    return [f"{filename}/block{index}" for index in range(count)]
+    return [stripe_name(filename, index) for index in range(count)]
 
 
 def cat_name(filename: str, attempt: int = 0) -> str:

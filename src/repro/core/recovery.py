@@ -22,16 +22,17 @@ of blocks stored on its neighbors"): :class:`RecoveryManager` walks them and
 nothing else.  A copy still on a dead node's disk with no unreleased row (an
 orphan: the repair re-pointed its placement while the node kept the bytes) was
 already repaired or deleted, so repairing a node twice is a no-op.  Every
-placement step excludes the block's on-disk holders
+placement step excludes the nodes holding a copy of the block's name on disk
 (:meth:`~repro.core.block_ledger.BlockLedger.placement_disk_serials`, for a CAT
-copy :meth:`~repro.core.block_ledger.BlockLedger.holds_meta_copy`): a node never
-takes a second copy of one block, and no node keeps a list of what it holds.  Each row is one copy to re-create -- a primary block, a neighbour
-replica, a CAT / metadata copy or (departures only) a PAST/CFS copy, whose
-chunk has no :class:`~repro.core.storage.StoredChunk` to decode -- and a
-failure and a departure re-create it with the same step per copy kind: place
-it (DHT lookup plus the rateless relocation walk), re-point the placement and
-mirror the ledger.  What each trigger keeps as its own is where
-the bytes are read from and which counter books them: a failure reads the
+copy :meth:`~repro.core.block_ledger.BlockLedger.holds_cat_copy` by name; both
+count a namesake file's copies): a node never takes a second copy of one name, and no
+node keeps a list of what it holds.  Each row is one copy to re-create -- a
+primary block, a neighbour replica, a CAT / metadata copy or (departures only)
+a PAST/CFS copy, whose chunk has no :class:`~repro.core.storage.StoredChunk`
+to decode -- and a failure and a departure re-create it with the same step
+per copy kind: place it (DHT lookup plus the rateless relocation walk),
+re-point the placement and mirror the ledger.  What each trigger keeps as its
+own is where the bytes are read from and which counter books them: a failure reads the
 surviving blocks and counts them as regenerated, a departure reads the leaving
 node's copy and counts it as migrated.  In payload mode the bytes live on the
 holders (:attr:`~repro.overlay.node.OverlayNode.payloads`): a departure moves
@@ -194,7 +195,7 @@ class RecoveryManager:
         ledger = self.storage.ledger
         node = self.dht.network.node(node_id)
         rows = ledger.recovery_rows(node)
-        impact = self._begin(node_id, node, rows)
+        impact = self._begin(node_id, node)
 
         if node.alive:
             self.dht.network.fail(node_id)  # the ledger is notified via its listener
@@ -227,9 +228,8 @@ class RecoveryManager:
                 return
             # Read from a surviving replica in the name's neighbourhood; with
             # none left only the receiver's downlink is charged.
-            copies = ledger.meta_disk_serials(row)
             holders = [candidate for candidate in self.dht.neighbors(target.node_id, 8)
-                       if candidate.alive and candidate.serial in copies]
+                       if candidate.alive and ledger.holds_cat_copy(candidate, name)]
             source = next(iter(self._least_congested([h.node_id for h in holders])), None)
             self._stage(size, source, target.node_id)
             if self.storage.payload_mode:
@@ -346,7 +346,7 @@ class RecoveryManager:
         node = self.dht.network.node(node_id)
         ledger = self.storage.ledger
         rows = ledger.recovery_rows(node)
-        impact = self._begin(node_id, node, rows)
+        impact = self._begin(node_id, node)
 
         self.dht.remove(node_id)  # lookups now exclude the departing node
         records = ledger.row_records(rows)
@@ -381,7 +381,7 @@ class RecoveryManager:
             if copied:
                 impact.bytes_migrated += size
                 self._stage(size, leaving, target.node_id, tenant=tag)
-            if payload is not None and target.alive and ledger.holds_meta_copy(target, row):
+            if payload is not None and target.alive and ledger.holds_cat_copy(target, name):
                 target.payloads.setdefault(name, payload)
         elif ledger.chunk_object(chunk_idx) is None:
             # A baseline (PAST/CFS) copy goes where the baseline would
@@ -494,7 +494,7 @@ class RecoveryManager:
         copy was made.
         """
         target = self.dht.locate_key(ledger.row_key(row))
-        if ledger.holds_meta_copy(target, row) or not target.store_block(name, size):
+        if ledger.holds_cat_copy(target, name) or not target.store_block(name, size):
             return target, False
         impact.cat_copies_restored += 1
         ledger.restore_meta_copy(target, row)
@@ -567,13 +567,10 @@ class RecoveryManager:
         )
 
     # -------------------------------------------------------------- transfers --
-    def _begin(self, node_id: int, node: OverlayNode, rows: List[int]) -> FailureImpact:
-        """A new impact for ``node`` (``rows``: its unreleased rows in the store's
-        ledger); its repair traffic starts now."""
-        ledger = self.storage.ledger
+    def _begin(self, node_id: int, node: OverlayNode) -> FailureImpact:
+        """A new impact for ``node``; its repair traffic starts now."""
         # Every copy on the node's disk, in whichever ledgers hold its rows.
-        on_disk = (ledger.disk_sizes(node, rows) if node._state_listeners == (ledger,)
-                   else node.disk_sizes())
+        on_disk = node.disk_sizes()
         impact = FailureImpact(
             failed_node=node_id,
             blocks_lost=len(on_disk),

@@ -216,14 +216,6 @@ class LedgerStore:
         ledger.remove_file(filename, self.store_tenant)
         return True
 
-    def _namesakes(self, filename: str) -> Dict[str, set]:
-        """``{block name: serials}`` a fresh store of ``filename`` must not place on.
-
-        Only another tenant's file of the same name on a shared ledger holds
-        blocks of the same names; ``{}`` otherwise.
-        """
-        return self.ledger.namesake_serials(filename, self.store_tenant) if self._ledger_shared else {}
-
 
 class StorageSystem(LedgerStore):
     """The striped, erasure-coded contributory storage system."""
@@ -348,7 +340,7 @@ class StorageSystem(LedgerStore):
         consecutive_zero = 0
         encoded_blocks = self.codec.encoded_block_count()
         failure_reason: Optional[str] = None
-        namesakes = self._namesakes(filename)
+        namesakes = self.ledger.namesake_serials(filename)
 
         while remaining > 0:
             probe = self.probe.probe_chunk_fast(filename, chunk_no, encoded_blocks)
@@ -539,7 +531,7 @@ class StorageSystem(LedgerStore):
         """Take back every copy of blocks a store placed but did not keep."""
         for name, node, size, replicas in blocks:
             for holder in (node, *replicas):
-                holder.remove_block(name, size)
+                holder.release_block(name, size)
 
     # --------------------------------------------------------------- retrieval --
     def _fetch_block(self, ledger_placement: int, placement: BlockPlacement, index: int,
@@ -791,7 +783,7 @@ class StorageSystem(LedgerStore):
         references on live nodes (blocks, replicas and CAT copies including
         coding overhead); ``tests/test_placement_equivalence.py`` audits the
         counters against per-node ``{name: size}`` dicts recorded from the
-        ``store_block`` / ``remove_block`` / ``recover`` calls themselves
+        ``store_block`` / ``remove_block`` / ``release_block`` / ``recover`` calls themselves
         (``tests/reference/recorder.py``), not from the ledger.
         """
         counts = self.ledger.tenant_aggregates(self.store_tenant)

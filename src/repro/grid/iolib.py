@@ -58,7 +58,7 @@ class WholeFileStore:
         size = self.files.pop(filename, None)
         if size is None:
             return False
-        self.target.remove_block(filename, size)
+        self.target.release_block(filename, size)
         return True
 
 

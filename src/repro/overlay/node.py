@@ -75,7 +75,8 @@ class OverlayNode:
     site: int = -1
     rack: int = -1
     #: Payload mode: the bytes of each stored block, {block_name: bytes}; they
-    #: leave with the block (:meth:`remove_block`, a wiping :meth:`recover`).
+    #: leave with the block (:meth:`remove_block`, :meth:`release_block`, a wiping
+    #: :meth:`recover`).
     payloads: Dict[str, bytes] = field(default_factory=dict, init=False, compare=False)
     #: How many times the node came back with an empty disk: a copy placed
     #: before a wipe is gone for good (what a buffered registration checks).
@@ -120,18 +121,39 @@ class OverlayNode:
             listener.used_total += size
         return True
 
-    def remove_block(self, block_name: str, size: int) -> None:
-        """Delete a stored block of ``size`` bytes, releasing its space (and its payload).
+    def remove_block(self, block_name: str, size: int) -> bool:
+        """Delete a copy the attached block ledgers record on this disk, releasing its space.
 
-        Attached block ledgers hear of it: a copy they had released while the
-        node kept its bytes is gone from the disk now.
+        The ledgers are the node's record of its copies: an unreleased row of
+        ``block_name`` the node owns (released now: its bytes are gone) or an
+        orphan of it (a copy a repair re-pointed while the node kept it).
+        Anything else -- a name the node does not hold, a second removal of
+        one copy -- is refused (``False``) and changes nothing.  A copy no
+        ledger records yet goes through :meth:`release_block`.
         """
+        if not any(ledger._note_removed(self, block_name) for ledger in self._state_listeners):
+            return False
+        self._drop(block_name, size)
+        return True
+
+    def release_block(self, block_name: str, size: int) -> bool:
+        """Give back the space of a copy no block ledger records, and its payload.
+
+        A store taking back what it placed before registering it, or a caller
+        that keeps its own record of the copy (the whole-file machine's
+        ``files``): that record is the guard, as the node cannot tell one
+        unrecorded copy from another.  Refused (``False``) only past ``used``.
+        """
+        if not 0 <= size <= self._used_value:
+            return False
+        self._drop(block_name, size)
+        return True
+
+    def _drop(self, block_name: str, size: int) -> None:
         self.payloads.pop(block_name, None)
         self._used_value -= size
         for listener in self._usage_listeners:
             listener.used_total -= size
-        for listener in self._state_listeners:
-            listener._note_removed(self, block_name)
 
     @property
     def stored_blocks(self) -> Mapping[str, int]:
@@ -199,7 +221,7 @@ def _used_get(self: OverlayNode) -> int:
 
 def _used_set(self: OverlayNode, value: int) -> None:
     # ``recover`` and direct assignment (tests fill nodes with ``node.used =
-    # node.capacity``) land here; ``store_block`` / ``remove_block`` do the same
+    # node.capacity``) land here; ``store_block`` / ``_drop`` do the same
     # two steps in line, so the attached indexes' O(1) totals stay exact.
     value = int(value)
     delta = value - self._used_value

@@ -8,7 +8,7 @@ so the walk checks the ledger's counters against what that view names and
 what the nodes actually hold).  Nodes keep no such dict any more, and their
 ``stored_blocks`` is a view of the ledger, so the walk reads the dicts the
 active :class:`~reference.recorder.BlockRecorder` rebuilt from the
-``store_block`` / ``remove_block`` / ``recover`` calls instead: run it under the
+``store_block`` / ``remove_block`` / ``release_block`` / ``recover`` calls instead: run it under the
 ``block_recorder`` fixture.  The functions
 below are those walks (formerly the ``ledger is None`` arms of
 ``StorageSystem``, ``PastStore`` and ``CfsStore``); :func:`audit` asserts the

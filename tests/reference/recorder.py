@@ -5,14 +5,15 @@ A node keeps no list of its blocks: the block ledger derives every name, and
 ``stored_blocks`` would therefore read the ledger back to itself.
 :class:`BlockRecorder` keeps the seed's per-node dicts instead, from the three
 calls through which a copy lands on or leaves a disk -- ``store_block``,
-``remove_block`` and a wiping ``recover`` -- so ``dict_walk`` audits the ledger
-against something the ledger never wrote.
+``remove_block``, ``release_block`` and a wiping ``recover`` -- so ``dict_walk``
+audits the ledger against something the ledger never wrote.
 
 It also holds every caller to the seed's rule that a node never takes a second
 copy of a name it holds: the seed's ``store_block`` refused one, and now each
 call site excludes the block's holders itself.  A store that would land a
-duplicate raises ``AssertionError`` (so does removing a block the node does not
-hold, or one of another size).
+duplicate raises ``AssertionError``; so does a ``remove_block`` whose answer
+differs from the seed's (the node refuses exactly the names it does not hold),
+and taking back a block the node does not hold, or one of another size.
 
 Use it as a context manager (or the ``block_recorder`` fixture of
 ``tests/conftest.py``); :func:`current` is the active recorder.  Nothing under
@@ -58,8 +59,9 @@ class BlockRecorder:
     def __enter__(self) -> "BlockRecorder":
         global _ACTIVE
         assert _ACTIVE is None, "recorders do not nest"
-        store, remove, recover = self._saved = (
-            OverlayNode.store_block, OverlayNode.remove_block, OverlayNode.recover)
+        store, remove, release, recover = self._saved = (
+            OverlayNode.store_block, OverlayNode.remove_block, OverlayNode.release_block,
+            OverlayNode.recover)
         blocks = self.blocks
 
         def store_block(node: OverlayNode, block_name: str, size: int) -> bool:
@@ -72,10 +74,20 @@ class BlockRecorder:
                 held[block_name] = int(size)
             return stored
 
-        def remove_block(node: OverlayNode, block_name: str, size: int) -> None:
-            held = blocks(node).pop(block_name, None)
-            assert held == size, (node.node_id, block_name, held, size)
-            remove(node, block_name, size)
+        def remove_block(node: OverlayNode, block_name: str, size: int) -> bool:
+            held = blocks(node)
+            removed = remove(node, block_name, size)
+            assert removed == (block_name in held), (node.node_id, block_name, removed)
+            if removed:
+                assert held.pop(block_name) == size, (node.node_id, block_name, size)
+            return removed
+
+        def release_block(node: OverlayNode, block_name: str, size: int) -> bool:
+            released = release(node, block_name, size)
+            if released:
+                held = blocks(node).pop(block_name, None)
+                assert held == size, (node.node_id, block_name, held, size)
+            return released
 
         def recover_node(node: OverlayNode, wipe: bool = True) -> None:
             if wipe:
@@ -84,11 +96,13 @@ class BlockRecorder:
 
         OverlayNode.store_block = store_block
         OverlayNode.remove_block = remove_block
+        OverlayNode.release_block = release_block
         OverlayNode.recover = recover_node
         _ACTIVE = self
         return self
 
     def __exit__(self, *exc) -> None:
         global _ACTIVE
-        OverlayNode.store_block, OverlayNode.remove_block, OverlayNode.recover = self._saved
+        (OverlayNode.store_block, OverlayNode.remove_block, OverlayNode.release_block,
+         OverlayNode.recover) = self._saved
         _ACTIVE = None

@@ -130,9 +130,9 @@ class SeedCfsStore:
 
     def _release(self, placements: List[BlockEntry]) -> None:
         for name, primary, size, replicas in placements:
-            primary.remove_block(name, size)
+            primary.release_block(name, size)
             for replica in replicas:
-                replica.remove_block(name, size)
+                replica.release_block(name, size)
 
     def chunk_sizes(self, filename: str) -> List[int]:
         return [entry[2] for entry in self.files.get(filename, [])]

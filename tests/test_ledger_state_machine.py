@@ -1,7 +1,8 @@
 """A state machine that hunts the block ledger's invariants.
 
-One small overlay carries the erasure-coded system, PAST and CFS on one shared
-multi-tenant ledger; Hypothesis drives stores, deletes, reads, multicast
+One small overlay carries the erasure-coded system (twice, as two tenants), PAST
+and CFS on one shared multi-tenant ledger; Hypothesis drives stores (also of a
+name another tenant or a deleted file used), deletes, reads, multicast
 replications, crashes, wiped and unwiped returns, site and rack outages (one
 ``fail_domain`` mask, then the members fail), departures (also with a fresh
 machine taking over the id), repairs (also of nodes already down, twice over),
@@ -74,10 +75,20 @@ class LedgerMachine(RuleBasedStateMachine):
         self.cfs = CfsStore(
             self.dht, block_size=1 * MB, replication=copies, ledger=self.ledger, tenant="cfs"
         )
-        self.stores = {"ours": self.ours, "past": self.past, "cfs": self.cfs}
+        # A second tenant of the same scheme: its files' blocks are named like
+        # ours whenever the file names match.
+        self.mirror = StorageSystem(
+            self.dht,
+            codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2),
+            policy=StoragePolicy(block_replication=copies),
+            ledger=self.ledger, tenant="mirror",
+        )
+        self.stores = {"ours": self.ours, "mirror": self.mirror, "past": self.past,
+                       "cfs": self.cfs}
         self.recovery = RecoveryManager(self.ours)
         self.replicator = MulticastReplicator(self.ours, simulate_push=False)
         self.names = {scheme: {} for scheme in self.stores}  # name -> bytes
+        self.used_names = set()  # every name some store took, deleted or not
         self.down = []  # crashed, still members: may return (wiped or not) or leave
         self.counter = 0
 
@@ -90,12 +101,26 @@ class LedgerMachine(RuleBasedStateMachine):
         return self.dht.state.nodes
 
     # -- files ---------------------------------------------------------------------
-    @rule(scheme=st.sampled_from(["ours", "past", "cfs"]), size_mb=st.integers(1, 5))
+    def _store(self, scheme, name, size):
+        if self.stores[scheme].store_file(name, size).success:
+            self.names[scheme][name] = size
+            self.used_names.add(name)
+
+    @rule(scheme=st.sampled_from(["ours", "mirror", "past", "cfs"]), size_mb=st.integers(1, 5))
     def store(self, scheme, size_mb):
         name = f"file{self.counter}"
         self.counter += 1
-        if self.stores[scheme].store_file(name, size_mb * MB).success:
-            self.names[scheme][name] = size_mb * MB
+        self._store(scheme, name, size_mb * MB)
+
+    @rule(scheme=st.sampled_from(["ours", "mirror", "past", "cfs"]), which=pick,
+          size_mb=st.integers(1, 3))
+    def store_a_namesake(self, scheme, which, size_mb):
+        """Store a name another tenant holds or a deleted file held: every scheme derives
+        its block names from the file name, so the two files' copies of one name must
+        never share a node (the recorder raises on a duplicate)."""
+        taken = sorted(self.used_names - set(self.names[scheme]))
+        if taken:
+            self._store(scheme, taken[which % len(taken)], size_mb * MB)
 
     @rule(size_mb=st.integers(1, 3))
     def salted_cfs_store(self, size_mb):
@@ -109,9 +134,10 @@ class LedgerMachine(RuleBasedStateMachine):
         try:
             stored = self.cfs.store_file(name, size_mb * MB).success
         finally:
-            root.remove_block("filler", free)
+            root.release_block("filler", free)
         if stored:
             self.names["cfs"][name] = size_mb * MB
+            self.used_names.add(name)
             block, primary, _, _ = self.cfs.block_entries(name)[0]
             assert block.startswith(f"{name}/block0#salt") and primary is not root
 
@@ -121,8 +147,22 @@ class LedgerMachine(RuleBasedStateMachine):
         """Fail and repair a node holding a CAT copy: each re-created copy is a restored
         row named like its file's CAT (the digest law holds it to the name it was
         hashed from), and the file's deletion leaves it behind."""
+        self._repair_cat_holder(self._ours_file(which))
+
+    @precondition(lambda self: len(self._live()) > MIN_LIVE and self.names["ours"])
+    @rule(which=pick)
+    def repair_a_cat_holder_delete_and_store_again(self, which):
+        """The restored CAT copy a deletion leaves behind sits where the name's CAT goes:
+        storing the name again must keep the new CAT (and blocks) off its node."""
+        name = self._ours_file(which)
+        self._repair_cat_holder(name)
+        size = self.names["ours"].pop(name)
+        assert self.ours.delete_file(name)
+        self._store("ours", name, size)
+
+    def _repair_cat_holder(self, name):
         ledger = self.ledger
-        f = self.ours.files[self._ours_file(which)].ledger_index
+        f = self.ours.files[name].ledger_index
         cat = [row for row in ledger.file_rows(f) if ledger.row_fields(row)[4] == KIND_META]
         live = self._live()
         holder = next((ledger.row_owner(row) for row in cat if not ledger.row_released(row)
@@ -148,7 +188,7 @@ class LedgerMachine(RuleBasedStateMachine):
         assert dict(node.stored_blocks) == current().blocks(node)
         assert node.used == sum(current().blocks(node).values())
 
-    @rule(scheme=st.sampled_from(["ours", "past", "cfs"]), which=pick)
+    @rule(scheme=st.sampled_from(["ours", "mirror", "past", "cfs"]), which=pick)
     def delete(self, scheme, which):
         if self.names[scheme]:
             name = list(self.names[scheme])[which % len(self.names[scheme])]
@@ -336,7 +376,7 @@ def test_a_replica_repair_with_no_room_keeps_its_holder_revivable():
     impact = RecoveryManager(storage).handle_failure(holder)
     assert impact.replicas_restored == 0 and impact.bytes_dropped > 0
     for node, free in fillers:
-        node.remove_block("filler", free)
+        node.release_block("filler", free)
     assert chunk.placements[0].replica_nodes == (holder,)
     assert storage.ledger.placement_live_copies(placement) == 1
     network.recover(holder, wipe=False)

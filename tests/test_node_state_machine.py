@@ -55,7 +55,7 @@ class NodeStateMachine(RuleBasedStateMachine):
         held = current().blocks(node)
         if held:
             name = sorted(held)[block % len(held)]
-            node.remove_block(name, held[name])
+            node.release_block(name, held[name])
 
     @rule(which=pick, wipe=st.booleans())
     def fail_and_recover(self, which, wipe):

@@ -104,13 +104,29 @@ def test_store_block_rejects_duplicates_and_dead_nodes():
 
 
 def test_remove_block_releases_space():
+    """A node removes a copy its ledger records once; a second removal is refused."""
+    network = OverlayNetwork.build(12, np.random.default_rng(3), capacities=[1 << 30] * 12)
+    storage = StorageSystem(DHTView(network))
+    assert storage.store_file("f", 1 << 20).success
+    ledger = storage.ledger
+    row = next(row for row in range(ledger.row_count) if ledger.row_fields(row)[2] >= 0)
+    node, name, size = ledger.row_owner(row), ledger.row_name(row), ledger.row_fields(row)[3]
+    used = node.used
+    assert node.remove_block(name, size)
+    assert node.used == used - size and ledger.row_released(row)
+    assert not node.remove_block(name, size)
+    assert node.used == used - size
+    assert not node.remove_block("never stored", 1)
+    ledger.check_invariants()
+
+
+def test_release_block_takes_back_an_unrecorded_copy():
     node = make_node(3, capacity=100)
-    with BlockRecorder():
-        node.store_block("a", 70)
-        node.remove_block("a", 70)
-        assert node.free == 100
-        with pytest.raises(AssertionError):  # the node no longer holds it
-            node.remove_block("a", 70)
+    assert node.store_block("a", 70)
+    assert not node.remove_block("a", 70)  # no ledger records it
+    assert node.release_block("a", 70)
+    assert node.free == 100
+    assert not node.release_block("a", 70)  # more than the node uses
 
 
 def test_has_block_false_when_failed():

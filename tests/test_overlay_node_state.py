@@ -128,7 +128,7 @@ def test_aggregates_track_used_mutations_incrementally():
     assert first.store_block("a", 100)
     second.used = 400  # direct assignment, as tests and experiments do
     assert state.used_total == 500
-    first.remove_block("a", 100)
+    first.release_block("a", 100)
     assert state.used_total == 400
     # Membership changes fold the node's current usage in and out.
     state.remove(second.node_id)

@@ -146,8 +146,8 @@ KEEP: dict[str, str] = {
     "repro.core.block_ledger.BlockLedger.row_owner": _DELETE,
     "repro.core.block_ledger.BlockLedger.row_released": _DELETE,
     "repro.core.block_ledger.BlockLedger.row_fields": _DELETE + " (each row's size and kind)",
-    "repro.core.naming.stripe_name": "the CFS block naming rule a derived CFS name is built with "
-                                     "(block_entries, departures); no census entry point reads one",
+    "repro.core.naming.chunk_name":
+        "the paper's chunk name (Section 4.2), exported by repro.core; block names spell it through ecb_name",
     "repro.core.naming.cat_file":
         "payload-mode repair of a CAT copy no surviving holder can source (the file's CAT is re-serialized)",
     "repro.grid.iolib.WholeFileStore.delete_file": _DELETE,
