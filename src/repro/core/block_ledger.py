@@ -127,10 +127,10 @@ salted placement and of a salted CAT (sparse maps).  A re-created CAT copy is a
 either: ``OverlayNode.stored_blocks`` is a view of the ledgers' rows, and a
 placing call keeps a node from taking a second copy of a name by excluding
 the nodes with a copy of it on disk
-(:meth:`BlockLedger.placement_disk_serials`; for a CAT copy
-:meth:`BlockLedger.holds_cat_copy`, by name), a namesake file's copies
-included: another tenant's file of the same name, or what a deleted one left
-behind (:meth:`BlockLedger.namesake_serials`).  ``OverlayNode.remove_block``
+(:meth:`BlockLedger.placement_disk_serials`, for a CAT copy
+:meth:`BlockLedger.meta_disk_serials`), a namesake file's copies included:
+another tenant's file of the same name, or what a deleted one left behind
+(:meth:`BlockLedger.namesake_serials`).  ``OverlayNode.remove_block``
 asks the ledger, which refuses a copy it does not record on that node.  A
 copy a repair re-pointed while its holder kept the bytes is an *orphan*: on
 the holder's disk (its ``used``, its ``stored_blocks``, the exclusion) until
@@ -1095,19 +1095,24 @@ class BlockLedger:
                 serials.add(slot_nodes[slot].serial)
         return serials
 
-    def holds_cat_copy(self, node: "OverlayNode", name: str) -> bool:
-        """Whether ``node`` has an unreleased CAT copy called ``name``, whichever file's.
+    def meta_disk_serials(self, row: int) -> set:
+        """Serials of the nodes with a copy of the CAT the meta ``row`` copies on disk.
 
-        A file's CAT copies and the restored ones share its CAT name, and so
-        does a namesake file's CAT: a node never takes a second copy of one
-        name.  One read of the node's rows (the index repair keeps sorted).
+        The unreleased CAT and restored-CAT rows of its file (one name), and
+        the holders of a namesake file's CAT copy of that name.
         """
-        slot = self._slot_of(node)
-        if slot < 0:
-            return False
-        released, placement, row_name = self._released, self._placement, self.row_name
-        return any(placement[row] < 0 and not released[row] and row_name(row) == name
-                   for row in self._by_owner.lookup(self, slot))
+        f = int(self._file[row])
+        serials = self._meta_serials(f)
+        if self._shared_names and self._file_names[f] in self._shared_names:
+            serials |= self.namesake_serials(self._file_names[f], f).get(self.row_name(row), set())
+        return serials
+
+    def _meta_serials(self, f: int) -> set:
+        """Owners of file ``f``'s unreleased CAT and restored-CAT rows."""
+        released, owner, placement, slot_nodes = (self._released, self._owner, self._placement,
+                                                  self._slot_nodes)
+        return {slot_nodes[owner[row]].serial for row in self._by_file.lookup(self, f)
+                if placement[row] < 0 and not released[row]}
 
     def _orphan_named(self, slot: int, name: str) -> Optional[int]:
         """The placement of the orphan named ``name`` on owner ``slot``, or None."""
@@ -1142,11 +1147,10 @@ class BlockLedger:
             for placement in self.file_placements(f):
                 held.setdefault(self.placement_name(placement), set()).update(
                     self._copy_serials(placement))
-            cats = [row for row in self._by_file.lookup(self, f)
-                    if self._placement[row] < 0 and not self._released[row]]
-            if cats:  # a file's CAT copies and its restored ones share one name
-                held.setdefault(self.row_name(cats[0]), set()).update(
-                    self._slot_nodes[self._owner[row]].serial for row in cats)
+            cat = next((row for row in self._by_file.lookup(self, f) if self._placement[row] < 0),
+                       None)
+            if cat is not None:  # a file's CAT copies and its restored ones share one name
+                held.setdefault(self.row_name(cat), set()).update(self._meta_serials(f))
         return held
 
     def disk_copies(self, node: "OverlayNode") -> Dict[str, int]:

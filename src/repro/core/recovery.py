@@ -24,8 +24,8 @@ orphan: the repair re-pointed its placement while the node kept the bytes) was
 already repaired or deleted, so repairing a node twice is a no-op.  Every
 placement step excludes the nodes holding a copy of the block's name on disk
 (:meth:`~repro.core.block_ledger.BlockLedger.placement_disk_serials`, for a CAT
-copy :meth:`~repro.core.block_ledger.BlockLedger.holds_cat_copy` by name; both
-count a namesake file's copies): a node never takes a second copy of one name, and no
+copy :meth:`~repro.core.block_ledger.BlockLedger.meta_disk_serials`; both count
+a namesake file's copies): a node never takes a second copy of one name, and no
 node keeps a list of what it holds.  Each row is one copy to re-create -- a
 primary block, a neighbour replica, a CAT / metadata copy or (departures only)
 a PAST/CFS copy, whose chunk has no :class:`~repro.core.storage.StoredChunk`
@@ -228,8 +228,9 @@ class RecoveryManager:
                 return
             # Read from a surviving replica in the name's neighbourhood; with
             # none left only the receiver's downlink is charged.
+            copies = ledger.meta_disk_serials(row)
             holders = [candidate for candidate in self.dht.neighbors(target.node_id, 8)
-                       if candidate.alive and ledger.holds_cat_copy(candidate, name)]
+                       if candidate.alive and candidate.serial in copies]
             source = next(iter(self._least_congested([h.node_id for h in holders])), None)
             self._stage(size, source, target.node_id)
             if self.storage.payload_mode:
@@ -381,7 +382,7 @@ class RecoveryManager:
             if copied:
                 impact.bytes_migrated += size
                 self._stage(size, leaving, target.node_id, tenant=tag)
-            if payload is not None and target.alive and ledger.holds_cat_copy(target, name):
+            if payload is not None and target.alive and target.serial in ledger.meta_disk_serials(row):
                 target.payloads.setdefault(name, payload)
         elif ledger.chunk_object(chunk_idx) is None:
             # A baseline (PAST/CFS) copy goes where the baseline would
@@ -494,7 +495,7 @@ class RecoveryManager:
         copy was made.
         """
         target = self.dht.locate_key(ledger.row_key(row))
-        if ledger.holds_cat_copy(target, name) or not target.store_block(name, size):
+        if target.serial in ledger.meta_disk_serials(row) or not target.store_block(name, size):
             return target, False
         impact.cat_copies_restored += 1
         ledger.restore_meta_copy(target, row)
