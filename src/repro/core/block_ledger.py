@@ -899,17 +899,21 @@ class BlockLedger:
         slot = self._slot_of(node)
         if slot < 0:
             return False
-        placement = self._orphan_named(slot, name)
+        held = self._orphans.get(slot)
+        placement = next((p for p in held if self.placement_name(p) == name), None) if held else None
         if placement is not None:
-            held = self._orphans[slot]
             del held[placement]
             if not held:
                 self._drop_orphans(node)
             return True
-        row = self._row_named(node, name)
-        if row is None:
+        rows = self.recovery_rows(node)
+        if not rows:
             return False
-        self._release_rows(np.asarray([row], dtype=np.int64))
+        self.ensure_digests(rows)  # match by digest: no name is derived per row
+        hits = np.flatnonzero(self._digest[rows] == naming.name_digests([name])[0])
+        if not hits.size:
+            return False
+        self._release_rows(np.asarray([rows[hits[0]]], dtype=np.int64))
         return True
 
     def _drop_orphans(self, node: "OverlayNode") -> None:
@@ -1113,20 +1117,6 @@ class BlockLedger:
                                                   self._slot_nodes)
         return {slot_nodes[owner[row]].serial for row in self._by_file.lookup(self, f)
                 if placement[row] < 0 and not released[row]}
-
-    def _orphan_named(self, slot: int, name: str) -> Optional[int]:
-        """The placement of the orphan named ``name`` on owner ``slot``, or None."""
-        held = self._orphans.get(slot)
-        return next((p for p in held if self.placement_name(p) == name), None) if held else None
-
-    def _row_named(self, node: "OverlayNode", name: str) -> Optional[int]:
-        """The node's unreleased row named ``name``, or None (compared by digest)."""
-        rows = self.recovery_rows(node)
-        if not rows:
-            return None
-        self.ensure_digests(rows)
-        hits = np.flatnonzero(self._digest[rows] == naming.name_digests([name])[0])
-        return rows[hits[0]] if hits.size else None
 
     def namesake_serials(self, filename: str, skip: int = -1) -> Dict[str, set]:
         """``{name: serials}`` of the on-disk copies of every file called ``filename`` but ``skip``.

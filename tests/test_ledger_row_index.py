@@ -130,7 +130,7 @@ def test_placement_repointed_twice_skips_the_released_holders(monkeypatch, limit
     assert ledger.placement_live_copies(p) == 1
     # Back onto the first holder (a fresh row next to its released one), then
     # away again: the re-point must release the fresh row, not the stale one.
-    first.remove_block(block, chunk.placements[0].size)
+    assert first.remove_block(block, chunk.placements[0].size)  # its orphan of the block
     _repoint(storage, p, second, first)
     second.fail()
     assert ledger.live_copy_owner(p) is first
