@@ -20,9 +20,10 @@ columns, one row per stored *copy* of a block (primary or replica):
   active flag, and the O(1) system counters (``live_bytes``,
   ``stored_data_bytes``, ``unavailable_files``).
 
-"Blocks on a failed node" becomes one boolean mask over the owner column;
-chunk survivability is maintained incrementally through ``np.unique`` /
-fancy-indexing transitions, so a failure is processed in microseconds and an
+"Blocks on a failed node" becomes one read of the owner index;
+chunk survivability is maintained incrementally by one scalar count rule
+(``_copy_step``) walked once per row a transition touches -- a single-node
+failure touches about eight -- so a failure costs the rows it touches and an
 availability sample is a single counter read.
 
 The ledger stays exact no matter which code path kills a node because it
@@ -32,7 +33,9 @@ notify it directly (the same pattern the array-backed placement engine uses
 for O(1) usage aggregates).  A row can therefore die (node failure) and come
 back (``recover(wipe=False)``): both directions are one rule,
 ``_set_alive(rows, alive)``, which moves every count by one step per row and
-a file's bad counter wherever a placement or chunk crosses its threshold.
+a file's bad counter wherever a placement or chunk crosses its threshold
+(``_copy_step``, then ``_file_step``; a fresh copy and a chunk opened short
+enter the same rule).
 Rows that stop being *referenced* -- file deleted, node wiped or departed, or
 a copy re-pointed at a regenerated or migrated one -- go through
 ``_release_rows`` (killed if still live, then ``released``) and never
@@ -537,7 +540,7 @@ class BlockLedger:
         self._chunk_span[c] = span
         self._chunk_objs.append(rule)
         if span < required:
-            self._shift_files(np.asarray([f], dtype=np.int64), 1)
+            self._file_step(f, 1)
         return c, p0
 
     def _append_rows(
@@ -723,15 +726,17 @@ class BlockLedger:
             self.live_rows += b
         else:
             network = self.network
-            for offset, (node, wiped) in enumerate(zip(holders, wipes)):
+            for row, node, wiped in zip(range(row0, row0 + b), holders, wipes):
                 # Gone for good (never revives): wiped, or departed -- also when
                 # a fresh machine has since joined under the departed id.
                 gone = (node.wipes != wiped or node.node_id not in network
                         or network.node(node.node_id) is not node)
-                if gone:
-                    self._release_rows(np.asarray([row0 + offset], dtype=np.int64))
-                elif not node.alive:
-                    self._set_alive(np.asarray([row0 + offset], dtype=np.int64), False)
+                if gone or not node.alive:  # a dead copy, released when gone
+                    self._alive[row] = False
+                    self._released[row] = gone
+                    self.live_bytes -= size
+                    self.live_rows -= 1
+                    self._copy_step(p, -1)
         return f
 
     def register_striped_file(
@@ -811,28 +816,54 @@ class BlockLedger:
         placements = self.file_placements(f)
         buckets = np.minimum(self._placement_copies[placements.start : placements.stop],
                              REPLICATION_HIST_MAX)
-        np.subtract.at(self._replication_hist, buckets, 1)
+        self._replication_hist -= np.bincount(buckets, minlength=REPLICATION_HIST_MAX + 1)
         return True
 
     # ------------------------------------------------------ liveness transitions --
-    def _shift_files(self, files: np.ndarray, step: int) -> None:
-        """Move the bad counter of ``files`` by ``step`` per occurrence, in one pass."""
-        uniq, counts = np.unique(files, return_counts=True)
-        before = self._file_bad[uniq]
-        after = before + step * counts
-        self._file_bad[uniq] = after
-        crossed = ((before > 0) != (after > 0)) & self._file_active[uniq]
-        self.unavailable_files += step * int(crossed.sum())
+    def _copy_step(self, placement: int, step: int) -> None:
+        """The one count-transition rule: ``placement`` gains (``step`` +1) or loses (-1) a live copy.
+
+        The placement's copy count moves, and with it one placement between two
+        histogram bins; a count that crosses zero moves its chunk's live-placement
+        count, and a chunk that crosses its decode threshold moves its file's bad
+        counter by ``-step`` (:meth:`_file_step`).
+        """
+        copies = self._placement_copies
+        before = int(copies[placement])
+        after = before + step
+        copies[placement] = after
+        hist = self._replication_hist
+        hist[min(before, REPLICATION_HIST_MAX)] -= 1
+        hist[min(after, REPLICATION_HIST_MAX)] += 1
+        if before and after:
+            return
+        c = int(self._placement_chunk[placement])
+        alive = self._chunk_alive
+        was = int(alive[c])
+        alive[c] = was + step
+        required = int(self._chunk_required[c])
+        if (was >= required) != (was + step >= required):
+            self._file_step(int(self._chunk_file[c]), -step)
+
+    def _file_step(self, f: int, step: int) -> None:
+        """Move file ``f``'s bad-chunk counter by ``step``; an active file that
+        crosses zero moves ``unavailable_files`` with it."""
+        bad = self._file_bad
+        before = int(bad[f])
+        bad[f] = before + step
+        if not (before and before + step) and self._file_active[f]:
+            self.unavailable_files += step
 
     def _set_alive(self, rows: np.ndarray, alive: bool) -> None:
         """Flip ``rows`` (each currently the other way) to ``alive`` and propagate.
 
-        Every count moves by ``step`` (+1 revives, -1 kills) per row, along
-        the one path rows -> placements -> chunks -> files: a placement that
-        crosses zero live copies moves its chunk's live-placement count, and a
-        chunk that crosses its decode threshold moves its file's bad counter
-        by ``-step``.  Meta rows belong to no placement and stop at the row
-        counters.
+        Two vectorised column writes -- the ``alive`` flags, then the live byte
+        and row counters -- and then :meth:`_copy_step` once per row of a
+        placement, with ``step`` +1 (revive) or -1 (kill).  Every row moves its
+        placement by one, so a batch holding two copies of one placement (a
+        primary and its replica in one outage) moves that count twice; the
+        counts end where one batched transition would leave them.  Meta rows
+        belong to no placement and stop at the row counters.
         """
         if rows.size == 0:
             return
@@ -840,26 +871,10 @@ class BlockLedger:
         self._alive[rows] = alive
         self.live_bytes += step * int(self._size[rows].sum())
         self.live_rows += step * int(rows.size)
-        placements = self._placement[rows]
-        placements = placements[placements >= 0]
-        if placements.size:
-            uniq, counts = np.unique(placements, return_counts=True)
-            before = self._placement_copies[uniq]
-            after = before + step * counts
-            self._placement_copies[uniq] = after
-            hist = self._replication_hist
-            np.subtract.at(hist, np.minimum(before, REPLICATION_HIST_MAX), 1)
-            np.add.at(hist, np.minimum(after, REPLICATION_HIST_MAX), 1)
-            flipped = uniq[(before > 0) != (after > 0)]
-            if flipped.size:
-                chunks, counts = np.unique(self._placement_chunk[flipped], return_counts=True)
-                before = self._chunk_alive[chunks]
-                after = before + step * counts
-                self._chunk_alive[chunks] = after
-                required = self._chunk_required[chunks]
-                crossed = chunks[(before >= required) != (after >= required)]
-                if crossed.size:
-                    self._shift_files(self._chunk_file[crossed], -step)
+        copy_step = self._copy_step
+        for placement in self._placement[rows].tolist():
+            if placement >= 0:
+                copy_step(placement, step)
 
     def _release_rows(self, rows: np.ndarray) -> None:
         """Take ``rows`` out of the system for good: kill the live ones, release all."""
@@ -940,11 +955,13 @@ class BlockLedger:
 
         This is the correlated-outage primitive: the site/rack equality test
         over the int16 slot columns composes with the owner column into one
-        row mask, and the whole outage is a single :meth:`_set_alive` batch --
-        never N scalar per-node failures.  The caller remains responsible for
-        the overlay-side transitions (``node.fail()``, DHT removal); by the
-        time those run, this ledger holds no live rows for the domain, so the
-        per-node listener sweeps are no-ops.  Returns the number of rows
+        row mask, and the whole outage is a single :meth:`_set_alive` call --
+        two vectorised column writes and the count rule once per killed row,
+        never N per-node failures with their row-index reads.  The caller
+        remains responsible for the overlay-side transitions (``node.fail()``,
+        DHT removal); by the time those run, this ledger holds no live rows
+        for the domain, so the per-node listener sweeps are no-ops.  Returns
+        the number of rows
         killed.  End-state equivalence with the scalar per-node sequence is
         oracle-tested in ``tests/test_faults.py``.
         """
@@ -1261,44 +1278,38 @@ class BlockLedger:
 
     def replace_copy(
         self,
-        placement_idx: int,
-        old_node_id: int,
+        row: int,
         new_node: "OverlayNode",
         size: int,
         digest: Optional[bytes],
         kind: int,
     ) -> int:
-        """Re-point one copy of a placement at a regenerated or re-replicated block.
+        """Re-point the copy ``row`` of a placement at a regenerated or re-replicated block.
 
-        Mirrors the seed's repair semantics exactly: the old holder's copy
-        leaves the placement's reference set -- released, even if the old
-        holder is alive and still has the bytes, so it can never revive and
-        double-count the copy -- and the fresh copy on ``new_node`` joins it as
-        a ``kind`` row (:data:`KIND_PRIMARY`, :data:`KIND_SALTED` or
-        :data:`KIND_REPLICA`).  A fresh primary-kind copy becomes the copy the
-        placement points at first.  The released copy stays on the old
-        holder's disk as an orphan until the holder is wiped or departs.
+        Mirrors the seed's repair semantics exactly: ``row`` leaves the
+        placement's reference set -- released, even if its holder is alive and
+        still has the bytes, so it can never revive and double-count the copy
+        -- and the fresh copy on ``new_node`` joins it as a ``kind`` row
+        (:data:`KIND_PRIMARY`, :data:`KIND_SALTED` or :data:`KIND_REPLICA`).  A
+        fresh primary-kind copy becomes the copy the placement points at first.
+        The released copy stays on its holder's disk as an orphan until the
+        holder is wiped or departs.  Returns the fresh row.
         """
-        self._release_copy(placement_idx, old_node_id)
-        row = self._register_copy_row(placement_idx, new_node, size, digest, kind=kind)
+        placement_idx = int(self._placement[row])
+        if self._alive[row]:  # a migrating copy: its holder is still up
+            self._set_alive(np.asarray([row], dtype=np.int64), False)
+        self._released[row] = True
+        slot = int(self._owner[row])
+        held = self._orphans.get(slot)
+        if held is None:
+            held = self._orphans[slot] = {}
+            if self._slot_nodes[slot].alive:
+                self._live_orphans.add(slot)
+        held[placement_idx] = int(self._size[row])
+        fresh = self._register_copy_row(placement_idx, new_node, size, digest, kind=kind)
         if kind != KIND_REPLICA:
-            self._placement_primary[placement_idx] = self._owner[row]
-        return row
-
-    def _release_copy(self, placement_idx: int, node_id: int) -> None:
-        """Release the placement's first unreleased copy held by ``node_id``; its bytes stay."""
-        slot_nodes = self._slot_nodes
-        for row in self._by_placement.lookup(self, placement_idx):
-            slot = int(self._owner[row])
-            if slot_nodes[slot].node_id == node_id and not self._released[row]:
-                self._release_rows(np.asarray([row], dtype=np.int64))
-                held = self._orphans.get(slot)
-                if held is None:
-                    held = self._orphans[slot] = {}
-                    if slot_nodes[slot].alive:
-                        self._live_orphans.add(slot)
-                held[placement_idx] = int(self._size[row])
-                return
+            self._placement_primary[placement_idx] = self._owner[fresh]
+        return fresh
 
     def add_replica_copy(
         self,
@@ -1337,16 +1348,7 @@ class BlockLedger:
             node, size, file_idx, chunk_idx, placement_idx, digest, kind=kind,
             tenant=int(self._file_tenant[file_idx]) if file_idx >= 0 else 0,
         )
-        copies = self._placement_copies
-        copies[placement_idx] += 1
-        hist = self._replication_hist
-        hist[min(int(copies[placement_idx]) - 1, REPLICATION_HIST_MAX)] -= 1
-        hist[min(int(copies[placement_idx]), REPLICATION_HIST_MAX)] += 1
-        if copies[placement_idx] == 1:
-            alive = self._chunk_alive
-            alive[chunk_idx] += 1
-            if alive[chunk_idx] == self._chunk_required[chunk_idx] and file_idx >= 0:
-                self._shift_files(np.asarray([file_idx], dtype=np.int64), -1)
+        self._copy_step(placement_idx, 1)
         return row
 
     def restore_meta_copy(self, node: "OverlayNode", row: int) -> int:

@@ -254,7 +254,6 @@ class RecoveryManager:
                 impact.chunks_lost += 1
                 chunk.counted_lost = True
             return
-        position = ledger.placement_position(placement_idx)
         digest = ledger.row_digest(row)
         # A *primary* loss re-points the placement at a fresh block only when
         # the placement's primary lived on the failed node; otherwise the dead
@@ -262,17 +261,17 @@ class RecoveryManager:
         # primary from a replica row would erode the replication level.
         primary = ledger.placement_primary(placement_idx) == failed_node
         if primary:
-            new_holder = self._repoint_primary(
-                ledger, placement_idx, name, size, ledger.row_key(row), digest
-            )
+            new_holder = self._repoint_primary(ledger, row, placement_idx, name, size, digest)
         else:
-            new_holder = self._repoint_replica(
-                ledger, placement_idx, name, size, failed_node, digest, impact
-            )
+            new_holder = self._repoint_replica(ledger, row, placement_idx, name, size, digest,
+                                               impact)
         if new_holder is None:
             impact.bytes_dropped += size
             return
         impact.bytes_regenerated += size
+        if self.transfers is None and not self.storage.payload_mode:
+            return
+        position = ledger.placement_position(placement_idx)
         dst = new_holder.node_id
         if self.transfers is not None:
             # A lost replica is copied from a surviving holder of the block
@@ -396,20 +395,17 @@ class RecoveryManager:
             else:
                 impact.bytes_migrated += size
                 self._stage(size, leaving, placed.node_id, tenant=tag)
-                ledger.replace_copy(placement_idx, leaving, placed, size, ledger.row_digest(row), kind)
+                ledger.replace_copy(row, placed, size, ledger.row_digest(row), kind)
         else:
             chunk = ledger.chunk_object(chunk_idx)
             position = ledger.placement_position(placement_idx)
             digest = ledger.row_digest(row)
             primary = ledger.placement_primary(placement_idx) == leaving
             if primary:
-                new_holder = self._repoint_primary(
-                    ledger, placement_idx, name, size, ledger.row_key(row), digest
-                )
+                new_holder = self._repoint_primary(ledger, row, placement_idx, name, size, digest)
             else:
-                new_holder = self._repoint_replica(
-                    ledger, placement_idx, name, size, leaving, digest, impact
-                )
+                new_holder = self._repoint_replica(ledger, row, placement_idx, name, size, digest,
+                                                   impact)
             if new_holder is None:
                 impact.bytes_dropped += size
                 if primary:
@@ -442,29 +438,27 @@ class RecoveryManager:
         return None
 
     def _repoint_primary(
-        self, ledger: BlockLedger, placement_idx: int, name: str, size: int, key: int,
+        self, ledger: BlockLedger, row: int, placement_idx: int, name: str, size: int,
         digest: bytes,
     ) -> Optional[OverlayNode]:
-        """Place a new primary copy and re-point the placement at it.
+        """Place a new primary copy (keyed by ``digest``) and re-point the placement at it.
 
-        The old primary's row leaves the placement in the ledger; the
+        The old primary's ``row`` leaves the placement in the ledger; the
         placement keeps its replicas.  Returns the new holder, or ``None``
         when no node near the name's root has room.
         """
-        new_holder = self.place_block(name, size, key, ledger.placement_disk_serials(placement_idx))
+        new_holder = self.place_block(name, size, int.from_bytes(digest, "big"),
+                                      ledger.placement_disk_serials(placement_idx))
         if new_holder is None:
             return None
-        ledger.replace_copy(
-            placement_idx, ledger.placement_primary(placement_idx), new_holder, size, digest,
-            KIND_PRIMARY,
-        )
+        ledger.replace_copy(row, new_holder, size, digest, KIND_PRIMARY)
         return new_holder
 
     def _repoint_replica(
-        self, ledger: BlockLedger, placement_idx: int, name: str, size: int, gone: int,
+        self, ledger: BlockLedger, row: int, placement_idx: int, name: str, size: int,
         digest: bytes, impact: FailureImpact,
     ) -> Optional[OverlayNode]:
-        """Swap a gone neighbour replica for a new copy near the primary.
+        """Swap a gone neighbour replica (``row``) for a new copy near the primary.
 
         The new copy goes to the first node of the primary's identifier-space
         neighbourhood -- where the original replication pass looked -- that
@@ -481,7 +475,7 @@ class RecoveryManager:
         if new_holder is None:
             return None
         impact.replicas_restored += 1
-        ledger.replace_copy(placement_idx, gone, new_holder, size, digest, KIND_REPLICA)
+        ledger.replace_copy(row, new_holder, size, digest, KIND_REPLICA)
         return new_holder
 
     def _copy_meta(

@@ -151,10 +151,15 @@ RETIRED = (
      r"\bdef _submit\b",
      ("src/repro/core/recovery.py",), "every fabric repair goes through the repair class's "
      "TransferPacer (repair_window=None is its pass-through)"),
-    ("mirror-image ledger transitions and per-kind copy re-points",
-     r"\b_kill_rows\b|\b_revive_rows\b|\b_mark_files_(bad|good)\b|\breplace_(primary|replica)\b",
-     _EVERYWHERE, "one rule per ledger transition: _set_alive / _shift_files move counts both "
-     "ways, _release_rows releases, replace_copy(kind) re-points either copy kind"),
+    ("mirror-image and batched ledger transitions and per-kind copy re-points",
+     r"\b_kill_rows\b|\b_revive_rows\b|\b_mark_files_(bad|good)\b|\breplace_(primary|replica)\b"
+     r"|\b_shift_files\b",
+     _EVERYWHERE, "one count rule for every ledger transition: _set_alive walks _copy_step "
+     "(then _file_step) once per row both ways, _release_rows releases, replace_copy(kind) "
+     "re-points either copy kind"),
+    ("re-points that search for the row they release",
+     r"\b_release_copy\b",
+     _EVERYWHERE, "a re-point releases the row it is handed: replace_copy(row, ...)"),
     ("payload side tables and per-call request slots",
      r"\b_block_payloads\b|\b_request_context\b|\b_effective_(client|observer)\b"
      r"|\b_call_(client|observer)\b",

@@ -62,8 +62,7 @@ def _repoint(storage: StorageSystem, placement_idx: int, old_node, new_node) -> 
     )
     name, size = ledger.row_name(row), ledger.row_fields(row)[3]
     assert new_node.store_block(name, size)
-    return ledger.replace_copy(
-        placement_idx, old_node.node_id, new_node, size, None, block_ledger.KIND_PRIMARY)
+    return ledger.replace_copy(row, new_node, size, None, block_ledger.KIND_PRIMARY)
 
 
 # -- _RowIndex alone ---------------------------------------------------------------

@@ -458,9 +458,8 @@ def test_replace_copy_preserves_baseline_tenant_columns():
         new_node = next(node for node in dht.state.nodes
                         if node.alive and shared.row_name(row) not in current().blocks(node))
         assert new_node.store_block(shared.row_name(row), int(shared._size[row]))
-        _, _, placement, size, kind = shared.row_fields(row)
-        new_row = shared.replace_copy(placement, shared.row_owner(row).node_id, new_node,
-                                      size, None, kind)
+        _, _, _, size, kind = shared.row_fields(row)
+        new_row = shared.replace_copy(row, new_node, size, None, kind)
         assert shared._row_tenant[new_row] == tenant
         assert shared._released[row]
         assert store.is_file_available(name)

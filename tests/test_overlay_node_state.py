@@ -317,7 +317,7 @@ _PATCH_POOL = [0, 1, 2, 10, 14, 15, 2 ** 80, 2 ** 120, 2 ** 159 - 1, 2 ** 159,
                2 ** 159 + 5, ID_SPACE - 2 ** 90, ID_SPACE - 3, ID_SPACE - 2, ID_SPACE - 1]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=6 * settings.default.max_examples // 5, deadline=None)
 @given(
     extra=st.lists(st.integers(0, ID_SPACE - 1), max_size=4),
     start=st.integers(0, 2 ** 16),
@@ -349,6 +349,46 @@ def test_patch_sequences_equal_the_brute_force_oracle(extra, start, steps):
         assert [state.ids_int[state.lookup_index(key)] for key in keys] == expected
         assert [state.ids_int[i] for i in state.lookup_digests(digests)] == expected
         assert _bounds_snapshot(state) == _bounds_snapshot(_state_for(current))
+
+
+def test_boundary_buffer_growth_and_layout_flips_equal_a_rebuild():
+    """The ``S20`` column is spliced in place inside a doubling buffer.
+
+    Joins past its capacity (each growth carries the old slots over) and every
+    wrap-layout flip -- wrap boundary last to first and back, on a join and on
+    a removal -- leave it equal to a from-scratch rebuild, and
+    ``_bounds_bytes`` stays a prefix view of the buffer.
+    """
+    rng = np.random.default_rng(47)
+    current = [10, 2 ** 100, 2 ** 120]
+    state = _state_for(current)
+    state.lookup_index(0)
+    # The first four steps flip the layout each time: a new largest id next to
+    # the top of the ring puts the wrap boundary first, a new smallest id next
+    # to zero puts it last again, and removing them undoes each flip.
+    steps = [(True, ID_SPACE - 1), (True, 1), (False, 1), (False, ID_SPACE - 1)]
+    steps += [(True, random_node_id(rng)) for _ in range(40)]
+    steps += [(False, None)] * 30 + [(True, random_node_id(rng)) for _ in range(30)]
+    flips, capacities = set(), {len(state._bounds_buf)}
+    for is_add, value in steps:
+        before = state._wrap_first
+        if is_add:
+            assert state.add(OverlayNode(node_id=value, capacity=1))
+            current = sorted(current + [value])
+        else:
+            value = value if value is not None else current[int(rng.integers(len(current)))]
+            assert state.remove(value)
+            current.remove(value)
+        if before != state._wrap_first:
+            flips.add(("add" if is_add else "remove", before, state._wrap_first))
+        capacities.add(len(state._bounds_buf))
+        assert not state._bounds_dirty
+        assert np.shares_memory(state._bounds_bytes, state._bounds_buf)
+        assert len(state._bounds_bytes) == len(state._bounds_int)
+        assert _bounds_snapshot(state) == _bounds_snapshot(_state_for(current)), (is_add, value)
+    assert flips == {("add", False, True), ("add", True, False),
+                     ("remove", False, True), ("remove", True, False)}
+    assert len(capacities) >= 4, capacities  # the buffer grew several times
 
 
 def test_bulk_membership_changes_coalesce_to_full_rebuild():
@@ -406,7 +446,7 @@ def _neighbour_queries(draw):
     return ids, query, draw(st.integers(0, 50))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(_neighbour_queries())
 @example(([0, 2 ** 158, 2 ** 159, 3 * 2 ** 158], 0, 3))  # one tie, antipode last
 @example(([5, 9], 5, 4))  # the member query itself is never returned
