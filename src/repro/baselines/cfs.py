@@ -14,12 +14,12 @@ default here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core import naming
 from repro.core.block_ledger import BlockLedger
 from repro.core.storage import LedgerStore
-from repro.overlay.dht import DHTView
+from repro.overlay.dht import DHTView, first_fits
 from repro.overlay.ids import key_for
 from repro.overlay.node import OverlayNode, StoreResult, store_refusal
 from repro.overlay.validation import require_range
@@ -104,40 +104,37 @@ class CfsStore(LedgerStore):
         remaining = size
         block_size = self.block_size
         retries = self.retries_per_block
-        replicated = self.replication > 1
+        replication = self.replication
+        replicated = replication > 1
         for index, (name, target_index) in enumerate(zip(names, targets)):
             block_bytes = block_size if remaining >= block_size else remaining
             remaining -= block_bytes
             target = state_nodes[target_index]
-            if (not namesakes or target.serial not in namesakes.get(name, ())) and target.store_block(
-                    name, block_bytes):
-                append_holder(target)
-                if replicated:
-                    for replica in self._replicate(name, block_bytes, target, namesakes):
-                        replicas.append((index, replica))
-                continue
-            # Salted retries: resolved lazily, one lookup per attempt.
-            # (No per-call lookup_count bump here: this path charges the
-            # view's counter in bulk, for parity with failed-store accounting.)
-            placed = False
-            for attempt in range(1, retries + 1):
-                salted_name = naming.salted_name(name, attempt)
-                target = state.lookup_node(key_for(salted_name))
-                extra_lookups += 1
-                if target.serial not in namesakes.get(salted_name, ()) and target.store_block(
-                        salted_name, block_bytes):
-                    names[index] = salted_name
-                    salted.append(index)
-                    append_holder(target)
-                    if replicated:
-                        for replica in self._replicate(salted_name, block_bytes, target, namesakes):
-                            replicas.append((index, replica))
-                    placed = True
-                    break
-            if not placed:
-                lookups = index + 1 + extra_lookups
-                self.dht.lookup_count += lookups
-                return self._fail(filename, size, names, holders, replicas, lookups, index)
+            exclude = namesakes.get(name, ()) if namesakes else ()
+            if not target.store_block(name, block_bytes, exclude):
+                # Salted retries: resolved lazily, one lookup per attempt.
+                # (No per-call lookup_count bump here: this path charges the
+                # view's counter in bulk, for parity with failed-store accounting.)
+                for attempt in range(1, retries + 1):
+                    name = naming.salted_name(names[index], attempt)
+                    target = state.lookup_node(key_for(name))
+                    extra_lookups += 1
+                    exclude = namesakes.get(name, ())
+                    if target.store_block(name, block_bytes, exclude):
+                        names[index] = name
+                        salted.append(index)
+                        break
+                else:
+                    lookups = index + 1 + extra_lookups
+                    self.dht.lookup_count += lookups
+                    return self._fail(filename, size, names, holders, replicas, lookups, index)
+            append_holder(target)
+            if replicated:
+                # Successor replicas, none on the primary or on ``exclude``.
+                successors = [node for node in self.dht.successors(target.node_id, replication * 2)
+                              if node.node_id != target.node_id]
+                replicas += [(index, replica) for replica in
+                             first_fits(successors, name, block_bytes, exclude, replication - 1)]
         lookups = block_count + extra_lookups
         self.dht.lookup_count += lookups
         self.total_lookups += lookups
@@ -183,21 +180,6 @@ class CfsStore(LedgerStore):
             lookups=lookups,
             failure_reason=f"block {index} could not be placed",
         )
-
-    def _replicate(self, name: str, size: int, primary: OverlayNode,
-                   namesakes: Dict[str, set]) -> List[OverlayNode]:
-        replicas: List[OverlayNode] = []
-        if self.replication <= 1:
-            return replicas
-        exclude = namesakes.get(name, ()) if namesakes else ()
-        for successor in self.dht.successors(primary.node_id, self.replication * 2):
-            if len(replicas) >= self.replication - 1:
-                break
-            if successor.node_id == primary.node_id:
-                continue
-            if successor.serial not in exclude and successor.store_block(name, size):
-                replicas.append(successor)
-        return replicas
 
     def chunk_sizes(self, filename: str) -> List[int]:
         """Sizes of the blocks a stored file was split into (Table 1).

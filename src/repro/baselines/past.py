@@ -17,7 +17,7 @@ from typing import List, Optional
 from repro.core import naming
 from repro.core.block_ledger import BlockLedger
 from repro.core.storage import LedgerStore
-from repro.overlay.dht import DHTView
+from repro.overlay.dht import DHTView, first_fits
 from repro.overlay.node import OverlayNode, StoreResult, store_refusal
 from repro.overlay.validation import require_range
 
@@ -104,16 +104,13 @@ class PastStore(LedgerStore):
                    exclude) -> Optional[List[OverlayNode]]:
         """Place the file on ``target`` plus replication-1 neighbours (none on ``exclude``);
         None on failure."""
-        holders: List[OverlayNode] = []
-        if target.serial in exclude or not target.store_block(name, size):
+        if not first_fits((target,), name, size, exclude):
             return None
-        holders.append(target)
+        holders = [target]
         if self.replication > 1:
-            for neighbor in self.dht.neighbors(target.node_id, (self.replication - 1) * 2):
-                if len(holders) >= self.replication:
-                    break
-                if neighbor.serial not in exclude and neighbor.store_block(name, size):
-                    holders.append(neighbor)
+            extra = self.replication - 1
+            holders += first_fits(self.dht.neighbors(target.node_id, extra * 2), name, size,
+                                  exclude, extra)
             if len(holders) < self.replication:
                 # PAST requires all k replicas; undo and report failure.
                 for holder in holders:

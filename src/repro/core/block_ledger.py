@@ -128,8 +128,8 @@ rule and keep only what the columns cannot give: the retry attempt of a
 salted placement and of a salted CAT (sparse maps).  A re-created CAT copy is a
 :data:`KIND_RESTORED` row of its file.  The nodes keep no list of their blocks
 either: ``OverlayNode.stored_blocks`` is a view of the ledgers' rows, and a
-placing call keeps a node from taking a second copy of a name by excluding
-the nodes with a copy of it on disk
+placing call keeps a node from taking a second copy of a name by passing
+the nodes with a copy of it on disk as ``OverlayNode.store_block``'s ``exclude``
 (:meth:`BlockLedger.placement_disk_serials`, for a CAT copy
 :meth:`BlockLedger.meta_disk_serials`), a namesake file's copies included:
 another tenant's file of the same name, or what a deleted one left behind
@@ -166,7 +166,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
 
 #: One placed block (or CAT object) as a store hands it over: its name, the
 #: primary holder, its size and the neighbour-replica holders.
-Placed = Tuple[str, "OverlayNode", int, Tuple["OverlayNode", ...]]
+Placed = Tuple[str, "OverlayNode", int, Sequence["OverlayNode"]]
 
 _S20 = "S20"
 _INITIAL = 1024

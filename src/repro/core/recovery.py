@@ -22,7 +22,8 @@ of blocks stored on its neighbors"): :class:`RecoveryManager` walks them and
 nothing else.  A copy still on a dead node's disk with no unreleased row (an
 orphan: the repair re-pointed its placement while the node kept the bytes) was
 already repaired or deleted, so repairing a node twice is a no-op.  Every
-placement step excludes the nodes holding a copy of the block's name on disk
+placement step walks its candidates with :func:`~repro.overlay.dht.first_fits`,
+excluding the nodes holding a copy of the block's name on disk
 (:meth:`~repro.core.block_ledger.BlockLedger.placement_disk_serials`, for a CAT
 copy :meth:`~repro.core.block_ledger.BlockLedger.meta_disk_serials`; both count
 a namesake file's copies): a node never takes a second copy of one name, and no
@@ -75,6 +76,7 @@ from repro.core.cat import ChunkAllocationTable
 from repro.core.storage import StorageSystem, StoredChunk
 from repro.core.transfer import TransferPacer, TransferScheduler, TransferSpec
 from repro.erasure.base import DecodingError
+from repro.overlay.dht import first_fits
 from repro.overlay.node import OverlayNode
 
 
@@ -430,12 +432,9 @@ class RecoveryManager:
         on-disk holders: a node never takes a second copy of one block).
         """
         target = self.dht.locate_key(key)
-        if target.serial not in exclude and target.store_block(block_name, size):
-            return target
-        for candidate in self.dht.neighbors(target.node_id, 8):
-            if candidate.serial not in exclude and candidate.store_block(block_name, size):
-                return candidate
-        return None
+        placed = (first_fits((target,), block_name, size, exclude)
+                  or first_fits(self.dht.neighbors(target.node_id, 8), block_name, size, exclude))
+        return placed[0] if placed else None
 
     def _repoint_primary(
         self, ledger: BlockLedger, row: int, placement_idx: int, name: str, size: int,
@@ -467,13 +466,12 @@ class RecoveryManager:
         revivable.  Returns the new holder, or ``None``.
         """
         holders = ledger.placement_holders(placement_idx)
-        on_disk = ledger.placement_disk_serials(placement_idx)
-        new_holder = next((candidate for candidate in self.dht.neighbors(holders[0], 8)
-                           if candidate.node_id not in holders and candidate.serial not in on_disk
-                           and candidate.store_block(name, size)),
-                          None)
-        if new_holder is None:
+        placed = first_fits((candidate for candidate in self.dht.neighbors(holders[0], 8)
+                             if candidate.node_id not in holders),
+                            name, size, ledger.placement_disk_serials(placement_idx))
+        if not placed:
             return None
+        new_holder = placed[0]
         impact.replicas_restored += 1
         ledger.replace_copy(row, new_holder, size, digest, KIND_REPLICA)
         return new_holder
@@ -489,7 +487,7 @@ class RecoveryManager:
         copy was made.
         """
         target = self.dht.locate_key(ledger.row_key(row))
-        if target.serial in ledger.meta_disk_serials(row) or not target.store_block(name, size):
+        if not first_fits((target,), name, size, ledger.meta_disk_serials(row)):
             return target, False
         impact.cat_copies_restored += 1
         ledger.restore_meta_copy(target, row)

@@ -47,8 +47,8 @@ from repro.core.policies import StoragePolicy
 from repro.erasure.base import EncodedChunk
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
-from repro.overlay.dht import DHTView
-from repro.overlay.node import OverlayNode, StoreResult, store_refusal
+from repro.overlay.dht import DHTView, first_fits
+from repro.overlay.node import StoreResult, store_refusal
 from repro.overlay.validation import require_range
 
 #: Sentinel distinguishing "keyword not passed" from an explicit ``None``
@@ -442,6 +442,7 @@ class StorageSystem(LedgerStore):
             chunk.block_size = self.codec.encoded_block_size(chunk.size)
         block_size = chunk.block_size
         count = self.codec.encoded_block_count() if payloads is None else len(payloads)
+        extra = self.policy.block_replication - 1
 
         blocks: List[Placed] = []
         for index in range(count):
@@ -450,10 +451,12 @@ class StorageSystem(LedgerStore):
             )
             node = probe.nodes[index] if index < len(probe.nodes) else self.dht.locate_name(name)
             exclude = namesakes.get(name, ()) if namesakes else ()
-            if node.serial in exclude or not node.store_block(name, block_size):
+            if not node.store_block(name, block_size, exclude):
                 self._release(blocks)
                 return None
-            replicas = self._replicate_block(name, block_size, node, exclude)
+            # Best-effort neighbour replicas, none on ``exclude``.
+            replicas = first_fits(self.dht.neighbors(node.node_id, extra * 2), name, block_size,
+                                  exclude, extra) if extra > 0 else ()
             blocks.append((name, node, block_size, replicas))
             # Ingest charging: the client uploads the primary copy; neighbour
             # replicas are pushed onward by the primary holder.
@@ -464,20 +467,6 @@ class StorageSystem(LedgerStore):
                 for holder in (node, *replicas):
                     holder.payloads[name] = payloads[index]
         return blocks
-
-    def _replicate_block(self, name: str, size: int, primary: OverlayNode,
-                         exclude) -> Tuple[OverlayNode, ...]:
-        """Best-effort placement of ``block_replication - 1`` neighbour replicas (none on ``exclude``)."""
-        extra = self.policy.block_replication - 1
-        if extra <= 0:
-            return ()
-        replicas: List[OverlayNode] = []
-        for neighbor in self.dht.neighbors(primary.node_id, extra * 2):
-            if len(replicas) >= extra:
-                break
-            if neighbor.serial not in exclude and neighbor.store_block(name, size):
-                replicas.append(neighbor)
-        return tuple(replicas)
 
     def _store_cat(self, filename: str, cat: ChunkAllocationTable, client,
                    observer, namesakes: Dict[str, set]) -> Optional[Placed]:
@@ -492,39 +481,34 @@ class StorageSystem(LedgerStore):
         """
         size = cat.serialized_size
         serialized = cat.serialize().encode("utf-8") if self.payload_mode else None
-
-        def fits(node: OverlayNode, name: str) -> bool:
-            return node.serial not in namesakes.get(name, ()) and node.store_block(name, size)
-
-        def finalize(name: str, node: OverlayNode) -> Placed:
-            self._charge(size, client, node.node_id, observer)
-            replicas = []
-            for neighbor in self.dht.neighbors(node.node_id, self.policy.cat_replication - 1):
-                if fits(neighbor, name):
-                    replicas.append(neighbor)
-                    self._charge(size, node.node_id, neighbor.node_id, observer)
-                    if serialized is not None:
-                        neighbor.payloads[name] = serialized
-            if serialized is not None:
-                node.payloads[name] = serialized
-            return name, node, size, tuple(replicas)
-
-        primary: Optional[OverlayNode] = None
         for attempt in range(CAT_STORE_RETRIES + 1):
             name = naming.cat_name(filename, attempt)
             node = self.dht.locate_name(name)
-            if primary is None:
-                primary = node
+            if attempt == 0:
+                root = node
             self.total_lookups += 1
-            if fits(node, name):
-                return finalize(name, node)
-        # Diversion: place the CAT on the closest neighbour with room.
-        if primary is not None:
-            base_name = naming.cat_name(filename)
-            for candidate in self.dht.neighbors(primary.node_id, 16):
-                if fits(candidate, base_name):
-                    return finalize(base_name, candidate)
-        return None
+            placed = first_fits((node,), name, size, namesakes.get(name, ()))
+            if placed:
+                break
+        else:
+            # Diversion: place the CAT on the closest neighbour with room.
+            name = naming.cat_name(filename)
+            placed = first_fits(self.dht.neighbors(root.node_id, 16), name, size,
+                                namesakes.get(name, ()))
+            if not placed:
+                return None
+        (node,) = placed
+        self._charge(size, client, node.node_id, observer)
+        replicas = first_fits(self.dht.neighbors(node.node_id, self.policy.cat_replication - 1),
+                              name, size, namesakes.get(name, ()),
+                              self.policy.cat_replication - 1)
+        for neighbor in replicas:
+            self._charge(size, node.node_id, neighbor.node_id, observer)
+            if serialized is not None:
+                neighbor.payloads[name] = serialized
+        if serialized is not None:
+            node.payloads[name] = serialized
+        return name, node, size, replicas
 
     @staticmethod
     def _release(blocks: List[Placed]) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.storage import StorageSystem
 from repro.multicast.bullet import BulletConfig, BulletSession
 from repro.multicast.tree import build_locality_tree
+from repro.overlay.dht import first_fits
 from repro.overlay.validation import require_range
 
 
@@ -63,22 +64,6 @@ class MulticastReplicator:
         #: and the per-packet dissemination model would dominate wall time.
         self.simulate_push = simulate_push
 
-    # -- target selection -----------------------------------------------------
-    def _replica_targets(self, primary: int, block_name: str, size: int, count: int,
-                         exclude: set) -> List[int]:
-        """k-1 identifier-space neighbours of the primary that can hold the block.
-
-        ``exclude``: the serials of the block's on-disk holders, which never
-        take a second copy.
-        """
-        targets: List[int] = []
-        for candidate in self.dht.neighbors(primary, count * 3):
-            if len(targets) >= count:
-                break
-            if candidate.serial not in exclude and candidate.store_block(block_name, size):
-                targets.append(candidate.node_id)
-        return targets
-
     # -- replication ------------------------------------------------------------
     def replicate_chunk(self, filename: str, chunk_no: int, replicas: int) -> ReplicationReport:
         """Create ``replicas`` additional copies of every encoded block of a chunk.
@@ -103,13 +88,16 @@ class MulticastReplicator:
         all_targets: List[int] = []
         placements = chunk.placements
         for position, placement in enumerate(placements):
-            targets = self._replica_targets(
-                placement.node_id, placement.block_name, placement.size, replicas,
+            # k-1 identifier-space neighbours of the primary that can hold the
+            # block; the block's on-disk holders never take a second copy.
+            placed = first_fits(
+                self.dht.neighbors(placement.node_id, replicas * 3), placement.block_name,
+                placement.size,
                 ledger.placement_disk_serials(ledger.placement_for(chunk.ledger_index, position)),
-            )
-            for target in targets:
-                ledger.add_replica_copy(chunk.ledger_index, position, network.node(target),
-                                        placement.size)
+                replicas)
+            for node in placed:
+                ledger.add_replica_copy(chunk.ledger_index, position, node, placement.size)
+            targets = [node.node_id for node in placed]
             report.holders[placement.block_name] = targets
             report.replicas_created += len(targets)
             report.replicas_skipped_no_space += replicas - len(targets)
@@ -120,11 +108,11 @@ class MulticastReplicator:
             # payload mode the replica holders receive the block's bytes.
             payload = (network.node(placement.node_id).payloads.get(placement.block_name)
                        if placement.node_id in network else None)
-            for target in targets:
-                self.storage._charge(placement.size, placement.node_id, target,
+            for node in placed:
+                self.storage._charge(placement.size, placement.node_id, node.node_id,
                                      self.storage._transfer_observer)
                 if payload is not None:
-                    network.node(target).payloads[placement.block_name] = payload
+                    node.payloads[placement.block_name] = payload
 
         if all_targets and self.simulate_push:
             source = placements[0].node_id

@@ -15,7 +15,10 @@ array-backed :class:`~repro.overlay.node_state.NodeArrayState`:
   keys are resolved with a single ``np.searchsorted`` over precomputed
   responsibility boundaries (no per-key distance math);
 * capacity aggregates (:meth:`total_capacity`, :meth:`total_used`,
-  :meth:`utilization`) are O(1), maintained incrementally by the state.
+  :meth:`utilization`) are O(1), maintained incrementally by the state;
+* :func:`first_fits` is the placement walk every store and repair step runs
+  over a candidate list (:meth:`DHTView.neighbors`, :meth:`DHTView.successors`
+  or a single root).
 
 The result of :meth:`DHTView.lookup` is always identical to
 :meth:`repro.overlay.network.OverlayNetwork.responsible_node`; tests assert
@@ -157,3 +160,24 @@ class DHTView:
     def utilization(self) -> float:
         """Used / capacity over the indexed live nodes, O(1)."""
         return self.state.utilization()
+
+
+def first_fits(candidates: Iterable[OverlayNode], name: str, size: int, exclude=(),
+               want: int = 1) -> List[OverlayNode]:
+    """The first ``want`` of ``candidates``, in their order, that take a copy of ``name``.
+
+    The paper's placement walk: offer the copy to each candidate in turn
+    through :meth:`OverlayNode.store_block` (a down or full node, or one whose
+    serial is in ``exclude``, refuses) and "drop and create another one at a
+    different location" on a refusal.  An accepted offer takes capacity, so
+    the walk stops before the next offer once ``want`` accepted; fewer when
+    the candidates run out.
+    """
+    placed: List[OverlayNode] = []
+    if want > 0:
+        for node in candidates:
+            if node.store_block(name, size, exclude):
+                placed.append(node)
+                if len(placed) == want:
+                    break
+    return placed

@@ -100,15 +100,20 @@ class OverlayNode:
         return int(self.free * self.capacity_report_fraction)
 
     # -- block storage -------------------------------------------------------
-    def store_block(self, block_name: str, size: int) -> bool:
-        """Take a block of ``size`` bytes if the node is up and has room.
+    def store_block(self, block_name: str, size: int, exclude=()) -> bool:
+        """Take a block of ``size`` bytes if the node is up, has room and is not excluded.
 
-        A capacity check: the caller records the copy (in a block ledger) and
-        keeps a node from taking a second copy of one block by excluding the
-        block's holders.  ``block_name`` names the copy to whoever watches
-        the call; the node keeps nothing per block but its bytes' count.
+        The one placement door.  ``exclude`` holds the serials of the nodes
+        with a copy of the block on disk (the ledger's
+        ``placement_disk_serials`` / ``meta_disk_serials`` / ``namesake_serials``):
+        a node in it refuses, so no node takes a second copy of one block.
+        The caller records an accepted copy (in a block ledger);
+        ``block_name`` names it to whoever watches the call, and the node
+        keeps nothing per block but its bytes' count.
         """
-        if not self.alive or size < 0:
+        # ``exclude`` is almost always empty: its truth test is cheaper than the
+        # membership test, and this is the one call a stored block costs.
+        if not self.alive or size < 0 or (exclude and self.serial in exclude):
             return False
         used = self._used_value
         free = self.capacity - used

@@ -9,11 +9,14 @@ calls through which a copy lands on or leaves a disk -- ``store_block``,
 audits the ledger against something the ledger never wrote.
 
 It also holds every caller to the seed's rule that a node never takes a second
-copy of a name it holds: the seed's ``store_block`` refused one, and now each
-call site excludes the block's holders itself.  A store that would land a
-duplicate raises ``AssertionError``; so does a ``remove_block`` whose answer
-differs from the seed's (the node refuses exactly the names it does not hold),
-and taking back a block the node does not hold, or one of another size.
+copy of a name it holds: the seed's ``store_block`` refused one, and now the
+caller passes the block's on-disk holders as ``store_block``'s ``exclude``
+argument, which the node refuses.  A store that would land a duplicate raises
+``AssertionError``, as does an excluded store that changes anything (a
+recorded name, the node's ``used``, an index's ``used_total``), a
+``remove_block`` whose answer differs from the seed's (the node refuses
+exactly the names it does not hold), and taking back a block the node does
+not hold, or one of another size.
 
 Use it as a context manager (or the ``block_recorder`` fixture of
 ``tests/conftest.py``); :func:`current` is the active recorder.  Nothing under
@@ -64,12 +67,19 @@ class BlockRecorder:
             OverlayNode.recover)
         blocks = self.blocks
 
-        def store_block(node: OverlayNode, block_name: str, size: int) -> bool:
+        def store_block(node: OverlayNode, block_name: str, size: int, exclude=()) -> bool:
             held = blocks(node)
+            if node.serial in exclude:
+                before = (node.used, [index.used_total for index in node._usage_listeners],
+                          dict(held))
+                assert not store(node, block_name, size, exclude), (node.node_id, block_name)
+                assert before == (node.used, [index.used_total for index in node._usage_listeners],
+                                  held), (node.node_id, block_name)
+                return False
             if node.alive and size >= 0:
                 assert block_name not in held, (
                     f"node {node.node_id} offered a second copy of {block_name!r}")
-            stored = store(node, block_name, size)
+            stored = store(node, block_name, size, exclude)
             if stored:
                 held[block_name] = int(size)
             return stored

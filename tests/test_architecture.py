@@ -225,7 +225,13 @@ RETIRED = (
      ("src",), "a block's name is derived from the ledger's file / chunk / placement columns "
      "(plus sparse salt and CAT-attempt maps); a node keeps its used bytes, its "
      "stored_blocks is a read-only view built from the ledgers, and a placing call "
-     "excludes the block's on-disk holders instead of asking a node has_block"),
+     "passes the block's on-disk holders to store_block's exclude instead of asking a "
+     "node has_block"),
+    ("per-site placement exclusion",
+     r"\.serial (not )?in .*store_block\(|\b_replicate_block\b|\b_replica_targets\b"
+     r"|\bdef _replicate\b",
+     ("src",), "one placement door: store_block(name, size, exclude) refuses an excluded "
+     "serial, and overlay.dht.first_fits is the one walk over a candidate list"),
 )
 
 

@@ -16,6 +16,7 @@ from repro.erasure.xor_code import XorParityCode
 from repro.overlay.dht import DHTView
 from repro.overlay.ids import key_for
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import OverlayNode
 
 # The walks read the blocks each node was handed (``reference/recorder.py``).
 pytestmark = pytest.mark.usefixtures("block_recorder")
@@ -123,6 +124,46 @@ def test_repairing_a_dead_node_twice_is_a_no_op(dht, tenants):
         assert again.bytes_regenerated == again.replicas_restored == again.bytes_dropped == 0
     assert (shared.live_rows, dht.total_used()) == (live_rows, used)
     shared.check_invariants()
+
+
+def test_a_same_id_rejoin_is_a_holder_by_id_but_not_by_serial():
+    """A same-id rejoin is a placement holder by id but not by disk serial.
+
+    A placement's primary leaves without migrating and a fresh machine joins
+    under its id.  The placement's primary column keeps the departed node, so
+    the ledger's holder ids name the newcomer's id, while the disk exclusion
+    carries the departed node's serial and never the newcomer's (a same-id
+    rejoin is a new serial): the two filters of a replica repair disagree on
+    that machine.  Replacing a dead replica puts the new copy on a node that
+    is a holder by neither, and the newcomer takes nothing.  (The walk runs
+    over the neighbours of the primary's id, which never include that id, so
+    here the newcomer is not offered the copy at all.)
+    """
+    network = OverlayNetwork.build(16, np.random.default_rng(4), capacities=[1 << 30] * 16)
+    dht = DHTView(network)
+    storage = StorageSystem(dht, policy=StoragePolicy(block_replication=3))
+    assert storage.store_file("f", 1 * MB).success
+    ledger = storage.ledger
+    placement = ledger.placement_for(storage.files["f"].data_chunks()[0].ledger_index, 0)
+    primary, dying, surviving = ledger.placement_nodes(placement)
+    name = ledger.placement_name(placement)
+
+    dht.remove(primary.node_id)
+    network.leave(primary.node_id)
+    fresh = OverlayNode(node_id=primary.node_id, capacity=primary.capacity)
+    network.join(fresh)
+    dht.add(fresh)
+    assert fresh.serial != primary.serial
+    assert fresh.node_id in ledger.placement_holders(placement)
+    assert ledger.placement_disk_serials(placement) == {dying.serial, surviving.serial}
+
+    impact = RecoveryManager(storage).handle_failure(dying.node_id)
+    assert impact.replicas_restored == 1 and impact.data_bytes_lost == 0
+    _, *replicas = ledger.placement_nodes(placement)
+    (restored,) = [node for node in replicas if node is not surviving]
+    assert restored.node_id not in {primary.node_id, dying.node_id, surviving.node_id}
+    assert name not in current().blocks(fresh) and fresh.used == 0
+    ledger.check_invariants()
 
 
 def test_regeneration_into_a_full_cluster_drops_blocks(dht):

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.overlay.dht import DHTView
+from repro.overlay.dht import DHTView, first_fits
 from repro.overlay.ids import key_for, random_node_id
 from repro.overlay.network import OverlayNetwork
+from repro.overlay.node import OverlayNode
+
+from reference.recorder import BlockRecorder
 
 
 @pytest.fixture
@@ -143,3 +147,75 @@ def test_lookup_is_uniformly_spread(network, view):
     rng = np.random.default_rng(1)
     owners = {view.lookup(random_node_id(rng)).node_id for _ in range(4000)}
     assert len(owners) >= int(0.9 * len(network))
+
+
+# -- first_fits: the one placement walk ----------------------------------------------
+def _nodes(capacities, used=None, alive=None):
+    nodes = []
+    for serial, capacity in enumerate(capacities):
+        node = OverlayNode(node_id=serial, capacity=capacity, serial=serial)
+        node.used = used[serial] if used else 0
+        node.alive = alive[serial] if alive else True
+        nodes.append(node)
+    return nodes
+
+
+def test_first_fits_takes_the_first_want_fits_in_candidate_order():
+    # serial 0 is full, 1 excluded, 2 down; 3, 4 and 5 fit.
+    nodes = _nodes([10, 100, 100, 100, 100, 100], alive=[True, True, False, True, True, True])
+    assert first_fits(nodes, "b", 20, {1}, want=2) == [nodes[3], nodes[4]]
+    assert [node.used for node in nodes] == [0, 0, 0, 20, 20, 0]
+    assert first_fits(nodes[::-1], "c", 20) == [nodes[5]]
+    assert first_fits(nodes, "d", 20, want=0) == []
+    assert first_fits(nodes[:3], "e", 20, {1}, want=3) == []  # the candidates ran out
+    assert [node.used for node in nodes] == [0, 0, 0, 20, 20, 20]
+
+
+def test_first_fits_offers_nothing_past_the_want_th_fit(monkeypatch):
+    """A try past the break would take capacity: count the offers under the recorder."""
+    nodes = _nodes([100] * 6)
+    offered = []
+    with BlockRecorder() as recorder:
+        door = OverlayNode.store_block  # the recorder's wrapper
+
+        def counted(node, block_name, size, exclude=()):
+            offered.append(node.serial)
+            return door(node, block_name, size, exclude)
+
+        monkeypatch.setattr(OverlayNode, "store_block", counted)
+        assert first_fits(nodes, "b", 10, {0, 2}, want=2) == [nodes[1], nodes[3]]
+        assert offered == [0, 1, 2, 3]
+        assert [recorder.blocks(node) for node in nodes] == [{}, {"b": 10}, {}, {"b": 10}, {}, {}]
+        monkeypatch.undo()
+    assert [node.used for node in nodes] == [0, 10, 0, 10, 0, 0]
+
+
+def _inline_walk(candidates, name, size, exclude, want):
+    """The hand-written loop every placement site carried before the helper."""
+    placed = []
+    for node in candidates:
+        if len(placed) >= want:
+            break
+        if node.serial not in exclude and node.store_block(name, size):
+            placed.append(node)
+    return placed
+
+
+_population = st.integers(0, 12).flatmap(lambda count: st.tuples(
+    st.lists(st.integers(0, 100), min_size=count, max_size=count),
+    st.lists(st.integers(0, 100), min_size=count, max_size=count),
+    st.lists(st.booleans(), min_size=count, max_size=count),
+))
+
+
+@given(population=_population, exclude=st.sets(st.integers(0, 14)),
+       window=st.integers(0, 14), want=st.integers(0, 6), size=st.integers(0, 60))
+def test_first_fits_matches_the_inline_walk(population, exclude, window, want, size):
+    """Same fits, same order and the same bytes taken as the old per-site loop."""
+    capacities, used, alive = population
+    used = [min(taken, capacity) for taken, capacity in zip(used, capacities)]
+    ours, theirs = (_nodes(capacities, used, alive) for _ in range(2))
+    placed = first_fits(ours[:window], "b", size, exclude, want)
+    expected = _inline_walk(theirs[:window], "b", size, exclude, want)
+    assert [node.serial for node in placed] == [node.serial for node in expected]
+    assert [node.used for node in ours] == [node.used for node in theirs]

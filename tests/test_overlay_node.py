@@ -81,7 +81,8 @@ def test_store_block_respects_capacity():
 
 def test_store_block_rejects_duplicates_and_dead_nodes():
     """A dead node takes nothing; a second copy of one block is kept off its holders
-    by the placing call, which excludes the ledger's on-disk holders of the block."""
+    by ``store_block``'s ``exclude``, which the placing call fills with the
+    ledger's on-disk holders of the block."""
     network = OverlayNetwork.build(12, np.random.default_rng(2), capacities=[1 << 30] * 12)
     storage = StorageSystem(DHTView(network))
     # The recorder raises where the seed's node would have refused a name it held.
@@ -101,6 +102,40 @@ def test_store_block_rejects_duplicates_and_dead_nodes():
     node = make_node(2, capacity=100)
     node.fail()
     assert not node.store_block("b", 10)
+
+
+def test_store_block_refuses_an_excluded_serial_and_changes_nothing():
+    """``exclude`` is the door's exclusion: the node refuses, and no count moves."""
+    network = OverlayNetwork.build(4, np.random.default_rng(5), capacities=[100] * 4)
+    view = DHTView(network)
+    node = view.state.nodes[0]
+    with BlockRecorder() as recorder:
+        assert not node.store_block("a", 10, {node.serial})
+        assert not node.store_block("a", 10, (node.serial, node.serial + 1))
+        assert node.used == 0 and view.total_used() == 0 and recorder.blocks(node) == {}
+        assert node.store_block("a", 10, {node.serial + 1})
+        assert node.used == 10 and view.total_used() == 10 and recorder.blocks(node) == {"a": 10}
+        # A full or down node refuses as before, excluded or not.
+        assert not node.store_block("b", 91, ())
+        node.fail()
+        assert not node.store_block("b", 1, ())
+        assert not node.store_block("b", 1, {node.serial})
+        assert recorder.blocks(node) == {"a": 10}
+    view.state.check_invariants()
+
+
+def test_the_recorder_holds_an_excluded_store_to_changing_nothing(monkeypatch):
+    """A door that took bytes despite ``exclude`` fails the recorder's check."""
+    node = make_node(9, capacity=100)
+    node.serial = 0
+    door = OverlayNode.store_block
+
+    def leaky_door(self, block_name, size, exclude=()):
+        return door(self, block_name, size) and False  # takes the bytes, answers no
+
+    monkeypatch.setattr(OverlayNode, "store_block", leaky_door)
+    with BlockRecorder(), pytest.raises(AssertionError):
+        node.store_block("a", 10, {0})
 
 
 def test_remove_block_releases_space():

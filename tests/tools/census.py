@@ -159,7 +159,6 @@ KEEP: dict[str, str] = {
     "repro.core.cache.CacheManager.fill_block": "the payload-mode cache path",
     "repro.core.cache.NodeBlockCache.__contains__": "container protocol the cache tests read",
     "repro.core.cache.NodeBlockCache.__len__": "container protocol the cache tests read",
-    "repro.baselines.cfs.CfsStore._replicate": _CFS_REPLICAS,
     "repro.overlay.dht.DHTView.successors": _CFS_REPLICAS,
     "repro.overlay.node_state.NodeArrayState.successor_indices": _CFS_REPLICAS,
     "repro.multicast.tree.build_locality_tree":
