@@ -314,20 +314,22 @@ class RecoveryManager:
         """Mint a brand-new encoded block for a rateless chunk, if possible.
 
         Returns ``None`` for non-rateless codes (their repair re-places the
-        original payload).  For the online code, the surviving blocks are
-        decoded and ``generate_additional_blocks`` continues the check-block
-        stream -- the cached code-structure layer means this reuses the graph
-        the encoder built rather than re-deriving it.
+        original payload) and when the stored blocks no longer determine the
+        chunk.  For the online code, ``generate_additional_blocks`` continues
+        the check-block stream straight from the stored blocks: the new block
+        is one XOR of some of them, so nothing is decoded, and the cached
+        code-structure layer reuses the graph the encoder built.
         """
         code = self.storage.codec.code
         if not hasattr(code, "generate_additional_blocks") or chunk.encoded is None:
             return None
         encoded = chunk.encoded
         try:
-            data = code.decode(encoded, {b.index: b.data for b in encoded.blocks})
+            (block,) = code.generate_additional_blocks(
+                encoded, {b.index: b.data for b in encoded.blocks}, 1
+            )
         except DecodingError:  # peeling stalled: fall back to copying the lost payload
             return None
-        (block,) = code.generate_additional_blocks(encoded, data, 1)
         encoded.metadata["output_blocks"] = block.index + 1
         return block
 
@@ -461,13 +463,15 @@ class RecoveryManager:
 
         The new copy goes to the first node of the primary's identifier-space
         neighbourhood -- where the original replication pass looked -- that
-        is no holder yet, has no copy on disk and has room; the gone holder's
-        row is then released.  With no room anywhere the row stays, dead but
-        revivable.  Returns the new holder, or ``None``.
+        has no copy on disk and has room; the gone holder's row is then
+        released.  The disk exclusion covers every holder: the neighbourhood
+        leaves out the primary's own id, and every other holder id belongs
+        to the (up or down) node owning an unreleased row, since a node id is
+        free to rejoin only after its rows were released.  With no room
+        anywhere the row stays, dead but revivable.  Returns the new holder,
+        or ``None``.
         """
-        holders = ledger.placement_holders(placement_idx)
-        placed = first_fits((candidate for candidate in self.dht.neighbors(holders[0], 8)
-                             if candidate.node_id not in holders),
+        placed = first_fits(self.dht.neighbors(ledger.placement_primary(placement_idx), 8),
                             name, size, ledger.placement_disk_serials(placement_idx))
         if not placed:
             return None

@@ -45,9 +45,12 @@ exactly the graph the encoder built.  Payload bytes cross the online code's
 boundary once each way: ``decode`` copies every available block straight into
 its equation row, replays the compiled schedule in place (a consumed
 equation's row *is* the composite it recovered) and joins the rows of the
-originals into the result; ``encode`` and ``generate_additional_blocks`` pack
-only the composites their check blocks reference.  Every ``decode`` rejects a
-block that is not ``chunk.block_size`` long with :class:`DecodingError`.  The
+originals into the result; ``encode`` packs only the composites its check
+blocks reference.  Repair's ``generate_additional_blocks`` decodes nothing: it
+replays the same compiled schedule once on unit bit vectors, which names the
+available check blocks whose XOR is each new block, and XORs those blocks in
+place.  Every ``decode`` and mint rejects a block that is not
+``chunk.block_size`` long with :class:`DecodingError`.  The
 storage/recovery layers
 (:mod:`repro.core.storage`, :mod:`repro.core.recovery`) and the coding
 benchmarks (``benchmarks/test_bench_coding_throughput.py``) all ride on this

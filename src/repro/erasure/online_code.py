@@ -149,8 +149,12 @@ class DecodeProgram:
       written to the spare rows from ``n_equations`` on.
 
     ``missing`` is non-zero (and the schedule unusable for full decode) when
-    the available set cannot determine every original block.  ``rounds`` /
-    ``events`` preserve peeling statistics for fingerprints and diagnostics.
+    the available set cannot determine every original block.  When it is zero
+    every auxiliary block has a row too: peeling reduces an auxiliary
+    constraint to its auxiliary block once the members are known, and the
+    residual eliminator solves every column the equations determine.
+    ``rounds`` / ``events`` preserve peeling statistics for fingerprints and
+    diagnostics.
     """
 
     __slots__ = (
@@ -467,8 +471,8 @@ class OnlineCode(ErasureCode):
     def __init__(self, parameters: Optional[OnlineCodeParameters] = None, seed: int = 0) -> None:
         self.parameters = parameters or OnlineCodeParameters()
         self.seed = int(seed)
-        #: Peeling statistics of the most recent decode (rounds, events);
-        #: exposed for the determinism fingerprints and perf diagnostics.
+        #: Peeling statistics (rounds, events) of the program the most recent decode or
+        #: mint ran; exposed for the determinism fingerprints and perf diagnostics.
         self.last_decode_stats: Dict[str, int] = {}
 
     # -- graph access -----------------------------------------------------------
@@ -503,10 +507,8 @@ class OnlineCode(ErasureCode):
         ``matrix`` is the chunk split into its original blocks.  Returns
         ``(words, flat re-indexed into the rows of words)``.  Only what the
         check blocks need is built: the referenced originals, the referenced
-        auxiliary blocks, and the members those are XORed from.  A full encode
-        references (nearly) everything; minting one repair block references a
-        handful of originals and rarely an auxiliary block.  The chunk payload
-        is copied once, straight into the packed rows.
+        auxiliary blocks, and the members those are XORed from.  The chunk
+        payload is copied once, straight into the packed rows.
         """
         n_blocks = graph.n_blocks
         used = np.zeros(graph.composite_count, dtype=bool)
@@ -531,15 +533,6 @@ class OnlineCode(ErasureCode):
             words[: originals.size], position[members], member_offsets, out=words[originals.size :]
         )
         return words, position[flat]
-
-    @staticmethod
-    def _check_blocks(words: np.ndarray, block_size: int, first_index: int) -> List[EncodedBlock]:
-        """Wrap packed check payloads as encoded blocks ``first_index, first_index + 1, ...``."""
-        payload_bytes = gf2.unpack_matrix(words, block_size)
-        return [
-            EncodedBlock(index=first_index + row, data=payload_bytes[row].tobytes())
-            for row in range(words.shape[0])
-        ]
 
     # -- decodability (symbolic) ------------------------------------------------
     def _decodable_from_all(self, graph: CodeGraph, check_count: int) -> bool:
@@ -596,9 +589,13 @@ class OnlineCode(ErasureCode):
 
         flat, offsets = graph.check_csr(output_blocks)
         composites, flat = self._composite_words(graph, matrix, flat)
-        encoded = self._check_blocks(
-            gf2.xor_reduce_segments(composites, flat, offsets), block_size, 0
+        payload_bytes = gf2.unpack_matrix(
+            gf2.xor_reduce_segments(composites, flat, offsets), block_size
         )
+        encoded = [
+            EncodedBlock(index=row, data=payload_bytes[row].tobytes())
+            for row in range(output_blocks)
+        ]
         return EncodedChunk(
             code_name=self.name,
             original_size=len(data),
@@ -614,35 +611,60 @@ class OnlineCode(ErasureCode):
             },
         )
 
-    def generate_additional_blocks(self, chunk: EncodedChunk, data: bytes, count: int) -> List[EncodedBlock]:
-        """Produce ``count`` *new* check blocks for an already-encoded chunk.
+    def generate_additional_blocks(
+        self, chunk: EncodedChunk, available: Dict[int, bytes], count: int
+    ) -> List[EncodedBlock]:
+        """Mint ``count`` *new* check blocks for a chunk from its available check blocks.
 
         This is the rateless property the recovery pipeline relies on: new
-        encoded blocks can be created for a chunk without touching the blocks
-        that already exist (their indices simply continue the stream).  The
-        cached code graph means only the *new* stream indices are derived, and
-        only the composites those checks reference are read from the chunk.
+        encoded blocks continue the stream (indices from
+        ``metadata["output_blocks"]`` on) without touching the blocks that
+        already exist.  Nothing is decoded.  Decoding is GF(2)-linear, so the
+        chunk's compiled :class:`DecodeProgram` is replayed once on unit bit
+        vectors in place of payloads: bit ``i`` stands for the ``i``-th sorted
+        available index, and afterwards row ``var_rows[c]`` says which check
+        blocks XOR to composite ``c``.  A new block's selection is the XOR of
+        its neighbours' rows, and its payload the XOR of the selected blocks,
+        read in place.  Raises :class:`DecodingError` exactly when
+        :meth:`decode` would on the same ``available``.
         """
         if count < 1:
             return []
-        graph = self._graph_for_chunk(chunk, self.parameters)
+        graph, indices, program = self._decode_program(chunk, available)
+        unit = np.arange(len(indices), dtype=np.int64)
+        bits = np.zeros((program.n_rows, -(-unit.size // 64)), dtype=np.uint64)
+        bits[unit, unit >> 6] = np.uint64(1) << (unit & 63).astype(np.uint64)
+        program.run(bits)
+        composites = bits[program.var_rows]  # every composite has a row (see DecodeProgram)
         start = int(chunk.metadata["output_blocks"])
         flat, offsets = graph.checks_for(np.arange(start, start + count, dtype=np.int64))
-        composites, flat = self._composite_words(
-            graph, split_into_matrix(data, chunk.n_blocks), flat
-        )
-        return self._check_blocks(
-            gf2.xor_reduce_segments(composites, flat, offsets), chunk.block_size, start
-        )
+        selections = gf2.xor_reduce_segments(composites, flat, offsets).astype("<u8")
+        selected = np.unpackbits(selections.view(np.uint8), axis=1, bitorder="little")
+        # A block whose size is not a multiple of 8 is XORed byte by byte.
+        dtype = np.uint64 if chunk.block_size % 8 == 0 else np.uint8
+        minted = []
+        for offset, row in enumerate(selected[:, : unit.size]):
+            payload = np.zeros(chunk.block_size // np.dtype(dtype).itemsize, dtype=dtype)
+            for position in np.flatnonzero(row).tolist():
+                block = np.frombuffer(available[indices[position]], dtype=dtype)
+                np.bitwise_xor(payload, block, out=payload)
+            minted.append(EncodedBlock(index=start + offset, data=payload.tobytes()))
+        return minted
 
     # -- decode -------------------------------------------------------------------
-    def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+    def _decode_program(
+        self, chunk: EncodedChunk, available: Dict[int, bytes]
+    ) -> Tuple[CodeGraph, List[int], DecodeProgram]:
+        """The graph, sorted indices and compiled program that ``available`` decodes by.
+
+        Shared by :meth:`decode` and :meth:`generate_additional_blocks`, so
+        both refuse the same inputs with :class:`DecodingError`: a block of
+        the wrong length, a foreign stream tag, an unknown index, or an
+        available set that does not determine every original block.
+        """
         require_block_lengths(chunk, available)
         graph = self._graph_for_chunk(chunk, self.parameters)
-        n_blocks = chunk.n_blocks
         total_outputs = int(chunk.metadata["output_blocks"])
-        block_size = chunk.block_size
-
         indices = sorted(available)
         for index in indices:
             if not 0 <= index < total_outputs:
@@ -656,10 +678,15 @@ class OnlineCode(ErasureCode):
         if program.missing:
             epsilon = float(chunk.metadata.get("epsilon", self.parameters.epsilon))
             raise DecodingError(
-                f"online code peeling stalled: {program.missing}/{n_blocks} original "
+                f"online code peeling stalled: {program.missing}/{chunk.n_blocks} original "
                 f"blocks unrecovered from {len(available)} check blocks "
                 f"(epsilon={epsilon})"
             )
+        return graph, indices, program
+
+    def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+        _, indices, program = self._decode_program(chunk, available)
+        block_size = chunk.block_size
 
         # Each block is copied once, straight into its equation row; the rows
         # of the solved originals are joined once on the way out.
@@ -676,7 +703,7 @@ class OnlineCode(ErasureCode):
         size = chunk.original_size
         return b"".join(
             raw[row * stride : row * stride + max(0, min(block_size, size - position * block_size))]
-            for position, row in enumerate(program.var_rows[:n_blocks].tolist())
+            for position, row in enumerate(program.var_rows[: chunk.n_blocks].tolist())
         )
 
     # -- metadata -------------------------------------------------------------------

@@ -232,6 +232,11 @@ RETIRED = (
      r"|\bdef _replicate\b",
      ("src",), "one placement door: store_block(name, size, exclude) refuses an excluded "
      "serial, and overlay.dht.first_fits is the one walk over a candidate list"),
+    ("decode-then-encode repair",
+     r"\.decode\(",
+     ("src/repro/core/recovery.py",), "repair decodes nothing: "
+     "OnlineCode.generate_additional_blocks mints a new check block as one XOR of the stored "
+     "check blocks"),
 )
 
 

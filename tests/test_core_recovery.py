@@ -439,7 +439,7 @@ def test_regeneration_kernel_failure_is_not_swallowed(dht, monkeypatch):
     data = np.random.default_rng(7).integers(0, 256, size=1 * MB, dtype=np.uint8).tobytes()
     storage.store_bytes("file-k", data)
 
-    def broken(self, chunk, data, count):
+    def broken(self, chunk, available, count):
         raise ValueError("kernel bug")
 
     monkeypatch.setattr(OnlineCode, "generate_additional_blocks", broken)
@@ -462,11 +462,13 @@ def test_stalled_decode_falls_back_to_replacing_the_lost_payload(dht, monkeypatc
         for chunk in stored.data_chunks()
     ]
 
-    def stalled(self, chunk, available):
+    def stalled(self, chunk, available, count):
         raise DecodingError("online code peeling stalled")
 
+    # The mint raises ``DecodingError`` exactly when a decode of the same
+    # blocks would stall.
     with monkeypatch.context() as patch:
-        patch.setattr(OnlineCode, "decode", stalled)
+        patch.setattr(OnlineCode, "generate_additional_blocks", stalled)
         impact = RecoveryManager(storage).handle_failure(first_block_holder(storage, "file-d"))
     assert impact.data_bytes_lost == 0 and impact.bytes_regenerated > 0
 
@@ -481,4 +483,33 @@ def test_stalled_decode_falls_back_to_replacing_the_lost_payload(dht, monkeypatc
             holder = dht.network.node(placement.node_id)
             assert holder.payloads[placement.block_name] == chunk.encoded.blocks[index].data
     out = storage.retrieve_file("file-d")
+    assert out.complete and out.data == data
+
+
+def test_rateless_repair_decodes_nothing(dht, monkeypatch):
+    """The fresh block is minted straight from the stored check blocks: no
+    ``OnlineCode.decode`` runs during repair, and the file still reads back."""
+    from repro.erasure.online_code import OnlineCode
+
+    storage = _online_payload_storage(dht, seed=23)
+    data = np.random.default_rng(9).integers(0, 256, size=2 * MB, dtype=np.uint8).tobytes()
+    storage.store_bytes("file-m", data)
+    stored = storage.files["file-m"]
+    before = max(block.index for chunk in stored.data_chunks() for block in chunk.encoded.blocks)
+
+    decodes = []
+    real_decode = OnlineCode.decode
+
+    def counted(self, chunk, available):
+        decodes.append(chunk)
+        return real_decode(self, chunk, available)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(OnlineCode, "decode", counted)
+        impact = RecoveryManager(storage).handle_failure(first_block_holder(storage, "file-m"))
+    assert decodes == []
+    assert impact.data_bytes_lost == 0 and impact.bytes_regenerated > 0
+    after = max(block.index for chunk in stored.data_chunks() for block in chunk.encoded.blocks)
+    assert after > before  # a fresh block was minted, not the old payload copied
+    out = storage.retrieve_file("file-m")
     assert out.complete and out.data == data

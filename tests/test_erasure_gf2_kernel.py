@@ -190,7 +190,9 @@ def test_in_place_replay_matches_reference_on_rateless_subsets(
     code = OnlineCode(OnlineCodeParameters(epsilon=epsilon, q=3, quality=quality), seed=13)
     data = np.random.default_rng(n_blocks).bytes(n_blocks * block_bytes - n_blocks // 2)
     encoded = code.encode(data, n_blocks)
-    extra = code.generate_additional_blocks(encoded, data, 8)
+    extra = code.generate_additional_blocks(
+        encoded, {b.index: b.data for b in encoded.blocks}, 8
+    )
     blocks = {b.index: b.data for b in encoded.blocks + extra}
     for index in subset.draw(
         st.lists(st.sampled_from(sorted(blocks)), max_size=len(extra), unique=True)

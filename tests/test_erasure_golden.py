@@ -102,7 +102,7 @@ def test_online_wide_row_bytes_are_golden():
     assert decoded == data
     assert code.last_decode_stats == {"rounds": 14, "events": 968}
 
-    extra = code.generate_additional_blocks(encoded, data, 3)
+    extra = code.generate_additional_blocks(encoded, available, 3)
     assert [block.index for block in extra] == [83, 84, 85]
     assert fingerprint(replace(encoded, blocks=extra)) == "db7574c990225787"
 
@@ -136,7 +136,7 @@ def test_unknown_stream_version_tag_is_refused():
     with pytest.raises(DecodingError, match=r"version tag 7; .* version 2 only"):
         code.decode(foreign, available)
     with pytest.raises(DecodingError, match=r"version tag 7; .* version 2 only"):
-        code.generate_additional_blocks(foreign, data, 2)
+        code.generate_additional_blocks(foreign, available, 2)
 
 
 def test_missing_stream_version_tag_is_refused_not_misdecoded():
@@ -151,7 +151,7 @@ def test_missing_stream_version_tag_is_refused_not_misdecoded():
     with pytest.raises(DecodingError, match=r"version tag None; .* version 2 only"):
         code.decode(untagged, available)
     with pytest.raises(DecodingError, match="version tag None"):
-        code.generate_additional_blocks(untagged, data, 1)
+        code.generate_additional_blocks(untagged, available, 1)
 
 
 # -- round-trip properties with random subsets -----------------------------------
@@ -166,7 +166,9 @@ def test_online_round_trips_from_random_rateless_subsets(data, n_blocks, subset)
     stream is decoded — either it round-trips or it raises DecodingError."""
     code = OnlineCode(OnlineCodeParameters(epsilon=0.25, q=3, quality=1.3), seed=13)
     encoded = code.encode(data, n_blocks)
-    extra = code.generate_additional_blocks(encoded, data, 8)
+    extra = code.generate_additional_blocks(
+        encoded, {b.index: b.data for b in encoded.blocks}, 8
+    )
     extended = replace(
         encoded,
         blocks=encoded.blocks + extra,

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.erasure.base import DecodingError
-from repro.erasure.online_code import OnlineCode, OnlineCodeParameters
+from repro.erasure.online_code import OnlineCode, OnlineCodeParameters, code_graph
 
 
 def payload(size: int, seed: int = 0) -> bytes:
@@ -99,7 +102,9 @@ def test_encoding_is_deterministic_for_seed():
 def test_rateless_generate_additional_blocks(code: OnlineCode):
     data = payload(10_000, seed=7)
     encoded = code.encode(data, 16)
-    extra = code.generate_additional_blocks(encoded, data, 10)
+    extra = code.generate_additional_blocks(
+        encoded, {b.index: b.data for b in encoded.blocks}, 10
+    )
     assert len(extra) == 10
     first_new = int(encoded.metadata["output_blocks"])
     assert [b.index for b in extra] == list(range(first_new, first_new + 10))
@@ -117,10 +122,54 @@ def test_rateless_generate_additional_blocks(code: OnlineCode):
     assert code.decode(extended, available) == data
 
 
+@given(
+    n_blocks=st.integers(min_value=1, max_value=64),
+    block_bytes=st.integers(min_value=1, max_value=40),
+    short=st.integers(min_value=0, max_value=63),
+    epsilon=st.sampled_from([0.01, 0.25]),
+    seed=st.integers(min_value=0, max_value=1000),
+    drop=st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=12),
+    count=st.integers(min_value=1, max_value=8),
+)
+# Peeling stalls and the residual solver finishes the program; the minted
+# blocks read composites it solved (blocks of 5 bytes, 98-byte chunk, 2 lost).
+@example(n_blocks=23, block_bytes=5, short=40, epsilon=0.01, seed=776, drop=[37885, 3899],
+         count=4)
+@settings(deadline=None)
+def test_minted_blocks_match_the_encoder_oracle(
+    n_blocks, block_bytes, short, epsilon, seed, drop, count
+):
+    """A minted block equals the block the encoder would have produced at
+    that stream index, byte for byte, from any available set that decodes;
+    from any other the mint raises the decoder's own ``DecodingError``."""
+    size = max(1, n_blocks * block_bytes - short % n_blocks)  # often not divisible by n or 8
+    code = OnlineCode(OnlineCodeParameters(epsilon=epsilon, q=3), seed=seed)
+    data = np.random.default_rng(seed).bytes(size)
+    encoded = code.encode(data, n_blocks)
+    available = {block.index: block.data for block in encoded.blocks}
+    for position in drop:
+        del available[sorted(available)[position % len(available)]]
+    try:
+        assert code.decode(encoded, available) == data
+    except DecodingError as stalled:
+        with pytest.raises(DecodingError, match=re.escape(str(stalled))):
+            code.generate_additional_blocks(encoded, available, count)
+        return
+    graph = code_graph(epsilon, 3, n_blocks, int(encoded.metadata["chunk_seed"]))
+    assert (graph.decode_program(tuple(sorted(available))).var_rows >= 0).all()
+
+    start = len(encoded.blocks)
+    oracle = code.encode(data, n_blocks, output_blocks=start + count).blocks[start:]
+    minted = code.generate_additional_blocks(encoded, available, count)
+    assert [(b.index, b.data) for b in minted] == [(b.index, b.data) for b in oracle]
+    assert [b.index for b in minted] == list(range(start, start + count))
+
+
 def test_generate_additional_blocks_zero_count(code: OnlineCode):
     data = payload(100, seed=8)
     encoded = code.encode(data, 4)
-    assert code.generate_additional_blocks(encoded, data, 0) == []
+    available = {b.index: b.data for b in encoded.blocks}
+    assert code.generate_additional_blocks(encoded, available, 0) == []
 
 
 def test_storage_overhead_is_modest_for_paper_parameters():
