@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.overlay.node import BlockBytes
 from repro.overlay.validation import require_range
 
 
@@ -65,7 +66,7 @@ class NodeBlockCache:
                 self._entries.move_to_end(name)
 
     def admit(self, block_name: str, size: int, index: Optional[int] = None,
-              payload: Optional[bytes] = None) -> List[str]:
+              payload: Optional[BlockBytes] = None) -> List[str]:
         """Insert one block, evicting LRU entries to fit; returns evictions.
 
         ``index`` / ``payload`` (payload mode) are what a hit returns.  A block
@@ -148,7 +149,7 @@ class CacheManager:
             self.bytes_filled += int(size)
 
     # -- payload mode: block-granular lookups ---------------------------------
-    def lookup_block(self, client: int, block_name: str, index: int) -> Optional[bytes]:
+    def lookup_block(self, client: int, block_name: str, index: int) -> Optional[BlockBytes]:
         """The cached bytes of stream block ``index`` under ``block_name`` (None on miss).
 
         An entry of another index (the block before a repair re-minted it) misses.
@@ -164,7 +165,7 @@ class CacheManager:
         return None
 
     def fill_block(self, client: int, block_name: str, size: int, index: int,
-                   payload: bytes) -> None:
+                   payload: BlockBytes) -> None:
         """Admit the fetched bytes of stream block ``index`` into ``client``'s cache."""
         cache = self.node_cache(client)
         cache.admit(block_name, size, index, payload)

@@ -48,7 +48,7 @@ from repro.erasure.base import EncodedChunk
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.overlay.dht import DHTView, first_fits
-from repro.overlay.node import StoreResult, store_refusal
+from repro.overlay.node import BlockBytes, StoreResult, store_refusal
 from repro.overlay.validation import require_range
 
 #: Sentinel distinguishing "keyword not passed" from an explicit ``None``
@@ -260,6 +260,16 @@ class StorageSystem(LedgerStore):
         #: Reads that could not recover every requested chunk.
         self.failed_reads = 0
 
+    def delete_file(self, filename: str) -> bool:
+        stored = self.files.get(filename)
+        if not super().delete_file(filename):
+            return False
+        # The ledger keeps each chunk as its blocks' naming rule; the buffers
+        # the encoder wrote the chunk's payloads into go with the file.
+        for chunk in stored.chunks:
+            chunk.encoded = None
+        return True
+
     def attach_transfers(self, scheduler, client: Optional[int] = None,
                          observer=None) -> None:
         """Charge this store's data movement to a transfer scheduler.
@@ -430,7 +440,7 @@ class StorageSystem(LedgerStore):
 
         A block goes on no node in ``namesakes`` under its name.
         """
-        payloads: Optional[List[bytes]] = None
+        payloads: Optional[List[BlockBytes]] = None
         if chunk_data is not None:
             chunk.encoded = self.codec.encode(chunk_data)
             payloads = [block.data for block in chunk.encoded.blocks]
@@ -519,7 +529,7 @@ class StorageSystem(LedgerStore):
 
     # --------------------------------------------------------------- retrieval --
     def _fetch_block(self, ledger_placement: int, placement: BlockPlacement, index: int,
-                     client: Optional[int]) -> Tuple[Optional[bytes], bool]:
+                     client: Optional[int]) -> Tuple[Optional[BlockBytes], bool]:
         """Fetch the bytes of stream block ``index`` (payload mode): cache, then holders.
 
         The first live holder with the block serves its ``payloads`` entry.
@@ -691,7 +701,7 @@ class StorageSystem(LedgerStore):
                 complete = False
                 failure_reason = f"chunk {chunk.chunk_no} has no encoder metadata"
                 continue
-            available: Dict[int, bytes] = {}
+            available: Dict[int, BlockBytes] = {}
             network_fetched = 0
             for index, placement in enumerate(placements):
                 stream_index = (

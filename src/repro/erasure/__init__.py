@@ -17,9 +17,10 @@ All four codes sit on top of :mod:`repro.erasure.gf2`, a bit-packed GF(2)
 kernel that turns the coding hot paths into batched NumPy operations:
 
 * ``xor_reduce_segments`` / ``xor_accumulate_segments`` — payload blocks are
-  stacked into ``uint64``-word matrices and a CSR description names each
-  output block's neighbours (check blocks, aux-block construction, the
-  decoder's peeling rounds and residual combinations).  The row width picks
+  ``uint64``-word rows (one matrix, or a sequence of rows read in place) and
+  a CSR description names each output block's neighbours (check blocks,
+  aux-block construction, the decoder's peeling rounds and residual
+  combinations).  The row width picks
   the kernel: rows under 4 KiB (``gf2.STREAM_MIN_WORDS``; 64 KiB - 4 MiB
   chunks in 256-512 blocks) are batched through a length-grouped 3-D gather
   and one strided ``bitwise_xor.reduce`` per group; wider rows (payload mode:
@@ -41,15 +42,22 @@ kernel that turns the coding hot paths into batched NumPy operations:
 Code structures (aux assignments, degree CDFs, check-neighbour prefixes,
 Reed-Solomon generator matrices) are memoised in ``lru_cache`` layers keyed
 by the chunk seed and code parameters, so decode and the repair path reuse
-exactly the graph the encoder built.  Payload bytes cross the online code's
-boundary once each way: ``decode`` copies every available block straight into
-its equation row, replays the compiled schedule in place (a consumed
-equation's row *is* the composite it recovered) and joins the rows of the
-originals into the result; ``encode`` packs only the composites its check
-blocks reference.  Repair's ``generate_additional_blocks`` decodes nothing: it
-replays the same compiled schedule once on unit bit vectors, which names the
-available check blocks whose XOR is each new block, and XORs those blocks in
-place.  Every ``decode`` and mint rejects a block that is not
+exactly the graph the encoder built.
+
+Payload bytes are written once (the contract is stated on
+:class:`~repro.erasure.base.EncodedBlock`): every encoded block is a
+read-only view, of the input's bytes (an original carried verbatim) or of the
+one buffer its encoder XORed it into (``base.block_views``).  The online
+``encode`` reads the originals in place, builds only the auxiliary rows and
+XORs each check block straight into its row of the output buffer; ``decode``
+copies every available block once into its equation row, replays the
+compiled schedule in place (a consumed equation's row *is* the composite it
+recovered) and joins the rows of the originals into the result with one
+``b"".join`` (``base.join_blocks``, every code's decoder).  Repair's
+``generate_additional_blocks`` decodes nothing: it replays the same compiled
+schedule once on unit bit vectors, which names the available check blocks
+whose XOR is each new block, and XORs those blocks in place into the new
+block's own row.  Every ``decode`` and mint rejects a block that is not
 ``chunk.block_size`` long with :class:`DecodingError`.  The
 storage/recovery layers
 (:mod:`repro.core.storage`, :mod:`repro.core.recovery`) and the coding
@@ -68,7 +76,6 @@ from repro.erasure.base import (
     EncodedBlock,
     EncodedChunk,
     ErasureCode,
-    split_into_blocks,
     split_into_matrix,
 )
 from repro.erasure.null_code import NullCode
@@ -88,7 +95,6 @@ __all__ = [
     "EncodedBlock",
     "EncodedChunk",
     "ErasureCode",
-    "split_into_blocks",
     "split_into_matrix",
     "NullCode",
     "XorParityCode",

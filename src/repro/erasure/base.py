@@ -1,4 +1,9 @@
-"""Common interfaces and helpers for erasure codes."""
+"""Common interfaces and helpers for erasure codes.
+
+The payload contract every code keeps (stated on :class:`EncodedBlock`):
+each payload byte is written once, into the buffer that stores it, and a
+block hands that buffer out as a read-only view.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.overlay.node import BlockBytes
 from repro.overlay.validation import require_range
 
 
@@ -17,10 +23,35 @@ class DecodingError(RuntimeError):
 
 @dataclass(frozen=True)
 class EncodedBlock:
-    """One encoded block: its index within the chunk encoding and its payload."""
+    """One encoded block: its index within the chunk encoding and its payload.
+
+    ``data`` is a read-only bytes-like buffer (:data:`BlockBytes`): ``bytes``
+    or a read-only ``memoryview`` of format ``"B"``.  Compare it by content
+    (``==`` against ``bytes`` or another view); ``len``, slicing,
+    ``b"".join``, ``hashlib`` and ``np.frombuffer`` read it in place.  It is
+    not hashable -- a view of a NumPy buffer cannot be hashed -- and neither is
+    the block.
+
+    Encoders write each payload byte once, into the buffer that stores it:
+
+    * an original block carried verbatim (the null, XOR and Reed-Solomon
+      codes) is a view of the input when the input is immutable ``bytes``
+      (of its one zero-padded copy when it does not divide evenly); any other
+      input (``bytearray``, ``memoryview``, ...) is copied once first
+      (:func:`split_into_matrix`), so mutating it later changes no block;
+    * the blocks an encoder computes (check, parity, minted blocks) are row
+      views of one NumPy buffer per call (:func:`block_views`), written in
+      place by the XOR kernel; nothing is converted to ``bytes`` afterwards.
+
+    A buffer lives until its last view goes.  In payload mode the chunk's
+    ``EncodedChunk`` already holds every block, so the resident bytes are the
+    same as with one ``bytes`` object per block.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
 
     index: int
-    data: bytes
+    data: BlockBytes
 
     @property
     def size(self) -> int:
@@ -78,38 +109,55 @@ def split_into_matrix(data: bytes, n_blocks: int) -> np.ndarray:
     removed at reassembly using the recorded original size.  The 2-D layout is
     what the vectorized kernel (:mod:`repro.erasure.gf2`) operates on: whole
     encode passes become one segmented XOR-reduce over this matrix instead of
-    per-block Python loops.  The matrix is for reading: when ``data`` divides
-    evenly it is a read-only view of ``data`` itself, not a copy.
+    per-block Python loops.  The matrix is read-only.  When ``data`` is
+    ``bytes`` and divides evenly it is a view of ``data`` itself; any other
+    input is copied once (into ``bytes``, or into the zero-padded matrix), so
+    the matrix never aliases a buffer the caller can still write.
     """
     require_range("n_blocks", n_blocks, 1)
+    if not isinstance(data, bytes):
+        data = bytes(data)
     buffer = np.frombuffer(data, dtype=np.uint8)
     block_size = -(-len(buffer) // n_blocks) if len(buffer) else 1
     if len(buffer) != block_size * n_blocks:
         padded = np.zeros(block_size * n_blocks, dtype=np.uint8)
         padded[: len(buffer)] = buffer
+        padded.flags.writeable = False
         buffer = padded
     return buffer.reshape(n_blocks, block_size)
 
 
-def split_into_blocks(data: bytes, n_blocks: int) -> List[np.ndarray]:
-    """Split ``data`` into ``n_blocks`` equal-size uint8 blocks (zero padded).
+def block_views(rows: np.ndarray, block_size: int) -> List[memoryview]:
+    """Read-only ``block_size``-byte views of the rows of a C-contiguous 2-D array.
 
-    Row views of :func:`split_into_matrix`, kept for call sites that want a
-    list of 1-D blocks.
+    The one way an encoder hands out payloads (:class:`EncodedBlock`): each
+    view starts at its row and aliases ``rows``, which lives as long as any
+    view does.  A row may be wider than ``block_size`` (uint64 word padding).
     """
-    matrix = split_into_matrix(data, n_blocks)
-    return [matrix[i] for i in range(n_blocks)]
+    raw = memoryview(rows).cast("B").toreadonly()
+    stride = rows.strides[0]
+    return [raw[start : start + block_size] for start in range(0, len(raw), stride)]
 
 
-def join_blocks(blocks: Sequence[np.ndarray], original_size: int) -> bytes:
-    """Concatenate decoded blocks and strip padding back to ``original_size``."""
-    if not blocks:
-        return b""
-    joined = np.concatenate([np.asarray(block, dtype=np.uint8) for block in blocks])
-    return joined[:original_size].tobytes()
+def join_blocks(blocks: Sequence[BlockBytes], original_size: int) -> bytes:
+    """Concatenate decoded blocks, cut at ``original_size``, in one copy.
+
+    ``blocks`` are equal-sized bytes-like buffers (payloads, row views, uint8
+    arrays); each contributes the part of itself below ``original_size`` to one
+    ``b"".join``.
+    """
+    pieces = []
+    remaining = original_size
+    for block in blocks:
+        if remaining <= 0:
+            break
+        view = memoryview(block)
+        pieces.append(view[:remaining])
+        remaining -= len(view)
+    return b"".join(pieces)
 
 
-def require_block_lengths(chunk: EncodedChunk, available: Dict[int, bytes]) -> None:
+def require_block_lengths(chunk: EncodedChunk, available: Dict[int, BlockBytes]) -> None:
     """Raise :class:`DecodingError` unless every available block is ``chunk.block_size`` long.
 
     Every code's ``decode`` starts here: a truncated or over-long block would
@@ -136,7 +184,7 @@ class ErasureCode(abc.ABC):
         """Encode ``data`` (one chunk) split into ``n_blocks`` original blocks."""
 
     @abc.abstractmethod
-    def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+    def decode(self, chunk: EncodedChunk, available: Dict[int, BlockBytes]) -> bytes:
         """Reassemble the chunk from the ``available`` encoded blocks.
 
         ``available`` maps encoded-block index to payload.  Raises

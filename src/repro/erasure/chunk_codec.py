@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.erasure.base import CodeSpec, EncodedChunk, ErasureCode
+from repro.erasure.base import BlockBytes, CodeSpec, EncodedChunk, ErasureCode
 from repro.erasure.null_code import NullCode
 from repro.erasure.online_code import OnlineCode, OnlineCodeParameters
 from repro.erasure.reed_solomon import ReedSolomonCode
@@ -122,7 +122,7 @@ class ChunkCodec:
         """Encode one chunk's payload."""
         return self.code.encode(data, self.blocks_per_chunk)
 
-    def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+    def decode(self, chunk: EncodedChunk, available: Dict[int, BlockBytes]) -> bytes:
         """Decode one chunk from the available encoded blocks."""
         return self.code.decode(chunk, available)
 

@@ -30,7 +30,7 @@ primitives.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,7 +102,11 @@ def words_for_bytes(n_bytes: int) -> int:
 
 
 def pack_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Pack a ``(rows, block_size)`` uint8 matrix into uint64 words (zero padded)."""
+    """Pack a ``(rows, block_size)`` uint8 matrix into uint64 words (zero padded).
+
+    A view of ``matrix`` (no copy) when ``block_size`` is a multiple of 8 and
+    the matrix is C-contiguous; otherwise one zero-padded copy.
+    """
     rows, n_bytes = matrix.shape
     words = words_for_bytes(n_bytes)
     if n_bytes == words * 8 and matrix.flags.c_contiguous:
@@ -110,11 +114,6 @@ def pack_matrix(matrix: np.ndarray) -> np.ndarray:
     packed = np.zeros((rows, words * 8), dtype=np.uint8)
     packed[:, :n_bytes] = matrix
     return packed.view(np.uint64)
-
-
-def unpack_matrix(words: np.ndarray, block_size: int) -> np.ndarray:
-    """Inverse of :func:`pack_matrix`: a ``(rows, block_size)`` uint8 view/copy."""
-    return words.view(np.uint8)[:, : int(block_size)]
 
 
 # -- batched XOR-reduce ---------------------------------------------------------
@@ -151,19 +150,24 @@ STREAM_MIN_WORDS = 512
 
 
 def xor_reduce_segments(
-    rows: np.ndarray, flat: np.ndarray, offsets: np.ndarray, out: Optional[np.ndarray] = None
+    rows: Union[np.ndarray, Sequence[np.ndarray]],
+    flat: np.ndarray,
+    offsets: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Segmented XOR-reduce: ``out[s] = XOR(rows[i] for i in flat[offsets[s]:offsets[s+1]])``.
 
     This is the encode primitive: ``rows`` holds composite payloads packed as
     uint64 words and each CSR segment names the neighbours of one output
-    block.  Empty segments reduce to zero; an index repeated inside a segment
-    cancels.  ``out`` may share a parent buffer with ``rows`` as long as the
-    two do not overlap.
+    block.  ``rows`` is one 2-D array or a sequence of equal-width 1-D rows --
+    the online encoder passes its originals, read in place, then its auxiliary
+    rows, so the sources are never packed into one matrix.  Empty segments
+    reduce to zero; an index repeated inside a segment cancels.  ``out`` may
+    share a parent buffer with ``rows`` as long as the two do not overlap.
 
     Two kernels, chosen from the row width alone:
 
-    * **wide rows** (``rows.shape[1] >= STREAM_MIN_WORDS``) *stream*: every
+    * **wide rows** (at least ``STREAM_MIN_WORDS`` words) *stream*: every
       term is one ``bitwise_xor(a, b, out=o)`` into the segment's own output
       row.  No temporary is allocated, each source row is read once per use,
       and the output row stays in cache while its terms arrive.  The cost is
@@ -172,16 +176,21 @@ def xor_reduce_segments(
       one strided ``bitwise_xor.reduce`` over a ``(group, length, width)``
       gather (``ufunc.reduceat`` is an order of magnitude slower on 2-D
       operands).  A handful of NumPy calls cover thousands of terms, but the
-      gather materialises every term, so its traffic grows with the row.
+      gather materialises every term, so its traffic grows with the row.  The
+      gather needs one array: a sequence of narrow rows is stacked into one
+      packed copy first.
     """
     segments = int(offsets.size) - 1
-    width = rows.shape[1] if rows.ndim == 2 else 0
+    if isinstance(rows, np.ndarray):
+        width = rows.shape[1] if rows.ndim == 2 else 0
+    else:
+        width = len(rows[0]) if len(rows) else 0
     if out is None:
         out = np.empty((segments, width), dtype=np.uint64)
     if width >= STREAM_MIN_WORDS:
         _xor_reduce_streaming(rows, flat, offsets, out)
     else:
-        _xor_reduce_grouped(rows, flat, offsets, out)
+        _xor_reduce_grouped(np.asarray(rows, dtype=np.uint64), flat, offsets, out)
     return out
 
 
@@ -209,7 +218,10 @@ def xor_accumulate_segments(
 
 
 def _xor_reduce_streaming(
-    rows: np.ndarray, flat: np.ndarray, offsets: np.ndarray, out: np.ndarray
+    rows: Union[np.ndarray, Sequence[np.ndarray]],
+    flat: np.ndarray,
+    offsets: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Wide-row kernel of :func:`xor_reduce_segments` (every ``out`` row is written)."""
     xor = np.bitwise_xor

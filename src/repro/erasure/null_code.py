@@ -5,14 +5,16 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.erasure.base import (
+    BlockBytes,
     CodeSpec,
     DecodingError,
     EncodedBlock,
     EncodedChunk,
     ErasureCode,
+    block_views,
     join_blocks,
     require_block_lengths,
-    split_into_blocks,
+    split_into_matrix,
 )
 
 
@@ -22,28 +24,30 @@ class NullCode(ErasureCode):
     Every block is required for decoding, so the code tolerates zero losses.
     It exists to give the coding-performance experiment its baseline and to
     model the "no error code" configuration of the availability experiment.
+    Its blocks are views of the (split) input: it copies nothing.
     """
 
     name = "null"
 
     def encode(self, data: bytes, n_blocks: int) -> EncodedChunk:
-        blocks = split_into_blocks(data, n_blocks)
-        encoded = [EncodedBlock(index=i, data=block.tobytes()) for i, block in enumerate(blocks)]
+        originals = split_into_matrix(data, n_blocks)
+        block_size = originals.shape[1]
         return EncodedChunk(
             code_name=self.name,
             original_size=len(data),
-            block_size=len(blocks[0]) if blocks else 0,
+            block_size=block_size,
             n_blocks=n_blocks,
-            blocks=encoded,
+            blocks=[EncodedBlock(index=i, data=view)
+                    for i, view in enumerate(block_views(originals, block_size))],
         )
 
-    def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+    def decode(self, chunk: EncodedChunk, available: Dict[int, BlockBytes]) -> bytes:
         require_block_lengths(chunk, available)
         missing = [index for index in range(chunk.n_blocks) if index not in available]
         if missing:
             raise DecodingError(f"null code cannot tolerate losses; missing blocks {missing}")
-        ordered = [available[index] for index in range(chunk.n_blocks)]
-        return join_blocks([memoryview_to_array(block) for block in ordered], chunk.original_size)
+        return join_blocks([available[index] for index in range(chunk.n_blocks)],
+                           chunk.original_size)
 
     def spec(self, n_blocks: int) -> CodeSpec:
         return CodeSpec(
@@ -53,10 +57,3 @@ class NullCode(ErasureCode):
             loss_tolerance=0,
             size_overhead=0.0,
         )
-
-
-def memoryview_to_array(block: bytes):
-    """Return the block as a uint8 NumPy array (cheap view when possible)."""
-    import numpy as np
-
-    return np.frombuffer(block, dtype=np.uint8)

@@ -25,7 +25,8 @@ Implementation notes (the vectorized kernel):
   refused with :class:`DecodingError` rather than decoded on the wrong graph.
 * Payload math runs on the bit-packed GF(2) kernel
   (:mod:`repro.erasure.gf2`): encode is a segmented XOR-reduce over the
-  composites its check blocks reference; decode compiles the vectorized
+  originals, read in place, and the auxiliary rows, written straight into
+  the one buffer its check blocks view; decode compiles the vectorized
   peeling scheduler and the bit-packed residual elimination into a
   :class:`DecodeProgram` once per available-index set and replays it in
   place over one equation matrix.  Wide rows stream through those kernels
@@ -46,11 +47,14 @@ import numpy as np
 
 from repro.erasure import gf2
 from repro.erasure.base import (
+    BlockBytes,
     CodeSpec,
     DecodingError,
     EncodedBlock,
     EncodedChunk,
     ErasureCode,
+    block_views,
+    join_blocks,
     require_block_lengths,
     split_into_matrix,
 )
@@ -497,43 +501,6 @@ class OnlineCode(ErasureCode):
             int(chunk.metadata["chunk_seed"]),
         )
 
-    # -- composite construction -------------------------------------------------
-    @staticmethod
-    def _composite_words(
-        graph: CodeGraph, matrix: np.ndarray, flat: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Packed payloads of the composites that ``flat`` references.
-
-        ``matrix`` is the chunk split into its original blocks.  Returns
-        ``(words, flat re-indexed into the rows of words)``.  Only what the
-        check blocks need is built: the referenced originals, the referenced
-        auxiliary blocks, and the members those are XORed from.  The chunk
-        payload is copied once, straight into the packed rows.
-        """
-        n_blocks = graph.n_blocks
-        used = np.zeros(graph.composite_count, dtype=bool)
-        used[flat] = True
-        aux_used = np.flatnonzero(used[n_blocks:])
-        members, member_offsets = gf2.csr_take(graph.aux_flat, graph.aux_offsets, aux_used)
-        used[members] = True
-        originals = np.flatnonzero(used[:n_blocks])
-        # Originals sort before auxiliaries, so a running count is the row map.
-        position = np.cumsum(used) - 1
-
-        block_size = matrix.shape[1]
-        words = np.empty(
-            (originals.size + aux_used.size, gf2.words_for_bytes(block_size)), dtype=np.uint64
-        )
-        as_bytes = words.view(np.uint8)
-        as_bytes[: originals.size, block_size:] = 0
-        as_bytes[: originals.size, :block_size] = (
-            matrix if originals.size == n_blocks else matrix[originals]
-        )
-        gf2.xor_reduce_segments(
-            words[: originals.size], position[members], member_offsets, out=words[originals.size :]
-        )
-        return words, position[flat]
-
     # -- decodability (symbolic) ------------------------------------------------
     def _decodable_from_all(self, graph: CodeGraph, check_count: int) -> bool:
         """Would the decoder succeed given every encoded block produced so far?
@@ -587,14 +554,19 @@ class OnlineCode(ErasureCode):
             while output_blocks < cap and not self._decodable_from_all(graph, output_blocks):
                 output_blocks += min(max(8, graph.composite_count // 8), cap - output_blocks)
 
+        # Every payload byte is written once: the originals are read in place
+        # (as uint64 words; a block size that is not a multiple of 8 costs one
+        # padded copy), only the auxiliary rows are built, and each check
+        # block is XORed straight into its row of one output buffer, which
+        # the blocks then view.
+        originals = gf2.pack_matrix(matrix)
+        aux = gf2.xor_reduce_segments(originals, graph.aux_flat, graph.aux_offsets)
         flat, offsets = graph.check_csr(output_blocks)
-        composites, flat = self._composite_words(graph, matrix, flat)
-        payload_bytes = gf2.unpack_matrix(
-            gf2.xor_reduce_segments(composites, flat, offsets), block_size
-        )
+        checks = np.empty((output_blocks, originals.shape[1]), dtype=np.uint64)
+        gf2.xor_reduce_segments([*originals, *aux], flat, offsets, out=checks)
         encoded = [
-            EncodedBlock(index=row, data=payload_bytes[row].tobytes())
-            for row in range(output_blocks)
+            EncodedBlock(index=row, data=view)
+            for row, view in enumerate(block_views(checks, block_size))
         ]
         return EncodedChunk(
             code_name=self.name,
@@ -612,7 +584,7 @@ class OnlineCode(ErasureCode):
         )
 
     def generate_additional_blocks(
-        self, chunk: EncodedChunk, available: Dict[int, bytes], count: int
+        self, chunk: EncodedChunk, available: Dict[int, BlockBytes], count: int
     ) -> List[EncodedBlock]:
         """Mint ``count`` *new* check blocks for a chunk from its available check blocks.
 
@@ -640,20 +612,23 @@ class OnlineCode(ErasureCode):
         flat, offsets = graph.checks_for(np.arange(start, start + count, dtype=np.int64))
         selections = gf2.xor_reduce_segments(composites, flat, offsets).astype("<u8")
         selected = np.unpackbits(selections.view(np.uint8), axis=1, bitorder="little")
-        # A block whose size is not a multiple of 8 is XORed byte by byte.
+        # Each new block is XORed into its own row of one buffer, which it
+        # then views; a block size that is not a multiple of 8 is XORed byte
+        # by byte.
         dtype = np.uint64 if chunk.block_size % 8 == 0 else np.uint8
-        minted = []
-        for offset, row in enumerate(selected[:, : unit.size]):
-            payload = np.zeros(chunk.block_size // np.dtype(dtype).itemsize, dtype=dtype)
+        payloads = np.zeros((count, chunk.block_size // np.dtype(dtype).itemsize), dtype=dtype)
+        for payload, row in zip(payloads, selected[:, : unit.size]):
             for position in np.flatnonzero(row).tolist():
                 block = np.frombuffer(available[indices[position]], dtype=dtype)
                 np.bitwise_xor(payload, block, out=payload)
-            minted.append(EncodedBlock(index=start + offset, data=payload.tobytes()))
-        return minted
+        return [
+            EncodedBlock(index=start + offset, data=view)
+            for offset, view in enumerate(block_views(payloads, chunk.block_size))
+        ]
 
     # -- decode -------------------------------------------------------------------
     def _decode_program(
-        self, chunk: EncodedChunk, available: Dict[int, bytes]
+        self, chunk: EncodedChunk, available: Dict[int, BlockBytes]
     ) -> Tuple[CodeGraph, List[int], DecodeProgram]:
         """The graph, sorted indices and compiled program that ``available`` decodes by.
 
@@ -684,7 +659,7 @@ class OnlineCode(ErasureCode):
             )
         return graph, indices, program
 
-    def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+    def decode(self, chunk: EncodedChunk, available: Dict[int, BlockBytes]) -> bytes:
         _, indices, program = self._decode_program(chunk, available)
         block_size = chunk.block_size
 
@@ -700,10 +675,10 @@ class OnlineCode(ErasureCode):
         for row, index in enumerate(indices):
             raw[row * stride : row * stride + block_size] = available[index]
         program.run(values)
-        size = chunk.original_size
-        return b"".join(
-            raw[row * stride : row * stride + max(0, min(block_size, size - position * block_size))]
-            for position, row in enumerate(program.var_rows[: chunk.n_blocks].tolist())
+        return join_blocks(
+            [raw[row * stride : row * stride + block_size]
+             for row in program.var_rows[: chunk.n_blocks].tolist()],
+            chunk.original_size,
         )
 
     # -- metadata -------------------------------------------------------------------

@@ -10,12 +10,14 @@ Reed-Solomon code over GF(2^8) built from a Cauchy-style encoding matrix.
   shared 256x256 multiplication table, so scalar-times-vector products are a
   single table gather (``_MUL_TABLE[coeff, block]``) with no boolean-mask
   temporaries and no per-call allocation when ``out=`` is supplied.
-* Encoding: the ``k`` data blocks are kept verbatim; ``m - k`` parity blocks
-  come from one matrix-form pass over the stacked data-block matrix.
+* Encoding: the ``k`` data blocks are views of the input; the ``m - k``
+  parity blocks come from one matrix-form pass over the data-block matrix and
+  are views of the one parity buffer it writes.
 * Decoding: any ``k`` surviving blocks determine the data.  The generator
   sub-matrix is inverted with vectorized row operations, and only the *erased*
   systematic rows are reconstructed (``e * k`` vector multiplies instead of
-  the seed's ``k * k``); surviving systematic blocks are copied through.
+  the seed's ``k * k``); surviving systematic blocks go straight into the one
+  join of the result.
 * Generator matrices are cached per ``(k, parity)`` so repeated encodes and
   repair-path decodes stop rebuilding the Cauchy construction.
 """
@@ -23,16 +25,18 @@ Reed-Solomon code over GF(2^8) built from a Cauchy-style encoding matrix.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.erasure.base import (
+    BlockBytes,
     CodeSpec,
     DecodingError,
     EncodedBlock,
     EncodedChunk,
     ErasureCode,
+    block_views,
     join_blocks,
     require_block_lengths,
     split_into_matrix,
@@ -166,26 +170,19 @@ class ReedSolomonCode(ErasureCode):
     def encode(self, data: bytes, n_blocks: int) -> EncodedChunk:
         originals = split_into_matrix(data, n_blocks)
         block_size = originals.shape[1]
-        parity_rows = self._generator_rows(n_blocks)
-        parity = _gf_coeff_matmul(parity_rows, originals)
-        encoded: List[EncodedBlock] = [
-            EncodedBlock(index=i, data=originals[i].tobytes()) for i in range(n_blocks)
-        ]
-        encoded.extend(
-            EncodedBlock(index=n_blocks + parity_index, data=parity[parity_index].tobytes())
-            for parity_index in range(self.parity_blocks)
-        )
+        parity = _gf_coeff_matmul(self._generator_rows(n_blocks), originals)
+        views = block_views(originals, block_size) + block_views(parity, block_size)
         return EncodedChunk(
             code_name=self.name,
             original_size=len(data),
             block_size=block_size,
             n_blocks=n_blocks,
-            blocks=encoded,
+            blocks=[EncodedBlock(index=i, data=view) for i, view in enumerate(views)],
             metadata={"parity_blocks": self.parity_blocks},
         )
 
     # -- decode -----------------------------------------------------------------
-    def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+    def decode(self, chunk: EncodedChunk, available: Dict[int, BlockBytes]) -> bytes:
         require_block_lengths(chunk, available)
         k = chunk.n_blocks
         if len(available) < k:
@@ -194,8 +191,7 @@ class ReedSolomonCode(ErasureCode):
             )
         # Fast path: all systematic blocks survive.
         if all(index in available for index in range(k)):
-            blocks = [np.frombuffer(available[i], dtype=np.uint8) for i in range(k)]
-            return join_blocks(blocks, chunk.original_size)
+            return join_blocks([available[i] for i in range(k)], chunk.original_size)
 
         generator = self._full_generator(k)
         chosen = sorted(available)[:k]
@@ -208,18 +204,12 @@ class ReedSolomonCode(ErasureCode):
 
         # Only the erased systematic rows need the matrix product; surviving
         # systematic blocks pass through verbatim.
-        surviving = set(index for index in chosen if index < k)
-        erased = [row for row in range(k) if row not in surviving]
-        reconstructed = _gf_coeff_matmul(inverse[erased], received) if erased else None
-
-        originals = np.empty((k, chunk.block_size), dtype=np.uint8)
-        for row, index in enumerate(chosen):
-            if index < k:
-                originals[index] = received[row]
-        if reconstructed is not None:
-            for position, row in enumerate(erased):
-                originals[row] = reconstructed[position]
-        return originals.reshape(-1)[: chunk.original_size].tobytes()
+        erased = [row for row in range(k) if row not in available]
+        reconstructed = dict(zip(erased, _gf_coeff_matmul(inverse[erased], received)))
+        return join_blocks(
+            [reconstructed[row] if row in reconstructed else available[row] for row in range(k)],
+            chunk.original_size,
+        )
 
     # -- metadata -----------------------------------------------------------------
     def spec(self, n_blocks: int) -> CodeSpec:

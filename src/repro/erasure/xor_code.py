@@ -5,9 +5,10 @@ The paper uses the simplest erasure code, parity check, configured as a
 inputs plus their XOR), a 50 % space overhead, and tolerance of one lost block
 per parity group.  The implementation is generalised to any group size ``n``.
 
-All parities are computed in one vectorized pass over the stacked block
-matrix (packed as uint64 words by the :mod:`repro.erasure.gf2` kernel) rather
-than block-by-block.
+All parities are computed in one vectorized pass over the block matrix, read
+in place (as uint64 words when the block size allows) and XORed straight into
+one parity buffer.  The original blocks are views of the input, the parity
+blocks views of that buffer (:class:`~repro.erasure.base.EncodedBlock`).
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.erasure import gf2
 from repro.erasure.base import (
+    BlockBytes,
     CodeSpec,
     DecodingError,
     EncodedBlock,
     EncodedChunk,
     ErasureCode,
+    block_views,
     join_blocks,
     require_block_lengths,
     split_into_matrix,
@@ -43,26 +45,28 @@ class XorParityCode(ErasureCode):
         originals = split_into_matrix(data, n_blocks)
         block_size = originals.shape[1]
         group_size = self.group_size
-        groups = -(-n_blocks // group_size)
+        full_groups, remainder = divmod(n_blocks, group_size)
 
-        # All group parities in one batched XOR-reduce over the padded stack.
-        words = gf2.pack_matrix(originals)
-        padded = np.zeros((groups * group_size, words.shape[1]), dtype=np.uint64)
-        padded[:n_blocks] = words
-        parity_words = np.bitwise_xor.reduce(
-            padded.reshape(groups, group_size, -1), axis=1
+        # All group parities XOR-reduced straight into one parity buffer, read
+        # from the originals in place (as uint64 words when the rows allow).
+        rows = originals.view(np.uint64) if block_size % 8 == 0 else originals
+        width = rows.shape[1]
+        parity = np.empty((full_groups + bool(remainder), width), dtype=rows.dtype)
+        np.bitwise_xor.reduce(
+            rows[: full_groups * group_size].reshape(full_groups, group_size, width),
+            axis=1,
+            out=parity[:full_groups],
         )
-        parity_bytes = gf2.unpack_matrix(parity_words, block_size)
+        if remainder:
+            np.bitwise_xor.reduce(rows[full_groups * group_size :], axis=0, out=parity[-1])
 
+        original_views = block_views(originals, block_size)
+        parity_views = block_views(parity, block_size)
         encoded: List[EncodedBlock] = []
-        index = 0
-        for group in range(groups):
-            group_start = group * group_size
-            for original in range(group_start, min(group_start + group_size, n_blocks)):
-                encoded.append(EncodedBlock(index=index, data=originals[original].tobytes()))
-                index += 1
-            encoded.append(EncodedBlock(index=index, data=parity_bytes[group].tobytes()))
-            index += 1
+        for group, parity_view in enumerate(parity_views):
+            for original in original_views[group * group_size : (group + 1) * group_size]:
+                encoded.append(EncodedBlock(index=len(encoded), data=original))
+            encoded.append(EncodedBlock(index=len(encoded), data=parity_view))
         return EncodedChunk(
             code_name=self.name,
             original_size=len(data),
@@ -73,10 +77,10 @@ class XorParityCode(ErasureCode):
         )
 
     # -- decode ---------------------------------------------------------------
-    def decode(self, chunk: EncodedChunk, available: Dict[int, bytes]) -> bytes:
+    def decode(self, chunk: EncodedChunk, available: Dict[int, BlockBytes]) -> bytes:
         require_block_lengths(chunk, available)
         group_size = int(chunk.metadata.get("group_size", self.group_size))
-        originals: List[np.ndarray] = []
+        originals: List[BlockBytes] = []
         encoded_index = 0
         for group_start in range(0, chunk.n_blocks, group_size):
             group_len = min(group_size, chunk.n_blocks - group_start)
@@ -90,20 +94,15 @@ class XorParityCode(ErasureCode):
                     f"{len(missing)} data blocks (parity "
                     f"{'present' if parity_index in available else 'missing'})"
                 )
-            group_blocks: List[np.ndarray] = [
-                np.frombuffer(available[i], dtype=np.uint8) if i in available else None  # type: ignore[misc]
-                for i in data_indices
-            ]
             if missing:
                 # Reconstruct the lost block as one stacked XOR-reduce of the
                 # surviving group members and the parity.
-                present = [block for block in group_blocks if block is not None]
-                parity = np.frombuffer(available[parity_index], dtype=np.uint8)
-                stack = np.stack(present + [parity]) if present else parity[None, :]
-                group_blocks[data_indices.index(missing[0])] = np.bitwise_xor.reduce(
-                    stack, axis=0
-                )
-            originals.extend(group_blocks)  # type: ignore[arg-type]
+                survivors = [i for i in data_indices if i in available] + [parity_index]
+                stack = np.stack([np.frombuffer(available[i], dtype=np.uint8) for i in survivors])
+                lost = np.bitwise_xor.reduce(stack, axis=0)
+                originals.extend(lost if i in missing else available[i] for i in data_indices)
+            else:
+                originals.extend(available[i] for i in data_indices)
         return join_blocks(originals, chunk.original_size)
 
     # -- metadata ---------------------------------------------------------------

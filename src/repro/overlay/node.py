@@ -26,9 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.overlay.validation import require_range
+
+#: The bytes of one stored block in payload mode: immutable ``bytes``, or a
+#: read-only ``memoryview`` into the buffer its encoder wrote once (the
+#: contract is stated on :class:`repro.erasure.base.EncodedBlock`).  Compare
+#: by content; a view of a NumPy buffer cannot be hashed.
+BlockBytes = Union[bytes, memoryview]
 
 
 @dataclass(slots=True)
@@ -77,7 +83,7 @@ class OverlayNode:
     #: Payload mode: the bytes of each stored block, {block_name: bytes}; they
     #: leave with the block (:meth:`remove_block`, :meth:`release_block`, a wiping
     #: :meth:`recover`).
-    payloads: Dict[str, bytes] = field(default_factory=dict, init=False, compare=False)
+    payloads: Dict[str, BlockBytes] = field(default_factory=dict, init=False, compare=False)
     #: How many times the node came back with an empty disk: a copy placed
     #: before a wipe is gone for good (what a buffered registration checks).
     wipes: int = field(default=0, init=False, compare=False)

@@ -237,6 +237,10 @@ RETIRED = (
      ("src/repro/core/recovery.py",), "repair decodes nothing: "
      "OnlineCode.generate_additional_blocks mints a new check block as one XOR of the stored "
      "check blocks"),
+    ("per-block encode copies",
+     r"EncodedBlock\([^)]*\.tobytes\(",
+     ("src/repro/erasure",), "payload bytes are written once: every code's blocks are read-only "
+     "views of the input or of one buffer its kernel XORs into (erasure.base.block_views)"),
 )
 
 

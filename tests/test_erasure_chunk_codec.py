@@ -105,7 +105,7 @@ def test_measure_cold_clears_cached_structures():
 # -- malformed blocks: a typed error at the edge, never garbage ---------------------
 WRONG_LENGTHS = {
     "short": lambda block: block[:-5],
-    "long": lambda block: block + bytes(50),
+    "long": lambda block: bytes(block) + bytes(50),
     "empty": lambda block: b"",
 }
 

@@ -69,12 +69,14 @@ def test_reduce_matches_naive_oracle_on_both_kernels(case, contiguous):
     assert (grouped == expected).all()
     assert (streamed == grouped).all()
     assert (gf2.xor_reduce_segments(rows, flat, offsets) == expected).all()
+    # The online encoder's form: the sources as a sequence of 1-D rows.
+    assert (gf2.xor_reduce_segments(list(rows), flat, offsets) == expected).all()
 
 
 @given(case=csr_inputs())
 @settings(max_examples=100, deadline=None)
 def test_reduce_into_a_slice_of_the_buffer_it_reads(case):
-    """The ``_composite_words`` pattern: sources and ``out`` share one parent."""
+    """``DecodeProgram.run``'s residual pattern: sources and ``out`` share one parent."""
     parent, n_rows, width, flat, offsets = case
     segments = offsets.size - 1
     for kernel in (gf2._xor_reduce_streaming, gf2._xor_reduce_grouped, gf2.xor_reduce_segments):

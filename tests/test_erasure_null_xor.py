@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.erasure.base import DecodingError, split_into_blocks
+from repro.erasure.base import DecodingError, split_into_matrix
 from repro.erasure.null_code import NullCode
 from repro.erasure.xor_code import XorParityCode
 
@@ -15,23 +15,19 @@ def payload(size: int, seed: int = 0) -> bytes:
 
 
 # -- helpers ------------------------------------------------------------------------
-def test_split_into_blocks_pads_and_covers():
-    blocks = split_into_blocks(b"abcdefg", 3)
-    assert len(blocks) == 3
-    assert all(len(block) == 3 for block in blocks)
-    joined = b"".join(block.tobytes() for block in blocks)
-    assert joined[:7] == b"abcdefg"
+def test_split_into_matrix_pads_and_covers():
+    matrix = split_into_matrix(b"abcdefg", 3)
+    assert matrix.shape == (3, 3)
+    assert matrix.tobytes() == b"abcdefg\0\0"
 
 
-def test_split_into_blocks_empty_data():
-    blocks = split_into_blocks(b"", 4)
-    assert len(blocks) == 4
-    assert all(len(block) == 1 for block in blocks)
+def test_split_into_matrix_empty_data():
+    assert split_into_matrix(b"", 4).shape == (4, 1)
 
 
-def test_split_into_blocks_rejects_zero_blocks():
+def test_split_into_matrix_rejects_zero_blocks():
     with pytest.raises(ValueError):
-        split_into_blocks(b"xy", 0)
+        split_into_matrix(b"xy", 0)
 
 
 # -- NULL code ------------------------------------------------------------------------
