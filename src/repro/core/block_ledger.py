@@ -11,14 +11,57 @@ that walk is what caps the experiments at toy scale.
 :class:`BlockLedger` replaces the walks with system-wide parallel NumPy
 columns, one row per stored *copy* of a block (primary or replica):
 
-* ``digest`` (``S20``, lazily batch-hashed), ``owner`` (dense node slot),
-  ``size``, ``file``/``chunk``/``placement`` indices, ``alive`` and
-  ``released`` flags;
+* ``owner`` (dense node slot), ``size``, ``file``/``chunk``/``placement``
+  indices, ``alive`` and ``released`` flags, and a digest cache (``S20``,
+  lazily batch-hashed) that exists only as far as a digest was written;
 * per-chunk registries: decode threshold (``required``), count of placements
   with at least one live copy (``alive``), owning file;
 * per-file registries: count of currently-undecodable chunks (``bad``), an
   active flag, and the O(1) system counters (``live_bytes``,
   ``stored_data_bytes``, ``unavailable_files``).
+
+Column widths
+-------------
+Ids and counts are int32, byte counts int64.  Every id and count column holds
+a registry index or a count of registry entries, so :meth:`BlockLedger._grow`
+refuses (``OverflowError``) to grow a registry past :data:`_ID_LIMIT`
+entries; arithmetic that can pass that range (a sort key of key x rows)
+widens to int64 first.
+
+======================  ==========  ====================================
+column                  dtype       bytes
+======================  ==========  ====================================
+*per row*                           **29**
+``_owner``              int32       4
+``_size``               int64       8
+``_file``               int32       4
+``_chunk``              int32       4
+``_placement``          int32       4
+``_alive``              bool        1
+``_released``           bool        1
+``_kind``               int8        1
+``_row_tenant``         int16       2
+*digest cache, per      S20 + bool  21 (only up to the highest row a
+hashed row*                         digest was written for)
+*per placement*                     **12**
+``_placement_chunk``    int32       4
+``_placement_primary``  int32       4
+``_placement_copies``   int32       4
+*per chunk*                         **20**
+``_chunk_*`` (five)     int32       4 each
+*per file*                          **19**
+``_file_size``          int64       8
+``_file_bad``           int32       4
+``_file_active``        bool        1
+``_file_tenant``        int16       2
+``_file_placement0``    int32       4
+*per owner slot*                    **4**
+``_slot_site``          int16       2
+``_slot_rack``          int16       2
+======================  ==========  ====================================
+
+A CFS block is one row and one placement: 41 bytes of columns.  A store that
+never repairs never hashes a name, so never allocates the digest cache.
 
 "Blocks on a failed node" becomes one read of the owner index;
 chunk survivability is maintained incrementally by one scalar count rule
@@ -150,6 +193,7 @@ audit the ledger against that walk and against the frozen seed outputs in
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -171,6 +215,10 @@ Placed = Tuple[str, "OverlayNode", int, Sequence["OverlayNode"]]
 _S20 = "S20"
 _INITIAL = 1024
 _serial_of = attrgetter("serial")
+#: The id and count dtype, and the most entries a registry may hold: every
+#: id and count a column stores stays at or below it.
+_ID = np.int32
+_ID_LIMIT = int(np.iinfo(_ID).max)
 
 #: Row kinds: the role a stored copy plays in its file's redundancy layout.
 KIND_PRIMARY = 0   #: the copy a placement points at first
@@ -205,20 +253,30 @@ REPLICATION_HIST_MAX = 8
 _OVERFLOW_LIMIT = 4096
 
 _ROW_COLUMNS = (
-    "_digest", "_digest_known", "_owner", "_size", "_file", "_chunk", "_placement",
-    "_alive", "_released", "_kind", "_row_tenant",
+    "_owner", "_size", "_file", "_chunk", "_placement", "_alive", "_released", "_kind",
+    "_row_tenant",
 )
+#: The digest cache: row-indexed, but only as long as the highest row a digest was written for.
+_DIGEST_COLUMNS = ("_digest", "_digest_known")
 _PLACEMENT_COLUMNS = ("_placement_chunk", "_placement_primary", "_placement_copies")
 _CHUNK_COLUMNS = ("_chunk_required", "_chunk_alive", "_chunk_file", "_chunk_first", "_chunk_span")
 _FILE_COLUMNS = ("_file_size", "_file_bad", "_file_active", "_file_tenant", "_file_placement0")
 _SLOT_COLUMNS = ("_slot_site", "_slot_rack")
 
+#: What ``tracemalloc`` sees of a row index's entries: a list slot, plus an
+#: int object unless the value is one of CPython's cached small ints.  A row
+#: id or offset is below 2**30, an int CPython 3.11+ allocates as a whole
+#: 32-byte ``PyLongObject`` (3.10: its 28-byte ``sys.getsizeof``).
+_SLOT_BYTES = 8
+_INT_BYTES = 32 if sys.version_info >= (3, 11) else sys.getsizeof(1 << 20)
+_SMALL_INTS = 257
 
-def _grown(array: np.ndarray, needed: int) -> np.ndarray:
-    """Amortized-doubling growth for one column."""
+
+def _grown(array: np.ndarray, needed: int, limit: int) -> np.ndarray:
+    """Amortized-doubling growth for one column, to at most ``limit`` entries."""
     if needed <= len(array):
         return array
-    new = np.zeros(max(needed, 2 * len(array)), dtype=array.dtype)
+    new = np.zeros(min(max(needed, 2 * len(array)), limit), dtype=array.dtype)
     new[: len(array)] = array
     return new
 
@@ -263,7 +321,8 @@ class _RowIndex:
             # (key, row) packed into one int64: unique values, so the default
             # introsort yields exactly the stable order, 3.5x faster than
             # kind="stable" on a shuffled column (owner, 75 k rows: 1.7 vs 5.9 ms).
-            order = np.argsort(keys * n + np.arange(n))
+            # Widened first: key x n passes the int32 range long before n does.
+            order = np.argsort(keys.astype(np.int64) * n + np.arange(n))
             # ends[k] = rows with key < k (the -1 block sorts first and is cut).
             ends = np.cumsum(np.bincount(keys + 1))
             self.flat = order[ends[0] :].tolist()
@@ -280,9 +339,24 @@ class _RowIndex:
                     rows.append(row)
         self.seen = n
 
-    def entries(self) -> int:
-        """List slots held (prefix + offsets + overflow), for memory accounting."""
-        return len(self.flat) + len(self.offsets) + self.seen - self.built
+    def heap_bytes(self) -> int:
+        """What ``tracemalloc`` sees of the entries held: list slots and their int objects.
+
+        O(1) for the sorted prefix -- its row ids below :data:`_SMALL_INTS` are
+        taken as cached (a row with key -1 among them makes this a slight
+        overcount), its offsets are ascending -- plus a walk of the overflow,
+        which holds at most :data:`_OVERFLOW_LIMIT` rows.
+        """
+        flat, offsets = len(self.flat), len(self.offsets)
+        ints = flat - min(flat, _SMALL_INTS) + offsets - bisect_left(self.offsets, _SMALL_INTS)
+        total = _SLOT_BYTES * (flat + offsets) + _INT_BYTES * ints
+        overflow = self.overflow
+        if overflow:
+            small_rows = max(0, min(self.seen, _SMALL_INTS) - self.built)
+            ints = self.seen - self.built - small_rows + sum(key >= _SMALL_INTS for key in overflow)
+            total += (sys.getsizeof(overflow) + sum(map(sys.getsizeof, overflow.values()))
+                      + _INT_BYTES * ints)
+        return total
 
 
 class BlockLedger:
@@ -292,17 +366,20 @@ class BlockLedger:
         self.network = network
         # -- row columns (one row per stored copy) ---------------------------
         self.row_count = 0
-        self._digest = np.zeros(_INITIAL, dtype=_S20)
-        self._digest_known = np.zeros(_INITIAL, dtype=bool)
-        self._owner = np.full(_INITIAL, -1, dtype=np.int64)
+        self._owner = np.full(_INITIAL, -1, dtype=_ID)
         self._size = np.zeros(_INITIAL, dtype=np.int64)
-        self._file = np.full(_INITIAL, -1, dtype=np.int64)
-        self._chunk = np.full(_INITIAL, -1, dtype=np.int64)
-        self._placement = np.full(_INITIAL, -1, dtype=np.int64)
+        self._file = np.full(_INITIAL, -1, dtype=_ID)
+        self._chunk = np.full(_INITIAL, -1, dtype=_ID)
+        self._placement = np.full(_INITIAL, -1, dtype=_ID)
         self._alive = np.zeros(_INITIAL, dtype=bool)
         self._released = np.zeros(_INITIAL, dtype=bool)
         self._kind = np.zeros(_INITIAL, dtype=np.int8)
         self._row_tenant = np.zeros(_INITIAL, dtype=np.int16)
+        #: The digest cache: a row's name digest once hashed.  It grows only when
+        #: a digest is written (:meth:`_digest_room`); a row past its end is
+        #: not known.
+        self._digest = np.zeros(0, dtype=_S20)
+        self._digest_known = np.zeros(0, dtype=bool)
         #: Lazily sorted views of the ``_owner`` / ``_file`` / ``_placement``
         #: columns (see the module docstring); nothing is written per row.
         self._by_owner = _RowIndex("_owner")
@@ -310,24 +387,25 @@ class BlockLedger:
         self._by_placement = _RowIndex("_placement")
         # -- placement registry (one entry per block of a chunk) -------------
         self.placement_count = 0
-        self._placement_chunk = np.full(_INITIAL, -1, dtype=np.int64)
+        self._placement_chunk = np.full(_INITIAL, -1, dtype=_ID)
         #: Owner slot of the copy the placement points at first; with the
         #: block name and the replica rows, everything a placement is.
-        self._placement_primary = np.full(_INITIAL, -1, dtype=np.int64)
-        self._placement_copies = np.zeros(_INITIAL, dtype=np.int64)
+        self._placement_primary = np.full(_INITIAL, -1, dtype=_ID)
+        self._placement_copies = np.zeros(_INITIAL, dtype=_ID)
         #: Retry attempt of each placement stored under a salted name (sparse).
         self._placement_salt: Dict[int, int] = {}
         # -- chunk registry ---------------------------------------------------
         self.chunk_count = 0
-        self._chunk_required = np.zeros(_INITIAL, dtype=np.int64)
-        self._chunk_alive = np.zeros(_INITIAL, dtype=np.int64)
-        self._chunk_file = np.full(_INITIAL, -1, dtype=np.int64)
+        self._chunk_required = np.zeros(_INITIAL, dtype=_ID)
+        self._chunk_alive = np.zeros(_INITIAL, dtype=_ID)
+        self._chunk_file = np.full(_INITIAL, -1, dtype=_ID)
         #: A chunk's placements are ``_chunk_first[c] + range(_chunk_span[c])``.
-        self._chunk_first = np.zeros(_INITIAL, dtype=np.int64)
-        self._chunk_span = np.zeros(_INITIAL, dtype=np.int64)
+        self._chunk_first = np.zeros(_INITIAL, dtype=_ID)
+        self._chunk_span = np.zeros(_INITIAL, dtype=_ID)
         #: The chunk's naming rule: the erasure-coded chunk's :class:`StoredChunk`
-        #: (its ``chunk_no``), or :data:`_PAST_NAMES` / :data:`_CFS_NAMES` for a
-        #: baseline file's chunk (nothing to decode: the baselines only copy).
+        #: (its ``chunk_no``; only the number once its file is deleted), or
+        #: :data:`_PAST_NAMES` / :data:`_CFS_NAMES` for a baseline file's chunk
+        #: (nothing to decode: the baselines only copy).
         self._chunk_objs: List[object] = []
         # -- file registry (names scoped per tenant) --------------------------
         self._file_index: Dict[Tuple[int, str], int] = {}
@@ -335,13 +413,13 @@ class BlockLedger:
         #: ``sys.getsizeof`` of the file-name strings, summed as files come in.
         self._file_name_bytes = 0
         self._file_size = np.zeros(_INITIAL, dtype=np.int64)
-        self._file_bad = np.zeros(_INITIAL, dtype=np.int64)
+        self._file_bad = np.zeros(_INITIAL, dtype=_ID)
         self._file_active = np.zeros(_INITIAL, dtype=bool)
         self._file_tenant = np.zeros(_INITIAL, dtype=np.int16)
         #: ``placement_count`` when the file was created: files and their
         #: placements are allocated in step, so file ``f`` owns placements
         #: ``[_file_placement0[f], _file_placement0[f + 1])``.
-        self._file_placement0 = np.zeros(_INITIAL, dtype=np.int64)
+        self._file_placement0 = np.zeros(_INITIAL, dtype=_ID)
         self.file_count = 0
         #: Retry attempt of each file whose CAT went in under a salted name (sparse).
         self._cat_attempt: Dict[int, int] = {}
@@ -426,10 +504,11 @@ class BlockLedger:
             for index, node in enumerate(holders):
                 slot = table[node.serial]
                 if slot < 0:  # still: an earlier entry of ``holders`` may be this node
-                    slot = table[node.serial] = len(self._slot_nodes)
-                    self._slot_nodes.append(node)
+                    slot = len(self._slot_nodes)
                     if slot >= len(self._slot_site):
                         self._grow(_SLOT_COLUMNS, slot + 1)
+                    table[node.serial] = slot
+                    self._slot_nodes.append(node)
                     self._slot_site[slot] = node.site
                     self._slot_rack[slot] = node.rack
                     if self not in node._state_listeners:
@@ -438,9 +517,24 @@ class BlockLedger:
         return slots
 
     def _grow(self, columns: Tuple[str, ...], needed: int) -> None:
-        """Grow one registry's columns together (callers check capacity first)."""
+        """Grow one registry's columns together (callers check capacity first).
+
+        Raises ``OverflowError``, growing nothing, when the registry would
+        hold more than :data:`_ID_LIMIT` entries: its ids no longer fit the
+        id dtype.  Callers grow before they count or write the new entries.
+        """
+        if needed > _ID_LIMIT:
+            raise OverflowError(f"a ledger registry holds at most {_ID_LIMIT} entries, "
+                                f"{needed} needed")
         for attr in columns:
-            setattr(self, attr, _grown(getattr(self, attr), needed))
+            setattr(self, attr, _grown(getattr(self, attr), needed, _ID_LIMIT))
+
+    def _digest_room(self, needed: int) -> None:
+        """Grow the digest cache to cover rows ``[0, needed)`` (at most the row capacity)."""
+        if needed > len(self._digest):
+            limit = len(self._owner)
+            self._digest = _grown(self._digest, max(needed, min(_INITIAL, limit)), limit)
+            self._digest_known = _grown(self._digest_known, len(self._digest), limit)
 
     def _append_row(
         self,
@@ -467,6 +561,7 @@ class BlockLedger:
         self._kind[row] = kind
         self._row_tenant[row] = tenant
         if digest is not None:
+            self._digest_room(row + 1)
             self._digest[row] = digest
             self._digest_known[row] = True
         self.row_count = row + 1
@@ -484,9 +579,9 @@ class BlockLedger:
         if key in self._file_index or key in self._pending_names:
             raise ValueError(f"file already registered: {name!r}")
         f = self.file_count
-        self.file_count = f + 1
         if f >= len(self._file_size):
             self._grow(_FILE_COLUMNS, f + 1)
+        self.file_count = f + 1
         if name in self._removed_files or any(
                 (other, name) in self._file_index or (other, name) in self._pending_names
                 for other in range(len(self.tenant_names)) if other != tenant):
@@ -517,14 +612,13 @@ class BlockLedger:
         erasure-coded chunk's :class:`StoredChunk`, or :data:`_PAST_NAMES` /
         :data:`_CFS_NAMES`.  Returns the chunk and its first placement.
         """
-        c = self.chunk_count
-        self.chunk_count = c + 1
+        c, p0 = self.chunk_count, self.placement_count
+        p1 = p0 + span
         if c >= len(self._chunk_file):
             self._grow(_CHUNK_COLUMNS, c + 1)
-        p0 = self.placement_count
-        p1 = self.placement_count = p0 + span
         if p1 > len(self._placement_chunk):
             self._grow(_PLACEMENT_COLUMNS, p1)
+        self.chunk_count, self.placement_count = c + 1, p1
         self._placement_chunk[p0:p1] = c
         self._placement_copies[p0:p1] = copies
         hist = self._replication_hist
@@ -817,6 +911,14 @@ class BlockLedger:
         buckets = np.minimum(self._placement_copies[placements.start : placements.stop],
                              REPLICATION_HIST_MAX)
         self._replication_hist -= np.bincount(buckets, minlength=REPLICATION_HIST_MAX + 1)
+        if placements:
+            # An erasure-coded chunk's naming rule shrinks to its number: what
+            # the file left on disk keeps its names, the StoredChunk goes.
+            rules = self._chunk_objs
+            for c in range(int(self._placement_chunk[placements.start]),
+                           int(self._placement_chunk[placements.stop - 1]) + 1):
+                if not isinstance(rules[c], str):
+                    rules[c] = rules[c].chunk_no
         return True
 
     # ------------------------------------------------------ liveness transitions --
@@ -1030,13 +1132,15 @@ class BlockLedger:
         ``names``: the rows' :meth:`row_names`, when the caller derived them already.
         """
         known = self._digest_known
-        missing = [index for index, row in enumerate(rows) if not known[row]]
+        cached = len(known)
+        missing = [index for index, row in enumerate(rows) if row >= cached or not known[row]]
         if missing:
             rows = [rows[index] for index in missing]
             names = (self.row_names(rows) if names is None
                      else [names[index] for index in missing])
+            self._digest_room(max(rows) + 1)
             self._digest[rows] = naming.name_digests(names)
-            known[rows] = True
+            self._digest_known[rows] = True
 
     def row_name(self, row: int) -> str:
         """The name the row's copy is stored under, derived from its placement or file."""
@@ -1084,8 +1188,9 @@ class BlockLedger:
             name = filename
         elif rule is _CFS_NAMES:
             name = naming.stripe_name(filename, position)
-        else:
-            name = naming.ecb_name(filename, rule.chunk_no, position + 1)
+        else:  # a StoredChunk, or a deleted file's chunk number
+            name = naming.ecb_name(filename, rule if isinstance(rule, int) else rule.chunk_no,
+                                   position + 1)
         salt = self._placement_salt.get(placement)
         return name if salt is None else naming.salted_name(name, salt)
 
@@ -1196,9 +1301,10 @@ class BlockLedger:
         )
 
     def chunk_object(self, chunk_idx: int) -> Optional["StoredChunk"]:
-        """The erasure-coded chunk's :class:`StoredChunk`; ``None`` for a PAST or CFS chunk."""
+        """The erasure-coded chunk's :class:`StoredChunk`; ``None`` for a PAST or CFS
+        chunk, or a deleted file's."""
         rule = self._chunk_objs[chunk_idx]
-        return None if isinstance(rule, str) else rule
+        return None if isinstance(rule, (str, int)) else rule
 
     def chunk_recoverable(self, chunk_idx: int) -> bool:
         """Whether the chunk still has enough live blocks to decode, in O(1)."""
@@ -1359,7 +1465,8 @@ class BlockLedger:
         copies among the file's CAT copies either, deleting the file later
         leaves it behind.
         """
-        digest = self.row_digest(row) if self._digest_known[row] else None
+        known = row < len(self._digest_known) and self._digest_known[row]
+        digest = self.row_digest(row) if known else None
         return self._append_row(node, int(self._size[row]), int(self._file[row]), -1, -1, digest,
                                 kind=KIND_RESTORED, tenant=int(self._row_tenant[row]))
 
@@ -1428,6 +1535,10 @@ class BlockLedger:
             new = np.zeros(capacity, dtype=old.dtype)
             new[: kept.size] = old[:n][kept]
             setattr(self, attr, new)
+        # The digest cache keeps the kept rows it covers, and no slack.
+        cached = kept[: np.searchsorted(kept, len(self._digest))]
+        for attr in _DIGEST_COLUMNS:
+            setattr(self, attr, getattr(self, attr)[cached])
         self.row_count = int(kept.size)
         for index in (self._by_owner, self._by_file, self._by_placement):
             index.reset()
@@ -1438,7 +1549,7 @@ class BlockLedger:
         if self._pending_whole:
             self._flush_pending()
         columns = (
-            *_ROW_COLUMNS, *_PLACEMENT_COLUMNS, *_CHUNK_COLUMNS,
+            *_ROW_COLUMNS, *_DIGEST_COLUMNS, *_PLACEMENT_COLUMNS, *_CHUNK_COLUMNS,
             *_FILE_COLUMNS, *_SLOT_COLUMNS, "_replication_hist",
         )
         indexes = (self._by_owner, self._by_file, self._by_placement)
@@ -1448,8 +1559,8 @@ class BlockLedger:
             "released_rows": int(np.count_nonzero(self._released[: self.row_count])),
             "allocated_rows": int(len(self._owner)),
             "column_bytes": int(sum(getattr(self, attr).nbytes for attr in columns)),
-            # The row indexes' Python lists, per entry at pointer size.
-            "index_bytes": 8 * sum(index.entries() for index in indexes),
+            # The row indexes' Python lists and the int objects they hold.
+            "index_bytes": sum(index.heap_bytes() for index in indexes),
             # What names are derived from: the file names, the sparse salt and
             # CAT-attempt maps, the orphan maps and the deleted / shared file
             # names (containers and strings).

@@ -260,16 +260,6 @@ class StorageSystem(LedgerStore):
         #: Reads that could not recover every requested chunk.
         self.failed_reads = 0
 
-    def delete_file(self, filename: str) -> bool:
-        stored = self.files.get(filename)
-        if not super().delete_file(filename):
-            return False
-        # The ledger keeps each chunk as its blocks' naming rule; the buffers
-        # the encoder wrote the chunk's payloads into go with the file.
-        for chunk in stored.chunks:
-            chunk.encoded = None
-        return True
-
     def attach_transfers(self, scheduler, client: Optional[int] = None,
                          observer=None) -> None:
         """Charge this store's data movement to a transfer scheduler.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 
@@ -10,12 +11,14 @@ import pytest
 from reference import dict_walk
 from reference.recorder import current
 
+from repro.api import ClusterSession
 from repro.core import naming
 from repro.core.policies import StoragePolicy
 from repro.core.storage import StorageSystem
 from repro.erasure.chunk_codec import ChunkCodec
 from repro.erasure.null_code import NullCode
 from repro.erasure.reed_solomon import ReedSolomonCode
+from repro.erasure.xor_code import XorParityCode
 
 # The walks read the blocks each node was handed (``reference/recorder.py``).
 pytestmark = pytest.mark.usefixtures("block_recorder")
@@ -132,6 +135,38 @@ def test_delete_file_releases_all_space(capacity_storage, dht):
     assert dht.total_used() == 0
     assert not capacity_storage.delete_file("temp")
     assert capacity_storage.file_count == 0
+
+
+def test_a_deleted_file_leaves_no_chunk_in_the_ledger_and_its_leftovers_still_exclude():
+    """The ledger keeps a deleted file's chunks as numbers (their blocks' naming
+    rule), not as :class:`StoredChunk` objects; what the file left on disk
+    still keeps a new file of its name off those nodes: the leftover is its
+    first block's, whose root is the holder (the recorder raises on a second
+    copy of one name on a node)."""
+    session = ClusterSession(24, seed=5, capacities=[256 * MB] * 24)
+    client = session.client(codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2))
+    assert client.store("scan", 6 * MB).success
+    ledger = session.ledger
+    chunks = client.storage.files["scan"].data_chunks()
+    # Repair re-points a holder's copies while it keeps their bytes, and it returns.
+    holder = session.network.node(chunks[0].placements[0].node_id)
+    session.recovery(client).handle_failure(holder.node_id)
+    session.network.recover(holder.node_id, wipe=False)
+    session.dht.add(holder)
+    leftovers = {name for name in holder.stored_blocks if name.startswith("scan")}
+    assert leftovers
+    assert client.delete("scan")
+    gc.collect()
+    containers = {id(value) for value in vars(ledger).values()}
+    for chunk in chunks:
+        assert not [ref for ref in gc.get_referrers(chunk) if id(ref) in containers]
+    assert set(holder.stored_blocks) == leftovers
+    assert client.store("scan", 6 * MB).success
+    placed = {placement.block_name: placement.node_id
+              for chunk in client.storage.files["scan"].data_chunks()
+              for placement in chunk.placements}
+    assert all(placed.get(name) != holder.node_id for name in leftovers)
+    ledger.check_invariants()
 
 
 def test_block_replication_places_copies_on_neighbors(dht):

@@ -147,11 +147,14 @@ def test_a_stored_cfs_block_costs_columns_and_keeps_no_name():
     """~150 CFS files of 61 blocks on 64 nodes, under ``tracemalloc``.
 
     A block's name is derived from the ledger's columns, so a stored block
-    costs its columns (doubling growth included) and nothing per name: ~165
-    traced bytes a block, where the per-block name strings, the two name lists
-    and the nodes' name dicts made it ~275.  And no string built in the store
-    loop outlives ``store_file``: what ``cfs.py`` allocated and still holds is
-    under a pointer per block (it was ~66 B per block).
+    costs its columns (doubling growth included) and nothing per name: ~77
+    traced bytes a block with int32 ids and no digest cache (a row is 29 B and
+    its placement 12 B of columns), ~165 with int64 ids and a digest per row,
+    ~275 with the per-block name strings, the two name lists and the nodes'
+    name dicts.  A CFS-only ledger's columns come to ~44 B per allocated row
+    (94 B with int64 ids and a digest per row).  And no string built in the
+    store loop outlives ``store_file``: what ``cfs.py`` allocated and still
+    holds is under a pointer per block (it was ~66 B per block).
     """
     network = OverlayNetwork.build(64, np.random.default_rng(7), capacities=[20 * 1024 * MB] * 64)
     cfs = CfsStore(DHTView(network), block_size=4 * MB)
@@ -171,9 +174,12 @@ def test_a_stored_cfs_block_costs_columns_and_keeps_no_name():
         tracemalloc.stop()
     held = sum(stat.size for stat in snapshot.filter_traces(
         [tracemalloc.Filter(True, "*baselines/cfs.py")]).statistics("filename"))
-    assert per_block < 215, f"{per_block:.0f} traced bytes per stored block"
+    assert per_block < 100, f"{per_block:.0f} traced bytes per stored block"
     assert held < 8 * 10 * 61, f"{held} bytes still held from the store loop's allocations"
-    assert cfs.ledger.memory_footprint()["name_bytes"] < 100 * 161  # file names, not block names
+    footprint = cfs.ledger.memory_footprint()
+    assert footprint["name_bytes"] < 100 * 161  # file names, not block names
+    per_row = footprint["column_bytes"] / footprint["allocated_rows"]
+    assert per_row <= 48, f"{per_row:.1f} column bytes per allocated row"
 
 
 def _synthetic_ledger(node_count: int, file_count: int):

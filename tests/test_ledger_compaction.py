@@ -357,3 +357,26 @@ def test_compaction_shrinks_allocated_columns():
     # The ledger stays usable after a full drain.
     assert _store_trace(storage, 20, seed=317)
     assert storage.unavailable_file_count() == 0
+
+
+def test_the_digest_cache_grows_on_write_and_compaction_gathers_it_with_the_rows():
+    """Ingest hashes no name, so the digest cache stays empty; a repair writes
+    digests (at most as far as the row columns reach), and a compaction keeps
+    exactly the kept rows' digests."""
+    storage = _fresh_storage(30, 21)
+    names = _store_trace(storage, 40, 22)
+    ledger = storage.ledger
+    assert len(ledger._digest) == len(ledger._digest_known) == 0
+    recovery = RecoveryManager(storage)
+    for node in list(storage.dht.state.nodes[:3]):
+        recovery.handle_failure(node.node_id)
+    assert 0 < len(ledger._digest) == len(ledger._digest_known) <= len(ledger._owner)
+    for name in names[:5]:
+        assert storage.delete_file(name)
+    known = np.flatnonzero(ledger._digest_known[: ledger.row_count])
+    kept_known = sorted(ledger.row_name(row) for row in known if not ledger.row_released(row))
+    assert len(kept_known) < known.size  # the failed nodes' and deleted files' rows go
+    ledger.compact()
+    assert len(ledger._digest) <= ledger.row_count
+    assert sorted(ledger.row_name(row) for row in np.flatnonzero(ledger._digest_known)) == kept_known
+    ledger.check_invariants()

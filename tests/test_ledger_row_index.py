@@ -9,12 +9,15 @@ happen inside lookups, and compaction only resets.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.cfs import CfsStore
 from repro.baselines.past import PastStore
 from repro.core import block_ledger
 from repro.core.block_ledger import _RowIndex
@@ -66,7 +69,7 @@ def _repoint(storage: StorageSystem, placement_idx: int, old_node, new_node) -> 
 
 
 # -- _RowIndex alone ---------------------------------------------------------------
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples // 2, deadline=None)
 @given(
     limit=st.integers(0, 8),
     ops=st.lists(
@@ -79,18 +82,19 @@ def _repoint(storage: StorageSystem, placement_idx: int, old_node, new_node) -> 
     ),
 )
 def test_row_index_equals_brute_force(limit, ops):
-    """Any interleaving of appends, lookups and compaction-style resets."""
+    """Any interleaving of appends, lookups and compaction-style resets, over an
+    int32 column as the ledger's are."""
     saved = block_ledger._OVERFLOW_LIMIT
     block_ledger._OVERFLOW_LIMIT = limit
     try:
-        index, column, previous = _RowIndex("keys"), np.zeros(0, dtype=np.int64), None
+        index, column, previous = _RowIndex("keys"), np.zeros(0, dtype=np.int32), None
 
         def lookup(key):  # the index reads ``row_count`` and its column off a ledger
             return index.lookup(SimpleNamespace(row_count=len(column), keys=column), key)
 
         for op, arg in ops:
             if op == "append":
-                column = np.concatenate([column, np.asarray(arg, dtype=np.int64)])
+                column = np.concatenate([column, np.asarray(arg, dtype=np.int32)])
             elif op == "reset":  # what compact() does: drop rows, then reset
                 column = column[column != arg]
                 index.reset()
@@ -106,6 +110,46 @@ def test_row_index_equals_brute_force(limit, ops):
                 assert index.seen == len(column) and index.built <= index.seen
     finally:
         block_ledger._OVERFLOW_LIMIT = saved
+
+
+def test_the_sort_key_of_an_int32_column_is_widened_past_the_int32_range():
+    """70 000 rows with keys up to 40 000: the packed sort key ``key * n + row``
+    reaches 2.8e9, which int32 arithmetic wraps; the index still equals one
+    stable argsort of the column."""
+    n = 70_000
+    column = np.random.default_rng(3).integers(-1, 40_000, size=n).astype(np.int32)
+    assert int(column.max()) * n > 2 ** 31
+    index = _RowIndex("keys")
+    ledger = SimpleNamespace(row_count=n, keys=column)
+    index.lookup(ledger, 0)
+    assert index.built == n  # one sort, no overflow
+    order = np.argsort(column, kind="stable")
+    assert index.flat == order[np.count_nonzero(column < 0) :].tolist()
+    for key in (0, 1, 20_000, int(column.max())):
+        assert index.lookup(ledger, key) == np.flatnonzero(column == key).tolist()
+
+
+def test_a_registry_grown_past_the_id_limit_raises_and_writes_nothing_past_it(monkeypatch):
+    """Ids and counts are int32: growing a registry past ``_ID_LIMIT`` entries
+    raises before any count or column passes the limit."""
+    limit = 1500
+    monkeypatch.setattr(block_ledger, "_ID_LIMIT", limit)
+    network = OverlayNetwork.build(64, np.random.default_rng(7), capacities=[20 * 1024 * MB] * 64)
+    cfs = CfsStore(DHTView(network), block_size=4 * MB)
+    stored = 0
+    with pytest.raises(OverflowError):
+        for index in range(30):
+            assert cfs.store_file(f"file-{index}", 244 * MB).success
+            stored += 1
+    assert stored == limit // 61  # 61 blocks a file: the next file's placements do not fit
+    ledger = cfs.ledger
+    assert ledger.placement_count == ledger.row_count == 61 * stored
+    columns = (*block_ledger._ROW_COLUMNS, *block_ledger._PLACEMENT_COLUMNS,
+               *block_ledger._CHUNK_COLUMNS, *block_ledger._FILE_COLUMNS,
+               *block_ledger._SLOT_COLUMNS)
+    assert max(len(getattr(ledger, attr)) for attr in columns) == limit
+    assert max(ledger.row_count, ledger.placement_count, ledger.chunk_count,
+               ledger.file_count, len(ledger._slot_nodes)) <= limit
 
 
 # -- (a) a re-pointed row stays in the column: consumers must skip released rows ----
@@ -300,18 +344,49 @@ def test_compact_without_released_rows_keeps_the_sorted_indexes(monkeypatch):
 
 
 # -- memory accounting ---------------------------------------------------------------
+def _traced(action) -> int:
+    """The bytes ``action()`` leaves allocated, as ``tracemalloc`` counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_footprint_counts_the_index_lists_and_the_chunk_columns(monkeypatch):
-    monkeypatch.setattr(block_ledger, "_OVERFLOW_LIMIT", 8)
-    storage = _storage()
+    """``index_bytes`` is the row indexes' list slots and the int objects they
+    hold, within 10 % of what ``tracemalloc`` counts: once all three are sorted,
+    then for the rows a later lookup reads into the overflow."""
+    monkeypatch.setattr(block_ledger, "_OVERFLOW_LIMIT", 2000)
+    network = OverlayNetwork.build(48, np.random.default_rng(7), capacities=[4096 * MB] * 48)
+    storage = StorageSystem(
+        DHTView(network), codec=ChunkCodec(XorParityCode(group_size=2), blocks_per_chunk=2))
     ledger = storage.ledger
+    indexes = (ledger._by_owner, ledger._by_file, ledger._by_placement)
     empty = ledger.memory_footprint()
     assert empty["index_bytes"] == 0
-    _store(storage, 4)
-    assert ledger.memory_footprint()["index_bytes"] == 0  # ingest builds nothing
-    ledger.recovery_rows(ledger._slot_nodes[0])
+    _store(storage, 600)
+    ingested = ledger.memory_footprint()
+    assert ingested["index_bytes"] == 0  # ingest builds nothing
+
+    def look_up():
+        ledger.recovery_rows(ledger._slot_nodes[0])
+        ledger.file_rows(0)
+        ledger.live_copy_owner(0)
+
+    sorted_bytes = _traced(look_up)
+    assert all(index.built == index.seen == ledger.row_count for index in indexes)
     footprint = ledger.memory_footprint()
-    slots = len(ledger._slot_nodes)
-    assert footprint["index_bytes"] == 8 * (ledger.row_count + slots + 1)
-    assert footprint["column_bytes"] == empty["column_bytes"]
+    assert footprint["index_bytes"] == pytest.approx(sorted_bytes, rel=0.1)
+    assert footprint["column_bytes"] == ingested["column_bytes"]  # an index adds no column
+    _store(storage, 150, prefix="late")
+    overflow_bytes = _traced(look_up)
+    assert all(0 < index.seen - index.built <= 2000 for index in indexes)
+    grown = ledger.memory_footprint()["index_bytes"] - footprint["index_bytes"]
+    assert grown == pytest.approx(overflow_bytes, rel=0.1)
     assert set(empty) == {"row_count", "live_rows", "released_rows", "allocated_rows",
                           "column_bytes", "index_bytes", "name_bytes"}

@@ -141,7 +141,6 @@ KEEP: dict[str, str] = {
     "repro.core.block_ledger.BlockLedger.refresh_domains":
         "failure domains re-laid over a population the ledger already tracks",
     "repro.core.storage.LedgerStore.delete_file": _DELETE,
-    "repro.core.storage.StorageSystem.delete_file": _DELETE,
     "repro.core.block_ledger.BlockLedger.remove_file": _DELETE,
     "repro.core.block_ledger.BlockLedger.file_rows": _DELETE,
     "repro.core.block_ledger.BlockLedger.row_owner": _DELETE,
